@@ -159,7 +159,7 @@ pub fn updates(scale: Scale) -> ExperimentReport {
 
 /// KNOBS — the demo's component toggles and storage-budget sliders:
 /// {Baseline, PM, C, PM+C} × map/cache budget sweep, plus the
-/// selective-tokenizing and force-full-parse ablations.
+/// selective-tokenizing ablation.
 pub fn knobs(scale: Scale) -> ExperimentReport {
     let mut report =
         ExperimentReport::new("knobs", "Component toggles and budget sweep (ablation)");
@@ -199,16 +199,8 @@ pub fn knobs(scale: Scale) -> ExperimentReport {
         NoDbConfig::pm_only(),
         NoDbConfig::cache_only(),
         NoDbConfig::pm_c(),
-        NoDbConfig {
-            cache_force_full_parse: true,
-            ..NoDbConfig::pm_c()
-        },
     ] {
-        let label = if cfg.cache_force_full_parse {
-            "PM+C (force-full-parse ablation)".to_string()
-        } else {
-            cfg.label().to_string()
-        };
+        let label = cfg.label().to_string();
         let total = run_total(cfg);
         toggles.push((label.clone(), total));
         t1.row(vec![label, ms(total)]);
@@ -272,7 +264,7 @@ mod tests {
     #[test]
     fn knobs_grids_complete() {
         let r = knobs(Scale::Small);
-        assert_eq!(r.tables[0].len(), 6);
+        assert_eq!(r.tables[0].len(), 5);
         assert_eq!(r.tables[1].len(), 4);
     }
 }

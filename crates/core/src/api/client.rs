@@ -25,13 +25,14 @@ use crate::api::prepared::{CachedPlan, PreparedCache};
 use crate::config::NoDbConfig;
 use crate::ctx::QueryCtx;
 use crate::metrics::{QueryReport, SystemSnapshot};
-use crate::rawscan::{self, RawScanSource, ScanTelemetry, TelemetryHandle};
+use crate::rawscan::{self, ScanTelemetry, TelemetryHandle};
 use crate::registry::{TableHandle, TableRegistry};
 use crate::table::RawTable;
 
 /// How many times a query re-plans after finding its prepared scan stale
 /// (file-state generation moved, or a needed cache column was evicted)
-/// before falling back to running exclusively under the table's write lock.
+/// before running its next attempt under the write guard it planned with,
+/// where the prep cannot go stale.
 const MAX_SHARED_ATTEMPTS: usize = 3;
 
 /// The NoDB system: a set of registered raw files and their adaptive
@@ -228,9 +229,11 @@ impl NoDb {
     ///
     /// Takes `&self`: any number of threads may call this concurrently on
     /// one instance. The table's write lock is held only for planning and
-    /// the post-scan install; the data scan itself runs under the read lock
-    /// (or, for `scan_threads = 1` and the force-full-parse ablation, under
-    /// the write lock — the sequential path is kept byte-for-byte).
+    /// the post-scan install; the data scan itself runs under the read
+    /// lock, at every `scan_threads` setting. The one exception is bounded:
+    /// a query whose prepared scan went stale `MAX_SHARED_ATTEMPTS` times in
+    /// a row (concurrent appends, cache evictions) runs its next attempt —
+    /// the same stages — under the write guard it planned with.
     pub fn query(&self, sql: &str) -> EngineResult<QueryResult> {
         let ctx = QueryCtx::from_timeout_ms(self.config().query_timeout_ms);
         self.query_with_ctx(sql, &ctx)
@@ -324,14 +327,21 @@ impl NoDb {
         // Planning bookkeeping under a short write lock: update probe,
         // cached-plan validation or statistics-driven planning, usage
         // counters. The whole plan+scan region lives in one block so the
-        // write guard (still held after an exclusive-path scan) is dead
-        // before the post-query snapshot write-behind re-locks the table.
-        let (planned, prepared_hit, result, engine_elapsed, scan_inside_engine) = {
+        // write guard is dead before the post-query snapshot write-behind
+        // re-locks the table.
+        let (planned, prepared_hit, result, engine_elapsed) = {
             let mut guard = handle.write();
             let (planned, prepared_hit) = {
                 let table = &mut *guard;
                 if config.detect_updates {
-                    table.check_updates()?;
+                    // An epoch that cannot be re-captured (the file never
+                    // holds still) escapes as `SourceChanged` before any
+                    // scan ran; count it like the mid-scan kind.
+                    table.check_updates().inspect_err(|e| {
+                        if matches!(e, EngineError::SourceChanged { .. }) {
+                            self.source_changes.fetch_add(1, Ordering::Relaxed);
+                        }
+                    })?;
                 }
                 match cached_entry {
                     Some(entry) if entry.generation == table.generation => {
@@ -385,27 +395,19 @@ impl NoDb {
 
             let mut attempts = 0usize;
             // Engine (pipeline-above-the-scan) time, measured around the
-            // execute call so the report separates scan work from engine work.
-            // On the staged paths the split is exact; on the exclusive
-            // streaming path the scan runs inside execute, so its phase slices
-            // are subtracted back out below.
-            let mut engine_elapsed = std::time::Duration::ZERO;
-            // True when the scan ran *inside* the engine call (the exclusive
-            // streaming path pulls batches from within execute), so the scan's
-            // phase slices must be carved back out of the engine measurement.
-            let mut scan_inside_engine = false;
+            // execute call: the scan has fully staged its batches by then,
+            // so the report separates scan work from engine work exactly.
+            let mut engine_elapsed = Duration::ZERO;
             let vectorized = config.vectorized_exec;
-            let mut run_engine = |planned: &nodb_engine::PlannedQuery,
-                                  source: Box<dyn nodb_engine::ScanSource + '_>|
-             -> EngineResult<QueryResult> {
+            let mut run_engine = |queue| -> EngineResult<QueryResult> {
                 let t = Instant::now();
-                let r = execute_with(planned, source, vectorized);
+                let r = execute_with(&planned, Box::new(QueueSource::new(queue)), vectorized);
                 engine_elapsed = t.elapsed();
                 r
             };
             let mut source_retries = config.source_change_retries;
             let mut source_changes = 0u64;
-            let result = 'query: loop {
+            let outcome: EngineResult<QueryResult> = 'query: loop {
                 // One scan attempt. Every exit of this inner loop leaves the
                 // write guard released, so the `SourceChanged` handler below
                 // can re-acquire it without self-deadlocking.
@@ -424,95 +426,56 @@ impl NoDb {
                     );
                     // A stale prep (concurrent append/replace reconciliation, or a
                     // cache column evicted under budget pressure) sends the query
-                    // around the loop; after a few spins it runs exclusively, which
-                    // cannot go stale.
-                    let exclusive = attempts > MAX_SHARED_ATTEMPTS;
-                    if !exclusive && prep.fully_cached {
+                    // around the loop; after a few spins the attempt keeps the
+                    // write guard across the same stages, which cannot go stale.
+                    let staged = if attempts > MAX_SHARED_ATTEMPTS {
+                        let r = rawscan::scan_held(&mut guard, &config, &prep, &telemetry);
                         drop(guard);
-                        match rawscan::stream_cached_shared(&handle, &config, &prep, &telemetry) {
-                            Ok(Some(queue)) => {
-                                break run_engine(&planned, Box::new(QueueSource::new(queue)))
-                            }
-                            Ok(None) => {
-                                guard = handle.write();
-                                continue;
-                            }
-                            Err(e) => break Err(e),
-                        }
-                    }
-                    if !exclusive
-                        && !prep.fully_cached
-                        && prep.threads >= 2
-                        && !config.cache_force_full_parse
-                    {
+                        r.map(Some)
+                    } else {
                         drop(guard);
-                        match rawscan::scan_shared(&handle, &config, &prep, &telemetry) {
-                            Ok(Some(queue)) => {
-                                break run_engine(&planned, Box::new(QueueSource::new(queue)))
-                            }
-                            Ok(None) => {
-                                guard = handle.write();
-                                continue;
-                            }
-                            Err(e) => break Err(e),
-                        }
-                    }
-                    // Exclusive path: the write lock is held across the whole
-                    // scan (and released right after, see above).
-                    scan_inside_engine = true;
-                    let r = {
-                        let source = RawScanSource::from_prep(
-                            &mut guard,
-                            config,
-                            prep,
-                            Arc::clone(&telemetry),
-                        );
-                        run_engine(&planned, Box::new(source))
+                        rawscan::scan_shared(&handle, &config, &prep, &telemetry)
                     };
-                    drop(guard);
-                    break r;
-                };
-                match attempt {
-                    Ok(r) => break 'query r,
-                    Err(e) => {
-                        // Self-healing cold rescan: the backing file was
-                        // truncated or rewritten mid-scan. Quarantine the
-                        // now epoch-mismatched adaptive state, re-key the
-                        // table to the fresh epoch, and retry cold —
-                        // bounded by `source_change_retries`, so a file
-                        // mutating faster than it can be scanned still
-                        // surfaces the error. Besides the guard's own
-                        // `SourceChanged`, a *raw-data* error on a file
-                        // whose epoch moved since planning is treated the
-                        // same way: a rewrite can misalign in-flight reads
-                        // into parse errors before any bounds check fires,
-                        // and blaming the data would mask the real cause.
-                        let heal = source_retries > 0
-                            && match &e {
-                                EngineError::SourceChanged { .. } => true,
-                                EngineError::Csv(_) if config.detect_updates => {
-                                    let t = handle.read();
-                                    t.epoch()
-                                        .classify(t.path())
-                                        .map_or(true, |c| c.invalidates())
-                                }
-                                _ => false,
-                            };
-                        if heal {
-                            source_retries -= 1;
-                            source_changes += 1;
-                            attempts = 0;
-                            guard = handle.write();
-                            guard.quarantine()?;
-                        } else {
-                            if source_changes > 0 {
-                                rawscan::lock_recover(&telemetry).source_changed = source_changes;
-                                self.source_changes
-                                    .fetch_add(source_changes, Ordering::Relaxed);
-                            }
-                            return Err(e);
-                        }
+                    match staged {
+                        Ok(Some(queue)) => break run_engine(queue),
+                        Ok(None) => guard = handle.write(),
+                        Err(e) => break Err(e),
                     }
+                };
+                let e = match attempt {
+                    Ok(r) => break 'query Ok(r),
+                    Err(e) => e,
+                };
+                // Self-healing cold rescan: the backing file was truncated
+                // or rewritten mid-scan. Quarantine the now epoch-mismatched
+                // adaptive state, re-key the table to the fresh epoch, and
+                // retry cold — bounded by `source_change_retries`, so a file
+                // mutating faster than it can be scanned still surfaces the
+                // error. Besides the guard's own `SourceChanged`, a
+                // *raw-data* error on a file whose epoch moved since
+                // planning is treated the same way: a rewrite can misalign
+                // in-flight reads into parse errors before any bounds check
+                // fires, and blaming the data would mask the real cause.
+                let heal = source_retries > 0
+                    && match &e {
+                        EngineError::SourceChanged { .. } => true,
+                        EngineError::Csv(_) if config.detect_updates => {
+                            let t = handle.read();
+                            t.epoch()
+                                .classify(t.path())
+                                .map_or(true, |c| c.invalidates())
+                        }
+                        _ => false,
+                    };
+                if !heal {
+                    break 'query Err(e);
+                }
+                source_retries -= 1;
+                source_changes += 1;
+                attempts = 0;
+                guard = handle.write();
+                if let Err(e) = guard.quarantine() {
+                    break 'query Err(e);
                 }
             };
             if source_changes > 0 {
@@ -520,13 +483,7 @@ impl NoDb {
                 self.source_changes
                     .fetch_add(source_changes, Ordering::Relaxed);
             }
-            (
-                planned,
-                prepared_hit,
-                result,
-                engine_elapsed,
-                scan_inside_engine,
-            )
+            (planned, prepared_hit, outcome?, engine_elapsed)
         };
 
         let total = t0.elapsed();
@@ -537,11 +494,7 @@ impl NoDb {
             + breakdown.parsing
             + breakdown.convert
             + breakdown.nodb;
-        breakdown.engine = if scan_inside_engine {
-            engine_elapsed.saturating_sub(scan_time)
-        } else {
-            engine_elapsed
-        };
+        breakdown.engine = engine_elapsed;
         breakdown.planning = planning;
         // Processing = everything not attributed to a scan phase, the
         // engine pipeline or planning (admission/lock waits land here).
@@ -593,36 +546,6 @@ impl NoDb {
     /// Lock it (`read`/`write`) to inspect or tweak the adaptive state.
     pub fn table_handle(&self, name: &str) -> Option<TableHandle> {
         self.tables.get(name)
-    }
-
-    // ------------------------------------------------------------------
-    // Deprecated aliases for methods that moved to the admin surface
-    // (`NoDb::admin`). Kept so pre-split callers keep compiling; they
-    // forward verbatim.
-    // ------------------------------------------------------------------
-
-    /// Report for the most recent query on this instance.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().last_report()`")]
-    pub fn last_report(&self) -> Option<QueryReport> {
-        self.admin().last_report()
-    }
-
-    /// Change the positional-map budget for every registered table.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().set_map_budget(bytes)`")]
-    pub fn set_map_budget(&self, bytes: usize) {
-        self.admin().set_map_budget(bytes)
-    }
-
-    /// Change the cache budget for every registered table.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().set_cache_budget(bytes)`")]
-    pub fn set_cache_budget(&self, bytes: usize) {
-        self.admin().set_cache_budget(bytes)
-    }
-
-    /// Force an update probe on one table.
-    #[deprecated(note = "moved to the admin surface: use `db.admin().probe_updates(table)`")]
-    pub fn probe_updates(&self, table: &str) -> EngineResult<crate::epoch::EpochChange> {
-        self.admin().probe_updates(table)
     }
 }
 

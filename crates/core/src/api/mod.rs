@@ -10,8 +10,7 @@
 //!
 //! The split exists so a network request handler works against a surface
 //! with no operational foot-guns on it, while everything that mutates
-//! budgets or global behavior is one deliberate hop away. Pre-split method
-//! paths on `NoDb` remain as `#[deprecated]` forwarding aliases.
+//! budgets or global behavior is one deliberate hop away.
 
 pub mod admin;
 pub mod client;

@@ -60,11 +60,6 @@ pub struct NoDbConfig {
     /// attribute is located. Disabling reverts to full-tuple tokenizing —
     /// the KNOBS ablation.
     pub selective_tokenizing: bool,
-    /// Ablation: cache every parsed attribute of the tuple instead of only
-    /// those the query requested. The paper explicitly rejects this
-    /// ("caching does not force additional data to be parsed"); turning it
-    /// on shows why.
-    pub cache_force_full_parse: bool,
     /// Observe every `stats_sample_every`-th row in the statistics
     /// accumulators (1 = every row).
     pub stats_sample_every: u64,
@@ -106,16 +101,15 @@ pub struct NoDbConfig {
     /// `0` disables the retry (the error surfaces immediately). Retries are
     /// counted in `QueryReport::source_changed`.
     pub source_change_retries: u32,
-    /// Number of scan worker threads for streaming raw scans. `0` means
-    /// auto-detect (`std::thread::available_parallelism`). `1` forces the
-    /// single-threaded scan path — byte-for-byte the pre-parallel code, kept
-    /// for fallback and A/B benchmarking. Values `>= 2` split the file into
-    /// line-aligned partitions scanned concurrently; post-scan positional
-    /// map, cache and statistics are identical to a sequential scan (see
-    /// `rawscan`'s module docs for the merge invariants).
+    /// Number of scan worker threads for raw scans. `0` means auto-detect
+    /// (`std::thread::available_parallelism`); `1` = one worker, same path.
+    /// Every scan splits the file into line-aligned partition slices that
+    /// the workers claim; post-scan positional map, cache and statistics do
+    /// not depend on the worker count (see `rawscan`'s module docs for the
+    /// merge invariants).
     pub scan_threads: usize,
-    /// Two-phase cold scans: when a cold (byte-partitioned) parallel scan
-    /// could reuse existing state — partial cache coverage, or positional-map
+    /// Two-phase cold scans: when a cold (byte-partitioned) scan could reuse
+    /// existing state — partial cache coverage, or positional-map
     /// chunks surviving an append — run a cheap SWAR newline pre-count over
     /// the partitions first to establish every partition's global row base.
     /// Workers then consult the cache and map mid-partition and skip
@@ -191,7 +185,6 @@ impl Default for NoDbConfig {
             cache_budget_bytes: 1 << 30,
             combination_trigger: CombinationTrigger::AllDifferentChunks,
             selective_tokenizing: true,
-            cache_force_full_parse: false,
             stats_sample_every: 1,
             io_block_size: 1 << 20,
             io_readahead_blocks: 2,
@@ -257,8 +250,7 @@ impl NoDbConfig {
     /// silently, now the config owns the rule), `io_readahead_blocks` to at
     /// most [`MAX_READAHEAD_BLOCKS`] (each in-flight block pins a block of
     /// memory per scanner). Applied by `NoDb::new`, so every facade query
-    /// runs on a validated snapshot; direct `RawScanSource` users can call
-    /// it themselves.
+    /// runs on a validated snapshot.
     pub fn validated(mut self) -> Self {
         self.io_block_size = self
             .io_block_size

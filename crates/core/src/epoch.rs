@@ -125,21 +125,42 @@ impl SourceEpoch {
     /// shrinking between the stat and a read, or the post-read stat
     /// disagreeing with the first) restarts the attempt, up to
     /// [`CAPTURE_ATTEMPTS`] times; only a file mutating continuously
-    /// faster than a few page reads makes this fail.
+    /// faster than a few page reads makes this fail. This entry point is
+    /// for callers with nothing to retry against (registration), so a file
+    /// that never holds still is reported as an I/O error.
     pub fn capture(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
+        Self::try_capture(path)?.ok_or_else(|| {
+            RawCsvError::io(
+                format!("fingerprint {}", path.display()),
+                std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "file kept changing during epoch capture",
+                ),
+            )
+        })
+    }
+
+    /// [`Self::capture`] for a table that already holds adaptive state:
+    /// `Ok(None)` means every attempt raced a mutation — an active writer,
+    /// not an I/O failure — which the table reports as the retryable
+    /// `EngineError::SourceChanged`.
+    pub(crate) fn try_capture(path: impl AsRef<Path>) -> Result<Option<Self>> {
+        Self::capture_bounded(path.as_ref(), Self::capture_once)
+    }
+
+    /// The bounded restart loop around one capture attempt (a parameter so
+    /// tests can force exhaustion).
+    pub(crate) fn capture_bounded(
+        path: &Path,
+        mut attempt: impl FnMut(&Path) -> Result<Option<Self>>,
+    ) -> Result<Option<Self>> {
         for _ in 0..CAPTURE_ATTEMPTS {
-            if let Some(epoch) = Self::capture_once(path)? {
-                return Ok(epoch);
+            if let Some(epoch) = attempt(path)? {
+                return Ok(Some(epoch));
             }
         }
-        Err(RawCsvError::io(
-            format!("fingerprint {}", path.display()),
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "file kept changing during epoch capture",
-            ),
-        ))
+        Ok(None)
     }
 
     /// One capture attempt; `Ok(None)` means a concurrent writer changed

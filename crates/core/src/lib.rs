@@ -96,6 +96,6 @@ pub use config::{NoDbConfig, NoDbConfigBuilder, ParseErrorPolicy};
 pub use ctx::{CancelToken, QueryCtx};
 pub use epoch::{EpochChange, SourceEpoch};
 pub use metrics::{Breakdown, QueryReport, SnapshotTelemetry, SystemSnapshot};
-pub use rawscan::{QuarantineSample, RawScanSource, ScanTelemetry, TelemetryHandle};
+pub use rawscan::{QuarantineSample, ScanTelemetry, TelemetryHandle};
 pub use registry::{TableHandle, TableRegistry};
 pub use table::{RawTable, RestoreOutcome};

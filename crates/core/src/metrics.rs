@@ -28,16 +28,16 @@ pub struct Breakdown {
     pub nodb: Duration,
     /// The engine pipeline above the scan: projection / aggregation /
     /// sort / limit over the staged batches. Measured around the engine
-    /// `execute` call, so "scan time" and "engine time" separate cleanly
-    /// in the panel (the vectorized warm path shrinks this slice).
+    /// `execute` call, which only ever runs over fully staged batches, so
+    /// "scan time" and "engine time" separate exactly in the panel (the
+    /// vectorized warm path shrinks this slice).
     pub engine: Duration,
     /// Parsing the SQL text and planning the statement. Exactly zero when
     /// the query was served from the prepared-statement cache — the slice
     /// a prepared hit deletes.
     pub planning: Duration,
     /// Everything not attributed elsewhere: admission waits, lock waits,
-    /// and (for the exclusive streaming path, whose scan and engine
-    /// interleave) the scan-side remainder.
+    /// report assembly.
     pub processing: Duration,
 }
 

@@ -21,65 +21,73 @@
 //!
 //! # Threading model
 //!
-//! Streaming scans run on `NoDbConfig::scan_threads` workers (`0` =
-//! auto-detect, `1` = the original single-threaded path, kept verbatim for
-//! fallback and A/B benchmarking). The in-situ scan is embarrassingly
-//! parallel over row-ordered CSV, so the driver splits the file into
-//! line-aligned partitions, one worker per partition (`crate::worker`), and
-//! deterministically merges the partial results. Two partitioning modes:
+//! There is one scan path. Every scan splits its work into line-aligned
+//! partition slices (`NoDbConfig::scan_slice_target`), runs them on
+//! `NoDbConfig::scan_threads` workers (`crate::worker`; `0` = auto-detect,
+//! `1` = one worker, same path) and deterministically merges the
+//! partition-local partials in slice order, so the post-scan state does not
+//! depend on the worker count. Two partitioning modes:
 //!
 //! * **Row-partitioned (warm)** — when the shared row index is complete
-//!   (some earlier query scanned to EOF with the map enabled), partitions
-//!   are row ranges: every worker knows its global row base up front and can
-//!   therefore use per-row cache reads and exact positional-map jumps,
-//!   exactly like the sequential scan.
+//!   (some earlier query scanned to EOF with the map enabled), slices are
+//!   row ranges: every worker knows its global row base up front and can
+//!   therefore use per-row cache reads and exact positional-map jumps.
 //! * **Byte-partitioned (cold)** — otherwise the file is split at byte
 //!   targets snapped forward to line boundaries
 //!   ([`nodb_rawcsv::reader::partition_line_ranges`]). Global row numbers
-//!   are unknown until the workers count their partitions, so workers
-//!   resolve every value from raw bytes; partitions whose tokenizer is
-//!   plain use the fused single-pass scan
-//!   ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]).
+//!   are unknown until the workers count their slices, so workers resolve
+//!   every value from raw bytes; slices whose tokenizer is plain use the
+//!   fused single-pass scan
+//!   ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]). When
+//!   there is adaptive state worth reusing (partial cache coverage, map
+//!   chunks surviving an append), a newline **pre-count**
+//!   ([`plan_cold_partitions`]) establishes the row bases first and cold
+//!   workers read the cache and map like warm ones.
 //!
-//! Every scanner — sequential, per-partition worker, and the cold
-//! pre-count — pulls its blocks through the pluggable
-//! [`nodb_rawcsv::reader::BlockSource`] layer: with
-//! `NoDbConfig::io_readahead_blocks > 0` each gets its own prefetch helper
-//! thread that keeps blocks in flight while the scan thread tokenizes
-//! (disk wait overlaps CPU; the remaining wait is reported as
-//! `IoCounters::stall`), with `0` it reads synchronously as before. The
-//! byte stream is identical either way, so the read-ahead depth never
-//! affects the post-scan state. `NoDbConfig::pin_cores` additionally pins
-//! each worker to a distinct core, best-effort.
+//! Every scanner — per-slice worker and the cold pre-count — pulls its
+//! blocks through the pluggable [`nodb_rawcsv::reader::BlockSource`] layer:
+//! with `NoDbConfig::io_readahead_blocks > 0` each gets its own prefetch
+//! helper thread that keeps blocks in flight while the scan thread
+//! tokenizes (disk wait overlaps CPU; the remaining wait is reported as
+//! `IoCounters::stall`), with `0` it reads synchronously. The byte stream
+//! is identical either way, so the read-ahead depth never affects the
+//! post-scan state. `NoDbConfig::pin_cores` additionally pins each worker
+//! to a distinct core, best-effort.
 //!
 //! # Concurrent queries (lock staging)
 //!
 //! With the table registry (`crate::registry`), several queries may scan
-//! the *same* table at once. The scan is split into three phases so the
-//! table's write lock is held only for bookkeeping, never for data access:
+//! the *same* table at once. The scan is split into phases so the table's
+//! write lock is held only for bookkeeping, never for data access:
 //!
 //! 1. **Prepare** ([`prepare_scan`], write lock) — update probe, access
 //!    planning (LRU touches, cache query tick), coverage snapshots and warm
 //!    partitioning, captured into a [`ScanPrep`] together with the table's
 //!    file-state generation.
-//! 2. **Scan** ([`run_partitions`] / [`stream_cached_shared`], read lock) —
-//!    workers borrow the map/cache/schema immutably and stage everything in
-//!    partition-local partials; fully-cached queries stream through
-//!    `RawCache::peek` with local hit tallies. Any number of queries can be
-//!    in this phase simultaneously.
-//! 3. **Merge** ([`merge_outputs`], write lock) — staged partials are
-//!    installed. The merge is *frontier-based* and therefore idempotent
-//!    under interleaving: the row index skips known rows, chunk installs go
-//!    through subsumption, cache admission replays from the cache's
-//!    *current* coverage, and statistics replay only rows beyond each
-//!    attribute's observation frontier. Merging the same full-scan output
-//!    after another query already merged its own is a no-op, which is what
-//!    makes N concurrent queries end in the same state as a sequential
-//!    replay.
+//! 2. **Data** (`scan_data`, read lock) — cold slices are planned from the
+//!    raw file alone (no lock), then [`run_partitions`] workers borrow the
+//!    map/cache/schema immutably and stage everything in partition-local
+//!    partials; fully-cached queries stream straight off the cache columns.
+//!    The source epoch is re-validated ([`revalidate_epoch`]) before
+//!    anything is handed on. Any number of queries can be in this phase
+//!    simultaneously.
+//! 3. **Install** (`scan_install` → [`merge_outputs`], write lock) — staged
+//!    partials are installed. The merge is *frontier-based* and therefore
+//!    idempotent under interleaving: the row index skips known rows, chunk
+//!    installs go through subsumption, cache admission replays from the
+//!    cache's *current* coverage, and statistics replay only rows beyond
+//!    each attribute's observation frontier. Merging the same full-scan
+//!    output after another query already merged its own is a no-op, which
+//!    is what makes N concurrent queries end in the same state as a
+//!    sequential replay.
 //!
-//! A `ScanPrep` is only valid for the generation it was taken at: if update
-//! detection reconciled an append/replacement in between, phases 2 and 3
-//! refuse to run (`None`) and the caller retries against the new state.
+//! [`scan_shared`] runs phases 2 and 3 under read-then-write locks. A
+//! `ScanPrep` is only valid for the generation it was taken at: if update
+//! detection reconciled an append/replacement in between, `scan_shared`
+//! refuses (`None`) and the caller re-prepares against the new state.
+//! After a bounded number of stale preps the caller keeps the write guard
+//! it prepared under and runs the *same* two phases through [`scan_held`],
+//! which cannot go stale — the only time a write guard spans a data phase.
 //! Stale *plan* details (chunk indices, cache coverage) are harmless within
 //! a generation — a chunk that moved or a column that was evicted simply
 //! degrades to tokenizing, never to wrong data, because every chunk of the
@@ -89,8 +97,9 @@
 //!
 //! Workers never touch shared mutable state; each returns partition-local
 //! partials that the driver merges **in partition order**, which makes the
-//! post-scan state byte-identical to a sequential scan (property-tested in
-//! `tests/property_based.rs`):
+//! post-scan state byte-identical for every worker count and steal
+//! interleaving, and equal to a naive row-at-a-time model (property-tested
+//! in `tests/property_based.rs`):
 //!
 //! * *Row index* — per-partition line-start lists are replayed in order
 //!   ([`nodb_posmap::RowIndex::note_rows`]); offsets are absolute, so
@@ -100,11 +109,11 @@
 //!   concatenating in partition order, then the usual install path
 //!   (subsumption, LRU, budget) runs once on the merged chunk.
 //! * *Cache* — workers buffer one value per row per requested attribute
-//!   (partial columns); the driver replays the sequential scan's exact
-//!   admission loop — row-major, attribute-interleaved, stopping a column
-//!   permanently at the first refused append — starting from the cache's
-//!   coverage at merge time, so budget/LRU behavior matches the sequential
-//!   scan decision for decision.
+//!   (partial columns); the merge admits them row-major,
+//!   attribute-interleaved, stopping a column permanently at the first
+//!   refused append, starting from the cache's coverage at merge time — so
+//!   budget/LRU behavior is that of a single row-at-a-time pass over the
+//!   file.
 //! * *Statistics* — observations are replayed from the buffered columns in
 //!   global row order under the same sampling stride, starting at each
 //!   attribute's observation frontier. Replay (not accumulator merging) is
@@ -116,11 +125,10 @@
 //!   tallies travel with the scan (not as global metric diffs), so
 //!   concurrent queries never misattribute each other's reads.
 //!
-//! The `cache_force_full_parse` ablation always runs sequentially (it
-//! exists to demonstrate a pathology, not to be fast). Under the strict
-//! parse-error policy a malformed row aborts the parallel scan without
-//! merging any side effects; the permissive policy instead tombstones the
-//! malformed cell as NULL and quarantines the row into telemetry.
+//! Under the strict parse-error policy a malformed row aborts the scan
+//! without merging any side effects; the permissive policy instead
+//! tombstones the malformed cell as NULL and quarantines the row into
+//! telemetry.
 //!
 //! ## Partial merge on cancellation
 //!
@@ -147,16 +155,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use nodb_engine::batch::{Batch, ColView, Column, SliceRow, BATCH_SIZE};
-use nodb_engine::{EngineError, EngineResult, ScanRequest, ScanSource};
+use nodb_engine::{EngineError, EngineResult, ScanRequest};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, LineCountMemo};
 use nodb_rawcache::TypedColumn;
-use nodb_rawcsv::reader::{
-    count_lines_in_range_ctl, partition_line_ranges_capped, BlockScanner, LineRange,
-};
-use nodb_rawcsv::tokenizer::{find_byte, Tokens};
-use nodb_rawcsv::{parser, Datum, IoCounters, RawCsvError};
+use nodb_rawcsv::reader::{count_lines_in_range_ctl, partition_line_ranges_capped, LineRange};
+use nodb_rawcsv::{Datum, IoCounters, RawCsvError};
 
-use crate::config::{NoDbConfig, ParseErrorPolicy};
+use crate::config::NoDbConfig;
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
 use crate::epoch::SourceEpoch;
 use crate::metrics::{Breakdown, PhaseClock};
@@ -218,8 +223,8 @@ pub struct ScanTelemetry {
     /// and positional-map reads).
     pub precounted: bool,
     /// Partition slices executed by a worker other than their run's owner
-    /// (work stealing under skewed line widths). Always 0 for sequential
-    /// scans and static partitioning.
+    /// (work stealing under skewed line widths). Always 0 with one worker
+    /// or static partitioning.
     pub steals: u64,
     /// Rows with at least one malformed cell tombstoned under
     /// [`ParseErrorPolicy::Permissive`] (always 0 under strict).
@@ -301,13 +306,13 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 /// Shared handle to the telemetry a scan publishes when it finishes.
 ///
-/// `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>`: the parallel scan path
-/// requires every scan-adjacent type to be `Send`, and the facade keeps its
-/// clone across the engine call. The lock is touched once per query.
+/// `Arc<Mutex<…>>` rather than `Rc<RefCell<…>>`: scan workers require every
+/// scan-adjacent type to be `Send`, and the facade keeps its clone across
+/// the engine call. The lock is touched once per query.
 pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 
-/// Selective tuple formation shared by the sequential scan, the partition
-/// workers and the cached streamer: evaluate the pushed predicate over the
+/// Selective tuple formation shared by the partition workers and the cached
+/// streamer: evaluate the pushed predicate over the
 /// resolved values and, if it passes, append one output row to `batch`
 /// (predicate-only columns stay NULL). Returns whether the row was formed.
 pub(crate) fn form_tuple_into(
@@ -442,15 +447,10 @@ pub(crate) struct ScanPrep {
     pub plan: Option<AccessPlan>,
     /// Whether this scan collects a new positional-map chunk.
     pub build_chunk: bool,
-    /// Row-count hint for chunk-builder preallocation.
-    pub rows_hint: usize,
     /// Cache coverage per requested position at plan time.
     pub cache_cov: Vec<usize>,
     /// LRU tick from `RawCache::begin_query` protecting this query's columns.
     pub query_tick: u64,
-    /// Statistics observation frontier per requested position at plan time
-    /// (the sequential streaming path observes only rows at or beyond it).
-    pub stats_frontier: Vec<u64>,
     /// Pure-cache fast path: every requested attribute covered for every
     /// known row.
     pub fully_cached: bool,
@@ -458,14 +458,14 @@ pub(crate) struct ScanPrep {
     pub cached_rows: u64,
     /// Row-partitioned (warm) mode is available.
     pub warm: bool,
-    /// Precomputed row-range partitions (warm mode, `threads >= 2` only).
+    /// Precomputed row-range partitions (warm mode).
     pub warm_partitions: Vec<Partition>,
     /// Resolved worker count.
     pub threads: usize,
     /// Partition-slice target (`threads × steal granularity`).
     pub slice_target: usize,
-    /// A cold parallel scan should run the newline pre-count: the knob is
-    /// on and there is state worth reusing mid-partition (partial cache
+    /// A cold scan should run the newline pre-count: the knob is on and
+    /// there is state worth reusing mid-partition (partial cache
     /// coverage of a requested attribute, or a usable map chunk).
     pub precount: bool,
     /// The access plan resolves at least one attribute through a chunk
@@ -531,16 +531,6 @@ pub(crate) fn prepare_scan(
     let map_usable = config.enable_positional_map && table.tokenizer.quote.is_none();
     let plan = map_usable.then(|| table.map.plan_access(&req.attrs));
     let build_chunk = matches!(&plan, Some(p) if p.should_index);
-    let rows_hint = table.map.row_index().len();
-
-    let stats_frontier: Vec<u64> = if config.enable_stats {
-        req.attrs
-            .iter()
-            .map(|&a| table.stats.observed_upto(a))
-            .collect()
-    } else {
-        vec![0; n]
-    };
 
     // Pure-cache fast path: every requested attribute covered for every
     // known row.
@@ -557,7 +547,7 @@ pub(crate) fn prepare_scan(
     let slice_target = config.scan_slice_target();
     let warm = plan.is_some() && table.map.row_index().is_complete() && table.row_count.is_some();
     let mut warm_partitions: Vec<Partition> = Vec::new();
-    if warm && threads >= 2 && !fully_cached {
+    if warm && !fully_cached {
         let total = table.row_count.expect("warm mode") as usize;
         let idx = table.map.row_index();
         let parts = slice_target.min(total.max(1));
@@ -605,7 +595,7 @@ pub(crate) fn prepare_scan(
             None => true,
         };
     let has_reuse = cache_worthwhile || plan_assists;
-    let precount = config.cold_precount && has_reuse && !warm && !fully_cached && threads >= 2;
+    let precount = config.cold_precount && has_reuse && !warm && !fully_cached;
     let line_counts = if precount {
         table.map.line_counts().snapshot()
     } else {
@@ -616,10 +606,8 @@ pub(crate) fn prepare_scan(
         req,
         plan,
         build_chunk,
-        rows_hint,
         cache_cov,
         query_tick,
-        stats_frontier,
         fully_cached,
         cached_rows,
         warm,
@@ -681,9 +669,12 @@ pub(crate) struct ColdScanPlan {
     pub new_counts: Vec<(u64, u64)>,
     /// I/O performed by the counting pass.
     pub io: IoCounters,
+    /// Wall time of the partitioning (and counting) pass, reported in the
+    /// breakdown's I/O slice.
+    pub elapsed: Duration,
 }
 
-/// Phase 0 of a cold parallel scan: byte-partition the file into slices
+/// Phase 0 of a cold scan: byte-partition the file into slices
 /// and, when the prep asked for it, run the **newline pre-count** — one
 /// SWAR counting pass per slice (parallelized, memo-assisted) that
 /// establishes every slice's global first-row number before any parsing.
@@ -723,6 +714,7 @@ pub(crate) fn plan_cold_partitions(
         rows_known: false,
         new_counts: Vec::new(),
         io: IoCounters::default(),
+        elapsed: Duration::ZERO,
     };
     if !prep.precount || n == 0 {
         return Ok(plan);
@@ -864,21 +856,6 @@ fn claim_slice(
     }
 }
 
-/// Phase 2 of a parallel scan: run the partition slices on `prep.threads`
-/// workers over shared borrows of the table and collect the partials in
-/// slice order. Needs only `&RawTable`, so concurrent queries run this
-/// phase under the table's read lock.
-///
-/// Scheduling is a **work-stealing run queue**: each worker owns a
-/// contiguous run of slices (adjacent file regions, so a worker streams
-/// forward through the file like the static split did) and claims them via
-/// an atomic cursor; a worker whose run drains steals slices from the
-/// most-loaded peer. Which worker executes a slice never affects the
-/// output — partials are merged in slice order — so every steal
-/// interleaving produces the byte-identical post-scan state the merge
-/// invariants promise. Returns the outputs plus the number of stolen
-/// slices (telemetry).
-///
 /// What [`run_partitions`] hands back.
 pub(crate) struct ScanOutcome {
     /// Completed partition partials — all of them on success, the
@@ -890,6 +867,19 @@ pub(crate) struct ScanOutcome {
     pub stopped: Option<EngineError>,
 }
 
+/// Phase 2 of a raw scan: run the partition slices on `prep.threads`
+/// workers over shared borrows of the table and collect the partials in
+/// slice order. Needs only `&RawTable`, so concurrent queries run this
+/// phase under the table's read lock.
+///
+/// Scheduling is a **work-stealing run queue**: each worker owns a
+/// contiguous run of slices (adjacent file regions, so a worker streams
+/// forward through the file) and claims them via an atomic cursor; a worker
+/// whose run drains steals slices from the most-loaded peer. Which worker
+/// executes a slice never affects the output — partials are merged in slice
+/// order — so every steal interleaving produces the byte-identical
+/// post-scan state the merge invariants promise.
+///
 /// A worker error aborts the scan; the error reported is the
 /// lowest-numbered slice's. Cold-mode errors without a pre-count are
 /// rebased to global row numbers using the preceding slices' row counts
@@ -972,7 +962,7 @@ pub(crate) fn run_partitions(
                     // Errors park in the slice's slot; the worker keeps
                     // draining so every lower-numbered slice completes and
                     // the driver can report the lowest-slice error with an
-                    // exact row rebase, exactly like the static split did.
+                    // exact row rebase.
                     while let Some((idx, stolen)) = claim_slice(w, cursors, bounds) {
                         if stolen {
                             steals.fetch_add(1, Ordering::Relaxed);
@@ -1071,49 +1061,45 @@ pub(crate) fn run_partitions(
     })
 }
 
-/// What [`merge_outputs`] hands back: the total rows scanned and the output
-/// batches ready for the engine.
-pub(crate) struct MergeInfo {
-    /// Data rows the scan visited.
-    pub total: usize,
-    /// Re-packed output batches in row order.
-    pub queue: VecDeque<Batch>,
-}
-
-/// Phase 3 of a parallel scan: merge the per-partition partials into the
-/// table's adaptive structures, in partition order, under the table's write
-/// lock, and publish the scan telemetry.
+/// Phase 3 of a raw scan: merge the per-partition partials into the
+/// table's adaptive structures, in partition order, under exclusive access
+/// to the table, publish the scan telemetry, and hand back the re-packed
+/// output batches in row order.
 ///
 /// Every sub-merge is **frontier-based** so interleaved queries converge to
 /// the sequential-replay state: the row index skips known rows, the chunk
 /// install goes through subsumption, cache admission replays from the
 /// cache's *current* coverage, and statistics replay only rows at or beyond
-/// each attribute's observation frontier. With exclusive access (the
-/// `scan_threads = 1` facade path or direct `RawScanSource` use) the
-/// frontiers equal the plan-time snapshots, reproducing the sequential scan
-/// decision for decision.
-/// `complete` is false when the scan stopped before EOF (cancellation /
-/// deadline) and `results` holds only the contiguous completed prefix of
-/// partitions: every frontier-based sub-merge still runs over that prefix,
-/// but the end-of-scan bookkeeping (`row_count`, `mark_complete`,
+/// each attribute's observation frontier. When nothing else merged between
+/// this scan's prepare and its merge, the frontiers equal the plan-time
+/// snapshots.
+///
+/// When the scan stopped before EOF (`outcome.stopped`: cancellation /
+/// deadline), `outcome.outputs` holds only the contiguous completed prefix
+/// of partitions: every frontier-based sub-merge still runs over that
+/// prefix, but the end-of-scan bookkeeping (`row_count`, `mark_complete`,
 /// `set_row_count`) is withheld — the file was not fully visited, so those
 /// totals are unknown. Statistics observation frontiers are still advanced
-/// over the merged prefix, so a re-run never double-observes.
-#[allow(clippy::too_many_arguments)] // phase boundary: each argument is one staged ingredient
+/// over the merged prefix, so a re-run never double-observes. The query
+/// then fails with the stop error: the next identical query starts from
+/// the warmer map/cache/statistics state.
 pub(crate) fn merge_outputs(
     table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
     cold: Option<&ColdScanPlan>,
-    steals: u64,
-    mut results: Vec<PartitionOutput>,
-    mut bd: Breakdown,
+    outcome: ScanOutcome,
     telemetry: &TelemetryHandle,
-    clock: &PhaseClock,
-    complete: bool,
-) -> MergeInfo {
-    // Ordered merge. Timed as NoDB-structure maintenance, like the
-    // sequential scan's chunk install.
+) -> EngineResult<VecDeque<Batch>> {
+    let ScanOutcome {
+        outputs: mut results,
+        steals,
+        stopped,
+    } = outcome;
+    let complete = stopped.is_none();
+    // The ordered merge is timed as NoDB-structure maintenance.
+    let clock = PhaseClock::new(config.detailed_timing);
+    let mut bd = Breakdown::default();
     let t = clock.start();
     let n = prep.req.attrs.len();
     let bases: Vec<usize> = results
@@ -1159,6 +1145,7 @@ pub(crate) fn merge_outputs(
     // skips the counting pass entirely.
     if let Some(cp) = cold {
         io.merge(cp.io);
+        bd.io += cp.elapsed;
         for &(off, lines) in &cp.new_counts {
             table.map.line_counts_mut().note(off, lines);
         }
@@ -1218,9 +1205,9 @@ pub(crate) fn merge_outputs(
         Vec::new()
     };
 
-    // Cache: replay the sequential admission loop — row-major,
-    // attribute-interleaved, a column stopping permanently at its first
-    // refused append — so budget/LRU decisions are identical. The admission
+    // Cache admission: row-major, attribute-interleaved, a column stopping
+    // permanently at its first refused append, so budget/LRU decisions are
+    // those of a single row-at-a-time pass over the file. The admission
     // frontier is the cache's coverage *now*: rows another interleaved
     // query already admitted are skipped, never appended twice.
     if config.enable_cache {
@@ -1292,8 +1279,8 @@ pub(crate) fn merge_outputs(
         }
     }
 
-    // End-of-scan bookkeeping (the sequential scan's `finish`) — withheld
-    // on a partial merge, where `total` is a prefix, not the file.
+    // End-of-scan bookkeeping — withheld on a partial merge, where `total`
+    // is a prefix, not the file.
     if complete {
         table.row_count = Some(total as u64);
         if prep.plan.is_some() {
@@ -1346,111 +1333,172 @@ pub(crate) fn merge_outputs(
     tel.quarantine_samples = quarantine_samples;
     tel.stopped_early = !complete;
 
-    MergeInfo { total, queue }
+    match stopped {
+        Some(stop) => Err(stop),
+        None => Ok(queue),
+    }
 }
 
-/// Run a prepared scan against a shared table handle: partitioned workers
-/// under the read lock, frontier-based merge under a short write lock.
+/// What a scan's data phase hands to its install phase.
+pub(crate) enum StagedScan {
+    /// A fully-cached query's result batches, served straight off the cache
+    /// columns; only the hit tally is left to fold in.
+    Cached(VecDeque<Batch>),
+    /// A raw scan's partition partials, waiting for the ordered merge.
+    Partitions {
+        cold: Option<ColdScanPlan>,
+        outcome: ScanOutcome,
+    },
+}
+
+/// Stage 0 of a raw scan: decide its slices. Warm row ranges were captured
+/// at prepare time; cold byte partitioning (and the newline pre-count, when
+/// triggered) probes only the raw file and the prep's memo snapshot, so
+/// this stage runs without any table lock. `None` for warm and
+/// fully-cached scans.
+fn plan_slices(prep: &ScanPrep, config: &NoDbConfig) -> EngineResult<Option<ColdScanPlan>> {
+    if prep.warm || prep.fully_cached {
+        return Ok(None);
+    }
+    let clock = PhaseClock::new(config.detailed_timing);
+    let t = clock.start();
+    let mut cp = check_stop(&prep.ctx, plan_cold_partitions(prep, config))?;
+    clock.lap(t, &mut cp.elapsed);
+    Ok(Some(cp))
+}
+
+/// The data phase of a prepared scan, over a shared borrow of the table:
+/// stream the cache for a fully-cached query, otherwise run the partition
+/// slices and re-validate the source epoch. Mutates nothing — everything
+/// it produces is staged for [`scan_install`].
 ///
-/// Returns `Ok(None)` when the table's file-state generation moved past
-/// `prep.generation` (an append or replacement was reconciled while no lock
-/// was held) — the staged work describes dead state and the caller must
-/// re-prepare.
+/// Returns `Ok(None)` when a fully-cached plan lost a cache column to a
+/// concurrent eviction since planning; the caller re-prepares (the next
+/// attempt sees the shrunk coverage and takes a raw scan instead).
+fn scan_data(
+    table: &RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
+    cold: Option<ColdScanPlan>,
+) -> EngineResult<Option<StagedScan>> {
+    if prep.fully_cached {
+        return Ok(stream_cached(table, config, prep)?.map(StagedScan::Cached));
+    }
+    let partitions: &[Partition] = match &cold {
+        Some(cp) => &cp.partitions,
+        None => &prep.warm_partitions,
+    };
+    let outcome = run_partitions(table, config, prep, partitions)?;
+    // Re-validate the epoch before *any* merge — including a stopped
+    // scan's partial-prefix merge — so a file rewritten while the workers
+    // streamed it never installs poisoned map/cache/stats partials.
+    revalidate_epoch(prep)?;
+    Ok(Some(StagedScan::Partitions { cold, outcome }))
+}
+
+/// The install phase of a prepared scan, over an exclusive borrow of the
+/// table: fold a cached stream's hit tally into the cache metrics, or merge
+/// the staged partials ([`merge_outputs`]). Publishes the scan telemetry
+/// and hands back the result batches.
+fn scan_install(
+    table: &mut RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
+    staged: StagedScan,
+    telemetry: &TelemetryHandle,
+) -> EngineResult<VecDeque<Batch>> {
+    match staged {
+        StagedScan::Cached(queue) => {
+            // One hit per requested attribute per cached row.
+            let hits = prep.cached_rows * prep.req.attrs.len() as u64;
+            table.cache.record_reads(hits, 0);
+            let mut tel = lock_recover(telemetry);
+            tel.rows_scanned = prep.cached_rows;
+            tel.cache_hits = hits;
+            Ok(queue)
+        }
+        StagedScan::Partitions { cold, outcome } => {
+            merge_outputs(table, config, prep, cold.as_ref(), outcome, telemetry)
+        }
+    }
+}
+
+/// Run a prepared scan against a shared table handle: the data phase under
+/// the read lock, the install phase under a short write lock.
+///
+/// Returns `Ok(None)` when the prep went stale — the table's file-state
+/// generation moved past `prep.generation` (an append or replacement was
+/// reconciled while no lock was held), or a planned cache column was
+/// evicted — and the caller must re-prepare.
 pub(crate) fn scan_shared(
     handle: &TableHandle,
     config: &NoDbConfig,
     prep: &ScanPrep,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<Option<VecDeque<Batch>>> {
-    let clock = PhaseClock::new(config.detailed_timing);
-    let mut bd = Breakdown::default();
-    // Partitioning. Warm row ranges were captured at prepare time; cold
-    // byte partitioning (and the newline pre-count, when triggered) probes
-    // only the raw file and the prep's memo snapshot — no table lock.
-    let cold = if prep.warm {
-        None
-    } else {
-        let t = clock.start();
-        let cp = check_stop(&prep.ctx, plan_cold_partitions(prep, config))?;
-        clock.lap(t, &mut bd.io);
-        Some(cp)
-    };
-    let partitions: &[Partition] = match &cold {
-        Some(cp) => &cp.partitions,
-        None => &prep.warm_partitions,
-    };
-
-    let outcome = {
+    let cold = plan_slices(prep, config)?;
+    let staged = {
         let table = handle.read();
         if table.generation != prep.generation {
             return Ok(None);
         }
-        run_partitions(&table, config, prep, partitions)?
+        scan_data(&table, config, prep, cold)?
     };
-    // Re-validate the epoch before *any* merge — including a stopped
-    // scan's partial-prefix merge — so a file rewritten while the workers
-    // streamed it never installs poisoned map/cache/stats partials.
-    revalidate_epoch(prep)?;
-
+    let Some(mut staged) = staged else {
+        return Ok(None);
+    };
     let mut table = handle.write();
-    if table.generation != prep.generation {
-        // The staged work describes dead state; a stopped query still fails
-        // with its structured cause rather than retrying against new state.
-        return match outcome.stopped {
-            Some(stop) => Err(stop),
-            None => Ok(None),
-        };
+    if let StagedScan::Partitions { outcome, .. } = &mut staged {
+        if table.generation != prep.generation {
+            // The partials describe dead state; a stopped query still fails
+            // with its structured cause rather than retrying against new
+            // state.
+            return outcome.stopped.take().map_or(Ok(None), Err);
+        }
     }
-    // A stopped scan still merges its completed prefix (partial merge, see
-    // module docs) before failing the query: the next identical query
-    // starts from the warmer map/cache/statistics state.
-    let complete = outcome.stopped.is_none();
-    let info = merge_outputs(
-        &mut table,
-        config,
-        prep,
-        cold.as_ref(),
-        outcome.steals,
-        outcome.outputs,
-        bd,
-        telemetry,
-        &clock,
-        complete,
-    );
-    match outcome.stopped {
-        Some(stop) => Err(stop),
-        None => Ok(Some(info.queue)),
-    }
+    scan_install(&mut table, config, prep, staged, telemetry).map(Some)
 }
 
-/// Serve a fully-cached query from a shared table handle under the read
-/// lock, tallying hits locally and folding them into the cache metrics
-/// under a short write lock at the end.
-///
-/// With `config.vectorized_exec` the cache segments cross into the engine
-/// typed ([`cached_segment_batch`]): columnar predicate kernels, selection
-/// vectors, no per-cell `Datum` boxing. Otherwise the original row-at-a-time
-/// loop runs byte-for-byte (the ablation arm). Hit accounting is identical
-/// either way: one hit per requested attribute per cached row.
-///
-/// Returns `Ok(None)` when the generation moved or a concurrent eviction
-/// dropped a column the plan relied on — the caller re-prepares (the next
-/// attempt will see the shrunk coverage and take a raw scan instead).
-pub(crate) fn stream_cached_shared(
-    handle: &TableHandle,
+/// Run a prepared scan under an already-held write guard: the same stages
+/// as [`scan_shared`] with no lock hand-off between them, so the prep
+/// cannot go stale. The facade's last bounded-retry attempt runs this; it
+/// is the only place a table write guard is held across the data phase.
+pub(crate) fn scan_held(
+    table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
     telemetry: &TelemetryHandle,
+) -> EngineResult<VecDeque<Batch>> {
+    let cold = plan_slices(prep, config)?;
+    let staged = scan_data(table, config, prep, cold)?.ok_or_else(|| {
+        EngineError::Execution("fully-cached plan lost a cache column under the write guard".into())
+    })?;
+    scan_install(table, config, prep, staged, telemetry)
+}
+
+/// Serve a fully-cached query from the cache columns.
+///
+/// With `config.vectorized_exec` the cache segments cross into the engine
+/// typed ([`cached_segment_batch`]): columnar predicate kernels, selection
+/// vectors, no per-cell `Datum` boxing. Otherwise the row-at-a-time loop
+/// runs (the ablation arm).
+///
+/// Returns `Ok(None)` when a column the plan relied on is no longer
+/// resident with full coverage.
+fn stream_cached(
+    table: &RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
 ) -> EngineResult<Option<VecDeque<Batch>>> {
     let n = prep.req.attrs.len();
     let total = prep.cached_rows as usize;
     let mut queue: VecDeque<Batch> = VecDeque::new();
-    let hits;
+    if total == 0 {
+        // A known-empty table is vacuously fully cached: there is nothing
+        // to stream, and no column need be resident to say so.
+        return Ok(Some(queue));
+    }
     if config.vectorized_exec {
-        let table = handle.read();
-        if table.generation != prep.generation {
-            return Ok(None);
-        }
         let Some(cols) = cached_column_handles(&table.cache, &prep.req.attrs, total) else {
             return Ok(None);
         };
@@ -1466,779 +1514,36 @@ pub(crate) fn stream_cached_shared(
             }
             lo = hi;
         }
-        hits = (total * n) as u64;
     } else {
         let mut batch = Batch::with_columns(n);
         let mut values: Vec<Option<Datum>> = vec![None; n];
         let mut pred_row: Vec<Datum> = Vec::with_capacity(n);
-        let mut tally = 0u64;
-        {
-            let table = handle.read();
-            if table.generation != prep.generation {
-                return Ok(None);
+        for row in 0..total {
+            if (row as u64).is_multiple_of(CHECK_STRIDE) {
+                prep.ctx.check()?;
             }
-            for row in 0..total {
-                if (row as u64).is_multiple_of(CHECK_STRIDE) {
-                    prep.ctx.check()?;
+            for (i, v) in values.iter_mut().enumerate() {
+                *v = table.cache.peek(prep.req.attrs[i], row);
+                if v.is_none() {
+                    return Ok(None);
                 }
-                for (i, v) in values.iter_mut().enumerate() {
-                    *v = table.cache.peek(prep.req.attrs[i], row);
-                    if v.is_none() {
-                        return Ok(None);
-                    }
-                    tally += 1;
-                }
-                form_tuple_into(&prep.req, &mut values, &mut pred_row, &mut batch);
-                if batch.rows() >= BATCH_SIZE {
-                    queue.push_back(std::mem::replace(&mut batch, Batch::with_columns(n)));
-                }
+            }
+            form_tuple_into(&prep.req, &mut values, &mut pred_row, &mut batch);
+            if batch.rows() >= BATCH_SIZE {
+                queue.push_back(std::mem::replace(&mut batch, Batch::with_columns(n)));
             }
         }
         if !batch.is_empty() {
             queue.push_back(batch);
         }
-        hits = tally;
     }
-    handle.write().cache.record_reads(hits, 0);
-    let mut tel = lock_recover(telemetry);
-    tel.rows_scanned = prep.cached_rows;
-    tel.cache_hits = hits;
     Ok(Some(queue))
-}
-
-/// The adaptive raw scan over an exclusively borrowed table.
-///
-/// This is the `scan_threads = 1` streaming path (kept byte-for-byte for
-/// fallback and A/B benchmarking), the `cache_force_full_parse` ablation,
-/// and the exclusive-fallback path of the concurrent facade. The
-/// parallel-scan driver inside delegates to the same [`run_partitions`] /
-/// [`merge_outputs`] stages the shared path uses.
-pub struct RawScanSource<'a> {
-    table: &'a mut RawTable,
-    config: NoDbConfig,
-    prep: ScanPrep,
-    telemetry: TelemetryHandle,
-    bd: Breakdown,
-
-    /// Chunk under collection (sequential streaming path).
-    builder: Option<ChunkBuilder>,
-    /// Next row appendable to the cache, per position (`usize::MAX` = stop).
-    cache_next: Vec<usize>,
-    /// Cache metric snapshots for per-query hit/miss reporting (exclusive
-    /// access makes the delta exact).
-    hits0: u64,
-    misses0: u64,
-
-    // Streaming state.
-    scanner: Option<BlockScanner>,
-    header_skipped: bool,
-    row: usize,
-    done: bool,
-    /// Byte offset of the current line's start (for quarantine samples).
-    cur_offset: u64,
-    /// Rows with a tombstoned malformed cell (permissive policy).
-    quarantined: u64,
-    quarantine_samples: Vec<QuarantineSample>,
-    /// Buffered result batches of a completed parallel scan, drained by
-    /// `next_batch`. `Some` once the parallel driver has run.
-    parallel_queue: Option<VecDeque<Batch>>,
-
-    // Reused per-row buffers (workhorse pattern: zero allocation per row in
-    // the common paths).
-    tokens: Tokens,
-    values: Vec<Option<Datum>>,
-    spans: Vec<Option<(u32, u32)>>,
-    offsets_buf: Vec<(usize, u32)>,
-    pred_row: Vec<Datum>,
-    line_buf: Vec<u8>,
-
-    clock: PhaseClock,
-}
-
-impl<'a> RawScanSource<'a> {
-    /// Plan and prepare a scan of `table` for `req` under `config`.
-    ///
-    /// This performs the paper's up-front access planning: cache coverage
-    /// probes, positional-map access plan (with its LRU touch and
-    /// combination-trigger decision), and chunk-builder setup.
-    pub fn new(
-        table: &'a mut RawTable,
-        config: NoDbConfig,
-        req: ScanRequest,
-        telemetry: TelemetryHandle,
-    ) -> Self {
-        let ctx = QueryCtx::from_timeout_ms(config.query_timeout_ms);
-        let prep = prepare_scan(table, &config, req, &telemetry, ctx);
-        Self::from_prep(table, config, prep, telemetry)
-    }
-
-    /// Build the scan from an already-taken [`ScanPrep`] (the facade runs
-    /// `prepare_scan` itself under the table's write lock so planning
-    /// happens exactly once per query regardless of execution path).
-    pub(crate) fn from_prep(
-        table: &'a mut RawTable,
-        config: NoDbConfig,
-        prep: ScanPrep,
-        telemetry: TelemetryHandle,
-    ) -> Self {
-        let n = prep.req.attrs.len();
-        let cache_next = prep.cache_cov.clone();
-        let (hits0, misses0) = {
-            let m = table.cache.metrics();
-            (m.hits, m.misses)
-        };
-        RawScanSource {
-            table,
-            config,
-            telemetry,
-            bd: Breakdown::default(),
-            builder: None,
-            cache_next,
-            hits0,
-            misses0,
-            scanner: None,
-            header_skipped: false,
-            row: 0,
-            done: false,
-            cur_offset: 0,
-            quarantined: 0,
-            quarantine_samples: Vec::new(),
-            parallel_queue: None,
-            tokens: Tokens::new(),
-            values: vec![None; n],
-            spans: vec![None; n],
-            offsets_buf: Vec::with_capacity(n),
-            pred_row: Vec::with_capacity(n),
-            line_buf: Vec::new(),
-            clock: PhaseClock::new(config.detailed_timing),
-            prep,
-        }
-    }
-
-    /// Resolve the values of every requested position for the current row's
-    /// raw line, filling `self.values` (cache first, then map-assisted raw
-    /// access), and recording spans for map population.
-    fn resolve_row(&mut self, line: &[u8]) -> EngineResult<()> {
-        let n = self.prep.req.attrs.len();
-        let row = self.row;
-        let mut d_tok = Duration::ZERO;
-        let mut d_parse = Duration::ZERO;
-        let mut d_conv = Duration::ZERO;
-        let mut d_nodb = Duration::ZERO;
-
-        for i in 0..n {
-            self.values[i] = None;
-            self.spans[i] = None;
-        }
-
-        // 1. Cache reads.
-        if self.config.enable_cache {
-            for i in 0..n {
-                if row < self.prep.cache_cov[i] {
-                    self.values[i] = self.table.cache.get(self.prep.req.attrs[i], row);
-                }
-            }
-        }
-
-        // 2. Exact positional-map jumps for positions the cache missed.
-        let mut missing_lo: Option<usize> = None;
-        let mut missing_hi: Option<usize> = None;
-        for i in 0..n {
-            if self.values[i].is_some() {
-                continue;
-            }
-            if let Some(plan) = &self.prep.plan {
-                if let Some(AttrSource::Exact { chunk }) = plan.source_for(self.prep.req.attrs[i]) {
-                    if let Some(off) = self.table.map.offset_in(chunk, self.prep.req.attrs[i], row)
-                    {
-                        let t = self.clock.start();
-                        let start = (off as usize).min(line.len());
-                        let end = find_byte(&line[start..], self.table.tokenizer.delimiter)
-                            .map(|p| start + p)
-                            .unwrap_or(line.len());
-                        self.spans[i] = Some((start as u32, end as u32));
-                        self.clock.lap(t, &mut d_parse);
-                        continue;
-                    }
-                }
-            }
-            missing_lo = missing_lo.or(Some(i));
-            missing_hi = Some(i);
-        }
-
-        // 3. Tokenize for the positions still missing.
-        if let (Some(lo), Some(hi)) = (missing_lo, missing_hi) {
-            let t = self.clock.start();
-            let first_attr = self.prep.req.attrs[lo];
-            let last_attr = self.prep.req.attrs[hi];
-            let upto = if self.config.selective_tokenizing {
-                last_attr
-            } else {
-                usize::MAX // Baseline: tokenize the full tuple.
-            };
-            // Best anchor: the largest attribute < first_attr whose start we
-            // already resolved this row, else the plan's anchor chunk.
-            let mut anchor: Option<(usize, usize)> = None; // (attr, byte)
-            for i in (0..lo).rev() {
-                if let Some((s, _)) = self.spans[i] {
-                    anchor = Some((self.prep.req.attrs[i], s as usize));
-                    break;
-                }
-            }
-            if anchor.is_none() {
-                if let Some(plan) = &self.prep.plan {
-                    if let Some(AttrSource::Anchor { chunk, anchor_attr }) =
-                        plan.source_for(first_attr)
-                    {
-                        if let Some(off) = self.table.map.offset_in(chunk, anchor_attr, row) {
-                            anchor = Some((anchor_attr, off as usize));
-                        }
-                    }
-                }
-            }
-            match anchor {
-                Some((attr, off)) if self.config.selective_tokenizing && off <= line.len() => {
-                    self.table
-                        .tokenizer
-                        .tokenize_from(line, attr, off, upto, &mut self.tokens);
-                }
-                _ => {
-                    self.table
-                        .tokenizer
-                        .tokenize_selective(line, upto, &mut self.tokens);
-                }
-            }
-            for i in lo..=hi {
-                if self.values[i].is_some() || self.spans[i].is_some() {
-                    continue;
-                }
-                if let Some(span) = self.tokens.get(self.prep.req.attrs[i]) {
-                    self.spans[i] = Some((span.start, span.end));
-                }
-            }
-            self.clock.lap(t, &mut d_tok);
-        }
-
-        // 4. Selective parsing: convert only what is needed.
-        {
-            let t = self.clock.start();
-            let mut quarantined_attr: Option<usize> = None;
-            for i in 0..n {
-                if self.values[i].is_some() {
-                    continue;
-                }
-                let attr = self.prep.req.attrs[i];
-                let ty = self.table.schema.ty(attr);
-                let d = match self.spans[i] {
-                    Some((s, e)) => {
-                        let raw = &line[s as usize..e as usize];
-                        match self.table.tokenizer.quote {
-                            // Quoted string fields keep `""` escapes in
-                            // their spans; unescape when materializing.
-                            Some(q) if ty == nodb_rawcsv::ColumnType::Str && raw.contains(&q) => {
-                                Datum::Str(parser::unescape_quoted(raw, q).into_boxed_str())
-                            }
-                            _ => match parser::parse_field(raw, ty, row as u64, attr) {
-                                Ok(d) => d,
-                                // Permissive policy: tombstone the malformed
-                                // cell exactly like a short row's absent
-                                // attribute, so cache/stats/map state stays
-                                // byte-identical across cold and warm runs.
-                                Err(RawCsvError::ParseField { .. })
-                                    if self.config.parse_errors == ParseErrorPolicy::Permissive =>
-                                {
-                                    quarantined_attr.get_or_insert(attr);
-                                    Datum::Null
-                                }
-                                Err(e) => return Err(e.into()),
-                            },
-                        }
-                    }
-                    // Short row: attribute absent → NULL.
-                    None => Datum::Null,
-                };
-                self.values[i] = Some(d);
-            }
-            if let Some(attr) = quarantined_attr {
-                self.quarantined += 1;
-                if self.quarantine_samples.len() < QuarantineSample::MAX_SAMPLES {
-                    self.quarantine_samples.push(QuarantineSample {
-                        row: row as u64,
-                        offset: self.cur_offset,
-                        attr,
-                    });
-                }
-            }
-            self.clock.lap(t, &mut d_conv);
-        }
-
-        // 5. Side effects: cache population, statistics, map collection.
-        {
-            let t = self.clock.start();
-            if self.config.enable_cache {
-                for i in 0..n {
-                    if self.cache_next[i] == row {
-                        let d = self.values[i].clone().unwrap_or(Datum::Null);
-                        let ty = self.table.schema.ty(self.prep.req.attrs[i]);
-                        if self.table.cache.append(
-                            self.prep.req.attrs[i],
-                            ty,
-                            &d,
-                            self.prep.query_tick,
-                        ) {
-                            self.cache_next[i] += 1;
-                        } else {
-                            self.cache_next[i] = usize::MAX;
-                        }
-                    }
-                }
-            }
-            if self.config.enable_stats && self.table.stats.should_sample(row as u64) {
-                for i in 0..n {
-                    // Observation frontier: rows an earlier scan already fed
-                    // into the accumulators are not observed again.
-                    if (row as u64) < self.prep.stats_frontier[i] {
-                        continue;
-                    }
-                    if let Some(d) = &self.values[i] {
-                        self.table.stats.attr_mut(self.prep.req.attrs[i]).observe(d);
-                    }
-                }
-            }
-            if let Some(b) = &mut self.builder {
-                self.offsets_buf.clear();
-                for i in 0..n {
-                    if let Some((s, _)) = self.spans[i] {
-                        self.offsets_buf.push((self.prep.req.attrs[i], s));
-                    }
-                }
-                b.push_row_offsets(&self.offsets_buf);
-            }
-            self.clock.lap(t, &mut d_nodb);
-        }
-
-        // Ablation: force-parse and cache every remaining attribute of the
-        // tuple (the behaviour §3.2 explicitly rejects).
-        if self.config.enable_cache && self.config.cache_force_full_parse {
-            let t = self.clock.start();
-            self.force_full_parse(line, row)?;
-            self.clock.lap(t, &mut d_nodb);
-        }
-
-        self.bd.tokenizing += d_tok;
-        self.bd.parsing += d_parse;
-        self.bd.convert += d_conv;
-        self.bd.nodb += d_nodb;
-        Ok(())
-    }
-
-    /// The `cache_force_full_parse` ablation: tokenize and parse the whole
-    /// tuple, caching attributes the query never asked for.
-    fn force_full_parse(&mut self, line: &[u8], row: usize) -> EngineResult<()> {
-        let nattrs = self.table.schema.len();
-        self.table.tokenizer.tokenize_into(line, &mut self.tokens);
-        for attr in 0..nattrs {
-            if self.prep.req.attrs.contains(&attr) {
-                continue; // already handled
-            }
-            if self.table.cache.coverage(attr) != row {
-                continue; // not contiguous; skip
-            }
-            let d = match self.tokens.get(attr) {
-                Some(span) => match parser::parse_field(
-                    span.of(line),
-                    self.table.schema.ty(attr),
-                    row as u64,
-                    attr,
-                ) {
-                    Ok(d) => d,
-                    // Permissive: tombstone, keeping the ablation's cache
-                    // contents consistent with what a requested-attr scan
-                    // would have admitted. Not counted as a quarantined row
-                    // (the attribute was never requested).
-                    Err(RawCsvError::ParseField { .. })
-                        if self.config.parse_errors == ParseErrorPolicy::Permissive =>
-                    {
-                        Datum::Null
-                    }
-                    Err(e) => return Err(e.into()),
-                },
-                None => Datum::Null,
-            };
-            let ty = self.table.schema.ty(attr);
-            self.table.cache.append(attr, ty, &d, self.prep.query_tick);
-        }
-        Ok(())
-    }
-
-    /// Form output tuples for one resolved row into `batch` if the pushed
-    /// predicate accepts it (selective tuple formation).
-    fn form_tuple(&mut self, batch: &mut Batch) {
-        form_tuple_into(&self.prep.req, &mut self.values, &mut self.pred_row, batch);
-    }
-
-    /// End-of-scan bookkeeping: install the collected chunk, record counts,
-    /// absorb I/O counters, publish telemetry.
-    fn finish(&mut self, reached_eof: bool) {
-        if reached_eof && !self.prep.fully_cached {
-            self.table.row_count = Some(self.row as u64);
-            if self.prep.plan.is_some() {
-                self.table.map.row_index_mut().mark_complete();
-            }
-            if self.config.enable_stats {
-                self.table.stats.set_row_count(self.row as u64);
-                for &attr in &self.prep.req.attrs {
-                    self.table.stats.advance_observed(attr, self.row as u64);
-                }
-            }
-        }
-        let mut installed = false;
-        if let Some(b) = self.builder.take() {
-            let t = self.clock.start();
-            installed = self.table.map.install(b).is_some();
-            self.clock.lap(t, &mut self.bd.nodb);
-        }
-        let io = self
-            .scanner
-            .as_mut()
-            .map(BlockScanner::take_counters)
-            .unwrap_or_default();
-        let cache_hits = self.table.cache.metrics().hits - self.hits0;
-        let cache_misses = self.table.cache.metrics().misses - self.misses0;
-        let mut tel = lock_recover(&self.telemetry);
-        tel.io.merge(io);
-        tel.rows_scanned = self.row as u64;
-        tel.installed_chunk = installed;
-        tel.breakdown = self.bd;
-        tel.cache_hits = cache_hits;
-        tel.cache_misses = cache_misses;
-        tel.rows_quarantined = self.quarantined;
-        tel.quarantine_samples = std::mem::take(&mut self.quarantine_samples);
-        self.done = true;
-    }
-
-    /// End-of-scan bookkeeping for a scan stopped mid-stream by its query
-    /// context: the sequential analogue of the parallel partial merge. Rows
-    /// `[0, self.row)` were fully processed — their cache appends and
-    /// statistics observations already happened inline — so the collected
-    /// chunk prefix is installed and the statistics observation frontier is
-    /// advanced over the visited prefix (a re-run must not double-observe),
-    /// while the EOF bookkeeping (`row_count`, `mark_complete`,
-    /// `set_row_count`) is withheld.
-    fn finish_cancelled(&mut self) {
-        if self.config.enable_stats {
-            for (i, &attr) in self.prep.req.attrs.iter().enumerate() {
-                // The streaming loop only observes rows at or beyond the
-                // plan-time frontier; advance from whichever is further.
-                let upto = (self.row as u64).max(self.prep.stats_frontier[i]);
-                self.table.stats.advance_observed(attr, upto);
-            }
-        }
-        self.finish(false);
-        lock_recover(&self.telemetry).stopped_early = true;
-    }
-
-    /// Stream one batch from the raw file.
-    fn next_streaming_batch(&mut self) -> EngineResult<Option<Batch>> {
-        let mut d_io = Duration::ZERO;
-        if self.scanner.is_none() {
-            let t = self.clock.start();
-            let mut scanner = BlockScanner::open_with_profile(
-                &self.table.path,
-                self.config.io_block_size,
-                self.config.io_readahead_blocks,
-                self.config.io_profile(),
-            )?;
-            scanner.set_interrupt(self.prep.ctx.stop_flag());
-            if let Some(fence) = self.prep.source_len() {
-                // Bound read-ahead at the torn-row fence; the loop below
-                // enforces the fence on line offsets (the cap alone is
-                // soft — it caps read-ahead, not the scan).
-                scanner.set_read_cap(fence);
-            }
-            self.clock.lap(t, &mut d_io);
-            self.scanner = Some(scanner);
-            // The chunk builder is created here, not in `from_prep`: the
-            // streaming loop is its only consumer (the parallel driver
-            // merges per-worker builders instead), so allocating it up
-            // front would waste `attrs × rows_hint` capacity on every
-            // parallel chunk-building scan.
-            if self.prep.build_chunk {
-                self.builder = Some(ChunkBuilder::with_capacity(
-                    self.prep.req.attrs.clone(),
-                    self.prep.rows_hint,
-                ));
-            }
-        }
-
-        let n = self.prep.req.attrs.len();
-        let mut batch = Batch::with_columns(n);
-        let mut reached_eof = false;
-        loop {
-            // Cooperative cancellation, at the same stride the partition
-            // workers use. A stopped scan installs its partial state (the
-            // sequential partial merge) before surfacing the error.
-            if (self.row as u64).is_multiple_of(CHECK_STRIDE) {
-                if let Err(e) = self.prep.ctx.check() {
-                    self.bd.io += d_io;
-                    self.finish_cancelled();
-                    return Err(e);
-                }
-            }
-            // Pull one line (timed as I/O, including newline discovery).
-            // The line is copied into a reusable buffer so the borrow on the
-            // scanner's block does not pin `self`.
-            let t = self.clock.start();
-            let (line_meta, short_end): (Option<u64>, bool) = {
-                let scanner = self.scanner.as_mut().expect("scanner open");
-                let fetched = match scanner.next_line() {
-                    Ok(Some(l)) => {
-                        self.line_buf.clear();
-                        self.line_buf.extend_from_slice(l.bytes);
-                        Some(l.offset)
-                    }
-                    Ok(None) => None,
-                    Err(e) => {
-                        // A tripped interrupt flag surfaces as a wrapped
-                        // read error; report the structured cause instead.
-                        self.bd.io += d_io;
-                        if self.prep.ctx.is_stopped() {
-                            let stop = self.prep.ctx.stop_error();
-                            self.finish_cancelled();
-                            return Err(stop);
-                        }
-                        return Err(e.into());
-                    }
-                };
-                // Mid-scan truncation probe, checked after *every* fetch: a
-                // cut mid-line surfaces a bogus final unterminated line
-                // before EOF (catch it before parsing garbage), and a cut
-                // exactly on a newline boundary is only discovered by the
-                // empty refill after the last complete line.
-                let short = match self.prep.source_len() {
-                    Some(fence) => scanner.at_eof() && scanner.position() < fence,
-                    None => false,
-                };
-                (fetched, short)
-            };
-            self.clock.lap(t, &mut d_io);
-            if short_end {
-                self.bd.io += d_io;
-                return Err(source_changed_err(&self.prep));
-            }
-            let Some(offset) = line_meta else {
-                reached_eof = true;
-                break;
-            };
-            if let Some(fence) = self.prep.source_len() {
-                // Bytes at or past the fence belong to the next epoch (a
-                // torn trailing row, or rows appended since capture): stop
-                // as if at EOF — the next query replays them from the
-                // advanced fence.
-                if offset >= fence {
-                    reached_eof = true;
-                    break;
-                }
-            }
-            if self.table.has_header && !self.header_skipped {
-                self.header_skipped = true;
-                continue;
-            }
-            if self.prep.plan.is_some() {
-                self.table.map.row_index_mut().note_row(self.row, offset);
-            }
-            self.cur_offset = offset;
-            let line = std::mem::take(&mut self.line_buf);
-            let r = self.resolve_row(&line);
-            self.line_buf = line;
-            r?;
-            self.form_tuple(&mut batch);
-            self.row += 1;
-            if batch.rows() >= BATCH_SIZE {
-                break;
-            }
-        }
-        self.bd.io += d_io;
-        if reached_eof {
-            // Same post-scan re-validation as the parallel paths, before
-            // the EOF bookkeeping installs the chunk and row count. The
-            // inline cache/stats side effects already happened — that is
-            // fine: the error reaches the facade, which quarantines the
-            // table before its cold retry.
-            revalidate_epoch(&self.prep)?;
-            self.finish(true);
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-
-    /// The parallel driver for an exclusively borrowed table: partition the
-    /// file, fan out via [`run_partitions`], merge via [`merge_outputs`]
-    /// (the same stages the shared-handle path uses). Fills
-    /// `self.parallel_queue`; the ordinary `next_batch` path then drains
-    /// the queue.
-    fn run_parallel(&mut self) -> EngineResult<()> {
-        let mut bd = std::mem::take(&mut self.bd);
-        let cold = if self.prep.warm {
-            None
-        } else {
-            let t = self.clock.start();
-            let cp = match check_stop(
-                &self.prep.ctx,
-                plan_cold_partitions(&self.prep, &self.config),
-            ) {
-                Ok(cp) => cp,
-                Err(e) => {
-                    self.bd = bd;
-                    self.done = true;
-                    self.parallel_queue = Some(VecDeque::new());
-                    return Err(e);
-                }
-            };
-            self.clock.lap(t, &mut bd.io);
-            Some(cp)
-        };
-        let partitions: &[Partition] = match &cold {
-            Some(cp) => &cp.partitions,
-            None => &self.prep.warm_partitions,
-        };
-
-        let outcome = match run_partitions(self.table, &self.config, &self.prep, partitions)
-            .and_then(|o| {
-                // Re-validate the epoch before any merge — a mid-scan
-                // rewrite must not install poisoned partials (same fence as
-                // the shared-handle path).
-                revalidate_epoch(&self.prep)?;
-                Ok(o)
-            }) {
-            Ok(o) => o,
-            Err(e) => {
-                self.bd = bd;
-                self.done = true;
-                self.parallel_queue = Some(VecDeque::new());
-                return Err(e);
-            }
-        };
-
-        // A stopped scan still merges its completed prefix (partial merge)
-        // before failing, exactly like the shared-handle path.
-        let complete = outcome.stopped.is_none();
-        let info = merge_outputs(
-            self.table,
-            &self.config,
-            &self.prep,
-            cold.as_ref(),
-            outcome.steals,
-            outcome.outputs,
-            bd,
-            &self.telemetry,
-            &self.clock,
-            complete,
-        );
-        self.row = info.total;
-        self.done = true;
-        match outcome.stopped {
-            Some(stop) => {
-                self.parallel_queue = Some(VecDeque::new());
-                Err(stop)
-            }
-            None => {
-                self.parallel_queue = Some(info.queue);
-                Ok(())
-            }
-        }
-    }
-
-    /// Serve one batch purely from the cache.
-    fn next_cached_batch(&mut self) -> EngineResult<Option<Batch>> {
-        let total = self.prep.cached_rows as usize;
-        let n = self.prep.req.attrs.len();
-        if self.config.vectorized_exec {
-            // Typed segments + columnar filter; see `cached_segment_batch`.
-            // A fully-filtered segment must not end the stream, so loop
-            // until a non-empty batch or exhaustion.
-            while self.row < total {
-                // Pure cache reads mutate nothing: stopping needs no
-                // partial-state bookkeeping.
-                self.prep.ctx.check()?;
-                let lo = self.row;
-                let hi = total.min(lo + BATCH_SIZE);
-                let batch = match cached_column_handles(&self.table.cache, &self.prep.req.attrs, hi)
-                {
-                    Some(cols) => cached_segment_batch(&self.prep.req, &cols, lo, hi),
-                    // Exclusive access makes eviction impossible mid-scan,
-                    // but stay total: fall back to row-at-a-time reads.
-                    None => break,
-                };
-                self.row = hi;
-                // Same accounting as the row-wise loop's per-value `get`s.
-                self.table.cache.record_reads(((hi - lo) * n) as u64, 0);
-                if !batch.is_empty() {
-                    if self.row >= total {
-                        self.finish(false);
-                    }
-                    return Ok(Some(batch));
-                }
-            }
-            if self.row >= total {
-                self.finish(false);
-                return Ok(None);
-            }
-        }
-        let mut batch = Batch::with_columns(n);
-        self.prep.ctx.check()?;
-        while self.row < total && batch.rows() < BATCH_SIZE {
-            let row = self.row;
-            self.row += 1;
-            for i in 0..n {
-                self.values[i] = self.table.cache.get(self.prep.req.attrs[i], row);
-            }
-            self.form_tuple(&mut batch);
-        }
-        if self.row >= total {
-            self.finish(false);
-        }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
-    }
-}
-
-impl ScanSource for RawScanSource<'_> {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
-        if let Some(q) = self.parallel_queue.as_mut() {
-            return Ok(q.pop_front());
-        }
-        if self.done {
-            return Ok(None);
-        }
-        if self.prep.fully_cached {
-            return self.next_cached_batch();
-        }
-        // The ablation that force-parses whole tuples stays sequential: it
-        // exists to demonstrate a pathology, not to be fast.
-        if self.prep.threads >= 2 && !self.config.cache_force_full_parse {
-            self.run_parallel()?;
-            let q = self.parallel_queue.as_mut().expect("parallel scan ran");
-            return Ok(q.pop_front());
-        }
-        self.next_streaming_batch()
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        // Staged parallel output counts exactly; otherwise the known row
-        // count (cache coverage or posmap line count) is an upper bound the
-        // executor uses for pre-sizing.
-        if let Some(q) = &self.parallel_queue {
-            return Some(q.iter().map(Batch::rows).sum());
-        }
-        if self.prep.fully_cached {
-            return Some(self.prep.cached_rows as usize);
-        }
-        (self.prep.rows_hint > 0).then_some(self.prep.rows_hint)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ParseErrorPolicy;
     use crate::table::RawTable;
     use nodb_rawcsv::GeneratorConfig;
     use std::path::PathBuf;
@@ -2257,14 +1562,25 @@ mod tests {
         (p, cfg.schema())
     }
 
-    fn drain(src: &mut RawScanSource<'_>) -> Vec<Vec<Datum>> {
-        let mut out = Vec::new();
-        while let Some(b) = src.next_batch().unwrap() {
-            for r in 0..b.rows() {
-                out.push(b.row(r));
-            }
-        }
-        out
+    /// One query through the staged path under an exclusive borrow — the
+    /// held-guard entry point the facade's last retry attempt uses —
+    /// surfacing the scan error instead of unwrapping.
+    fn try_scan_once(
+        table: &mut RawTable,
+        config: NoDbConfig,
+        req: ScanRequest,
+        ctx: QueryCtx,
+    ) -> (EngineResult<Vec<Vec<Datum>>>, ScanTelemetry) {
+        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+        let prep = prepare_scan(table, &config, req, &tel, ctx);
+        let r = scan_held(table, &config, &prep, &tel).map(|queue| {
+            queue
+                .iter()
+                .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
+                .collect()
+        });
+        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
+        (r, t)
     }
 
     fn scan_once(
@@ -2272,13 +1588,9 @@ mod tests {
         config: NoDbConfig,
         req: ScanRequest,
     ) -> (Vec<Vec<Datum>>, ScanTelemetry) {
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-        let rows = {
-            let mut src = RawScanSource::new(table, config, req, Arc::clone(&tel));
-            drain(&mut src)
-        };
-        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
-        (rows, t)
+        let ctx = QueryCtx::from_timeout_ms(config.query_timeout_ms);
+        let (rows, tel) = try_scan_once(table, config, req, ctx);
+        (rows.unwrap(), tel)
     }
 
     #[test]
@@ -2413,24 +1725,6 @@ mod tests {
         assert!(t.map.chunks().is_empty());
         assert_eq!(t.cache.bytes_used(), 0);
         assert!(t.stats.covered_attrs().is_empty());
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn force_full_parse_caches_unrequested_attrs() {
-        let (p, schema) = tmp_csv(5, 50, 8);
-        let cfg = NoDbConfig {
-            cache_force_full_parse: true,
-            ..NoDbConfig::default()
-        };
-        let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        let (_, _) = scan_once(&mut t, cfg, ScanRequest::project(vec![1]));
-        assert_eq!(
-            t.cache.coverage(0),
-            50,
-            "unrequested attr cached by ablation"
-        );
-        assert_eq!(t.cache.coverage(4), 50);
         std::fs::remove_file(p).unwrap();
     }
 
@@ -2682,7 +1976,12 @@ mod tests {
                     scan_threads: t,
                     ..NoDbConfig::default()
                 },
-                &[ScanRequest::project(vec![0, 2])],
+                // The rerun is fully cached — vacuously so for the empty
+                // file, whose cache holds no column at all.
+                &[
+                    ScanRequest::project(vec![0, 2]),
+                    ScanRequest::project(vec![0, 2]),
+                ],
             );
         }
     }
@@ -2755,16 +2054,15 @@ mod tests {
                 ..NoDbConfig::default()
             };
             let mut t = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
-            let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-            let mut src = RawScanSource::new(&mut t, cfg, ScanRequest::project(vec![0]), tel);
-            let err = loop {
-                match src.next_batch() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => panic!("scan must fail on the malformed row"),
-                    Err(e) => break e,
-                }
-            };
-            let msg = err.to_string();
+            let (r, _) = try_scan_once(
+                &mut t,
+                cfg,
+                ScanRequest::project(vec![0]),
+                QueryCtx::unbounded(),
+            );
+            let msg = r
+                .expect_err("scan must fail on the malformed row")
+                .to_string();
             assert!(
                 msg.contains("row 700"),
                 "threads={threads}: error must name the global row, got: {msg}"
@@ -2814,16 +2112,13 @@ mod tests {
                     ..NoDbConfig::default()
                 };
                 let mut t = RawTable::register(&p, schema.clone(), header, &cfg).unwrap();
-                let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-                let mut src = RawScanSource::new(&mut t, cfg, ScanRequest::project(vec![0]), tel);
-                let err = loop {
-                    match src.next_batch() {
-                        Ok(Some(_)) => continue,
-                        Ok(None) => panic!("{label}: scan must fail"),
-                        Err(e) => break e,
-                    }
-                };
-                texts.push(err.to_string());
+                let (r, _) = try_scan_once(
+                    &mut t,
+                    cfg,
+                    ScanRequest::project(vec![0]),
+                    QueryCtx::unbounded(),
+                );
+                texts.push(r.expect_err("scan must fail").to_string());
             }
             assert_eq!(
                 texts[0], texts[1],
@@ -3107,35 +2402,6 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    /// `scan_once` variant that surfaces the scan error instead of
-    /// unwrapping, for the failure-path tests.
-    fn try_scan_once(
-        table: &mut RawTable,
-        config: NoDbConfig,
-        req: ScanRequest,
-        ctx: QueryCtx,
-    ) -> (EngineResult<Vec<Vec<Datum>>>, ScanTelemetry) {
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-        let r = {
-            let prep = prepare_scan(table, &config, req, &tel, ctx);
-            let mut src = RawScanSource::from_prep(table, config, prep, Arc::clone(&tel));
-            let mut out = Vec::new();
-            loop {
-                match src.next_batch() {
-                    Ok(Some(b)) => {
-                        for r in 0..b.rows() {
-                            out.push(b.row(r));
-                        }
-                    }
-                    Ok(None) => break Ok(out),
-                    Err(e) => break Err(e),
-                }
-            }
-        };
-        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
-        (r, t)
-    }
-
     #[test]
     fn worker_panic_is_contained_and_table_stays_usable() {
         let (p, schema) = tmp_csv(4, 400, 21);
@@ -3144,14 +2410,14 @@ mod tests {
             ..NoDbConfig::default()
         };
         let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        worker::INJECT_WORKER_PANIC.store(true, Ordering::Relaxed);
+        *lock_recover(&worker::INJECT_WORKER_PANIC) = Some(p.clone());
         let (r, _) = try_scan_once(
             &mut t,
             cfg,
             ScanRequest::project(vec![0, 2]),
             QueryCtx::unbounded(),
         );
-        worker::INJECT_WORKER_PANIC.store(false, Ordering::Relaxed);
+        *lock_recover(&worker::INJECT_WORKER_PANIC) = None;
         match r {
             Err(EngineError::WorkerPanic { partition, message }) => {
                 assert_eq!(partition, 0, "lowest failed slice reported");
@@ -3261,34 +2527,38 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_stops_streaming_scan_with_partial_state() {
-        // Sequential path, cancel after the first batch: the partial chunk
-        // and cache prefix must be installed and the frontier advanced.
+    fn cancel_token_stops_one_worker_scan_with_partial_state() {
+        // One worker, cancelled mid-file: the chunk, row-index and cache
+        // prefix of the completed slices must be installed and the
+        // statistics frontier advanced.
+        //
+        // The scan publishes nothing until its merge, so the canceller
+        // cannot wait on its progress; instead the fault injector bounds
+        // the scan's pace from below. Seed 3's first draw is a transient
+        // `EIO`, and every slice opens its own injector, so each of the 16
+        // slices sleeps one 40 ms retry backoff: slice `k` cannot finish
+        // before `40 (k + 1)` ms, and a cancel at 100 ms lands inside
+        // slice 1 or 2 — after slice 0, 540 ms before the last one.
         let (p, schema) = tmp_csv(3, 5000, 23);
         let cfg = NoDbConfig {
             scan_threads: 1,
+            steal_slices_per_thread: 16,
+            io_fault_seed: 3,
+            io_fault_one_in: 1,
+            io_retry_backoff_ms: 40,
             ..NoDbConfig::default()
         };
         let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let ctx = QueryCtx::unbounded();
         let token = ctx.cancel_token();
-        let err = {
-            let prep = prepare_scan(&mut t, &cfg, ScanRequest::project(vec![1]), &tel, ctx);
-            let mut src = RawScanSource::from_prep(&mut t, cfg, prep, Arc::clone(&tel));
-            let first = src.next_batch().unwrap();
-            assert!(first.is_some(), "first batch before cancellation");
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
             token.cancel();
-            loop {
-                match src.next_batch() {
-                    Ok(Some(_)) => continue,
-                    Ok(None) => panic!("scan finished despite cancellation"),
-                    Err(e) => break e,
-                }
-            }
-        };
+        });
+        let (r, stopped_tel) = try_scan_once(&mut t, cfg, ScanRequest::project(vec![1]), ctx);
+        canceller.join().unwrap();
+        let err = r.expect_err("scan finished despite cancellation");
         assert!(matches!(err, EngineError::Cancelled), "got {err:?}");
-        let stopped_tel = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
         assert!(stopped_tel.stopped_early);
         let visited = stopped_tel.rows_scanned;
         assert!(
@@ -3301,7 +2571,12 @@ mod tests {
         assert!(!t.map.row_index().is_complete());
         assert_eq!(t.cache.coverage(1) as u64, visited);
         assert_eq!(t.stats.observed_upto(1), visited);
-        // Rerun completes, starting warmer, without double observation.
+        // Rerun (fault-free) completes, starting warmer, without double
+        // observation.
+        let cfg = NoDbConfig {
+            io_fault_seed: 0,
+            ..cfg
+        };
         let (rows, _) = scan_once(&mut t, cfg, ScanRequest::project(vec![1]));
         assert_eq!(rows.len(), 5000);
         assert_eq!(t.stats.attr(1).unwrap().rows_seen(), 5000);

@@ -3,6 +3,7 @@
 
 use std::path::{Path, PathBuf};
 
+use nodb_engine::{EngineError, EngineResult};
 use nodb_posmap::{MapPolicy, PositionalMap};
 use nodb_rawcache::{CachePolicy, RawCache};
 use nodb_rawcsv::reader::{fnv1a, FileChange};
@@ -143,7 +144,7 @@ impl RawTable {
     /// Probe the file and reconcile adaptive state with any change (§4.2
     /// *Updates*): appends keep all prefix state and replay from the old
     /// torn-row fence; truncation or rewrite quarantines everything.
-    pub fn check_updates(&mut self) -> Result<EpochChange, RawCsvError> {
+    pub fn check_updates(&mut self) -> EngineResult<EpochChange> {
         let change = self.epoch.classify(&self.path)?;
         match change {
             EpochChange::Unchanged => {}
@@ -152,7 +153,7 @@ impl RawTable {
                 self.stats.note_appended();
                 self.row_count = None;
                 self.generation += 1;
-                self.epoch = SourceEpoch::capture(&self.path)?;
+                self.rekey(SourceEpoch::try_capture(&self.path)?)?;
             }
             EpochChange::Truncated { .. } | EpochChange::Rewritten => {
                 self.quarantine()?;
@@ -172,14 +173,26 @@ impl RawTable {
     /// The state drop happens *before* the re-capture, so even when the
     /// file has meanwhile vanished (the error path) no stale state
     /// survives — the next successful probe starts genuinely cold.
-    pub(crate) fn quarantine(&mut self) -> Result<(), RawCsvError> {
+    pub(crate) fn quarantine(&mut self) -> EngineResult<()> {
         self.map.quarantine();
         self.cache.quarantine();
         self.stats.quarantine();
         self.row_count = None;
         self.last_snapshot_sig = 0;
         self.generation += 1;
-        self.epoch = SourceEpoch::capture(&self.path)?;
+        self.rekey(SourceEpoch::try_capture(&self.path)?)
+    }
+
+    /// Key the table to a freshly captured epoch. `None` — the capture
+    /// raced a mutation on every attempt — means an external writer is
+    /// active right now: that is [`EngineError::SourceChanged`] (retryable,
+    /// like any other mid-query mutation), not an I/O failure. The table
+    /// keeps its previous epoch, so the next probe classifies the settled
+    /// file against it and reconciles then.
+    fn rekey(&mut self, captured: Option<SourceEpoch>) -> EngineResult<()> {
+        self.epoch = captured.ok_or_else(|| EngineError::SourceChanged {
+            table: self.path.display().to_string(),
+        })?;
         Ok(())
     }
 
@@ -415,6 +428,29 @@ mod tests {
             "replay starts at the old torn-row fence"
         );
         assert!(t.row_count.is_none(), "count must be re-learned");
+        std::fs::remove_file(p).unwrap();
+    }
+
+    #[test]
+    fn capture_exhaustion_classifies_as_source_changed() {
+        let (p, schema) = tmp_csv(50);
+        let mut t = RawTable::register(&p, schema, false, &NoDbConfig::default()).unwrap();
+        let before = t.epoch;
+        // Every capture attempt "raced a writer": the bounded loop gives up.
+        let mut attempts = 0;
+        let churning = SourceEpoch::capture_bounded(&p, |_| {
+            attempts += 1;
+            Ok(None)
+        })
+        .unwrap();
+        assert!(attempts > 1, "the capture restarted before giving up");
+        assert!(churning.is_none());
+        let err = t.rekey(churning).unwrap_err();
+        assert!(
+            matches!(err, EngineError::SourceChanged { .. }),
+            "retryable source mutation, not an I/O error: {err:?}"
+        );
+        assert_eq!(t.epoch, before, "previous epoch kept for the next probe");
         std::fs::remove_file(p).unwrap();
     }
 

@@ -1,4 +1,4 @@
-//! The per-partition scan worker of the parallel raw scan.
+//! The per-partition scan worker of the raw scan.
 //!
 //! One worker owns one [`LineRange`] of the file and everything it needs to
 //! process it without synchronization: its own [`RangeScanner`] (with its
@@ -8,7 +8,7 @@
 //! timing. All shared state is borrowed immutably ([`ScanContext`]); the
 //! mutable merge into the table's positional map, cache and statistics
 //! happens on the driver thread afterwards (`rawscan`), in partition order,
-//! so the post-scan state is identical to a sequential scan.
+//! so the post-scan state does not depend on how the slices were scheduled.
 //!
 //! The worker is deliberately a plain function over `Send + Sync` borrows —
 //! no `Rc`/`RefCell` — so it can run under `std::thread::scope`.
@@ -33,11 +33,13 @@ use crate::ctx::{QueryCtx, CHECK_STRIDE};
 use crate::metrics::{Breakdown, PhaseClock};
 use crate::rawscan::QuarantineSample;
 
-/// Test hook: make the next `run_partition` call panic, to exercise the
-/// worker-boundary `catch_unwind` containment without a contrived schema.
+/// Test hook: make every `run_partition` call over this raw file panic, to
+/// exercise the worker-boundary `catch_unwind` containment without a
+/// contrived schema. Keyed by path so tests running in parallel (each on
+/// its own scratch file) never trip each other's injection.
 #[cfg(test)]
-pub(crate) static INJECT_WORKER_PANIC: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+pub(crate) static INJECT_WORKER_PANIC: std::sync::Mutex<Option<std::path::PathBuf>> =
+    std::sync::Mutex::new(None);
 
 /// Convert a scanner error into the structured stop error when the query
 /// context tripped mid-read: a cancelled refill surfaces as a wrapped "scan
@@ -130,7 +132,7 @@ pub(crate) struct PartitionOutput {
     pub batches: Vec<Batch>,
     /// Cache reads served / refused via `RawCache::peek` (workers cannot
     /// take `&mut` to count on the shared metrics; the driver folds these
-    /// in at merge so hit/miss telemetry matches a sequential scan).
+    /// in at merge).
     pub cache_hits: u64,
     pub cache_misses: u64,
     pub breakdown: Breakdown,
@@ -148,7 +150,7 @@ pub(crate) fn run_partition(
     part: Partition,
 ) -> EngineResult<PartitionOutput> {
     #[cfg(test)]
-    if INJECT_WORKER_PANIC.load(std::sync::atomic::Ordering::Relaxed) {
+    if crate::rawscan::lock_recover(&INJECT_WORKER_PANIC).as_deref() == Some(ctx.path) {
         panic!("injected worker panic (test hook)");
     }
     let n = ctx.req.attrs.len();
@@ -224,7 +226,8 @@ pub(crate) fn run_partition(
         quarantine_samples: Vec::new(),
     };
 
-    // Per-row reusable buffers (the sequential scan's workhorse pattern).
+    // Per-row reusable buffers (workhorse pattern: zero allocation per row
+    // in the common paths).
     let mut tokens = Tokens::new();
     let mut values: Vec<Option<Datum>> = vec![None; n];
     let mut spans: Vec<Option<(u32, u32)>> = vec![None; n];
@@ -291,7 +294,7 @@ pub(crate) fn run_partition(
         };
         // The fused pass does the tokenizing work inside the line fetch, so
         // its time lands in the tokenizing slice; the plain path's fetch is
-        // pure I/O + newline discovery, as in the sequential scan.
+        // pure I/O + newline discovery.
         clock.lap(t, if fused { &mut d_tok } else { &mut d_io });
         // Mid-scan truncation detection, gated on the fence so legacy mode
         // (`detect_updates` off) stays byte-identical. Both probes are
@@ -361,8 +364,8 @@ pub(crate) fn run_partition(
             clock.lap(t, &mut d_nodb);
         }
 
-        // Selective tuple formation (the exact code the sequential scan and
-        // the cached streamer run).
+        // Selective tuple formation (the exact code the cached streamer
+        // runs).
         crate::rawscan::form_tuple_into(ctx.req, &mut values, &mut pred_row, &mut batch);
         if batch.rows() >= BATCH_SIZE {
             out.batches
@@ -484,10 +487,10 @@ fn run_cached_partition(
     Ok(out)
 }
 
-/// Resolve every requested position of one row: cache reads and exact
-/// positional-map jumps (warm mode), then tokenizing for the rest, then
-/// selective parsing. Mirrors the sequential scan's `resolve_row` with the
-/// shared state behind immutable borrows.
+/// Resolve every requested position of one row — the scan operator's only
+/// row resolver: cache reads and exact positional-map jumps (when global
+/// rows are known), then tokenizing for the rest, then selective parsing,
+/// all over immutable borrows of the shared state.
 ///
 /// Returns `Some(attr)` when [`ParseErrorPolicy::Permissive`] tombstoned at
 /// least one malformed cell (the first offending attribute, for the
@@ -557,8 +560,8 @@ fn resolve_row(
     }
 
     // 3. Tokenize for the positions still missing. On the fused path the
-    // spans were already produced during line splitting; otherwise run the
-    // sequential scan's selective/resumable tokenizing.
+    // spans were already produced during line splitting; otherwise run
+    // selective/resumable tokenizing.
     if let (Some(lo), Some(hi)) = (missing_lo, missing_hi) {
         if !fused {
             let t = clock.start();

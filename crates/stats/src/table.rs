@@ -51,8 +51,8 @@ impl TableStats {
     /// Whether the scan should feed `row` (a 0-based data-row index) into
     /// the accumulators under the sampling stride.
     ///
-    /// This is the single source of truth for both the sequential scan and
-    /// the parallel scan's merge phase. The parallel scan deliberately
+    /// This is the single source of truth for the scan's merge phase (and
+    /// any reference model of it). The merge deliberately
     /// *replays* buffered observations in global row order instead of
     /// merging per-partition accumulators: the reservoir sample is a
     /// sequential-stream algorithm whose state depends on arrival order, so

@@ -3,50 +3,54 @@
 //! lives here (`mod common;`). Not every binary uses every helper.
 #![allow(dead_code)]
 
-use nodb_repro::core::NoDb;
+use nodb_repro::core::{NoDb, NoDbConfig};
+use nodb_repro::posmap::{ChunkBuilder, MapPolicy, PositionalMap};
+use nodb_repro::rawcache::{CachePolicy, RawCache};
+use nodb_repro::rawcsv::{parser, ColumnType, Datum, Schema};
+use nodb_repro::stats::TableStats;
 
-/// Assert that two instances' adaptive state for table `t` is identical
-/// (coverage, cache contents, statistics, row index). This is the
-/// convergence invariant behind every concurrency test: side-effect merges
-/// are frontier-based, so any interleaving of the same query set must land
-/// exactly where a sequential replay lands.
-pub fn assert_same_state(tag: &str, a: &NoDb, b: &NoDb, cols: usize) {
-    let (ha, hb) = (a.table_handle("t").unwrap(), b.table_handle("t").unwrap());
-    let (ta, tb) = (ha.read(), hb.read());
+/// One table's adaptive structures, borrowed for comparison.
+type Structures<'a> = (&'a PositionalMap, &'a RawCache, &'a TableStats);
+
+/// Assert that two sets of adaptive structures are identical: row index,
+/// positional-map coverage, cache contents, statistics (`rows_seen`, NULL
+/// fraction, reservoir, `observed_upto`).
+fn assert_same_structures(tag: &str, a: Structures<'_>, b: Structures<'_>, cols: usize) {
+    let ((map_a, cache_a, stats_a), (map_b, cache_b, stats_b)) = (a, b);
     assert_eq!(
-        ta.map().row_index().len(),
-        tb.map().row_index().len(),
-        "{tag}: row index size"
+        map_a.row_index().starts(),
+        map_b.row_index().starts(),
+        "{tag}: row index"
     );
     assert_eq!(
-        ta.map().row_index().is_complete(),
-        tb.map().row_index().is_complete(),
+        map_a.row_index().is_complete(),
+        map_b.row_index().is_complete(),
         "{tag}: row index completeness"
     );
     for attr in 0..cols {
         assert_eq!(
-            ta.map().coverage(attr),
-            tb.map().coverage(attr),
+            map_a.coverage(attr),
+            map_b.coverage(attr),
             "{tag}: map coverage c{attr}"
         );
         assert_eq!(
-            ta.cache().coverage(attr),
-            tb.cache().coverage(attr),
+            cache_a.coverage(attr),
+            cache_b.coverage(attr),
             "{tag}: cache coverage c{attr}"
         );
-        for row in 0..ta.cache().coverage(attr) {
+        for row in 0..cache_a.coverage(attr) {
             assert_eq!(
-                ta.cache().peek(attr, row),
-                tb.cache().peek(attr, row),
+                cache_a.peek(attr, row),
+                cache_b.peek(attr, row),
                 "{tag}: cache content c{attr} row {row}"
             );
         }
         assert_eq!(
-            ta.stats().observed_upto(attr),
-            tb.stats().observed_upto(attr),
+            stats_a.observed_upto(attr),
+            stats_b.observed_upto(attr),
             "{tag}: stats frontier c{attr}"
         );
-        match (ta.stats().attr(attr), tb.stats().attr(attr)) {
+        match (stats_a.attr(attr), stats_b.attr(attr)) {
             (None, None) => {}
             (Some(x), Some(y)) => {
                 assert_eq!(x.rows_seen(), y.rows_seen(), "{tag}: stats rows c{attr}");
@@ -60,4 +64,132 @@ pub fn assert_same_state(tag: &str, a: &NoDb, b: &NoDb, cols: usize) {
             other => panic!("{tag}: stats presence differs for c{attr}: {other:?}"),
         }
     }
+}
+
+/// Assert that two instances' adaptive state for table `t` is identical
+/// (coverage, cache contents, statistics, row index). This is the
+/// convergence invariant behind every concurrency test: side-effect merges
+/// are frontier-based, so any interleaving of the same query set must land
+/// exactly where a sequential replay lands.
+pub fn assert_same_state(tag: &str, a: &NoDb, b: &NoDb, cols: usize) {
+    let (ha, hb) = (a.table_handle("t").unwrap(), b.table_handle("t").unwrap());
+    let (ta, tb) = (ha.read(), hb.read());
+    assert_same_structures(
+        tag,
+        (ta.map(), ta.cache(), ta.stats()),
+        (tb.map(), tb.cache(), tb.stats()),
+        cols,
+    );
+}
+
+/// The reference for "what one row-at-a-time pass over the file leaves
+/// behind": a deliberately naive model of a table's adaptive state. It
+/// reads the whole file, splits every line and parses every field up front,
+/// then replays each query's side effects straight into a fresh cache,
+/// statistics registry and positional map — no partitions, no workers, no
+/// staging. The staged scan at any worker count must end in this state.
+pub struct NaiveModel {
+    types: Vec<ColumnType>,
+    /// Per data row: line-start offset, parsed fields, field-start offsets.
+    rows: Vec<(u64, Vec<Datum>, Vec<u32>)>,
+    row_count: Option<usize>,
+    pub cache: RawCache,
+    pub stats: TableStats,
+    pub map: PositionalMap,
+}
+
+impl NaiveModel {
+    /// Load a headerless, unquoted, comma-separated file under `cfg`'s
+    /// budgets and sampling stride.
+    pub fn load(path: &std::path::Path, schema: &Schema, cfg: &NoDbConfig) -> Self {
+        let types: Vec<ColumnType> = (0..schema.len()).map(|a| schema.ty(a)).collect();
+        let bytes = std::fs::read(path).unwrap();
+        let mut rows = Vec::new();
+        let mut offset = 0u64;
+        for line in bytes.split_inclusive(|&b| b == b'\n') {
+            let text = line.strip_suffix(b"\n").unwrap_or(line);
+            let (mut values, mut starts, mut at) = (Vec::new(), Vec::new(), 0u32);
+            for (attr, field) in text.split(|&b| b == b',').enumerate() {
+                values.push(
+                    parser::parse_field(field, types[attr], rows.len() as u64, attr).unwrap(),
+                );
+                starts.push(at);
+                at += field.len() as u32 + 1;
+            }
+            rows.push((offset, values, starts));
+            offset += line.len() as u64;
+        }
+        NaiveModel {
+            types,
+            rows,
+            row_count: None,
+            cache: RawCache::new(CachePolicy::with_budget(cfg.cache_budget_bytes)),
+            stats: TableStats::new(cfg.stats_sample_every),
+            map: PositionalMap::new(MapPolicy {
+                budget_bytes: cfg.map_budget_bytes,
+                trigger: cfg.combination_trigger,
+            }),
+        }
+    }
+
+    /// Apply the side effects of one query scanning `attrs` (ascending).
+    pub fn query(&mut self, attrs: &[usize]) {
+        let mut next = self.cache.coverage_of(attrs);
+        let tick = self.cache.begin_query(attrs);
+        let plan = self.map.plan_access(attrs);
+        let total = self.rows.len();
+        if self
+            .row_count
+            .is_some_and(|rc| next.iter().all(|&c| c >= rc))
+        {
+            return; // fully cached: the file is not touched
+        }
+        let starts: Vec<u64> = self.rows.iter().map(|r| r.0).collect();
+        self.map.row_index_mut().note_rows(0, &starts);
+        if plan.should_index {
+            let mut chunk = ChunkBuilder::new(attrs.to_vec());
+            for (_, _, field_starts) in &self.rows {
+                let offsets: Vec<(usize, u32)> =
+                    attrs.iter().map(|&a| (a, field_starts[a])).collect();
+                chunk.push_row_offsets(&offsets);
+            }
+            self.map.install(chunk);
+        }
+        let frontiers: Vec<u64> = attrs.iter().map(|&a| self.stats.observed_upto(a)).collect();
+        for (row, (_, values, _)) in self.rows.iter().enumerate() {
+            // Cache: row-major, attribute-interleaved; a column stops for
+            // good at its first refused append.
+            for (i, &a) in attrs.iter().enumerate() {
+                if next[i] == row {
+                    let admitted = self.cache.append(a, self.types[a], &values[a], tick);
+                    next[i] = if admitted { row + 1 } else { usize::MAX };
+                }
+            }
+            if self.stats.should_sample(row as u64) {
+                for (i, &a) in attrs.iter().enumerate() {
+                    if row as u64 >= frontiers[i] {
+                        self.stats.attr_mut(a).observe(&values[a]);
+                    }
+                }
+            }
+        }
+        self.row_count = Some(total);
+        self.map.row_index_mut().mark_complete();
+        self.stats.set_row_count(total as u64);
+        for &a in attrs {
+            self.stats.advance_observed(a, total as u64);
+        }
+    }
+}
+
+/// Assert that table `t` of `db` holds exactly the model's adaptive state.
+pub fn assert_matches_model(tag: &str, db: &NoDb, model: &NaiveModel) {
+    let handle = db.table_handle("t").unwrap();
+    let t = handle.read();
+    assert_same_structures(
+        tag,
+        (t.map(), t.cache(), t.stats()),
+        (&model.map, &model.cache, &model.stats),
+        model.types.len(),
+    );
 }

@@ -4,9 +4,10 @@
 //!    (PM+C, any budgets) returns exactly what the stateless baseline
 //!    returns, cold and warm.
 //! 2. *Parallel transparency* — for any dataset, query and thread count,
-//!    the partitioned parallel scan yields identical query results,
-//!    positional-map coverage, cache contents and statistics as
-//!    `scan_threads = 1`.
+//!    the partitioned scan yields identical query results, positional-map
+//!    coverage, cache contents and statistics as `scan_threads = 1` — and
+//!    the one-worker state equals a naive row-at-a-time model
+//!    (`common::NaiveModel`).
 //! 3. *Tokenizer equivalence* — selective/resumable tokenizing agrees with
 //!    full tokenizing on arbitrary byte soup.
 //! 4. *Cache round-trip* — any sequence of typed values read back from the
@@ -23,6 +24,8 @@ use nodb_repro::prelude::*;
 use nodb_repro::rawcache::{CachePolicy, RawCache};
 use nodb_repro::rawcsv::tokenizer::{TokenizerConfig, Tokens};
 use nodb_repro::stats::EquiDepthHistogram;
+
+mod common;
 
 /// SplitMix64: tiny, deterministic, plenty for case generation.
 struct CaseRng(u64);
@@ -116,10 +119,12 @@ fn adaptive_equals_baseline() {
     }
 }
 
-/// The new-code invariant for the partitioned parallel scan: for random
-/// CSVs, schemas and thread counts 1/2/4/8, query results, positional-map
+/// The worker-count invariant of the partitioned scan: for random CSVs,
+/// schemas and thread counts 2/3/4/8, query results, positional-map
 /// coverage, cache contents and statistics must be identical to
-/// `scan_threads = 1`.
+/// `scan_threads = 1` — whose state in turn must equal the naive
+/// row-at-a-time model, under an ample and a tight cache budget. Results
+/// are checked against the stateless baseline.
 #[test]
 fn parallel_scan_equals_sequential() {
     let mut rng = CaseRng::new(0x9A54);
@@ -138,31 +143,58 @@ fn parallel_scan_equals_sequential() {
         let gen = GeneratorConfig::uniform_ints(cols, rows, seed);
         let path = scratch("par", case);
         gen.generate_file(&path).unwrap();
+        // Each query with the attributes its scan reads (ascending).
+        let sorted = |mut attrs: Vec<u64>| {
+            attrs.sort_unstable();
+            attrs.dedup();
+            attrs.into_iter().map(|a| a as usize).collect::<Vec<_>>()
+        };
         let queries = [
-            format!("SELECT c{a1} FROM t WHERE c{pred} < {cut}"),
-            format!("SELECT c{a2}, c{a1} FROM t"),
-            format!("SELECT COUNT(*) FROM t WHERE c{pred} >= {cut}"),
+            (
+                format!("SELECT c{a1} FROM t WHERE c{pred} < {cut}"),
+                sorted(vec![a1, pred]),
+            ),
+            (format!("SELECT c{a2}, c{a1} FROM t"), sorted(vec![a1, a2])),
+            (
+                format!("SELECT COUNT(*) FROM t WHERE c{pred} >= {cut}"),
+                sorted(vec![pred]),
+            ),
         ];
 
-        let mk = |scan_threads: usize| {
-            let cfg = NoDbConfig {
-                scan_threads,
-                cache_budget_bytes: cache_budget,
-                io_readahead_blocks: test_readahead(),
-                ..NoDbConfig::pm_c()
-            };
+        let mk = |cfg: NoDbConfig| {
             let mut db = NoDb::new(cfg);
             db.register_csv_with_schema("t", &path, gen.schema(), false)
                 .unwrap();
             db
         };
-        let seq = mk(1);
-        let par = mk(threads);
+        let base = mk(NoDbConfig::baseline());
+        let cfg = |scan_threads: usize, cache_budget_bytes: usize| NoDbConfig {
+            scan_threads,
+            cache_budget_bytes,
+            io_readahead_blocks: test_readahead(),
+            ..NoDbConfig::pm_c()
+        };
 
-        for (qi, sql) in queries.iter().enumerate() {
+        // One worker ≡ the naive model, tight and ample budget alike.
+        for budget in [800usize, 1 << 30] {
+            let one = mk(cfg(1, budget));
+            let mut model = common::NaiveModel::load(&path, &gen.schema(), &cfg(1, budget));
+            for (qi, (sql, attrs)) in queries.iter().enumerate() {
+                let tag = format!("case {case} budget {budget} query {qi} ({sql})");
+                assert_eq!(one.query(sql).unwrap(), base.query(sql).unwrap(), "{tag}");
+                model.query(attrs);
+                common::assert_matches_model(&tag, &one, &model);
+            }
+        }
+
+        let seq = mk(cfg(1, cache_budget));
+        let par = mk(cfg(threads, cache_budget));
+
+        for (qi, (sql, _)) in queries.iter().enumerate() {
             let a = seq.query(sql).unwrap();
             let b = par.query(sql).unwrap();
             assert_eq!(a, b, "case {case} query {qi} threads {threads}: {sql}");
+            assert_eq!(a, base.query(sql).unwrap(), "case {case} query {qi}: {sql}");
         }
 
         // Post-scan adaptive state must be byte-identical.
@@ -219,7 +251,7 @@ fn parallel_scan_equals_sequential() {
 /// The two-phase cold-scan invariant (ISSUE 3): a cold byte-partitioned
 /// scan over a table with a *pre-populated partial cache* — random coverage
 /// prefixes induced by random tight budgets — must produce byte-identical
-/// results, cache contents and statistics to a fully-cold sequential scan.
+/// results, cache contents and statistics to the one-worker scan.
 /// Exercised across scan_threads 1/2/8, stealing off and on, pre-count on
 /// and off, and with an occasional append (which turns a warm table cold
 /// again while keeping reusable prefix state).
@@ -290,16 +322,14 @@ fn cold_partial_cache_reuse_equals_sequential() {
             par.table_handle("t").unwrap(),
         );
         let (ts, tp) = (hs.read(), hp.read());
-        // Hit accounting parity needs the pre-count: without it, cold
-        // parallel workers honestly report zero cache reads (they re-parse
-        // instead of peeking) while the sequential scan counts its `get`s.
-        if precount || threads == 1 {
-            assert_eq!(
-                ts.cache().metrics().hits,
-                tp.cache().metrics().hits,
-                "{tag}: lifetime cache hits"
-            );
-        }
+        // Hit accounting is slice-independent: without the pre-count cold
+        // workers report zero cache reads (they re-parse instead of
+        // peeking) at every worker count, with it they peek the same rows.
+        assert_eq!(
+            ts.cache().metrics().hits,
+            tp.cache().metrics().hits,
+            "{tag}: lifetime cache hits"
+        );
         for attr in 0..cols {
             assert_eq!(
                 ts.cache().coverage(attr),
