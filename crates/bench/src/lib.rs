@@ -11,9 +11,13 @@
 //! `race`, `updates`, `knobs`). `--scale full` uses paper-comparable file
 //! sizes; `small` finishes in seconds for CI.
 //!
-//! Criterion microbenchmarks live in `benches/`: tokenizer (full vs
-//! selective vs SWAR), positional-map jumps vs scans, cache hit vs
-//! re-parse, and end-to-end query latency.
+//! Criterion benches live in `benches/`, each writing a `BENCH_*.json`
+//! trajectory file that `bench_gate` diffs: parallel-scan scaling,
+//! concurrent clients, cold-scan state reuse, the warm path and resilience
+//! overhead. Per-layer probes (tokenizer, positional map, cache) are the
+//! out-of-workspace `benchmark/` package's job.
+
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod report;

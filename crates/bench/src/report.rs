@@ -26,17 +26,11 @@ pub struct BenchRecord {
     pub mean_ms: f64,
     /// Fastest iteration, milliseconds.
     pub min_ms: f64,
-    /// Mean I/O stall per iteration, milliseconds: summed time the scan
-    /// threads spent blocked waiting for bytes (`IoCounters::stall`).
-    /// `0.0` for benches that don't track it — the field is optional when
-    /// parsing, so pre-stall trajectory files stay readable.
-    pub stall_ms: f64,
     /// Execution-mode ablation label (e.g. `vectorized` / `rowwise` for the
     /// warm-path bench). Part of the record's identity: the same bench at
     /// the same threads/rows in two modes is two measurements. Empty for
-    /// benches without a mode axis, and optional when parsing (mirroring
-    /// the `stall_ms` precedent) so legacy `BENCH_*.json` files stay
-    /// readable.
+    /// benches without a mode axis, and optional when parsing so legacy
+    /// `BENCH_*.json` files stay readable.
     pub mode: String,
     /// Median per-query latency, milliseconds (nearest-rank over the
     /// individual query latencies of a run, not the per-iteration wall
@@ -86,7 +80,6 @@ impl BenchRecord {
             rows,
             mean_ms: mean,
             min_ms: if min.is_finite() { min } else { 0.0 },
-            stall_ms: 0.0,
             mode: String::new(),
             p50_ms: 0.0,
             p95_ms: 0.0,
@@ -121,15 +114,6 @@ impl BenchRecord {
         self.p99_ms = nearest_rank(0.99);
         self
     }
-
-    /// Attach a mean I/O stall time (milliseconds) to the record.
-    pub fn with_stall(mut self, stall: &[std::time::Duration]) -> Self {
-        if !stall.is_empty() {
-            self.stall_ms =
-                stall.iter().map(|d| d.as_secs_f64() * 1e3).sum::<f64>() / stall.len() as f64;
-        }
-        self
-    }
 }
 
 /// Render records as the `BENCH_*.json` document (hand-rolled JSON: the
@@ -140,8 +124,8 @@ pub fn bench_records_json(records: &[BenchRecord]) -> String {
         let _ = write!(
             out,
             "    {{\"name\": {:?}, \"scan_threads\": {}, \"clients\": {}, \"rows\": {}, \
-             \"mean_ms\": {:.3}, \"min_ms\": {:.3}, \"stall_ms\": {:.3}",
-            r.name, r.scan_threads, r.clients, r.rows, r.mean_ms, r.min_ms, r.stall_ms
+             \"mean_ms\": {:.3}, \"min_ms\": {:.3}",
+            r.name, r.scan_threads, r.clients, r.rows, r.mean_ms, r.min_ms
         );
         if !r.mode.is_empty() {
             let _ = write!(out, ", \"mode\": {:?}", r.mode);
@@ -211,10 +195,6 @@ pub fn parse_bench_json(body: &str) -> Option<Vec<BenchRecord>> {
             rows: field("rows")?.parse().ok()?,
             mean_ms: field("mean_ms")?.parse().ok()?,
             min_ms: field("min_ms")?.parse().ok()?,
-            // Optional: trajectory files predating stall accounting omit it.
-            stall_ms: field("stall_ms")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0),
             // Optional: files predating the ablation column omit it.
             mode: field("mode")
                 .map(|v| v.trim_matches('"').to_string())
@@ -484,8 +464,7 @@ mod tests {
     fn bench_json_parses_back() {
         use std::time::Duration;
         let records = vec![
-            BenchRecord::from_samples("cold_scan", 1, 200_000, &[Duration::from_millis(100)])
-                .with_stall(&[Duration::from_millis(40), Duration::from_millis(60)]),
+            BenchRecord::from_samples("cold_scan", 1, 200_000, &[Duration::from_millis(100)]),
             BenchRecord::from_samples_clients(
                 "warm_shared",
                 4,
@@ -500,18 +479,15 @@ mod tests {
             assert_eq!(bench_key(a), bench_key(b));
             assert!((a.mean_ms - b.mean_ms).abs() < 1e-3);
             assert!((a.min_ms - b.min_ms).abs() < 1e-3);
-            assert!((a.stall_ms - b.stall_ms).abs() < 1e-3);
         }
-        assert!(
-            (parsed[0].stall_ms - 50.0).abs() < 1e-3,
-            "stall column survives"
-        );
-        // Pre-stall trajectory files (no stall_ms field) still parse.
+        // Trajectory files written with a since-dropped `stall_ms` column,
+        // and ones predating the `mode` column, still parse.
         let legacy = "{\"benchmarks\": [{\"name\": \"old\", \"scan_threads\": 1, \
-                      \"clients\": 1, \"rows\": 10, \"mean_ms\": 5.0, \"min_ms\": 4.0}]}";
+                      \"clients\": 1, \"rows\": 10, \"mean_ms\": 5.0, \"min_ms\": 4.0, \
+                      \"stall_ms\": 3.0}]}";
         let old = parse_bench_json(legacy).unwrap();
         assert_eq!(old.len(), 1);
-        assert_eq!(old[0].stall_ms, 0.0, "missing stall defaults to 0");
+        assert_eq!(old[0].min_ms, 4.0, "fields before an unknown one are read");
         assert_eq!(old[0].mode, "", "missing mode defaults to empty");
         // The ablation mode column round-trips and separates record keys.
         let moded = vec![

@@ -180,39 +180,6 @@ pub fn race_queries(table: &str, ncols: usize) -> Vec<String> {
     ]
 }
 
-/// Evict `path` from the OS page cache, best-effort (Linux only): sync the
-/// pages clean, then `posix_fadvise(POSIX_FADV_DONTNEED)`. A "cold scan"
-/// benchmark that just generated its dataset is otherwise reading straight
-/// from the page cache and measures memcpy, not I/O — evicting before every
-/// iteration makes cold honestly cold, which is what gives overlapped I/O
-/// real disk latency to hide. Returns whether the kernel accepted the
-/// advice (tmpfs and non-Linux targets refuse; the bench then degrades to
-/// a warm-cache measurement rather than failing).
-pub fn evict_from_page_cache(path: &Path) -> bool {
-    #[cfg(target_os = "linux")]
-    {
-        use std::os::unix::io::AsRawFd;
-        const POSIX_FADV_DONTNEED: i32 = 4;
-        extern "C" {
-            fn posix_fadvise(fd: i32, offset: i64, len: i64, advice: i32) -> i32;
-        }
-        match std::fs::File::open(path) {
-            Ok(f) => {
-                let _ = f.sync_all(); // dirty pages cannot be dropped
-                                      // SAFETY: fd is open for the duration of the call; len 0 =
-                                      // whole file; the call mutates no user memory.
-                unsafe { posix_fadvise(f.as_raw_fd(), 0, 0, POSIX_FADV_DONTNEED) == 0 }
-            }
-            Err(_) => false,
-        }
-    }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = path;
-        false
-    }
-}
-
 /// Temp directory for one experiment run (unique per process + nanos).
 pub fn scratch_dir(tag: &str) -> PathBuf {
     let mut p = std::env::temp_dir();

@@ -94,7 +94,7 @@ impl SnapshotCounters {
 impl NoDb {
     /// A new instance with the given configuration. Out-of-range I/O knobs
     /// are clamped here ([`NoDbConfig::validated`]) so every query runs on
-    /// sane block/read-ahead settings.
+    /// a sane block size.
     pub fn new(config: NoDbConfig) -> Self {
         NoDb {
             config: parking_lot::RwLock::new(config.validated()),

@@ -17,12 +17,6 @@ pub const MIN_IO_BLOCK_SIZE: usize = 4096;
 /// RAM for no throughput gain.
 pub const MAX_IO_BLOCK_SIZE: usize = 256 << 20;
 
-/// Largest accepted [`NoDbConfig::io_readahead_blocks`]: each in-flight
-/// block pins `io_block_size` bytes per scanner, so depth × block × workers
-/// is real memory; past a handful of blocks the pipeline is already never
-/// empty and extra depth only buys footprint.
-pub const MAX_READAHEAD_BLOCKS: usize = 64;
-
 /// What a scan does with a row whose bytes fail to parse as the schema's
 /// type for a requested attribute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -67,22 +61,6 @@ pub struct NoDbConfig {
     /// `[MIN_IO_BLOCK_SIZE, MAX_IO_BLOCK_SIZE]` by [`Self::validated`] —
     /// a zero/tiny value would degenerate to per-line syscalls.
     pub io_block_size: usize,
-    /// Read-ahead depth for raw-file scans: how many `io_block_size` blocks
-    /// a scanner's prefetch helper keeps in flight (`nodb_rawcsv::reader::
-    /// ReadaheadBlocks`), overlapping disk reads with tokenize/parse CPU.
-    /// `0` disables the helper and reads synchronously on the scanning
-    /// thread (`SyncBlocks` — byte-for-byte the pre-readahead behavior).
-    /// Every depth produces byte-identical positional map, cache and
-    /// statistics; only the I/O stall time changes. Clamped to at most
-    /// [`MAX_READAHEAD_BLOCKS`] by [`Self::validated`].
-    pub io_readahead_blocks: usize,
-    /// Best-effort core pinning: pin each parallel-scan worker (and
-    /// pre-count counter) to a distinct CPU core via `sched_setaffinity`
-    /// on Linux; a no-op elsewhere and on kernels that refuse. Off by
-    /// default — pinning helps dedicated hosts (stable caches, no
-    /// migration) but hurts when several queries share the machine, since
-    /// every scan pins to the same low-numbered cores.
-    pub pin_cores: bool,
     /// Collect per-phase execution breakdowns (Fig 3). Costs a few ns per
     /// row; disable for pure-throughput microbenchmarks.
     pub detailed_timing: bool,
@@ -132,11 +110,11 @@ pub struct NoDbConfig {
     /// Work-stealing granularity for parallel scans: each scan splits its
     /// work into `scan_threads * steal_slices_per_thread` partition slices
     /// instead of one partition per thread. Every worker owns a contiguous
-    /// run of slices (adjacent file regions — NUMA/readahead friendly) and,
-    /// once its run drains, steals slices from the most-loaded peer, so
-    /// skewed line widths no longer leave workers idle. `0` or `1` restores
-    /// static equal-size partitioning (stealing off). The merge is by slice
-    /// order, so the post-scan state is identical for every steal
+    /// run of slices (adjacent file regions, so its reads stay sequential)
+    /// and, once its run drains, steals slices from the most-loaded peer,
+    /// so skewed line widths no longer leave workers idle. `0` or `1`
+    /// restores static equal-size partitioning (stealing off). The merge is
+    /// by slice order, so the post-scan state is identical for every steal
     /// interleaving.
     pub steal_slices_per_thread: usize,
     /// Per-query deadline in milliseconds for facade queries (`0` = none).
@@ -187,8 +165,6 @@ impl Default for NoDbConfig {
             selective_tokenizing: true,
             stats_sample_every: 1,
             io_block_size: 1 << 20,
-            io_readahead_blocks: 2,
-            pin_cores: false,
             detailed_timing: true,
             detect_updates: true,
             source_change_retries: 1,
@@ -246,16 +222,13 @@ impl NoDbConfig {
     /// Clamp out-of-range I/O knobs instead of letting them panic or
     /// degenerate downstream: `io_block_size` into
     /// `[MIN_IO_BLOCK_SIZE, MAX_IO_BLOCK_SIZE]` (a zero/tiny block would
-    /// turn every scan into per-line syscalls; the scanner used to clamp
-    /// silently, now the config owns the rule), `io_readahead_blocks` to at
-    /// most [`MAX_READAHEAD_BLOCKS`] (each in-flight block pins a block of
-    /// memory per scanner). Applied by `NoDb::new`, so every facade query
-    /// runs on a validated snapshot.
+    /// turn every scan into per-line syscalls) and `io_fault_one_in` to at
+    /// least 1. Applied by `NoDb::new`, so every facade query runs on a
+    /// validated snapshot.
     pub fn validated(mut self) -> Self {
         self.io_block_size = self
             .io_block_size
             .clamp(MIN_IO_BLOCK_SIZE, MAX_IO_BLOCK_SIZE);
-        self.io_readahead_blocks = self.io_readahead_blocks.min(MAX_READAHEAD_BLOCKS);
         self.io_fault_one_in = self.io_fault_one_in.max(1);
         self
     }
@@ -394,12 +367,6 @@ impl NoDbConfigBuilder {
         self
     }
 
-    /// Read-ahead depth in blocks (clamped on `build`).
-    pub fn io_readahead_blocks(mut self, blocks: usize) -> Self {
-        self.cfg.io_readahead_blocks = blocks;
-        self
-    }
-
     /// Per-query deadline in milliseconds (`0` = none).
     pub fn query_timeout_ms(mut self, ms: u64) -> Self {
         self.cfg.query_timeout_ms = ms;
@@ -453,12 +420,10 @@ mod tests {
         let cfg = NoDbConfig::builder()
             .scan_threads(4)
             .io_block_size(1) // out of range: clamped by build()
-            .io_readahead_blocks(10_000)
             .query_timeout_ms(250)
             .build();
         assert_eq!(cfg.scan_threads, 4);
         assert_eq!(cfg.io_block_size, MIN_IO_BLOCK_SIZE);
-        assert_eq!(cfg.io_readahead_blocks, MAX_READAHEAD_BLOCKS);
         assert_eq!(cfg.query_timeout_ms, 250);
         let ablation = NoDbConfigBuilder::from_config(NoDbConfig::baseline())
             .stats(true)
@@ -498,17 +463,12 @@ mod tests {
     fn validated_clamps_io_knobs() {
         let cfg = NoDbConfig {
             io_block_size: 0,
-            io_readahead_blocks: 10_000,
             ..NoDbConfig::default()
         }
         .validated();
         assert_eq!(
             cfg.io_block_size, MIN_IO_BLOCK_SIZE,
             "zero block clamped up"
-        );
-        assert_eq!(
-            cfg.io_readahead_blocks, MAX_READAHEAD_BLOCKS,
-            "depth capped"
         );
         let huge = NoDbConfig {
             io_block_size: usize::MAX,
@@ -521,8 +481,6 @@ mod tests {
         );
         let normal = NoDbConfig::default().validated();
         assert_eq!(normal.io_block_size, 1 << 20, "in-range values untouched");
-        assert_eq!(normal.io_readahead_blocks, 2, "default double-buffering");
-        assert!(!normal.pin_cores, "pinning is opt-in");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! The deadline is polled rather than timer-driven: the first observer that
 //! notices `Instant::now() >= deadline` trips the shared stop flag, so all
-//! sibling workers and prefetch pipelines stop within one check stride of
+//! sibling workers and pre-count counters stop within one check stride of
 //! each other without any dedicated timer thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -76,8 +76,9 @@
 //!   terminator lands (while `detect_updates` is on, an unterminated
 //!   final line is therefore not served until a newline ends it).
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
-mod affinity;
 pub mod api;
 pub mod config;
 pub mod ctx;

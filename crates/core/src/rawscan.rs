@@ -44,15 +44,12 @@
 //!   ([`plan_cold_partitions`]) establishes the row bases first and cold
 //!   workers read the cache and map like warm ones.
 //!
-//! Every scanner — per-slice worker and the cold pre-count — pulls its
-//! blocks through the pluggable [`nodb_rawcsv::reader::BlockSource`] layer:
-//! with `NoDbConfig::io_readahead_blocks > 0` each gets its own prefetch
-//! helper thread that keeps blocks in flight while the scan thread
-//! tokenizes (disk wait overlaps CPU; the remaining wait is reported as
-//! `IoCounters::stall`), with `0` it reads synchronously. The byte stream
-//! is identical either way, so the read-ahead depth never affects the
-//! post-scan state. `NoDbConfig::pin_cores` additionally pins each worker
-//! to a distinct core, best-effort.
+//! Every scanner — per-slice worker and the cold pre-count — reads its
+//! blocks synchronously on its own thread through the
+//! [`nodb_rawcsv::reader::BlockSource`] layer (the file-backed source,
+//! wrapped by retry and, in chaos runs, fault injection); the time inside
+//! `read` is reported as `IoCounters::stall`. A scan's thread count is
+//! exactly its worker (or pre-count counter) count.
 //!
 //! # Concurrent queries (lock staging)
 //!
@@ -199,12 +196,10 @@ pub struct ScanTelemetry {
     /// facade's derived `processing` remainder can clamp to zero).
     pub breakdown: Breakdown,
     /// Raw-file I/O counters, including the **I/O stall time**
-    /// (`IoCounters::stall`): the summed time scan threads spent blocked
-    /// waiting for bytes — the whole `read` on the synchronous source, only
-    /// the empty-pipeline wait with read-ahead. This is what separates
-    /// "waiting on disk" from "tokenizing" in the Figure-3-style breakdown:
-    /// `io_readahead_blocks > 0` shrinks `io.stall` while `bytes_read`
-    /// stays put.
+    /// (`IoCounters::stall`): the summed time scan threads spent inside
+    /// `read`. It is part of `breakdown.io`, which is what separates
+    /// "waiting for bytes" from "tokenizing" in the Figure-3-style
+    /// breakdown.
     pub io: IoCounters,
     /// Tuples visited.
     pub rows_scanned: u64,
@@ -684,10 +679,8 @@ pub(crate) struct ColdScanPlan {
 ///
 /// Boundary counts are read from the prep's memo snapshot where available;
 /// only unknown slices are counted, concurrently on up to `prep.threads`
-/// threads — each reusing the scan's read-ahead pipeline
-/// (`config.io_readahead_blocks`) and pinned to a core when
-/// `config.pin_cores` asks for it. Runs without any table lock (it touches
-/// only the raw file and the snapshot).
+/// threads. Runs without any table lock (it touches only the raw file and
+/// the snapshot).
 pub(crate) fn plan_cold_partitions(
     prep: &ScanPrep,
     config: &NoDbConfig,
@@ -747,23 +740,15 @@ pub(crate) fn plan_cold_partitions(
                     let mine = &missing[lo..hi];
                     let ranges = &ranges;
                     let path = &prep.path;
-                    let (io_block, readahead, pin) = (
-                        config.io_block_size,
-                        config.io_readahead_blocks,
-                        config.pin_cores,
-                    );
+                    let io_block = config.io_block_size;
                     let profile = config.io_profile();
                     let interrupt = prep.ctx.stop_flag();
                     s.spawn(move || {
-                        if pin {
-                            crate::affinity::pin_current_thread(w);
-                        }
                         let mut out = Vec::with_capacity(mine.len());
                         for &i in mine {
                             let (lines, io) = count_lines_in_range_ctl(
                                 path,
                                 io_block,
-                                readahead,
                                 ranges[i],
                                 profile,
                                 Some(Arc::clone(&interrupt)),
@@ -953,12 +938,6 @@ pub(crate) fn run_partitions(
                 let (ctx, slots, bounds, cursors, steals) =
                     (&ctx, &slots, &bounds, &cursors, &steals);
                 s.spawn(move || {
-                    // Best-effort core pinning: worker w on core w (modulo
-                    // available cores), so workers stop migrating mid-scan.
-                    // Never load-bearing — pinning can silently fail.
-                    if ctx.config.pin_cores {
-                        crate::affinity::pin_current_thread(w);
-                    }
                     // Errors park in the slice's slot; the worker keeps
                     // draining so every lower-numbered slice completes and
                     // the driver can report the lowest-slice error with an
@@ -1364,6 +1343,12 @@ fn plan_slices(prep: &ScanPrep, config: &NoDbConfig) -> EngineResult<Option<Cold
     let t = clock.start();
     let mut cp = check_stop(&prep.ctx, plan_cold_partitions(prep, config))?;
     clock.lap(t, &mut cp.elapsed);
+    if config.detailed_timing {
+        // The pre-count's counters read in parallel, so their summed read
+        // time can exceed the pass's wall clock; the breakdown sums thread
+        // time, and its I/O slice must cover every `read`.
+        cp.elapsed = cp.elapsed.max(cp.io.stall);
+    }
     Ok(Some(cp))
 }
 
@@ -1873,26 +1858,37 @@ mod tests {
     }
 
     #[test]
-    fn pinned_readahead_scan_matches_sequential_state() {
-        // Core pinning and read-ahead are pure scheduling/overlap knobs:
-        // cold scan, then a warm rescan, must leave state byte-identical to
-        // the unpinned synchronous sequential scan.
-        assert_parallel_matches_sequential(
-            5,
-            800,
-            28,
-            4,
-            |t| NoDbConfig {
-                scan_threads: t,
-                pin_cores: t > 1,
-                io_readahead_blocks: if t > 1 { 8 } else { 0 },
-                ..NoDbConfig::default()
-            },
-            &[
-                ScanRequest::project(vec![0, 2]),
-                ScanRequest::project(vec![2, 4]),
-            ],
-        );
+    fn io_slice_covers_the_time_inside_read() {
+        // Multi-block scans (4 KiB blocks): block reads belong to the I/O
+        // slice whichever pass issued them — the fused first scan, and a
+        // pre-counted rescan over a partial cache (parallel counters, then
+        // non-fused workers) — so `breakdown.io` is never below `io.stall`.
+        let (p, schema) = tmp_csv(5, 20000, 41);
+        for threads in [1usize, 4] {
+            let cfg = NoDbConfig {
+                scan_threads: threads,
+                io_block_size: 4096,
+                cache_budget_bytes: 40_000,
+                ..NoDbConfig::cache_only()
+            };
+            let mut t = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
+            let req = ScanRequest::project(vec![1, 3]);
+            let (_, cold) = scan_once(&mut t, cfg, req.clone());
+            let (_, again) = scan_once(&mut t, cfg, req);
+            assert!(again.precounted, "threads {threads}: partial cache");
+            let slices = cfg.scan_slice_target() as u64;
+            for tel in [cold, again] {
+                assert!(tel.io.read_calls > 2 * slices, "several refills a slice");
+                assert!(tel.io.stall > Duration::ZERO);
+                assert!(
+                    tel.breakdown.io >= tel.io.stall,
+                    "threads {threads}: io {:?} < stall {:?}",
+                    tel.breakdown.io,
+                    tel.io.stall
+                );
+            }
+        }
+        std::fs::remove_file(p).unwrap();
     }
 
     #[test]

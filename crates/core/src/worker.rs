@@ -1,14 +1,14 @@
 //! The per-partition scan worker of the raw scan.
 //!
 //! One worker owns one [`LineRange`] of the file and everything it needs to
-//! process it without synchronization: its own [`RangeScanner`] (with its
-//! own read-ahead pipeline when `io_readahead_blocks > 0`), a reusable
-//! [`Tokens`] buffer, a partial positional-map [`ChunkBuilder`], partial
-//! cache columns ([`TypedColumn`] per requested attribute) and per-phase
-//! timing. All shared state is borrowed immutably ([`ScanContext`]); the
-//! mutable merge into the table's positional map, cache and statistics
-//! happens on the driver thread afterwards (`rawscan`), in partition order,
-//! so the post-scan state does not depend on how the slices were scheduled.
+//! process it without synchronization: its own [`RangeScanner`] (reading
+//! synchronously on this thread), a reusable [`Tokens`] buffer, a partial
+//! positional-map [`ChunkBuilder`], partial cache columns ([`TypedColumn`]
+//! per requested attribute) and per-phase timing. All shared state is
+//! borrowed immutably ([`ScanContext`]); the mutable merge into the table's
+//! positional map, cache and statistics happens on the driver thread
+//! afterwards (`rawscan`), in partition order, so the post-scan state does
+//! not depend on how the slices were scheduled.
 //!
 //! The worker is deliberately a plain function over `Send + Sync` borrows —
 //! no `Rc`/`RefCell` — so it can run under `std::thread::scope`.
@@ -177,10 +177,6 @@ pub(crate) fn run_partition(
         }
     }
 
-    // Each partition worker gets its own read-ahead pipeline: with
-    // `io_readahead_blocks > 0` a helper thread keeps the next blocks in
-    // flight while this worker tokenizes the current one (`BlockSource` in
-    // `nodb_rawcsv::reader`); `0` reads synchronously as before.
     // Clamp the partition to the epoch's torn-row fence: bytes past it
     // belong to the next epoch (a torn trailing row, a concurrent append).
     // This also resolves the warm last partition's `u64::MAX` run-to-EOF
@@ -194,7 +190,6 @@ pub(crate) fn run_partition(
     let mut scanner = RangeScanner::open_with_profile(
         ctx.path,
         ctx.config.io_block_size,
-        ctx.config.io_readahead_blocks,
         range,
         0,
         ctx.config.io_profile(),
@@ -293,8 +288,9 @@ pub(crate) fn run_partition(
             }
         };
         // The fused pass does the tokenizing work inside the line fetch, so
-        // its time lands in the tokenizing slice; the plain path's fetch is
-        // pure I/O + newline discovery.
+        // its time lands in the tokenizing slice (its block reads are moved
+        // to the I/O slice after the loop); the plain path's fetch is pure
+        // I/O + newline discovery.
         clock.lap(t, if fused { &mut d_tok } else { &mut d_io });
         // Mid-scan truncation detection, gated on the fence so legacy mode
         // (`detect_updates` off) stays byte-identical. Both probes are
@@ -379,6 +375,14 @@ pub(crate) fn run_partition(
     }
     out.rows = local;
     out.io = scanner.take_counters();
+    if fused {
+        // The fused fetch lapped its block refills into `d_tok`; the time
+        // inside `read` is I/O, not tokenizing. (Timing off: `d_tok` is
+        // zero and nothing moves.)
+        let reads = out.io.stall.min(d_tok);
+        d_tok -= reads;
+        d_io += reads;
+    }
     out.breakdown.io = d_io;
     out.breakdown.tokenizing = d_tok;
     out.breakdown.parsing = d_parse;

@@ -15,7 +15,7 @@ fn a_few_lines_up(mask: &[u64; 16]) -> bool {
         fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
     }
     // SAFETY: the mask is a valid, live buffer and pid 0 is the calling
-    // thread; the call only reads the mask (fixture mirroring affinity.rs).
+    // thread; the call only reads the mask (fixture: an FFI call).
     let ok = unsafe { sched_setaffinity(0, std::mem::size_of_val(mask), mask.as_ptr()) };
     ok == 0
 }

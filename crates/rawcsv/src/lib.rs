@@ -22,6 +22,8 @@
 //! The tokenizer handles plain CSV (the paper's workload) on a fast SWAR
 //! path and quoted fields on a slower, quote-aware path.
 
+#![forbid(unsafe_code)]
+
 pub mod datum;
 pub mod error;
 pub mod generator;
@@ -36,7 +38,7 @@ pub use error::RawCsvError;
 pub use generator::{ColumnGenSpec, GeneratorConfig, ValueDistribution};
 pub use reader::{
     is_transient_io, BlockScanner, BlockSource, FaultPlan, FaultyBlocks, IoCounters, IoProfile,
-    RawFileMeta, ReadaheadBlocks, RetryBlocks, SyncBlocks,
+    RawFileMeta, RetryBlocks, SyncBlocks,
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use tokenizer::{FieldSpan, TokenizerConfig, Tokens};

@@ -9,39 +9,39 @@
 //!
 //! # The `BlockSource` layer
 //!
-//! Where the blocks come from is pluggable. [`BlockScanner`] owns only the
-//! line-reassembly state (a [`Window`] over the byte stream) and pulls
-//! refills from a [`BlockSource`]:
+//! [`BlockScanner`] owns only the line-reassembly state (a [`Window`] over
+//! the byte stream) and pulls refills from a [`BlockSource`]. There is one
+//! file-backed source and two decorators:
 //!
-//! * [`SyncBlocks`] — blocking `read` calls on the scanning thread,
-//!   byte-for-byte the original reader. Every block read stalls the
-//!   tokenizer that could be chewing the previous block.
-//! * [`ReadaheadBlocks`] — a double-buffered prefetcher: a helper thread
-//!   reads ahead through its own file handle and keeps up to
-//!   `readahead_blocks` blocks in flight on a bounded channel, so the
-//!   scanner usually finds the next buffer already full and the disk wait
-//!   overlaps tokenize/parse CPU. Blocks are handed over by pointer swap
-//!   (each block carries [`BLOCK_HEADROOM`] spare bytes at its front for the
-//!   previous block's unconsumed line tail), so the consumer never copies
-//!   block bodies.
+//! * [`SyncBlocks`] — blocking block-sized `read` calls on the scanning
+//!   thread. Every scan, pre-count pass and snapshot read goes through it.
+//! * [`FaultyBlocks`] — wraps a source with a seeded schedule of
+//!   recoverable faults (transient `EIO`, latency, short reads) for the
+//!   chaos suites.
+//! * [`RetryBlocks`] — wraps a source with bounded retry and backoff for
+//!   transient read errors.
 //!
-//! **Why correctness is independent of buffer arrival order:** the helper
-//! sends blocks through a single FIFO channel in exactly the order it reads
-//! them, and it computes its read sizes with the same [`read_size_at`]
-//! formula the synchronous source uses — so the *concatenated byte stream*
-//! a scanner consumes is identical for every source and every readahead
-//! depth. Line splitting, tokenizing and offset arithmetic only ever see
-//! that stream through the [`Window`]; block boundaries (which is the only
-//! thing prefetch timing can perturb) are invisible above the refill call.
-//! The property tests in `tests/property_based.rs` pin this end to end:
-//! every `{threads} × {readahead} × {steal}` combination leaves positional
-//! map, cache and statistics byte-identical.
+//! [`make_source_with`] stacks them from an [`IoProfile`]; the trait is what
+//! lets tests substitute the faulty source under an unchanged scanner.
 //!
-//! Both sources account a third counter besides bytes/calls: [`IoCounters::
-//! stall`], the time the *scanning thread* spent waiting for bytes (the full
-//! `read` for [`SyncBlocks`], only the blocked channel wait for
-//! [`ReadaheadBlocks`]), which is what finally separates "waiting on disk"
-//! from "tokenizing" in the Figure-3-style breakdown.
+//! There is deliberately no user-level prefetch thread: a scan issues
+//! strictly sequential `read`s, which the kernel's own readahead already
+//! overlaps with the caller's CPU work, and a helper thread measured no
+//! faster on cached or evicted files while competing with the scan workers
+//! for cores. A scan's thread count is exactly its worker count.
+//!
+//! **Why decorators cannot perturb results:** read sizes come from one
+//! formula ([`read_size_at`]) over the source's position, and a fault only
+//! fails a refill before it advances or moves a block boundary — so the
+//! *concatenated byte stream* a scanner consumes is the file's bytes in
+//! order, whatever the stack. Line splitting, tokenizing and offset
+//! arithmetic only ever see that stream through the [`Window`]; block
+//! boundaries are invisible above the refill call.
+//!
+//! Besides bytes and calls the source accounts [`IoCounters::stall`]: the
+//! time the scanning thread spent inside `read`. That is the *I/O* slice of
+//! the Figure-3-style breakdown, separating "waiting for bytes" from
+//! "tokenizing".
 //!
 //! [`RawFileMeta`] is the cheap file fingerprint used by update detection
 //! (§4.2 *Updates*): length, modification time, and a hash of the file head,
@@ -55,7 +55,6 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -74,20 +73,12 @@ pub struct IoCounters {
     pub bytes_read: u64,
     /// Number of `read` calls issued.
     pub read_calls: u64,
-    /// Time the scanning thread spent *blocked waiting for bytes*: the
-    /// whole `read` call for [`SyncBlocks`], only the channel wait for
-    /// [`ReadaheadBlocks`] (whose reads happen on the helper thread). This
-    /// is the "waiting on disk" slice of the execution breakdown — with
-    /// read-ahead it shrinks toward zero while bytes/calls stay put.
+    /// Time the scanning thread spent inside `read` calls — the "waiting
+    /// for bytes" (I/O) slice of the execution breakdown.
     pub stall: Duration,
     /// Refills re-issued by [`RetryBlocks`] after a transient read error
     /// (injected or real). Zero on a healthy scan.
     pub retries: u64,
-    /// Times a [`ReadaheadBlocks`] had to degrade to synchronous reads
-    /// because its helper thread could not be spawned. Previously this
-    /// fallback was silent; surfacing it lets telemetry explain why a scan
-    /// that asked for read-ahead saw sync-like stall times.
-    pub readahead_fallbacks: u64,
 }
 
 impl IoCounters {
@@ -97,7 +88,6 @@ impl IoCounters {
         self.read_calls += other.read_calls;
         self.stall += other.stall;
         self.retries += other.retries;
-        self.readahead_fallbacks += other.readahead_fallbacks;
     }
 }
 
@@ -134,17 +124,9 @@ pub struct BlockScanner {
 /// the next scanner's slice). Also the smallest accepted block size.
 const TAIL_READ: usize = 4096;
 
-/// Spare bytes reserved at the front of every prefetched block so the
-/// consumer can splice the previous block's unconsumed tail (at most one
-/// partial line in the common case) in front of the fresh bytes and take
-/// ownership of the block *without copying its body*.
-const BLOCK_HEADROOM: usize = TAIL_READ;
-
 /// The scanner-side view of the byte stream: a growable window where
 /// `buf[pos..filled]` is the unconsumed bytes and `file_offset` is the file
-/// position of `buf[0]` (bytes before `pos` may be garbage after a
-/// zero-copy block swap — the window is only ever read through
-/// `[pos, filled)`).
+/// position of `buf[0]`.
 #[derive(Debug, Default)]
 pub struct Window {
     /// Backing buffer.
@@ -166,12 +148,7 @@ impl Window {
         }
     }
 
-    fn tail_len(&self) -> usize {
-        self.filled - self.pos
-    }
-
-    /// Slide the unconsumed tail to the front (the classic pre-read
-    /// compaction both sources share on their copying paths).
+    /// Slide the unconsumed tail to the front before a read appends to it.
     fn compact(&mut self) {
         if self.pos > 0 {
             self.buf.copy_within(self.pos..self.filled, 0);
@@ -183,10 +160,9 @@ impl Window {
 }
 
 /// A sequential block supplier for [`BlockScanner`] (and the pre-count
-/// pass): where the bytes come from — and on which thread the disk wait
-/// happens — is this trait's business; line reassembly stays in the
-/// scanner. See the module docs for why every implementation yields an
-/// identical byte stream.
+/// pass): where the bytes come from is this trait's business; line
+/// reassembly stays in the scanner. See the module docs for why every
+/// stack of implementations yields an identical byte stream.
 pub trait BlockSource: Send {
     /// Produce the next sequential chunk into `win`: the unconsumed tail
     /// `buf[pos..filled]` must be preserved (contiguously, ending where the
@@ -256,9 +232,7 @@ pub fn is_transient_io(err: &RawCsvError) -> bool {
 
 /// Bytes to request when positioned at file offset `pos`: block-sized until
 /// the soft cap, page-sized tail steps beyond it, truncated at the hard
-/// limit (0 = stop). Shared by both sources — and that sharing is what
-/// makes their read sequences, and therefore their byte streams and I/O
-/// counters, line up call for call.
+/// limit (0 = stop).
 fn read_size_at(pos: u64, block_size: usize, cap: u64, limit: u64) -> usize {
     if pos >= limit {
         return 0;
@@ -272,9 +246,8 @@ fn read_size_at(pos: u64, block_size: usize, cap: u64, limit: u64) -> usize {
     base.min(limit - pos) as usize
 }
 
-/// The synchronous source: blocking block-sized `read`s on the scanning
-/// thread — byte-for-byte the pre-readahead reader, kept as the
-/// `io_readahead_blocks = 0` fallback and the A/B baseline.
+/// The file-backed source: blocking block-sized `read`s on the scanning
+/// thread.
 pub struct SyncBlocks {
     file: File,
     path: PathBuf,
@@ -361,402 +334,6 @@ impl BlockSource for SyncBlocks {
     fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);
     }
-}
-
-/// One prefetched block in flight: `BLOCK_HEADROOM` spare bytes, then the
-/// fresh file bytes.
-type PrefetchedBlock = std::io::Result<Vec<u8>>;
-
-/// The helper-thread pipeline of a [`ReadaheadBlocks`]: dropped (receiver
-/// first, so the helper's next `send` fails and it exits) whenever the
-/// consumer seeks, re-caps or finishes. `recycle` returns spent block
-/// buffers to the helper so steady state allocates nothing per block —
-/// without it the helper would mmap/zero/fault a fresh block-sized buffer
-/// every read, costing more than the read itself on cached files.
-struct Pipeline {
-    rx: Option<Receiver<PrefetchedBlock>>,
-    recycle: SyncSender<Vec<u8>>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        drop(self.rx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// The double-buffered prefetching source: a helper thread reads ahead
-/// through its own file handle and keeps up to `depth` blocks in flight on
-/// a bounded channel. The scanning thread's `refill` usually finds a block
-/// already waiting and takes ownership by pointer swap (splicing the
-/// previous window's line tail into the block's headroom), so disk latency
-/// hides behind tokenize CPU and the consumer copies no block bodies.
-///
-/// Best-effort: if the helper thread cannot be spawned, the source
-/// degrades to an embedded [`SyncBlocks`] instead of failing the scan.
-pub struct ReadaheadBlocks {
-    path: PathBuf,
-    block_size: usize,
-    depth: usize,
-    read_cap: u64,
-    read_limit: u64,
-    /// Next file offset the consumer expects.
-    pos: u64,
-    pipeline: Option<Pipeline>,
-    /// Engaged when spawning the helper failed; delegates everything.
-    fallback: Option<SyncBlocks>,
-    counters: IoCounters,
-    interrupt: Option<Arc<AtomicBool>>,
-    /// Test hook: make `spawn_pipeline` fail so the sync-fallback path (and
-    /// its `readahead_fallbacks` accounting) can be exercised on a machine
-    /// where real spawns never fail.
-    fail_spawn_for_tests: bool,
-}
-
-impl ReadaheadBlocks {
-    /// Open `path` with `depth` blocks of read-ahead (`depth >= 1`).
-    pub fn open(path: impl AsRef<Path>, block_size: usize, depth: usize) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        // Surface open errors eagerly (same contract as `SyncBlocks`); the
-        // helper re-opens its own handle when it spawns.
-        drop(
-            File::open(&path)
-                .map_err(|e| RawCsvError::io(format!("open {}", path.display()), e))?,
-        );
-        Ok(ReadaheadBlocks {
-            path,
-            block_size: block_size.max(TAIL_READ),
-            depth: depth.max(1),
-            read_cap: u64::MAX,
-            read_limit: u64::MAX,
-            pos: 0,
-            pipeline: None,
-            fallback: None,
-            counters: IoCounters::default(),
-            interrupt: None,
-            fail_spawn_for_tests: false,
-        })
-    }
-
-    /// Drop the in-flight pipeline (the helper exits at its next send).
-    fn reset_pipeline(&mut self) {
-        self.pipeline = None;
-    }
-
-    fn spawn_pipeline(&self) -> std::io::Result<Pipeline> {
-        if self.fail_spawn_for_tests {
-            return Err(std::io::Error::other("forced spawn failure (test hook)"));
-        }
-        let (tx, rx) = sync_channel(self.depth);
-        let (recycle_tx, recycle_rx) = sync_channel(self.depth + 2);
-        let path = self.path.clone();
-        let (start, cap, limit, block) =
-            (self.pos, self.read_cap, self.read_limit, self.block_size);
-        let handle = std::thread::Builder::new()
-            .name("nodb-readahead".into())
-            .spawn(move || prefetch_loop(&path, start, cap, limit, block, &tx, &recycle_rx))?;
-        Ok(Pipeline {
-            rx: Some(rx),
-            recycle: recycle_tx,
-            handle: Some(handle),
-        })
-    }
-
-    /// Degrade to synchronous reads — after a failed spawn, or for the
-    /// demand-driven tail past the soft cap — carrying the counters over
-    /// so accounting stays continuous.
-    fn engage_fallback(&mut self) -> Result<&mut SyncBlocks> {
-        let mut sync = SyncBlocks::open(&self.path, self.block_size)?;
-        sync.set_read_cap(self.read_cap);
-        sync.set_read_limit(self.read_limit);
-        if self.pos > 0 {
-            sync.seek(self.pos)?;
-        }
-        sync.counters = std::mem::take(&mut self.counters);
-        if let Some(flag) = &self.interrupt {
-            sync.set_interrupt(Arc::clone(flag));
-        }
-        self.fallback = Some(sync);
-        Ok(self.fallback.as_mut().expect("just set"))
-    }
-}
-
-/// Undo any single-core affinity the helper inherited from a pinned
-/// consumer (`pin_cores` pins scan workers, and `pthread_create` copies
-/// the parent's mask): prefetch I/O sharing the worker's own core would
-/// time-share with tokenizing — the opposite of overlap. The all-ones
-/// mask is intersected with the process cpuset by the kernel; best-effort.
-#[cfg(target_os = "linux")]
-fn unpin_current_thread() {
-    const SET_BITS: usize = 1024;
-    let mask = [u64::MAX; SET_BITS / 64];
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    // SAFETY: the mask is a valid, live 128-byte buffer and pid 0 refers to
-    // the calling thread; the call only reads the mask.
-    let _ = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-}
-
-#[cfg(not(target_os = "linux"))]
-fn unpin_current_thread() {}
-
-/// Body of the read-ahead helper thread: replay the exact read sequence
-/// [`SyncBlocks`] would issue from `start` and send each block (with
-/// [`BLOCK_HEADROOM`] spare front bytes) down the bounded channel.
-///
-/// The helper stops *at the soft cap* — racing ahead in [`TAIL_READ`]
-/// steps would read up to `depth` pages per scanner that the consumer may
-/// never want (the straddling tail is usually one page), exactly the
-/// amplification the cap exists to prevent. The consumer finishes the tail
-/// with demand-driven synchronous reads instead (see
-/// [`ReadaheadBlocks::refill`]). At end of file the helper forwards its
-/// final zero-byte read as an empty marker block, so the consumer's
-/// counters tally the same `read_calls` the synchronous source reports.
-/// Exits on EOF, at the cap or hard limit, on error (after forwarding it),
-/// or as soon as the consumer hangs up.
-fn prefetch_loop(
-    path: &Path,
-    start: u64,
-    cap: u64,
-    limit: u64,
-    block_size: usize,
-    tx: &SyncSender<PrefetchedBlock>,
-    recycle: &Receiver<Vec<u8>>,
-) {
-    unpin_current_thread();
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            let _ = tx.send(Err(e));
-            return;
-        }
-    };
-    if start > 0 {
-        if let Err(e) = file.seek(SeekFrom::Start(start)) {
-            let _ = tx.send(Err(e));
-            return;
-        }
-    }
-    let mut pos = start;
-    // The consumer cancels this helper by dropping the pipeline: the bounded
-    // channel hangs up, the next send fails, and the loop exits — the
-    // interrupt flag itself is polled consumer-side in
-    // `ReadaheadBlocks::refill`.
-    // lint: cancel-ok cancelled via channel hang-up, see above
-    loop {
-        if pos >= cap {
-            return; // consumer takes over with demand-driven tail reads
-        }
-        let want = read_size_at(pos, block_size, cap, limit);
-        if want == 0 {
-            return;
-        }
-        // Reuse a spent buffer from the consumer when one is waiting; only
-        // grow (zero-extending) when the target size exceeds anything seen
-        // before, so steady state touches no allocator at all.
-        let mut buf = recycle.try_recv().unwrap_or_default();
-        if buf.len() < BLOCK_HEADROOM + want {
-            buf.resize(BLOCK_HEADROOM + want, 0);
-        } else {
-            buf.truncate(BLOCK_HEADROOM + want);
-        }
-        match file.read(&mut buf[BLOCK_HEADROOM..]) {
-            // EOF marker: an empty block standing for the zero-byte read,
-            // so sync and readahead report identical `read_calls`.
-            Ok(0) => {
-                let _ = tx.send(Ok(Vec::new()));
-                return;
-            }
-            Ok(n) => {
-                buf.truncate(BLOCK_HEADROOM + n);
-                pos += n as u64;
-                if tx.send(Ok(buf)).is_err() {
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        }
-    }
-}
-
-impl BlockSource for ReadaheadBlocks {
-    fn refill(&mut self, win: &mut Window) -> Result<usize> {
-        if let Some(flag) = &self.interrupt {
-            if flag.load(Ordering::Relaxed) {
-                return Err(interrupted_error(&self.path));
-            }
-        }
-        if let Some(sync) = &mut self.fallback {
-            return sync.refill(win);
-        }
-        if self.pipeline.is_none() {
-            match self.spawn_pipeline() {
-                Ok(p) => self.pipeline = Some(p),
-                Err(_) => {
-                    // Count the degradation *before* engaging the fallback:
-                    // `engage_fallback` moves the counters into the embedded
-                    // sync source, and this used to be a silent downgrade.
-                    self.counters.readahead_fallbacks += 1;
-                    return self.engage_fallback()?.refill(win);
-                }
-            }
-        }
-        let rx = self
-            .pipeline
-            .as_ref()
-            .and_then(|p| p.rx.as_ref())
-            .expect("pipeline just ensured");
-        let t = Instant::now();
-        let received = rx.recv();
-        self.counters.stall += t.elapsed();
-        let mut block = match received {
-            Ok(Ok(b)) if b.is_empty() => {
-                // EOF marker: the helper's final zero-byte read, counted
-                // exactly like the synchronous source counts its own.
-                self.counters.read_calls += 1;
-                return Ok(0);
-            }
-            Ok(Ok(b)) => b,
-            Ok(Err(e)) => {
-                self.reset_pipeline();
-                return Err(RawCsvError::io(format!("read {}", self.path.display()), e));
-            }
-            Err(_) => {
-                // Helper hung up without a marker: it stopped at the soft
-                // cap (or the hard limit). Past the cap the consumer reads
-                // the straddling tail itself, demand-driven through the
-                // synchronous fallback — no speculative page reads a
-                // [`RangeScanner`] would just throw away.
-                if self.pos >= self.read_limit {
-                    return Ok(0);
-                }
-                if self.pos >= self.read_cap {
-                    return self.engage_fallback()?.refill(win);
-                }
-                return Ok(0);
-            }
-        };
-        let n = block.len() - BLOCK_HEADROOM;
-        self.counters.read_calls += 1;
-        self.counters.bytes_read += n as u64;
-        self.pos += n as u64;
-
-        let tail = win.tail_len();
-        let tail_file_offset = win.file_offset + win.pos as u64;
-        let spliced_pos = BLOCK_HEADROOM - tail.min(BLOCK_HEADROOM);
-        let spent = if tail <= BLOCK_HEADROOM && tail_file_offset >= spliced_pos as u64 {
-            // Zero-copy handoff: splice the (small) tail into the block's
-            // headroom and make the block the new window buffer.
-            block[spliced_pos..BLOCK_HEADROOM].copy_from_slice(&win.buf[win.pos..win.filled]);
-            let spent = std::mem::replace(&mut win.buf, block);
-            win.pos = spliced_pos;
-            win.filled = win.buf.len();
-            win.file_offset = tail_file_offset - spliced_pos as u64;
-            spent
-        } else {
-            // Oversized tail (a line longer than the headroom) or the very
-            // head of the file: append the block body the copying way.
-            win.compact();
-            win.buf.truncate(win.filled);
-            win.buf.extend_from_slice(&block[BLOCK_HEADROOM..]);
-            win.filled += n;
-            block
-        };
-        // Hand the spent buffer back for reuse; dropping it is fine too
-        // (full recycle queue, or a pipeline torn down mid-refill).
-        if let Some(p) = &self.pipeline {
-            let _ = p.recycle.try_send(spent);
-        }
-        Ok(n)
-    }
-
-    fn seek(&mut self, offset: u64) -> Result<()> {
-        if let Some(sync) = &mut self.fallback {
-            return sync.seek(offset);
-        }
-        self.reset_pipeline();
-        self.pos = offset;
-        Ok(())
-    }
-
-    fn set_read_cap(&mut self, cap: u64) {
-        if let Some(sync) = &mut self.fallback {
-            sync.set_read_cap(cap);
-            return;
-        }
-        if cap != self.read_cap {
-            self.read_cap = cap;
-            self.reset_pipeline();
-        }
-    }
-
-    fn set_read_limit(&mut self, limit: u64) {
-        if let Some(sync) = &mut self.fallback {
-            sync.set_read_limit(limit);
-            return;
-        }
-        if limit != self.read_limit {
-            self.read_limit = limit;
-            self.reset_pipeline();
-        }
-    }
-
-    fn counters(&self) -> IoCounters {
-        match &self.fallback {
-            Some(sync) => sync.counters(),
-            None => self.counters,
-        }
-    }
-
-    fn take_counters(&mut self) -> IoCounters {
-        match &mut self.fallback {
-            Some(sync) => sync.take_counters(),
-            None => std::mem::take(&mut self.counters),
-        }
-    }
-
-    fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
-        if let Some(sync) = &mut self.fallback {
-            sync.set_interrupt(Arc::clone(&flag));
-        }
-        self.interrupt = Some(flag);
-    }
-}
-
-/// Build a [`BlockSource`] for `path`: [`SyncBlocks`] when
-/// `readahead_blocks == 0`, a [`ReadaheadBlocks`] keeping that many blocks
-/// in flight otherwise.
-///
-/// Files no larger than one block degrade to [`SyncBlocks`] regardless of
-/// the requested depth: the whole file is a single refill, so a helper
-/// thread could overlap nothing and the spawn/join would be pure overhead
-/// (the stat is one syscall; growth between stat and scan only costs the
-/// missed overlap, never correctness).
-pub fn make_source(
-    path: impl AsRef<Path>,
-    block_size: usize,
-    readahead_blocks: usize,
-) -> Result<Box<dyn BlockSource>> {
-    let readahead_blocks = if readahead_blocks > 0 {
-        match std::fs::metadata(&path) {
-            Ok(m) if m.len() <= block_size.max(TAIL_READ) as u64 => 0,
-            _ => readahead_blocks,
-        }
-    } else {
-        0
-    };
-    Ok(if readahead_blocks == 0 {
-        Box::new(SyncBlocks::open(path, block_size)?)
-    } else {
-        Box::new(ReadaheadBlocks::open(path, block_size, readahead_blocks)?)
-    })
 }
 
 /// Deterministic fault schedule for [`FaultyBlocks`]: a seeded PRNG decides
@@ -902,10 +479,10 @@ impl BlockSource for FaultyBlocks {
 /// A [`BlockSource`] decorator that re-issues a failed refill up to
 /// `attempts` times when the error is transient ([`is_transient_io`]),
 /// sleeping an exponentially growing backoff between tries. Safe because a
-/// failed refill never advances any source's position: [`SyncBlocks`]
-/// forwards the error before bumping `pos`, and [`ReadaheadBlocks`] tears
-/// down its pipeline and respawns from the consumer position on the next
-/// call. Retries are tallied into [`IoCounters::retries`].
+/// failed refill never advances the source's position: [`SyncBlocks`]
+/// forwards the error before bumping `pos`, and [`FaultyBlocks`] fails
+/// without touching its inner source. Retries are tallied into
+/// [`IoCounters::retries`].
 pub struct RetryBlocks {
     inner: Box<dyn BlockSource>,
     attempts: u32,
@@ -972,19 +549,16 @@ impl BlockSource for RetryBlocks {
     }
 }
 
-/// [`make_source`] with an [`IoProfile`]: the base source (sync or
-/// read-ahead, tiny files degraded as usual) is wrapped innermost-out with
-/// [`FaultyBlocks`] (when a fault plan is set) and [`RetryBlocks`] (when
-/// retries are enabled) — so retry sits *above* injection and both source
-/// kinds get the same recovery behavior on every scan path. A default
-/// profile stacks nothing.
+/// Build the [`BlockSource`] stack for `path` under an [`IoProfile`]: a
+/// [`SyncBlocks`] wrapped innermost-out with [`FaultyBlocks`] (when a fault
+/// plan is set) and [`RetryBlocks`] (when retries are enabled) — so retry
+/// sits *above* injection. A default profile stacks nothing.
 pub fn make_source_with(
     path: impl AsRef<Path>,
     block_size: usize,
-    readahead_blocks: usize,
     profile: IoProfile,
 ) -> Result<Box<dyn BlockSource>> {
-    let mut source = make_source(path, block_size, readahead_blocks)?;
+    let mut source: Box<dyn BlockSource> = Box::new(SyncBlocks::open(path, block_size)?);
     if let Some(plan) = profile.faults {
         source = Box::new(FaultyBlocks::new(source, plan));
     }
@@ -999,38 +573,20 @@ pub fn make_source_with(
 }
 
 impl BlockScanner {
-    /// Open `path` for a sequential scan with the given block size, reading
-    /// synchronously ([`SyncBlocks`]).
+    /// Open `path` for a sequential scan with the given block size.
     pub fn open(path: impl AsRef<Path>, block_size: usize) -> Result<Self> {
-        Self::open_with_readahead(path, block_size, 0)
+        Self::open_with_profile(path, block_size, IoProfile::default())
     }
 
-    /// Open `path` with the given read-ahead depth (`0` = synchronous).
-    pub fn open_with_readahead(
-        path: impl AsRef<Path>,
-        block_size: usize,
-        readahead_blocks: usize,
-    ) -> Result<Self> {
-        Ok(Self::from_source(make_source(
-            path,
-            block_size,
-            readahead_blocks,
-        )?))
-    }
-
-    /// [`Self::open_with_readahead`] with an [`IoProfile`] (retry /
-    /// fault-injection stack — see [`make_source_with`]).
+    /// [`Self::open`] with an [`IoProfile`] (retry / fault-injection stack
+    /// — see [`make_source_with`]).
     pub fn open_with_profile(
         path: impl AsRef<Path>,
         block_size: usize,
-        readahead_blocks: usize,
         profile: IoProfile,
     ) -> Result<Self> {
         Ok(Self::from_source(make_source_with(
-            path,
-            block_size,
-            readahead_blocks,
-            profile,
+            path, block_size, profile,
         )?))
     }
 
@@ -1136,8 +692,8 @@ impl BlockScanner {
         out.begin_line();
         // All cursors are relative to the line start (`self.win.pos`), which
         // does not advance until the line is complete: `refill` preserves
-        // the unconsumed tail contiguously (compaction or headroom splice),
-        // so absolute positions shift while relative ones stay valid.
+        // the unconsumed tail contiguously (compaction), so absolute
+        // positions shift while relative ones stay valid.
         let mut rel = 0usize; // scan cursor
         let mut field_start = 0usize; // current field start
         let mut fields_done = false; // located every requested field
@@ -1223,7 +779,7 @@ impl BlockScanner {
     /// Restrict reads to stop at file offset `cap` and continue in
     /// [`TAIL_READ`]-sized steps beyond it (for the line straddling the
     /// cap). Lines are still produced normally past the cap — this caps
-    /// *read-ahead*, not the scan.
+    /// how far reads run ahead, not the scan.
     pub fn set_read_cap(&mut self, cap: u64) {
         self.source.set_read_cap(cap);
     }
@@ -1321,11 +877,13 @@ pub fn partition_line_ranges_capped(
         return partition_tiny_file(&mut file, path, len, parts);
     }
     let mut cuts: Vec<u64> = vec![0];
+    let mut last_cut = 0u64;
     for k in 1..parts {
         let target = (len as u128 * k as u128 / parts as u128) as u64;
         let cut = next_line_start_at_or_after(&mut file, path, target, len)?;
-        if cut < len && cut > *cuts.last().expect("non-empty") {
+        if cut < len && cut > last_cut {
             cuts.push(cut);
+            last_cut = cut;
         }
     }
     cuts.push(len);
@@ -1390,41 +948,17 @@ pub fn count_lines_in_range(
     block_size: usize,
     range: LineRange,
 ) -> Result<(u64, IoCounters)> {
-    count_lines_in_range_with(path, block_size, 0, range)
+    count_lines_in_range_ctl(path, block_size, range, IoProfile::default(), None)
 }
 
-/// [`count_lines_in_range`] over a configurable [`BlockSource`]: the cold
-/// pre-count pass reuses the scan's read-ahead pipeline
-/// (`readahead_blocks > 0`), overlapping its SWAR counting with the next
-/// block's read. The hard read limit keeps every source from reading a
-/// single byte past `range.end - 1`, so the I/O accounting matches the
-/// synchronous pass. Ranges no larger than one block count synchronously —
-/// a single-refill slice has nothing to overlap (see
-/// [`RangeScanner::open_with_readahead`]).
-pub fn count_lines_in_range_with(
-    path: impl AsRef<Path>,
-    block_size: usize,
-    readahead_blocks: usize,
-    range: LineRange,
-) -> Result<(u64, IoCounters)> {
-    count_lines_in_range_ctl(
-        path,
-        block_size,
-        readahead_blocks,
-        range,
-        IoProfile::default(),
-        None,
-    )
-}
-
-/// [`count_lines_in_range_with`] under an [`IoProfile`] and an optional
+/// [`count_lines_in_range`] under an [`IoProfile`] and an optional
 /// cooperative interrupt flag: the pre-count pass is refill-only (no
 /// per-row loop), so without a source-level interrupt a cancelled query
-/// would keep counting newlines until its range ran out.
+/// would keep counting newlines until its range ran out. The hard read
+/// limit keeps the source from reading a single byte past `range.end - 1`.
 pub fn count_lines_in_range_ctl(
     path: impl AsRef<Path>,
     block_size: usize,
-    readahead_blocks: usize,
     range: LineRange,
     profile: IoProfile,
     interrupt: Option<Arc<AtomicBool>>,
@@ -1432,12 +966,7 @@ pub fn count_lines_in_range_ctl(
     if range.end <= range.start {
         return Ok((0, IoCounters::default()));
     }
-    let readahead_blocks = if range.end - range.start <= block_size.max(TAIL_READ) as u64 {
-        0
-    } else {
-        readahead_blocks
-    };
-    let mut source = make_source_with(path, block_size, readahead_blocks, profile)?;
+    let mut source = make_source_with(path, block_size, profile)?;
     if let Some(flag) = interrupt {
         source.set_interrupt(flag);
     }
@@ -1506,59 +1035,25 @@ impl RangeScanner {
         range: LineRange,
         first_line_no: u64,
     ) -> Result<Self> {
-        Self::open_with_readahead(path, block_size, 0, range, first_line_no)
+        Self::open_with_profile(path, block_size, range, first_line_no, IoProfile::default())
     }
 
-    /// [`Self::open`] with a read-ahead depth (`0` = synchronous): the
-    /// per-worker reader of the parallel scan gets its own prefetch
-    /// pipeline, capped at the range end like the synchronous reads are.
-    ///
-    /// A range no larger than one block degrades to the synchronous source
-    /// regardless of the requested depth: the whole slice is a single
-    /// refill, so a helper thread could overlap nothing and the spawn/join
-    /// would be pure per-slice overhead (fine-grained stealing slices make
-    /// that a real cost).
-    pub fn open_with_readahead(
-        path: impl AsRef<Path>,
-        block_size: usize,
-        readahead_blocks: usize,
-        range: LineRange,
-        first_line_no: u64,
-    ) -> Result<Self> {
-        Self::open_with_profile(
-            path,
-            block_size,
-            readahead_blocks,
-            range,
-            first_line_no,
-            IoProfile::default(),
-        )
-    }
-
-    /// [`Self::open_with_readahead`] with an [`IoProfile`] (retry /
-    /// fault-injection stack — see [`make_source_with`]).
+    /// [`Self::open`] with an [`IoProfile`] (retry / fault-injection stack
+    /// — see [`make_source_with`]).
     pub fn open_with_profile(
         path: impl AsRef<Path>,
         block_size: usize,
-        readahead_blocks: usize,
         range: LineRange,
         first_line_no: u64,
         profile: IoProfile,
     ) -> Result<Self> {
-        let readahead_blocks =
-            if range.end.saturating_sub(range.start) <= block_size.max(TAIL_READ) as u64 {
-                0
-            } else {
-                readahead_blocks
-            };
-        let mut inner =
-            BlockScanner::open_with_profile(path, block_size, readahead_blocks, profile)?;
+        let mut inner = BlockScanner::open_with_profile(path, block_size, profile)?;
         if range.start > 0 {
             inner.seek_to(range.start, first_line_no)?;
         }
-        // Stop read-ahead at the range end (plus page-sized steps for the
-        // final straddling line): with many fine-grained slices, full-block
-        // read-ahead would multiply I/O by `block_size / slice_len`.
+        // Stop block-sized reads at the range end (plus page-sized steps
+        // for the final straddling line): with many fine-grained slices,
+        // full-block reads would multiply I/O by `block_size / slice_len`.
         inner.set_read_cap(range.end);
         Ok(RangeScanner {
             inner,
@@ -1763,24 +1258,6 @@ mod tests {
     }
 
     #[test]
-    fn readahead_spawn_failure_engages_counted_fallback() {
-        // Big enough that make_source would not degrade it to sync anyway.
-        let mut content = Vec::new();
-        for i in 0..2000 {
-            content.extend_from_slice(format!("row{i},{}\n", i * 7).as_bytes());
-        }
-        let p = tmp_file("spawnfail", &content);
-        let mut src = ReadaheadBlocks::open(&p, 4096, 2).unwrap();
-        src.fail_spawn_for_tests = true;
-        let bytes = drain_source(&mut src);
-        assert_eq!(bytes, content, "fallback must deliver the same stream");
-        let c = src.take_counters();
-        assert_eq!(c.readahead_fallbacks, 1, "the downgrade must be recorded");
-        assert_eq!(c.bytes_read, content.len() as u64);
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
     fn faulty_stream_with_retry_is_byte_identical_and_deterministic() {
         let mut content = Vec::new();
         for i in 0..6000 {
@@ -1796,27 +1273,25 @@ mod tests {
                 latency_us: 10,
             }),
         };
-        for readahead in [0usize, 2] {
-            let mut counters = Vec::new();
-            for _ in 0..2 {
-                let mut src = make_source_with(&p, 4096, readahead, profile).unwrap();
-                let bytes = drain_source(src.as_mut());
-                assert_eq!(bytes, content, "faults must never corrupt the stream");
-                counters.push(src.take_counters());
-            }
-            // `stall` is wall-clock and excluded; everything the fault
-            // schedule controls must replay exactly.
-            let key = |c: &IoCounters| (c.bytes_read, c.read_calls, c.retries);
-            assert_eq!(
-                key(&counters[0]),
-                key(&counters[1]),
-                "seeded fault schedule must be reproducible"
-            );
-            assert!(
-                counters[0].retries > 0,
-                "one_in=3 over dozens of refills must inject at least one EIO"
-            );
+        let mut counters = Vec::new();
+        for _ in 0..2 {
+            let mut src = make_source_with(&p, 4096, profile).unwrap();
+            let bytes = drain_source(src.as_mut());
+            assert_eq!(bytes, content, "faults must never corrupt the stream");
+            counters.push(src.take_counters());
         }
+        // `stall` is wall-clock and excluded; everything the fault
+        // schedule controls must replay exactly.
+        let key = |c: &IoCounters| (c.bytes_read, c.read_calls, c.retries);
+        assert_eq!(
+            key(&counters[0]),
+            key(&counters[1]),
+            "seeded fault schedule must be reproducible"
+        );
+        assert!(
+            counters[0].retries > 0,
+            "one_in=3 over dozens of refills must inject at least one EIO"
+        );
         std::fs::remove_file(p).unwrap();
     }
 
@@ -1833,7 +1308,7 @@ mod tests {
                 latency_us: 0,
             }),
         };
-        let mut src = make_source_with(&p, 4096, 0, profile).unwrap();
+        let mut src = make_source_with(&p, 4096, profile).unwrap();
         let mut win = Window::default();
         let mut saw_err = false;
         for _ in 0..8 {
@@ -1857,24 +1332,22 @@ mod tests {
     fn interrupt_flag_stops_refills_with_final_error() {
         let content = vec![b'x'; 32 * 1024];
         let p = tmp_file("interrupt", &content);
-        for readahead in [0usize, 2] {
-            let flag = Arc::new(AtomicBool::new(false));
-            let mut src = make_source(&p, 4096, readahead).unwrap();
-            src.set_interrupt(Arc::clone(&flag));
-            let mut win = Window::default();
-            assert!(
-                src.refill(&mut win).unwrap() > 0,
-                "runs until the flag trips"
-            );
-            win.pos = win.filled;
-            flag.store(true, Ordering::Relaxed);
-            let err = src.refill(&mut win).unwrap_err();
-            assert!(
-                !is_transient_io(&err),
-                "interrupt errors must never be retried away"
-            );
-            assert!(err.to_string().contains("interrupted"), "got: {err}");
-        }
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut src = SyncBlocks::open(&p, 4096).unwrap();
+        src.set_interrupt(Arc::clone(&flag));
+        let mut win = Window::default();
+        assert!(
+            src.refill(&mut win).unwrap() > 0,
+            "runs until the flag trips"
+        );
+        win.pos = win.filled;
+        flag.store(true, Ordering::Relaxed);
+        let err = src.refill(&mut win).unwrap_err();
+        assert!(
+            !is_transient_io(&err),
+            "interrupt errors must never be retried away"
+        );
+        assert!(err.to_string().contains("interrupted"), "got: {err}");
         std::fs::remove_file(p).unwrap();
     }
 
@@ -1890,7 +1363,7 @@ mod tests {
             end: content.len() as u64,
         };
         let tripped = Arc::new(AtomicBool::new(true));
-        let err = count_lines_in_range_ctl(&p, 4096, 0, range, IoProfile::default(), Some(tripped))
+        let err = count_lines_in_range_ctl(&p, 4096, range, IoProfile::default(), Some(tripped))
             .unwrap_err();
         assert!(err.to_string().contains("interrupted"), "got: {err}");
         std::fs::remove_file(p).unwrap();
@@ -2376,223 +1849,19 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    fn collect_lines_readahead(path: &Path, block: usize, ra: usize) -> Vec<(u64, u64, Vec<u8>)> {
-        // Drive the prefetch pipeline directly: the `make_source` factory
-        // degrades single-block files to sync, which would leave the
-        // pipeline's EOF/tiny-file edge paths untested here.
-        let src = ReadaheadBlocks::open(path, block, ra).unwrap();
-        let mut sc = BlockScanner::from_source(Box::new(src));
-        let mut out = Vec::new();
-        while let Some(l) = sc.next_line().unwrap() {
-            out.push((l.line_no, l.offset, l.bytes.to_vec()));
-        }
-        out
-    }
-
-    /// Regression: every read-ahead depth must reproduce the synchronous
-    /// line stream exactly — same bytes, same offsets — including at
-    /// partition boundaries, where per-slice scanners seek mid-file and cap
-    /// their reads at the range end.
-    #[test]
-    fn readahead_matches_sync_at_partition_boundaries() {
-        let content = gen_lines(1500); // spans several 4 KiB blocks
-        let p = tmp_file("ra_parts", &content);
-        let whole = collect_lines(&p, 4096);
-        for ra in [1usize, 2, 8] {
-            assert_eq!(
-                collect_lines_readahead(&p, 4096, ra),
-                whole,
-                "readahead {ra}: whole-file stream"
-            );
-            for parts in [2usize, 7, 16] {
-                let ranges = partition_line_ranges(&p, parts).unwrap();
-                let mut merged = Vec::new();
-                for r in &ranges {
-                    let mut sc = RangeScanner::open_with_readahead(&p, 4096, ra, *r, 0).unwrap();
-                    while let Some(l) = sc.next_line().unwrap() {
-                        assert!(l.offset >= r.start && l.offset < r.end);
-                        merged.push((l.offset, l.bytes.to_vec()));
-                    }
-                }
-                let expect: Vec<(u64, Vec<u8>)> =
-                    whole.iter().map(|(_, o, b)| (*o, b.clone())).collect();
-                assert_eq!(merged, expect, "readahead {ra} parts {parts}");
-            }
-        }
-        std::fs::remove_file(p).unwrap();
-    }
-
-    /// Regression: EOF arriving mid-block — an unterminated final line, a
-    /// file ending exactly on a block boundary, and newline-only content —
-    /// must look identical through every source.
-    #[test]
-    fn readahead_handles_eof_mid_block() {
-        let mut exact_block = gen_lines(300);
-        exact_block.truncate(4096); // cut mid-line: unterminated tail
-        for content in [
-            b"a,b\nc,d\nunterminated tail".to_vec(),
-            exact_block,
-            b"\n\n\n".to_vec(),
-            [gen_lines(200), b"last line no newline".to_vec()].concat(),
-        ] {
-            let p = tmp_file("ra_eof", &content);
-            let whole = collect_lines(&p, 4096);
-            for ra in [1usize, 2, 8] {
-                assert_eq!(
-                    collect_lines_readahead(&p, 4096, ra),
-                    whole,
-                    "readahead {ra} content len {}",
-                    content.len()
-                );
-            }
-            std::fs::remove_file(p).unwrap();
-        }
-    }
-
-    /// Regression: files smaller than one block (including empty) through
-    /// the prefetch pipeline.
-    #[test]
-    fn readahead_handles_tiny_files() {
-        for content in [
-            b"".to_vec(),
-            b"x".to_vec(),
-            b"a,b\n".to_vec(),
-            b"a,b\nc,d\n".to_vec(),
-        ] {
-            let p = tmp_file("ra_tiny", &content);
-            let whole = collect_lines(&p, 4096);
-            for ra in [1usize, 2, 8] {
-                assert_eq!(
-                    collect_lines_readahead(&p, 4096, ra),
-                    whole,
-                    "readahead {ra} tiny file {:?}",
-                    String::from_utf8_lossy(&content)
-                );
-            }
-            std::fs::remove_file(p).unwrap();
-        }
-    }
-
-    /// Lines longer than the block (and the headroom) force the prefetcher's
-    /// copying fallback; seeks restart the pipeline. Both must stay exact.
-    #[test]
-    fn readahead_long_lines_and_seek() {
-        let mut content = vec![b'x'; 30_000]; // dwarfs block and headroom
-        content.push(b'\n');
-        content.extend_from_slice(b"tail,1\nmore,2\n");
-        let p = tmp_file("ra_long", &content);
-        let whole = collect_lines(&p, 4096);
-        for ra in [1usize, 4] {
-            assert_eq!(collect_lines_readahead(&p, 4096, ra), whole);
-            let mut sc = BlockScanner::open_with_readahead(&p, 4096, ra).unwrap();
-            sc.seek_to(30_001, 1).unwrap();
-            let l = sc.next_line().unwrap().unwrap();
-            assert_eq!(
-                (l.bytes.to_vec(), l.offset, l.line_no),
-                (b"tail,1".to_vec(), 30_001, 1)
-            );
-            let l = sc.next_line().unwrap().unwrap();
-            assert_eq!(l.bytes, b"more,2");
-            assert!(sc.next_line().unwrap().is_none());
-        }
-        std::fs::remove_file(p).unwrap();
-    }
-
-    /// The fused tokenizing scan through the prefetcher must agree with the
-    /// synchronous fused scan span for span.
-    #[test]
-    fn readahead_fused_scan_matches_sync() {
-        let content = gen_lines(500);
-        let p = tmp_file("ra_fused", &content);
-        for upto in [1usize, usize::MAX] {
-            let mut a = BlockScanner::open(&p, 4096).unwrap();
-            let mut b = BlockScanner::open_with_readahead(&p, 4096, 2).unwrap();
-            let mut ta = Tokens::new();
-            let mut tb = Tokens::new();
-            loop {
-                let la = a
-                    .next_line_tokenized(b',', upto, &mut ta)
-                    .unwrap()
-                    .map(|l| (l.line_no, l.offset, l.bytes.to_vec()));
-                let lb = b
-                    .next_line_tokenized(b',', upto, &mut tb)
-                    .unwrap()
-                    .map(|l| (l.line_no, l.offset, l.bytes.to_vec()));
-                assert_eq!(la, lb, "upto = {upto}");
-                assert_eq!(ta.len(), tb.len());
-                for f in 0..ta.len() {
-                    assert_eq!(ta.get(f), tb.get(f), "upto = {upto} field {f}");
-                }
-                if la.is_none() {
-                    break;
-                }
-            }
-        }
-        std::fs::remove_file(p).unwrap();
-    }
-
-    /// The pre-count over a read-ahead source must agree with the
-    /// synchronous count and never read past its range (hard limit).
-    #[test]
-    fn count_lines_with_readahead_matches_sync() {
-        let content = gen_lines(700);
-        let p = tmp_file("ra_count", &content);
-        for parts in [1usize, 3, 16] {
-            for r in partition_line_ranges(&p, parts).unwrap() {
-                let (sync_n, sync_io) = count_lines_in_range(&p, 4096, r).unwrap();
-                for ra in [1usize, 2, 8] {
-                    let (n, io) = count_lines_in_range_with(&p, 4096, ra, r).unwrap();
-                    assert_eq!(n, sync_n, "parts={parts} ra={ra} range={r:?}");
-                    assert_eq!(io.bytes_read, sync_io.bytes_read, "hard limit respected");
-                }
-            }
-        }
-        std::fs::remove_file(p).unwrap();
-    }
-
-    /// Stall accounting: the synchronous source attributes its read time to
-    /// `IoCounters::stall`; counters at readahead 0 keep the exact
-    /// byte/call totals the pre-layer reader reported; and a full readahead
-    /// scan reports identical bytes *and* read calls (the helper replays
-    /// the sync read sequence, EOF marker included).
+    /// Stall accounting: the source attributes its read time to
+    /// `IoCounters::stall`, and byte/call totals follow the block size.
     #[test]
     fn stall_and_counter_accounting() {
         let content = gen_lines(2000);
-        let p = tmp_file("ra_stall", &content);
+        let p = tmp_file("stall", &content);
         let mut sc = BlockScanner::open(&p, 4096).unwrap();
         while sc.next_line().unwrap().is_some() {}
         let io = sc.take_counters();
         assert_eq!(io.bytes_read, content.len() as u64);
         // One read per full 4 KiB block, plus the final short + EOF reads.
         assert_eq!(io.read_calls, (content.len() / 4096) as u64 + 2);
-        assert!(io.stall > Duration::ZERO, "sync reads must count as stall");
-
-        let mut ra = BlockScanner::open_with_readahead(&p, 4096, 2).unwrap();
-        while ra.next_line().unwrap().is_some() {}
-        let io_ra = ra.take_counters();
-        assert_eq!(io_ra.bytes_read, io.bytes_read, "byte parity");
-        assert_eq!(io_ra.read_calls, io.read_calls, "read-call parity");
-        std::fs::remove_file(p).unwrap();
-    }
-
-    /// Past the soft cap the helper stops and the consumer reads the
-    /// straddling tail itself, demand-driven — a range scanner with
-    /// readahead must not read more than its sync twin plus the tail
-    /// steps (no speculative pages thrown away at teardown).
-    #[test]
-    fn readahead_respects_read_cap_io() {
-        let content = gen_lines(4000); // ~50 KiB
-        let p = tmp_file("ra_cap", &content);
-        for r in partition_line_ranges(&p, 3).unwrap() {
-            let mut sync = RangeScanner::open(&p, 4096, r, 0).unwrap();
-            while sync.next_line().unwrap().is_some() {}
-            let io_sync = sync.take_counters();
-            let mut ra = RangeScanner::open_with_readahead(&p, 4096, 8, r, 0).unwrap();
-            while ra.next_line().unwrap().is_some() {}
-            let io_ra = ra.take_counters();
-            assert_eq!(io_ra.bytes_read, io_sync.bytes_read, "range {r:?}");
-            assert_eq!(io_ra.read_calls, io_sync.read_calls, "range {r:?}");
-        }
+        assert!(io.stall > Duration::ZERO, "reads must count as stall");
         std::fs::remove_file(p).unwrap();
     }
 

@@ -85,7 +85,7 @@ pub fn read_sidecar_bytes(
     block_size: usize,
     profile: IoProfile,
 ) -> Result<Vec<u8>, SnapshotError> {
-    let mut source = make_source_with(path, block_size, 0, profile)
+    let mut source = make_source_with(path, block_size, profile)
         .map_err(|e| SnapshotError::Io(e.to_string()))?;
     let mut win = Window::at(0);
     // Capacity hint only — the loop still reads to EOF, so a file that

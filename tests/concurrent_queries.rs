@@ -51,19 +51,9 @@ fn stress_rounds() -> u64 {
         .unwrap_or(1)
 }
 
-/// Read-ahead depth: `NODB_TEST_READAHEAD` pins `io_readahead_blocks` (the
-/// CI stress job runs 8); unset, the config default applies.
-fn test_readahead() -> usize {
-    std::env::var("NODB_TEST_READAHEAD")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(NoDbConfig::default().io_readahead_blocks)
-}
-
 fn mk_db(path: &std::path::Path, schema: Schema, scan_threads: usize) -> NoDb {
     let cfg = NoDbConfig {
         scan_threads,
-        io_readahead_blocks: test_readahead(),
         ..NoDbConfig::default()
     };
     let mut db = NoDb::new(cfg);

@@ -70,16 +70,6 @@ fn stress_factor() -> u64 {
         .unwrap_or(1)
 }
 
-/// Read-ahead depth for the suites that don't sweep it themselves:
-/// `NODB_TEST_READAHEAD` pins `io_readahead_blocks` (CI's stress job runs
-/// 8); unset, the config default applies.
-fn test_readahead() -> usize {
-    std::env::var("NODB_TEST_READAHEAD")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(NoDbConfig::default().io_readahead_blocks)
-}
-
 #[test]
 fn adaptive_equals_baseline() {
     let mut rng = CaseRng::new(0xADA7);
@@ -171,7 +161,6 @@ fn parallel_scan_equals_sequential() {
         let cfg = |scan_threads: usize, cache_budget_bytes: usize| NoDbConfig {
             scan_threads,
             cache_budget_bytes,
-            io_readahead_blocks: test_readahead(),
             ..NoDbConfig::pm_c()
         };
 
@@ -292,7 +281,6 @@ fn cold_partial_cache_reuse_equals_sequential() {
                 scan_threads,
                 steal_slices_per_thread: steal,
                 cold_precount: precount,
-                io_readahead_blocks: test_readahead(),
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -361,20 +349,24 @@ fn cold_partial_cache_reuse_equals_sequential() {
     }
 }
 
-/// The overlapped-I/O invariant (ISSUE 4): every combination of
-/// `scan_threads` {1, 4, 8} × `io_readahead_blocks` {0, 2, 8} × stealing
-/// {off, on} must produce byte-identical positional map, cache and
-/// statistics and identical result batches to the synchronous sequential
-/// reference (`threads 1, readahead 0`). Read-ahead only changes *when*
-/// bytes arrive, never which bytes the scan consumes, so no schedule may
-/// perturb results or post-scan adaptive state — including under cache
-/// budget pressure, where admission replays must stay decision-identical.
+/// The scheduling invariant: every combination of `scan_threads`
+/// {1, 4, 8} × stealing {off, on} × `io_block_size` {4 KiB, 1 MiB} must
+/// produce byte-identical positional map, cache and statistics and
+/// identical result batches to the one-worker, one-slice, 1 MiB-block
+/// reference. Slicing and block size only change *how* the bytes are
+/// fetched — how many refills a slice takes, where a line straddles a
+/// block boundary, how far the page-sized tail steps run past a slice's
+/// end — never which bytes the scan consumes, so no schedule may perturb
+/// results or post-scan adaptive state, including under cache budget
+/// pressure, where admission replays must stay decision-identical.
 #[test]
-fn readahead_schedules_equal_sync_sequential_state() {
+fn worker_schedules_and_block_sizes_equal_one_worker_state() {
     let mut rng = CaseRng::new(0x10AD);
     for case in 0..(3 * stress_factor()) {
         let cols = 2 + rng.below(5) as usize;
-        let rows = 30 + rng.below(400);
+        // Up to ~100 KiB: one slice spans many 4 KiB blocks at low slice
+        // counts and less than one at high counts.
+        let rows = 30 + rng.below(3_000);
         let seed = rng.below(1_000);
         let a1 = rng.below(cols as u64);
         let pred = rng.below(cols as u64);
@@ -382,17 +374,17 @@ fn readahead_schedules_equal_sync_sequential_state() {
         let cache_budget = *rng.pick(&[1_500usize, 1 << 22]);
 
         let gen = GeneratorConfig::uniform_ints(cols, rows, seed);
-        let path = scratch("readahead", case);
+        let path = scratch("sched", case);
         gen.generate_file(&path).unwrap();
         let queries = [
             format!("SELECT c{a1} FROM t WHERE c{pred} < {cut}"),
             format!("SELECT c{pred}, c{a1} FROM t"),
         ];
 
-        let run = |threads: usize, readahead: usize, steal: usize| {
+        let run = |threads: usize, steal: usize, block: usize| {
             let cfg = NoDbConfig {
                 scan_threads: threads,
-                io_readahead_blocks: readahead,
+                io_block_size: block,
                 steal_slices_per_thread: steal,
                 cache_budget_bytes: cache_budget,
                 ..NoDbConfig::pm_c()
@@ -404,17 +396,17 @@ fn readahead_schedules_equal_sync_sequential_state() {
             (db, results)
         };
 
-        let (ref_db, ref_results) = run(1, 0, 0);
+        let (ref_db, ref_results) = run(1, 0, 1 << 20);
         let ref_handle = ref_db.table_handle("t").unwrap();
         let ref_table = ref_handle.read();
         for threads in [1usize, 4, 8] {
-            for readahead in [0usize, 2, 8] {
-                for steal in [0usize, 4] {
+            for steal in [0usize, 4] {
+                for block in [4096usize, 1 << 20] {
                     let tag = format!(
-                        "case {case} threads {threads} readahead {readahead} steal {steal} \
+                        "case {case} threads {threads} steal {steal} block {block} \
                          budget {cache_budget}"
                     );
-                    let (db, results) = run(threads, readahead, steal);
+                    let (db, results) = run(threads, steal, block);
                     assert_eq!(results, ref_results, "{tag}: query results");
                     let handle = db.table_handle("t").unwrap();
                     let table = handle.read();
@@ -525,7 +517,6 @@ fn vectorized_execution_equals_rowwise() {
                 scan_threads,
                 vectorized_exec: vectorized,
                 cache_budget_bytes: budget,
-                io_readahead_blocks: test_readahead(),
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -804,7 +795,9 @@ fn assert_same_adaptive_state(a: &NoDb, b: &NoDb, cols: usize, label: &str) {
 /// queries, a scan under deterministic fault injection (seeded `EIO`s,
 /// short reads and latency on block refills) produces query results — cold
 /// and warm — and post-scan adaptive state byte-identical to a fault-free
-/// run, across scan_threads {1, 4, 8} × read-ahead {0, 2}.
+/// run, across scan_threads {1, 4, 8} × io_block_size {4 KiB, 1 MiB} (the
+/// small block puts several refills, and so several fault draws, in a
+/// slice).
 #[test]
 fn faulty_scans_match_fault_free() {
     let mut rng = CaseRng::new(0xFA17);
@@ -828,12 +821,12 @@ fn faulty_scans_match_fault_free() {
         ];
 
         for &threads in &[1usize, 4, 8] {
-            for &readahead in &[0usize, 2] {
-                let label = format!("case {case} threads {threads} ra {readahead}");
+            for &block in &[4096usize, 1 << 20] {
+                let label = format!("case {case} threads {threads} block {block}");
                 let mk = |fault_seed: u64| {
                     let cfg = NoDbConfig {
                         scan_threads: threads,
-                        io_readahead_blocks: readahead,
+                        io_block_size: block,
                         cache_budget_bytes: cache_budget,
                         // Aggressive injection (~1 refill in 4) with zero
                         // backoff: the default 2 retries must clear every

@@ -34,7 +34,6 @@ fn slow_chaos_cfg(timeout_ms: u64) -> NoDbConfig {
         scan_threads: 2,
         steal_slices_per_thread: 16,
         io_block_size: 4096,
-        io_readahead_blocks: 0,
         cold_precount: false,
         io_fault_seed: 0xD15C,
         io_fault_one_in: 1,

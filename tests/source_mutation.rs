@@ -42,7 +42,6 @@ fn slow_chaos_cfg() -> NoDbConfig {
         scan_threads: 2,
         steal_slices_per_thread: 16,
         io_block_size: 4096,
-        io_readahead_blocks: 0,
         cold_precount: false,
         io_fault_seed: 0xE70C,
         io_fault_one_in: 1,
