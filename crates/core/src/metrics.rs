@@ -24,8 +24,14 @@ pub struct Breakdown {
     /// Converting field bytes to binary datums.
     pub convert: Duration,
     /// Populating the positional map / cache / statistics (the "NoDB
-    /// overhead" slice).
+    /// overhead" slice): the workers' partition-local partials plus
+    /// [`Self::install`].
     pub nodb: Duration,
+    /// The lock-side part of `nodb`: installing a scan's partials into the
+    /// table under its write guard, during which no other query can read
+    /// the table. A sub-slice — already counted in `nodb`, so
+    /// [`Self::total`] leaves it out; `nodb - install` is the worker side.
+    pub install: Duration,
     /// The engine pipeline above the scan: projection / aggregation /
     /// sort / limit over the staged batches. Measured around the engine
     /// `execute` call, which only ever runs over fully staged batches, so
@@ -42,7 +48,7 @@ pub struct Breakdown {
 }
 
 impl Breakdown {
-    /// Sum of all slices.
+    /// Sum of all slices (`install` is part of `nodb`).
     pub fn total(&self) -> Duration {
         self.io
             + self.tokenizing
@@ -61,25 +67,27 @@ impl Breakdown {
         self.parsing += other.parsing;
         self.convert += other.convert;
         self.nodb += other.nodb;
+        self.install += other.install;
         self.engine += other.engine;
         self.planning += other.planning;
         self.processing += other.processing;
     }
 
     /// Render as the Fig 3 panel row: `io=…ms tok=…ms parse=…ms conv=…ms
-    /// nodb=…ms engine=…ms plan=…ms proc=…ms`.
+    /// nodb=…ms (install=…ms) engine=…ms plan=…ms proc=…ms`.
     pub fn panel_row(&self) -> String {
         fn ms(d: Duration) -> f64 {
             d.as_secs_f64() * 1e3
         }
         format!(
             "io={:8.2}ms tok={:8.2}ms parse={:8.2}ms conv={:8.2}ms nodb={:8.2}ms \
-             engine={:8.2}ms plan={:8.2}ms proc={:8.2}ms",
+             (install={:8.2}ms) engine={:8.2}ms plan={:8.2}ms proc={:8.2}ms",
             ms(self.io),
             ms(self.tokenizing),
             ms(self.parsing),
             ms(self.convert),
             ms(self.nodb),
+            ms(self.install),
             ms(self.engine),
             ms(self.planning),
             ms(self.processing)
@@ -238,17 +246,71 @@ impl SystemSnapshot {
     }
 }
 
+/// A partition's row loop times one row in `TIMING_STRIDE`
+/// ([`PhaseClock::for_row`]) and scales the sampled laps up to all its rows
+/// ([`PhaseClock::scale_sampled`]), so the tokenizing / parsing / convert /
+/// nodb slices of a scan are estimates from a 1-in-16 sample rather than
+/// two clock reads per phase per row. The `io` slice is not sampled: it is
+/// the scanner's exact time inside `read` (`IoCounters::stall`) plus the
+/// open, and a timed row subtracts the stall it saw from its own lap.
+pub const TIMING_STRIDE: usize = 16;
+const _: () = assert!(TIMING_STRIDE.is_power_of_two());
+
 /// Low-overhead phase stopwatch used inside the scan loop. When disabled,
 /// every call is a no-op the optimizer removes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseClock {
     enabled: bool,
+    /// What a start/lap pair reports around no work at all (one clock
+    /// read's latency falls inside every window). Taken off each lap: on
+    /// ~100 ns row phases it is a fifth of the reading, and scaling sampled
+    /// laps would scale it along.
+    overhead: Duration,
 }
 
 impl PhaseClock {
     /// Clock that records when `enabled`.
     pub fn new(enabled: bool) -> Self {
-        PhaseClock { enabled }
+        let overhead = if enabled {
+            (0..8)
+                .map(|_| std::time::Instant::now().elapsed())
+                .min()
+                .unwrap_or_default()
+        } else {
+            Duration::ZERO
+        };
+        PhaseClock { enabled, overhead }
+    }
+
+    /// Whether this clock records anything.
+    pub fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// The clock for row `row` of a partition's row loop: this clock on one
+    /// row in [`TIMING_STRIDE`], a disabled one on the others. The timed
+    /// rows are those whose Fibonacci hash has its top bits clear — spread
+    /// evenly but with no fixed period, because a fixed one locks onto
+    /// whatever else recurs at powers of two (every `Vec` regrowth of the
+    /// partials would land on a timed row and be scaled up as if it
+    /// happened on all sixteen).
+    #[inline]
+    pub fn for_row(&self, row: usize) -> PhaseClock {
+        let hash = (row as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        PhaseClock {
+            enabled: self.enabled && hash >> (64 - TIMING_STRIDE.trailing_zeros()) == 0,
+            ..*self
+        }
+    }
+
+    /// Scale a slot lapped on `timed` of `rows` rows up to an estimate for
+    /// all of them.
+    pub fn scale_sampled(slot: Duration, rows: usize, timed: usize) -> Duration {
+        if timed == 0 {
+            slot
+        } else {
+            slot.mul_f64(rows as f64 / timed as f64)
+        }
     }
 
     /// Start a measurement (None when disabled).
@@ -261,11 +323,17 @@ impl PhaseClock {
         }
     }
 
+    /// The time since `start`, net of the clock's own overhead.
+    #[inline]
+    pub fn since(&self, start: std::time::Instant) -> Duration {
+        start.elapsed().saturating_sub(self.overhead)
+    }
+
     /// Add the elapsed time since `start` to `slot`.
     #[inline]
     pub fn lap(&self, start: Option<std::time::Instant>, slot: &mut Duration) {
         if let Some(t) = start {
-            *slot += t.elapsed();
+            *slot += self.since(t);
         }
     }
 }
@@ -287,6 +355,15 @@ mod tests {
         };
         a.merge(&b);
         assert_eq!(a.total(), Duration::from_millis(18));
+        // `install` is a part of `nodb`: merged, shown, never counted twice.
+        a.merge(&Breakdown {
+            nodb: Duration::from_millis(7),
+            install: Duration::from_millis(4),
+            ..Default::default()
+        });
+        assert_eq!(a.install, Duration::from_millis(4));
+        assert_eq!(a.total(), Duration::from_millis(25));
+        assert!(a.panel_row().contains("(install=    4.00ms)"));
         assert!(a.panel_row().contains("io="));
         assert!(
             a.panel_row().contains("engine="),
@@ -315,6 +392,30 @@ mod tests {
         assert!(p.contains("cached attr c2"));
         assert!(p.contains("c0:3"));
         assert!(!p.contains("c1:0"));
+    }
+
+    #[test]
+    fn row_sampling_times_one_row_in_a_stride_and_scales_back() {
+        let clock = PhaseClock::new(true);
+        let rows = 100_000;
+        let timed = (0..rows).filter(|&r| clock.for_row(r).enabled()).count();
+        assert!(
+            timed.abs_diff(rows / TIMING_STRIDE) < rows / TIMING_STRIDE / 20,
+            "{timed} of {rows} rows timed"
+        );
+        // No power-of-two rhythm: regrowth of a doubling `Vec` happens on
+        // rows 2^k, and those must be sampled like any other row.
+        let on_powers = (4..40).filter(|k| clock.for_row(1 << k).enabled()).count();
+        assert!(on_powers < 12, "{on_powers} of 36 power-of-two rows timed");
+        assert!(!(0..rows).any(|r| PhaseClock::new(false).for_row(r).enabled()));
+        assert_eq!(
+            PhaseClock::scale_sampled(Duration::from_micros(10), 1_600, 100),
+            Duration::from_micros(160)
+        );
+        assert_eq!(
+            PhaseClock::scale_sampled(Duration::ZERO, 0, 0),
+            Duration::ZERO
+        );
     }
 
     #[test]

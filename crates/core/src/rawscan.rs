@@ -71,8 +71,8 @@
 //! 3. **Install** (`scan_install` → [`merge_outputs`], write lock) — staged
 //!    partials are installed. The merge is *frontier-based* and therefore
 //!    idempotent under interleaving: the row index skips known rows, chunk
-//!    installs go through subsumption, cache admission replays from the
-//!    cache's *current* coverage, and statistics replay only rows beyond
+//!    installs go through subsumption, cache admission resumes at the
+//!    cache's *current* coverage, and statistics observe only rows beyond
 //!    each attribute's observation frontier. Merging the same full-scan
 //!    output after another query already merged its own is a no-op, which
 //!    is what makes N concurrent queries end in the same state as a
@@ -105,17 +105,29 @@
 //!   offsets keyed by local row; `ChunkBuilder::append_partial` rebases by
 //!   concatenating in partition order, then the usual install path
 //!   (subsumption, LRU, budget) runs once on the merged chunk.
-//! * *Cache* — workers buffer one value per row per requested attribute
-//!   (partial columns); the merge admits them row-major,
-//!   attribute-interleaved, stopping a column permanently at the first
-//!   refused append, starting from the cache's coverage at merge time — so
-//!   budget/LRU behavior is that of a single row-at-a-time pass over the
-//!   file.
-//! * *Statistics* — observations are replayed from the buffered columns in
-//!   global row order under the same sampling stride, starting at each
-//!   attribute's observation frontier. Replay (not accumulator merging) is
-//!   deliberate: the reservoir sample depends on arrival order, so only
-//!   order-preserving replay keeps statistics identical.
+//! * *Cache admission* — workers buffer one value per row per requested
+//!   attribute as typed partial columns, and the merge hands them to the
+//!   cache one slice at a time, in slice order
+//!   (`RawCache::append_slice`). Each column resumes at the cache's
+//!   coverage at that moment; a slice whose whole growth provably fits the
+//!   free budget goes in as typed segments (vector moves and slice copies),
+//!   a slice that straddles the budget edge — or meets a frozen column — is
+//!   replayed value by value inside the cache, row-major and
+//!   attribute-interleaved, a column stopping for good at its first refused
+//!   append. That replay *is* the reference behaviour: a single
+//!   row-at-a-time pass over the file. The segment install equals it
+//!   because a slice is only installed whole when no append of its replay
+//!   could have been refused or could have evicted anything, so both leave
+//!   the same columns, bytes and counters; a column that stopped is behind
+//!   every later slice's first row and is skipped from then on.
+//! * *Statistics* — the same partial columns are observed slice by slice,
+//!   column at a time (`TableStats::observe_column`), from each attribute's
+//!   observation frontier under the shared sampling stride. Accumulators
+//!   are per attribute, so walking one attribute's rows in global row order
+//!   feeds it exactly the stream an attribute-interleaved row replay would;
+//!   and because the reservoir sample depends on arrival order, it is this
+//!   order-preserving walk — not merging per-partition accumulators — that
+//!   keeps statistics identical at every worker count.
 //! * *Results* — per-partition output batches are concatenated in partition
 //!   order (`Batch::extend_from`), no reordering anywhere downstream.
 //! * *Telemetry* — `Breakdown` and `IoCounters` are summed; cache hit/miss
@@ -853,9 +865,10 @@ pub(crate) struct ScanOutcome {
 }
 
 /// Phase 2 of a raw scan: run the partition slices on `prep.threads`
-/// workers over shared borrows of the table and collect the partials in
-/// slice order. Needs only `&RawTable`, so concurrent queries run this
-/// phase under the table's read lock.
+/// workers — the calling thread and `prep.threads - 1` scoped threads — over
+/// shared borrows of the table and collect the partials in slice order.
+/// Needs only `&RawTable`, so concurrent queries run this phase under the
+/// table's read lock.
 ///
 /// Scheduling is a **work-stealing run queue**: each worker owns a
 /// contiguous run of slices (adjacent file regions, so a worker streams
@@ -932,39 +945,39 @@ pub(crate) fn run_partitions(
         })
         .collect();
     let cursors: Vec<AtomicUsize> = bounds.iter().map(|&(lo, _)| AtomicUsize::new(lo)).collect();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let (ctx, slots, bounds, cursors, steals) =
-                    (&ctx, &slots, &bounds, &cursors, &steals);
-                s.spawn(move || {
-                    // Errors park in the slice's slot; the worker keeps
-                    // draining so every lower-numbered slice completes and
-                    // the driver can report the lowest-slice error with an
-                    // exact row rebase.
-                    while let Some((idx, stolen)) = claim_slice(w, cursors, bounds) {
-                        if stolen {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Worker-panic containment: a panicking slice is
-                        // converted to a structured error right here, so the
-                        // other workers keep draining and the process (and
-                        // any lock the panic would otherwise poison)
-                        // survives.
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            worker::run_partition(ctx, partitions[idx])
-                        }))
-                        .unwrap_or_else(|payload| {
-                            Err(EngineError::WorkerPanic {
-                                partition: idx,
-                                message: panic_message(payload),
-                            })
-                        });
-                        *lock_recover(&slots[idx]) = Some(r);
-                    }
+    // Errors park in the slice's slot; a worker keeps draining so every
+    // lower-numbered slice completes and the driver can report the
+    // lowest-slice error with an exact row rebase.
+    let drain = |w: usize| {
+        while let Some((idx, stolen)) = claim_slice(w, &cursors, &bounds) {
+            if stolen {
+                steals.fetch_add(1, Ordering::Relaxed);
+            }
+            // Worker-panic containment: a panicking slice is converted to a
+            // structured error right here, so the other workers keep
+            // draining and the process (and any lock the panic would
+            // otherwise poison) survives.
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                worker::run_partition(&ctx, partitions[idx])
+            }))
+            .unwrap_or_else(|payload| {
+                Err(EngineError::WorkerPanic {
+                    partition: idx,
+                    message: panic_message(payload),
                 })
-            })
-            .collect();
+            });
+            *lock_recover(&slots[idx]) = Some(r);
+        }
+    };
+    // The calling thread is worker 0: a scan keeps exactly `workers`
+    // threads runnable and a one-worker scan spawns none. A caller that only
+    // waited would leave the scheduler `workers` fresh threads to place
+    // around the CPU it is about to vacate, and how long two of them share
+    // one CPU while another idles differs from scan to scan.
+    std::thread::scope(|s| {
+        let drain = &drain;
+        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || drain(w))).collect();
+        drain(0);
         for h in handles {
             // A panicked worker leaves its claimed slice's slot empty; the
             // collection loop below reports it.
@@ -1040,17 +1053,26 @@ pub(crate) fn run_partitions(
     })
 }
 
-/// Phase 3 of a raw scan: merge the per-partition partials into the
-/// table's adaptive structures, in partition order, under exclusive access
-/// to the table, publish the scan telemetry, and hand back the re-packed
-/// output batches in row order.
+/// Phase 3 of a raw scan: install the per-partition partials into the
+/// table's adaptive structures, in slice order, under exclusive access to
+/// the table, publish the scan telemetry, and hand back the re-packed
+/// output batches in row order. Its duration is the scan's
+/// [`Breakdown::install`] — the time a cold scan keeps every other query
+/// off the table.
+///
+/// Row index and map chunk are rebased by concatenation. Cache and
+/// statistics receive each slice's typed partial columns whole: the
+/// statistics walk them column at a time, then the cache takes ownership and
+/// appends them as segments (or, for a slice at the budget edge, replays
+/// them value by value itself) — see the module docs on why both equal one
+/// row-at-a-time pass. Nothing here touches individual values.
 ///
 /// Every sub-merge is **frontier-based** so interleaved queries converge to
 /// the sequential-replay state: the row index skips known rows, the chunk
-/// install goes through subsumption, cache admission replays from the
-/// cache's *current* coverage, and statistics replay only rows at or beyond
-/// each attribute's observation frontier. When nothing else merged between
-/// this scan's prepare and its merge, the frontiers equal the plan-time
+/// install goes through subsumption, each cache column resumes at its
+/// *current* coverage, and statistics observe only rows at or beyond each
+/// attribute's observation frontier. When nothing else merged between this
+/// scan's prepare and its merge, the frontiers equal the plan-time
 /// snapshots.
 ///
 /// When the scan stopped before EOF (`outcome.stopped`: cancellation /
@@ -1076,7 +1098,6 @@ pub(crate) fn merge_outputs(
         stopped,
     } = outcome;
     let complete = stopped.is_none();
-    // The ordered merge is timed as NoDB-structure maintenance.
     let clock = PhaseClock::new(config.detailed_timing);
     let mut bd = Breakdown::default();
     let t = clock.start();
@@ -1158,103 +1179,23 @@ pub(crate) fn merge_outputs(
         installed = table.map.install(merged).is_some();
     }
 
-    // Side columns: concatenate the per-partition partial cache columns in
-    // partition order (segment merge) — one full column per requested
-    // attribute, addressed by global row below.
-    let collect_side = config.enable_cache || config.enable_stats;
-    let side: Vec<TypedColumn> = if collect_side {
-        let mut it = results.iter_mut();
-        let mut side = it
-            .next()
-            .map(|o| std::mem::take(&mut o.side_cols))
-            .unwrap_or_else(|| {
-                prep.req
-                    .attrs
-                    .iter()
-                    .map(|&a| TypedColumn::new(table.schema.ty(a)))
-                    .collect()
-            });
-        for o in it {
-            for (full, seg) in side.iter_mut().zip(o.side_cols.drain(..)) {
-                full.append_segment(seg);
-            }
-        }
-        side
-    } else {
-        Vec::new()
-    };
-
-    // Cache admission: row-major, attribute-interleaved, a column stopping
-    // permanently at its first refused append, so budget/LRU decisions are
-    // those of a single row-at-a-time pass over the file. The admission
-    // frontier is the cache's coverage *now*: rows another interleaved
-    // query already admitted are skipped, never appended twice.
+    // Cache and statistics: each slice's typed partials go in whole, in
+    // slice order — statistics first (they only read), then the cache takes
+    // the columns. Both start at their own current frontier per attribute.
     if config.enable_cache {
         table.cache.record_reads(worker_hits, worker_misses);
-        if total > 0 {
-            let mut next = table.cache.coverage_of(&prep.req.attrs);
-            let mut row = next
-                .iter()
-                .copied()
-                .filter(|&v| v != usize::MAX)
-                .min()
-                .unwrap_or(total);
-            while row < total {
-                if next.iter().all(|&v| v == usize::MAX || v > row) {
-                    // Nothing appends at this row; jump to the next frontier.
-                    match next
-                        .iter()
-                        .copied()
-                        .filter(|&v| v != usize::MAX && v > row)
-                        .min()
-                    {
-                        Some(r) => {
-                            row = r;
-                            continue;
-                        }
-                        None => break,
-                    }
-                }
-                for (i, slot) in next.iter_mut().enumerate() {
-                    if *slot == row {
-                        let d = side[i].datum(row).unwrap_or(Datum::Null);
-                        let ty = table.schema.ty(prep.req.attrs[i]);
-                        if table
-                            .cache
-                            .append(prep.req.attrs[i], ty, &d, prep.query_tick)
-                        {
-                            *slot += 1;
-                        } else {
-                            *slot = usize::MAX;
-                        }
-                    }
-                }
-                row += 1;
+    }
+    for (o, &base) in results.iter_mut().zip(&bases) {
+        let cols = std::mem::take(&mut o.side_cols);
+        if config.enable_stats {
+            for (col, &attr) in cols.iter().zip(&prep.req.attrs) {
+                table.stats.observe_column(attr, col, base as u64);
             }
         }
-    }
-
-    // Statistics: order-preserving replay under the shared stride (see
-    // module docs on why replay, not accumulator merging), starting at each
-    // attribute's observation frontier as of this merge.
-    if config.enable_stats && total > 0 {
-        let frontiers: Vec<u64> = prep
-            .req
-            .attrs
-            .iter()
-            .map(|&a| table.stats.observed_upto(a))
-            .collect();
-        let mut row = frontiers.iter().copied().min().unwrap_or(0);
-        while (row as usize) < total {
-            if table.stats.should_sample(row) {
-                for (i, (col, &attr)) in side.iter().zip(&prep.req.attrs).enumerate() {
-                    if row >= frontiers[i] {
-                        let d = col.datum(row as usize).unwrap_or(Datum::Null);
-                        table.stats.attr_mut(attr).observe(&d);
-                    }
-                }
-            }
-            row += 1;
+        if config.enable_cache {
+            table
+                .cache
+                .append_slice(&prep.req.attrs, cols, base, total, prep.query_tick);
         }
     }
 
@@ -1271,8 +1212,8 @@ pub(crate) fn merge_outputs(
     }
     if config.enable_stats {
         // Always advance the observation frontier over the merged prefix
-        // (monotone): the statistics replay above fed rows `[0, total)`, and
-        // a re-run after a cancellation must not observe them again.
+        // (monotone): the slices above fed rows `[0, total)`, and a re-run
+        // after a cancellation must not observe them again.
         for &attr in &prep.req.attrs {
             table.stats.advance_observed(attr, total as u64);
         }
@@ -1297,7 +1238,8 @@ pub(crate) fn merge_outputs(
     if !acc.is_empty() {
         queue.push_back(acc);
     }
-    clock.lap(t, &mut bd.nodb);
+    clock.lap(t, &mut bd.install);
+    bd.nodb += bd.install;
 
     let mut tel = lock_recover(telemetry);
     tel.io.merge(io);
@@ -1886,7 +1828,20 @@ mod tests {
                     tel.breakdown.io,
                     tel.io.stall
                 );
+                // The lock-side install is a (non-empty) part of `nodb`.
+                assert!(tel.breakdown.install > Duration::ZERO);
+                assert!(tel.breakdown.install <= tel.breakdown.nodb);
             }
+            // Timing off: the reads are still counted, no slice is.
+            let quiet = NoDbConfig {
+                detailed_timing: false,
+                ..cfg
+            };
+            let mut t = RawTable::register(&p, schema.clone(), false, &quiet).unwrap();
+            let (_, tel) = scan_once(&mut t, quiet, ScanRequest::project(vec![1, 3]));
+            assert!(tel.io.stall > Duration::ZERO);
+            assert_eq!(tel.breakdown.total(), Duration::ZERO);
+            assert_eq!(tel.breakdown.install, Duration::ZERO);
         }
         std::fs::remove_file(p).unwrap();
     }

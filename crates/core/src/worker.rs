@@ -4,7 +4,8 @@
 //! process it without synchronization: its own [`RangeScanner`] (reading
 //! synchronously on this thread), a reusable [`Tokens`] buffer, a partial
 //! positional-map [`ChunkBuilder`], partial cache columns ([`TypedColumn`]
-//! per requested attribute) and per-phase timing. All shared state is
+//! per requested attribute) and per-phase timing (sampled — see
+//! [`crate::metrics::TIMING_STRIDE`]). All shared state is
 //! borrowed immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
@@ -156,6 +157,7 @@ pub(crate) fn run_partition(
     let n = ctx.req.attrs.len();
     let clock = PhaseClock::new(ctx.config.detailed_timing);
     let mut d_io = Duration::ZERO;
+    let mut d_line = Duration::ZERO;
     let mut d_tok = Duration::ZERO;
     let mut d_parse = Duration::ZERO;
     let mut d_conv = Duration::ZERO;
@@ -257,6 +259,7 @@ pub(crate) fn run_partition(
 
     let mut header_pending = part.skip_header;
     let mut local = 0usize;
+    let mut timed = 0usize;
     loop {
         // Cooperative cancellation: one relaxed load + deadline compare per
         // CHECK_STRIDE rows, bounding stop latency without showing up in
@@ -264,7 +267,11 @@ pub(crate) fn run_partition(
         if (local as u64).is_multiple_of(CHECK_STRIDE) {
             ctx.ctx.check()?;
         }
-        let t = clock.start();
+        // Phase laps are sampled (`TIMING_STRIDE`) and scaled after the loop.
+        let row_clock = clock.for_row(local);
+        timed += usize::from(row_clock.enabled());
+        let stall = row_clock.enabled().then(|| scanner.counters().stall);
+        let t = row_clock.start();
         let line_meta: Option<u64> = if fused {
             match check_io(
                 ctx.ctx,
@@ -288,10 +295,15 @@ pub(crate) fn run_partition(
             }
         };
         // The fused pass does the tokenizing work inside the line fetch, so
-        // its time lands in the tokenizing slice (its block reads are moved
-        // to the I/O slice after the loop); the plain path's fetch is pure
-        // I/O + newline discovery.
-        clock.lap(t, if fused { &mut d_tok } else { &mut d_io });
+        // its time lands in the tokenizing slice; the plain path's fetch is
+        // newline discovery, charged to I/O. Either way a block refill
+        // inside this fetch is left out: the scanner's stall counter already
+        // has it, exactly, and joins the I/O slice after the loop.
+        if let (Some(stall), Some(t)) = (stall, t) {
+            let lap = row_clock.since(t);
+            let reads = scanner.counters().stall.saturating_sub(stall);
+            *(if fused { &mut d_tok } else { &mut d_line }) += lap.saturating_sub(reads);
+        }
         // Mid-scan truncation detection, gated on the fence so legacy mode
         // (`detect_updates` off) stays byte-identical. Both probes are
         // needed: a cut mid-line surfaces a bogus final unterminated line
@@ -321,7 +333,7 @@ pub(crate) fn run_partition(
             &mut values,
             &mut spans,
             (&mut out.cache_hits, &mut out.cache_misses),
-            &clock,
+            &row_clock,
             &mut d_tok,
             &mut d_parse,
             &mut d_conv,
@@ -339,7 +351,7 @@ pub(crate) fn run_partition(
 
         // Side effects into partition-local partials.
         {
-            let t = clock.start();
+            let t = row_clock.start();
             if ctx.collect_side {
                 for (col, v) in out.side_cols.iter_mut().zip(&values) {
                     match v {
@@ -357,7 +369,7 @@ pub(crate) fn run_partition(
                 }
                 b.push_row_offsets(&offsets_buf);
             }
-            clock.lap(t, &mut d_nodb);
+            row_clock.lap(t, &mut d_nodb);
         }
 
         // Selective tuple formation (the exact code the cached streamer
@@ -375,19 +387,15 @@ pub(crate) fn run_partition(
     }
     out.rows = local;
     out.io = scanner.take_counters();
-    if fused {
-        // The fused fetch lapped its block refills into `d_tok`; the time
-        // inside `read` is I/O, not tokenizing. (Timing off: `d_tok` is
-        // zero and nothing moves.)
-        let reads = out.io.stall.min(d_tok);
-        d_tok -= reads;
-        d_io += reads;
+    if clock.enabled() {
+        d_io += out.io.stall;
     }
-    out.breakdown.io = d_io;
-    out.breakdown.tokenizing = d_tok;
-    out.breakdown.parsing = d_parse;
-    out.breakdown.convert = d_conv;
-    out.breakdown.nodb = d_nodb;
+    let scaled = |slot| PhaseClock::scale_sampled(slot, local, timed);
+    out.breakdown.io = d_io + scaled(d_line);
+    out.breakdown.tokenizing = scaled(d_tok);
+    out.breakdown.parsing = scaled(d_parse);
+    out.breakdown.convert = scaled(d_conv);
+    out.breakdown.nodb = scaled(d_nodb);
     Ok(out)
 }
 

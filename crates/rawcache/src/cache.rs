@@ -60,11 +60,34 @@ impl CacheMetrics {
 struct Entry {
     col: TypedColumn,
     last_used: u64,
-    /// Column refuses further growth (budget exhausted while it was the only
-    /// admissible victim). Cleared when pressure relaxes (eviction of
-    /// another column or budget increase).
+    /// Column refuses further growth: an append found the budget exhausted
+    /// with nothing evictable. The flag outlives that query — only
+    /// [`RawCache::set_budget`] raising the budget above the bytes in use
+    /// clears it (an evicted column simply leaves with its flag).
     frozen: bool,
 }
+
+impl Entry {
+    fn new(ty: ColumnType, query_tick: u64) -> Self {
+        Entry {
+            col: TypedColumn::new(ty),
+            last_used: query_tick,
+            frozen: false,
+        }
+    }
+}
+
+/// The admission estimate [`RawCache::append`] checks against the budget
+/// before a value goes in: fixed-width values and NULLs count 8 bytes, a
+/// string its slot plus payload.
+const FIXED_INCOMING: usize = 8;
+
+fn str_incoming(payload: usize) -> usize {
+    16 + payload
+}
+
+/// Headroom demanded on top of the first value before a column is created.
+const NEW_COLUMN_HEADROOM: usize = 64;
 
 /// The adaptive binary cache for one raw file.
 ///
@@ -106,7 +129,7 @@ impl RawCache {
                 e.frozen = false;
             }
         } else {
-            self.evict_to_fit(0, u64::MAX);
+            self.make_room(0, u64::MAX);
         }
     }
 
@@ -238,22 +261,15 @@ impl RawCache {
     pub fn append(&mut self, attr: usize, ty: ColumnType, d: &Datum, query_tick: u64) -> bool {
         // Fast budget estimate before mutating: size of the incoming datum.
         let incoming = match d {
-            Datum::Str(s) => 16 + s.len(),
-            _ => 8,
+            Datum::Str(s) => str_incoming(s.len()),
+            _ => FIXED_INCOMING,
         };
         if !self.entries.contains_key(&attr) {
-            if !self.make_room(incoming + 64, query_tick) {
+            if !self.make_room(incoming + NEW_COLUMN_HEADROOM, query_tick) {
                 self.metrics.admission_stalls += 1;
                 return false;
             }
-            self.entries.insert(
-                attr,
-                Entry {
-                    col: TypedColumn::new(ty),
-                    last_used: query_tick,
-                    frozen: false,
-                },
-            );
+            self.entries.insert(attr, Entry::new(ty, query_tick));
         }
         let frozen = self.entries.get(&attr).map(|e| e.frozen).unwrap_or(false);
         if frozen {
@@ -271,13 +287,122 @@ impl RawCache {
             self.metrics.admission_stalls += 1;
             return false;
         }
-        let e = self.entries.get_mut(&attr).expect("just ensured");
+        let Some(e) = self.entries.get_mut(&attr) else {
+            // Making room evicted the target itself (its LRU stamp was
+            // another query's): there is no column left to extend.
+            self.metrics.admission_stalls += 1;
+            return false;
+        };
         let before = e.col.footprint();
         e.col.push(d);
         e.last_used = query_tick;
         let after = e.col.footprint();
         self.bytes_used += after - before;
         true
+    }
+
+    /// Admit one scan slice's values: `cols[i]` holds the values of
+    /// `attrs[i]` (distinct attributes) for data rows
+    /// `[row_base, row_base + cols[i].len())`, and every column appends the
+    /// rows from its current coverage on — none when its coverage lies
+    /// outside the slice (already cached further, or stopped short of it).
+    /// `query_tick` protects the running query's columns as in
+    /// [`Self::append`]; `scan_rows` is the row count the whole scan will
+    /// offer, used to size a growing column once.
+    ///
+    /// The outcome is exactly that of offering the pending values to
+    /// [`Self::append`] row by row, attributes interleaved, a column
+    /// stopping for good at its first refusal. When no pending column is
+    /// frozen and the slice's exact footprint growth plus the largest single
+    /// admission estimate fits the free budget, no such append could be
+    /// refused or evict anything — every check it makes sees at most the
+    /// bytes in use now plus that growth — so the pending tails are appended
+    /// whole, as [`TypedColumn::append_segment`] would. Otherwise the slice
+    /// straddles the budget edge and is replayed value by value through
+    /// `append`, which may evict and thereby let the next slice go in whole
+    /// again.
+    pub fn append_slice(
+        &mut self,
+        attrs: &[usize],
+        cols: Vec<TypedColumn>,
+        row_base: usize,
+        scan_rows: usize,
+        query_tick: u64,
+    ) {
+        // First pending local row per column; `usize::MAX` = nothing to append.
+        let mut next: Vec<usize> = attrs
+            .iter()
+            .zip(&cols)
+            .map(|(&a, col)| match self.coverage(a).checked_sub(row_base) {
+                Some(lo) if lo < col.len() => lo,
+                _ => usize::MAX,
+            })
+            .collect();
+        if next.iter().all(|&lo| lo == usize::MAX) {
+            return;
+        }
+        // Worst case any single `append` of the replay could see: all of the
+        // slice's growth already in, plus its own estimate (and a new
+        // column's headroom).
+        let mut worst = 0usize;
+        let mut largest = 0usize;
+        let mut frozen = false;
+        for ((&a, col), &lo) in attrs.iter().zip(&cols).zip(&next) {
+            if lo == usize::MAX {
+                continue;
+            }
+            let resident = self.entries.get(&a);
+            let (growth, longest) = col.tail_cost(lo, resident.map_or(0, |e| e.col.len()));
+            worst += growth;
+            let incoming = match col.ty() {
+                ColumnType::Str => str_incoming(longest),
+                _ => FIXED_INCOMING,
+            };
+            match resident {
+                Some(e) => {
+                    frozen |= e.frozen;
+                    largest = largest.max(incoming);
+                }
+                None => largest = largest.max(incoming + NEW_COLUMN_HEADROOM),
+            }
+        }
+        let free = self.policy.budget_bytes.saturating_sub(self.bytes_used);
+        if !frozen && worst + largest <= free {
+            for ((&a, col), lo) in attrs.iter().zip(cols).zip(next) {
+                if lo == usize::MAX {
+                    continue;
+                }
+                let e = self
+                    .entries
+                    .entry(a)
+                    .or_insert_with(|| Entry::new(col.ty(), query_tick));
+                let before = e.col.footprint();
+                e.col.append_tail(col, lo);
+                e.last_used = query_tick;
+                // Room for the rest of the scan, as far as the budget could
+                // ever admit it.
+                let rest = scan_rows.saturating_sub(e.col.len());
+                e.col.reserve(rest.min(free / FIXED_INCOMING));
+                self.bytes_used += e.col.footprint() - before;
+            }
+            return;
+        }
+        let rows = cols.iter().map(TypedColumn::len).max().unwrap_or(0);
+        let mut row = next.iter().copied().min().unwrap_or(rows);
+        while row < rows && next.iter().any(|&lo| lo != usize::MAX) {
+            for ((&a, col), slot) in attrs.iter().zip(&cols).zip(&mut next) {
+                if *slot == row {
+                    let d = col.datum(row).unwrap_or(Datum::Null);
+                    // (A column another query re-stamped is not protected
+                    // by `query_tick`; if room-making evicted it, its next
+                    // row is no longer this one.)
+                    let admitted = self.coverage(a) == row_base + row
+                        && self.append(a, col.ty(), &d, query_tick);
+                    *slot = if admitted { row + 1 } else { usize::MAX };
+                }
+            }
+            row += 1;
+        }
     }
 
     /// Install a whole restored column for `attr` — the snapshot restore
@@ -317,31 +442,13 @@ impl RawCache {
                 .filter(|(_, e)| e.last_used != protect_tick)
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&a, _)| a);
-            match victim {
-                Some(a) => {
-                    let e = self.entries.remove(&a).expect("victim resident");
-                    self.bytes_used -= e.col.footprint();
-                    self.metrics.evictions += 1;
-                }
-                None => return false,
-            }
-        }
-        true
-    }
-
-    /// Unconditional eviction helper for [`Self::set_budget`].
-    fn evict_to_fit(&mut self, incoming: usize, _ignore: u64) {
-        while self.bytes_used + incoming > self.policy.budget_bytes && !self.entries.is_empty() {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&a, _)| a)
-                .expect("non-empty");
-            let e = self.entries.remove(&victim).expect("victim resident");
+            let Some(e) = victim.and_then(|a| self.entries.remove(&a)) else {
+                return false;
+            };
             self.bytes_used -= e.col.footprint();
             self.metrics.evictions += 1;
         }
+        true
     }
 
     /// Drop everything (file replaced).
@@ -528,6 +635,213 @@ mod tests {
         }
         assert!(!c2.install_restored(0, big));
         assert_eq!(c2.bytes_used(), 0);
+    }
+
+    /// SplitMix64 — deterministic case generation for the differential test.
+    struct CaseRng(u64);
+
+    impl CaseRng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    fn random_value(rng: &mut CaseRng, ty: ColumnType) -> Datum {
+        if rng.below(8) == 0 {
+            return Datum::Null;
+        }
+        match ty {
+            ColumnType::Int => Datum::Int(rng.next() as i64 >> 20),
+            ColumnType::Float => Datum::Float(rng.below(10_000) as f64 / 8.0),
+            ColumnType::Bool => Datum::Bool(rng.below(2) == 0),
+            ColumnType::Str => Datum::Str("abcdefghijklmnopqrstuvwx"[..rng.below(25)].into()),
+        }
+    }
+
+    /// The value-by-value admission `append_slice` stands in for: one
+    /// row-major, attribute-interleaved pass over the whole scan from the
+    /// coverage at its start, a column stopping for good at its first
+    /// refused append.
+    fn replay(
+        cache: &mut RawCache,
+        attrs: &[usize],
+        types: &[ColumnType],
+        rows: &[Vec<Datum>],
+        tick: u64,
+    ) {
+        let mut next = cache.coverage_of(attrs);
+        for (row, values) in rows.iter().enumerate() {
+            for (i, &a) in attrs.iter().enumerate() {
+                if next[i] == row {
+                    let admitted = cache.append(a, types[i], &values[i], tick);
+                    next[i] = if admitted { row + 1 } else { usize::MAX };
+                }
+            }
+        }
+    }
+
+    fn assert_same_cache(tag: &str, a: &RawCache, b: &RawCache) {
+        assert_eq!(a.resident(), b.resident(), "{tag}: resident");
+        assert_eq!(a.bytes_used(), b.bytes_used(), "{tag}: bytes_used");
+        for (attr, rows) in a.resident() {
+            for row in 0..=rows {
+                assert_eq!(
+                    a.peek(attr, row),
+                    b.peek(attr, row),
+                    "{tag}: c{attr} row {row}"
+                );
+            }
+        }
+        let (ma, mb) = (a.metrics(), b.metrics());
+        assert_eq!(
+            (ma.hits, ma.misses, ma.evictions, ma.admission_stalls),
+            (mb.hits, mb.misses, mb.evictions, mb.admission_stalls),
+            "{tag}: metrics"
+        );
+    }
+
+    #[test]
+    fn append_slice_equals_the_append_replay() {
+        const TYPES: [ColumnType; 4] = [
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Bool,
+            ColumnType::Str,
+        ];
+        let mut rng = CaseRng(0x51CE);
+        let (mut bulk_cases, mut replay_cases) = (0, 0);
+        for case in 0..400 {
+            let n = 1 + rng.below(4);
+            let attrs: Vec<usize> = (0..n).map(|i| i * 2 + 1).collect();
+            let types: Vec<ColumnType> = (0..n).map(|_| TYPES[rng.below(4)]).collect();
+            let total = rng.below(400);
+            let rows: Vec<Vec<Datum>> = (0..total)
+                .map(|_| types.iter().map(|&ty| random_value(&mut rng, ty)).collect())
+                .collect();
+            // Slice boundaries, empty slices included.
+            let mut cuts: Vec<usize> = (0..rng.below(7)).map(|_| rng.below(total + 1)).collect();
+            cuts.extend([0, total]);
+            cuts.sort_unstable();
+
+            // What the scan needs when everything is admitted.
+            let mut ample = RawCache::new(CachePolicy::default());
+            replay(&mut ample, &attrs, &types, &rows, 1);
+            let need = ample.bytes_used();
+
+            // Earlier queries: LRU victims (their own ticks), a prefix of
+            // some scan columns (frontiers inside a slice), maybe a column
+            // frozen at a budget edge that has since moved away.
+            let victims = rng.below(3);
+            let prefix: Vec<usize> = (0..n)
+                .map(|_| {
+                    if rng.below(3) == 0 {
+                        rng.below(total + 1)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let budget = match rng.below(7) {
+                0 => 0,
+                1 => 100,
+                2 => need / 3,
+                3 => need * 2 / 3,
+                4 => need.saturating_sub(1 + rng.below(40)),
+                5 => need + rng.below(200),
+                _ => 1 << 30,
+            } + victims * 400;
+            // (Only under a budget the filler below can exhaust.)
+            let freeze = rng.below(3) == 0 && budget < 1 << 20;
+            let prepare = || {
+                let mut c = RawCache::new(CachePolicy::with_budget(budget));
+                for v in 0..victims {
+                    let attr = 100 + v;
+                    let tick = c.begin_query(&[attr]);
+                    for i in 0..40 {
+                        c.append(attr, ColumnType::Int, &Datum::Int(i), tick);
+                    }
+                }
+                let tick = c.begin_query(&attrs);
+                for (i, &a) in attrs.iter().enumerate() {
+                    for values in &rows[..prefix[i]] {
+                        if !c.append(a, types[i], &values[i], tick) {
+                            break;
+                        }
+                    }
+                }
+                if freeze {
+                    // Fill the budget with a filler the scan's first column
+                    // then starves against, and take the filler away again.
+                    let tick = c.begin_query(&[999, attrs[0]]);
+                    while c.append(999, ColumnType::Int, &Datum::Int(7), tick) {}
+                    let at = c.coverage(attrs[0]);
+                    if let Some(values) = rows.get(at) {
+                        c.append(attrs[0], types[0], &values[0], tick);
+                    }
+                    c.evict_attr(999);
+                }
+                c
+            };
+
+            let (mut by_value, mut by_slice) = (prepare(), prepare());
+            let tag = format!("case {case} (budget {budget}, need {need}, cuts {cuts:?})");
+            assert_same_cache(&format!("{tag} before"), &by_value, &by_slice);
+            let tick = by_value.begin_query(&attrs);
+            assert_eq!(tick, by_slice.begin_query(&attrs));
+            replay(&mut by_value, &attrs, &types, &rows, tick);
+            for w in cuts.windows(2) {
+                let cols: Vec<TypedColumn> = (0..n)
+                    .map(|i| {
+                        let mut col = TypedColumn::new(types[i]);
+                        rows[w[0]..w[1]]
+                            .iter()
+                            .for_each(|values| col.push(&values[i]));
+                        col
+                    })
+                    .collect();
+                by_slice.append_slice(&attrs, cols, w[0], total, tick);
+            }
+            assert_same_cache(&tag, &by_value, &by_slice);
+            let m = by_slice.metrics();
+            if m.admission_stalls + m.evictions > 0 {
+                replay_cases += 1;
+            } else {
+                bulk_cases += 1;
+            }
+        }
+        assert!(
+            bulk_cases > 50 && replay_cases > 50,
+            "{bulk_cases} / {replay_cases}"
+        );
+    }
+
+    #[test]
+    fn replay_never_resumes_a_column_its_own_room_making_evicted() {
+        // Column 2 holds rows 0..10 but carries another query's LRU stamp,
+        // so this scan's tick does not protect it: column 1's growth evicts
+        // it at row 9, one row before its own pending rows begin. It must
+        // stay out — row 10's value is not row 0's.
+        let ints = |range: std::ops::Range<i64>| {
+            let mut col = TypedColumn::new(ColumnType::Int);
+            range.for_each(|v| col.push(&Datum::Int(v)));
+            col
+        };
+        let mut c = RawCache::new(CachePolicy::with_budget(170));
+        fill(&mut c, 2, 10);
+        let tick = c.begin_query(&[1, 2]);
+        c.begin_query(&[2]);
+        c.append_slice(&[1, 2], vec![ints(100..130), ints(0..30)], 0, 30, tick);
+        assert_eq!(c.metrics().evictions, 1);
+        assert_eq!(c.coverage(2), 0, "evicted, not restarted mid-column");
+        assert_eq!(c.peek(1, 9), Some(Datum::Int(109)));
     }
 
     #[test]

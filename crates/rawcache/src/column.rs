@@ -109,18 +109,26 @@ impl NullMask {
     }
 
     /// Append every bit of `other` after this mask's bits (segment merge).
+    /// Word-at-a-time: each source word is shifted across the `len % 64`
+    /// misalignment and OR-ed into the (at most two) words it lands in —
+    /// bits past a mask's `len` are always zero, so nothing needs clearing.
     pub fn append_segment(&mut self, other: &NullMask) {
+        let shift = self.len % 64;
+        let base = self.len / 64;
+        self.len += other.len;
+        self.words.resize(self.len.div_ceil(64), 0);
         if !other.any_null {
-            // Fast path: extend with zeros by just bumping the length.
-            self.len += other.len;
-            let words_needed = self.len.div_ceil(64);
-            if self.words.len() < words_needed {
-                self.words.resize(words_needed, 0);
-            }
             return;
         }
-        for i in 0..other.len {
-            self.push(other.is_null(i));
+        self.any_null = true;
+        for (i, &w) in other.words.iter().enumerate() {
+            self.words[base + i] |= w << shift;
+            if shift > 0 {
+                // The spill is non-zero only where `resize` made room.
+                if let Some(next) = self.words.get_mut(base + i + 1) {
+                    *next |= w >> (64 - shift);
+                }
+            }
         }
     }
 }
@@ -304,11 +312,22 @@ impl TypedColumn {
     /// Append every row of `other` after this column's rows — the segment
     /// merge of the parallel scan, which concatenates per-partition partial
     /// columns in partition order.
-    ///
-    /// # Panics
-    /// Panics when the column types differ (partials are always derived from
-    /// one schema, so a mismatch is a logic error).
     pub fn append_segment(&mut self, other: TypedColumn) {
+        self.append_tail(other, 0);
+    }
+
+    /// Append rows `[lo, other.len())` of `other` after this column's rows.
+    /// An empty column adopts a whole segment's vectors outright; otherwise
+    /// fixed-width values are copied as one slice and strings move by
+    /// pointer. Segments always derive from the same schema as the column
+    /// they extend, so the types match; a mismatch appends nothing.
+    pub(crate) fn append_tail(&mut self, other: TypedColumn, lo: usize) {
+        if lo == 0 && self.is_empty() && self.ty() == other.ty() {
+            *self = other;
+            return;
+        }
+        let lo = lo.min(other.len());
+        let tail = |on: NullMask| if lo == 0 { on } else { on.slice(lo, on.len()) };
         match (self, other) {
             (
                 TypedColumn::Int { values, nulls },
@@ -317,8 +336,8 @@ impl TypedColumn {
                     nulls: on,
                 },
             ) => {
-                values.extend_from_slice(&ov);
-                nulls.append_segment(&on);
+                values.extend_from_slice(&ov[lo..]);
+                nulls.append_segment(&tail(on));
             }
             (
                 TypedColumn::Float { values, nulls },
@@ -327,8 +346,8 @@ impl TypedColumn {
                     nulls: on,
                 },
             ) => {
-                values.extend_from_slice(&ov);
-                nulls.append_segment(&on);
+                values.extend_from_slice(&ov[lo..]);
+                nulls.append_segment(&tail(on));
             }
             (
                 TypedColumn::Bool { values, nulls },
@@ -337,8 +356,8 @@ impl TypedColumn {
                     nulls: on,
                 },
             ) => {
-                values.extend_from_slice(&ov);
-                nulls.append_segment(&on);
+                values.extend_from_slice(&ov[lo..]);
+                nulls.append_segment(&tail(on));
             }
             (
                 TypedColumn::Str {
@@ -347,20 +366,58 @@ impl TypedColumn {
                     nulls,
                 },
                 TypedColumn::Str {
-                    values: ov,
+                    values: mut ov,
                     str_bytes: ob,
                     nulls: on,
                 },
             ) => {
-                values.extend(ov);
-                *str_bytes += ob;
-                nulls.append_segment(&on);
+                *str_bytes += match lo {
+                    0 => ob,
+                    _ => ov[lo..].iter().map(|s| s.len()).sum(),
+                };
+                values.extend(ov.drain(lo..));
+                nulls.append_segment(&tail(on));
             }
-            (a, b) => panic!(
+            (a, b) => debug_assert!(
+                false,
                 "cannot merge column segments of different types: {:?} vs {:?}",
                 a.ty(),
                 b.ty()
             ),
+        }
+    }
+
+    /// What `append_tail(self, lo)` would add to the
+    /// [`Self::footprint`] of a same-typed column currently holding
+    /// `target_rows` rows, and the longest string payload in that tail (0
+    /// for fixed-width types) — computed without touching either column, so
+    /// the cache can decide admission before it moves anything.
+    pub(crate) fn tail_cost(&self, lo: usize, target_rows: usize) -> (usize, usize) {
+        let lo = lo.min(self.len());
+        let n = self.len() - lo;
+        let mask_growth = ((target_rows + n).div_ceil(64) - target_rows.div_ceil(64)) * 8;
+        match self {
+            TypedColumn::Int { .. } | TypedColumn::Float { .. } => (n * 8 + mask_growth, 0),
+            TypedColumn::Bool { .. } => (n + mask_growth, 0),
+            TypedColumn::Str { values, .. } => {
+                let (bytes, longest) = values[lo..]
+                    .iter()
+                    .fold((0, 0), |(sum, max), s| (sum + s.len(), max.max(s.len())));
+                (
+                    n * std::mem::size_of::<Box<str>>() + bytes + mask_growth,
+                    longest,
+                )
+            }
+        }
+    }
+
+    /// Reserve room for `rows` more rows (string payloads excluded).
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        match self {
+            TypedColumn::Int { values, .. } => values.reserve(rows),
+            TypedColumn::Float { values, .. } => values.reserve(rows),
+            TypedColumn::Bool { values, .. } => values.reserve(rows),
+            TypedColumn::Str { values, .. } => values.reserve(rows),
         }
     }
 
@@ -540,29 +597,43 @@ mod tests {
 
     #[test]
     fn null_mask_append_segment_matches_pushes() {
-        for (la, lb) in [(0usize, 5usize), (64, 64), (63, 130), (70, 1)] {
-            let mut direct = NullMask::default();
-            let mut a = NullMask::default();
-            let mut b = NullMask::default();
-            for i in 0..la {
-                let null = i % 3 == 0;
-                direct.push(null);
-                a.push(null);
+        // Every `self.len % 64` x `other.len % 64` misalignment (plus
+        // multi-word lengths), three null densities, against the bit-by-bit
+        // loop — `any_null` exact, and no stray bit left past the end for a
+        // later push to trip over.
+        let bit = |seed: usize, i: usize, every: usize| {
+            every != 0 && (i * 7 + seed).is_multiple_of(every)
+        };
+        for la in (0..=64).chain([65, 127, 128, 191]) {
+            for lb in (0..=64).chain([65, 127, 128, 130]) {
+                for every in [0usize, 3, 61] {
+                    let mut direct = NullMask::default();
+                    let mut a = NullMask::default();
+                    let mut b = NullMask::default();
+                    for i in 0..la {
+                        direct.push(bit(1, i, 5));
+                        a.push(bit(1, i, 5));
+                    }
+                    for i in 0..lb {
+                        direct.push(bit(2, i, every));
+                        b.push(bit(2, i, every));
+                    }
+                    a.append_segment(&b);
+                    // A trailing partial word followed by further pushes.
+                    for i in 0..70 {
+                        direct.push(i % 9 == 0);
+                        a.push(i % 9 == 0);
+                    }
+                    let tag = format!("({la},{lb},{every})");
+                    assert_eq!(a.len(), direct.len(), "{tag}");
+                    assert_eq!(a.footprint(), direct.footprint(), "{tag}");
+                    assert_eq!(a.any_null(), direct.any_null(), "{tag}");
+                    for i in 0..direct.len() {
+                        assert_eq!(a.is_null(i), direct.is_null(i), "{tag} bit {i}");
+                    }
+                    assert_eq!(a.words, direct.words, "{tag}: no stray bits");
+                }
             }
-            for i in 0..lb {
-                let null = i % 5 == 0;
-                direct.push(null);
-                b.push(null);
-            }
-            a.append_segment(&b);
-            assert_eq!(a.len(), direct.len());
-            for i in 0..direct.len() {
-                assert_eq!(a.is_null(i), direct.is_null(i), "({la},{lb}) bit {i}");
-            }
-            // Appending after an all-zero fast-path merge stays consistent.
-            a.push(true);
-            direct.push(true);
-            assert!(a.is_null(direct.len() - 1));
         }
     }
 
@@ -605,7 +676,77 @@ mod tests {
         assert!(s1.footprint() >= 6);
     }
 
+    /// A column of `n` values of `ty` with NULLs and empty strings mixed in.
+    fn sample_column(ty: ColumnType, n: usize, seed: usize) -> (TypedColumn, Vec<Datum>) {
+        let mut col = TypedColumn::new(ty);
+        let mut vals = Vec::new();
+        for i in 0..n {
+            let k = i * 31 + seed;
+            let d = if k.is_multiple_of(11) {
+                Datum::Null
+            } else {
+                match ty {
+                    ColumnType::Int => Datum::Int(k as i64 - 40),
+                    ColumnType::Float => Datum::Float(k as f64 / 4.0),
+                    ColumnType::Bool => Datum::Bool(k.is_multiple_of(3)),
+                    ColumnType::Str => Datum::Str("xyzzy-plugh"[..k % 12].into()),
+                }
+            };
+            col.push(&d);
+            vals.push(d);
+        }
+        (col, vals)
+    }
+
     #[test]
+    fn append_tail_and_tail_cost_match_pushes() {
+        for ty in [
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Bool,
+            ColumnType::Str,
+        ] {
+            for (have, seg_len, lo) in [
+                (0usize, 70usize, 0usize), // fresh column adopts the segment
+                (0, 70, 9),
+                (63, 130, 0),
+                (64, 1, 0),
+                (100, 90, 89),
+                (5, 40, 40), // empty tail
+                (5, 40, 99), // `lo` past the end
+            ] {
+                let tag = format!("{ty:?} have {have} seg {seg_len} lo {lo}");
+                let (mut col, head) = sample_column(ty, have, 1);
+                let (seg, tail) = sample_column(ty, seg_len, 2);
+                let mut direct = TypedColumn::new(ty);
+                for d in head.iter().chain(tail.iter().skip(lo)) {
+                    direct.push(d);
+                }
+                let before = col.footprint();
+                let (growth, longest) = seg.tail_cost(lo, col.len());
+                col.append_tail(seg, lo);
+                assert_eq!(col.len(), direct.len(), "{tag}");
+                assert_eq!(col.footprint(), direct.footprint(), "{tag}");
+                assert_eq!(growth, col.footprint() - before, "{tag}: growth is exact");
+                let expect_longest = tail
+                    .iter()
+                    .skip(lo)
+                    .map(|d| match d {
+                        Datum::Str(s) => s.len(),
+                        _ => 0,
+                    })
+                    .max()
+                    .unwrap_or(0);
+                assert_eq!(longest, expect_longest, "{tag}");
+                for i in 0..direct.len() {
+                    assert_eq!(col.datum(i), direct.datum(i), "{tag} row {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "different types")]
     fn column_append_segment_rejects_type_mismatch() {
         let mut a = TypedColumn::new(ColumnType::Int);

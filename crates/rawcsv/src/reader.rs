@@ -1097,6 +1097,11 @@ impl RangeScanner {
         }
     }
 
+    /// The I/O counters accumulated so far.
+    pub fn counters(&self) -> IoCounters {
+        self.inner.counters()
+    }
+
     /// Return and reset the I/O counters.
     pub fn take_counters(&mut self) -> IoCounters {
         self.inner.take_counters()
@@ -1204,6 +1209,7 @@ impl RawFileMeta {
 }
 
 /// FNV-1a over a byte slice.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {

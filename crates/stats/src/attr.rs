@@ -4,11 +4,84 @@
 //! statistics only on requested attributes") and incrementally augmented as
 //! queries touch more rows.
 
+use std::cmp::Ordering;
+
+use nodb_rawcache::column::NullMask;
+use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
 use crate::histogram::EquiDepthHistogram;
-use crate::ndv::DistinctCounter;
+use crate::ndv::{hash_bool, hash_float, hash_int, hash_str, DistinctCounter};
 use crate::sample::{Reservoir, ReservoirState};
+
+/// A non-null value in its typed form: everything an observation needs
+/// without boxing it into a [`Datum`] first. Each method agrees with the
+/// `Datum` the value would box into ([`Self::datum`]).
+trait Value: Copy {
+    /// [`crate::ndv::hash_datum`] of the value.
+    fn ndv_hash(self) -> u64;
+    /// [`Datum::total_cmp`] against a recorded bound.
+    fn total_cmp(self, bound: &Datum) -> Ordering;
+    /// Box the value (only when it is actually kept).
+    fn datum(self) -> Datum;
+}
+
+impl Value for i64 {
+    fn ndv_hash(self) -> u64 {
+        hash_int(self)
+    }
+    fn total_cmp(self, bound: &Datum) -> Ordering {
+        match bound {
+            Datum::Int(b) => self.cmp(b),
+            other => self.datum().total_cmp(other),
+        }
+    }
+    fn datum(self) -> Datum {
+        Datum::Int(self)
+    }
+}
+
+impl Value for f64 {
+    fn ndv_hash(self) -> u64 {
+        hash_float(self)
+    }
+    fn total_cmp(self, bound: &Datum) -> Ordering {
+        match bound {
+            Datum::Float(b) => f64::total_cmp(&self, b),
+            other => self.datum().total_cmp(other),
+        }
+    }
+    fn datum(self) -> Datum {
+        Datum::Float(self)
+    }
+}
+
+impl Value for bool {
+    fn ndv_hash(self) -> u64 {
+        hash_bool(self)
+    }
+    fn total_cmp(self, bound: &Datum) -> Ordering {
+        self.datum().total_cmp(bound)
+    }
+    fn datum(self) -> Datum {
+        Datum::Bool(self)
+    }
+}
+
+impl Value for &str {
+    fn ndv_hash(self) -> u64 {
+        hash_str(self)
+    }
+    fn total_cmp(self, bound: &Datum) -> Ordering {
+        match bound {
+            Datum::Str(b) => self.cmp(&**b),
+            other => self.datum().total_cmp(other),
+        }
+    }
+    fn datum(self) -> Datum {
+        Datum::Str(self.into())
+    }
+}
 
 /// Default reservoir capacity per attribute.
 pub const DEFAULT_SAMPLE_CAPACITY: usize = 1024;
@@ -54,21 +127,67 @@ impl AttrStats {
 
     /// Observe one value during a scan.
     pub fn observe(&mut self, d: &Datum) {
+        match d {
+            Datum::Null => self.observe_null(),
+            Datum::Int(v) => self.observe_value(*v),
+            Datum::Float(v) => self.observe_value(*v),
+            Datum::Str(s) => self.observe_value(&**s),
+            Datum::Bool(b) => self.observe_value(*b),
+        }
+    }
+
+    /// Observe rows `rows.start`, `rows.start + stride`, … below `rows.end`
+    /// of a typed column, in that order — the same accumulator state as
+    /// calling [`Self::observe`] on each of those rows' datums, without
+    /// boxing a value unless it is kept (new bound or reservoir entry).
+    pub fn observe_column(
+        &mut self,
+        col: &TypedColumn,
+        rows: std::ops::Range<usize>,
+        stride: usize,
+    ) {
+        let rows = (rows.start..rows.end.min(col.len())).step_by(stride.max(1));
+        match col {
+            TypedColumn::Int { values, nulls } => self.walk(values, nulls, rows, |v| *v),
+            TypedColumn::Float { values, nulls } => self.walk(values, nulls, rows, |v| *v),
+            TypedColumn::Bool { values, nulls } => self.walk(values, nulls, rows, |v| *v),
+            TypedColumn::Str { values, nulls, .. } => self.walk(values, nulls, rows, |v| &**v),
+        }
+    }
+
+    fn walk<'a, T, V: Value>(
+        &mut self,
+        values: &'a [T],
+        nulls: &NullMask,
+        rows: impl Iterator<Item = usize>,
+        get: impl Fn(&'a T) -> V,
+    ) {
+        for i in rows {
+            if nulls.is_null(i) {
+                self.observe_null();
+            } else {
+                self.observe_value(get(&values[i]));
+            }
+        }
+    }
+
+    fn observe_null(&mut self) {
         self.rows_seen += 1;
-        if d.is_null() {
-            self.nulls += 1;
-            return;
+        self.nulls += 1;
+    }
+
+    /// The one per-value implementation behind [`Self::observe`] and
+    /// [`Self::observe_column`].
+    fn observe_value<V: Value>(&mut self, v: V) {
+        self.rows_seen += 1;
+        if !matches!(&self.min, Some(m) if v.total_cmp(m) != Ordering::Less) {
+            self.min = Some(v.datum());
         }
-        match &self.min {
-            Some(m) if d.total_cmp(m) != std::cmp::Ordering::Less => {}
-            _ => self.min = Some(d.clone()),
+        if !matches!(&self.max, Some(m) if v.total_cmp(m) != Ordering::Greater) {
+            self.max = Some(v.datum());
         }
-        match &self.max {
-            Some(m) if d.total_cmp(m) != std::cmp::Ordering::Greater => {}
-            _ => self.max = Some(d.clone()),
-        }
-        self.ndv.add(d);
-        self.reservoir.offer(d);
+        self.ndv.add_hash(v.ndv_hash());
+        self.reservoir.offer_with(|| v.datum());
     }
 
     /// Values observed so far (including NULLs).

@@ -34,8 +34,19 @@ impl DistinctCounter {
 
     /// Record one value.
     pub fn add(&mut self, d: &Datum) {
-        let h = hash_datum(d);
-        let bit = (h % self.mbits as u64) as usize;
+        self.add_hash(hash_datum(d));
+    }
+
+    /// Record one value by its [`hash_datum`]-compatible hash.
+    pub(crate) fn add_hash(&mut self, h: u64) {
+        let m = self.mbits as u64;
+        // Same bit either way; the mask spares the default (power-of-two)
+        // size a 64-bit division per value.
+        let bit = if m.is_power_of_two() {
+            h & (m - 1)
+        } else {
+            h % m
+        } as usize;
         let word = bit / 64;
         let mask = 1u64 << (bit % 64);
         if self.bits[word] & mask == 0 {
@@ -88,17 +99,35 @@ impl DistinctCounter {
 pub fn hash_datum(d: &Datum) -> u64 {
     match d {
         Datum::Null => 0x6e75_6c6c,
-        Datum::Int(v) => fnv1a(&v.to_le_bytes()),
-        Datum::Float(v) => {
-            if v.fract() == 0.0 && v.abs() < 9e18 {
-                fnv1a(&(*v as i64).to_le_bytes())
-            } else {
-                fnv1a(&v.to_bits().to_le_bytes())
-            }
-        }
-        Datum::Str(s) => fnv1a(s.as_bytes()),
-        Datum::Bool(b) => fnv1a(&[*b as u8]),
+        Datum::Int(v) => hash_int(*v),
+        Datum::Float(v) => hash_float(*v),
+        Datum::Str(s) => hash_str(s),
+        Datum::Bool(b) => hash_bool(*b),
     }
+}
+
+/// [`hash_datum`] of an integer.
+pub(crate) fn hash_int(v: i64) -> u64 {
+    fnv1a(&v.to_le_bytes())
+}
+
+/// [`hash_datum`] of a float: integral values hash like the integer.
+pub(crate) fn hash_float(v: f64) -> u64 {
+    if v.fract() == 0.0 && v.abs() < 9e18 {
+        hash_int(v as i64)
+    } else {
+        fnv1a(&v.to_bits().to_le_bytes())
+    }
+}
+
+/// [`hash_datum`] of a string.
+pub(crate) fn hash_str(s: &str) -> u64 {
+    fnv1a(s.as_bytes())
+}
+
+/// [`hash_datum`] of a boolean.
+pub(crate) fn hash_bool(b: bool) -> u64 {
+    fnv1a(&[b as u8])
 }
 
 #[cfg(test)]

@@ -30,14 +30,21 @@ impl Reservoir {
 
     /// Offer one (non-null) value to the reservoir.
     pub fn offer(&mut self, d: &Datum) {
+        self.offer_with(|| d.clone());
+    }
+
+    /// Offer one (non-null) value that is only materialized (`make`) if it
+    /// actually enters the sample. One RNG draw per offer once the reservoir
+    /// is full, taken or not.
+    pub(crate) fn offer_with(&mut self, make: impl FnOnce() -> Datum) {
         self.seen += 1;
         if self.sample.len() < self.capacity {
-            self.sample.push(d.clone());
+            self.sample.push(make());
             return;
         }
         let j = self.rng.random_range(0..self.seen);
         if (j as usize) < self.capacity {
-            self.sample[j as usize] = d.clone();
+            self.sample[j as usize] = make();
         }
     }
 

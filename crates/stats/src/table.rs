@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
 use crate::attr::{AttrStats, AttrStatsState};
@@ -51,16 +52,35 @@ impl TableStats {
     /// Whether the scan should feed `row` (a 0-based data-row index) into
     /// the accumulators under the sampling stride.
     ///
-    /// This is the single source of truth for the scan's merge phase (and
-    /// any reference model of it). The merge deliberately
-    /// *replays* buffered observations in global row order instead of
-    /// merging per-partition accumulators: the reservoir sample is a
-    /// sequential-stream algorithm whose state depends on arrival order, so
-    /// order-preserving replay is what keeps `scan_threads = N` statistics
-    /// byte-identical to `scan_threads = 1`.
+    /// This is the single source of truth for the scan's merge phase
+    /// ([`Self::observe_column`]) and any reference model of it. The merge
+    /// deliberately walks buffered values in global row order per attribute
+    /// instead of merging per-partition accumulators: the reservoir sample
+    /// is a sequential-stream algorithm whose state depends on arrival
+    /// order, so an order-preserving walk is what keeps `scan_threads = N`
+    /// statistics byte-identical to `scan_threads = 1`.
     #[inline]
     pub fn should_sample(&self, row: u64) -> bool {
         row.is_multiple_of(self.sample_every)
+    }
+
+    /// Observe one scan slice of `attr` — `col` holds its values for data
+    /// rows `[row_base, row_base + col.len())` — from the attribute's
+    /// observation frontier on, under the sampling stride: the rows
+    /// [`Self::should_sample`] and [`Self::observed_upto`] select, through
+    /// [`AttrStats::observe_column`]. The frontier itself is the caller's to
+    /// advance ([`Self::advance_observed`]) once all its slices are in.
+    pub fn observe_column(&mut self, attr: usize, col: &TypedColumn, row_base: u64) {
+        let stride = self.sample_every;
+        let first = self
+            .observed_upto(attr)
+            .max(row_base)
+            .next_multiple_of(stride)
+            - row_base;
+        if first < col.len() as u64 {
+            self.attr_mut(attr)
+                .observe_column(col, first as usize..col.len(), stride as usize);
+        }
     }
 
     /// Accumulator for `attr`, if any query has touched it.
@@ -258,6 +278,72 @@ impl SelectivityEstimator for StatsEstimator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `observe_column` over arbitrary slices must leave exactly the state
+    /// of the `observe` loop it stands in for: rows seen, NULLs, bounds,
+    /// reservoir sample and RNG position, NDV words — and no accumulator at
+    /// all where nothing was observed.
+    #[test]
+    fn observe_column_equals_the_observe_loop() {
+        use nodb_rawcsv::ColumnType;
+        let value = |ty: ColumnType, i: usize| -> Datum {
+            let k = i.wrapping_mul(2_654_435_761) % 10_007;
+            if k.is_multiple_of(13) {
+                return Datum::Null;
+            }
+            match ty {
+                ColumnType::Int => Datum::Int(k as i64 - 5_000),
+                // Integral floats hash like the integer; the rest by bits.
+                ColumnType::Float if k.is_multiple_of(3) => Datum::Float((k % 50) as f64),
+                ColumnType::Float => Datum::Float(k as f64 / 7.0),
+                ColumnType::Bool => Datum::Bool(k.is_multiple_of(2)),
+                ColumnType::Str => Datum::Str("abracadabra"[..k % 12].into()),
+            }
+        };
+        let types = [
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Bool,
+            ColumnType::Str,
+        ];
+        // More rows than the reservoir holds, so the RNG is drawn from.
+        let total = 3_000usize;
+        for (attr, &ty) in types.iter().enumerate() {
+            let rows: Vec<Datum> = (0..total).map(|i| value(ty, i)).collect();
+            for stride in [1u64, 7] {
+                for frontier in [0u64, 1_234, total as u64 + 5] {
+                    for cuts in [vec![0, total], vec![0, 1, 700, 700, 1_240, 2_999, total]] {
+                        let tag = format!("{ty:?} stride {stride} frontier {frontier} {cuts:?}");
+                        let (mut by_value, mut by_column) =
+                            (TableStats::new(stride), TableStats::new(stride));
+                        for t in [&mut by_value, &mut by_column] {
+                            t.advance_observed(attr, frontier);
+                        }
+                        for (row, d) in rows.iter().enumerate() {
+                            if by_value.should_sample(row as u64) && row as u64 >= frontier {
+                                by_value.attr_mut(attr).observe(d);
+                            }
+                        }
+                        for w in cuts.windows(2) {
+                            let mut col = TypedColumn::new(ty);
+                            rows[w[0]..w[1]].iter().for_each(|d| col.push(d));
+                            by_column.observe_column(attr, &col, w[0] as u64);
+                        }
+                        assert_eq!(
+                            format!("{:?}", by_value.export_state()),
+                            format!("{:?}", by_column.export_state()),
+                            "{tag}"
+                        );
+                        assert_eq!(
+                            by_column.attr(attr).is_some(),
+                            frontier < total as u64,
+                            "{tag}: accumulator only where something was observed"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn observed(n: i64) -> TableStats {
         let mut t = TableStats::new(1);

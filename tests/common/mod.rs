@@ -13,8 +13,9 @@ use nodb_repro::stats::TableStats;
 type Structures<'a> = (&'a PositionalMap, &'a RawCache, &'a TableStats);
 
 /// Assert that two sets of adaptive structures are identical: row index,
-/// positional-map coverage, cache contents, statistics (`rows_seen`, NULL
-/// fraction, reservoir, `observed_upto`).
+/// positional-map coverage, cache contents and bytes, statistics (every
+/// accumulator's full state — counts, bounds, reservoir sample and RNG
+/// position, NDV bitmap — and `observed_upto`).
 fn assert_same_structures(tag: &str, a: Structures<'_>, b: Structures<'_>, cols: usize) {
     let ((map_a, cache_a, stats_a), (map_b, cache_b, stats_b)) = (a, b);
     assert_eq!(
@@ -26,6 +27,11 @@ fn assert_same_structures(tag: &str, a: Structures<'_>, b: Structures<'_>, cols:
         map_a.row_index().is_complete(),
         map_b.row_index().is_complete(),
         "{tag}: row index completeness"
+    );
+    assert_eq!(
+        cache_a.bytes_used(),
+        cache_b.bytes_used(),
+        "{tag}: cache bytes"
     );
     for attr in 0..cols {
         assert_eq!(
@@ -60,6 +66,11 @@ fn assert_same_structures(tag: &str, a: Structures<'_>, b: Structures<'_>, cols:
                     "{tag}: stats nulls c{attr}"
                 );
                 assert_eq!(x.sample(), y.sample(), "{tag}: stats reservoir c{attr}");
+                assert_eq!(
+                    format!("{:?}", x.export_state()),
+                    format!("{:?}", y.export_state()),
+                    "{tag}: stats state c{attr}"
+                );
             }
             other => panic!("{tag}: stats presence differs for c{attr}: {other:?}"),
         }
@@ -93,6 +104,9 @@ pub struct NaiveModel {
     /// Per data row: line-start offset, parsed fields, field-start offsets.
     rows: Vec<(u64, Vec<Datum>, Vec<u32>)>,
     row_count: Option<usize>,
+    /// Cache bytes in use after each row of the latest [`Self::query`] that
+    /// touched the file.
+    pub bytes_after_row: Vec<usize>,
     pub cache: RawCache,
     pub stats: TableStats,
     pub map: PositionalMap,
@@ -123,6 +137,7 @@ impl NaiveModel {
             types,
             rows,
             row_count: None,
+            bytes_after_row: Vec::new(),
             cache: RawCache::new(CachePolicy::with_budget(cfg.cache_budget_bytes)),
             stats: TableStats::new(cfg.stats_sample_every),
             map: PositionalMap::new(MapPolicy {
@@ -130,6 +145,12 @@ impl NaiveModel {
                 trigger: cfg.combination_trigger,
             }),
         }
+    }
+
+    /// Index of the data row starting at byte `offset` (the row count when
+    /// `offset` is the file's end).
+    pub fn row_at(&self, offset: u64) -> usize {
+        self.rows.partition_point(|r| r.0 < offset)
     }
 
     /// Apply the side effects of one query scanning `attrs` (ascending).
@@ -156,6 +177,7 @@ impl NaiveModel {
             self.map.install(chunk);
         }
         let frontiers: Vec<u64> = attrs.iter().map(|&a| self.stats.observed_upto(a)).collect();
+        self.bytes_after_row.clear();
         for (row, (_, values, _)) in self.rows.iter().enumerate() {
             // Cache: row-major, attribute-interleaved; a column stops for
             // good at its first refused append.
@@ -172,6 +194,7 @@ impl NaiveModel {
                     }
                 }
             }
+            self.bytes_after_row.push(self.cache.bytes_used());
         }
         self.row_count = Some(total);
         self.map.row_index_mut().mark_complete();

@@ -237,6 +237,111 @@ fn parallel_scan_equals_sequential() {
     }
 }
 
+/// The same invariant on the shapes the benchmark runs: a `narrow`-like file
+/// (sequential and nullable ints, floats, nullable strings, bools) under
+/// cache budgets whose edge falls inside the first slice, inside a middle
+/// slice and exactly on a slice boundary of the first scan, at 1/2/4/8
+/// workers. After each of three queries the table must hold exactly the
+/// naive model's state — cache contents and bytes, every statistics
+/// accumulator, map coverage.
+#[test]
+fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
+    use nodb_repro::rawcsv::reader::partition_line_ranges;
+    use nodb_repro::rawcsv::ColumnGenSpec;
+    let mut rng = CaseRng::new(0x4A22);
+    for case in 0..3 * stress_factor() {
+        let nullable = |mut c: ColumnGenSpec| {
+            c.null_fraction = 0.05;
+            c
+        };
+        let gen = GeneratorConfig {
+            columns: vec![
+                ColumnGenSpec::new("c0", ValueDistribution::IntSequential { start: 0 }),
+                nullable(ColumnGenSpec::new(
+                    "c1",
+                    ValueDistribution::IntUniform {
+                        min: 0,
+                        max: 999_999,
+                    },
+                )),
+                ColumnGenSpec::new(
+                    "c2",
+                    ValueDistribution::FloatUniform {
+                        min: 0.0,
+                        max: 1_000.0,
+                    },
+                ),
+                nullable(ColumnGenSpec::new(
+                    "c3",
+                    ValueDistribution::StrVar { min: 4, max: 12 },
+                )),
+                ColumnGenSpec::new("c4", ValueDistribution::BoolBernoulli { p: 0.5 }),
+            ],
+            rows: 200 + rng.below(700),
+            delimiter: b',',
+            header: false,
+            seed: rng.below(1_000),
+        };
+        let path = scratch("mixed", case);
+        gen.generate_file(&path).unwrap();
+        // Each query with the attributes its scan reads. At most one
+        // evictable column carries any given LRU tick, so victim choice
+        // never hinges on a tie.
+        let queries = [
+            ("SELECT c1, c3 FROM t WHERE c2 < 500.0", vec![1, 2, 3]),
+            ("SELECT c3, c4 FROM t WHERE c2 >= 250.0", vec![2, 3, 4]),
+            ("SELECT c0, c3 FROM t WHERE c2 < 100.0", vec![0, 2, 3]),
+        ];
+        let mk = |cfg: NoDbConfig| {
+            let mut db = NoDb::new(cfg);
+            db.register_csv_with_schema("t", &path, gen.schema(), false)
+                .unwrap();
+            db
+        };
+        let base = mk(NoDbConfig::baseline());
+        let cfg = |scan_threads: usize, cache_budget_bytes: usize| NoDbConfig {
+            scan_threads,
+            cache_budget_bytes,
+            ..NoDbConfig::pm_c()
+        };
+
+        for threads in [1usize, 2, 4, 8] {
+            // Where the first (cold) scan's slices start, in rows, and what
+            // its admission has in use after each row when nothing is
+            // refused.
+            let mut ample = common::NaiveModel::load(&path, &gen.schema(), &cfg(threads, 1 << 30));
+            ample.query(&queries[0].1);
+            let used = &ample.bytes_after_row;
+            let starts: Vec<usize> =
+                partition_line_ranges(&path, cfg(threads, 0).scan_slice_target())
+                    .unwrap()
+                    .iter()
+                    .map(|r| ample.row_at(r.start))
+                    .collect();
+            let mid = starts.len() / 2;
+            let budgets = [
+                used[starts[1] / 2],                       // inside slice 0
+                used[(starts[mid] + starts[mid + 1]) / 2], // inside a middle slice
+                used[starts[mid] - 1],                     // exactly on a boundary
+                1 << 30,
+            ];
+            for budget in budgets {
+                let db = mk(cfg(threads, budget));
+                let mut model =
+                    common::NaiveModel::load(&path, &gen.schema(), &cfg(threads, budget));
+                for (qi, (sql, attrs)) in queries.iter().enumerate() {
+                    let tag =
+                        format!("case {case} threads {threads} budget {budget} query {qi} ({sql})");
+                    assert_eq!(db.query(sql).unwrap(), base.query(sql).unwrap(), "{tag}");
+                    model.query(attrs);
+                    common::assert_matches_model(&tag, &db, &model);
+                }
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 /// The two-phase cold-scan invariant (ISSUE 3): a cold byte-partitioned
 /// scan over a table with a *pre-populated partial cache* — random coverage
 /// prefixes induced by random tight budgets — must produce byte-identical

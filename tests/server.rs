@@ -426,6 +426,7 @@ fn protocol_surface_round_trips() {
     let report = client.command("REPORT").unwrap();
     assert!(report.is_ok());
     assert!(!report.body.is_empty(), "report body has the plan");
+    assert!(report.body.contains("install="), "lock-side slice shown");
 
     let panel = client.command("PANEL t").unwrap();
     assert!(panel.is_ok());
