@@ -74,7 +74,7 @@ fn bench_resilience(c: &mut Criterion) {
     gen.generate_file(&path).expect("generate dataset");
     let schema = gen.schema();
 
-    // The warm_path acceptance shape: ~50% selective filter + aggregates.
+    // A ~50% selective filter + aggregates over a warm cache.
     let queries: [(&str, String); 2] = [
         (
             "ctx_agg",

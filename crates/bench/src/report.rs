@@ -26,8 +26,8 @@ pub struct BenchRecord {
     pub mean_ms: f64,
     /// Fastest iteration, milliseconds.
     pub min_ms: f64,
-    /// Execution-mode ablation label (e.g. `vectorized` / `rowwise` for the
-    /// warm-path bench). Part of the record's identity: the same bench at
+    /// Execution-mode ablation label (e.g. `no_ctx` / `ctx` for the
+    /// resilience bench). Part of the record's identity: the same bench at
     /// the same threads/rows in two modes is two measurements. Empty for
     /// benches without a mode axis, and optional when parsing so legacy
     /// `BENCH_*.json` files stay readable.

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nodb_engine::{execute_with, plan_select, EngineError, EngineResult, QueryResult, QueueSource};
+use nodb_engine::{execute, plan_select, EngineError, EngineResult, QueryResult, QueueSource};
 use nodb_rawcsv::tokenizer::TokenizerConfig;
 use nodb_rawcsv::{infer, Schema};
 use nodb_sqlparse::parse_select;
@@ -398,10 +398,9 @@ impl NoDb {
             // execute call: the scan has fully staged its batches by then,
             // so the report separates scan work from engine work exactly.
             let mut engine_elapsed = Duration::ZERO;
-            let vectorized = config.vectorized_exec;
             let mut run_engine = |queue| -> EngineResult<QueryResult> {
                 let t = Instant::now();
-                let r = execute_with(&planned, Box::new(QueueSource::new(queue)), vectorized);
+                let r = execute(&planned, Box::new(QueueSource::new(queue)));
                 engine_elapsed = t.elapsed();
                 r
             };

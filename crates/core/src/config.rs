@@ -3,7 +3,10 @@
 //! "The user can enable or disable the NoDB components of PostgresRaw and
 //! specify the amount of storage space which is devoted to internal indexes
 //! and caches" (§1). Every switch the demo exposes is a field here, plus the
-//! ablation flags DESIGN.md calls out.
+//! ablation flags DESIGN.md calls out. How a scan forms its result batches
+//! is deliberately not among them: there is one former
+//! (`rawscan::segment_batch`), so no configuration can make the cold, warm
+//! and cached answers to a query come out of different code.
 
 use nodb_posmap::CombinationTrigger;
 
@@ -98,15 +101,6 @@ pub struct NoDbConfig {
     /// bytes, as before. A first-ever scan (nothing to reuse) never pays the
     /// pre-count either way.
     pub cold_precount: bool,
-    /// Vectorized warm-path execution: cache-resident scans export typed
-    /// column segments straight into the engine (no per-cell `Datum`
-    /// boxing), pushed predicates run as columnar kernels producing a
-    /// selection vector, and the engine's aggregate/projection operators
-    /// use columnar kernels over typed batches. Off, every path evaluates
-    /// row-at-a-time exactly as before — the ablation arm of
-    /// `BENCH_warm_path.json`. Results are byte-identical either way
-    /// (property-tested).
-    pub vectorized_exec: bool,
     /// Work-stealing granularity for parallel scans: each scan splits its
     /// work into `scan_threads * steal_slices_per_thread` partition slices
     /// instead of one partition per thread. Every worker owns a contiguous
@@ -170,7 +164,6 @@ impl Default for NoDbConfig {
             source_change_retries: 1,
             scan_threads: 0,
             cold_precount: true,
-            vectorized_exec: true,
             steal_slices_per_thread: 4,
             query_timeout_ms: 0,
             io_retry_attempts: 2,
@@ -370,12 +363,6 @@ impl NoDbConfigBuilder {
     /// Per-query deadline in milliseconds (`0` = none).
     pub fn query_timeout_ms(mut self, ms: u64) -> Self {
         self.cfg.query_timeout_ms = ms;
-        self
-    }
-
-    /// Vectorized warm-path execution on/off.
-    pub fn vectorized_exec(mut self, on: bool) -> Self {
-        self.cfg.vectorized_exec = on;
         self
     }
 

@@ -11,7 +11,12 @@
 //! 4. converts to binary only what the plan needs (**selective parsing**);
 //! 5. evaluates the pushed predicate *before* materializing the tuple
 //!    (**selective tuple formation** — tuples "are only created after the
-//!    select operator");
+//!    select operator"): resolved values land in typed columns, and one
+//!    function, [`segment_batch`], runs the predicate over a segment of
+//!    them as a columnar kernel and copies out only the surviving rows of
+//!    the materialized positions — the same function whether the columns
+//!    are a raw slice's fresh partials or the cache's own, so cold, warm
+//!    and cached answers are equal by construction;
 //! 6. as side effects, populates the positional map, cache and statistics
 //!    (§3.1–3.3) and the shared row index.
 //!
@@ -69,7 +74,8 @@
 //!    anything is handed on. Any number of queries can be in this phase
 //!    simultaneously.
 //! 3. **Install** (`scan_install` → [`merge_outputs`], write lock) — staged
-//!    partials are installed. The merge is *frontier-based* and therefore
+//!    partials are installed; the result batches are not touched until the
+//!    lock is released. The merge is *frontier-based* and therefore
 //!    idempotent under interleaving: the row index skips known rows, chunk
 //!    installs go through subsumption, cache admission resumes at the
 //!    cache's *current* coverage, and statistics observe only rows beyond
@@ -128,8 +134,11 @@
 //!   and because the reservoir sample depends on arrival order, it is this
 //!   order-preserving walk — not merging per-partition accumulators — that
 //!   keeps statistics identical at every worker count.
-//! * *Results* — per-partition output batches are concatenated in partition
-//!   order (`Batch::extend_from`), no reordering anywhere downstream.
+//! * *Results* — every slice forms its batches with [`segment_batch`] over
+//!   at most `BATCH_SIZE` scanned rows each, in row order; after the install
+//!   (no table lock held) they are concatenated in slice order and re-packed
+//!   to full batches (`StagedScan::into_batches`), no reordering anywhere
+//!   downstream.
 //! * *Telemetry* — `Breakdown` and `IoCounters` are summed; cache hit/miss
 //!   tallies travel with the scan (not as global metric diffs), so
 //!   concurrent queries never misattribute each other's reads.
@@ -163,15 +172,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use nodb_engine::batch::{Batch, ColView, Column, SliceRow, BATCH_SIZE};
+use nodb_engine::batch::{Batch, ColView, Column, BATCH_SIZE};
 use nodb_engine::{EngineError, EngineResult, ScanRequest};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, LineCountMemo};
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::reader::{count_lines_in_range_ctl, partition_line_ranges_capped, LineRange};
-use nodb_rawcsv::{Datum, IoCounters, RawCsvError};
+use nodb_rawcsv::{IoCounters, RawCsvError};
 
 use crate::config::NoDbConfig;
-use crate::ctx::{QueryCtx, CHECK_STRIDE};
+use crate::ctx::QueryCtx;
 use crate::epoch::SourceEpoch;
 use crate::metrics::{Breakdown, PhaseClock};
 use crate::registry::TableHandle;
@@ -318,45 +327,18 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// the engine call. The lock is touched once per query.
 pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 
-/// Selective tuple formation shared by the partition workers and the cached
-/// streamer: evaluate the pushed predicate over the
-/// resolved values and, if it passes, append one output row to `batch`
-/// (predicate-only columns stay NULL). Returns whether the row was formed.
-pub(crate) fn form_tuple_into(
-    req: &ScanRequest,
-    values: &mut [Option<Datum>],
-    pred_row: &mut Vec<Datum>,
-    batch: &mut Batch,
-) -> bool {
-    if let Some(pred) = &req.predicate {
-        pred_row.clear();
-        for v in values.iter() {
-            pred_row.push(v.clone().unwrap_or(Datum::Null));
-        }
-        if !pred.eval_filter(&SliceRow(&pred_row[..])) {
-            return false;
-        }
-    }
-    for (i, v) in values.iter_mut().enumerate() {
-        let d = if req.materialize.get(i).copied().unwrap_or(true) {
-            v.take().unwrap_or(Datum::Null)
-        } else {
-            Datum::Null // predicate-only column: never materialized
-        };
-        batch.push_value(i, d);
-    }
-    batch.finish_row();
-    true
-}
-
-/// The vectorized warm path's batch former: serve cache rows `[lo, hi)` of
-/// the requested attributes as one typed batch, filtering columnar.
+/// The scan's only batch former: rows `[lo, hi)` of one typed column per
+/// requested attribute become one result batch, filtered columnar. The
+/// columns are the cache's own (a fully-cached stream, a cache-covered
+/// slice) or a raw slice's fresh partials (`worker::run_partition`) — the
+/// former does not know which, so cold, warm and cached answers are formed
+/// by the same code.
 ///
-/// The pushed predicate runs as a vectorized kernel over the *borrowed*
-/// cache columns (`engine::expr::RExpr::filter_columnar` — selection vector
-/// out, no per-cell `Datum` boxing, row-at-a-time fallback inside for
-/// unsupported expression shapes). Only then is anything copied, and only
-/// for materialized positions (late materialization):
+/// The pushed predicate runs as a kernel over the *borrowed* columns
+/// (`engine::expr::RExpr::filter_columnar` — selection vector out, no
+/// per-cell `Datum`, row-at-a-time fallback inside for unsupported
+/// expression shapes). Only then is anything copied, and only for
+/// materialized positions (late materialization):
 ///
 /// * selective outcome (< half the rows pass) — survivors are gathered into
 ///   dense typed columns (`TypedColumn::gather`), nothing else is copied;
@@ -364,18 +346,18 @@ pub(crate) fn form_tuple_into(
 ///   (`TypedColumn::export_range`, a `memcpy` for fixed-width types) and the
 ///   selection vector travels with the batch for the engine's
 ///   selection-aware kernels;
-/// * predicate-only positions (`materialize[i] == false`) become all-NULL
-///   columns either way, matching the row-wise path's never-materialized
-///   NULLs byte for byte.
-pub(crate) fn cached_segment_batch(
+/// * predicate-only positions (`materialize[i] == false`) become
+///   [`Column::Nulls`] either way: the predicate saw the values, the tuple
+///   never holds them;
+/// * a zero-attribute (`COUNT(*)`) scan yields [`Batch::rows_only`].
+pub(crate) fn segment_batch(
     req: &ScanRequest,
     cols: &[&TypedColumn],
     lo: usize,
     hi: usize,
 ) -> Batch {
     let rows = hi.saturating_sub(lo);
-    let materialized = |i: usize| req.materialize.get(i).copied().unwrap_or(true);
-    let sel: Option<Vec<u32>> = req.predicate.as_ref().map(|p| {
+    let mut sel: Option<Vec<u32>> = req.predicate.as_ref().map(|p| {
         let views: Vec<ColView> = cols
             .iter()
             .map(|&c| ColView::Typed { col: c, base: lo })
@@ -383,50 +365,24 @@ pub(crate) fn cached_segment_batch(
         p.filter_columnar(&views, rows)
     });
     if cols.is_empty() {
-        // COUNT(*)-style scan: zero attributes, cardinality only.
-        return Batch::rows_only(sel.map(|s| s.len()).unwrap_or(rows));
+        return Batch::rows_only(sel.map_or(rows, |s| s.len()));
     }
-    match sel {
-        None => Batch::from_parts(
-            cols.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if materialized(i) {
-                        Column::Typed(c.export_range(lo, hi))
-                    } else {
-                        Column::Nulls(rows)
-                    }
-                })
-                .collect(),
-            None,
-        ),
-        Some(sel) if sel.len() * 2 < rows => Batch::from_parts(
-            cols.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if materialized(i) {
-                        Column::Typed(c.gather(&sel, lo))
-                    } else {
-                        Column::Nulls(sel.len())
-                    }
-                })
-                .collect(),
-            None,
-        ),
-        Some(sel) => Batch::from_parts(
-            cols.iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    if materialized(i) {
-                        Column::Typed(c.export_range(lo, hi))
-                    } else {
-                        Column::Nulls(rows)
-                    }
-                })
-                .collect(),
-            Some(sel),
-        ),
-    }
+    // Selective: gather the survivors dense and drop the selection.
+    let gathered = sel.take_if(|s| s.len() * 2 < rows);
+    let columns = cols
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let materialized = req.materialize.get(i).copied().unwrap_or(true);
+            match (&gathered, materialized) {
+                (Some(g), true) => Column::Typed(c.gather(g, lo)),
+                (Some(g), false) => Column::Nulls(g.len()),
+                (None, true) => Column::Typed(c.export_range(lo, hi)),
+                (None, false) => Column::Nulls(rows),
+            }
+        })
+        .collect();
+    Batch::from_parts(columns, sel)
 }
 
 /// Resolve the cache column handles backing a fully-cached scan: `None`
@@ -924,7 +880,6 @@ pub(crate) fn run_partitions(
             None
         },
         cache_cov: &prep.cache_cov,
-        collect_side: config.enable_cache || config.enable_stats,
         build_chunk: prep.build_chunk,
         // A warm scan's row index is complete by definition — collecting
         // offsets there would only replay no-ops.
@@ -1055,10 +1010,10 @@ pub(crate) fn run_partitions(
 
 /// Phase 3 of a raw scan: install the per-partition partials into the
 /// table's adaptive structures, in slice order, under exclusive access to
-/// the table, publish the scan telemetry, and hand back the re-packed
-/// output batches in row order. Its duration is the scan's
+/// the table, and publish the scan telemetry. Its duration is the scan's
 /// [`Breakdown::install`] — the time a cold scan keeps every other query
-/// off the table.
+/// off the table. The slices' result batches stay in `outcome`, untouched:
+/// re-packing them needs no table ([`StagedScan::into_batches`]).
 ///
 /// Row index and map chunk are rebased by concatenation. Cache and
 /// statistics receive each slice's typed partial columns whole: the
@@ -1089,19 +1044,16 @@ pub(crate) fn merge_outputs(
     config: &NoDbConfig,
     prep: &ScanPrep,
     cold: Option<&ColdScanPlan>,
-    outcome: ScanOutcome,
+    outcome: &mut ScanOutcome,
     telemetry: &TelemetryHandle,
-) -> EngineResult<VecDeque<Batch>> {
-    let ScanOutcome {
-        outputs: mut results,
-        steals,
-        stopped,
-    } = outcome;
+) -> EngineResult<()> {
+    let results = &mut outcome.outputs;
+    let steals = outcome.steals;
+    let stopped = outcome.stopped.take();
     let complete = stopped.is_none();
     let clock = PhaseClock::new(config.detailed_timing);
     let mut bd = Breakdown::default();
     let t = clock.start();
-    let n = prep.req.attrs.len();
     let bases: Vec<usize> = results
         .iter()
         .scan(0usize, |acc, o| {
@@ -1171,7 +1123,7 @@ pub(crate) fn merge_outputs(
     let mut installed = false;
     if prep.build_chunk {
         let mut merged = ChunkBuilder::with_capacity(prep.req.attrs.clone(), total);
-        for o in &mut results {
+        for o in results.iter_mut() {
             if let Some(wb) = o.builder.take() {
                 merged.append_partial(wb);
             }
@@ -1219,25 +1171,6 @@ pub(crate) fn merge_outputs(
         }
     }
 
-    // Results: concatenate per-partition batches in partition order,
-    // re-packing to full batches (reorder-free concatenation).
-    let mut queue: VecDeque<Batch> = VecDeque::new();
-    let mut acc = Batch::with_columns(n);
-    for mut o in results {
-        for b in o.batches.drain(..) {
-            if acc.is_empty() && b.rows() >= BATCH_SIZE {
-                queue.push_back(b);
-            } else {
-                acc.extend_from(b);
-                if acc.rows() >= BATCH_SIZE {
-                    queue.push_back(std::mem::replace(&mut acc, Batch::with_columns(n)));
-                }
-            }
-        }
-    }
-    if !acc.is_empty() {
-        queue.push_back(acc);
-    }
     clock.lap(t, &mut bd.install);
     bd.nodb += bd.install;
 
@@ -1254,10 +1187,7 @@ pub(crate) fn merge_outputs(
     tel.quarantine_samples = quarantine_samples;
     tel.stopped_early = !complete;
 
-    match stopped {
-        Some(stop) => Err(stop),
-        None => Ok(queue),
-    }
+    stopped.map_or(Ok(()), Err)
 }
 
 /// What a scan's data phase hands to its install phase.
@@ -1270,6 +1200,36 @@ pub(crate) enum StagedScan {
         cold: Option<ColdScanPlan>,
         outcome: ScanOutcome,
     },
+}
+
+impl StagedScan {
+    /// The scan's result batches in row order. A cached stream's batches
+    /// pass through as formed; a raw scan's per-slice batches are
+    /// concatenated in slice order and re-packed to full batches
+    /// (reorder-free; `Batch::extend_from` resolves selection vectors).
+    /// Touches no table, so [`scan_shared`] calls it with no lock held.
+    fn into_batches(self) -> VecDeque<Batch> {
+        let outputs = match self {
+            StagedScan::Cached(queue) => return queue,
+            StagedScan::Partitions { outcome, .. } => outcome.outputs,
+        };
+        let mut queue: VecDeque<Batch> = VecDeque::new();
+        let mut acc = Batch::default();
+        for b in outputs.into_iter().flat_map(|o| o.batches) {
+            if acc.is_empty() {
+                acc = b;
+            } else {
+                acc.extend_from(b);
+            }
+            if acc.rows() >= BATCH_SIZE {
+                queue.push_back(std::mem::take(&mut acc));
+            }
+        }
+        if !acc.is_empty() {
+            queue.push_back(acc);
+        }
+        queue
+    }
 }
 
 /// Stage 0 of a raw scan: decide its slices. Warm row ranges were captured
@@ -1309,7 +1269,7 @@ fn scan_data(
     cold: Option<ColdScanPlan>,
 ) -> EngineResult<Option<StagedScan>> {
     if prep.fully_cached {
-        return Ok(stream_cached(table, config, prep)?.map(StagedScan::Cached));
+        return Ok(stream_cached(table, prep)?.map(StagedScan::Cached));
     }
     let partitions: &[Partition] = match &cold {
         Some(cp) => &cp.partitions,
@@ -1325,24 +1285,24 @@ fn scan_data(
 
 /// The install phase of a prepared scan, over an exclusive borrow of the
 /// table: fold a cached stream's hit tally into the cache metrics, or merge
-/// the staged partials ([`merge_outputs`]). Publishes the scan telemetry
-/// and hands back the result batches.
+/// the staged partials ([`merge_outputs`]). Publishes the scan telemetry;
+/// the result batches stay in `staged`.
 fn scan_install(
     table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
-    staged: StagedScan,
+    staged: &mut StagedScan,
     telemetry: &TelemetryHandle,
-) -> EngineResult<VecDeque<Batch>> {
+) -> EngineResult<()> {
     match staged {
-        StagedScan::Cached(queue) => {
+        StagedScan::Cached(_) => {
             // One hit per requested attribute per cached row.
             let hits = prep.cached_rows * prep.req.attrs.len() as u64;
             table.cache.record_reads(hits, 0);
             let mut tel = lock_recover(telemetry);
             tel.rows_scanned = prep.cached_rows;
             tel.cache_hits = hits;
-            Ok(queue)
+            Ok(())
         }
         StagedScan::Partitions { cold, outcome } => {
             merge_outputs(table, config, prep, cold.as_ref(), outcome, telemetry)
@@ -1351,7 +1311,8 @@ fn scan_install(
 }
 
 /// Run a prepared scan against a shared table handle: the data phase under
-/// the read lock, the install phase under a short write lock.
+/// the read lock, the install phase under a short write lock, the result
+/// re-pack under none.
 ///
 /// Returns `Ok(None)` when the prep went stale — the table's file-state
 /// generation moved past `prep.generation` (an append or replacement was
@@ -1374,16 +1335,19 @@ pub(crate) fn scan_shared(
     let Some(mut staged) = staged else {
         return Ok(None);
     };
-    let mut table = handle.write();
-    if let StagedScan::Partitions { outcome, .. } = &mut staged {
-        if table.generation != prep.generation {
-            // The partials describe dead state; a stopped query still fails
-            // with its structured cause rather than retrying against new
-            // state.
-            return outcome.stopped.take().map_or(Ok(None), Err);
+    {
+        let mut table = handle.write();
+        if let StagedScan::Partitions { outcome, .. } = &mut staged {
+            if table.generation != prep.generation {
+                // The partials describe dead state; a stopped query still
+                // fails with its structured cause rather than retrying
+                // against new state.
+                return outcome.stopped.take().map_or(Ok(None), Err);
+            }
         }
+        scan_install(&mut table, config, prep, &mut staged, telemetry)?;
     }
-    scan_install(&mut table, config, prep, staged, telemetry).map(Some)
+    Ok(Some(staged.into_batches()))
 }
 
 /// Run a prepared scan under an already-held write guard: the same stages
@@ -1397,27 +1361,19 @@ pub(crate) fn scan_held(
     telemetry: &TelemetryHandle,
 ) -> EngineResult<VecDeque<Batch>> {
     let cold = plan_slices(prep, config)?;
-    let staged = scan_data(table, config, prep, cold)?.ok_or_else(|| {
+    let mut staged = scan_data(table, config, prep, cold)?.ok_or_else(|| {
         EngineError::Execution("fully-cached plan lost a cache column under the write guard".into())
     })?;
-    scan_install(table, config, prep, staged, telemetry)
+    scan_install(table, config, prep, &mut staged, telemetry)?;
+    Ok(staged.into_batches())
 }
 
-/// Serve a fully-cached query from the cache columns.
-///
-/// With `config.vectorized_exec` the cache segments cross into the engine
-/// typed ([`cached_segment_batch`]): columnar predicate kernels, selection
-/// vectors, no per-cell `Datum` boxing. Otherwise the row-at-a-time loop
-/// runs (the ablation arm).
+/// Serve a fully-cached query from the cache columns, one [`segment_batch`]
+/// per `BATCH_SIZE` rows.
 ///
 /// Returns `Ok(None)` when a column the plan relied on is no longer
 /// resident with full coverage.
-fn stream_cached(
-    table: &RawTable,
-    config: &NoDbConfig,
-    prep: &ScanPrep,
-) -> EngineResult<Option<VecDeque<Batch>>> {
-    let n = prep.req.attrs.len();
+fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<Option<VecDeque<Batch>>> {
     let total = prep.cached_rows as usize;
     let mut queue: VecDeque<Batch> = VecDeque::new();
     if total == 0 {
@@ -1425,41 +1381,14 @@ fn stream_cached(
         // to stream, and no column need be resident to say so.
         return Ok(Some(queue));
     }
-    if config.vectorized_exec {
-        let Some(cols) = cached_column_handles(&table.cache, &prep.req.attrs, total) else {
-            return Ok(None);
-        };
-        let mut lo = 0usize;
-        while lo < total {
-            // Cancellation granularity: one check per batch; a pure cache
-            // read mutates nothing, so stopping here needs no partial merge.
-            prep.ctx.check()?;
-            let hi = total.min(lo + BATCH_SIZE);
-            let batch = cached_segment_batch(&prep.req, &cols, lo, hi);
-            if !batch.is_empty() {
-                queue.push_back(batch);
-            }
-            lo = hi;
-        }
-    } else {
-        let mut batch = Batch::with_columns(n);
-        let mut values: Vec<Option<Datum>> = vec![None; n];
-        let mut pred_row: Vec<Datum> = Vec::with_capacity(n);
-        for row in 0..total {
-            if (row as u64).is_multiple_of(CHECK_STRIDE) {
-                prep.ctx.check()?;
-            }
-            for (i, v) in values.iter_mut().enumerate() {
-                *v = table.cache.peek(prep.req.attrs[i], row);
-                if v.is_none() {
-                    return Ok(None);
-                }
-            }
-            form_tuple_into(&prep.req, &mut values, &mut pred_row, &mut batch);
-            if batch.rows() >= BATCH_SIZE {
-                queue.push_back(std::mem::replace(&mut batch, Batch::with_columns(n)));
-            }
-        }
+    let Some(cols) = cached_column_handles(&table.cache, &prep.req.attrs, total) else {
+        return Ok(None);
+    };
+    for lo in (0..total).step_by(BATCH_SIZE) {
+        // Cancellation granularity: one check per batch; a pure cache
+        // read mutates nothing, so stopping here needs no partial merge.
+        prep.ctx.check()?;
+        let batch = segment_batch(&prep.req, &cols, lo, total.min(lo + BATCH_SIZE));
         if !batch.is_empty() {
             queue.push_back(batch);
         }
@@ -1472,7 +1401,7 @@ mod tests {
     use super::*;
     use crate::config::ParseErrorPolicy;
     use crate::table::RawTable;
-    use nodb_rawcsv::GeneratorConfig;
+    use nodb_rawcsv::{Datum, GeneratorConfig};
     use std::path::PathBuf;
 
     fn tmp_csv(cols: usize, rows: u64, seed: u64) -> (PathBuf, nodb_rawcsv::Schema) {
@@ -1491,23 +1420,36 @@ mod tests {
 
     /// One query through the staged path under an exclusive borrow — the
     /// held-guard entry point the facade's last retry attempt uses —
-    /// surfacing the scan error instead of unwrapping.
+    /// surfacing the scan error instead of unwrapping. Hands back the result
+    /// batches as the engine would receive them.
+    fn try_scan_batches(
+        table: &mut RawTable,
+        config: NoDbConfig,
+        req: ScanRequest,
+        ctx: QueryCtx,
+    ) -> (EngineResult<VecDeque<Batch>>, ScanTelemetry) {
+        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+        let prep = prepare_scan(table, &config, req, &tel, ctx);
+        let r = scan_held(table, &config, &prep, &tel);
+        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
+        (r, t)
+    }
+
+    fn rows_of(queue: &VecDeque<Batch>) -> Vec<Vec<Datum>> {
+        queue
+            .iter()
+            .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
+            .collect()
+    }
+
     fn try_scan_once(
         table: &mut RawTable,
         config: NoDbConfig,
         req: ScanRequest,
         ctx: QueryCtx,
     ) -> (EngineResult<Vec<Vec<Datum>>>, ScanTelemetry) {
-        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
-        let prep = prepare_scan(table, &config, req, &tel, ctx);
-        let r = scan_held(table, &config, &prep, &tel).map(|queue| {
-            queue
-                .iter()
-                .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
-                .collect()
-        });
-        let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
-        (r, t)
+        let (r, t) = try_scan_batches(table, config, req, ctx);
+        (r.map(|queue| rows_of(&queue)), t)
     }
 
     fn scan_once(
@@ -2531,6 +2473,152 @@ mod tests {
         let (rows, _) = scan_once(&mut t, cfg, ScanRequest::project(vec![1]));
         assert_eq!(rows.len(), 5000);
         assert_eq!(t.stats.attr(1).unwrap().rows_seen(), 5000);
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// Assert that `queue` is what the one former produces for `req`: typed
+    /// storage at materialized positions, `Column::Nulls` at predicate-only
+    /// ones, never a `Column::Datums`; column-less batches for a
+    /// zero-attribute request.
+    fn assert_typed(tag: &str, req: &ScanRequest, queue: &VecDeque<Batch>) {
+        for b in queue {
+            assert_eq!(b.ncols(), req.attrs.len(), "{tag}: arity");
+            for (i, &m) in req.materialize.iter().enumerate() {
+                match b.column(i) {
+                    Column::Typed(_) => assert!(m, "{tag}: position {i} was materialized"),
+                    Column::Nulls(_) => assert!(!m, "{tag}: position {i} was not materialized"),
+                    Column::Datums(_) => panic!("{tag}: position {i} left the scan as datums"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_and_warm_batches_leave_the_one_former_typed_and_equal() {
+        use nodb_engine::RExpr;
+        use nodb_sqlparse::ast::BinOp;
+        let (p, schema) = tmp_csv(4, 3000, 31);
+        let filtered = ScanRequest {
+            attrs: vec![0, 2],
+            predicate: Some(RExpr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(RExpr::Col(1)),
+                right: Box::new(RExpr::Const(Datum::Int(500_000_000))),
+            }),
+            materialize: vec![true, false],
+        };
+        let count_star = ScanRequest::project(Vec::new());
+        let mut expect: Option<Vec<Vec<Datum>>> = None;
+        for base in [
+            NoDbConfig::default(),
+            NoDbConfig::pm_only(),
+            NoDbConfig::baseline(),
+        ] {
+            for threads in [1usize, 4] {
+                let cfg = NoDbConfig {
+                    scan_threads: threads,
+                    ..base
+                };
+                let tag = format!(
+                    "cache {} stats {} threads {threads}",
+                    cfg.enable_cache, cfg.enable_stats
+                );
+                let mut t = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
+                let mut scan = |req: &ScanRequest| {
+                    let (r, tel) =
+                        try_scan_batches(&mut t, cfg, req.clone(), QueryCtx::unbounded());
+                    (r.unwrap(), tel)
+                };
+                let (cold, tel_cold) = scan(&filtered);
+                let (warm, tel_warm) = scan(&filtered);
+                assert!(!tel_cold.fully_cached, "{tag}");
+                assert_eq!(tel_warm.fully_cached, cfg.enable_cache, "{tag}");
+                assert_typed(&format!("{tag} cold"), &filtered, &cold);
+                assert_typed(&format!("{tag} warm"), &filtered, &warm);
+                let rows = rows_of(&cold);
+                assert!(!rows.is_empty() && rows.len() < 3000, "{tag}");
+                assert!(rows.iter().all(|r| r[1] == Datum::Null), "{tag}");
+                assert_eq!(rows, rows_of(&warm), "{tag}: cold ≡ warm, row for row");
+                assert_eq!(expect.get_or_insert(rows.clone()), &rows, "{tag}");
+
+                // `COUNT(*)`: zero attributes, cardinality only.
+                for pass in ["cold", "warm"] {
+                    let (q, _) = scan(&count_star);
+                    assert_typed(&format!("{tag} count {pass}"), &count_star, &q);
+                    assert_eq!(
+                        q.iter().map(Batch::rows).sum::<usize>(),
+                        3000,
+                        "{tag} {pass}"
+                    );
+                }
+            }
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    #[test]
+    fn tombstones_and_quote_escapes_survive_the_typed_former() {
+        use nodb_rawcsv::tokenizer::TokenizerConfig;
+        let mut p = std::env::temp_dir();
+        p.push(format!("nodb_rawscan_typed_quoted_{}", std::process::id()));
+        let mut content = String::new();
+        for i in 0..1500 {
+            let id = if i % 7 == 3 {
+                "oops".to_string()
+            } else {
+                i.to_string()
+            };
+            content.push_str(&format!("{id},\"name, {i}\",\"say \"\"hi\"\" {i}\"\n"));
+        }
+        std::fs::write(&p, content).unwrap();
+        let schema = nodb_rawcsv::Schema::new(vec![
+            nodb_rawcsv::ColumnDef::new("id", nodb_rawcsv::ColumnType::Int),
+            nodb_rawcsv::ColumnDef::new("name", nodb_rawcsv::ColumnType::Str),
+            nodb_rawcsv::ColumnDef::new("quip", nodb_rawcsv::ColumnType::Str),
+        ]);
+        let tok = TokenizerConfig {
+            delimiter: b',',
+            quote: Some(b'"'),
+        };
+        let req = ScanRequest::project(vec![0, 1, 2]);
+        for base in [NoDbConfig::default(), NoDbConfig::baseline()] {
+            for threads in [1usize, 4] {
+                let cfg = NoDbConfig {
+                    scan_threads: threads,
+                    parse_errors: ParseErrorPolicy::Permissive,
+                    ..base
+                };
+                let tag = format!("cache {} threads {threads}", cfg.enable_cache);
+                let mut t = RawTable::register_with_tokenizer(&p, schema.clone(), false, &cfg, tok)
+                    .unwrap();
+                for pass in ["cold", "warm"] {
+                    let (r, tel) =
+                        try_scan_batches(&mut t, cfg, req.clone(), QueryCtx::unbounded());
+                    let queue = r.unwrap();
+                    assert_typed(&format!("{tag} {pass}"), &req, &queue);
+                    let rows = rows_of(&queue);
+                    assert_eq!(rows.len(), 1500, "{tag} {pass}");
+                    for (i, row) in rows.iter().enumerate() {
+                        let id = if i % 7 == 3 {
+                            Datum::Null
+                        } else {
+                            Datum::Int(i as i64)
+                        };
+                        assert_eq!(row[0], id, "{tag} {pass} row {i}");
+                        assert_eq!(row[1], Datum::from(format!("name, {i}").as_str()));
+                        assert_eq!(row[2], Datum::from(format!("say \"hi\" {i}").as_str()));
+                    }
+                    // A cached rerun reads no raw bytes, so it has nothing
+                    // to quarantine: the tombstones come from the cache.
+                    let fresh = pass == "cold" || !cfg.enable_cache;
+                    assert_eq!(
+                        tel.rows_quarantined,
+                        if fresh { 214 } else { 0 },
+                        "{tag} {pass}"
+                    );
+                }
+            }
+        }
         std::fs::remove_file(p).unwrap();
     }
 }

@@ -3,9 +3,13 @@
 //! One worker owns one [`LineRange`] of the file and everything it needs to
 //! process it without synchronization: its own [`RangeScanner`] (reading
 //! synchronously on this thread), a reusable [`Tokens`] buffer, a partial
-//! positional-map [`ChunkBuilder`], partial cache columns ([`TypedColumn`]
-//! per requested attribute) and per-phase timing (sampled — see
-//! [`crate::metrics::TIMING_STRIDE`]). All shared state is
+//! positional-map [`ChunkBuilder`], typed partial columns ([`TypedColumn`]
+//! per requested attribute, one value per row) and per-phase timing
+//! (sampled — see [`crate::metrics::TIMING_STRIDE`]). The partials are both
+//! what the cache and the statistics take at install and what the result
+//! batches are formed from: every `BATCH_SIZE` rows the worker hands the
+//! newest partial rows to `rawscan::segment_batch`, the same former that
+//! serves cache-covered slices and fully-cached streams. All shared state is
 //! borrowed immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
@@ -32,7 +36,7 @@ use nodb_rawcsv::{parser, ColumnType, Datum, IoCounters, RawCsvError, Schema};
 use crate::config::{NoDbConfig, ParseErrorPolicy};
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
 use crate::metrics::{Breakdown, PhaseClock};
-use crate::rawscan::QuarantineSample;
+use crate::rawscan::{cached_column_handles, segment_batch, QuarantineSample};
 
 /// Test hook: make every `run_partition` call over this raw file panic, to
 /// exercise the worker-boundary `catch_unwind` containment without a
@@ -81,9 +85,6 @@ pub(crate) struct ScanContext<'a> {
     pub cache: Option<&'a RawCache>,
     /// Cache coverage per requested position at query start.
     pub cache_cov: &'a [usize],
-    /// Buffer one value per row per requested attribute (needed whenever the
-    /// cache or statistics will be merged after the scan).
-    pub collect_side: bool,
     /// Collect per-row positional-map offsets into a partial chunk builder.
     pub build_chunk: bool,
     /// Record line-start offsets for the shared row index.
@@ -119,17 +120,20 @@ pub(crate) struct Partition {
 }
 
 /// Everything a worker hands back for the deterministic merge.
+#[derive(Default)]
 pub(crate) struct PartitionOutput {
     /// Data rows scanned in this partition.
     pub rows: usize,
     /// Line-start byte offsets, one per row (empty unless requested).
     pub line_starts: Vec<u64>,
-    /// Per requested attribute: every row's value, in partition row order
-    /// (empty unless `collect_side`).
+    /// Per requested attribute: every row's value, in partition row order,
+    /// for the cache and the statistics to take at install (empty columns
+    /// when both are off — see [`run_partition`]).
     pub side_cols: Vec<TypedColumn>,
     /// Partial positional-map chunk over this partition's rows.
     pub builder: Option<ChunkBuilder>,
-    /// Predicate-filtered output batches, in row order.
+    /// Predicate-filtered output batches, in row order, each formed by
+    /// `rawscan::segment_batch` over at most `BATCH_SIZE` scanned rows.
     pub batches: Vec<Batch>,
     /// Cache reads served / refused via `RawCache::peek` (workers cannot
     /// take `&mut` to count on the shared metrics; the driver folds these
@@ -169,13 +173,13 @@ pub(crate) fn run_partition(
     // to offer — serve the partition straight from the cache, zero I/O.
     // Skipped when the scan collects row offsets or a map chunk (those need
     // the raw line bytes), so the partition-local partials stay identical
-    // to what the streaming loop would have produced.
+    // to what the streaming loop would have produced. A column that is not
+    // resident with that coverage sends the slice to the raw bytes below.
     if let (Some(base), Some(rows), Some(cache)) = (part.row_base, part.rows, ctx.cache) {
-        if !ctx.collect_offsets
-            && !ctx.build_chunk
-            && cache.covers_range(&ctx.req.attrs, base, base + rows)
-        {
-            return run_cached_partition(ctx, base, rows, cache, &clock);
+        if !ctx.collect_offsets && !ctx.build_chunk {
+            if let Some(cols) = cached_column_handles(cache, &ctx.req.attrs, base + rows) {
+                return Ok(run_cached_partition(ctx, base, rows, &cols, &clock));
+            }
         }
     }
 
@@ -200,27 +204,11 @@ pub(crate) fn run_partition(
     clock.lap(t, &mut d_io);
 
     let mut out = PartitionOutput {
-        rows: 0,
-        line_starts: Vec::new(),
-        side_cols: if ctx.collect_side {
-            ctx.req
-                .attrs
-                .iter()
-                .map(|&a| TypedColumn::new(ctx.schema.ty(a)))
-                .collect()
-        } else {
-            Vec::new()
-        },
+        side_cols: fresh_partials(ctx),
         builder: ctx
             .build_chunk
             .then(|| ChunkBuilder::new(ctx.req.attrs.clone())),
-        batches: Vec::new(),
-        cache_hits: 0,
-        cache_misses: 0,
-        breakdown: Breakdown::default(),
-        io: IoCounters::default(),
-        quarantined: 0,
-        quarantine_samples: Vec::new(),
+        ..Default::default()
     };
 
     // Per-row reusable buffers (workhorse pattern: zero allocation per row
@@ -229,9 +217,24 @@ pub(crate) fn run_partition(
     let mut values: Vec<Option<Datum>> = vec![None; n];
     let mut spans: Vec<Option<(u32, u32)>> = vec![None; n];
     let mut offsets_buf: Vec<(usize, u32)> = Vec::with_capacity(n);
-    let mut pred_row: Vec<Datum> = Vec::with_capacity(n);
     let mut line_buf: Vec<u8> = Vec::new();
-    let mut batch = Batch::with_columns(n);
+    // Every resolved value goes into the typed partials, and every
+    // `BATCH_SIZE` rows the batch former runs over the newest of them. When
+    // the cache or the statistics take the partials at install they grow
+    // with the slice; otherwise they are per-batch scratch, emptied once
+    // the batch is formed, and hold only the slice's rows since `lo`.
+    let keep_partials = ctx.config.enable_cache || ctx.config.enable_stats;
+    let form_batch = |out: &mut PartitionOutput, lo: usize, hi: usize| {
+        let dropped = if keep_partials { 0 } else { lo };
+        let cols: Vec<&TypedColumn> = out.side_cols.iter().collect();
+        let batch = segment_batch(ctx.req, &cols, lo - dropped, hi - dropped);
+        if !batch.is_empty() {
+            out.batches.push(batch);
+        }
+        if !keep_partials {
+            out.side_cols = fresh_partials(ctx);
+        }
+    };
 
     // Will any row of this partition read the cache or jump via the map?
     let cache_reads = match (ctx.cache, part.row_base) {
@@ -352,13 +355,8 @@ pub(crate) fn run_partition(
         // Side effects into partition-local partials.
         {
             let t = row_clock.start();
-            if ctx.collect_side {
-                for (col, v) in out.side_cols.iter_mut().zip(&values) {
-                    match v {
-                        Some(d) => col.push(d),
-                        None => col.push(&Datum::Null),
-                    }
-                }
+            for (col, v) in out.side_cols.iter_mut().zip(&mut values) {
+                col.push_owned(v.take().unwrap_or(Datum::Null));
             }
             if let Some(b) = &mut out.builder {
                 offsets_buf.clear();
@@ -372,18 +370,14 @@ pub(crate) fn run_partition(
             row_clock.lap(t, &mut d_nodb);
         }
 
-        // Selective tuple formation (the exact code the cached streamer
-        // runs).
-        crate::rawscan::form_tuple_into(ctx.req, &mut values, &mut pred_row, &mut batch);
-        if batch.rows() >= BATCH_SIZE {
-            out.batches
-                .push(std::mem::replace(&mut batch, Batch::with_columns(n)));
-        }
         local += 1;
+        if local.is_multiple_of(BATCH_SIZE) {
+            form_batch(&mut out, local - BATCH_SIZE, local);
+        }
     }
 
-    if !batch.is_empty() {
-        out.batches.push(batch);
+    if !local.is_multiple_of(BATCH_SIZE) {
+        form_batch(&mut out, local - local % BATCH_SIZE, local);
     }
     out.rows = local;
     out.io = scanner.take_counters();
@@ -399,104 +393,44 @@ pub(crate) fn run_partition(
     Ok(out)
 }
 
-/// Serve one fully-cached partition without touching the raw file: every
-/// value comes from the cache columns, side columns replay the same values
-/// (so a later merge under shrunk coverage re-admits real data, never
-/// placeholders), and tuple formation is the shared `form_tuple_into` —
-/// or, with `vectorized_exec`, the typed-segment path
-/// (`rawscan::cached_segment_batch`): columnar predicate, selection vector,
-/// side columns exported as whole typed segments. The output rows are
-/// exactly what the streaming loop would have produced — minus the I/O.
+/// One empty typed partial column per requested attribute.
+fn fresh_partials(ctx: &ScanContext<'_>) -> Vec<TypedColumn> {
+    ctx.req
+        .attrs
+        .iter()
+        .map(|&a| TypedColumn::new(ctx.schema.ty(a)))
+        .collect()
+}
+
+/// Serve one fully-cached partition without touching the raw file: the
+/// batch former runs over the cache columns `cols` themselves, and the
+/// partials are the same rows exported as whole typed segments (so a later
+/// merge under shrunk coverage re-admits real data, never placeholders).
+/// The output rows are exactly what the streaming loop would have produced
+/// — minus the I/O.
 fn run_cached_partition(
     ctx: &ScanContext<'_>,
     base: usize,
     rows: usize,
-    cache: &RawCache,
+    cols: &[&TypedColumn],
     clock: &PhaseClock,
-) -> EngineResult<PartitionOutput> {
-    let n = ctx.req.attrs.len();
-    let mut d_nodb = Duration::ZERO;
-    let cols: Vec<&TypedColumn> = ctx
-        .req
-        .attrs
-        .iter()
-        .map(|&a| cache.column(a).expect("covers_range probed"))
-        .collect();
+) -> PartitionOutput {
     let mut out = PartitionOutput {
         rows,
-        line_starts: Vec::new(),
-        side_cols: Vec::new(),
-        builder: None,
-        batches: Vec::new(),
-        cache_hits: 0,
-        cache_misses: 0,
-        breakdown: Breakdown::default(),
-        io: IoCounters::default(),
-        quarantined: 0,
-        quarantine_samples: Vec::new(),
+        cache_hits: (rows * cols.len()) as u64,
+        ..Default::default()
     };
-    if ctx.config.vectorized_exec {
-        if ctx.collect_side {
-            let t = clock.start();
-            out.side_cols = cols
-                .iter()
-                .map(|c| c.export_range(base, base + rows))
-                .collect();
-            clock.lap(t, &mut d_nodb);
-        }
-        let mut lo = base;
-        while lo < base + rows {
-            let hi = (base + rows).min(lo + BATCH_SIZE);
-            let batch = crate::rawscan::cached_segment_batch(ctx.req, &cols, lo, hi);
-            if !batch.is_empty() {
-                out.batches.push(batch);
-            }
-            lo = hi;
-        }
-        out.cache_hits = (rows * n) as u64;
-        out.breakdown.nodb = d_nodb;
-        return Ok(out);
-    }
-    if ctx.collect_side {
-        out.side_cols = ctx
-            .req
-            .attrs
-            .iter()
-            .map(|&a| TypedColumn::new(ctx.schema.ty(a)))
-            .collect();
-    }
-    let mut values: Vec<Option<Datum>> = vec![None; n];
-    let mut pred_row: Vec<Datum> = Vec::with_capacity(n);
-    let mut batch = Batch::with_columns(n);
-    for row in base..base + rows {
-        for (v, col) in values.iter_mut().zip(&cols) {
-            *v = col.datum(row);
-            debug_assert!(v.is_some(), "covered row {row} missing from cache");
-            out.cache_hits += 1;
-        }
-        {
-            let t = clock.start();
-            if ctx.collect_side {
-                for (col, v) in out.side_cols.iter_mut().zip(&values) {
-                    match v {
-                        Some(d) => col.push(d),
-                        None => col.push(&Datum::Null),
-                    }
-                }
-            }
-            clock.lap(t, &mut d_nodb);
-        }
-        crate::rawscan::form_tuple_into(ctx.req, &mut values, &mut pred_row, &mut batch);
-        if batch.rows() >= BATCH_SIZE {
-            out.batches
-                .push(std::mem::replace(&mut batch, Batch::with_columns(n)));
+    let t = clock.start();
+    let end = base + rows;
+    out.side_cols = cols.iter().map(|c| c.export_range(base, end)).collect();
+    clock.lap(t, &mut out.breakdown.nodb);
+    for lo in (base..end).step_by(BATCH_SIZE) {
+        let batch = segment_batch(ctx.req, cols, lo, end.min(lo + BATCH_SIZE));
+        if !batch.is_empty() {
+            out.batches.push(batch);
         }
     }
-    if !batch.is_empty() {
-        out.batches.push(batch);
-    }
-    out.breakdown.nodb = d_nodb;
-    Ok(out)
+    out
 }
 
 /// Resolve every requested position of one row — the scan operator's only

@@ -7,17 +7,19 @@
 //!
 //! * [`Column::Typed`] — cache-format typed storage
 //!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). This is
-//!   how the warm path hands cache segments to the engine *without per-cell
-//!   `Datum` boxing*: the scan exports a segment of the raw cache
+//!   how every batch leaves the raw-file scan *without per-cell `Datum`
+//!   boxing*, whatever fed it: the scan exports a segment of the raw cache
+//!   or of a cold slice's freshly parsed partial columns
 //!   (`TypedColumn::export_range` / `gather`) and moves it straight into the
 //!   batch. Vectorized predicate and aggregate kernels read the value
 //!   vectors directly.
 //! * [`Column::Datums`] — one boxed [`Datum`] per row. This is the
 //!   **fallback** representation; it engages whenever values are produced
-//!   cell by cell (the raw-file tokenize/parse path, `MemSource`, loaded
-//!   stores pushing through [`Batch::push_value`]) or whenever batches of
-//!   mixed storage classes are concatenated. Every operator accepts it; the
-//!   kernels simply fall back to row-at-a-time evaluation over it.
+//!   cell by cell (`MemSource`, loaded stores pushing through
+//!   [`Batch::push_value`] — the raw-file scan no longer does) or whenever
+//!   batches of mixed storage classes are concatenated. Every operator
+//!   accepts it; the kernels simply fall back to row-at-a-time evaluation
+//!   over it.
 //! * [`Column::Nulls`] — an all-NULL column of known length, used for
 //!   predicate-only scan positions (`ScanRequest::materialize[i] == false`):
 //!   the predicate ran against the real values, so the output batch never
@@ -83,7 +85,7 @@ impl Column {
     pub fn push(&mut self, d: Datum) {
         match self {
             Column::Datums(v) => v.push(d),
-            Column::Typed(c) => c.push(&d),
+            Column::Typed(c) => c.push_owned(d),
             Column::Nulls(n) => {
                 if d.is_null() {
                     *n += 1;
@@ -383,9 +385,9 @@ impl RowAccess for BatchRow<'_> {
     }
 }
 
-/// A row backed by a plain slice (used by scan sources before a batch is
-/// formed — this is how *selective tuple formation* evaluates the predicate
-/// without building the tuple).
+/// A row backed by a plain slice: a source that resolves one row of values
+/// at a time evaluates its pushed predicate through this before it appends
+/// the row to a batch.
 pub struct SliceRow<'a>(pub &'a [Datum]);
 
 impl RowAccess for SliceRow<'_> {

@@ -27,27 +27,17 @@ use crate::source::ScanSource;
 const MAX_RESERVE_ROWS: usize = 1 << 20;
 
 /// Execute a planned query against a scan source, materializing the result.
-/// Vectorized (columnar) operator kernels are on; see [`execute_with`].
+/// Operators read typed batch storage through columnar kernels where the
+/// expression shape allows and evaluate row-at-a-time otherwise
+/// ([`Column::Datums`] batches, computed projections and group keys).
 pub fn execute(
     planned: &PlannedQuery,
-    source: Box<dyn ScanSource + '_>,
-) -> EngineResult<QueryResult> {
-    execute_with(planned, source, true)
-}
-
-/// Execute with an explicit vectorization switch. `vectorized = false`
-/// forces row-at-a-time operator evaluation everywhere — the ablation arm of
-/// the warm-path benchmarks; results are identical either way
-/// (property-tested in `tests/property_based.rs`).
-pub fn execute_with(
-    planned: &PlannedQuery,
     mut source: Box<dyn ScanSource + '_>,
-    vectorized: bool,
 ) -> EngineResult<QueryResult> {
     let pipeline = &planned.pipeline;
     let mut rows: Vec<Vec<Datum>> = match &pipeline.aggregate {
-        Some(agg) => run_aggregate(agg, source.as_mut(), vectorized)?,
-        None => run_projection(pipeline, source.as_mut(), vectorized)?,
+        Some(agg) => run_aggregate(agg, source.as_mut())?,
+        None => run_projection(pipeline, source.as_mut())?,
     };
 
     if !pipeline.order_by.is_empty() {
@@ -71,36 +61,19 @@ pub fn execute_with(
 fn run_projection(
     pipeline: &Pipeline,
     source: &mut dyn ScanSource,
-    vectorized: bool,
 ) -> EngineResult<Vec<Vec<Datum>>> {
     // Pre-size from the source's known row count (cache coverage or posmap
     // line count) instead of growth-doubling through reallocations.
     let mut rows = Vec::with_capacity(source.size_hint().unwrap_or(0).min(MAX_RESERVE_ROWS));
-    // All-column projections read batch storage directly (selection-aware,
-    // no expression dispatch); anything else evaluates row-at-a-time.
-    let simple = if vectorized {
-        pipeline.simple_projection.as_deref()
-    } else {
-        None
-    };
     while let Some(batch) = source.next_batch()? {
-        match simple {
-            Some(cols) => {
-                for r in 0..batch.rows() {
-                    rows.push(cols.iter().map(|&c| batch.value(r, c)).collect());
-                }
-            }
-            None => {
-                for r in 0..batch.rows() {
-                    let row_ref = BatchRow::new(&batch, r);
-                    let row: Vec<Datum> = pipeline
-                        .projections
-                        .iter()
-                        .map(|p| p.eval(&row_ref))
-                        .collect();
-                    rows.push(row);
-                }
-            }
+        for r in 0..batch.rows() {
+            let row_ref = BatchRow::new(&batch, r);
+            let row: Vec<Datum> = pipeline
+                .projections
+                .iter()
+                .map(|p| p.eval(&row_ref))
+                .collect();
+            rows.push(row);
         }
     }
     Ok(rows)
@@ -540,11 +513,7 @@ impl AggState {
     }
 }
 
-fn run_aggregate(
-    spec: &AggSpec,
-    source: &mut dyn ScanSource,
-    vectorized: bool,
-) -> EngineResult<Vec<Vec<Datum>>> {
+fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
     // Insertion-ordered hash groups: map key → dense index, states in a Vec,
     // the map pre-sized from the source's row hint (groups never exceed
     // rows; the cap keeps a selective hint from reserving absurdly).
@@ -558,25 +527,12 @@ fn run_aggregate(
         states.push(spec.aggs.iter().map(AggState::new).collect());
     }
 
-    // Columnar-eligible pieces: group keys that are bare columns read batch
-    // storage directly; DISTINCT always needs per-row values.
-    let group_cols: Option<Vec<usize>> = if vectorized {
-        spec.group_exprs
-            .iter()
-            .map(|g| match g {
-                RExpr::Col(c) => Some(*c),
-                _ => None,
-            })
-            .collect()
-    } else {
-        None
-    };
     // Reused per-row key buffer: cleared each row, moved into the map only
     // when a new group appears (no per-hit clone, no per-row allocation).
     let mut key_buf: Vec<Datum> = Vec::with_capacity(spec.group_exprs.len());
 
     while let Some(batch) = source.next_batch()? {
-        if global && vectorized {
+        if global {
             // Whole-batch kernels: COUNT(*) counts logical rows, bare-column
             // arguments fold the column (honoring the selection vector),
             // expression arguments evaluate row-at-a-time.
@@ -599,44 +555,25 @@ fn run_aggregate(
         }
         for r in 0..batch.rows() {
             let row = BatchRow::new(&batch, r);
-            let gi = if global {
-                0
-            } else {
-                key_buf.clear();
-                match &group_cols {
-                    Some(cols) => {
-                        for &c in cols {
-                            key_buf.push(batch.value(r, c));
-                        }
-                    }
-                    None => {
-                        for g in &spec.group_exprs {
-                            key_buf.push(g.eval(&row));
-                        }
-                    }
+            key_buf.clear();
+            key_buf.extend(spec.group_exprs.iter().map(|g| g.eval(&row)));
+            let probe = Key(std::mem::take(&mut key_buf));
+            let gi = match index.get(&probe) {
+                Some(&gi) => {
+                    key_buf = probe.0; // hand the buffer back, no clone
+                    gi
                 }
-                let probe = Key(std::mem::take(&mut key_buf));
-                match index.get(&probe) {
-                    Some(&gi) => {
-                        key_buf = probe.0; // hand the buffer back, no clone
-                        gi
-                    }
-                    None => {
-                        let gi = keys.len();
-                        keys.push(probe.0.clone());
-                        index.insert(probe, gi);
-                        states.push(spec.aggs.iter().map(AggState::new).collect());
-                        key_buf = Vec::with_capacity(spec.group_exprs.len());
-                        gi
-                    }
+                None => {
+                    let gi = keys.len();
+                    keys.push(probe.0.clone());
+                    index.insert(probe, gi);
+                    states.push(spec.aggs.iter().map(AggState::new).collect());
+                    key_buf = Vec::with_capacity(spec.group_exprs.len());
+                    gi
                 }
             };
             for (a, call) in spec.aggs.iter().enumerate() {
-                let value = match &call.arg {
-                    Some(RExpr::Col(c)) if vectorized => Some(batch.value(r, *c)),
-                    Some(e) => Some(e.eval(&row)),
-                    None => None,
-                };
+                let value = call.arg.as_ref().map(|e| e.eval(&row));
                 states[gi][a].update(value.as_ref())?;
             }
         }

@@ -31,7 +31,7 @@ pub mod source;
 
 pub use batch::{Batch, ColView, Column, RowAccess};
 pub use error::{EngineError, EngineResult};
-pub use exec::{execute, execute_with};
+pub use exec::execute;
 pub use expr::RExpr;
 pub use planner::{plan_select, PlannedQuery};
 pub use result::QueryResult;

@@ -64,12 +64,6 @@ pub struct Pipeline {
     /// Number of trailing projection columns that exist only as sort keys
     /// (`ORDER BY` on unselected columns); dropped after sorting.
     pub hidden_sort_columns: usize,
-    /// When every projection (including hidden sort columns) is a bare
-    /// column reference, the scan positions they read, in output order —
-    /// the executor then copies batch storage directly instead of
-    /// dispatching through expression evaluation (late materialization of
-    /// typed batches). `None` whenever any projection computes.
-    pub simple_projection: Option<Vec<usize>>,
 }
 
 /// A fully planned single-table query.
@@ -269,19 +263,6 @@ pub fn plan_select(
         }
     }
 
-    // 8. All-column projections qualify for the executor's direct-copy path.
-    let simple_projection: Option<Vec<usize>> = if aggregate.is_none() {
-        pipeline_projections
-            .iter()
-            .map(|p| match p {
-                RExpr::Col(c) => Some(*c),
-                _ => None,
-            })
-            .collect()
-    } else {
-        None
-    };
-
     Ok(PlannedQuery {
         scan: ScanRequest {
             attrs,
@@ -295,7 +276,6 @@ pub fn plan_select(
             order_by,
             limit: stmt.limit,
             hidden_sort_columns,
-            simple_projection,
         },
         estimated_selectivity,
     })

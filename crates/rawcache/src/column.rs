@@ -221,41 +221,38 @@ impl TypedColumn {
     /// recorded as NULL (cannot happen when fed from a typed parse path, but
     /// keeps the API total).
     pub fn push(&mut self, d: &Datum) {
+        self.push_owned(d.clone());
+    }
+
+    /// [`Self::push`] by value: a string moves into the column instead of
+    /// being copied.
+    pub fn push_owned(&mut self, d: Datum) {
         match self {
-            TypedColumn::Int { values, nulls } => match d {
-                Datum::Int(v) => {
-                    values.push(*v);
-                    nulls.push(false);
-                }
-                _ => {
-                    values.push(0);
-                    nulls.push(true);
-                }
-            },
-            TypedColumn::Float { values, nulls } => match d {
-                Datum::Float(v) => {
-                    values.push(*v);
-                    nulls.push(false);
-                }
-                Datum::Int(v) => {
-                    values.push(*v as f64);
-                    nulls.push(false);
-                }
-                _ => {
-                    values.push(0.0);
-                    nulls.push(true);
-                }
-            },
-            TypedColumn::Bool { values, nulls } => match d {
-                Datum::Bool(v) => {
-                    values.push(*v);
-                    nulls.push(false);
-                }
-                _ => {
-                    values.push(false);
-                    nulls.push(true);
-                }
-            },
+            TypedColumn::Int { values, nulls } => {
+                let v = match d {
+                    Datum::Int(v) => Some(v),
+                    _ => None,
+                };
+                values.push(v.unwrap_or(0));
+                nulls.push(v.is_none());
+            }
+            TypedColumn::Float { values, nulls } => {
+                let v = match d {
+                    Datum::Float(v) => Some(v),
+                    Datum::Int(v) => Some(v as f64),
+                    _ => None,
+                };
+                values.push(v.unwrap_or(0.0));
+                nulls.push(v.is_none());
+            }
+            TypedColumn::Bool { values, nulls } => {
+                let v = match d {
+                    Datum::Bool(v) => Some(v),
+                    _ => None,
+                };
+                values.push(v.unwrap_or(false));
+                nulls.push(v.is_none());
+            }
             TypedColumn::Str {
                 values,
                 str_bytes,
@@ -263,7 +260,7 @@ impl TypedColumn {
             } => match d {
                 Datum::Str(s) => {
                     *str_bytes += s.len();
-                    values.push(s.clone());
+                    values.push(s);
                     nulls.push(false);
                 }
                 _ => {

@@ -559,29 +559,32 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
     }
 }
 
-/// The vectorized warm-path invariant (ISSUE 5): query results must be
-/// byte-identical with `vectorized_exec` on and off, for random schemas,
+/// The one-former invariant (ISSUE 19): every batch that leaves the scan is
+/// typed and formed by one function, whatever fed it — raw bytes (cold), the
+/// cache (warm), or a mix under a tight budget. For random schemas,
 /// predicates (comparisons, BETWEEN, IN, LIKE, AND/OR trees) and aggregates
 /// (COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG, grouped and global), across
-/// `scan_threads` {1, 4} × cold/warm. The warm (second) run exercises the
-/// typed cache-segment export + columnar kernels; the cold run exercises the
-/// engine kernels over datum batches.
+/// `scan_threads` {1, 4}, the cold and the warm answer must both equal a
+/// loaded column store's (`ConventionalDb`: the same engine reading
+/// `Column::Datums` batches row-at-a-time, never the raw file), and after
+/// every query the table must hold exactly the naive model's state.
 #[test]
-fn vectorized_execution_equals_rowwise() {
+fn typed_scan_equals_loaded_dbms() {
+    use nodb_repro::storage::{ConventionalDb, DbProfile};
     let mut rng = CaseRng::new(0x7EC7);
     for case in 0..(10 * stress_factor()) {
         let cols = 2 + rng.below(5) as usize;
         let rows = rng.below(500);
         let seed = rng.below(1_000);
         let strings = rng.below(4) == 0; // every 4th case: string data + LIKE
-        let a1 = rng.below(cols as u64);
-        let a2 = rng.below(cols as u64);
-        let pred = rng.below(cols as u64);
+        let a1 = rng.below(cols as u64) as usize;
+        let a2 = rng.below(cols as u64) as usize;
+        let pred = rng.below(cols as u64) as usize;
         let cut = rng.below(1_000_000_000) as i64;
         let lo = rng.below(500_000_000) as i64;
         let hi = lo + rng.below(500_000_000) as i64;
         // Tight budgets on some cases so partial coverage (mixed
-        // cache/raw rescans) flows through the kernels too.
+        // cache/raw rescans) flows through the former too.
         let budget = *rng.pick(&[1_000usize, 1 << 22, 1 << 30]);
 
         let gen = if strings {
@@ -589,99 +592,102 @@ fn vectorized_execution_equals_rowwise() {
         } else {
             GeneratorConfig::uniform_ints(cols, rows, seed)
         };
-        let path = scratch("vect", case);
+        let path = scratch("typed", case);
         gen.generate_file(&path).unwrap();
-        let queries: Vec<String> = if strings {
+        // Each query with the attributes its scan reads (ascending).
+        let sorted = |mut attrs: Vec<usize>| {
+            attrs.sort_unstable();
+            attrs.dedup();
+            attrs
+        };
+        let queries: Vec<(String, Vec<usize>)> = if strings {
             vec![
-                format!("SELECT c{a1} FROM t WHERE c{pred} LIKE 'a%'"),
-                format!("SELECT c{a1}, COUNT(*) FROM t GROUP BY c{a1} ORDER BY c{a1} LIMIT 20"),
-                format!("SELECT COUNT(DISTINCT c{a2}) FROM t WHERE c{pred} NOT LIKE '%z%'"),
-                format!("SELECT MIN(c{a1}), MAX(c{a2}) FROM t WHERE c{pred} >= 'c'"),
+                (
+                    format!("SELECT c{a1} FROM t WHERE c{pred} LIKE 'a%'"),
+                    sorted(vec![a1, pred]),
+                ),
+                (
+                    format!("SELECT c{a1}, COUNT(*) FROM t GROUP BY c{a1} ORDER BY c{a1} LIMIT 20"),
+                    vec![a1],
+                ),
+                (
+                    format!("SELECT COUNT(DISTINCT c{a2}) FROM t WHERE c{pred} NOT LIKE '%z%'"),
+                    sorted(vec![a2, pred]),
+                ),
+                (
+                    format!("SELECT MIN(c{a1}), MAX(c{a2}) FROM t WHERE c{pred} >= 'c'"),
+                    sorted(vec![a1, a2, pred]),
+                ),
             ]
         } else {
             vec![
-                format!("SELECT c{a1}, c{a2} FROM t WHERE c{pred} < {cut}"),
-                format!("SELECT c{a1} FROM t WHERE c{pred} BETWEEN {lo} AND {hi}"),
-                format!(
-                    "SELECT c{a1} FROM t WHERE c{pred} < {lo} OR c{pred} > {hi} ORDER BY c{a1}"
+                (
+                    format!("SELECT c{a1}, c{a2} FROM t WHERE c{pred} < {cut}"),
+                    sorted(vec![a1, a2, pred]),
                 ),
-                format!(
-                    "SELECT COUNT(*), SUM(c{a1}), MIN(c{a2}), MAX(c{a2}), AVG(c{a1}) FROM t \
-                     WHERE c{pred} < {cut} AND c{a2} NOT IN (1, 2, {cut})"
+                (
+                    format!("SELECT c{a1} FROM t WHERE c{pred} BETWEEN {lo} AND {hi}"),
+                    sorted(vec![a1, pred]),
                 ),
-                format!(
-                    "SELECT c{a1} % 7, COUNT(*), SUM(c{a2}) FROM t GROUP BY c{a1} % 7 \
-                     ORDER BY c{a1} % 7"
+                (
+                    format!(
+                        "SELECT c{a1} FROM t WHERE c{pred} < {lo} OR c{pred} > {hi} ORDER BY c{a1}"
+                    ),
+                    sorted(vec![a1, pred]),
                 ),
-                format!("SELECT COUNT(DISTINCT c{a1}) FROM t WHERE c{pred} * 2 > {cut}"),
+                (
+                    format!(
+                        "SELECT COUNT(*), SUM(c{a1}), MIN(c{a2}), MAX(c{a2}), AVG(c{a1}) FROM t \
+                         WHERE c{pred} < {cut} AND c{a2} NOT IN (1, 2, {cut})"
+                    ),
+                    sorted(vec![a1, a2, pred]),
+                ),
+                (
+                    format!(
+                        "SELECT c{a1} % 7, COUNT(*), SUM(c{a2}) FROM t GROUP BY c{a1} % 7 \
+                         ORDER BY c{a1} % 7"
+                    ),
+                    sorted(vec![a1, a2]),
+                ),
+                (
+                    format!("SELECT COUNT(DISTINCT c{a1}) FROM t WHERE c{pred} * 2 > {cut}"),
+                    sorted(vec![a1, pred]),
+                ),
             ]
         };
 
-        let mk = |scan_threads: usize, vectorized: bool| {
+        let store = scratch("typed_store", case);
+        std::fs::create_dir_all(&store).unwrap();
+        let mut loaded = ConventionalDb::new(DbProfile::DbmsXLike, &store);
+        loaded
+            .load_csv("t", &path, gen.schema(), false, &[])
+            .unwrap();
+
+        for threads in [1usize, 4] {
             let cfg = NoDbConfig {
-                scan_threads,
-                vectorized_exec: vectorized,
+                scan_threads: threads,
                 cache_budget_bytes: budget,
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
             db.register_csv_with_schema("t", &path, gen.schema(), false)
                 .unwrap();
-            db
-        };
-
-        for threads in [1usize, 4] {
-            let on = mk(threads, true);
-            let off = mk(threads, false);
-            for (qi, sql) in queries.iter().enumerate() {
-                let cold_on = on.query(sql).unwrap();
-                let cold_off = off.query(sql).unwrap();
-                assert_eq!(
-                    cold_on, cold_off,
-                    "case {case} threads {threads} query {qi} cold: {sql}"
-                );
-                let warm_on = on.query(sql).unwrap();
-                let warm_off = off.query(sql).unwrap();
-                assert_eq!(
-                    warm_on, warm_off,
-                    "case {case} threads {threads} query {qi} warm: {sql}"
-                );
-                assert_eq!(
-                    warm_on, cold_on,
-                    "case {case} threads {threads} query {qi} warm≡cold: {sql}"
-                );
-            }
-            // The adaptive state the two ablation arms leave behind must
-            // also be identical — the vectorized side-column export replays
-            // exactly what row-wise pushes would have.
-            let (h_on, h_off) = (
-                on.table_handle("t").unwrap(),
-                off.table_handle("t").unwrap(),
-            );
-            let (t_on, t_off) = (h_on.read(), h_off.read());
-            for attr in 0..cols {
-                assert_eq!(
-                    t_on.cache().coverage(attr),
-                    t_off.cache().coverage(attr),
-                    "case {case} threads {threads}: cache coverage c{attr}"
-                );
-                for row in 0..t_on.cache().coverage(attr) {
-                    assert_eq!(
-                        t_on.cache().peek(attr, row),
-                        t_off.cache().peek(attr, row),
-                        "case {case} threads {threads}: cache content c{attr} row {row}"
-                    );
-                }
-                match (t_on.stats().attr(attr), t_off.stats().attr(attr)) {
-                    (None, None) => {}
-                    (Some(a), Some(b)) => {
-                        assert_eq!(a.rows_seen(), b.rows_seen(), "case {case}: stats c{attr}");
-                        assert_eq!(a.sample(), b.sample(), "case {case}: reservoir c{attr}");
-                    }
-                    other => panic!("case {case}: stats presence differs c{attr}: {other:?}"),
-                }
+            let mut model = common::NaiveModel::load(&path, &gen.schema(), &cfg);
+            for (qi, (sql, attrs)) in queries.iter().enumerate() {
+                let tag = format!("case {case} threads {threads} query {qi} ({sql})");
+                let expect = loaded.query(sql).unwrap();
+                let cold = db.query(sql).unwrap();
+                model.query(attrs);
+                common::assert_matches_model(&format!("{tag} cold"), &db, &model);
+                let warm = db.query(sql).unwrap();
+                model.query(attrs);
+                common::assert_matches_model(&format!("{tag} warm"), &db, &model);
+                assert_eq!(cold, expect, "{tag}: cold ≡ loaded DBMS");
+                assert_eq!(warm, expect, "{tag}: warm ≡ loaded DBMS");
+                assert_eq!(warm, cold, "{tag}: warm ≡ cold");
             }
         }
+        std::fs::remove_dir_all(store).ok();
         std::fs::remove_file(path).ok();
     }
 }
