@@ -1,26 +1,16 @@
-//! Cold-scan cache-reuse benchmark — the two-phase pre-count's acceptance
-//! measurement (ISSUE 3).
+//! Cold-scan and snapshot-restart benchmark.
 //!
-//! Configuration is cache-only (positional map off), so there is never a
-//! row index and *every* rescan runs the cold byte-partitioned path. A
-//! tight cache budget makes the first query cache roughly half the rows of
-//! the two requested columns; the measured rescans then come in three
-//! flavors at each thread count:
+//! `cold_reuse_cold` is the fully cold baseline at each thread count: a
+//! fresh registration per iteration under a cache-only configuration
+//! (positional map off) whose tight cache budget admits roughly half the
+//! rows of the two requested columns. The bench and the record keep the
+//! `cold_reuse` name so the CI gate's saved baselines still line up.
 //!
-//! * `cold_reuse_cached` — rescan against the partially-cached table with
-//!   the pre-count on: workers learn their global row bases from the (memoized)
-//!   newline counts, serve the covered prefix from the cache, and slices
-//!   wholly inside it never open the file.
-//! * `cold_reuse_no_precount` — same partially-cached table, pre-count off:
-//!   the pre-ISSUE behavior, re-parsing everything from raw bytes.
-//! * `cold_reuse_cold` — a fresh registration per iteration: fully cold.
+//! The records land in `BENCH_cold_reuse.json` (merged by configuration key,
+//! so CI's reduced row count coexists with full-size local runs) and feed
+//! the CI perf gate. `NODB_BENCH_ROWS` overrides the row count.
 //!
-//! Acceptance: `cached` beats `cold` at equal thread counts. The records
-//! land in `BENCH_cold_reuse.json` (merged by configuration key, so CI's
-//! reduced row count coexists with full-size local runs) and feed the CI
-//! perf gate. `NODB_BENCH_ROWS` overrides the row count.
-//!
-//! ISSUE 9 adds a **snapshot restart mode** (full adaptive config:
+//! The **snapshot restart mode** (ISSUE 9; full adaptive config:
 //! map + cache + stats): `snapshot_warm` measures a query against a
 //! long-lived warm table; `snapshot_restart` measures the first query after
 //! a process restart that restored the sidecar at open; `snapshot_cold` is
@@ -49,8 +39,8 @@ fn rows() -> u64 {
         .unwrap_or(1_000_000)
 }
 
-/// Cache-only cold configuration: every rescan is byte-partitioned.
-fn config(rows: u64, threads: usize, precount: bool) -> NoDbConfig {
+/// Cache-only cold configuration: no row index, every scan reads raw bytes.
+fn config(rows: u64, threads: usize) -> NoDbConfig {
     NoDbConfig {
         enable_positional_map: false,
         enable_cache: true,
@@ -59,7 +49,6 @@ fn config(rows: u64, threads: usize, precount: bool) -> NoDbConfig {
         detailed_timing: false,
         detect_updates: false,
         scan_threads: threads,
-        cold_precount: precount,
         // ~60% of the two requested int columns (16 bytes buffered per row
         // in the cache's accounting).
         cache_budget_bytes: (rows as usize) * 16 * 6 / 10,
@@ -93,11 +82,10 @@ fn fresh_db(path: &PathBuf, schema: &Schema, cfg: NoDbConfig) -> NoDb {
     db
 }
 
-/// A db whose cache holds the partial prefix the budget admits.
+/// A db that has answered `sql` once: whatever the budgets admit is warm.
 fn warmed_db(path: &PathBuf, schema: &Schema, cfg: NoDbConfig, sql: &str) -> NoDb {
     let db = fresh_db(path, schema, cfg);
     db.query(sql).unwrap();
-    db.query(sql).unwrap(); // second pass memoizes the pre-count boundaries
     db
 }
 
@@ -111,7 +99,7 @@ fn bench_cold_reuse(c: &mut Criterion) {
     let schema = gen.schema();
     let sql = "SELECT c1, c5 FROM t WHERE c5 < 300000000";
 
-    let expect = fresh_db(&path, &schema, config(rows, 1, true))
+    let expect = fresh_db(&path, &schema, config(rows, 1))
         .query(sql)
         .unwrap()
         .len();
@@ -120,47 +108,26 @@ fn bench_cold_reuse(c: &mut Criterion) {
     group.sample_size(4);
     let samples: RefCell<Vec<BenchRecord>> = RefCell::new(Vec::new());
     for threads in [2usize, 4, 8] {
-        type MkDb<'a> = Box<dyn Fn() -> NoDb + 'a>;
-        let variants: [(&str, MkDb); 3] = [
-            (
-                "cold_reuse_cached",
-                Box::new(|| warmed_db(&path, &schema, config(rows, threads, true), sql)),
-            ),
-            (
-                "cold_reuse_no_precount",
-                Box::new(|| warmed_db(&path, &schema, config(rows, threads, false), sql)),
-            ),
-            (
-                "cold_reuse_cold",
-                Box::new(|| fresh_db(&path, &schema, config(rows, threads, true))),
-            ),
-        ];
-        for (name, mk) in variants {
-            let durations = RefCell::new(Vec::new());
-            group.bench_function(format!("{name}_threads_{threads}"), |b| {
-                b.iter_batched(
-                    &mk,
-                    |db| {
-                        let t = Instant::now();
-                        let r = db.query(sql).unwrap();
-                        durations.borrow_mut().push(t.elapsed());
-                        assert_eq!(
-                            r.len(),
-                            expect,
-                            "{name} threads={threads} changed the answer"
-                        );
-                        black_box(r.len())
-                    },
-                    BatchSize::LargeInput,
-                )
-            });
-            samples.borrow_mut().push(BenchRecord::from_samples(
-                name,
-                threads,
-                rows,
-                &durations.borrow(),
-            ));
-        }
+        let durations = RefCell::new(Vec::new());
+        group.bench_function(format!("cold_reuse_cold_threads_{threads}"), |b| {
+            b.iter_batched(
+                || fresh_db(&path, &schema, config(rows, threads)),
+                |db| {
+                    let t = Instant::now();
+                    let r = db.query(sql).unwrap();
+                    durations.borrow_mut().push(t.elapsed());
+                    assert_eq!(r.len(), expect, "threads={threads} changed the answer");
+                    black_box(r.len())
+                },
+                BatchSize::LargeInput,
+            )
+        });
+        samples.borrow_mut().push(BenchRecord::from_samples(
+            "cold_reuse_cold",
+            threads,
+            rows,
+            &durations.borrow(),
+        ));
     }
     // --- snapshot restart mode (ISSUE 9) -------------------------------
     // One sidecar, written once from a fully warmed table, serves every
@@ -256,34 +223,16 @@ fn bench_cold_reuse(c: &mut Criterion) {
                 .map(|r| r.mean_ms)
                 .unwrap_or(f64::NAN)
         };
-        let (cached, noprec, cold) = (
-            at("cold_reuse_cached"),
-            at("cold_reuse_no_precount"),
+        let (fully_cold, warm, restart, cold, open) = (
             at("cold_reuse_cold"),
-        );
-        println!(
-            "threads={threads:<2} cached {cached:>9.2} ms  no-precount {noprec:>9.2} ms  \
-             fully-cold {cold:>9.2} ms  (reuse speedup {:.2}x)",
-            cold / cached
-        );
-    }
-    for threads in [2usize, 4, 8] {
-        let at = |name: &str| {
-            records
-                .iter()
-                .find(|r| r.name == name && r.scan_threads == threads)
-                .map(|r| r.mean_ms)
-                .unwrap_or(f64::NAN)
-        };
-        let (warm, restart, cold, open) = (
             at("snapshot_warm"),
             at("snapshot_restart"),
             at("snapshot_cold"),
             at("snapshot_restore_open"),
         );
         println!(
-            "threads={threads:<2} snapshot: warm {warm:>8.2} ms  restart {restart:>8.2} ms  \
-             cold {cold:>8.2} ms  open+restore {open:>8.2} ms  \
+            "threads={threads:<2} fully-cold {fully_cold:>8.2} ms  snapshot: warm {warm:>8.2} ms  \
+             restart {restart:>8.2} ms  cold {cold:>8.2} ms  open+restore {open:>8.2} ms  \
              (restart/warm {:.2}x, cold/warm {:.2}x)",
             restart / warm,
             cold / warm

@@ -117,7 +117,7 @@ fn main() -> ExitCode {
         }
         if gate.skipped > 0 {
             report_text.push_str(&format!(
-                "  ({} fresh record(s) without an equal-rows/threads baseline)\n",
+                "  ({} record(s) without an equal-rows/threads counterpart)\n",
                 gate.skipped
             ));
         }

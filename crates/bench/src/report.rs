@@ -253,8 +253,10 @@ pub struct GateReport {
     pub lines: Vec<GateLine>,
     /// Records compared (equal [`bench_key`] on both sides).
     pub compared: usize,
-    /// Fresh records with no equal-key baseline (informational, never
-    /// failing: a new bench has no history yet).
+    /// Records only one side holds (informational, never failing): a
+    /// fresh record with no equal-key baseline is a new bench without
+    /// history, a baseline record with no equal-key fresh one a bench
+    /// variant deleted since.
     pub skipped: usize,
     /// Comparisons that exceeded the threshold.
     pub regressions: usize,
@@ -325,6 +327,10 @@ pub fn gate_bench_records(
             regressed,
         });
     }
+    report.skipped += baseline
+        .iter()
+        .filter(|b| !fresh.iter().any(|f| bench_key(f) == bench_key(b)))
+        .count();
     report
 }
 
@@ -586,7 +592,9 @@ mod tests {
         ];
         // 4 threads: within threshold. 8 threads: 2x slower. 2 threads: no
         // baseline. The 1M-row baseline must not be compared against the
-        // 200k-row fresh records.
+        // 200k-row fresh records: a key only the baseline holds (another
+        // row count, a bench variant deleted since) is skipped like a key
+        // only the fresh side holds, never a regression.
         let fresh = vec![
             BenchRecord::from_samples("cold_scan", 4, 200_000, &[Duration::from_millis(120)]),
             BenchRecord::from_samples("cold_scan", 8, 200_000, &[Duration::from_millis(180)]),
@@ -594,7 +602,7 @@ mod tests {
         ];
         let gate = gate_bench_records(&base, &fresh, 0.25);
         assert_eq!(gate.compared, 2);
-        assert_eq!(gate.skipped, 1);
+        assert_eq!(gate.skipped, 2, "one fresh-only key, one baseline-only");
         assert_eq!(gate.regressions, 1);
         let fail: Vec<&GateLine> = gate.lines.iter().filter(|l| l.regressed).collect();
         assert_eq!(fail.len(), 1);

@@ -242,7 +242,7 @@ impl NoDb {
     /// Execute one SQL query under a caller-supplied [`QueryCtx`]: a
     /// deadline and/or a [`crate::ctx::CancelToken`] another thread can
     /// trip. The scan polls the context cooperatively (partition workers,
-    /// block refills, the newline pre-count, batch loops); a stopped query
+    /// block refills, batch loops); a stopped query
     /// fails with [`EngineError::Cancelled`] /
     /// [`EngineError::DeadlineExceeded`] *after* merging whatever
     /// map/cache/statistics partials completed, so the retry starts warmer

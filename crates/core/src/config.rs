@@ -4,9 +4,11 @@
 //! specify the amount of storage space which is devoted to internal indexes
 //! and caches" (§1). Every switch the demo exposes is a field here, plus the
 //! ablation flags DESIGN.md calls out. How a scan forms its result batches
-//! is deliberately not among them: there is one former
-//! (`rawscan::segment_batch`), so no configuration can make the cold, warm
-//! and cached answers to a query come out of different code.
+//! and how it cuts the file into slices are deliberately not among them:
+//! there is one former (`rawscan::segment_batch`) and one planner
+//! (`rawscan::plan_slices`, driven by what the row index holds), so no
+//! configuration can make the cold, warm and cached answers to a query come
+//! out of different code.
 
 use nodb_posmap::CombinationTrigger;
 
@@ -89,18 +91,6 @@ pub struct NoDbConfig {
     /// not depend on the worker count (see `rawscan`'s module docs for the
     /// merge invariants).
     pub scan_threads: usize,
-    /// Two-phase cold scans: when a cold (byte-partitioned) scan could reuse
-    /// existing state — partial cache coverage, or positional-map
-    /// chunks surviving an append — run a cheap SWAR newline pre-count over
-    /// the partitions first to establish every partition's global row base.
-    /// Workers then consult the cache and map mid-partition and skip
-    /// tokenizing rows that are already cached; partitions fully covered by
-    /// the cache never open the file at all. Boundary counts are memoized in
-    /// the positional map (`LineCountMemo`), so repeated cold scans skip the
-    /// counting pass. Disabled, cold scans resolve everything from raw
-    /// bytes, as before. A first-ever scan (nothing to reuse) never pays the
-    /// pre-count either way.
-    pub cold_precount: bool,
     /// Work-stealing granularity for parallel scans: each scan splits its
     /// work into `scan_threads * steal_slices_per_thread` partition slices
     /// instead of one partition per thread. Every worker owns a contiguous
@@ -163,7 +153,6 @@ impl Default for NoDbConfig {
             detect_updates: true,
             source_change_retries: 1,
             scan_threads: 0,
-            cold_precount: true,
             steal_slices_per_thread: 4,
             query_timeout_ms: 0,
             io_retry_attempts: 2,
@@ -490,9 +479,5 @@ mod tests {
             ..NoDbConfig::default()
         };
         assert_eq!(capped.scan_slice_target(), 4096, "slice cap");
-        assert!(
-            NoDbConfig::default().cold_precount,
-            "precount on by default"
-        );
     }
 }

@@ -1,8 +1,8 @@
 //! Per-query execution context: deadline + cooperative cancellation.
 //!
 //! A [`QueryCtx`] travels with one query through the whole scan stack —
-//! facade, scan orchestration, partition workers, the SWAR pre-count, and
-//! (via the shared stop flag) `BlockSource` refills. Cancellation is
+//! facade, scan orchestration, partition workers, and (via the shared stop
+//! flag) `BlockSource` refills. Cancellation is
 //! *cooperative*: nothing is killed, every layer polls [`QueryCtx::check`]
 //! at natural boundaries (a refill, a batch, every [`CHECK_STRIDE`] rows)
 //! and unwinds with a structured [`EngineError::Cancelled`] /
@@ -13,8 +13,8 @@
 //!
 //! The deadline is polled rather than timer-driven: the first observer that
 //! notices `Instant::now() >= deadline` trips the shared stop flag, so all
-//! sibling workers and pre-count counters stop within one check stride of
-//! each other without any dedicated timer thread.
+//! sibling workers stop within one check stride of each other without any
+//! dedicated timer thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -13,9 +13,9 @@ Three guarantees hang off it:
 
 * **Pre-scan validation.** [`SourceEpoch::classify`] compares the live
   file against the epoch the adaptive state was built under. `Appended`
-  keeps all prefix state (the existing §4.2 path); `Truncated` /
-  `Rewritten` quarantine map, cache, statistics, and memos wholesale and
-  force a cold rescan — offsets into a dead epoch are never consulted.
+  keeps all prefix state (the §4.2 path: the next scan reads only what
+  follows the row index's last row); `Truncated` / `Rewritten` quarantine
+  map, cache and statistics wholesale and force a cold rescan — offsets into a dead epoch are never consulted.
 * **Mid-scan detection.** Scanners bounds-check against the epoch
   length: a file that runs out early (`RangeScanner::ended_short`), and a
   post-scan re-classification before any merge, turn a concurrent
@@ -88,9 +88,10 @@ pub enum EpochChange {
     /// bytes on disk.
     Unchanged,
     /// The file grew and every fingerprinted old byte is intact: rows were
-    /// appended. Prefix state stays valid; replay starts at the *old*
-    /// trusted length (which re-reads a previously torn tail row now that
-    /// its terminator landed).
+    /// appended. Prefix state stays valid, the row index included, so the
+    /// next scan reads from the first row the index does not hold — the
+    /// *old* trusted length, which re-reads a previously torn tail row now
+    /// that its terminator landed.
     Appended {
         /// The old epoch's torn-row fence — the append replay start.
         old_trusted_len: u64,

@@ -27,34 +27,40 @@
 //! # Threading model
 //!
 //! There is one scan path. Every scan splits its work into line-aligned
-//! partition slices (`NoDbConfig::scan_slice_target`), runs them on
-//! `NoDbConfig::scan_threads` workers (`crate::worker`; `0` = auto-detect,
-//! `1` = one worker, same path) and deterministically merges the
-//! partition-local partials in slice order, so the post-scan state does not
-//! depend on the worker count. Two partitioning modes:
+//! partition slices, runs them on `NoDbConfig::scan_threads` workers
+//! (`crate::worker`; `0` = auto-detect, `1` = one worker, same path) and
+//! deterministically merges the partition-local partials in slice order, so
+//! the post-scan state does not depend on the worker count.
 //!
-//! * **Row-partitioned (warm)** — when the shared row index is complete
-//!   (some earlier query scanned to EOF with the map enabled), slices are
-//!   row ranges: every worker knows its global row base up front and can
-//!   therefore use per-row cache reads and exact positional-map jumps.
-//! * **Byte-partitioned (cold)** — otherwise the file is split at byte
-//!   targets snapped forward to line boundaries
-//!   ([`nodb_rawcsv::reader::partition_line_ranges`]). Global row numbers
-//!   are unknown until the workers count their slices, so workers resolve
-//!   every value from raw bytes; slices whose tokenizer is plain use the
-//!   fused single-pass scan
-//!   ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]). When
-//!   there is adaptive state worth reusing (partial cache coverage, map
-//!   chunks surviving an append), a newline **pre-count**
-//!   ([`plan_cold_partitions`]) establishes the row bases first and cold
-//!   workers read the cache and map like warm ones.
+//! One function decides the slices (`plan_slices`), by one rule: the shared
+//! **row index is the source of global row numbers**.
 //!
-//! Every scanner — per-slice worker and the cold pre-count — reads its
-//! blocks synchronously on its own thread through the
-//! [`nodb_rawcsv::reader::BlockSource`] layer (the file-backed source,
+//! * **Rows the index holds** are cut into row ranges. Their workers know
+//!   their global row base up front and can therefore use per-row cache
+//!   reads and exact positional-map jumps, and a slice the cache covers for
+//!   every requested attribute never opens the file.
+//! * **The bytes after its last row**, up to the epoch fence, are cut at
+//!   byte targets snapped forward to line boundaries
+//!   ([`nodb_rawcsv::reader::partition_line_ranges_capped`]). Nothing is
+//!   known about these rows — not even how many there are — so their
+//!   workers resolve every value from raw bytes, on the fused single-pass
+//!   scan ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]) when
+//!   the tokenizer is plain, and record the line starts that extend the
+//!   index.
+//!
+//! A first-ever scan has no known rows; a warm scan (some earlier query
+//! reached EOF, nothing appended since) has no tail; after an append, or
+//! after a scan that stopped early, a scan has both, and re-reads only the
+//! tail when the cache covers the rest. A table that keeps no row index
+//! (positional map off, quoted fields) is scanned from raw bytes every time
+//! it is not fully cached; a partially cached column of such a table is not
+//! consulted.
+//!
+//! Every scanner reads its blocks synchronously on its own thread through
+//! the [`nodb_rawcsv::reader::BlockSource`] layer (the file-backed source,
 //! wrapped by retry and, in chaos runs, fault injection); the time inside
 //! `read` is reported as `IoCounters::stall`. A scan's thread count is
-//! exactly its worker (or pre-count counter) count.
+//! exactly its worker count.
 //!
 //! # Concurrent queries (lock staging)
 //!
@@ -63,11 +69,11 @@
 //! write lock is held only for bookkeeping, never for data access:
 //!
 //! 1. **Prepare** ([`prepare_scan`], write lock) — update probe, access
-//!    planning (LRU touches, cache query tick), coverage snapshots and warm
-//!    partitioning, captured into a [`ScanPrep`] together with the table's
-//!    file-state generation.
-//! 2. **Data** (`scan_data`, read lock) — cold slices are planned from the
-//!    raw file alone (no lock), then [`run_partitions`] workers borrow the
+//!    planning (LRU touches, cache query tick) and coverage snapshots,
+//!    captured into a [`ScanPrep`] together with the table's file-state
+//!    generation.
+//! 2. **Data** (`scan_data`, read lock) — [`run_partitions`] plans the
+//!    slices from the row index as it stands, then its workers borrow the
 //!    map/cache/schema immutably and stage everything in partition-local
 //!    partials; fully-cached queries stream straight off the cache columns.
 //!    The source epoch is re-validated ([`revalidate_epoch`]) before
@@ -104,7 +110,7 @@
 //! interleaving, and equal to a naive row-at-a-time model (property-tested
 //! in `tests/property_based.rs`):
 //!
-//! * *Row index* — per-partition line-start lists are replayed in order
+//! * *Row index* — the tail slices' line-start lists are replayed in order
 //!   ([`nodb_posmap::RowIndex::note_rows`]); offsets are absolute, so
 //!   rebasing is concatenation.
 //! * *Positional map* — per-partition `ChunkBuilder`s hold line-relative
@@ -174,9 +180,9 @@ use std::time::Duration;
 
 use nodb_engine::batch::{Batch, ColView, Column, BATCH_SIZE};
 use nodb_engine::{EngineError, EngineResult, ScanRequest};
-use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, LineCountMemo};
+use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder};
 use nodb_rawcache::TypedColumn;
-use nodb_rawcsv::reader::{count_lines_in_range_ctl, partition_line_ranges_capped, LineRange};
+use nodb_rawcsv::reader::{partition_line_ranges_capped, LineRange};
 use nodb_rawcsv::{IoCounters, RawCsvError};
 
 use crate::config::NoDbConfig;
@@ -234,10 +240,6 @@ pub struct ScanTelemetry {
     pub cache_hits: u64,
     /// Cache reads refused by this scan (value resolved from raw bytes).
     pub cache_misses: u64,
-    /// True when a cold scan ran the two-phase newline pre-count (global
-    /// row bases established before parsing, enabling mid-partition cache
-    /// and positional-map reads).
-    pub precounted: bool,
     /// Partition slices executed by a worker other than their run's owner
     /// (work stealing under skewed line widths). Always 0 with one worker
     /// or static partitioning.
@@ -258,10 +260,9 @@ pub struct ScanTelemetry {
     pub source_changed: u64,
 }
 
-/// Rewrite a partition-local row number in a worker error to the global
-/// file row: cold byte-partitioned workers count rows from their partition
-/// start, so the driver adds the preceding partitions' row counts before
-/// surfacing the error (warm workers already use global rows).
+/// Rewrite a slice-local row number in a worker error to the global file
+/// row: workers number the rows they report from their slice's start, so the
+/// driver adds the preceding slices' row counts before surfacing the error.
 fn rebase_row_error(e: EngineError, base: u64) -> EngineError {
     match e {
         EngineError::Csv(RawCsvError::ParseField {
@@ -296,19 +297,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Map an error from a layer below the engine to the structured stop error
-/// when the query context tripped mid-operation (a cancelled refill
-/// surfaces as a wrapped "scan interrupted" I/O error otherwise).
-fn check_stop<T>(ctx: &QueryCtx, r: EngineResult<T>) -> EngineResult<T> {
-    r.map_err(|e| {
-        if ctx.is_stopped() {
-            ctx.stop_error()
-        } else {
-            e
-        }
-    })
 }
 
 /// Lock a mutex, recovering the guard from a poisoned lock: every value
@@ -400,9 +388,9 @@ pub(crate) fn cached_column_handles<'a>(
 }
 
 /// Everything a scan decides up front, captured under the table's write
-/// lock so the data phase can run under a read lock (or no lock at all for
-/// cold partitioning). Tied to the table's file-state `generation`: the
-/// scan and merge phases refuse to run against a different generation.
+/// lock so the data phase can run under a read lock. Tied to the table's
+/// file-state `generation`: the scan and merge phases refuse to run against
+/// a different generation.
 pub(crate) struct ScanPrep {
     /// The planner's scan request.
     pub req: ScanRequest,
@@ -419,30 +407,19 @@ pub(crate) struct ScanPrep {
     pub fully_cached: bool,
     /// Known row count backing `fully_cached`.
     pub cached_rows: u64,
-    /// Row-partitioned (warm) mode is available.
-    pub warm: bool,
-    /// Precomputed row-range partitions (warm mode).
-    pub warm_partitions: Vec<Partition>,
     /// Resolved worker count.
     pub threads: usize,
     /// Partition-slice target (`threads × steal granularity`).
     pub slice_target: usize,
-    /// A cold scan should run the newline pre-count: the knob is on and
-    /// there is state worth reusing mid-partition (partial cache
-    /// coverage of a requested attribute, or a usable map chunk).
-    pub precount: bool,
     /// The access plan resolves at least one attribute through a chunk
     /// (exact or anchor). Workers only receive the map when this holds, so
-    /// an assist-free cold scan keeps the fused single-pass fast path.
+    /// an assist-free scan keeps the fused single-pass fast path.
     pub plan_assists: bool,
-    /// Snapshot of the positional map's memoized newline counts, consulted
-    /// lock-free by the pre-count pass.
-    pub line_counts: LineCountMemo,
     /// File-state generation this prep belongs to.
     pub generation: u64,
-    /// Raw file path (cold partitioning runs without any table lock).
+    /// Raw file path.
     pub path: PathBuf,
-    /// Whether partition 0 of a cold scan must skip a header line.
+    /// Whether the slice starting at byte 0 must skip a header line.
     pub has_header: bool,
     /// Per-query deadline/cancellation state; every execution path of this
     /// scan polls it cooperatively.
@@ -506,64 +483,10 @@ pub(crate) fn prepare_scan(
     };
     lock_recover(telemetry).fully_cached = fully_cached;
 
-    let threads = config.effective_scan_threads();
-    let slice_target = config.scan_slice_target();
-    let warm = plan.is_some() && table.map.row_index().is_complete() && table.row_count.is_some();
-    let mut warm_partitions: Vec<Partition> = Vec::new();
-    if warm && !fully_cached {
-        let total = table.row_count.expect("warm mode") as usize;
-        let idx = table.map.row_index();
-        let parts = slice_target.min(total.max(1));
-        for k in 0..parts {
-            let lo = total * k / parts;
-            let hi = total * (k + 1) / parts;
-            if lo >= hi {
-                continue;
-            }
-            let start = idx.offset(lo).expect("complete row index");
-            let end = if hi < total {
-                idx.offset(hi).expect("complete row index")
-            } else {
-                u64::MAX // last partition runs to EOF
-            };
-            warm_partitions.push(Partition {
-                range: LineRange { start, end },
-                skip_header: false, // data-row offsets already skip it
-                row_base: Some(lo),
-                rows: Some(hi - lo),
-            });
-        }
-    }
-
-    // Two-phase cold scan trigger: the pre-count only pays off when a
-    // worker could reuse something mid-partition — partial cache coverage
-    // of a requested attribute, or a map chunk resolving one (after an
-    // append, say). A first-ever scan skips it (nothing to reuse), and so
-    // does a near-empty cache: the counting pass reads the whole file once
-    // (unless memoized), so a cache covering a vanishing fraction of a
-    // known row count would cost ~2x I/O to serve a handful of rows.
     let plan_assists = matches!(&plan, Some(p) if p
         .sources
         .iter()
         .any(|(_, s)| !matches!(s, AttrSource::Scan)));
-    let best_cov = cache_cov.iter().copied().max().unwrap_or(0) as u64;
-    let cache_worthwhile = config.enable_cache
-        && best_cov > 0
-        && match table.row_count {
-            // ≥ ~3% of the known rows; below that, re-parsing the covered
-            // prefix is cheaper than a counting pass over the file.
-            Some(rc) => best_cov.saturating_mul(32) >= rc,
-            // Unknown total (e.g. first rescan after an append): the
-            // coverage is a full pre-append prefix — assume worthwhile.
-            None => true,
-        };
-    let has_reuse = cache_worthwhile || plan_assists;
-    let precount = config.cold_precount && has_reuse && !warm && !fully_cached;
-    let line_counts = if precount {
-        table.map.line_counts().snapshot()
-    } else {
-        LineCountMemo::default()
-    };
 
     ScanPrep {
         req,
@@ -573,13 +496,9 @@ pub(crate) fn prepare_scan(
         query_tick,
         fully_cached,
         cached_rows,
-        warm,
-        warm_partitions,
-        threads,
-        slice_target,
-        precount,
+        threads: config.effective_scan_threads(),
+        slice_target: config.scan_slice_target(),
         plan_assists,
-        line_counts,
         generation: table.generation,
         path: table.path.clone(),
         has_header: table.has_header,
@@ -619,160 +538,66 @@ pub(crate) fn source_changed_err(prep: &ScanPrep) -> EngineError {
     }
 }
 
-/// Everything a cold byte-partitioned scan decides before its workers run.
-pub(crate) struct ColdScanPlan {
-    /// Partition slices, with global row bases filled in when the
-    /// pre-count ran.
-    pub partitions: Vec<Partition>,
-    /// Global row bases are known: workers may read the cache and map
-    /// mid-partition, and error rows are already global.
-    pub rows_known: bool,
-    /// Boundary counts the pre-count newly established, memoized into the
-    /// positional map at merge: `(byte offset, raw line starts before it)`.
-    pub new_counts: Vec<(u64, u64)>,
-    /// I/O performed by the counting pass.
-    pub io: IoCounters,
-    /// Wall time of the partitioning (and counting) pass, reported in the
-    /// breakdown's I/O slice.
-    pub elapsed: Duration,
-}
-
-/// Phase 0 of a cold scan: byte-partition the file into slices
-/// and, when the prep asked for it, run the **newline pre-count** — one
-/// SWAR counting pass per slice (parallelized, memo-assisted) that
-/// establishes every slice's global first-row number before any parsing.
-/// That is what lets cold workers consult the raw cache and positional-map
-/// chunks mid-partition: per-row adaptive reads need global row numbers,
-/// and a pure byte split does not know them.
+/// The one place a raw scan's slices are decided, from one rule: **the row
+/// index is the source of global row numbers.**
 ///
-/// Boundary counts are read from the prep's memo snapshot where available;
-/// only unknown slices are counted, concurrently on up to `prep.threads`
-/// threads. Runs without any table lock (it touches only the raw file and
-/// the snapshot).
-pub(crate) fn plan_cold_partitions(
-    prep: &ScanPrep,
-    config: &NoDbConfig,
-) -> EngineResult<ColdScanPlan> {
-    // Partition only the trusted epoch prefix: bytes past the fence (a
-    // torn trailing row, a concurrent append) belong to the next epoch.
-    let ranges = partition_line_ranges_capped(
-        &prep.path,
-        prep.slice_target,
-        prep.source_len().unwrap_or(u64::MAX),
-    )?;
-    let n = ranges.len();
-    let mut plan = ColdScanPlan {
-        partitions: ranges
-            .iter()
-            .enumerate()
-            .map(|(i, &range)| Partition {
-                range,
-                skip_header: prep.has_header && i == 0,
-                row_base: None,
-                rows: None,
-            })
-            .collect(),
-        rows_known: false,
-        new_counts: Vec::new(),
-        io: IoCounters::default(),
-        elapsed: Duration::ZERO,
+/// * Rows the index holds become *row-range* slices with `row_base`/`rows`
+///   filled in, so their workers may read the cache per row, jump through
+///   map chunks, and serve a fully cached slice without opening the file.
+/// * The bytes after the last row it holds, up to the epoch fence, become
+///   *byte-range* slices ([`partition_line_ranges_capped`] from an offset
+///   inside that row): nothing is known about them, so their workers resolve
+///   everything from raw bytes and record the line starts they find.
+///
+/// A first-ever scan has an empty prefix, a warm scan (index complete) an
+/// empty tail that is not even probed, and after an append or a scan that
+/// stopped early both halves exist. A table that keeps no row index
+/// (positional map off, quoted fields) is all tail on every scan. Each half
+/// is cut into up to `prep.slice_target` slices.
+fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>> {
+    let idx = table.map.row_index();
+    let (starts, complete) = if prep.plan.is_some() {
+        (idx.starts(), idx.is_complete())
+    } else {
+        (&[][..], false)
     };
-    if !prep.precount || n == 0 {
-        return Ok(plan);
-    }
+    // Never past the trusted epoch prefix: bytes beyond the fence (a torn
+    // trailing row, a concurrent append) belong to the next epoch.
+    let fence = prep.source_len().unwrap_or(u64::MAX);
+    let tail = if complete {
+        Vec::new()
+    } else {
+        let from = starts.last().map_or(0, |&last| last + 1);
+        partition_line_ranges_capped(&prep.path, prep.slice_target, from, fence)?
+    };
+    // The known rows end where the tail begins; with no tail they run to the
+    // fence (the worker clamps), so an appender can never leak rows of the
+    // next epoch into this scan.
+    let prefix_end = tail.first().map_or(u64::MAX, |r| r.start);
 
-    // Memoized raw-line-start count before a boundary offset, if known.
-    let memo = |off: u64| prep.line_counts.lines_before(off);
-    // Boundary `i` is the start of range `i`; boundary `n` is the file end.
-    let boundary = |i: usize| -> u64 {
-        if i < n {
-            ranges[i].start
-        } else {
-            ranges[n - 1].end
-        }
-    };
-    // Lines each range owns: memo diff when both boundaries are known,
-    // otherwise a counting pass over the range.
-    let mut owned: Vec<Option<u64>> = (0..n)
-        .map(|i| Some(memo(boundary(i + 1))? - memo(boundary(i))?))
-        .collect();
-    let missing: Vec<usize> = (0..n).filter(|&i| owned[i].is_none()).collect();
-    if !missing.is_empty() {
-        type CountedRanges = Result<Vec<(usize, u64, IoCounters)>, RawCsvError>;
-        let counters = prep.threads.min(missing.len()).max(1);
-        let counted: Vec<CountedRanges> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..counters)
-                .map(|w| {
-                    let lo = missing.len() * w / counters;
-                    let hi = missing.len() * (w + 1) / counters;
-                    let mine = &missing[lo..hi];
-                    let ranges = &ranges;
-                    let path = &prep.path;
-                    let io_block = config.io_block_size;
-                    let profile = config.io_profile();
-                    let interrupt = prep.ctx.stop_flag();
-                    s.spawn(move || {
-                        let mut out = Vec::with_capacity(mine.len());
-                        for &i in mine {
-                            let (lines, io) = count_lines_in_range_ctl(
-                                path,
-                                io_block,
-                                ranges[i],
-                                profile,
-                                Some(Arc::clone(&interrupt)),
-                            )?;
-                            out.push((i, lines, io));
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(RawCsvError::io(
-                            "newline pre-count",
-                            std::io::Error::other(format!(
-                                "counting worker panicked: {}",
-                                panic_message(payload)
-                            )),
-                        ))
-                    })
-                })
-                .collect()
+    let known = starts.len();
+    let parts = prep.slice_target.min(known);
+    let mut slices = Vec::with_capacity(parts + tail.len());
+    for k in 0..parts {
+        let (lo, hi) = (known * k / parts, known * (k + 1) / parts);
+        slices.push(Partition {
+            range: LineRange {
+                start: starts[lo],
+                // A row the index does not hold starts the tail.
+                end: starts.get(hi).copied().unwrap_or(prefix_end),
+            },
+            skip_header: false, // data-row offsets already skip it
+            row_base: Some(lo),
+            rows: Some(hi - lo),
         });
-        for r in counted {
-            for (i, lines, io) in r? {
-                owned[i] = Some(lines);
-                plan.io.merge(io);
-            }
-        }
     }
-
-    // Cumulative raw-line counts at each boundary; newly established ones
-    // go to the memo at merge time.
-    let hdr = u64::from(prep.has_header);
-    let mut cum = 0u64;
-    for (i, slice_owned) in owned.iter().enumerate() {
-        if memo(boundary(i)).is_none() {
-            plan.new_counts.push((boundary(i), cum));
-        }
-        let raw_before = cum;
-        let raw_owned = slice_owned.expect("all ranges counted");
-        cum += raw_owned;
-        // Raw lines → data rows: the header line (always owned by slice 0)
-        // is not a data row.
-        let data_base = raw_before - hdr.min(raw_before);
-        let data_rows = raw_owned - if i == 0 { hdr.min(raw_owned) } else { 0 };
-        plan.partitions[i].row_base = Some(data_base as usize);
-        plan.partitions[i].rows = Some(data_rows as usize);
-    }
-    if memo(boundary(n)).is_none() {
-        plan.new_counts.push((boundary(n), cum));
-    }
-    plan.rows_known = true;
-    Ok(plan)
+    slices.extend(tail.into_iter().map(|range| Partition {
+        range,
+        skip_header: prep.has_header && range.start == 0,
+        row_base: None,
+        rows: None,
+    }));
+    Ok(slices)
 }
 
 /// Claim the next partition slice for worker `me`: pop from its own run
@@ -816,15 +641,18 @@ pub(crate) struct ScanOutcome {
     pub outputs: Vec<PartitionOutput>,
     /// Stolen-slice tally (telemetry).
     pub steals: u64,
+    /// Wall time of [`plan_slices`] (it probes the raw file for the tail's
+    /// cut points), reported in the breakdown's I/O slice.
+    pub planning: Duration,
     /// The cancellation/deadline error that stopped the scan, when one did.
     pub stopped: Option<EngineError>,
 }
 
-/// Phase 2 of a raw scan: run the partition slices on `prep.threads`
-/// workers — the calling thread and `prep.threads - 1` scoped threads — over
-/// shared borrows of the table and collect the partials in slice order.
-/// Needs only `&RawTable`, so concurrent queries run this phase under the
-/// table's read lock.
+/// Phase 2 of a raw scan: decide the slices ([`plan_slices`]) and run them
+/// on `prep.threads` workers — the calling thread and `prep.threads - 1`
+/// scoped threads — over shared borrows of the table, collecting the
+/// partials in slice order. Needs only `&RawTable`, so concurrent queries
+/// run this phase under the table's read lock.
 ///
 /// Scheduling is a **work-stealing run queue**: each worker owns a
 /// contiguous run of slices (adjacent file regions, so a worker streams
@@ -835,9 +663,8 @@ pub(crate) struct ScanOutcome {
 /// post-scan state the merge invariants promise.
 ///
 /// A worker error aborts the scan; the error reported is the
-/// lowest-numbered slice's. Cold-mode errors without a pre-count are
-/// rebased to global row numbers using the preceding slices' row counts
-/// (pre-counted and warm workers already use global rows).
+/// lowest-numbered slice's, its slice-local row rebased to the global row
+/// number using the preceding slices' row counts.
 ///
 /// Two error classes get special handling:
 ///
@@ -853,37 +680,31 @@ pub(crate) fn run_partitions(
     table: &RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
-    partitions: &[Partition],
 ) -> EngineResult<ScanOutcome> {
-    // With global row bases known — warm mode, or a pre-counted cold scan —
-    // workers can address per-row adaptive state: the cache always, the map
-    // only when the plan actually resolves something through a chunk (an
-    // assist-free plan would just cost the fused fast path for nothing).
-    let rows_known = partitions.first().is_some_and(|p| p.row_base.is_some());
-    let adaptive = prep.warm || rows_known;
+    let clock = PhaseClock::new(config.detailed_timing);
+    let mut planning = Duration::ZERO;
+    let t = clock.start();
+    let partitions = plan_slices(table, prep)?;
+    clock.lap(t, &mut planning);
+    // Workers may address per-row adaptive state wherever a slice knows its
+    // global rows: the cache always, the map only when the plan actually
+    // resolves something through a chunk (an assist-free plan would just
+    // cost the fused fast path for nothing).
+    let assist = prep.plan.as_ref().filter(|_| prep.plan_assists);
     let ctx = ScanContext {
         config: *config,
+        io_profile: config.io_profile(),
         ctx: &prep.ctx,
         req: &prep.req,
         tokenizer: table.tokenizer,
         schema: &table.schema,
         path: &table.path,
-        map: (adaptive && prep.plan_assists).then_some(&table.map),
-        plan: if adaptive && prep.plan_assists {
-            prep.plan.as_ref()
-        } else {
-            None
-        },
-        cache: if adaptive && config.enable_cache {
-            Some(&table.cache)
-        } else {
-            None
-        },
+        map: assist.map(|_| &table.map),
+        plan: assist,
+        cache: config.enable_cache.then_some(&table.cache),
         cache_cov: &prep.cache_cov,
         build_chunk: prep.build_chunk,
-        // A warm scan's row index is complete by definition — collecting
-        // offsets there would only replay no-ops.
-        collect_offsets: prep.plan.is_some() && !prep.warm,
+        collect_offsets: prep.plan.is_some(),
         source_len: prep.source_len(),
     };
 
@@ -983,27 +804,23 @@ pub(crate) fn run_partitions(
                 return Ok(ScanOutcome {
                     outputs: results,
                     steals,
+                    planning,
                     stopped: Some(e),
                 });
             }
             Err(e) => {
-                // Abort without merging any side effects. Workers without
-                // global row bases number rows slice-locally, so rebase row
-                // references by the preceding slices' row counts to report
-                // the true file row.
-                let e = if prep.warm || rows_known {
-                    e
-                } else {
-                    let base: usize = results.iter().map(|o| o.rows).sum();
-                    rebase_row_error(e, base as u64)
-                };
-                return Err(e);
+                // Abort without merging any side effects. Workers number the
+                // rows they report slice-locally: the preceding slices' row
+                // counts make it the true file row.
+                let base: usize = results.iter().map(|o| o.rows).sum();
+                return Err(rebase_row_error(e, base as u64));
             }
         }
     }
     Ok(ScanOutcome {
         outputs: results,
         steals,
+        planning,
         stopped: None,
     })
 }
@@ -1038,12 +855,12 @@ pub(crate) fn run_partitions(
 /// totals are unknown. Statistics observation frontiers are still advanced
 /// over the merged prefix, so a re-run never double-observes. The query
 /// then fails with the stop error: the next identical query starts from
-/// the warmer map/cache/statistics state.
+/// the warmer map/cache/statistics state — the rows merged here are its
+/// known prefix, and it reads only the bytes behind them.
 pub(crate) fn merge_outputs(
     table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
-    cold: Option<&ColdScanPlan>,
     outcome: &mut ScanOutcome,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<()> {
@@ -1052,7 +869,10 @@ pub(crate) fn merge_outputs(
     let stopped = outcome.stopped.take();
     let complete = stopped.is_none();
     let clock = PhaseClock::new(config.detailed_timing);
-    let mut bd = Breakdown::default();
+    let mut bd = Breakdown {
+        io: outcome.planning,
+        ..Breakdown::default()
+    };
     let t = clock.start();
     let bases: Vec<usize> = results
         .iter()
@@ -1069,9 +889,6 @@ pub(crate) fn merge_outputs(
     let mut worker_misses = 0u64;
     let mut quarantined = 0u64;
     let mut quarantine_samples: Vec<QuarantineSample> = Vec::new();
-    // Cold workers without a pre-count number sample rows slice-locally;
-    // rebase by the preceding partitions' row counts, like error rows.
-    let rows_global = prep.warm || cold.is_some_and(|c| c.rows_known);
     for (p, o) in results.iter().enumerate() {
         bd.merge(&o.breakdown);
         io.merge(o.io);
@@ -1082,32 +899,11 @@ pub(crate) fn merge_outputs(
             if quarantine_samples.len() >= QuarantineSample::MAX_SAMPLES {
                 break;
             }
-            let mut s = *s;
-            if !rows_global {
-                s.row += bases[p] as u64;
-            }
-            quarantine_samples.push(s);
-        }
-    }
-
-    // Cold-scan bookkeeping: account the pre-count pass's I/O and memoize
-    // the newline counts it established — boundary counts from the counting
-    // pass, plus the file-total count every completed cold scan knows. The
-    // next cold scan over the same bytes partitions at the same offsets and
-    // skips the counting pass entirely.
-    if let Some(cp) = cold {
-        io.merge(cp.io);
-        bd.io += cp.elapsed;
-        for &(off, lines) in &cp.new_counts {
-            table.map.line_counts_mut().note(off, lines);
-        }
-        // The file-total memo entry derives from `total`, which only equals
-        // the file's row count when every partition completed.
-        if complete {
-            if let Some(last) = cp.partitions.last() {
-                let raw_lines = total as u64 + u64::from(prep.has_header);
-                table.map.line_counts_mut().note(last.range.end, raw_lines);
-            }
+            // Sample rows are slice-local, like error rows.
+            quarantine_samples.push(QuarantineSample {
+                row: s.row + bases[p] as u64,
+                ..*s
+            });
         }
     }
 
@@ -1181,7 +977,6 @@ pub(crate) fn merge_outputs(
     tel.breakdown = bd;
     tel.cache_hits = worker_hits;
     tel.cache_misses = worker_misses;
-    tel.precounted = cold.is_some_and(|c| c.rows_known);
     tel.steals = steals;
     tel.rows_quarantined = quarantined;
     tel.quarantine_samples = quarantine_samples;
@@ -1196,10 +991,7 @@ pub(crate) enum StagedScan {
     /// columns; only the hit tally is left to fold in.
     Cached(VecDeque<Batch>),
     /// A raw scan's partition partials, waiting for the ordered merge.
-    Partitions {
-        cold: Option<ColdScanPlan>,
-        outcome: ScanOutcome,
-    },
+    Partitions(ScanOutcome),
 }
 
 impl StagedScan {
@@ -1211,7 +1003,7 @@ impl StagedScan {
     fn into_batches(self) -> VecDeque<Batch> {
         let outputs = match self {
             StagedScan::Cached(queue) => return queue,
-            StagedScan::Partitions { outcome, .. } => outcome.outputs,
+            StagedScan::Partitions(outcome) => outcome.outputs,
         };
         let mut queue: VecDeque<Batch> = VecDeque::new();
         let mut acc = Batch::default();
@@ -1232,28 +1024,6 @@ impl StagedScan {
     }
 }
 
-/// Stage 0 of a raw scan: decide its slices. Warm row ranges were captured
-/// at prepare time; cold byte partitioning (and the newline pre-count, when
-/// triggered) probes only the raw file and the prep's memo snapshot, so
-/// this stage runs without any table lock. `None` for warm and
-/// fully-cached scans.
-fn plan_slices(prep: &ScanPrep, config: &NoDbConfig) -> EngineResult<Option<ColdScanPlan>> {
-    if prep.warm || prep.fully_cached {
-        return Ok(None);
-    }
-    let clock = PhaseClock::new(config.detailed_timing);
-    let t = clock.start();
-    let mut cp = check_stop(&prep.ctx, plan_cold_partitions(prep, config))?;
-    clock.lap(t, &mut cp.elapsed);
-    if config.detailed_timing {
-        // The pre-count's counters read in parallel, so their summed read
-        // time can exceed the pass's wall clock; the breakdown sums thread
-        // time, and its I/O slice must cover every `read`.
-        cp.elapsed = cp.elapsed.max(cp.io.stall);
-    }
-    Ok(Some(cp))
-}
-
 /// The data phase of a prepared scan, over a shared borrow of the table:
 /// stream the cache for a fully-cached query, otherwise run the partition
 /// slices and re-validate the source epoch. Mutates nothing — everything
@@ -1266,21 +1036,16 @@ fn scan_data(
     table: &RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
-    cold: Option<ColdScanPlan>,
 ) -> EngineResult<Option<StagedScan>> {
     if prep.fully_cached {
         return Ok(stream_cached(table, prep)?.map(StagedScan::Cached));
     }
-    let partitions: &[Partition] = match &cold {
-        Some(cp) => &cp.partitions,
-        None => &prep.warm_partitions,
-    };
-    let outcome = run_partitions(table, config, prep, partitions)?;
+    let outcome = run_partitions(table, config, prep)?;
     // Re-validate the epoch before *any* merge — including a stopped
     // scan's partial-prefix merge — so a file rewritten while the workers
     // streamed it never installs poisoned map/cache/stats partials.
     revalidate_epoch(prep)?;
-    Ok(Some(StagedScan::Partitions { cold, outcome }))
+    Ok(Some(StagedScan::Partitions(outcome)))
 }
 
 /// The install phase of a prepared scan, over an exclusive borrow of the
@@ -1304,9 +1069,7 @@ fn scan_install(
             tel.cache_hits = hits;
             Ok(())
         }
-        StagedScan::Partitions { cold, outcome } => {
-            merge_outputs(table, config, prep, cold.as_ref(), outcome, telemetry)
-        }
+        StagedScan::Partitions(outcome) => merge_outputs(table, config, prep, outcome, telemetry),
     }
 }
 
@@ -1324,20 +1087,19 @@ pub(crate) fn scan_shared(
     prep: &ScanPrep,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<Option<VecDeque<Batch>>> {
-    let cold = plan_slices(prep, config)?;
     let staged = {
         let table = handle.read();
         if table.generation != prep.generation {
             return Ok(None);
         }
-        scan_data(&table, config, prep, cold)?
+        scan_data(&table, config, prep)?
     };
     let Some(mut staged) = staged else {
         return Ok(None);
     };
     {
         let mut table = handle.write();
-        if let StagedScan::Partitions { outcome, .. } = &mut staged {
+        if let StagedScan::Partitions(outcome) = &mut staged {
             if table.generation != prep.generation {
                 // The partials describe dead state; a stopped query still
                 // fails with its structured cause rather than retrying
@@ -1360,8 +1122,7 @@ pub(crate) fn scan_held(
     prep: &ScanPrep,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<VecDeque<Batch>> {
-    let cold = plan_slices(prep, config)?;
-    let mut staged = scan_data(table, config, prep, cold)?.ok_or_else(|| {
+    let mut staged = scan_data(table, config, prep)?.ok_or_else(|| {
         EngineError::Execution("fully-cached plan lost a cache column under the write guard".into())
     })?;
     scan_install(table, config, prep, &mut staged, telemetry)?;
@@ -1650,10 +1411,9 @@ mod tests {
             );
         }
         assert_eq!(t_seq.row_count, t_par.row_count);
-        // Hit/miss telemetry matches in warm (row-partitioned) mode *and*,
-        // since the two-phase pre-count, in cold byte-partitioned mode:
-        // pre-counted workers know their global rows and read the cache
-        // exactly where the sequential scan would.
+        // Hit/miss telemetry does not depend on the slicing: slices of known
+        // rows read the cache exactly where the sequential scan would, and
+        // slices of the unknown tail read it at no worker count.
         assert_eq!(
             t_seq.cache.metrics().hits,
             t_par.cache.metrics().hits,
@@ -1744,9 +1504,8 @@ mod tests {
     #[test]
     fn io_slice_covers_the_time_inside_read() {
         // Multi-block scans (4 KiB blocks): block reads belong to the I/O
-        // slice whichever pass issued them — the fused first scan, and a
-        // pre-counted rescan over a partial cache (parallel counters, then
-        // non-fused workers) — so `breakdown.io` is never below `io.stall`.
+        // slice on the first scan and on a rescan over a partial cache
+        // alike, so `breakdown.io` is never below `io.stall`.
         let (p, schema) = tmp_csv(5, 20000, 41);
         for threads in [1usize, 4] {
             let cfg = NoDbConfig {
@@ -1759,7 +1518,6 @@ mod tests {
             let req = ScanRequest::project(vec![1, 3]);
             let (_, cold) = scan_once(&mut t, cfg, req.clone());
             let (_, again) = scan_once(&mut t, cfg, req);
-            assert!(again.precounted, "threads {threads}: partial cache");
             let slices = cfg.scan_slice_target() as u64;
             for tel in [cold, again] {
                 assert!(tel.io.read_calls > 2 * slices, "several refills a slice");
@@ -2069,12 +1827,13 @@ mod tests {
     }
 
     #[test]
-    fn cold_scan_reuses_partial_cache_via_precount() {
+    fn mapless_table_rescans_from_raw_bytes_and_still_matches() {
         // Cache-only configuration: the positional map is off, so there is
-        // never a row index and every rescan is cold byte-partitioned. With
-        // a tight budget the first query caches only a prefix; the second
-        // cold scan must pre-count, read that prefix from the cache, and
-        // still end byte-identical to the sequential scan.
+        // never a row index and every rescan is all unknown tail. With a
+        // tight budget the first query caches only a prefix; the second
+        // resolves every row from raw bytes again — no cache reads, and no
+        // more I/O than the first — and still ends byte-identical to the
+        // one-worker scan.
         let mk = |threads: usize| NoDbConfig {
             scan_threads: threads,
             cache_budget_bytes: 1200,
@@ -2089,88 +1848,38 @@ mod tests {
             &[ScanRequest::project(vec![1]), ScanRequest::project(vec![1])],
         );
 
-        // Telemetry detail: the second parallel scan ran the pre-count and
-        // tallied cache hits for the covered prefix.
         let (p, schema) = tmp_csv(4, 400, 31);
         let cfg = mk(8);
         let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
         let req = ScanRequest::project(vec![1]);
-        let (_, tel1) = scan_once(&mut t, cfg, req.clone());
-        assert!(!tel1.precounted, "first scan has nothing to reuse");
-        assert_eq!(tel1.cache_hits, 0);
+        let (a, tel1) = scan_once(&mut t, cfg, req.clone());
         let cov = t.cache.coverage(1);
         assert!(cov > 0 && cov < 400, "partial coverage, got {cov}");
-        let (_, tel2) = scan_once(&mut t, cfg, req.clone());
-        assert!(tel2.precounted, "partial cache must trigger the pre-count");
-        assert_eq!(tel2.cache_hits, cov as u64, "covered prefix served");
-        assert!(
-            !t.map.line_counts().is_empty(),
-            "pre-count boundaries memoized"
-        );
-        // Third scan: same boundaries, so the memo answers the pre-count
-        // without re-reading the file — strictly less I/O.
-        let (_, tel3) = scan_once(&mut t, cfg, req);
-        assert!(tel3.precounted);
-        assert!(
-            tel3.io.bytes_read < tel2.io.bytes_read,
-            "memoized pre-count must skip the counting I/O ({} vs {})",
-            tel3.io.bytes_read,
-            tel2.io.bytes_read
-        );
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn negligible_cache_coverage_skips_the_precount() {
-        // A cache covering a vanishing fraction of a known row count must
-        // not trigger the pre-count: the counting pass reads the whole
-        // file, which can't pay for serving a handful of rows.
-        let cfg = NoDbConfig {
-            scan_threads: 8,
-            cache_budget_bytes: 100, // ~12 of 400 rows
-            ..NoDbConfig::cache_only()
-        };
-        let (p, schema) = tmp_csv(4, 400, 35);
-        let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        let req = ScanRequest::project(vec![1]);
-        let (a, _) = scan_once(&mut t, cfg, req.clone());
-        let cov = t.cache.coverage(1);
-        assert!(cov > 0 && (cov as u64) * 32 < 400, "tiny coverage: {cov}");
+        assert!(t.map.row_index().is_empty(), "no row index without the map");
         let (b, tel2) = scan_once(&mut t, cfg, req);
         assert_eq!(a, b);
-        assert!(!tel2.precounted, "coverage below threshold: no pre-count");
+        assert_eq!(tel2.cache_hits, 0, "unknown rows resolve from raw bytes");
+        assert_eq!(
+            tel2.io.bytes_read, tel1.io.bytes_read,
+            "one pass over the file, like the first scan"
+        );
+        assert_eq!(t.cache.coverage(1), cov);
         std::fs::remove_file(p).unwrap();
     }
 
     #[test]
-    fn cold_precount_off_keeps_raw_only_behavior() {
-        let cfg = NoDbConfig {
-            scan_threads: 8,
-            cache_budget_bytes: 1200,
-            cold_precount: false,
-            ..NoDbConfig::cache_only()
-        };
-        let (p, schema) = tmp_csv(4, 400, 32);
-        let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
-        let req = ScanRequest::project(vec![1]);
-        let (a, _) = scan_once(&mut t, cfg, req.clone());
-        let (b, tel2) = scan_once(&mut t, cfg, req);
-        assert_eq!(a, b);
-        assert!(!tel2.precounted, "knob off: no pre-count");
-        assert_eq!(tel2.cache_hits, 0, "cold workers resolve from raw bytes");
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn cold_scan_after_append_reuses_map_chunks() {
-        // An append invalidates row-index completeness but keeps chunks and
-        // cache for the prefix: the next scan is cold *with* reuse
-        // potential, so it pre-counts and must match the sequential scan.
+    fn partially_known_table_reuses_its_prefix_without_a_counting_pass() {
+        // An append invalidates row-index completeness but keeps the index,
+        // chunks and cache for the prefix. The next scan cuts the known rows
+        // into row slices — served from the cache without opening the file
+        // — and reads only the bytes behind them, at any worker count, and
+        // must match the one-worker scan.
         use nodb_rawcsv::GeneratorConfig;
-        let gen = GeneratorConfig::uniform_ints(5, 500, 33);
+        let gen = GeneratorConfig::uniform_ints(5, 5000, 33);
         let mk_table = |threads: usize, path: &PathBuf| {
             let cfg = NoDbConfig {
                 scan_threads: threads,
+                io_block_size: 4096,
                 ..NoDbConfig::default()
             };
             (
@@ -2190,22 +1899,35 @@ mod tests {
         let (a0, _) = scan_once(&mut t1, cfg1, req.clone());
         let (b0, _) = scan_once(&mut t8, cfg8, req.clone());
         assert_eq!(a0, b0);
+        let old_len = std::fs::metadata(&p1).unwrap().len();
         gen.append_rows(&p1, 120).unwrap();
         gen.append_rows(&p8, 120).unwrap();
+        let tail_bytes = std::fs::metadata(&p1).unwrap().len() - old_len;
         t1.check_updates().unwrap();
         t8.check_updates().unwrap();
         let (a1, tel_a) = scan_once(&mut t1, cfg1, req.clone());
         let (b1, tel_b) = scan_once(&mut t8, cfg8, req);
         assert_eq!(a1, b1, "post-append scans must agree");
-        assert_eq!(a1.len(), 620);
-        assert!(tel_b.precounted, "append rescan reuses prefix state");
-        assert!(
-            tel_b.cache_hits > 0,
-            "cold workers must peek the prefix cache"
-        );
+        assert_eq!(a1.len(), 5120);
+        assert_eq!(tel_a.cache_hits, 2 * 5000, "known prefix served from cache");
         assert_eq!(tel_a.cache_hits, tel_b.cache_hits, "hit parity");
+        for (tel, cfg) in [(&tel_a, &cfg1), (&tel_b, &cfg8)] {
+            // Each tail slice reads its bytes plus at most two page-sized
+            // steps to find the line that ends it; nothing re-reads the
+            // prefix to learn row numbers.
+            let slack = cfg.scan_slice_target() as u64 * 2 * 4096;
+            assert!(
+                tel.io.bytes_read <= tail_bytes + slack && tel.io.bytes_read < old_len / 2,
+                "read {} bytes for a {tail_bytes}-byte tail behind {old_len} known bytes",
+                tel.io.bytes_read
+            );
+        }
+        assert_eq!(t1.row_count, Some(5120));
         assert_eq!(t1.row_count, t8.row_count);
+        assert!(t1.map.row_index().is_complete());
+        assert_eq!(t1.map.row_index().starts(), t8.map.row_index().starts());
         for attr in [1usize, 3] {
+            assert_eq!(t1.cache.coverage(attr), 5120);
             assert_eq!(t1.cache.coverage(attr), t8.cache.coverage(attr));
             for row in 0..t1.cache.coverage(attr) {
                 assert_eq!(t1.cache.peek(attr, row), t8.cache.peek(attr, row));

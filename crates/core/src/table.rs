@@ -164,8 +164,8 @@ impl RawTable {
 
     /// Epoch quarantine: the backing file was truncated, rewritten, or
     /// replaced, so every adaptive structure describes bytes of a dead
-    /// epoch. Drops the map (chunks, row index, line-count memo), the
-    /// cache, and the statistics atomically (the caller holds the table's
+    /// epoch. Drops the map (chunks and row index), the cache, and the
+    /// statistics atomically (the caller holds the table's
     /// write lock), bumps the generation so staged concurrent state is
     /// discarded at its merge fence, resets the snapshot write-behind
     /// signature, and re-captures the epoch from the live file.
@@ -292,7 +292,6 @@ impl RawTable {
         put(self.map.row_index().starts().len() as u64);
         put(u64::from(self.map.row_index().is_complete()));
         put(self.map.bytes_used() as u64);
-        put(self.map.line_counts().entries().len() as u64);
         put(self.map.chunks().len() as u64);
         for c in self.map.chunks() {
             put(c.attrs().len() as u64);

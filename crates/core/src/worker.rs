@@ -1,11 +1,16 @@
 //! The per-partition scan worker of the raw scan.
 //!
-//! One worker owns one [`LineRange`] of the file and everything it needs to
-//! process it without synchronization: its own [`RangeScanner`] (reading
-//! synchronously on this thread), a reusable [`Tokens`] buffer, a partial
-//! positional-map [`ChunkBuilder`], typed partial columns ([`TypedColumn`]
-//! per requested attribute, one value per row) and per-phase timing
-//! (sampled — see [`crate::metrics::TIMING_STRIDE`]). The partials are both
+//! One worker owns one slice of the file — a [`LineRange`] that either
+//! covers rows the row index holds (`Partition::row_base` is set: the worker
+//! may read the cache per row, jump through map chunks, or serve the whole
+//! slice from the cache) or bytes nobody has numbered yet (everything comes
+//! from the raw bytes, and the line starts found are handed back) — and
+//! everything it needs to process it without synchronization: its own
+//! [`RangeScanner`] (reading synchronously on this thread), a reusable
+//! [`Tokens`] buffer, a partial positional-map [`ChunkBuilder`], typed
+//! partial columns ([`TypedColumn`] per requested attribute, one value per
+//! row) and per-phase timing (sampled — see
+//! [`crate::metrics::TIMING_STRIDE`]). The partials are both
 //! what the cache and the statistics take at install and what the result
 //! batches are formed from: every `BATCH_SIZE` rows the worker hands the
 //! newest partial rows to `rawscan::segment_batch`, the same former that
@@ -31,7 +36,7 @@ use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, PositionalMap};
 use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::reader::{LineRange, RangeScanner};
 use nodb_rawcsv::tokenizer::{find_byte, TokenizerConfig, Tokens};
-use nodb_rawcsv::{parser, ColumnType, Datum, IoCounters, RawCsvError, Schema};
+use nodb_rawcsv::{parser, ColumnType, Datum, IoCounters, IoProfile, RawCsvError, Schema};
 
 use crate::config::{NoDbConfig, ParseErrorPolicy};
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
@@ -64,15 +69,16 @@ fn check_io<T>(qctx: &QueryCtx, r: nodb_rawcsv::Result<T>) -> EngineResult<T> {
 
 /// Immutable scan-wide state shared by every worker.
 ///
-/// `map`/`plan`/`cache` are populated whenever partition row bases are
-/// known up front — *row-partitioned* (warm) mode, or cold byte-partitioned
-/// mode after a newline pre-count — since per-row adaptive reads need
-/// global row numbers (`cache` additionally requires the cache enabled,
-/// `map`/`plan` an access plan that actually resolves something through a
-/// chunk). In cold mode without a pre-count all three are `None` and
-/// workers resolve everything from raw bytes (see `rawscan` module docs).
+/// `cache` is populated when the cache is enabled, `map`/`plan` when the
+/// access plan resolves something through a chunk. A worker consults them
+/// only for a slice that knows its global rows ([`Partition::row_base`]) —
+/// per-row adaptive reads need row numbers — and resolves everything from
+/// raw bytes otherwise (see `rawscan::plan_slices`).
 pub(crate) struct ScanContext<'a> {
     pub config: NoDbConfig,
+    /// The config's I/O resilience profile, resolved once per scan
+    /// (`NoDbConfig::io_profile` reads the environment).
+    pub io_profile: IoProfile,
     /// Per-query deadline/cancellation state, polled every [`CHECK_STRIDE`]
     /// rows and wired into each scanner's refill path as an interrupt flag.
     pub ctx: &'a QueryCtx,
@@ -87,7 +93,8 @@ pub(crate) struct ScanContext<'a> {
     pub cache_cov: &'a [usize],
     /// Collect per-row positional-map offsets into a partial chunk builder.
     pub build_chunk: bool,
-    /// Record line-start offsets for the shared row index.
+    /// The scan feeds the shared row index: slices that do not know their
+    /// rows record the line-start offsets they find.
     pub collect_offsets: bool,
     /// The source epoch's torn-row fence (`None` when `detect_updates` is
     /// off): workers clamp their partition range to it and treat an EOF
@@ -106,16 +113,17 @@ fn source_changed(ctx: &ScanContext<'_>) -> EngineError {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Partition {
     pub range: LineRange,
-    /// Partition 0 of a file with a header skips its first line.
+    /// The slice starting at byte 0 of a file with a header skips its first
+    /// line.
     pub skip_header: bool,
-    /// Global index of this partition's first data row, when known
-    /// (row-partitioned mode, or cold mode after a newline pre-count);
-    /// `None` in cold byte-partitioned mode without a pre-count.
+    /// Global index of this partition's first data row: `Some` for a slice
+    /// of rows the row index holds, `None` for a byte slice of the unknown
+    /// tail behind them.
     pub row_base: Option<usize>,
-    /// Exact data-row count of the partition, when known (same sources as
-    /// `row_base`). Together with `row_base` this enables the
-    /// whole-partition cache probe: a partition fully covered by the cache
-    /// for every requested attribute is served without opening the file.
+    /// Exact data-row count of the partition, known exactly when
+    /// `row_base` is. Together they enable the whole-partition cache probe:
+    /// a partition fully covered by the cache for every requested attribute
+    /// is served without opening the file.
     pub rows: Option<usize>,
 }
 
@@ -167,16 +175,16 @@ pub(crate) fn run_partition(
     let mut d_conv = Duration::ZERO;
     let mut d_nodb = Duration::ZERO;
 
-    // Whole-partition cache probe: with the global row range known (warm
-    // slices, or cold slices after a pre-count) and every requested
-    // attribute cached for every row of it, the raw file has nothing left
-    // to offer — serve the partition straight from the cache, zero I/O.
-    // Skipped when the scan collects row offsets or a map chunk (those need
-    // the raw line bytes), so the partition-local partials stay identical
-    // to what the streaming loop would have produced. A column that is not
-    // resident with that coverage sends the slice to the raw bytes below.
+    // Whole-partition cache probe: with the global row range known and
+    // every requested attribute cached for every row of it, the raw file
+    // has nothing left to offer — serve the partition straight from the
+    // cache, zero I/O. Skipped when the scan collects a map chunk (that
+    // needs the raw line bytes), so the partition-local partials stay
+    // identical to what the streaming loop would have produced. A column
+    // that is not resident with that coverage sends the slice to the raw
+    // bytes below.
     if let (Some(base), Some(rows), Some(cache)) = (part.row_base, part.rows, ctx.cache) {
-        if !ctx.collect_offsets && !ctx.build_chunk {
+        if !ctx.build_chunk {
             if let Some(cols) = cached_column_handles(cache, &ctx.req.attrs, base + rows) {
                 return Ok(run_cached_partition(ctx, base, rows, &cols, &clock));
             }
@@ -185,9 +193,9 @@ pub(crate) fn run_partition(
 
     // Clamp the partition to the epoch's torn-row fence: bytes past it
     // belong to the next epoch (a torn trailing row, a concurrent append).
-    // This also resolves the warm last partition's `u64::MAX` run-to-EOF
-    // sentinel to a hard edge, so an appender can never leak new-epoch rows
-    // into a warm scan.
+    // This also resolves the `u64::MAX` run-to-EOF end of the last known-row
+    // slice of a tail-less scan to a hard edge, so an appender can never
+    // leak new-epoch rows into a warm scan.
     let mut range = part.range;
     if let Some(fence) = ctx.source_len {
         range.end = range.end.min(fence);
@@ -198,7 +206,7 @@ pub(crate) fn run_partition(
         ctx.config.io_block_size,
         range,
         0,
-        ctx.config.io_profile(),
+        ctx.io_profile,
     )?;
     scanner.set_interrupt(ctx.ctx.stop_flag());
     clock.lap(t, &mut d_io);
@@ -260,6 +268,9 @@ pub(crate) fn run_partition(
     // (`find_byte2` — each prefix byte is visited once, not twice).
     let fused = ctx.tokenizer.quote.is_none() && !cache_reads && !map_reads;
 
+    // The row index already holds the line starts of a slice that knows its
+    // rows.
+    let collect_offsets = ctx.collect_offsets && part.row_base.is_none();
     let mut header_pending = part.skip_header;
     let mut local = 0usize;
     let mut timed = 0usize;
@@ -321,7 +332,7 @@ pub(crate) fn run_partition(
             header_pending = false;
             continue;
         }
-        if ctx.collect_offsets {
+        if collect_offsets {
             out.line_starts.push(offset);
         }
 
@@ -345,7 +356,7 @@ pub(crate) fn run_partition(
             out.quarantined += 1;
             if out.quarantine_samples.len() < QuarantineSample::MAX_SAMPLES {
                 out.quarantine_samples.push(QuarantineSample {
-                    row: part.row_base.map(|b| b + local).unwrap_or(local) as u64,
+                    row: local as u64, // slice-local; the merge rebases
                     offset,
                     attr,
                 });
@@ -464,10 +475,9 @@ fn resolve_row(
         spans[i] = None;
     }
 
-    // 1. Cache reads (global rows addressable: warm mode, or cold mode
-    // after a pre-count). Workers cannot count on the shared metrics, so
-    // hits/misses are tallied here and folded in by the driver — same
-    // accounting as sequential `get`.
+    // 1. Cache reads (the slice knows its global rows). Workers cannot
+    // count on the shared metrics, so hits/misses are tallied here and
+    // folded in by the driver — same accounting as sequential `get`.
     if let Some(row) = global_row {
         for (i, v) in values.iter_mut().enumerate() {
             if row < ctx.cache_cov[i] {
@@ -560,7 +570,8 @@ fn resolve_row(
 
     // 4. Selective parsing: convert only what is needed.
     let t = clock.start();
-    let err_row = global_row.unwrap_or(local_row) as u64;
+    // Errors name the slice-local row; the driver rebases to the file row.
+    let err_row = local_row as u64;
     let mut quarantined: Option<usize> = None;
     for i in 0..n {
         if values[i].is_some() {

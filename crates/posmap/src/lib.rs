@@ -36,5 +36,5 @@ pub mod map;
 pub mod policy;
 
 pub use chunk::{Chunk, ChunkBuilder, ChunkId, NO_OFFSET};
-pub use map::{AccessPlan, AttrSource, LineCountMemo, MapMetrics, PositionalMap, RowIndex};
+pub use map::{AccessPlan, AttrSource, MapMetrics, PositionalMap, RowIndex};
 pub use policy::{CombinationTrigger, MapPolicy};

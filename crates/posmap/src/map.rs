@@ -6,9 +6,12 @@ use crate::policy::MapPolicy;
 
 /// Shared per-file row index: byte offset of the start of every known line.
 ///
-/// Built during the first sequential scan and extended by later scans (and
-/// by append resynchronization). All chunks express their positions relative
-/// to these line starts.
+/// Built during the first scan and extended by later scans (after an append,
+/// or after a scan that stopped early). All chunks express their positions
+/// relative to these line starts, and the index is the scan's one source of
+/// global row numbers: the rows it holds are scanned as row ranges, which may
+/// read the cache and jump through chunks; whatever follows its last row is
+/// scanned as byte ranges, which resolve everything from raw bytes.
 #[derive(Debug, Default)]
 pub struct RowIndex {
     starts: Vec<u64>,
@@ -123,90 +126,6 @@ impl RowIndex {
     }
 }
 
-/// Memoized newline pre-counts: how many *line starts* precede a given byte
-/// offset of the raw file.
-///
-/// The two-phase cold scan's pre-count pass establishes global row numbers
-/// by counting newlines per byte partition. Those counts depend only on the
-/// bytes *before* each partition boundary, so they stay valid across
-/// queries and are memoized here: a later cold scan that partitions the
-/// file at the same boundaries skips the counting pass entirely. Offsets
-/// are raw line starts — the header line, when present, is included; the
-/// scan layer subtracts it when converting to data rows.
-///
-/// Lifetime: cleared on file replacement *and* on append. Appended bytes
-/// never invalidate a count (they cannot change what precedes an existing
-/// offset), but partition boundaries derive from the file length, so an
-/// append orphans the whole grid — keeping it would only accumulate dead
-/// entries under append-heavy workloads, never produce a hit.
-#[derive(Debug, Default, Clone)]
-pub struct LineCountMemo {
-    /// `(byte_offset, line_starts_before_it)`, sorted by offset.
-    entries: Vec<(u64, u64)>,
-}
-
-impl LineCountMemo {
-    /// Number of line starts strictly before `offset`, if memoized.
-    /// Offset 0 is always known (no lines precede the file start).
-    pub fn lines_before(&self, offset: u64) -> Option<u64> {
-        if offset == 0 {
-            return Some(0);
-        }
-        self.entries
-            .binary_search_by_key(&offset, |e| e.0)
-            .ok()
-            .map(|i| self.entries[i].1)
-    }
-
-    /// Memoize `lines` line starts before `offset`. Re-noting a known
-    /// offset is a no-op (with a debug-time consistency check).
-    pub fn note(&mut self, offset: u64, lines: u64) {
-        if offset == 0 {
-            return;
-        }
-        match self.entries.binary_search_by_key(&offset, |e| e.0) {
-            Ok(i) => debug_assert_eq!(
-                self.entries[i].1, lines,
-                "line-count memo mismatch at offset {offset}"
-            ),
-            Err(i) => self.entries.insert(i, (offset, lines)),
-        }
-    }
-
-    /// The memoized `(byte_offset, line_starts_before_it)` pairs, sorted by
-    /// offset (read by the snapshot serializer; restore replays them
-    /// through [`Self::note`]).
-    pub fn entries(&self) -> &[(u64, u64)] {
-        &self.entries
-    }
-
-    /// Number of memoized offsets.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Copy of the memo, for lock-free consultation during the scan phase
-    /// (the memo itself lives under the table's write lock).
-    pub fn snapshot(&self) -> LineCountMemo {
-        self.clone()
-    }
-
-    /// Drop every memoized count (file replaced).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Heap footprint in bytes (reported, not budgeted, like the row index).
-    pub fn footprint(&self) -> usize {
-        self.entries.len() * 16
-    }
-}
-
 /// Where the map says one attribute's bytes can be found.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttrSource {
@@ -273,7 +192,6 @@ pub struct MapMetrics {
 #[derive(Debug)]
 pub struct PositionalMap {
     row_index: RowIndex,
-    line_counts: LineCountMemo,
     chunks: Vec<Chunk>,
     policy: MapPolicy,
     tick: u64,
@@ -287,7 +205,6 @@ impl PositionalMap {
     pub fn new(policy: MapPolicy) -> Self {
         PositionalMap {
             row_index: RowIndex::default(),
-            line_counts: LineCountMemo::default(),
             chunks: Vec::new(),
             policy,
             tick: 0,
@@ -305,18 +222,6 @@ impl PositionalMap {
     /// Mutable access to the row index (used by the scan while streaming).
     pub fn row_index_mut(&mut self) -> &mut RowIndex {
         &mut self.row_index
-    }
-
-    /// Memoized newline pre-counts (the two-phase cold scan's row-number
-    /// bootstrap).
-    pub fn line_counts(&self) -> &LineCountMemo {
-        &self.line_counts
-    }
-
-    /// Mutable access to the line-count memo (the scan merge installs the
-    /// boundary counts a pre-count pass established).
-    pub fn line_counts_mut(&mut self) -> &mut LineCountMemo {
-        &mut self.line_counts
     }
 
     /// Policy in force.
@@ -535,24 +440,18 @@ impl PositionalMap {
     pub fn invalidate(&mut self) {
         self.chunks.clear();
         self.row_index.clear();
-        self.line_counts.clear();
         self.bytes_used = 0;
     }
 
     /// File grew: keep all prefix state, but the row index no longer covers
-    /// the whole file. The line-count memo is dropped — its entries stay
-    /// *correct* (counts depend only on bytes before their offset), but
-    /// partition boundaries derive from the file length, so the old grid
-    /// can never be probed again and would only accumulate.
+    /// the whole file — the next scan reads what follows its last row.
     pub fn note_appended(&mut self) {
         self.row_index.mark_incomplete();
-        self.line_counts.clear();
     }
 
     /// Epoch quarantine: the backing file was truncated or rewritten, so
-    /// every recorded offset — chunks, the row index, and the line-count
-    /// memo — may point at bytes from a different file epoch and must not
-    /// be consulted again. Today an alias of [`Self::invalidate`]; the
+    /// every recorded offset — chunks and the row index — may point at bytes
+    /// from a different file epoch and must not be consulted again. Today an alias of [`Self::invalidate`]; the
     /// source-epoch layer calls it under this name so the intent ("the file
     /// mutated under us") stays distinct from administrative resets.
     pub fn quarantine(&mut self) {
@@ -758,44 +657,18 @@ mod tests {
         let mut m = default_map();
         m.install(builder_with_rows(vec![0], &[b"a,b"]));
         m.row_index_mut().note_row(0, 0);
-        m.line_counts_mut().note(16, 2);
         m.invalidate();
         assert!(m.chunks().is_empty());
         assert!(m.row_index().is_empty());
-        assert!(m.line_counts().is_empty());
         assert_eq!(m.bytes_used(), 0);
     }
 
     #[test]
-    fn line_count_memo_lookup_and_replay() {
-        let mut memo = LineCountMemo::default();
-        assert_eq!(memo.lines_before(0), Some(0), "offset 0 always known");
-        assert_eq!(memo.lines_before(64), None);
-        memo.note(128, 17);
-        memo.note(64, 9);
-        memo.note(0, 0); // no-op by definition
-        assert_eq!(memo.lines_before(64), Some(9));
-        assert_eq!(memo.lines_before(128), Some(17));
-        assert_eq!(memo.lines_before(100), None, "exact offsets only");
-        memo.note(64, 9); // replay is a no-op
-        assert_eq!(memo.len(), 2);
-        assert_eq!(memo.footprint(), 32);
-        memo.clear();
-        assert!(memo.is_empty());
-        assert_eq!(memo.lines_before(0), Some(0));
-    }
-
-    #[test]
-    fn append_drops_line_count_memo() {
-        // Boundaries derive from the file length, so an append orphans the
-        // memoized grid; keeping it would grow without bound under
-        // append-heavy workloads.
+    fn append_keeps_the_known_prefix() {
         let mut m = default_map();
-        m.line_counts_mut().note(64, 9);
         m.row_index_mut().note_row(0, 0);
         m.row_index_mut().mark_complete();
         m.note_appended();
-        assert!(m.line_counts().is_empty());
         assert!(!m.row_index().is_complete());
         assert_eq!(m.row_index().len(), 1, "prefix offsets survive");
     }

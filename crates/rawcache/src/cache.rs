@@ -179,23 +179,6 @@ impl RawCache {
         attrs.iter().map(|&a| self.coverage(a)).collect()
     }
 
-    /// Cached rows of `attr` within the row range `[lo, hi)` — the coverage
-    /// probe a two-phase cold-scan partition runs once its global row range
-    /// is known. Coverage is a prefix, so this is the prefix clamped to the
-    /// range.
-    pub fn covered_in_range(&self, attr: usize, lo: usize, hi: usize) -> usize {
-        self.coverage(attr).min(hi).saturating_sub(lo.min(hi))
-    }
-
-    /// True when every row of `[lo, hi)` is cached for *every* attribute in
-    /// `attrs` — the partition-grained probe that lets a worker serve its
-    /// whole slice from the cache without opening the raw file.
-    pub fn covers_range(&self, attrs: &[usize], lo: usize, hi: usize) -> bool {
-        attrs
-            .iter()
-            .all(|&a| self.covered_in_range(a, lo, hi) == hi.saturating_sub(lo.min(hi)))
-    }
-
     /// Direct read-only handle to a resident column.
     ///
     /// Partition workers resolve the columns they will read *once* per
@@ -487,25 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn range_coverage_probes() {
+    fn column_handle_mirrors_peek() {
         let mut c = RawCache::new(CachePolicy::default());
         fill(&mut c, 0, 10);
         fill(&mut c, 1, 4);
-        // Prefix clamped to the range.
-        assert_eq!(c.covered_in_range(0, 0, 10), 10);
-        assert_eq!(c.covered_in_range(0, 4, 20), 6);
-        assert_eq!(c.covered_in_range(1, 2, 8), 2);
-        assert_eq!(c.covered_in_range(1, 6, 8), 0);
-        assert_eq!(c.covered_in_range(9, 0, 5), 0, "absent attr");
-        assert_eq!(c.covered_in_range(0, 5, 5), 0, "empty range");
-        assert_eq!(c.covered_in_range(0, 7, 3), 0, "inverted range");
-        // Whole-partition probe: all attrs, every row.
-        assert!(c.covers_range(&[0], 2, 10));
-        assert!(!c.covers_range(&[0], 2, 11));
-        assert!(c.covers_range(&[0, 1], 0, 4));
-        assert!(!c.covers_range(&[0, 1], 0, 5));
-        assert!(c.covers_range(&[0, 1], 4, 4), "empty range always covered");
-        // Column handle mirrors peek.
         let col = c.column(1).expect("resident");
         assert_eq!(col.len(), 4);
         assert_eq!(col.datum(3), c.peek(1, 3));

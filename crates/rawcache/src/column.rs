@@ -504,43 +504,6 @@ impl TypedColumn {
     }
 }
 
-/// Convenience builder used by loaders that materialize a full column before
-/// installing it (the conventional-DBMS path); the in-situ scan appends
-/// directly through [`crate::cache::RawCache`].
-#[derive(Debug)]
-pub struct ColumnBuilder {
-    col: TypedColumn,
-}
-
-impl ColumnBuilder {
-    /// New builder of the given type.
-    pub fn new(ty: ColumnType) -> Self {
-        ColumnBuilder {
-            col: TypedColumn::new(ty),
-        }
-    }
-
-    /// Append a value.
-    pub fn push(&mut self, d: &Datum) {
-        self.col.push(d);
-    }
-
-    /// Rows so far.
-    pub fn len(&self) -> usize {
-        self.col.len()
-    }
-
-    /// True when no rows were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.col.is_empty()
-    }
-
-    /// Finish and return the column.
-    pub fn finish(self) -> TypedColumn {
-        self.col
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -852,15 +815,5 @@ mod tests {
         }
         let seg = dense.export_range(0, 70);
         assert_eq!(seg.datum(69), Some(Datum::Int(69)));
-    }
-
-    #[test]
-    fn builder_finishes_into_column() {
-        let mut b = ColumnBuilder::new(ColumnType::Bool);
-        b.push(&Datum::Bool(true));
-        b.push(&Datum::Bool(false));
-        let c = b.finish();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.datum(0), Some(Datum::Bool(true)));
     }
 }

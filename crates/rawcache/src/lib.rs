@@ -26,4 +26,4 @@ pub mod cache;
 pub mod column;
 
 pub use cache::{CacheMetrics, CachePolicy, RawCache};
-pub use column::{ColumnBuilder, TypedColumn};
+pub use column::TypedColumn;

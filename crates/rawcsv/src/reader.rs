@@ -14,7 +14,7 @@
 //! file-backed source and two decorators:
 //!
 //! * [`SyncBlocks`] — blocking block-sized `read` calls on the scanning
-//!   thread. Every scan, pre-count pass and snapshot read goes through it.
+//!   thread. Every scan and snapshot read goes through it.
 //! * [`FaultyBlocks`] — wraps a source with a seeded schedule of
 //!   recoverable faults (transient `EIO`, latency, short reads) for the
 //!   chaos suites.
@@ -159,10 +159,10 @@ impl Window {
     }
 }
 
-/// A sequential block supplier for [`BlockScanner`] (and the pre-count
-/// pass): where the bytes come from is this trait's business; line
-/// reassembly stays in the scanner. See the module docs for why every
-/// stack of implementations yields an identical byte stream.
+/// A sequential block supplier for [`BlockScanner`]: where the bytes come
+/// from is this trait's business; line reassembly stays in the scanner. See
+/// the module docs for why every stack of implementations yields an
+/// identical byte stream.
 pub trait BlockSource: Send {
     /// Produce the next sequential chunk into `win`: the unconsumed tail
     /// `buf[pos..filled]` must be preserved (contiguously, ending where the
@@ -183,8 +183,8 @@ pub trait BlockSource: Send {
     fn set_read_cap(&mut self, cap: u64);
 
     /// Hard read limit: never read at or past this file offset (end of
-    /// stream there instead). Used by the pre-count pass, which knows its
-    /// exact byte range up front.
+    /// stream there instead). Used by [`count_lines_in_range`], which knows
+    /// its exact byte range up front.
     fn set_read_limit(&mut self, limit: u64);
 
     /// Counters accumulated so far.
@@ -196,8 +196,7 @@ pub trait BlockSource: Send {
     /// Install a cooperative interrupt flag: once it reads `true`, the next
     /// `refill` fails with a *non-transient* "scan interrupted" error
     /// instead of touching the file, so a cancelled query stops pulling
-    /// blocks mid-stream (including the refill-only pre-count pass, which
-    /// has no per-row check of its own). Default: ignore the flag.
+    /// blocks mid-stream. Default: ignore the flag.
     fn set_interrupt(&mut self, _flag: Arc<AtomicBool>) {}
 }
 
@@ -847,19 +846,27 @@ pub struct LineRange {
 /// the whole file is read (it is tiny by definition) and split line-exactly
 /// into `min(parts, lines)` ranges.
 pub fn partition_line_ranges(path: impl AsRef<Path>, parts: usize) -> Result<Vec<LineRange>> {
-    partition_line_ranges_capped(path, parts, u64::MAX)
+    partition_line_ranges_capped(path, parts, 0, u64::MAX)
 }
 
-/// [`partition_line_ranges`] bounded by an externally known length: the
-/// ranges cover `[0, min(file_len, max_len))`. Callers that fingerprinted
-/// the file earlier (a source epoch) pass the fingerprinted length so that
-/// (a) a file that *grew* since the fingerprint is partitioned only up to
-/// the known-good prefix (a concurrent appender's torn tail is never
-/// handed to a scanner), and (b) a file that *shrank* between `stat` and
-/// open yields ranges that never seek past EOF.
+/// [`partition_line_ranges`] over a sub-range of the file: the ranges cover
+/// `[start, min(file_len, max_len))`, where `start` is the first line start
+/// at or after `from`.
+///
+/// `from` lets a caller that already knows the file's leading rows partition
+/// only what follows them: given any offset inside the last known row past
+/// its first byte, the ranges begin at the first row it does not know.
+///
+/// `max_len` is an externally known length. Callers that fingerprinted the
+/// file earlier (a source epoch) pass the fingerprinted length so that (a) a
+/// file that *grew* since the fingerprint is partitioned only up to the
+/// known-good prefix (a concurrent appender's torn tail is never handed to a
+/// scanner), and (b) a file that *shrank* between `stat` and open yields
+/// ranges that never seek past EOF.
 pub fn partition_line_ranges_capped(
     path: impl AsRef<Path>,
     parts: usize,
+    from: u64,
     max_len: u64,
 ) -> Result<Vec<LineRange>> {
     let path = path.as_ref();
@@ -870,16 +877,18 @@ pub fn partition_line_ranges_capped(
         .map_err(|e| RawCsvError::io(format!("stat {}", path.display()), e))?
         .len()
         .min(max_len);
-    if len == 0 {
+    let start = next_line_start_at_or_after(&mut file, path, from, len)?;
+    if start >= len {
         return Ok(Vec::new());
     }
-    if len < parts as u64 {
-        return partition_tiny_file(&mut file, path, len, parts);
+    let span = len - start;
+    if span < parts as u64 {
+        return partition_tiny_span(&mut file, path, start, len, parts);
     }
-    let mut cuts: Vec<u64> = vec![0];
-    let mut last_cut = 0u64;
+    let mut cuts: Vec<u64> = vec![start];
+    let mut last_cut = start;
     for k in 1..parts {
-        let target = (len as u128 * k as u128 / parts as u128) as u64;
+        let target = start + (span as u128 * k as u128 / parts as u128) as u64;
         let cut = next_line_start_at_or_after(&mut file, path, target, len)?;
         if cut < len && cut > last_cut {
             cuts.push(cut);
@@ -896,28 +905,28 @@ pub fn partition_line_ranges_capped(
         .collect())
 }
 
-/// Exact split of a file smaller than `parts` bytes: read it whole, list
-/// every line start, and deal lines out to exactly `min(parts, lines)`
-/// ranges, near-equal in line count.
-fn partition_tiny_file(
+/// Exact split of a span `[start, len)` smaller than `parts` bytes: read it
+/// whole, list every line start, and deal lines out to exactly
+/// `min(parts, lines)` ranges, near-equal in line count.
+fn partition_tiny_span(
     file: &mut File,
     path: &Path,
+    start: u64,
     len: u64,
     parts: usize,
 ) -> Result<Vec<LineRange>> {
-    // Capacity is a hint: a tiny file is < `parts` bytes by definition, and
-    // an (impossible) overflowing length only costs a realloc.
-    let mut bytes = Vec::with_capacity(usize::try_from(len).unwrap_or(0));
-    file.read_to_end(&mut bytes)
+    file.seek(SeekFrom::Start(start))
+        .map_err(|e| RawCsvError::io(format!("seek {}", path.display()), e))?;
+    // The span is < `parts` bytes by definition, and ends at `len` even when
+    // the file is longer (a source epoch older than a concurrent append).
+    let mut bytes = Vec::new();
+    file.take(len - start)
+        .read_to_end(&mut bytes)
         .map_err(|e| RawCsvError::io(format!("read {}", path.display()), e))?;
-    // The caller may have capped `len` below the file's current length
-    // (a source epoch older than a concurrent append); ignore the excess.
-    // lint: cast-ok tiny file: len < parts, a small caller constant
-    bytes.truncate(len as usize);
-    let mut starts: Vec<u64> = vec![0];
+    let mut starts: Vec<u64> = vec![start];
     for (i, &b) in bytes.iter().enumerate() {
         if b == b'\n' && i + 1 < bytes.len() {
-            starts.push(i as u64 + 1);
+            starts.push(start + i as u64 + 1);
         }
     }
     let lines = starts.len();
@@ -934,42 +943,25 @@ fn partition_tiny_file(
 }
 
 /// Count the lines a [`LineRange`] *owns* (lines whose first byte lies in
-/// `[start, end)`), in one SWAR pass over block reads — the counting-only
-/// scanner of the two-phase cold scan's pre-count phase.
+/// `[start, end)`), in one SWAR pass over block reads.
 ///
 /// A non-empty range starts at a line start, so it owns one line plus one
 /// per `\n` in `[start, end - 1)` (the newline at `end - 1`, if any,
 /// terminates the range's last line rather than starting a new owned one —
 /// see the [`LineRange`] ownership discipline). No line reassembly, no
-/// copies: the block buffer is only ever scanned by [`count_byte`].
-/// Returns the owned-line count together with the I/O performed.
+/// copies: the block buffer is only ever scanned by [`count_byte`]; the hard
+/// read limit keeps the source from reading a single byte past
+/// `range.end - 1`. Returns the owned-line count together with the I/O
+/// performed.
 pub fn count_lines_in_range(
     path: impl AsRef<Path>,
     block_size: usize,
     range: LineRange,
 ) -> Result<(u64, IoCounters)> {
-    count_lines_in_range_ctl(path, block_size, range, IoProfile::default(), None)
-}
-
-/// [`count_lines_in_range`] under an [`IoProfile`] and an optional
-/// cooperative interrupt flag: the pre-count pass is refill-only (no
-/// per-row loop), so without a source-level interrupt a cancelled query
-/// would keep counting newlines until its range ran out. The hard read
-/// limit keeps the source from reading a single byte past `range.end - 1`.
-pub fn count_lines_in_range_ctl(
-    path: impl AsRef<Path>,
-    block_size: usize,
-    range: LineRange,
-    profile: IoProfile,
-    interrupt: Option<Arc<AtomicBool>>,
-) -> Result<(u64, IoCounters)> {
     if range.end <= range.start {
         return Ok((0, IoCounters::default()));
     }
-    let mut source = make_source_with(path, block_size, profile)?;
-    if let Some(flag) = interrupt {
-        source.set_interrupt(flag);
-    }
+    let mut source = make_source_with(path, block_size, IoProfile::default())?;
     if range.start > 0 {
         source.seek(range.start)?;
     }
@@ -977,8 +969,7 @@ pub fn count_lines_in_range_ctl(
     let mut win = Window::at(range.start);
     let mut lines = 1u64; // the line starting at `range.start`
     loop {
-        // A short read (file shrank under us) ends the loop too; the scan
-        // proper will notice.
+        // A short read (file shrank under us) ends the loop too.
         if source.refill(&mut win)? == 0 {
             break;
         }
@@ -1358,24 +1349,6 @@ mod tests {
     }
 
     #[test]
-    fn precount_respects_interrupt_flag() {
-        let mut content = Vec::new();
-        for i in 0..5000 {
-            content.extend_from_slice(format!("{i},x\n").as_bytes());
-        }
-        let p = tmp_file("precount_intr", &content);
-        let range = LineRange {
-            start: 0,
-            end: content.len() as u64,
-        };
-        let tripped = Arc::new(AtomicBool::new(true));
-        let err = count_lines_in_range_ctl(&p, 4096, range, IoProfile::default(), Some(tripped))
-            .unwrap_err();
-        assert!(err.to_string().contains("interrupted"), "got: {err}");
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
     fn lines_across_block_boundaries() {
         let content = b"aaaa,1\nbbbb,2\ncccc,3\n";
         let p = tmp_file("blocks", content);
@@ -1522,7 +1495,7 @@ mod tests {
         };
         let p = tmp_file("partition_capped", &content);
         for parts in [1usize, 3, 8] {
-            let ranges = partition_line_ranges_capped(&p, parts, cap).unwrap();
+            let ranges = partition_line_ranges_capped(&p, parts, 0, cap).unwrap();
             assert_eq!(ranges[0].start, 0);
             assert_eq!(ranges.last().unwrap().end, cap, "parts={parts}");
             for w in ranges.windows(2) {
@@ -1533,7 +1506,7 @@ mod tests {
 
         // Tiny-file path: cap smaller than `parts`.
         let p = tmp_file("partition_capped_tiny", b"a\nb\nc\nd\n");
-        let ranges = partition_line_ranges_capped(&p, 16, 4).unwrap();
+        let ranges = partition_line_ranges_capped(&p, 16, 0, 4).unwrap();
         assert_eq!(ranges.last().unwrap().end, 4);
         let owned: u64 = ranges.iter().map(|r| r.end - r.start).sum();
         assert_eq!(owned, 4, "exactly the capped prefix is covered");
@@ -1547,9 +1520,59 @@ mod tests {
         let content = gen_lines(50);
         let p = tmp_file("partition_cap_nop", &content);
         let plain = partition_line_ranges(&p, 4).unwrap();
-        let capped = partition_line_ranges_capped(&p, 4, content.len() as u64).unwrap();
+        let capped = partition_line_ranges_capped(&p, 4, 0, content.len() as u64).unwrap();
         assert_eq!(plain, capped);
-        assert!(partition_line_ranges_capped(&p, 4, 0).unwrap().is_empty());
+        assert!(partition_line_ranges_capped(&p, 4, 0, 0)
+            .unwrap()
+            .is_empty());
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A start offset partitions only the tail: the ranges begin at the
+    /// first line start at or after `from` — given a byte inside line `k`,
+    /// at line `k + 1` — and end at the cap, on the probing and the
+    /// tiny-span paths alike.
+    #[test]
+    fn partitions_from_an_offset_cover_exactly_the_tail() {
+        let content = gen_lines(120);
+        let starts: Vec<u64> = std::iter::once(0)
+            .chain(
+                content
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &b)| b == b'\n')
+                    .map(|(i, _)| i as u64 + 1),
+            )
+            .collect();
+        let len = content.len() as u64;
+        let p = tmp_file("partition_from", &content);
+        for known in [1usize, 57, 117, 119] {
+            for parts in [1usize, 4, 64, 4096] {
+                // One byte into the last known line, and exactly on the
+                // first unknown line's start: the same tail either way.
+                for from in [starts[known - 1] + 1, starts[known]] {
+                    let ranges = partition_line_ranges_capped(&p, parts, from, len).unwrap();
+                    assert_eq!(
+                        ranges[0].start, starts[known],
+                        "known={known} parts={parts}"
+                    );
+                    assert_eq!(ranges.last().unwrap().end, len);
+                    for w in ranges.windows(2) {
+                        assert_eq!(w[0].end, w[1].start);
+                    }
+                    assert!(ranges.iter().all(|r| starts.contains(&r.start)));
+                }
+            }
+        }
+        // Nothing after the last line, and nothing below the cap.
+        assert!(partition_line_ranges_capped(&p, 4, starts[119] + 1, len)
+            .unwrap()
+            .is_empty());
+        assert!(
+            partition_line_ranges_capped(&p, 4, starts[60] + 1, starts[60])
+                .unwrap()
+                .is_empty()
+        );
         std::fs::remove_file(p).unwrap();
     }
 
@@ -1733,7 +1756,7 @@ mod tests {
 
     #[test]
     fn count_lines_in_range_matches_range_scanner() {
-        // The counting-only pre-count pass must agree with the full scanner
+        // The counting-only pass must agree with the full scanner
         // on every partitioning, including unterminated tails and newline
         // runs straddling block boundaries.
         let mut contents = vec![

@@ -370,10 +370,9 @@ pub fn find_byte2(hay: &[u8], needle_a: u8, needle_b: u8) -> Option<(usize, u8)>
 
 /// Count every occurrence of `needle` in `hay` with an 8-byte SWAR loop.
 ///
-/// This is the pre-count primitive of the two-phase cold scan: counting the
-/// newlines of a partition establishes its row count (and therefore every
-/// worker's global row base) without tokenizing or copying a single line.
-/// Per 8-byte word the match mask is reduced with `count_ones`, so the pass
+/// Counting the newlines of a byte range gives its line count without
+/// tokenizing or copying a single line (`reader::count_lines_in_range`, the
+/// floor a cold scan is measured against). Per 8-byte word the match mask is reduced with `count_ones`, so the pass
 /// is pure load/XOR/SUB/AND/POPCNT — no branches on the hot path.
 #[inline]
 pub fn count_byte(hay: &[u8], needle: u8) -> usize {

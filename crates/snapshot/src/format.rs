@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
 /// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -135,8 +135,6 @@ pub struct PosMapState {
     pub row_starts: Vec<u64>,
     /// Whether the row index covered the whole file at capture time.
     pub complete: bool,
-    /// The line-count memo's `(offset, lines_before)` entries.
-    pub line_counts: Vec<(u64, u64)>,
     /// Installed chunks.
     pub chunks: Vec<ChunkState>,
 }
@@ -147,7 +145,6 @@ impl PosMapState {
         PosMapState {
             row_starts: map.row_index().starts().to_vec(),
             complete: map.row_index().is_complete(),
-            line_counts: map.line_counts().entries().to_vec(),
             chunks: map
                 .chunks()
                 .iter()
@@ -169,9 +166,6 @@ impl PosMapState {
         map.row_index_mut().note_rows(0, &self.row_starts);
         if self.complete {
             map.row_index_mut().mark_complete();
-        }
-        for (offset, lines) in self.line_counts {
-            map.line_counts_mut().note(offset, lines);
         }
         for chunk in self.chunks {
             if let Some(builder) = ChunkBuilder::from_raw_cols(chunk.attrs, chunk.cols) {
@@ -300,11 +294,6 @@ fn encode_posmap(map: &PosMapState) -> Vec<u8> {
         e.put_u64(s);
     }
     e.put_bool(map.complete);
-    e.put_len(map.line_counts.len());
-    for &(off, lines) in &map.line_counts {
-        e.put_u64(off);
-        e.put_u64(lines);
-    }
     e.put_len(map.chunks.len());
     for chunk in &map.chunks {
         e.put_len(chunk.attrs.len());
@@ -611,13 +600,6 @@ fn decode_posmap(payload: &[u8]) -> Result<PosMapState> {
         return Err(SnapshotError::Malformed("row starts not increasing"));
     }
     let complete = d.bool()?;
-    let n_counts = d.len()?;
-    let mut line_counts = Vec::with_capacity(n_counts.min(d.remaining() / 16));
-    for _ in 0..n_counts {
-        let off = d.u64()?;
-        let lines = d.u64()?;
-        line_counts.push((off, lines));
-    }
     let n_chunks = d.len()?;
     let mut chunks = Vec::with_capacity(n_chunks.min(d.remaining()));
     for _ in 0..n_chunks {
@@ -644,7 +626,6 @@ fn decode_posmap(payload: &[u8]) -> Result<PosMapState> {
     Ok(PosMapState {
         row_starts,
         complete,
-        line_counts,
         chunks,
     })
 }

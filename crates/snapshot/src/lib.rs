@@ -60,22 +60,21 @@ mod tests {
         let mut map = PositionalMap::new(MapPolicy::default());
         map.row_index_mut().note_rows(0, &[0, 40, 81, 130]);
         map.row_index_mut().mark_complete();
-        map.line_counts_mut().note(81, 2);
         let mut b = nodb_posmap::ChunkBuilder::new(vec![1, 3]);
         b.push_row_offsets(&[(1, 5)]);
         b.push_row_offsets(&[(1, 7), (3, 12)]);
         map.install(b);
 
         let mut cache = RawCache::new(CachePolicy::default());
-        let mut col = nodb_rawcache::ColumnBuilder::new(ColumnType::Int);
+        let mut col = nodb_rawcache::TypedColumn::new(ColumnType::Int);
         col.push(&Datum::Int(42));
         col.push(&Datum::Null);
         col.push(&Datum::Int(-7));
-        assert!(cache.install_restored(2, col.finish()));
-        let mut sc = nodb_rawcache::ColumnBuilder::new(ColumnType::Str);
+        assert!(cache.install_restored(2, col));
+        let mut sc = nodb_rawcache::TypedColumn::new(ColumnType::Str);
         sc.push(&Datum::Str("alpha".into()));
         sc.push(&Datum::Str("".into()));
-        assert!(cache.install_restored(5, sc.finish()));
+        assert!(cache.install_restored(5, sc));
 
         let mut stats = TableStats::new(1);
         for row in 0..50u64 {
@@ -102,7 +101,6 @@ mod tests {
         assert_eq!(back.row_count, Some(4));
         assert_eq!(back.map.row_starts, vec![0, 40, 81, 130]);
         assert!(back.map.complete);
-        assert_eq!(back.map.line_counts, vec![(81, 2)]);
         assert_eq!(back.map.chunks.len(), 1);
         assert_eq!(back.map.chunks[0].attrs, vec![1, 3]);
         // Sentinel NO_OFFSET survives the trip raw.

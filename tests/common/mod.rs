@@ -117,6 +117,22 @@ impl NaiveModel {
     /// budgets and sampling stride.
     pub fn load(path: &std::path::Path, schema: &Schema, cfg: &NoDbConfig) -> Self {
         let types: Vec<ColumnType> = (0..schema.len()).map(|a| schema.ty(a)).collect();
+        NaiveModel {
+            rows: Self::read_rows(path, &types),
+            types,
+            row_count: None,
+            bytes_after_row: Vec::new(),
+            cache: RawCache::new(CachePolicy::with_budget(cfg.cache_budget_bytes)),
+            stats: TableStats::new(cfg.stats_sample_every),
+            map: PositionalMap::new(MapPolicy {
+                budget_bytes: cfg.map_budget_bytes,
+                trigger: cfg.combination_trigger,
+            }),
+        }
+    }
+
+    /// Every line of the file: start offset, parsed fields, field starts.
+    fn read_rows(path: &std::path::Path, types: &[ColumnType]) -> Vec<(u64, Vec<Datum>, Vec<u32>)> {
         let bytes = std::fs::read(path).unwrap();
         let mut rows = Vec::new();
         let mut offset = 0u64;
@@ -133,18 +149,16 @@ impl NaiveModel {
             rows.push((offset, values, starts));
             offset += line.len() as u64;
         }
-        NaiveModel {
-            types,
-            rows,
-            row_count: None,
-            bytes_after_row: Vec::new(),
-            cache: RawCache::new(CachePolicy::with_budget(cfg.cache_budget_bytes)),
-            stats: TableStats::new(cfg.stats_sample_every),
-            map: PositionalMap::new(MapPolicy {
-                budget_bytes: cfg.map_budget_bytes,
-                trigger: cfg.combination_trigger,
-            }),
-        }
+        rows
+    }
+
+    /// Rows were appended to the file: read it again and forget what an
+    /// append makes a table forget — the totals, not the prefix state.
+    pub fn note_appended(&mut self, path: &std::path::Path) {
+        self.rows = Self::read_rows(path, &self.types);
+        self.row_count = None;
+        self.map.note_appended();
+        self.stats.note_appended();
     }
 
     /// Index of the data row starting at byte `offset` (the row count when

@@ -197,9 +197,9 @@ fn racing_cold_scans_merge_to_union_state() {
 
 /// Steal-race stress: concurrent clients rescanning a table whose cache
 /// holds only a partial prefix (tight budget, positional map off, so every
-/// rescan is a cold byte-partitioned scan). Each scan runs the two-phase
-/// pre-count and the work-stealing slice queue, so N clients × 8 workers ×
-/// stealing exercises every claim interleaving; results and final state
+/// rescan resolves the whole file from raw bytes). Each scan runs the
+/// work-stealing slice queue, so N clients × 8 workers × stealing
+/// exercises every claim interleaving; results and final state
 /// must still equal the sequential replay. `NODB_TEST_STRESS` multiplies
 /// the rounds.
 #[test]

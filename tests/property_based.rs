@@ -342,13 +342,14 @@ fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
     }
 }
 
-/// The two-phase cold-scan invariant (ISSUE 3): a cold byte-partitioned
-/// scan over a table with a *pre-populated partial cache* — random coverage
-/// prefixes induced by random tight budgets — must produce byte-identical
-/// results, cache contents and statistics to the one-worker scan.
-/// Exercised across scan_threads 1/2/8, stealing off and on, pre-count on
-/// and off, and with an occasional append (which turns a warm table cold
-/// again while keeping reusable prefix state).
+/// The partial-state rescan invariant (ISSUE 3, ISSUE 20): a scan over a
+/// table with a *pre-populated partial cache* — random coverage prefixes
+/// induced by random tight budgets — must produce byte-identical results,
+/// cache contents and statistics to the one-worker scan, whether the table
+/// keeps no row index (every rescan resolves raw bytes) or keeps one and is
+/// appended to (known rows as row slices, the tail as byte slices).
+/// Exercised across scan_threads 1/2/8, stealing off and on, and with an
+/// occasional append.
 #[test]
 fn cold_partial_cache_reuse_equals_sequential() {
     let mut rng = CaseRng::new(0xC01D);
@@ -358,17 +359,17 @@ fn cold_partial_cache_reuse_equals_sequential() {
         let seed = rng.below(1_000);
         let threads = *rng.pick(&[1usize, 2, 8]);
         let steal = *rng.pick(&[0usize, 4]);
-        let precount = rng.below(4) != 0; // mostly on
+        let map_draw = rng.below(4) != 0;
         let append = rng.below(3) == 0;
         let a1 = rng.below(cols as u64);
         let pred = rng.below(cols as u64);
         let cut = rng.below(1_000_000_000) as i64;
         // Tight random budget → the first query caches a random prefix.
         let budget = 300 + rng.below(5_000) as usize;
-        // Positional map off on most cases: without it there is no row
-        // index, so every rescan stays cold byte-partitioned — the exact
-        // path under test. Map-on cases cover the cold-after-append route.
-        let map_on = append && rng.below(2) == 0;
+        // Positional map off without an append: there is no row index, so
+        // every rescan is all unknown tail. Every append case but one in
+        // four keeps the map: known rows, then a tail behind them.
+        let map_on = append && map_draw;
 
         let gen = GeneratorConfig::uniform_ints(cols, rows, seed);
         let path = scratch("coldreuse", case);
@@ -385,7 +386,6 @@ fn cold_partial_cache_reuse_equals_sequential() {
                 cache_budget_bytes: budget,
                 scan_threads,
                 steal_slices_per_thread: steal,
-                cold_precount: precount,
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -397,7 +397,7 @@ fn cold_partial_cache_reuse_equals_sequential() {
         let par = mk(threads);
 
         let tag = format!(
-            "case {case} (threads {threads} steal {steal} precount {precount} \
+            "case {case} (threads {threads} steal {steal} \
              append {append} map {map_on} budget {budget})"
         );
         for (qi, sql) in queries.iter().enumerate() {
@@ -415,9 +415,9 @@ fn cold_partial_cache_reuse_equals_sequential() {
             par.table_handle("t").unwrap(),
         );
         let (ts, tp) = (hs.read(), hp.read());
-        // Hit accounting is slice-independent: without the pre-count cold
-        // workers report zero cache reads (they re-parse instead of
-        // peeking) at every worker count, with it they peek the same rows.
+        // Hit accounting is slice-independent: slices of unknown rows report
+        // zero cache reads (they re-parse instead of peeking) at every
+        // worker count, slices of known rows peek the same rows.
         assert_eq!(
             ts.cache().metrics().hits,
             tp.cache().metrics().hits,

@@ -280,7 +280,6 @@ fn retry_overloaded_rides_out_saturation() {
     let mut db = NoDb::new(NoDbConfig {
         scan_threads: 1,
         io_block_size: 4096,
-        cold_precount: false,
         io_fault_seed: 0x0B5C,
         io_fault_one_in: 1,
         io_retry_attempts: 2,

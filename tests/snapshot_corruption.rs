@@ -128,6 +128,25 @@ fn future_version_degrades_to_cold() {
     cleanup(&path);
 }
 
+/// Version skew the other way: a sidecar written by the previous format
+/// version (whose positional-map section still carried the line-count
+/// memo) is refused by the same gate, and the table answers cold.
+#[test]
+fn previous_version_degrades_to_cold() {
+    let (path, side, gen) = warmed_sidecar("oldversion");
+    let mut bytes = std::fs::read(&side).unwrap();
+    let previous = snapshot::FORMAT_VERSION - 1;
+    assert_eq!(previous, 1);
+    bytes[8..12].copy_from_slice(&previous.to_le_bytes());
+    std::fs::write(&side, &bytes).unwrap();
+    assert_eq!(
+        snapshot::decode_snapshot(&bytes).err(),
+        Some(snapshot::SnapshotError::VersionSkew { found: previous })
+    );
+    assert_degrades_to_cold("previous-version", &path, &gen);
+    cleanup(&path);
+}
+
 /// Stale fingerprint: the sidecar is internally pristine but the data file
 /// it describes was replaced. The fingerprint check must win.
 #[test]

@@ -27,6 +27,8 @@ use nodb_repro::core::{NoDb, QueryCtx};
 use nodb_repro::engine::EngineError;
 use nodb_repro::prelude::*;
 
+mod common;
+
 fn scratch(tag: &str) -> std::path::PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("nodb_srcmut_{tag}_{}", std::process::id()));
@@ -42,7 +44,6 @@ fn slow_chaos_cfg() -> NoDbConfig {
         scan_threads: 2,
         steal_slices_per_thread: 16,
         io_block_size: 4096,
-        cold_precount: false,
         io_fault_seed: 0xE70C,
         io_fault_one_in: 1,
         io_retry_attempts: 2,
@@ -125,6 +126,59 @@ fn between_query_rewrite_quarantines_and_recovers() {
     );
     assert_eq!(epoch.trusted_len, epoch.meta.len, "no torn tail");
     std::fs::remove_file(path).ok();
+}
+
+/// An append costs a scan of the appended bytes, not of the table (ISSUE
+/// 20): the row index already holds the row numbers of everything before
+/// them, so the known rows are served from the cache without opening the
+/// file and only the tail is read — by `COUNT(*)`, which needs no attribute,
+/// and by a filter + aggregate over cached columns alike. After each query
+/// the table holds exactly what one row-at-a-time pass over the grown file
+/// would leave behind.
+#[test]
+fn post_append_queries_read_only_the_appended_tail() {
+    let filter = (
+        "SELECT COUNT(*), SUM(c1) FROM t WHERE c3 < 500000000",
+        vec![1, 3],
+    );
+    let count = ("SELECT COUNT(*) FROM t", vec![]);
+    for threads in [1usize, 4] {
+        // ~5.5 MB: a pass over the whole file cannot hide in the bound.
+        let (path, gen) = gen_table(&format!("tailonly{threads}"), 100_000);
+        let cfg = NoDbConfig {
+            scan_threads: threads,
+            ..NoDbConfig::default()
+        };
+        let mut db = NoDb::new(cfg);
+        db.register_csv_with_schema("t", &path, gen.schema(), false)
+            .unwrap();
+        let mut model = common::NaiveModel::load(&path, &gen.schema(), &cfg);
+
+        assert_eq!(
+            db.query(filter.0).unwrap(),
+            oracle(&path, gen.schema(), filter.0)
+        );
+        model.query(&filter.1);
+        common::assert_matches_model(&format!("threads {threads} first scan"), &db, &model);
+
+        for (sql, attrs) in [&count, &filter] {
+            let tag = format!("threads {threads} after append: {sql}");
+            let before = std::fs::metadata(&path).unwrap().len();
+            gen.append_rows(&path, 250).unwrap();
+            let tail = std::fs::metadata(&path).unwrap().len() - before;
+            let (result, report) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+            assert_eq!(result, oracle(&path, gen.schema(), sql), "{tag}");
+            assert!(
+                report.io.bytes_read <= tail + 2 * cfg.io_block_size as u64,
+                "{tag}: read {} bytes for a {tail}-byte tail",
+                report.io.bytes_read
+            );
+            model.note_appended(&path);
+            model.query(attrs);
+            common::assert_matches_model(&tag, &db, &model);
+        }
+        std::fs::remove_file(path).ok();
+    }
 }
 
 /// Truncation landing mid-scan: the guard raises `SourceChanged`, the
