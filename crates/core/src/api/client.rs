@@ -273,9 +273,13 @@ impl NoDb {
         // exit path (including errors), and it *clamps* the config's
         // thread fan-out — granted permits are what the scan may spawn.
         let budget = self.scan_budget.read().clone();
+        let mut admission_wait = Duration::ZERO;
+        let mut lock_wait = Duration::ZERO;
         let _grant = match budget.as_ref() {
             Some(b) => {
-                let grant = b.acquire(config.effective_scan_threads(), ctx)?;
+                let grant = timed(&mut admission_wait, || {
+                    b.acquire(config.effective_scan_threads(), ctx)
+                })?;
                 config.scan_threads = grant.permits();
                 Some(grant)
             }
@@ -330,7 +334,7 @@ impl NoDb {
         // write guard is dead before the post-query snapshot write-behind
         // re-locks the table.
         let (planned, prepared_hit, result, engine_elapsed) = {
-            let mut guard = handle.write();
+            let mut guard = timed(&mut lock_wait, || handle.write());
             let (planned, prepared_hit) = {
                 let table = &mut *guard;
                 if config.detect_updates {
@@ -437,7 +441,7 @@ impl NoDb {
                     };
                     match staged {
                         Ok(Some(queue)) => break run_engine(queue),
-                        Ok(None) => guard = handle.write(),
+                        Ok(None) => guard = timed(&mut lock_wait, || handle.write()),
                         Err(e) => break Err(e),
                     }
                 };
@@ -459,7 +463,7 @@ impl NoDb {
                     && match &e {
                         EngineError::SourceChanged { .. } => true,
                         EngineError::Csv(_) if config.detect_updates => {
-                            let t = handle.read();
+                            let t = timed(&mut lock_wait, || handle.read());
                             t.epoch()
                                 .classify(t.path())
                                 .map_or(true, |c| c.invalidates())
@@ -472,7 +476,7 @@ impl NoDb {
                 source_retries -= 1;
                 source_changes += 1;
                 attempts = 0;
-                guard = handle.write();
+                guard = timed(&mut lock_wait, || handle.write());
                 if let Err(e) = guard.quarantine() {
                     break 'query Err(e);
                 }
@@ -496,8 +500,12 @@ impl NoDb {
         breakdown.engine = engine_elapsed;
         breakdown.planning = planning;
         // Processing = everything not attributed to a scan phase, the
-        // engine pipeline or planning (admission/lock waits land here).
+        // engine pipeline or planning. The admission and lock waits are
+        // parts of it, clamped into it: a parallel scan's phase slices sum
+        // over its workers and can exceed the wall clock they ran in.
         breakdown.processing = total.saturating_sub(scan_time + breakdown.engine + planning);
+        breakdown.admission_wait = admission_wait.min(breakdown.processing);
+        breakdown.lock_wait = lock_wait.min(breakdown.processing - breakdown.admission_wait);
         let report = QueryReport {
             total,
             breakdown,
@@ -546,6 +554,15 @@ impl NoDb {
     pub fn table_handle(&self, name: &str) -> Option<TableHandle> {
         self.tables.get(name)
     }
+}
+
+/// Run `acquire` (a permit or lock acquisition) and add its wall time to
+/// `wait`.
+fn timed<T>(wait: &mut Duration, acquire: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let r = acquire();
+    *wait += t.elapsed();
+    r
 }
 
 #[cfg(test)]
@@ -843,6 +860,40 @@ mod tests {
         );
         assert_eq!(t.admitted, 6);
         assert_eq!(t.in_flight, 0, "all grants returned");
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// The admission and lock waits are reported as parts of `processing`:
+    /// a query queued behind a held permit shows its wait, and a solo warm
+    /// query's waits never exceed the slice they belong to.
+    #[test]
+    fn waits_are_sub_slices_of_processing() {
+        let (p, gen) = tmp_csv(3, 500, 22);
+        let mut db = NoDb::new(NoDbConfig::default());
+        db.register_csv_with_schema("t", &p, gen.schema(), false)
+            .unwrap();
+        let budget = Arc::new(crate::admission::ScanBudget::new(1));
+        db.admin().install_scan_budget(Arc::clone(&budget));
+        let sql = "SELECT SUM(c1) FROM t";
+        db.query(sql).unwrap();
+
+        let (_, solo) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+        let bd = solo.breakdown;
+        assert!(bd.admission_wait + bd.lock_wait <= bd.processing, "{bd:?}");
+
+        let held = budget.acquire(1, &QueryCtx::unbounded()).unwrap();
+        let queued = std::thread::scope(|s| {
+            let q = s.spawn(|| db.query_reported(sql, &QueryCtx::unbounded()));
+            while budget.telemetry().waiting == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            drop(held);
+            q.join().unwrap().unwrap().1
+        });
+        let bd = queued.breakdown;
+        assert!(bd.admission_wait >= Duration::from_millis(20), "{bd:?}");
+        assert!(bd.admission_wait + bd.lock_wait <= bd.processing, "{bd:?}");
         std::fs::remove_file(p).unwrap();
     }
 }

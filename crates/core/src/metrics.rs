@@ -45,10 +45,19 @@ pub struct Breakdown {
     /// Everything not attributed elsewhere: admission waits, lock waits,
     /// report assembly.
     pub processing: Duration,
+    /// The part of `processing` spent waiting for scan-thread permits
+    /// (`ScanBudget::acquire`). A sub-slice like [`Self::install`]:
+    /// [`Self::total`] leaves it out.
+    pub admission_wait: Duration,
+    /// The part of `processing` spent acquiring the table's read/write
+    /// guards in the query driver. A sub-slice: [`Self::total`] leaves it
+    /// out.
+    pub lock_wait: Duration,
 }
 
 impl Breakdown {
-    /// Sum of all slices (`install` is part of `nodb`).
+    /// Sum of all slices (`install` is part of `nodb`; `admission_wait`
+    /// and `lock_wait` are part of `processing`).
     pub fn total(&self) -> Duration {
         self.io
             + self.tokenizing
@@ -71,17 +80,21 @@ impl Breakdown {
         self.engine += other.engine;
         self.planning += other.planning;
         self.processing += other.processing;
+        self.admission_wait += other.admission_wait;
+        self.lock_wait += other.lock_wait;
     }
 
     /// Render as the Fig 3 panel row: `io=…ms tok=…ms parse=…ms conv=…ms
-    /// nodb=…ms (install=…ms) engine=…ms plan=…ms proc=…ms`.
+    /// nodb=…ms (install=…ms) engine=…ms plan=…ms proc=…ms (admit=…ms
+    /// lock=…ms)`.
     pub fn panel_row(&self) -> String {
         fn ms(d: Duration) -> f64 {
             d.as_secs_f64() * 1e3
         }
         format!(
             "io={:8.2}ms tok={:8.2}ms parse={:8.2}ms conv={:8.2}ms nodb={:8.2}ms \
-             (install={:8.2}ms) engine={:8.2}ms plan={:8.2}ms proc={:8.2}ms",
+             (install={:8.2}ms) engine={:8.2}ms plan={:8.2}ms proc={:8.2}ms \
+             (admit={:8.2}ms lock={:8.2}ms)",
             ms(self.io),
             ms(self.tokenizing),
             ms(self.parsing),
@@ -90,7 +103,9 @@ impl Breakdown {
             ms(self.install),
             ms(self.engine),
             ms(self.planning),
-            ms(self.processing)
+            ms(self.processing),
+            ms(self.admission_wait),
+            ms(self.lock_wait)
         )
     }
 }
@@ -364,6 +379,15 @@ mod tests {
         assert_eq!(a.install, Duration::from_millis(4));
         assert_eq!(a.total(), Duration::from_millis(25));
         assert!(a.panel_row().contains("(install=    4.00ms)"));
+        // So are the waits of `processing`.
+        a.merge(&Breakdown {
+            processing: Duration::from_millis(6),
+            admission_wait: Duration::from_millis(2),
+            lock_wait: Duration::from_millis(1),
+            ..Default::default()
+        });
+        assert_eq!(a.total(), Duration::from_millis(31));
+        assert!(a.panel_row().contains("(admit=    2.00ms lock=    1.00ms)"));
         assert!(a.panel_row().contains("io="));
         assert!(
             a.panel_row().contains("engine="),

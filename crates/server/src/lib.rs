@@ -6,10 +6,12 @@
 //! # Architecture
 //!
 //! ```text
-//!  client ──frame──▶ accept loop ──▶ connection thread ──▶ NoDb::query_reported
-//!                        │                  │                    │
-//!                   shutdown flag      disconnect          ScanBudget::acquire
-//!                                      watchdog ──▶ CancelToken  (global permits)
+//!  client ──frame──▶ accept loop ──▶ connection thread ──arm──▶ NoDb::query_reported
+//!                        │                  │   ◀──disarm──          │
+//!                   shutdown flag           │                  ScanBudget::acquire
+//!                   reaps finished   disconnect watchdog       (global permits)
+//!                   connections      (one per connection, parked while idle)
+//!                                           └── EOF while armed ──▶ CancelToken
 //! ```
 //!
 //! [`Server::start`] installs two serving-layer features on the shared
@@ -23,11 +25,14 @@
 //! * a [prepared-statement cache](nodb_core::PreparedCache) so repeat SQL
 //!   strings skip parse+plan (`prepared=1` in the response status line).
 //!
-//! Each `QUERY` mints a [`QueryCtx`] (server-configured deadline) and
-//! spawns a *disconnect watchdog* that `peek`s the client socket while the
-//! query runs: a client hang-up trips the query's [`CancelToken`], the
+//! Each connection owns one *disconnect watchdog* thread, parked while the
+//! connection is idle. Each `QUERY` mints a [`QueryCtx`] (server-configured
+//! deadline) and arms the watchdog with its [`CancelToken`]; while armed it
+//! `peek`s the client socket, and a client hang-up trips the token: the
 //! cooperative machinery from PR 6 unwinds the scan (merging completed
 //! partials first), and the table stays fully usable for everyone else.
+//! Disarming takes a lock and reads one flag — the response is never held
+//! back by the watchdog's peek or by any timer.
 //!
 //! Wire protocol and command table: `crates/server/README.md`.
 
@@ -50,9 +55,6 @@ pub use client::NoDbClient;
 
 /// How often the accept loop wakes to poll the shutdown flag.
 const ACCEPT_POLL: Duration = Duration::from_millis(10);
-
-/// How often the disconnect watchdog peeks the client socket.
-const WATCHDOG_POLL: Duration = Duration::from_millis(20);
 
 /// Tunables for one [`Server`].
 #[derive(Debug, Clone)]
@@ -119,7 +121,8 @@ impl ServerStats {
     }
 }
 
-/// A running nodb-server: accept loop + one thread per connection.
+/// A running nodb-server: accept loop + one thread per connection (plus
+/// that connection's disconnect watchdog).
 pub struct Server {
     db: Arc<NoDb>,
     budget: Arc<ScanBudget>,
@@ -179,7 +182,18 @@ impl Server {
                                     handle_connection(stream, &db, &stats2, &shutdown, timeout_ms);
                                 stats2.active_connections.fetch_sub(1, Ordering::Relaxed);
                             });
-                            connections.lock().push(handle);
+                            // Reap connections that have ended, so a
+                            // long-running server holds one handle per
+                            // *open* connection, not per connection ever.
+                            let mut conns = connections.lock();
+                            for h in std::mem::take(&mut *conns) {
+                                if h.is_finished() {
+                                    let _ = h.join();
+                                } else {
+                                    conns.push(h);
+                                }
+                            }
+                            conns.push(handle);
                         }
                         Err(e) if protocol::is_timeout(&e) => {
                             std::thread::sleep(ACCEPT_POLL);
@@ -263,6 +277,7 @@ fn handle_connection(
 ) -> io::Result<()> {
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(READ_POLL))?;
+    let watchdog = Watchdog::spawn(&stream)?;
     // This connection's most recent query report (REPORT command) — kept
     // per-connection so concurrent clients never see each other's reports.
     let mut last_report: Option<nodb_core::QueryReport> = None;
@@ -376,7 +391,7 @@ fn handle_connection(
                 respond(&mut stream, "OK", &body)?;
             }
             Command::Query(sql) => {
-                let outcome = run_query(&mut stream, db, stats, timeout_ms, &sql);
+                let outcome = run_query(&mut stream, &watchdog, db, stats, timeout_ms, &sql);
                 match outcome {
                     Ok(report) => {
                         last_report = report;
@@ -389,26 +404,22 @@ fn handle_connection(
     Ok(())
 }
 
-/// Execute one `QUERY` with a disconnect watchdog, write the two response
-/// frames, and hand back the query's report (None on error responses).
+/// Execute one `QUERY` under the connection's armed watchdog, write the
+/// two response frames, and hand back the query's report (None on error
+/// responses).
 fn run_query(
     stream: &mut TcpStream,
+    watchdog: &Watchdog,
     db: &Arc<NoDb>,
     stats: &Arc<ServerStats>,
     timeout_ms: u64,
     sql: &str,
 ) -> io::Result<Option<nodb_core::QueryReport>> {
     let ctx = QueryCtx::from_timeout_ms(timeout_ms);
-    let done = Arc::new(AtomicBool::new(false));
-    let watchdog = spawn_watchdog(stream, ctx.cancel_token(), Arc::clone(&done));
     let t0 = Instant::now();
+    watchdog.arm(ctx.cancel_token());
     let result = db.query_reported(sql, &ctx);
-    done.store(true, Ordering::Relaxed);
-    let disconnected = match watchdog {
-        Some(handle) => handle.join().unwrap_or(false),
-        None => false,
-    };
-    if disconnected {
+    if watchdog.disarm() {
         stats.disconnect_cancels.fetch_add(1, Ordering::Relaxed);
     }
     match result {
@@ -439,51 +450,134 @@ fn run_query(
     }
 }
 
-/// Watch the client socket while a query runs; on EOF (client hang-up),
-/// trip the query's cancel token. Returns a handle resolving to `true`
-/// when a disconnect was seen. `None` when the stream could not be cloned
-/// (the query then runs unwatched — worst case it finishes normally).
-fn spawn_watchdog(
-    stream: &TcpStream,
-    token: CancelToken,
-    done: Arc<AtomicBool>,
-) -> Option<JoinHandle<bool>> {
-    let peek = stream.try_clone().ok()?;
-    peek.set_read_timeout(Some(WATCHDOG_POLL)).ok()?;
-    Some(std::thread::spawn(move || {
-        let mut probe = [0u8; 1];
-        // Watchdog loop: exits when the query finishes (`done`, checked
-        // every tick) or the client hangs up (peek sees EOF → cancel).
-        loop {
-            if done.load(Ordering::Relaxed) {
-                return false;
+/// What a connection thread shares with its watchdog.
+#[derive(Default)]
+struct WatchState {
+    /// The running query's token while armed; `None` while idle.
+    armed: Option<CancelToken>,
+    /// The watchdog cancelled the armed query (cleared by `disarm`).
+    tripped: bool,
+    /// Connection teardown: the watchdog exits.
+    closing: bool,
+}
+
+/// One connection's disconnect watchdog: a thread parked while the
+/// connection is idle that, while a query is armed, peeks the client
+/// socket and trips the query's [`CancelToken`] on EOF. Dropping it stops
+/// and joins the thread.
+struct Watchdog {
+    state: Arc<Mutex<WatchState>>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl Watchdog {
+    fn spawn(stream: &TcpStream) -> io::Result<Watchdog> {
+        // The clone is the same socket, so it shares the connection's
+        // `READ_POLL` read timeout (`SO_RCVTIMEO` belongs to the socket,
+        // not the descriptor): an armed peek returns within one tick.
+        let peek = stream.try_clone()?;
+        let state = Arc::new(Mutex::new(WatchState::default()));
+        let shared = Arc::clone(&state);
+        let handle = std::thread::Builder::new()
+            .name("nodb-watchdog".to_string())
+            .spawn(move || watch(&peek, &shared))?;
+        Ok(Watchdog {
+            state,
+            handle: Some(handle),
+        })
+    }
+
+    /// Watch the socket on behalf of the query owning `token`.
+    fn arm(&self, token: CancelToken) {
+        self.state.lock().armed = Some(token);
+        self.wake();
+    }
+
+    /// Stop watching; `true` when the watchdog cancelled the query because
+    /// its client disconnected. Never waits for the watchdog's peek.
+    fn disarm(&self) -> bool {
+        let mut s = self.state.lock();
+        s.armed = None;
+        std::mem::take(&mut s.tripped)
+    }
+
+    fn wake(&self) {
+        if let Some(h) = &self.handle {
+            h.thread().unpark();
+        }
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.state.lock().closing = true;
+        self.wake();
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// The watchdog thread: parked until armed or closing; while armed,
+/// peeks the socket and cancels the armed query on EOF or a socket error.
+fn watch(peek: &TcpStream, state: &Mutex<WatchState>) {
+    let mut probe = [0u8; 1];
+    loop {
+        let armed = {
+            let s = state.lock();
+            if s.closing {
+                return;
             }
-            match peek.peek(&mut probe) {
-                Ok(0) => {
-                    // EOF: the client is gone. Cancel the in-flight query;
-                    // the scan unwinds cooperatively and merges completed
-                    // partials (PR 6 semantics).
+            s.armed.is_some()
+        };
+        if !armed {
+            std::thread::park();
+            continue;
+        }
+        match peek.peek(&mut probe) {
+            Err(e) if protocol::is_timeout(&e) => {}
+            // The client pipelined its next request: nothing to watch
+            // until `arm` wakes us for it.
+            Ok(n) if n > 0 => std::thread::park(),
+            // EOF or a reset: the client is gone. Cancel the query if it
+            // is still running; the scan unwinds cooperatively and merges
+            // completed partials (PR 6 semantics).
+            _ => {
+                let mut s = state.lock();
+                if let Some(token) = s.armed.take() {
                     token.cancel();
-                    return true;
-                }
-                Ok(_) => {
-                    // The client pipelined its next request; nothing to do
-                    // until the current query finishes.
-                    std::thread::sleep(WATCHDOG_POLL);
-                }
-                Err(e) if protocol::is_timeout(&e) => {}
-                Err(_) => {
-                    // Connection reset counts as a disconnect too.
-                    token.cancel();
-                    return true;
+                    s.tripped = true;
                 }
             }
         }
-    }))
+    }
 }
 
 /// Write the canonical two-frame response: status line, then body.
 fn respond(stream: &mut impl Write, status: &str, body: &str) -> io::Result<()> {
     write_frame(stream, status)?;
     write_frame(stream, body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nodb_core::NoDbConfig;
+
+    /// The accept loop joins ended connections: 200 connect-and-`QUIT`
+    /// sessions leave a handful of handles behind, not 200.
+    #[test]
+    fn accept_loop_reaps_finished_connections() {
+        let db = Arc::new(NoDb::new(NoDbConfig::default()));
+        let server = Server::start(db, ServerConfig::default()).unwrap();
+        for _ in 0..200 {
+            NoDbClient::connect(server.local_addr())
+                .unwrap()
+                .quit()
+                .unwrap();
+        }
+        let held = server.connections.lock().len();
+        assert!(held <= 8, "{held} handles held after 200 closed sessions");
+        assert_eq!(server.shutdown().connections, 200);
+    }
 }

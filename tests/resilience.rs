@@ -308,6 +308,110 @@ fn client_disconnect_mid_query_cancels_and_table_survives() {
     std::fs::remove_file(path).ok();
 }
 
+/// A server over a slow-scanning table `t` (the chaos config) plus a tiny
+/// fast table `small`, with no server-side deadline.
+fn slow_server(
+    tag: &str,
+) -> (
+    Server,
+    std::path::PathBuf,
+    std::path::PathBuf,
+    GeneratorConfig,
+) {
+    let (path, gen) = gen_table(tag, 60_000);
+    let small = scratch(&format!("{tag}_small"));
+    std::fs::write(&small, "1,2\n3,4\n").unwrap();
+    let mut db = NoDb::new(slow_chaos_cfg(0));
+    db.register_csv_with_schema("t", &path, gen.schema(), false)
+        .unwrap();
+    db.register_csv_with_schema(
+        "small",
+        &small,
+        Schema::new(vec![
+            ColumnDef::new("a", ColumnType::Int),
+            ColumnDef::new("b", ColumnType::Int),
+        ]),
+        false,
+    )
+    .unwrap();
+    let server = Server::start(
+        Arc::new(db),
+        ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            scan_budget: 4,
+            admission_queue: 16,
+            prepared_statements: 8,
+            query_timeout_ms: 0,
+        },
+    )
+    .unwrap();
+    (server, path, small, gen)
+}
+
+/// The connection's watchdog re-arms for every query: a client that hangs
+/// up during its *second* query still cancels it, and only that query.
+#[test]
+fn disconnect_during_second_query_cancels_it() {
+    let (server, path, small, _) = slow_server("second_query");
+    let mut doomed = NoDbClient::connect(server.local_addr()).unwrap();
+    let first = doomed.query("SELECT SUM(a) FROM small").unwrap();
+    assert!(first.is_ok(), "{}", first.status);
+    doomed.send_only("QUERY SELECT SUM(c0) FROM t").unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    drop(doomed);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().active_connections > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "connection never closed: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.disconnect_cancels, 1, "{stats:?}");
+    assert_eq!(stats.queries_ok, 1, "the first query answered: {stats:?}");
+    assert_eq!(stats.queries_err, 1, "the second was cancelled: {stats:?}");
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(small).ok();
+}
+
+/// A request pipelined while a slow query runs parks the watchdog instead
+/// of tripping it: both queries are answered, in order, and neither is
+/// cancelled.
+#[test]
+fn pipelined_request_is_answered_in_order() {
+    let (server, path, small, gen) = slow_server("pipelined");
+    let slow_sql = "SELECT SUM(c0) FROM t";
+    let fast_sql = "SELECT SUM(a) FROM small";
+    let mut client = NoDbClient::connect(server.local_addr()).unwrap();
+    client.send_only(&format!("QUERY {slow_sql}")).unwrap();
+    // Sends the second request while the first scans, then reads the
+    // first response.
+    let slow = client.command(&format!("QUERY {fast_sql}")).unwrap();
+    let mut stream = client.stream();
+    let fast_status = nodb_server::protocol::read_frame(&mut stream).unwrap();
+    let fast_body = nodb_server::protocol::read_frame(&mut stream).unwrap();
+
+    assert!(slow.is_ok(), "{}", slow.status);
+    assert_eq!(
+        slow.body,
+        reference_answer(&path, &gen, slow_sql).to_string()
+    );
+    assert!(fast_status.is_some_and(|s| s.starts_with("OK")));
+    assert!(
+        fast_body.is_some_and(|b| b.starts_with("sum(a)") && b.contains("\n4 ")),
+        "second response answers the second request"
+    );
+    client.quit().unwrap();
+    let stats = server.shutdown();
+    assert_eq!(stats.queries_ok, 2, "{stats:?}");
+    assert_eq!(stats.disconnect_cancels, 0, "{stats:?}");
+    std::fs::remove_file(path).ok();
+    std::fs::remove_file(small).ok();
+}
+
 /// The permissive parse-error policy quarantines malformed rows and surfaces
 /// the tally + capped samples in [`QueryReport`]; strict (the default)
 /// aborts the query instead.

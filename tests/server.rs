@@ -426,6 +426,11 @@ fn protocol_surface_round_trips() {
     assert!(report.is_ok());
     assert!(!report.body.is_empty(), "report body has the plan");
     assert!(report.body.contains("install="), "lock-side slice shown");
+    assert!(
+        report.body.contains("(admit=") && report.body.contains("lock="),
+        "waits of `proc` shown: {}",
+        report.body
+    );
 
     let panel = client.command("PANEL t").unwrap();
     assert!(panel.is_ok());
@@ -450,5 +455,72 @@ fn protocol_surface_round_trips() {
 
     client.quit().unwrap();
     server.shutdown();
+    std::fs::remove_file(path).unwrap();
+}
+
+/// The served path adds no timer to a query (ISSUE 21): over one
+/// connection, a warm aggregate's client round trip exceeds the same SQL's
+/// in-process `query_reported` time on the same `NoDb` by ≤ 5 ms in the
+/// median. The table is big enough that every query takes over a
+/// millisecond — shorter ones finished before a per-query watchdog's
+/// 20 ms peek started, which hid the tax this guards against.
+#[test]
+fn wire_overhead_is_not_a_timer() {
+    let gen = GeneratorConfig::uniform_ints(5, 150_000, 0x3A7E);
+    let path = scratch("wire_overhead");
+    gen.generate_file(&path).unwrap();
+    let server = Server::start(Arc::new(mk_db(&path, gen.schema(), 1)), server_config(2)).unwrap();
+    let mut client = NoDbClient::connect(server.local_addr()).unwrap();
+    let sql = "SELECT COUNT(*), SUM(c1) FROM t WHERE c2 < 500000000";
+    assert!(client.query(sql).unwrap().is_ok(), "warm-up");
+
+    let mut overhead_ms = Vec::new();
+    for _ in 0..30 {
+        let t = std::time::Instant::now();
+        let resp = client.query(sql).unwrap();
+        let wire = t.elapsed();
+        assert!(resp.is_ok(), "{}", resp.status);
+        let t = std::time::Instant::now();
+        server
+            .db()
+            .query_reported(sql, &nodb_repro::core::QueryCtx::unbounded())
+            .unwrap();
+        let direct = t.elapsed();
+        assert!(
+            direct >= std::time::Duration::from_millis(1),
+            "query too short to expose a timer: {direct:?}"
+        );
+        overhead_ms.push((wire.as_secs_f64() - direct.as_secs_f64()) * 1e3);
+    }
+    overhead_ms.sort_by(f64::total_cmp);
+    let median = overhead_ms[overhead_ms.len() / 2];
+    assert!(
+        median <= 5.0,
+        "median wire overhead {median:.2} ms; all: {overhead_ms:.2?}"
+    );
+
+    client.quit().unwrap();
+    server.shutdown();
+    std::fs::remove_file(path).unwrap();
+}
+
+/// A client that reads its answer and then hangs up while its connection
+/// is idle cancels nothing: the watchdog only trips a query still running.
+#[test]
+fn idle_hang_up_is_not_a_disconnect_cancel() {
+    let gen = GeneratorConfig::uniform_ints(3, 2_000, 0x1D7E);
+    let path = scratch("idle_hangup");
+    gen.generate_file(&path).unwrap();
+    let server = Server::start(Arc::new(mk_db(&path, gen.schema(), 1)), server_config(2)).unwrap();
+    let sessions = 20;
+    for _ in 0..sessions {
+        let mut client = NoDbClient::connect(server.local_addr()).unwrap();
+        let resp = client.query("SELECT COUNT(*) FROM t").unwrap();
+        assert!(resp.is_ok(), "{}", resp.status);
+        drop(client);
+    }
+    let stats = server.shutdown();
+    assert_eq!(stats.queries_ok, sessions);
+    assert_eq!(stats.disconnect_cancels, 0, "{stats:?}");
     std::fs::remove_file(path).unwrap();
 }
