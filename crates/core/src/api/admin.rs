@@ -14,9 +14,9 @@ use nodb_engine::{EngineError, EngineResult};
 use crate::admission::{BudgetTelemetry, ScanBudget};
 use crate::api::client::NoDb;
 use crate::api::prepared::{PreparedCache, PreparedStats};
-use crate::epoch::{EpochChange, SourceEpoch};
 use crate::metrics::QueryReport;
 use crate::rawscan;
+use crate::{EpochChange, SourceEpoch};
 
 /// Administrative view over a [`NoDb`] (see the module docs).
 pub struct Admin<'a> {

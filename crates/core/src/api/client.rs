@@ -464,9 +464,7 @@ impl NoDb {
                         EngineError::SourceChanged { .. } => true,
                         EngineError::Csv(_) if config.detect_updates => {
                             let t = timed(&mut lock_wait, || handle.read());
-                            t.epoch()
-                                .classify(t.path())
-                                .map_or(true, |c| c.invalidates())
+                            t.epoch().is_dead(t.path())
                         }
                         _ => false,
                     };

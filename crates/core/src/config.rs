@@ -73,7 +73,7 @@ pub struct NoDbConfig {
     /// *Updates*). Also arms the full source-epoch machinery: the torn-row
     /// fence (scans trust only bytes up to the last newline observed at
     /// epoch capture), mid-scan truncation detection, and post-scan epoch
-    /// re-validation before any adaptive-state merge (see `nodb_core::epoch`).
+    /// re-validation before any adaptive-state merge (see `nodb_rawcsv::epoch`).
     pub detect_updates: bool,
     /// How many times a facade query transparently retries after
     /// `EngineError::SourceChanged` (the backing file was truncated or

@@ -62,7 +62,9 @@
 //! * **Source mutation** — the raw files belong to external tools, which
 //!   may append, truncate, or rewrite them at any moment. Every table is
 //!   keyed to a [`SourceEpoch`] (length, mtime, sampled head/tail hashes),
-//!   re-validated under the planning lock at every query (see [`epoch`]):
+//!   re-validated under the planning lock at every query (see
+//!   [`nodb_rawcsv::epoch`]) and stored whole in the snapshot sidecar, so a
+//!   restored table reconciles through the same probe:
 //!   appends keep prefix state and replay the tail, truncation/rewrite
 //!   quarantines map/cache/statistics and rescans cold. A mutation *during*
 //!   a scan (short file, failed post-scan re-validation) raises
@@ -82,7 +84,6 @@ pub mod admission;
 pub mod api;
 pub mod config;
 pub mod ctx;
-pub mod epoch;
 pub mod metrics;
 pub mod rawscan;
 pub mod registry;
@@ -90,12 +91,12 @@ pub mod table;
 mod worker;
 
 pub use nodb_engine::EngineError;
+pub use nodb_rawcsv::{EpochChange, SourceEpoch};
 
 pub use admission::{BudgetTelemetry, ScanBudget, ScanGrant};
 pub use api::{Admin, NoDb, PreparedCache, PreparedStats};
 pub use config::{NoDbConfig, NoDbConfigBuilder, ParseErrorPolicy};
 pub use ctx::{CancelToken, QueryCtx};
-pub use epoch::{EpochChange, SourceEpoch};
 pub use metrics::{Breakdown, QueryReport, SnapshotTelemetry, SystemSnapshot};
 pub use rawscan::{QuarantineSample, ScanTelemetry, TelemetryHandle};
 pub use registry::{TableHandle, TableRegistry};

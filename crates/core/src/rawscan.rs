@@ -187,11 +187,11 @@ use nodb_rawcsv::{IoCounters, RawCsvError};
 
 use crate::config::NoDbConfig;
 use crate::ctx::QueryCtx;
-use crate::epoch::SourceEpoch;
 use crate::metrics::{Breakdown, PhaseClock};
 use crate::registry::TableHandle;
 use crate::table::RawTable;
 use crate::worker::{self, Partition, PartitionOutput, ScanContext};
+use crate::SourceEpoch;
 
 /// One quarantined malformed cell, sampled for telemetry under
 /// [`ParseErrorPolicy::Permissive`]: the row stayed in the result with the
@@ -515,19 +515,10 @@ pub(crate) fn prepare_scan(
 /// in-place rewrite within mtime granularity) to the window between the
 /// last read and this probe.
 pub(crate) fn revalidate_epoch(prep: &ScanPrep) -> EngineResult<()> {
-    let Some(epoch) = &prep.epoch else {
-        return Ok(());
-    };
-    let invalidated = match epoch.classify(&prep.path) {
-        Ok(change) => change.invalidates(),
-        // Can't even probe the file (deleted mid-scan, permissions
-        // yanked): same fate as a rewrite.
-        Err(_) => true,
-    };
-    if invalidated {
-        return Err(source_changed_err(prep));
+    match &prep.epoch {
+        Some(epoch) if epoch.is_dead(&prep.path) => Err(source_changed_err(prep)),
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// The `SourceChanged` error for this scan, labeled with the backing path

@@ -6,14 +6,13 @@ use std::path::{Path, PathBuf};
 use nodb_engine::{EngineError, EngineResult};
 use nodb_posmap::{MapPolicy, PositionalMap};
 use nodb_rawcache::{CachePolicy, RawCache};
-use nodb_rawcsv::reader::{fnv1a, FileChange};
+use nodb_rawcsv::reader::fnv1a;
 use nodb_rawcsv::tokenizer::TokenizerConfig;
-use nodb_rawcsv::{RawCsvError, Schema};
+use nodb_rawcsv::{EpochChange, RawCsvError, Schema, SourceEpoch};
 use nodb_snapshot::TableSnapshot;
 use nodb_stats::TableStats;
 
 use crate::config::NoDbConfig;
-use crate::epoch::{EpochChange, SourceEpoch};
 use crate::metrics::{ChunkInfo, SystemSnapshot};
 
 /// What restoring a sidecar snapshot did to a freshly registered table.
@@ -29,8 +28,9 @@ pub enum RestoreOutcome {
         appended: bool,
     },
     /// The sidecar was unusable (corrupt, truncated, version-skewed, or
-    /// the file was replaced since capture); the table starts cold. The
-    /// string says why, for telemetry and logs — never for control flow.
+    /// the file was truncated or rewritten since capture); the table
+    /// starts cold. The string says why, for telemetry and logs — never
+    /// for control flow.
     Rejected(String),
 }
 
@@ -136,7 +136,7 @@ impl RawTable {
         &self.stats
     }
 
-    /// The current source epoch (see [`crate::epoch`]).
+    /// The current source epoch (see [`nodb_rawcsv::epoch`]).
     pub fn epoch(&self) -> &SourceEpoch {
         &self.epoch
     }
@@ -197,12 +197,18 @@ impl RawTable {
     }
 
     /// Try to restore adaptive state from the table's sidecar snapshot.
-    /// Called right after registration (before any query): any failure —
-    /// I/O, corruption, version skew, replaced file — leaves the table
-    /// exactly as cold as it already was. Restoration honors the config's
-    /// component switches (a `baseline()` instance restores nothing) and
-    /// only adopts statistics captured under the same sampling stride,
-    /// since a restored reservoir must continue the same sample stream.
+    /// Called right after registration (before any query). The decoded
+    /// map, cache and statistics are installed under the epoch they were
+    /// built under, and [`Self::check_updates`] then reconciles that epoch
+    /// with the live file exactly as it does before every query: unchanged
+    /// keeps everything, an append keeps the prefix and leaves the tail to
+    /// the next scan, and a truncation, rewrite or failed probe quarantines
+    /// the table back to cold. Any load failure — I/O, corruption, version
+    /// skew — leaves the table exactly as cold as it already was.
+    /// Restoration honors the config's component switches (a `baseline()`
+    /// instance restores nothing) and only adopts statistics captured under
+    /// the same sampling stride, since a restored reservoir must continue
+    /// the same sample stream.
     pub fn try_restore_snapshot(&mut self, config: &NoDbConfig) -> RestoreOutcome {
         let snap = match nodb_snapshot::load_snapshot(
             &self.path,
@@ -213,29 +219,8 @@ impl RawTable {
             Ok(None) => return RestoreOutcome::NoSidecar,
             Err(e) => return RestoreOutcome::Rejected(e.to_string()),
         };
-        // Compare the *saved* fingerprint against the live file. Replaced
-        // (shrunk, head changed, or same-length different-mtime) means the
-        // snapshot describes dead data: reject wholesale.
-        let change = match snap.meta.classify_change(&self.path) {
-            Ok(c) => c,
-            Err(e) => return RestoreOutcome::Rejected(format!("fingerprint probe: {e}")),
-        };
-        if change == FileChange::Replaced {
-            return RestoreOutcome::Rejected("file replaced since capture".to_string());
-        }
-        // Mid-mutation fence: decoding the sidecar took time, and the
-        // decision above compared the *sidecar's* fingerprint against a
-        // moving target. Re-validate the epoch captured at registration;
-        // any drift means an external writer is active right now, so the
-        // snapshot's offsets cannot be trusted to describe the bytes the
-        // first query will read. Resync the epoch and start cold instead.
-        match self.epoch.classify(&self.path) {
-            Ok(EpochChange::Unchanged) => {}
-            _ => {
-                let _ = self.check_updates();
-                return RestoreOutcome::Rejected("file mutated during restore".to_string());
-            }
-        }
+        self.epoch = snap.epoch;
+        self.row_count = snap.row_count;
         if config.enable_positional_map {
             snap.map.install_into(&mut self.map);
         }
@@ -251,15 +236,17 @@ impl RawTable {
                 self.stats = stats;
             }
         }
-        let appended = matches!(change, FileChange::Appended { .. });
-        if appended {
-            // Mirror `check_updates`: keep prefix state, re-learn the tail.
-            self.map.note_appended();
-            self.stats.note_appended();
-            self.row_count = None;
-        } else {
-            self.row_count = snap.row_count;
-        }
+        let appended = match self.check_updates() {
+            Ok(EpochChange::Unchanged) => false,
+            Ok(EpochChange::Appended { .. }) => true,
+            Ok(change) => return RestoreOutcome::Rejected(format!("{change:?} since capture")),
+            Err(e) => {
+                // The probe (or the append's re-key) failed with restored
+                // state installed: drop it, like a rewrite.
+                let _ = self.quarantine();
+                return RestoreOutcome::Rejected(format!("epoch probe: {e}"));
+            }
+        };
         // Remember what we restored, so the first query only re-writes the
         // sidecar if it actually grew something.
         self.last_snapshot_sig = self.snapshot_signature();
@@ -271,7 +258,7 @@ impl RawTable {
     /// map/cache/statistics mutually consistent.
     pub fn capture_snapshot(&self) -> TableSnapshot {
         TableSnapshot::capture(
-            self.epoch.meta,
+            self.epoch,
             self.row_count,
             &self.map,
             &self.cache,
@@ -287,8 +274,8 @@ impl RawTable {
     pub fn snapshot_signature(&self) -> u64 {
         let mut buf = Vec::with_capacity(128);
         let mut put = |v: u64| buf.extend_from_slice(&v.to_le_bytes());
-        put(self.epoch.meta.len);
-        put(self.epoch.meta.head_hash);
+        put(self.epoch.len);
+        put(self.epoch.head_hash);
         put(self.map.row_index().starts().len() as u64);
         put(u64::from(self.map.row_index().is_complete()));
         put(self.map.bytes_used() as u64);
@@ -387,7 +374,7 @@ mod tests {
         assert_eq!(change, EpochChange::Rewritten);
         assert!(t.row_count.is_none());
         assert_eq!(t.generation, 1, "quarantine bumps the generation");
-        assert_eq!(t.epoch.meta.len, 6, "epoch re-captured from the new file");
+        assert_eq!(t.epoch.len, 6, "epoch re-captured from the new file");
         std::fs::remove_file(p).unwrap();
     }
 

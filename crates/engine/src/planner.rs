@@ -166,12 +166,11 @@ pub fn plan_select(
         }
     }
     attrs.sort_unstable();
-    let pos_of = |file_attr: usize| -> usize {
-        attrs
-            .binary_search(&file_attr)
-            .expect("attr collected above")
+    let resolve = |name: &str| -> Option<usize> {
+        schema
+            .index_of(name)
+            .and_then(|a| attrs.binary_search(&a).ok())
     };
-    let resolve = |name: &str| -> Option<usize> { schema.index_of(name).map(pos_of) };
 
     // 4. Pushed predicate: resolve, split, order by selectivity, rejoin.
     let mut estimated_selectivity = 1.0f64;

@@ -29,17 +29,16 @@ pub use rules::{Finding, RuleId};
 
 /// The crates whose offset/row arithmetic is subject to
 /// [`RuleId::TruncatingCast`] in workspace mode: file offsets (u64),
-/// positional-map spans (u16/u32), cache row indices (u32), and the
-/// snapshot sidecar's length-prefixed section decoding all live here, and
-/// each narrowing cast is one bad length away from silent truncation.
+/// positional-map spans (u16/u32), cache row indices (u32), the source
+/// epoch's fingerprint windows, the snapshot sidecar's length-prefixed
+/// section decoding and the server's wire framing all live here, and each
+/// narrowing cast is one bad length away from silent truncation.
 const CAST_SCOPED_CRATES: &[&str] = &[
     "crates/posmap/",
     "crates/rawcsv/",
     "crates/rawcache/",
     "crates/snapshot/",
-    // The source-epoch fingerprint: head/tail window sizes and the
-    // torn-row fence are u64 byte offsets narrowed for buffer allocation.
-    "crates/core/src/epoch.rs",
+    "crates/server/",
 ];
 
 /// Result of a workspace lint run.

@@ -419,13 +419,15 @@ impl PositionalMap {
 
     /// Evict least-recently-used chunks until `incoming` more bytes fit.
     fn evict_to_fit(&mut self, incoming: usize) {
-        while self.bytes_used + incoming > self.policy.budget_bytes && !self.chunks.is_empty() {
-            let (victim, _) = self
+        while self.bytes_used + incoming > self.policy.budget_bytes {
+            let Some((victim, _)) = self
                 .chunks
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, c)| c.last_used)
-                .expect("non-empty");
+            else {
+                break;
+            };
             let removed = self.chunks.swap_remove(victim);
             self.bytes_used -= removed.footprint();
             self.metrics.evictions += 1;

@@ -7,7 +7,10 @@ map, the column cache, and the statistics all embed byte offsets and
 parsed values of *some past version* of the bytes. A [`SourceEpoch`] is
 the identity of that version — length, mtime, sampled head and tail
 hashes — captured in one `open`/`stat`/two-page read, cheap enough to
-re-validate under the short planning lock of every query.
+re-validate under the short planning lock of every query. It is the one
+file identity of the stack: the snapshot sidecar stores it whole, and a
+restored table reconciles through the same [`SourceEpoch::classify`] as
+every query.
 
 Three guarantees hang off it:
 
@@ -35,13 +38,12 @@ Three guarantees hang off it:
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
+use std::time::SystemTime;
 
-use nodb_rawcsv::reader::{fnv1a, RawFileMeta};
-use nodb_rawcsv::{RawCsvError, Result};
+use crate::reader::fnv1a;
+use crate::{RawCsvError, Result};
 
-/// Bytes of file head covered by the epoch's head hash (matches
-/// [`RawFileMeta::probe`]'s default window, so snapshot fingerprints and
-/// epochs agree byte-for-byte on the head).
+/// Bytes of file head covered by the epoch's head hash.
 pub const EPOCH_HEAD_LIMIT: u64 = 4096;
 
 /// Bytes of file tail covered by the epoch's tail hash.
@@ -60,14 +62,17 @@ const MAX_FENCE_SCAN: u64 = 1 << 20;
 const CAPTURE_ATTEMPTS: u32 = 8;
 
 /// Fingerprint of one version ("epoch") of a raw source file.
-///
-/// `meta` is byte-compatible with the snapshot sidecar's
-/// [`RawFileMeta`] fingerprint — the snapshot format is unchanged; an
-/// epoch is that fingerprint plus a tail sample and the torn-row fence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceEpoch {
-    /// Length, mtime, and sampled-head hash (the snapshot fingerprint).
-    pub meta: RawFileMeta,
+    /// File length in bytes.
+    pub len: u64,
+    /// Last-modified time as reported by the filesystem.
+    pub modified: Option<SystemTime>,
+    /// Number of head bytes covered by `head_hash` (`min(len, 4096)`).
+    pub head_len: u64,
+    /// FNV-1a hash of the first `head_len` bytes. Appending rows keeps this
+    /// prefix stable; replacing the file almost surely changes it.
+    pub head_hash: u64,
     /// Number of tail bytes covered by `tail_hash` (`min(len, 4096)`).
     pub tail_len: u64,
     /// FNV-1a hash of the last `tail_len` bytes. Re-hashing this *region*
@@ -77,7 +82,7 @@ pub struct SourceEpoch {
     /// The torn-row fence: bytes `[0, trusted_len)` end at a newline
     /// observed at capture time and are safe to scan; bytes at or past
     /// `trusted_len` may be half of a row still being written. Equal to
-    /// `meta.len` whenever the file ends with a newline (the common case).
+    /// `len` whenever the file ends with a newline (the common case).
     pub trusted_len: u64,
 }
 
@@ -146,13 +151,13 @@ impl SourceEpoch {
     /// `Ok(None)` means every attempt raced a mutation — an active writer,
     /// not an I/O failure — which the table reports as the retryable
     /// `EngineError::SourceChanged`.
-    pub(crate) fn try_capture(path: impl AsRef<Path>) -> Result<Option<Self>> {
+    pub fn try_capture(path: impl AsRef<Path>) -> Result<Option<Self>> {
         Self::capture_bounded(path.as_ref(), Self::capture_once)
     }
 
     /// The bounded restart loop around one capture attempt (a parameter so
     /// tests can force exhaustion).
-    pub(crate) fn capture_bounded(
+    pub fn capture_bounded(
         path: &Path,
         mut attempt: impl FnMut(&Path) -> Result<Option<Self>>,
     ) -> Result<Option<Self>> {
@@ -176,12 +181,6 @@ impl SourceEpoch {
         let Some(head) = try_read_at(&mut file, path, 0, len.min(EPOCH_HEAD_LIMIT))? else {
             return Ok(None);
         };
-        let meta = RawFileMeta {
-            len,
-            modified,
-            head_len: head.len() as u64,
-            head_hash: fnv1a(&head),
-        };
         let tail_len = len.min(EPOCH_TAIL_LIMIT);
         let Some(tail) = try_read_at(&mut file, path, len - tail_len, tail_len)? else {
             return Ok(None);
@@ -198,7 +197,10 @@ impl SourceEpoch {
             return Ok(None);
         }
         Ok(Some(SourceEpoch {
-            meta,
+            len,
+            modified,
+            head_len: head.len() as u64,
+            head_hash: fnv1a(&head),
             tail_len,
             tail_hash: fnv1a(&tail),
             trusted_len,
@@ -234,13 +236,13 @@ impl SourceEpoch {
         // up short (the file shrank *between* the stat and the read) is
         // itself proof of an active writer: classify as a rewrite rather
         // than failing the probe.
-        let head_same = new_len >= self.meta.head_len && {
-            match try_read_at(&mut file, path, 0, self.meta.head_len)? {
-                Some(head) => fnv1a(&head) == self.meta.head_hash,
+        let head_same = new_len >= self.head_len && {
+            match try_read_at(&mut file, path, 0, self.head_len)? {
+                Some(head) => fnv1a(&head) == self.head_hash,
                 None => return Ok(EpochChange::Rewritten),
             }
         };
-        if new_len < self.meta.len {
+        if new_len < self.len {
             return Ok(if head_same {
                 EpochChange::Truncated { new_len }
             } else {
@@ -253,17 +255,13 @@ impl SourceEpoch {
         // Re-hash the *old* tail region of the live file: a pure append
         // leaves those bytes alone; a rewrite that grew (or kept) the
         // length almost surely disturbs them.
-        let old_tail_region = match try_read_at(
-            &mut file,
-            path,
-            self.meta.len - self.tail_len,
-            self.tail_len,
-        )? {
-            Some(region) => region,
-            None => return Ok(EpochChange::Rewritten),
-        };
+        let old_tail_region =
+            match try_read_at(&mut file, path, self.len - self.tail_len, self.tail_len)? {
+                Some(region) => region,
+                None => return Ok(EpochChange::Rewritten),
+            };
         let tail_same = fnv1a(&old_tail_region) == self.tail_hash;
-        if new_len > self.meta.len {
+        if new_len > self.len {
             return Ok(if tail_same {
                 EpochChange::Appended {
                     old_trusted_len: self.trusted_len,
@@ -272,10 +270,18 @@ impl SourceEpoch {
                 EpochChange::Rewritten
             });
         }
-        if !tail_same || fsmeta.modified().ok() != self.meta.modified {
+        if !tail_same || fsmeta.modified().ok() != self.modified {
             return Ok(EpochChange::Rewritten);
         }
         Ok(EpochChange::Unchanged)
+    }
+
+    /// Is state built under this epoch dead? True when the live file was
+    /// truncated or rewritten — or cannot be probed at all (deleted,
+    /// permissions yanked), which earns the same fate. An append is not:
+    /// the prefix is still byte-identical.
+    pub fn is_dead(&self, path: impl AsRef<Path>) -> bool {
+        self.classify(path).map_or(true, EpochChange::invalidates)
     }
 }
 
@@ -359,7 +365,7 @@ mod tests {
     fn terminated_file_trusts_its_full_length() {
         let p = tmp("full", b"a,1\nb,2\nc,3\n");
         let e = SourceEpoch::capture(&p).unwrap();
-        assert_eq!(e.meta.len, 12);
+        assert_eq!(e.len, 12);
         assert_eq!(e.trusted_len, 12);
         assert_eq!(e.classify(&p).unwrap(), EpochChange::Unchanged);
         std::fs::remove_file(p).unwrap();
@@ -381,7 +387,7 @@ mod tests {
         let p2 = tmp("empty", b"");
         let e2 = SourceEpoch::capture(&p2).unwrap();
         assert_eq!(e2.trusted_len, 0);
-        assert_eq!(e2.meta.len, 0);
+        assert_eq!(e2.len, 0);
         std::fs::remove_file(p).unwrap();
         std::fs::remove_file(p2).unwrap();
     }
@@ -476,5 +482,18 @@ mod tests {
         assert!(!EpochChange::Appended { old_trusted_len: 0 }.invalidates());
         assert!(EpochChange::Truncated { new_len: 0 }.invalidates());
         assert!(EpochChange::Rewritten.invalidates());
+    }
+
+    #[test]
+    fn an_unprobeable_file_is_as_dead_as_a_rewritten_one() {
+        let p = tmp("dead", b"a,1\nb,2\n");
+        let e = SourceEpoch::capture(&p).unwrap();
+        assert!(!e.is_dead(&p));
+        std::fs::write(&p, b"a,1\nb,2\nc,3\n").unwrap();
+        assert!(!e.is_dead(&p), "an append keeps the prefix alive");
+        std::fs::write(&p, b"z,9\n").unwrap();
+        assert!(e.is_dead(&p));
+        std::fs::remove_file(&p).unwrap();
+        assert!(e.is_dead(&p), "a failed probe counts as invalidated");
     }
 }

@@ -13,6 +13,9 @@
 //!   conversion only for the attributes a query plan actually needs;
 //! * [`reader`] — block-oriented sequential file scanning with I/O
 //!   accounting;
+//! * [`epoch`] — the source epoch: the one fingerprint (length, mtime,
+//!   sampled head/tail hashes, torn-row fence) that binds adaptive state —
+//!   live or restored from a snapshot sidecar — to one version of the file;
 //! * [`generator`] — deterministic synthetic CSV generation with the knobs
 //!   the demo exposes (attribute count, attribute width, types, tuple count,
 //!   value distributions);
@@ -25,6 +28,7 @@
 #![forbid(unsafe_code)]
 
 pub mod datum;
+pub mod epoch;
 pub mod error;
 pub mod generator;
 pub mod infer;
@@ -34,11 +38,12 @@ pub mod schema;
 pub mod tokenizer;
 
 pub use datum::Datum;
+pub use epoch::{EpochChange, SourceEpoch};
 pub use error::RawCsvError;
 pub use generator::{ColumnGenSpec, GeneratorConfig, ValueDistribution};
 pub use reader::{
     is_transient_io, BlockScanner, BlockSource, FaultPlan, FaultyBlocks, IoCounters, IoProfile,
-    RawFileMeta, RetryBlocks, SyncBlocks,
+    RetryBlocks, SyncBlocks,
 };
 pub use schema::{ColumnDef, ColumnType, Schema};
 pub use tokenizer::{FieldSpan, TokenizerConfig, Tokens};

@@ -42,10 +42,6 @@
 //! time the scanning thread spent inside `read`. That is the *I/O* slice of
 //! the Figure-3-style breakdown, separating "waiting for bytes" from
 //! "tokenizing".
-//!
-//! [`RawFileMeta`] is the cheap file fingerprint used by update detection
-//! (§4.2 *Updates*): length, modification time, and a hash of the file head,
-//! enough to distinguish "appended" from "replaced".
 
 #![doc = " lint:cancellable — every scan/batch loop in this module must poll the"]
 #![doc = " query context (`ctx.check()`) or drive an interrupt-flagged `BlockSource`;"]
@@ -56,7 +52,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 use crate::error::RawCsvError;
 use crate::tokenizer::{count_byte, find_byte, find_byte2, trim_cr, Tokens};
@@ -1123,82 +1119,6 @@ impl RangeScanner {
     }
 }
 
-/// Cheap fingerprint of a raw file used for update detection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawFileMeta {
-    /// File length in bytes.
-    pub len: u64,
-    /// Last-modified time as reported by the filesystem.
-    pub modified: Option<SystemTime>,
-    /// Number of head bytes covered by `head_hash` (`min(len, 4096)`).
-    pub head_len: u64,
-    /// FNV-1a hash of the first `head_len` bytes. Appending rows keeps this
-    /// prefix stable; replacing the file almost surely changes it.
-    pub head_hash: u64,
-}
-
-/// How a file changed relative to a previously recorded [`RawFileMeta`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileChange {
-    /// Identical length and head: treat as unchanged.
-    Unchanged,
-    /// Longer, same head: rows were appended after `old_len`.
-    Appended {
-        /// Length at the time of the previous probe.
-        old_len: u64,
-    },
-    /// Shorter or different head: the file was replaced or rewritten.
-    Replaced,
-}
-
-impl RawFileMeta {
-    /// Probe `path` and build a fingerprint with the default 4 KiB head.
-    pub fn probe(path: impl AsRef<Path>) -> Result<Self> {
-        Self::probe_with_head(path, 4096)
-    }
-
-    /// Probe `path` hashing the first `min(len, head_limit)` bytes.
-    pub fn probe_with_head(path: impl AsRef<Path>, head_limit: u64) -> Result<Self> {
-        let path = path.as_ref();
-        let mut file =
-            File::open(path).map_err(|e| RawCsvError::io(format!("open {}", path.display()), e))?;
-        let meta = file
-            .metadata()
-            .map_err(|e| RawCsvError::io(format!("stat {}", path.display()), e))?;
-        let len = meta.len();
-        let head_len = len.min(head_limit);
-        // lint: cast-ok head_len ≤ head_limit, a small caller constant
-        let mut head = vec![0u8; head_len as usize];
-        file.read_exact(&mut head)
-            .map_err(|e| RawCsvError::io(format!("read head of {}", path.display()), e))?;
-        Ok(RawFileMeta {
-            len,
-            modified: meta.modified().ok(),
-            head_len,
-            head_hash: fnv1a(&head),
-        })
-    }
-
-    /// Re-probe `path` and classify how it changed since `self` was taken.
-    ///
-    /// The re-probe hashes exactly `self.head_len` bytes so that appends to
-    /// files shorter than the head window are still recognized as appends.
-    pub fn classify_change(&self, path: impl AsRef<Path>) -> Result<FileChange> {
-        let new = Self::probe_with_head(&path, self.head_len)?;
-        Ok(if new.len < self.len || new.head_hash != self.head_hash {
-            FileChange::Replaced
-        } else if new.len > self.len {
-            FileChange::Appended { old_len: self.len }
-        } else if new.modified != self.modified {
-            // Same length/head but touched: content beyond the head may have
-            // been rewritten in place; be conservative.
-            FileChange::Replaced
-        } else {
-            FileChange::Unchanged
-        })
-    }
-}
-
 /// FNV-1a over a byte slice.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -1405,29 +1325,6 @@ mod tests {
         assert_eq!(l.bytes, b"bb");
         assert_eq!(l.line_no, 1);
         assert_eq!(l.offset, 3);
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn meta_detects_append_and_replace() {
-        let p = tmp_file("meta", b"header\n1,2\n");
-        let m0 = RawFileMeta::probe(&p).unwrap();
-        assert_eq!(m0.classify_change(&p).unwrap(), FileChange::Unchanged);
-
-        // Append.
-        {
-            let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
-            f.write_all(b"3,4\n").unwrap();
-        }
-        assert_eq!(
-            m0.classify_change(&p).unwrap(),
-            FileChange::Appended { old_len: m0.len }
-        );
-
-        // Replace with different head.
-        let m1 = RawFileMeta::probe(&p).unwrap();
-        std::fs::write(&p, b"different!\n").unwrap();
-        assert_eq!(m1.classify_change(&p).unwrap(), FileChange::Replaced);
         std::fs::remove_file(p).unwrap();
     }
 

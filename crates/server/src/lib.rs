@@ -383,9 +383,9 @@ fn handle_connection(
                 for (name, generation, epoch) in rows {
                     body.push_str(&format!(
                         "\ntable={name} generation={generation} len={} trusted_len={} torn_tail={}",
-                        epoch.meta.len,
+                        epoch.len,
                         epoch.trusted_len,
-                        u8::from(epoch.trusted_len < epoch.meta.len),
+                        u8::from(epoch.trusted_len < epoch.len),
                     ));
                 }
                 respond(&mut stream, "OK", &body)?;

@@ -6,7 +6,7 @@
 //! [0..8)        magic            "NODBSNP1"
 //! [8..12)       version          u32 (FORMAT_VERSION)
 //! [12..16)      header_len       u32 (bytes of header payload H)
-//! [16..16+H)    header payload   fingerprint + row count + section count
+//! [16..16+H)    header payload   source epoch + row count + section count
 //! [..+8)        header checksum  checksum64 over bytes [8, 16+H)
 //! then          section_count ×  { tag u32, payload_len u64,
 //!                                  payload checksum u64, payload }
@@ -24,8 +24,8 @@ use nodb_posmap::chunk::ChunkBuilder;
 use nodb_posmap::PositionalMap;
 use nodb_rawcache::column::NullMask;
 use nodb_rawcache::{RawCache, TypedColumn};
-use nodb_rawcsv::reader::RawFileMeta;
-use nodb_rawcsv::{ColumnType, Datum};
+use nodb_rawcsv::epoch::{EPOCH_HEAD_LIMIT, EPOCH_TAIL_LIMIT};
+use nodb_rawcsv::{ColumnType, Datum, SourceEpoch};
 use nodb_stats::{AttrStatsState, ReservoirState, TableStats, TableStatsState};
 
 /// Sidecar magic: identifies the file family (the trailing `1` is part of
@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
 /// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -175,13 +175,13 @@ impl PosMapState {
     }
 }
 
-/// Everything one table persists: the fingerprint the state is keyed by,
+/// Everything one table persists: the source epoch the state is keyed by,
 /// plus the three adaptive-state sections.
 #[derive(Debug)]
 pub struct TableSnapshot {
-    /// Fingerprint of the raw file at capture time; the loader compares it
-    /// against the live file and invalidates on any regression.
-    pub meta: RawFileMeta,
+    /// The raw file's epoch at capture time; the restoring table keys its
+    /// state to it and reconciles it with the live file like any query.
+    pub epoch: SourceEpoch,
     /// The table's exact row count, when a complete scan had established it.
     pub row_count: Option<u64>,
     /// Positional-map state.
@@ -197,7 +197,7 @@ impl TableSnapshot {
     /// caller holds whatever lock makes the three structures mutually
     /// consistent).
     pub fn capture(
-        meta: RawFileMeta,
+        epoch: SourceEpoch,
         row_count: Option<u64>,
         map: &PositionalMap,
         cache: &RawCache,
@@ -209,7 +209,7 @@ impl TableSnapshot {
             .filter_map(|(attr, rows)| cache.column(attr).map(|c| (attr, c.export_range(0, rows))))
             .collect();
         TableSnapshot {
-            meta,
+            epoch,
             row_count,
             map: PosMapState::capture(map),
             columns,
@@ -420,11 +420,11 @@ fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
 
 /// Serialize a snapshot to sidecar bytes.
 pub fn encode_snapshot(snap: &TableSnapshot) -> Vec<u8> {
-    // Header payload: fingerprint, row count, section count.
+    // Header payload: source epoch, row count, section count.
+    let epoch = &snap.epoch;
     let mut h = Enc { buf: Vec::new() };
-    h.put_u64(snap.meta.len);
-    match snap
-        .meta
+    h.put_u64(epoch.len);
+    match epoch
         .modified
         .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
     {
@@ -439,8 +439,11 @@ pub fn encode_snapshot(snap: &TableSnapshot) -> Vec<u8> {
             h.put_u32(0);
         }
     }
-    h.put_u64(snap.meta.head_len);
-    h.put_u64(snap.meta.head_hash);
+    h.put_u64(epoch.head_len);
+    h.put_u64(epoch.head_hash);
+    h.put_u64(epoch.tail_len);
+    h.put_u64(epoch.tail_hash);
+    h.put_u64(epoch.trusted_len);
     match snap.row_count {
         Some(n) => {
             h.put_u8(1);
@@ -803,8 +806,25 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TableSnapshot> {
     let mod_secs = d.u64()?;
     let mod_nanos = d.u32()?;
     let modified = mod_present.then(|| UNIX_EPOCH + Duration::new(mod_secs, mod_nanos));
-    let head_len = d.u64()?;
-    let head_hash = d.u64()?;
+    let epoch = SourceEpoch {
+        len: file_len,
+        modified,
+        head_len: d.u64()?,
+        head_hash: d.u64()?,
+        tail_len: d.u64()?,
+        tail_hash: d.u64()?,
+        trusted_len: d.u64()?,
+    };
+    // The windows a capture hashes are fixed by the length; a probe of the
+    // live file re-reads exactly these ranges, so they must lie inside it.
+    if epoch.head_len != epoch.len.min(EPOCH_HEAD_LIMIT)
+        || epoch.tail_len != epoch.len.min(EPOCH_TAIL_LIMIT)
+        || epoch.trusted_len > epoch.len
+    {
+        return Err(SnapshotError::Malformed(
+            "epoch windows disagree with length",
+        ));
+    }
     let rc_present = d.bool()?;
     let rc = d.u64()?;
     let row_count = rc_present.then_some(rc);
@@ -846,12 +866,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<TableSnapshot> {
     d.done()?;
     match (map, columns, stats) {
         (Some(map), Some(columns), Some(stats)) => Ok(TableSnapshot {
-            meta: RawFileMeta {
-                len: file_len,
-                modified,
-                head_len,
-                head_hash,
-            },
+            epoch,
             row_count,
             map,
             columns,

@@ -9,10 +9,12 @@
 //! Design stance: **the sidecar is a hint, never an authority.** The raw
 //! CSV file remains the single source of truth for query answers. The
 //! loader validates paranoidly — magic, version, per-section checksums,
-//! structural invariants, and a file fingerprint (length + mtime + sampled
-//! head hash) — and answers *any* irregularity by discarding the snapshot
-//! and starting cold. A corrupt or stale sidecar can cost warm-up time; it
-//! can never change a query result.
+//! structural invariants — and keys the restored state to the file's
+//! recorded source epoch (length, mtime, sampled head/tail hashes, torn-row
+//! fence), which the table reconciles with the live file exactly as it does
+//! before every query. Any irregularity discards the snapshot and starts
+//! cold. A corrupt or stale sidecar can cost warm-up time; it can never
+//! change a query result.
 //!
 //! * [`format`] — the byte layout, [`format::encode_snapshot`] /
 //!   [`format::decode_snapshot`], and the capture/install glue to the
@@ -41,18 +43,21 @@ mod tests {
 
     use nodb_posmap::{MapPolicy, PositionalMap};
     use nodb_rawcache::{CachePolicy, RawCache};
-    use nodb_rawcsv::reader::{fnv1a, RawFileMeta};
-    use nodb_rawcsv::{ColumnType, Datum, IoProfile};
+    use nodb_rawcsv::reader::fnv1a;
+    use nodb_rawcsv::{ColumnType, Datum, IoProfile, SourceEpoch};
     use nodb_stats::TableStats;
 
     use super::*;
 
-    fn sample_meta() -> RawFileMeta {
-        RawFileMeta {
-            len: 4096,
+    fn sample_epoch() -> SourceEpoch {
+        SourceEpoch {
+            len: 8192,
             modified: Some(UNIX_EPOCH + Duration::new(1_700_000_000, 123)),
-            head_len: 512,
+            head_len: 4096,
             head_hash: 0xDEAD_BEEF_u64,
+            tail_len: 4096,
+            tail_hash: 0xFEED_F00D_u64,
+            trusted_len: 8000,
         }
     }
 
@@ -87,7 +92,7 @@ mod tests {
         }
         stats.advance_observed(1, 50);
         stats.advance_observed(3, 50);
-        TableSnapshot::capture(sample_meta(), Some(4), &map, &cache, &stats)
+        TableSnapshot::capture(sample_epoch(), Some(4), &map, &cache, &stats)
     }
 
     #[test]
@@ -95,9 +100,7 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = encode_snapshot(&snap);
         let back = decode_snapshot(&bytes).expect("round trip");
-        assert_eq!(back.meta.len, snap.meta.len);
-        assert_eq!(back.meta.modified, snap.meta.modified);
-        assert_eq!(back.meta.head_hash, snap.meta.head_hash);
+        assert_eq!(back.epoch, snap.epoch);
         assert_eq!(back.row_count, Some(4));
         assert_eq!(back.map.row_starts, vec![0, 40, 81, 130]);
         assert!(back.map.complete);
@@ -197,12 +200,29 @@ mod tests {
 
     #[test]
     fn header_checksum_guards_fingerprint() {
-        let mut bytes = encode_snapshot(&sample_snapshot());
-        // Byte 16 is the first header payload byte (file_len LSB).
-        bytes[16] ^= 0x01;
+        let bytes = encode_snapshot(&sample_snapshot());
+        // Byte 16 is the first header payload byte (file_len LSB); 62 lies
+        // inside tail_hash [61, 69) and 70 inside trusted_len [69, 77).
+        for off in [16, 62, 70] {
+            let mut evil = bytes.clone();
+            evil[off] ^= 0x01;
+            assert_eq!(
+                decode_snapshot(&evil).err(),
+                Some(SnapshotError::ChecksumMismatch { section: "header" }),
+                "flip at {off}"
+            );
+        }
+    }
+
+    #[test]
+    fn epoch_windows_outside_the_length_are_malformed() {
+        let mut snap = sample_snapshot();
+        snap.epoch.tail_len = snap.epoch.len + 1;
         assert_eq!(
-            decode_snapshot(&bytes).err(),
-            Some(SnapshotError::ChecksumMismatch { section: "header" })
+            decode_snapshot(&encode_snapshot(&snap)).err(),
+            Some(SnapshotError::Malformed(
+                "epoch windows disagree with length"
+            ))
         );
     }
 

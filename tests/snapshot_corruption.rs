@@ -105,8 +105,9 @@ fn bit_flips_degrade_to_cold() {
     let (path, side, gen) = warmed_sidecar("flip");
     let full = std::fs::read(&side).unwrap();
     let n = full.len();
-    // Magic, version, header payload, early/middle/late payload bytes.
-    let offsets = [0, 9, 17, 40, n / 4, n / 2, (3 * n) / 4, n - 2];
+    // Magic, version, header payload (file length, head hash, tail hash,
+    // torn-row fence), early/middle/late payload bytes.
+    let offsets = [0, 9, 17, 40, 62, 70, n / 4, n / 2, (3 * n) / 4, n - 2];
     for off in offsets {
         let mut evil = full.clone();
         evil[off] ^= 0x10;
@@ -129,14 +130,15 @@ fn future_version_degrades_to_cold() {
 }
 
 /// Version skew the other way: a sidecar written by the previous format
-/// version (whose positional-map section still carried the line-count
-/// memo) is refused by the same gate, and the table answers cold.
+/// version (whose header carried only length, mtime and head hash, not
+/// the whole source epoch) is refused by the same gate, and the table
+/// answers cold.
 #[test]
 fn previous_version_degrades_to_cold() {
     let (path, side, gen) = warmed_sidecar("oldversion");
     let mut bytes = std::fs::read(&side).unwrap();
     let previous = snapshot::FORMAT_VERSION - 1;
-    assert_eq!(previous, 1);
+    assert_eq!(previous, 2);
     bytes[8..12].copy_from_slice(&previous.to_le_bytes());
     std::fs::write(&side, &bytes).unwrap();
     assert_eq!(

@@ -338,3 +338,136 @@ fn restart_at_every_step_is_invisible_in_results() {
         cleanup(&path);
     }
 }
+
+const AGG: &str = "SELECT SUM(c1), MAX(c1), COUNT(*) FROM t";
+
+/// Warm a table on `path` with [`AGG`] (which caches `c1`) and write its
+/// sidecar.
+fn write_sidecar_after_agg(path: &std::path::Path, schema: Schema) {
+    let warm = mk_db(path, schema, true);
+    warm.query(AGG).unwrap();
+    for (table, r) in warm.admin().snapshot_now() {
+        r.unwrap_or_else(|e| panic!("snapshot_now({table}): {e}"));
+    }
+}
+
+/// Rewrite one digit of the last row's `c1` in place: same length, same
+/// head, a different value than the one the sidecar cached.
+fn rewrite_last_c1_digit(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let body = &bytes[..bytes.len() - 1];
+    let start = body.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+    let mut fields = body[start..].split(|&b| b == b',');
+    let c0 = fields.next().unwrap().len();
+    let c1 = fields.next().unwrap().len();
+    let digit = &mut bytes[start + c0 + 1 + c1 - 1];
+    *digit = b'0' + (*digit - b'0' + 1) % 10;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+/// Reopen `path` from its sidecar and assert the restore was rejected and
+/// the table answers and ends exactly like a never-snapshotted instance.
+fn assert_restores_cold(case: &str, path: &std::path::Path, schema: Schema, cols: usize) {
+    let cold = mk_db(path, schema.clone(), false);
+    let want = cold.query(AGG).unwrap().to_string();
+
+    let reborn = mk_db(path, schema, true);
+    let stats = reborn.admin().snapshot_stats();
+    assert_eq!(stats.restores, 0, "{case}: {stats:?}");
+    assert_eq!(stats.restores_rejected, 1, "{case}: {stats:?}");
+    assert_eq!(
+        reborn.query(AGG).unwrap().to_string(),
+        want,
+        "{case}: a stale cached value leaked into the answer"
+    );
+    assert_same_state(case, &reborn, &cold, cols);
+}
+
+/// A grown file is not an append when the bytes it grew from changed: the
+/// sidecar's epoch re-hashes its old tail region, finds the rewritten
+/// digit, and the table starts cold instead of serving the cached value.
+#[test]
+fn grown_file_with_rewritten_old_tail_restores_cold() {
+    let cols = 4;
+    let gen = GeneratorConfig::uniform_ints(cols, 600, 0x5EED7);
+    let path = scratch("grown_rewrite");
+    gen.generate_file(&path).unwrap();
+    write_sidecar_after_agg(&path, gen.schema());
+
+    rewrite_last_c1_digit(&path);
+    gen.append_rows(&path, 50).unwrap();
+
+    assert_restores_cold("grown+rewritten", &path, gen.schema(), cols);
+    cleanup(&path);
+}
+
+/// Same length, same head, mtime put back: only the old tail region's hash
+/// tells the rewrite apart from no change at all.
+#[test]
+fn same_length_tail_rewrite_with_kept_mtime_restores_cold() {
+    let cols = 4;
+    let gen = GeneratorConfig::uniform_ints(cols, 600, 0x5EED8);
+    let path = scratch("kept_mtime");
+    gen.generate_file(&path).unwrap();
+    write_sidecar_after_agg(&path, gen.schema());
+
+    let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+    rewrite_last_c1_digit(&path);
+    std::fs::File::options()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_modified(mtime)
+        .unwrap();
+    assert_eq!(std::fs::metadata(&path).unwrap().modified().unwrap(), mtime);
+
+    assert_restores_cold("same-length+mtime", &path, gen.schema(), cols);
+    cleanup(&path);
+}
+
+/// The torn-row fence survives the sidecar: captured while the file ended
+/// in an unterminated row, the restored table replays from the old fence
+/// once the terminator and more rows land, re-reading the formerly torn
+/// row.
+#[test]
+fn torn_tail_sidecar_replays_from_its_fence() {
+    let cols = 4;
+    let gen = GeneratorConfig::uniform_ints(cols, 621, 0x5EED9);
+    let path = scratch("torn_fence");
+    gen.generate_file(&path).unwrap();
+    let full = std::fs::read(&path).unwrap();
+    // End of row 600 (the 601st line), minus its terminator.
+    let torn_end = full
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(600)
+        .map(|(i, _)| i)
+        .unwrap();
+    std::fs::write(&path, &full[..torn_end]).unwrap();
+    write_sidecar_after_agg(&path, gen.schema());
+
+    use std::io::Write;
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    f.write_all(&full[torn_end..]).unwrap();
+    drop(f);
+
+    let cold = mk_db(&path, gen.schema(), false);
+    let want = cold.query(AGG).unwrap().to_string();
+    let want_count = cold.query("SELECT COUNT(*) FROM t").unwrap().to_string();
+
+    let reborn = mk_db(&path, gen.schema(), true);
+    let stats = reborn.admin().snapshot_stats();
+    assert_eq!(stats.restores, 1, "append keeps the prefix: {stats:?}");
+    assert_eq!(stats.restores_rejected, 0, "{stats:?}");
+    assert_eq!(reborn.query(AGG).unwrap().to_string(), want);
+    assert_eq!(
+        reborn.query("SELECT COUNT(*) FROM t").unwrap().to_string(),
+        want_count,
+        "the formerly torn row and the 20 appended rows are counted once"
+    );
+    cleanup(&path);
+}

@@ -120,11 +120,11 @@ fn between_query_rewrite_quarantines_and_recovers() {
     assert_eq!(name, "t");
     assert!(*generation >= 1, "quarantine bumped the generation");
     assert_eq!(
-        epoch.meta.len,
+        epoch.len,
         std::fs::metadata(&path).unwrap().len(),
         "epoch re-keyed to the live file"
     );
-    assert_eq!(epoch.trusted_len, epoch.meta.len, "no torn tail");
+    assert_eq!(epoch.trusted_len, epoch.len, "no torn tail");
     std::fs::remove_file(path).ok();
 }
 
@@ -284,7 +284,7 @@ fn torn_trailing_row_is_fenced_until_terminated() {
     );
     let (_, rows) = db.admin().epoch_report();
     assert!(
-        rows[0].2.trusted_len < rows[0].2.meta.len,
+        rows[0].2.trusted_len < rows[0].2.len,
         "epoch records the torn tail"
     );
 
