@@ -4,7 +4,7 @@
 //! `register_*`, `query`/`query_with_ctx`, `snapshot`, `schema`. Everything
 //! operational — budgets, update probes, the scan-thread budget, the
 //! prepared-statement cache, the last query report — lives behind
-//! [`NoDb::admin`] on the [`Admin`](crate::api::admin::Admin) surface, so
+//! [`NoDb::admin`] on the [`Admin`] surface, so
 //! the type a request handler touches has exactly the methods a request
 //! needs.
 

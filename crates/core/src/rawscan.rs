@@ -8,11 +8,13 @@
 //!    from the nearest anchor where it doesn't (§3.1);
 //! 3. falls back to **selective tokenizing** from the line start, aborting
 //!    at the last attribute the query needs (§3);
-//! 4. converts to binary only what the plan needs (**selective parsing**);
+//! 4. converts to binary only what the plan needs (**selective parsing**),
+//!    each field span parsed straight into its attribute's typed column —
+//!    no value is boxed as a `Datum` between the tokenizer and the engine;
 //! 5. evaluates the pushed predicate *before* materializing the tuple
 //!    (**selective tuple formation** — tuples "are only created after the
 //!    select operator"): resolved values land in typed columns, and one
-//!    function, [`segment_batch`], runs the predicate over a segment of
+//!    function, `segment_batch`, runs the predicate over a segment of
 //!    them as a columnar kernel and copies out only the surviving rows of
 //!    the materialized positions — the same function whether the columns
 //!    are a raw slice's fresh partials or the cache's own, so cold, warm
@@ -68,18 +70,18 @@
 //! the *same* table at once. The scan is split into phases so the table's
 //! write lock is held only for bookkeeping, never for data access:
 //!
-//! 1. **Prepare** ([`prepare_scan`], write lock) — update probe, access
+//! 1. **Prepare** (`prepare_scan`, write lock) — update probe, access
 //!    planning (LRU touches, cache query tick) and coverage snapshots,
-//!    captured into a [`ScanPrep`] together with the table's file-state
+//!    captured into a `ScanPrep` together with the table's file-state
 //!    generation.
-//! 2. **Data** (`scan_data`, read lock) — [`run_partitions`] plans the
+//! 2. **Data** (`scan_data`, read lock) — `run_partitions` plans the
 //!    slices from the row index as it stands, then its workers borrow the
 //!    map/cache/schema immutably and stage everything in partition-local
 //!    partials; fully-cached queries stream straight off the cache columns.
-//!    The source epoch is re-validated ([`revalidate_epoch`]) before
+//!    The source epoch is re-validated (`revalidate_epoch`) before
 //!    anything is handed on. Any number of queries can be in this phase
 //!    simultaneously.
-//! 3. **Install** (`scan_install` → [`merge_outputs`], write lock) — staged
+//! 3. **Install** (`scan_install` → `merge_outputs`, write lock) — staged
 //!    partials are installed; the result batches are not touched until the
 //!    lock is released. The merge is *frontier-based* and therefore
 //!    idempotent under interleaving: the row index skips known rows, chunk
@@ -90,12 +92,12 @@
 //!    is what makes N concurrent queries end in the same state as a
 //!    sequential replay.
 //!
-//! [`scan_shared`] runs phases 2 and 3 under read-then-write locks. A
+//! `scan_shared` runs phases 2 and 3 under read-then-write locks. A
 //! `ScanPrep` is only valid for the generation it was taken at: if update
 //! detection reconciled an append/replacement in between, `scan_shared`
 //! refuses (`None`) and the caller re-prepares against the new state.
 //! After a bounded number of stale preps the caller keeps the write guard
-//! it prepared under and runs the *same* two phases through [`scan_held`],
+//! it prepared under and runs the *same* two phases through `scan_held`,
 //! which cannot go stale — the only time a write guard spans a data phase.
 //! Stale *plan* details (chunk indices, cache coverage) are harmless within
 //! a generation — a chunk that moved or a column that was evicted simply
@@ -140,7 +142,7 @@
 //!   and because the reservoir sample depends on arrival order, it is this
 //!   order-preserving walk — not merging per-partition accumulators — that
 //!   keeps statistics identical at every worker count.
-//! * *Results* — every slice forms its batches with [`segment_batch`] over
+//! * *Results* — every slice forms its batches with `segment_batch` over
 //!   at most `BATCH_SIZE` scanned rows each, in row order; after the install
 //!   (no table lock held) they are concatenated in slice order and re-packed
 //!   to full batches (`StagedScan::into_batches`), no reordering anywhere
@@ -194,7 +196,8 @@ use crate::worker::{self, Partition, PartitionOutput, ScanContext};
 use crate::SourceEpoch;
 
 /// One quarantined malformed cell, sampled for telemetry under
-/// [`ParseErrorPolicy::Permissive`]: the row stayed in the result with the
+/// [`ParseErrorPolicy::Permissive`](crate::ParseErrorPolicy::Permissive):
+/// the row stayed in the result with the
 /// offending cell tombstoned as NULL, and this records where it came from so
 /// an operator can inspect the raw bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -245,7 +248,8 @@ pub struct ScanTelemetry {
     /// or static partitioning.
     pub steals: u64,
     /// Rows with at least one malformed cell tombstoned under
-    /// [`ParseErrorPolicy::Permissive`] (always 0 under strict).
+    /// [`ParseErrorPolicy::Permissive`](crate::ParseErrorPolicy::Permissive)
+    /// (always 0 under strict).
     pub rows_quarantined: u64,
     /// Capped per-row detail of the quarantined rows (first
     /// [`QuarantineSample::MAX_SAMPLES`] in row order).
@@ -346,10 +350,7 @@ pub(crate) fn segment_batch(
 ) -> Batch {
     let rows = hi.saturating_sub(lo);
     let mut sel: Option<Vec<u32>> = req.predicate.as_ref().map(|p| {
-        let views: Vec<ColView> = cols
-            .iter()
-            .map(|&c| ColView::Typed { col: c, base: lo })
-            .collect();
+        let views: Vec<ColView> = cols.iter().map(|&col| ColView { col, base: lo }).collect();
         p.filter_columnar(&views, rows)
     });
     if cols.is_empty() {
@@ -2191,8 +2192,7 @@ mod tests {
 
     /// Assert that `queue` is what the one former produces for `req`: typed
     /// storage at materialized positions, `Column::Nulls` at predicate-only
-    /// ones, never a `Column::Datums`; column-less batches for a
-    /// zero-attribute request.
+    /// ones; column-less batches for a zero-attribute request.
     fn assert_typed(tag: &str, req: &ScanRequest, queue: &VecDeque<Batch>) {
         for b in queue {
             assert_eq!(b.ncols(), req.attrs.len(), "{tag}: arity");
@@ -2200,7 +2200,6 @@ mod tests {
                 match b.column(i) {
                     Column::Typed(_) => assert!(m, "{tag}: position {i} was materialized"),
                     Column::Nulls(_) => assert!(!m, "{tag}: position {i} was not materialized"),
-                    Column::Datums(_) => panic!("{tag}: position {i} left the scan as datums"),
                 }
             }
         }

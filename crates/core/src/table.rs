@@ -267,7 +267,7 @@ impl RawTable {
     }
 
     /// Cheap progress signature over the adaptive structures: write-behind
-    /// compares it against [`Self::last_snapshot_sig`] and skips the save
+    /// compares it against `last_snapshot_sig` and skips the save
     /// when a query grew nothing. Collisions only cost a skipped (or an
     /// extra) save — never a wrong answer, since the loader re-validates
     /// everything.

@@ -10,7 +10,10 @@
 //! [`Tokens`] buffer, a partial positional-map [`ChunkBuilder`], typed
 //! partial columns ([`TypedColumn`] per requested attribute, one value per
 //! row) and per-phase timing (sampled — see
-//! [`crate::metrics::TIMING_STRIDE`]). The partials are both
+//! [`crate::metrics::TIMING_STRIDE`]). The row resolver writes each value
+//! straight into its partial — a row copied out of a cache column, or a
+//! field span parsed by `TypedColumn::push_parsed` — so no value is ever
+//! boxed on its way from the tokenizer to the engine. The partials are both
 //! what the cache and the statistics take at install and what the result
 //! batches are formed from: every `BATCH_SIZE` rows the worker hands the
 //! newest partial rows to `rawscan::segment_batch`, the same former that
@@ -36,7 +39,7 @@ use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, PositionalMap};
 use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::reader::{LineRange, RangeScanner};
 use nodb_rawcsv::tokenizer::{find_byte, TokenizerConfig, Tokens};
-use nodb_rawcsv::{parser, ColumnType, Datum, IoCounters, IoProfile, RawCsvError, Schema};
+use nodb_rawcsv::{parser, IoCounters, IoProfile, Schema};
 
 use crate::config::{NoDbConfig, ParseErrorPolicy};
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
@@ -222,12 +225,11 @@ pub(crate) fn run_partition(
     // Per-row reusable buffers (workhorse pattern: zero allocation per row
     // in the common paths).
     let mut tokens = Tokens::new();
-    let mut values: Vec<Option<Datum>> = vec![None; n];
     let mut spans: Vec<Option<(u32, u32)>> = vec![None; n];
     let mut offsets_buf: Vec<(usize, u32)> = Vec::with_capacity(n);
     let mut line_buf: Vec<u8> = Vec::new();
-    // Every resolved value goes into the typed partials, and every
-    // `BATCH_SIZE` rows the batch former runs over the newest of them. When
+    // `resolve_row` parses every value straight into the typed partials,
+    // and every `BATCH_SIZE` rows the batch former runs over the newest of them. When
     // the cache or the statistics take the partials at install they grow
     // with the slice; otherwise they are per-batch scratch, emptied once
     // the batch is formed, and hold only the slice's rows since `lo`.
@@ -344,7 +346,7 @@ pub(crate) fn run_partition(
             &mut tokens,
             fused,
             &cache_cols,
-            &mut values,
+            &mut out.side_cols,
             &mut spans,
             (&mut out.cache_hits, &mut out.cache_misses),
             &row_clock,
@@ -363,12 +365,9 @@ pub(crate) fn run_partition(
             }
         }
 
-        // Side effects into partition-local partials.
+        // Positional-map side effect into the partition-local chunk.
         {
             let t = row_clock.start();
-            for (col, v) in out.side_cols.iter_mut().zip(&mut values) {
-                col.push_owned(v.take().unwrap_or(Datum::Null));
-            }
             if let Some(b) = &mut out.builder {
                 offsets_buf.clear();
                 for (&attr, span) in ctx.req.attrs.iter().zip(&spans) {
@@ -447,7 +446,10 @@ fn run_cached_partition(
 /// Resolve every requested position of one row — the scan operator's only
 /// row resolver: cache reads and exact positional-map jumps (when global
 /// rows are known), then tokenizing for the rest, then selective parsing,
-/// all over immutable borrows of the shared state.
+/// all over immutable borrows of the shared state. Every requested position
+/// gets exactly one push into its typed partial (`partials[i]`): a copy of
+/// the cached row, the parsed field, or NULL for a short row or a
+/// tombstone.
 ///
 /// Returns `Some(attr)` when [`ParseErrorPolicy::Permissive`] tombstoned at
 /// least one malformed cell (the first offending attribute, for the
@@ -461,7 +463,7 @@ fn resolve_row(
     tokens: &mut Tokens,
     fused: bool,
     cache_cols: &[Option<&TypedColumn>],
-    values: &mut [Option<Datum>],
+    partials: &mut [TypedColumn],
     spans: &mut [Option<(u32, u32)>],
     (cache_hits, cache_misses): (&mut u64, &mut u64),
     clock: &PhaseClock,
@@ -470,21 +472,21 @@ fn resolve_row(
     d_conv: &mut Duration,
 ) -> EngineResult<Option<usize>> {
     let n = ctx.req.attrs.len();
-    for i in 0..n {
-        values[i] = None;
-        spans[i] = None;
-    }
+    spans.fill(None);
+    // A position is resolved for this row once its partial holds the row.
+    let before = partials.first().map_or(0, TypedColumn::len);
+    let resolved = |p: &TypedColumn| p.len() > before;
 
     // 1. Cache reads (the slice knows its global rows). Workers cannot
     // count on the shared metrics, so hits/misses are tallied here and
     // folded in by the driver — same accounting as sequential `get`.
     if let Some(row) = global_row {
-        for (i, v) in values.iter_mut().enumerate() {
+        for (i, part) in partials.iter_mut().enumerate() {
             if row < ctx.cache_cov[i] {
-                *v = cache_cols[i].and_then(|c| c.datum(row));
-                match v {
-                    Some(_) => *cache_hits += 1,
-                    None => *cache_misses += 1,
+                if cache_cols[i].is_some_and(|c| part.push_from(c, row)) {
+                    *cache_hits += 1;
+                } else {
+                    *cache_misses += 1;
                 }
             }
         }
@@ -494,7 +496,7 @@ fn resolve_row(
     let mut missing_lo: Option<usize> = None;
     let mut missing_hi: Option<usize> = None;
     for i in 0..n {
-        if values[i].is_some() {
+        if resolved(&partials[i]) {
             continue;
         }
         if let (Some(plan), Some(map), Some(row)) = (ctx.plan, ctx.map, global_row) {
@@ -559,7 +561,7 @@ fn resolve_row(
             clock.lap(t, d_tok);
         }
         for i in lo..=hi {
-            if values[i].is_some() || spans[i].is_some() {
+            if resolved(&partials[i]) || spans[i].is_some() {
                 continue;
             }
             if let Some(span) = tokens.get(ctx.req.attrs[i]) {
@@ -573,40 +575,30 @@ fn resolve_row(
     // Errors name the slice-local row; the driver rebases to the file row.
     let err_row = local_row as u64;
     let mut quarantined: Option<usize> = None;
-    for i in 0..n {
-        if values[i].is_some() {
+    for (i, part) in partials.iter_mut().enumerate() {
+        if resolved(part) {
             continue;
         }
-        let attr = ctx.req.attrs[i];
-        let ty = ctx.schema.ty(attr);
-        let d = match spans[i] {
-            Some((s, e)) => {
-                let raw = &line[s as usize..e as usize];
-                match ctx.tokenizer.quote {
-                    // Quoted string fields keep `""` escapes in their spans;
-                    // unescape when materializing.
-                    Some(q) if ty == ColumnType::Str && raw.contains(&q) => {
-                        Datum::Str(parser::unescape_quoted(raw, q).into_boxed_str())
-                    }
-                    _ => match parser::parse_field(raw, ty, err_row, attr) {
-                        Ok(d) => d,
-                        // Permissive policy: tombstone the malformed cell
-                        // exactly like a short row's absent attribute, so
-                        // cache/stats/map stay byte-identical across runs.
-                        Err(RawCsvError::ParseField { .. })
-                            if ctx.config.parse_errors == ParseErrorPolicy::Permissive =>
-                        {
-                            quarantined.get_or_insert(attr);
-                            Datum::Null
-                        }
-                        Err(e) => return Err(e.into()),
-                    },
-                }
-            }
-            // Short row: attribute absent → NULL.
-            None => Datum::Null,
+        // Short row: attribute absent → NULL.
+        let Some((s, e)) = spans[i] else {
+            part.push_null();
+            continue;
         };
-        values[i] = Some(d);
+        // Quoted string fields keep `""` escapes in their spans; the typed
+        // parse unescapes them.
+        let raw = &line[s as usize..e as usize];
+        if !part.push_parsed(raw, ctx.tokenizer.quote) {
+            let attr = ctx.req.attrs[i];
+            if ctx.config.parse_errors == ParseErrorPolicy::Strict {
+                // `parse_field` words the error: row, attr, type and text.
+                parser::parse_field(raw, ctx.schema.ty(attr), err_row, attr)?;
+            }
+            // Permissive policy: tombstone the malformed cell exactly like a
+            // short row's absent attribute, so cache/stats/map stay
+            // byte-identical across runs.
+            quarantined.get_or_insert(attr);
+            part.push_null();
+        }
     }
     clock.lap(t, d_conv);
     Ok(quarantined)

@@ -3,27 +3,24 @@
 //! # The typed-batch / selection-vector contract
 //!
 //! A [`Batch`] is a set of equal-length [`Column`]s plus an optional
-//! **selection vector**. Columns come in three storage classes:
+//! **selection vector**. Columns come in two storage classes:
 //!
 //! * [`Column::Typed`] — cache-format typed storage
-//!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). This is
-//!   how every batch leaves the raw-file scan *without per-cell `Datum`
-//!   boxing*, whatever fed it: the scan exports a segment of the raw cache
+//!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). Every
+//!   source emits it: the raw-file scan exports a segment of the raw cache
 //!   or of a cold slice's freshly parsed partial columns
 //!   (`TypedColumn::export_range` / `gather`) and moves it straight into the
-//!   batch. Vectorized predicate and aggregate kernels read the value
-//!   vectors directly.
-//! * [`Column::Datums`] — one boxed [`Datum`] per row. This is the
-//!   **fallback** representation; it engages whenever values are produced
-//!   cell by cell (`MemSource`, loaded stores pushing through
-//!   [`Batch::push_value`] — the raw-file scan no longer does) or whenever
-//!   batches of mixed storage classes are concatenated. Every operator
-//!   accepts it; the kernels simply fall back to row-at-a-time evaluation
-//!   over it.
+//!   batch; the loaded stores and `MemSource` push their rows into columns
+//!   typed from the schema (or, for `MemSource`, from each column's first
+//!   non-NULL value). Vectorized predicate and aggregate kernels read the
+//!   value vectors directly.
 //! * [`Column::Nulls`] — an all-NULL column of known length, used for
 //!   predicate-only scan positions (`ScanRequest::materialize[i] == false`):
 //!   the predicate ran against the real values, so the output batch never
 //!   materializes them (late materialization).
+//!
+//! Concatenating the two classes ([`Column::append`]) keeps a column typed:
+//! NULL rows pad the typed side.
 //!
 //! The selection vector (`sel`) is a sorted list of *physical* row indices:
 //! logical row `r` of the batch is physical row `sel[r]` of every column.
@@ -32,8 +29,7 @@
 //! deferring (or entirely skipping) the gather. Every accessor —
 //! [`Batch::value`], [`Batch::row`], [`BatchRow`] — resolves through the
 //! selection, so row-at-a-time fallbacks stay oblivious and correct.
-//! Mutating appenders require a dense batch; [`Batch::extend_from`]
-//! materializes selections as needed.
+//! [`Batch::extend_from`] materializes selections as needed.
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
@@ -44,8 +40,6 @@ pub const BATCH_SIZE: usize = 1024;
 /// One column of a batch; see the module docs for the storage classes.
 #[derive(Debug)]
 pub enum Column {
-    /// Boxed datums — the universal fallback representation.
-    Datums(Vec<Datum>),
     /// Typed cache-format storage (values + null bitmap), enabling
     /// vectorized kernels.
     Typed(TypedColumn),
@@ -58,7 +52,6 @@ impl Column {
     /// Physical rows stored.
     pub fn len(&self) -> usize {
         match self {
-            Column::Datums(v) => v.len(),
             Column::Typed(c) => c.len(),
             Column::Nulls(n) => *n,
         }
@@ -74,27 +67,8 @@ impl Column {
     #[inline]
     pub fn datum(&self, i: usize) -> Datum {
         match self {
-            Column::Datums(v) => v.get(i).cloned().unwrap_or(Datum::Null),
             Column::Typed(c) => c.datum(i).unwrap_or(Datum::Null),
             Column::Nulls(_) => Datum::Null,
-        }
-    }
-
-    /// Append one value, degrading storage class when the value cannot be
-    /// represented (a non-NULL into a [`Column::Nulls`]).
-    pub fn push(&mut self, d: Datum) {
-        match self {
-            Column::Datums(v) => v.push(d),
-            Column::Typed(c) => c.push_owned(d),
-            Column::Nulls(n) => {
-                if d.is_null() {
-                    *n += 1;
-                } else {
-                    let mut v = vec![Datum::Null; *n];
-                    v.push(d);
-                    *self = Column::Datums(v);
-                }
-            }
         }
     }
 
@@ -102,55 +76,29 @@ impl Column {
     /// storage class.
     pub fn gather(&self, sel: &[u32]) -> Column {
         match self {
-            Column::Datums(v) => {
-                Column::Datums(sel.iter().map(|&i| v[i as usize].clone()).collect())
-            }
             Column::Typed(c) => Column::Typed(c.gather(sel, 0)),
             Column::Nulls(_) => Column::Nulls(sel.len()),
         }
     }
 
     /// Append `other` (restricted to `other_sel` when given) after this
-    /// column's rows. Matching typed storage concatenates segments; any
-    /// mixed pairing degrades this column to [`Column::Datums`].
+    /// column's rows. Typed segments concatenate; a [`Column::Nulls`] side
+    /// meeting a typed one becomes NULL rows of the typed column, in either
+    /// order, so the result stays typed.
     pub fn append(&mut self, other: Column, other_sel: Option<&[u32]>) {
-        // All-null tails never force a representation change.
-        let other_rows = other_sel.map(<[u32]>::len).unwrap_or(other.len());
-        if let Column::Nulls(_) = other {
-            for _ in 0..other_rows {
-                self.push(Datum::Null);
-            }
-            return;
-        }
-        match (&mut *self, other, other_sel) {
-            (Column::Typed(a), Column::Typed(b), None) => a.append_segment(b),
-            (Column::Typed(a), Column::Typed(b), Some(sel)) => a.append_segment(b.gather(sel, 0)),
-            (Column::Datums(a), b, sel) => match sel {
-                None => {
-                    if let Column::Datums(bv) = b {
-                        a.extend(bv);
-                    } else {
-                        for i in 0..b.len() {
-                            a.push(b.datum(i));
-                        }
-                    }
-                }
-                Some(sel) => {
-                    for &i in sel {
-                        a.push(b.datum(i as usize));
-                    }
-                }
-            },
-            (this, b, sel) => {
-                // Typed vs Datums, or an all-NULL prefix meeting real data:
-                // degrade to datums and retry.
-                let mut v: Vec<Datum> = Vec::with_capacity(this.len() + other_rows);
-                for i in 0..this.len() {
-                    v.push(this.datum(i));
-                }
-                let mut col = Column::Datums(v);
-                col.append(b, sel);
-                *self = col;
+        let other = match other_sel {
+            Some(sel) => other.gather(sel),
+            None => other,
+        };
+        match (&mut *self, other) {
+            (Column::Typed(a), Column::Typed(b)) => a.append_segment(b),
+            (Column::Typed(a), Column::Nulls(m)) => (0..m).for_each(|_| a.push_null()),
+            (Column::Nulls(n), Column::Nulls(m)) => *n += m,
+            (Column::Nulls(n), Column::Typed(b)) => {
+                let mut a = TypedColumn::new(b.ty());
+                (0..*n).for_each(|_| a.push_null());
+                a.append_segment(b);
+                *self = Column::Typed(a);
             }
         }
     }
@@ -168,26 +116,6 @@ pub struct Batch {
 }
 
 impl Batch {
-    /// Empty batch with `ncols` datum-storage columns, each with capacity
-    /// for [`BATCH_SIZE`] rows.
-    pub fn with_columns(ncols: usize) -> Self {
-        Batch {
-            cols: (0..ncols)
-                .map(|_| Column::Datums(Vec::with_capacity(BATCH_SIZE)))
-                .collect(),
-            sel: None,
-            rows: 0,
-        }
-    }
-
-    /// Build directly from datum columns.
-    ///
-    /// # Panics
-    /// Panics if the columns have differing lengths.
-    pub fn from_columns(cols: Vec<Vec<Datum>>) -> Self {
-        Batch::from_parts(cols.into_iter().map(Column::Datums).collect(), None)
-    }
-
     /// Build from storage-class columns plus an optional selection vector.
     ///
     /// # Panics
@@ -206,6 +134,20 @@ impl Batch {
             None => phys,
         };
         Batch { cols, sel, rows }
+    }
+
+    /// A dense batch of `rows` rows over `cols`: column-less when the
+    /// request reads no attribute (see [`Self::rows_only`]).
+    ///
+    /// # Panics
+    /// Panics when a column does not hold exactly `rows` rows.
+    pub fn dense(cols: Vec<Column>, rows: usize) -> Self {
+        if cols.is_empty() {
+            return Batch::rows_only(rows);
+        }
+        let batch = Batch::from_parts(cols, None);
+        assert_eq!(batch.rows, rows, "ragged batch");
+        batch
     }
 
     /// A batch with no columns but a logical row count — `COUNT(*)`-style
@@ -231,11 +173,6 @@ impl Batch {
     /// True when the batch has no logical rows.
     pub fn is_empty(&self) -> bool {
         self.rows == 0
-    }
-
-    /// True when the batch reached its target size.
-    pub fn is_full(&self) -> bool {
-        self.rows >= BATCH_SIZE
     }
 
     /// Column `c`'s storage (physical rows; combine with
@@ -266,45 +203,10 @@ impl Batch {
         self.cols[col].datum(self.phys(row))
     }
 
-    /// Append one value to column `c` (caller keeps columns aligned and
-    /// finishes the row with [`Self::finish_row`]). Requires a dense batch.
-    #[inline]
-    pub fn push_value(&mut self, c: usize, d: Datum) {
-        debug_assert!(self.sel.is_none(), "cannot push into a selected batch");
-        self.cols[c].push(d);
-    }
-
-    /// Declare one full row appended across all columns.
-    #[inline]
-    pub fn finish_row(&mut self) {
-        self.rows += 1;
-        debug_assert!(self.cols.iter().all(|c| c.len() == self.rows));
-    }
-
-    /// Append a row given as a slice of datums.
-    pub fn push_row(&mut self, row: &[Datum]) {
-        assert_eq!(row.len(), self.cols.len(), "row arity mismatch");
-        debug_assert!(self.sel.is_none(), "cannot push into a selected batch");
-        for (c, d) in row.iter().enumerate() {
-            self.cols[c].push(d.clone());
-        }
-        self.rows += 1;
-    }
-
     /// Extract logical row `r` as an owned vector.
     pub fn row(&self, r: usize) -> Vec<Datum> {
         let p = self.phys(r);
         self.cols.iter().map(|c| c.datum(p)).collect()
-    }
-
-    /// Keep only the logical rows whose index is in `keep` (ascending).
-    pub fn take(&self, keep: &[usize]) -> Batch {
-        let phys: Vec<u32> = keep.iter().map(|&r| self.phys(r) as u32).collect();
-        Batch {
-            cols: self.cols.iter().map(|c| c.gather(&phys)).collect(),
-            sel: None,
-            rows: keep.len(),
-        }
     }
 
     /// Resolve the selection vector into dense columns (no-op when dense).
@@ -323,8 +225,7 @@ impl Batch {
     /// order, so downstream operators observe exactly the row order a
     /// sequential scan would have produced. An empty batch *adopts* the
     /// other's storage (typed columns and selection travel through intact);
-    /// otherwise columns append pairwise, degrading to datum storage when
-    /// the classes mix.
+    /// otherwise columns append pairwise ([`Column::append`]).
     ///
     /// # Panics
     /// Panics when the column counts differ.
@@ -341,18 +242,6 @@ impl Batch {
             col.append(ocol, sel);
         }
         self.rows += rows;
-    }
-
-    /// Consume into dense datum columns (materializing any selection).
-    pub fn into_columns(mut self) -> Vec<Vec<Datum>> {
-        self.materialize();
-        self.cols
-            .into_iter()
-            .map(|c| match c {
-                Column::Datums(v) => v,
-                other => (0..other.len()).map(|i| other.datum(i)).collect(),
-            })
-            .collect()
     }
 }
 
@@ -400,31 +289,21 @@ impl RowAccess for SliceRow<'_> {
 /// Borrowed columnar view for the vectorized predicate kernels
 /// ([`crate::expr::RExpr::filter_columnar`]): the kernels run over these
 /// before any batch (or any copy) exists, so a scan can filter borrowed
-/// cache segments and materialize only the survivors.
-pub enum ColView<'a> {
-    /// Typed column; physical row `i` of the view reads `col` at
-    /// `base + i` (a zero-copy window into a longer cache column).
-    Typed {
-        /// Backing typed storage.
-        col: &'a TypedColumn,
-        /// First backing row of the view.
-        base: usize,
-    },
-    /// Boxed datums.
-    Datums(&'a [Datum]),
-    /// All-NULL column.
-    Nulls,
+/// cache segments and materialize only the survivors. Physical row `i` of
+/// the view reads `col` at `base + i` (a zero-copy window into a longer
+/// cache column).
+pub struct ColView<'a> {
+    /// Backing typed storage.
+    pub col: &'a TypedColumn,
+    /// First backing row of the view.
+    pub base: usize,
 }
 
 impl ColView<'_> {
     /// Value at view row `i` (row-at-a-time fallback path).
     #[inline]
     pub fn datum(&self, i: usize) -> Datum {
-        match self {
-            ColView::Typed { col, base } => col.datum(base + i).unwrap_or(Datum::Null),
-            ColView::Datums(v) => v.get(i).cloned().unwrap_or(Datum::Null),
-            ColView::Nulls => Datum::Null,
-        }
+        self.col.datum(self.base + i).unwrap_or(Datum::Null)
     }
 }
 
@@ -449,71 +328,70 @@ mod tests {
     use super::*;
     use nodb_rawcsv::ColumnType;
 
-    fn typed_int(vals: &[Option<i64>]) -> Column {
-        let mut c = TypedColumn::new(ColumnType::Int);
+    fn typed(ty: ColumnType, vals: &[Datum]) -> Column {
+        let mut c = TypedColumn::new(ty);
         for v in vals {
-            match v {
-                Some(v) => c.push(&Datum::Int(*v)),
-                None => c.push(&Datum::Null),
-            }
+            c.push(v);
         }
         Column::Typed(c)
     }
 
-    #[test]
-    fn push_and_read_back() {
-        let mut b = Batch::with_columns(2);
-        b.push_row(&[Datum::Int(1), Datum::from("a")]);
-        b.push_row(&[Datum::Int(2), Datum::from("b")]);
-        assert_eq!(b.rows(), 2);
-        assert_eq!(b.value(1, 0), Datum::Int(2));
-        assert_eq!(b.row(0), vec![Datum::Int(1), Datum::from("a")]);
+    fn typed_int(vals: &[Option<i64>]) -> Column {
+        let vals: Vec<Datum> = vals
+            .iter()
+            .map(|v| v.map_or(Datum::Null, Datum::Int))
+            .collect();
+        typed(ColumnType::Int, &vals)
+    }
+
+    /// A dense (Int, Str) batch.
+    fn int_str(rows: &[(i64, &str)]) -> Batch {
+        let ints: Vec<Datum> = rows.iter().map(|r| Datum::Int(r.0)).collect();
+        let strs: Vec<Datum> = rows.iter().map(|r| Datum::from(r.1)).collect();
+        Batch::dense(
+            vec![typed(ColumnType::Int, &ints), typed(ColumnType::Str, &strs)],
+            rows.len(),
+        )
     }
 
     #[test]
-    fn take_filters_rows() {
-        let mut b = Batch::with_columns(1);
-        for i in 0..5 {
-            b.push_row(&[Datum::Int(i)]);
-        }
-        let t = b.take(&[0, 2, 4]);
-        assert_eq!(t.rows(), 3);
-        assert_eq!(t.value(1, 0), Datum::Int(2));
+    fn push_and_read_back() {
+        let b = int_str(&[(1, "a"), (2, "b")]);
+        assert_eq!(b.rows(), 2);
+        assert_eq!(b.value(1, 0), Datum::Int(2));
+        assert_eq!(b.row(0), vec![Datum::Int(1), Datum::from("a")]);
+        let counted = Batch::dense(Vec::new(), 7);
+        assert_eq!((counted.rows(), counted.ncols()), (7, 0));
     }
 
     #[test]
     #[should_panic(expected = "ragged")]
     fn ragged_batch_panics() {
-        let _ = Batch::from_columns(vec![vec![Datum::Int(1)], vec![]]);
+        let _ = Batch::from_parts(vec![typed_int(&[Some(1)]), Column::Nulls(0)], None);
     }
 
     #[test]
     fn extend_from_preserves_row_order() {
-        let mut a = Batch::with_columns(2);
-        a.push_row(&[Datum::Int(1), Datum::from("a")]);
-        let mut b = Batch::with_columns(2);
-        b.push_row(&[Datum::Int(2), Datum::from("b")]);
-        b.push_row(&[Datum::Int(3), Datum::from("c")]);
-        a.extend_from(b);
+        let mut a = int_str(&[(1, "a")]);
+        a.extend_from(int_str(&[(2, "b"), (3, "c")]));
         assert_eq!(a.rows(), 3);
         assert_eq!(a.row(0), vec![Datum::Int(1), Datum::from("a")]);
         assert_eq!(a.row(2), vec![Datum::Int(3), Datum::from("c")]);
         // Extending with an empty batch is a no-op.
-        a.extend_from(Batch::with_columns(2));
+        a.extend_from(int_str(&[]));
         assert_eq!(a.rows(), 3);
     }
 
     #[test]
     #[should_panic(expected = "arity mismatch")]
     fn extend_from_rejects_arity_mismatch() {
-        let mut a = Batch::with_columns(1);
-        a.extend_from(Batch::with_columns(2));
+        let mut a = Batch::dense(vec![typed_int(&[Some(1)])], 1);
+        a.extend_from(int_str(&[(2, "b")]));
     }
 
     #[test]
     fn row_access_adapters() {
-        let mut b = Batch::with_columns(2);
-        b.push_row(&[Datum::Int(7), Datum::Int(8)]);
+        let b = Batch::dense(vec![typed_int(&[Some(7)]), typed_int(&[Some(8)])], 1);
         let r = BatchRow::new(&b, 0);
         assert_eq!(r.value(1), Datum::Int(8));
         let vals = [Datum::Int(9)];
@@ -536,15 +414,11 @@ mod tests {
         assert_eq!(b.value(2, 0), Datum::Int(40));
         assert_eq!(b.value(1, 1), Datum::Null, "unmaterialized column");
         assert_eq!(b.row(1), vec![Datum::Int(30), Datum::Null]);
-        // take() composes the selections.
-        let t = b.take(&[0, 2]);
-        assert_eq!(t.rows(), 2);
-        assert_eq!(t.value(1, 0), Datum::Int(40));
     }
 
     #[test]
     fn empty_batch_adopts_typed_storage() {
-        let mut acc = Batch::with_columns(1);
+        let mut acc = Batch::dense(vec![typed_int(&[])], 0);
         let typed = Batch::from_parts(vec![typed_int(&[Some(1), Some(2)])], Some(vec![1]));
         acc.extend_from(typed);
         assert_eq!(acc.rows(), 1);
@@ -558,48 +432,63 @@ mod tests {
     }
 
     #[test]
-    fn mixed_storage_extend_degrades_to_datums() {
-        let mut acc = Batch::with_columns(1);
-        acc.push_row(&[Datum::Int(1)]);
-        acc.extend_from(Batch::from_parts(vec![typed_int(&[Some(2)])], None));
-        assert_eq!(acc.rows(), 2);
-        assert_eq!(acc.value(1, 0), Datum::Int(2));
-        assert!(matches!(acc.column(0), Column::Datums(_)));
-        // Nulls columns extend anything without changing its class.
-        let mut t = Batch::from_parts(vec![typed_int(&[Some(5)])], None);
-        t.extend_from(Batch::from_parts(vec![Column::Nulls(2)], None));
+    fn nulls_and_typed_extend_stay_typed_in_either_order() {
+        // Typed ⊕ Nulls: the NULL rows pad the typed column.
+        let mut t = Batch::dense(vec![typed_int(&[Some(5)])], 1);
+        t.extend_from(Batch::from_parts(vec![Column::Nulls(3)], Some(vec![0, 2])));
         assert_eq!(t.rows(), 3);
         assert!(matches!(t.column(0), Column::Typed(_)));
+        assert_eq!(t.row(0), vec![Datum::Int(5)]);
+        assert_eq!(t.value(1, 0), Datum::Null);
         assert_eq!(t.value(2, 0), Datum::Null);
+        // Nulls ⊕ Typed under a selection: NULLs first, then the selected
+        // typed rows, in order.
+        let mut n = Batch::dense(vec![Column::Nulls(2)], 2);
+        n.extend_from(Batch::from_parts(
+            vec![typed_int(&[Some(1), None, Some(3), Some(4)])],
+            Some(vec![1, 2, 3]),
+        ));
+        assert_eq!(n.rows(), 5);
+        assert!(matches!(n.column(0), Column::Typed(_)));
+        let got: Vec<Datum> = (0..5).map(|r| n.value(r, 0)).collect();
+        assert_eq!(
+            got,
+            vec![
+                Datum::Null,
+                Datum::Null,
+                Datum::Null,
+                Datum::Int(3),
+                Datum::Int(4)
+            ]
+        );
+        // Nulls ⊕ Nulls stays all-NULL.
+        let mut both = Batch::dense(vec![Column::Nulls(1)], 1);
+        both.extend_from(Batch::dense(vec![Column::Nulls(2)], 2));
+        assert!(matches!(both.column(0), Column::Nulls(3)));
     }
 
     #[test]
-    fn into_columns_materializes_selection() {
-        let b = Batch::from_parts(
+    fn materialize_resolves_selection() {
+        let mut b = Batch::from_parts(
             vec![typed_int(&[Some(1), Some(2), Some(3)])],
             Some(vec![0, 2]),
         );
-        assert_eq!(b.into_columns(), vec![vec![Datum::Int(1), Datum::Int(3)]]);
+        b.materialize();
+        assert_eq!(b.selection(), None);
+        assert_eq!(b.column(0).len(), 2);
+        assert_eq!(b.row(1), vec![Datum::Int(3)]);
     }
 
     #[test]
-    fn view_row_reads_all_classes() {
-        let datums = [Datum::from("x")];
-        let tc = match typed_int(&[Some(4)]) {
+    fn view_row_reads_through_the_window() {
+        let tc = match typed_int(&[Some(4), None, Some(6)]) {
             Column::Typed(c) => c,
             _ => unreachable!(),
         };
-        let views = [
-            ColView::Typed { col: &tc, base: 0 },
-            ColView::Datums(&datums),
-            ColView::Nulls,
-        ];
-        let row = ViewRow {
-            cols: &views,
-            row: 0,
-        };
-        assert_eq!(row.value(0), Datum::Int(4));
-        assert_eq!(row.value(1), Datum::from("x"));
-        assert_eq!(row.value(2), Datum::Null);
+        let views = [ColView { col: &tc, base: 1 }];
+        let row = |row| ViewRow { cols: &views, row }.value(0);
+        assert_eq!(row(0), Datum::Null);
+        assert_eq!(row(1), Datum::Int(6));
+        assert_eq!(row(2), Datum::Null, "past the end");
     }
 }

@@ -27,9 +27,11 @@ use crate::source::ScanSource;
 const MAX_RESERVE_ROWS: usize = 1 << 20;
 
 /// Execute a planned query against a scan source, materializing the result.
-/// Operators read typed batch storage through columnar kernels where the
-/// expression shape allows and evaluate row-at-a-time otherwise
-/// ([`Column::Datums`] batches, computed projections and group keys).
+/// Every batch column is [`Column::Typed`] or [`Column::Nulls`]: global
+/// aggregates over a bare column fold it through typed kernels, and the
+/// rest — projections, group keys, computed arguments, and the
+/// (state, type) pairings without a kernel — evaluate row-at-a-time through
+/// [`BatchRow`].
 pub fn execute(
     planned: &PlannedQuery,
     mut source: Box<dyn ScanSource + '_>,
@@ -249,8 +251,8 @@ impl AggState {
                 return Ok(());
             }
         }
-        // Datum fallback (see the batch module docs): string/bool typed
-        // columns, datum columns, COUNT DISTINCT.
+        // No kernel for this pairing (SUM/AVG/MIN/MAX over string or bool
+        // columns, COUNT DISTINCT): replay the scalar updates.
         match sel {
             Some(s) => {
                 for &i in s {
@@ -291,10 +293,7 @@ impl AggState {
         }
         match (self, tc) {
             (AggState::Count(n), tc) => {
-                let (TypedColumn::Int { nulls, .. }
-                | TypedColumn::Float { nulls, .. }
-                | TypedColumn::Bool { nulls, .. }
-                | TypedColumn::Str { nulls, .. }) = tc;
+                let nulls = tc.nulls();
                 if !nulls.any_null() {
                     *n += sel.map(<[u32]>::len).unwrap_or(tc.len()) as u64;
                 } else {
@@ -750,6 +749,101 @@ mod tests {
             Datum::Float(v) => assert!(*v > 1e18),
             other => panic!("expected float, got {other:?}"),
         }
+    }
+
+    /// The columnar fold equals the scalar replay it stands in for, for
+    /// every aggregate over every column type, null density and selection
+    /// shape — folded twice, so merging into a non-empty accumulator is
+    /// covered too. The Int values overflow i64 under SUM (promotion to
+    /// Float); the Float values hold NaN and −0.0.
+    #[test]
+    fn update_from_column_equals_scalar_replay() {
+        let values: [(ColumnType, Vec<Datum>); 4] = [
+            (
+                ColumnType::Int,
+                [i64::MAX, i64::MAX - 1, -5, 0, 7, i64::MIN]
+                    .map(Datum::Int)
+                    .to_vec(),
+            ),
+            (
+                ColumnType::Float,
+                [f64::NAN, -0.0, 0.0, 1.5, -2.25, 1e300]
+                    .map(Datum::Float)
+                    .to_vec(),
+            ),
+            (
+                ColumnType::Bool,
+                [true, false, false].map(Datum::Bool).to_vec(),
+            ),
+            (
+                ColumnType::Str,
+                ["b", "a", "", "c", "a"].map(Datum::from).to_vec(),
+            ),
+        ];
+        let funcs = [
+            (AggFunc::Count, false),
+            (AggFunc::Count, true),
+            (AggFunc::Sum, false),
+            (AggFunc::Avg, false),
+            (AggFunc::Min, false),
+            (AggFunc::Max, false),
+        ];
+        const ROWS: usize = 24;
+        let sparse: Vec<u32> = (0..ROWS as u32).step_by(3).collect();
+        for (ty, vals) in &values {
+            for null_every in [0usize, 2, 1] {
+                let mut tc = TypedColumn::new(*ty);
+                for i in 0..ROWS {
+                    if null_every != 0 && i % null_every == 0 {
+                        tc.push_null();
+                    } else {
+                        tc.push(&vals[i % vals.len()]);
+                    }
+                }
+                let col = Column::Typed(tc);
+                for sel in [None, Some(&sparse[..]), Some(&[][..])] {
+                    for &(func, distinct) in &funcs {
+                        let call = AggCall {
+                            func,
+                            arg: Some(RExpr::Col(0)),
+                            distinct,
+                        };
+                        let tag = format!("{ty:?} null_every {null_every} sel {sel:?} {func:?}");
+                        let fold = || -> EngineResult<Datum> {
+                            let mut s = AggState::new(&call);
+                            s.update_from_column(&col, sel)?;
+                            s.update_from_column(&col, sel)?;
+                            Ok(s.finish())
+                        };
+                        let replay = || -> EngineResult<Datum> {
+                            let mut s = AggState::new(&call);
+                            let rows: Vec<usize> = match sel {
+                                Some(s) => s.iter().map(|&i| i as usize).collect(),
+                                None => (0..col.len()).collect(),
+                            };
+                            for &i in rows.iter().chain(&rows) {
+                                s.update(Some(&col.datum(i)))?;
+                            }
+                            Ok(s.finish())
+                        };
+                        // Debug text compares NaN and −0.0 exactly.
+                        assert_eq!(format!("{:?}", fold()), format!("{:?}", replay()), "{tag}");
+                    }
+                }
+            }
+        }
+        // The Int SUM over every row overflows i64 and promotes to Float.
+        let mut s = AggState::new(&AggCall {
+            func: AggFunc::Sum,
+            arg: Some(RExpr::Col(0)),
+            distinct: false,
+        });
+        let mut tc = TypedColumn::new(ColumnType::Int);
+        for v in [i64::MAX, i64::MAX] {
+            tc.push(&Datum::Int(v));
+        }
+        s.update_from_column(&Column::Typed(tc), None).unwrap();
+        assert!(matches!(s.finish(), Datum::Float(v) if v > 1e19));
     }
 
     #[test]

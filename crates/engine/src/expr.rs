@@ -63,7 +63,7 @@ pub enum RExpr {
         /// NOT LIKE.
         negated: bool,
     },
-    /// IS [NOT] NULL.
+    /// `IS [NOT] NULL`.
     IsNull {
         /// Tested expression.
         expr: Box<RExpr>,
@@ -375,7 +375,7 @@ impl RExpr {
                 let negated = *negated;
                 retain_rows(rows, sel, |i| {
                     let p = tc.1 + i;
-                    if is_null_at(tc.0, p) {
+                    if tc.0.nulls().is_null(p) {
                         return false;
                     }
                     let mut saw_null = false;
@@ -423,7 +423,7 @@ impl RExpr {
                     return false;
                 };
                 let negated = *negated;
-                retain_rows(rows, sel, |i| is_null_at(col, base + i) != negated);
+                retain_rows(rows, sel, |i| col.nulls().is_null(base + i) != negated);
                 true
             }
             _ => false,
@@ -431,23 +431,10 @@ impl RExpr {
     }
 }
 
-/// The typed column behind view position `c`, when it has one.
+/// The typed column behind view position `c` and its first backing row.
 #[inline]
 fn typed_col<'a>(cols: &'a [ColView<'a>], c: usize) -> Option<(&'a TypedColumn, usize)> {
-    match cols.get(c) {
-        Some(ColView::Typed { col, base }) => Some((col, *base)),
-        _ => None,
-    }
-}
-
-#[inline]
-fn is_null_at(col: &TypedColumn, p: usize) -> bool {
-    match col {
-        TypedColumn::Int { nulls, .. }
-        | TypedColumn::Float { nulls, .. }
-        | TypedColumn::Bool { nulls, .. }
-        | TypedColumn::Str { nulls, .. } => nulls.is_null(p),
-    }
+    cols.get(c).map(|v| (v.col, v.base))
 }
 
 /// [`Datum::sql_cmp`] of the typed value at `p` against a constant, without
@@ -455,45 +442,17 @@ fn is_null_at(col: &TypedColumn, p: usize) -> bool {
 /// mismatch, numerics compare across Int/Float.
 #[inline]
 fn typed_cmp(col: &TypedColumn, p: usize, rhs: &Datum) -> Option<Ordering> {
-    match col {
-        TypedColumn::Int { values, nulls } => {
-            if nulls.is_null(p) {
-                return None;
-            }
-            match rhs {
-                Datum::Int(b) => Some(values[p].cmp(b)),
-                Datum::Float(b) => (values[p] as f64).partial_cmp(b),
-                _ => None,
-            }
-        }
-        TypedColumn::Float { values, nulls } => {
-            if nulls.is_null(p) {
-                return None;
-            }
-            match rhs {
-                Datum::Float(b) => values[p].partial_cmp(b),
-                Datum::Int(b) => values[p].partial_cmp(&(*b as f64)),
-                _ => None,
-            }
-        }
-        TypedColumn::Str { values, nulls, .. } => {
-            if nulls.is_null(p) {
-                return None;
-            }
-            match rhs {
-                Datum::Str(b) => Some(values[p].as_ref().cmp(&**b)),
-                _ => None,
-            }
-        }
-        TypedColumn::Bool { values, nulls } => {
-            if nulls.is_null(p) {
-                return None;
-            }
-            match rhs {
-                Datum::Bool(b) => Some(values[p].cmp(b)),
-                _ => None,
-            }
-        }
+    if col.nulls().is_null(p) {
+        return None;
+    }
+    match (col, rhs) {
+        (TypedColumn::Int { values, .. }, Datum::Int(b)) => Some(values[p].cmp(b)),
+        (TypedColumn::Int { values, .. }, Datum::Float(b)) => (values[p] as f64).partial_cmp(b),
+        (TypedColumn::Float { values, .. }, Datum::Float(b)) => values[p].partial_cmp(b),
+        (TypedColumn::Float { values, .. }, Datum::Int(b)) => values[p].partial_cmp(&(*b as f64)),
+        (TypedColumn::Str { values, .. }, Datum::Str(b)) => Some(values[p].as_ref().cmp(&**b)),
+        (TypedColumn::Bool { values, .. }, Datum::Bool(b)) => Some(values[p].cmp(b)),
+        _ => None,
     }
 }
 
@@ -1035,20 +994,7 @@ mod tests {
                     _ => strs.push(&Datum::Str(format!("s{}", next() % 8).into_boxed_str())),
                 }
             }
-            let views = [
-                ColView::Typed {
-                    col: &ints,
-                    base: 0,
-                },
-                ColView::Typed {
-                    col: &floats,
-                    base: 0,
-                },
-                ColView::Typed {
-                    col: &strs,
-                    base: 0,
-                },
-            ];
+            let views = [&ints, &floats, &strs].map(|col| ColView { col, base: 0 });
             let cmp = |op: BinOp, c: usize, k: Datum| RExpr::Binary {
                 op,
                 left: Box::new(RExpr::Col(c)),

@@ -7,10 +7,11 @@
 //! each storage backend — PostgresRaw-style raw scan, naive external-files
 //! scan, loaded row/column stores — answers with batches.
 
-use nodb_rawcsv::Datum;
+use nodb_rawcache::TypedColumn;
+use nodb_rawcsv::{ColumnType, Datum};
 
-use crate::batch::Batch;
-use crate::error::EngineResult;
+use crate::batch::{Batch, Column};
+use crate::error::{EngineError, EngineResult};
 use crate::expr::RExpr;
 
 /// What the planner asks of a scan.
@@ -98,18 +99,31 @@ impl ScanSource for QueueSource {
 /// In-memory scan source over materialized rows — the reference
 /// implementation used by engine unit tests and by loaded column stores
 /// that pre-filter.
+///
+/// Each column is typed by its first non-NULL value and emitted as
+/// [`Column::Typed`]; an all-NULL column is emitted as [`Column::Nulls`]. A
+/// later value of another type is an [`EngineError::Execution`], never a
+/// silent coercion.
 pub struct MemSource {
     rows: std::vec::IntoIter<Vec<Datum>>,
-    ncols: usize,
+    /// Per column: the type of its first non-NULL value (`None`: all NULL).
+    types: Vec<Option<ColumnType>>,
     batch_size: usize,
 }
 
 impl MemSource {
-    /// Source over `rows`, each of `ncols` values.
+    /// Source over `rows`, each of `ncols` values (missing trailing values
+    /// read as NULL).
     pub fn new(rows: Vec<Vec<Datum>>, ncols: usize) -> Self {
+        let types = (0..ncols)
+            .map(|c| {
+                rows.iter()
+                    .find_map(|r| r.get(c).and_then(Datum::column_type))
+            })
+            .collect();
         MemSource {
             rows: rows.into_iter(),
-            ncols,
+            types,
             batch_size: crate::batch::BATCH_SIZE,
         }
     }
@@ -143,11 +157,35 @@ impl MemSource {
 
 impl ScanSource for MemSource {
     fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
-        let mut batch = Batch::with_columns(self.ncols);
+        let mut cols: Vec<Option<TypedColumn>> =
+            self.types.iter().map(|t| t.map(TypedColumn::new)).collect();
+        let mut rows = 0;
         for row in self.rows.by_ref().take(self.batch_size) {
-            batch.push_row(&row);
+            let mut vals = row.into_iter();
+            for (c, col) in cols.iter_mut().enumerate() {
+                let d = vals.next().unwrap_or(Datum::Null);
+                // An all-NULL column has no typed storage and no non-NULL.
+                let Some(col) = col else { continue };
+                match d.column_type() {
+                    Some(ty) if ty != col.ty() => {
+                        return Err(EngineError::Execution(format!(
+                            "column {c} mixes {:?} and {ty:?} values",
+                            col.ty()
+                        )))
+                    }
+                    _ => col.push_owned(d),
+                }
+            }
+            rows += 1;
         }
-        Ok(if batch.is_empty() { None } else { Some(batch) })
+        if rows == 0 {
+            return Ok(None);
+        }
+        let cols = cols
+            .into_iter()
+            .map(|c| c.map_or(Column::Nulls(rows), Column::Typed))
+            .collect();
+        Ok(Some(Batch::dense(cols, rows)))
     }
 
     fn size_hint(&self) -> Option<usize> {
@@ -199,14 +237,36 @@ mod tests {
     }
 
     #[test]
+    fn mem_source_types_columns_and_rejects_mixed_types() {
+        let rows = vec![
+            vec![Datum::Null, Datum::Null, Datum::from("a")],
+            vec![Datum::Float(1.5), Datum::Null, Datum::Null],
+        ];
+        let b = MemSource::new(rows, 3).next_batch().unwrap().unwrap();
+        assert!(matches!(b.column(0), Column::Typed(c) if c.ty() == ColumnType::Float));
+        assert!(matches!(b.column(1), Column::Nulls(2)), "all-NULL column");
+        assert!(matches!(b.column(2), Column::Typed(c) if c.ty() == ColumnType::Str));
+        assert_eq!(b.row(1), vec![Datum::Float(1.5), Datum::Null, Datum::Null]);
+        // An Int after a Float is refused, not coerced.
+        let mixed = vec![
+            vec![Datum::Float(1.5)],
+            vec![Datum::Null],
+            vec![Datum::Int(2)],
+        ];
+        let err = MemSource::new(mixed, 1).next_batch().unwrap_err();
+        assert!(matches!(err, EngineError::Execution(_)), "{err:?}");
+    }
+
+    #[test]
     fn queue_source_drains_in_order() {
-        let mut a = Batch::with_columns(1);
-        a.push_row(&[Datum::Int(1)]);
-        let mut b = Batch::with_columns(1);
-        b.push_row(&[Datum::Int(2)]);
         let mut q = std::collections::VecDeque::new();
-        q.push_back(a);
-        q.push_back(b);
+        for v in [1, 2] {
+            q.extend(
+                MemSource::new(vec![vec![Datum::Int(v)]], 1)
+                    .next_batch()
+                    .unwrap(),
+            );
+        }
         let mut s = QueueSource::new(q);
         assert_eq!(s.size_hint(), Some(2));
         assert_eq!(s.next_batch().unwrap().unwrap().value(0, 0), Datum::Int(1));

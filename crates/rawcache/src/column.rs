@@ -1,6 +1,6 @@
 //! Typed columnar storage for cached binary values.
 
-use nodb_rawcsv::{ColumnType, Datum};
+use nodb_rawcsv::{parser, ColumnType, Datum};
 
 /// Compact null bitmap (1 bit per row).
 #[derive(Debug, Default, Clone)]
@@ -271,39 +271,117 @@ impl TypedColumn {
         }
     }
 
+    /// Append a NULL slot.
+    pub fn push_null(&mut self) {
+        self.push_owned(Datum::Null);
+    }
+
+    /// Parse one raw field straight into the column — the scan's convert
+    /// step, with no `Datum` in between. The rules are
+    /// [`parser::parse_field`]'s: an empty field is NULL, `Str` is lossy
+    /// UTF-8, and a `Str` field holding the `quote` byte is unescaped
+    /// ([`parser::unescape_quoted`]). Returns `false`, appending nothing,
+    /// exactly when `parse_field` would return an error.
+    pub fn push_parsed(&mut self, raw: &[u8], quote: Option<u8>) -> bool {
+        if raw.is_empty() {
+            self.push_null();
+            return true;
+        }
+        match self {
+            TypedColumn::Int { values, .. } => match parser::parse_int(raw) {
+                Some(v) => values.push(v),
+                None => return false,
+            },
+            TypedColumn::Float { values, .. } => match parser::parse_float(raw) {
+                Some(v) => values.push(v),
+                None => return false,
+            },
+            TypedColumn::Bool { values, .. } => match parser::parse_bool(raw) {
+                Some(v) => values.push(v),
+                None => return false,
+            },
+            TypedColumn::Str {
+                values, str_bytes, ..
+            } => {
+                let s: Box<str> = match quote {
+                    Some(q) if raw.contains(&q) => parser::unescape_quoted(raw, q).into(),
+                    _ => String::from_utf8_lossy(raw).into(),
+                };
+                *str_bytes += s.len();
+                values.push(s);
+            }
+        }
+        self.nulls_mut().push(false);
+        true
+    }
+
+    /// Append row `i` of `src`, a column of the same type (a per-row cache
+    /// read). Returns `false`, appending nothing, when `src` has no row `i`
+    /// or holds another type.
+    pub fn push_from(&mut self, src: &TypedColumn, i: usize) -> bool {
+        if i >= src.len() {
+            return false;
+        }
+        match (&mut *self, src) {
+            (TypedColumn::Int { values, .. }, TypedColumn::Int { values: sv, .. }) => {
+                values.push(sv[i])
+            }
+            (TypedColumn::Float { values, .. }, TypedColumn::Float { values: sv, .. }) => {
+                values.push(sv[i])
+            }
+            (TypedColumn::Bool { values, .. }, TypedColumn::Bool { values: sv, .. }) => {
+                values.push(sv[i])
+            }
+            (
+                TypedColumn::Str {
+                    values, str_bytes, ..
+                },
+                TypedColumn::Str { values: sv, .. },
+            ) => {
+                *str_bytes += sv[i].len();
+                values.push(sv[i].clone());
+            }
+            _ => return false,
+        }
+        let null = src.nulls().is_null(i);
+        self.nulls_mut().push(null);
+        true
+    }
+
+    /// The column's null bitmap.
+    pub fn nulls(&self) -> &NullMask {
+        match self {
+            TypedColumn::Int { nulls, .. }
+            | TypedColumn::Float { nulls, .. }
+            | TypedColumn::Bool { nulls, .. }
+            | TypedColumn::Str { nulls, .. } => nulls,
+        }
+    }
+
+    fn nulls_mut(&mut self) -> &mut NullMask {
+        match self {
+            TypedColumn::Int { nulls, .. }
+            | TypedColumn::Float { nulls, .. }
+            | TypedColumn::Bool { nulls, .. }
+            | TypedColumn::Str { nulls, .. } => nulls,
+        }
+    }
+
     /// Read row `i` back as a datum. Returns `None` past the end.
     #[inline]
     pub fn datum(&self, i: usize) -> Option<Datum> {
-        match self {
-            TypedColumn::Int { values, nulls } => values.get(i).map(|v| {
-                if nulls.is_null(i) {
-                    Datum::Null
-                } else {
-                    Datum::Int(*v)
-                }
-            }),
-            TypedColumn::Float { values, nulls } => values.get(i).map(|v| {
-                if nulls.is_null(i) {
-                    Datum::Null
-                } else {
-                    Datum::Float(*v)
-                }
-            }),
-            TypedColumn::Bool { values, nulls } => values.get(i).map(|v| {
-                if nulls.is_null(i) {
-                    Datum::Null
-                } else {
-                    Datum::Bool(*v)
-                }
-            }),
-            TypedColumn::Str { values, nulls, .. } => values.get(i).map(|v| {
-                if nulls.is_null(i) {
-                    Datum::Null
-                } else {
-                    Datum::Str(v.clone())
-                }
-            }),
+        if i >= self.len() {
+            return None;
         }
+        if self.nulls().is_null(i) {
+            return Some(Datum::Null);
+        }
+        Some(match self {
+            TypedColumn::Int { values, .. } => Datum::Int(values[i]),
+            TypedColumn::Float { values, .. } => Datum::Float(values[i]),
+            TypedColumn::Bool { values, .. } => Datum::Bool(values[i]),
+            TypedColumn::Str { values, .. } => Datum::Str(values[i].clone()),
+        })
     }
 
     /// Append every row of `other` after this column's rows — the segment
@@ -546,6 +624,100 @@ mod tests {
         let mut c = TypedColumn::new(ColumnType::Float);
         c.push(&Datum::Int(2));
         assert_eq!(c.datum(0), Some(Datum::Float(2.0)));
+    }
+
+    /// Datum equality with floats compared by bit pattern (NaN, -0.0).
+    fn same(a: &Option<Datum>, b: &Option<Datum>) -> bool {
+        match (a, b) {
+            (Some(Datum::Float(x)), Some(Datum::Float(y))) => x.to_bits() == y.to_bits(),
+            _ => a == b,
+        }
+    }
+
+    #[test]
+    fn push_parsed_equals_parse_field() {
+        let corpus: &[&[u8]] = &[
+            b"",
+            b"0",
+            b"-0",
+            b"+7",
+            b"-42",
+            b"9223372036854775807",
+            b"-9223372036854775808",
+            b"9223372036854775808",
+            b"-9223372036854775809",
+            b"00000000000000000001",
+            b"-",
+            b"+",
+            b"12a",
+            b" 1",
+            b"3.5",
+            b"-12.25",
+            b"-0.0",
+            b"7.0",
+            b"1.",
+            b".5",
+            b"1e3",
+            b"-2.5E-2",
+            b"1e400",
+            b"4503599627370497.5",
+            b"inf",
+            b"NaN",
+            b"1",
+            b"t",
+            b"T",
+            b"f",
+            b"F",
+            b"true",
+            b"TRUE",
+            b"True",
+            b"false",
+            b"FALSE",
+            b"fAlSe",
+            b"yes",
+            b"plain",
+            b"\xff\xfeok",
+            b"caf\xc3\xa9",
+            b"a\"\"b",
+            b"\"\"",
+        ];
+        for ty in [
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Bool,
+            ColumnType::Str,
+        ] {
+            for quote in [None, Some(b'"')] {
+                let mut typed = TypedColumn::new(ty);
+                let mut reference = TypedColumn::new(ty);
+                for (row, raw) in corpus.iter().enumerate() {
+                    let tag = format!("{ty:?} {quote:?} {:?}", String::from_utf8_lossy(raw));
+                    let expect = match quote {
+                        Some(q) if ty == ColumnType::Str && raw.contains(&q) => {
+                            Ok(Datum::Str(parser::unescape_quoted(raw, q).into()))
+                        }
+                        _ => parser::parse_field(raw, ty, row as u64, 0),
+                    };
+                    assert_eq!(typed.push_parsed(raw, quote), expect.is_ok(), "{tag}");
+                    if let Ok(d) = expect {
+                        reference.push(&d);
+                    }
+                    assert_eq!(typed.len(), reference.len(), "{tag}");
+                }
+                assert_eq!(typed.footprint(), reference.footprint(), "{ty:?}");
+                // A row-by-row copy (the scan's cache read) reproduces it.
+                let mut copy = TypedColumn::new(ty);
+                for i in 0..typed.len() {
+                    assert!(copy.push_from(&typed, i));
+                }
+                assert!(!copy.push_from(&typed, typed.len()), "past the end");
+                assert_eq!(copy.footprint(), reference.footprint(), "{ty:?}");
+                for i in 0..reference.len() {
+                    assert!(same(&typed.datum(i), &reference.datum(i)), "{ty:?} row {i}");
+                    assert!(same(&copy.datum(i), &reference.datum(i)), "{ty:?} row {i}");
+                }
+            }
+        }
     }
 
     #[test]

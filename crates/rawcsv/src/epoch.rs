@@ -130,7 +130,7 @@ impl SourceEpoch {
     /// one version of the file. A writer racing the capture (the file
     /// shrinking between the stat and a read, or the post-read stat
     /// disagreeing with the first) restarts the attempt, up to
-    /// [`CAPTURE_ATTEMPTS`] times; only a file mutating continuously
+    /// `CAPTURE_ATTEMPTS` times; only a file mutating continuously
     /// faster than a few page reads makes this fail. This entry point is
     /// for callers with nothing to retry against (registration), so a file
     /// that never holds still is reported as an I/O error.

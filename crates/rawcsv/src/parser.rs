@@ -1,11 +1,16 @@
-//! *Selective parsing*: byte-slice → [`Datum`] conversion.
+//! *Selective parsing*: byte-slice → binary value conversion.
 //!
 //! PostgresRaw only transforms to binary "the values required for the
 //! remaining query plan" (§3). In this reproduction that discipline lives in
-//! the scan operator; this module provides the per-field converters it calls,
+//! the scan operator; this module provides the per-field converters
+//! ([`parse_int`], [`parse_float`], [`parse_bool`], [`unescape_quoted`])
 //! with hand-rolled integer/boolean fast paths (field bytes are already in
 //! cache after tokenizing, so conversion cost is pure CPU — exactly the cost
-//! the paper's *Convert* breakdown slice measures).
+//! the paper's *Convert* breakdown slice measures). The scan calls them
+//! through `nodb_rawcache::TypedColumn::push_parsed`, which writes the value
+//! straight into a typed column; [`parse_field`] applies the same rules but
+//! returns a [`Datum`], and is the reference the row-at-a-time models compare
+//! against and the one place a parse error is worded.
 
 use crate::datum::Datum;
 use crate::error::RawCsvError;

@@ -31,7 +31,7 @@
 //! for cores. A scan's thread count is exactly its worker count.
 //!
 //! **Why decorators cannot perturb results:** read sizes come from one
-//! formula ([`read_size_at`]) over the source's position, and a fault only
+//! formula (`read_size_at`) over the source's position, and a fault only
 //! fails a refill before it advances or moves a block boundary — so the
 //! *concatenated byte stream* a scanner consumes is the file's bytes in
 //! order, whatever the stack. Line splitting, tokenizing and offset
@@ -171,7 +171,7 @@ pub trait BlockSource: Send {
     fn seek(&mut self, offset: u64) -> Result<()>;
 
     /// Soft read cap: reads stop short of this file offset, then degrade to
-    /// [`TAIL_READ`]-sized steps for the (usually short) line straddling
+    /// `TAIL_READ`-sized steps for the (usually short) line straddling
     /// it. `u64::MAX` = uncapped. Set by [`RangeScanner`]: a scanner over a
     /// small slice of a large file must not pull a whole block past its
     /// range — with many fine-grained partition slices that amplifies I/O
@@ -772,7 +772,7 @@ impl BlockScanner {
     }
 
     /// Restrict reads to stop at file offset `cap` and continue in
-    /// [`TAIL_READ`]-sized steps beyond it (for the line straddling the
+    /// `TAIL_READ`-sized steps beyond it (for the line straddling the
     /// cap). Lines are still produced normally past the cap — this caps
     /// how far reads run ahead, not the scan.
     pub fn set_read_cap(&mut self, cap: u64) {

@@ -64,7 +64,7 @@ impl NoDbClient {
 
     /// Opt in to retrying `ERR overloaded` rejections: [`Self::query`]
     /// re-sends up to `attempts` times with bounded exponential backoff
-    /// (base [`OVERLOAD_BACKOFF_MS`], doubling per attempt, exponent capped
+    /// (base `OVERLOAD_BACKOFF_MS`, doubling per attempt, exponent capped
     /// so the sleep never overflows). The server rejects *before* touching
     /// any table state, so a retried query is side-effect free until
     /// admitted. Off by default — a load generator or batch tool opts in;

@@ -16,7 +16,7 @@
 //! cold. A corrupt or stale sidecar can cost warm-up time; it can never
 //! change a query result.
 //!
-//! * [`format`] — the byte layout, [`format::encode_snapshot`] /
+//! * [`format`](mod@format) — the byte layout, [`format::encode_snapshot`] /
 //!   [`format::decode_snapshot`], and the capture/install glue to the
 //!   `posmap`, `rawcache`, and `stats` crates;
 //! * [`io`] — crash-safe atomic writes (temp + fsync + rename) and reads

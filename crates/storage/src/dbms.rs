@@ -275,22 +275,24 @@ impl ConventionalDb {
             plan_select(&stmt, &table.schema, &est)?
         };
 
-        let nattrs = table.schema.len();
+        let schema = &table.schema;
         let source: Box<dyn ScanSource> = match &table.storage {
             TableStorage::Heap(heap) => match pick_index_rows(table, &planned) {
                 Some(ids) => Box::new(IndexScanSource::new(
                     Arc::clone(heap),
-                    nattrs,
+                    schema,
                     planned.scan.clone(),
                     ids,
                 )),
                 None => Box::new(HeapScanSource::new(
                     Arc::clone(heap),
-                    nattrs,
+                    schema,
                     planned.scan.clone(),
                 )),
             },
-            TableStorage::Col(store) => Box::new(ColScanSource::new(store, planned.scan.clone())?),
+            TableStorage::Col(store) => {
+                Box::new(ColScanSource::new(store, schema, planned.scan.clone())?)
+            }
         };
         execute(&planned, source)
     }

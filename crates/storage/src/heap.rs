@@ -41,35 +41,22 @@ impl BufferPool {
 
     fn get(&mut self, page_no: u64) -> Option<&Page> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.frames.iter_mut().find(|(no, _, _)| *no == page_no) {
-            Some((_, _, used)) => {
-                *used = tick;
-                self.stats.hits += 1;
-                // Re-borrow immutably.
-                self.frames
-                    .iter()
-                    .find(|(no, _, _)| *no == page_no)
-                    .map(|(_, p, _)| p)
-            }
-            None => None,
-        }
+        let i = self.frames.iter().position(|(no, _, _)| *no == page_no)?;
+        self.frames[i].2 = self.tick;
+        self.stats.hits += 1;
+        Some(&self.frames[i].1)
     }
 
     fn insert(&mut self, page_no: u64, page: Page) -> &Page {
         if self.frames.len() >= self.capacity {
-            let victim = self
-                .frames
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, _, used))| *used)
-                .map(|(i, _)| i)
-                .expect("non-empty pool");
-            self.frames.swap_remove(victim);
+            if let Some(victim) = (0..self.frames.len()).min_by_key(|&i| self.frames[i].2) {
+                self.frames.swap_remove(victim);
+            }
         }
         self.tick += 1;
         self.frames.push((page_no, page, self.tick));
-        &self.frames.last().expect("just pushed").1
+        let i = self.frames.len() - 1;
+        &self.frames[i].1
     }
 }
 
@@ -153,15 +140,7 @@ impl HeapFile {
         // `.unwrap()` here to route through `lock_recover`, and a panicking
         // reader cannot brick the pool for later queries.
         let mut inner = self.inner.lock();
-        if inner.pool.get(page_no).is_some() {
-            // Second lookup borrows the frame for the closure.
-            let page = inner
-                .pool
-                .frames
-                .iter()
-                .find(|(no, _, _)| *no == page_no)
-                .map(|(_, p, _)| p)
-                .expect("present");
+        if let Some(page) = inner.pool.get(page_no) {
             return Ok(f(page));
         }
         // Miss: read from disk.

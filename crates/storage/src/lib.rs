@@ -5,7 +5,7 @@
 //! index) before answering their first query. This crate implements those
 //! comparators as real storage engines sharing `nodb-engine` above the scan:
 //!
-//! * [`tuple`] — tagged binary row encoding with skip-decoding;
+//! * [`tuple`](mod@tuple) — tagged binary row encoding with skip-decoding;
 //! * [`page`] — slotted pages;
 //! * [`heap`] — on-disk heap files read through an LRU buffer pool;
 //! * [`colstore`] — per-column binary segments (the DBMS X model);

@@ -559,15 +559,19 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
     }
 }
 
-/// The one-former invariant (ISSUE 19): every batch that leaves the scan is
-/// typed and formed by one function, whatever fed it — raw bytes (cold), the
-/// cache (warm), or a mix under a tight budget. For random schemas,
-/// predicates (comparisons, BETWEEN, IN, LIKE, AND/OR trees) and aggregates
+/// The one-former invariant: every batch that leaves the scan is typed and
+/// formed by one function, whatever fed it — raw bytes (cold), the cache
+/// (warm), or a mix under a tight budget. For random schemas, predicates
+/// (comparisons, BETWEEN, IN, LIKE, AND/OR trees) and aggregates
 /// (COUNT/COUNT DISTINCT/SUM/MIN/MAX/AVG, grouped and global), across
 /// `scan_threads` {1, 4}, the cold and the warm answer must both equal a
-/// loaded column store's (`ConventionalDb`: the same engine reading
-/// `Column::Datums` batches row-at-a-time, never the raw file), and after
-/// every query the table must hold exactly the naive model's state.
+/// loaded column store's (`ConventionalDb`: the same engine over typed
+/// batches, but decoded from its own binary segments and filtered
+/// row-at-a-time before the batch is formed, never from the raw file), and
+/// after every query the table must hold exactly the naive model's state.
+/// Both sides fold aggregates through the same typed kernels; the engine's
+/// `update_from_column_equals_scalar_replay` unit test checks those kernels
+/// against the row-at-a-time accumulator.
 #[test]
 fn typed_scan_equals_loaded_dbms() {
     use nodb_repro::storage::{ConventionalDb, DbProfile};
