@@ -59,8 +59,10 @@ pub struct NoDbConfig {
     /// attribute is located. Disabling reverts to full-tuple tokenizing —
     /// the KNOBS ablation.
     pub selective_tokenizing: bool,
-    /// Observe every `stats_sample_every`-th row in the statistics
-    /// accumulators (1 = every row).
+    /// Offer every `stats_sample_every`-th row (by global row number) to
+    /// the statistics' reservoir samples (1 = every row). Row and NULL
+    /// counts, min/max and distinct-value bitmaps see every row whatever
+    /// the stride.
     pub stats_sample_every: u64,
     /// Block size for sequential raw-file reads. Clamped to
     /// `[MIN_IO_BLOCK_SIZE, MAX_IO_BLOCK_SIZE]` by [`Self::validated`] —

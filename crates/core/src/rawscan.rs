@@ -71,13 +71,14 @@
 //! write lock is held only for bookkeeping, never for data access:
 //!
 //! 1. **Prepare** (`prepare_scan`, write lock) — update probe, access
-//!    planning (LRU touches, cache query tick) and coverage snapshots,
-//!    captured into a `ScanPrep` together with the table's file-state
-//!    generation.
+//!    planning (LRU touches, cache query tick) and coverage snapshots
+//!    (cache coverage, statistics frontiers), captured into a `ScanPrep`
+//!    together with the table's file-state generation.
 //! 2. **Data** (`scan_data`, read lock) — `run_partitions` plans the
 //!    slices from the row index as it stands, then its workers borrow the
 //!    map/cache/schema immutably and stage everything in partition-local
-//!    partials; fully-cached queries stream straight off the cache columns.
+//!    partials, statistics sketches included; fully-cached queries stream
+//!    straight off the cache columns.
 //!    The source epoch is re-validated (`revalidate_epoch`) before
 //!    anything is handed on. Any number of queries can be in this phase
 //!    simultaneously.
@@ -134,14 +135,21 @@
 //!   could have been refused or could have evicted anything, so both leave
 //!   the same columns, bytes and counters; a column that stopped is behind
 //!   every later slice's first row and is skipped from then on.
-//! * *Statistics* — the same partial columns are observed slice by slice,
-//!   column at a time (`TableStats::observe_column`), from each attribute's
-//!   observation frontier under the shared sampling stride. Accumulators
-//!   are per attribute, so walking one attribute's rows in global row order
-//!   feeds it exactly the stream an attribute-interleaved row replay would;
-//!   and because the reservoir sample depends on arrival order, it is this
-//!   order-preserving walk — not merging per-partition accumulators — that
-//!   keeps statistics identical at every worker count.
+//! * *Statistics* — split by whether the state depends on row order. The
+//!   order-independent part — NDV bitmap and min/max — is built by the
+//!   workers, in parallel: each sketches its slice's partial columns from
+//!   the attribute's plan-time observation frontier on (a byte slice, whose
+//!   rows are unknown, sketches all of them) into a `ColumnSketch`. The
+//!   install absorbs the sketches slice by slice in row order
+//!   (`TableStats::absorb`): it ORs the bitmaps and merges the bounds —
+//!   idempotent, so rows a sketch covers below the install-time frontier
+//!   change nothing — counts rows and NULLs from the frontier by null-mask
+//!   popcounts, and advances the reservoir through the slice's offered
+//!   rows (those the shared sampling stride selects) in global row order,
+//!   jumping straight to the ones Algorithm L accepts. Accumulators are per
+//!   attribute, so this equals an attribute-interleaved row replay, and
+//!   the order-dependent reservoir sees the same offer sequence at every
+//!   worker count.
 //! * *Results* — every slice forms its batches with `segment_batch` over
 //!   at most `BATCH_SIZE` scanned rows each, in row order; after the install
 //!   (no table lock held) they are concatenated in slice order and re-packed
@@ -401,6 +409,11 @@ pub(crate) struct ScanPrep {
     pub build_chunk: bool,
     /// Cache coverage per requested position at plan time.
     pub cache_cov: Vec<usize>,
+    /// Statistics observation frontier per requested position at plan
+    /// time: workers sketch only rows at or beyond it. `u64::MAX` when
+    /// there is nothing to sketch — statistics are off, or the attribute
+    /// has observed every row the table is known to hold.
+    pub stats_from: Vec<u64>,
     /// LRU tick from `RawCache::begin_query` protecting this query's columns.
     pub query_tick: u64,
     /// Pure-cache fast path: every requested attribute covered for every
@@ -463,6 +476,19 @@ pub(crate) fn prepare_scan(
     } else {
         0
     };
+    let stats_from: Vec<u64> = req
+        .attrs
+        .iter()
+        .map(|&a| {
+            let from = table.stats.observed_upto(a);
+            let done = table.row_count.is_some_and(|rc| from >= rc);
+            if !config.enable_stats || done {
+                u64::MAX
+            } else {
+                from
+            }
+        })
+        .collect();
 
     // Quoted fields may contain the delimiter, so a stored offset is not
     // enough to re-tokenize from mid-tuple: the quote state is unknown. The
@@ -494,6 +520,7 @@ pub(crate) fn prepare_scan(
         plan,
         build_chunk,
         cache_cov,
+        stats_from,
         query_tick,
         fully_cached,
         cached_rows,
@@ -695,6 +722,7 @@ pub(crate) fn run_partitions(
         plan: assist,
         cache: config.enable_cache.then_some(&table.cache),
         cache_cov: &prep.cache_cov,
+        stats_from: &prep.stats_from,
         build_chunk: prep.build_chunk,
         collect_offsets: prep.plan.is_some(),
         source_len: prep.source_len(),
@@ -826,10 +854,13 @@ pub(crate) fn run_partitions(
 ///
 /// Row index and map chunk are rebased by concatenation. Cache and
 /// statistics receive each slice's typed partial columns whole: the
-/// statistics walk them column at a time, then the cache takes ownership and
-/// appends them as segments (or, for a slice at the budget edge, replays
-/// them value by value itself) — see the module docs on why both equal one
-/// row-at-a-time pass. Nothing here touches individual values.
+/// statistics absorb the slice's worker-built sketch (NDV bits and bounds
+/// merged, rows and NULLs counted by popcount, the reservoir advanced to
+/// the rows it accepts — `TableStats::absorb`), then the cache takes
+/// ownership and appends them as segments (or, for a slice at the budget
+/// edge, replays them value by value itself) — see the module docs on why
+/// both equal one row-at-a-time pass. Nothing here walks the values: the
+/// only ones read are those that end the install in a reservoir.
 ///
 /// Every sub-merge is **frontier-based** so interleaved queries converge to
 /// the sequential-replay state: the row index skips known rows, the chunk
@@ -920,19 +951,23 @@ pub(crate) fn merge_outputs(
     }
 
     // Cache and statistics: each slice's typed partials go in whole, in
-    // slice order — statistics first (they only read), then the cache takes
-    // the columns. Both start at their own current frontier per attribute.
+    // slice order — statistics first (they read only the values their
+    // reservoirs keep), then the cache takes the columns. Both start at
+    // their own current frontier per attribute. Sketches exist only with
+    // statistics on: one per attribute with rows to observe at plan time.
+    if config.enable_stats {
+        for (i, &attr) in prep.req.attrs.iter().enumerate() {
+            let slices = results.iter().zip(&bases).filter_map(|(o, &base)| {
+                let sketch = o.sketches.get(i)?.as_ref()?;
+                Some((&o.side_cols[i], sketch, base as u64))
+            });
+            table.stats.absorb(attr, slices);
+        }
+    }
     if config.enable_cache {
         table.cache.record_reads(worker_hits, worker_misses);
-    }
-    for (o, &base) in results.iter_mut().zip(&bases) {
-        let cols = std::mem::take(&mut o.side_cols);
-        if config.enable_stats {
-            for (col, &attr) in cols.iter().zip(&prep.req.attrs) {
-                table.stats.observe_column(attr, col, base as u64);
-            }
-        }
-        if config.enable_cache {
+        for (o, &base) in results.iter_mut().zip(&bases) {
+            let cols = std::mem::take(&mut o.side_cols);
             table
                 .cache
                 .append_slice(&prep.req.attrs, cols, base, total, prep.query_tick);
@@ -948,14 +983,6 @@ pub(crate) fn merge_outputs(
         }
         if config.enable_stats {
             table.stats.set_row_count(total as u64);
-        }
-    }
-    if config.enable_stats {
-        // Always advance the observation frontier over the merged prefix
-        // (monotone): the slices above fed rows `[0, total)`, and a re-run
-        // after a cancellation must not observe them again.
-        for &attr in &prep.req.attrs {
-            table.stats.advance_observed(attr, total as u64);
         }
     }
 

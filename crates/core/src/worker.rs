@@ -15,7 +15,9 @@
 //! field span parsed by `TypedColumn::push_parsed` — so no value is ever
 //! boxed on its way from the tokenizer to the engine. The partials are both
 //! what the cache and the statistics take at install and what the result
-//! batches are formed from: every `BATCH_SIZE` rows the worker hands the
+//! batches are formed from, and the worker sketches them for the statistics
+//! itself (NDV bitmap and bounds, [`sketch_partials`]) so the install has
+//! no value to walk: every `BATCH_SIZE` rows the worker hands the
 //! newest partial rows to `rawscan::segment_batch`, the same former that
 //! serves cache-covered slices and fully-cached streams. All shared state is
 //! borrowed immutably ([`ScanContext`]); the mutable merge into the table's
@@ -40,6 +42,7 @@ use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::reader::{LineRange, RangeScanner};
 use nodb_rawcsv::tokenizer::{find_byte, TokenizerConfig, Tokens};
 use nodb_rawcsv::{parser, IoCounters, IoProfile, Schema};
+use nodb_stats::ColumnSketch;
 
 use crate::config::{NoDbConfig, ParseErrorPolicy};
 use crate::ctx::{QueryCtx, CHECK_STRIDE};
@@ -94,6 +97,9 @@ pub(crate) struct ScanContext<'a> {
     pub cache: Option<&'a RawCache>,
     /// Cache coverage per requested position at query start.
     pub cache_cov: &'a [usize],
+    /// Statistics observation frontier per requested position at query
+    /// start (`u64::MAX`: nothing to sketch) — see [`sketch_partials`].
+    pub stats_from: &'a [u64],
     /// Collect per-row positional-map offsets into a partial chunk builder.
     pub build_chunk: bool,
     /// The scan feeds the shared row index: slices that do not know their
@@ -141,6 +147,10 @@ pub(crate) struct PartitionOutput {
     /// for the cache and the statistics to take at install (empty columns
     /// when both are off — see [`run_partition`]).
     pub side_cols: Vec<TypedColumn>,
+    /// Per requested attribute, the sketch of `side_cols` the statistics
+    /// absorb at install (empty when statistics are off; `None` for an
+    /// attribute with no rows to observe) — see [`sketch_partials`].
+    pub sketches: Vec<Option<ColumnSketch>>,
     /// Partial positional-map chunk over this partition's rows.
     pub builder: Option<ChunkBuilder>,
     /// Predicate-filtered output batches, in row order, each formed by
@@ -400,7 +410,39 @@ pub(crate) fn run_partition(
     out.breakdown.parsing = scaled(d_parse);
     out.breakdown.convert = scaled(d_conv);
     out.breakdown.nodb = scaled(d_nodb);
+    // Timed whole, not through the sampled row clock.
+    let t = clock.start();
+    out.sketches = sketch_partials(ctx, part.row_base, &out.side_cols);
+    clock.lap(t, &mut out.breakdown.nodb);
     Ok(out)
+}
+
+/// The statistics' share of a slice's work: per requested attribute, a
+/// [`ColumnSketch`] (NDV bitmap and bounds) of the partial column's rows
+/// from the plan-time observation frontier on, built here so the install
+/// only merges it. A byte slice does not know its rows and sketches all of
+/// them; the bits and bounds of rows observed before are idempotent there.
+/// `None` for an attribute with no rows to observe in the slice, and no
+/// sketches at all with statistics off.
+fn sketch_partials(
+    ctx: &ScanContext<'_>,
+    row_base: Option<usize>,
+    cols: &[TypedColumn],
+) -> Vec<Option<ColumnSketch>> {
+    if !ctx.config.enable_stats {
+        return Vec::new();
+    }
+    cols.iter()
+        .zip(ctx.stats_from)
+        .map(|(col, &frontier)| {
+            if frontier == u64::MAX {
+                return None;
+            }
+            let from = row_base.map_or(0, |base| frontier.saturating_sub(base as u64));
+            let from = usize::try_from(from).ok().filter(|&f| f < col.len())?;
+            Some(ColumnSketch::build(col, from))
+        })
+        .collect()
 }
 
 /// One empty typed partial column per requested attribute.
@@ -433,6 +475,7 @@ fn run_cached_partition(
     let t = clock.start();
     let end = base + rows;
     out.side_cols = cols.iter().map(|c| c.export_range(base, end)).collect();
+    out.sketches = sketch_partials(ctx, Some(base), &out.side_cols);
     clock.lap(t, &mut out.breakdown.nodb);
     for lo in (base..end).step_by(BATCH_SIZE) {
         let batch = segment_batch(ctx.req, cols, lo, end.min(lo + BATCH_SIZE));

@@ -41,6 +41,34 @@ impl NullMask {
         self.len
     }
 
+    /// The bitmap words: row `i` is bit `i % 64` of word `i / 64`. Bits
+    /// past [`Self::len`] are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// NULLs among rows `[lo, hi)` (clamped to the recorded rows), by
+    /// word popcounts.
+    pub fn count_nulls(&self, lo: usize, hi: usize) -> usize {
+        let hi = hi.min(self.len);
+        if !self.any_null || lo >= hi {
+            return 0;
+        }
+        let (first, last) = (lo / 64, (hi - 1) / 64);
+        (first..=last)
+            .map(|w| {
+                let mut bits = self.words[w];
+                if w == first {
+                    bits &= !0u64 << (lo % 64);
+                }
+                if w == last && !hi.is_multiple_of(64) {
+                    bits &= (1u64 << (hi % 64)) - 1;
+                }
+                bits.count_ones() as usize // lint: cast-ok at most 64
+            })
+            .sum()
+    }
+
     /// True when at least one NULL bit is set; on a `false` (all-valid)
     /// column, vectorized kernels skip the per-row null check entirely.
     #[inline]
@@ -596,6 +624,23 @@ mod tests {
             assert_eq!(m.is_null(i), i % 7 == 0, "row {i}");
         }
         assert_eq!(m.len(), 130);
+    }
+
+    #[test]
+    fn count_nulls_matches_bit_tests() {
+        let mut m = NullMask::default();
+        for i in 0..200 {
+            m.push(i % 7 == 0 || (64..70).contains(&i));
+        }
+        for lo in [0, 1, 63, 64, 65, 127, 128, 199, 200] {
+            for hi in [0, 1, 63, 64, 65, 128, 150, 200, 300] {
+                let expect = (lo..hi.min(200)).filter(|&i| m.is_null(i)).count();
+                assert_eq!(m.count_nulls(lo, hi), expect, "[{lo}, {hi})");
+            }
+        }
+        let mut none = NullMask::default();
+        (0..100).for_each(|_| none.push(false));
+        assert_eq!(none.count_nulls(0, 100), 0);
     }
 
     #[test]

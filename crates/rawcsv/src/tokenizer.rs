@@ -319,10 +319,9 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     const HI: u64 = 0x8080_8080_8080_8080;
     let pat = LO.wrapping_mul(needle as u64);
     let mut i = 0usize;
-    let n = hay.len();
-    while i + 8 <= n {
-        // Unaligned little-endian load of 8 bytes.
-        let w = u64::from_le_bytes(hay[i..i + 8].try_into().expect("8-byte chunk"));
+    // Unaligned little-endian loads of 8 bytes while 8 remain.
+    while let Some(&chunk) = hay[i..].first_chunk::<8>() {
+        let w = u64::from_le_bytes(chunk);
         let x = w ^ pat;
         let hit = x.wrapping_sub(LO) & !x & HI;
         if hit != 0 {
@@ -349,9 +348,8 @@ pub fn find_byte2(hay: &[u8], needle_a: u8, needle_b: u8) -> Option<(usize, u8)>
     let pat_a = LO.wrapping_mul(needle_a as u64);
     let pat_b = LO.wrapping_mul(needle_b as u64);
     let mut i = 0usize;
-    let n = hay.len();
-    while i + 8 <= n {
-        let w = u64::from_le_bytes(hay[i..i + 8].try_into().expect("8-byte chunk"));
+    while let Some(&chunk) = hay[i..].first_chunk::<8>() {
+        let w = u64::from_le_bytes(chunk);
         let xa = w ^ pat_a;
         let xb = w ^ pat_b;
         let hit = (xa.wrapping_sub(LO) & !xa & HI) | (xb.wrapping_sub(LO) & !xb & HI);
@@ -385,17 +383,14 @@ pub fn count_byte(hay: &[u8], needle: u8) -> usize {
     const LO: u64 = 0x0101_0101_0101_0101;
     const SEVENF: u64 = 0x7f7f_7f7f_7f7f_7f7f;
     let pat = LO.wrapping_mul(needle as u64);
-    let mut i = 0usize;
     let mut count = 0usize;
-    let n = hay.len();
-    while i + 8 <= n {
-        let w = u64::from_le_bytes(hay[i..i + 8].try_into().expect("8-byte chunk"));
-        let x = w ^ pat;
+    let (words, tail) = hay.as_chunks::<8>();
+    for &word in words {
+        let x = u64::from_le_bytes(word) ^ pat;
         let hit = !(((x & SEVENF) + SEVENF) | x | SEVENF);
         count += hit.count_ones() as usize; // lint: cast-ok u32 widens into usize
-        i += 8;
     }
-    count + hay[i..].iter().filter(|&&b| b == needle).count()
+    count + tail.iter().filter(|&&b| b == needle).count()
 }
 
 /// Locate the end of the current line (`\n`) starting at `from`.

@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
 /// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -406,6 +406,8 @@ fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
         for &w in &a.reservoir.rng {
             e.put_u64(w);
         }
+        e.put_f64(a.reservoir.w);
+        e.put_u64(a.reservoir.next);
         e.put_len(a.reservoir.sample.len());
         for d in &a.reservoir.sample {
             e.put_datum(d);
@@ -736,6 +738,8 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
         let capacity = d.usize64()?;
         let seen = d.u64()?;
         let rng = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
+        let w = d.f64()?;
+        let next = d.u64()?;
         let n_sample = d.len()?;
         let mut sample = Vec::with_capacity(n_sample.min(d.remaining()));
         for _ in 0..n_sample {
@@ -760,17 +764,27 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
                 capacity,
                 seen,
                 rng,
+                w,
+                next,
             },
             ndv_words,
         });
     }
     d.done()?;
-    Ok(TableStatsState {
+    let state = TableStatsState {
         attrs,
         observed,
         row_count,
         sample_every,
-    })
+    };
+    // The accumulators' own consistency checks (counts, reservoir shape,
+    // Algorithm L's weight and next acceptance, NDV size): state that
+    // fails them is as untrusted as a bad checksum, and the whole sidecar
+    // goes with it.
+    if TableStats::from_state(state.clone()).is_none() {
+        return Err(SnapshotError::Malformed("inconsistent statistics"));
+    }
+    Ok(state)
 }
 
 /// Parse and validate sidecar bytes into a [`TableSnapshot`].

@@ -138,8 +138,103 @@ mod tests {
             assert_eq!(a.min, b.min);
             assert_eq!(a.max, b.max);
             assert_eq!(a.reservoir.rng, b.reservoir.rng);
+            assert_eq!(a.reservoir.w.to_bits(), b.reservoir.w.to_bits());
+            assert_eq!(a.reservoir.next, b.reservoir.next);
             assert_eq!(a.reservoir.sample, b.reservoir.sample);
             assert_eq!(a.ndv_words, b.ndv_words);
+        }
+    }
+
+    /// Statistics with a full reservoir, so Algorithm L's weight and next
+    /// acceptance are mid-stream.
+    fn full_reservoir_stats() -> TableStats {
+        let mut stats = TableStats::new(3);
+        for row in 0..5_000u64 {
+            let d = if row % 11 == 0 {
+                Datum::Null
+            } else {
+                Datum::Int((row * 7_919 % 1_009) as i64)
+            };
+            stats.observe(0, row, &d);
+        }
+        stats.advance_observed(0, 5_000);
+        stats
+    }
+
+    /// A restored registry continues the reservoir's skip stream exactly
+    /// where the captured one stood: the same sample, weight and next
+    /// acceptance after any further observations.
+    #[test]
+    fn restored_stats_continue_the_skip_stream_identically() {
+        let mut live = full_reservoir_stats();
+        let snap = TableSnapshot::capture(
+            sample_epoch(),
+            None,
+            &PositionalMap::new(MapPolicy::default()),
+            &RawCache::new(CachePolicy::default()),
+            &live,
+        );
+        let back = decode_snapshot(&encode_snapshot(&snap)).expect("round trip");
+        let mut restored = TableStats::from_state(back.stats).expect("consistent");
+        assert_eq!(
+            format!("{:?}", live.export_state()),
+            format!("{:?}", restored.export_state())
+        );
+        for row in 5_000..40_000u64 {
+            let d = Datum::Int((row * 31) as i64);
+            live.observe(0, row, &d);
+            restored.observe(0, row, &d);
+        }
+        assert_eq!(
+            format!("{:?}", live.export_state()),
+            format!("{:?}", restored.export_state())
+        );
+    }
+
+    /// A sidecar whose reservoir carries a non-finite weight, a weight
+    /// outside (0, 1], or a next acceptance not after the values seen on a
+    /// full reservoir is refused whole — checksums intact, so only the
+    /// structural check can catch it — and decoding never panics.
+    #[test]
+    fn untrusted_skip_state_is_rejected() {
+        let stats = full_reservoir_stats();
+        let good = TableSnapshot::capture(
+            sample_epoch(),
+            None,
+            &PositionalMap::new(MapPolicy::default()),
+            &RawCache::new(CachePolicy::default()),
+            &stats,
+        );
+        let seen = good.stats.attrs[0].reservoir.seen;
+        assert!(good.stats.attrs[0].reservoir.next > seen);
+        let bad_w = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.25,
+            1.0 + 1e-9,
+        ];
+        let cases = bad_w
+            .iter()
+            .map(|&w| (format!("w = {w}"), Some(w), None))
+            .chain([0, seen / 2, seen].map(|next| (format!("next = {next}"), None, Some(next))));
+        for (tag, w, next) in cases {
+            let mut snap = TableSnapshot::capture(
+                sample_epoch(),
+                None,
+                &PositionalMap::new(MapPolicy::default()),
+                &RawCache::new(CachePolicy::default()),
+                &stats,
+            );
+            let r = &mut snap.stats.attrs[0].reservoir;
+            r.w = w.unwrap_or(r.w);
+            r.next = next.unwrap_or(r.next);
+            assert_eq!(
+                decode_snapshot(&encode_snapshot(&snap)).err(),
+                Some(SnapshotError::Malformed("inconsistent statistics")),
+                "{tag}"
+            );
         }
     }
 

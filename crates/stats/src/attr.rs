@@ -2,86 +2,19 @@
 //!
 //! Fed by the scan operator for *requested attributes only* (§3.3: "creates
 //! statistics only on requested attributes") and incrementally augmented as
-//! queries touch more rows.
+//! queries touch more rows: slice by slice through `AttrStats::absorb`
+//! (a worker-built [`ColumnSketch`] plus the order-dependent counts and
+//! reservoir offers), or value by value through [`AttrStats::observe`].
 
 use std::cmp::Ordering;
 
-use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
 use crate::histogram::EquiDepthHistogram;
-use crate::ndv::{hash_bool, hash_float, hash_int, hash_str, DistinctCounter};
+use crate::ndv::DistinctCounter;
 use crate::sample::{Reservoir, ReservoirState};
-
-/// A non-null value in its typed form: everything an observation needs
-/// without boxing it into a [`Datum`] first. Each method agrees with the
-/// `Datum` the value would box into ([`Self::datum`]).
-trait Value: Copy {
-    /// [`crate::ndv::hash_datum`] of the value.
-    fn ndv_hash(self) -> u64;
-    /// [`Datum::total_cmp`] against a recorded bound.
-    fn total_cmp(self, bound: &Datum) -> Ordering;
-    /// Box the value (only when it is actually kept).
-    fn datum(self) -> Datum;
-}
-
-impl Value for i64 {
-    fn ndv_hash(self) -> u64 {
-        hash_int(self)
-    }
-    fn total_cmp(self, bound: &Datum) -> Ordering {
-        match bound {
-            Datum::Int(b) => self.cmp(b),
-            other => self.datum().total_cmp(other),
-        }
-    }
-    fn datum(self) -> Datum {
-        Datum::Int(self)
-    }
-}
-
-impl Value for f64 {
-    fn ndv_hash(self) -> u64 {
-        hash_float(self)
-    }
-    fn total_cmp(self, bound: &Datum) -> Ordering {
-        match bound {
-            Datum::Float(b) => f64::total_cmp(&self, b),
-            other => self.datum().total_cmp(other),
-        }
-    }
-    fn datum(self) -> Datum {
-        Datum::Float(self)
-    }
-}
-
-impl Value for bool {
-    fn ndv_hash(self) -> u64 {
-        hash_bool(self)
-    }
-    fn total_cmp(self, bound: &Datum) -> Ordering {
-        self.datum().total_cmp(bound)
-    }
-    fn datum(self) -> Datum {
-        Datum::Bool(self)
-    }
-}
-
-impl Value for &str {
-    fn ndv_hash(self) -> u64 {
-        hash_str(self)
-    }
-    fn total_cmp(self, bound: &Datum) -> Ordering {
-        match bound {
-            Datum::Str(b) => self.cmp(&**b),
-            other => self.datum().total_cmp(other),
-        }
-    }
-    fn datum(self) -> Datum {
-        Datum::Str(self.into())
-    }
-}
+use crate::sketch::{ColumnSketch, OfferedRows, Value};
 
 /// Default reservoir capacity per attribute.
 pub const DEFAULT_SAMPLE_CAPACITY: usize = 1024;
@@ -125,69 +58,91 @@ impl AttrStats {
         self.attr
     }
 
-    /// Observe one value during a scan.
+    /// Observe one value and offer it to the reservoir.
     pub fn observe(&mut self, d: &Datum) {
+        self.note(d, true);
+    }
+
+    /// Observe one value — counted, and a non-null one bounded and hashed
+    /// — offering it to the reservoir only when `offer` holds.
+    pub(crate) fn note(&mut self, d: &Datum, offer: bool) {
         match d {
-            Datum::Null => self.observe_null(),
-            Datum::Int(v) => self.observe_value(*v),
-            Datum::Float(v) => self.observe_value(*v),
-            Datum::Str(s) => self.observe_value(&**s),
-            Datum::Bool(b) => self.observe_value(*b),
-        }
-    }
-
-    /// Observe rows `rows.start`, `rows.start + stride`, … below `rows.end`
-    /// of a typed column, in that order — the same accumulator state as
-    /// calling [`Self::observe`] on each of those rows' datums, without
-    /// boxing a value unless it is kept (new bound or reservoir entry).
-    pub fn observe_column(
-        &mut self,
-        col: &TypedColumn,
-        rows: std::ops::Range<usize>,
-        stride: usize,
-    ) {
-        let rows = (rows.start..rows.end.min(col.len())).step_by(stride.max(1));
-        match col {
-            TypedColumn::Int { values, nulls } => self.walk(values, nulls, rows, |v| *v),
-            TypedColumn::Float { values, nulls } => self.walk(values, nulls, rows, |v| *v),
-            TypedColumn::Bool { values, nulls } => self.walk(values, nulls, rows, |v| *v),
-            TypedColumn::Str { values, nulls, .. } => self.walk(values, nulls, rows, |v| &**v),
-        }
-    }
-
-    fn walk<'a, T, V: Value>(
-        &mut self,
-        values: &'a [T],
-        nulls: &NullMask,
-        rows: impl Iterator<Item = usize>,
-        get: impl Fn(&'a T) -> V,
-    ) {
-        for i in rows {
-            if nulls.is_null(i) {
-                self.observe_null();
-            } else {
-                self.observe_value(get(&values[i]));
+            Datum::Null => {
+                self.rows_seen += 1;
+                self.nulls += 1;
             }
+            Datum::Int(v) => self.note_value(*v, offer),
+            Datum::Float(v) => self.note_value(*v, offer),
+            Datum::Str(s) => self.note_value(&**s, offer),
+            Datum::Bool(b) => self.note_value(*b, offer),
         }
     }
 
-    fn observe_null(&mut self) {
+    /// [`Self::note`] of a non-null value in its typed form: boxed only if
+    /// it becomes a bound or enters the reservoir.
+    fn note_value<V: Value>(&mut self, v: V, offer: bool) {
         self.rows_seen += 1;
-        self.nulls += 1;
-    }
-
-    /// The one per-value implementation behind [`Self::observe`] and
-    /// [`Self::observe_column`].
-    fn observe_value<V: Value>(&mut self, v: V) {
-        self.rows_seen += 1;
-        if !matches!(&self.min, Some(m) if v.total_cmp(m) != Ordering::Less) {
+        if !matches!(&self.min, Some(m) if v.cmp_bound(m) != Ordering::Less) {
             self.min = Some(v.datum());
         }
-        if !matches!(&self.max, Some(m) if v.total_cmp(m) != Ordering::Greater) {
+        if !matches!(&self.max, Some(m) if v.cmp_bound(m) != Ordering::Greater) {
             self.max = Some(v.datum());
         }
         self.ndv.add_hash(v.ndv_hash());
-        self.reservoir.offer_with(|| v.datum());
+        if offer {
+            self.reservoir.offer_with(|| v.datum());
+        }
+    }
+
+    /// Absorb rows `[from, col.len())` of one scan slice, whose local row 0
+    /// is data row `row_base`: `sketch` ([`ColumnSketch::build`] over at
+    /// least those rows) is merged, the rows are counted by null-mask
+    /// popcounts, and the reservoir is advanced through the rows the
+    /// sampling `stride` selects, in row order, without reading any value:
+    /// `accept(slot, row)` names each reservoir slot a row is accepted
+    /// into, and the caller fills the slots ([`Self::set_sample`]) with the
+    /// last row accepted into each. Then the same state as [`Self::note`]
+    /// on each of those rows in order; merging a sketch that also covers
+    /// earlier, already observed rows changes nothing, because bounds and
+    /// NDV bits are idempotent.
+    pub(crate) fn absorb(
+        &mut self,
+        col: &TypedColumn,
+        sketch: &ColumnSketch,
+        from: usize,
+        row_base: u64,
+        stride: u64,
+        mut accept: impl FnMut(usize, usize),
+    ) {
+        let len = col.len();
+        if from >= len {
+            return;
+        }
+        if let Some(lo) = &sketch.min {
+            if !matches!(&self.min, Some(m) if lo.total_cmp(m) != Ordering::Less) {
+                self.min = Some(lo.clone());
+            }
+        }
+        if let Some(hi) = &sketch.max {
+            if !matches!(&self.max, Some(m) if hi.total_cmp(m) != Ordering::Greater) {
+                self.max = Some(hi.clone());
+            }
+        }
+        self.ndv.union(&sketch.ndv);
+        self.rows_seen += (len - from) as u64;
+        self.nulls += col.nulls().count_nulls(from, len) as u64;
+        let mut offered = OfferedRows::new(col.nulls(), from, len, row_base, stride);
+        self.reservoir.offer_run(offered.count(), |i, slot| {
+            if let Some(row) = offered.select(i) {
+                accept(slot, row);
+            }
+        });
+    }
+
+    /// Fill reservoir `slot` with the value an [`Self::absorb`] accepted
+    /// into it.
+    pub(crate) fn set_sample(&mut self, slot: usize, d: Datum) {
+        self.reservoir.set(slot, d);
     }
 
     /// Values observed so far (including NULLs).

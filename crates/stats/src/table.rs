@@ -7,6 +7,7 @@ use nodb_rawcsv::Datum;
 
 use crate::attr::{AttrStats, AttrStatsState};
 use crate::estimate::{default_selectivity, PredicateSketch, SelectivityEstimator};
+use crate::sketch::ColumnSketch;
 
 /// All statistics known for one raw file, keyed by attribute index.
 ///
@@ -20,14 +21,15 @@ pub struct TableStats {
     /// max rows_seen across attributes serves as a lower bound.
     row_count: Option<u64>,
     /// Per-attribute observation frontier: rows `[0, frontier)` have already
-    /// been fed into the accumulator (under the sampling stride). Scans skip
-    /// rows below the frontier, so re-scans — and, crucially, concurrent
-    /// scans whose side effects are merged one after another — observe every
-    /// `(attr, row)` pair at most once. Kept separate from [`AttrStats`] so
+    /// been counted into the accumulator (and offered to its reservoir under
+    /// the sampling stride). Scans skip rows below the frontier, so re-scans
+    /// — and, crucially, concurrent scans whose side effects are merged one
+    /// after another — observe every `(attr, row)` pair at most once. Kept separate from [`AttrStats`] so
     /// an advanced frontier alone never makes an attribute "covered".
     observed: HashMap<usize, u64>,
-    /// Sampling stride used by the scan: every `sample_every`-th row of a
-    /// scan feeds `observe`. 1 = every row.
+    /// Sampling stride of the reservoir: only rows whose number is a
+    /// multiple of `sample_every` are offered to it (1 = every row).
+    /// Counts, bounds and NDV see every row whatever the stride.
     pub sample_every: u64,
 }
 
@@ -49,38 +51,75 @@ impl TableStats {
             .or_insert_with(|| AttrStats::new(attr))
     }
 
-    /// Whether the scan should feed `row` (a 0-based data-row index) into
-    /// the accumulators under the sampling stride.
+    /// Whether data row `row` (0-based) is offered to the reservoir under
+    /// the sampling stride. The stride gates reservoir offers only: counts,
+    /// bounds and NDV see every row.
     ///
-    /// This is the single source of truth for the scan's merge phase
-    /// ([`Self::observe_column`]) and any reference model of it. The merge
-    /// deliberately walks buffered values in global row order per attribute
-    /// instead of merging per-partition accumulators: the reservoir sample
-    /// is a sequential-stream algorithm whose state depends on arrival
-    /// order, so an order-preserving walk is what keeps `scan_threads = N`
-    /// statistics byte-identical to `scan_threads = 1`.
+    /// The one sampling rule: [`Self::observe`] applies it row by row, and
+    /// the scan's install ([`Self::absorb`]) a 64-row word at a time.
     #[inline]
     pub fn should_sample(&self, row: u64) -> bool {
         row.is_multiple_of(self.sample_every)
     }
 
-    /// Observe one scan slice of `attr` — `col` holds its values for data
-    /// rows `[row_base, row_base + col.len())` — from the attribute's
-    /// observation frontier on, under the sampling stride: the rows
-    /// [`Self::should_sample`] and [`Self::observed_upto`] select, through
-    /// [`AttrStats::observe_column`]. The frontier itself is the caller's to
-    /// advance ([`Self::advance_observed`]) once all its slices are in.
-    pub fn observe_column(&mut self, attr: usize, col: &TypedColumn, row_base: u64) {
+    /// Observe the value of `attr` at data row `row`: counted, and a
+    /// non-null value bounded and hashed, always; offered to the reservoir
+    /// when [`Self::should_sample`] selects the row. Does not move the
+    /// observation frontier. The reference behaviour, row by row, of what a
+    /// scan installs slice by slice through [`Self::absorb`].
+    pub fn observe(&mut self, attr: usize, row: u64, d: &Datum) {
+        let offer = self.should_sample(row);
+        self.attr_mut(attr).note(d, offer);
+    }
+
+    /// Install one scan's slices of `attr`, in row order — each
+    /// `(col, sketch, row_base)` holds the slice's values for data rows
+    /// `[row_base, row_base + col.len())` and [`ColumnSketch::build`] over
+    /// its rows from the attribute's plan-time frontier on (or over all of
+    /// them) — from the attribute's observation frontier on, and advance
+    /// the frontier past them.
+    ///
+    /// Equal to [`Self::observe`] on each of those rows in row order: the
+    /// sketches' bits and bounds are merged (rows a sketch covers below the
+    /// frontier were observed before, so they add nothing), the rows are
+    /// counted by popcount, and the reservoir skips straight to the rows it
+    /// accepts — of which only the last accepted into each slot is read,
+    /// once every slice is in. A slice wholly below the frontier is a
+    /// no-op, so absorbing a slice twice equals absorbing it once.
+    pub fn absorb<'a>(
+        &mut self,
+        attr: usize,
+        slices: impl IntoIterator<Item = (&'a TypedColumn, &'a ColumnSketch, u64)>,
+    ) {
         let stride = self.sample_every;
-        let first = self
-            .observed_upto(attr)
-            .max(row_base)
-            .next_multiple_of(stride)
-            - row_base;
-        if first < col.len() as u64 {
+        let mut frontier = self.observed_upto(attr);
+        // Per reservoir slot, the column and row of its latest acceptance.
+        let mut taken: Vec<Option<(&TypedColumn, usize)>> = Vec::new();
+        for (col, sketch, row_base) in slices {
+            let end = row_base + col.len() as u64;
+            if frontier >= end {
+                continue;
+            }
+            let from = (frontier.max(row_base) - row_base) as usize; // lint: cast-ok below col.len()
+            let accept = |slot: usize, row| {
+                if taken.len() <= slot {
+                    taken.resize(slot + 1, None);
+                }
+                taken[slot] = Some((col, row));
+            };
             self.attr_mut(attr)
-                .observe_column(col, first as usize..col.len(), stride as usize);
+                .absorb(col, sketch, from, row_base, stride, accept);
+            frontier = end;
         }
+        if let Some(stats) = self.attrs.get_mut(&attr) {
+            for (slot, t) in taken.into_iter().enumerate() {
+                if let Some((col, row)) = t {
+                    // An accepted row is a row of its column, never NULL.
+                    stats.set_sample(slot, col.datum(row).unwrap_or(Datum::Null));
+                }
+            }
+        }
+        self.advance_observed(attr, frontier);
     }
 
     /// Accumulator for `attr`, if any query has touched it.
@@ -96,9 +135,10 @@ impl TableStats {
     }
 
     /// Advance the observation frontier of `attr` to `upto` (monotone; a
-    /// smaller value is ignored). Called when a scan that covered rows
-    /// `[0, upto)` finishes — including the merge phase of a parallel or
-    /// concurrent scan, which makes repeated merges of the same rows no-ops.
+    /// smaller value is ignored) once rows `[0, upto)` are observed.
+    /// [`Self::absorb`] advances it past every slice it installs, which
+    /// makes repeated installs of the same rows — a re-run, a concurrent
+    /// scan's merge — no-ops.
     pub fn advance_observed(&mut self, attr: usize, upto: u64) {
         let e = self.observed.entry(attr).or_insert(0);
         *e = (*e).max(upto);
@@ -232,9 +272,8 @@ pub struct TableStatsState {
 
 /// Estimate prefix-match selectivity by scanning the reservoir sample.
 fn prefix_fraction(stats: &mut AttrStats, prefix: &str) -> Option<f64> {
-    // The reservoir lives behind the accumulator; expose through histogram's
-    // underlying sample by re-deriving from min/max is wrong, so instead we
-    // rely on a dedicated sample walk.
+    // Neither the bounds nor the histogram's buckets say how many strings
+    // share a prefix; the fraction of the sample that does is the estimate.
     let sample = stats.sample();
     if sample.is_empty() {
         return None;
@@ -279,25 +318,36 @@ impl SelectivityEstimator for StatsEstimator<'_> {
 mod tests {
     use super::*;
 
-    /// `observe_column` over arbitrary slices must leave exactly the state
-    /// of the `observe` loop it stands in for: rows seen, NULLs, bounds,
-    /// reservoir sample and RNG position, NDV words — and no accumulator at
-    /// all where nothing was observed.
+    /// Absorbing worker sketches slice by slice must leave exactly the
+    /// state of the row-at-a-time `observe` replay it stands in for: rows
+    /// seen, NULLs, bounds, NDV words, reservoir sample, RNG position,
+    /// Algorithm L's weight and next acceptance, frontier — and no
+    /// accumulator at all where nothing is left to observe. Covers every column
+    /// type (floats with NaN and -0.0), NULL densities none / half / all,
+    /// fixed and random slice cuts with the frontier inside a slice, a
+    /// sketch over the whole slice (rows unknown to the worker) or from the
+    /// plan-time frontier, strides 1 and 7, a slice absorbed twice, and a
+    /// scan's slices absorbed in one call or one call each.
     #[test]
-    fn observe_column_equals_the_observe_loop() {
+    fn absorbed_sketches_equal_the_observe_replay() {
         use nodb_rawcsv::ColumnType;
-        let value = |ty: ColumnType, i: usize| -> Datum {
+        let value = |ty: ColumnType, nulls: u32, i: usize| -> Datum {
             let k = i.wrapping_mul(2_654_435_761) % 10_007;
-            if k.is_multiple_of(13) {
+            if nulls == 2 || (nulls == 1 && k % 2 == 1) {
                 return Datum::Null;
             }
             match ty {
                 ColumnType::Int => Datum::Int(k as i64 - 5_000),
                 // Integral floats hash like the integer; the rest by bits.
-                ColumnType::Float if k.is_multiple_of(3) => Datum::Float((k % 50) as f64),
-                ColumnType::Float => Datum::Float(k as f64 / 7.0),
-                ColumnType::Bool => Datum::Bool(k.is_multiple_of(2)),
-                ColumnType::Str => Datum::Str("abracadabra"[..k % 12].into()),
+                ColumnType::Float => match k % 5 {
+                    0 => Datum::Float((k % 50) as f64),
+                    1 if k.is_multiple_of(3) => Datum::Float(f64::NAN),
+                    1 => Datum::Float(-0.0),
+                    2 => Datum::Float(0.0),
+                    _ => Datum::Float(k as f64 / -7.0),
+                },
+                ColumnType::Bool => Datum::Bool(k.is_multiple_of(4)),
+                ColumnType::Str => Datum::Str("abracadabra, sim sala bim"[..k % 26].into()),
             }
         };
         let types = [
@@ -306,42 +356,100 @@ mod tests {
             ColumnType::Bool,
             ColumnType::Str,
         ];
-        // More rows than the reservoir holds, so the RNG is drawn from.
-        let total = 3_000usize;
+        // More rows than the reservoir holds, so the skips are exercised
+        // (fewer beyond it under the interpreter).
+        let total = if cfg!(miri) { 1_100 } else { 3_000 };
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let mut random_cuts = || {
+            let mut cuts: Vec<usize> = (0..6)
+                .map(|_| {
+                    lcg = lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (lcg >> 33) as usize % total
+                })
+                .chain([0, total])
+                .collect();
+            cuts.sort_unstable();
+            cuts
+        };
         for (attr, &ty) in types.iter().enumerate() {
-            let rows: Vec<Datum> = (0..total).map(|i| value(ty, i)).collect();
-            for stride in [1u64, 7] {
-                for frontier in [0u64, 1_234, total as u64 + 5] {
-                    for cuts in [vec![0, total], vec![0, 1, 700, 700, 1_240, 2_999, total]] {
-                        let tag = format!("{ty:?} stride {stride} frontier {frontier} {cuts:?}");
-                        let (mut by_value, mut by_column) =
-                            (TableStats::new(stride), TableStats::new(stride));
-                        for t in [&mut by_value, &mut by_column] {
-                            t.advance_observed(attr, frontier);
-                        }
-                        for (row, d) in rows.iter().enumerate() {
-                            if by_value.should_sample(row as u64) && row as u64 >= frontier {
-                                by_value.attr_mut(attr).observe(d);
+            for nulls in 0..3 {
+                let rows: Vec<Datum> = (0..total).map(|i| value(ty, nulls, i)).collect();
+                for stride in [1u64, 7] {
+                    for frontier in [0u64, 1_034, total as u64 + 5] {
+                        let cut_sets = [
+                            vec![0, total],
+                            vec![0, 1, 700, 700, 1_040, total - 1, total],
+                            random_cuts(),
+                            random_cuts(),
+                        ];
+                        for (set, cuts) in cut_sets.into_iter().enumerate() {
+                            for whole in [false, true] {
+                                let tag = format!(
+                                    "{ty:?} nulls {nulls} stride {stride} frontier {frontier} \
+                                     {cuts:?} whole {whole}"
+                                );
+                                let (mut by_value, mut by_sketch) =
+                                    (TableStats::new(stride), TableStats::new(stride));
+                                // Rows below the frontier were observed by
+                                // an earlier scan.
+                                for t in [&mut by_value, &mut by_sketch] {
+                                    for (row, d) in rows.iter().enumerate() {
+                                        if row as u64 >= frontier {
+                                            break;
+                                        }
+                                        t.observe(attr, row as u64, d);
+                                    }
+                                    t.advance_observed(attr, frontier);
+                                }
+                                for (row, d) in rows.iter().enumerate().skip(frontier as usize) {
+                                    by_value.observe(attr, row as u64, d);
+                                }
+                                by_value.advance_observed(attr, total as u64);
+                                let mut slices = Vec::new();
+                                for w in cuts.windows(2) {
+                                    let mut col = TypedColumn::new(ty);
+                                    rows[w[0]..w[1]].iter().for_each(|d| col.push(d));
+                                    let from = if whole {
+                                        0
+                                    } else {
+                                        (frontier as usize).saturating_sub(w[0])
+                                    };
+                                    if from >= col.len() {
+                                        continue; // the worker builds no sketch
+                                    }
+                                    let sketch = ColumnSketch::build(&col, from);
+                                    slices.push((col, sketch, w[0] as u64));
+                                }
+                                let mut parts: Vec<_> =
+                                    slices.iter().map(|(c, s, b)| (c, s, *b)).collect();
+                                // The second slice comes twice.
+                                if let Some(&again) = parts.get(1) {
+                                    parts.insert(2, again);
+                                }
+                                // A scan's slices in one call, or one per
+                                // call.
+                                if (set + usize::from(whole)).is_multiple_of(2) {
+                                    by_sketch.absorb(attr, parts);
+                                } else {
+                                    parts.into_iter().for_each(|p| by_sketch.absorb(attr, [p]));
+                                }
+                                assert_eq!(
+                                    format!("{:?}", by_value.export_state()),
+                                    format!("{:?}", by_sketch.export_state()),
+                                    "{tag}"
+                                );
                             }
                         }
-                        for w in cuts.windows(2) {
-                            let mut col = TypedColumn::new(ty);
-                            rows[w[0]..w[1]].iter().for_each(|d| col.push(d));
-                            by_column.observe_column(attr, &col, w[0] as u64);
-                        }
-                        assert_eq!(
-                            format!("{:?}", by_value.export_state()),
-                            format!("{:?}", by_column.export_state()),
-                            "{tag}"
-                        );
-                        assert_eq!(
-                            by_column.attr(attr).is_some(),
-                            frontier < total as u64,
-                            "{tag}: accumulator only where something was observed"
-                        );
                     }
                 }
             }
+            // A slice wholly below the frontier creates no accumulator.
+            let mut col = TypedColumn::new(ty);
+            col.push(&value(ty, 0, 1));
+            let mut t = TableStats::new(1);
+            t.advance_observed(attr, 5);
+            t.absorb(attr, [(&col, &ColumnSketch::build(&col, 0), 2)]);
+            assert!(t.attr(attr).is_none(), "{ty:?}");
         }
     }
 

@@ -201,11 +201,11 @@ impl NaiveModel {
                     next[i] = if admitted { row + 1 } else { usize::MAX };
                 }
             }
-            if self.stats.should_sample(row as u64) {
-                for (i, &a) in attrs.iter().enumerate() {
-                    if row as u64 >= frontiers[i] {
-                        self.stats.attr_mut(a).observe(&values[a]);
-                    }
+            // Statistics: every row from the frontier on is observed; the
+            // sampling stride decides only which ones reach the reservoir.
+            for (i, &a) in attrs.iter().enumerate() {
+                if row as u64 >= frontiers[i] {
+                    self.stats.observe(a, row as u64, &values[a]);
                 }
             }
             self.bytes_after_row.push(self.cache.bytes_used());

@@ -39,7 +39,15 @@ fn mk_db(path: &std::path::Path, schema: Schema, persistence: bool) -> NoDb {
 
 /// Generate data, warm a table, write its sidecar, and return the paths.
 fn warmed_sidecar(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, GeneratorConfig) {
-    let gen = GeneratorConfig::uniform_ints(COLS, 500, 0xC0FF);
+    warmed_sidecar_rows(tag, 500)
+}
+
+/// [`warmed_sidecar`] over a file of `rows` rows.
+fn warmed_sidecar_rows(
+    tag: &str,
+    rows: u64,
+) -> (std::path::PathBuf, std::path::PathBuf, GeneratorConfig) {
+    let gen = GeneratorConfig::uniform_ints(COLS, rows, 0xC0FF);
     let path = scratch(tag);
     gen.generate_file(&path).unwrap();
     let warm = mk_db(&path, gen.schema(), true);
@@ -130,15 +138,15 @@ fn future_version_degrades_to_cold() {
 }
 
 /// Version skew the other way: a sidecar written by the previous format
-/// version (whose header carried only length, mtime and head hash, not
-/// the whole source epoch) is refused by the same gate, and the table
-/// answers cold.
+/// version (whose reservoirs carried no Algorithm L weight and next
+/// acceptance, and whose NDV bitmaps hashed values differently) is refused
+/// by the same gate, and the table answers cold.
 #[test]
 fn previous_version_degrades_to_cold() {
     let (path, side, gen) = warmed_sidecar("oldversion");
     let mut bytes = std::fs::read(&side).unwrap();
     let previous = snapshot::FORMAT_VERSION - 1;
-    assert_eq!(previous, 2);
+    assert_eq!(previous, 3);
     bytes[8..12].copy_from_slice(&previous.to_le_bytes());
     std::fs::write(&side, &bytes).unwrap();
     assert_eq!(
@@ -146,6 +154,43 @@ fn previous_version_degrades_to_cold() {
         Some(snapshot::SnapshotError::VersionSkew { found: previous })
     );
     assert_degrades_to_cold("previous-version", &path, &gen);
+    cleanup(&path);
+}
+
+/// A sidecar whose checksums are intact but whose reservoir skip state is
+/// impossible — a non-finite weight, a weight outside (0, 1], or a next
+/// acceptance not after the values seen on a full reservoir — is refused
+/// as untrusted and the table answers cold.
+#[test]
+fn untrusted_reservoir_skip_state_degrades_to_cold() {
+    // More rows than a reservoir holds, so the skip state is live.
+    let (path, side, gen) = warmed_sidecar_rows("skipstate", 1_500);
+    let good = snapshot::decode_snapshot(&std::fs::read(&side).unwrap()).unwrap();
+    let full = good
+        .stats
+        .attrs
+        .iter()
+        .position(|a| a.reservoir.sample.len() == a.reservoir.capacity)
+        .expect("a full reservoir");
+    let seen = good.stats.attrs[full].reservoir.seen;
+    let cases: [(&str, Option<f64>, Option<u64>); 5] = [
+        ("w-nan", Some(f64::NAN), None),
+        ("w-inf", Some(f64::INFINITY), None),
+        ("w-zero", Some(0.0), None),
+        ("w-above-one", Some(2.0), None),
+        ("next-not-after-seen", None, Some(seen)),
+    ];
+    for (case, w, next) in cases {
+        let mut evil = snapshot::decode_snapshot(&std::fs::read(&side).unwrap()).unwrap();
+        let r = &mut evil.stats.attrs[full].reservoir;
+        r.w = w.unwrap_or(r.w);
+        r.next = next.unwrap_or(r.next);
+        let bytes = snapshot::encode_snapshot(&evil);
+        std::fs::write(&side, &bytes).unwrap();
+        assert_degrades_to_cold(case, &path, &gen);
+        // Put the good sidecar back for the next case.
+        std::fs::write(&side, snapshot::encode_snapshot(&good)).unwrap();
+    }
     cleanup(&path);
 }
 
