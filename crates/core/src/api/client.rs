@@ -24,16 +24,10 @@ use crate::api::admin::Admin;
 use crate::api::prepared::{CachedPlan, PreparedCache};
 use crate::config::NoDbConfig;
 use crate::ctx::QueryCtx;
-use crate::metrics::{QueryReport, SystemSnapshot};
+use crate::metrics::{timed, QueryReport, SystemSnapshot};
 use crate::rawscan::{self, ScanTelemetry, TelemetryHandle};
 use crate::registry::{TableHandle, TableRegistry};
 use crate::table::RawTable;
-
-/// How many times a query re-plans after finding its prepared scan stale
-/// (file-state generation moved, or a needed cache column was evicted)
-/// before running its next attempt under the write guard it planned with,
-/// where the prep cannot go stale.
-const MAX_SHARED_ATTEMPTS: usize = 3;
 
 /// The NoDB system: a set of registered raw files and their adaptive
 /// auxiliary structures, queryable with SQL from the first second.
@@ -230,10 +224,9 @@ impl NoDb {
     /// Takes `&self`: any number of threads may call this concurrently on
     /// one instance. The table's write lock is held only for planning and
     /// the post-scan install; the data scan itself runs under the read
-    /// lock, at every `scan_threads` setting. The one exception is bounded:
-    /// a query whose prepared scan went stale `MAX_SHARED_ATTEMPTS` times in
-    /// a row (concurrent appends, cache evictions) runs its next attempt —
-    /// the same stages — under the write guard it planned with.
+    /// lock the planning guard is downgraded into, at every `scan_threads`
+    /// setting. If another query reconciles a file change before the
+    /// install, this query answers from what it read and installs nothing.
     pub fn query(&self, sql: &str) -> EngineResult<QueryResult> {
         let ctx = QueryCtx::from_timeout_ms(self.config().query_timeout_ms);
         self.query_with_ctx(sql, &ctx)
@@ -397,56 +390,36 @@ impl NoDb {
                 }
             }
 
-            let mut attempts = 0usize;
             // Engine (pipeline-above-the-scan) time, measured around the
             // execute call: the scan has fully staged its batches by then,
             // so the report separates scan work from engine work exactly.
             let mut engine_elapsed = Duration::ZERO;
-            let mut run_engine = |queue| -> EngineResult<QueryResult> {
-                let t = Instant::now();
-                let r = execute(&planned, Box::new(QueueSource::new(queue)));
-                engine_elapsed = t.elapsed();
-                r
-            };
             let mut source_retries = config.source_change_retries;
             let mut source_changes = 0u64;
-            let outcome: EngineResult<QueryResult> = 'query: loop {
-                // One scan attempt. Every exit of this inner loop leaves the
-                // write guard released, so the `SourceChanged` handler below
-                // can re-acquire it without self-deadlocking.
-                let attempt: EngineResult<QueryResult> = loop {
-                    attempts += 1;
-                    if let Err(e) = ctx.check() {
-                        drop(guard);
-                        break Err(e);
+            let outcome: EngineResult<QueryResult> = loop {
+                if let Err(e) = ctx.check() {
+                    drop(guard);
+                    break Err(e);
+                }
+                // One scan: it prepares under the planning guard, downgrades
+                // that guard into its data phase and installs under a fresh
+                // write lock. Every exit leaves the table unlocked, so the
+                // `SourceChanged` handler below can re-acquire it.
+                let e = match rawscan::scan_shared(
+                    &handle,
+                    guard,
+                    &config,
+                    planned.scan.clone(),
+                    &telemetry,
+                    ctx.clone(),
+                    &mut lock_wait,
+                ) {
+                    Ok(queue) => {
+                        let t = Instant::now();
+                        let r = execute(&planned, Box::new(QueueSource::new(queue)));
+                        engine_elapsed = t.elapsed();
+                        break r;
                     }
-                    let prep = rawscan::prepare_scan(
-                        &mut guard,
-                        &config,
-                        planned.scan.clone(),
-                        &telemetry,
-                        ctx.clone(),
-                    );
-                    // A stale prep (concurrent append/replace reconciliation, or a
-                    // cache column evicted under budget pressure) sends the query
-                    // around the loop; after a few spins the attempt keeps the
-                    // write guard across the same stages, which cannot go stale.
-                    let staged = if attempts > MAX_SHARED_ATTEMPTS {
-                        let r = rawscan::scan_held(&mut guard, &config, &prep, &telemetry);
-                        drop(guard);
-                        r.map(Some)
-                    } else {
-                        drop(guard);
-                        rawscan::scan_shared(&handle, &config, &prep, &telemetry)
-                    };
-                    match staged {
-                        Ok(Some(queue)) => break run_engine(queue),
-                        Ok(None) => guard = timed(&mut lock_wait, || handle.write()),
-                        Err(e) => break Err(e),
-                    }
-                };
-                let e = match attempt {
-                    Ok(r) => break 'query Ok(r),
                     Err(e) => e,
                 };
                 // Self-healing cold rescan: the backing file was truncated
@@ -469,14 +442,13 @@ impl NoDb {
                         _ => false,
                     };
                 if !heal {
-                    break 'query Err(e);
+                    break Err(e);
                 }
                 source_retries -= 1;
                 source_changes += 1;
-                attempts = 0;
                 guard = timed(&mut lock_wait, || handle.write());
                 if let Err(e) = guard.quarantine() {
-                    break 'query Err(e);
+                    break Err(e);
                 }
             };
             if source_changes > 0 {
@@ -552,15 +524,6 @@ impl NoDb {
     pub fn table_handle(&self, name: &str) -> Option<TableHandle> {
         self.tables.get(name)
     }
-}
-
-/// Run `acquire` (a permit or lock acquisition) and add its wall time to
-/// `wait`.
-fn timed<T>(wait: &mut Duration, acquire: impl FnOnce() -> T) -> T {
-    let t = Instant::now();
-    let r = acquire();
-    *wait += t.elapsed();
-    r
 }
 
 #[cfg(test)]
@@ -862,8 +825,9 @@ mod tests {
     }
 
     /// The admission and lock waits are reported as parts of `processing`:
-    /// a query queued behind a held permit shows its wait, and a solo warm
-    /// query's waits never exceed the slice they belong to.
+    /// a query queued behind a held permit shows its wait, a query started
+    /// while another thread holds the table's write guard shows its lock
+    /// wait, and the waits never exceed the slice they belong to.
     #[test]
     fn waits_are_sub_slices_of_processing() {
         let (p, gen) = tmp_csv(3, 500, 22);
@@ -891,6 +855,24 @@ mod tests {
         });
         let bd = queued.breakdown;
         assert!(bd.admission_wait >= Duration::from_millis(20), "{bd:?}");
+        assert!(bd.admission_wait + bd.lock_wait <= bd.processing, "{bd:?}");
+
+        // Another thread holds the table's write guard while the query
+        // starts: the wait for it is lock time. The guard is held 25 ms
+        // from the query's admission, a parse away from its lock request.
+        let handle = db.table_handle("t").unwrap();
+        let guard = handle.write();
+        let blocked = std::thread::scope(|s| {
+            let q = s.spawn(|| db.query_reported(sql, &QueryCtx::unbounded()));
+            while budget.telemetry().in_flight == 0 {
+                std::thread::yield_now();
+            }
+            std::thread::sleep(Duration::from_millis(25));
+            drop(guard);
+            q.join().unwrap().unwrap().1
+        });
+        let bd = blocked.breakdown;
+        assert!(bd.lock_wait >= Duration::from_millis(20), "{bd:?}");
         assert!(bd.admission_wait + bd.lock_wait <= bd.processing, "{bd:?}");
         std::fs::remove_file(p).unwrap();
     }

@@ -6,7 +6,7 @@
 //! the positional map and cache currently hold, their budgets, utilization
 //! and usage statistics.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nodb_rawcsv::IoCounters;
 
@@ -50,9 +50,19 @@ pub struct Breakdown {
     /// [`Self::total`] leaves it out.
     pub admission_wait: Duration,
     /// The part of `processing` spent acquiring the table's read/write
-    /// guards in the query driver. A sub-slice: [`Self::total`] leaves it
-    /// out.
+    /// guards: the query driver's and the scan install's. A sub-slice:
+    /// [`Self::total`] leaves it out.
     pub lock_wait: Duration,
+}
+
+/// Run `acquire` (a permit or lock acquisition) and add its wall time to
+/// `wait` — how [`Breakdown::admission_wait`] and [`Breakdown::lock_wait`]
+/// are measured.
+pub(crate) fn timed<T>(wait: &mut Duration, acquire: impl FnOnce() -> T) -> T {
+    let t = Instant::now();
+    let r = acquire();
+    *wait += t.elapsed();
+    r
 }
 
 impl Breakdown {

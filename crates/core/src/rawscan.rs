@@ -67,14 +67,19 @@
 //! # Concurrent queries (lock staging)
 //!
 //! With the table registry (`crate::registry`), several queries may scan
-//! the *same* table at once. The scan is split into phases so the table's
-//! write lock is held only for bookkeeping, never for data access:
+//! the *same* table at once. `scan_shared` splits a scan into three phases
+//! and hands the table's lock over once between each, so the write lock is
+//! held only for bookkeeping, never for data access:
 //!
-//! 1. **Prepare** (`prepare_scan`, write lock) — update probe, access
-//!    planning (LRU touches, cache query tick) and coverage snapshots
-//!    (cache coverage, statistics frontiers), captured into a `ScanPrep`
-//!    together with the table's file-state generation.
-//! 2. **Data** (`scan_data`, read lock) — `run_partitions` plans the
+//! 1. **Prepare** (`prepare_scan`, write lock) — access planning (LRU
+//!    touches, cache query tick) and coverage snapshots (cache coverage,
+//!    statistics frontiers), captured into a `ScanPrep` together with the
+//!    table's file-state generation, under the write guard the query
+//!    planned with.
+//! 2. **Data** (`scan_data`, read lock) — the prepare guard is *downgraded*
+//!    into this phase's read guard, so no writer lands in between and the
+//!    `ScanPrep` is exact for the data it reads: same generation, every
+//!    planned cache column still resident. `run_partitions` plans the
 //!    slices from the row index as it stands, then its workers borrow the
 //!    map/cache/schema immutably and stage everything in partition-local
 //!    partials, statistics sketches included; fully-cached queries stream
@@ -93,17 +98,15 @@
 //!    is what makes N concurrent queries end in the same state as a
 //!    sequential replay.
 //!
-//! `scan_shared` runs phases 2 and 3 under read-then-write locks. A
-//! `ScanPrep` is only valid for the generation it was taken at: if update
-//! detection reconciled an append/replacement in between, `scan_shared`
-//! refuses (`None`) and the caller re-prepares against the new state.
-//! After a bounded number of stale preps the caller keeps the write guard
-//! it prepared under and runs the *same* two phases through `scan_held`,
-//! which cannot go stale — the only time a write guard spans a data phase.
-//! Stale *plan* details (chunk indices, cache coverage) are harmless within
-//! a generation — a chunk that moved or a column that was evicted simply
-//! degrades to tokenizing, never to wrong data, because every chunk of the
-//! same generation stores identical offsets for the same `(attr, row)`.
+//! The only window in which the table can change under a prepared scan is
+//! between releasing the read guard and taking the install's write lock.
+//! Other queries' installs and evictions there only move the frontiers the
+//! merge resumes at. A file change there is caught by the **install
+//! fence**: when another query reconciled an append or quarantined a
+//! rewrite, the table's generation is no longer `prep.generation`, and the
+//! scan installs nothing. It publishes its telemetry and answers from what
+//! it read — the prepared generation's cache, or raw bytes that passed
+//! `revalidate_epoch` — one epoch's answer, linearized at its scan.
 //!
 //! # Merge invariants
 //!
@@ -194,9 +197,11 @@ use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder};
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::reader::{partition_line_ranges_capped, LineRange};
 use nodb_rawcsv::{IoCounters, RawCsvError};
+use parking_lot::RwLockWriteGuard;
 
 use crate::config::NoDbConfig;
 use crate::ctx::QueryCtx;
+use crate::metrics::timed;
 use crate::metrics::{Breakdown, PhaseClock};
 use crate::registry::TableHandle;
 use crate::table::RawTable;
@@ -382,9 +387,9 @@ pub(crate) fn segment_batch(
     Batch::from_parts(columns, sel)
 }
 
-/// Resolve the cache column handles backing a fully-cached scan: `None`
-/// when any requested attribute is not resident with at least `rows`
-/// coverage (a concurrent eviction since planning — the caller re-plans).
+/// Resolve the cache column handles backing a fully-cached scan or slice:
+/// `None` when any requested attribute is not resident with at least `rows`
+/// coverage.
 pub(crate) fn cached_column_handles<'a>(
     cache: &'a nodb_rawcache::RawCache,
     attrs: &[usize],
@@ -398,8 +403,8 @@ pub(crate) fn cached_column_handles<'a>(
 
 /// Everything a scan decides up front, captured under the table's write
 /// lock so the data phase can run under a read lock. Tied to the table's
-/// file-state `generation`: the scan and merge phases refuse to run against
-/// a different generation.
+/// file-state `generation`: the install fence installs nothing into a
+/// different generation.
 pub(crate) struct ScanPrep {
     /// The planner's scan request.
     pub req: ScanRequest,
@@ -429,7 +434,7 @@ pub(crate) struct ScanPrep {
     /// (exact or anchor). Workers only receive the map when this holds, so
     /// an assist-free scan keeps the fused single-pass fast path.
     pub plan_assists: bool,
-    /// File-state generation this prep belongs to.
+    /// File-state generation this prep belongs to: the install fence.
     pub generation: u64,
     /// Raw file path.
     pub path: PathBuf,
@@ -458,7 +463,7 @@ impl ScanPrep {
 /// Phase 1 of a scan: access planning and coverage snapshots, run under the
 /// table's write lock (access planning touches LRU clocks and the cache
 /// query tick). Also publishes the `fully_cached` flag to the telemetry.
-pub(crate) fn prepare_scan(
+fn prepare_scan(
     table: &mut RawTable,
     config: &NoDbConfig,
     req: ScanRequest,
@@ -850,7 +855,10 @@ pub(crate) fn run_partitions(
 /// the table, and publish the scan telemetry. Its duration is the scan's
 /// [`Breakdown::install`] — the time a cold scan keeps every other query
 /// off the table. The slices' result batches stay in `outcome`, untouched:
-/// re-packing them needs no table ([`StagedScan::into_batches`]).
+/// re-packing them needs no table ([`StagedScan::into_batches`]). `table`
+/// is `None` when the install fence closed ([`scan_install`]): nothing is
+/// installed, but the telemetry is published and a stopped scan still
+/// fails with its stop error.
 ///
 /// Row index and map chunk are rebased by concatenation. Cache and
 /// statistics receive each slice's typed partial columns whole: the
@@ -881,7 +889,7 @@ pub(crate) fn run_partitions(
 /// the warmer map/cache/statistics state — the rows merged here are its
 /// known prefix, and it reads only the bytes behind them.
 pub(crate) fn merge_outputs(
-    table: &mut RawTable,
+    table: Option<&mut RawTable>,
     config: &NoDbConfig,
     prep: &ScanPrep,
     outcome: &mut ScanOutcome,
@@ -930,59 +938,62 @@ pub(crate) fn merge_outputs(
         }
     }
 
-    if prep.plan.is_some() {
-        for (p, o) in results.iter().enumerate() {
-            table
-                .map
-                .row_index_mut()
-                .note_rows(bases[p], &o.line_starts);
-        }
-    }
-
     let mut installed = false;
-    if prep.build_chunk {
-        let mut merged = ChunkBuilder::with_capacity(prep.req.attrs.clone(), total);
-        for o in results.iter_mut() {
-            if let Some(wb) = o.builder.take() {
-                merged.append_partial(wb);
+    if let Some(table) = table {
+        if prep.plan.is_some() {
+            for (p, o) in results.iter().enumerate() {
+                table
+                    .map
+                    .row_index_mut()
+                    .note_rows(bases[p], &o.line_starts);
             }
         }
-        installed = table.map.install(merged).is_some();
-    }
 
-    // Cache and statistics: each slice's typed partials go in whole, in
-    // slice order — statistics first (they read only the values their
-    // reservoirs keep), then the cache takes the columns. Both start at
-    // their own current frontier per attribute. Sketches exist only with
-    // statistics on: one per attribute with rows to observe at plan time.
-    if config.enable_stats {
-        for (i, &attr) in prep.req.attrs.iter().enumerate() {
-            let slices = results.iter().zip(&bases).filter_map(|(o, &base)| {
-                let sketch = o.sketches.get(i)?.as_ref()?;
-                Some((&o.side_cols[i], sketch, base as u64))
-            });
-            table.stats.absorb(attr, slices);
+        if prep.build_chunk {
+            let mut merged = ChunkBuilder::with_capacity(prep.req.attrs.clone(), total);
+            for o in results.iter_mut() {
+                if let Some(wb) = o.builder.take() {
+                    merged.append_partial(wb);
+                }
+            }
+            installed = table.map.install(merged).is_some();
         }
-    }
-    if config.enable_cache {
-        table.cache.record_reads(worker_hits, worker_misses);
-        for (o, &base) in results.iter_mut().zip(&bases) {
-            let cols = std::mem::take(&mut o.side_cols);
-            table
-                .cache
-                .append_slice(&prep.req.attrs, cols, base, total, prep.query_tick);
-        }
-    }
 
-    // End-of-scan bookkeeping — withheld on a partial merge, where `total`
-    // is a prefix, not the file.
-    if complete {
-        table.row_count = Some(total as u64);
-        if prep.plan.is_some() {
-            table.map.row_index_mut().mark_complete();
-        }
+        // Cache and statistics: each slice's typed partials go in whole,
+        // in slice order — statistics first (they read only the values
+        // their reservoirs keep), then the cache takes the columns. Both
+        // start at their own current frontier per attribute. Sketches exist
+        // only with statistics on: one per attribute with rows to observe
+        // at plan time.
         if config.enable_stats {
-            table.stats.set_row_count(total as u64);
+            for (i, &attr) in prep.req.attrs.iter().enumerate() {
+                let slices = results.iter().zip(&bases).filter_map(|(o, &base)| {
+                    let sketch = o.sketches.get(i)?.as_ref()?;
+                    Some((&o.side_cols[i], sketch, base as u64))
+                });
+                table.stats.absorb(attr, slices);
+            }
+        }
+        if config.enable_cache {
+            table.cache.record_reads(worker_hits, worker_misses);
+            for (o, &base) in results.iter_mut().zip(&bases) {
+                let cols = std::mem::take(&mut o.side_cols);
+                table
+                    .cache
+                    .append_slice(&prep.req.attrs, cols, base, total, prep.query_tick);
+            }
+        }
+
+        // End-of-scan bookkeeping — withheld on a partial merge, where
+        // `total` is a prefix, not the file.
+        if complete {
+            table.row_count = Some(total as u64);
+            if prep.plan.is_some() {
+                table.map.row_index_mut().mark_complete();
+            }
+            if config.enable_stats {
+                table.stats.set_row_count(total as u64);
+            }
         }
     }
 
@@ -1047,30 +1058,28 @@ impl StagedScan {
 /// stream the cache for a fully-cached query, otherwise run the partition
 /// slices and re-validate the source epoch. Mutates nothing — everything
 /// it produces is staged for [`scan_install`].
-///
-/// Returns `Ok(None)` when a fully-cached plan lost a cache column to a
-/// concurrent eviction since planning; the caller re-prepares (the next
-/// attempt sees the shrunk coverage and takes a raw scan instead).
-fn scan_data(
-    table: &RawTable,
-    config: &NoDbConfig,
-    prep: &ScanPrep,
-) -> EngineResult<Option<StagedScan>> {
+fn scan_data(table: &RawTable, config: &NoDbConfig, prep: &ScanPrep) -> EngineResult<StagedScan> {
     if prep.fully_cached {
-        return Ok(stream_cached(table, prep)?.map(StagedScan::Cached));
+        return stream_cached(table, prep).map(StagedScan::Cached);
     }
     let outcome = run_partitions(table, config, prep)?;
     // Re-validate the epoch before *any* merge — including a stopped
     // scan's partial-prefix merge — so a file rewritten while the workers
     // streamed it never installs poisoned map/cache/stats partials.
     revalidate_epoch(prep)?;
-    Ok(Some(StagedScan::Partitions(outcome)))
+    Ok(StagedScan::Partitions(outcome))
 }
 
 /// The install phase of a prepared scan, over an exclusive borrow of the
 /// table: fold a cached stream's hit tally into the cache metrics, or merge
 /// the staged partials ([`merge_outputs`]). Publishes the scan telemetry;
 /// the result batches stay in `staged`.
+///
+/// Behind the **install fence**: when the table's generation moved past
+/// `prep.generation` since the data phase (another query reconciled an
+/// append or quarantined a rewrite), the staged state describes an older
+/// epoch, so nothing is installed — the telemetry is still published, and
+/// the query answers from what it read.
 fn scan_install(
     table: &mut RawTable,
     config: &NoDbConfig,
@@ -1078,92 +1087,71 @@ fn scan_install(
     staged: &mut StagedScan,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<()> {
+    let live = table.generation == prep.generation;
     match staged {
         StagedScan::Cached(_) => {
             // One hit per requested attribute per cached row.
             let hits = prep.cached_rows * prep.req.attrs.len() as u64;
-            table.cache.record_reads(hits, 0);
+            if live {
+                table.cache.record_reads(hits, 0);
+            }
             let mut tel = lock_recover(telemetry);
             tel.rows_scanned = prep.cached_rows;
             tel.cache_hits = hits;
             Ok(())
         }
-        StagedScan::Partitions(outcome) => merge_outputs(table, config, prep, outcome, telemetry),
+        StagedScan::Partitions(outcome) => {
+            merge_outputs(live.then_some(table), config, prep, outcome, telemetry)
+        }
     }
 }
 
-/// Run a prepared scan against a shared table handle: the data phase under
-/// the read lock, the install phase under a short write lock, the result
-/// re-pack under none.
-///
-/// Returns `Ok(None)` when the prep went stale — the table's file-state
-/// generation moved past `prep.generation` (an append or replacement was
-/// reconciled while no lock was held), or a planned cache column was
-/// evicted — and the caller must re-prepare.
+/// Run one scan of `req` against a shared table handle, starting from the
+/// write guard the caller planned under: prepare under it, downgrade it
+/// into the data phase's read guard (no writer can land in between, so the
+/// prep is exact for the data), release it, install under a short write
+/// lock behind the install fence, and re-pack the result under no lock.
+/// The install's lock acquisition is added to `lock_wait`; the downgrade
+/// never waits.
 pub(crate) fn scan_shared(
     handle: &TableHandle,
+    mut guard: RwLockWriteGuard<'_, RawTable>,
     config: &NoDbConfig,
-    prep: &ScanPrep,
+    req: ScanRequest,
     telemetry: &TelemetryHandle,
-) -> EngineResult<Option<VecDeque<Batch>>> {
-    let staged = {
-        let table = handle.read();
-        if table.generation != prep.generation {
-            return Ok(None);
-        }
-        scan_data(&table, config, prep)?
-    };
-    let Some(mut staged) = staged else {
-        return Ok(None);
-    };
-    {
-        let mut table = handle.write();
-        if let StagedScan::Partitions(outcome) = &mut staged {
-            if table.generation != prep.generation {
-                // The partials describe dead state; a stopped query still
-                // fails with its structured cause rather than retrying
-                // against new state.
-                return outcome.stopped.take().map_or(Ok(None), Err);
-            }
-        }
-        scan_install(&mut table, config, prep, &mut staged, telemetry)?;
-    }
-    Ok(Some(staged.into_batches()))
-}
-
-/// Run a prepared scan under an already-held write guard: the same stages
-/// as [`scan_shared`] with no lock hand-off between them, so the prep
-/// cannot go stale. The facade's last bounded-retry attempt runs this; it
-/// is the only place a table write guard is held across the data phase.
-pub(crate) fn scan_held(
-    table: &mut RawTable,
-    config: &NoDbConfig,
-    prep: &ScanPrep,
-    telemetry: &TelemetryHandle,
+    ctx: QueryCtx,
+    lock_wait: &mut Duration,
 ) -> EngineResult<VecDeque<Batch>> {
-    let mut staged = scan_data(table, config, prep)?.ok_or_else(|| {
-        EngineError::Execution("fully-cached plan lost a cache column under the write guard".into())
-    })?;
-    scan_install(table, config, prep, &mut staged, telemetry)?;
+    let prep = prepare_scan(&mut guard, config, req, telemetry, ctx);
+    let mut staged = {
+        let table = RwLockWriteGuard::downgrade(guard);
+        scan_data(&table, config, &prep)?
+    };
+    scan_install(
+        &mut timed(lock_wait, || handle.write()),
+        config,
+        &prep,
+        &mut staged,
+        telemetry,
+    )?;
     Ok(staged.into_batches())
 }
 
 /// Serve a fully-cached query from the cache columns, one [`segment_batch`]
-/// per `BATCH_SIZE` rows.
-///
-/// Returns `Ok(None)` when a column the plan relied on is no longer
-/// resident with full coverage.
-fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<Option<VecDeque<Batch>>> {
+/// per `BATCH_SIZE` rows. The columns are resident by construction — the
+/// data phase inherits the prepare guard, so nothing can evict them in
+/// between — and a missing one is an internal error, never a panic.
+fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<VecDeque<Batch>> {
     let total = prep.cached_rows as usize;
     let mut queue: VecDeque<Batch> = VecDeque::new();
     if total == 0 {
         // A known-empty table is vacuously fully cached: there is nothing
         // to stream, and no column need be resident to say so.
-        return Ok(Some(queue));
+        return Ok(queue);
     }
-    let Some(cols) = cached_column_handles(&table.cache, &prep.req.attrs, total) else {
-        return Ok(None);
-    };
+    let cols = cached_column_handles(&table.cache, &prep.req.attrs, total).ok_or_else(|| {
+        EngineError::Execution("fully-cached plan found a cache column missing".into())
+    })?;
     for lo in (0..total).step_by(BATCH_SIZE) {
         // Cancellation granularity: one check per batch; a pure cache
         // read mutates nothing, so stopping here needs no partial merge.
@@ -1173,7 +1161,7 @@ fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<Option<VecDe
             queue.push_back(batch);
         }
     }
-    Ok(Some(queue))
+    Ok(queue)
 }
 
 #[cfg(test)]
@@ -1198,10 +1186,11 @@ mod tests {
         (p, cfg.schema())
     }
 
-    /// One query through the staged path under an exclusive borrow — the
-    /// held-guard entry point the facade's last retry attempt uses —
-    /// surfacing the scan error instead of unwrapping. Hands back the result
-    /// batches as the engine would receive them.
+    /// One query through the production stages — `prepare_scan`, the data
+    /// phase, the fenced install, the re-pack — over an exclusive borrow
+    /// in place of `scan_shared`'s lock hand-offs, surfacing the scan error
+    /// instead of unwrapping. Hands back the result batches as the engine
+    /// would receive them.
     fn try_scan_batches(
         table: &mut RawTable,
         config: NoDbConfig,
@@ -1210,7 +1199,10 @@ mod tests {
     ) -> (EngineResult<VecDeque<Batch>>, ScanTelemetry) {
         let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let prep = prepare_scan(table, &config, req, &tel, ctx);
-        let r = scan_held(table, &config, &prep, &tel);
+        let r = scan_data(table, &config, &prep).and_then(|mut staged| {
+            scan_install(table, &config, &prep, &mut staged, &tel)?;
+            Ok(staged.into_batches())
+        });
         let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
         (r, t)
     }
@@ -1400,6 +1392,68 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
+    /// Assert two tables hold identical adaptive state: row count, row
+    /// index, map coverage, cache hit/miss accounting and contents, and
+    /// statistics (rows seen, reservoir, observation frontier).
+    fn assert_same_state(tag: &str, a: &RawTable, b: &RawTable, cols: usize) {
+        assert_eq!(a.row_count, b.row_count, "{tag}: row count");
+        // Hit/miss telemetry does not depend on the slicing: slices of known
+        // rows read the cache exactly where the sequential scan would, and
+        // slices of the unknown tail read it at no worker count.
+        assert_eq!(
+            a.cache.metrics().hits,
+            b.cache.metrics().hits,
+            "{tag}: cache hit accounting"
+        );
+        assert_eq!(
+            a.cache.metrics().misses,
+            b.cache.metrics().misses,
+            "{tag}: cache miss accounting"
+        );
+        assert_eq!(
+            a.map.row_index().len(),
+            b.map.row_index().len(),
+            "{tag}: row index"
+        );
+        assert_eq!(
+            a.map.row_index().is_complete(),
+            b.map.row_index().is_complete(),
+            "{tag}: row index completeness"
+        );
+        for attr in 0..cols {
+            assert_eq!(
+                a.map.coverage(attr),
+                b.map.coverage(attr),
+                "{tag}: map c{attr}"
+            );
+            assert_eq!(
+                a.cache.coverage(attr),
+                b.cache.coverage(attr),
+                "{tag}: cache c{attr}"
+            );
+            for row in 0..a.cache.coverage(attr) {
+                assert_eq!(
+                    a.cache.peek(attr, row),
+                    b.cache.peek(attr, row),
+                    "{tag}: cache c{attr} row {row}"
+                );
+            }
+            match (a.stats.attr(attr), b.stats.attr(attr)) {
+                (None, None) => {}
+                (Some(sa), Some(sb)) => {
+                    assert_eq!(sa.rows_seen(), sb.rows_seen(), "{tag}: stats rows c{attr}");
+                    assert_eq!(sa.sample(), sb.sample(), "{tag}: stats reservoir c{attr}");
+                }
+                other => panic!("{tag}: stats presence differs for c{attr}: {other:?}"),
+            }
+            assert_eq!(
+                a.stats.observed_upto(attr),
+                b.stats.observed_upto(attr),
+                "{tag}: stats frontier c{attr}"
+            );
+        }
+    }
+
     /// Scan the same table twice — `scan_threads = 1` vs `threads` — against
     /// two freshly registered tables, and assert identical results and
     /// identical post-scan adaptive state.
@@ -1429,57 +1483,63 @@ mod tests {
                 "query {qi} fully_cached"
             );
         }
-        assert_eq!(t_seq.row_count, t_par.row_count);
-        // Hit/miss telemetry does not depend on the slicing: slices of known
-        // rows read the cache exactly where the sequential scan would, and
-        // slices of the unknown tail read it at no worker count.
-        assert_eq!(
-            t_seq.cache.metrics().hits,
-            t_par.cache.metrics().hits,
-            "cache hit accounting must match"
+        assert_same_state(&format!("threads = {threads}"), &t_seq, &t_par, cols);
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// The install fence: a scan whose data phase ran at generation g,
+    /// while another query reconciled an append before its install,
+    /// answers from what it read and installs nothing; the next query reads
+    /// the appended file and ends where a cold table on it does.
+    #[test]
+    fn install_fence_answers_the_read_and_installs_nothing() {
+        let (p, schema) = tmp_csv(4, 300, 61);
+        let cfg = NoDbConfig {
+            scan_threads: 2,
+            ..NoDbConfig::default()
+        };
+        let req = ScanRequest::project(vec![0, 2]);
+        let (before, _) = scan_once(
+            &mut RawTable::register(&p, schema.clone(), false, &cfg).unwrap(),
+            cfg,
+            req.clone(),
         );
-        assert_eq!(
-            t_seq.cache.metrics().misses,
-            t_par.cache.metrics().misses,
-            "cache miss accounting must match"
-        );
-        assert_eq!(t_seq.map.row_index().len(), t_par.map.row_index().len());
-        assert_eq!(
-            t_seq.map.row_index().is_complete(),
-            t_par.map.row_index().is_complete()
-        );
-        for attr in 0..cols {
-            assert_eq!(
-                t_seq.map.coverage(attr),
-                t_par.map.coverage(attr),
-                "map c{attr}"
-            );
-            assert_eq!(
-                t_seq.cache.coverage(attr),
-                t_par.cache.coverage(attr),
-                "cache c{attr}"
-            );
-            for row in 0..t_seq.cache.coverage(attr) {
-                assert_eq!(
-                    t_seq.cache.peek(attr, row),
-                    t_par.cache.peek(attr, row),
-                    "cache c{attr} row {row}"
-                );
+        let handle: TableHandle = Arc::new(parking_lot::RwLock::new(
+            RawTable::register(&p, schema.clone(), false, &cfg).unwrap(),
+        ));
+
+        let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+        let ctx = QueryCtx::from_timeout_ms(cfg.query_timeout_ms);
+        let mut guard = handle.write();
+        let prep = prepare_scan(&mut guard, &cfg, req.clone(), &tel, ctx);
+        let mut staged = scan_data(&RwLockWriteGuard::downgrade(guard), &cfg, &prep).unwrap();
+        GeneratorConfig::uniform_ints(4, 300, 61)
+            .append_rows(&p, 50)
+            .unwrap();
+        handle.write().check_updates().unwrap();
+        assert_eq!(handle.read().generation, prep.generation + 1);
+        scan_install(&mut handle.write(), &cfg, &prep, &mut staged, &tel).unwrap();
+
+        assert_eq!(rows_of(&staged.into_batches()), before, "answers its read");
+        assert_eq!(lock_recover(&tel).rows_scanned, 300, "telemetry published");
+        {
+            let t = handle.read();
+            assert_eq!(t.row_count, None);
+            assert!(t.cache.resident().is_empty(), "no cache column");
+            assert_eq!(t.map.row_index().len(), 0, "no row-index row");
+            assert!(t.map.chunks().is_empty(), "no map chunk");
+            for attr in 0..4 {
+                assert_eq!(t.stats.observed_upto(attr), 0, "no observation c{attr}");
+                assert!(t.stats.attr(attr).is_none(), "no statistics c{attr}");
             }
-            match (t_seq.stats.attr(attr), t_par.stats.attr(attr)) {
-                (None, None) => {}
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.rows_seen(), b.rows_seen(), "stats rows c{attr}");
-                    assert_eq!(a.sample(), b.sample(), "stats reservoir c{attr}");
-                }
-                other => panic!("stats presence differs for c{attr}: {other:?}"),
-            }
-            assert_eq!(
-                t_seq.stats.observed_upto(attr),
-                t_par.stats.observed_upto(attr),
-                "stats frontier c{attr}"
-            );
         }
+
+        let (after, _) = scan_once(&mut handle.write(), cfg, req.clone());
+        let mut cold = RawTable::register(&p, schema, false, &cfg).unwrap();
+        let (expect, _) = scan_once(&mut cold, cfg, req);
+        assert_eq!(after.len(), 350);
+        assert_eq!(after, expect);
+        assert_same_state("after the fence", &handle.read(), &cold, 4);
         std::fs::remove_file(p).unwrap();
     }
 

@@ -16,12 +16,13 @@
 //!   to clone the `Arc`);
 //! * per-query lock discipline is *staged* (see `rawscan::scan_shared`):
 //!   a short **write** lock for planning side effects (update probe, access
-//!   plan LRU touches, cache query tick), a **read** lock for the whole
-//!   data scan — workers only need shared borrows since PR 1 removed
-//!   `Rc`/`RefCell` from the scan path — and a second short **write** lock
-//!   to install the staged positional-map chunk, cache columns and
-//!   statistics. Read-mostly queries that are answered entirely from the
-//!   cache never hold a write lock during data access.
+//!   plan LRU touches, cache query tick), *downgraded* in place into a
+//!   **read** lock for the whole data scan — workers only need shared
+//!   borrows — then released, and a second short **write** lock to install
+//!   the staged positional-map chunk, cache columns and statistics (nothing,
+//!   if another query reconciled a file change in between). Read-mostly
+//!   queries that are answered entirely from the cache never hold a write
+//!   lock during data access.
 //!
 //! The poison-free `RwLock` comes from the workspace's `parking_lot`
 //! stand-in: a panicking scan must not wedge every later query on the same

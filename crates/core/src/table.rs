@@ -59,9 +59,10 @@ pub struct RawTable {
     /// File-state generation, bumped whenever update detection reconciles an
     /// append or replacement. A concurrent query snapshots the generation
     /// while planning under the table's write lock; if it differs when the
-    /// query later re-acquires the lock to scan or to merge side effects,
-    /// the staged state describes a dead file and is discarded (the query
-    /// retries against the new state instead of corrupting it).
+    /// query later re-acquires the lock to install its side effects, the
+    /// staged state describes an older epoch: the query answers from what
+    /// it read and installs nothing. Cached prepared plans are valid for
+    /// one generation.
     pub(crate) generation: u64,
     /// Progress signature of the last snapshot written (or restored), so
     /// write-behind skips queries that grew nothing. `0` = never saved.
@@ -167,7 +168,7 @@ impl RawTable {
     /// epoch. Drops the map (chunks and row index), the cache, and the
     /// statistics atomically (the caller holds the table's
     /// write lock), bumps the generation so staged concurrent state is
-    /// discarded at its merge fence, resets the snapshot write-behind
+    /// discarded at its install fence, resets the snapshot write-behind
     /// signature, and re-captures the epoch from the live file.
     ///
     /// The state drop happens *before* the re-capture, so even when the

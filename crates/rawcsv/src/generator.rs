@@ -170,9 +170,11 @@ impl GeneratorConfig {
 
     /// Generate into an in-memory buffer (tests, small files).
     pub fn generate_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.write_to(&mut out)
-            .expect("in-memory write cannot fail");
+        let mut out = self.header_line();
+        let mut state = GenState::new(self);
+        for row in 0..self.rows {
+            out.extend_from_slice(state.format_row(row, self));
+        }
         out
     }
 
@@ -209,14 +211,11 @@ impl GeneratorConfig {
         };
         let mut state = GenState::new(self);
         // Fast-forward deterministically.
-        let mut sink = Vec::with_capacity(256);
         for row in 0..self.rows {
-            sink.clear();
-            state.write_row(&mut sink, row, self).expect("vec write");
+            state.format_row(row, self);
         }
         for row in self.rows..self.rows + extra_rows {
-            state
-                .write_row(&mut w, row, self)
+            w.write_all(state.format_row(row, self))
                 .map_err(|e| RawCsvError::io(format!("append {}", path.display()), e))?;
         }
         w.inner
@@ -226,31 +225,39 @@ impl GeneratorConfig {
     }
 
     fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        w.write_all(&self.header_line())?;
+        let mut state = GenState::new(self);
+        for row in 0..self.rows {
+            w.write_all(state.format_row(row, self))?;
+        }
+        Ok(())
+    }
+
+    /// The header line (column names), or nothing when `header` is off.
+    fn header_line(&self) -> Vec<u8> {
+        let mut line = Vec::new();
         if self.header {
             for (i, c) in self.columns.iter().enumerate() {
                 if i > 0 {
-                    w.write_all(&[self.delimiter])?;
+                    line.push(self.delimiter);
                 }
-                w.write_all(c.name.as_bytes())?;
+                line.extend_from_slice(c.name.as_bytes());
             }
-            w.write_all(b"\n")?;
+            line.push(b'\n');
         }
-        let mut state = GenState::new(self);
-        for row in 0..self.rows {
-            state.write_row(w, row, self)?;
-        }
-        Ok(())
+        line
     }
 }
 
 /// Running generator state: RNG plus precomputed Zipf tables per column.
 struct GenState {
     rng: StdRng,
-    /// For each column with a Zipf distribution, the cumulative probability
-    /// table used for inverse-transform sampling (capped at 10k entries;
-    /// beyond that the tail is uniform, which is indistinguishable in
-    /// practice for selectivity experiments).
-    zipf_cdfs: Vec<Option<Vec<f64>>>,
+    /// One entry per column, in column order: for a Zipf column the
+    /// cumulative probability table used for inverse-transform sampling
+    /// (capped at 10k entries; beyond that the tail is uniform, which is
+    /// indistinguishable in practice for selectivity experiments), empty
+    /// for every other column.
+    zipf_cdfs: Vec<Vec<f64>>,
     /// Reused per-row formatting buffer.
     scratch: Vec<u8>,
 }
@@ -261,8 +268,8 @@ impl GenState {
             .columns
             .iter()
             .map(|c| match c.dist {
-                ValueDistribution::IntZipf { n, s } => Some(zipf_cdf(n.min(10_000), s)),
-                _ => None,
+                ValueDistribution::IntZipf { n, s } => zipf_cdf(n.min(10_000), s),
+                _ => Vec::new(),
             })
             .collect();
         GenState {
@@ -272,14 +279,12 @@ impl GenState {
         }
     }
 
-    fn write_row<W: Write>(
-        &mut self,
-        w: &mut W,
-        row: u64,
-        cfg: &GeneratorConfig,
-    ) -> std::io::Result<()> {
+    /// Draw and format tuple `row` (newline included), advancing the RNG
+    /// stream by exactly that tuple's draws. The bytes live in the reused
+    /// scratch buffer until the next call.
+    fn format_row(&mut self, row: u64, cfg: &GeneratorConfig) -> &[u8] {
         self.scratch.clear();
-        for (i, col) in cfg.columns.iter().enumerate() {
+        for (i, (col, cdf)) in cfg.columns.iter().zip(&self.zipf_cdfs).enumerate() {
             if i > 0 {
                 self.scratch.push(cfg.delimiter);
             }
@@ -294,7 +299,6 @@ impl GenState {
                     write_i64(&mut self.scratch, v);
                 }
                 ValueDistribution::IntZipf { .. } => {
-                    let cdf = self.zipf_cdfs[i].as_ref().expect("zipf table");
                     let u: f64 = self.rng.random();
                     let k = cdf.partition_point(|&c| c < u) as i64;
                     write_i64(&mut self.scratch, k);
@@ -331,7 +335,7 @@ impl GenState {
             }
         }
         self.scratch.push(b'\n');
-        w.write_all(&self.scratch)
+        &self.scratch
     }
 }
 
@@ -508,6 +512,52 @@ mod tests {
         let got = std::fs::read(&p).unwrap();
         assert_eq!(got, expect);
         std::fs::remove_file(p).unwrap();
+    }
+
+    /// Pins the generated bytes of a config exercising every distribution,
+    /// NULLs, a header and a non-comma delimiter: datasets (and the
+    /// checksums benchmarks print for them) must not drift.
+    #[test]
+    fn mixed_config_bytes_are_pinned() {
+        let cfg = GeneratorConfig {
+            columns: vec![
+                ColumnGenSpec::new("id", ValueDistribution::IntSequential { start: -3 }),
+                ColumnGenSpec {
+                    name: "z".into(),
+                    dist: ValueDistribution::IntZipf { n: 50, s: 1.1 },
+                    null_fraction: 0.2,
+                },
+                ColumnGenSpec::new(
+                    "u",
+                    ValueDistribution::IntUniform {
+                        min: -1_000,
+                        max: 1_000,
+                    },
+                ),
+                ColumnGenSpec {
+                    name: "f".into(),
+                    dist: ValueDistribution::FloatUniform {
+                        min: -5.0,
+                        max: 5.0,
+                    },
+                    null_fraction: 0.1,
+                },
+                ColumnGenSpec::new("s", ValueDistribution::StrFixed { width: 6 }),
+                ColumnGenSpec {
+                    name: "v".into(),
+                    dist: ValueDistribution::StrVar { min: 0, max: 9 },
+                    null_fraction: 0.3,
+                },
+                ColumnGenSpec::new("b", ValueDistribution::BoolBernoulli { p: 0.4 }),
+            ],
+            rows: 500,
+            delimiter: b'|',
+            header: true,
+            seed: 2026,
+        };
+        let bytes = cfg.generate_bytes();
+        assert_eq!(bytes.len(), 16_933);
+        assert_eq!(crate::reader::fnv1a(&bytes), 0x545b_8c70_5e38_9b71);
     }
 
     #[test]

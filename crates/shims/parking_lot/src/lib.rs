@@ -3,7 +3,9 @@
 //! Wraps `std::sync` primitives behind parking_lot's poison-free API (the
 //! build environment has no registry access). Poisoning is deliberately
 //! swallowed: a panicking holder does not make the data unreachable, which
-//! matches parking_lot semantics.
+//! matches parking_lot semantics. The guards are std's own, re-exported:
+//! the workspace uses `RwLockWriteGuard::downgrade` to turn a write guard
+//! into a read guard without releasing the lock.
 
 use std::sync::{self, PoisonError};
 
@@ -78,5 +80,22 @@ mod tests {
         assert_eq!(*l.read(), 5);
         *l.write() = 6;
         assert_eq!(*l.read(), 6);
+    }
+
+    #[test]
+    fn downgraded_write_guard_admits_concurrent_readers() {
+        let l = RwLock::new(1);
+        let mut w = l.write();
+        *w += 1;
+        let r = RwLockWriteGuard::downgrade(w);
+        assert_eq!(*r, 2);
+        // Another thread's reader gets in while the downgraded guard is
+        // still held; a writer would block here until `r` is dropped.
+        let seen = std::thread::scope(|s| s.spawn(|| *l.read()).join().unwrap());
+        assert_eq!(seen, 2);
+        assert_eq!(*r, 2);
+        drop(r);
+        *l.write() = 3;
+        assert_eq!(*l.read(), 3);
     }
 }

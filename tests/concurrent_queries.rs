@@ -14,6 +14,7 @@
 //! `NODB_TEST_SCAN_THREADS` pins `scan_threads` (CI runs 1 and 4 on top of
 //! the default auto-detect); unset, both 1 and 4 are exercised.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use nodb_repro::core::{NoDb, NoDbConfig};
@@ -306,6 +307,94 @@ fn telemetry_tallies_survive_concurrency() {
             n_clients * 2 * rows,
             "threads={threads}: lifetime hit total"
         );
+    }
+    std::fs::remove_file(path).unwrap();
+}
+
+/// Eviction racing fully-cached scans: while 4 clients run filter and
+/// aggregate queries on a warmed table, an operator thread keeps flipping
+/// the cache budget between one that evicts the queried columns and an
+/// ample one. A query planned as fully cached reads its columns under the
+/// guard it planned with, so an eviction can only land before its plan or
+/// after its read: every answer equals the sequential one, none errors, and
+/// the cache never holds more than its budget.
+#[test]
+fn budget_flips_racing_fully_cached_scans() {
+    let cols = 4;
+    let gen = GeneratorConfig::uniform_ints(cols, 2_000, 0xE71C);
+    let path = scratch("evict", 0);
+    gen.generate_file(&path).unwrap();
+    let queries = [
+        "SELECT c1 FROM t WHERE c2 < 300000000",
+        "SELECT COUNT(*), SUM(c1) FROM t WHERE c2 >= 500000000",
+        "SELECT MIN(c3), MAX(c3), AVG(c0) FROM t",
+        "SELECT c1, c3 FROM t WHERE c3 < 200000000 AND c0 >= 100000000",
+    ];
+    let ample = NoDbConfig::default().cache_budget_bytes;
+    let tight = 6_000; // below one queried column: 2 000 rows x 8 B
+    let within_budget = |db: &NoDb| {
+        let h = db.table_handle("t").unwrap();
+        let t = h.read();
+        let (used, budget) = (t.cache().bytes_used(), t.cache().policy().budget_bytes);
+        assert!(
+            used <= budget,
+            "cache holds {used} B over its {budget} B budget"
+        );
+    };
+
+    for threads in scan_thread_counts() {
+        let seq = mk_db(&path, gen.schema(), threads);
+        let expect: Vec<QueryResult> = queries.iter().map(|q| seq.query(q).unwrap()).collect();
+
+        let db = mk_db(&path, gen.schema(), threads);
+        for q in &queries {
+            db.query(q).unwrap(); // warm: every queried column cached
+        }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let flipper = s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    for budget in [tight, ample] {
+                        db.admin().set_cache_budget(budget);
+                        within_budget(&db);
+                        std::thread::sleep(std::time::Duration::from_micros(300));
+                    }
+                }
+            });
+            let clients: Vec<_> = (0..4)
+                .map(|c| {
+                    let (db, expect) = (&db, &expect);
+                    s.spawn(move || {
+                        for round in 0..8 * stress_rounds() {
+                            for (qi, q) in queries.iter().enumerate() {
+                                let r = db.query(q).unwrap_or_else(|e| {
+                                    panic!("threads={threads} client {c} round {round}: {e}")
+                                });
+                                assert_eq!(
+                                    r, expect[qi],
+                                    "threads={threads} client {c} round {round} query {qi}"
+                                );
+                                within_budget(db);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for h in clients {
+                h.join().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+            flipper.join().unwrap();
+        });
+
+        // Quiesced at the ample budget (the flipper's last setting): one
+        // more round answers like a fresh cold instance.
+        assert_eq!(db.config().cache_budget_bytes, ample);
+        let cold = mk_db(&path, gen.schema(), threads);
+        for q in &queries {
+            assert_eq!(db.query(q).unwrap(), cold.query(q).unwrap(), "{q}");
+            within_budget(&db);
+        }
     }
     std::fs::remove_file(path).unwrap();
 }
