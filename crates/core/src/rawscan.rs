@@ -180,6 +180,48 @@
 //! [`EngineError::DeadlineExceeded`]; the next identical query starts from
 //! the warmer map/cache/statistics state the aborted one left behind — the
 //! paper's "queries as advisors" principle applied to failure paths.
+//!
+//! ## LIMIT: stop once enough rows survive
+//!
+//! A bare `LIMIT n` (`ScanRequest::limit`, pushed only when no aggregate
+//! and no `ORDER BY` sits above the scan) answers with the first `n` rows
+//! that pass the predicate, in file order — a prefix, and every scan
+//! already delivers its rows in file order. So the scan stops reading once
+//! it has that prefix; pushdown changes how much is read, never what is
+//! returned:
+//!
+//! * A **fully-cached stream** ends after the batch that brings the
+//!   survivors to `n` or more. Its hit tally and `rows_scanned` count only
+//!   the rows it streamed.
+//! * A **raw scan's workers claim slices in ascending slice order** from one
+//!   shared cursor instead of owning runs (a run-owning worker 1 would start
+//!   at slice `len / 2`, whose rows can never join the answer). Each
+//!   completed slice publishes its survivor count; `k` is the first slice
+//!   at which the completed contiguous prefix reaches `n`, and once `k` is
+//!   known no slice past it is claimed. No slice is cut short, and slicing
+//!   is unchanged.
+//! * The **install merges exactly slices `0..=k`** through the partial-prefix
+//!   merge above: slices past `k` that completed anyway are dropped
+//!   unmerged, and the end-of-scan bookkeeping is withheld unless `0..=k` is
+//!   every slice. The query succeeds; `ScanTelemetry::stopped_early` records
+//!   that it read a prefix.
+//!
+//! Over a table whose row count is already known (some earlier scan
+//! reached EOF), a satisfied LIMIT installs its prefix into the row index
+//! and the statistics only — no map chunk, no cache column. Under a budget
+//! a prefix of a column fits into room a whole one never could, and a
+//! later full scan has to evict it again: a LIMIT is a poor advisor of
+//! which whole columns to keep. A table's first scans, whose extent is
+//! unknown, install everything they read.
+//!
+//! The installed state is **timing-independent**. The slices are a function
+//! of the table state and the thread count (`plan_slices`), a slice's
+//! survivor count a function of its rows, and so `k` is one too: however
+//! the workers interleave and however many slices past `k` were in flight,
+//! the same slices `0..=k` are merged. Two tables answering the same bare
+//! LIMIT from the same state at the same thread count end identical. (A
+//! different thread count cuts different slices, so it may install a
+//! different prefix; its answer is the same.)
 
 #![doc = " lint:cancellable — every scan/batch loop in this module must poll the"]
 #![doc = " query context (`ctx.check()`) or drive an interrupt-flagged `BlockSource`;"]
@@ -257,8 +299,8 @@ pub struct ScanTelemetry {
     /// Cache reads refused by this scan (value resolved from raw bytes).
     pub cache_misses: u64,
     /// Partition slices executed by a worker other than their run's owner
-    /// (work stealing under skewed line widths). Always 0 with one worker
-    /// or static partitioning.
+    /// (work stealing under skewed line widths). Always 0 with one worker,
+    /// static partitioning, or a bare `LIMIT` (its workers share one run).
     pub steals: u64,
     /// Rows with at least one malformed cell tombstoned under
     /// [`ParseErrorPolicy::Permissive`](crate::ParseErrorPolicy::Permissive)
@@ -267,8 +309,11 @@ pub struct ScanTelemetry {
     /// Capped per-row detail of the quarantined rows (first
     /// [`QuarantineSample::MAX_SAMPLES`] in row order).
     pub quarantine_samples: Vec<QuarantineSample>,
-    /// The scan stopped before EOF (cancellation or deadline) and merged
-    /// only the completed prefix of its partials.
+    /// The scan ended before EOF and read or merged only a prefix of the
+    /// table: it was stopped (cancellation or deadline; the query fails), or
+    /// its bare `LIMIT` was satisfied by a prefix of the rows (the query
+    /// succeeds — a raw scan merged slices `0..=k`, a cached stream
+    /// streamed only the batches the limit needed).
     pub stopped_early: bool,
     /// Source-epoch invalidations this query observed: how many times the
     /// backing file was found truncated/rewritten (at planning, mid-scan,
@@ -624,45 +669,16 @@ fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>
     Ok(slices)
 }
 
-/// Claim the next partition slice for worker `me`: pop from its own run
-/// first, then steal from the peer with the most remaining slices. Claims
-/// are `fetch_add` on per-run cursors, so every slice is handed out exactly
-/// once regardless of interleaving; the boolean reports a steal.
-fn claim_slice(
-    me: usize,
-    cursors: &[AtomicUsize],
-    bounds: &[(usize, usize)],
-) -> Option<(usize, bool)> {
-    let i = cursors[me].fetch_add(1, Ordering::Relaxed);
-    if i < bounds[me].1 {
-        return Some((i, false));
-    }
-    loop {
-        let victim = (0..cursors.len())
-            .filter(|&j| j != me)
-            .map(|j| {
-                let next = cursors[j].load(Ordering::Relaxed).max(bounds[j].0);
-                (bounds[j].1.saturating_sub(next), j)
-            })
-            .max();
-        match victim {
-            Some((remaining, j)) if remaining > 0 => {
-                let i = cursors[j].fetch_add(1, Ordering::Relaxed);
-                if i < bounds[j].1 {
-                    return Some((i, true));
-                }
-                // Lost the race for the victim's tail; rescan.
-            }
-            _ => return None,
-        }
-    }
-}
-
 /// What [`run_partitions`] hands back.
 pub(crate) struct ScanOutcome {
     /// Completed partition partials — all of them on success, the
-    /// contiguous completed prefix when `stopped` is set.
+    /// contiguous completed prefix when `stopped` is set, slices `0..=k`
+    /// when `limit_met` is.
     pub outputs: Vec<PartitionOutput>,
+    /// The scan's LIMIT was satisfied by a proper prefix of its slices
+    /// (slices `0..=k`, see [`SliceQueue`]): the slices behind it were not
+    /// read, or were read and dropped, so the file was not fully visited.
+    pub limit_met: bool,
     /// Stolen-slice tally (telemetry).
     pub steals: u64,
     /// Wall time of [`plan_slices`] (it probes the raw file for the tail's
@@ -672,23 +688,141 @@ pub(crate) struct ScanOutcome {
     pub stopped: Option<EngineError>,
 }
 
+/// How a raw scan's workers claim its slices.
+///
+/// Without a LIMIT each worker owns a contiguous run of slices and claims
+/// them through an atomic cursor, then steals from the peer with the most
+/// remaining slices. Claims are `fetch_add` on per-run cursors, so every
+/// slice is handed out exactly once regardless of interleaving.
+///
+/// With a LIMIT there is one run: every worker claims from the same cursor,
+/// in ascending slice order. Each completed slice publishes its survivor
+/// count ([`Self::complete`]); once the completed *contiguous* prefix holds
+/// `limit` survivors — first at slice `k` — [`Self::keep`] is `k + 1` and no
+/// slice at or past it is claimed. `k` depends only on the survivor counts
+/// of slices `0..=k`, a function of the file and the table state, never on
+/// which worker finished first.
+struct SliceQueue {
+    cursors: Vec<AtomicUsize>,
+    bounds: Vec<(usize, usize)>,
+    /// The LIMIT, as a row count (`None`: read every slice).
+    limit: Option<usize>,
+    /// Slices the answer needs: `k + 1` once known, `usize::MAX` before (0
+    /// for `LIMIT 0`, which needs none).
+    keep: AtomicUsize,
+    /// Per slice, its survivors once completed; the completed contiguous
+    /// prefix's length and survivors.
+    progress: Mutex<(Vec<Option<usize>>, usize, usize)>,
+}
+
+impl SliceQueue {
+    fn new(slices: usize, workers: usize, limit: Option<u64>) -> Self {
+        let limit = limit.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+        let runs = if limit.is_some() { 1 } else { workers.max(1) };
+        let bounds: Vec<(usize, usize)> = (0..runs)
+            .map(|w| (slices * w / runs, slices * (w + 1) / runs))
+            .collect();
+        SliceQueue {
+            cursors: bounds.iter().map(|&(lo, _)| AtomicUsize::new(lo)).collect(),
+            bounds,
+            limit,
+            keep: AtomicUsize::new(if limit == Some(0) { 0 } else { usize::MAX }),
+            progress: Mutex::new((vec![None; slices], 0, 0)),
+        }
+    }
+
+    /// Claim the next slice for worker `me`: from its own run first, then
+    /// stolen from the peer with the most remaining slices; `None` when no
+    /// slice is left or the LIMIT needs none of those left. The boolean
+    /// reports a steal.
+    fn claim(&self, me: usize) -> Option<(usize, bool)> {
+        let me = me % self.bounds.len();
+        let claimed = self.claim_from(me).map(|i| (i, false)).or_else(|| loop {
+            let victim = (0..self.cursors.len())
+                .filter(|&j| j != me)
+                .map(|j| {
+                    let next = self.cursors[j]
+                        .load(Ordering::Relaxed)
+                        .max(self.bounds[j].0);
+                    (self.bounds[j].1.saturating_sub(next), j)
+                })
+                .max();
+            match victim {
+                Some((remaining, j)) if remaining > 0 => {
+                    if let Some(i) = self.claim_from(j) {
+                        break Some((i, true));
+                    }
+                    // Lost the race for the victim's tail; rescan.
+                }
+                _ => break None,
+            }
+        })?;
+        (claimed.0 < self.keep()).then_some(claimed)
+    }
+
+    /// One `fetch_add` on run `j`'s cursor.
+    fn claim_from(&self, j: usize) -> Option<usize> {
+        let i = self.cursors[j].fetch_add(1, Ordering::Relaxed);
+        (i < self.bounds[j].1).then_some(i)
+    }
+
+    /// Slices `0..keep()` make a LIMIT's answer (`usize::MAX` until the
+    /// limit is met, and always without one).
+    fn keep(&self) -> usize {
+        self.keep.load(Ordering::Acquire)
+    }
+
+    /// Publish that slice `idx` completed with `survivors` rows passing the
+    /// predicate, and extend the completed prefix as far as it now reaches.
+    fn complete(&self, idx: usize, survivors: usize) {
+        let Some(limit) = self.limit else {
+            return;
+        };
+        let mut guard = lock_recover(&self.progress);
+        let (done, prefix, total) = &mut *guard;
+        done[idx] = Some(survivors);
+        while self.keep() == usize::MAX {
+            let Some(&Some(s)) = done.get(*prefix) else {
+                break;
+            };
+            *prefix += 1;
+            *total += s;
+            if *total >= limit {
+                self.keep.store(*prefix, Ordering::Release);
+            }
+        }
+    }
+}
+
 /// Phase 2 of a raw scan: decide the slices ([`plan_slices`]) and run them
 /// on `prep.threads` workers — the calling thread and `prep.threads - 1`
 /// scoped threads — over shared borrows of the table, collecting the
 /// partials in slice order. Needs only `&RawTable`, so concurrent queries
 /// run this phase under the table's read lock.
 ///
-/// Scheduling is a **work-stealing run queue**: each worker owns a
-/// contiguous run of slices (adjacent file regions, so a worker streams
-/// forward through the file) and claims them via an atomic cursor; a worker
-/// whose run drains steals slices from the most-loaded peer. Which worker
-/// executes a slice never affects the output — partials are merged in slice
-/// order — so every steal interleaving produces the byte-identical
-/// post-scan state the merge invariants promise.
+/// Scheduling is a **work-stealing run queue** ([`SliceQueue`]): each
+/// worker owns a contiguous run of slices (adjacent file regions, so a
+/// worker streams forward through the file) and claims them via an atomic
+/// cursor; a worker whose run drains steals slices from the most-loaded
+/// peer. Which worker executes a slice never affects the output — partials
+/// are merged in slice order — so every steal interleaving produces the
+/// byte-identical post-scan state the merge invariants promise.
+///
+/// With a LIMIT (`prep.req.limit`) there are no per-worker runs: every
+/// worker claims from one shared cursor, in ascending slice order, so the
+/// slices in flight are always the lowest unclaimed ones and the answer
+/// prefix fills first. Each completed slice publishes its survivor count to
+/// the queue; once slices `0..=k` hold the limit, nothing past `k` is
+/// claimed, slices past `k` that completed anyway are dropped unmerged, and
+/// the outcome is marked [`ScanOutcome::limit_met`] unless `k` is the last
+/// slice. No slice is cut short: the answer and the installed state are
+/// whole slices `0..=k`.
 ///
 /// A worker error aborts the scan; the error reported is the
 /// lowest-numbered slice's, its slice-local row rebased to the global row
-/// number using the preceding slices' row counts.
+/// number using the preceding slices' row counts. Under a LIMIT only
+/// slices `0..=k` count: an error in a slice the answer does not need is
+/// not reported.
 ///
 /// Two error classes get special handling:
 ///
@@ -737,20 +871,12 @@ pub(crate) fn run_partitions(
     let steals = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<EngineResult<PartitionOutput>>>> =
         partitions.iter().map(|_| Mutex::new(None)).collect();
-    let bounds: Vec<(usize, usize)> = (0..workers)
-        .map(|w| {
-            (
-                partitions.len() * w / workers,
-                partitions.len() * (w + 1) / workers,
-            )
-        })
-        .collect();
-    let cursors: Vec<AtomicUsize> = bounds.iter().map(|&(lo, _)| AtomicUsize::new(lo)).collect();
+    let queue = SliceQueue::new(partitions.len(), workers, prep.req.limit);
     // Errors park in the slice's slot; a worker keeps draining so every
     // lower-numbered slice completes and the driver can report the
     // lowest-slice error with an exact row rebase.
     let drain = |w: usize| {
-        while let Some((idx, stolen)) = claim_slice(w, &cursors, &bounds) {
+        while let Some((idx, stolen)) = queue.claim(w) {
             if stolen {
                 steals.fetch_add(1, Ordering::Relaxed);
             }
@@ -767,6 +893,9 @@ pub(crate) fn run_partitions(
                     message: panic_message(payload),
                 })
             });
+            if let Ok(o) = &r {
+                queue.complete(idx, o.batches.iter().map(Batch::rows).sum());
+            }
             *lock_recover(&slots[idx]) = Some(r);
         }
     };
@@ -787,8 +916,12 @@ pub(crate) fn run_partitions(
     });
 
     let steals = steals.into_inner();
+    // Slices past a satisfied LIMIT's `k` are dropped, completed or not.
+    let keep = queue.keep().min(slots.len());
+    let limit_met = keep < slots.len();
     let collected: Vec<EngineResult<PartitionOutput>> = slots
         .into_iter()
+        .take(keep)
         .enumerate()
         .map(|(idx, slot)| {
             slot.into_inner()
@@ -828,6 +961,7 @@ pub(crate) fn run_partitions(
                 // "no work is wasted" promise applied to failure paths).
                 return Ok(ScanOutcome {
                     outputs: results,
+                    limit_met: false,
                     steals,
                     planning,
                     stopped: Some(e),
@@ -844,6 +978,7 @@ pub(crate) fn run_partitions(
     }
     Ok(ScanOutcome {
         outputs: results,
+        limit_met,
         steals,
         planning,
         stopped: None,
@@ -878,16 +1013,26 @@ pub(crate) fn run_partitions(
 /// scan's prepare and its merge, the frontiers equal the plan-time
 /// snapshots.
 ///
-/// When the scan stopped before EOF (`outcome.stopped`: cancellation /
-/// deadline), `outcome.outputs` holds only the contiguous completed prefix
-/// of partitions: every frontier-based sub-merge still runs over that
-/// prefix, but the end-of-scan bookkeeping (`row_count`, `mark_complete`,
-/// `set_row_count`) is withheld — the file was not fully visited, so those
-/// totals are unknown. Statistics observation frontiers are still advanced
-/// over the merged prefix, so a re-run never double-observes. The query
-/// then fails with the stop error: the next identical query starts from
-/// the warmer map/cache/statistics state — the rows merged here are its
-/// known prefix, and it reads only the bytes behind them.
+/// Two kinds of scan end before EOF, and both install a **prefix** of
+/// slices through this same merge:
+///
+/// * a *stopped* scan (`outcome.stopped`: cancellation / deadline) hands
+///   back the contiguous completed prefix of its partitions;
+/// * a *satisfied* scan (`outcome.limit_met`: a bare `LIMIT n` whose
+///   slices `0..=k` hold `n` survivors) hands back exactly slices `0..=k`,
+///   whatever else completed — so what it installs depends on the file,
+///   the table state and the thread count, never on timing.
+///
+/// Every frontier-based sub-merge runs over the prefix (a satisfied one
+/// over a table of known row count skips the chunk and the cache — see the
+/// module docs on LIMIT), but the end-of-scan bookkeeping (`row_count`,
+/// `mark_complete`, `set_row_count`) is withheld — the file was not fully
+/// visited, so those totals are unknown. Statistics observation frontiers
+/// are still advanced over the merged prefix, so a re-run never
+/// double-observes. The next query starts from the warmer map/cache/
+/// statistics state — the rows merged here are its known prefix, and it
+/// reads only the bytes behind them. A stopped query then fails with its
+/// stop error; a satisfied one succeeds.
 pub(crate) fn merge_outputs(
     table: Option<&mut RawTable>,
     config: &NoDbConfig,
@@ -898,7 +1043,7 @@ pub(crate) fn merge_outputs(
     let results = &mut outcome.outputs;
     let steals = outcome.steals;
     let stopped = outcome.stopped.take();
-    let complete = stopped.is_none();
+    let complete = stopped.is_none() && !outcome.limit_met;
     let clock = PhaseClock::new(config.detailed_timing);
     let mut bd = Breakdown {
         io: outcome.planning,
@@ -940,6 +1085,11 @@ pub(crate) fn merge_outputs(
 
     let mut installed = false;
     if let Some(table) = table {
+        // A satisfied LIMIT over a table whose extent is already known
+        // starts no map chunk and no cache column: a prefix of one would
+        // only fill budget room that whole ones, built by full scans, must
+        // win back — see the module docs on LIMIT.
+        let structures = !(outcome.limit_met && table.row_count.is_some());
         if prep.plan.is_some() {
             for (p, o) in results.iter().enumerate() {
                 table
@@ -949,7 +1099,7 @@ pub(crate) fn merge_outputs(
             }
         }
 
-        if prep.build_chunk {
+        if prep.build_chunk && structures {
             let mut merged = ChunkBuilder::with_capacity(prep.req.attrs.clone(), total);
             for o in results.iter_mut() {
                 if let Some(wb) = o.builder.take() {
@@ -976,6 +1126,8 @@ pub(crate) fn merge_outputs(
         }
         if config.enable_cache {
             table.cache.record_reads(worker_hits, worker_misses);
+        }
+        if config.enable_cache && structures {
             for (o, &base) in results.iter_mut().zip(&bases) {
                 let cols = std::mem::take(&mut o.side_cols);
                 table
@@ -1018,8 +1170,10 @@ pub(crate) fn merge_outputs(
 /// What a scan's data phase hands to its install phase.
 pub(crate) enum StagedScan {
     /// A fully-cached query's result batches, served straight off the cache
-    /// columns; only the hit tally is left to fold in.
-    Cached(VecDeque<Batch>),
+    /// columns, and how many rows were streamed (all cached rows, or the
+    /// leading ones a bare `LIMIT` needed); only the hit tally is left to
+    /// fold in.
+    Cached { batches: VecDeque<Batch>, rows: u64 },
     /// A raw scan's partition partials, waiting for the ordered merge.
     Partitions(ScanOutcome),
 }
@@ -1032,7 +1186,7 @@ impl StagedScan {
     /// Touches no table, so [`scan_shared`] calls it with no lock held.
     fn into_batches(self) -> VecDeque<Batch> {
         let outputs = match self {
-            StagedScan::Cached(queue) => return queue,
+            StagedScan::Cached { batches, .. } => return batches,
             StagedScan::Partitions(outcome) => outcome.outputs,
         };
         let mut queue: VecDeque<Batch> = VecDeque::new();
@@ -1060,7 +1214,7 @@ impl StagedScan {
 /// it produces is staged for [`scan_install`].
 fn scan_data(table: &RawTable, config: &NoDbConfig, prep: &ScanPrep) -> EngineResult<StagedScan> {
     if prep.fully_cached {
-        return stream_cached(table, prep).map(StagedScan::Cached);
+        return stream_cached(table, prep);
     }
     let outcome = run_partitions(table, config, prep)?;
     // Re-validate the epoch before *any* merge — including a stopped
@@ -1089,15 +1243,16 @@ fn scan_install(
 ) -> EngineResult<()> {
     let live = table.generation == prep.generation;
     match staged {
-        StagedScan::Cached(_) => {
-            // One hit per requested attribute per cached row.
-            let hits = prep.cached_rows * prep.req.attrs.len() as u64;
+        StagedScan::Cached { rows, .. } => {
+            // One hit per requested attribute per streamed row.
+            let hits = *rows * prep.req.attrs.len() as u64;
             if live {
                 table.cache.record_reads(hits, 0);
             }
             let mut tel = lock_recover(telemetry);
-            tel.rows_scanned = prep.cached_rows;
+            tel.rows_scanned = *rows;
             tel.cache_hits = hits;
+            tel.stopped_early = *rows < prep.cached_rows;
             Ok(())
         }
         StagedScan::Partitions(outcome) => {
@@ -1141,27 +1296,42 @@ pub(crate) fn scan_shared(
 /// per `BATCH_SIZE` rows. The columns are resident by construction — the
 /// data phase inherits the prepare guard, so nothing can evict them in
 /// between — and a missing one is an internal error, never a panic.
-fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<VecDeque<Batch>> {
+///
+/// Under a bare `LIMIT n` the stream ends after the batch that brings the
+/// survivors to `n` or more (before the first batch for `LIMIT 0`): the
+/// answer is a prefix of the rows, and the rows behind it are never read.
+fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<StagedScan> {
     let total = prep.cached_rows as usize;
-    let mut queue: VecDeque<Batch> = VecDeque::new();
-    if total == 0 {
-        // A known-empty table is vacuously fully cached: there is nothing
-        // to stream, and no column need be resident to say so.
-        return Ok(queue);
-    }
-    let cols = cached_column_handles(&table.cache, &prep.req.attrs, total).ok_or_else(|| {
-        EngineError::Execution("fully-cached plan found a cache column missing".into())
-    })?;
-    for lo in (0..total).step_by(BATCH_SIZE) {
-        // Cancellation granularity: one check per batch; a pure cache
-        // read mutates nothing, so stopping here needs no partial merge.
-        prep.ctx.check()?;
-        let batch = segment_batch(&prep.req, &cols, lo, total.min(lo + BATCH_SIZE));
-        if !batch.is_empty() {
-            queue.push_back(batch);
+    let limit = prep
+        .req
+        .limit
+        .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
+    let mut batches: VecDeque<Batch> = VecDeque::new();
+    let (mut streamed, mut survivors) = (0usize, 0usize);
+    // A known-empty table is vacuously fully cached: there is nothing to
+    // stream, and no column need be resident to say so.
+    if total > 0 && limit > 0 {
+        let cols =
+            cached_column_handles(&table.cache, &prep.req.attrs, total).ok_or_else(|| {
+                EngineError::Execution("fully-cached plan found a cache column missing".into())
+            })?;
+        while streamed < total && survivors < limit {
+            // Cancellation granularity: one check per batch; a pure cache
+            // read mutates nothing, so stopping here needs no partial merge.
+            prep.ctx.check()?;
+            let hi = total.min(streamed + BATCH_SIZE);
+            let batch = segment_batch(&prep.req, &cols, streamed, hi);
+            streamed = hi;
+            survivors += batch.rows();
+            if !batch.is_empty() {
+                batches.push_back(batch);
+            }
         }
     }
-    Ok(queue)
+    Ok(StagedScan::Cached {
+        batches,
+        rows: streamed as u64,
+    })
 }
 
 #[cfg(test)]
@@ -1300,6 +1470,7 @@ mod tests {
                 right: Box::new(RExpr::Const(Datum::Int(500_000_000))),
             }),
             materialize: vec![true, false],
+            limit: None,
         };
         let (rows, tel) = scan_once(&mut t, cfg, req);
         assert!(tel.rows_scanned == 400);
@@ -1638,6 +1809,7 @@ mod tests {
                 right: Box::new(RExpr::Const(Datum::Int(400_000_000))),
             }),
             materialize: vec![true, false],
+            limit: None,
         };
         let cfg1 = NoDbConfig {
             scan_threads: 1,
@@ -2277,6 +2449,221 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
+    /// The LIMIT claim order and the `k` it settles on: every worker claims
+    /// from one cursor in ascending slice order, and `keep` becomes `k + 1`
+    /// only once the completed *contiguous* prefix holds the limit, in
+    /// whatever order the slices complete. Without a LIMIT each worker
+    /// claims from its own run.
+    #[test]
+    fn limit_claims_in_slice_order_and_keeps_the_first_satisfying_prefix() {
+        let q = SliceQueue::new(16, 4, Some(10));
+        let claims: Vec<(usize, bool)> = [1, 3, 2, 0, 1]
+            .iter()
+            .map(|&w| q.claim(w).unwrap())
+            .collect();
+        assert_eq!(claims, [0, 1, 2, 3, 4].map(|i| (i, false)));
+        q.complete(1, 5);
+        assert_eq!(q.keep(), usize::MAX, "slice 0 still running");
+        q.complete(3, 100);
+        q.complete(0, 4);
+        assert_eq!(q.keep(), usize::MAX, "slices 0..=1 hold 9 of 10");
+        q.complete(2, 1);
+        assert_eq!(q.keep(), 3, "slices 0..=2 hold 10: k = 2");
+        q.complete(4, 7);
+        assert_eq!(q.keep(), 3, "k never moves");
+        assert_eq!(q.claim(0), None, "nothing past k is claimed");
+
+        // LIMIT 0 needs no slice; a limit no prefix meets keeps them all.
+        assert_eq!(SliceQueue::new(16, 4, Some(0)).claim(2), None);
+        let q = SliceQueue::new(3, 2, Some(u64::MAX));
+        for i in 0..3 {
+            assert_eq!(q.claim(i), Some((i, false)));
+            q.complete(i, 1_000);
+        }
+        assert_eq!((q.claim(0), q.keep()), (None, usize::MAX));
+
+        // No LIMIT: worker 1 starts its own run, then steals.
+        let q = SliceQueue::new(16, 4, None);
+        assert_eq!(q.claim(1), Some((4, false)));
+        q.complete(4, 1_000);
+        assert_eq!(q.keep(), usize::MAX);
+        let q = SliceQueue::new(4, 2, None);
+        let order: Vec<(usize, bool)> = std::iter::from_fn(|| q.claim(1)).collect();
+        assert_eq!(order, [(2, false), (3, false), (0, true), (1, true)]);
+    }
+
+    /// Rows of `path` (headerless, comma-separated ints) whose attribute 1 is
+    /// below `cut`, per slice of a cold scan at `slice_target` slices: each
+    /// slice's end row and the survivors up to it.
+    fn survivors_per_slice(path: &PathBuf, slice_target: usize, cut: i64) -> Vec<(usize, usize)> {
+        let bytes = std::fs::read(path).unwrap();
+        let ranges = nodb_rawcsv::reader::partition_line_ranges(path, slice_target).unwrap();
+        let (mut out, mut row, mut survivors, mut at) = (Vec::new(), 0, 0, 0usize);
+        for r in ranges {
+            for line in bytes[at..r.end as usize].split_inclusive(|&b| b == b'\n') {
+                let c1: i64 = std::str::from_utf8(line)
+                    .unwrap()
+                    .split(',')
+                    .nth(1)
+                    .unwrap()
+                    .trim()
+                    .parse()
+                    .unwrap();
+                row += 1;
+                survivors += usize::from(c1 < cut);
+            }
+            at = r.end as usize;
+            out.push((row, survivors));
+        }
+        out
+    }
+
+    /// A cold bare-LIMIT scan installs exactly slices `0..=k`, `k` the first
+    /// slice whose prefix holds `n` survivors: the row index, the chunk,
+    /// each cache column's coverage and each statistics frontier all end at
+    /// slice `k`'s last row, the answer is every survivor of those slices (a
+    /// prefix of the unlimited answer), and a second fresh table at the same
+    /// thread count ends in identical state. A limit only the whole file
+    /// meets is an ordinary complete scan.
+    #[test]
+    fn cold_bare_limit_installs_exactly_the_satisfying_slices() {
+        use nodb_engine::RExpr;
+        use nodb_sqlparse::ast::BinOp;
+        const ROWS: u64 = 20_000;
+        const CUT: i64 = 300_000_000;
+        let (p, schema) = tmp_csv(4, ROWS, 71);
+        let req = |limit: Option<u64>| ScanRequest {
+            attrs: vec![0, 1, 2],
+            predicate: Some(RExpr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(RExpr::Col(1)),
+                right: Box::new(RExpr::Const(Datum::Int(CUT))),
+            }),
+            materialize: vec![true, false, true],
+            limit,
+        };
+        let fresh = |cfg: &NoDbConfig| RawTable::register(&p, schema.clone(), false, cfg).unwrap();
+        let base = NoDbConfig::default();
+        let (unlimited, _) = scan_once(&mut fresh(&base), base, req(None));
+        for threads in [1usize, 2, 4, 8] {
+            let cfg = NoDbConfig {
+                scan_threads: threads,
+                ..NoDbConfig::default()
+            };
+            let slices = survivors_per_slice(&p, cfg.scan_slice_target(), CUT);
+            let all = slices.last().unwrap().1;
+            assert_eq!(all, unlimited.len());
+            for n in [1, slices[2].1, slices[2].1 + 1, all, all + 1] {
+                let tag = format!("threads {threads} LIMIT {n}");
+                let k = slices.iter().position(|&(_, s)| s >= n);
+                let (end, kept) = k.map_or((ROWS as usize, all), |k| slices[k]);
+                let whole = k.is_none_or(|k| k + 1 == slices.len());
+                let mut tables = [fresh(&cfg), fresh(&cfg)];
+                for t in &mut tables {
+                    let (rows, tel) = scan_once(t, cfg, req(Some(n as u64)));
+                    assert_eq!(rows.len(), kept, "{tag}: every survivor of 0..=k");
+                    assert_eq!(rows[..], unlimited[..kept], "{tag}: a prefix of the answer");
+                    assert_eq!(tel.rows_scanned, end as u64, "{tag}");
+                    assert_eq!(tel.stopped_early, !whole, "{tag}");
+                    assert_eq!(tel.steals, 0, "{tag}");
+                    assert_eq!(t.row_count, whole.then_some(ROWS), "{tag}");
+                    assert_eq!(t.map.row_index().is_complete(), whole, "{tag}");
+                    assert_eq!(t.map.row_index().len(), end, "{tag}: row index");
+                    for attr in 0..3 {
+                        assert_eq!(t.map.coverage(attr), end, "{tag}: chunk c{attr}");
+                        assert_eq!(t.cache.coverage(attr), end, "{tag}: cache c{attr}");
+                        assert_eq!(
+                            t.stats.observed_upto(attr),
+                            end as u64,
+                            "{tag}: stats c{attr}"
+                        );
+                    }
+                }
+                assert_same_state(&tag, &tables[0], &tables[1], 4);
+            }
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// Over a table whose row count is known, a satisfied LIMIT reads its
+    /// prefix but starts no cache column and no map chunk; the statistics
+    /// still observe the prefix, and the table keeps its row count. (A table
+    /// of unknown extent installs everything: see the cold test above.)
+    #[test]
+    fn bare_limit_over_a_known_table_starts_no_cache_column_or_chunk() {
+        let (p, schema) = tmp_csv(4, 8_000, 73);
+        for threads in [1usize, 4] {
+            let cfg = NoDbConfig {
+                scan_threads: threads,
+                ..NoDbConfig::default()
+            };
+            let mut t = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
+            let (_, _) = scan_once(&mut t, cfg, ScanRequest::project(vec![0]));
+            assert_eq!(t.row_count, Some(8_000));
+            let chunks = t.map.chunks().len();
+            let req = ScanRequest {
+                limit: Some(10),
+                ..ScanRequest::project(vec![1, 2])
+            };
+            let (rows, tel) = scan_once(&mut t, cfg, req);
+            let end = tel.rows_scanned;
+            assert!(tel.stopped_early && !tel.fully_cached, "threads {threads}");
+            assert!((10..8_000).contains(&end), "threads {threads}: read {end}");
+            assert_eq!(rows.len() as u64, end, "threads {threads}");
+            assert_eq!(t.row_count, Some(8_000));
+            assert_eq!(t.map.chunks().len(), chunks, "threads {threads}: no chunk");
+            for attr in [1, 2] {
+                assert_eq!(t.cache.coverage(attr), 0, "threads {threads}: c{attr}");
+                assert_eq!(t.map.coverage(attr), 0, "threads {threads}: c{attr}");
+                assert_eq!(t.stats.observed_upto(attr), end, "threads {threads}");
+            }
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A warm, fully-cached bare LIMIT streams only the batches it needs,
+    /// and its hit tally counts only the rows it streamed — one hit per
+    /// requested attribute per row, in the telemetry and in the cache's own
+    /// metrics alike.
+    #[test]
+    fn warm_bare_limit_streams_and_tallies_only_what_it_needs() {
+        use nodb_engine::RExpr;
+        use nodb_sqlparse::ast::BinOp;
+        let (p, schema) = tmp_csv(3, 5_000, 72);
+        let req = |limit: Option<u64>| ScanRequest {
+            attrs: vec![0, 2],
+            predicate: Some(RExpr::Binary {
+                op: BinOp::Lt,
+                left: Box::new(RExpr::Col(1)),
+                right: Box::new(RExpr::Const(Datum::Int(500_000_000))),
+            }),
+            materialize: vec![true, false],
+            limit,
+        };
+        let cfg = NoDbConfig::default();
+        let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
+        let (all, _) = scan_once(&mut t, cfg, req(None));
+        assert_eq!(t.row_count, Some(5_000));
+        for (n, streamed) in [
+            (0u64, 0u64),
+            (1, BATCH_SIZE as u64),
+            (all.len() as u64, 5_000),
+            (u64::MAX, 5_000),
+        ] {
+            let before = t.cache.metrics().hits;
+            let (rows, tel) = scan_once(&mut t, cfg, req(Some(n)));
+            let tag = format!("LIMIT {n}");
+            assert!(tel.fully_cached, "{tag}");
+            assert_eq!(tel.rows_scanned, streamed, "{tag}");
+            assert_eq!(tel.stopped_early, streamed < 5_000, "{tag}");
+            assert_eq!(tel.cache_hits, streamed * 2, "{tag}");
+            assert_eq!(t.cache.metrics().hits - before, streamed * 2, "{tag}");
+            assert!(rows.len() as u64 >= n.min(all.len() as u64), "{tag}");
+            assert_eq!(rows[..], all[..rows.len()], "{tag}: a prefix of the answer");
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
     /// Assert that `queue` is what the one former produces for `req`: typed
     /// storage at materialized positions, `Column::Nulls` at predicate-only
     /// ones; column-less batches for a zero-attribute request.
@@ -2305,6 +2692,7 @@ mod tests {
                 right: Box::new(RExpr::Const(Datum::Int(500_000_000))),
             }),
             materialize: vec![true, false],
+            limit: None,
         };
         let count_star = ScanRequest::project(Vec::new());
         let mut expect: Option<Vec<Vec<Datum>>> = None;

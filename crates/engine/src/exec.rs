@@ -1,5 +1,5 @@
 //! Pipeline execution above the scan: projection, hash aggregation, sort,
-//! limit.
+//! limit (a bounded top-n under `ORDER BY`).
 //!
 //! Kept deliberately boring — this is the part of the system the paper says
 //! should *not* change between PostgresRaw and a conventional DBMS ("the
@@ -7,7 +7,7 @@
 //! changes"). Every system wrapper in the experiment harness runs exactly
 //! this code; only the [`ScanSource`] differs.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
@@ -32,22 +32,39 @@ const MAX_RESERVE_ROWS: usize = 1 << 20;
 /// rest — projections, group keys, computed arguments, and the
 /// (state, type) pairings without a kernel — evaluate row-at-a-time through
 /// [`BatchRow`].
+///
+/// `LIMIT n` bounds the work as well as the output: a plain projection
+/// stops pulling batches once it holds `n` rows, and `ORDER BY … LIMIT n`
+/// keeps a bounded top-n instead of sorting every row. Both return exactly
+/// what sorting everything ([`sort_rows`]) and truncating would.
 pub fn execute(
     planned: &PlannedQuery,
     mut source: Box<dyn ScanSource + '_>,
 ) -> EngineResult<QueryResult> {
     let pipeline = &planned.pipeline;
-    let mut rows: Vec<Vec<Datum>> = match &pipeline.aggregate {
-        Some(agg) => run_aggregate(agg, source.as_mut())?,
-        None => run_projection(pipeline, source.as_mut())?,
+    // A limit beyond the address space keeps every row.
+    let limit = pipeline
+        .limit
+        .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+    let mut rows: Vec<Vec<Datum>> = match (&pipeline.aggregate, limit) {
+        (Some(agg), _) => {
+            let mut rows = run_aggregate(agg, source.as_mut())?;
+            if !pipeline.order_by.is_empty() {
+                sort_rows(&mut rows, &pipeline.order_by);
+            }
+            rows.truncate(limit.unwrap_or(usize::MAX));
+            rows
+        }
+        (None, _) if pipeline.order_by.is_empty() => {
+            run_projection(pipeline, source.as_mut(), limit)?
+        }
+        (None, Some(n)) => run_top_n(pipeline, source.as_mut(), n)?,
+        (None, None) => {
+            let mut rows = run_projection(pipeline, source.as_mut(), None)?;
+            sort_rows(&mut rows, &pipeline.order_by);
+            rows
+        }
     };
-
-    if !pipeline.order_by.is_empty() {
-        sort_rows(&mut rows, &pipeline.order_by);
-    }
-    if let Some(n) = pipeline.limit {
-        rows.truncate(n as usize);
-    }
     if pipeline.hidden_sort_columns > 0 {
         let keep = pipeline.column_names.len();
         for r in &mut rows {
@@ -60,15 +77,28 @@ pub fn execute(
     })
 }
 
+/// Project the source's rows in arrival order, pulling no batch once
+/// `limit` rows are held.
 fn run_projection(
     pipeline: &Pipeline,
     source: &mut dyn ScanSource,
+    limit: Option<usize>,
 ) -> EngineResult<Vec<Vec<Datum>>> {
+    let cap = limit.unwrap_or(usize::MAX);
     // Pre-size from the source's known row count (cache coverage or posmap
     // line count) instead of growth-doubling through reallocations.
-    let mut rows = Vec::with_capacity(source.size_hint().unwrap_or(0).min(MAX_RESERVE_ROWS));
-    while let Some(batch) = source.next_batch()? {
-        for r in 0..batch.rows() {
+    let mut rows = Vec::with_capacity(
+        source
+            .size_hint()
+            .unwrap_or(0)
+            .min(cap)
+            .min(MAX_RESERVE_ROWS),
+    );
+    while rows.len() < cap {
+        let Some(batch) = source.next_batch()? else {
+            break;
+        };
+        for r in 0..batch.rows().min(cap - rows.len()) {
             let row_ref = BatchRow::new(&batch, r);
             let row: Vec<Datum> = pipeline
                 .projections
@@ -79,6 +109,114 @@ fn run_projection(
         }
     }
     Ok(rows)
+}
+
+/// One row held by [`run_top_n`]: its sort-key values, its arrival ordinal
+/// (the tie-break that makes the order total and equal to a stable sort's)
+/// and its projected values. Ordered worst-last, so a max-heap's top is the
+/// row the next better one evicts.
+struct Ranked<'a> {
+    keys: Vec<Datum>,
+    ordinal: usize,
+    row: Vec<Datum>,
+    order: &'a [(usize, bool)],
+}
+
+impl Ranked<'_> {
+    fn rank(&self, keys: &[Datum], ordinal: usize) -> std::cmp::Ordering {
+        cmp_sort_keys(self.order, &self.keys, keys).then(self.ordinal.cmp(&ordinal))
+    }
+}
+
+impl PartialEq for Ranked<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for Ranked<'_> {}
+
+impl PartialOrd for Ranked<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Ranked<'_> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.rank(&other.keys, other.ordinal)
+    }
+}
+
+/// Compare two rows' sort-key values (one per `ORDER BY` key, in key
+/// order) under the keys' directions — [`sort_rows`]'s order.
+fn cmp_sort_keys(order: &[(usize, bool)], a: &[Datum], b: &[Datum]) -> std::cmp::Ordering {
+    for (&(_, asc), (x, y)) in order.iter().zip(a.iter().zip(b)) {
+        let o = x.total_cmp(y);
+        if o != std::cmp::Ordering::Equal {
+            return if asc { o } else { o.reverse() };
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// `ORDER BY … LIMIT n` as a bounded top-n: the `n` best rows under
+/// (sort keys, arrival ordinal), in that order — exactly the first `n` rows
+/// of the stable [`sort_rows`], ties included. Each row's sort keys are
+/// evaluated first; its full projection only when it enters the top-n. The
+/// heap holds at most `min(n, rows seen)` rows, so a huge `n` reserves
+/// nothing it does not fill.
+fn run_top_n(
+    pipeline: &Pipeline,
+    source: &mut dyn ScanSource,
+    n: usize,
+) -> EngineResult<Vec<Vec<Datum>>> {
+    let order = &pipeline.order_by[..];
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let mut heap: BinaryHeap<Ranked<'_>> =
+        BinaryHeap::with_capacity(source.size_hint().unwrap_or(0).min(n).min(MAX_RESERVE_ROWS));
+    let mut keys: Vec<Datum> = Vec::with_capacity(order.len());
+    let mut ordinal = 0usize;
+    while let Some(batch) = source.next_batch()? {
+        for r in 0..batch.rows() {
+            let row_ref = BatchRow::new(&batch, r);
+            keys.clear();
+            keys.extend(
+                order
+                    .iter()
+                    .map(|&(col, _)| pipeline.projections[col].eval(&row_ref)),
+            );
+            let full = heap.len() == n;
+            // A later row that ties the worst kept one ranks after it.
+            if !full
+                || heap
+                    .peek()
+                    .is_some_and(|worst| worst.rank(&keys, ordinal).is_gt())
+            {
+                let entry = Ranked {
+                    keys: std::mem::replace(&mut keys, Vec::with_capacity(order.len())),
+                    ordinal,
+                    row: pipeline
+                        .projections
+                        .iter()
+                        .map(|p| p.eval(&row_ref))
+                        .collect(),
+                    order,
+                };
+                if full {
+                    if let Some(mut worst) = heap.peek_mut() {
+                        *worst = entry;
+                    }
+                } else {
+                    heap.push(entry);
+                }
+            }
+            ordinal += 1;
+        }
+    }
+    Ok(heap.into_sorted_vec().into_iter().map(|e| e.row).collect())
 }
 
 /// Group key wrapper: hashing via the stats hash (Int/Float unify), equality
@@ -844,6 +982,103 @@ mod tests {
         }
         s.update_from_column(&Column::Typed(tc), None).unwrap();
         assert!(matches!(s.finish(), Datum::Float(v) if v > 1e19));
+    }
+
+    /// `ORDER BY … LIMIT n` through the bounded top-n equals the unlimited
+    /// query's stable sort truncated to `n`, compared by `Debug` text so NaN,
+    /// −0.0 and the order among tied rows count too. The keys are far from
+    /// total: few distinct values, NULLs, NaN next to ±0.0, mixed
+    /// directions, and keys over unselected (hidden) columns; `id` tells
+    /// tied rows apart in the output.
+    #[test]
+    fn top_n_equals_stable_sort_then_truncate() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", ColumnType::Int),
+            ColumnDef::new("a", ColumnType::Int),
+            ColumnDef::new("f", ColumnType::Float),
+            ColumnDef::new("s", ColumnType::Str),
+        ]);
+        let floats = [f64::NAN, -0.0, 0.0, 1.5, -2.5, f64::NAN];
+        let table: Vec<Vec<Datum>> = (0..61i64)
+            .map(|i| {
+                let k = (i * 7) % 11;
+                vec![
+                    Datum::Int(i),
+                    if k % 5 == 0 {
+                        Datum::Null
+                    } else {
+                        Datum::Int(k % 3)
+                    },
+                    if k == 4 {
+                        Datum::Null
+                    } else {
+                        Datum::Float(floats[k as usize % 6])
+                    },
+                    Datum::from(["x", "y", ""][(k % 3) as usize]),
+                ]
+            })
+            .collect();
+        let queries = [
+            "SELECT id, a FROM t ORDER BY a",
+            "SELECT id, a FROM t ORDER BY a DESC",
+            "SELECT id, f FROM t ORDER BY f DESC, a",
+            "SELECT id, f, a FROM t ORDER BY f, a DESC",
+            "SELECT id FROM t ORDER BY s DESC, f",
+            "SELECT id, s FROM t WHERE a IS NOT NULL ORDER BY a * 2 DESC, s",
+            "SELECT * FROM t WHERE id > 10 ORDER BY s, f DESC, a",
+        ];
+        // `limit` is set on the plan directly: SQL integers stop at
+        // `i64::MAX`, and the engine must take any `u64`.
+        let run = |sql: &str, limit: Option<u64>| {
+            let mut planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
+            planned.pipeline.limit = limit;
+            // Small batches, so the heap carries rows across batches.
+            let source = MemSource::from_table(&table, &planned.scan).with_batch_size(7);
+            execute(&planned, Box::new(source)).unwrap()
+        };
+        for sql in queries {
+            let all = run(sql, None);
+            let len = all.rows.len() as u64;
+            assert!(len > 2, "{sql}");
+            for n in [0, 1, len - 1, len, len + 1, u64::MAX] {
+                let limited = run(sql, Some(n));
+                let mut expect = all.rows.clone();
+                expect.truncate(usize::try_from(n).unwrap_or(usize::MAX));
+                assert_eq!(limited.columns, all.columns, "{sql} LIMIT {n}");
+                assert_eq!(
+                    format!("{:?}", limited.rows),
+                    format!("{expect:?}"),
+                    "{sql} LIMIT {n}"
+                );
+            }
+        }
+    }
+
+    /// A bare `LIMIT n` stops pulling batches once it holds `n` rows (a
+    /// source that runs dry first is pulled once more, to see it end).
+    #[test]
+    fn bare_limit_stops_pulling_batches() {
+        struct Counting(MemSource, std::rc::Rc<std::cell::Cell<usize>>);
+        impl ScanSource for Counting {
+            fn next_batch(&mut self) -> EngineResult<Option<crate::batch::Batch>> {
+                self.1.set(self.1.get() + 1);
+                self.0.next_batch()
+            }
+        }
+        for (n, pulls) in [(0u64, 0usize), (3, 1), (4, 1), (5, 2), (10, 3), (99, 4)] {
+            let stmt = parse_select(&format!("SELECT a FROM t LIMIT {n}")).unwrap();
+            let planned = plan_select(&stmt, &schema(), &NoStats).unwrap();
+            let pulled = std::rc::Rc::new(std::cell::Cell::new(0));
+            let source = Counting(
+                MemSource::from_table(&table(), &planned.scan).with_batch_size(4),
+                pulled.clone(),
+            );
+            let r = execute(&planned, Box::new(source)).unwrap();
+            let vals: Vec<i64> = r.rows.iter().map(|row| row[0].as_int().unwrap()).collect();
+            let want: Vec<i64> = (0..10).take(n as usize).collect();
+            assert_eq!(vals, want, "LIMIT {n}");
+            assert_eq!(pulled.get(), pulls, "LIMIT {n}: batches pulled");
+        }
     }
 
     #[test]

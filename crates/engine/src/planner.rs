@@ -4,7 +4,8 @@
 //! The output is deliberately split at the paper's architectural seam:
 //! a [`ScanRequest`] describing everything the storage layer must do
 //! (attributes + pushed predicate — i.e. selective tokenizing, parsing and
-//! tuple formation), and a [`Pipeline`] of conventional operators that run
+//! tuple formation — and a bare `LIMIT`, so the scan can stop once enough
+//! rows survive), and a [`Pipeline`] of conventional operators that run
 //! unchanged above *any* scan source.
 
 use nodb_rawcsv::Schema;
@@ -59,7 +60,12 @@ pub struct Pipeline {
     pub aggregate: Option<AggSpec>,
     /// Sort keys as (output column position, ascending).
     pub order_by: Vec<(usize, bool)>,
-    /// Row limit.
+    /// Row limit: the engine keeps the first `limit` rows of its output (of
+    /// the sorted output under `ORDER BY`, where it keeps a bounded top-n
+    /// instead of sorting every row). When nothing above the scan reorders
+    /// or folds rows, the planner also pushes it into
+    /// [`ScanRequest::limit`] so the scan can stop early; this field still
+    /// truncates, since a source may yield more.
     pub limit: Option<u64>,
     /// Number of trailing projection columns that exist only as sort keys
     /// (`ORDER BY` on unselected columns); dropped after sorting.
@@ -114,8 +120,14 @@ impl PlannedQuery {
                 self.pipeline.column_names.join(", ")
             ));
         }
+        // A pushed LIMIT goes before the estimate, which stays last: readers
+        // of the plan text parse it to the end of the line.
+        let limit = self
+            .scan
+            .limit
+            .map_or(String::new(), |n| format!(" limit={n}"));
         s.push_str(&format!(
-            "Scan attrs={:?} pushed_predicate={} est_selectivity={:.4}",
+            "Scan attrs={:?} pushed_predicate={}{limit} est_selectivity={:.4}",
             self.scan.attrs,
             self.scan.predicate.is_some(),
             self.estimated_selectivity,
@@ -262,11 +274,18 @@ pub fn plan_select(
         }
     }
 
+    // 8. LIMIT pushdown: with no aggregate and no ORDER BY the answer is the
+    //    first `n` rows the scan yields, so the scan may stop there.
+    let scan_limit = stmt
+        .limit
+        .filter(|_| aggregate.is_none() && order_by.is_empty());
+
     Ok(PlannedQuery {
         scan: ScanRequest {
             attrs,
             predicate,
             materialize,
+            limit: scan_limit,
         },
         pipeline: Pipeline {
             projections: pipeline_projections,
@@ -624,6 +643,39 @@ mod tests {
         assert!(text.contains("Scan"));
         assert!(text.contains("Limit 3"));
         assert!(text.contains("Sort"));
+        assert!(!text.contains("limit="), "a sorted LIMIT is not pushed");
+        // A bare LIMIT is pushed into the scan and shown on its line.
+        let p = plan("SELECT a FROM t WHERE b > 2 LIMIT 3");
+        assert_eq!(p.scan.limit, Some(3));
+        assert_eq!(p.pipeline.limit, Some(3));
+        let text = p.explain();
+        assert!(text.contains("Limit 3"));
+        let scan_line = text.lines().find(|l| l.starts_with("Scan")).unwrap();
+        assert!(
+            scan_line.contains(" pushed_predicate=true limit=3 est_selectivity="),
+            "{scan_line}"
+        );
+    }
+
+    #[test]
+    fn sorted_and_aggregate_limits_are_not_pushed() {
+        for sql in [
+            "SELECT a FROM t ORDER BY b LIMIT 5",
+            "SELECT a, b FROM t ORDER BY a DESC LIMIT 5",
+            "SELECT COUNT(*) FROM t LIMIT 5",
+            "SELECT a, COUNT(*) FROM t GROUP BY a LIMIT 5",
+            "SELECT a FROM t",
+        ] {
+            let p = plan(sql);
+            assert_eq!(p.scan.limit, None, "{sql}");
+            assert!(!p.explain().contains("limit="), "{sql}");
+        }
+        assert_eq!(
+            plan("SELECT COUNT(*) FROM t LIMIT 5").pipeline.limit,
+            Some(5)
+        );
+        // LIMIT 0 is pushed too: the scan may read nothing at all.
+        assert_eq!(plan("SELECT a FROM t LIMIT 0").scan.limit, Some(0));
     }
 
     #[test]

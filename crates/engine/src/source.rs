@@ -28,6 +28,14 @@ pub struct ScanRequest {
     /// predicate: the source may emit NULL for that column instead of
     /// materializing the value (the engine never reads it).
     pub materialize: Vec<bool>,
+    /// A bare `LIMIT n` pushed below the engine: the query returns the first
+    /// `n` rows the scan yields, in file order, so a source may stop reading
+    /// once it has yielded `n` rows that pass the predicate (it may yield
+    /// more; the engine keeps the first `n`). Set by the planner only when
+    /// nothing above the scan reorders or folds rows — no aggregate, no
+    /// `ORDER BY`; `None` means "read everything". Sources that ignore it
+    /// stay correct: the engine stops pulling batches at `n` rows anyway.
+    pub limit: Option<u64>,
 }
 
 impl ScanRequest {
@@ -38,6 +46,7 @@ impl ScanRequest {
             attrs,
             predicate: None,
             materialize,
+            limit: None,
         }
     }
 
@@ -228,6 +237,7 @@ mod tests {
                 right: Box::new(RExpr::Const(Datum::Int(50))),
             }),
             materialize: vec![true, true],
+            limit: None,
         };
         let mut s = MemSource::from_table(&table(), &req);
         assert_eq!(s.size_hint(), Some(4));

@@ -14,7 +14,8 @@
 //! * `--timeout-ms N`     per-query deadline (default 0 = none)
 //! * `--smoke` — start on an ephemeral port with a synthetic table, run
 //!   three queries over TCP (one repeated, asserting a prepared-statement
-//!   hit), shut down cleanly, exit nonzero on any failure
+//!   hit) and a bare `LIMIT` (asserting it returns the unlimited answer's
+//!   first rows), shut down cleanly, exit nonzero on any failure
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -152,7 +153,8 @@ fn run(args: &[String]) -> Result<(), String> {
 
 /// The CI smoke check: synthesize a table, serve it on an ephemeral port,
 /// run three queries over real TCP (the third repeats the first and must
-/// be a prepared-statement hit), then shut down cleanly.
+/// be a prepared-statement hit), then a bare `LIMIT 5` of the second, whose
+/// rows must be the second's first five, and shut down cleanly.
 fn smoke() -> Result<(), String> {
     let mut path = std::env::temp_dir();
     path.push(format!("nodb_server_smoke_{}.csv", std::process::id()));
@@ -179,6 +181,7 @@ fn smoke() -> Result<(), String> {
         "SELECT c1 FROM smoke WHERE c2 > 500000000",
         "SELECT COUNT(*) FROM smoke", // repeat: must hit the prepared cache
     ];
+    let mut bodies = Vec::with_capacity(queries.len());
     for (i, sql) in queries.iter().enumerate() {
         let resp = client.query(sql).map_err(|e| format!("query {i}: {e}"))?;
         if !resp.is_ok() {
@@ -191,15 +194,35 @@ fn smoke() -> Result<(), String> {
                 resp.status
             ));
         }
+        bodies.push(resp.body);
     }
+
+    // A bare LIMIT stops the scan early, and must still answer with the
+    // unlimited query's first rows, in file order.
+    let limited = "SELECT c1 FROM smoke WHERE c2 > 500000000 LIMIT 5";
+    let resp = client
+        .query(limited)
+        .map_err(|e| format!("limit query: {e}"))?;
+    if !resp.is_ok() {
+        return Err(format!("limit query failed: {}", resp.status));
+    }
+    eprintln!("smoke: [3] {limited} -> {}", resp.status);
+    let (got, all) = (body_rows(&resp.body), body_rows(&bodies[1]));
+    if got.len() != 5 || all.get(..5) != Some(&got[..]) {
+        return Err(format!(
+            "LIMIT 5 returned {got:?}, not the first 5 of {} unlimited rows",
+            all.len()
+        ));
+    }
+
     let stats = client.command("STATS").map_err(|e| format!("stats: {e}"))?;
     eprintln!("smoke: server stats\n{}", stats.body);
     client.quit().map_err(|e| format!("quit: {e}"))?;
 
     let final_stats = server.shutdown();
-    if final_stats.queries_ok != 3 {
+    if final_stats.queries_ok != 4 {
         return Err(format!(
-            "expected 3 OK queries, saw {}",
+            "expected 4 OK queries, saw {}",
             final_stats.queries_ok
         ));
     }
@@ -209,6 +232,19 @@ fn smoke() -> Result<(), String> {
     );
     drop(cleanup);
     Ok(())
+}
+
+/// The data rows of a rendered result body: the text table between its
+/// header and rule lines and its `(n rows)` footer, right-trimmed (cells
+/// are padded to the widest value of the whole result).
+fn body_rows(body: &str) -> Vec<&str> {
+    let lines: Vec<&str> = body.lines().collect();
+    lines
+        .get(2..lines.len().saturating_sub(1))
+        .unwrap_or_default()
+        .iter()
+        .map(|l| l.trim_end())
+        .collect()
 }
 
 struct TempFile(std::path::PathBuf);

@@ -315,6 +315,7 @@ mod tests {
                 right: Box::new(RExpr::Const(Datum::Int(10))),
             }),
             materialize: vec![true, true],
+            limit: None,
         };
         let s = HeapScanSource::new(heap, &schema(), req.clone());
         let rows = drain_typed(s, &req);

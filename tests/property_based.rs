@@ -696,6 +696,212 @@ fn typed_scan_equals_loaded_dbms() {
     }
 }
 
+/// LIMIT pushdown changes how much is read, never what is returned: a bare
+/// `LIMIT n` answers with exactly the first `n` rows of the same query
+/// without LIMIT on a fresh instance — which is the loaded DBMS's answer —
+/// at every thread count, from every table state the scan can start in:
+/// cold, warm (fully cached), partially cached under a tight budget, with
+/// the positional map off, and over a quoted file with a header. The limits
+/// straddle a batch (`BATCH_SIZE` = 1024) and exceed the matching rows; the
+/// predicates keep every row, some, or none.
+#[test]
+fn limit_pushdown_returns_the_unlimited_prefix() {
+    use nodb_repro::storage::{ConventionalDb, DbProfile};
+    let mut rng = CaseRng::new(0x11A1);
+    for case in 0..stress_factor() {
+        let rows = 3_000 + rng.below(1_000);
+        let seed = rng.below(1_000);
+        let cut = 100_000_000 + rng.below(300_000_000) as i64;
+        let gen = GeneratorConfig::uniform_ints(4, rows, seed);
+        let path = scratch("limit", case);
+        gen.generate_file(&path).unwrap();
+        // The same rows with a header and `c2` as a quoted string holding a
+        // comma: "v, <c2>".
+        let quoted_path = scratch("limit_quoted", case);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut quoted = String::from("c0,c1,c2,c3\n");
+        for line in text.lines() {
+            let f: Vec<&str> = line.split(',').collect();
+            quoted.push_str(&format!("{},{},\"v, {}\",{}\n", f[0], f[1], f[2], f[3]));
+        }
+        std::fs::write(&quoted_path, quoted).unwrap();
+        let quoted_schema = Schema::new(vec![
+            ColumnDef::new("c0", ColumnType::Int),
+            ColumnDef::new("c1", ColumnType::Int),
+            ColumnDef::new("c2", ColumnType::Str),
+            ColumnDef::new("c3", ColumnType::Int),
+        ]);
+        let quote = TokenizerConfig {
+            delimiter: b',',
+            quote: Some(b'"'),
+        };
+        let store = scratch("limit_store", case);
+        std::fs::create_dir_all(&store).unwrap();
+        let mut loaded = ConventionalDb::new(DbProfile::DbmsXLike, &store);
+        loaded
+            .load_csv("t", &path, gen.schema(), false, &[])
+            .unwrap();
+
+        // (label, scan_threads → a table in that state, before the query).
+        let register = |cfg: NoDbConfig, quoted: bool| {
+            let mut db = NoDb::new(cfg);
+            if quoted {
+                db.register_csv_with_options("t", &quoted_path, quoted_schema.clone(), true, quote)
+                    .unwrap();
+            } else {
+                db.register_csv_with_schema("t", &path, gen.schema(), false)
+                    .unwrap();
+            }
+            db
+        };
+        let tight = (rows * 8) as usize;
+        let states: [(&str, NoDbConfig, bool, bool); 5] = [
+            ("cold", NoDbConfig::pm_c(), false, false),
+            ("warm", NoDbConfig::pm_c(), true, false),
+            (
+                "partially cached",
+                NoDbConfig {
+                    cache_budget_bytes: tight,
+                    ..NoDbConfig::pm_c()
+                },
+                true,
+                false,
+            ),
+            (
+                "map off",
+                NoDbConfig {
+                    cache_budget_bytes: tight,
+                    ..NoDbConfig::cache_only()
+                },
+                true,
+                false,
+            ),
+            ("quoted with header", NoDbConfig::pm_c(), false, true),
+        ];
+        for pred in ["", " WHERE c1 < 0", &format!(" WHERE c1 < {cut}")] {
+            let unlimited = format!("SELECT c0, c2 FROM t{pred}");
+            let expect = register(NoDbConfig::pm_c(), false)
+                .query(&unlimited)
+                .unwrap();
+            assert_eq!(
+                expect,
+                loaded.query(&unlimited).unwrap(),
+                "case {case}: {unlimited}"
+            );
+            let expect_quoted = register(NoDbConfig::pm_c(), true)
+                .query(&unlimited)
+                .unwrap();
+            let as_strings: Vec<Vec<Datum>> = expect
+                .rows
+                .iter()
+                .map(|r| vec![r[0].clone(), Datum::from(format!("v, {}", r[1]))])
+                .collect();
+            assert_eq!(
+                expect_quoted.rows, as_strings,
+                "case {case}: quoted {unlimited}"
+            );
+            let matching = expect.rows.len() as u64;
+            for n in [0, 1, 100, 1023, 1024, 1025, matching + 5] {
+                let sql = format!("{unlimited} LIMIT {n}");
+                for &(label, base, warm, quoted) in &states {
+                    let reference = if quoted { &expect_quoted } else { &expect };
+                    let want = &reference.rows[..reference.rows.len().min(n as usize)];
+                    for threads in [1usize, 2, 4, 8] {
+                        let tag = format!("case {case} {label} threads {threads}: {sql}");
+                        let db = register(
+                            NoDbConfig {
+                                scan_threads: threads,
+                                ..base
+                            },
+                            quoted,
+                        );
+                        if warm {
+                            db.query(&unlimited).unwrap();
+                        }
+                        let got = db.query(&sql).unwrap();
+                        assert_eq!(got.columns, reference.columns, "{tag}");
+                        assert_eq!(got.rows, want, "{tag}");
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(store).ok();
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(quoted_path).ok();
+    }
+}
+
+/// What a bare LIMIT installs is the prefix an unlimited scan continues
+/// from: a cold LIMIT query followed by the unlimited one leaves the state
+/// one row-at-a-time pass of the unlimited query alone leaves (ample
+/// budgets, threads 1/4/8), and two fresh tables running the LIMIT query at
+/// the same thread count end identical. When the unlimited query reads a
+/// superset of the LIMIT query's attributes it builds a whole chunk that
+/// replaces the LIMIT's prefix chunk, and the state equals the model
+/// outright; over the same attributes it finds them indexed and builds no
+/// chunk — as after a deadline-stopped scan — so the map keeps the prefix
+/// chunk and everything else equals the model.
+#[test]
+fn limit_then_unlimited_equals_the_naive_model() {
+    let mut rng = CaseRng::new(0x11A2);
+    for case in 0..2 * stress_factor() {
+        let rows = 4_000 + rng.below(4_000);
+        let gen = GeneratorConfig::uniform_ints(4, rows, rng.below(1_000));
+        let path = scratch("limit_model", case);
+        gen.generate_file(&path).unwrap();
+        let cut = 200_000_000 + rng.below(300_000_000) as i64;
+        let n = 1 + rng.below(1_500);
+        let limited = format!("SELECT c1 FROM t WHERE c2 < {cut} LIMIT {n}");
+        for (unlimited, attrs, same_attrs) in [
+            (
+                format!("SELECT c0, c1 FROM t WHERE c2 < {cut}"),
+                vec![0, 1, 2],
+                false,
+            ),
+            (
+                format!("SELECT c1 FROM t WHERE c2 < {cut}"),
+                vec![1, 2],
+                true,
+            ),
+        ] {
+            for threads in [1usize, 4, 8] {
+                let tag = format!("case {case} threads {threads}: {limited}; {unlimited}");
+                let cfg = NoDbConfig {
+                    scan_threads: threads,
+                    ..NoDbConfig::pm_c()
+                };
+                let mk = || {
+                    let mut db = NoDb::new(cfg);
+                    db.register_csv_with_schema("t", &path, gen.schema(), false)
+                        .unwrap();
+                    db
+                };
+                let (db, twin) = (mk(), mk());
+                let limit_rows = db.query(&limited).unwrap();
+                assert_eq!(limit_rows, twin.query(&limited).unwrap(), "{tag}");
+                common::assert_same_state(&format!("{tag}: twin"), &db, &twin, 4);
+                let prefix = db.table_handle("t").unwrap().read().map().row_index().len();
+                assert!(prefix < rows as usize, "{tag}: the LIMIT read a prefix");
+
+                let all = db.query(&unlimited).unwrap();
+                assert_eq!(all, mk().query(&unlimited).unwrap(), "{tag}");
+                let mut model = common::NaiveModel::load(&path, &gen.schema(), &cfg);
+                model.query(&attrs);
+                if same_attrs {
+                    common::assert_matches_model_but_chunks(&tag, &db, &model);
+                    let handle = db.table_handle("t").unwrap();
+                    for attr in [1, 2] {
+                        assert_eq!(handle.read().map().coverage(attr), prefix, "{tag}: c{attr}");
+                    }
+                } else {
+                    common::assert_matches_model(&tag, &db, &model);
+                }
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+}
+
 #[test]
 fn selective_tokenizing_agrees_with_full() {
     let mut rng = CaseRng::new(0x5E1E);
