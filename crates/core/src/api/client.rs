@@ -824,6 +824,62 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
+    /// A budget grant sets only how many workers claim a scan's slices,
+    /// never the slices: a cold bare `LIMIT` at `scan_threads: 4` installs
+    /// the same prefix whether four workers ran it or the one permit a
+    /// budget granted.
+    #[test]
+    fn budget_grant_leaves_a_cold_bare_limit_the_same_state() {
+        let (p, gen) = tmp_csv(4, 20_000, 23);
+        let run = |budget: Option<Arc<crate::admission::ScanBudget>>| {
+            let mut db = NoDb::new(NoDbConfig {
+                scan_threads: 4,
+                ..NoDbConfig::default()
+            });
+            db.register_csv_with_schema("t", &p, gen.schema(), false)
+                .unwrap();
+            if let Some(budget) = budget {
+                db.admin().install_scan_budget(budget);
+            }
+            let sql = "SELECT c0, c2 FROM t WHERE c1 < 300000000 LIMIT 10";
+            let rows = db.query(sql).unwrap();
+            (db, rows)
+        };
+        let budget = Arc::new(crate::admission::ScanBudget::new(1));
+        let (free, a) = run(None);
+        let (granted, b) = run(Some(Arc::clone(&budget)));
+        assert_eq!(a, b);
+        assert_eq!(budget.telemetry().peak_in_flight, 1, "one permit granted");
+        let (hf, hg) = (
+            free.table_handle("t").unwrap(),
+            granted.table_handle("t").unwrap(),
+        );
+        let (tf, tg) = (hf.read(), hg.read());
+        assert!(
+            !tf.map.row_index().is_complete(),
+            "the LIMIT stopped the scan"
+        );
+        assert_eq!(tf.map.row_index().starts(), tg.map.row_index().starts());
+        for attr in 0..4 {
+            assert_eq!(
+                tf.map.coverage(attr),
+                tg.map.coverage(attr),
+                "chunk c{attr}"
+            );
+            assert_eq!(
+                tf.cache.coverage(attr),
+                tg.cache.coverage(attr),
+                "cache c{attr}"
+            );
+            assert_eq!(
+                tf.stats.observed_upto(attr),
+                tg.stats.observed_upto(attr),
+                "stats c{attr}"
+            );
+        }
+        std::fs::remove_file(p).unwrap();
+    }
+
     /// The admission and lock waits are reported as parts of `processing`:
     /// a query queued behind a held permit shows its wait, a query started
     /// while another thread holds the table's write guard shows its lock

@@ -88,21 +88,14 @@ pub struct NoDbConfig {
     pub source_change_retries: u32,
     /// Number of scan worker threads for raw scans. `0` means auto-detect
     /// (`std::thread::available_parallelism`); `1` = one worker, same path.
-    /// Every scan splits the file into line-aligned partition slices that
-    /// the workers claim; post-scan positional map, cache and statistics do
-    /// not depend on the worker count (see `rawscan`'s module docs for the
-    /// merge invariants).
+    /// The workers only decide how many claim a scan's slices: the slices
+    /// themselves come from the file and the row index, up to
+    /// `rawscan::SCAN_SLICES` (64) for each half of the scan (the rows the
+    /// row index holds, and the unknown tail), and a scan runs no more
+    /// workers than it has slices — at most 64 per half. The post-scan
+    /// positional map, cache and statistics do not depend on the worker
+    /// count (see `rawscan`'s module docs for the merge invariants).
     pub scan_threads: usize,
-    /// Work-stealing granularity for parallel scans: each scan splits its
-    /// work into `scan_threads * steal_slices_per_thread` partition slices
-    /// instead of one partition per thread. Every worker owns a contiguous
-    /// run of slices (adjacent file regions, so its reads stay sequential)
-    /// and, once its run drains, steals slices from the most-loaded peer,
-    /// so skewed line widths no longer leave workers idle. `0` or `1`
-    /// restores static equal-size partitioning (stealing off). The merge is
-    /// by slice order, so the post-scan state is identical for every steal
-    /// interleaving.
-    pub steal_slices_per_thread: usize,
     /// Per-query deadline in milliseconds for facade queries (`0` = none).
     /// An exceeded deadline unwinds the scan cooperatively with
     /// `EngineError::DeadlineExceeded`; adaptive state built before the
@@ -155,7 +148,6 @@ impl Default for NoDbConfig {
             detect_updates: true,
             source_change_retries: 1,
             scan_threads: 0,
-            steal_slices_per_thread: 4,
             query_timeout_ms: 0,
             io_retry_attempts: 2,
             io_retry_backoff_ms: 2,
@@ -254,17 +246,6 @@ impl NoDbConfig {
                 .unwrap_or(1),
             n => n,
         }
-    }
-
-    /// Total partition slices a parallel scan aims for: the resolved thread
-    /// count times the stealing granularity (capped to keep per-slice setup
-    /// overhead bounded on absurd settings). With stealing off this equals
-    /// the thread count — the pre-stealing static split.
-    pub fn scan_slice_target(&self) -> usize {
-        let threads = self.effective_scan_threads();
-        threads
-            .saturating_mul(self.steal_slices_per_thread.max(1))
-            .min(4096)
     }
 
     /// Start a builder from the paper defaults (PM+C). `build()` folds in
@@ -459,27 +440,5 @@ mod tests {
         );
         let normal = NoDbConfig::default().validated();
         assert_eq!(normal.io_block_size, 1 << 20, "in-range values untouched");
-    }
-
-    #[test]
-    fn slice_target_scales_with_steal_granularity() {
-        let cfg = NoDbConfig {
-            scan_threads: 4,
-            steal_slices_per_thread: 4,
-            ..NoDbConfig::default()
-        };
-        assert_eq!(cfg.scan_slice_target(), 16);
-        let off = NoDbConfig {
-            scan_threads: 4,
-            steal_slices_per_thread: 0,
-            ..NoDbConfig::default()
-        };
-        assert_eq!(off.scan_slice_target(), 4, "0 restores static split");
-        let capped = NoDbConfig {
-            scan_threads: 1024,
-            steal_slices_per_thread: 1024,
-            ..NoDbConfig::default()
-        };
-        assert_eq!(capped.scan_slice_target(), 4096, "slice cap");
     }
 }

@@ -34,8 +34,12 @@
 //! deterministically merges the partition-local partials in slice order, so
 //! the post-scan state does not depend on the worker count.
 //!
-//! One function decides the slices (`plan_slices`), by one rule: the shared
-//! **row index is the source of global row numbers**.
+//! The slices come from the file and the row index alone, never from the
+//! worker count: one function decides them (`plan_slices`), cutting each
+//! half of the scan below into at most [`SCAN_SLICES`] slices, by one rule —
+//! the shared **row index is the source of global row numbers**. The workers
+//! only decide how many claim those slices, each taking the next one from a
+//! single shared cursor in file order (`SliceQueue`).
 //!
 //! * **Rows the index holds** are cut into row ranges. Their workers know
 //!   their global row base up front and can therefore use per-row cache
@@ -62,7 +66,7 @@
 //! the [`nodb_rawcsv::reader::BlockSource`] layer (the file-backed source,
 //! wrapped by retry and, in chaos runs, fault injection); the time inside
 //! `read` is reported as `IoCounters::stall`. A scan's thread count is
-//! exactly its worker count.
+//! exactly its worker count, `min(scan_threads, slices)`.
 //!
 //! # Concurrent queries (lock staging)
 //!
@@ -112,9 +116,9 @@
 //!
 //! Workers never touch shared mutable state; each returns partition-local
 //! partials that the driver merges **in partition order**, which makes the
-//! post-scan state byte-identical for every worker count and steal
-//! interleaving, and equal to a naive row-at-a-time model (property-tested
-//! in `tests/property_based.rs`):
+//! post-scan state byte-identical for every worker count and claim order,
+//! and equal to a naive row-at-a-time model (property-tested in
+//! `tests/property_based.rs`):
 //!
 //! * *Row index* — the tail slices' line-start lists are replayed in order
 //!   ([`nodb_posmap::RowIndex::note_rows`]); offsets are absolute, so
@@ -194,8 +198,8 @@
 //!   survivors to `n` or more. Its hit tally and `rows_scanned` count only
 //!   the rows it streamed.
 //! * A **raw scan's workers claim slices in ascending slice order** from one
-//!   shared cursor instead of owning runs (a run-owning worker 1 would start
-//!   at slice `len / 2`, whose rows can never join the answer). Each
+//!   shared cursor, as every raw scan's do, so the slices in flight are the
+//!   lowest unclaimed ones and the answer's prefix fills first. Each
 //!   completed slice publishes its survivor count; `k` is the first slice
 //!   at which the completed contiguous prefix reaches `n`, and once `k` is
 //!   known no slice past it is claimed. No slice is cut short, and slicing
@@ -215,13 +219,12 @@
 //! unknown, install everything they read.
 //!
 //! The installed state is **timing-independent**. The slices are a function
-//! of the table state and the thread count (`plan_slices`), a slice's
-//! survivor count a function of its rows, and so `k` is one too: however
-//! the workers interleave and however many slices past `k` were in flight,
-//! the same slices `0..=k` are merged. Two tables answering the same bare
-//! LIMIT from the same state at the same thread count end identical. (A
-//! different thread count cuts different slices, so it may install a
-//! different prefix; its answer is the same.)
+//! of the file and the table state (`plan_slices`), a slice's survivor
+//! count a function of its rows, and so `k` is one too: however the workers
+//! interleave, however many slices past `k` were in flight, at any thread
+//! count and whatever a `ScanBudget` grants, the same slices `0..=k` are
+//! merged. Two tables answering the same bare LIMIT from the same state end
+//! identical.
 
 #![doc = " lint:cancellable — every scan/batch loop in this module must poll the"]
 #![doc = " query context (`ctx.check()`) or drive an interrupt-flagged `BlockSource`;"]
@@ -229,7 +232,7 @@
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
@@ -298,10 +301,6 @@ pub struct ScanTelemetry {
     pub cache_hits: u64,
     /// Cache reads refused by this scan (value resolved from raw bytes).
     pub cache_misses: u64,
-    /// Partition slices executed by a worker other than their run's owner
-    /// (work stealing under skewed line widths). Always 0 with one worker,
-    /// static partitioning, or a bare `LIMIT` (its workers share one run).
-    pub steals: u64,
     /// Rows with at least one malformed cell tombstoned under
     /// [`ParseErrorPolicy::Permissive`](crate::ParseErrorPolicy::Permissive)
     /// (always 0 under strict).
@@ -471,10 +470,9 @@ pub(crate) struct ScanPrep {
     pub fully_cached: bool,
     /// Known row count backing `fully_cached`.
     pub cached_rows: u64,
-    /// Resolved worker count.
+    /// Resolved worker count: how many workers claim the slices, never how
+    /// many slices there are.
     pub threads: usize,
-    /// Partition-slice target (`threads × steal granularity`).
-    pub slice_target: usize,
     /// The access plan resolves at least one attribute through a chunk
     /// (exact or anchor). Workers only receive the map when this holds, so
     /// an assist-free scan keeps the fused single-pass fast path.
@@ -575,7 +573,6 @@ fn prepare_scan(
         fully_cached,
         cached_rows,
         threads: config.effective_scan_threads(),
-        slice_target: config.scan_slice_target(),
         plan_assists,
         generation: table.generation,
         path: table.path.clone(),
@@ -607,6 +604,12 @@ pub(crate) fn source_changed_err(prep: &ScanPrep) -> EngineError {
     }
 }
 
+/// How many slices `plan_slices` cuts each half of a raw scan into — the
+/// rows the row index holds, and the unknown tail behind them. A constant:
+/// the slices, and so what a stopped or LIMIT-satisfied scan installs, are a
+/// function of the file and the table state, never of the worker count.
+pub const SCAN_SLICES: usize = 64;
+
 /// The one place a raw scan's slices are decided, from one rule: **the row
 /// index is the source of global row numbers.**
 ///
@@ -622,7 +625,7 @@ pub(crate) fn source_changed_err(prep: &ScanPrep) -> EngineError {
 /// empty tail that is not even probed, and after an append or a scan that
 /// stopped early both halves exist. A table that keeps no row index
 /// (positional map off, quoted fields) is all tail on every scan. Each half
-/// is cut into up to `prep.slice_target` slices.
+/// is cut into up to [`SCAN_SLICES`] slices, whatever the worker count.
 fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>> {
     let idx = table.map.row_index();
     let (starts, complete) = if prep.plan.is_some() {
@@ -637,7 +640,7 @@ fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>
         Vec::new()
     } else {
         let from = starts.last().map_or(0, |&last| last + 1);
-        partition_line_ranges_capped(&prep.path, prep.slice_target, from, fence)?
+        partition_line_ranges_capped(&prep.path, SCAN_SLICES, from, fence)?
     };
     // The known rows end where the tail begins; with no tail they run to the
     // fence (the worker clamps), so an appender can never leak rows of the
@@ -645,7 +648,7 @@ fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>
     let prefix_end = tail.first().map_or(u64::MAX, |r| r.start);
 
     let known = starts.len();
-    let parts = prep.slice_target.min(known);
+    let parts = SCAN_SLICES.min(known);
     let mut slices = Vec::with_capacity(parts + tail.len());
     for k in 0..parts {
         let (lo, hi) = (known * k / parts, known * (k + 1) / parts);
@@ -679,8 +682,6 @@ pub(crate) struct ScanOutcome {
     /// (slices `0..=k`, see [`SliceQueue`]): the slices behind it were not
     /// read, or were read and dropped, so the file was not fully visited.
     pub limit_met: bool,
-    /// Stolen-slice tally (telemetry).
-    pub steals: u64,
     /// Wall time of [`plan_slices`] (it probes the raw file for the tail's
     /// cut points), reported in the breakdown's I/O slice.
     pub planning: Duration,
@@ -688,23 +689,22 @@ pub(crate) struct ScanOutcome {
     pub stopped: Option<EngineError>,
 }
 
-/// How a raw scan's workers claim its slices.
+/// How a raw scan's workers claim its slices: every worker takes the next
+/// one from one shared cursor, so slices are claimed in ascending order and
+/// each is handed out exactly once, whatever the interleaving. (Each slice
+/// opens its own reader, so a worker gains nothing from owning a run of
+/// adjacent slices.)
 ///
-/// Without a LIMIT each worker owns a contiguous run of slices and claims
-/// them through an atomic cursor, then steals from the peer with the most
-/// remaining slices. Claims are `fetch_add` on per-run cursors, so every
-/// slice is handed out exactly once regardless of interleaving.
-///
-/// With a LIMIT there is one run: every worker claims from the same cursor,
-/// in ascending slice order. Each completed slice publishes its survivor
-/// count ([`Self::complete`]); once the completed *contiguous* prefix holds
+/// Under a LIMIT each completed slice publishes its survivor count
+/// ([`Self::complete`]); once the completed *contiguous* prefix holds
 /// `limit` survivors — first at slice `k` — [`Self::keep`] is `k + 1` and no
 /// slice at or past it is claimed. `k` depends only on the survivor counts
 /// of slices `0..=k`, a function of the file and the table state, never on
 /// which worker finished first.
 struct SliceQueue {
-    cursors: Vec<AtomicUsize>,
-    bounds: Vec<(usize, usize)>,
+    /// The next unclaimed slice.
+    cursor: AtomicUsize,
+    slices: usize,
     /// The LIMIT, as a row count (`None`: read every slice).
     limit: Option<usize>,
     /// Slices the answer needs: `k + 1` once known, `usize::MAX` before (0
@@ -716,54 +716,22 @@ struct SliceQueue {
 }
 
 impl SliceQueue {
-    fn new(slices: usize, workers: usize, limit: Option<u64>) -> Self {
+    fn new(slices: usize, limit: Option<u64>) -> Self {
         let limit = limit.map(|n| usize::try_from(n).unwrap_or(usize::MAX));
-        let runs = if limit.is_some() { 1 } else { workers.max(1) };
-        let bounds: Vec<(usize, usize)> = (0..runs)
-            .map(|w| (slices * w / runs, slices * (w + 1) / runs))
-            .collect();
         SliceQueue {
-            cursors: bounds.iter().map(|&(lo, _)| AtomicUsize::new(lo)).collect(),
-            bounds,
+            cursor: AtomicUsize::new(0),
+            slices,
             limit,
             keep: AtomicUsize::new(if limit == Some(0) { 0 } else { usize::MAX }),
             progress: Mutex::new((vec![None; slices], 0, 0)),
         }
     }
 
-    /// Claim the next slice for worker `me`: from its own run first, then
-    /// stolen from the peer with the most remaining slices; `None` when no
-    /// slice is left or the LIMIT needs none of those left. The boolean
-    /// reports a steal.
-    fn claim(&self, me: usize) -> Option<(usize, bool)> {
-        let me = me % self.bounds.len();
-        let claimed = self.claim_from(me).map(|i| (i, false)).or_else(|| loop {
-            let victim = (0..self.cursors.len())
-                .filter(|&j| j != me)
-                .map(|j| {
-                    let next = self.cursors[j]
-                        .load(Ordering::Relaxed)
-                        .max(self.bounds[j].0);
-                    (self.bounds[j].1.saturating_sub(next), j)
-                })
-                .max();
-            match victim {
-                Some((remaining, j)) if remaining > 0 => {
-                    if let Some(i) = self.claim_from(j) {
-                        break Some((i, true));
-                    }
-                    // Lost the race for the victim's tail; rescan.
-                }
-                _ => break None,
-            }
-        })?;
-        (claimed.0 < self.keep()).then_some(claimed)
-    }
-
-    /// One `fetch_add` on run `j`'s cursor.
-    fn claim_from(&self, j: usize) -> Option<usize> {
-        let i = self.cursors[j].fetch_add(1, Ordering::Relaxed);
-        (i < self.bounds[j].1).then_some(i)
+    /// Claim the next slice: `None` when no slice is left or the LIMIT needs
+    /// none of those left.
+    fn claim(&self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.slices.min(self.keep())).then_some(i)
     }
 
     /// Slices `0..keep()` make a LIMIT's answer (`usize::MAX` until the
@@ -795,28 +763,25 @@ impl SliceQueue {
 }
 
 /// Phase 2 of a raw scan: decide the slices ([`plan_slices`]) and run them
-/// on `prep.threads` workers — the calling thread and `prep.threads - 1`
-/// scoped threads — over shared borrows of the table, collecting the
-/// partials in slice order. Needs only `&RawTable`, so concurrent queries
-/// run this phase under the table's read lock.
+/// on `min(prep.threads, slices)` workers — the calling thread and the rest
+/// as scoped threads, so never more than [`SCAN_SLICES`] per half of the
+/// scan — over shared borrows of the table, collecting the partials in slice
+/// order. Needs only `&RawTable`, so concurrent queries run this phase under
+/// the table's read lock.
 ///
-/// Scheduling is a **work-stealing run queue** ([`SliceQueue`]): each
-/// worker owns a contiguous run of slices (adjacent file regions, so a
-/// worker streams forward through the file) and claims them via an atomic
-/// cursor; a worker whose run drains steals slices from the most-loaded
-/// peer. Which worker executes a slice never affects the output — partials
-/// are merged in slice order — so every steal interleaving produces the
-/// byte-identical post-scan state the merge invariants promise.
+/// Every worker claims the next slice from one shared cursor
+/// ([`SliceQueue`]), in ascending slice order, so the slices in flight are
+/// always the lowest unclaimed ones. Which worker executes a slice never
+/// affects the output — partials are merged in slice order — so every
+/// claim interleaving produces the byte-identical post-scan state the merge
+/// invariants promise.
 ///
-/// With a LIMIT (`prep.req.limit`) there are no per-worker runs: every
-/// worker claims from one shared cursor, in ascending slice order, so the
-/// slices in flight are always the lowest unclaimed ones and the answer
-/// prefix fills first. Each completed slice publishes its survivor count to
-/// the queue; once slices `0..=k` hold the limit, nothing past `k` is
-/// claimed, slices past `k` that completed anyway are dropped unmerged, and
-/// the outcome is marked [`ScanOutcome::limit_met`] unless `k` is the last
-/// slice. No slice is cut short: the answer and the installed state are
-/// whole slices `0..=k`.
+/// With a LIMIT (`prep.req.limit`) each completed slice publishes its
+/// survivor count to the queue; once slices `0..=k` hold the limit, nothing
+/// past `k` is claimed, slices past `k` that completed anyway are dropped
+/// unmerged, and the outcome is marked [`ScanOutcome::limit_met`] unless `k`
+/// is the last slice. No slice is cut short: the answer and the installed
+/// state are whole slices `0..=k`.
 ///
 /// A worker error aborts the scan; the error reported is the
 /// lowest-numbered slice's, its slice-local row rebased to the global row
@@ -868,18 +833,14 @@ pub(crate) fn run_partitions(
     };
 
     let workers = prep.threads.min(partitions.len()).max(1);
-    let steals = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<EngineResult<PartitionOutput>>>> =
         partitions.iter().map(|_| Mutex::new(None)).collect();
-    let queue = SliceQueue::new(partitions.len(), workers, prep.req.limit);
+    let queue = SliceQueue::new(partitions.len(), prep.req.limit);
     // Errors park in the slice's slot; a worker keeps draining so every
     // lower-numbered slice completes and the driver can report the
     // lowest-slice error with an exact row rebase.
-    let drain = |w: usize| {
-        while let Some((idx, stolen)) = queue.claim(w) {
-            if stolen {
-                steals.fetch_add(1, Ordering::Relaxed);
-            }
+    let drain = || {
+        while let Some(idx) = queue.claim() {
             // Worker-panic containment: a panicking slice is converted to a
             // structured error right here, so the other workers keep
             // draining and the process (and any lock the panic would
@@ -905,9 +866,8 @@ pub(crate) fn run_partitions(
     // around the CPU it is about to vacate, and how long two of them share
     // one CPU while another idles differs from scan to scan.
     std::thread::scope(|s| {
-        let drain = &drain;
-        let handles: Vec<_> = (1..workers).map(|w| s.spawn(move || drain(w))).collect();
-        drain(0);
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(drain)).collect();
+        drain();
         for h in handles {
             // A panicked worker leaves its claimed slice's slot empty; the
             // collection loop below reports it.
@@ -915,7 +875,6 @@ pub(crate) fn run_partitions(
         }
     });
 
-    let steals = steals.into_inner();
     // Slices past a satisfied LIMIT's `k` are dropped, completed or not.
     let keep = queue.keep().min(slots.len());
     let limit_met = keep < slots.len();
@@ -962,7 +921,6 @@ pub(crate) fn run_partitions(
                 return Ok(ScanOutcome {
                     outputs: results,
                     limit_met: false,
-                    steals,
                     planning,
                     stopped: Some(e),
                 });
@@ -979,7 +937,6 @@ pub(crate) fn run_partitions(
     Ok(ScanOutcome {
         outputs: results,
         limit_met,
-        steals,
         planning,
         stopped: None,
     })
@@ -1020,8 +977,8 @@ pub(crate) fn run_partitions(
 ///   back the contiguous completed prefix of its partitions;
 /// * a *satisfied* scan (`outcome.limit_met`: a bare `LIMIT n` whose
 ///   slices `0..=k` hold `n` survivors) hands back exactly slices `0..=k`,
-///   whatever else completed — so what it installs depends on the file,
-///   the table state and the thread count, never on timing.
+///   whatever else completed — so what it installs depends on the file and
+///   the table state, never on timing or the thread count.
 ///
 /// Every frontier-based sub-merge runs over the prefix (a satisfied one
 /// over a table of known row count skips the chunk and the cache — see the
@@ -1041,7 +998,6 @@ pub(crate) fn merge_outputs(
     telemetry: &TelemetryHandle,
 ) -> EngineResult<()> {
     let results = &mut outcome.outputs;
-    let steals = outcome.steals;
     let stopped = outcome.stopped.take();
     let complete = stopped.is_none() && !outcome.limit_met;
     let clock = PhaseClock::new(config.detailed_timing);
@@ -1159,7 +1115,6 @@ pub(crate) fn merge_outputs(
     tel.breakdown = bd;
     tel.cache_hits = worker_hits;
     tel.cache_misses = worker_misses;
-    tel.steals = steals;
     tel.rows_quarantined = quarantined;
     tel.quarantine_samples = quarantine_samples;
     tel.stopped_early = !complete;
@@ -1768,7 +1723,7 @@ mod tests {
             let req = ScanRequest::project(vec![1, 3]);
             let (_, cold) = scan_once(&mut t, cfg, req.clone());
             let (_, again) = scan_once(&mut t, cfg, req);
-            let slices = cfg.scan_slice_target() as u64;
+            let slices = SCAN_SLICES as u64;
             for tel in [cold, again] {
                 assert!(tel.io.read_calls > 2 * slices, "several refills a slice");
                 assert!(tel.io.stall > Duration::ZERO);
@@ -2162,11 +2117,10 @@ mod tests {
         assert_eq!(a1.len(), 5120);
         assert_eq!(tel_a.cache_hits, 2 * 5000, "known prefix served from cache");
         assert_eq!(tel_a.cache_hits, tel_b.cache_hits, "hit parity");
-        for (tel, cfg) in [(&tel_a, &cfg1), (&tel_b, &cfg8)] {
-            // Each tail slice reads its bytes plus at most two page-sized
-            // steps to find the line that ends it; nothing re-reads the
-            // prefix to learn row numbers.
-            let slack = cfg.scan_slice_target() as u64 * 2 * 4096;
+        for tel in [&tel_a, &tel_b] {
+            // Each tail slice reads at most its bytes plus two page-sized
+            // steps; nothing re-reads the prefix to learn row numbers.
+            let slack = SCAN_SLICES as u64 * 2 * 4096;
             assert!(
                 tel.io.bytes_read <= tail_bytes + slack && tel.io.bytes_read < old_len / 2,
                 "read {} bytes for a {tail_bytes}-byte tail behind {old_len} known bytes",
@@ -2189,36 +2143,11 @@ mod tests {
     }
 
     #[test]
-    fn stealing_and_static_partitioning_agree() {
-        // Same dataset and queries under static partitioning
-        // (steal_slices_per_thread = 0) and fine-grained stealing: results
-        // and post-scan state must be identical — which worker executes a
-        // slice can never matter.
-        for steal in [0usize, 1, 4, 16] {
-            assert_parallel_matches_sequential(
-                6,
-                700,
-                34,
-                8,
-                move |t| NoDbConfig {
-                    scan_threads: t,
-                    steal_slices_per_thread: steal,
-                    ..NoDbConfig::default()
-                },
-                &[
-                    ScanRequest::project(vec![0, 4]),
-                    ScanRequest::project(vec![2]),
-                ],
-            );
-        }
-    }
-
-    #[test]
-    fn skewed_line_widths_balance_via_stealing() {
+    fn skewed_line_widths_keep_every_row_in_order() {
         // A file whose first half has enormous lines and second half tiny
         // ones: equal-byte slices then hold wildly different row counts.
         // The scan must still return every row, in order, at any thread
-        // count, with stealing on.
+        // count.
         let mut p = std::env::temp_dir();
         p.push(format!("nodb_rawscan_skew_{}", std::process::id()));
         let mut content = String::new();
@@ -2401,14 +2330,13 @@ mod tests {
         // The scan publishes nothing until its merge, so the canceller
         // cannot wait on its progress; instead the fault injector bounds
         // the scan's pace from below. Seed 3's first draw is a transient
-        // `EIO`, and every slice opens its own injector, so each of the 16
-        // slices sleeps one 40 ms retry backoff: slice `k` cannot finish
-        // before `40 (k + 1)` ms, and a cancel at 100 ms lands inside
-        // slice 1 or 2 — after slice 0, 540 ms before the last one.
+        // `EIO`, and every slice opens its own injector, so each of the
+        // `SCAN_SLICES` (64) slices sleeps one 40 ms retry backoff: slice `k`
+        // cannot finish before `40 (k + 1)` ms, and a cancel at 100 ms lands
+        // inside slice 1 or 2 — after slice 0, 2.4 s before the last one.
         let (p, schema) = tmp_csv(3, 5000, 23);
         let cfg = NoDbConfig {
             scan_threads: 1,
-            steal_slices_per_thread: 16,
             io_fault_seed: 3,
             io_fault_one_in: 1,
             io_retry_backoff_ms: 40,
@@ -2449,19 +2377,15 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    /// The LIMIT claim order and the `k` it settles on: every worker claims
-    /// from one cursor in ascending slice order, and `keep` becomes `k + 1`
-    /// only once the completed *contiguous* prefix holds the limit, in
-    /// whatever order the slices complete. Without a LIMIT each worker
-    /// claims from its own run.
+    /// The claim order and the `k` a LIMIT settles on: every worker claims
+    /// from one cursor in ascending slice order, with or without a LIMIT,
+    /// and `keep` becomes `k + 1` only once the completed *contiguous*
+    /// prefix holds the limit, in whatever order the slices complete.
     #[test]
     fn limit_claims_in_slice_order_and_keeps_the_first_satisfying_prefix() {
-        let q = SliceQueue::new(16, 4, Some(10));
-        let claims: Vec<(usize, bool)> = [1, 3, 2, 0, 1]
-            .iter()
-            .map(|&w| q.claim(w).unwrap())
-            .collect();
-        assert_eq!(claims, [0, 1, 2, 3, 4].map(|i| (i, false)));
+        let q = SliceQueue::new(16, Some(10));
+        let claims: Vec<usize> = (0..5).map(|_| q.claim().unwrap()).collect();
+        assert_eq!(claims, [0, 1, 2, 3, 4]);
         q.complete(1, 5);
         assert_eq!(q.keep(), usize::MAX, "slice 0 still running");
         q.complete(3, 100);
@@ -2471,33 +2395,31 @@ mod tests {
         assert_eq!(q.keep(), 3, "slices 0..=2 hold 10: k = 2");
         q.complete(4, 7);
         assert_eq!(q.keep(), 3, "k never moves");
-        assert_eq!(q.claim(0), None, "nothing past k is claimed");
+        assert_eq!(q.claim(), None, "nothing past k is claimed");
 
         // LIMIT 0 needs no slice; a limit no prefix meets keeps them all.
-        assert_eq!(SliceQueue::new(16, 4, Some(0)).claim(2), None);
-        let q = SliceQueue::new(3, 2, Some(u64::MAX));
+        assert_eq!(SliceQueue::new(16, Some(0)).claim(), None);
+        let q = SliceQueue::new(3, Some(u64::MAX));
         for i in 0..3 {
-            assert_eq!(q.claim(i), Some((i, false)));
+            assert_eq!(q.claim(), Some(i));
             q.complete(i, 1_000);
         }
-        assert_eq!((q.claim(0), q.keep()), (None, usize::MAX));
+        assert_eq!((q.claim(), q.keep()), (None, usize::MAX));
 
-        // No LIMIT: worker 1 starts its own run, then steals.
-        let q = SliceQueue::new(16, 4, None);
-        assert_eq!(q.claim(1), Some((4, false)));
-        q.complete(4, 1_000);
-        assert_eq!(q.keep(), usize::MAX);
-        let q = SliceQueue::new(4, 2, None);
-        let order: Vec<(usize, bool)> = std::iter::from_fn(|| q.claim(1)).collect();
-        assert_eq!(order, [(2, false), (3, false), (0, true), (1, true)]);
+        // No LIMIT: the same ascending claims, every slice once.
+        let q = SliceQueue::new(4, None);
+        let order: Vec<usize> = std::iter::from_fn(|| q.claim()).collect();
+        assert_eq!(order, [0, 1, 2, 3]);
+        q.complete(2, 1_000);
+        assert_eq!((q.claim(), q.keep()), (None, usize::MAX));
     }
 
     /// Rows of `path` (headerless, comma-separated ints) whose attribute 1 is
-    /// below `cut`, per slice of a cold scan at `slice_target` slices: each
-    /// slice's end row and the survivors up to it.
-    fn survivors_per_slice(path: &PathBuf, slice_target: usize, cut: i64) -> Vec<(usize, usize)> {
+    /// below `cut`, per slice of a cold scan: each slice's end row and the
+    /// survivors up to it.
+    fn survivors_per_slice(path: &PathBuf, cut: i64) -> Vec<(usize, usize)> {
         let bytes = std::fs::read(path).unwrap();
-        let ranges = nodb_rawcsv::reader::partition_line_ranges(path, slice_target).unwrap();
+        let ranges = nodb_rawcsv::reader::partition_line_ranges(path, SCAN_SLICES).unwrap();
         let (mut out, mut row, mut survivors, mut at) = (Vec::new(), 0, 0, 0usize);
         for r in ranges {
             for line in bytes[at..r.end as usize].split_inclusive(|&b| b == b'\n') {
@@ -2522,9 +2444,10 @@ mod tests {
     /// slice whose prefix holds `n` survivors: the row index, the chunk,
     /// each cache column's coverage and each statistics frontier all end at
     /// slice `k`'s last row, the answer is every survivor of those slices (a
-    /// prefix of the unlimited answer), and a second fresh table at the same
-    /// thread count ends in identical state. A limit only the whole file
-    /// meets is an ordinary complete scan.
+    /// prefix of the unlimited answer), and the table ends in the state the
+    /// one-worker scan leaves at every thread count — the slices do not
+    /// depend on it. A limit only the whole file meets is an ordinary
+    /// complete scan.
     #[test]
     fn cold_bare_limit_installs_exactly_the_satisfying_slices() {
         use nodb_engine::RExpr;
@@ -2545,41 +2468,42 @@ mod tests {
         let fresh = |cfg: &NoDbConfig| RawTable::register(&p, schema.clone(), false, cfg).unwrap();
         let base = NoDbConfig::default();
         let (unlimited, _) = scan_once(&mut fresh(&base), base, req(None));
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = NoDbConfig {
-                scan_threads: threads,
-                ..NoDbConfig::default()
-            };
-            let slices = survivors_per_slice(&p, cfg.scan_slice_target(), CUT);
-            let all = slices.last().unwrap().1;
-            assert_eq!(all, unlimited.len());
-            for n in [1, slices[2].1, slices[2].1 + 1, all, all + 1] {
+        let slices = survivors_per_slice(&p, CUT);
+        let all = slices.last().unwrap().1;
+        assert_eq!(all, unlimited.len());
+        for n in [1, slices[2].1, slices[2].1 + 1, all, all + 1] {
+            let k = slices.iter().position(|&(_, s)| s >= n);
+            let (end, kept) = k.map_or((ROWS as usize, all), |k| slices[k]);
+            let whole = k.is_none_or(|k| k + 1 == slices.len());
+            let mut one_worker: Option<RawTable> = None;
+            for threads in [1usize, 2, 4, 8] {
                 let tag = format!("threads {threads} LIMIT {n}");
-                let k = slices.iter().position(|&(_, s)| s >= n);
-                let (end, kept) = k.map_or((ROWS as usize, all), |k| slices[k]);
-                let whole = k.is_none_or(|k| k + 1 == slices.len());
-                let mut tables = [fresh(&cfg), fresh(&cfg)];
-                for t in &mut tables {
-                    let (rows, tel) = scan_once(t, cfg, req(Some(n as u64)));
-                    assert_eq!(rows.len(), kept, "{tag}: every survivor of 0..=k");
-                    assert_eq!(rows[..], unlimited[..kept], "{tag}: a prefix of the answer");
-                    assert_eq!(tel.rows_scanned, end as u64, "{tag}");
-                    assert_eq!(tel.stopped_early, !whole, "{tag}");
-                    assert_eq!(tel.steals, 0, "{tag}");
-                    assert_eq!(t.row_count, whole.then_some(ROWS), "{tag}");
-                    assert_eq!(t.map.row_index().is_complete(), whole, "{tag}");
-                    assert_eq!(t.map.row_index().len(), end, "{tag}: row index");
-                    for attr in 0..3 {
-                        assert_eq!(t.map.coverage(attr), end, "{tag}: chunk c{attr}");
-                        assert_eq!(t.cache.coverage(attr), end, "{tag}: cache c{attr}");
-                        assert_eq!(
-                            t.stats.observed_upto(attr),
-                            end as u64,
-                            "{tag}: stats c{attr}"
-                        );
-                    }
+                let cfg = NoDbConfig {
+                    scan_threads: threads,
+                    ..NoDbConfig::default()
+                };
+                let mut t = fresh(&cfg);
+                let (rows, tel) = scan_once(&mut t, cfg, req(Some(n as u64)));
+                assert_eq!(rows.len(), kept, "{tag}: every survivor of 0..=k");
+                assert_eq!(rows[..], unlimited[..kept], "{tag}: a prefix of the answer");
+                assert_eq!(tel.rows_scanned, end as u64, "{tag}");
+                assert_eq!(tel.stopped_early, !whole, "{tag}");
+                assert_eq!(t.row_count, whole.then_some(ROWS), "{tag}");
+                assert_eq!(t.map.row_index().is_complete(), whole, "{tag}");
+                assert_eq!(t.map.row_index().len(), end, "{tag}: row index");
+                for attr in 0..3 {
+                    assert_eq!(t.map.coverage(attr), end, "{tag}: chunk c{attr}");
+                    assert_eq!(t.cache.coverage(attr), end, "{tag}: cache c{attr}");
+                    assert_eq!(
+                        t.stats.observed_upto(attr),
+                        end as u64,
+                        "{tag}: stats c{attr}"
+                    );
                 }
-                assert_same_state(&tag, &tables[0], &tables[1], 4);
+                match &one_worker {
+                    None => one_worker = Some(t),
+                    Some(one) => assert_same_state(&tag, one, &t, 4),
+                }
             }
         }
         std::fs::remove_file(p).unwrap();

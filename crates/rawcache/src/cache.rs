@@ -417,13 +417,18 @@ impl RawCache {
 
     /// Evict LRU columns (never ones touched at `protect_tick`) until
     /// `incoming` more bytes fit. Returns whether they now fit.
+    ///
+    /// Victims go in `(last_used, attr)` order. Every column one query
+    /// touches shares its tick, so the attribute breaks the tie: which
+    /// columns stay resident is a function of the query sequence, never of
+    /// the map's per-instance iteration order.
     fn make_room(&mut self, incoming: usize, protect_tick: u64) -> bool {
         while self.bytes_used + incoming > self.policy.budget_bytes {
             let victim = self
                 .entries
                 .iter()
                 .filter(|(_, e)| e.last_used != protect_tick)
-                .min_by_key(|(_, e)| e.last_used)
+                .min_by_key(|&(&a, e)| (e.last_used, a))
                 .map(|(&a, _)| a);
             let Some(e) = victim.and_then(|a| self.entries.remove(&a)) else {
                 return false;
@@ -512,6 +517,31 @@ mod tests {
         assert_eq!(c.coverage(0), 0, "cold column evicted");
         assert!(c.coverage(1) > 0);
         assert!(c.metrics().evictions >= 1);
+    }
+
+    /// Columns one query cached share its tick; the victim among them is
+    /// the lowest attribute, in every instance, whatever its hash order.
+    #[test]
+    fn tied_victims_are_chosen_by_attribute() {
+        let resident_after = || {
+            // Eight 400-row columns take 26 048 bytes; the 1 000-row column
+            // behind them needs two of them gone.
+            let mut c = RawCache::new(CachePolicy::with_budget(30_000));
+            let tick = c.begin_query(&[0, 1, 2, 3, 4, 5, 6, 7]);
+            for i in 0..400 {
+                for a in 0..8 {
+                    assert!(c.append(a, ColumnType::Int, &Datum::Int(i), tick));
+                }
+            }
+            fill(&mut c, 9, 1_000);
+            c.resident()
+        };
+        let first = resident_after();
+        let kept: Vec<usize> = first.iter().map(|&(a, _)| a).collect();
+        assert_eq!(kept, [2, 3, 4, 5, 6, 7, 9], "attrs 0 and 1 evicted");
+        for instance in 1..16 {
+            assert_eq!(resident_after(), first, "instance {instance}");
+        }
     }
 
     #[test]

@@ -225,9 +225,9 @@ pub fn is_transient_io(err: &RawCsvError) -> bool {
     }
 }
 
-/// Bytes to request when positioned at file offset `pos`: block-sized until
-/// the soft cap, page-sized tail steps beyond it, truncated at the hard
-/// limit (0 = stop).
+/// Bytes to request when positioned at file offset `pos`: block-sized but
+/// never past the soft cap, page-sized tail steps beyond it, truncated at
+/// the hard limit (0 = stop).
 fn read_size_at(pos: u64, block_size: usize, cap: u64, limit: u64) -> usize {
     if pos >= limit {
         return 0;
@@ -235,7 +235,7 @@ fn read_size_at(pos: u64, block_size: usize, cap: u64, limit: u64) -> usize {
     let base = if pos >= cap {
         TAIL_READ as u64
     } else {
-        (block_size as u64).min(cap - pos).max(TAIL_READ as u64)
+        (block_size as u64).min(cap - pos)
     };
     // lint: cast-ok result ≤ block_size.max(TAIL_READ), both usize-valued
     base.min(limit - pos) as usize
@@ -1004,7 +1004,10 @@ fn next_line_start_at_or_after(file: &mut File, path: &Path, from: u64, len: u64
 
 /// A [`BlockScanner`] restricted to one [`LineRange`] — the per-worker
 /// reader of the parallel scan. Yields exactly the lines the range owns,
-/// with the same offsets a whole-file scan would report.
+/// with the same offsets a whole-file scan would report, and reads exactly
+/// the range's bytes when it ends on a line boundary: block reads stop at
+/// `end`, and once the lines consumed reach `end` no further read is made.
+/// Only a last line that runs past `end` is followed in page-sized steps.
 pub struct RangeScanner {
     inner: BlockScanner,
     end: u64,
@@ -1039,7 +1042,7 @@ impl RangeScanner {
             inner.seek_to(range.start, first_line_no)?;
         }
         // Stop block-sized reads at the range end (plus page-sized steps
-        // for the final straddling line): with many fine-grained slices,
+        // for a final straddling line): with many fine-grained slices,
         // full-block reads would multiply I/O by `block_size / slice_len`.
         inner.set_read_cap(range.end);
         Ok(RangeScanner {
@@ -1049,9 +1052,17 @@ impl RangeScanner {
         })
     }
 
+    /// Whether the range is exhausted: a line starting at or past `end`
+    /// was seen, or the lines consumed reach `end` (no line left to own, so
+    /// no refill is needed to find out).
+    fn exhausted(&mut self) -> bool {
+        self.done |= self.inner.position() >= self.end;
+        self.done
+    }
+
     /// Next owned line, or `None` once the range is exhausted.
     pub fn next_line(&mut self) -> Result<Option<LineRef<'_>>> {
-        if self.done {
+        if self.exhausted() {
             return Ok(None);
         }
         match self.inner.next_line()? {
@@ -1072,7 +1083,7 @@ impl RangeScanner {
         upto_field: usize,
         out: &mut Tokens,
     ) -> Result<Option<LineRef<'_>>> {
-        if self.done {
+        if self.exhausted() {
             return Ok(None);
         }
         match self.inner.next_line_tokenized(delimiter, upto_field, out)? {
@@ -1625,29 +1636,29 @@ mod tests {
     #[test]
     fn range_scanner_reads_little_beyond_its_slice() {
         // Regression: a RangeScanner over a small slice of a big file must
-        // not pull a whole block past its range — that amplified I/O by
-        // block_size / slice_len under fine-grained partition slicing.
+        // not pull a whole block — or a page — past its range: that
+        // amplified I/O by block_size / slice_len under fine-grained
+        // partition slicing. A line-aligned range reads exactly its bytes,
+        // slices shorter than a page included, at either block size.
         let content = gen_lines(4000); // ~50 KiB
         let p = tmp_file("readcap", &content);
         let len = content.len() as u64;
-        let ranges = partition_line_ranges(&p, 16).unwrap();
-        let mut total = 0u64;
-        for r in &ranges {
-            let mut sc = RangeScanner::open(&p, 1 << 20, *r, 0).unwrap();
-            while sc.next_line().unwrap().is_some() {}
-            let io = sc.take_counters();
-            assert!(
-                io.bytes_read <= (r.end - r.start) + 2 * 4096,
-                "slice {:?} read {} bytes",
-                r,
-                io.bytes_read
-            );
-            total += io.bytes_read;
+        for (parts, block) in [(16usize, 1 << 20), (64, 1 << 20), (64, 4096)] {
+            let ranges = partition_line_ranges(&p, parts).unwrap();
+            let mut total = 0u64;
+            for r in &ranges {
+                let mut sc = RangeScanner::open(&p, block, *r, 0).unwrap();
+                while sc.next_line().unwrap().is_some() {}
+                let io = sc.take_counters();
+                assert_eq!(
+                    io.bytes_read,
+                    r.end - r.start,
+                    "parts {parts} block {block}: slice {r:?}"
+                );
+                total += io.bytes_read;
+            }
+            assert_eq!(total, len, "parts {parts} block {block}: whole sweep");
         }
-        assert!(
-            total <= len + ranges.len() as u64 * 2 * 4096,
-            "whole sweep read {total} bytes of a {len}-byte file"
-        );
         std::fs::remove_file(p).unwrap();
     }
 

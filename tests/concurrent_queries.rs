@@ -42,7 +42,7 @@ fn scan_thread_counts() -> Vec<usize> {
 }
 
 /// Repetition multiplier for the racy tests: `NODB_TEST_STRESS=k` runs
-/// `4k`× the default rounds (CI's steal-race stress job pins 8 scan threads
+/// `4k`× the default rounds (CI's claim-race stress job pins 8 scan threads
 /// and sets it to 1; unset = 1×).
 fn stress_rounds() -> u64 {
     std::env::var("NODB_TEST_STRESS")
@@ -196,18 +196,17 @@ fn racing_cold_scans_merge_to_union_state() {
     std::fs::remove_file(path).unwrap();
 }
 
-/// Steal-race stress: concurrent clients rescanning a table whose cache
+/// Claim-race stress: concurrent clients rescanning a table whose cache
 /// holds only a partial prefix (tight budget, positional map off, so every
-/// rescan resolves the whole file from raw bytes). Each scan runs the
-/// work-stealing slice queue, so N clients × 8 workers × stealing
-/// exercises every claim interleaving; results and final state
-/// must still equal the sequential replay. `NODB_TEST_STRESS` multiplies
-/// the rounds.
+/// rescan resolves the whole file from raw bytes). Each scan's workers
+/// claim its slices from one shared cursor, so N clients × 8 workers
+/// exercise every claim interleaving; results and final state must still
+/// equal the sequential replay. `NODB_TEST_STRESS` multiplies the rounds.
 #[test]
 fn racing_cold_rescans_with_partial_cache_and_stealing() {
     let cols = 4;
     let gen = GeneratorConfig::uniform_ints(cols, 900, 0x57EA1);
-    let path = scratch("steal", 0);
+    let path = scratch("claim", 0);
     gen.generate_file(&path).unwrap();
     let sql = "SELECT c1 FROM t WHERE c2 < 700000000";
     let mk = |threads: usize| {
@@ -249,7 +248,7 @@ fn racing_cold_rescans_with_partial_cache_and_stealing() {
                 );
             }
             assert_same_state(
-                &format!("round {round} threads {threads} steal-race"),
+                &format!("round {round} threads {threads} claim-race"),
                 &db,
                 &seq,
                 cols,

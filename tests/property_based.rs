@@ -61,7 +61,7 @@ fn scratch(tag: &str, n: u64) -> std::path::PathBuf {
 }
 
 /// Randomized-iteration multiplier: `NODB_TEST_STRESS=k` runs `4k`× the
-/// default case count (CI's steal-race stress job sets it to 1; unset = 1×).
+/// default case count (CI's claim-race stress job sets it to 1; unset = 1×).
 fn stress_factor() -> u64 {
     std::env::var("NODB_TEST_STRESS")
         .ok()
@@ -246,6 +246,7 @@ fn parallel_scan_equals_sequential() {
 /// accumulator, map coverage.
 #[test]
 fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
+    use nodb_repro::core::rawscan::SCAN_SLICES;
     use nodb_repro::rawcsv::reader::partition_line_ranges;
     use nodb_repro::rawcsv::ColumnGenSpec;
     let mut rng = CaseRng::new(0x4A22);
@@ -284,13 +285,22 @@ fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
         };
         let path = scratch("mixed", case);
         gen.generate_file(&path).unwrap();
-        // Each query with the attributes its scan reads. At most one
-        // evictable column carries any given LRU tick, so victim choice
-        // never hinges on a tie.
-        let queries = [
-            ("SELECT c1, c3 FROM t WHERE c2 < 500.0", vec![1, 2, 3]),
-            ("SELECT c3, c4 FROM t WHERE c2 >= 250.0", vec![2, 3, 4]),
-            ("SELECT c0, c3 FROM t WHERE c2 < 100.0", vec![0, 2, 3]),
+        // Each query with the attributes its scan reads, in two sequences.
+        // In the first, at most one evictable column carries any given LRU
+        // tick; in the second the columns the next query may evict share
+        // their tick (one query cached them), so victim choice hinges on
+        // the tie.
+        let sequences = [
+            [
+                ("SELECT c1, c3 FROM t WHERE c2 < 500.0", vec![1, 2, 3]),
+                ("SELECT c3, c4 FROM t WHERE c2 >= 250.0", vec![2, 3, 4]),
+                ("SELECT c0, c3 FROM t WHERE c2 < 100.0", vec![0, 2, 3]),
+            ],
+            [
+                ("SELECT c1, c3 FROM t WHERE c2 < 500.0", vec![1, 2, 3]),
+                ("SELECT c0, c4 FROM t WHERE c2 >= 250.0", vec![0, 2, 4]),
+                ("SELECT c1, c3 FROM t WHERE c0 < 100", vec![0, 1, 3]),
+            ],
         ];
         let mk = |cfg: NoDbConfig| {
             let mut db = NoDb::new(cfg);
@@ -305,36 +315,40 @@ fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
             ..NoDbConfig::pm_c()
         };
 
+        // Where the first (cold) scan's slices start, in rows, and what its
+        // admission has in use after each row when nothing is refused. Both
+        // sequences open with the same query, and the slices do not depend
+        // on the worker count.
+        let mut ample = common::NaiveModel::load(&path, &gen.schema(), &cfg(1, 1 << 30));
+        ample.query(&sequences[0][0].1);
+        let used = &ample.bytes_after_row;
+        let starts: Vec<usize> = partition_line_ranges(&path, SCAN_SLICES)
+            .unwrap()
+            .iter()
+            .map(|r| ample.row_at(r.start))
+            .collect();
+        let mid = starts.len() / 2;
+        let budgets = [
+            used[starts[1] / 2],                       // inside slice 0
+            used[(starts[mid] + starts[mid + 1]) / 2], // inside a middle slice
+            used[starts[mid] - 1],                     // exactly on a boundary
+            1 << 30,
+        ];
         for threads in [1usize, 2, 4, 8] {
-            // Where the first (cold) scan's slices start, in rows, and what
-            // its admission has in use after each row when nothing is
-            // refused.
-            let mut ample = common::NaiveModel::load(&path, &gen.schema(), &cfg(threads, 1 << 30));
-            ample.query(&queries[0].1);
-            let used = &ample.bytes_after_row;
-            let starts: Vec<usize> =
-                partition_line_ranges(&path, cfg(threads, 0).scan_slice_target())
-                    .unwrap()
-                    .iter()
-                    .map(|r| ample.row_at(r.start))
-                    .collect();
-            let mid = starts.len() / 2;
-            let budgets = [
-                used[starts[1] / 2],                       // inside slice 0
-                used[(starts[mid] + starts[mid + 1]) / 2], // inside a middle slice
-                used[starts[mid] - 1],                     // exactly on a boundary
-                1 << 30,
-            ];
-            for budget in budgets {
-                let db = mk(cfg(threads, budget));
-                let mut model =
-                    common::NaiveModel::load(&path, &gen.schema(), &cfg(threads, budget));
-                for (qi, (sql, attrs)) in queries.iter().enumerate() {
-                    let tag =
-                        format!("case {case} threads {threads} budget {budget} query {qi} ({sql})");
-                    assert_eq!(db.query(sql).unwrap(), base.query(sql).unwrap(), "{tag}");
-                    model.query(attrs);
-                    common::assert_matches_model(&tag, &db, &model);
+            for (si, queries) in sequences.iter().enumerate() {
+                for budget in budgets {
+                    let db = mk(cfg(threads, budget));
+                    let mut model =
+                        common::NaiveModel::load(&path, &gen.schema(), &cfg(threads, budget));
+                    for (qi, (sql, attrs)) in queries.iter().enumerate() {
+                        let tag = format!(
+                            "case {case} threads {threads} sequence {si} budget {budget} \
+                             query {qi} ({sql})"
+                        );
+                        assert_eq!(db.query(sql).unwrap(), base.query(sql).unwrap(), "{tag}");
+                        model.query(attrs);
+                        common::assert_matches_model(&tag, &db, &model);
+                    }
                 }
             }
         }
@@ -348,8 +362,7 @@ fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
 /// cache contents and statistics to the one-worker scan, whether the table
 /// keeps no row index (every rescan resolves raw bytes) or keeps one and is
 /// appended to (known rows as row slices, the tail as byte slices).
-/// Exercised across scan_threads 1/2/8, stealing off and on, and with an
-/// occasional append.
+/// Exercised across scan_threads 1/2/8 and with an occasional append.
 #[test]
 fn cold_partial_cache_reuse_equals_sequential() {
     let mut rng = CaseRng::new(0xC01D);
@@ -358,7 +371,6 @@ fn cold_partial_cache_reuse_equals_sequential() {
         let rows = 40 + rng.below(500);
         let seed = rng.below(1_000);
         let threads = *rng.pick(&[1usize, 2, 8]);
-        let steal = *rng.pick(&[0usize, 4]);
         let map_draw = rng.below(4) != 0;
         let append = rng.below(3) == 0;
         let a1 = rng.below(cols as u64);
@@ -385,7 +397,6 @@ fn cold_partial_cache_reuse_equals_sequential() {
                 enable_positional_map: map_on,
                 cache_budget_bytes: budget,
                 scan_threads,
-                steal_slices_per_thread: steal,
                 ..NoDbConfig::pm_c()
             };
             let mut db = NoDb::new(cfg);
@@ -397,8 +408,8 @@ fn cold_partial_cache_reuse_equals_sequential() {
         let par = mk(threads);
 
         let tag = format!(
-            "case {case} (threads {threads} steal {steal} \
-             append {append} map {map_on} budget {budget})"
+            "case {case} (threads {threads} append {append} map {map_on} \
+             budget {budget})"
         );
         for (qi, sql) in queries.iter().enumerate() {
             let a = seq.query(sql).unwrap();
@@ -455,13 +466,12 @@ fn cold_partial_cache_reuse_equals_sequential() {
 }
 
 /// The scheduling invariant: every combination of `scan_threads`
-/// {1, 4, 8} × stealing {off, on} × `io_block_size` {4 KiB, 1 MiB} must
-/// produce byte-identical positional map, cache and statistics and
-/// identical result batches to the one-worker, one-slice, 1 MiB-block
-/// reference. Slicing and block size only change *how* the bytes are
-/// fetched — how many refills a slice takes, where a line straddles a
-/// block boundary, how far the page-sized tail steps run past a slice's
-/// end — never which bytes the scan consumes, so no schedule may perturb
+/// {1, 4, 8} × `io_block_size` {4 KiB, 1 MiB} must produce byte-identical
+/// positional map, cache and statistics and identical result batches to the
+/// one-worker, 1 MiB-block reference. Worker count and block size only
+/// change *how* the bytes are fetched — which worker claims a slice, how
+/// many refills a slice takes, where a line straddles a block boundary —
+/// never which bytes the scan consumes, so no schedule may perturb
 /// results or post-scan adaptive state, including under cache budget
 /// pressure, where admission replays must stay decision-identical.
 #[test]
@@ -486,11 +496,10 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
             format!("SELECT c{pred}, c{a1} FROM t"),
         ];
 
-        let run = |threads: usize, steal: usize, block: usize| {
+        let run = |threads: usize, block: usize| {
             let cfg = NoDbConfig {
                 scan_threads: threads,
                 io_block_size: block,
-                steal_slices_per_thread: steal,
                 cache_budget_bytes: cache_budget,
                 ..NoDbConfig::pm_c()
             };
@@ -501,58 +510,54 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
             (db, results)
         };
 
-        let (ref_db, ref_results) = run(1, 0, 1 << 20);
+        let (ref_db, ref_results) = run(1, 1 << 20);
         let ref_handle = ref_db.table_handle("t").unwrap();
         let ref_table = ref_handle.read();
         for threads in [1usize, 4, 8] {
-            for steal in [0usize, 4] {
-                for block in [4096usize, 1 << 20] {
-                    let tag = format!(
-                        "case {case} threads {threads} steal {steal} block {block} \
-                         budget {cache_budget}"
+            for block in [4096usize, 1 << 20] {
+                let tag =
+                    format!("case {case} threads {threads} block {block} budget {cache_budget}");
+                let (db, results) = run(threads, block);
+                assert_eq!(results, ref_results, "{tag}: query results");
+                let handle = db.table_handle("t").unwrap();
+                let table = handle.read();
+                for attr in 0..cols {
+                    assert_eq!(
+                        ref_table.map().coverage(attr),
+                        table.map().coverage(attr),
+                        "{tag}: posmap coverage c{attr}"
                     );
-                    let (db, results) = run(threads, steal, block);
-                    assert_eq!(results, ref_results, "{tag}: query results");
-                    let handle = db.table_handle("t").unwrap();
-                    let table = handle.read();
-                    for attr in 0..cols {
+                    assert_eq!(
+                        ref_table.cache().coverage(attr),
+                        table.cache().coverage(attr),
+                        "{tag}: cache coverage c{attr}"
+                    );
+                    for row in 0..ref_table.cache().coverage(attr) {
                         assert_eq!(
-                            ref_table.map().coverage(attr),
-                            table.map().coverage(attr),
-                            "{tag}: posmap coverage c{attr}"
+                            ref_table.cache().peek(attr, row),
+                            table.cache().peek(attr, row),
+                            "{tag}: cache content c{attr} row {row}"
                         );
-                        assert_eq!(
-                            ref_table.cache().coverage(attr),
-                            table.cache().coverage(attr),
-                            "{tag}: cache coverage c{attr}"
-                        );
-                        for row in 0..ref_table.cache().coverage(attr) {
-                            assert_eq!(
-                                ref_table.cache().peek(attr, row),
-                                table.cache().peek(attr, row),
-                                "{tag}: cache content c{attr} row {row}"
-                            );
-                        }
-                        assert_eq!(
-                            ref_table.stats().observed_upto(attr),
-                            table.stats().observed_upto(attr),
-                            "{tag}: stats frontier c{attr}"
-                        );
-                        match (ref_table.stats().attr(attr), table.stats().attr(attr)) {
-                            (None, None) => {}
-                            (Some(a), Some(b)) => {
-                                assert_eq!(a.rows_seen(), b.rows_seen(), "{tag}: stats c{attr}");
-                                assert_eq!(a.sample(), b.sample(), "{tag}: reservoir c{attr}");
-                            }
-                            other => panic!("{tag}: stats presence differs c{attr}: {other:?}"),
-                        }
                     }
                     assert_eq!(
-                        ref_table.map().row_index().len(),
-                        table.map().row_index().len(),
-                        "{tag}: row index size"
+                        ref_table.stats().observed_upto(attr),
+                        table.stats().observed_upto(attr),
+                        "{tag}: stats frontier c{attr}"
                     );
+                    match (ref_table.stats().attr(attr), table.stats().attr(attr)) {
+                        (None, None) => {}
+                        (Some(a), Some(b)) => {
+                            assert_eq!(a.rows_seen(), b.rows_seen(), "{tag}: stats c{attr}");
+                            assert_eq!(a.sample(), b.sample(), "{tag}: reservoir c{attr}");
+                        }
+                        other => panic!("{tag}: stats presence differs c{attr}: {other:?}"),
+                    }
                 }
+                assert_eq!(
+                    ref_table.map().row_index().len(),
+                    table.map().row_index().len(),
+                    "{tag}: row index size"
+                );
             }
         }
         std::fs::remove_file(path).ok();

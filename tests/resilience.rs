@@ -27,12 +27,11 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 
 /// A config whose cold scan of a few-MB file reliably takes hundreds of
 /// milliseconds: tiny blocks (many refills), faults on every other refill,
-/// backoff on each transient error. Many small steal slices let partial
+/// backoff on each transient error. A scan's 64 small slices let partial
 /// partitions complete early, so an aborted scan still banks a warm prefix.
 fn slow_chaos_cfg(timeout_ms: u64) -> NoDbConfig {
     NoDbConfig {
         scan_threads: 2,
-        steal_slices_per_thread: 16,
         io_block_size: 4096,
         io_fault_seed: 0xD15C,
         io_fault_one_in: 1,
@@ -114,15 +113,15 @@ fn rerun_after_deadline_reads_only_the_unknown_tail() {
     let sql = "SELECT COUNT(*), SUM(c1) FROM t WHERE c2 < 800000000";
     for threads in [1usize, 4] {
         let (path, gen) = gen_table(&format!("deadline_tail{threads}"), 80_000);
-        // 16 slices at either worker count, four or more to a worker. The
+        // 64 slices at either worker count, 16 or more to a worker. The
         // fault injector paces the scan from below: seed 3's first draw is
         // a transient `EIO` and every slice opens its own injector, so no
         // slice finishes without sleeping one 60 ms retry backoff — no
-        // worker can be through its run of slices when the 200 ms deadline
-        // falls, while the first slice (two backoffs and some parsing) is.
+        // worker is through more than three slices, far short of its share,
+        // when the 200 ms deadline falls, while the first slice (two
+        // backoffs and some parsing) is.
         let cfg = NoDbConfig {
             scan_threads: threads,
-            steal_slices_per_thread: 16 / threads,
             io_block_size: 64 << 10,
             io_fault_seed: 3,
             io_fault_one_in: 1,

@@ -42,7 +42,6 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 fn slow_chaos_cfg() -> NoDbConfig {
     NoDbConfig {
         scan_threads: 2,
-        steal_slices_per_thread: 16,
         io_block_size: 4096,
         io_fault_seed: 0xE70C,
         io_fault_one_in: 1,
@@ -484,7 +483,6 @@ fn mutation_matrix_never_serves_mixed_epoch_rows() {
 
     let mut db = NoDb::new(NoDbConfig {
         scan_threads: 2,
-        steal_slices_per_thread: 8,
         io_block_size: 4096,
         source_change_retries: 2,
         ..NoDbConfig::pm_c()
