@@ -117,7 +117,7 @@
 //! Workers never touch shared mutable state; each returns partition-local
 //! partials that the driver merges **in partition order**, which makes the
 //! post-scan state byte-identical for every worker count and claim order,
-//! and equal to a naive row-at-a-time model (property-tested in
+//! and equal to a naive one-pass model (property-tested in
 //! `tests/property_based.rs`):
 //!
 //! * *Row index* — the tail slices' line-start lists are replayed in order
@@ -130,18 +130,15 @@
 //! * *Cache admission* — workers buffer one value per row per requested
 //!   attribute as typed partial columns, and the merge hands them to the
 //!   cache one slice at a time, in slice order
-//!   (`RawCache::append_slice`). Each column resumes at the cache's
-//!   coverage at that moment; a slice whose whole growth provably fits the
-//!   free budget goes in as typed segments (vector moves and slice copies),
-//!   a slice that straddles the budget edge — or meets a frozen column — is
-//!   replayed value by value inside the cache, row-major and
-//!   attribute-interleaved, a column stopping for good at its first refused
-//!   append. That replay *is* the reference behaviour: a single
-//!   row-at-a-time pass over the file. The segment install equals it
-//!   because a slice is only installed whole when no append of its replay
-//!   could have been refused or could have evicted anything, so both leave
-//!   the same columns, bytes and counters; a column that stopped is behind
-//!   every later slice's first row and is skipped from then on.
+//!   (`RawCache::append_slice`, the cache's only admission path). One rule
+//!   decides each column: the slice's tail from the cache's coverage at
+//!   that moment goes in whole — moved as typed segments, after LRU
+//!   room-making for its exact footprint — or not at all. A refused tail
+//!   evicts nothing and leaves the column behind every later slice's first
+//!   row, so it is skipped for the rest of the scan. The slices come from
+//!   the file and the row index, never from the worker count, so the
+//!   columns end at the same slice boundary at every worker count and
+//!   claim order.
 //! * *Statistics* — split by whether the state depends on row order. The
 //!   order-independent part — NDV bitmap and min/max — is built by the
 //!   workers, in parallel: each sketches its slice's partial columns from
@@ -957,10 +954,9 @@ pub(crate) fn run_partitions(
 /// statistics absorb the slice's worker-built sketch (NDV bits and bounds
 /// merged, rows and NULLs counted by popcount, the reservoir advanced to
 /// the rows it accepts — `TableStats::absorb`), then the cache takes
-/// ownership and appends them as segments (or, for a slice at the budget
-/// edge, replays them value by value itself) — see the module docs on why
-/// both equal one row-at-a-time pass. Nothing here walks the values: the
-/// only ones read are those that end the install in a reservoir.
+/// ownership and admits each column's tail whole or not at all — see the
+/// module docs on cache admission. Nothing here walks the values: the only
+/// ones read are those that end the install in a reservoir.
 ///
 /// Every sub-merge is **frontier-based** so interleaved queries converge to
 /// the sequential-replay state: the row index skips known rows, the chunk
@@ -1065,12 +1061,12 @@ pub(crate) fn merge_outputs(
             installed = table.map.install(merged).is_some();
         }
 
-        // Cache and statistics: each slice's typed partials go in whole,
-        // in slice order — statistics first (they read only the values
-        // their reservoirs keep), then the cache takes the columns. Both
-        // start at their own current frontier per attribute. Sketches exist
-        // only with statistics on: one per attribute with rows to observe
-        // at plan time.
+        // Cache and statistics: each slice's typed partials go in slice
+        // order — statistics first (they read only the values their
+        // reservoirs keep), then the cache takes the columns, each tail
+        // whole or not at all. Both start at their own current frontier
+        // per attribute. Sketches exist only with statistics on: one per
+        // attribute with rows to observe at plan time.
         if config.enable_stats {
             for (i, &attr) in prep.req.attrs.iter().enumerate() {
                 let slices = results.iter().zip(&bases).filter_map(|(o, &base)| {
@@ -1559,8 +1555,8 @@ mod tests {
             );
             for row in 0..a.cache.coverage(attr) {
                 assert_eq!(
-                    a.cache.peek(attr, row),
-                    b.cache.peek(attr, row),
+                    a.cache.column(attr).and_then(|c| c.datum(row)),
+                    b.cache.column(attr).and_then(|c| c.datum(row)),
                     "{tag}: cache c{attr} row {row}"
                 );
             }
@@ -2135,7 +2131,10 @@ mod tests {
             assert_eq!(t1.cache.coverage(attr), 5120);
             assert_eq!(t1.cache.coverage(attr), t8.cache.coverage(attr));
             for row in 0..t1.cache.coverage(attr) {
-                assert_eq!(t1.cache.peek(attr, row), t8.cache.peek(attr, row));
+                assert_eq!(
+                    t1.cache.column(attr).and_then(|c| c.datum(row)),
+                    t8.cache.column(attr).and_then(|c| c.datum(row))
+                );
             }
         }
         std::fs::remove_file(p1).unwrap();

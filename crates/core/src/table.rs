@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 
 use nodb_engine::{EngineError, EngineResult};
 use nodb_posmap::{MapPolicy, PositionalMap};
-use nodb_rawcache::{CachePolicy, RawCache};
+use nodb_rawcache::RawCache;
 use nodb_rawcsv::reader::fnv1a;
 use nodb_rawcsv::tokenizer::TokenizerConfig;
 use nodb_rawcsv::{EpochChange, RawCsvError, Schema, SourceEpoch};
@@ -102,7 +102,7 @@ impl RawTable {
                 budget_bytes: config.map_budget_bytes,
                 trigger: config.combination_trigger,
             }),
-            cache: RawCache::new(CachePolicy::with_budget(config.cache_budget_bytes)),
+            cache: RawCache::new(config.cache_budget_bytes),
             stats: TableStats::new(config.stats_sample_every),
             epoch,
             row_count: None,
@@ -318,7 +318,7 @@ impl RawTable {
             map_installs: self.map.metrics().installs,
             map_evictions: self.map.metrics().evictions,
             cache_bytes: self.cache.bytes_used(),
-            cache_budget: self.cache.policy().budget_bytes,
+            cache_budget: self.cache.budget(),
             cache_utilization: self.cache.utilization(),
             cache_resident: self.cache.resident(),
             cache_hit_ratio: self.cache.metrics().hit_ratio(),

@@ -492,26 +492,21 @@ impl TypedColumn {
 
     /// What `append_tail(self, lo)` would add to the
     /// [`Self::footprint`] of a same-typed column currently holding
-    /// `target_rows` rows, and the longest string payload in that tail (0
-    /// for fixed-width types) — computed without touching either column, so
-    /// the cache can decide admission before it moves anything.
-    pub(crate) fn tail_cost(&self, lo: usize, target_rows: usize) -> (usize, usize) {
+    /// `target_rows` rows — computed without touching either column, so the
+    /// cache can decide admission before it moves anything.
+    pub(crate) fn tail_cost(&self, lo: usize, target_rows: usize) -> usize {
         let lo = lo.min(self.len());
         let n = self.len() - lo;
         let mask_growth = ((target_rows + n).div_ceil(64) - target_rows.div_ceil(64)) * 8;
-        match self {
-            TypedColumn::Int { .. } | TypedColumn::Float { .. } => (n * 8 + mask_growth, 0),
-            TypedColumn::Bool { .. } => (n + mask_growth, 0),
+        let value_growth = match self {
+            TypedColumn::Int { .. } | TypedColumn::Float { .. } => n * 8,
+            TypedColumn::Bool { .. } => n,
             TypedColumn::Str { values, .. } => {
-                let (bytes, longest) = values[lo..]
-                    .iter()
-                    .fold((0, 0), |(sum, max), s| (sum + s.len(), max.max(s.len())));
-                (
-                    n * std::mem::size_of::<Box<str>>() + bytes + mask_growth,
-                    longest,
-                )
+                let bytes: usize = values[lo..].iter().map(|s| s.len()).sum();
+                n * std::mem::size_of::<Box<str>>() + bytes
             }
-        }
+        };
+        value_growth + mask_growth
     }
 
     /// Reserve room for `rows` more rows (string payloads excluded).
@@ -900,21 +895,11 @@ mod tests {
                     direct.push(d);
                 }
                 let before = col.footprint();
-                let (growth, longest) = seg.tail_cost(lo, col.len());
+                let growth = seg.tail_cost(lo, col.len());
                 col.append_tail(seg, lo);
                 assert_eq!(col.len(), direct.len(), "{tag}");
                 assert_eq!(col.footprint(), direct.footprint(), "{tag}");
                 assert_eq!(growth, col.footprint() - before, "{tag}: growth is exact");
-                let expect_longest = tail
-                    .iter()
-                    .skip(lo)
-                    .map(|d| match d {
-                        Datum::Str(s) => s.len(),
-                        _ => 0,
-                    })
-                    .max()
-                    .unwrap_or(0);
-                assert_eq!(longest, expect_longest, "{tag}");
                 for i in 0..direct.len() {
                     assert_eq!(col.datum(i), direct.datum(i), "{tag} row {i}");
                 }

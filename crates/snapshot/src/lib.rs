@@ -42,7 +42,7 @@ mod tests {
     use std::time::{Duration, UNIX_EPOCH};
 
     use nodb_posmap::{MapPolicy, PositionalMap};
-    use nodb_rawcache::{CachePolicy, RawCache};
+    use nodb_rawcache::RawCache;
     use nodb_rawcsv::reader::fnv1a;
     use nodb_rawcsv::{ColumnType, Datum, IoProfile, SourceEpoch};
     use nodb_stats::TableStats;
@@ -70,7 +70,7 @@ mod tests {
         b.push_row_offsets(&[(1, 7), (3, 12)]);
         map.install(b);
 
-        let mut cache = RawCache::new(CachePolicy::default());
+        let mut cache = RawCache::new(1 << 30);
         let mut col = nodb_rawcache::TypedColumn::new(ColumnType::Int);
         col.push(&Datum::Int(42));
         col.push(&Datum::Null);
@@ -171,7 +171,7 @@ mod tests {
             sample_epoch(),
             None,
             &PositionalMap::new(MapPolicy::default()),
-            &RawCache::new(CachePolicy::default()),
+            &RawCache::new(1 << 30),
             &live,
         );
         let back = decode_snapshot(&encode_snapshot(&snap)).expect("round trip");
@@ -202,7 +202,7 @@ mod tests {
             sample_epoch(),
             None,
             &PositionalMap::new(MapPolicy::default()),
-            &RawCache::new(CachePolicy::default()),
+            &RawCache::new(1 << 30),
             &stats,
         );
         let seen = good.stats.attrs[0].reservoir.seen;
@@ -224,7 +224,7 @@ mod tests {
                 sample_epoch(),
                 None,
                 &PositionalMap::new(MapPolicy::default()),
-                &RawCache::new(CachePolicy::default()),
+                &RawCache::new(1 << 30),
                 &stats,
             );
             let r = &mut snap.stats.attrs[0].reservoir;

@@ -3,11 +3,19 @@
 //! lives here (`mod common;`). Not every binary uses every helper.
 #![allow(dead_code)]
 
+use std::collections::BTreeSet;
+
+use nodb_repro::core::rawscan::SCAN_SLICES;
 use nodb_repro::core::{NoDb, NoDbConfig};
 use nodb_repro::posmap::{ChunkBuilder, MapPolicy, PositionalMap};
-use nodb_repro::rawcache::{CachePolicy, RawCache};
+use nodb_repro::rawcache::{RawCache, TypedColumn};
+use nodb_repro::rawcsv::reader::partition_line_ranges_capped;
 use nodb_repro::rawcsv::{parser, ColumnType, Datum, Schema};
 use nodb_repro::stats::TableStats;
+
+/// One data row of a [`NaiveModel`]: line-start offset, parsed fields,
+/// field-start offsets.
+type Row = (u64, Vec<Datum>, Vec<u32>);
 
 /// One table's adaptive structures, borrowed for comparison.
 type Structures<'a> = (&'a PositionalMap, &'a RawCache, &'a TableStats);
@@ -54,8 +62,8 @@ fn assert_same_structures(
         );
         for row in 0..cache_a.coverage(attr) {
             assert_eq!(
-                cache_a.peek(attr, row),
-                cache_b.peek(attr, row),
+                cache_a.column(attr).and_then(|c| c.datum(row)),
+                cache_b.column(attr).and_then(|c| c.datum(row)),
                 "{tag}: cache content c{attr} row {row}"
             );
         }
@@ -102,20 +110,27 @@ pub fn assert_same_state(tag: &str, a: &NoDb, b: &NoDb, cols: usize) {
     );
 }
 
-/// The reference for "what one row-at-a-time pass over the file leaves
-/// behind": a deliberately naive model of a table's adaptive state. It
-/// reads the whole file, splits every line and parses every field up front,
-/// then replays each query's side effects straight into a fresh cache,
-/// statistics registry and positional map — no partitions, no workers, no
-/// staging. The staged scan at any worker count must end in this state.
+/// The reference for "what one pass over the file leaves behind": a
+/// deliberately naive model of a table's adaptive state. It reads the whole
+/// file, splits every line and parses every field up front, then replays
+/// each query's side effects straight into a fresh cache, statistics
+/// registry and positional map — no workers, no staging. The cache takes
+/// each scan slice by slice, with the slices cut the way a raw scan cuts
+/// them, but derived here from the row index and the file. The staged scan
+/// at any worker count must end in this state.
 pub struct NaiveModel {
+    path: std::path::PathBuf,
     types: Vec<ColumnType>,
-    /// Per data row: line-start offset, parsed fields, field-start offsets.
-    rows: Vec<(u64, Vec<Datum>, Vec<u32>)>,
+    /// Whether the table keeps a row index: without one every scan is all
+    /// tail.
+    indexed: bool,
+    rows: Vec<Row>,
+    /// File length in bytes.
+    len: u64,
     row_count: Option<usize>,
-    /// Cache bytes in use after each row of the latest [`Self::query`] that
-    /// touched the file.
-    pub bytes_after_row: Vec<usize>,
+    /// Every slice boundary, in rows, of the scans so far (row counts
+    /// included): where an admitted cache column's coverage may end.
+    pub cuts: BTreeSet<usize>,
     pub cache: RawCache,
     pub stats: TableStats,
     pub map: PositionalMap,
@@ -123,15 +138,19 @@ pub struct NaiveModel {
 
 impl NaiveModel {
     /// Load a headerless, unquoted, comma-separated file under `cfg`'s
-    /// budgets and sampling stride.
+    /// budgets, sampling stride and positional-map switch.
     pub fn load(path: &std::path::Path, schema: &Schema, cfg: &NoDbConfig) -> Self {
         let types: Vec<ColumnType> = (0..schema.len()).map(|a| schema.ty(a)).collect();
+        let (rows, len) = Self::read_rows(path, &types);
         NaiveModel {
-            rows: Self::read_rows(path, &types),
+            path: path.to_path_buf(),
+            rows,
+            len,
             types,
+            indexed: cfg.enable_positional_map,
             row_count: None,
-            bytes_after_row: Vec::new(),
-            cache: RawCache::new(CachePolicy::with_budget(cfg.cache_budget_bytes)),
+            cuts: BTreeSet::new(),
+            cache: RawCache::new(cfg.cache_budget_bytes),
             stats: TableStats::new(cfg.stats_sample_every),
             map: PositionalMap::new(MapPolicy {
                 budget_bytes: cfg.map_budget_bytes,
@@ -140,8 +159,9 @@ impl NaiveModel {
         }
     }
 
-    /// Every line of the file: start offset, parsed fields, field starts.
-    fn read_rows(path: &std::path::Path, types: &[ColumnType]) -> Vec<(u64, Vec<Datum>, Vec<u32>)> {
+    /// Every line of the file (start offset, parsed fields, field starts),
+    /// and the file's length.
+    fn read_rows(path: &std::path::Path, types: &[ColumnType]) -> (Vec<Row>, u64) {
         let bytes = std::fs::read(path).unwrap();
         let mut rows = Vec::new();
         let mut offset = 0u64;
@@ -158,13 +178,13 @@ impl NaiveModel {
             rows.push((offset, values, starts));
             offset += line.len() as u64;
         }
-        rows
+        (rows, offset)
     }
 
     /// Rows were appended to the file: read it again and forget what an
     /// append makes a table forget — the totals, not the prefix state.
     pub fn note_appended(&mut self, path: &std::path::Path) {
-        self.rows = Self::read_rows(path, &self.types);
+        (self.rows, self.len) = Self::read_rows(path, &self.types);
         self.row_count = None;
         self.map.note_appended();
         self.stats.note_appended();
@@ -176,18 +196,54 @@ impl NaiveModel {
         self.rows.partition_point(|r| r.0 < offset)
     }
 
+    /// Cache bytes that the first `rows` rows of `attrs` take.
+    pub fn bytes_for_rows(&self, attrs: &[usize], rows: usize) -> usize {
+        attrs
+            .iter()
+            .map(|&a| self.column(a, 0..rows).footprint())
+            .sum()
+    }
+
+    /// Rows `range` of attribute `attr` as a typed column.
+    fn column(&self, attr: usize, range: std::ops::Range<usize>) -> TypedColumn {
+        let mut col = TypedColumn::new(self.types[attr]);
+        for (_, values, _) in &self.rows[range] {
+            col.push(&values[attr]);
+        }
+        col
+    }
+
+    /// Where a scan starting now cuts the file, in rows: the rows the row
+    /// index holds into up to `SCAN_SLICES` equal row ranges, the bytes
+    /// behind them into up to `SCAN_SLICES` line-aligned byte ranges. The
+    /// row count ends the list.
+    fn slice_cuts(&self) -> Vec<usize> {
+        let index = self.map.row_index();
+        let known = if self.indexed { index.len() } else { 0 };
+        let parts = SCAN_SLICES.min(known);
+        let mut cuts: Vec<usize> = (0..parts).map(|k| known * k / parts).collect();
+        if !(self.indexed && index.is_complete()) {
+            let from = index.starts()[..known].last().map_or(0, |&last| last + 1);
+            let tail = partition_line_ranges_capped(&self.path, SCAN_SLICES, from, self.len);
+            cuts.extend(tail.unwrap().iter().map(|r| self.row_at(r.start)));
+        }
+        cuts.push(self.rows.len());
+        cuts
+    }
+
     /// Apply the side effects of one query scanning `attrs` (ascending).
     pub fn query(&mut self, attrs: &[usize]) {
-        let mut next = self.cache.coverage_of(attrs);
         let tick = self.cache.begin_query(attrs);
         let plan = self.map.plan_access(attrs);
         let total = self.rows.len();
         if self
             .row_count
-            .is_some_and(|rc| next.iter().all(|&c| c >= rc))
+            .is_some_and(|rc| attrs.iter().all(|&a| self.cache.coverage(a) >= rc))
         {
             return; // fully cached: the file is not touched
         }
+        let cuts = self.slice_cuts();
+        self.cuts.extend(&cuts);
         let starts: Vec<u64> = self.rows.iter().map(|r| r.0).collect();
         self.map.row_index_mut().note_rows(0, &starts);
         if plan.should_index {
@@ -199,25 +255,18 @@ impl NaiveModel {
             }
             self.map.install(chunk);
         }
-        let frontiers: Vec<u64> = attrs.iter().map(|&a| self.stats.observed_upto(a)).collect();
-        self.bytes_after_row.clear();
-        for (row, (_, values, _)) in self.rows.iter().enumerate() {
-            // Cache: row-major, attribute-interleaved; a column stops for
-            // good at its first refused append.
-            for (i, &a) in attrs.iter().enumerate() {
-                if next[i] == row {
-                    let admitted = self.cache.append(a, self.types[a], &values[a], tick);
-                    next[i] = if admitted { row + 1 } else { usize::MAX };
-                }
+        // Cache: slice by slice, in slice order.
+        for w in cuts.windows(2) {
+            let cols = attrs.iter().map(|&a| self.column(a, w[0]..w[1])).collect();
+            self.cache.append_slice(attrs, cols, w[0], total, tick);
+        }
+        // Statistics: every row from the frontier on is observed; the
+        // sampling stride decides only which ones reach the reservoir.
+        for &a in attrs {
+            let frontier = self.stats.observed_upto(a) as usize;
+            for (row, (_, values, _)) in self.rows.iter().enumerate().skip(frontier) {
+                self.stats.observe(a, row as u64, &values[a]);
             }
-            // Statistics: every row from the frontier on is observed; the
-            // sampling stride decides only which ones reach the reservoir.
-            for (i, &a) in attrs.iter().enumerate() {
-                if row as u64 >= frontiers[i] {
-                    self.stats.observe(a, row as u64, &values[a]);
-                }
-            }
-            self.bytes_after_row.push(self.cache.bytes_used());
         }
         self.row_count = Some(total);
         self.map.row_index_mut().mark_complete();

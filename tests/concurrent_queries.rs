@@ -334,7 +334,7 @@ fn budget_flips_racing_fully_cached_scans() {
     let within_budget = |db: &NoDb| {
         let h = db.table_handle("t").unwrap();
         let t = h.read();
-        let (used, budget) = (t.cache().bytes_used(), t.cache().policy().budget_bytes);
+        let (used, budget) = (t.cache().bytes_used(), t.cache().budget());
         assert!(
             used <= budget,
             "cache holds {used} B over its {budget} B budget"

@@ -6,7 +6,7 @@
 //! 2. *Parallel transparency* — for any dataset, query and thread count,
 //!    the partitioned scan yields identical query results, positional-map
 //!    coverage, cache contents and statistics as `scan_threads = 1` — and
-//!    the one-worker state equals a naive row-at-a-time model
+//!    the one-worker state equals a naive one-pass model
 //!    (`common::NaiveModel`).
 //! 3. *Tokenizer equivalence* — selective/resumable tokenizing agrees with
 //!    full tokenizing on arbitrary byte soup.
@@ -21,7 +21,7 @@
 
 use nodb_repro::core::{NoDb, NoDbConfig};
 use nodb_repro::prelude::*;
-use nodb_repro::rawcache::{CachePolicy, RawCache};
+use nodb_repro::rawcache::{RawCache, TypedColumn};
 use nodb_repro::rawcsv::tokenizer::{TokenizerConfig, Tokens};
 use nodb_repro::stats::EquiDepthHistogram;
 
@@ -113,7 +113,7 @@ fn adaptive_equals_baseline() {
 /// schemas and thread counts 2/3/4/8, query results, positional-map
 /// coverage, cache contents and statistics must be identical to
 /// `scan_threads = 1` — whose state in turn must equal the naive
-/// row-at-a-time model, under an ample and a tight cache budget. Results
+/// one-pass model, under an ample and a tight cache budget. Results
 /// are checked against the stateless baseline.
 #[test]
 fn parallel_scan_equals_sequential() {
@@ -205,8 +205,8 @@ fn parallel_scan_equals_sequential() {
             );
             for row in 0..ts.cache().coverage(attr) {
                 assert_eq!(
-                    ts.cache().peek(attr, row),
-                    tp.cache().peek(attr, row),
+                    ts.cache().column(attr).and_then(|c| c.datum(row)),
+                    tp.cache().column(attr).and_then(|c| c.datum(row)),
                     "case {case}: cache content c{attr} row {row}"
                 );
             }
@@ -243,7 +243,9 @@ fn parallel_scan_equals_sequential() {
 /// slice and exactly on a slice boundary of the first scan, at 1/2/4/8
 /// workers. After each of three queries the table must hold exactly the
 /// naive model's state — cache contents and bytes, every statistics
-/// accumulator, map coverage.
+/// accumulator, map coverage — and every cached column must end on a slice
+/// boundary: the budget edge decides *which* slice a column stops at, never
+/// a row inside one.
 #[test]
 fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
     use nodb_repro::core::rawscan::SCAN_SLICES;
@@ -316,22 +318,22 @@ fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
         };
 
         // Where the first (cold) scan's slices start, in rows, and what its
-        // admission has in use after each row when nothing is refused. Both
-        // sequences open with the same query, and the slices do not depend
-        // on the worker count.
-        let mut ample = common::NaiveModel::load(&path, &gen.schema(), &cfg(1, 1 << 30));
-        ample.query(&sequences[0][0].1);
-        let used = &ample.bytes_after_row;
+        // columns take when they hold a given number of rows. Both sequences
+        // open with the same query, and the slices do not depend on the
+        // worker count.
+        let ample = common::NaiveModel::load(&path, &gen.schema(), &cfg(1, 1 << 30));
+        let used = |rows: usize| ample.bytes_for_rows(&sequences[0][0].1, rows);
         let starts: Vec<usize> = partition_line_ranges(&path, SCAN_SLICES)
             .unwrap()
             .iter()
             .map(|r| ample.row_at(r.start))
             .collect();
         let mid = starts.len() / 2;
+        let boundary = used(starts[mid]);
         let budgets = [
-            used[starts[1] / 2],                       // inside slice 0
-            used[(starts[mid] + starts[mid + 1]) / 2], // inside a middle slice
-            used[starts[mid] - 1],                     // exactly on a boundary
+            used(starts[1] / 2 + 1),                       // inside slice 0
+            used((starts[mid] + starts[mid + 1]) / 2 + 1), // inside a middle slice
+            boundary,                                      // exactly on a boundary
             1 << 30,
         ];
         for threads in [1usize, 2, 4, 8] {
@@ -348,6 +350,17 @@ fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
                         assert_eq!(db.query(sql).unwrap(), base.query(sql).unwrap(), "{tag}");
                         model.query(attrs);
                         common::assert_matches_model(&tag, &db, &model);
+                        // A budget edge cuts at a slice boundary: every
+                        // column ends where some scan's slice ended.
+                        let resident = db.table_handle("t").unwrap().read().cache().resident();
+                        for &(attr, rows) in &resident {
+                            assert!(model.cuts.contains(&rows), "{tag}: c{attr} ends at {rows}");
+                        }
+                        if budget == boundary && qi == 0 {
+                            let on_boundary: Vec<(usize, usize)> =
+                                attrs.iter().map(|&a| (a, starts[mid])).collect();
+                            assert_eq!(resident, on_boundary, "{tag}: first scan");
+                        }
                     }
                 }
             }
@@ -442,8 +455,8 @@ fn cold_partial_cache_reuse_equals_sequential() {
             );
             for row in 0..ts.cache().coverage(attr) {
                 assert_eq!(
-                    ts.cache().peek(attr, row),
-                    tp.cache().peek(attr, row),
+                    ts.cache().column(attr).and_then(|c| c.datum(row)),
+                    tp.cache().column(attr).and_then(|c| c.datum(row)),
                     "{tag}: cache content c{attr} row {row}"
                 );
             }
@@ -473,7 +486,7 @@ fn cold_partial_cache_reuse_equals_sequential() {
 /// many refills a slice takes, where a line straddles a block boundary —
 /// never which bytes the scan consumes, so no schedule may perturb
 /// results or post-scan adaptive state, including under cache budget
-/// pressure, where admission replays must stay decision-identical.
+/// pressure, where slice admission must stay decision-identical.
 #[test]
 fn worker_schedules_and_block_sizes_equal_one_worker_state() {
     let mut rng = CaseRng::new(0x10AD);
@@ -534,8 +547,8 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
                     );
                     for row in 0..ref_table.cache().coverage(attr) {
                         assert_eq!(
-                            ref_table.cache().peek(attr, row),
-                            table.cache().peek(attr, row),
+                            ref_table.cache().column(attr).and_then(|c| c.datum(row)),
+                            table.cache().column(attr).and_then(|c| c.datum(row)),
                             "{tag}: cache content c{attr} row {row}"
                         );
                     }
@@ -957,38 +970,42 @@ fn cache_round_trips_arbitrary_values() {
     let mut rng = CaseRng::new(0xCAC4E);
     for case in 0..40u64 {
         let n = rng.below(300) as usize;
-        let mut cache = RawCache::new(CachePolicy::default());
-        let tick = cache.begin_query(&[0, 1]);
-        let mut ints = Vec::new();
-        let mut strs = Vec::new();
+        let mut values: [Vec<Datum>; 2] = [Vec::new(), Vec::new()];
         for _ in 0..n {
-            match rng.below(3) {
-                0 => {
-                    let v = Datum::Null;
-                    assert!(cache.append(0, ColumnType::Int, &v, tick));
-                    ints.push(v);
-                }
-                1 => {
-                    let v = Datum::Int(rng.next() as i64);
-                    assert!(cache.append(0, ColumnType::Int, &v, tick));
-                    ints.push(v);
-                }
-                _ => {
+            let null = |rng: &mut CaseRng| rng.below(3) == 0;
+            values[0].push(match null(&mut rng) {
+                true => Datum::Null,
+                false => Datum::Int(rng.next() as i64),
+            });
+            values[1].push(match null(&mut rng) {
+                true => Datum::Null,
+                false => {
                     let len = rng.below(13) as usize;
                     let s: String = (0..len)
                         .map(|_| (b'a' + rng.below(26) as u8) as char)
                         .collect();
-                    let v = Datum::from(s.as_str());
-                    assert!(cache.append(1, ColumnType::Str, &v, tick));
-                    strs.push(v);
+                    Datum::from(s.as_str())
                 }
+            });
+        }
+        let cols = [ColumnType::Int, ColumnType::Str]
+            .iter()
+            .zip(&values)
+            .map(|(&ty, vs)| {
+                let mut col = TypedColumn::new(ty);
+                vs.iter().for_each(|v| col.push(v));
+                col
+            })
+            .collect();
+        let mut cache = RawCache::new(1 << 30);
+        let tick = cache.begin_query(&[0, 1]);
+        cache.append_slice(&[0, 1], cols, 0, n, tick);
+        for (attr, vs) in values.iter().enumerate() {
+            assert_eq!(cache.coverage(attr), n, "case {case} c{attr}");
+            for (i, v) in vs.iter().enumerate() {
+                let got = cache.column(attr).and_then(|c| c.datum(i));
+                assert_eq!(got.as_ref(), Some(v), "case {case} c{attr} row {i}");
             }
-        }
-        for (i, v) in ints.iter().enumerate() {
-            assert_eq!(cache.peek(0, i), Some(v.clone()), "case {case} int row {i}");
-        }
-        for (i, v) in strs.iter().enumerate() {
-            assert_eq!(cache.peek(1, i), Some(v.clone()), "case {case} str row {i}");
         }
     }
 }
@@ -1085,8 +1102,8 @@ fn assert_same_adaptive_state(a: &NoDb, b: &NoDb, cols: usize, label: &str) {
         );
         for row in 0..ta.cache().coverage(attr) {
             assert_eq!(
-                ta.cache().peek(attr, row),
-                tb.cache().peek(attr, row),
+                ta.cache().column(attr).and_then(|c| c.datum(row)),
+                tb.cache().column(attr).and_then(|c| c.datum(row)),
                 "{label}: cache content c{attr} row {row}"
             );
         }

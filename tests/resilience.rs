@@ -177,7 +177,10 @@ fn rerun_after_deadline_reads_only_the_unknown_tail() {
         for attr in [1usize, 2] {
             assert_eq!(t.cache().coverage(attr), 80_000);
             for row in (0..80_000).step_by(997) {
-                assert_eq!(t.cache().peek(attr, row), model.cache.peek(attr, row));
+                assert_eq!(
+                    t.cache().column(attr).and_then(|c| c.datum(row)),
+                    model.cache.column(attr).and_then(|c| c.datum(row))
+                );
             }
             assert_eq!(t.stats().observed_upto(attr), 80_000);
             assert_eq!(

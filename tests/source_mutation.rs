@@ -334,7 +334,7 @@ fn budget_setters_propagate_to_live_and_future_tables() {
     {
         let h = db.table_handle("t").unwrap();
         let t = h.read();
-        assert_eq!(t.cache().policy().budget_bytes, 2_000, "live cache budget");
+        assert_eq!(t.cache().budget(), 2_000, "live cache budget");
         assert_eq!(t.map().policy().budget_bytes, 1_000, "live map budget");
         assert!(
             t.cache().bytes_used() <= 2_000,
@@ -349,7 +349,7 @@ fn budget_setters_propagate_to_live_and_future_tables() {
     {
         let h = db.table_handle("t2").unwrap();
         let t = h.read();
-        assert_eq!(t.cache().policy().budget_bytes, 2_000);
+        assert_eq!(t.cache().budget(), 2_000);
         assert_eq!(t.map().policy().budget_bytes, 1_000);
     }
 
