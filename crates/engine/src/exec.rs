@@ -1,22 +1,32 @@
 //! Pipeline execution above the scan: projection, hash aggregation, sort,
 //! limit (a bounded top-n under `ORDER BY`).
 //!
+//! Aggregation is columnar. A global aggregate folds each batch column
+//! whole; a grouped one resolves each batch to dense group ids through an
+//! open-addressing table over the typed key columns and scatters every
+//! aggregate's argument column into per-group state arrays. Only computed
+//! expressions and the (aggregate, column type) pairings without a typed
+//! kernel — COUNT DISTINCT, MIN/MAX/SUM/AVG over strings or booleans — go
+//! value by value through the scalar accumulator.
+//!
 //! Kept deliberately boring — this is the part of the system the paper says
 //! should *not* change between PostgresRaw and a conventional DBMS ("the
 //! rest of the query plan, generated by the optimizer, works without any
 //! changes"). Every system wrapper in the experiment harness runs exactly
 //! this code; only the [`ScanSource`] differs.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 
+use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 use nodb_sqlparse::ast::AggFunc;
 use nodb_stats::ndv::hash_datum;
 
-use crate::batch::{BatchRow, Column};
+use crate::batch::{Batch, BatchRow, Column};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::RExpr;
+use crate::group::GroupTable;
 use crate::planner::{AggCall, AggOutput, AggSpec, Pipeline, PlannedQuery};
 use crate::result::QueryResult;
 use crate::source::ScanSource;
@@ -27,11 +37,13 @@ use crate::source::ScanSource;
 const MAX_RESERVE_ROWS: usize = 1 << 20;
 
 /// Execute a planned query against a scan source, materializing the result.
-/// Every batch column is [`Column::Typed`] or [`Column::Nulls`]: global
-/// aggregates over a bare column fold it through typed kernels, and the
-/// rest — projections, group keys, computed arguments, and the
-/// (state, type) pairings without a kernel — evaluate row-at-a-time through
-/// [`BatchRow`].
+/// Every batch column is [`Column::Typed`] or [`Column::Nulls`]. Aggregates
+/// run a batch at a time: a global aggregate folds a bare column through
+/// typed kernels; GROUP BY hashes its key columns into dense group ids
+/// (bare keys straight from the typed storage) and scatters each bare
+/// argument column into per-group states. Projections, computed keys and
+/// arguments, and the (aggregate, type) pairings without a kernel evaluate
+/// row-at-a-time through [`BatchRow`].
 ///
 /// `LIMIT n` bounds the work as well as the output: a plain projection
 /// stops pulling batches once it holds `n` rows, and `ORDER BY … LIMIT n`
@@ -219,31 +231,6 @@ fn run_top_n(
     Ok(heap.into_sorted_vec().into_iter().map(|e| e.row).collect())
 }
 
-/// Group key wrapper: hashing via the stats hash (Int/Float unify), equality
-/// via the total order so NULL groups with NULL and NaN with NaN.
-struct Key(Vec<Datum>);
-
-impl std::hash::Hash for Key {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        for d in &self.0 {
-            state.write_u64(hash_datum(d));
-        }
-    }
-}
-
-impl PartialEq for Key {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.len() == other.0.len()
-            && self
-                .0
-                .iter()
-                .zip(&other.0)
-                .all(|(a, b)| a.total_cmp(b) == std::cmp::Ordering::Equal)
-    }
-}
-
-impl Eq for Key {}
-
 /// Accumulator for one aggregate call within one group.
 enum AggState {
     Count(u64),
@@ -336,32 +323,27 @@ impl AggState {
                 },
                 _ => {}
             },
-            AggState::Min(cur) => {
-                if let Some(d) = value {
-                    if !d.is_null()
-                        && cur
-                            .as_ref()
-                            .map(|c| d.total_cmp(c) == std::cmp::Ordering::Less)
-                            .unwrap_or(true)
-                    {
-                        *cur = Some(d.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(d) = value {
-                    if !d.is_null()
-                        && cur
-                            .as_ref()
-                            .map(|c| d.total_cmp(c) == std::cmp::Ordering::Greater)
-                            .unwrap_or(true)
-                    {
-                        *cur = Some(d.clone());
-                    }
+            AggState::Min(_) | AggState::Max(_) => {
+                if let Some(d) = value.filter(|d| !d.is_null()) {
+                    self.extreme(d);
                 }
             }
         }
         Ok(())
+    }
+
+    /// MIN/MAX of one non-NULL value: keep a copy of `d` when it beats the
+    /// current extreme under [`Datum::total_cmp`].
+    #[inline]
+    fn extreme(&mut self, d: &Datum) {
+        let (cur, beats) = match self {
+            AggState::Min(cur) => (cur, std::cmp::Ordering::Less),
+            AggState::Max(cur) => (cur, std::cmp::Ordering::Greater),
+            _ => return,
+        };
+        if cur.as_ref().is_none_or(|c| d.total_cmp(c) == beats) {
+            *cur = Some(d.clone());
+        }
     }
 
     /// Bulk `COUNT(*)`: every logical row counts, no values consulted.
@@ -651,87 +633,251 @@ impl AggState {
 }
 
 fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
-    // Insertion-ordered hash groups: map key → dense index, states in a Vec,
-    // the map pre-sized from the source's row hint (groups never exceed
-    // rows; the cap keeps a selective hint from reserving absurdly).
-    let mut index: HashMap<Key, usize> =
-        HashMap::with_capacity(source.size_hint().unwrap_or(0).min(1024));
-    let mut keys: Vec<Vec<Datum>> = Vec::new();
-    let mut states: Vec<Vec<AggState>> = Vec::new();
-    let global = spec.group_exprs.is_empty();
-    if global {
-        keys.push(Vec::new());
-        states.push(spec.aggs.iter().map(AggState::new).collect());
+    if spec.group_exprs.is_empty() {
+        run_global(spec, source)
+    } else {
+        run_grouped(spec, source)
     }
+}
 
-    // Reused per-row key buffer: cleared each row, moved into the map only
-    // when a new group appears (no per-hit clone, no per-row allocation).
-    let mut key_buf: Vec<Datum> = Vec::with_capacity(spec.group_exprs.len());
+/// One output row of an aggregation: group key values and finished
+/// aggregates, in SELECT-list order.
+fn output_row(spec: &AggSpec, key: &[Datum], finished: &mut [Option<Datum>]) -> Vec<Datum> {
+    spec.output
+        .iter()
+        .map(|o| match o {
+            AggOutput::Group(i) => key[*i].clone(),
+            AggOutput::Agg(i) => finished[*i].take().unwrap_or(Datum::Null),
+        })
+        .collect()
+}
 
+/// Aggregation without GROUP BY: one group, every batch folded whole.
+fn run_global(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
+    let mut state: Vec<AggState> = spec.aggs.iter().map(AggState::new).collect();
     while let Some(batch) = source.next_batch()? {
-        if global {
-            // Whole-batch kernels: COUNT(*) counts logical rows, bare-column
-            // arguments fold the column (honoring the selection vector),
-            // expression arguments evaluate row-at-a-time.
-            let state = &mut states[0];
-            for (a, call) in spec.aggs.iter().enumerate() {
-                match &call.arg {
-                    None => state[a].add_rows(batch.rows() as u64),
-                    Some(RExpr::Col(c)) => {
-                        state[a].update_from_column(batch.column(*c), batch.selection())?
-                    }
-                    Some(e) => {
-                        for r in 0..batch.rows() {
-                            let v = e.eval(&BatchRow::new(&batch, r));
-                            state[a].update(Some(&v))?;
-                        }
+        // Whole-batch kernels: COUNT(*) counts logical rows, bare-column
+        // arguments fold the column (honoring the selection vector),
+        // expression arguments evaluate row-at-a-time.
+        for (a, call) in spec.aggs.iter().enumerate() {
+            match &call.arg {
+                None => state[a].add_rows(batch.rows() as u64),
+                Some(RExpr::Col(c)) => {
+                    state[a].update_from_column(batch.column(*c), batch.selection())?
+                }
+                Some(e) => {
+                    for r in 0..batch.rows() {
+                        let v = e.eval(&BatchRow::new(&batch, r));
+                        state[a].update(Some(&v))?;
                     }
                 }
-            }
-            continue;
-        }
-        for r in 0..batch.rows() {
-            let row = BatchRow::new(&batch, r);
-            key_buf.clear();
-            key_buf.extend(spec.group_exprs.iter().map(|g| g.eval(&row)));
-            let probe = Key(std::mem::take(&mut key_buf));
-            let gi = match index.get(&probe) {
-                Some(&gi) => {
-                    key_buf = probe.0; // hand the buffer back, no clone
-                    gi
-                }
-                None => {
-                    let gi = keys.len();
-                    keys.push(probe.0.clone());
-                    index.insert(probe, gi);
-                    states.push(spec.aggs.iter().map(AggState::new).collect());
-                    key_buf = Vec::with_capacity(spec.group_exprs.len());
-                    gi
-                }
-            };
-            for (a, call) in spec.aggs.iter().enumerate() {
-                let value = call.arg.as_ref().map(|e| e.eval(&row));
-                states[gi][a].update(value.as_ref())?;
             }
         }
     }
+    let mut finished: Vec<Option<Datum>> = state.into_iter().map(|s| Some(s.finish())).collect();
+    Ok(vec![output_row(spec, &[], &mut finished)])
+}
 
-    // Materialize output rows in group-arrival order.
-    let mut rows = Vec::with_capacity(keys.len());
-    for (key, group_states) in keys.into_iter().zip(states) {
-        let mut finished: Vec<Option<Datum>> =
-            group_states.into_iter().map(|s| Some(s.finish())).collect();
-        let row: Vec<Datum> = spec
-            .output
-            .iter()
-            .map(|o| match o {
-                AggOutput::Group(i) => key[*i].clone(),
-                AggOutput::Agg(i) => finished[*i].take().unwrap_or(Datum::Null),
-            })
-            .collect();
-        rows.push(row);
+/// Aggregation with GROUP BY, a batch at a time: the [`GroupTable`]
+/// resolves each logical row to a dense group id, then every aggregate
+/// scatters the batch into its per-group states ([`GroupedAgg::scatter`]).
+/// Output rows come in group-arrival order.
+fn run_grouped(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
+    let mut table = GroupTable::new(&spec.group_exprs);
+    let mut aggs: Vec<GroupedAgg<'_>> = spec
+        .aggs
+        .iter()
+        .map(|call| GroupedAgg {
+            call,
+            states: Vec::new(),
+        })
+        .collect();
+    let mut ids: Vec<u32> = Vec::new();
+    while let Some(batch) = source.next_batch()? {
+        table.assign(&batch, &mut ids)?;
+        // Row at a time, the first failing (row, aggregate) update would
+        // have ended the query; report that one.
+        let mut failed: Option<(usize, EngineError)> = None;
+        for agg in &mut aggs {
+            if let Err((r, e)) = agg.scatter(&batch, &ids, table.len()) {
+                if failed.as_ref().is_none_or(|&(first, _)| r < first) {
+                    failed = Some((r, e));
+                }
+            }
+        }
+        if let Some((_, e)) = failed {
+            return Err(e);
+        }
     }
-    Ok(rows)
+    let mut states: Vec<std::vec::IntoIter<AggState>> =
+        aggs.into_iter().map(|a| a.states.into_iter()).collect();
+    let mut finished: Vec<Option<Datum>> = Vec::with_capacity(states.len());
+    Ok(table
+        .keys()
+        .map(|key| {
+            finished.clear();
+            finished.extend(states.iter_mut().map(|s| s.next().map(AggState::finish)));
+            output_row(spec, key, &mut finished)
+        })
+        .collect())
+}
+
+/// One aggregate call of a grouped aggregation: its accumulators, indexed
+/// by group id.
+struct GroupedAgg<'a> {
+    call: &'a AggCall,
+    states: Vec<AggState>,
+}
+
+impl GroupedAgg<'_> {
+    /// Fold every logical row `r` of `batch` into the state of its group
+    /// `ids[r]`, after adding states for the groups new in this batch (there
+    /// are `groups` in all). A bare-column argument over a typed column
+    /// runs a typed kernel ([`scatter_typed`]); every other pairing replays
+    /// [`AggState::update`] per row. On failure, returns the first logical
+    /// row whose update failed, with its error.
+    fn scatter(
+        &mut self,
+        batch: &Batch,
+        ids: &[u32],
+        groups: usize,
+    ) -> Result<(), (usize, EngineError)> {
+        let call = self.call;
+        self.states.resize_with(groups, || AggState::new(call));
+        let states = &mut self.states[..];
+        let replay = |states: &mut [AggState], value: &dyn Fn(usize) -> Datum| {
+            for (r, &g) in ids.iter().enumerate() {
+                states[g as usize]
+                    .update(Some(&value(r)))
+                    .map_err(|e| (r, e))?;
+            }
+            Ok(())
+        };
+        match &call.arg {
+            None => {
+                for &g in ids {
+                    states[g as usize].add_rows(1);
+                }
+                Ok(())
+            }
+            Some(RExpr::Col(c)) => match batch.column(*c) {
+                // NULL updates nothing, whatever the aggregate.
+                Column::Nulls(_) => Ok(()),
+                Column::Typed(tc) if scatter_typed(call, states, tc, batch.selection(), ids) => {
+                    Ok(())
+                }
+                Column::Typed(_) => replay(states, &|r| batch.value(r, *c)),
+            },
+            Some(e) => replay(states, &|r| e.eval(&BatchRow::new(batch, r))),
+        }
+    }
+}
+
+/// Call `f(p, g)` for every logical row: `p` its physical index in the
+/// batch's columns, `g` its group id. The selection is matched once, not per
+/// row.
+#[inline]
+fn for_rows(sel: Option<&[u32]>, ids: &[u32], mut f: impl FnMut(usize, usize)) {
+    match sel {
+        Some(s) => {
+            for (&p, &g) in s.iter().zip(ids) {
+                f(p as usize, g as usize);
+            }
+        }
+        None => {
+            for (p, &g) in ids.iter().enumerate() {
+                f(p, g as usize);
+            }
+        }
+    }
+}
+
+/// The typed grouped kernels: fold a typed column into the states of each
+/// logical row's group, with [`AggState::update`]'s semantics — COUNT over
+/// any column, SUM/AVG/MIN/MAX over Int and Float. The (aggregate, column)
+/// pairing is matched once per batch; returns `false` when it has no kernel
+/// and the caller must replay scalar updates.
+fn scatter_typed(
+    call: &AggCall,
+    states: &mut [AggState],
+    tc: &TypedColumn,
+    sel: Option<&[u32]>,
+    ids: &[u32],
+) -> bool {
+    /// Apply `f` to each non-NULL value and its row's group state.
+    fn each<T: Copy>(
+        states: &mut [AggState],
+        values: &[T],
+        nulls: &NullMask,
+        sel: Option<&[u32]>,
+        ids: &[u32],
+        f: impl Fn(&mut AggState, T),
+    ) {
+        for_rows(sel, ids, |p, g| {
+            if !nulls.is_null(p) {
+                f(&mut states[g], values[p]);
+            }
+        });
+    }
+    let nulls = tc.nulls();
+    match (call.func, call.distinct, tc) {
+        (AggFunc::Count, false, _) => for_rows(sel, ids, |p, g| {
+            if let (false, AggState::Count(n)) = (nulls.is_null(p), &mut states[g]) {
+                *n += 1;
+            }
+        }),
+        (AggFunc::Sum, _, TypedColumn::Int { values, .. }) => {
+            each(states, values, nulls, sel, ids, |s, v| {
+                if let AggState::Sum { int, non_null, .. } = s {
+                    *int += i128::from(v);
+                    *non_null += 1;
+                }
+            })
+        }
+        (AggFunc::Sum, _, TypedColumn::Float { values, .. }) => {
+            each(states, values, nulls, sel, ids, |s, v| {
+                if let AggState::Sum {
+                    float,
+                    any_float,
+                    non_null,
+                    ..
+                } = s
+                {
+                    *float += v;
+                    *any_float = true;
+                    *non_null += 1;
+                }
+            })
+        }
+        (AggFunc::Avg, _, TypedColumn::Int { values, .. }) => {
+            each(states, values, nulls, sel, ids, |s, v| {
+                if let AggState::Avg { sum, non_null } = s {
+                    *sum += v as f64;
+                    *non_null += 1;
+                }
+            })
+        }
+        (AggFunc::Avg, _, TypedColumn::Float { values, .. }) => {
+            each(states, values, nulls, sel, ids, |s, v| {
+                if let AggState::Avg { sum, non_null } = s {
+                    *sum += v;
+                    *non_null += 1;
+                }
+            })
+        }
+        (AggFunc::Min | AggFunc::Max, _, TypedColumn::Int { values, .. }) => {
+            each(states, values, nulls, sel, ids, |s, v| {
+                s.extreme(&Datum::Int(v))
+            })
+        }
+        (AggFunc::Min | AggFunc::Max, _, TypedColumn::Float { values, .. }) => {
+            each(states, values, nulls, sel, ids, |s, v| {
+                s.extreme(&Datum::Float(v))
+            })
+        }
+        _ => return false,
+    }
+    true
 }
 
 /// Sort rows by the given (column, ascending) keys; NULLs sort first on
@@ -982,6 +1128,227 @@ mod tests {
         }
         s.update_from_column(&Column::Typed(tc), None).unwrap();
         assert!(matches!(s.finish(), Datum::Float(v) if v > 1e19));
+    }
+
+    /// The row-at-a-time grouped aggregation the group table replaced: per
+    /// row a [`BatchRow`], a `Vec<Datum>` key, a probe, and one
+    /// [`AggState::update`] per aggregate, stopping at the first failure.
+    /// The probe is a linear search under the group table's equality: every
+    /// key value hashes alike and compares equal under `total_cmp`.
+    fn scalar_grouped(spec: &AggSpec, batches: Vec<Batch>) -> EngineResult<Vec<Vec<Datum>>> {
+        let same = |a: &[Datum], b: &[Datum]| {
+            a.iter()
+                .zip(b)
+                .all(|(x, y)| hash_datum(x) == hash_datum(y) && x.total_cmp(y).is_eq())
+        };
+        let mut keys: Vec<Vec<Datum>> = Vec::new();
+        let mut states: Vec<Vec<AggState>> = Vec::new();
+        for batch in &batches {
+            for r in 0..batch.rows() {
+                let row = BatchRow::new(batch, r);
+                let key: Vec<Datum> = spec.group_exprs.iter().map(|g| g.eval(&row)).collect();
+                let gi = match keys.iter().position(|k| same(k, &key)) {
+                    Some(gi) => gi,
+                    None => {
+                        keys.push(key);
+                        states.push(spec.aggs.iter().map(AggState::new).collect());
+                        keys.len() - 1
+                    }
+                };
+                for (a, call) in spec.aggs.iter().enumerate() {
+                    let value = call.arg.as_ref().map(|e| e.eval(&row));
+                    states[gi][a].update(value.as_ref())?;
+                }
+            }
+        }
+        Ok(keys
+            .iter()
+            .zip(states)
+            .map(|(key, s)| {
+                let mut finished: Vec<_> = s.into_iter().map(|s| Some(s.finish())).collect();
+                output_row(spec, key, &mut finished)
+            })
+            .collect())
+    }
+
+    /// GROUP BY a batch at a time equals the row-at-a-time reference
+    /// ([`scalar_grouped`]) — rows, their order, and the error when one
+    /// fails — compared by `Debug` text so NaN and −0.0 count. Keys: NULLs,
+    /// NaN and ±0.0 floats, strings, booleans, two columns, a column typed
+    /// Int in some batches and Float in others (bare and through an
+    /// expression, so Int 1 meets Float 1.0), and a unique key whose groups
+    /// outgrow the table mid-batch. Batches: empty, dense, and carrying a
+    /// selection over junk rows the aggregation must not read.
+    #[test]
+    fn grouped_aggregate_equals_scalar_replay() {
+        use crate::source::QueueSource;
+        let names = ["ki", "kf", "ks", "kb", "m", "seq", "vi", "vf", "vs"];
+        let types = [
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Str,
+            ColumnType::Bool,
+            ColumnType::Int, // Float in odd batches
+            ColumnType::Int,
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Str,
+        ];
+        let schema = Schema::new(
+            names
+                .iter()
+                .zip(types)
+                .map(|(n, t)| ColumnDef::new(*n, t))
+                .collect(),
+        );
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut pick = |n: usize| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize % n
+        };
+        let int = [
+            None,
+            Some(-1),
+            Some(0),
+            Some(1),
+            Some(2),
+            Some(i64::MAX),
+            Some(i64::MIN),
+        ];
+        let float = [
+            f64::NAN,
+            -f64::NAN,
+            -0.0,
+            0.0,
+            1.0,
+            1.5,
+            f64::INFINITY,
+            1e300,
+        ];
+        let strs = ["", "a", "abcd", "abcdefghi", "b"];
+        let mut seq = 0i64;
+        let mut row = |batch: usize| -> Vec<Datum> {
+            seq += 1;
+            let null_or = |d: Datum, pick: &mut dyn FnMut(usize) -> usize| {
+                if pick(6) == 0 {
+                    Datum::Null
+                } else {
+                    d
+                }
+            };
+            let m = if batch.is_multiple_of(2) {
+                Datum::Int(pick(3) as i64)
+            } else {
+                Datum::Float([-0.0, 0.0, 1.0, 2.5][pick(4)])
+            };
+            vec![
+                int[pick(int.len())].map_or(Datum::Null, Datum::Int),
+                null_or(Datum::Float(float[pick(float.len())]), &mut pick),
+                null_or(Datum::from(strs[pick(strs.len())]), &mut pick),
+                null_or(Datum::Bool(pick(2) == 0), &mut pick),
+                null_or(m, &mut pick),
+                Datum::Int(seq),
+                int[pick(int.len())].map_or(Datum::Null, Datum::Int),
+                null_or(Datum::Float(float[pick(float.len())]), &mut pick),
+                null_or(Datum::from(["x", "yy", ""][pick(3)]), &mut pick),
+            ]
+        };
+        // (logical rows, behind a selection over junk rows?)
+        let shapes: &[(usize, bool)] = if cfg!(miri) {
+            &[(0, false), (9, true), (0, true), (30, false), (7, true)]
+        } else {
+            &[
+                (0, false),
+                (700, true),
+                (0, true),
+                (1500, false),
+                (1, true),
+                (999, true),
+            ]
+        };
+        // Per batch: its physical rows, and the selection when it has one.
+        type Rows = Vec<Vec<Datum>>;
+        let mut data: Vec<(Rows, Option<Vec<u32>>)> = shapes
+            .iter()
+            .enumerate()
+            .map(|(b, &(n, selected))| {
+                let logical: Vec<Vec<Datum>> = (0..n).map(|_| row(b)).collect();
+                if !selected {
+                    return (logical, None);
+                }
+                let mut phys = Vec::new();
+                for r in logical {
+                    phys.push(row(b));
+                    phys.push(r);
+                }
+                phys.extend((0..3).map(|_| row(b)));
+                (phys, Some((0..n as u32).map(|i| 2 * i + 1).collect()))
+            })
+            .collect();
+        // The first logical row fails `AVG(vs)` but not `SUM(ks)`.
+        let (rows, sel) = &mut data[1];
+        let first = &mut rows[sel.as_ref().map_or(0, |s| s[0] as usize)];
+        first[2] = Datum::Null;
+        first[8] = Datum::from("x");
+        let batches = |attrs: &[usize], data: &[(Rows, Option<Vec<u32>>)]| {
+            data.iter()
+                .enumerate()
+                .map(|(b, (rows, sel))| {
+                    let cols = attrs
+                        .iter()
+                        .map(|&a| {
+                            // One batch reads `kb` as a never-materialized
+                            // all-NULL column.
+                            if names[a] == "kb" && b == 3 {
+                                return Column::Nulls(rows.len());
+                            }
+                            let ty = match (names[a], b % 2) {
+                                ("m", 1) => ColumnType::Float,
+                                _ => types[a],
+                            };
+                            let mut tc = TypedColumn::new(ty);
+                            rows.iter().for_each(|r| tc.push(&r[a]));
+                            Column::Typed(tc)
+                        })
+                        .collect();
+                    Batch::from_parts(cols, sel.clone())
+                })
+                .collect::<Vec<Batch>>()
+        };
+        let queries = [
+            "SELECT ki, COUNT(*), COUNT(vi), SUM(vi), AVG(vi), MIN(vi), MAX(vi) FROM t GROUP BY ki",
+            "SELECT kf, COUNT(vf), SUM(vf), AVG(vf), MIN(vf), MAX(vf) FROM t GROUP BY kf",
+            "SELECT ks, COUNT(DISTINCT vs), MIN(vs), MAX(vs), COUNT(vs), MIN(kb) FROM t GROUP BY ks",
+            "SELECT kb, COUNT(*), SUM(vi), MAX(vf), COUNT(kb) FROM t GROUP BY kb",
+            "SELECT ks, ki, COUNT(*), SUM(vf), MIN(vi) FROM t GROUP BY ki, ks",
+            "SELECT m, COUNT(*), SUM(m), MIN(m), SUM(vi) FROM t GROUP BY m",
+            "SELECT m * 1, COUNT(*), SUM(vf), MAX(m) FROM t GROUP BY m * 1",
+            "SELECT ki % 3, SUM(vi * 2), MAX(vf + 1), COUNT(DISTINCT vi) FROM t GROUP BY ki % 3",
+            "SELECT seq, COUNT(*), SUM(vf), MAX(ks) FROM t GROUP BY seq",
+            "SELECT kb, SUM(vs) FROM t GROUP BY kb",
+            "SELECT kb, SUM(ks), AVG(vs) FROM t GROUP BY kb",
+        ];
+        for sql in queries {
+            let planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
+            let spec = planned.pipeline.aggregate.as_ref().unwrap();
+            let attrs = &planned.scan.attrs;
+            let mut source = QueueSource::new(batches(attrs, &data).into());
+            let got = run_grouped(spec, &mut source);
+            let want = scalar_grouped(spec, batches(attrs, &data));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+        }
+        // The two failing aggregates fail at different rows: the earlier
+        // row's error wins, not the earlier aggregate's.
+        let sql = "SELECT kb, SUM(ks), AVG(vs) FROM t GROUP BY kb";
+        let planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
+        let mut source = QueueSource::new(batches(&planned.scan.attrs, &data).into());
+        let err = run_grouped(planned.pipeline.aggregate.as_ref().unwrap(), &mut source);
+        assert!(
+            format!("{err:?}").contains("AVG over non-numeric value x"),
+            "{err:?}"
+        );
     }
 
     /// `ORDER BY … LIMIT n` through the bounded top-n equals the unlimited

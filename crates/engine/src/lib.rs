@@ -20,10 +20,13 @@
 //! (the consumer of §3.3's on-the-fly statistics), and projection pruning
 //! (enabling *selective tokenizing*).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod error;
 pub mod exec;
 pub mod expr;
+mod group;
 pub mod planner;
 pub mod result;
 pub mod sketch;

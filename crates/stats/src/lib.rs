@@ -46,6 +46,8 @@
 //! Everything here is deterministic given the scan order (the reservoir RNG
 //! is seeded from the attribute index), so experiments are reproducible.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod estimate;
 pub mod histogram;

@@ -131,7 +131,7 @@ const BOOL_SEED: u64 = 0x1656_67b1_9e37_79f9;
 
 /// [`hash_datum`] of an integer.
 #[inline]
-pub(crate) fn hash_int(v: i64) -> u64 {
+pub fn hash_int(v: i64) -> u64 {
     fmix64(v as u64)
 }
 
@@ -140,7 +140,7 @@ pub(crate) fn hash_int(v: i64) -> u64 {
 /// the two candidate words are selected without a branch; NaN and values
 /// beyond the `i64` range hash by their bits.
 #[inline]
-pub(crate) fn hash_float(v: f64) -> u64 {
+pub fn hash_float(v: f64) -> u64 {
     let i = v as i64; // saturating; the round trip below rejects a clamped value
     let integral = v.abs() < 9e18 && i as f64 == v;
     fmix64(if integral {
@@ -157,7 +157,7 @@ pub(crate) fn hash_float(v: f64) -> u64 {
 /// 4-byte loads (or, below 4 bytes, its first, middle and last byte). Every
 /// byte reaches the hash, with no copy and no per-byte loop.
 #[inline]
-pub(crate) fn hash_str(s: &str) -> u64 {
+pub fn hash_str(s: &str) -> u64 {
     const K: u64 = 0x9fb2_1c65_1e98_df25;
     let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
     let b = s.as_bytes();
@@ -188,7 +188,7 @@ pub(crate) fn hash_str(s: &str) -> u64 {
 
 /// [`hash_datum`] of a boolean.
 #[inline]
-pub(crate) fn hash_bool(b: bool) -> u64 {
+pub fn hash_bool(b: bool) -> u64 {
     fmix64(u64::from(b) ^ BOOL_SEED)
 }
 
@@ -221,6 +221,42 @@ mod tests {
     fn int_and_float_hash_together() {
         assert_eq!(hash_datum(&Datum::Int(42)), hash_datum(&Datum::Float(42.0)));
         assert_ne!(hash_datum(&Datum::Int(42)), hash_datum(&Datum::Float(42.5)));
+    }
+
+    /// Each typed hash is [`hash_datum`] of its `Datum`: the engine's
+    /// GROUP BY hashes typed columns with them and computed keys with
+    /// `hash_datum`, and both must land a value in the same group.
+    #[test]
+    fn typed_hashes_equal_hash_datum() {
+        for v in [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX] {
+            assert_eq!(hash_int(v), hash_datum(&Datum::Int(v)), "{v}");
+        }
+        let floats = [
+            1.0,
+            -1.0,
+            0.0,
+            -0.0,
+            0.5,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            i64::MIN as f64,
+            i64::MAX as f64,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ];
+        for v in floats {
+            assert_eq!(hash_float(v), hash_datum(&Datum::Float(v)), "{v}");
+        }
+        // 1.0 is the integer 1 under SQL equality, and hashes like it.
+        assert_eq!(hash_float(1.0), hash_datum(&Datum::Int(1)));
+        for s in ["", "a", "abc", "abcd", "abcdefgh", "abcdefghi", "ünï"] {
+            assert_eq!(hash_str(s), hash_datum(&Datum::from(s)), "{s:?}");
+        }
+        for b in [false, true] {
+            assert_eq!(hash_bool(b), hash_datum(&Datum::Bool(b)), "{b}");
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! available); every case derives from a fixed seed and failures print the
 //! case number for replay.
 
+use std::collections::HashMap;
+
 use nodb_repro::core::{NoDb, NoDbConfig};
 use nodb_repro::prelude::*;
 use nodb_repro::rawcache::{RawCache, TypedColumn};
@@ -237,6 +239,44 @@ fn parallel_scan_equals_sequential() {
     }
 }
 
+/// A `narrow`-like file of `rows` rows: `c0` sequential int, `c1` nullable
+/// uniform int, `c2` float, `c3` nullable string of 4-12 bytes, `c4` bool.
+fn mixed_types(rows: u64, seed: u64) -> GeneratorConfig {
+    use nodb_repro::rawcsv::ColumnGenSpec;
+    let nullable = |mut c: ColumnGenSpec| {
+        c.null_fraction = 0.05;
+        c
+    };
+    GeneratorConfig {
+        columns: vec![
+            ColumnGenSpec::new("c0", ValueDistribution::IntSequential { start: 0 }),
+            nullable(ColumnGenSpec::new(
+                "c1",
+                ValueDistribution::IntUniform {
+                    min: 0,
+                    max: 999_999,
+                },
+            )),
+            ColumnGenSpec::new(
+                "c2",
+                ValueDistribution::FloatUniform {
+                    min: 0.0,
+                    max: 1_000.0,
+                },
+            ),
+            nullable(ColumnGenSpec::new(
+                "c3",
+                ValueDistribution::StrVar { min: 4, max: 12 },
+            )),
+            ColumnGenSpec::new("c4", ValueDistribution::BoolBernoulli { p: 0.5 }),
+        ],
+        rows,
+        delimiter: b',',
+        header: false,
+        seed,
+    }
+}
+
 /// The same invariant on the shapes the benchmark runs: a `narrow`-like file
 /// (sequential and nullable ints, floats, nullable strings, bools) under
 /// cache budgets whose edge falls inside the first slice, inside a middle
@@ -250,41 +290,9 @@ fn parallel_scan_equals_sequential() {
 fn mixed_type_scans_equal_the_naive_model_at_every_budget_edge() {
     use nodb_repro::core::rawscan::SCAN_SLICES;
     use nodb_repro::rawcsv::reader::partition_line_ranges;
-    use nodb_repro::rawcsv::ColumnGenSpec;
     let mut rng = CaseRng::new(0x4A22);
     for case in 0..3 * stress_factor() {
-        let nullable = |mut c: ColumnGenSpec| {
-            c.null_fraction = 0.05;
-            c
-        };
-        let gen = GeneratorConfig {
-            columns: vec![
-                ColumnGenSpec::new("c0", ValueDistribution::IntSequential { start: 0 }),
-                nullable(ColumnGenSpec::new(
-                    "c1",
-                    ValueDistribution::IntUniform {
-                        min: 0,
-                        max: 999_999,
-                    },
-                )),
-                ColumnGenSpec::new(
-                    "c2",
-                    ValueDistribution::FloatUniform {
-                        min: 0.0,
-                        max: 1_000.0,
-                    },
-                ),
-                nullable(ColumnGenSpec::new(
-                    "c3",
-                    ValueDistribution::StrVar { min: 4, max: 12 },
-                )),
-                ColumnGenSpec::new("c4", ValueDistribution::BoolBernoulli { p: 0.5 }),
-            ],
-            rows: 200 + rng.below(700),
-            delimiter: b',',
-            header: false,
-            seed: rng.below(1_000),
-        };
+        let gen = mixed_types(200 + rng.below(700), rng.below(1_000));
         let path = scratch("mixed", case);
         gen.generate_file(&path).unwrap();
         // Each query with the attributes its scan reads, in two sequences.
@@ -710,6 +718,157 @@ fn typed_scan_equals_loaded_dbms() {
             }
         }
         std::fs::remove_dir_all(store).ok();
+        std::fs::remove_file(path).ok();
+    }
+}
+
+/// GROUP BY end to end, against an oracle that never enters the engine's
+/// aggregation: the test folds the rows of the matching projection
+/// (`SELECT key…, arg… FROM t WHERE …`, answered by the stateless baseline)
+/// into groups itself, in arrival order, and every grouped answer must
+/// equal that fold row for row. Over the mixed-type file, at 1 and 4
+/// workers, from three table states: cold; warm under a budget that caches
+/// about half of the query's columns, so the groups span cached and raw
+/// batches; and fully cached. Keys are Bool, Str, Float and Int columns,
+/// one and two of them, and an expression; every query pushes a WHERE.
+#[test]
+fn grouped_aggregates_equal_the_folded_projection() {
+    // (group keys, aggregates as (function, argument), WHERE)
+    type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)], &'a str);
+    let queries: [Case<'_>; 5] = [
+        (
+            &["c4"],
+            &[("COUNT", "*"), ("SUM", "c1"), ("MIN", "c2"), ("MAX", "c3")],
+            "c2 < 700.0",
+        ),
+        (
+            &["c3"],
+            &[("COUNT", "c1"), ("AVG", "c1"), ("MAX", "c0")],
+            "c0 >= 50",
+        ),
+        (
+            &["c1 % 7", "c4"],
+            &[
+                ("COUNT", "*"),
+                ("SUM", "c2"),
+                ("MIN", "c1"),
+                ("COUNT", "c3"),
+            ],
+            "c2 >= 100.0",
+        ),
+        (&["c2"], &[("COUNT", "*"), ("SUM", "c0")], "c1 < 500000"),
+        (
+            &["c1"],
+            &[("SUM", "c0"), ("MAX", "c2"), ("MIN", "c3"), ("AVG", "c2")],
+            "c3 IS NOT NULL",
+        ),
+    ];
+    // One aggregate over its argument's values in arrival order (`*`
+    // passes a non-NULL placeholder per row).
+    let fold = |func: &str, values: &[Datum]| -> Datum {
+        let vals: Vec<&Datum> = values.iter().filter(|d| !d.is_null()).collect();
+        let by = |a: &&&Datum, b: &&&Datum| a.total_cmp(b);
+        match (func, vals.first()) {
+            ("COUNT", _) => Datum::Int(vals.len() as i64),
+            (_, None) => Datum::Null,
+            ("SUM", Some(Datum::Int(_))) => {
+                Datum::Int(vals.iter().map(|d| d.as_int().unwrap()).sum())
+            }
+            ("SUM", _) => Datum::Float(vals.iter().fold(0.0, |s, d| s + d.as_float().unwrap())),
+            ("AVG", _) => Datum::Float(
+                vals.iter().fold(0.0, |s, d| s + d.as_float().unwrap()) / vals.len() as f64,
+            ),
+            ("MIN", _) => (**vals.iter().min_by(by).unwrap()).clone(),
+            ("MAX", _) => (**vals.iter().max_by(by).unwrap()).clone(),
+            _ => unreachable!("{func}"),
+        }
+    };
+    let mut rng = CaseRng::new(0x6B0C);
+    for case in 0..2 * stress_factor() {
+        let gen = mixed_types(300 + rng.below(700), rng.below(1_000));
+        let path = scratch("grouped", case);
+        gen.generate_file(&path).unwrap();
+        let mk = |cfg: NoDbConfig| {
+            let mut db = NoDb::new(cfg);
+            db.register_csv_with_schema("t", &path, gen.schema(), false)
+                .unwrap();
+            db
+        };
+        let base = mk(NoDbConfig::baseline());
+        let model = common::NaiveModel::load(&path, &gen.schema(), &NoDbConfig::pm_c());
+        for (keys, aggs, filter) in queries {
+            let args: Vec<&str> = aggs.iter().map(|a| a.1).filter(|&a| a != "*").collect();
+            let calls: Vec<String> = aggs.iter().map(|(f, a)| format!("{f}({a})")).collect();
+            let (keys_sql, args_sql) = (keys.join(", "), args.join(", "));
+            let grouped = format!(
+                "SELECT {keys_sql}, {} FROM t WHERE {filter} GROUP BY {keys_sql}",
+                calls.join(", ")
+            );
+            let rows = base
+                .query(&format!(
+                    "SELECT {keys_sql}, {args_sql} FROM t WHERE {filter}"
+                ))
+                .unwrap()
+                .rows;
+            // Per group, in arrival order: its key and each aggregate's
+            // argument values.
+            let mut groups: Vec<(Vec<Datum>, Vec<Vec<Datum>>)> = Vec::new();
+            let mut index: HashMap<String, usize> = HashMap::new();
+            for row in rows {
+                let (key, vals) = row.split_at(keys.len());
+                let g = *index.entry(format!("{key:?}")).or_insert_with(|| {
+                    groups.push((key.to_vec(), vec![Vec::new(); aggs.len()]));
+                    groups.len() - 1
+                });
+                let mut next = vals.iter();
+                for (a, &(_, arg)) in aggs.iter().enumerate() {
+                    let v = if arg == "*" {
+                        Datum::Int(1)
+                    } else {
+                        next.next().unwrap().clone()
+                    };
+                    groups[g].1[a].push(v);
+                }
+            }
+            let expect: Vec<Vec<Datum>> = groups
+                .into_iter()
+                .map(|(mut key, vals)| {
+                    key.extend(aggs.iter().zip(&vals).map(|(&(f, _), v)| fold(f, v)));
+                    key
+                })
+                .collect();
+            let attrs: Vec<usize> = (0..5)
+                .filter(|a| grouped.contains(&format!("c{a}")))
+                .collect();
+            let half = model.bytes_for_rows(&attrs, gen.rows as usize / 2);
+            for threads in [1usize, 4] {
+                let cfg = |cache_budget_bytes: usize| NoDbConfig {
+                    scan_threads: threads,
+                    cache_budget_bytes,
+                    ..NoDbConfig::pm_c()
+                };
+                let tag = format!("case {case} threads {threads} ({grouped})");
+                let check = |db: &NoDb, state: &str| {
+                    let got = db.query(&grouped).unwrap().rows;
+                    assert_eq!(got, expect, "{tag}: {state}");
+                };
+                let cold = mk(cfg(1 << 30));
+                check(&cold, "cold");
+                let partial = mk(cfg(half));
+                check(&partial, "cold, tight budget");
+                let resident = partial.table_handle("t").unwrap().read().cache().resident();
+                assert!(
+                    resident
+                        .iter()
+                        .any(|&(_, n)| n > 0 && n < gen.rows as usize),
+                    "{tag}: the budget caches part of a column: {resident:?}"
+                );
+                check(&partial, "warm, half cached");
+                let full = mk(cfg(1 << 30));
+                full.query("SELECT * FROM t").unwrap();
+                check(&full, "fully cached");
+            }
+        }
         std::fs::remove_file(path).ok();
     }
 }
