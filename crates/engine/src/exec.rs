@@ -1,13 +1,16 @@
 //! Pipeline execution above the scan: projection, hash aggregation, sort,
 //! limit (a bounded top-n under `ORDER BY`).
 //!
-//! Aggregation is columnar. A global aggregate folds each batch column
-//! whole; a grouped one resolves each batch to dense group ids through an
-//! open-addressing table over the typed key columns and scatters every
-//! aggregate's argument column into per-group state arrays. Only computed
-//! expressions and the (aggregate, column type) pairings without a typed
-//! kernel — COUNT DISTINCT, MIN/MAX/SUM/AVG over strings or booleans — go
-//! value by value through the scalar accumulator.
+//! Aggregation is columnar and has one path. Each batch is resolved to
+//! dense group ids through an open-addressing table over the typed key
+//! columns; a global aggregate is the case without keys, where every row is
+//! in group 0. Each (aggregate, column type) pairing with a typed kernel is
+//! one `Fold` over a typed accumulator, driven over a batch in one of two
+//! ways: reduced, in a local accumulator that continues group 0's state and
+//! is stored back once per batch, or scattered into each row's group state
+//! by id. Only computed expressions and the pairings without a fold — COUNT
+//! DISTINCT, MIN/MAX over strings or booleans, SUM/AVG over non-numbers —
+//! go value by value through the scalar accumulator.
 //!
 //! Kept deliberately boring — this is the part of the system the paper says
 //! should *not* change between PostgresRaw and a conventional DBMS ("the
@@ -17,7 +20,6 @@
 
 use std::collections::{BinaryHeap, HashSet};
 
-use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 use nodb_sqlparse::ast::AggFunc;
@@ -38,10 +40,10 @@ const MAX_RESERVE_ROWS: usize = 1 << 20;
 
 /// Execute a planned query against a scan source, materializing the result.
 /// Every batch column is [`Column::Typed`] or [`Column::Nulls`]. Aggregates
-/// run a batch at a time: a global aggregate folds a bare column through
-/// typed kernels; GROUP BY hashes its key columns into dense group ids
-/// (bare keys straight from the typed storage) and scatters each bare
-/// argument column into per-group states. Projections, computed keys and
+/// run a batch at a time: GROUP BY hashes its key columns into dense group
+/// ids (bare keys straight from the typed storage), a global aggregate puts
+/// every row in group 0, and each bare argument column is folded into the
+/// per-group states by typed kernels. Projections, computed keys and
 /// arguments, and the (aggregate, type) pairings without a kernel evaluate
 /// row-at-a-time through [`BatchRow`].
 ///
@@ -231,103 +233,92 @@ fn run_top_n(
     Ok(heap.into_sorted_vec().into_iter().map(|e| e.row).collect())
 }
 
-/// Accumulator for one aggregate call within one group.
+/// Accumulator for one aggregate call within one group (group 0 of a
+/// global aggregate). The typed kernels ([`Fold`]) fold into it through a
+/// copy of its accumulator; everything else through [`AggState::update`].
 enum AggState {
     Count(u64),
     CountDistinct(HashSet<u64>),
-    Sum {
-        int: i128,
-        float: f64,
-        any_float: bool,
-        non_null: u64,
-    },
-    Avg {
-        sum: f64,
-        non_null: u64,
-    },
+    Sum(Sum),
+    Avg(Avg),
     Min(Option<Datum>),
     Max(Option<Datum>),
 }
+
+/// SUM's accumulator: integers add exactly in `int` and floats in `float`;
+/// the answer is an Int unless a float was added or the total leaves i64.
+#[derive(Clone, Copy, Default)]
+struct Sum {
+    int: i128,
+    float: f64,
+    any_float: bool,
+    non_null: u64,
+}
+
+/// AVG's accumulator: a float sum and the count of values in it.
+#[derive(Clone, Copy, Default)]
+struct Avg {
+    sum: f64,
+    non_null: u64,
+}
+
+/// MIN (`MAX = false`) or MAX (`MAX = true`) of a run of values of one
+/// type, merged into the state's `Option<Datum>` when stored.
+#[derive(Clone, Copy)]
+struct Extreme<T, const MAX: bool>(Option<T>);
 
 impl AggState {
     fn new(call: &AggCall) -> Self {
         match (call.func, call.distinct) {
             (AggFunc::Count, true) => AggState::CountDistinct(HashSet::new()),
             (AggFunc::Count, false) => AggState::Count(0),
-            (AggFunc::Sum, _) => AggState::Sum {
-                int: 0,
-                float: 0.0,
-                any_float: false,
-                non_null: 0,
-            },
-            (AggFunc::Avg, _) => AggState::Avg {
-                sum: 0.0,
-                non_null: 0,
-            },
+            (AggFunc::Sum, _) => AggState::Sum(Sum::default()),
+            (AggFunc::Avg, _) => AggState::Avg(Avg::default()),
             (AggFunc::Min, _) => AggState::Min(None),
             (AggFunc::Max, _) => AggState::Max(None),
         }
     }
 
-    fn update(&mut self, value: Option<&Datum>) -> EngineResult<()> {
+    /// Fold one argument value, whatever its type: NULL updates nothing,
+    /// and SUM/AVG fail on a value that is not a number. This is the
+    /// reference the typed folds ([`Fold`]) must equal on the pairings they
+    /// cover, so it does its own arithmetic.
+    fn update(&mut self, d: &Datum) -> EngineResult<()> {
+        if d.is_null() {
+            return Ok(());
+        }
         match self {
-            AggState::Count(n) => {
-                // COUNT(*) gets None (count the row); COUNT(e) counts
-                // non-null values of e.
-                match value {
-                    None => *n += 1,
-                    Some(d) if !d.is_null() => *n += 1,
-                    _ => {}
-                }
-            }
+            AggState::Count(n) => *n += 1,
             AggState::CountDistinct(set) => {
-                if let Some(d) = value {
-                    if !d.is_null() {
-                        set.insert(hash_datum(d));
+                set.insert(hash_datum(d));
+            }
+            AggState::Sum(s) => {
+                match d {
+                    Datum::Int(v) => s.int += i128::from(*v),
+                    Datum::Float(v) => {
+                        s.float += v;
+                        s.any_float = true;
+                    }
+                    _ => {
+                        return Err(EngineError::Execution(format!(
+                            "SUM over non-numeric value {d}"
+                        )))
                     }
                 }
+                s.non_null += 1;
             }
-            AggState::Sum {
-                int,
-                float,
-                any_float,
-                non_null,
-            } => match value {
-                Some(Datum::Int(v)) => {
-                    *int += *v as i128;
-                    *non_null += 1;
+            AggState::Avg(a) => match d.as_float() {
+                Some(v) => {
+                    a.sum += v;
+                    a.non_null += 1;
                 }
-                Some(Datum::Float(v)) => {
-                    *float += v;
-                    *any_float = true;
-                    *non_null += 1;
-                }
-                Some(Datum::Null) | None => {}
-                Some(other) => {
+                None => {
                     return Err(EngineError::Execution(format!(
-                        "SUM over non-numeric value {other}"
+                        "AVG over non-numeric value {d}"
                     )))
                 }
             },
-            AggState::Avg { sum, non_null } => match value {
-                Some(d) if !d.is_null() => match d.as_float() {
-                    Some(v) => {
-                        *sum += v;
-                        *non_null += 1;
-                    }
-                    None => {
-                        return Err(EngineError::Execution(format!(
-                            "AVG over non-numeric value {d}"
-                        )))
-                    }
-                },
-                _ => {}
-            },
-            AggState::Min(_) | AggState::Max(_) => {
-                if let Some(d) = value.filter(|d| !d.is_null()) {
-                    self.extreme(d);
-                }
-            }
+            AggState::Min(_) | AggState::Max(_) => self.extreme(d),
         }
         Ok(())
     }
@@ -346,285 +337,26 @@ impl AggState {
         }
     }
 
-    /// Bulk `COUNT(*)`: every logical row counts, no values consulted.
-    fn add_rows(&mut self, n: u64) {
-        if let AggState::Count(c) = self {
-            *c += n;
-        } else {
-            debug_assert!(false, "add_rows is COUNT(*)-only");
-        }
-    }
-
-    /// Columnar update: fold a whole batch column (restricted to `sel` when
-    /// given) into this accumulator. Typed numeric columns run as tight
-    /// loops over the value vectors; every other pairing replays the
-    /// row-at-a-time [`Self::update`] per value, so the result is always
-    /// identical to the scalar path.
-    fn update_from_column(&mut self, col: &Column, sel: Option<&[u32]>) -> EngineResult<()> {
-        // All-NULL columns update nothing (COUNT skips NULLs, SUM/AVG/
-        // MIN/MAX ignore them, DISTINCT sets never see them).
-        if matches!(col, Column::Nulls(_)) {
-            return Ok(());
-        }
-        if let Column::Typed(tc) = col {
-            if self.update_typed(tc, sel) {
-                return Ok(());
-            }
-        }
-        // No kernel for this pairing (SUM/AVG/MIN/MAX over string or bool
-        // columns, COUNT DISTINCT): replay the scalar updates.
-        match sel {
-            Some(s) => {
-                for &i in s {
-                    let d = col.datum(i as usize);
-                    self.update(Some(&d))?;
-                }
-            }
-            None => {
-                for i in 0..col.len() {
-                    let d = col.datum(i);
-                    self.update(Some(&d))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The typed numeric kernels; returns `false` when this (state, column)
-    /// pairing has none and the caller must replay scalar updates.
-    fn update_typed(&mut self, tc: &TypedColumn, sel: Option<&[u32]>) -> bool {
-        /// Iterate the selected physical indices.
-        macro_rules! for_sel {
-            ($len:expr, $i:ident, $body:expr) => {
-                match sel {
-                    Some(s) => {
-                        for &idx in s {
-                            let $i = idx as usize;
-                            $body
-                        }
-                    }
-                    None => {
-                        for $i in 0..$len {
-                            $body
-                        }
-                    }
-                }
-            };
-        }
-        match (self, tc) {
-            (AggState::Count(n), tc) => {
-                let nulls = tc.nulls();
-                if !nulls.any_null() {
-                    *n += sel.map(<[u32]>::len).unwrap_or(tc.len()) as u64;
-                } else {
-                    for_sel!(tc.len(), i, {
-                        if !nulls.is_null(i) {
-                            *n += 1;
-                        }
-                    });
-                }
-                true
-            }
-            (AggState::Sum { int, non_null, .. }, TypedColumn::Int { values, nulls }) => {
-                if !nulls.any_null() {
-                    match sel {
-                        Some(s) => {
-                            for &idx in s {
-                                *int += values[idx as usize] as i128;
-                            }
-                            *non_null += s.len() as u64;
-                        }
-                        None => {
-                            for v in values {
-                                *int += *v as i128;
-                            }
-                            *non_null += values.len() as u64;
-                        }
-                    }
-                } else {
-                    for_sel!(values.len(), i, {
-                        if !nulls.is_null(i) {
-                            *int += values[i] as i128;
-                            *non_null += 1;
-                        }
-                    });
-                }
-                true
-            }
-            (
-                AggState::Sum {
-                    float,
-                    any_float,
-                    non_null,
-                    ..
-                },
-                TypedColumn::Float { values, nulls },
-            ) => {
-                if !nulls.any_null() {
-                    for_sel!(values.len(), i, {
-                        *float += values[i];
-                    });
-                    let added = sel.map(<[u32]>::len).unwrap_or(values.len()) as u64;
-                    *non_null += added;
-                    if added > 0 {
-                        *any_float = true;
-                    }
-                } else {
-                    for_sel!(values.len(), i, {
-                        if !nulls.is_null(i) {
-                            *float += values[i];
-                            *any_float = true;
-                            *non_null += 1;
-                        }
-                    });
-                }
-                true
-            }
-            (AggState::Avg { sum, non_null }, TypedColumn::Int { values, nulls }) => {
-                if !nulls.any_null() {
-                    for_sel!(values.len(), i, {
-                        *sum += values[i] as f64;
-                        *non_null += 1;
-                    });
-                } else {
-                    for_sel!(values.len(), i, {
-                        if !nulls.is_null(i) {
-                            *sum += values[i] as f64;
-                            *non_null += 1;
-                        }
-                    });
-                }
-                true
-            }
-            (AggState::Avg { sum, non_null }, TypedColumn::Float { values, nulls }) => {
-                if !nulls.any_null() {
-                    for_sel!(values.len(), i, {
-                        *sum += values[i];
-                        *non_null += 1;
-                    });
-                } else {
-                    for_sel!(values.len(), i, {
-                        if !nulls.is_null(i) {
-                            *sum += values[i];
-                            *non_null += 1;
-                        }
-                    });
-                }
-                true
-            }
-            (AggState::Min(cur), TypedColumn::Int { values, nulls }) => {
-                let mut best: Option<i64> = None;
-                for_sel!(values.len(), i, {
-                    if !nulls.is_null(i) && best.map(|b| values[i] < b).unwrap_or(true) {
-                        best = Some(values[i]);
-                    }
-                });
-                if let Some(b) = best {
-                    let d = Datum::Int(b);
-                    if cur
-                        .as_ref()
-                        .map(|c| d.total_cmp(c) == std::cmp::Ordering::Less)
-                        .unwrap_or(true)
-                    {
-                        *cur = Some(d);
-                    }
-                }
-                true
-            }
-            (AggState::Max(cur), TypedColumn::Int { values, nulls }) => {
-                let mut best: Option<i64> = None;
-                for_sel!(values.len(), i, {
-                    if !nulls.is_null(i) && best.map(|b| values[i] > b).unwrap_or(true) {
-                        best = Some(values[i]);
-                    }
-                });
-                if let Some(b) = best {
-                    let d = Datum::Int(b);
-                    if cur
-                        .as_ref()
-                        .map(|c| d.total_cmp(c) == std::cmp::Ordering::Greater)
-                        .unwrap_or(true)
-                    {
-                        *cur = Some(d);
-                    }
-                }
-                true
-            }
-            (AggState::Min(cur), TypedColumn::Float { values, nulls }) => {
-                let mut best: Option<f64> = None;
-                for_sel!(values.len(), i, {
-                    if !nulls.is_null(i)
-                        && best
-                            .map(|b| values[i].total_cmp(&b) == std::cmp::Ordering::Less)
-                            .unwrap_or(true)
-                    {
-                        best = Some(values[i]);
-                    }
-                });
-                if let Some(b) = best {
-                    let d = Datum::Float(b);
-                    if cur
-                        .as_ref()
-                        .map(|c| d.total_cmp(c) == std::cmp::Ordering::Less)
-                        .unwrap_or(true)
-                    {
-                        *cur = Some(d);
-                    }
-                }
-                true
-            }
-            (AggState::Max(cur), TypedColumn::Float { values, nulls }) => {
-                let mut best: Option<f64> = None;
-                for_sel!(values.len(), i, {
-                    if !nulls.is_null(i)
-                        && best
-                            .map(|b| values[i].total_cmp(&b) == std::cmp::Ordering::Greater)
-                            .unwrap_or(true)
-                    {
-                        best = Some(values[i]);
-                    }
-                });
-                if let Some(b) = best {
-                    let d = Datum::Float(b);
-                    if cur
-                        .as_ref()
-                        .map(|c| d.total_cmp(c) == std::cmp::Ordering::Greater)
-                        .unwrap_or(true)
-                    {
-                        *cur = Some(d);
-                    }
-                }
-                true
-            }
-            _ => false,
-        }
-    }
-
     fn finish(self) -> Datum {
         match self {
             AggState::Count(n) => Datum::Int(n as i64),
             AggState::CountDistinct(set) => Datum::Int(set.len() as i64),
-            AggState::Sum {
-                int,
-                float,
-                any_float,
-                non_null,
-            } => {
-                if non_null == 0 {
+            AggState::Sum(s) => {
+                if s.non_null == 0 {
                     Datum::Null
-                } else if any_float {
-                    Datum::Float(float + int as f64)
-                } else if let Ok(v) = i64::try_from(int) {
+                } else if s.any_float {
+                    Datum::Float(s.float + s.int as f64)
+                } else if let Ok(v) = i64::try_from(s.int) {
                     Datum::Int(v)
                 } else {
-                    Datum::Float(int as f64)
+                    Datum::Float(s.int as f64)
                 }
             }
-            AggState::Avg { sum, non_null } => {
-                if non_null == 0 {
+            AggState::Avg(a) => {
+                if a.non_null == 0 {
                     Datum::Null
                 } else {
-                    Datum::Float(sum / non_null as f64)
+                    Datum::Float(a.sum / a.non_null as f64)
                 }
             }
             AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Datum::Null),
@@ -632,11 +364,128 @@ impl AggState {
     }
 }
 
-fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
-    if spec.group_exprs.is_empty() {
-        run_global(spec, source)
-    } else {
-        run_grouped(spec, source)
+/// A typed accumulator, taken out of an [`AggState`] and put back.
+trait Acc: Copy {
+    /// The accumulator that continues `state`.
+    fn load(state: &AggState) -> Self;
+    /// Put the accumulator back into `state`.
+    fn store(self, state: &mut AggState);
+}
+
+/// One (aggregate, column type) pairing with a typed kernel: how its
+/// accumulator folds one non-NULL value of type `T`. [`drive`] runs it over
+/// a batch, reducing into group 0 or scattering into each row's group.
+trait Fold<T>: Acc {
+    fn fold(&mut self, v: T);
+}
+
+/// COUNT, SUM and AVG continue from a copy of their state's accumulator.
+macro_rules! acc_in_state {
+    ($($acc:ty => $variant:ident),*) => {$(
+        impl Acc for $acc {
+            fn load(state: &AggState) -> Self {
+                match state {
+                    AggState::$variant(a) => *a,
+                    _ => <$acc>::default(),
+                }
+            }
+
+            fn store(self, state: &mut AggState) {
+                if let AggState::$variant(a) = state {
+                    *a = self;
+                }
+            }
+        }
+    )*};
+}
+acc_in_state!(u64 => Count, Sum => Sum, Avg => Avg);
+
+/// COUNT over any column, or COUNT(*): only whether a value is there.
+impl Fold<()> for u64 {
+    #[inline]
+    fn fold(&mut self, (): ()) {
+        *self += 1;
+    }
+}
+
+impl Fold<i64> for Sum {
+    #[inline]
+    fn fold(&mut self, v: i64) {
+        self.int += i128::from(v);
+        self.non_null += 1;
+    }
+}
+
+impl Fold<f64> for Sum {
+    #[inline]
+    fn fold(&mut self, v: f64) {
+        self.float += v;
+        self.any_float = true;
+        self.non_null += 1;
+    }
+}
+
+impl<T: Num> Fold<T> for Avg {
+    #[inline]
+    fn fold(&mut self, v: T) {
+        self.sum += v.to_f64();
+        self.non_null += 1;
+    }
+}
+
+/// An extreme starts each run empty and is merged when stored: the state
+/// may hold a value of the other numeric type, and the first of equal
+/// values stays, so merging a run's extreme equals folding its values.
+impl<T: Num, const MAX: bool> Acc for Extreme<T, MAX> {
+    fn load(_: &AggState) -> Self {
+        Extreme(None)
+    }
+
+    fn store(self, state: &mut AggState) {
+        if let Some(v) = self.0 {
+            state.extreme(&v.into());
+        }
+    }
+}
+
+impl<T: Num, const MAX: bool> Fold<T> for Extreme<T, MAX> {
+    #[inline]
+    fn fold(&mut self, v: T) {
+        let beats = if MAX {
+            std::cmp::Ordering::Greater
+        } else {
+            std::cmp::Ordering::Less
+        };
+        if self.0.is_none_or(|b| v.total_cmp(&b) == beats) {
+            self.0 = Some(v);
+        }
+    }
+}
+
+/// The numeric column types with typed kernels.
+trait Num: Copy + Into<Datum> {
+    fn to_f64(self) -> f64;
+    /// [`Datum::total_cmp`] between two values of this type.
+    fn total_cmp(&self, other: &Self) -> std::cmp::Ordering;
+}
+
+impl Num for i64 {
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+
+    fn total_cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.cmp(other)
+    }
+}
+
+impl Num for f64 {
+    fn to_f64(self) -> f64 {
+        self
+    }
+
+    fn total_cmp(&self, other: &Self) -> std::cmp::Ordering {
+        f64::total_cmp(self, other)
     }
 }
 
@@ -652,37 +501,14 @@ fn output_row(spec: &AggSpec, key: &[Datum], finished: &mut [Option<Datum>]) -> 
         .collect()
 }
 
-/// Aggregation without GROUP BY: one group, every batch folded whole.
-fn run_global(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
-    let mut state: Vec<AggState> = spec.aggs.iter().map(AggState::new).collect();
-    while let Some(batch) = source.next_batch()? {
-        // Whole-batch kernels: COUNT(*) counts logical rows, bare-column
-        // arguments fold the column (honoring the selection vector),
-        // expression arguments evaluate row-at-a-time.
-        for (a, call) in spec.aggs.iter().enumerate() {
-            match &call.arg {
-                None => state[a].add_rows(batch.rows() as u64),
-                Some(RExpr::Col(c)) => {
-                    state[a].update_from_column(batch.column(*c), batch.selection())?
-                }
-                Some(e) => {
-                    for r in 0..batch.rows() {
-                        let v = e.eval(&BatchRow::new(&batch, r));
-                        state[a].update(Some(&v))?;
-                    }
-                }
-            }
-        }
-    }
-    let mut finished: Vec<Option<Datum>> = state.into_iter().map(|s| Some(s.finish())).collect();
-    Ok(vec![output_row(spec, &[], &mut finished)])
-}
-
-/// Aggregation with GROUP BY, a batch at a time: the [`GroupTable`]
-/// resolves each logical row to a dense group id, then every aggregate
-/// scatters the batch into its per-group states ([`GroupedAgg::scatter`]).
-/// Output rows come in group-arrival order.
-fn run_grouped(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
+/// Aggregation, a batch at a time, with or without GROUP BY: the
+/// [`GroupTable`] resolves each logical row to a dense group id, then every
+/// aggregate folds the batch into its per-group states
+/// ([`GroupedAgg::fold`]). Without group keys every row is in group 0,
+/// which exists before the first batch, so an aggregate over no rows still
+/// answers one row (COUNT 0, NULL for the rest). Output rows come in
+/// group-arrival order.
+fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
     let mut table = GroupTable::new(&spec.group_exprs);
     let mut aggs: Vec<GroupedAgg<'_>> = spec
         .aggs
@@ -694,12 +520,12 @@ fn run_grouped(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<
         .collect();
     let mut ids: Vec<u32> = Vec::new();
     while let Some(batch) = source.next_batch()? {
-        table.assign(&batch, &mut ids)?;
+        let groups = table.assign(&batch, &mut ids)?;
         // Row at a time, the first failing (row, aggregate) update would
         // have ended the query; report that one.
         let mut failed: Option<(usize, EngineError)> = None;
         for agg in &mut aggs {
-            if let Err((r, e)) = agg.scatter(&batch, &ids, table.len()) {
+            if let Err((r, e)) = agg.fold(&batch, groups, table.len()) {
                 if failed.as_ref().is_none_or(|&(first, _)| r < first) {
                     failed = Some((r, e));
                 }
@@ -709,8 +535,14 @@ fn run_grouped(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<
             return Err(e);
         }
     }
-    let mut states: Vec<std::vec::IntoIter<AggState>> =
-        aggs.into_iter().map(|a| a.states.into_iter()).collect();
+    let groups = table.len();
+    let mut states: Vec<std::vec::IntoIter<AggState>> = aggs
+        .into_iter()
+        .map(|mut a| {
+            a.grow(groups);
+            a.states.into_iter()
+        })
+        .collect();
     let mut finished: Vec<Option<Datum>> = Vec::with_capacity(states.len());
     Ok(table
         .keys()
@@ -722,48 +554,51 @@ fn run_grouped(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<
         .collect())
 }
 
-/// One aggregate call of a grouped aggregation: its accumulators, indexed
-/// by group id.
+/// One aggregate call of an aggregation: its accumulators, indexed by group
+/// id.
 struct GroupedAgg<'a> {
     call: &'a AggCall,
     states: Vec<AggState>,
 }
 
 impl GroupedAgg<'_> {
-    /// Fold every logical row `r` of `batch` into the state of its group
-    /// `ids[r]`, after adding states for the groups new in this batch (there
-    /// are `groups` in all). A bare-column argument over a typed column
-    /// runs a typed kernel ([`scatter_typed`]); every other pairing replays
-    /// [`AggState::update`] per row. On failure, returns the first logical
-    /// row whose update failed, with its error.
-    fn scatter(
-        &mut self,
-        batch: &Batch,
-        ids: &[u32],
-        groups: usize,
-    ) -> Result<(), (usize, EngineError)> {
+    /// Add states for the groups new since the last batch (`groups` in all).
+    fn grow(&mut self, groups: usize) {
         let call = self.call;
         self.states.resize_with(groups, || AggState::new(call));
+    }
+
+    /// Fold every logical row `r` of `batch` into the state of its group:
+    /// `ids[r]`, or group 0 when `ids` is `None` (see
+    /// [`GroupTable::assign`]). A bare-column argument over a typed column,
+    /// and COUNT(*), run a typed [`Fold`] through [`drive`]; every other
+    /// pairing replays [`AggState::update`] per row. On failure, returns the
+    /// first logical row whose update failed, with its error.
+    fn fold(
+        &mut self,
+        batch: &Batch,
+        ids: Option<&[u32]>,
+        groups: usize,
+    ) -> Result<(), (usize, EngineError)> {
+        self.grow(groups);
         let states = &mut self.states[..];
         let replay = |states: &mut [AggState], value: &dyn Fn(usize) -> Datum| {
-            for (r, &g) in ids.iter().enumerate() {
-                states[g as usize]
-                    .update(Some(&value(r)))
-                    .map_err(|e| (r, e))?;
+            for r in 0..batch.rows() {
+                let g = ids.map_or(0, |ids| ids[r] as usize);
+                states[g].update(&value(r)).map_err(|e| (r, e))?;
             }
             Ok(())
         };
-        match &call.arg {
+        match &self.call.arg {
+            // COUNT(*): the driver's row count.
             None => {
-                for &g in ids {
-                    states[g as usize].add_rows(1);
-                }
+                drive::<(), u64>(states, ids, None, batch.rows(), |_| Some(()));
                 Ok(())
             }
             Some(RExpr::Col(c)) => match batch.column(*c) {
                 // NULL updates nothing, whatever the aggregate.
                 Column::Nulls(_) => Ok(()),
-                Column::Typed(tc) if scatter_typed(call, states, tc, batch.selection(), ids) => {
+                Column::Typed(tc) if fold_typed(self.call, states, tc, batch.selection(), ids) => {
                     Ok(())
                 }
                 Column::Typed(_) => replay(states, &|r| batch.value(r, *c)),
@@ -773,107 +608,100 @@ impl GroupedAgg<'_> {
     }
 }
 
-/// Call `f(p, g)` for every logical row: `p` its physical index in the
-/// batch's columns, `g` its group id. The selection is matched once, not per
-/// row.
+/// Run the typed fold `A` over a batch's logical rows: `rows` of them, at
+/// the physical indices `sel` names (all of `0..rows` without one), where
+/// `value(p)` is physical row `p`'s value (`None` for NULL, which folds
+/// nothing). Without `ids` it **reduces**: one accumulator, loaded from
+/// group 0's state, folds the whole batch in a local and is stored back
+/// once. With `ids` it **scatters**: each row's value is folded into the
+/// state of its group `ids[r]`.
 #[inline]
-fn for_rows(sel: Option<&[u32]>, ids: &[u32], mut f: impl FnMut(usize, usize)) {
-    match sel {
-        Some(s) => {
-            for (&p, &g) in s.iter().zip(ids) {
-                f(p as usize, g as usize);
-            }
-        }
+fn drive<T, A: Fold<T>>(
+    states: &mut [AggState],
+    ids: Option<&[u32]>,
+    sel: Option<&[u32]>,
+    rows: usize,
+    value: impl Fn(usize) -> Option<T>,
+) {
+    match ids {
         None => {
-            for (p, &g) in ids.iter().enumerate() {
-                f(p, g as usize);
+            let mut acc = A::load(&states[0]);
+            let mut fold = |p: usize| {
+                if let Some(v) = value(p) {
+                    acc.fold(v);
+                }
+            };
+            match sel {
+                Some(s) => s.iter().for_each(|&p| fold(p as usize)),
+                None => (0..rows).for_each(fold),
+            }
+            acc.store(&mut states[0]);
+        }
+        Some(ids) => {
+            let mut scatter = |p: usize, g: usize| {
+                if let Some(v) = value(p) {
+                    let mut acc = A::load(&states[g]);
+                    acc.fold(v);
+                    acc.store(&mut states[g]);
+                }
+            };
+            match sel {
+                Some(s) => s
+                    .iter()
+                    .zip(ids)
+                    .for_each(|(&p, &g)| scatter(p as usize, g as usize)),
+                None => ids
+                    .iter()
+                    .enumerate()
+                    .for_each(|(p, &g)| scatter(p, g as usize)),
             }
         }
     }
 }
 
-/// The typed grouped kernels: fold a typed column into the states of each
-/// logical row's group, with [`AggState::update`]'s semantics — COUNT over
-/// any column, SUM/AVG/MIN/MAX over Int and Float. The (aggregate, column)
-/// pairing is matched once per batch; returns `false` when it has no kernel
-/// and the caller must replay scalar updates.
-fn scatter_typed(
+/// Fold a typed column through the [`Fold`] of its (aggregate, column type)
+/// pairing — COUNT over any column, SUM/AVG/MIN/MAX over Int and Float —
+/// with [`AggState::update`]'s semantics. The pairing is matched once per
+/// batch, and a column without NULLs skips the per-row NULL test. Returns
+/// `false` when the pairing has no fold and the caller must replay scalar
+/// updates.
+fn fold_typed(
     call: &AggCall,
     states: &mut [AggState],
     tc: &TypedColumn,
     sel: Option<&[u32]>,
-    ids: &[u32],
+    ids: Option<&[u32]>,
 ) -> bool {
-    /// Apply `f` to each non-NULL value and its row's group state.
-    fn each<T: Copy>(
-        states: &mut [AggState],
-        values: &[T],
-        nulls: &NullMask,
-        sel: Option<&[u32]>,
-        ids: &[u32],
-        f: impl Fn(&mut AggState, T),
-    ) {
-        for_rows(sel, ids, |p, g| {
-            if !nulls.is_null(p) {
-                f(&mut states[g], values[p]);
-            }
-        });
-    }
     let nulls = tc.nulls();
-    match (call.func, call.distinct, tc) {
-        (AggFunc::Count, false, _) => for_rows(sel, ids, |p, g| {
-            if let (false, AggState::Count(n)) = (nulls.is_null(p), &mut states[g]) {
-                *n += 1;
+    let rows = sel.map_or(tc.len(), <[u32]>::len);
+    // `drive` the fold `$acc` over the values `$get(p)` of the non-NULL rows.
+    macro_rules! fold {
+        ($acc:ty, $get:expr) => {
+            if nulls.any_null() {
+                drive::<_, $acc>(states, ids, sel, rows, |p| {
+                    (!nulls.is_null(p)).then(|| $get(p))
+                })
+            } else {
+                drive::<_, $acc>(states, ids, sel, rows, |p| Some($get(p)))
             }
-        }),
-        (AggFunc::Sum, _, TypedColumn::Int { values, .. }) => {
-            each(states, values, nulls, sel, ids, |s, v| {
-                if let AggState::Sum { int, non_null, .. } = s {
-                    *int += i128::from(v);
-                    *non_null += 1;
-                }
-            })
+        };
+    }
+    use TypedColumn::{Float, Int};
+    match (call.func, call.distinct, tc) {
+        (AggFunc::Count, false, _) => fold!(u64, |_| ()),
+        (AggFunc::Sum, _, Int { values, .. }) => fold!(Sum, |p| values[p]),
+        (AggFunc::Sum, _, Float { values, .. }) => fold!(Sum, |p| values[p]),
+        (AggFunc::Avg, _, Int { values, .. }) => fold!(Avg, |p| values[p]),
+        (AggFunc::Avg, _, Float { values, .. }) => fold!(Avg, |p| values[p]),
+        (AggFunc::Min, _, Int { values, .. }) => {
+            fold!(Extreme<i64, false>, |p| values[p])
         }
-        (AggFunc::Sum, _, TypedColumn::Float { values, .. }) => {
-            each(states, values, nulls, sel, ids, |s, v| {
-                if let AggState::Sum {
-                    float,
-                    any_float,
-                    non_null,
-                    ..
-                } = s
-                {
-                    *float += v;
-                    *any_float = true;
-                    *non_null += 1;
-                }
-            })
+        (AggFunc::Max, _, Int { values, .. }) => fold!(Extreme<i64, true>, |p| values[p]),
+        (AggFunc::Min, _, Float { values, .. }) => {
+            fold!(Extreme<f64, false>, |p| values[p])
         }
-        (AggFunc::Avg, _, TypedColumn::Int { values, .. }) => {
-            each(states, values, nulls, sel, ids, |s, v| {
-                if let AggState::Avg { sum, non_null } = s {
-                    *sum += v as f64;
-                    *non_null += 1;
-                }
-            })
-        }
-        (AggFunc::Avg, _, TypedColumn::Float { values, .. }) => {
-            each(states, values, nulls, sel, ids, |s, v| {
-                if let AggState::Avg { sum, non_null } = s {
-                    *sum += v;
-                    *non_null += 1;
-                }
-            })
-        }
-        (AggFunc::Min | AggFunc::Max, _, TypedColumn::Int { values, .. }) => {
-            each(states, values, nulls, sel, ids, |s, v| {
-                s.extreme(&Datum::Int(v))
-            })
-        }
-        (AggFunc::Min | AggFunc::Max, _, TypedColumn::Float { values, .. }) => {
-            each(states, values, nulls, sel, ids, |s, v| {
-                s.extreme(&Datum::Float(v))
-            })
+        (AggFunc::Max, _, Float { values, .. }) => {
+            fold!(Extreme<f64, true>, |p| values[p])
         }
         _ => return false,
     }
@@ -1035,106 +863,13 @@ mod tests {
         }
     }
 
-    /// The columnar fold equals the scalar replay it stands in for, for
-    /// every aggregate over every column type, null density and selection
-    /// shape — folded twice, so merging into a non-empty accumulator is
-    /// covered too. The Int values overflow i64 under SUM (promotion to
-    /// Float); the Float values hold NaN and −0.0.
-    #[test]
-    fn update_from_column_equals_scalar_replay() {
-        let values: [(ColumnType, Vec<Datum>); 4] = [
-            (
-                ColumnType::Int,
-                [i64::MAX, i64::MAX - 1, -5, 0, 7, i64::MIN]
-                    .map(Datum::Int)
-                    .to_vec(),
-            ),
-            (
-                ColumnType::Float,
-                [f64::NAN, -0.0, 0.0, 1.5, -2.25, 1e300]
-                    .map(Datum::Float)
-                    .to_vec(),
-            ),
-            (
-                ColumnType::Bool,
-                [true, false, false].map(Datum::Bool).to_vec(),
-            ),
-            (
-                ColumnType::Str,
-                ["b", "a", "", "c", "a"].map(Datum::from).to_vec(),
-            ),
-        ];
-        let funcs = [
-            (AggFunc::Count, false),
-            (AggFunc::Count, true),
-            (AggFunc::Sum, false),
-            (AggFunc::Avg, false),
-            (AggFunc::Min, false),
-            (AggFunc::Max, false),
-        ];
-        const ROWS: usize = 24;
-        let sparse: Vec<u32> = (0..ROWS as u32).step_by(3).collect();
-        for (ty, vals) in &values {
-            for null_every in [0usize, 2, 1] {
-                let mut tc = TypedColumn::new(*ty);
-                for i in 0..ROWS {
-                    if null_every != 0 && i % null_every == 0 {
-                        tc.push_null();
-                    } else {
-                        tc.push(&vals[i % vals.len()]);
-                    }
-                }
-                let col = Column::Typed(tc);
-                for sel in [None, Some(&sparse[..]), Some(&[][..])] {
-                    for &(func, distinct) in &funcs {
-                        let call = AggCall {
-                            func,
-                            arg: Some(RExpr::Col(0)),
-                            distinct,
-                        };
-                        let tag = format!("{ty:?} null_every {null_every} sel {sel:?} {func:?}");
-                        let fold = || -> EngineResult<Datum> {
-                            let mut s = AggState::new(&call);
-                            s.update_from_column(&col, sel)?;
-                            s.update_from_column(&col, sel)?;
-                            Ok(s.finish())
-                        };
-                        let replay = || -> EngineResult<Datum> {
-                            let mut s = AggState::new(&call);
-                            let rows: Vec<usize> = match sel {
-                                Some(s) => s.iter().map(|&i| i as usize).collect(),
-                                None => (0..col.len()).collect(),
-                            };
-                            for &i in rows.iter().chain(&rows) {
-                                s.update(Some(&col.datum(i)))?;
-                            }
-                            Ok(s.finish())
-                        };
-                        // Debug text compares NaN and −0.0 exactly.
-                        assert_eq!(format!("{:?}", fold()), format!("{:?}", replay()), "{tag}");
-                    }
-                }
-            }
-        }
-        // The Int SUM over every row overflows i64 and promotes to Float.
-        let mut s = AggState::new(&AggCall {
-            func: AggFunc::Sum,
-            arg: Some(RExpr::Col(0)),
-            distinct: false,
-        });
-        let mut tc = TypedColumn::new(ColumnType::Int);
-        for v in [i64::MAX, i64::MAX] {
-            tc.push(&Datum::Int(v));
-        }
-        s.update_from_column(&Column::Typed(tc), None).unwrap();
-        assert!(matches!(s.finish(), Datum::Float(v) if v > 1e19));
-    }
-
-    /// The row-at-a-time grouped aggregation the group table replaced: per
-    /// row a [`BatchRow`], a `Vec<Datum>` key, a probe, and one
-    /// [`AggState::update`] per aggregate, stopping at the first failure.
-    /// The probe is a linear search under the group table's equality: every
-    /// key value hashes alike and compares equal under `total_cmp`.
+    /// The row-at-a-time aggregation the batch drivers replaced: per row a
+    /// [`BatchRow`], a `Vec<Datum>` key, a probe, and one
+    /// [`AggState::update`] per aggregate (COUNT(*) counts the row),
+    /// stopping at the first failure. The probe is a linear search under the
+    /// group table's equality: every key value hashes alike and compares
+    /// equal under `total_cmp`. Without keys there is exactly one group, on
+    /// empty input too.
     fn scalar_grouped(spec: &AggSpec, batches: Vec<Batch>) -> EngineResult<Vec<Vec<Datum>>> {
         let same = |a: &[Datum], b: &[Datum]| {
             a.iter()
@@ -1143,6 +878,10 @@ mod tests {
         };
         let mut keys: Vec<Vec<Datum>> = Vec::new();
         let mut states: Vec<Vec<AggState>> = Vec::new();
+        if spec.group_exprs.is_empty() {
+            keys.push(Vec::new());
+            states.push(spec.aggs.iter().map(AggState::new).collect());
+        }
         for batch in &batches {
             for r in 0..batch.rows() {
                 let row = BatchRow::new(batch, r);
@@ -1156,8 +895,11 @@ mod tests {
                     }
                 };
                 for (a, call) in spec.aggs.iter().enumerate() {
-                    let value = call.arg.as_ref().map(|e| e.eval(&row));
-                    states[gi][a].update(value.as_ref())?;
+                    match (&call.arg, &mut states[gi][a]) {
+                        (None, AggState::Count(n)) => *n += 1,
+                        (None, _) => unreachable!("only COUNT takes `*`"),
+                        (Some(e), state) => state.update(&e.eval(&row))?,
+                    }
                 }
             }
         }
@@ -1181,7 +923,6 @@ mod tests {
     /// selection over junk rows the aggregation must not read.
     #[test]
     fn grouped_aggregate_equals_scalar_replay() {
-        use crate::source::QueueSource;
         let names = ["ki", "kf", "ks", "kb", "m", "seq", "vi", "vf", "vs"];
         let types = [
             ColumnType::Int,
@@ -1329,26 +1070,168 @@ mod tests {
             "SELECT seq, COUNT(*), SUM(vf), MAX(ks) FROM t GROUP BY seq",
             "SELECT kb, SUM(vs) FROM t GROUP BY kb",
             "SELECT kb, SUM(ks), AVG(vs) FROM t GROUP BY kb",
+            // Zero keys: one group, reduced a batch at a time.
+            "SELECT COUNT(*), COUNT(vi), SUM(vi), AVG(vi), MIN(vi), MAX(vi) FROM t",
+            "SELECT SUM(vf), AVG(vf), MIN(vf), MAX(vf), SUM(m), MIN(m), MAX(m), AVG(m) FROM t",
+            "SELECT COUNT(DISTINCT vs), MIN(vs), MAX(ks), COUNT(kb), SUM(vi * 2), MAX(vf + 1) FROM t",
+            "SELECT SUM(ks), AVG(vs) FROM t",
         ];
         for sql in queries {
-            let planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
-            let spec = planned.pipeline.aggregate.as_ref().unwrap();
-            let attrs = &planned.scan.attrs;
-            let mut source = QueueSource::new(batches(attrs, &data).into());
-            let got = run_grouped(spec, &mut source);
-            let want = scalar_grouped(spec, batches(attrs, &data));
-            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+            let got = against_scalar(sql, &schema, &|attrs| batches(attrs, &data));
+            if sql.contains("SUM(ks), AVG(vs)") {
+                // The two failing aggregates fail at different rows: the
+                // earlier row's error wins, not the earlier aggregate's.
+                let err = format!("{got:?}");
+                assert!(err.contains("AVG over non-numeric value x"), "{sql}: {err}");
+            }
         }
-        // The two failing aggregates fail at different rows: the earlier
-        // row's error wins, not the earlier aggregate's.
-        let sql = "SELECT kb, SUM(ks), AVG(vs) FROM t GROUP BY kb";
-        let planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
-        let mut source = QueueSource::new(batches(&planned.scan.attrs, &data).into());
-        let err = run_grouped(planned.pipeline.aggregate.as_ref().unwrap(), &mut source);
-        assert!(
-            format!("{err:?}").contains("AVG over non-numeric value x"),
-            "{err:?}"
+
+        // Zero keys over every aggregate, each column type (Int values whose
+        // SUM overflows i64, Float NaN and −0.0, Bool, Str) at each NULL
+        // density (none, every other row, all) and selection (none, sparse,
+        // empty), folded over two batches.
+        let values: [(ColumnType, &str, Vec<Datum>); 4] = [
+            (
+                ColumnType::Int,
+                "i",
+                [i64::MAX, i64::MAX - 1, -5, 0, 7, i64::MIN]
+                    .map(Datum::Int)
+                    .to_vec(),
+            ),
+            (
+                ColumnType::Float,
+                "f",
+                [f64::NAN, -0.0, 0.0, 1.5, -2.25, 1e300]
+                    .map(Datum::Float)
+                    .to_vec(),
+            ),
+            (
+                ColumnType::Bool,
+                "b",
+                [true, false, false].map(Datum::Bool).to_vec(),
+            ),
+            (
+                ColumnType::Str,
+                "s",
+                ["b", "a", "", "c", "a"].map(Datum::from).to_vec(),
+            ),
+        ];
+        let rows = if cfg!(miri) { 12 } else { 24 };
+        let mut defs = Vec::new();
+        let mut cols: Vec<TypedColumn> = Vec::new();
+        for (ty, prefix, vals) in &values {
+            for null_every in [0usize, 2, 1] {
+                defs.push(ColumnDef::new(format!("{prefix}{null_every}"), *ty));
+                let mut tc = TypedColumn::new(*ty);
+                for i in 0..rows {
+                    if null_every != 0 && i % null_every == 0 {
+                        tc.push_null();
+                    } else {
+                        tc.push(&vals[i % vals.len()]);
+                    }
+                }
+                cols.push(tc);
+            }
+        }
+        let schema = Schema::new(defs);
+        let sparse: Vec<u32> = (0..rows as u32).step_by(3).collect();
+        for sel in [None, Some(sparse), Some(Vec::new())] {
+            let twice = |attrs: &[usize]| {
+                let batch = || {
+                    let cols = attrs
+                        .iter()
+                        .map(|&a| Column::Typed(cols[a].export_range(0, rows)));
+                    Batch::from_parts(cols.collect(), sel.clone())
+                };
+                vec![batch(), batch()]
+            };
+            for def in schema.columns() {
+                let c = &def.name;
+                for calls in [
+                    format!("COUNT({c}), COUNT(DISTINCT {c}), MIN({c}), MAX({c}), COUNT(*)"),
+                    format!("SUM({c})"),
+                    format!("AVG({c})"),
+                ] {
+                    let sql = format!("SELECT {calls} FROM t");
+                    let got = against_scalar(&sql, &schema, &twice);
+                    if sql == "SELECT SUM(i0) FROM t" && sel.is_none() {
+                        // The Int SUM overflows i64 and promotes to Float.
+                        let sum = got.unwrap()[0][0].clone();
+                        assert!(matches!(sum, Datum::Float(v) if v > 1e19), "{sum:?}");
+                    }
+                }
+            }
+        }
+        // No batch at all still answers one row.
+        let sql = "SELECT COUNT(*), COUNT(i0), SUM(f0), MIN(s0), AVG(i2) FROM t";
+        let got = against_scalar(sql, &schema, &|_| Vec::new()).unwrap();
+        let (zero, null) = (Datum::Int(0), Datum::Null);
+        assert_eq!(
+            got,
+            [[zero.clone(), zero, null.clone(), null.clone(), null]]
         );
+    }
+
+    /// Run `sql`'s aggregation over `batches(attrs)` (the scan's attributes)
+    /// through [`run_aggregate`] and through [`scalar_grouped`], assert the
+    /// two answers — rows, their order, or the error — have the same `Debug`
+    /// text (so NaN and −0.0 count) and, without keys, one row; return the
+    /// answer.
+    fn against_scalar(
+        sql: &str,
+        schema: &Schema,
+        batches: &dyn Fn(&[usize]) -> Vec<Batch>,
+    ) -> EngineResult<Vec<Vec<Datum>>> {
+        let planned = plan_select(&parse_select(sql).unwrap(), schema, &NoStats).unwrap();
+        let spec = planned.pipeline.aggregate.as_ref().unwrap();
+        let attrs = &planned.scan.attrs;
+        let mut source = crate::source::QueueSource::new(batches(attrs).into());
+        let got = run_aggregate(spec, &mut source);
+        let want = scalar_grouped(spec, batches(attrs));
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
+        if let (true, Ok(rows)) = (spec.group_exprs.is_empty(), &got) {
+            assert_eq!(rows.len(), 1, "{sql}: one row");
+        }
+        got
+    }
+
+    /// A global aggregate and the same aggregates grouped by a constant key
+    /// fail with the same error: the first failing row's, then the first
+    /// failing aggregate's within it (row-major). `s1` is NULL until row 3;
+    /// `s2` is a string from row 0, so `SUM(s2)` fails first, and before
+    /// `AVG(s2)` on the same row.
+    #[test]
+    fn global_and_grouped_aggregates_report_the_same_error() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("k", ColumnType::Int),
+            ColumnDef::new("s1", ColumnType::Str),
+            ColumnDef::new("s2", ColumnType::Str),
+        ]);
+        let table: Vec<Vec<Datum>> = (0..6)
+            .map(|i| {
+                let s1 = if i < 3 {
+                    Datum::Null
+                } else {
+                    Datum::from(format!("one{i}"))
+                };
+                vec![Datum::Int(0), s1, Datum::from(format!("two{i}"))]
+            })
+            .collect();
+        for sql in [
+            "SELECT SUM(s1), SUM(s2) FROM t",
+            "SELECT k, SUM(s1), SUM(s2) FROM t GROUP BY k",
+            "SELECT SUM(s2), AVG(s2) FROM t",
+            "SELECT k, SUM(s2), AVG(s2) FROM t GROUP BY k",
+        ] {
+            let planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
+            let source = MemSource::from_table(&table, &planned.scan);
+            let err = execute(&planned, Box::new(source)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                EngineError::Execution("SUM over non-numeric value two0".into()).to_string(),
+                "{sql}"
+            );
+        }
     }
 
     /// `ORDER BY … LIMIT n` through the bounded top-n equals the unlimited

@@ -3,7 +3,11 @@
 //! [`GroupTable::assign`] resolves every logical row of a batch to a group
 //! id — `0, 1, 2, …` in order of first arrival — so the aggregates above it
 //! can fold their argument columns into per-group state arrays indexed by
-//! id. Keys are read a column at a time: a bare column reference reads the
+//! id. An aggregate without GROUP BY is the zero-key case, decided here
+//! alone: the table holds group 0 from the start, so an aggregate over no
+//! rows still answers one row, and `assign` puts every row in it without
+//! hashing or probing.
+//! Keys are read a column at a time: a bare column reference reads the
 //! batch's typed storage directly, a computed key is evaluated once per
 //! logical row into a `Vec<Datum>`. Row hashes fold the per-value hashes of
 //! `nodb_stats::ndv`, which equal `hash_datum` of the same value, so a typed
@@ -213,12 +217,18 @@ pub(crate) struct GroupTable<'a> {
 }
 
 impl<'a> GroupTable<'a> {
-    /// An empty table grouping by the key expressions `exprs`.
+    /// A table grouping by the key expressions `exprs`: empty, or with no
+    /// keys holding group 0 already.
     pub(crate) fn new(exprs: &'a [RExpr]) -> Self {
         GroupTable {
             exprs,
             slots: vec![EMPTY; INITIAL_SLOTS],
-            hashes: Vec::new(),
+            // Group 0 of a keyless table is never probed: its hash is unused.
+            hashes: if exprs.is_empty() {
+                vec![0]
+            } else {
+                Vec::new()
+            },
             keys: Vec::new(),
             row_hashes: Vec::new(),
             seed: RandomState::new().hash_one(0u8),
@@ -237,8 +247,17 @@ impl<'a> GroupTable<'a> {
     }
 
     /// Resolve every logical row of `batch` to its group, into `ids` (one
-    /// id per logical row). A row whose key is new creates the next group.
-    pub(crate) fn assign(&mut self, batch: &Batch, ids: &mut Vec<u32>) -> EngineResult<()> {
+    /// id per logical row), and return them. A row whose key is new creates
+    /// the next group. Without keys every row is in group 0: `None`, and
+    /// nothing is hashed or probed.
+    pub(crate) fn assign<'i>(
+        &mut self,
+        batch: &Batch,
+        ids: &'i mut Vec<u32>,
+    ) -> EngineResult<Option<&'i [u32]>> {
+        if self.exprs.is_empty() {
+            return Ok(None);
+        }
         let rows = batch.rows();
         let cols: Vec<KeyColumn<'_>> = self
             .exprs
@@ -264,7 +283,7 @@ impl<'a> GroupTable<'a> {
             ids.push(self.find_or_insert(h, r, &cols)?);
         }
         self.row_hashes = hashes;
-        Ok(())
+        Ok(Some(ids))
     }
 
     /// The id of row `r`'s group (hash `h`), created if it is new.

@@ -595,9 +595,11 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
 /// batches, but decoded from its own binary segments and filtered
 /// row-at-a-time before the batch is formed, never from the raw file), and
 /// after every query the table must hold exactly the naive model's state.
-/// Both sides fold aggregates through the same typed kernels; the engine's
-/// `update_from_column_equals_scalar_replay` unit test checks those kernels
-/// against the row-at-a-time accumulator.
+/// Both sides run the same aggregation (`run_aggregate`), so this test
+/// cannot catch a bug there: the engine's
+/// `grouped_aggregate_equals_scalar_replay` unit test checks it against a
+/// row-at-a-time reference, and `grouped_aggregates_equal_the_folded_projection`
+/// checks it end to end, with and without group keys.
 #[test]
 fn typed_scan_equals_loaded_dbms() {
     use nodb_repro::storage::{ConventionalDb, DbProfile};
@@ -730,12 +732,14 @@ fn typed_scan_equals_loaded_dbms() {
 /// workers, from three table states: cold; warm under a budget that caches
 /// about half of the query's columns, so the groups span cached and raw
 /// batches; and fully cached. Keys are Bool, Str, Float and Int columns,
-/// one and two of them, and an expression; every query pushes a WHERE.
+/// one and two of them, an expression, and none: a global aggregate is the
+/// one-group case, one row also when the WHERE matches nothing. Every query
+/// pushes a WHERE.
 #[test]
 fn grouped_aggregates_equal_the_folded_projection() {
     // (group keys, aggregates as (function, argument), WHERE)
     type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)], &'a str);
-    let queries: [Case<'_>; 5] = [
+    let queries: [Case<'_>; 8] = [
         (
             &["c4"],
             &[("COUNT", "*"), ("SUM", "c1"), ("MIN", "c2"), ("MAX", "c3")],
@@ -761,6 +765,42 @@ fn grouped_aggregates_equal_the_folded_projection() {
             &["c1"],
             &[("SUM", "c0"), ("MAX", "c2"), ("MIN", "c3"), ("AVG", "c2")],
             "c3 IS NOT NULL",
+        ),
+        // No keys: the warm `filter_aggregate` shape over Int (`c1` holds
+        // NULLs) and Float, and a WHERE no row passes (`c0` starts at 0).
+        (
+            &[],
+            &[
+                ("COUNT", "*"),
+                ("SUM", "c1"),
+                ("MIN", "c2"),
+                ("MAX", "c1"),
+                ("AVG", "c2"),
+            ],
+            "c0 >= 50",
+        ),
+        (
+            &[],
+            &[
+                ("COUNT", "c1"),
+                ("SUM", "c2"),
+                ("MIN", "c1"),
+                ("MAX", "c2"),
+                ("AVG", "c1"),
+                ("SUM", "c0"),
+            ],
+            "c2 < 700.0",
+        ),
+        (
+            &[],
+            &[
+                ("COUNT", "*"),
+                ("SUM", "c1"),
+                ("MIN", "c2"),
+                ("MAX", "c0"),
+                ("AVG", "c2"),
+            ],
+            "c0 < 0",
         ),
     ];
     // One aggregate over its argument's values in arrival order (`*`
@@ -799,15 +839,19 @@ fn grouped_aggregates_equal_the_folded_projection() {
         for (keys, aggs, filter) in queries {
             let args: Vec<&str> = aggs.iter().map(|a| a.1).filter(|&a| a != "*").collect();
             let calls: Vec<String> = aggs.iter().map(|(f, a)| format!("{f}({a})")).collect();
-            let (keys_sql, args_sql) = (keys.join(", "), args.join(", "));
-            let grouped = format!(
-                "SELECT {keys_sql}, {} FROM t WHERE {filter} GROUP BY {keys_sql}",
-                calls.join(", ")
-            );
+            // The key columns (if any) then `tail`, as a SELECT list.
+            let list = |tail: &[&str]| -> String {
+                let cols: Vec<&str> = keys.iter().chain(tail).copied().collect();
+                cols.join(", ")
+            };
+            let group_by = match keys.join(", ") {
+                k if k.is_empty() => k,
+                k => format!(" GROUP BY {k}"),
+            };
+            let calls: Vec<&str> = calls.iter().map(String::as_str).collect();
+            let grouped = format!("SELECT {} FROM t WHERE {filter}{group_by}", list(&calls));
             let rows = base
-                .query(&format!(
-                    "SELECT {keys_sql}, {args_sql} FROM t WHERE {filter}"
-                ))
+                .query(&format!("SELECT {} FROM t WHERE {filter}", list(&args)))
                 .unwrap()
                 .rows;
             // Per group, in arrival order: its key and each aggregate's
@@ -829,6 +873,9 @@ fn grouped_aggregates_equal_the_folded_projection() {
                     };
                     groups[g].1[a].push(v);
                 }
+            }
+            if keys.is_empty() && groups.is_empty() {
+                groups.push((Vec::new(), vec![Vec::new(); aggs.len()]));
             }
             let expect: Vec<Vec<Datum>> = groups
                 .into_iter()
