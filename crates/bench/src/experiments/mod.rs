@@ -1,4 +1,4 @@
-//! Experiment runners — one per paper artifact (see DESIGN.md's index).
+//! Experiment runners — one per paper artifact.
 //!
 //! | id | paper artifact | module |
 //! |----|----------------|--------|
@@ -27,7 +27,7 @@ pub struct ExperimentReport {
     pub caption: String,
     /// Result tables.
     pub tables: Vec<Table>,
-    /// Shape observations (the claims EXPERIMENTS.md records).
+    /// Shape observations: what the run shows against the paper's claim.
     pub notes: Vec<String>,
 }
 

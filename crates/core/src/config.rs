@@ -3,7 +3,7 @@
 //! "The user can enable or disable the NoDB components of PostgresRaw and
 //! specify the amount of storage space which is devoted to internal indexes
 //! and caches" (§1). Every switch the demo exposes is a field here, plus the
-//! ablation flags DESIGN.md calls out. How a scan forms its result batches
+//! ablation flags the experiments toggle. How a scan forms its result batches
 //! and how it cuts the file into slices are deliberately not among them:
 //! there is one former (`rawscan::segment_batch`) and one planner
 //! (`rawscan::plan_slices`, driven by what the row index holds), so no

@@ -380,11 +380,14 @@ pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 /// former does not know which, so cold, warm and cached answers are formed
 /// by the same code.
 ///
-/// The pushed predicate runs as a kernel over the *borrowed* columns
-/// (`engine::expr::RExpr::filter_columnar` — selection vector out, no
-/// per-cell `Datum`, row-at-a-time fallback inside for unsupported
-/// expression shapes). Only then is anything copied, and only for
-/// materialized positions (late materialization):
+/// The pushed predicate runs over the *borrowed* columns
+/// (`engine::expr::RExpr::filter_columnar`): one typed, branch-free loop per
+/// (column type, constant type) writes the selection vector, with no
+/// per-cell `Datum` and a row-at-a-time fallback inside for unsupported
+/// expression shapes. `lo` is every view's `base`, so the kernels read the
+/// values and NULL-bitmap words of backing rows `[lo, hi)`, which need not
+/// start on a 64-row bitmap word. Only then is anything copied, and only
+/// for materialized positions (late materialization):
 ///
 /// * selective outcome (< half the rows pass) — survivors are gathered into
 ///   dense typed columns (`TypedColumn::gather`), nothing else is copied;

@@ -12,8 +12,8 @@
 //!   (`TypedColumn::export_range` / `gather`) and moves it straight into the
 //!   batch; the loaded stores and `MemSource` push their rows into columns
 //!   typed from the schema (or, for `MemSource`, from each column's first
-//!   non-NULL value). Vectorized predicate and aggregate kernels read the
-//!   value vectors directly.
+//!   non-NULL value). Vectorized aggregate kernels read the value vectors
+//!   directly.
 //! * [`Column::Nulls`] — an all-NULL column of known length, used for
 //!   predicate-only scan positions (`ScanRequest::materialize[i] == false`):
 //!   the predicate ran against the real values, so the output batch never
@@ -30,6 +30,14 @@
 //! [`Batch::value`], [`Batch::row`], [`BatchRow`] — resolves through the
 //! selection, so row-at-a-time fallbacks stay oblivious and correct.
 //! [`Batch::extend_from`] materializes selections as needed.
+//!
+//! Selection vectors come from the predicate kernels
+//! ([`crate::expr::RExpr::filter_columnar`]), which run over borrowed
+//! [`ColView`]s before any batch exists. Each kernel matches its column's
+//! type against its constants' types once, then runs one branch-free loop
+//! over the value vector: it writes every candidate index and advances the
+//! output length by whether the row passed. A window that holds a NULL also
+//! reads the bitmap word of each row; one without tests no NULL bit.
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;

@@ -7,6 +7,7 @@
 
 use std::cmp::Ordering;
 
+use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 use nodb_sqlparse::ast::{AggFunc, BinOp, Expr, Literal};
@@ -231,14 +232,32 @@ impl RExpr {
     /// Vectorized WHERE over columnar views: the ascending view-row indices
     /// in `[0, rows)` for which this predicate evaluates to `Bool(true)`.
     ///
-    /// Conjunctions refine the selection vector kernel by kernel; supported
+    /// Conjunctions refine the selection vector kernel by kernel. Supported
     /// shapes (comparison / BETWEEN / IN-list / LIKE / IS NULL over a column
     /// and constants, and OR-trees of them) run as typed loops over the
-    /// column storage with no per-row `Datum` materialization. Any other
-    /// sub-expression falls back to row-at-a-time [`Self::eval_filter`] over
-    /// the *current* candidates, so the result is always exactly the
-    /// row-at-a-time answer — the kernels are a fast path, never a semantic
-    /// change (property-tested below and in `tests/property_based.rs`).
+    /// column storage with no per-row `Datum`:
+    ///
+    /// * **Match once.** Each kernel matches the column's type against its
+    ///   constants' types once per call and then runs one monomorphized
+    ///   loop. A comparison turns its operator into a mask of accepted
+    ///   orderings ({Less, Equal, Greater}; `<>` is Less|Greater, a
+    ///   constant on the left swaps Less and Greater) and tests each row's
+    ///   ordering bit against it. Int against Float compares as `f64`, as
+    ///   [`Datum::sql_cmp`] does; a NaN, a NULL constant or a type mismatch
+    ///   gives no ordering, so the row fails.
+    /// * **Select without a branch.** Every kernel ends in one select step
+    ///   that writes the candidate index unconditionally and advances the
+    ///   output length by `keep as usize`. With no selection yet it fills
+    ///   from `0..rows`; refining an AND compacts the selection in place.
+    /// * **NULL words.** When the window holds a NULL, `keep` is ANDed with
+    ///   the row's validity bit, read from the bitmap word; a window
+    ///   without one tests no bit. IS NULL reads the words alone.
+    ///
+    /// Any other sub-expression (and BETWEEN with bounds of two types)
+    /// falls back to row-at-a-time [`Self::eval_filter`] over the *current*
+    /// candidates, so the result is always exactly the row-at-a-time answer
+    /// — the kernels are a fast path, never a semantic change
+    /// (property-tested below and in `tests/property_based.rs`).
     pub fn filter_columnar(&self, cols: &[ColView<'_>], rows: usize) -> Vec<u32> {
         let mut sel: Option<Vec<u32>> = None;
         self.refine_columnar(cols, rows, &mut sel);
@@ -258,7 +277,7 @@ impl RExpr {
             return;
         }
         if !self.kernel(cols, rows, sel) {
-            retain_rows(rows, sel, |i| self.eval_filter(&ViewRow { cols, row: i }));
+            select(rows, sel, |i| self.eval_filter(&ViewRow { cols, row: i }));
         }
     }
 
@@ -300,32 +319,18 @@ impl RExpr {
                 }
             }
             RExpr::Binary { op, left, right } => {
-                let pred = match op {
-                    BinOp::Eq => |o: Ordering| o == Ordering::Equal,
-                    BinOp::NotEq => |o: Ordering| o != Ordering::Equal,
-                    BinOp::Lt => |o: Ordering| o == Ordering::Less,
-                    BinOp::Le => |o: Ordering| o != Ordering::Greater,
-                    BinOp::Gt => |o: Ordering| o == Ordering::Greater,
-                    BinOp::Ge => |o: Ordering| o != Ordering::Less,
-                    _ => return false, // arithmetic is not a filter shape
+                let Some(mask) = op_mask(*op) else {
+                    return false; // arithmetic is not a filter shape
                 };
-                let (col, konst, flipped) = match (&**left, &**right) {
-                    (RExpr::Col(c), RExpr::Const(k)) => (*c, k, false),
-                    (RExpr::Const(k), RExpr::Col(c)) => (*c, k, true),
+                let (c, k, mask) = match (&**left, &**right) {
+                    (RExpr::Col(c), RExpr::Const(k)) => (*c, k, mask),
+                    (RExpr::Const(k), RExpr::Col(c)) => (*c, k, swap_mask(mask)),
                     _ => return false,
                 };
-                let Some(tc) = typed_col(cols, col) else {
+                let Some(view) = cols.get(c) else {
                     return false;
                 };
-                retain_rows(rows, sel, |i| {
-                    // sql_cmp(k, v) is the exact reverse of sql_cmp(v, k)
-                    // whenever either is Some, so one typed compare serves
-                    // both operand orders.
-                    match typed_cmp(tc.0, tc.1 + i, konst) {
-                        Some(o) => pred(if flipped { o.reverse() } else { o }),
-                        None => false,
-                    }
-                });
+                compare(view, k, mask, rows, sel);
                 true
             }
             RExpr::Between {
@@ -334,33 +339,18 @@ impl RExpr {
                 hi,
                 negated,
             } => {
-                let (RExpr::Col(c), RExpr::Const(lo), RExpr::Const(hi)) = (&**expr, &**lo, &**hi)
+                let (Some(view), RExpr::Const(lo), RExpr::Const(hi)) =
+                    (view_of(cols, expr), &**lo, &**hi)
                 else {
                     return false;
                 };
-                let Some(tc) = typed_col(cols, *c) else {
-                    return false;
-                };
-                let negated = *negated;
-                retain_rows(rows, sel, |i| {
-                    let p = tc.1 + i;
-                    let ge_lo = typed_cmp(tc.0, p, lo).map(|o| o != Ordering::Less);
-                    let le_hi = typed_cmp(tc.0, p, hi).map(|o| o != Ordering::Greater);
-                    match and3(ge_lo, le_hi) {
-                        Some(b) => b != negated,
-                        None => false,
-                    }
-                });
-                true
+                between(view, lo, hi, *negated, rows, sel)
             }
             RExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let RExpr::Col(c) = &**expr else {
-                    return false;
-                };
                 let items: Option<Vec<&Datum>> = list
                     .iter()
                     .map(|e| match e {
@@ -368,26 +358,10 @@ impl RExpr {
                         _ => None,
                     })
                     .collect();
-                let Some(items) = items else { return false };
-                let Some(tc) = typed_col(cols, *c) else {
+                let (Some(view), Some(items)) = (view_of(cols, expr), items) else {
                     return false;
                 };
-                let negated = *negated;
-                retain_rows(rows, sel, |i| {
-                    let p = tc.1 + i;
-                    if tc.0.nulls().is_null(p) {
-                        return false;
-                    }
-                    let mut saw_null = false;
-                    for item in &items {
-                        match typed_cmp(tc.0, p, item) {
-                            Some(Ordering::Equal) => return !negated,
-                            None if item.is_null() => saw_null = true,
-                            _ => {}
-                        }
-                    }
-                    !saw_null && negated
-                });
+                in_list(view, &items, *negated, rows, sel);
                 true
             }
             RExpr::Like {
@@ -395,35 +369,17 @@ impl RExpr {
                 pattern,
                 negated,
             } => {
-                let RExpr::Col(c) = &**expr else {
+                let Some(view) = view_of(cols, expr) else {
                     return false;
                 };
-                let Some((col, base)) = typed_col(cols, *c) else {
-                    return false;
-                };
-                let negated = *negated;
-                match col {
-                    TypedColumn::Str { values, nulls, .. } => {
-                        retain_rows(rows, sel, |i| {
-                            let p = base + i;
-                            !nulls.is_null(p) && pattern.matches(&values[p]) != negated
-                        });
-                    }
-                    // Non-string typed column: LIKE over a non-string value
-                    // is UNKNOWN, so nothing passes.
-                    _ => retain_rows(rows, sel, |_| false),
-                }
+                like(view, pattern, *negated, rows, sel);
                 true
             }
             RExpr::IsNull { expr, negated } => {
-                let RExpr::Col(c) = &**expr else {
+                let Some(view) = view_of(cols, expr) else {
                     return false;
                 };
-                let Some((col, base)) = typed_col(cols, *c) else {
-                    return false;
-                };
-                let negated = *negated;
-                retain_rows(rows, sel, |i| col.nulls().is_null(base + i) != negated);
+                is_null(view, *negated, rows, sel);
                 true
             }
             _ => false,
@@ -431,46 +387,287 @@ impl RExpr {
     }
 }
 
-/// The typed column behind view position `c` and its first backing row.
-#[inline]
-fn typed_col<'a>(cols: &'a [ColView<'a>], c: usize) -> Option<(&'a TypedColumn, usize)> {
-    cols.get(c).map(|v| (v.col, v.base))
-}
-
-/// [`Datum::sql_cmp`] of the typed value at `p` against a constant, without
-/// materializing the datum: `None` for NULL on either side or a type
-/// mismatch, numerics compare across Int/Float.
-#[inline]
-fn typed_cmp(col: &TypedColumn, p: usize, rhs: &Datum) -> Option<Ordering> {
-    if col.nulls().is_null(p) {
-        return None;
-    }
-    match (col, rhs) {
-        (TypedColumn::Int { values, .. }, Datum::Int(b)) => Some(values[p].cmp(b)),
-        (TypedColumn::Int { values, .. }, Datum::Float(b)) => (values[p] as f64).partial_cmp(b),
-        (TypedColumn::Float { values, .. }, Datum::Float(b)) => values[p].partial_cmp(b),
-        (TypedColumn::Float { values, .. }, Datum::Int(b)) => values[p].partial_cmp(&(*b as f64)),
-        (TypedColumn::Str { values, .. }, Datum::Str(b)) => Some(values[p].as_ref().cmp(&**b)),
-        (TypedColumn::Bool { values, .. }, Datum::Bool(b)) => Some(values[p].cmp(b)),
+/// The view behind a bare column operand.
+fn view_of<'c, 'v>(cols: &'c [ColView<'v>], e: &RExpr) -> Option<&'c ColView<'v>> {
+    match e {
+        RExpr::Col(c) => cols.get(*c),
         _ => None,
     }
 }
 
-/// Narrow a selection in place: `None` means "all `rows` rows" and becomes
-/// the passing subset; `Some` retains only passing candidates.
-fn retain_rows(rows: usize, sel: &mut Option<Vec<u32>>, mut keep: impl FnMut(usize) -> bool) {
+/// Ordering bits: a comparison kernel computes one of these per row and
+/// tests it against the operator's mask of accepted orderings.
+const LT: u8 = 1;
+const EQ: u8 = 2;
+const GT: u8 = 4;
+
+/// The orderings a comparison operator accepts; `None` for arithmetic and
+/// the boolean connectives.
+fn op_mask(op: BinOp) -> Option<u8> {
+    Some(match op {
+        BinOp::Eq => EQ,
+        BinOp::NotEq => LT | GT,
+        BinOp::Lt => LT,
+        BinOp::Le => LT | EQ,
+        BinOp::Gt => GT,
+        BinOp::Ge => EQ | GT,
+        _ => return None,
+    })
+}
+
+/// The mask of the same comparison with its operands swapped: `k < c` is
+/// `c > k`.
+fn swap_mask(mask: u8) -> u8 {
+    (mask & EQ) | (mask & LT) << 2 | (mask & GT) >> 2
+}
+
+/// The ordering of `v` against `k` as `LT`, `EQ` or `GT`, or 0 when the two
+/// are unordered (a NaN): `partial_cmp`, computed without a branch.
+#[inline(always)]
+fn ord_bits<T: PartialOrd>(v: T, k: T) -> u8 {
+    u8::from(v < k) | u8::from(v == k) << 1 | u8::from(v > k) << 2
+}
+
+/// [`ord_bits`] for strings: one byte-wise `cmp` instead of three.
+#[inline(always)]
+fn str_bits(v: &str, k: &str) -> u8 {
+    match v.cmp(k) {
+        Ordering::Less => LT,
+        Ordering::Equal => EQ,
+        Ordering::Greater => GT,
+    }
+}
+
+/// `column <op> k`, `mask` holding the orderings `op` accepts.
+fn compare(view: &ColView<'_>, k: &Datum, mask: u8, rows: usize, sel: &mut Option<Vec<u32>>) {
+    let base = view.base;
+    let hit = |bits: u8| bits & mask != 0;
+    match (view.col, k) {
+        (TypedColumn::Int { values, nulls }, Datum::Int(k)) => {
+            select_values(values, nulls, base, rows, sel, |&v| hit(ord_bits(v, *k)));
+        }
+        (TypedColumn::Int { values, nulls }, Datum::Float(k)) => {
+            select_values(values, nulls, base, rows, sel, |&v| {
+                hit(ord_bits(v as f64, *k))
+            });
+        }
+        // A Float value orders against any numeric constant as `f64`.
+        (TypedColumn::Float { values, nulls }, k) => match k.as_float() {
+            Some(k) => select_values(values, nulls, base, rows, sel, |&v| hit(ord_bits(v, k))),
+            None => select_nothing(sel),
+        },
+        (TypedColumn::Str { values, nulls, .. }, Datum::Str(k)) => {
+            select_values(values, nulls, base, rows, sel, |v| hit(str_bits(v, k)));
+        }
+        (TypedColumn::Bool { values, nulls }, Datum::Bool(k)) => {
+            select_values(values, nulls, base, rows, sel, |&v| hit(ord_bits(v, *k)));
+        }
+        // A NULL constant or a type mismatch orders no row.
+        _ => select_nothing(sel),
+    }
+}
+
+/// `column [NOT] BETWEEN lo AND hi` as two masks over one pass: BETWEEN
+/// needs `v >= lo` and `v <= hi`, NOT BETWEEN needs `v < lo` or `v > hi`
+/// (an unordered bound fails its side, as in [`RExpr::eval`]'s 3VL).
+/// Returns `false` for bounds the column orders in two different ways (an
+/// Int column between an Int and a Float, or a NULL or mistyped bound).
+fn between(
+    view: &ColView<'_>,
+    lo: &Datum,
+    hi: &Datum,
+    negated: bool,
+    rows: usize,
+    sel: &mut Option<Vec<u32>>,
+) -> bool {
+    let (lo_mask, hi_mask, need) = if negated {
+        (LT, GT, 1)
+    } else {
+        (EQ | GT, LT | EQ, 2)
+    };
+    let hit = |lo: u8, hi: u8| u8::from(lo & lo_mask != 0) + u8::from(hi & hi_mask != 0) >= need;
+    let base = view.base;
+    match (view.col, lo, hi) {
+        (TypedColumn::Int { values, nulls }, Datum::Int(lo), Datum::Int(hi)) => {
+            select_values(values, nulls, base, rows, sel, |&v| {
+                hit(ord_bits(v, *lo), ord_bits(v, *hi))
+            });
+        }
+        (TypedColumn::Int { values, nulls }, Datum::Float(lo), Datum::Float(hi)) => {
+            select_values(values, nulls, base, rows, sel, |&v| {
+                let v = v as f64;
+                hit(ord_bits(v, *lo), ord_bits(v, *hi))
+            });
+        }
+        (TypedColumn::Float { values, nulls }, lo, hi) => {
+            let (Some(lo), Some(hi)) = (lo.as_float(), hi.as_float()) else {
+                return false;
+            };
+            select_values(values, nulls, base, rows, sel, |&v| {
+                hit(ord_bits(v, lo), ord_bits(v, hi))
+            });
+        }
+        (TypedColumn::Str { values, nulls, .. }, Datum::Str(lo), Datum::Str(hi)) => {
+            select_values(values, nulls, base, rows, sel, |v| {
+                hit(str_bits(v, lo), str_bits(v, hi))
+            });
+        }
+        (TypedColumn::Bool { values, nulls }, Datum::Bool(lo), Datum::Bool(hi)) => {
+            select_values(values, nulls, base, rows, sel, |&v| {
+                hit(ord_bits(v, *lo), ord_bits(v, *hi))
+            });
+        }
+        _ => return false,
+    }
+    true
+}
+
+/// `column [NOT] IN (items)`. The items are converted to the column's type
+/// once; an item of another type equals no row. A NULL item makes every
+/// miss UNKNOWN, so NOT IN then passes nothing.
+fn in_list(
+    view: &ColView<'_>,
+    items: &[&Datum],
+    negated: bool,
+    rows: usize,
+    sel: &mut Option<Vec<u32>>,
+) {
+    if negated && items.iter().any(|d| d.is_null()) {
+        return select_nothing(sel);
+    }
+    let base = view.base;
+    match view.col {
+        TypedColumn::Int { values, nulls } => {
+            // An Int value equals a Float item as `f64`, as in `sql_cmp`.
+            let ints: Vec<i64> = items.iter().filter_map(|d| d.as_int()).collect();
+            let floats: Vec<f64> = items
+                .iter()
+                .filter_map(|d| match d {
+                    Datum::Float(f) => Some(*f),
+                    _ => None,
+                })
+                .collect();
+            select_values(values, nulls, base, rows, sel, |&v| {
+                let f = v as f64;
+                (ints.contains(&v) | floats.contains(&f)) != negated
+            });
+        }
+        TypedColumn::Float { values, nulls } => {
+            let ks: Vec<f64> = items.iter().filter_map(|d| d.as_float()).collect();
+            select_values(values, nulls, base, rows, sel, |&v| {
+                ks.contains(&v) != negated
+            });
+        }
+        TypedColumn::Str { values, nulls, .. } => {
+            let ks: Vec<&str> = items.iter().filter_map(|d| d.as_str()).collect();
+            select_values(values, nulls, base, rows, sel, |v| {
+                ks.contains(&&**v) != negated
+            });
+        }
+        TypedColumn::Bool { values, nulls } => {
+            let ks: Vec<bool> = items.iter().filter_map(|d| d.as_bool()).collect();
+            select_values(values, nulls, base, rows, sel, |v| {
+                ks.contains(v) != negated
+            });
+        }
+    }
+}
+
+/// `column [NOT] LIKE pattern`: the per-row matcher, selected without a
+/// branch. LIKE over a non-string value is UNKNOWN, so nothing passes.
+fn like(
+    view: &ColView<'_>,
+    pattern: &LikePattern,
+    negated: bool,
+    rows: usize,
+    sel: &mut Option<Vec<u32>>,
+) {
+    match view.col {
+        TypedColumn::Str { values, nulls, .. } => {
+            select_values(values, nulls, view.base, rows, sel, |v| {
+                pattern.matches(v) != negated
+            });
+        }
+        _ => select_nothing(sel),
+    }
+}
+
+/// `column IS [NOT] NULL`, from the bitmap words alone.
+fn is_null(view: &ColView<'_>, negated: bool, rows: usize, sel: &mut Option<Vec<u32>>) {
+    let (nulls, base) = (view.col.nulls(), view.base);
+    if nulls.count_nulls(base, base + rows) == 0 {
+        // No NULL in the window: IS NOT NULL keeps every candidate, IS
+        // NULL none.
+        if !negated {
+            select_nothing(sel);
+        }
+    } else {
+        let words = nulls.words();
+        select(rows, sel, |i| null_bit(words, base + i) != negated);
+    }
+}
+
+/// Whether backing row `p` is NULL, from its bitmap word.
+#[inline(always)]
+fn null_bit(words: &[u64], p: usize) -> bool {
+    words[p / 64] >> (p % 64) & 1 == 1
+}
+
+/// Run `keep` over the values of view rows `[0, rows)` (backing rows
+/// `base..base + rows`) through [`select`]. A NULL row never passes: when
+/// the window holds a NULL, `keep` is ANDed with the row's validity bit;
+/// a window without one tests no bit.
+#[inline(always)]
+fn select_values<T>(
+    values: &[T],
+    nulls: &NullMask,
+    base: usize,
+    rows: usize,
+    sel: &mut Option<Vec<u32>>,
+    keep: impl Fn(&T) -> bool,
+) {
+    let window = &values[base..base + rows];
+    if nulls.count_nulls(base, base + rows) == 0 {
+        select(rows, sel, |i| keep(&window[i]));
+    } else {
+        let words = nulls.words();
+        select(rows, sel, |i| keep(&window[i]) & !null_bit(words, base + i));
+    }
+}
+
+/// The select step every kernel ends in: narrow `sel` (`None` = all `rows`
+/// rows) to the rows `keep` accepts. Each candidate is written
+/// unconditionally and the output length advances by `keep as usize`, so a
+/// predicate passing half the rows mispredicts no branch. With no selection
+/// yet it fills from `0..rows`; an existing selection is compacted in place.
+#[inline(always)]
+fn select(rows: usize, sel: &mut Option<Vec<u32>>, keep: impl Fn(usize) -> bool) {
     match sel {
-        Some(s) => s.retain(|&i| keep(i as usize)),
-        None => {
-            let mut out = Vec::with_capacity(rows);
-            for i in 0..rows {
-                if keep(i) {
-                    out.push(i as u32);
-                }
+        Some(s) => {
+            let mut n = 0;
+            for j in 0..s.len() {
+                let i = s[j];
+                s[n] = i;
+                n += usize::from(keep(i as usize));
             }
+            s.truncate(n);
+        }
+        None => {
+            let mut out = vec![0u32; rows];
+            let mut n = 0;
+            for i in 0..rows {
+                out[n] = i as u32;
+                n += usize::from(keep(i));
+            }
+            out.truncate(n);
             *sel = Some(out);
         }
     }
+}
+
+/// The empty selection: no row passes.
+fn select_nothing(sel: &mut Option<Vec<u32>>) {
+    *sel = Some(Vec::new());
 }
 
 /// Union of two ascending index lists, ascending and deduplicated.
@@ -964,10 +1161,19 @@ mod tests {
 
     #[test]
     fn columnar_filter_matches_rowwise_eval() {
+        use crate::batch::BATCH_SIZE;
         use nodb_rawcsv::ColumnType;
-        // Deterministic mini-fuzz: typed int/float/str columns with nulls,
+        // Deterministic mini-fuzz: typed int/float/str/bool columns,
         // predicates over every kernel shape (+ unsupported ones forcing the
-        // fallback), compared row for row against eval_filter.
+        // fallback), compared row for row against eval_filter. Views start
+        // at bases off the 64-row bitmap words, windows span several words
+        // and run past BATCH_SIZE, and a case's columns hold no NULL, only
+        // NULLs, or one in five.
+        let (cases, max_rows, bases): (usize, usize, &[usize]) = if cfg!(miri) {
+            (9, 100, &[0, 37, 64])
+        } else {
+            (96, BATCH_SIZE * 2 + 100, &[0, 37, 64, BATCH_SIZE + 5])
+        };
         let mut state = 0x5eedu64;
         let mut next = move || {
             state = state
@@ -975,32 +1181,75 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        for case in 0..80 {
-            let rows = (next() % 60) as usize;
+        // Ints past 2^53 round when compared as `f64`.
+        let big = 1i64 << 53;
+        for case in 0..cases {
+            let base = bases[case % bases.len()];
+            let rows = next() as usize % max_rows;
+            let null_one_in = [0, 1, 5][case / bases.len() % 3];
+            let mut null = || null_one_in != 0 && next() % null_one_in == 0;
+            let (mut nulls_at, mut draws) = (Vec::new(), Vec::new());
+            for _ in 0..base + rows {
+                nulls_at.push([null(), null(), null(), null()]);
+            }
+            for _ in 0..base + rows {
+                draws.push([next(), next(), next(), next()]);
+            }
             let mut ints = TypedColumn::new(ColumnType::Int);
             let mut floats = TypedColumn::new(ColumnType::Float);
             let mut strs = TypedColumn::new(ColumnType::Str);
-            for _ in 0..rows {
-                match next() % 5 {
-                    0 => ints.push(&Datum::Null),
-                    _ => ints.push(&Datum::Int((next() % 20) as i64 - 10)),
-                }
-                match next() % 6 {
-                    0 => floats.push(&Datum::Null),
-                    _ => floats.push(&Datum::Float((next() % 40) as f64 / 4.0 - 5.0)),
-                }
-                match next() % 5 {
-                    0 => strs.push(&Datum::Null),
-                    _ => strs.push(&Datum::Str(format!("s{}", next() % 8).into_boxed_str())),
-                }
+            let mut bools = TypedColumn::new(ColumnType::Bool);
+            for (n, d) in nulls_at.iter().zip(&draws) {
+                let pick = |is_null: bool, v: Datum| if is_null { Datum::Null } else { v };
+                let int = match d[0] % 10 {
+                    0 => big + (d[0] / 10 % 5) as i64 - 2,
+                    1 => [i64::MAX, i64::MIN, -big - 1][(d[0] / 10 % 3) as usize],
+                    _ => (d[0] % 20) as i64 - 10,
+                };
+                let float = match d[1] % 12 {
+                    0 => f64::NAN,
+                    1 => -0.0,
+                    2 => 0.0,
+                    _ => (d[1] % 40) as f64 / 4.0 - 5.0,
+                };
+                ints.push(&pick(n[0], Datum::Int(int)));
+                floats.push(&pick(n[1], Datum::Float(float)));
+                strs.push(&pick(n[2], Datum::from(format!("s{}", d[2] % 8).as_str())));
+                bools.push(&pick(n[3], Datum::Bool(d[3] % 2 == 0)));
             }
-            let views = [&ints, &floats, &strs].map(|col| ColView { col, base: 0 });
+            let views = [&ints, &floats, &strs, &bools].map(|col| ColView { col, base });
             let cmp = |op: BinOp, c: usize, k: Datum| RExpr::Binary {
                 op,
                 left: Box::new(RExpr::Col(c)),
                 right: Box::new(RExpr::Const(k)),
             };
+            let and = |l: RExpr, r: RExpr| RExpr::Binary {
+                op: BinOp::And,
+                left: Box::new(l),
+                right: Box::new(r),
+            };
+            let or = |l: RExpr, r: RExpr| RExpr::Binary {
+                op: BinOp::Or,
+                left: Box::new(l),
+                right: Box::new(r),
+            };
+            let between = |c: usize, lo: Datum, hi: Datum, negated: bool| RExpr::Between {
+                expr: Box::new(RExpr::Col(c)),
+                lo: Box::new(RExpr::Const(lo)),
+                hi: Box::new(RExpr::Const(hi)),
+                negated,
+            };
+            let in_list = |c: usize, items: Vec<Datum>, negated: bool| RExpr::InList {
+                expr: Box::new(RExpr::Col(c)),
+                list: items.into_iter().map(RExpr::Const).collect(),
+                negated,
+            };
+            let is_null = |c: usize, negated: bool| RExpr::IsNull {
+                expr: Box::new(RExpr::Col(c)),
+                negated,
+            };
             let k = (next() % 20) as i64 - 10;
+            let odd = case % 2 == 1;
             let preds = [
                 cmp(BinOp::Lt, 0, Datum::Int(k)),
                 cmp(BinOp::Ge, 0, Datum::Float(k as f64 + 0.5)),
@@ -1008,74 +1257,121 @@ mod tests {
                 cmp(BinOp::NotEq, 0, Datum::Int(k)),
                 cmp(BinOp::Eq, 0, Datum::Str("oops".into())), // type mismatch
                 cmp(BinOp::Eq, 2, Datum::from("s3")),
-                // Constant on the left flips the comparison.
+                cmp(BinOp::Lt, 2, Datum::from("s5")),
+                // Constant on the left swaps Less and Greater.
                 RExpr::Binary {
                     op: BinOp::Gt,
                     left: Box::new(RExpr::Const(Datum::Int(k))),
                     right: Box::new(RExpr::Col(0)),
                 },
-                RExpr::Between {
-                    expr: Box::new(RExpr::Col(0)),
-                    lo: Box::new(RExpr::Const(Datum::Int(-3))),
-                    hi: Box::new(RExpr::Const(Datum::Int(5))),
-                    negated: case % 2 == 0,
+                RExpr::Binary {
+                    op: BinOp::Le,
+                    left: Box::new(RExpr::Const(Datum::Float(0.0))),
+                    right: Box::new(RExpr::Col(1)),
                 },
-                RExpr::InList {
-                    expr: Box::new(RExpr::Col(0)),
-                    list: vec![
-                        RExpr::Const(Datum::Int(1)),
-                        RExpr::Const(Datum::Null),
-                        RExpr::Const(Datum::Int(k)),
-                    ],
-                    negated: case % 2 == 1,
+                // Ints beyond 2^53 against Float constants round as f64.
+                cmp(BinOp::Eq, 0, Datum::Float(big as f64)),
+                cmp(BinOp::Gt, 0, Datum::Float(big as f64)),
+                cmp(BinOp::Le, 0, Datum::Float(i64::MAX as f64)),
+                cmp(BinOp::Eq, 0, Datum::Int(big + 1)),
+                // NaN orders nothing; -0.0 equals 0.0.
+                cmp(BinOp::NotEq, 1, Datum::Float(f64::NAN)),
+                cmp(BinOp::Eq, 1, Datum::Float(-0.0)),
+                cmp(BinOp::Ge, 1, Datum::Float(0.0)),
+                // NULL constants, either side.
+                cmp(BinOp::Lt, 0, Datum::Null),
+                RExpr::Binary {
+                    op: BinOp::NotEq,
+                    left: Box::new(RExpr::Const(Datum::Null)),
+                    right: Box::new(RExpr::Col(2)),
                 },
+                // Bool columns.
+                cmp(BinOp::Eq, 3, Datum::Bool(true)),
+                cmp(BinOp::Lt, 3, Datum::Bool(true)),
+                cmp(BinOp::NotEq, 3, Datum::Bool(false)),
+                cmp(BinOp::Gt, 3, Datum::Int(0)), // type mismatch
+                between(0, Datum::Int(-3), Datum::Int(5), !odd),
+                between(0, Datum::Float(-2.5), Datum::Float(big as f64), odd),
+                between(0, Datum::Int(-3), Datum::Float(5.5), odd), // mixed: fallback
+                between(1, Datum::Int(-1), Datum::Float(2.5), !odd),
+                between(1, Datum::Float(f64::NAN), Datum::Float(2.5), odd),
+                between(1, Datum::Float(3.0), Datum::Float(-3.0), true), // lo > hi
+                between(2, Datum::from("s2"), Datum::from("s5"), odd),
+                between(3, Datum::Bool(false), Datum::Bool(false), !odd),
+                between(0, Datum::Null, Datum::Int(5), true),
+                in_list(0, vec![Datum::Int(1), Datum::Null, Datum::Int(k)], odd),
+                in_list(0, vec![Datum::Int(k), Datum::Float(big as f64)], !odd),
+                in_list(
+                    1,
+                    vec![Datum::Float(-0.0), Datum::Int(2), Datum::Float(f64::NAN)],
+                    odd,
+                ),
+                in_list(
+                    2,
+                    vec![Datum::from("s1"), Datum::Int(1), Datum::from("s6")],
+                    !odd,
+                ),
+                in_list(3, vec![Datum::Bool(true)], odd),
+                in_list(1, vec![], odd),
                 RExpr::Like {
                     expr: Box::new(RExpr::Col(2)),
                     pattern: LikePattern::compile("s%"),
-                    negated: case % 2 == 0,
+                    negated: !odd,
+                },
+                RExpr::Like {
+                    expr: Box::new(RExpr::Col(2)),
+                    pattern: LikePattern::compile("%3"),
+                    negated: odd,
                 },
                 RExpr::Like {
                     expr: Box::new(RExpr::Col(0)),
                     pattern: LikePattern::compile("s%"),
                     negated: false,
                 },
-                RExpr::IsNull {
-                    expr: Box::new(RExpr::Col(1)),
-                    negated: case % 2 == 1,
-                },
-                // AND chain (refinement), OR of kernels (union), and an
-                // arithmetic comparison that has no kernel (fallback).
-                RExpr::Binary {
-                    op: BinOp::And,
-                    left: Box::new(cmp(BinOp::Ge, 0, Datum::Int(-5))),
-                    right: Box::new(cmp(BinOp::Le, 1, Datum::Float(2.5))),
-                },
-                RExpr::Binary {
-                    op: BinOp::Or,
-                    left: Box::new(cmp(BinOp::Lt, 0, Datum::Int(-7))),
-                    right: Box::new(cmp(BinOp::Gt, 1, Datum::Float(3.0))),
-                },
-                RExpr::Binary {
-                    op: BinOp::Or,
-                    left: Box::new(RExpr::Binary {
-                        op: BinOp::And,
-                        left: Box::new(cmp(BinOp::Gt, 0, Datum::Int(0))),
-                        right: Box::new(cmp(BinOp::Lt, 0, Datum::Int(4))),
-                    }),
-                    right: Box::new(RExpr::IsNull {
-                        expr: Box::new(RExpr::Col(0)),
-                        negated: false,
-                    }),
-                },
-                RExpr::Binary {
-                    op: BinOp::Gt,
-                    left: Box::new(RExpr::Binary {
-                        op: BinOp::Add,
-                        left: Box::new(RExpr::Col(0)),
-                        right: Box::new(RExpr::Col(1)),
-                    }),
-                    right: Box::new(RExpr::Const(Datum::Int(0))),
-                },
+                is_null(1, odd),
+                is_null(2, !odd),
+                is_null(3, odd),
+                // AND chains (refinement, the third step compacting a
+                // selection that is already `Some`), OR of kernels (union),
+                // and an arithmetic comparison that has no kernel (fallback).
+                and(
+                    cmp(BinOp::Ge, 0, Datum::Int(-5)),
+                    cmp(BinOp::Le, 1, Datum::Float(2.5)),
+                ),
+                and(
+                    and(cmp(BinOp::Ge, 0, Datum::Int(-8)), is_null(2, true)),
+                    cmp(BinOp::Eq, 3, Datum::Bool(odd)),
+                ),
+                and(
+                    cmp(BinOp::NotEq, 1, Datum::Float(0.0)),
+                    and(
+                        in_list(2, vec![Datum::from("s1"), Datum::from("s2")], odd),
+                        between(0, Datum::Int(-6), Datum::Int(6), false),
+                    ),
+                ),
+                or(
+                    cmp(BinOp::Lt, 0, Datum::Int(-7)),
+                    cmp(BinOp::Gt, 1, Datum::Float(3.0)),
+                ),
+                or(
+                    and(
+                        cmp(BinOp::Gt, 0, Datum::Int(0)),
+                        cmp(BinOp::Lt, 0, Datum::Int(4)),
+                    ),
+                    is_null(0, false),
+                ),
+                and(
+                    cmp(BinOp::Gt, 3, Datum::Bool(false)),
+                    RExpr::Binary {
+                        op: BinOp::Gt,
+                        left: Box::new(RExpr::Binary {
+                            op: BinOp::Add,
+                            left: Box::new(RExpr::Col(0)),
+                            right: Box::new(RExpr::Col(1)),
+                        }),
+                        right: Box::new(RExpr::Const(Datum::Int(0))),
+                    },
+                ),
             ];
             for (pi, pred) in preds.iter().enumerate() {
                 let fast = pred.filter_columnar(&views, rows);
@@ -1088,7 +1384,7 @@ mod tests {
                     })
                     .map(|i| i as u32)
                     .collect();
-                assert_eq!(fast, slow, "case {case} pred {pi}");
+                assert_eq!(fast, slow, "case {case} base {base} rows {rows} pred {pi}");
             }
         }
     }

@@ -29,7 +29,7 @@
 //! Positions are stored as `u16` offsets relative to each tuple's line start;
 //! the line starts themselves (the *row index*) are shared by all chunks.
 //! This keeps the map an order of magnitude smaller than absolute `u64`
-//! positions — the representation choice DESIGN.md calls out for ablation.
+//! positions.
 
 pub mod chunk;
 pub mod map;

@@ -16,8 +16,9 @@
 //! println!("{result}");
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-vs-measured record of every figure.
+//! `ROADMAP.md` holds the open design items and what each change did;
+//! `benchmark/README.md` describes the benchmark that measures them. The
+//! `experiments` binary of `nodb-bench` prints the paper's figures.
 
 pub use nodb_bench as bench;
 pub use nodb_core as core;
