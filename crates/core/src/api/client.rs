@@ -17,7 +17,6 @@ use nodb_rawcsv::tokenizer::TokenizerConfig;
 use nodb_rawcsv::{infer, Schema};
 use nodb_sqlparse::parse_select;
 use nodb_stats::estimate::NoStats;
-use nodb_stats::table::StatsEstimator;
 
 use crate::admission::ScanBudget;
 use crate::api::admin::Admin;
@@ -362,8 +361,7 @@ impl NoDb {
                             None => parse_select(sql)?,
                         };
                         let planned = if config.enable_stats {
-                            let est = StatsEstimator::new(&mut table.stats);
-                            plan_select(&stmt, &table.schema, &est)?
+                            plan_select(&stmt, &table.schema, &table.stats)?
                         } else {
                             plan_select(&stmt, &table.schema, &NoStats)?
                         };

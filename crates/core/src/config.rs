@@ -59,11 +59,6 @@ pub struct NoDbConfig {
     /// attribute is located. Disabling reverts to full-tuple tokenizing —
     /// the KNOBS ablation.
     pub selective_tokenizing: bool,
-    /// Offer every `stats_sample_every`-th row (by global row number) to
-    /// the statistics' reservoir samples (1 = every row). Row and NULL
-    /// counts, min/max and distinct-value bitmaps see every row whatever
-    /// the stride.
-    pub stats_sample_every: u64,
     /// Block size for sequential raw-file reads. Clamped to
     /// `[MIN_IO_BLOCK_SIZE, MAX_IO_BLOCK_SIZE]` by [`Self::validated`] —
     /// a zero/tiny value would degenerate to per-line syscalls.
@@ -142,7 +137,6 @@ impl Default for NoDbConfig {
             cache_budget_bytes: 1 << 30,
             combination_trigger: CombinationTrigger::AllDifferentChunks,
             selective_tokenizing: true,
-            stats_sample_every: 1,
             io_block_size: 1 << 20,
             detailed_timing: true,
             detect_updates: true,

@@ -147,13 +147,10 @@
 //!   install absorbs the sketches slice by slice in row order
 //!   (`TableStats::absorb`): it ORs the bitmaps and merges the bounds —
 //!   idempotent, so rows a sketch covers below the install-time frontier
-//!   change nothing — counts rows and NULLs from the frontier by null-mask
-//!   popcounts, and advances the reservoir through the slice's offered
-//!   rows (those the shared sampling stride selects) in global row order,
-//!   jumping straight to the ones Algorithm L accepts. Accumulators are per
-//!   attribute, so this equals an attribute-interleaved row replay, and
-//!   the order-dependent reservoir sees the same offer sequence at every
-//!   worker count.
+//!   change nothing — and counts rows and NULLs from the frontier by
+//!   null-mask popcounts, reading no value. Accumulators are per
+//!   attribute, so this equals an attribute-interleaved row replay at
+//!   every worker count.
 //! * *Results* — every slice forms its batches with `segment_batch` over
 //!   at most `BATCH_SIZE` scanned rows each, in row order; after the install
 //!   (no table lock held) they are concatenated in slice order and re-packed
@@ -955,11 +952,10 @@ pub(crate) fn run_partitions(
 /// Row index and map chunk are rebased by concatenation. Cache and
 /// statistics receive each slice's typed partial columns whole: the
 /// statistics absorb the slice's worker-built sketch (NDV bits and bounds
-/// merged, rows and NULLs counted by popcount, the reservoir advanced to
-/// the rows it accepts — `TableStats::absorb`), then the cache takes
-/// ownership and admits each column's tail whole or not at all — see the
-/// module docs on cache admission. Nothing here walks the values: the only
-/// ones read are those that end the install in a reservoir.
+/// merged, rows and NULLs counted by popcount — `TableStats::absorb`),
+/// then the cache takes ownership and admits each column's tail whole or
+/// not at all — see the module docs on cache admission. Nothing here walks
+/// the values.
 ///
 /// Every sub-merge is **frontier-based** so interleaved queries converge to
 /// the sequential-replay state: the row index skips known rows, the chunk
@@ -1065,8 +1061,8 @@ pub(crate) fn merge_outputs(
         }
 
         // Cache and statistics: each slice's typed partials go in slice
-        // order — statistics first (they read only the values their
-        // reservoirs keep), then the cache takes the columns, each tail
+        // order — statistics first (they read the sketches and the null
+        // masks, no value), then the cache takes the columns, each tail
         // whole or not at all. Both start at their own current frontier
         // per attribute. Sketches exist only with statistics on: one per
         // attribute with rows to observe at plan time.
@@ -1472,10 +1468,8 @@ mod tests {
         let req = ScanRequest::project(vec![2]);
         let (_, _) = scan_once(&mut t, cfg, req.clone());
         let seen1 = t.stats.attr(2).unwrap().rows_seen();
-        let sample1 = t.stats.attr(2).unwrap().sample().to_vec();
         let (_, _) = scan_once(&mut t, cfg, req);
         assert_eq!(t.stats.attr(2).unwrap().rows_seen(), seen1);
-        assert_eq!(t.stats.attr(2).unwrap().sample(), &sample1[..]);
         assert_eq!(t.stats.observed_upto(2), 150);
         std::fs::remove_file(p).unwrap();
     }
@@ -1519,7 +1513,7 @@ mod tests {
 
     /// Assert two tables hold identical adaptive state: row count, row
     /// index, map coverage, cache hit/miss accounting and contents, and
-    /// statistics (rows seen, reservoir, observation frontier).
+    /// statistics (every accumulator's state, observation frontier).
     fn assert_same_state(tag: &str, a: &RawTable, b: &RawTable, cols: usize) {
         assert_eq!(a.row_count, b.row_count, "{tag}: row count");
         // Hit/miss telemetry does not depend on the slicing: slices of known
@@ -1567,7 +1561,11 @@ mod tests {
                 (None, None) => {}
                 (Some(sa), Some(sb)) => {
                     assert_eq!(sa.rows_seen(), sb.rows_seen(), "{tag}: stats rows c{attr}");
-                    assert_eq!(sa.sample(), sb.sample(), "{tag}: stats reservoir c{attr}");
+                    assert_eq!(
+                        format!("{:?}", sa.export_state()),
+                        format!("{:?}", sb.export_state()),
+                        "{tag}: stats state c{attr}"
+                    );
                 }
                 other => panic!("{tag}: stats presence differs for c{attr}: {other:?}"),
             }

@@ -103,7 +103,7 @@ impl RawTable {
                 trigger: config.combination_trigger,
             }),
             cache: RawCache::new(config.cache_budget_bytes),
-            stats: TableStats::new(config.stats_sample_every),
+            stats: TableStats::default(),
             epoch,
             row_count: None,
             attr_access: vec![0; nattrs],
@@ -207,9 +207,7 @@ impl RawTable {
     /// the table back to cold. Any load failure — I/O, corruption, version
     /// skew — leaves the table exactly as cold as it already was.
     /// Restoration honors the config's component switches (a `baseline()`
-    /// instance restores nothing) and only adopts statistics captured under
-    /// the same sampling stride, since a restored reservoir must continue
-    /// the same sample stream.
+    /// instance restores nothing).
     pub fn try_restore_snapshot(&mut self, config: &NoDbConfig) -> RestoreOutcome {
         let snap = match nodb_snapshot::load_snapshot(
             &self.path,
@@ -232,7 +230,7 @@ impl RawTable {
                 }
             }
         }
-        if config.enable_stats && snap.stats.sample_every == config.stats_sample_every {
+        if config.enable_stats {
             if let Some(stats) = TableStats::from_state(snap.stats) {
                 self.stats = stats;
             }

@@ -91,7 +91,7 @@ pub fn sketch_conjunct(expr: &RExpr) -> Option<(usize, PredicateSketch)> {
             pattern,
             negated: false,
         } => match (&**expr, pattern.as_prefix()) {
-            (RExpr::Col(c), Some(p)) => Some((*c, PredicateSketch::StrPrefix(p.to_string()))),
+            (RExpr::Col(c), Some(_)) => Some((*c, PredicateSketch::StrPrefix)),
             _ => None,
         },
         _ => None,
@@ -220,7 +220,7 @@ mod tests {
         };
         assert!(matches!(
             sketch_conjunct(&like),
-            Some((4, PredicateSketch::StrPrefix(p))) if p == "ab"
+            Some((4, PredicateSketch::StrPrefix))
         ));
     }
 

@@ -418,13 +418,16 @@ impl PositionalMap {
     }
 
     /// Evict least-recently-used chunks until `incoming` more bytes fit.
+    /// Victims go in `(last_used, id)` order: chunks one plan stamped tie
+    /// on `last_used`, and the older id goes first, so the victim does not
+    /// depend on where `swap_remove` left a chunk in the vector.
     fn evict_to_fit(&mut self, incoming: usize) {
         while self.bytes_used + incoming > self.policy.budget_bytes {
             let Some((victim, _)) = self
                 .chunks
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, c)| c.last_used)
+                .min_by_key(|(_, c)| (c.last_used, c.id()))
             else {
                 break;
             };
@@ -599,6 +602,38 @@ mod tests {
         assert_eq!(m.metrics().evictions, 1);
         let covered: Vec<bool> = (0..3).map(|a| m.coverage(a) > 0).collect();
         assert_eq!(covered, vec![false, true, true], "attr 0 was evicted");
+    }
+
+    /// Chunks stamped by one plan tie on `last_used`; two maps holding the
+    /// same chunks in different vector orders must still evict the same
+    /// ones, oldest id first.
+    #[test]
+    fn tied_victims_do_not_depend_on_vector_order() {
+        let lines: Vec<Vec<u8>> = (0..100).map(|_| b"a,b,c,d".to_vec()).collect();
+        let refs: Vec<&[u8]> = lines.iter().map(|l| l.as_slice()).collect();
+        let maps: Vec<PositionalMap> = (0..2)
+            .map(|reversed| {
+                let mut m = default_map();
+                for attr in 0..4 {
+                    m.install(builder_with_rows(vec![attr], &refs));
+                }
+                let _ = m.plan_access(&[0, 1, 2, 3]);
+                if reversed == 1 {
+                    m.chunks.reverse();
+                }
+                let two = m.chunks[0].footprint() * 2;
+                m.set_budget(two);
+                m
+            })
+            .collect();
+        let ids = |m: &PositionalMap| {
+            let mut v: Vec<ChunkId> = m.chunks().iter().map(Chunk::id).collect();
+            v.sort_unstable();
+            v
+        };
+        assert_eq!(maps[0].metrics().evictions, 2);
+        assert_eq!(ids(&maps[0]), ids(&maps[1]));
+        assert_eq!(ids(&maps[0]), vec![ChunkId(2), ChunkId(3)]);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use nodb_rawcache::column::NullMask;
 use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::epoch::{EPOCH_HEAD_LIMIT, EPOCH_TAIL_LIMIT};
 use nodb_rawcsv::{ColumnType, Datum, SourceEpoch};
-use nodb_stats::{AttrStatsState, ReservoirState, TableStats, TableStatsState};
+use nodb_stats::{AttrStatsState, TableStats, TableStatsState};
 
 /// Sidecar magic: identifies the file family (the trailing `1` is part of
 /// the brand, not the version — that lives in the next field).
@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
 /// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 4;
+pub const FORMAT_VERSION: u32 = 5;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -378,7 +378,6 @@ fn put_null_bits(e: &mut Enc, nulls: &NullMask, rows: usize) {
 
 fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
     let mut e = Enc { buf: Vec::new() };
-    e.put_u64(stats.sample_every);
     match stats.row_count {
         Some(n) => {
             e.put_u8(1);
@@ -401,17 +400,6 @@ fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
         e.put_u64(a.nulls);
         e.put_opt_datum(a.min.as_ref());
         e.put_opt_datum(a.max.as_ref());
-        e.put_len(a.reservoir.capacity);
-        e.put_u64(a.reservoir.seen);
-        for &w in &a.reservoir.rng {
-            e.put_u64(w);
-        }
-        e.put_f64(a.reservoir.w);
-        e.put_u64(a.reservoir.next);
-        e.put_len(a.reservoir.sample.len());
-        for d in &a.reservoir.sample {
-            e.put_datum(d);
-        }
         e.put_len(a.ndv_words.len());
         for &w in &a.ndv_words {
             e.put_u64(w);
@@ -716,7 +704,6 @@ fn take_null_bits(d: &mut Dec<'_>, rows: usize) -> Result<NullMask> {
 
 fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
     let mut d = Dec::new(payload);
-    let sample_every = d.u64()?;
     let rc_present = d.bool()?;
     let rc = d.u64()?;
     let row_count = rc_present.then_some(rc);
@@ -735,16 +722,6 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
         let nulls = d.u64()?;
         let min = d.opt_datum()?;
         let max = d.opt_datum()?;
-        let capacity = d.usize64()?;
-        let seen = d.u64()?;
-        let rng = [d.u64()?, d.u64()?, d.u64()?, d.u64()?];
-        let w = d.f64()?;
-        let next = d.u64()?;
-        let n_sample = d.len()?;
-        let mut sample = Vec::with_capacity(n_sample.min(d.remaining()));
-        for _ in 0..n_sample {
-            sample.push(d.datum()?);
-        }
         let n_words = d.len()?;
         let word_bytes = n_words
             .checked_mul(8)
@@ -759,14 +736,6 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
             nulls,
             min,
             max,
-            reservoir: ReservoirState {
-                sample,
-                capacity,
-                seen,
-                rng,
-                w,
-                next,
-            },
             ndv_words,
         });
     }
@@ -775,12 +744,10 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
         attrs,
         observed,
         row_count,
-        sample_every,
     };
-    // The accumulators' own consistency checks (counts, reservoir shape,
-    // Algorithm L's weight and next acceptance, NDV size): state that
-    // fails them is as untrusted as a bad checksum, and the whole sidecar
-    // goes with it.
+    // The accumulators' own consistency checks (no more NULLs than rows,
+    // NDV size, one entry per attribute): state that fails them is as
+    // untrusted as a bad checksum, and the whole sidecar goes with it.
     if TableStats::from_state(state.clone()).is_none() {
         return Err(SnapshotError::Malformed("inconsistent statistics"));
     }

@@ -81,7 +81,7 @@ mod tests {
         sc.push(&Datum::Str("".into()));
         assert!(cache.install_restored(5, sc));
 
-        let mut stats = TableStats::new(1);
+        let mut stats = TableStats::default();
         for row in 0..50u64 {
             stats.attr_mut(1).observe(&Datum::Int(row as i64 % 9));
             if row % 5 == 0 {
@@ -128,7 +128,6 @@ mod tests {
         // Stats state is structurally identical.
         let orig = &snap.stats;
         let got = &back.stats;
-        assert_eq!(got.sample_every, orig.sample_every);
         assert_eq!(got.observed, orig.observed);
         assert_eq!(got.attrs.len(), orig.attrs.len());
         for (a, b) in orig.attrs.iter().zip(&got.attrs) {
@@ -137,36 +136,31 @@ mod tests {
             assert_eq!(a.nulls, b.nulls);
             assert_eq!(a.min, b.min);
             assert_eq!(a.max, b.max);
-            assert_eq!(a.reservoir.rng, b.reservoir.rng);
-            assert_eq!(a.reservoir.w.to_bits(), b.reservoir.w.to_bits());
-            assert_eq!(a.reservoir.next, b.reservoir.next);
-            assert_eq!(a.reservoir.sample, b.reservoir.sample);
             assert_eq!(a.ndv_words, b.ndv_words);
         }
     }
 
-    /// Statistics with a full reservoir, so Algorithm L's weight and next
-    /// acceptance are mid-stream.
-    fn full_reservoir_stats() -> TableStats {
-        let mut stats = TableStats::new(3);
+    /// Statistics over a few thousand rows, a tenth of them NULL.
+    fn observed_stats() -> TableStats {
+        let mut stats = TableStats::default();
         for row in 0..5_000u64 {
             let d = if row % 11 == 0 {
                 Datum::Null
             } else {
                 Datum::Int((row * 7_919 % 1_009) as i64)
             };
-            stats.observe(0, row, &d);
+            stats.observe(0, &d);
         }
         stats.advance_observed(0, 5_000);
         stats
     }
 
-    /// A restored registry continues the reservoir's skip stream exactly
-    /// where the captured one stood: the same sample, weight and next
-    /// acceptance after any further observations.
+    /// A restored registry continues exactly where the captured one stood:
+    /// the same counts, bounds and NDV words after any further
+    /// observations.
     #[test]
-    fn restored_stats_continue_the_skip_stream_identically() {
-        let mut live = full_reservoir_stats();
+    fn restored_stats_continue_identically() {
+        let mut live = observed_stats();
         let snap = TableSnapshot::capture(
             sample_epoch(),
             None,
@@ -182,8 +176,8 @@ mod tests {
         );
         for row in 5_000..40_000u64 {
             let d = Datum::Int((row * 31) as i64);
-            live.observe(0, row, &d);
-            restored.observe(0, row, &d);
+            live.observe(0, &d);
+            restored.observe(0, &d);
         }
         assert_eq!(
             format!("{:?}", live.export_state()),
@@ -191,45 +185,42 @@ mod tests {
         );
     }
 
-    /// A sidecar whose reservoir carries a non-finite weight, a weight
-    /// outside (0, 1], or a next acceptance not after the values seen on a
-    /// full reservoir is refused whole — checksums intact, so only the
-    /// structural check can catch it — and decoding never panics.
+    /// A sidecar whose statistics are impossible — more NULLs than rows
+    /// seen, an NDV bitmap of the wrong size, an attribute listed twice —
+    /// is refused whole (checksums intact, so only the structural check
+    /// can catch it), and decoding never panics.
     #[test]
-    fn untrusted_skip_state_is_rejected() {
-        let stats = full_reservoir_stats();
-        let good = TableSnapshot::capture(
-            sample_epoch(),
-            None,
-            &PositionalMap::new(MapPolicy::default()),
-            &RawCache::new(1 << 30),
-            &stats,
-        );
-        let seen = good.stats.attrs[0].reservoir.seen;
-        assert!(good.stats.attrs[0].reservoir.next > seen);
-        let bad_w = [
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            0.0,
-            -0.25,
-            1.0 + 1e-9,
-        ];
-        let cases = bad_w
-            .iter()
-            .map(|&w| (format!("w = {w}"), Some(w), None))
-            .chain([0, seen / 2, seen].map(|next| (format!("next = {next}"), None, Some(next))));
-        for (tag, w, next) in cases {
-            let mut snap = TableSnapshot::capture(
+    fn untrusted_statistics_are_rejected() {
+        let stats = observed_stats();
+        let capture = || {
+            TableSnapshot::capture(
                 sample_epoch(),
                 None,
                 &PositionalMap::new(MapPolicy::default()),
                 &RawCache::new(1 << 30),
                 &stats,
-            );
-            let r = &mut snap.stats.attrs[0].reservoir;
-            r.w = w.unwrap_or(r.w);
-            r.next = next.unwrap_or(r.next);
+            )
+        };
+        let words = capture().stats.attrs[0].ndv_words.len();
+        type Corrupt = fn(&mut nodb_stats::TableStatsState);
+        let cases: [(&str, Corrupt); 5] = [
+            ("nulls > rows", |s| {
+                s.attrs[0].nulls = s.attrs[0].rows_seen + 1
+            }),
+            ("no ndv words", |s| s.attrs[0].ndv_words.clear()),
+            ("short ndv", |s| {
+                s.attrs[0].ndv_words.pop();
+            }),
+            ("long ndv", |s| s.attrs[0].ndv_words.push(0)),
+            ("duplicate attr", |s| {
+                let dup = s.attrs[0].clone();
+                s.attrs.push(dup);
+            }),
+        ];
+        assert!(words > 1);
+        for (tag, corrupt) in cases {
+            let mut snap = capture();
+            corrupt(&mut snap.stats);
             assert_eq!(
                 decode_snapshot(&encode_snapshot(&snap)).err(),
                 Some(SnapshotError::Malformed("inconsistent statistics")),

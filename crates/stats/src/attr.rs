@@ -3,21 +3,16 @@
 //! Fed by the scan operator for *requested attributes only* (§3.3: "creates
 //! statistics only on requested attributes") and incrementally augmented as
 //! queries touch more rows: slice by slice through `AttrStats::absorb`
-//! (a worker-built [`ColumnSketch`] plus the order-dependent counts and
-//! reservoir offers), or value by value through [`AttrStats::observe`].
+//! (a worker-built [`ColumnSketch`] plus the row and NULL counts), or value
+//! by value through [`AttrStats::observe`].
 
 use std::cmp::Ordering;
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
-use crate::histogram::EquiDepthHistogram;
 use crate::ndv::DistinctCounter;
-use crate::sample::{Reservoir, ReservoirState};
-use crate::sketch::{ColumnSketch, OfferedRows, Value};
-
-/// Default reservoir capacity per attribute.
-pub const DEFAULT_SAMPLE_CAPACITY: usize = 1024;
+use crate::sketch::{ColumnSketch, Value};
 
 /// Running statistics for one attribute of one raw file.
 #[derive(Debug)]
@@ -31,15 +26,11 @@ pub struct AttrStats {
     min: Option<Datum>,
     /// Largest non-null value (total order).
     max: Option<Datum>,
-    reservoir: Reservoir,
     ndv: DistinctCounter,
-    /// Histogram cache, invalidated when the reservoir changes.
-    histogram: Option<(u64, EquiDepthHistogram)>,
 }
 
 impl AttrStats {
-    /// Fresh accumulator for attribute `attr`. The reservoir seed derives
-    /// from the attribute index, keeping runs reproducible.
+    /// Fresh accumulator for attribute `attr`.
     pub fn new(attr: usize) -> Self {
         AttrStats {
             attr,
@@ -47,9 +38,7 @@ impl AttrStats {
             nulls: 0,
             min: None,
             max: None,
-            reservoir: Reservoir::new(DEFAULT_SAMPLE_CAPACITY, 0x5eed_0000 + attr as u64),
             ndv: DistinctCounter::default_size(),
-            histogram: None,
         }
     }
 
@@ -58,29 +47,23 @@ impl AttrStats {
         self.attr
     }
 
-    /// Observe one value and offer it to the reservoir.
+    /// Observe one value: counted, and a non-null one bounded and hashed.
     pub fn observe(&mut self, d: &Datum) {
-        self.note(d, true);
-    }
-
-    /// Observe one value — counted, and a non-null one bounded and hashed
-    /// — offering it to the reservoir only when `offer` holds.
-    pub(crate) fn note(&mut self, d: &Datum, offer: bool) {
         match d {
             Datum::Null => {
                 self.rows_seen += 1;
                 self.nulls += 1;
             }
-            Datum::Int(v) => self.note_value(*v, offer),
-            Datum::Float(v) => self.note_value(*v, offer),
-            Datum::Str(s) => self.note_value(&**s, offer),
-            Datum::Bool(b) => self.note_value(*b, offer),
+            Datum::Int(v) => self.observe_value(*v),
+            Datum::Float(v) => self.observe_value(*v),
+            Datum::Str(s) => self.observe_value(&**s),
+            Datum::Bool(b) => self.observe_value(*b),
         }
     }
 
-    /// [`Self::note`] of a non-null value in its typed form: boxed only if
-    /// it becomes a bound or enters the reservoir.
-    fn note_value<V: Value>(&mut self, v: V, offer: bool) {
+    /// [`Self::observe`] of a non-null value in its typed form: boxed only
+    /// if it becomes a bound.
+    fn observe_value<V: Value>(&mut self, v: V) {
         self.rows_seen += 1;
         if !matches!(&self.min, Some(m) if v.cmp_bound(m) != Ordering::Less) {
             self.min = Some(v.datum());
@@ -89,31 +72,15 @@ impl AttrStats {
             self.max = Some(v.datum());
         }
         self.ndv.add_hash(v.ndv_hash());
-        if offer {
-            self.reservoir.offer_with(|| v.datum());
-        }
     }
 
-    /// Absorb rows `[from, col.len())` of one scan slice, whose local row 0
-    /// is data row `row_base`: `sketch` ([`ColumnSketch::build`] over at
-    /// least those rows) is merged, the rows are counted by null-mask
-    /// popcounts, and the reservoir is advanced through the rows the
-    /// sampling `stride` selects, in row order, without reading any value:
-    /// `accept(slot, row)` names each reservoir slot a row is accepted
-    /// into, and the caller fills the slots ([`Self::set_sample`]) with the
-    /// last row accepted into each. Then the same state as [`Self::note`]
-    /// on each of those rows in order; merging a sketch that also covers
-    /// earlier, already observed rows changes nothing, because bounds and
-    /// NDV bits are idempotent.
-    pub(crate) fn absorb(
-        &mut self,
-        col: &TypedColumn,
-        sketch: &ColumnSketch,
-        from: usize,
-        row_base: u64,
-        stride: u64,
-        mut accept: impl FnMut(usize, usize),
-    ) {
+    /// Absorb rows `[from, col.len())` of one scan slice: `sketch`
+    /// ([`ColumnSketch::build`] over at least those rows) is merged, and the
+    /// rows are counted by null-mask popcounts, without reading any value.
+    /// The same state as [`Self::observe`] on each of those rows; merging a
+    /// sketch that also covers earlier, already observed rows changes
+    /// nothing, because bounds and NDV bits are idempotent.
+    pub(crate) fn absorb(&mut self, col: &TypedColumn, sketch: &ColumnSketch, from: usize) {
         let len = col.len();
         if from >= len {
             return;
@@ -131,18 +98,6 @@ impl AttrStats {
         self.ndv.union(&sketch.ndv);
         self.rows_seen += (len - from) as u64;
         self.nulls += col.nulls().count_nulls(from, len) as u64;
-        let mut offered = OfferedRows::new(col.nulls(), from, len, row_base, stride);
-        self.reservoir.offer_run(offered.count(), |i, slot| {
-            if let Some(row) = offered.select(i) {
-                accept(slot, row);
-            }
-        });
-    }
-
-    /// Fill reservoir `slot` with the value an [`Self::absorb`] accepted
-    /// into it.
-    pub(crate) fn set_sample(&mut self, slot: usize, d: Datum) {
-        self.reservoir.set(slot, d);
     }
 
     /// Values observed so far (including NULLs).
@@ -174,40 +129,7 @@ impl AttrStats {
         self.max.as_ref()
     }
 
-    /// The current reservoir sample (non-null values, unordered).
-    pub fn sample(&self) -> &[Datum] {
-        self.reservoir.sample()
-    }
-
-    /// Equi-depth histogram over the current sample (rebuilt lazily when the
-    /// sample has grown since the last build).
-    pub fn histogram(&mut self) -> Option<&EquiDepthHistogram> {
-        let seen = self.reservoir.seen();
-        let stale = match &self.histogram {
-            Some((at, _)) => *at != seen,
-            None => true,
-        };
-        if stale {
-            self.histogram =
-                EquiDepthHistogram::build(self.reservoir.sample(), 64).map(|h| (seen, h));
-        }
-        self.histogram.as_ref().map(|(_, h)| h)
-    }
-
-    /// Reset (file replaced).
-    pub fn clear(&mut self) {
-        self.rows_seen = 0;
-        self.nulls = 0;
-        self.min = None;
-        self.max = None;
-        self.reservoir.clear();
-        self.ndv.clear();
-        self.histogram = None;
-    }
-
-    /// Export the full accumulator state for snapshotting. The histogram
-    /// cache is deliberately excluded — it rebuilds lazily from the
-    /// reservoir and keying on `seen` makes the rebuild deterministic.
+    /// Export the full accumulator state for snapshotting.
     pub fn export_state(&self) -> AttrStatsState {
         AttrStatsState {
             attr: self.attr,
@@ -215,15 +137,13 @@ impl AttrStats {
             nulls: self.nulls,
             min: self.min.clone(),
             max: self.max.clone(),
-            reservoir: self.reservoir.export_state(),
             ndv_words: self.ndv.words().to_vec(),
         }
     }
 
     /// Rebuild an accumulator from [`Self::export_state`]. Returns `None`
     /// when any component is inconsistent (untrusted sidecar input) —
-    /// nulls exceeding rows seen, a malformed reservoir, or an empty NDV
-    /// bitmap.
+    /// nulls exceeding rows seen, or an NDV bitmap of the wrong size.
     pub fn from_state(state: AttrStatsState) -> Option<Self> {
         if state.nulls > state.rows_seen {
             return None;
@@ -234,9 +154,7 @@ impl AttrStats {
             nulls: state.nulls,
             min: state.min,
             max: state.max,
-            reservoir: Reservoir::from_state(state.reservoir)?,
             ndv: DistinctCounter::from_words(state.ndv_words)?,
-            histogram: None,
         })
     }
 }
@@ -254,8 +172,6 @@ pub struct AttrStatsState {
     pub min: Option<Datum>,
     /// Observed maximum.
     pub max: Option<Datum>,
-    /// Full reservoir state (sample + RNG mid-stream).
-    pub reservoir: ReservoirState,
     /// NDV linear-counting bitmap words.
     pub ndv_words: Vec<u64>,
 }
@@ -288,21 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_rebuilds_after_growth() {
-        let mut s = AttrStats::new(2);
-        for i in 0..100 {
-            s.observe(&Datum::Int(i));
-        }
-        let f1 = s.histogram().unwrap().fraction_le(&Datum::Int(50));
-        assert!(f1 > 0.3 && f1 < 0.7);
-        for i in 100..1000 {
-            s.observe(&Datum::Int(i));
-        }
-        let f2 = s.histogram().unwrap().fraction_le(&Datum::Int(50));
-        assert!(f2 < 0.2, "after growth le(50) = {f2}");
-    }
-
-    #[test]
     fn state_round_trip_continues_identically() {
         let mut a = AttrStats::new(5);
         for i in 0..2_000 {
@@ -319,16 +220,16 @@ mod tests {
         assert_eq!(a.min(), b.min());
         assert_eq!(a.max(), b.max());
         assert_eq!(a.ndv(), b.ndv());
-        assert_eq!(a.sample(), b.sample());
-        // Further observations must evolve both identically (RNG state
-        // round-tripped mid-stream).
+        // Further observations must evolve both identically.
         for i in 0..3_000 {
             let d = Datum::Int(i * 3 + 1);
             a.observe(&d);
             b.observe(&d);
         }
-        assert_eq!(a.sample(), b.sample());
-        assert_eq!(a.ndv(), b.ndv());
+        assert_eq!(
+            format!("{:?}", a.export_state()),
+            format!("{:?}", b.export_state())
+        );
     }
 
     #[test]
@@ -341,15 +242,5 @@ mod tests {
         let mut s2 = a.export_state();
         s2.ndv_words = Vec::new();
         assert!(AttrStats::from_state(s2).is_none());
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut s = AttrStats::new(3);
-        s.observe(&Datum::Int(1));
-        s.clear();
-        assert_eq!(s.rows_seen(), 0);
-        assert!(s.min().is_none());
-        assert!(s.histogram().is_none());
     }
 }

@@ -47,7 +47,7 @@ pub enum PredicateSketch {
     /// `attr IS NOT NULL`
     IsNotNull,
     /// `attr LIKE 'prefix%'`
-    StrPrefix(String),
+    StrPrefix,
     /// Anything the sketcher could not classify.
     Opaque,
 }
@@ -90,7 +90,7 @@ pub fn default_selectivity(sketch: &PredicateSketch) -> f64 {
         PredicateSketch::InList(n) => (defaults::EQ * *n as f64).min(1.0),
         PredicateSketch::IsNull => defaults::IS_NULL,
         PredicateSketch::IsNotNull => 1.0 - defaults::IS_NULL,
-        PredicateSketch::StrPrefix(_) => defaults::PREFIX,
+        PredicateSketch::StrPrefix => defaults::PREFIX,
         PredicateSketch::Opaque => defaults::RANGE,
     }
 }

@@ -75,11 +75,6 @@ impl DistinctCounter {
         m * (m / z).ln()
     }
 
-    /// Reset (file replaced).
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-    }
-
     /// The raw bitmap words (snapshot export; the bits are the whole
     /// state).
     pub fn words(&self) -> &[u64] {
@@ -313,14 +308,6 @@ mod tests {
     #[test]
     fn empty_estimates_zero() {
         let c = DistinctCounter::default_size();
-        assert_eq!(c.estimate(), 0.0);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut c = DistinctCounter::new(64);
-        c.add(&Datum::Int(1));
-        c.clear();
         assert_eq!(c.estimate(), 0.0);
     }
 

@@ -1,24 +1,21 @@
 //! Per-slice statistics sketches: the part of an attribute's statistics
 //! that does not depend on the order rows arrive in.
 //!
-//! An accumulator ([`crate::AttrStats`]) holds two kinds of state. The NDV
-//! bitmap and the min/max bounds are *order-independent*: a value sets the
-//! same bit and moves the same bound whenever it arrives, and merging two
-//! of them (OR, min of mins, max of maxes) is idempotent, commutative and
-//! associative. The row and NULL counts and the reservoir sample are
-//! *order-dependent* — the reservoir's state is a function of the offer
-//! sequence.
+//! An accumulator ([`crate::AttrStats`]) holds the NDV bitmap, the min/max
+//! bounds and the row and NULL counts. The bitmap and the bounds are
+//! *order-independent*: a value sets the same bit and moves the same bound
+//! whenever it arrives, and merging two of them (OR, min of mins, max of
+//! maxes) is idempotent, commutative and associative. The counts are plain
+//! sums, but a slice must add them only for rows the accumulator has not
+//! seen yet.
 //!
 //! The scan splits its statistics work along that line. Each worker builds
 //! a [`ColumnSketch`] over its slice's typed partial column, in parallel
 //! and outside any lock: one typed kernel, one hash and two compares per
 //! non-null value, nothing boxed. The install
-//! ([`crate::TableStats::absorb`]) then merges the sketch and does the
-//! order-dependent part in global row order: counts by null-mask
-//! popcounts, and the reservoir advanced through the slice's offered rows
-//! by [`crate::Reservoir`]'s skips (`OfferedRows` finds the `i`-th
-//! offered row by word popcounts) — so the only values read at install
-//! are those that stay in the reservoir.
+//! ([`crate::TableStats::absorb`]) then merges the sketch and counts the
+//! rows beyond the observation frontier by null-mask popcounts, in global
+//! row order — so the install reads no value at all.
 
 use std::cmp::Ordering;
 
@@ -176,103 +173,6 @@ fn sketch<'a, T, V: Value>(
     }
 }
 
-/// The rows of `[lo, hi)` of a slice that a scan offers to the reservoir:
-/// those whose global number (`row_base` + local row) the sampling stride
-/// selects and whose value is not NULL. Read one 64-row word at a time,
-/// and found by offer index with a forward-only select: whole words are
-/// skipped by their popcount, so reaching the `i`-th offered row costs one
-/// step per word passed, not per row.
-pub(crate) struct OfferedRows<'a> {
-    nulls: &'a [u64],
-    lo: usize,
-    hi: usize,
-    row_base: u64,
-    stride: u64,
-    /// Select cursor: the current word,
-    w: usize,
-    /// its offered rows not yet passed,
-    bits: u64,
-    /// and the offer index of the lowest of them.
-    at: u64,
-}
-
-impl<'a> OfferedRows<'a> {
-    pub(crate) fn new(
-        nulls: &'a NullMask,
-        lo: usize,
-        hi: usize,
-        row_base: u64,
-        stride: u64,
-    ) -> Self {
-        let mut rows = OfferedRows {
-            nulls: nulls.words(),
-            lo,
-            hi: hi.max(lo),
-            row_base,
-            stride: stride.max(1),
-            w: lo / 64,
-            bits: 0,
-            at: 0,
-        };
-        rows.bits = rows.mask(rows.w);
-        rows
-    }
-
-    /// Offered rows of word `w`, as a bit mask (bit `p` = local row
-    /// `64 w + p`).
-    fn mask(&self, w: usize) -> u64 {
-        let first = w * 64;
-        if first >= self.hi {
-            return 0;
-        }
-        let mut m = !self.nulls.get(w).copied().unwrap_or(0);
-        if first < self.lo {
-            m &= !0u64 << (self.lo - first);
-        }
-        if self.hi - first < 64 {
-            m &= (1u64 << (self.hi - first)) - 1;
-        }
-        if self.stride > 1 {
-            let g = self.row_base + first as u64;
-            let mut picked = 0u64;
-            let mut p = (self.stride - g % self.stride) % self.stride;
-            while p < 64 {
-                picked |= 1u64 << p;
-                p += self.stride;
-            }
-            m &= picked;
-        }
-        m
-    }
-
-    /// How many rows are offered.
-    pub(crate) fn count(&self) -> u64 {
-        (self.lo / 64..self.hi.div_ceil(64))
-            .map(|w| u64::from(self.mask(w).count_ones()))
-            .sum()
-    }
-
-    /// Local row of the `i`-th offered row (`i` at least the previous
-    /// call's), or `None` past the last one.
-    pub(crate) fn select(&mut self, i: u64) -> Option<usize> {
-        let end = self.hi.div_ceil(64);
-        while self.w < end {
-            let here = u64::from(self.bits.count_ones());
-            if i < self.at + here {
-                for _ in self.at..i {
-                    self.bits &= self.bits - 1;
-                }
-                self.at = i;
-                return Some(self.w * 64 + self.bits.trailing_zeros() as usize); // lint: cast-ok at most 63
-            }
-            self.at += here;
-            self.w += 1;
-            self.bits = self.mask(self.w);
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,30 +198,5 @@ mod tests {
         let none = ColumnSketch::build(&col, 5);
         assert!(none.min.is_none() && none.max.is_none());
         assert_eq!(none.ndv.estimate(), 0.0);
-    }
-
-    #[test]
-    fn offered_rows_select_equals_a_filter() {
-        let mut nulls = NullMask::default();
-        for i in 0..300 {
-            nulls.push(i % 5 == 0 || (128..200).contains(&i));
-        }
-        for stride in [1u64, 3, 7, 64, 100] {
-            for row_base in [0u64, 5, 64] {
-                for (lo, hi) in [(0, 300), (1, 299), (63, 65), (70, 70), (200, 300)] {
-                    let expect: Vec<usize> = (lo..hi)
-                        .filter(|&r| !nulls.is_null(r))
-                        .filter(|&r| (row_base + r as u64).is_multiple_of(stride))
-                        .collect();
-                    let mut cur = OfferedRows::new(&nulls, lo, hi, row_base, stride);
-                    assert_eq!(cur.count(), expect.len() as u64);
-                    // Every other index, then the last: skips across words.
-                    for (i, &r) in expect.iter().enumerate().step_by(2) {
-                        assert_eq!(cur.select(i as u64), Some(r), "stride {stride} [{lo},{hi})");
-                    }
-                    assert_eq!(cur.select(expect.len() as u64), None);
-                }
-            }
-        }
     }
 }

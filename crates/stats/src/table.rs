@@ -21,27 +21,20 @@ pub struct TableStats {
     /// max rows_seen across attributes serves as a lower bound.
     row_count: Option<u64>,
     /// Per-attribute observation frontier: rows `[0, frontier)` have already
-    /// been counted into the accumulator (and offered to its reservoir under
-    /// the sampling stride). Scans skip rows below the frontier, so re-scans
-    /// — and, crucially, concurrent scans whose side effects are merged one
-    /// after another — observe every `(attr, row)` pair at most once. Kept separate from [`AttrStats`] so
-    /// an advanced frontier alone never makes an attribute "covered".
+    /// been counted into the accumulator. Scans skip rows below the
+    /// frontier, so re-scans — and, crucially, concurrent scans whose side
+    /// effects are merged one after another — observe every `(attr, row)`
+    /// pair at most once. Kept separate from [`AttrStats`] so an advanced
+    /// frontier alone never makes an attribute "covered".
     observed: HashMap<usize, u64>,
-    /// Sampling stride of the reservoir: only rows whose number is a
-    /// multiple of `sample_every` are offered to it (1 = every row).
-    /// Counts, bounds and NDV see every row whatever the stride.
-    pub sample_every: u64,
 }
 
 impl TableStats {
-    /// Empty registry with the given sampling stride.
-    pub fn new(sample_every: u64) -> Self {
-        TableStats {
-            attrs: HashMap::new(),
-            row_count: None,
-            observed: HashMap::new(),
-            sample_every: sample_every.max(1),
-        }
+    /// Empty registry, the same as [`TableStats::default`]. The argument is
+    /// ignored: this constructor is kept only for the benchmark package's
+    /// `stats.observe_ns_per_value` probe, which calls `TableStats::new(1)`.
+    pub fn new(_unused: u64) -> Self {
+        TableStats::default()
     }
 
     /// Accumulator for `attr`, created on first touch.
@@ -51,25 +44,12 @@ impl TableStats {
             .or_insert_with(|| AttrStats::new(attr))
     }
 
-    /// Whether data row `row` (0-based) is offered to the reservoir under
-    /// the sampling stride. The stride gates reservoir offers only: counts,
-    /// bounds and NDV see every row.
-    ///
-    /// The one sampling rule: [`Self::observe`] applies it row by row, and
-    /// the scan's install ([`Self::absorb`]) a 64-row word at a time.
-    #[inline]
-    pub fn should_sample(&self, row: u64) -> bool {
-        row.is_multiple_of(self.sample_every)
-    }
-
-    /// Observe the value of `attr` at data row `row`: counted, and a
-    /// non-null value bounded and hashed, always; offered to the reservoir
-    /// when [`Self::should_sample`] selects the row. Does not move the
-    /// observation frontier. The reference behaviour, row by row, of what a
-    /// scan installs slice by slice through [`Self::absorb`].
-    pub fn observe(&mut self, attr: usize, row: u64, d: &Datum) {
-        let offer = self.should_sample(row);
-        self.attr_mut(attr).note(d, offer);
+    /// Observe one value of `attr`: counted, and a non-null value bounded
+    /// and hashed. Does not move the observation frontier. The reference
+    /// behaviour, row by row, of what a scan installs slice by slice
+    /// through [`Self::absorb`].
+    pub fn observe(&mut self, attr: usize, d: &Datum) {
+        self.attr_mut(attr).observe(d);
     }
 
     /// Install one scan's slices of `attr`, in row order — each
@@ -81,43 +61,23 @@ impl TableStats {
     ///
     /// Equal to [`Self::observe`] on each of those rows in row order: the
     /// sketches' bits and bounds are merged (rows a sketch covers below the
-    /// frontier were observed before, so they add nothing), the rows are
-    /// counted by popcount, and the reservoir skips straight to the rows it
-    /// accepts — of which only the last accepted into each slot is read,
-    /// once every slice is in. A slice wholly below the frontier is a
-    /// no-op, so absorbing a slice twice equals absorbing it once.
+    /// frontier were observed before, so they add nothing) and the rows are
+    /// counted by popcount. A slice wholly below the frontier is a no-op,
+    /// so absorbing a slice twice equals absorbing it once.
     pub fn absorb<'a>(
         &mut self,
         attr: usize,
         slices: impl IntoIterator<Item = (&'a TypedColumn, &'a ColumnSketch, u64)>,
     ) {
-        let stride = self.sample_every;
         let mut frontier = self.observed_upto(attr);
-        // Per reservoir slot, the column and row of its latest acceptance.
-        let mut taken: Vec<Option<(&TypedColumn, usize)>> = Vec::new();
         for (col, sketch, row_base) in slices {
             let end = row_base + col.len() as u64;
             if frontier >= end {
                 continue;
             }
             let from = (frontier.max(row_base) - row_base) as usize; // lint: cast-ok below col.len()
-            let accept = |slot: usize, row| {
-                if taken.len() <= slot {
-                    taken.resize(slot + 1, None);
-                }
-                taken[slot] = Some((col, row));
-            };
-            self.attr_mut(attr)
-                .absorb(col, sketch, from, row_base, stride, accept);
+            self.attr_mut(attr).absorb(col, sketch, from);
             frontier = end;
-        }
-        if let Some(stats) = self.attrs.get_mut(&attr) {
-            for (slot, t) in taken.into_iter().enumerate() {
-                if let Some((col, row)) = t {
-                    // An accepted row is a row of its column, never NULL.
-                    stats.set_sample(slot, col.datum(row).unwrap_or(Datum::Null));
-                }
-            }
         }
         self.advance_observed(attr, frontier);
     }
@@ -169,7 +129,7 @@ impl TableStats {
     }
 
     /// File grew: the exact count is stale but per-attribute accumulators
-    /// stay valid as a sample of the prefix.
+    /// stay valid for the prefix.
     pub fn note_appended(&mut self) {
         self.row_count = None;
     }
@@ -193,7 +153,6 @@ impl TableStats {
             attrs,
             observed,
             row_count: self.row_count,
-            sample_every: self.sample_every,
         }
     }
 
@@ -213,47 +172,69 @@ impl TableStats {
             attrs,
             row_count: state.row_count,
             observed: state.observed.into_iter().collect(),
-            sample_every: state.sample_every.max(1),
         })
     }
+}
 
-    /// Selectivity with interior mutability over histogram rebuilds: this
-    /// takes `&mut self` because histograms are built lazily from the
-    /// reservoir. The optimizer holds the registry mutably during planning.
-    pub fn selectivity_mut(&mut self, attr: usize, sketch: &PredicateSketch) -> f64 {
-        let Some(stats) = self.attrs.get_mut(&attr) else {
+/// The planner's estimates. Equality and IN come from the NDV estimate,
+/// `IS [NOT] NULL` from the counts, and ranges from the observed bounds
+/// (`range_fraction`); a shape the statistics say nothing about, or an
+/// attribute no scan has observed, gets [`default_selectivity`].
+impl SelectivityEstimator for TableStats {
+    fn row_count(&self) -> Option<u64> {
+        self.row_count
+    }
+
+    fn selectivity(&self, attr: usize, sketch: &PredicateSketch) -> f64 {
+        let Some(stats) = self.attrs.get(&attr).filter(|s| s.rows_seen() > 0) else {
             return default_selectivity(sketch);
         };
-        if stats.rows_seen() == 0 {
-            return default_selectivity(sketch);
-        }
         let null_frac = stats.null_fraction();
         let nonnull = 1.0 - null_frac;
         let ndv = stats.ndv();
         match sketch {
             PredicateSketch::Eq(_) => (nonnull / ndv).clamp(0.0, 1.0),
             PredicateSketch::NotEq(_) => (nonnull * (1.0 - 1.0 / ndv)).clamp(0.0, 1.0),
-            PredicateSketch::Lt(v) | PredicateSketch::Le(v) => match stats.histogram() {
-                Some(h) => (nonnull * h.fraction_le(v)).clamp(0.0, 1.0),
-                None => default_selectivity(sketch),
-            },
-            PredicateSketch::Gt(v) | PredicateSketch::Ge(v) => match stats.histogram() {
-                Some(h) => (nonnull * (1.0 - h.fraction_le(v))).clamp(0.0, 1.0),
-                None => default_selectivity(sketch),
-            },
-            PredicateSketch::Between(lo, hi) => match stats.histogram() {
-                Some(h) => (nonnull * h.fraction_between(lo, hi)).clamp(0.0, 1.0),
-                None => default_selectivity(sketch),
-            },
             PredicateSketch::InList(n) => ((nonnull / ndv) * *n as f64).clamp(0.0, 1.0),
             PredicateSketch::IsNull => null_frac,
             PredicateSketch::IsNotNull => nonnull,
-            PredicateSketch::StrPrefix(prefix) => {
-                // Fraction of the sample matching the prefix.
-                prefix_fraction(stats, prefix).unwrap_or_else(|| default_selectivity(sketch))
-            }
-            PredicateSketch::Opaque => default_selectivity(sketch),
+            _ => range_fraction(stats, sketch).map_or_else(
+                || default_selectivity(sketch),
+                |f| (nonnull * f).clamp(0.0, 1.0),
+            ),
         }
+    }
+}
+
+/// Fraction of `stats`' non-NULL values a range sketch keeps, assuming them
+/// spread uniformly between the observed minimum and maximum (the textbook
+/// uniform assumption). `None` unless both bounds are finite numbers and
+/// every constant is a non-NaN number: a string or Bool range, a NaN bound,
+/// an attribute with no bounds, or a non-range shape.
+fn range_fraction(stats: &AttrStats, sketch: &PredicateSketch) -> Option<f64> {
+    let (lo, hi) = (stats.min()?.as_float()?, stats.max()?.as_float()?);
+    if !lo.is_finite() || !hi.is_finite() {
+        return None;
+    }
+    // Fraction below `v` (at or below it when `or_equal`). With `lo == hi`
+    // every value equals the bound, so it is exactly 0 or 1.
+    let below = |v: &Datum, or_equal: bool| -> Option<f64> {
+        let x = v.as_float().filter(|x| !x.is_nan())?;
+        Some(if x < lo || (x == lo && !or_equal) {
+            0.0
+        } else if x > hi || (x == hi && or_equal) {
+            1.0
+        } else {
+            (x - lo) / (hi - lo)
+        })
+    };
+    match sketch {
+        PredicateSketch::Lt(v) => below(v, false),
+        PredicateSketch::Le(v) => below(v, true),
+        PredicateSketch::Gt(v) => below(v, true).map(|f| 1.0 - f),
+        PredicateSketch::Ge(v) => below(v, false).map(|f| 1.0 - f),
+        PredicateSketch::Between(a, b) => Some((below(b, true)? - below(a, false)?).max(0.0)),
+        _ => None,
     }
 }
 
@@ -266,68 +247,22 @@ pub struct TableStatsState {
     pub observed: Vec<(usize, u64)>,
     /// Exact row count when a full scan has completed.
     pub row_count: Option<u64>,
-    /// Sampling stride in force when the snapshot was taken.
-    pub sample_every: u64,
-}
-
-/// Estimate prefix-match selectivity by scanning the reservoir sample.
-fn prefix_fraction(stats: &mut AttrStats, prefix: &str) -> Option<f64> {
-    // Neither the bounds nor the histogram's buckets say how many strings
-    // share a prefix; the fraction of the sample that does is the estimate.
-    let sample = stats.sample();
-    if sample.is_empty() {
-        return None;
-    }
-    let hits = sample
-        .iter()
-        .filter(|d| matches!(d, Datum::Str(s) if s.starts_with(prefix)))
-        .count();
-    Some(hits as f64 / sample.len() as f64)
-}
-
-/// Immutable estimator snapshot facade over `TableStats`.
-///
-/// The engine's optimizer takes a `&mut TableStats` during planning (see
-/// [`TableStats::selectivity_mut`]); this wrapper adapts it to the shared
-/// [`SelectivityEstimator`] trait via a `RefCell`, keeping the trait object
-/// usable where mutation is awkward.
-pub struct StatsEstimator<'a> {
-    inner: std::cell::RefCell<&'a mut TableStats>,
-}
-
-impl<'a> StatsEstimator<'a> {
-    /// Wrap a mutable registry.
-    pub fn new(stats: &'a mut TableStats) -> Self {
-        StatsEstimator {
-            inner: std::cell::RefCell::new(stats),
-        }
-    }
-}
-
-impl SelectivityEstimator for StatsEstimator<'_> {
-    fn row_count(&self) -> Option<u64> {
-        self.inner.borrow().known_row_count()
-    }
-
-    fn selectivity(&self, attr: usize, sketch: &PredicateSketch) -> f64 {
-        self.inner.borrow_mut().selectivity_mut(attr, sketch)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimate::defaults;
 
     /// Absorbing worker sketches slice by slice must leave exactly the
     /// state of the row-at-a-time `observe` replay it stands in for: rows
-    /// seen, NULLs, bounds, NDV words, reservoir sample, RNG position,
-    /// Algorithm L's weight and next acceptance, frontier — and no
-    /// accumulator at all where nothing is left to observe. Covers every column
-    /// type (floats with NaN and -0.0), NULL densities none / half / all,
-    /// fixed and random slice cuts with the frontier inside a slice, a
-    /// sketch over the whole slice (rows unknown to the worker) or from the
-    /// plan-time frontier, strides 1 and 7, a slice absorbed twice, and a
-    /// scan's slices absorbed in one call or one call each.
+    /// seen, NULLs, bounds, NDV words, frontier — and no accumulator at all
+    /// where nothing is left to observe. Covers every column type (floats
+    /// with NaN and -0.0), NULL densities none / half / all, fixed and
+    /// random slice cuts with the frontier inside a slice, a sketch over
+    /// the whole slice (rows unknown to the worker) or from the plan-time
+    /// frontier, a slice absorbed twice, and a scan's slices absorbed in
+    /// one call or one call each.
     #[test]
     fn absorbed_sketches_equal_the_observe_replay() {
         use nodb_rawcsv::ColumnType;
@@ -356,8 +291,8 @@ mod tests {
             ColumnType::Bool,
             ColumnType::Str,
         ];
-        // More rows than the reservoir holds, so the skips are exercised
-        // (fewer beyond it under the interpreter).
+        // Several NDV words and null-mask words (fewer under the
+        // interpreter).
         let total = if cfg!(miri) { 1_100 } else { 3_000 };
         let mut lcg = 0x2545_f491_4f6c_dd1du64;
         let mut random_cuts = || {
@@ -374,71 +309,68 @@ mod tests {
         for (attr, &ty) in types.iter().enumerate() {
             for nulls in 0..3 {
                 let rows: Vec<Datum> = (0..total).map(|i| value(ty, nulls, i)).collect();
-                for stride in [1u64, 7] {
-                    for frontier in [0u64, 1_034, total as u64 + 5] {
-                        let cut_sets = [
-                            vec![0, total],
-                            vec![0, 1, 700, 700, 1_040, total - 1, total],
-                            random_cuts(),
-                            random_cuts(),
-                        ];
-                        for (set, cuts) in cut_sets.into_iter().enumerate() {
-                            for whole in [false, true] {
-                                let tag = format!(
-                                    "{ty:?} nulls {nulls} stride {stride} frontier {frontier} \
-                                     {cuts:?} whole {whole}"
-                                );
-                                let (mut by_value, mut by_sketch) =
-                                    (TableStats::new(stride), TableStats::new(stride));
-                                // Rows below the frontier were observed by
-                                // an earlier scan.
-                                for t in [&mut by_value, &mut by_sketch] {
-                                    for (row, d) in rows.iter().enumerate() {
-                                        if row as u64 >= frontier {
-                                            break;
-                                        }
-                                        t.observe(attr, row as u64, d);
+                for frontier in [0u64, 1_034, total as u64 + 5] {
+                    let cut_sets = [
+                        vec![0, total],
+                        vec![0, 1, 700, 700, 1_040, total - 1, total],
+                        random_cuts(),
+                        random_cuts(),
+                    ];
+                    for (set, cuts) in cut_sets.into_iter().enumerate() {
+                        for whole in [false, true] {
+                            let tag = format!(
+                                "{ty:?} nulls {nulls} frontier {frontier} {cuts:?} whole {whole}"
+                            );
+                            let (mut by_value, mut by_sketch) =
+                                (TableStats::default(), TableStats::default());
+                            // Rows below the frontier were observed by
+                            // an earlier scan.
+                            for t in [&mut by_value, &mut by_sketch] {
+                                for (row, d) in rows.iter().enumerate() {
+                                    if row as u64 >= frontier {
+                                        break;
                                     }
-                                    t.advance_observed(attr, frontier);
+                                    t.observe(attr, d);
                                 }
-                                for (row, d) in rows.iter().enumerate().skip(frontier as usize) {
-                                    by_value.observe(attr, row as u64, d);
-                                }
-                                by_value.advance_observed(attr, total as u64);
-                                let mut slices = Vec::new();
-                                for w in cuts.windows(2) {
-                                    let mut col = TypedColumn::new(ty);
-                                    rows[w[0]..w[1]].iter().for_each(|d| col.push(d));
-                                    let from = if whole {
-                                        0
-                                    } else {
-                                        (frontier as usize).saturating_sub(w[0])
-                                    };
-                                    if from >= col.len() {
-                                        continue; // the worker builds no sketch
-                                    }
-                                    let sketch = ColumnSketch::build(&col, from);
-                                    slices.push((col, sketch, w[0] as u64));
-                                }
-                                let mut parts: Vec<_> =
-                                    slices.iter().map(|(c, s, b)| (c, s, *b)).collect();
-                                // The second slice comes twice.
-                                if let Some(&again) = parts.get(1) {
-                                    parts.insert(2, again);
-                                }
-                                // A scan's slices in one call, or one per
-                                // call.
-                                if (set + usize::from(whole)).is_multiple_of(2) {
-                                    by_sketch.absorb(attr, parts);
-                                } else {
-                                    parts.into_iter().for_each(|p| by_sketch.absorb(attr, [p]));
-                                }
-                                assert_eq!(
-                                    format!("{:?}", by_value.export_state()),
-                                    format!("{:?}", by_sketch.export_state()),
-                                    "{tag}"
-                                );
+                                t.advance_observed(attr, frontier);
                             }
+                            for d in rows.iter().skip(frontier as usize) {
+                                by_value.observe(attr, d);
+                            }
+                            by_value.advance_observed(attr, total as u64);
+                            let mut slices = Vec::new();
+                            for w in cuts.windows(2) {
+                                let mut col = TypedColumn::new(ty);
+                                rows[w[0]..w[1]].iter().for_each(|d| col.push(d));
+                                let from = if whole {
+                                    0
+                                } else {
+                                    (frontier as usize).saturating_sub(w[0])
+                                };
+                                if from >= col.len() {
+                                    continue; // the worker builds no sketch
+                                }
+                                let sketch = ColumnSketch::build(&col, from);
+                                slices.push((col, sketch, w[0] as u64));
+                            }
+                            let mut parts: Vec<_> =
+                                slices.iter().map(|(c, s, b)| (c, s, *b)).collect();
+                            // The second slice comes twice.
+                            if let Some(&again) = parts.get(1) {
+                                parts.insert(2, again);
+                            }
+                            // A scan's slices in one call, or one per
+                            // call.
+                            if (set + usize::from(whole)).is_multiple_of(2) {
+                                by_sketch.absorb(attr, parts);
+                            } else {
+                                parts.into_iter().for_each(|p| by_sketch.absorb(attr, [p]));
+                            }
+                            assert_eq!(
+                                format!("{:?}", by_value.export_state()),
+                                format!("{:?}", by_sketch.export_state()),
+                                "{tag}"
+                            );
                         }
                     }
                 }
@@ -446,7 +378,7 @@ mod tests {
             // A slice wholly below the frontier creates no accumulator.
             let mut col = TypedColumn::new(ty);
             col.push(&value(ty, 0, 1));
-            let mut t = TableStats::new(1);
+            let mut t = TableStats::default();
             t.advance_observed(attr, 5);
             t.absorb(attr, [(&col, &ColumnSketch::build(&col, 0), 2)]);
             assert!(t.attr(attr).is_none(), "{ty:?}");
@@ -454,7 +386,7 @@ mod tests {
     }
 
     fn observed(n: i64) -> TableStats {
-        let mut t = TableStats::new(1);
+        let mut t = TableStats::default();
         let a = t.attr_mut(0);
         for i in 0..n {
             a.observe(&Datum::Int(i));
@@ -465,40 +397,151 @@ mod tests {
 
     #[test]
     fn untouched_attr_uses_defaults() {
-        let mut t = TableStats::new(1);
-        let s = t.selectivity_mut(5, &PredicateSketch::Eq(Datum::Int(1)));
-        assert_eq!(s, crate::estimate::defaults::EQ);
+        let t = TableStats::default();
+        let s = t.selectivity(5, &PredicateSketch::Eq(Datum::Int(1)));
+        assert_eq!(s, defaults::EQ);
+        assert_eq!(t.row_count(), None);
     }
 
     #[test]
     fn eq_uses_ndv() {
-        let mut t = observed(1000);
-        let s = t.selectivity_mut(0, &PredicateSketch::Eq(Datum::Int(5)));
+        let t = observed(1000);
+        let s = t.selectivity(0, &PredicateSketch::Eq(Datum::Int(5)));
         assert!((s - 0.001).abs() < 0.0015, "eq sel = {s}");
     }
 
+    /// Ranges interpolate between the observed bounds, scaled by the
+    /// non-NULL fraction.
     #[test]
-    fn range_uses_histogram() {
-        let mut t = observed(1000);
-        let s = t.selectivity_mut(0, &PredicateSketch::Lt(Datum::Int(250)));
-        assert!((s - 0.25).abs() < 0.08, "lt sel = {s}");
-        let g = t.selectivity_mut(0, &PredicateSketch::Gt(Datum::Int(250)));
-        assert!((g - 0.75).abs() < 0.08, "gt sel = {g}");
+    fn range_interpolates_between_bounds() {
+        let t = observed(1001); // 0..=1000
+        assert_eq!(t.row_count(), Some(1001));
+        let sel = |sk: PredicateSketch| t.selectivity(0, &sk);
+        assert!((sel(PredicateSketch::Lt(Datum::Int(250))) - 0.25).abs() < 1e-9);
+        assert!((sel(PredicateSketch::Gt(Datum::Int(250))) - 0.75).abs() < 1e-9);
+        let between = sel(PredicateSketch::Between(Datum::Int(100), Datum::Int(300)));
+        assert!((between - 0.2).abs() < 1e-9, "between sel = {between}");
+        // An empty interval, and one past the maximum.
+        let empty = PredicateSketch::Between(Datum::Int(300), Datum::Int(100));
+        assert_eq!(sel(empty), 0.0);
+        let past = sel(PredicateSketch::Between(Datum::Int(900), Datum::Int(5_000)));
+        assert!((past - 0.1).abs() < 1e-9, "past sel = {past}");
+
+        // A quarter NULL: every range shrinks by the non-NULL fraction.
+        let mut t = TableStats::default();
+        let a = t.attr_mut(0);
+        for i in 0..=1000 {
+            a.observe(&Datum::Int(i));
+        }
+        for _ in 0..1001 / 3 {
+            a.observe(&Datum::Null);
+        }
+        let nonnull = 1.0 - t.attr(0).unwrap().null_fraction();
+        let s = t.selectivity(0, &PredicateSketch::Le(Datum::Int(500)));
+        assert!((s - 0.5 * nonnull).abs() < 1e-9, "le sel = {s}");
     }
 
+    /// Constants outside the bounds keep all or none of the non-NULL rows.
     #[test]
-    fn between_estimates_interval() {
-        let mut t = observed(1000);
-        let s = t.selectivity_mut(
-            0,
-            &PredicateSketch::Between(Datum::Int(100), Datum::Int(300)),
+    fn range_outside_bounds_is_all_or_nothing() {
+        let t = observed(100); // 0..=99
+        let sel = |sk: PredicateSketch| t.selectivity(0, &sk);
+        assert_eq!(sel(PredicateSketch::Lt(Datum::Int(-5))), 0.0);
+        assert_eq!(sel(PredicateSketch::Ge(Datum::Int(-5))), 1.0);
+        assert_eq!(sel(PredicateSketch::Le(Datum::Int(500))), 1.0);
+        assert_eq!(sel(PredicateSketch::Gt(Datum::Int(500))), 0.0);
+        // At the bounds themselves, strictness decides.
+        assert_eq!(sel(PredicateSketch::Lt(Datum::Int(0))), 0.0);
+        assert_eq!(sel(PredicateSketch::Le(Datum::Int(99))), 1.0);
+        assert_eq!(sel(PredicateSketch::Gt(Datum::Int(99))), 0.0);
+    }
+
+    /// A column whose every value is the same: 0 or the whole non-NULL
+    /// fraction, never a division by zero.
+    #[test]
+    fn range_over_one_value_is_zero_or_nonnull() {
+        let mut t = TableStats::default();
+        let a = t.attr_mut(0);
+        for i in 0..40 {
+            a.observe(&if i % 4 == 0 {
+                Datum::Null
+            } else {
+                Datum::Int(7)
+            });
+        }
+        let sel = |sk: PredicateSketch| t.selectivity(0, &sk);
+        assert_eq!(sel(PredicateSketch::Lt(Datum::Int(7))), 0.0);
+        assert_eq!(sel(PredicateSketch::Le(Datum::Int(7))), 0.75);
+        assert_eq!(sel(PredicateSketch::Gt(Datum::Int(7))), 0.0);
+        assert_eq!(sel(PredicateSketch::Ge(Datum::Int(7))), 0.75);
+        assert_eq!(sel(PredicateSketch::Lt(Datum::Int(8))), 0.75);
+        assert_eq!(sel(PredicateSketch::Gt(Datum::Int(6))), 0.75);
+        let around = PredicateSketch::Between(Datum::Int(7), Datum::Int(7));
+        assert_eq!(sel(around), 0.75);
+    }
+
+    /// Int columns against Float constants (and the reverse) compare as
+    /// `f64`.
+    #[test]
+    fn range_mixes_int_and_float() {
+        let t = observed(101); // 0..=100
+        let s = t.selectivity(0, &PredicateSketch::Lt(Datum::Float(25.5)));
+        assert!((s - 0.255).abs() < 1e-9, "lt sel = {s}");
+        let mut f = TableStats::default();
+        f.attr_mut(0).observe(&Datum::Float(0.0));
+        f.attr_mut(0).observe(&Datum::Float(10.0));
+        let s = f.selectivity(0, &PredicateSketch::Ge(Datum::Int(4)));
+        assert!((s - 0.6).abs() < 1e-9, "ge sel = {s}");
+    }
+
+    /// Where the bounds cannot be interpolated the default stays: a NaN
+    /// bound or constant, a string or Bool column, an all-NULL column, a
+    /// prefix match.
+    #[test]
+    fn range_without_numeric_bounds_keeps_the_default() {
+        let lt = PredicateSketch::Lt(Datum::Int(5));
+        let mut nan = TableStats::default();
+        for v in [1.0, f64::NAN, 3.0] {
+            nan.attr_mut(0).observe(&Datum::Float(v));
+        }
+        assert!(matches!(nan.attr(0).unwrap().max(), Some(Datum::Float(v)) if v.is_nan()));
+        assert_eq!(nan.selectivity(0, &lt), defaults::RANGE);
+        let t = observed(100);
+        let nan_const = PredicateSketch::Lt(Datum::Float(f64::NAN));
+        assert_eq!(t.selectivity(0, &nan_const), defaults::RANGE);
+        let str_const = PredicateSketch::Gt(Datum::from("m"));
+        assert_eq!(t.selectivity(0, &str_const), defaults::RANGE);
+
+        let mut strs = TableStats::default();
+        for s in ["apple", "apricot", "banana", "avocado"] {
+            strs.attr_mut(0).observe(&Datum::from(s));
+        }
+        let s_lt = PredicateSketch::Lt(Datum::from("b"));
+        assert_eq!(strs.selectivity(0, &s_lt), defaults::RANGE);
+        let s_between = PredicateSketch::Between(Datum::from("a"), Datum::from("b"));
+        assert_eq!(strs.selectivity(0, &s_between), defaults::BETWEEN);
+        assert_eq!(
+            strs.selectivity(0, &PredicateSketch::StrPrefix),
+            defaults::PREFIX
         );
-        assert!((s - 0.2).abs() < 0.08, "between sel = {s}");
+
+        let mut bools = TableStats::default();
+        bools.attr_mut(0).observe(&Datum::Bool(false));
+        bools.attr_mut(0).observe(&Datum::Bool(true));
+        let b_ge = PredicateSketch::Ge(Datum::Bool(true));
+        assert_eq!(bools.selectivity(0, &b_ge), defaults::RANGE);
+
+        let mut nulls = TableStats::default();
+        for _ in 0..10 {
+            nulls.attr_mut(0).observe(&Datum::Null);
+        }
+        assert_eq!(nulls.selectivity(0, &lt), defaults::RANGE);
+        assert_eq!(nulls.selectivity(0, &PredicateSketch::IsNull), 1.0);
     }
 
     #[test]
     fn null_fraction_drives_is_null() {
-        let mut t = TableStats::new(1);
+        let mut t = TableStats::default();
         let a = t.attr_mut(0);
         for i in 0..100 {
             if i % 4 == 0 {
@@ -507,13 +550,13 @@ mod tests {
                 a.observe(&Datum::Int(i));
             }
         }
-        let s = t.selectivity_mut(0, &PredicateSketch::IsNull);
+        let s = t.selectivity(0, &PredicateSketch::IsNull);
         assert!((s - 0.25).abs() < 1e-9);
     }
 
     #[test]
     fn observation_frontier_is_monotone_and_cleared() {
-        let mut t = TableStats::new(1);
+        let mut t = TableStats::default();
         assert_eq!(t.observed_upto(2), 0);
         t.advance_observed(2, 100);
         t.advance_observed(2, 50); // smaller is ignored
@@ -526,24 +569,15 @@ mod tests {
 
     #[test]
     fn covered_attrs_lists_touched_only() {
-        let mut t = TableStats::new(1);
+        let mut t = TableStats::default();
         t.attr_mut(3).observe(&Datum::Int(1));
         t.attr_mut(1).observe(&Datum::Int(1));
         assert_eq!(t.covered_attrs(), vec![1, 3]);
     }
 
     #[test]
-    fn estimator_facade_answers() {
-        let mut t = observed(100);
-        let e = StatsEstimator::new(&mut t);
-        assert_eq!(e.row_count(), Some(100));
-        let s = e.selectivity(0, &PredicateSketch::Lt(Datum::Int(50)));
-        assert!(s > 0.3 && s < 0.7);
-    }
-
-    #[test]
     fn table_state_round_trip_preserves_everything() {
-        let mut t = TableStats::new(2);
+        let mut t = TableStats::default();
         for i in 0..500 {
             t.attr_mut(0).observe(&Datum::Int(i));
             if i % 3 == 0 {
@@ -554,39 +588,24 @@ mod tests {
         t.advance_observed(4, 500);
         t.set_row_count(500);
 
-        let mut r = TableStats::from_state(t.export_state()).expect("consistent");
+        let r = TableStats::from_state(t.export_state()).expect("consistent");
+        assert_eq!(
+            format!("{:?}", r.export_state()),
+            format!("{:?}", t.export_state())
+        );
         assert_eq!(r.covered_attrs(), t.covered_attrs());
         assert_eq!(r.known_row_count(), t.known_row_count());
-        assert_eq!(r.sample_every, t.sample_every);
-        for &a in &t.covered_attrs() {
-            assert_eq!(r.observed_upto(a), t.observed_upto(a));
-            let (ta, ra) = (t.attr(a).unwrap(), r.attr(a).unwrap());
-            assert_eq!(ta.rows_seen(), ra.rows_seen());
-            assert_eq!(ta.sample(), ra.sample());
-        }
-        // Selectivity estimates (which rebuild histograms lazily) agree.
         let sk = PredicateSketch::Lt(Datum::Int(100));
-        assert_eq!(t.selectivity_mut(0, &sk), r.selectivity_mut(0, &sk));
+        assert_eq!(t.selectivity(0, &sk), r.selectivity(0, &sk));
     }
 
     #[test]
     fn table_from_state_rejects_duplicates() {
-        let mut t = TableStats::new(1);
+        let mut t = TableStats::default();
         t.attr_mut(0).observe(&Datum::Int(1));
         let mut s = t.export_state();
         let dup = s.attrs[0].clone();
         s.attrs.push(dup);
         assert!(TableStats::from_state(s).is_none());
-    }
-
-    #[test]
-    fn prefix_selectivity_from_sample() {
-        let mut t = TableStats::new(1);
-        let a = t.attr_mut(0);
-        for s in ["apple", "apricot", "banana", "avocado"] {
-            a.observe(&Datum::from(s));
-        }
-        let s = t.selectivity_mut(0, &PredicateSketch::StrPrefix("ap".into()));
-        assert!((s - 0.5).abs() < 1e-9, "prefix sel = {s}");
     }
 }

@@ -25,7 +25,6 @@ use nodb_rawcsv::reader::BlockScanner;
 use nodb_rawcsv::tokenizer::{TokenizerConfig, Tokens};
 use nodb_rawcsv::{parser, Datum, Schema};
 use nodb_sqlparse::parse_select;
-use nodb_stats::table::StatsEstimator;
 use nodb_stats::{PredicateSketch, TableStats};
 
 use crate::colstore::ColumnStore;
@@ -137,7 +136,7 @@ impl ConventionalDb {
         let mut scanner = BlockScanner::open_default(&csv_path)?;
         let mut tokens = Tokens::new();
         let nattrs = schema.len();
-        let mut stats = TableStats::new(1);
+        let mut stats = TableStats::default();
 
         // Effective index set per profile: MySQL-like always clusters on 0.
         let mut index_set: Vec<usize> = index_attrs.to_vec();
@@ -270,10 +269,7 @@ impl ConventionalDb {
             .get_mut(&stmt.table)
             .ok_or_else(|| EngineError::UnknownTable(stmt.table.clone()))?;
 
-        let planned = {
-            let est = StatsEstimator::new(&mut table.stats);
-            plan_select(&stmt, &table.schema, &est)?
-        };
+        let planned = plan_select(&stmt, &table.schema, &table.stats)?;
 
         let schema = &table.schema;
         let source: Box<dyn ScanSource> = match &table.storage {

@@ -22,8 +22,8 @@ type Structures<'a> = (&'a PositionalMap, &'a RawCache, &'a TableStats);
 
 /// Assert that two sets of adaptive structures are identical: row index,
 /// positional-map coverage (when `chunks`), cache contents and bytes,
-/// statistics (every accumulator's full state — counts, bounds, reservoir
-/// sample and RNG position, NDV bitmap — and `observed_upto`).
+/// statistics (every accumulator's full state — counts, bounds, NDV bitmap
+/// — and `observed_upto`).
 fn assert_same_structures(
     tag: &str,
     a: Structures<'_>,
@@ -81,7 +81,6 @@ fn assert_same_structures(
                     y.null_fraction(),
                     "{tag}: stats nulls c{attr}"
                 );
-                assert_eq!(x.sample(), y.sample(), "{tag}: stats reservoir c{attr}");
                 assert_eq!(
                     format!("{:?}", x.export_state()),
                     format!("{:?}", y.export_state()),
@@ -138,7 +137,7 @@ pub struct NaiveModel {
 
 impl NaiveModel {
     /// Load a headerless, unquoted, comma-separated file under `cfg`'s
-    /// budgets, sampling stride and positional-map switch.
+    /// budgets and positional-map switch.
     pub fn load(path: &std::path::Path, schema: &Schema, cfg: &NoDbConfig) -> Self {
         let types: Vec<ColumnType> = (0..schema.len()).map(|a| schema.ty(a)).collect();
         let (rows, len) = Self::read_rows(path, &types);
@@ -151,7 +150,7 @@ impl NaiveModel {
             row_count: None,
             cuts: BTreeSet::new(),
             cache: RawCache::new(cfg.cache_budget_bytes),
-            stats: TableStats::new(cfg.stats_sample_every),
+            stats: TableStats::default(),
             map: PositionalMap::new(MapPolicy {
                 budget_bytes: cfg.map_budget_bytes,
                 trigger: cfg.combination_trigger,
@@ -260,12 +259,11 @@ impl NaiveModel {
             let cols = attrs.iter().map(|&a| self.column(a, w[0]..w[1])).collect();
             self.cache.append_slice(attrs, cols, w[0], total, tick);
         }
-        // Statistics: every row from the frontier on is observed; the
-        // sampling stride decides only which ones reach the reservoir.
+        // Statistics: every row from the frontier on is observed.
         for &a in attrs {
             let frontier = self.stats.observed_upto(a) as usize;
-            for (row, (_, values, _)) in self.rows.iter().enumerate().skip(frontier) {
-                self.stats.observe(a, row as u64, &values[a]);
+            for (_, values, _) in self.rows.iter().skip(frontier) {
+                self.stats.observe(a, &values[a]);
             }
         }
         self.row_count = Some(total);

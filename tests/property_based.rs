@@ -12,7 +12,8 @@
 //!    full tokenizing on arbitrary byte soup.
 //! 4. *Cache round-trip* — any sequence of typed values read back from the
 //!    cache equals what was appended.
-//! 5. *Histogram sanity* — `fraction_le` is monotone and bounded.
+//! 5. *Range-estimate sanity* — the planner's range selectivity is
+//!    monotone in the constant and inside `[0, non-NULL fraction]`.
 //!
 //! The randomized cases are driven by a small self-contained deterministic
 //! generator (the environment has no registry access, so `proptest` is not
@@ -25,7 +26,8 @@ use nodb_repro::core::{NoDb, NoDbConfig};
 use nodb_repro::prelude::*;
 use nodb_repro::rawcache::{RawCache, TypedColumn};
 use nodb_repro::rawcsv::tokenizer::{TokenizerConfig, Tokens};
-use nodb_repro::stats::EquiDepthHistogram;
+use nodb_repro::stats::estimate::defaults::RANGE;
+use nodb_repro::stats::{PredicateSketch, SelectivityEstimator, TableStats};
 
 mod common;
 
@@ -225,7 +227,6 @@ fn parallel_scan_equals_sequential() {
                         b.null_fraction(),
                         "case {case}: stats nulls c{attr}"
                     );
-                    assert_eq!(a.sample(), b.sample(), "case {case}: reservoir c{attr}");
                 }
                 other => panic!("case {case}: stats presence differs for c{attr}: {other:?}"),
             }
@@ -477,7 +478,6 @@ fn cold_partial_cache_reuse_equals_sequential() {
                 (None, None) => {}
                 (Some(a), Some(b)) => {
                     assert_eq!(a.rows_seen(), b.rows_seen(), "{tag}: stats rows c{attr}");
-                    assert_eq!(a.sample(), b.sample(), "{tag}: reservoir c{attr}");
                 }
                 other => panic!("{tag}: stats presence differs for c{attr}: {other:?}"),
             }
@@ -569,7 +569,6 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
                         (None, None) => {}
                         (Some(a), Some(b)) => {
                             assert_eq!(a.rows_seen(), b.rows_seen(), "{tag}: stats c{attr}");
-                            assert_eq!(a.sample(), b.sample(), "{tag}: reservoir c{attr}");
                         }
                         other => panic!("{tag}: stats presence differs c{attr}: {other:?}"),
                     }
@@ -1216,34 +1215,95 @@ fn cache_round_trips_arbitrary_values() {
     }
 }
 
+/// The planner's range estimate (interpolation between the observed
+/// bounds) over random Int and Float columns with NULLs: `<`/`<=` never
+/// fall and `>`/`>=` never rise as the constant grows, every answer lies in
+/// `[0, non-NULL fraction]`, and the bounds themselves give the extremes.
+/// A column with no non-NULL value has no bounds and keeps the default.
 #[test]
-fn histogram_fraction_le_is_monotone() {
+fn range_estimate_is_monotone_and_bounded() {
     let mut rng = CaseRng::new(0x415);
     for case in 0..60u64 {
         let n = 1 + rng.below(400) as usize;
-        let sample: Vec<i64> = (0..n).map(|_| rng.below(2_000) as i64 - 1_000).collect();
-        let buckets = 1 + rng.below(40) as usize;
-        let datums: Vec<Datum> = sample.iter().map(|&v| Datum::Int(v)).collect();
-        let h = EquiDepthHistogram::build(&datums, buckets).unwrap();
-        let mut probes: Vec<i64> = (0..2 + rng.below(18))
-            .map(|_| rng.below(2_400) as i64 - 1_200)
-            .collect();
-        probes.sort_unstable();
-        let mut prev = 0.0f64;
-        for v in probes {
-            let f = h.fraction_le(&Datum::Int(v));
-            assert!((0.0..=1.0).contains(&f), "case {case}: f = {f}");
-            assert!(
-                f + 1e-9 >= prev,
-                "case {case}: monotonicity {prev} then {f}"
-            );
-            prev = f;
+        let floats = rng.below(2) == 1;
+        let null_one_in = 2 + rng.below(8);
+        let mut stats = TableStats::default();
+        let mut values = Vec::new();
+        for _ in 0..n {
+            let d = if rng.below(null_one_in) == 0 {
+                Datum::Null
+            } else if floats {
+                Datum::Float((rng.below(20_000) as f64 - 10_000.0) / 10.0)
+            } else {
+                Datum::Int(rng.below(2_000) as i64 - 1_000)
+            };
+            if let Some(v) = d.as_float() {
+                values.push(v);
+            }
+            stats.observe(0, &d);
         }
-        let max = sample.iter().max().unwrap();
-        assert!(
-            (h.fraction_le(&Datum::Int(*max)) - 1.0).abs() < 1e-9,
-            "case {case}: max must reach 1.0"
-        );
+        let nonnull = 1.0 - stats.attr(0).unwrap().null_fraction();
+        let sel = |sk: PredicateSketch| stats.selectivity(0, &sk);
+        if values.is_empty() {
+            assert_eq!(
+                sel(PredicateSketch::Lt(Datum::Int(0))),
+                RANGE,
+                "case {case}"
+            );
+            continue;
+        }
+        let mut probes: Vec<f64> = (0..2 + rng.below(18))
+            .map(|_| rng.below(2_400) as f64 - 1_200.0 + rng.below(4) as f64 / 4.0)
+            .collect();
+        probes.sort_by(f64::total_cmp);
+        let mut prev: Option<[f64; 4]> = None;
+        for v in probes {
+            // Integral probes go in as Int constants, the rest as Float.
+            let k = if v.fract() == 0.0 {
+                Datum::Int(v as i64)
+            } else {
+                Datum::Float(v)
+            };
+            let now = [
+                sel(PredicateSketch::Lt(k.clone())),
+                sel(PredicateSketch::Le(k.clone())),
+                sel(PredicateSketch::Gt(k.clone())),
+                sel(PredicateSketch::Ge(k)),
+            ];
+            for f in now {
+                assert!(
+                    (0.0..=nonnull + 1e-12).contains(&f),
+                    "case {case}: {f} outside [0, {nonnull}] at {v}"
+                );
+            }
+            if let Some(p) = prev {
+                assert!(
+                    now[0] + 1e-12 >= p[0] && now[1] + 1e-12 >= p[1],
+                    "case {case}: at {v}"
+                );
+                assert!(
+                    now[2] <= p[2] + 1e-12 && now[3] <= p[3] + 1e-12,
+                    "case {case}: at {v}"
+                );
+            }
+            prev = Some(now);
+        }
+        if let (Some(lo), Some(hi)) = (
+            values.iter().copied().reduce(f64::min),
+            values.iter().copied().reduce(f64::max),
+        ) {
+            let (lo, hi) = (Datum::Float(lo), Datum::Float(hi));
+            assert_eq!(sel(PredicateSketch::Lt(lo.clone())), 0.0, "case {case}");
+            assert_eq!(sel(PredicateSketch::Gt(hi.clone())), 0.0, "case {case}");
+            assert!(
+                (sel(PredicateSketch::Le(hi)) - nonnull).abs() < 1e-12,
+                "case {case}"
+            );
+            assert!(
+                (sel(PredicateSketch::Ge(lo)) - nonnull).abs() < 1e-12,
+                "case {case}"
+            );
+        }
     }
 }
 
@@ -1322,7 +1382,6 @@ fn assert_same_adaptive_state(a: &NoDb, b: &NoDb, cols: usize, label: &str) {
                     y.null_fraction(),
                     "{label}: stats nulls c{attr}"
                 );
-                assert_eq!(x.sample(), y.sample(), "{label}: reservoir c{attr}");
             }
             other => panic!("{label}: stats presence differs for c{attr}: {other:?}"),
         }

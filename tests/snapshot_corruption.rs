@@ -39,15 +39,7 @@ fn mk_db(path: &std::path::Path, schema: Schema, persistence: bool) -> NoDb {
 
 /// Generate data, warm a table, write its sidecar, and return the paths.
 fn warmed_sidecar(tag: &str) -> (std::path::PathBuf, std::path::PathBuf, GeneratorConfig) {
-    warmed_sidecar_rows(tag, 500)
-}
-
-/// [`warmed_sidecar`] over a file of `rows` rows.
-fn warmed_sidecar_rows(
-    tag: &str,
-    rows: u64,
-) -> (std::path::PathBuf, std::path::PathBuf, GeneratorConfig) {
-    let gen = GeneratorConfig::uniform_ints(COLS, rows, 0xC0FF);
+    let gen = GeneratorConfig::uniform_ints(COLS, 500, 0xC0FF);
     let path = scratch(tag);
     gen.generate_file(&path).unwrap();
     let warm = mk_db(&path, gen.schema(), true);
@@ -138,15 +130,14 @@ fn future_version_degrades_to_cold() {
 }
 
 /// Version skew the other way: a sidecar written by the previous format
-/// version (whose reservoirs carried no Algorithm L weight and next
-/// acceptance, and whose NDV bitmaps hashed values differently) is refused
-/// by the same gate, and the table answers cold.
+/// version (whose statistics carried a reservoir sample and a sampling
+/// stride) is refused by the same gate, and the table answers cold.
 #[test]
 fn previous_version_degrades_to_cold() {
     let (path, side, gen) = warmed_sidecar("oldversion");
     let mut bytes = std::fs::read(&side).unwrap();
     let previous = snapshot::FORMAT_VERSION - 1;
-    assert_eq!(previous, 3);
+    assert_eq!(previous, 4);
     bytes[8..12].copy_from_slice(&previous.to_le_bytes());
     std::fs::write(&side, &bytes).unwrap();
     assert_eq!(
@@ -157,36 +148,37 @@ fn previous_version_degrades_to_cold() {
     cleanup(&path);
 }
 
-/// A sidecar whose checksums are intact but whose reservoir skip state is
-/// impossible — a non-finite weight, a weight outside (0, 1], or a next
-/// acceptance not after the values seen on a full reservoir — is refused
-/// as untrusted and the table answers cold.
+/// A sidecar whose checksums are intact but whose statistics are
+/// impossible — more NULLs than rows seen, an NDV bitmap of the wrong
+/// size, an attribute listed twice — is refused as untrusted and the table
+/// answers cold.
 #[test]
-fn untrusted_reservoir_skip_state_degrades_to_cold() {
-    // More rows than a reservoir holds, so the skip state is live.
-    let (path, side, gen) = warmed_sidecar_rows("skipstate", 1_500);
+fn untrusted_statistics_degrade_to_cold() {
+    let (path, side, gen) = warmed_sidecar("badstats");
     let good = snapshot::decode_snapshot(&std::fs::read(&side).unwrap()).unwrap();
-    let full = good
-        .stats
-        .attrs
-        .iter()
-        .position(|a| a.reservoir.sample.len() == a.reservoir.capacity)
-        .expect("a full reservoir");
-    let seen = good.stats.attrs[full].reservoir.seen;
-    let cases: [(&str, Option<f64>, Option<u64>); 5] = [
-        ("w-nan", Some(f64::NAN), None),
-        ("w-inf", Some(f64::INFINITY), None),
-        ("w-zero", Some(0.0), None),
-        ("w-above-one", Some(2.0), None),
-        ("next-not-after-seen", None, Some(seen)),
+    assert!(
+        !good.stats.attrs.is_empty(),
+        "the warm query built statistics"
+    );
+    type Corrupt = fn(&mut snapshot::TableSnapshot);
+    let cases: [(&str, Corrupt); 4] = [
+        ("nulls-above-rows", |s| {
+            let a = &mut s.stats.attrs[0];
+            a.nulls = a.rows_seen + 1;
+        }),
+        ("ndv-words-short", |s| {
+            s.stats.attrs[0].ndv_words.pop();
+        }),
+        ("ndv-words-empty", |s| s.stats.attrs[0].ndv_words.clear()),
+        ("duplicate-attr", |s| {
+            let dup = s.stats.attrs[0].clone();
+            s.stats.attrs.push(dup);
+        }),
     ];
-    for (case, w, next) in cases {
+    for (case, corrupt) in cases {
         let mut evil = snapshot::decode_snapshot(&std::fs::read(&side).unwrap()).unwrap();
-        let r = &mut evil.stats.attrs[full].reservoir;
-        r.w = w.unwrap_or(r.w);
-        r.next = next.unwrap_or(r.next);
-        let bytes = snapshot::encode_snapshot(&evil);
-        std::fs::write(&side, &bytes).unwrap();
+        corrupt(&mut evil);
+        std::fs::write(&side, snapshot::encode_snapshot(&evil)).unwrap();
         assert_degrades_to_cold(case, &path, &gen);
         // Put the good sidecar back for the next case.
         std::fs::write(&side, snapshot::encode_snapshot(&good)).unwrap();
