@@ -146,7 +146,10 @@ impl Admin<'_> {
                         .snapshot_counters
                         .saves
                         .fetch_add(1, Ordering::Relaxed);
-                    handle.write().last_snapshot_sig = sig;
+                    handle
+                        .read()
+                        .last_snapshot_sig
+                        .store(sig, Ordering::Relaxed);
                     Ok(())
                 }
                 Err(e) => {
@@ -154,6 +157,9 @@ impl Admin<'_> {
                         .snapshot_counters
                         .save_failures
                         .fetch_add(1, Ordering::Relaxed);
+                    // As after a failed write-behind: the next query
+                    // re-saves, whether or not it grew anything.
+                    handle.read().last_snapshot_sig.store(0, Ordering::Relaxed);
                     Err(e.to_string())
                 }
             };

@@ -17,6 +17,7 @@ use nodb_rawcsv::tokenizer::TokenizerConfig;
 use nodb_rawcsv::{infer, Schema};
 use nodb_sqlparse::parse_select;
 use nodb_stats::estimate::NoStats;
+use parking_lot::RwLockWriteGuard;
 
 use crate::admission::ScanBudget;
 use crate::api::admin::Admin;
@@ -186,20 +187,23 @@ impl NoDb {
     }
 
     /// Write-behind: persist `handle`'s adaptive state if it grew since the
-    /// last save. Capture happens under a short write lock; the encode and
-    /// the fsync'd atomic write run with no lock held, so concurrent
-    /// queries stream on undisturbed. Failures are counted and the
-    /// signature reset, so the next query retries.
+    /// last save. The signature check and the capture run under the read
+    /// lock: the save is claimed by swapping the last saved signature for
+    /// the new one, so of several queries that see the same growth, one
+    /// saves it. The encode and the fsync'd atomic write run with no lock
+    /// held, so concurrent queries stream on undisturbed. Failures are
+    /// counted and the signature reset, so the next query retries.
     pub(crate) fn write_snapshot_behind(&self, handle: &TableHandle) {
         let captured = {
-            let mut table = handle.write();
+            let table = handle.read();
             let sig = table.snapshot_signature();
-            if sig == table.last_snapshot_sig {
-                None
-            } else {
-                table.last_snapshot_sig = sig;
-                Some((table.path().to_path_buf(), table.capture_snapshot()))
-            }
+            let last = table.last_snapshot_sig.load(Ordering::Relaxed);
+            let claimed = sig != last
+                && table
+                    .last_snapshot_sig
+                    .compare_exchange(last, sig, Ordering::Relaxed, Ordering::Relaxed)
+                    .is_ok();
+            claimed.then(|| (table.path().to_path_buf(), table.capture_snapshot()))
         };
         let Some((path, snap)) = captured else { return };
         match nodb_snapshot::save_snapshot(&path, &snap) {
@@ -212,7 +216,7 @@ impl NoDb {
                     .fetch_add(1, Ordering::Relaxed);
                 // Retry on the next query that grows state (or the next
                 // save attempt of any kind).
-                handle.write().last_snapshot_sig = 0;
+                handle.read().last_snapshot_sig.store(0, Ordering::Relaxed);
             }
         }
     }
@@ -221,11 +225,12 @@ impl NoDb {
     /// update detection, access planning, map/cache/statistics population.
     ///
     /// Takes `&self`: any number of threads may call this concurrently on
-    /// one instance. The table's write lock is held only for planning and
-    /// the post-scan install; the data scan itself runs under the read
-    /// lock the planning guard is downgraded into, at every `scan_threads`
-    /// setting. If another query reconciles a file change before the
-    /// install, this query answers from what it read and installs nothing.
+    /// one instance. A query plans and scans under the table's read lock.
+    /// The write lock is taken only to reconcile a file change found by
+    /// the pre-query probe, and to install what a raw scan staged; a fully
+    /// cached query never takes it. If another query reconciles a file
+    /// change before the install, this query answers from what it read and
+    /// installs nothing.
     pub fn query(&self, sql: &str) -> EngineResult<QueryResult> {
         let ctx = QueryCtx::from_timeout_ms(self.config().query_timeout_ms);
         self.query_with_ctx(sql, &ctx)
@@ -281,7 +286,7 @@ impl NoDb {
         // Plan resolution: a prepared-cache entry whose table handle is
         // still the registered one short-circuits parse+plan; validity
         // against file state (generation) is decided below, under the same
-        // write lock fresh planning would take.
+        // table lock fresh planning would take, after the update probe.
         let prepared_cache = self.prepared.read().clone();
         let mut planning = Duration::ZERO;
         let mut cached_entry: Option<CachedPlan> = None;
@@ -320,25 +325,32 @@ impl NoDb {
         };
         let telemetry: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
 
-        // Planning bookkeeping under a short write lock: update probe,
-        // cached-plan validation or statistics-driven planning, usage
-        // counters. The whole plan+scan region lives in one block so the
-        // write guard is dead before the post-query snapshot write-behind
-        // re-locks the table.
+        // Planning under the read guard the scan then runs under: update
+        // probe, cached-plan validation or statistics-driven planning, usage
+        // counters. A file that moved is reconciled under the write lock,
+        // downgraded back to a read guard, so no writer lands between the
+        // reconcile and the plan. The whole plan+scan region lives in one
+        // block so the guard is dead before the post-query snapshot
+        // write-behind re-locks the table.
         let (planned, prepared_hit, result, engine_elapsed) = {
-            let mut guard = timed(&mut lock_wait, || handle.write());
+            let mut guard = timed(&mut lock_wait, || handle.read());
+            if config.detect_updates && !guard.epoch_unchanged() {
+                drop(guard);
+                let mut table = timed(&mut lock_wait, || handle.write());
+                // `check_updates` classifies again: another query may have
+                // reconciled the change meanwhile. An epoch that cannot be
+                // re-captured (the file never holds still) escapes as
+                // `SourceChanged` before any scan ran; count it like the
+                // mid-scan kind.
+                table.check_updates().inspect_err(|e| {
+                    if matches!(e, EngineError::SourceChanged { .. }) {
+                        self.source_changes.fetch_add(1, Ordering::Relaxed);
+                    }
+                })?;
+                guard = RwLockWriteGuard::downgrade(table);
+            }
             let (planned, prepared_hit) = {
-                let table = &mut *guard;
-                if config.detect_updates {
-                    // An epoch that cannot be re-captured (the file never
-                    // holds still) escapes as `SourceChanged` before any
-                    // scan ran; count it like the mid-scan kind.
-                    table.check_updates().inspect_err(|e| {
-                        if matches!(e, EngineError::SourceChanged { .. }) {
-                            self.source_changes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    })?;
-                }
+                let table = &*guard;
                 match cached_entry {
                     Some(entry) if entry.generation == table.generation => {
                         if let Some(cache) = prepared_cache.as_ref() {
@@ -379,12 +391,9 @@ impl NoDb {
                     }
                 }
             };
-            {
-                let table = &mut *guard;
-                for &attr in &planned.scan.attrs {
-                    if let Some(slot) = table.attr_access.get_mut(attr) {
-                        *slot += 1;
-                    }
+            for &attr in &planned.scan.attrs {
+                if let Some(count) = guard.attr_access.get(attr) {
+                    count.fetch_add(1, Ordering::Relaxed);
                 }
             }
 
@@ -399,10 +408,10 @@ impl NoDb {
                     drop(guard);
                     break Err(e);
                 }
-                // One scan: it prepares under the planning guard, downgrades
-                // that guard into its data phase and installs under a fresh
-                // write lock. Every exit leaves the table unlocked, so the
-                // `SourceChanged` handler below can re-acquire it.
+                // One scan: it prepares and reads under the planning guard;
+                // a raw scan then installs under a fresh write lock. Every
+                // exit leaves the table unlocked, so the `SourceChanged`
+                // handler below can re-acquire it.
                 let e = match rawscan::scan_shared(
                     &handle,
                     guard,
@@ -444,10 +453,11 @@ impl NoDb {
                 }
                 source_retries -= 1;
                 source_changes += 1;
-                guard = timed(&mut lock_wait, || handle.write());
-                if let Err(e) = guard.quarantine() {
+                let mut table = timed(&mut lock_wait, || handle.write());
+                if let Err(e) = table.quarantine() {
                     break Err(e);
                 }
+                guard = RwLockWriteGuard::downgrade(table);
             };
             if source_changes > 0 {
                 rawscan::lock_recover(&telemetry).source_changed = source_changes;
@@ -725,6 +735,61 @@ mod tests {
         for r in results {
             assert_eq!(r, expect, "concurrent query must match sequential");
         }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// The lock contract of a warm query: one that finds the file unchanged
+    /// and every column cached plans, streams and saves under the table's
+    /// read lock alone. With another thread holding a read guard — under
+    /// which any `write()` would block — a fresh plan, a prepared hit and
+    /// the snapshot write-behind all complete.
+    #[test]
+    fn fully_cached_queries_never_take_the_write_lock() {
+        let (p, gen) = tmp_csv(4, 2_000, 23);
+        let mut db = NoDb::new(NoDbConfig {
+            snapshot_persistence: true,
+            ..NoDbConfig::default()
+        });
+        db.register_csv_with_schema("t", &p, gen.schema(), false)
+            .unwrap();
+        db.admin().enable_prepared_statements(8);
+        let prepared = "SELECT c1 FROM t WHERE c2 > 100";
+        let fresh = "SELECT c2, c1 FROM t WHERE c1 < 500000000";
+        let cold = db.query(prepared).unwrap();
+        let handle = db.table_handle("t").unwrap();
+        let ctx = QueryCtx::default();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let answered = std::thread::scope(|s| {
+            // Owned by this closure, so a failed wait below drops it while
+            // unwinding and the blocked query can finish.
+            let guard = handle.read();
+            let db = &db;
+            let ctx = &ctx;
+            s.spawn(move || {
+                for sql in [prepared, fresh] {
+                    tx.send((sql, db.query_reported(sql, ctx))).unwrap();
+                }
+            });
+            let answered: Vec<QueryResult> = [(prepared, true), (fresh, false)]
+                .into_iter()
+                .map(|(sql, want_hit)| {
+                    let (got, outcome) = rx
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("a fully-cached query waited for the table's write lock");
+                    assert_eq!(got, sql);
+                    let (result, report) = outcome.unwrap();
+                    assert!(report.fully_cached, "{sql}");
+                    assert_eq!(report.prepared_hit, want_hit, "{sql}");
+                    result
+                })
+                .collect();
+            drop(guard);
+            answered
+        });
+        assert_eq!(answered[0], cold);
+        assert_eq!(answered[1], db.query(fresh).unwrap());
+        assert!(db.admin().snapshot_stats().saves > 0, "write-behind ran");
+        std::fs::remove_file(nodb_snapshot::sidecar_path(&p)).unwrap();
         std::fs::remove_file(p).unwrap();
     }
 

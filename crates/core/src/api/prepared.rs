@@ -15,7 +15,7 @@
 //!   the `ptr_eq` check and are replanned;
 //! * each entry records the table's **file-state generation**; the facade
 //!   re-validates it *after* the per-query update probe, under the same
-//!   write lock planning would take, so an appended/replaced file replans
+//!   table lock planning would take, so an appended/replaced file replans
 //!   exactly when fresh planning would have seen the new state.
 //!
 //! The cache never returns a plan the caller may use blindly: hits hand

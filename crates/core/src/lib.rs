@@ -18,9 +18,10 @@
 //!
 //! `query` takes `&self`: a `NoDb` behind an `Arc` serves any number of
 //! threads at once, and queries against the same table share its positional
-//! map and cache through the [`registry`]'s per-table `RwLock` (read-mostly
-//! queries stream under the read lock; structure growth is staged and
-//! installed under short write locks — see [`rawscan`]'s module docs).
+//! map and cache through the [`registry`]'s per-table `RwLock` (queries plan
+//! and stream under the read lock, and a fully-cached one takes nothing
+//! else; structure growth is staged and installed under short write locks —
+//! see [`rawscan`]'s module docs).
 //!
 //! Module map: [`api`] (the client/admin facade split — `NoDb` to query,
 //! `NoDb::admin` to operate), [`admission`] (the shared scan-thread budget

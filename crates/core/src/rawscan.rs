@@ -71,36 +71,41 @@
 //! # Concurrent queries (lock staging)
 //!
 //! With the table registry (`crate::registry`), several queries may scan
-//! the *same* table at once. `scan_shared` splits a scan into three phases
-//! and hands the table's lock over once between each, so the write lock is
-//! held only for bookkeeping, never for data access:
+//! the *same* table at once. A query that finds the file unchanged plans
+//! and scans under one **read** guard; the write lock is taken only to
+//! reconcile a file change or to install what a raw scan staged, never for
+//! data access. `scan_shared` runs a scan in up to three phases:
 //!
-//! 1. **Prepare** (`prepare_scan`, write lock) — access planning (LRU
+//! 1. **Prepare** (`prepare_scan`, read lock) — access planning (LRU
 //!    touches, cache query tick) and coverage snapshots (cache coverage,
 //!    statistics frontiers), captured into a `ScanPrep` together with the
-//!    table's file-state generation, under the write guard the query
-//!    planned with.
-//! 2. **Data** (`scan_data`, read lock) — the prepare guard is *downgraded*
-//!    into this phase's read guard, so no writer lands in between and the
-//!    `ScanPrep` is exact for the data it reads: same generation, every
-//!    planned cache column still resident. `run_partitions` plans the
-//!    slices from the row index as it stands, then its workers borrow the
-//!    map/cache/schema immutably and stage everything in partition-local
-//!    partials, statistics sketches included; fully-cached queries stream
-//!    straight off the cache columns.
-//!    The source epoch is re-validated (`revalidate_epoch`) before
-//!    anything is handed on. Any number of queries can be in this phase
-//!    simultaneously.
-//! 3. **Install** (`scan_install` → `merge_outputs`, write lock) — staged
-//!    partials are installed; the result batches are not touched until the
-//!    lock is released. The merge is *frontier-based* and therefore
-//!    idempotent under interleaving: the row index skips known rows, chunk
-//!    installs go through subsumption, cache admission resumes at the
-//!    cache's *current* coverage, and statistics observe only rows beyond
-//!    each attribute's observation frontier. Merging the same full-scan
-//!    output after another query already merged its own is a no-op, which
-//!    is what makes N concurrent queries end in the same state as a
-//!    sequential replay.
+//!    table's file-state generation, under the read guard the query
+//!    planned with. The bookkeeping it writes — LRU clocks and stamps,
+//!    access counts, hit tallies — is atomic, and a stamp only moves
+//!    forward, so concurrent queries leave the stamps a serial replay in
+//!    tick order leaves.
+//! 2. **Data** (`scan_data`, the same read guard) — no writer can land
+//!    between prepare and data, so the `ScanPrep` is exact for the data it
+//!    reads: same generation, every planned cache column still resident.
+//!    `run_partitions` plans the slices from the row index as it stands,
+//!    then its workers borrow the map/cache/schema immutably and stage
+//!    everything in partition-local partials, statistics sketches included,
+//!    and the source epoch is re-validated (`revalidate_epoch`) before
+//!    anything is handed on. A fully-cached query streams straight off the
+//!    cache columns and records its hits under the same guard: it is done
+//!    here and never asks for the write lock. Any number of queries can be
+//!    in this phase simultaneously.
+//! 3. **Install** (`scan_install` → `merge_outputs`, write lock; raw scans
+//!    only) — the read guard is released, and staged partials are
+//!    installed under a short write lock; the result batches are not
+//!    touched until that lock is released. The merge is *frontier-based*
+//!    and therefore idempotent under interleaving: the row index skips
+//!    known rows, chunk installs go through subsumption, cache admission
+//!    resumes at the cache's *current* coverage, and statistics observe
+//!    only rows beyond each attribute's observation frontier. Merging the
+//!    same full-scan output after another query already merged its own is
+//!    a no-op, which is what makes N concurrent queries end in the same
+//!    state as a sequential replay.
 //!
 //! The only window in which the table can change under a prepared scan is
 //! between releasing the read guard and taking the install's write lock.
@@ -109,8 +114,8 @@
 //! fence**: when another query reconciled an append or quarantined a
 //! rewrite, the table's generation is no longer `prep.generation`, and the
 //! scan installs nothing. It publishes its telemetry and answers from what
-//! it read — the prepared generation's cache, or raw bytes that passed
-//! `revalidate_epoch` — one epoch's answer, linearized at its scan.
+//! it read — the prepared generation's cache columns, and raw bytes that
+//! passed `revalidate_epoch` — one epoch's answer, linearized at its scan.
 //!
 //! # Merge invariants
 //!
@@ -236,7 +241,7 @@ use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder};
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::reader::{partition_line_ranges_capped, LineRange};
 use nodb_rawcsv::{IoCounters, RawCsvError};
-use parking_lot::RwLockWriteGuard;
+use parking_lot::RwLockReadGuard;
 
 use crate::config::NoDbConfig;
 use crate::ctx::QueryCtx;
@@ -442,10 +447,9 @@ pub(crate) fn cached_column_handles<'a>(
         .collect()
 }
 
-/// Everything a scan decides up front, captured under the table's write
-/// lock so the data phase can run under a read lock. Tied to the table's
-/// file-state `generation`: the install fence installs nothing into a
-/// different generation.
+/// Everything a scan decides up front, captured under the read lock its
+/// data phase runs under. Tied to the table's file-state `generation`: the
+/// install fence installs nothing into a different generation.
 pub(crate) struct ScanPrep {
     /// The planner's scan request.
     pub req: ScanRequest,
@@ -501,10 +505,11 @@ impl ScanPrep {
 }
 
 /// Phase 1 of a scan: access planning and coverage snapshots, run under the
-/// table's write lock (access planning touches LRU clocks and the cache
-/// query tick). Also publishes the `fully_cached` flag to the telemetry.
+/// table's read lock. Access planning advances the map's and the cache's
+/// LRU clocks, which are atomic, so it needs no exclusive borrow. Also
+/// publishes the `fully_cached` flag to the telemetry.
 fn prepare_scan(
-    table: &mut RawTable,
+    table: &RawTable,
     config: &NoDbConfig,
     req: ScanRequest,
     telemetry: &TelemetryHandle,
@@ -1117,13 +1122,12 @@ pub(crate) fn merge_outputs(
     stopped.map_or(Ok(()), Err)
 }
 
-/// What a scan's data phase hands to its install phase.
+/// What a scan's data phase hands on.
 pub(crate) enum StagedScan {
     /// A fully-cached query's result batches, served straight off the cache
-    /// columns, and how many rows were streamed (all cached rows, or the
-    /// leading ones a bare `LIMIT` needed); only the hit tally is left to
-    /// fold in.
-    Cached { batches: VecDeque<Batch>, rows: u64 },
+    /// columns. Its hits and telemetry were recorded under the data phase's
+    /// read guard ([`stream_cached`]): nothing is left to install.
+    Cached(VecDeque<Batch>),
     /// A raw scan's partition partials, waiting for the ordered merge.
     Partitions(ScanOutcome),
 }
@@ -1136,7 +1140,7 @@ impl StagedScan {
     /// Touches no table, so [`scan_shared`] calls it with no lock held.
     fn into_batches(self) -> VecDeque<Batch> {
         let outputs = match self {
-            StagedScan::Cached { batches, .. } => return batches,
+            StagedScan::Cached(batches) => return batches,
             StagedScan::Partitions(outcome) => outcome.outputs,
         };
         let mut queue: VecDeque<Batch> = VecDeque::new();
@@ -1160,11 +1164,16 @@ impl StagedScan {
 
 /// The data phase of a prepared scan, over a shared borrow of the table:
 /// stream the cache for a fully-cached query, otherwise run the partition
-/// slices and re-validate the source epoch. Mutates nothing — everything
-/// it produces is staged for [`scan_install`].
-fn scan_data(table: &RawTable, config: &NoDbConfig, prep: &ScanPrep) -> EngineResult<StagedScan> {
+/// slices and re-validate the source epoch. Installs nothing — a raw scan's
+/// partials are staged for [`scan_install`].
+fn scan_data(
+    table: &RawTable,
+    config: &NoDbConfig,
+    prep: &ScanPrep,
+    telemetry: &TelemetryHandle,
+) -> EngineResult<StagedScan> {
     if prep.fully_cached {
-        return stream_cached(table, prep);
+        return stream_cached(table, prep, telemetry).map(StagedScan::Cached);
     }
     let outcome = run_partitions(table, config, prep)?;
     // Re-validate the epoch before *any* merge — including a stopped
@@ -1174,10 +1183,9 @@ fn scan_data(table: &RawTable, config: &NoDbConfig, prep: &ScanPrep) -> EngineRe
     Ok(StagedScan::Partitions(outcome))
 }
 
-/// The install phase of a prepared scan, over an exclusive borrow of the
-/// table: fold a cached stream's hit tally into the cache metrics, or merge
-/// the staged partials ([`merge_outputs`]). Publishes the scan telemetry;
-/// the result batches stay in `staged`.
+/// The install phase of a raw scan, over an exclusive borrow of the table:
+/// merge the staged partials ([`merge_outputs`]) and publish the scan
+/// telemetry; the result batches stay in `outcome`.
 ///
 /// Behind the **install fence**: when the table's generation moved past
 /// `prep.generation` since the data phase (another query reconciled an
@@ -1188,69 +1196,60 @@ fn scan_install(
     table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
-    staged: &mut StagedScan,
+    outcome: &mut ScanOutcome,
     telemetry: &TelemetryHandle,
 ) -> EngineResult<()> {
     let live = table.generation == prep.generation;
-    match staged {
-        StagedScan::Cached { rows, .. } => {
-            // One hit per requested attribute per streamed row.
-            let hits = *rows * prep.req.attrs.len() as u64;
-            if live {
-                table.cache.record_reads(hits, 0);
-            }
-            let mut tel = lock_recover(telemetry);
-            tel.rows_scanned = *rows;
-            tel.cache_hits = hits;
-            tel.stopped_early = *rows < prep.cached_rows;
-            Ok(())
-        }
-        StagedScan::Partitions(outcome) => {
-            merge_outputs(live.then_some(table), config, prep, outcome, telemetry)
-        }
-    }
+    merge_outputs(live.then_some(table), config, prep, outcome, telemetry)
 }
 
 /// Run one scan of `req` against a shared table handle, starting from the
-/// write guard the caller planned under: prepare under it, downgrade it
-/// into the data phase's read guard (no writer can land in between, so the
-/// prep is exact for the data), release it, install under a short write
-/// lock behind the install fence, and re-pack the result under no lock.
-/// The install's lock acquisition is added to `lock_wait`; the downgrade
-/// never waits.
+/// read guard the caller planned under: prepare and run the data phase
+/// under it (no writer can land in between, so the prep is exact for the
+/// data). A fully-cached stream is then done and never asks for the write
+/// lock. A raw scan releases the guard, installs under a short write lock
+/// behind the install fence, and re-packs its result under no lock. The
+/// install's lock acquisition is added to `lock_wait`.
 pub(crate) fn scan_shared(
     handle: &TableHandle,
-    mut guard: RwLockWriteGuard<'_, RawTable>,
+    table: RwLockReadGuard<'_, RawTable>,
     config: &NoDbConfig,
     req: ScanRequest,
     telemetry: &TelemetryHandle,
     ctx: QueryCtx,
     lock_wait: &mut Duration,
 ) -> EngineResult<VecDeque<Batch>> {
-    let prep = prepare_scan(&mut guard, config, req, telemetry, ctx);
-    let mut staged = {
-        let table = RwLockWriteGuard::downgrade(guard);
-        scan_data(&table, config, &prep)?
-    };
-    scan_install(
-        &mut timed(lock_wait, || handle.write()),
-        config,
-        &prep,
-        &mut staged,
-        telemetry,
-    )?;
+    let prep = prepare_scan(&table, config, req, telemetry, ctx);
+    let mut staged = scan_data(&table, config, &prep, telemetry)?;
+    if let StagedScan::Partitions(outcome) = &mut staged {
+        drop(table);
+        scan_install(
+            &mut timed(lock_wait, || handle.write()),
+            config,
+            &prep,
+            outcome,
+            telemetry,
+        )?;
+    }
     Ok(staged.into_batches())
 }
 
 /// Serve a fully-cached query from the cache columns, one [`segment_batch`]
-/// per `BATCH_SIZE` rows. The columns are resident by construction — the
-/// data phase inherits the prepare guard, so nothing can evict them in
-/// between — and a missing one is an internal error, never a panic.
+/// per `BATCH_SIZE` rows, and record its hits and telemetry. The columns
+/// are resident by construction — the data phase runs under the guard the
+/// scan was prepared under, so nothing can evict them in between — and a
+/// missing one is an internal error, never a panic. The hit tally is
+/// atomic and the generation cannot move while the guard is held, so the
+/// tally needs neither the write lock nor an install fence.
 ///
 /// Under a bare `LIMIT n` the stream ends after the batch that brings the
 /// survivors to `n` or more (before the first batch for `LIMIT 0`): the
 /// answer is a prefix of the rows, and the rows behind it are never read.
-fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<StagedScan> {
+fn stream_cached(
+    table: &RawTable,
+    prep: &ScanPrep,
+    telemetry: &TelemetryHandle,
+) -> EngineResult<VecDeque<Batch>> {
     let total = prep.cached_rows as usize;
     let limit = prep
         .req
@@ -1278,10 +1277,15 @@ fn stream_cached(table: &RawTable, prep: &ScanPrep) -> EngineResult<StagedScan> 
             }
         }
     }
-    Ok(StagedScan::Cached {
-        batches,
-        rows: streamed as u64,
-    })
+    // One hit per requested attribute per streamed row.
+    let rows = streamed as u64;
+    let hits = rows * prep.req.attrs.len() as u64;
+    table.cache.record_reads(hits, 0);
+    let mut tel = lock_recover(telemetry);
+    tel.rows_scanned = rows;
+    tel.cache_hits = hits;
+    tel.stopped_early = rows < prep.cached_rows;
+    Ok(batches)
 }
 
 #[cfg(test)]
@@ -1307,10 +1311,10 @@ mod tests {
     }
 
     /// One query through the production stages — `prepare_scan`, the data
-    /// phase, the fenced install, the re-pack — over an exclusive borrow
-    /// in place of `scan_shared`'s lock hand-offs, surfacing the scan error
-    /// instead of unwrapping. Hands back the result batches as the engine
-    /// would receive them.
+    /// phase, a raw scan's fenced install, the re-pack — over an exclusive
+    /// borrow in place of `scan_shared`'s lock hand-offs, surfacing the
+    /// scan error instead of unwrapping. Hands back the result batches as
+    /// the engine would receive them.
     fn try_scan_batches(
         table: &mut RawTable,
         config: NoDbConfig,
@@ -1319,8 +1323,10 @@ mod tests {
     ) -> (EngineResult<VecDeque<Batch>>, ScanTelemetry) {
         let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let prep = prepare_scan(table, &config, req, &tel, ctx);
-        let r = scan_data(table, &config, &prep).and_then(|mut staged| {
-            scan_install(table, &config, &prep, &mut staged, &tel)?;
+        let r = scan_data(table, &config, &prep, &tel).and_then(|mut staged| {
+            if let StagedScan::Partitions(outcome) = &mut staged {
+                scan_install(table, &config, &prep, outcome, &tel)?;
+            }
             Ok(staged.into_batches())
         });
         let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
@@ -1633,16 +1639,23 @@ mod tests {
 
         let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let ctx = QueryCtx::from_timeout_ms(cfg.query_timeout_ms);
-        let mut guard = handle.write();
-        let prep = prepare_scan(&mut guard, &cfg, req.clone(), &tel, ctx);
-        let mut staged = scan_data(&RwLockWriteGuard::downgrade(guard), &cfg, &prep).unwrap();
+        let (prep, staged) = {
+            let guard = handle.read();
+            let prep = prepare_scan(&guard, &cfg, req.clone(), &tel, ctx);
+            let staged = scan_data(&guard, &cfg, &prep, &tel).unwrap();
+            (prep, staged)
+        };
+        let StagedScan::Partitions(mut outcome) = staged else {
+            panic!("a cold scan stages partitions");
+        };
         GeneratorConfig::uniform_ints(4, 300, 61)
             .append_rows(&p, 50)
             .unwrap();
         handle.write().check_updates().unwrap();
         assert_eq!(handle.read().generation, prep.generation + 1);
-        scan_install(&mut handle.write(), &cfg, &prep, &mut staged, &tel).unwrap();
+        scan_install(&mut handle.write(), &cfg, &prep, &mut outcome, &tel).unwrap();
 
+        let staged = StagedScan::Partitions(outcome);
         assert_eq!(rows_of(&staged.into_batches()), before, "answers its read");
         assert_eq!(lock_recover(&tel).rows_scanned, 300, "telemetry published");
         {

@@ -15,14 +15,16 @@
 //!   register a table or resolve a name (a query holds it just long enough
 //!   to clone the `Arc`);
 //! * per-query lock discipline is *staged* (see `rawscan::scan_shared`):
-//!   a short **write** lock for planning side effects (update probe, access
-//!   plan LRU touches, cache query tick), *downgraded* in place into a
-//!   **read** lock for the whole data scan — workers only need shared
-//!   borrows — then released, and a second short **write** lock to install
-//!   the staged positional-map chunk, cache columns and statistics (nothing,
-//!   if another query reconciled a file change in between). Read-mostly
-//!   queries that are answered entirely from the cache never hold a write
-//!   lock during data access.
+//!   a query plans and scans under one **read** lock — the update probe is
+//!   read-only, and the planning side effects (access counts, access plan
+//!   LRU touches, cache query tick) are atomic — and workers only need
+//!   shared borrows. Only a file change found by the probe takes the
+//!   **write** lock before planning, to reconcile it, and downgrades it in
+//!   place into the read lock. A raw scan then releases the read lock and
+//!   takes a short write lock to install the staged positional-map chunk,
+//!   cache columns and statistics (nothing, if another query reconciled a
+//!   file change in between). A query answered entirely from the cache
+//!   never takes the write lock at all.
 //!
 //! The poison-free `RwLock` comes from the workspace's `parking_lot`
 //! stand-in: a panicking scan must not wedge every later query on the same
@@ -45,8 +47,8 @@ use crate::table::RawTable;
 ///
 /// Cloning the handle is cheap (`Arc`); the `RwLock` arbitrates between
 /// concurrent scans (readers) and structure installs / update reconciliation
-/// (writers). Scans hold the read side while streaming raw bytes and hold
-/// the write side only for the short planning and merge windows.
+/// (writers). Queries plan and stream under the read side, and hold the
+/// write side only to reconcile a file change or merge a raw scan.
 pub type TableHandle = Arc<RwLock<RawTable>>;
 
 /// Name → [`TableHandle`] map shared by every query on a [`crate::NoDb`]
@@ -165,8 +167,8 @@ mod tests {
         assert!(result.is_err(), "the panic fired");
         // Both lock modes still work on the same handle.
         assert_eq!(handle.read().path(), p.as_path());
-        handle.write().attr_access[0] += 1;
-        assert_eq!(handle.read().attr_access[0], 1);
+        handle.write().generation += 1;
+        assert_eq!(handle.read().generation, 1);
         std::fs::remove_file(p).unwrap();
     }
 

@@ -2,6 +2,7 @@
 //! update fingerprint.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nodb_engine::{EngineError, EngineResult};
 use nodb_posmap::{MapPolicy, PositionalMap};
@@ -54,19 +55,22 @@ pub struct RawTable {
     pub(crate) epoch: SourceEpoch,
     /// Exact data-row count once any scan has completed.
     pub(crate) row_count: Option<u64>,
-    /// Per-attribute access counts (usage panel of Fig 2).
-    pub(crate) attr_access: Vec<u64>,
+    /// Per-attribute access counts (usage panel of Fig 2), counted by
+    /// queries holding the table's read lock.
+    pub(crate) attr_access: Vec<AtomicU64>,
     /// File-state generation, bumped whenever update detection reconciles an
-    /// append or replacement. A concurrent query snapshots the generation
-    /// while planning under the table's write lock; if it differs when the
-    /// query later re-acquires the lock to install its side effects, the
-    /// staged state describes an older epoch: the query answers from what
-    /// it read and installs nothing. Cached prepared plans are valid for
-    /// one generation.
+    /// append or replacement (always under the table's write lock). A query
+    /// snapshots the generation while planning under the table's read lock;
+    /// if it differs when a raw scan later takes the write lock to install
+    /// its side effects, the staged state describes an older epoch: the
+    /// query answers from what it read and installs nothing. Cached
+    /// prepared plans are valid for one generation.
     pub(crate) generation: u64,
     /// Progress signature of the last snapshot written (or restored), so
     /// write-behind skips queries that grew nothing. `0` = never saved.
-    pub(crate) last_snapshot_sig: u64,
+    /// Claimed with a compare-exchange under the read lock, so of two
+    /// queries that grew the same state, one saves it.
+    pub(crate) last_snapshot_sig: AtomicU64,
 }
 
 impl RawTable {
@@ -106,9 +110,9 @@ impl RawTable {
             stats: TableStats::default(),
             epoch,
             row_count: None,
-            attr_access: vec![0; nattrs],
+            attr_access: (0..nattrs).map(|_| AtomicU64::new(0)).collect(),
             generation: 0,
-            last_snapshot_sig: 0,
+            last_snapshot_sig: AtomicU64::new(0),
         })
     }
 
@@ -140,6 +144,15 @@ impl RawTable {
     /// The current source epoch (see [`nodb_rawcsv::epoch`]).
     pub fn epoch(&self) -> &SourceEpoch {
         &self.epoch
+    }
+
+    /// Read-only epoch probe: whether the file is unchanged since the epoch
+    /// the adaptive state is keyed to. A query that sees `true` plans and
+    /// scans under the read lock; anything else — a change, or a probe that
+    /// failed — calls for [`Self::check_updates`] under the write lock,
+    /// which classifies again and reconciles (or reports the error).
+    pub(crate) fn epoch_unchanged(&self) -> bool {
+        matches!(self.epoch.classify(&self.path), Ok(EpochChange::Unchanged))
     }
 
     /// Probe the file and reconcile adaptive state with any change (§4.2
@@ -179,7 +192,7 @@ impl RawTable {
         self.cache.quarantine();
         self.stats.quarantine();
         self.row_count = None;
-        self.last_snapshot_sig = 0;
+        self.last_snapshot_sig.store(0, Ordering::Relaxed);
         self.generation += 1;
         self.rekey(SourceEpoch::try_capture(&self.path)?)
     }
@@ -248,7 +261,8 @@ impl RawTable {
         };
         // Remember what we restored, so the first query only re-writes the
         // sidecar if it actually grew something.
-        self.last_snapshot_sig = self.snapshot_signature();
+        let sig = self.snapshot_signature();
+        self.last_snapshot_sig.store(sig, Ordering::Relaxed);
         RestoreOutcome::Restored { appended }
     }
 
@@ -326,7 +340,7 @@ impl RawTable {
                 .attr_access
                 .iter()
                 .enumerate()
-                .map(|(a, &n)| (a, n))
+                .map(|(a, n)| (a, n.load(Ordering::Relaxed)))
                 .collect(),
             row_count: self.row_count,
         }

@@ -5,6 +5,8 @@
 //! `u16` relative to the tuple's line start (tuples ≥ 64 KiB store the
 //! [`NO_OFFSET`] sentinel and fall back to anchor-based tokenizing).
 
+use std::sync::atomic::AtomicU64;
+
 use nodb_rawcsv::tokenizer::Tokens;
 
 /// Sentinel for "position unavailable" (line too long for a u16 offset, or
@@ -26,8 +28,9 @@ pub struct Chunk {
     /// for rows `0..self.rows`.
     cols: Vec<Box<[u16]>>,
     rows: usize,
-    /// LRU tick of the last access (maintained by the map).
-    pub(crate) last_used: u64,
+    /// LRU tick of the last access (maintained by the map; plans stamp it
+    /// under a shared borrow, forward only).
+    pub(crate) last_used: AtomicU64,
 }
 
 impl Chunk {
@@ -222,7 +225,7 @@ impl ChunkBuilder {
             attrs: self.attrs,
             cols: self.cols.into_iter().map(Vec::into_boxed_slice).collect(),
             rows: self.rows,
-            last_used: tick,
+            last_used: AtomicU64::new(tick),
         }
     }
 

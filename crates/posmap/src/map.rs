@@ -1,6 +1,8 @@
 //! The adaptive positional map proper: row index, chunk registry, access
 //! planning, LRU bookkeeping.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use crate::chunk::{Chunk, ChunkBuilder, ChunkId};
 use crate::policy::MapPolicy;
 
@@ -189,12 +191,17 @@ pub struct MapMetrics {
 }
 
 /// The adaptive positional map for one raw file.
+///
+/// Access planning only reads the chunks and advances the LRU clock and
+/// stamps, which are atomic (`Relaxed`: they publish no other data):
+/// concurrent queries plan on a shared borrow. Installs, evictions and the
+/// row index take `&mut self`.
 #[derive(Debug)]
 pub struct PositionalMap {
     row_index: RowIndex,
     chunks: Vec<Chunk>,
     policy: MapPolicy,
-    tick: u64,
+    tick: AtomicU64,
     next_chunk_id: u64,
     bytes_used: usize,
     metrics: MapMetrics,
@@ -207,7 +214,7 @@ impl PositionalMap {
             row_index: RowIndex::default(),
             chunks: Vec::new(),
             policy,
-            tick: 0,
+            tick: AtomicU64::new(0),
             next_chunk_id: 0,
             bytes_used: 0,
             metrics: MapMetrics::default(),
@@ -272,8 +279,12 @@ impl PositionalMap {
 
     /// Plan access for one query's requested attributes (deduplicated,
     /// any order). Touches the LRU clock of every chunk the plan uses.
-    pub fn plan_access(&mut self, attrs: &[usize]) -> AccessPlan {
-        self.tick += 1;
+    ///
+    /// Takes `&self`, so concurrent queries plan at once. Each plan takes
+    /// its own tick and a stamp only moves forward (`fetch_max`): a plan
+    /// that stamps late with an older tick never overwrites a newer one.
+    pub fn plan_access(&self, attrs: &[usize]) -> AccessPlan {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         let mut requested: Vec<usize> = attrs.to_vec();
         requested.sort_unstable();
         requested.dedup();
@@ -290,7 +301,7 @@ impl PositionalMap {
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| c.covers(attr) && c.rows() > 0)
-                .max_by_key(|(_, c)| (c.rows(), c.last_used));
+                .max_by_key(|(_, c)| (c.rows(), c.last_used.load(Ordering::Relaxed)));
             if let Some((idx, _)) = exact {
                 sources.push((attr, AttrSource::Exact { chunk: idx }));
                 if !used_chunks.contains(&idx) {
@@ -329,7 +340,9 @@ impl PositionalMap {
 
         // LRU touch for every chunk this plan will read.
         for &idx in &used_chunks {
-            self.chunks[idx].last_used = self.tick;
+            self.chunks[idx]
+                .last_used
+                .fetch_max(tick, Ordering::Relaxed);
         }
 
         // Distinct chunks among *exact* resolutions only (the paper's
@@ -407,10 +420,11 @@ impl PositionalMap {
         }
         self.evict_to_fit(fp);
 
-        self.tick += 1;
+        let tick = self.tick.get_mut();
+        *tick += 1;
         let id = ChunkId(self.next_chunk_id);
         self.next_chunk_id += 1;
-        let chunk = builder.freeze(id, self.tick);
+        let chunk = builder.freeze(id, *tick);
         self.bytes_used += chunk.footprint();
         self.chunks.push(chunk);
         self.metrics.installs += 1;
@@ -427,7 +441,7 @@ impl PositionalMap {
                 .chunks
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, c)| (c.last_used, c.id()))
+                .min_by_key(|(_, c)| (c.last_used.load(Ordering::Relaxed), c.id()))
             else {
                 break;
             };
@@ -487,7 +501,7 @@ mod tests {
 
     #[test]
     fn empty_map_plans_scans() {
-        let mut m = default_map();
+        let m = default_map();
         let plan = m.plan_access(&[1, 3]);
         assert_eq!(plan.uncovered, 2);
         assert!(plan.should_index);
@@ -634,6 +648,38 @@ mod tests {
         assert_eq!(maps[0].metrics().evictions, 2);
         assert_eq!(ids(&maps[0]), ids(&maps[1]));
         assert_eq!(ids(&maps[0]), vec![ChunkId(2), ChunkId(3)]);
+    }
+
+    /// Plans run concurrently on a shared borrow: every call takes its own
+    /// tick, and each chunk the plans share ends stamped with the last one,
+    /// as any serial replay of the calls leaves it.
+    #[test]
+    fn concurrent_plans_leave_the_serial_stamps() {
+        let (threads, calls) = if cfg!(miri) { (2, 8) } else { (4, 500) };
+        let mut m = default_map();
+        for attr in 0..3 {
+            m.install(builder_with_rows(vec![attr], &[b"a,b,c,d"]));
+        }
+        let before = *m.tick.get_mut();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                let (m, start) = (&m, &start);
+                // Attribute 3 has no chunk: it plans an anchor on chunk 2.
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..calls {
+                        m.plan_access(&[0, 1, 2, 3]);
+                    }
+                });
+            }
+        });
+        let tick = *m.tick.get_mut();
+        assert_eq!(tick - before, (threads * calls) as u64, "one tick per call");
+        for c in m.chunks() {
+            let stamp = c.last_used.load(Ordering::Relaxed);
+            assert_eq!(stamp, tick, "chunk {:?} keeps the newest stamp", c.id());
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The cache proper: per-attribute columns, byte budget, LRU eviction.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::column::TypedColumn;
 
@@ -34,7 +35,10 @@ impl CacheMetrics {
 #[derive(Debug)]
 struct Entry {
     col: TypedColumn,
-    last_used: u64,
+    /// LRU stamp: the latest query tick that touched the column. Queries
+    /// stamp it under a shared borrow ([`RawCache::begin_query`]), so it
+    /// only ever moves forward (`fetch_max`).
+    last_used: AtomicU64,
 }
 
 /// The adaptive binary cache for one raw file.
@@ -42,13 +46,23 @@ struct Entry {
 /// Rows are addressed with the same row ids the positional map uses, so a
 /// single scan can serve attribute A from the cache and attribute B from the
 /// raw file position by position.
+///
+/// The per-query bookkeeping — the LRU clock, the column stamps and the
+/// hit/miss tallies — is atomic, so concurrent queries holding the cache by
+/// shared reference can begin and finish without exclusive access; only
+/// admission, eviction and budget changes take `&mut self`. The atomics
+/// publish no other data, so they are `Relaxed`: the owner's lock orders
+/// them against the exclusive sections that read them.
 #[derive(Debug)]
 pub struct RawCache {
     entries: HashMap<usize, Entry>,
     budget: usize,
     bytes_used: usize,
-    tick: u64,
-    metrics: CacheMetrics,
+    tick: AtomicU64,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    evictions: u64,
+    admission_stalls: u64,
 }
 
 impl RawCache {
@@ -60,8 +74,11 @@ impl RawCache {
             entries: HashMap::new(),
             budget,
             bytes_used: 0,
-            tick: 0,
-            metrics: CacheMetrics::default(),
+            tick: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: 0,
+            admission_stalls: 0,
         }
     }
 
@@ -93,8 +110,13 @@ impl RawCache {
     }
 
     /// Lifetime counters.
-    pub fn metrics(&self) -> &CacheMetrics {
-        &self.metrics
+    pub fn metrics(&self) -> CacheMetrics {
+        CacheMetrics {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions,
+            admission_stalls: self.admission_stalls,
+        }
     }
 
     /// Attributes currently resident, with their coverage (rows cached).
@@ -136,21 +158,26 @@ impl RawCache {
     /// passes it back to [`Self::append_slice`], whose room-making evicts
     /// only columns stamped *before* it — never this query's columns, nor
     /// those of a query that began later.
-    pub fn begin_query(&mut self, attrs: &[usize]) -> u64 {
-        self.tick += 1;
+    ///
+    /// Takes `&self`: queries sharing the cache begin concurrently. Each
+    /// takes its own tick, and a stamp only moves forward, so a query that
+    /// stamps late with an older tick never overwrites a newer one — the
+    /// stamps end as a serial replay in tick order leaves them.
+    pub fn begin_query(&self, attrs: &[usize]) -> u64 {
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
         for a in attrs {
-            if let Some(e) = self.entries.get_mut(a) {
-                e.last_used = self.tick;
+            if let Some(e) = self.entries.get(a) {
+                e.last_used.fetch_max(tick, Ordering::Relaxed);
             }
         }
-        self.tick
+        tick
     }
 
     /// Fold the scan workers' read tallies into the hit/miss metrics (the
     /// workers hold the cache by shared reference and count on their own).
-    pub fn record_reads(&mut self, hits: u64, misses: u64) {
-        self.metrics.hits += hits;
-        self.metrics.misses += misses;
+    pub fn record_reads(&self, hits: u64, misses: u64) {
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(misses, Ordering::Relaxed);
     }
 
     /// Admit one scan slice — the cache's only admission path. `cols[i]`
@@ -185,17 +212,18 @@ impl RawCache {
             };
             if let Some(e) = self.entries.get_mut(&attr) {
                 // Being extended by this query: never its own victim.
-                e.last_used = e.last_used.max(query_tick);
+                let stamp = e.last_used.get_mut();
+                *stamp = (*stamp).max(query_tick);
             }
             let growth = col.tail_cost(lo, have);
             if !self.make_room(growth, query_tick) {
-                self.metrics.admission_stalls += 1;
+                self.admission_stalls += 1;
                 continue;
             }
             let per_row = growth / (col.len() - lo);
             let e = self.entries.entry(attr).or_insert_with(|| Entry {
                 col: TypedColumn::new(col.ty()),
-                last_used: query_tick,
+                last_used: AtomicU64::new(query_tick),
             });
             e.col.append_tail(col, lo);
             self.bytes_used += growth;
@@ -221,8 +249,9 @@ impl RawCache {
         if !self.make_room(fp, u64::MAX) {
             return false;
         }
-        self.tick += 1;
-        let last_used = self.tick;
+        let tick = self.tick.get_mut();
+        *tick += 1;
+        let last_used = AtomicU64::new(*tick);
         self.entries.insert(attr, Entry { col, last_used });
         self.bytes_used += fp;
         true
@@ -237,7 +266,8 @@ impl RawCache {
     /// columns stay resident is a function of the query sequence, never of
     /// the map's per-instance iteration order.
     fn make_room(&mut self, incoming: usize, protect_tick: u64) -> bool {
-        let evictable = |e: &Entry| e.last_used < protect_tick;
+        let stamp = |e: &Entry| e.last_used.load(Ordering::Relaxed);
+        let evictable = |e: &Entry| stamp(e) < protect_tick;
         let freeable: usize = self
             .entries
             .values()
@@ -252,13 +282,13 @@ impl RawCache {
                 .entries
                 .iter()
                 .filter(|(_, e)| evictable(e))
-                .min_by_key(|&(&a, e)| (e.last_used, a))
+                .min_by_key(|&(&a, e)| (stamp(e), a))
                 .map(|(&a, _)| a);
             let Some(e) = victim.and_then(|a| self.entries.remove(&a)) else {
                 return false;
             };
             self.bytes_used -= e.col.footprint();
-            self.metrics.evictions += 1;
+            self.evictions += 1;
         }
         true
     }
@@ -417,6 +447,40 @@ mod tests {
         assert_eq!(c.resident(), [(0, 100)]);
         assert_eq!(c.metrics().evictions, 0);
         assert_eq!(c.metrics().admission_stalls, 1);
+    }
+
+    /// Queries begin concurrently on a shared borrow: every call takes its
+    /// own tick, and each shared column ends stamped with the last one —
+    /// what any serial replay of the calls leaves behind.
+    #[test]
+    fn concurrent_begin_query_leaves_the_serial_stamps() {
+        let (threads, calls) = if cfg!(miri) { (2, 8) } else { (4, 500) };
+        let mut c = RawCache::new(1 << 30);
+        for attr in 0..3 {
+            fill(&mut c, attr, 10);
+        }
+        let before = *c.tick.get_mut();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                let (c, start) = (&c, &start);
+                // Attribute 9 is not resident: nothing to stamp.
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..calls {
+                        c.begin_query(&[0, 1, 2, 9]);
+                    }
+                });
+            }
+        });
+        let tick = *c.tick.get_mut();
+        assert_eq!(tick - before, (threads * calls) as u64, "one tick per call");
+        for attr in 0..3 {
+            let stamp = c.entries[&attr].last_used.load(Ordering::Relaxed);
+            assert_eq!(stamp, tick, "c{attr} keeps the newest stamp");
+        }
+        c.record_reads(3, 1);
+        assert_eq!((c.metrics().hits, c.metrics().misses), (3, 1));
     }
 
     #[test]

@@ -180,6 +180,54 @@ fn post_append_queries_read_only_the_appended_tail() {
     }
 }
 
+/// A warm query plans under the table's read lock after a read-only epoch
+/// probe. After an append the probe sees the file moved, so the query
+/// escalates: it reconciles the append under the write lock (the generation
+/// moves once, the prepared plan is dropped), then answers with the
+/// appended rows. The query after it finds the file unchanged and is fully
+/// cached again, with no further reconcile.
+#[test]
+fn a_query_after_an_append_escalates_and_sees_the_appended_rows() {
+    let (path, gen) = gen_table("escalate", 2_000);
+    let mut db = NoDb::new(NoDbConfig::default());
+    db.register_csv_with_schema("t", &path, gen.schema(), false)
+        .unwrap();
+    db.admin().enable_prepared_statements(4);
+    let sql = "SELECT c0, c2 FROM t WHERE c1 < 600000000";
+    let ctx = QueryCtx::unbounded();
+    let generation = |db: &NoDb| db.admin().epoch_report().1[0].1;
+
+    db.query(sql).unwrap();
+    let (_, warm) = db.query_reported(sql, &ctx).unwrap();
+    assert!(warm.fully_cached && warm.prepared_hit);
+    assert_eq!(generation(&db), 0);
+
+    gen.append_rows(&path, 300).unwrap();
+    let (result, report) = db.query_reported(sql, &ctx).unwrap();
+    assert_eq!(
+        result,
+        oracle(&path, gen.schema(), sql),
+        "appended rows answered"
+    );
+    assert!(
+        !report.fully_cached,
+        "the appended tail is read from the file"
+    );
+    assert!(
+        !report.prepared_hit,
+        "the plan of the old generation is dropped"
+    );
+    assert_eq!(report.source_changed, 0, "an append is no source change");
+    assert_eq!(generation(&db), 1, "the append is reconciled once");
+
+    let (again, report) = db.query_reported(sql, &ctx).unwrap();
+    assert_eq!(again, result);
+    assert!(report.fully_cached && report.prepared_hit);
+    assert_eq!(generation(&db), 1);
+    assert_eq!(db.admin().epoch_report().0, 0, "no invalidation counted");
+    std::fs::remove_file(path).ok();
+}
+
 /// Truncation landing mid-scan: the guard raises `SourceChanged`, the
 /// facade quarantines and retries cold, and the *same call* returns the
 /// right answer for the truncated file with the self-heal counted in its
