@@ -10,8 +10,6 @@
 //! configuration can make the cold, warm and cached answers to a query come
 //! out of different code.
 
-use nodb_posmap::CombinationTrigger;
-
 /// Smallest accepted [`NoDbConfig::io_block_size`]. Values below one page
 /// degenerate (per-line syscalls) or outright break the scanner's tail-read
 /// stepping; [`NoDbConfig::validated`] clamps instead of trusting callers.
@@ -52,9 +50,6 @@ pub struct NoDbConfig {
     pub map_budget_bytes: usize,
     /// Byte budget for the cache.
     pub cache_budget_bytes: usize,
-    /// When to index a new attribute combination (paper default:
-    /// all-requested-attributes-in-different-chunks).
-    pub combination_trigger: CombinationTrigger,
     /// Selective tokenizing (§3): abort each tuple once the last needed
     /// attribute is located. Disabling reverts to full-tuple tokenizing —
     /// the KNOBS ablation.
@@ -135,7 +130,6 @@ impl Default for NoDbConfig {
             enable_stats: true,
             map_budget_bytes: 256 << 20,
             cache_budget_bytes: 1 << 30,
-            combination_trigger: CombinationTrigger::AllDifferentChunks,
             selective_tokenizing: true,
             io_block_size: 1 << 20,
             detailed_timing: true,

@@ -145,15 +145,15 @@
 //!   columns end at the same slice boundary at every worker count and
 //!   claim order.
 //! * *Statistics* — split by whether the state depends on row order. The
-//!   order-independent part — NDV bitmap and min/max — is built by the
+//!   order-independent part — the min/max bounds — is built by the
 //!   workers, in parallel: each sketches its slice's partial columns from
 //!   the attribute's plan-time observation frontier on (a byte slice, whose
 //!   rows are unknown, sketches all of them) into a `ColumnSketch`. The
 //!   install absorbs the sketches slice by slice in row order
-//!   (`TableStats::absorb`): it ORs the bitmaps and merges the bounds —
-//!   idempotent, so rows a sketch covers below the install-time frontier
-//!   change nothing — and counts rows and NULLs from the frontier by
-//!   null-mask popcounts, reading no value. Accumulators are per
+//!   (`TableStats::absorb`): it merges the bounds — idempotent, so rows a
+//!   sketch covers below the install-time frontier change nothing — and
+//!   counts rows and NULLs from the frontier by null-mask popcounts,
+//!   reading no value. Accumulators are per
 //!   attribute, so this equals an attribute-interleaved row replay at
 //!   every worker count.
 //! * *Results* — every slice forms its batches with `segment_batch` over
@@ -176,9 +176,9 @@
 //! that finished their slices before the stop flag tripped hand back normal
 //! partials, and the driver merges the **contiguous completed prefix** of
 //! slices through the same frontier-based merge — with the end-of-scan
-//! bookkeeping (`row_count`, `mark_complete`, `set_row_count`) withheld,
-//! since the file was not fully visited. Statistics observation frontiers
-//! *are* advanced over the merged prefix so a re-run never double-observes.
+//! bookkeeping (`row_count`, `mark_complete`) withheld, since the file was
+//! not fully visited. Statistics observation frontiers *are* advanced over
+//! the merged prefix so a re-run never double-observes.
 //! The query itself still fails with [`EngineError::Cancelled`] /
 //! [`EngineError::DeadlineExceeded`]; the next identical query starts from
 //! the warmer map/cache/statistics state the aborted one left behind — the
@@ -956,9 +956,8 @@ pub(crate) fn run_partitions(
 ///
 /// Row index and map chunk are rebased by concatenation. Cache and
 /// statistics receive each slice's typed partial columns whole: the
-/// statistics absorb the slice's worker-built sketch (NDV bits and bounds
-/// merged, rows and NULLs counted by popcount — `TableStats::absorb`),
-/// then the cache takes ownership and admits each column's tail whole or
+/// statistics absorb the slice's worker-built sketch (bounds merged, rows
+/// and NULLs counted by popcount — `TableStats::absorb`), then the cache takes ownership and admits each column's tail whole or
 /// not at all — see the module docs on cache admission. Nothing here walks
 /// the values.
 ///
@@ -983,8 +982,8 @@ pub(crate) fn run_partitions(
 /// Every frontier-based sub-merge runs over the prefix (a satisfied one
 /// over a table of known row count skips the chunk and the cache — see the
 /// module docs on LIMIT), but the end-of-scan bookkeeping (`row_count`,
-/// `mark_complete`, `set_row_count`) is withheld — the file was not fully
-/// visited, so those totals are unknown. Statistics observation frontiers
+/// `mark_complete`) is withheld — the file was not fully visited, so those
+/// totals are unknown. Statistics observation frontiers
 /// are still advanced over the merged prefix, so a re-run never
 /// double-observes. The next query starts from the warmer map/cache/
 /// statistics state — the rows merged here are its known prefix, and it
@@ -1098,9 +1097,6 @@ pub(crate) fn merge_outputs(
             table.row_count = Some(total as u64);
             if prep.plan.is_some() {
                 table.map.row_index_mut().mark_complete();
-            }
-            if config.enable_stats {
-                table.stats.set_row_count(total as u64);
             }
         }
     }

@@ -102,10 +102,7 @@ impl RawTable {
             schema,
             has_header,
             tokenizer,
-            map: PositionalMap::new(MapPolicy {
-                budget_bytes: config.map_budget_bytes,
-                trigger: config.combination_trigger,
-            }),
+            map: PositionalMap::new(MapPolicy::with_budget(config.map_budget_bytes)),
             cache: RawCache::new(config.cache_budget_bytes),
             stats: TableStats::default(),
             epoch,
@@ -164,7 +161,6 @@ impl RawTable {
             EpochChange::Unchanged => {}
             EpochChange::Appended { .. } => {
                 self.map.note_appended();
-                self.stats.note_appended();
                 self.row_count = None;
                 self.generation += 1;
                 self.rekey(SourceEpoch::try_capture(&self.path)?)?;

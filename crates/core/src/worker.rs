@@ -16,11 +16,11 @@
 //! boxed on its way from the tokenizer to the engine. The partials are both
 //! what the cache and the statistics take at install and what the result
 //! batches are formed from, and the worker sketches them for the statistics
-//! itself (NDV bitmap and bounds, [`sketch_partials`]) so the install has
-//! no value to walk: every `BATCH_SIZE` rows the worker hands the
-//! newest partial rows to `rawscan::segment_batch`, the same former that
-//! serves cache-covered slices and fully-cached streams. All shared state is
-//! borrowed immutably ([`ScanContext`]); the mutable merge into the table's
+//! itself (the bounds, [`sketch_partials`]) so the install has no value to
+//! walk: every `BATCH_SIZE` rows the worker hands the newest partial rows
+//! to `rawscan::segment_batch`, the same former that serves cache-covered
+//! slices and fully-cached streams. All shared state is borrowed
+//! immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
 //! not depend on how the slices were scheduled.
@@ -418,10 +418,10 @@ pub(crate) fn run_partition(
 }
 
 /// The statistics' share of a slice's work: per requested attribute, a
-/// [`ColumnSketch`] (NDV bitmap and bounds) of the partial column's rows
-/// from the plan-time observation frontier on, built here so the install
-/// only merges it. A byte slice does not know its rows and sketches all of
-/// them; the bits and bounds of rows observed before are idempotent there.
+/// [`ColumnSketch`] (the bounds) of the partial column's rows from the
+/// plan-time observation frontier on, built here so the install only
+/// merges it. A byte slice does not know its rows and sketches all of
+/// them; the bounds of rows observed before are idempotent there.
 /// `None` for an attribute with no rows to observe in the slice, and no
 /// sketches at all with statistics off.
 fn sketch_partials(

@@ -23,12 +23,12 @@ use std::collections::{BinaryHeap, HashSet};
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 use nodb_sqlparse::ast::AggFunc;
-use nodb_stats::ndv::hash_datum;
 
 use crate::batch::{Batch, BatchRow, Column};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::RExpr;
 use crate::group::GroupTable;
+use crate::hash::hash_datum;
 use crate::planner::{AggCall, AggOutput, AggSpec, Pipeline, PlannedQuery};
 use crate::result::QueryResult;
 use crate::source::ScanSource;

@@ -10,7 +10,7 @@
 //! Keys are read a column at a time: a bare column reference reads the
 //! batch's typed storage directly, a computed key is evaluated once per
 //! logical row into a `Vec<Datum>`. Row hashes fold the per-value hashes of
-//! `nodb_stats::ndv`, which equal `hash_datum` of the same value, so a typed
+//! [`crate::hash`], which equal `hash_datum` of the same value, so a typed
 //! column and a computed column holding equal values land in the same
 //! groups.
 //!
@@ -33,11 +33,11 @@ use std::hash::BuildHasher;
 use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
-use nodb_stats::ndv::{hash_bool, hash_datum, hash_float, hash_int, hash_str};
 
 use crate::batch::{Batch, BatchRow, Column};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::RExpr;
+use crate::hash::{hash_bool, hash_datum, hash_float, hash_int, hash_str};
 
 /// Slot value of an empty slot (never a group id: ids stay below it).
 const EMPTY: u32 = u32::MAX;

@@ -1,102 +1,18 @@
-//! Distinct-value estimation by linear counting.
+//! The value hash of GROUP BY and COUNT DISTINCT.
 //!
-//! A fixed bitmap of `m` bits; each value hashes to one bit. The estimate is
-//! `-m * ln(z/m)` where `z` is the number of zero bits — accurate to a few
-//! percent while NDV stays below ~`m`, which is plenty for selectivity
-//! estimation (the optimizer only needs the right order of magnitude).
+//! One word-at-a-time hash per value class, each equal to [`hash_datum`] of
+//! the boxed value, so a group key read from a typed column and the same
+//! value computed row by row hash alike.
 
 use nodb_rawcsv::Datum;
 
-/// Linear-counting NDV estimator.
-///
-/// The bitmap is the whole state: recording a value is one unconditional
-/// OR, and the set-bit count the estimate needs is a popcount taken when
-/// it is asked for. That is what makes two counters mergeable bit for bit
-/// (`union`) — the scan builds one per slice and the install ORs
-/// them together.
-#[derive(Debug, Clone)]
-pub struct DistinctCounter {
-    bits: Vec<u64>,
-}
-
-/// Default bitmap size: 16 Ki bits (2 KiB), good to ~10k distinct values.
-const DEFAULT_BITS: usize = 16 * 1024;
-
-impl DistinctCounter {
-    /// Estimator with `mbits` bits (rounded up to a power of two, at least
-    /// 64), so a hash picks its bit with a mask.
-    pub fn new(mbits: usize) -> Self {
-        DistinctCounter {
-            bits: vec![0; mbits.max(64).next_power_of_two() / 64],
-        }
-    }
-
-    /// Default size: 16 Ki bits (2 KiB), good to ~10k distinct values.
-    pub fn default_size() -> Self {
-        DistinctCounter::new(DEFAULT_BITS)
-    }
-
-    /// Record one value.
-    pub fn add(&mut self, d: &Datum) {
-        self.add_hash(hash_datum(d));
-    }
-
-    /// Record one value by its [`hash_datum`]-compatible hash.
-    #[inline]
-    pub(crate) fn add_hash(&mut self, h: u64) {
-        let bit = (h & (self.bits.len() as u64 * 64 - 1)) as usize; // lint: cast-ok below the bitmap's bit count
-        self.bits[bit / 64] |= 1u64 << (bit % 64);
-    }
-
-    /// Record every value `other` recorded: the bitwise OR of the two
-    /// bitmaps. Idempotent, commutative and associative, so the counter's
-    /// state does not depend on how its values were split or ordered.
-    /// Counters of different sizes hash to different bits; `other` must
-    /// have this counter's size (every counter the statistics build does).
-    pub(crate) fn union(&mut self, other: &DistinctCounter) {
-        debug_assert_eq!(self.bits.len(), other.bits.len(), "counter sizes differ");
-        for (w, o) in self.bits.iter_mut().zip(&other.bits) {
-            *w |= o;
-        }
-    }
-
-    /// Estimated number of distinct values recorded.
-    pub fn estimate(&self) -> f64 {
-        let set: u64 = self.bits.iter().map(|w| u64::from(w.count_ones())).sum();
-        if set == 0 {
-            return 0.0;
-        }
-        let m = (self.bits.len() * 64) as f64;
-        let z = m - set as f64;
-        if z < 1.0 {
-            // Saturated: lower bound.
-            return m;
-        }
-        m * (m / z).ln()
-    }
-
-    /// The raw bitmap words (snapshot export; the bits are the whole
-    /// state).
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
-    /// Rebuild a counter from exported bitmap words. Returns `None` unless
-    /// there are exactly as many words as a default-size counter holds —
-    /// the only size the statistics build, and the one every scan's
-    /// per-slice counter is merged into.
-    pub fn from_words(bits: Vec<u64>) -> Option<Self> {
-        (bits.len() == DEFAULT_BITS / 64).then_some(DistinctCounter { bits })
-    }
-}
-
-/// Stable hash of a datum for NDV purposes, shared with the engine's
-/// GROUP BY and COUNT DISTINCT. Int and Float hash by value class so `1`
-/// and `1.0` count once, mirroring SQL equality.
+/// Stable hash of a datum for GROUP BY and COUNT DISTINCT. Int and Float
+/// hash by value class so `1` and `1.0` land together, mirroring SQL
+/// equality.
 ///
 /// Word-at-a-time: a fixed-width value is one `fmix64` (a bijection, so
 /// distinct integers never collide), a string folds 8 bytes per step.
-pub fn hash_datum(d: &Datum) -> u64 {
+pub(crate) fn hash_datum(d: &Datum) -> u64 {
     match d {
         Datum::Null => fmix64(0x6e75_6c6c),
         Datum::Int(v) => hash_int(*v),
@@ -126,7 +42,7 @@ const BOOL_SEED: u64 = 0x1656_67b1_9e37_79f9;
 
 /// [`hash_datum`] of an integer.
 #[inline]
-pub fn hash_int(v: i64) -> u64 {
+pub(crate) fn hash_int(v: i64) -> u64 {
     fmix64(v as u64)
 }
 
@@ -135,7 +51,7 @@ pub fn hash_int(v: i64) -> u64 {
 /// the two candidate words are selected without a branch; NaN and values
 /// beyond the `i64` range hash by their bits.
 #[inline]
-pub fn hash_float(v: f64) -> u64 {
+pub(crate) fn hash_float(v: f64) -> u64 {
     let i = v as i64; // saturating; the round trip below rejects a clamped value
     let integral = v.abs() < 9e18 && i as f64 == v;
     fmix64(if integral {
@@ -152,7 +68,7 @@ pub fn hash_float(v: f64) -> u64 {
 /// 4-byte loads (or, below 4 bytes, its first, middle and last byte). Every
 /// byte reaches the hash, with no copy and no per-byte loop.
 #[inline]
-pub fn hash_str(s: &str) -> u64 {
+pub(crate) fn hash_str(s: &str) -> u64 {
     const K: u64 = 0x9fb2_1c65_1e98_df25;
     let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
     let b = s.as_bytes();
@@ -183,34 +99,13 @@ pub fn hash_str(s: &str) -> u64 {
 
 /// [`hash_datum`] of a boolean.
 #[inline]
-pub fn hash_bool(b: bool) -> u64 {
+pub(crate) fn hash_bool(b: bool) -> u64 {
     fmix64(u64::from(b) ^ BOOL_SEED)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn small_cardinalities_are_near_exact() {
-        let mut c = DistinctCounter::default_size();
-        for i in 0..100 {
-            c.add(&Datum::Int(i));
-            c.add(&Datum::Int(i)); // duplicates ignored
-        }
-        let e = c.estimate();
-        assert!((e - 100.0).abs() < 10.0, "estimate = {e}");
-    }
-
-    #[test]
-    fn medium_cardinalities_within_tolerance() {
-        let mut c = DistinctCounter::default_size();
-        for i in 0..5_000 {
-            c.add(&Datum::Int(i * 7919));
-        }
-        let e = c.estimate();
-        assert!((e - 5_000.0).abs() / 5_000.0 < 0.1, "estimate = {e}");
-    }
 
     #[test]
     fn int_and_float_hash_together() {
@@ -303,28 +198,5 @@ mod tests {
             let flipped = String::from_utf8(b).expect("ascii");
             assert_ne!(hash_str(&flipped), hash_str(base), "byte {i}");
         }
-    }
-
-    #[test]
-    fn empty_estimates_zero() {
-        let c = DistinctCounter::default_size();
-        assert_eq!(c.estimate(), 0.0);
-    }
-
-    #[test]
-    fn words_round_trip_preserves_estimate_and_stream() {
-        let mut a = DistinctCounter::default_size();
-        for i in 0..3_000 {
-            a.add(&Datum::Int(i * 31));
-        }
-        let mut b = DistinctCounter::from_words(a.words().to_vec()).expect("default size");
-        assert_eq!(a.estimate(), b.estimate());
-        for i in 0..500 {
-            a.add(&Datum::Int(i * 7 + 1));
-            b.add(&Datum::Int(i * 7 + 1));
-        }
-        assert_eq!(a.estimate(), b.estimate());
-        assert!(DistinctCounter::from_words(Vec::new()).is_none());
-        assert!(DistinctCounter::from_words(vec![0; 3]).is_none());
     }
 }

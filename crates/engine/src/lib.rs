@@ -27,6 +27,7 @@ pub mod error;
 pub mod exec;
 pub mod expr;
 mod group;
+mod hash;
 pub mod planner;
 pub mod result;
 pub mod sketch;

@@ -19,8 +19,8 @@
 //! * **Distance-triggered combination indexing** — whether a query's
 //!   attribute set deserves its own chunk is decided during access planning
 //!   ("the default setting is that if all requested attributes for a query
-//!   belong in different chunks, then the new combination is indexed"),
-//!   configurable via [`policy::CombinationTrigger`].
+//!   belong in different chunks, then the new combination is indexed"), the
+//!   one rule [`map::PositionalMap::plan_access`] applies.
 //! * **Nearest-anchor exploitation** — for an attribute that is not indexed,
 //!   the map returns the closest indexed attribute *to its left* so the
 //!   tokenizer can resume mid-tuple instead of rescanning the prefix
@@ -37,4 +37,4 @@ pub mod policy;
 
 pub use chunk::{Chunk, ChunkBuilder, ChunkId, NO_OFFSET};
 pub use map::{AccessPlan, AttrSource, MapMetrics, PositionalMap, RowIndex};
-pub use policy::{CombinationTrigger, MapPolicy};
+pub use policy::MapPolicy;

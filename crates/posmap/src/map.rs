@@ -160,9 +160,9 @@ pub struct AccessPlan {
     pub distinct_chunks: usize,
     /// Number of requested attributes with no exact coverage.
     pub uncovered: usize,
-    /// Whether the scan should collect this combination into a new chunk
-    /// (uncovered attributes always force collection; otherwise the
-    /// [`crate::policy::CombinationTrigger`] decides).
+    /// Whether the scan should collect this combination into a new chunk:
+    /// always when an attribute is uncovered, and otherwise by the paper's
+    /// rule — more than one attribute requested, each in a different chunk.
     pub should_index: bool,
 }
 
@@ -358,11 +358,11 @@ impl PositionalMap {
         exact_chunks.dedup();
         let distinct_chunks = exact_chunks.len();
 
-        let should_index = if uncovered > 0 {
-            true
-        } else {
-            self.policy.trigger.fires(requested.len(), distinct_chunks)
-        };
+        // The paper's default, its only rule here: "if all requested
+        // attributes for a query belong in different chunks, then the new
+        // combination is indexed".
+        let should_index =
+            uncovered > 0 || (requested.len() > 1 && distinct_chunks == requested.len());
 
         AccessPlan {
             sources,
@@ -481,7 +481,6 @@ impl PositionalMap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::CombinationTrigger;
     use nodb_rawcsv::tokenizer::{TokenizerConfig, Tokens};
 
     fn builder_with_rows(attrs: Vec<usize>, lines: &[&[u8]]) -> ChunkBuilder {
@@ -558,18 +557,19 @@ mod tests {
         let plan2 = m2.plan_access(&[0, 1]);
         assert_eq!(plan2.distinct_chunks, 1);
         assert!(!plan2.should_index);
-    }
 
-    #[test]
-    fn never_trigger_suppresses_combination() {
-        let mut m = PositionalMap::new(MapPolicy {
-            trigger: CombinationTrigger::Never,
-            ..MapPolicy::default()
-        });
-        m.install(builder_with_rows(vec![0], &[b"a,b"]));
-        m.install(builder_with_rows(vec![1], &[b"a,b"]));
-        let plan = m.plan_access(&[0, 1]);
-        assert!(!plan.should_index);
+        // Three attributes over three chunks trigger; two of them sharing a
+        // chunk do not, and a single covered attribute never does.
+        let mut m3 = default_map();
+        for attr in 0..3 {
+            m3.install(builder_with_rows(vec![attr], &[b"a,b,c,d"]));
+        }
+        assert!(m3.plan_access(&[0, 1, 2]).should_index);
+        assert!(!m3.plan_access(&[1]).should_index);
+        m2.install(builder_with_rows(vec![2], &[b"a,b,c"]));
+        let plan3 = m2.plan_access(&[0, 1, 2]);
+        assert_eq!((plan3.distinct_chunks, plan3.uncovered), (2, 0));
+        assert!(!plan3.should_index);
     }
 
     #[test]

@@ -1,46 +1,7 @@
-//! Budget and combination-indexing policy.
-//!
-//! Two decisions live here:
-//!
-//! 1. *Admission/eviction*: the map has a byte budget; installing a new chunk
-//!    evicts least-recently-used chunks until it fits (§3.1 "dropped by the
-//!    LRU policy").
-//! 2. *Combination trigger*: when a query's requested attributes are already
-//!    covered but scattered over several chunks, is re-indexing them as one
-//!    new combination worth it? The paper's default: "if all requested
-//!    attributes for a query belong in different chunks, then the new
-//!    combination is indexed."
-
-/// When to index a *new combination* chunk for a query whose attributes are
-/// already covered by existing chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CombinationTrigger {
-    /// Paper default: index the combination when every requested attribute
-    /// lives in a *different* chunk (and more than one attribute is asked).
-    AllDifferentChunks,
-    /// Index when the requested attributes span at least `k` distinct chunks.
-    SpreadAtLeast(usize),
-    /// Always re-index the exact combination (aggressive, memory-hungry).
-    Always,
-    /// Never index new combinations; only uncovered attributes get chunks.
-    Never,
-}
-
-impl CombinationTrigger {
-    /// Decide given `requested` attribute count and the number of distinct
-    /// chunks those attributes currently resolve to.
-    ///
-    /// Only consulted when *all* requested attributes are covered; uncovered
-    /// attributes force indexing regardless of the trigger.
-    pub fn fires(self, requested: usize, distinct_chunks: usize) -> bool {
-        match self {
-            CombinationTrigger::AllDifferentChunks => requested > 1 && distinct_chunks == requested,
-            CombinationTrigger::SpreadAtLeast(k) => requested > 1 && distinct_chunks >= k,
-            CombinationTrigger::Always => true,
-            CombinationTrigger::Never => false,
-        }
-    }
-}
+//! The positional map's storage budget: installing a new chunk evicts
+//! least-recently-used chunks until it fits (§3.1 "dropped by the LRU
+//! policy"). When a new combination is indexed is not a policy but the
+//! paper's one rule, in [`crate::PositionalMap::plan_access`].
 
 /// Positional-map policy knobs (the demo's "specify the amount of storage
 /// space which is devoted to internal indexes").
@@ -49,26 +10,20 @@ pub struct MapPolicy {
     /// Byte budget for chunk storage. The shared row index (8 bytes/row) is
     /// reported but exempt: without it no jumping is possible at all.
     pub budget_bytes: usize,
-    /// Combination-indexing trigger.
-    pub trigger: CombinationTrigger,
 }
 
 impl Default for MapPolicy {
     fn default() -> Self {
         MapPolicy {
             budget_bytes: 256 << 20, // 256 MiB: effectively unbounded on demo data
-            trigger: CombinationTrigger::AllDifferentChunks,
         }
     }
 }
 
 impl MapPolicy {
-    /// Policy with a specific budget and the paper-default trigger.
+    /// Policy with a specific budget.
     pub fn with_budget(budget_bytes: usize) -> Self {
-        MapPolicy {
-            budget_bytes,
-            ..Default::default()
-        }
+        MapPolicy { budget_bytes }
     }
 }
 
@@ -77,31 +32,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn all_different_fires_only_when_fully_scattered() {
-        let t = CombinationTrigger::AllDifferentChunks;
-        assert!(t.fires(3, 3));
-        assert!(!t.fires(3, 2));
-        assert!(!t.fires(1, 1)); // single attribute: nothing to combine
-    }
-
-    #[test]
-    fn spread_threshold() {
-        let t = CombinationTrigger::SpreadAtLeast(2);
-        assert!(t.fires(3, 2));
-        assert!(!t.fires(3, 1));
-        assert!(!t.fires(1, 1));
-    }
-
-    #[test]
-    fn always_and_never() {
-        assert!(CombinationTrigger::Always.fires(1, 1));
-        assert!(!CombinationTrigger::Never.fires(10, 10));
-    }
-
-    #[test]
-    fn default_policy_is_paper_default() {
-        let p = MapPolicy::default();
-        assert_eq!(p.trigger, CombinationTrigger::AllDifferentChunks);
-        assert!(p.budget_bytes > 0);
+    fn default_policy_has_a_budget() {
+        assert!(MapPolicy::default().budget_bytes > 0);
+        assert_eq!(MapPolicy::with_budget(4096).budget_bytes, 4096);
     }
 }

@@ -34,7 +34,7 @@ pub const MAGIC: [u8; 8] = *b"NODBSNP1";
 
 /// Current format version. Bump on any layout change; the loader refuses
 /// every other version (degrade to cold, never guess).
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 const SECTION_POSMAP: u32 = 1;
 const SECTION_CACHE: u32 = 2;
@@ -378,16 +378,6 @@ fn put_null_bits(e: &mut Enc, nulls: &NullMask, rows: usize) {
 
 fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
     let mut e = Enc { buf: Vec::new() };
-    match stats.row_count {
-        Some(n) => {
-            e.put_u8(1);
-            e.put_u64(n);
-        }
-        None => {
-            e.put_u8(0);
-            e.put_u64(0);
-        }
-    }
     e.put_len(stats.observed.len());
     for &(attr, frontier) in &stats.observed {
         e.put_u64(attr as u64); // widening
@@ -400,10 +390,6 @@ fn encode_stats(stats: &TableStatsState) -> Vec<u8> {
         e.put_u64(a.nulls);
         e.put_opt_datum(a.min.as_ref());
         e.put_opt_datum(a.max.as_ref());
-        e.put_len(a.ndv_words.len());
-        for &w in &a.ndv_words {
-            e.put_u64(w);
-        }
     }
     e.buf
 }
@@ -704,9 +690,6 @@ fn take_null_bits(d: &mut Dec<'_>, rows: usize) -> Result<NullMask> {
 
 fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
     let mut d = Dec::new(payload);
-    let rc_present = d.bool()?;
-    let rc = d.u64()?;
-    let row_count = rc_present.then_some(rc);
     let n_obs = d.len()?;
     let mut observed = Vec::with_capacity(n_obs.min(d.remaining() / 16));
     for _ in 0..n_obs {
@@ -722,31 +705,18 @@ fn decode_stats(payload: &[u8]) -> Result<TableStatsState> {
         let nulls = d.u64()?;
         let min = d.opt_datum()?;
         let max = d.opt_datum()?;
-        let n_words = d.len()?;
-        let word_bytes = n_words
-            .checked_mul(8)
-            .ok_or(SnapshotError::Malformed("ndv words overflow"))?;
-        let mut ndv_words = Vec::with_capacity(n_words.min(d.remaining() / 8));
-        for c in d.take(word_bytes)?.chunks_exact(8) {
-            ndv_words.push(u64::from_le_bytes(arr8(c)));
-        }
         attrs.push(AttrStatsState {
             attr,
             rows_seen,
             nulls,
             min,
             max,
-            ndv_words,
         });
     }
     d.done()?;
-    let state = TableStatsState {
-        attrs,
-        observed,
-        row_count,
-    };
+    let state = TableStatsState { attrs, observed };
     // The accumulators' own consistency checks (no more NULLs than rows,
-    // NDV size, one entry per attribute): state that fails them is as
+    // one entry per attribute): state that fails them is as
     // untrusted as a bad checksum, and the whole sidecar goes with it.
     if TableStats::from_state(state.clone()).is_none() {
         return Err(SnapshotError::Malformed("inconsistent statistics"));

@@ -11,7 +11,6 @@ use std::cmp::Ordering;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
-use crate::ndv::DistinctCounter;
 use crate::sketch::{ColumnSketch, Value};
 
 /// Running statistics for one attribute of one raw file.
@@ -26,7 +25,6 @@ pub struct AttrStats {
     min: Option<Datum>,
     /// Largest non-null value (total order).
     max: Option<Datum>,
-    ndv: DistinctCounter,
 }
 
 impl AttrStats {
@@ -38,7 +36,6 @@ impl AttrStats {
             nulls: 0,
             min: None,
             max: None,
-            ndv: DistinctCounter::default_size(),
         }
     }
 
@@ -47,7 +44,7 @@ impl AttrStats {
         self.attr
     }
 
-    /// Observe one value: counted, and a non-null one bounded and hashed.
+    /// Observe one value: counted, and a non-null one bounded.
     pub fn observe(&mut self, d: &Datum) {
         match d {
             Datum::Null => {
@@ -71,7 +68,6 @@ impl AttrStats {
         if !matches!(&self.max, Some(m) if v.cmp_bound(m) != Ordering::Greater) {
             self.max = Some(v.datum());
         }
-        self.ndv.add_hash(v.ndv_hash());
     }
 
     /// Absorb rows `[from, col.len())` of one scan slice: `sketch`
@@ -79,7 +75,7 @@ impl AttrStats {
     /// rows are counted by null-mask popcounts, without reading any value.
     /// The same state as [`Self::observe`] on each of those rows; merging a
     /// sketch that also covers earlier, already observed rows changes
-    /// nothing, because bounds and NDV bits are idempotent.
+    /// nothing, because bounds are idempotent.
     pub(crate) fn absorb(&mut self, col: &TypedColumn, sketch: &ColumnSketch, from: usize) {
         let len = col.len();
         if from >= len {
@@ -95,7 +91,6 @@ impl AttrStats {
                 self.max = Some(hi.clone());
             }
         }
-        self.ndv.union(&sketch.ndv);
         self.rows_seen += (len - from) as u64;
         self.nulls += col.nulls().count_nulls(from, len) as u64;
     }
@@ -112,11 +107,6 @@ impl AttrStats {
         } else {
             self.nulls as f64 / self.rows_seen as f64
         }
-    }
-
-    /// Estimated number of distinct non-null values.
-    pub fn ndv(&self) -> f64 {
-        self.ndv.estimate().max(1.0)
     }
 
     /// Observed minimum.
@@ -137,13 +127,12 @@ impl AttrStats {
             nulls: self.nulls,
             min: self.min.clone(),
             max: self.max.clone(),
-            ndv_words: self.ndv.words().to_vec(),
         }
     }
 
     /// Rebuild an accumulator from [`Self::export_state`]. Returns `None`
-    /// when any component is inconsistent (untrusted sidecar input) —
-    /// nulls exceeding rows seen, or an NDV bitmap of the wrong size.
+    /// when the counts are inconsistent (untrusted sidecar input): more
+    /// NULLs than rows seen.
     pub fn from_state(state: AttrStatsState) -> Option<Self> {
         if state.nulls > state.rows_seen {
             return None;
@@ -154,7 +143,6 @@ impl AttrStats {
             nulls: state.nulls,
             min: state.min,
             max: state.max,
-            ndv: DistinctCounter::from_words(state.ndv_words)?,
         })
     }
 }
@@ -172,8 +160,6 @@ pub struct AttrStatsState {
     pub min: Option<Datum>,
     /// Observed maximum.
     pub max: Option<Datum>,
-    /// NDV linear-counting bitmap words.
-    pub ndv_words: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -194,16 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn ndv_counts_distinct() {
-        let mut s = AttrStats::new(1);
-        for i in 0..50 {
-            s.observe(&Datum::Int(i % 10));
-        }
-        let e = s.ndv();
-        assert!((e - 10.0).abs() < 3.0, "ndv = {e}");
-    }
-
-    #[test]
     fn state_round_trip_continues_identically() {
         let mut a = AttrStats::new(5);
         for i in 0..2_000 {
@@ -219,7 +195,6 @@ mod tests {
         assert_eq!(a.null_fraction(), b.null_fraction());
         assert_eq!(a.min(), b.min());
         assert_eq!(a.max(), b.max());
-        assert_eq!(a.ndv(), b.ndv());
         // Further observations must evolve both identically.
         for i in 0..3_000 {
             let d = Datum::Int(i * 3 + 1);
@@ -239,8 +214,5 @@ mod tests {
         let mut s = a.export_state();
         s.nulls = s.rows_seen + 1;
         assert!(AttrStats::from_state(s).is_none());
-        let mut s2 = a.export_state();
-        s2.ndv_words = Vec::new();
-        assert!(AttrStats::from_state(s2).is_none());
     }
 }

@@ -54,9 +54,6 @@ pub enum PredicateSketch {
 
 /// A source of cardinality estimates for one table.
 pub trait SelectivityEstimator {
-    /// Estimated total row count, if known.
-    fn row_count(&self) -> Option<u64>;
-
     /// Estimated fraction of rows satisfying `sketch` on `attr`.
     fn selectivity(&self, attr: usize, sketch: &PredicateSketch) -> f64;
 }
@@ -68,10 +65,6 @@ pub trait SelectivityEstimator {
 pub struct NoStats;
 
 impl SelectivityEstimator for NoStats {
-    fn row_count(&self) -> Option<u64> {
-        None
-    }
-
     fn selectivity(&self, _attr: usize, sketch: &PredicateSketch) -> f64 {
         default_selectivity(sketch)
     }
@@ -106,7 +99,6 @@ mod tests {
             e.selectivity(0, &PredicateSketch::Eq(Datum::Int(1))),
             defaults::EQ
         );
-        assert_eq!(e.row_count(), None);
     }
 
     #[test]

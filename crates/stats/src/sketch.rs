@@ -1,19 +1,18 @@
 //! Per-slice statistics sketches: the part of an attribute's statistics
 //! that does not depend on the order rows arrive in.
 //!
-//! An accumulator ([`crate::AttrStats`]) holds the NDV bitmap, the min/max
-//! bounds and the row and NULL counts. The bitmap and the bounds are
-//! *order-independent*: a value sets the same bit and moves the same bound
-//! whenever it arrives, and merging two of them (OR, min of mins, max of
-//! maxes) is idempotent, commutative and associative. The counts are plain
-//! sums, but a slice must add them only for rows the accumulator has not
-//! seen yet.
+//! An accumulator ([`crate::AttrStats`]) holds the min/max bounds and the
+//! row and NULL counts. The bounds are *order-independent*: a value moves
+//! the same bound whenever it arrives, and merging two pairs of them (min
+//! of mins, max of maxes) is idempotent, commutative and associative. The
+//! counts are plain sums, but a slice must add them only for rows the
+//! accumulator has not seen yet.
 //!
 //! The scan splits its statistics work along that line. Each worker builds
-//! a [`ColumnSketch`] over its slice's typed partial column, in parallel
-//! and outside any lock: one typed kernel, one hash and two compares per
-//! non-null value, nothing boxed. The install
-//! ([`crate::TableStats::absorb`]) then merges the sketch and counts the
+//! a [`ColumnSketch`] — the bounds of its slice — over the slice's typed
+//! partial column, in parallel and outside any lock: one typed kernel and
+//! two compares per non-null value, nothing boxed. The install
+//! ([`crate::TableStats::absorb`]) then merges the bounds and counts the
 //! rows beyond the observation frontier by null-mask popcounts, in global
 //! row order — so the install reads no value at all.
 
@@ -23,14 +22,10 @@ use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
-use crate::ndv::{hash_bool, hash_float, hash_int, hash_str, DistinctCounter};
-
 /// A non-null value in its typed form: everything a sketch or an
 /// observation needs without boxing it into a [`Datum`] first. Each method
 /// agrees with the `Datum` the value would box into ([`Self::datum`]).
 pub(crate) trait Value: Copy {
-    /// [`crate::ndv::hash_datum`] of the value.
-    fn ndv_hash(self) -> u64;
     /// [`Datum::total_cmp`] of two values of the type.
     fn total_cmp(self, other: Self) -> Ordering;
     /// [`Datum::total_cmp`] against a recorded bound.
@@ -40,9 +35,6 @@ pub(crate) trait Value: Copy {
 }
 
 impl Value for i64 {
-    fn ndv_hash(self) -> u64 {
-        hash_int(self)
-    }
     fn total_cmp(self, other: Self) -> Ordering {
         self.cmp(&other)
     }
@@ -58,9 +50,6 @@ impl Value for i64 {
 }
 
 impl Value for f64 {
-    fn ndv_hash(self) -> u64 {
-        hash_float(self)
-    }
     fn total_cmp(self, other: Self) -> Ordering {
         f64::total_cmp(&self, &other)
     }
@@ -76,9 +65,6 @@ impl Value for f64 {
 }
 
 impl Value for bool {
-    fn ndv_hash(self) -> u64 {
-        hash_bool(self)
-    }
     fn total_cmp(self, other: Self) -> Ordering {
         self.cmp(&other)
     }
@@ -91,9 +77,6 @@ impl Value for bool {
 }
 
 impl Value for &str {
-    fn ndv_hash(self) -> u64 {
-        hash_str(self)
-    }
     fn total_cmp(self, other: Self) -> Ordering {
         // Byte-wise order: differing first bytes decide without a memcmp,
         // which is nearly every compare against a column's running bounds.
@@ -113,13 +96,12 @@ impl Value for &str {
     }
 }
 
-/// The order-independent statistics of some rows of one attribute: the NDV
-/// bitmap and the bounds of their non-null values.
+/// The order-independent statistics of some rows of one attribute: the
+/// bounds of their non-null values.
 #[derive(Debug, Clone)]
 pub struct ColumnSketch {
     pub(crate) min: Option<Datum>,
     pub(crate) max: Option<Datum>,
-    pub(crate) ndv: DistinctCounter,
 }
 
 impl ColumnSketch {
@@ -141,20 +123,16 @@ fn sketch<'a, T, V: Value>(
     from: usize,
     get: impl Fn(&'a T) -> V,
 ) -> ColumnSketch {
-    let mut ndv = DistinctCounter::default_size();
     let mut bounds: Option<(V, V)> = None;
-    let mut see = |v: V| {
-        ndv.add_hash(v.ndv_hash());
-        match &mut bounds {
-            Some((lo, hi)) => {
-                if v.total_cmp(*lo) == Ordering::Less {
-                    *lo = v;
-                } else if v.total_cmp(*hi) == Ordering::Greater {
-                    *hi = v;
-                }
+    let mut see = |v: V| match &mut bounds {
+        Some((lo, hi)) => {
+            if v.total_cmp(*lo) == Ordering::Less {
+                *lo = v;
+            } else if v.total_cmp(*hi) == Ordering::Greater {
+                *hi = v;
             }
-            None => bounds = Some((v, v)),
         }
+        None => bounds = Some((v, v)),
     };
     let rows = values.get(from..).unwrap_or_default();
     if nulls.any_null() {
@@ -169,7 +147,6 @@ fn sketch<'a, T, V: Value>(
     ColumnSketch {
         min: bounds.map(|(lo, _)| lo.datum()),
         max: bounds.map(|(_, hi)| hi.datum()),
-        ndv,
     }
 }
 
@@ -197,6 +174,5 @@ mod tests {
         assert_eq!(format!("{:?}", tail.min), "Some(Float(-3.5))");
         let none = ColumnSketch::build(&col, 5);
         assert!(none.min.is_none() && none.max.is_none());
-        assert_eq!(none.ndv.estimate(), 0.0);
     }
 }

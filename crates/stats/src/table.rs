@@ -17,9 +17,6 @@ use crate::sketch::ColumnSketch;
 #[derive(Debug, Default)]
 pub struct TableStats {
     attrs: HashMap<usize, AttrStats>,
-    /// Exact row count once any full scan has completed; before that, the
-    /// max rows_seen across attributes serves as a lower bound.
-    row_count: Option<u64>,
     /// Per-attribute observation frontier: rows `[0, frontier)` have already
     /// been counted into the accumulator. Scans skip rows below the
     /// frontier, so re-scans — and, crucially, concurrent scans whose side
@@ -44,8 +41,8 @@ impl TableStats {
             .or_insert_with(|| AttrStats::new(attr))
     }
 
-    /// Observe one value of `attr`: counted, and a non-null value bounded
-    /// and hashed. Does not move the observation frontier. The reference
+    /// Observe one value of `attr`: counted, and a non-null value bounded.
+    /// Does not move the observation frontier. The reference
     /// behaviour, row by row, of what a scan installs slice by slice
     /// through [`Self::absorb`].
     pub fn observe(&mut self, attr: usize, d: &Datum) {
@@ -60,7 +57,7 @@ impl TableStats {
     /// the frontier past them.
     ///
     /// Equal to [`Self::observe`] on each of those rows in row order: the
-    /// sketches' bits and bounds are merged (rows a sketch covers below the
+    /// sketches' bounds are merged (rows a sketch covers below the
     /// frontier were observed before, so they add nothing) and the rows are
     /// counted by popcount. A slice wholly below the frontier is a no-op,
     /// so absorbing a slice twice equals absorbing it once.
@@ -111,27 +108,10 @@ impl TableStats {
         v
     }
 
-    /// Record the exact row count after a complete scan.
-    pub fn set_row_count(&mut self, n: u64) {
-        self.row_count = Some(n);
-    }
-
-    /// Exact row count if known.
-    pub fn known_row_count(&self) -> Option<u64> {
-        self.row_count
-    }
-
     /// Reset everything (file replaced).
     pub fn clear(&mut self) {
         self.attrs.clear();
         self.observed.clear();
-        self.row_count = None;
-    }
-
-    /// File grew: the exact count is stale but per-attribute accumulators
-    /// stay valid for the prefix.
-    pub fn note_appended(&mut self) {
-        self.row_count = None;
     }
 
     /// Epoch quarantine: the backing file was truncated or rewritten, so
@@ -141,19 +121,15 @@ impl TableStats {
         self.clear();
     }
 
-    /// Export the full registry state for snapshotting: every accumulator,
-    /// the observation frontiers, and the exact row count when known.
+    /// Export the full registry state for snapshotting: every accumulator
+    /// and the observation frontiers.
     pub fn export_state(&self) -> TableStatsState {
         let mut attrs: Vec<AttrStatsState> =
             self.attrs.values().map(AttrStats::export_state).collect();
         attrs.sort_by_key(|a| a.attr);
         let mut observed: Vec<(usize, u64)> = self.observed.iter().map(|(&a, &f)| (a, f)).collect();
         observed.sort_unstable();
-        TableStatsState {
-            attrs,
-            observed,
-            row_count: self.row_count,
-        }
+        TableStatsState { attrs, observed }
     }
 
     /// Rebuild a registry from [`Self::export_state`]. Returns `None` when
@@ -170,32 +146,23 @@ impl TableStats {
         }
         Some(TableStats {
             attrs,
-            row_count: state.row_count,
             observed: state.observed.into_iter().collect(),
         })
     }
 }
 
-/// The planner's estimates. Equality and IN come from the NDV estimate,
-/// `IS [NOT] NULL` from the counts, and ranges from the observed bounds
-/// (`range_fraction`); a shape the statistics say nothing about, or an
-/// attribute no scan has observed, gets [`default_selectivity`].
+/// The planner's estimates. `IS [NOT] NULL` comes from the counts and a
+/// range from the observed bounds (`range_fraction`); equality, `<>`, IN,
+/// any other shape the statistics say nothing about, and an attribute no
+/// scan has observed get [`default_selectivity`].
 impl SelectivityEstimator for TableStats {
-    fn row_count(&self) -> Option<u64> {
-        self.row_count
-    }
-
     fn selectivity(&self, attr: usize, sketch: &PredicateSketch) -> f64 {
         let Some(stats) = self.attrs.get(&attr).filter(|s| s.rows_seen() > 0) else {
             return default_selectivity(sketch);
         };
         let null_frac = stats.null_fraction();
         let nonnull = 1.0 - null_frac;
-        let ndv = stats.ndv();
         match sketch {
-            PredicateSketch::Eq(_) => (nonnull / ndv).clamp(0.0, 1.0),
-            PredicateSketch::NotEq(_) => (nonnull * (1.0 - 1.0 / ndv)).clamp(0.0, 1.0),
-            PredicateSketch::InList(n) => ((nonnull / ndv) * *n as f64).clamp(0.0, 1.0),
             PredicateSketch::IsNull => null_frac,
             PredicateSketch::IsNotNull => nonnull,
             _ => range_fraction(stats, sketch).map_or_else(
@@ -245,8 +212,6 @@ pub struct TableStatsState {
     pub attrs: Vec<AttrStatsState>,
     /// `(attr, frontier)` observation frontiers, sorted by attribute.
     pub observed: Vec<(usize, u64)>,
-    /// Exact row count when a full scan has completed.
-    pub row_count: Option<u64>,
 }
 
 #[cfg(test)]
@@ -256,7 +221,7 @@ mod tests {
 
     /// Absorbing worker sketches slice by slice must leave exactly the
     /// state of the row-at-a-time `observe` replay it stands in for: rows
-    /// seen, NULLs, bounds, NDV words, frontier — and no accumulator at all
+    /// seen, NULLs, bounds, frontier — and no accumulator at all
     /// where nothing is left to observe. Covers every column type (floats
     /// with NaN and -0.0), NULL densities none / half / all, fixed and
     /// random slice cuts with the frontier inside a slice, a sketch over
@@ -273,7 +238,6 @@ mod tests {
             }
             match ty {
                 ColumnType::Int => Datum::Int(k as i64 - 5_000),
-                // Integral floats hash like the integer; the rest by bits.
                 ColumnType::Float => match k % 5 {
                     0 => Datum::Float((k % 50) as f64),
                     1 if k.is_multiple_of(3) => Datum::Float(f64::NAN),
@@ -291,8 +255,7 @@ mod tests {
             ColumnType::Bool,
             ColumnType::Str,
         ];
-        // Several NDV words and null-mask words (fewer under the
-        // interpreter).
+        // Several null-mask words (fewer under the interpreter).
         let total = if cfg!(miri) { 1_100 } else { 3_000 };
         let mut lcg = 0x2545_f491_4f6c_dd1du64;
         let mut random_cuts = || {
@@ -391,7 +354,6 @@ mod tests {
         for i in 0..n {
             a.observe(&Datum::Int(i));
         }
-        t.set_row_count(n as u64);
         t
     }
 
@@ -400,14 +362,37 @@ mod tests {
         let t = TableStats::default();
         let s = t.selectivity(5, &PredicateSketch::Eq(Datum::Int(1)));
         assert_eq!(s, defaults::EQ);
-        assert_eq!(t.row_count(), None);
     }
 
+    /// `=`, `<>` and IN on an observed attribute keep the defaults a
+    /// fresh table answers with, while `IS [NOT] NULL` and a range on the
+    /// same attribute read its counts and bounds.
     #[test]
-    fn eq_uses_ndv() {
-        let t = observed(1000);
-        let s = t.selectivity(0, &PredicateSketch::Eq(Datum::Int(5)));
-        assert!((s - 0.001).abs() < 0.0015, "eq sel = {s}");
+    fn equality_keeps_the_default_on_observed_attributes() {
+        let mut t = TableStats::default();
+        for i in 0..100 {
+            t.observe(
+                0,
+                &if i % 4 == 0 {
+                    Datum::Null
+                } else {
+                    Datum::Int(i)
+                },
+            );
+        }
+        for sk in [
+            PredicateSketch::Eq(Datum::Int(5)),
+            PredicateSketch::NotEq(Datum::Int(5)),
+            PredicateSketch::InList(1),
+            PredicateSketch::InList(7),
+        ] {
+            assert_eq!(t.selectivity(0, &sk), default_selectivity(&sk), "{sk:?}");
+        }
+        assert_eq!(t.selectivity(0, &PredicateSketch::IsNull), 0.25);
+        assert_eq!(t.selectivity(0, &PredicateSketch::IsNotNull), 0.75);
+        // Non-NULL values 1..=99: 49 of the 98 steps lie below 50.
+        let lt = t.selectivity(0, &PredicateSketch::Lt(Datum::Int(50)));
+        assert!((lt - 0.75 * 49.0 / 98.0).abs() < 1e-9, "lt sel = {lt}");
     }
 
     /// Ranges interpolate between the observed bounds, scaled by the
@@ -415,7 +400,6 @@ mod tests {
     #[test]
     fn range_interpolates_between_bounds() {
         let t = observed(1001); // 0..=1000
-        assert_eq!(t.row_count(), Some(1001));
         let sel = |sk: PredicateSketch| t.selectivity(0, &sk);
         assert!((sel(PredicateSketch::Lt(Datum::Int(250))) - 0.25).abs() < 1e-9);
         assert!((sel(PredicateSketch::Gt(Datum::Int(250))) - 0.75).abs() < 1e-9);
@@ -586,7 +570,6 @@ mod tests {
         }
         t.advance_observed(0, 500);
         t.advance_observed(4, 500);
-        t.set_row_count(500);
 
         let r = TableStats::from_state(t.export_state()).expect("consistent");
         assert_eq!(
@@ -594,7 +577,6 @@ mod tests {
             format!("{:?}", t.export_state())
         );
         assert_eq!(r.covered_attrs(), t.covered_attrs());
-        assert_eq!(r.known_row_count(), t.known_row_count());
         let sk = PredicateSketch::Lt(Datum::Int(100));
         assert_eq!(t.selectivity(0, &sk), r.selectivity(0, &sk));
     }

@@ -222,7 +222,6 @@ impl ConventionalDb {
             }
             rows += 1;
         }
-        stats.set_row_count(rows);
 
         let (storage, bytes_written) = match writer {
             W::Heap(w, page_size) => {

@@ -22,8 +22,8 @@ type Structures<'a> = (&'a PositionalMap, &'a RawCache, &'a TableStats);
 
 /// Assert that two sets of adaptive structures are identical: row index,
 /// positional-map coverage (when `chunks`), cache contents and bytes,
-/// statistics (every accumulator's full state — counts, bounds, NDV bitmap
-/// — and `observed_upto`).
+/// statistics (every accumulator's full state — counts and bounds — and
+/// `observed_upto`).
 fn assert_same_structures(
     tag: &str,
     a: Structures<'_>,
@@ -151,10 +151,7 @@ impl NaiveModel {
             cuts: BTreeSet::new(),
             cache: RawCache::new(cfg.cache_budget_bytes),
             stats: TableStats::default(),
-            map: PositionalMap::new(MapPolicy {
-                budget_bytes: cfg.map_budget_bytes,
-                trigger: cfg.combination_trigger,
-            }),
+            map: PositionalMap::new(MapPolicy::with_budget(cfg.map_budget_bytes)),
         }
     }
 
@@ -186,7 +183,6 @@ impl NaiveModel {
         (self.rows, self.len) = Self::read_rows(path, &self.types);
         self.row_count = None;
         self.map.note_appended();
-        self.stats.note_appended();
     }
 
     /// Index of the data row starting at byte `offset` (the row count when
@@ -268,7 +264,6 @@ impl NaiveModel {
         }
         self.row_count = Some(total);
         self.map.row_index_mut().mark_complete();
-        self.stats.set_row_count(total as u64);
         for &a in attrs {
             self.stats.advance_observed(a, total as u64);
         }

@@ -130,14 +130,15 @@ fn future_version_degrades_to_cold() {
 }
 
 /// Version skew the other way: a sidecar written by the previous format
-/// version (whose statistics carried a reservoir sample and a sampling
-/// stride) is refused by the same gate, and the table answers cold.
+/// version (whose statistics carried their own row count and an NDV
+/// bitmap per attribute) is refused by the same gate, and the table
+/// answers cold.
 #[test]
 fn previous_version_degrades_to_cold() {
     let (path, side, gen) = warmed_sidecar("oldversion");
     let mut bytes = std::fs::read(&side).unwrap();
     let previous = snapshot::FORMAT_VERSION - 1;
-    assert_eq!(previous, 4);
+    assert_eq!(previous, 5);
     bytes[8..12].copy_from_slice(&previous.to_le_bytes());
     std::fs::write(&side, &bytes).unwrap();
     assert_eq!(
@@ -149,9 +150,8 @@ fn previous_version_degrades_to_cold() {
 }
 
 /// A sidecar whose checksums are intact but whose statistics are
-/// impossible — more NULLs than rows seen, an NDV bitmap of the wrong
-/// size, an attribute listed twice — is refused as untrusted and the table
-/// answers cold.
+/// impossible — more NULLs than rows seen, an attribute listed twice — is
+/// refused as untrusted and the table answers cold.
 #[test]
 fn untrusted_statistics_degrade_to_cold() {
     let (path, side, gen) = warmed_sidecar("badstats");
@@ -161,15 +161,11 @@ fn untrusted_statistics_degrade_to_cold() {
         "the warm query built statistics"
     );
     type Corrupt = fn(&mut snapshot::TableSnapshot);
-    let cases: [(&str, Corrupt); 4] = [
+    let cases: [(&str, Corrupt); 2] = [
         ("nulls-above-rows", |s| {
             let a = &mut s.stats.attrs[0];
             a.nulls = a.rows_seen + 1;
         }),
-        ("ndv-words-short", |s| {
-            s.stats.attrs[0].ndv_words.pop();
-        }),
-        ("ndv-words-empty", |s| s.stats.attrs[0].ndv_words.clear()),
         ("duplicate-attr", |s| {
             let dup = s.stats.attrs[0].clone();
             s.stats.attrs.push(dup);
