@@ -245,6 +245,20 @@ impl Drop for ScanGrant {
 mod tests {
     use super::*;
 
+    /// Poll until `waiting` threads are queued on `b`: a waiter thread the
+    /// scheduler starves may take any time to get there. Panics after 10 s.
+    fn wait_until_queued(b: &ScanBudget, waiting: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while b.telemetry().waiting != waiting {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{waiting} waiter(s) never queued: {:?}",
+                b.telemetry()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn grants_at_most_available_and_at_least_one() {
         let b = Arc::new(ScanBudget::new(4));
@@ -273,7 +287,7 @@ mod tests {
             let g = b2.acquire(2, &ctx).unwrap();
             g.permits()
         });
-        std::thread::sleep(Duration::from_millis(20));
+        wait_until_queued(&b, 1);
         assert_eq!(b.telemetry().waiting, 1, "waiter queued");
         drop(g);
         assert_eq!(waiter.join().unwrap(), 2);
@@ -303,7 +317,7 @@ mod tests {
         let token = waiter_ctx.cancel_token();
         let b2 = Arc::clone(&b);
         let waiter = std::thread::spawn(move || b2.acquire(1, &waiter_ctx));
-        std::thread::sleep(Duration::from_millis(10));
+        wait_until_queued(&b, 1);
         token.cancel();
         let err = waiter.join().unwrap().unwrap_err();
         assert!(matches!(err, EngineError::Cancelled), "{err:?}");

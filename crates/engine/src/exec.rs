@@ -12,21 +12,36 @@
 //! DISTINCT, MIN/MAX over strings or booleans, SUM/AVG over non-numbers —
 //! go value by value through the scalar accumulator.
 //!
+//! `ORDER BY … LIMIT n` keeps a bounded top-n: a heap of the `n` best rows
+//! under (sort keys, arrival ordinal), so the answer is exactly the stable
+//! sort's prefix. Once the heap is full and the first key is a bare column
+//! that arrives typed, a threshold kernel reads that column once per batch
+//! against the **bound** — the first key of the heap's worst row — and
+//! selects, branch-free through the batch's selection, the rows whose key
+//! beats or ties it, with NULL the smallest key and floats under
+//! [`f64::total_cmp`]. Only those rows have their keys evaluated and
+//! compared; ~`n·ln(N/n)` of `N` rows enter. Before the heap fills, and for
+//! a computed first key, every row takes that row-at-a-time path. One
+//! comparator (`cmp_sort_keys`) orders the top-n, the unlimited sort and
+//! the sort of aggregate output.
+//!
 //! Kept deliberately boring — this is the part of the system the paper says
 //! should *not* change between PostgresRaw and a conventional DBMS ("the
 //! rest of the query plan, generated by the optimizer, works without any
 //! changes"). Every system wrapper in the experiment harness runs exactly
 //! this code; only the [`ScanSource`] differs.
 
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet};
 
+use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 use nodb_sqlparse::ast::AggFunc;
 
 use crate::batch::{Batch, BatchRow, Column};
 use crate::error::{EngineError, EngineResult};
-use crate::expr::RExpr;
+use crate::expr::{null_bit, RExpr};
 use crate::group::GroupTable;
 use crate::hash::hash_datum;
 use crate::planner::{AggCall, AggOutput, AggSpec, Pipeline, PlannedQuery};
@@ -137,49 +152,65 @@ struct Ranked<'a> {
 }
 
 impl Ranked<'_> {
-    fn rank(&self, keys: &[Datum], ordinal: usize) -> std::cmp::Ordering {
-        cmp_sort_keys(self.order, &self.keys, keys).then(self.ordinal.cmp(&ordinal))
+    fn rank(&self, keys: &[Datum], ordinal: usize) -> Ordering {
+        cmp_sort_keys(self.order, self.keys.iter().zip(keys)).then(self.ordinal.cmp(&ordinal))
     }
 }
 
 impl PartialEq for Ranked<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+        self.cmp(other) == Ordering::Equal
     }
 }
 
 impl Eq for Ranked<'_> {}
 
 impl PartialOrd for Ranked<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Ranked<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.rank(&other.keys, other.ordinal)
     }
 }
 
-/// Compare two rows' sort-key values (one per `ORDER BY` key, in key
-/// order) under the keys' directions — [`sort_rows`]'s order.
-fn cmp_sort_keys(order: &[(usize, bool)], a: &[Datum], b: &[Datum]) -> std::cmp::Ordering {
-    for (&(_, asc), (x, y)) in order.iter().zip(a.iter().zip(b)) {
+/// The one sort comparator: two rows' values of each `ORDER BY` key, paired
+/// in key order, compared under [`Datum::total_cmp`] and the key's
+/// direction. [`sort_rows`] pairs a row's values at each key's column, the
+/// top-n its evaluated key vectors.
+fn cmp_sort_keys<'d>(
+    order: &[(usize, bool)],
+    pairs: impl IntoIterator<Item = (&'d Datum, &'d Datum)>,
+) -> Ordering {
+    for (&(_, asc), (x, y)) in order.iter().zip(pairs) {
         let o = x.total_cmp(y);
-        if o != std::cmp::Ordering::Equal {
+        if o != Ordering::Equal {
             return if asc { o } else { o.reverse() };
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
 }
 
 /// `ORDER BY … LIMIT n` as a bounded top-n: the `n` best rows under
 /// (sort keys, arrival ordinal), in that order — exactly the first `n` rows
-/// of the stable [`sort_rows`], ties included. Each row's sort keys are
-/// evaluated first; its full projection only when it enters the top-n. The
-/// heap holds at most `min(n, rows seen)` rows, so a huge `n` reserves
-/// nothing it does not fill.
+/// of the stable [`sort_rows`], ties included. The heap holds at most
+/// `min(n, rows seen)` rows, so a huge `n` reserves nothing it does not
+/// fill.
+///
+/// A row is offered to the heap by evaluating its sort keys and comparing
+/// them, with its ordinal, to the worst kept row's; only a row that enters
+/// has its full projection built. Once the heap is full and the first key
+/// is a bare column that arrives typed, each batch first runs
+/// [`top_n_contenders`] against the worst kept row's first key, the
+/// **bound**: a row whose first key is worse than the bound cannot enter,
+/// so only the rows that beat or tie it are offered. The bound is taken
+/// once per batch; rows entering mid-batch only tighten the heap, and each
+/// contender still meets the full comparison. Until the heap is full, and
+/// for a computed first key or one that arrives as [`Column::Nulls`],
+/// every row is offered.
 fn run_top_n(
     pipeline: &Pipeline,
     source: &mut dyn ScanSource,
@@ -189,12 +220,30 @@ fn run_top_n(
     if n == 0 {
         return Ok(Vec::new());
     }
+    // The batch column and direction of a first key the kernel can read.
+    let first = order
+        .first()
+        .and_then(|&(col, asc)| match pipeline.projections[col] {
+            RExpr::Col(c) => Some((c, asc)),
+            _ => None,
+        });
     let mut heap: BinaryHeap<Ranked<'_>> =
         BinaryHeap::with_capacity(source.size_hint().unwrap_or(0).min(n).min(MAX_RESERVE_ROWS));
     let mut keys: Vec<Datum> = Vec::with_capacity(order.len());
+    let mut contenders: Vec<u32> = Vec::new();
     let mut ordinal = 0usize;
     while let Some(batch) = source.next_batch()? {
-        for r in 0..batch.rows() {
+        let bounded = match (first, heap.peek()) {
+            (Some((c, asc)), Some(worst)) if heap.len() == n => match batch.column(c) {
+                Column::Typed(tc) => {
+                    top_n_contenders(tc, batch.selection(), &worst.keys[0], asc, &mut contenders);
+                    true
+                }
+                Column::Nulls(_) => false,
+            },
+            _ => false,
+        };
+        let mut offer = |r: usize| {
             let row_ref = BatchRow::new(&batch, r);
             keys.clear();
             keys.extend(
@@ -204,33 +253,165 @@ fn run_top_n(
             );
             let full = heap.len() == n;
             // A later row that ties the worst kept one ranks after it.
-            if !full
-                || heap
+            if full
+                && !heap
                     .peek()
-                    .is_some_and(|worst| worst.rank(&keys, ordinal).is_gt())
+                    .is_some_and(|worst| worst.rank(&keys, ordinal + r).is_gt())
             {
-                let entry = Ranked {
-                    keys: std::mem::replace(&mut keys, Vec::with_capacity(order.len())),
-                    ordinal,
-                    row: pipeline
-                        .projections
-                        .iter()
-                        .map(|p| p.eval(&row_ref))
-                        .collect(),
-                    order,
-                };
-                if full {
-                    if let Some(mut worst) = heap.peek_mut() {
-                        *worst = entry;
-                    }
-                } else {
-                    heap.push(entry);
-                }
+                return;
             }
-            ordinal += 1;
+            let entry = Ranked {
+                keys: std::mem::replace(&mut keys, Vec::with_capacity(order.len())),
+                ordinal: ordinal + r,
+                row: pipeline
+                    .projections
+                    .iter()
+                    .map(|p| p.eval(&row_ref))
+                    .collect(),
+                order,
+            };
+            if full {
+                if let Some(mut worst) = heap.peek_mut() {
+                    *worst = entry;
+                }
+            } else {
+                heap.push(entry);
+            }
+        };
+        if bounded {
+            contenders.iter().for_each(|&r| offer(r as usize));
+        } else {
+            (0..batch.rows()).for_each(offer);
         }
+        ordinal += batch.rows();
     }
     Ok(heap.into_sorted_vec().into_iter().map(|e| e.row).collect())
+}
+
+/// The top-n threshold kernel: write to `out`, ascending, the logical rows
+/// of a batch whose first sort key — column `tc` read through the batch's
+/// selection `sel` — beats or ties `bound` under the key's direction (`asc`).
+/// Only these rows can enter a full top-n whose worst row's first key is
+/// `bound`; a tie goes on to the later keys and the ordinal.
+///
+/// Keys order as [`Datum::total_cmp`]: the column's type is matched against
+/// the bound's once per batch, floats compare under [`f64::total_cmp`] (an
+/// Int against a Float as `f64`), and a key of another type class orders
+/// the same way for every row. NULL is the smallest key, read from the
+/// bitmap words: under ASC it beats any non-NULL bound, under DESC it loses
+/// to one, and it ties a NULL bound. Each candidate is written and the
+/// output advanced by whether it is kept, as the predicate kernels write a
+/// selection.
+fn top_n_contenders(
+    tc: &TypedColumn,
+    sel: Option<&[u32]>,
+    bound: &Datum,
+    asc: bool,
+    out: &mut Vec<u32>,
+) {
+    let loses = if asc {
+        Ordering::Greater
+    } else {
+        Ordering::Less
+    };
+    let keeps = |o: Ordering| o != loses;
+    let null_keeps = keeps(Datum::Null.total_cmp(bound));
+    let (phys, nulls) = (tc.len(), tc.nulls());
+    use TypedColumn::{Bool, Float, Int, Str};
+    match (tc, bound) {
+        (Int { values, .. }, Datum::Int(k)) => {
+            contenders(phys, nulls, sel, null_keeps, out, |p| {
+                keeps(values[p].cmp(k))
+            });
+        }
+        (Int { values, .. }, Datum::Float(k)) => {
+            contenders(phys, nulls, sel, null_keeps, out, |p| {
+                keeps((values[p] as f64).total_cmp(k))
+            });
+        }
+        (Float { values, .. }, Datum::Float(k)) => {
+            contenders(phys, nulls, sel, null_keeps, out, |p| {
+                keeps(values[p].total_cmp(k))
+            });
+        }
+        (Float { values, .. }, &Datum::Int(k)) => {
+            let k = k as f64;
+            contenders(phys, nulls, sel, null_keeps, out, |p| {
+                keeps(values[p].total_cmp(&k))
+            });
+        }
+        (Str { values, .. }, Datum::Str(k)) => {
+            contenders(phys, nulls, sel, null_keeps, out, |p| {
+                keeps(values[p].cmp(k))
+            });
+        }
+        (Bool { values, .. }, Datum::Bool(k)) => {
+            contenders(phys, nulls, sel, null_keeps, out, |p| {
+                keeps(values[p].cmp(k))
+            });
+        }
+        // A NULL bound or one of another type class: every non-NULL key
+        // orders against it as any value of the column's type does.
+        _ => {
+            let any = match tc {
+                Int { .. } => Datum::Int(0),
+                Float { .. } => Datum::Float(0.0),
+                Str { .. } => Datum::from(""),
+                Bool { .. } => Datum::Bool(false),
+            };
+            let kept = keeps(any.total_cmp(bound));
+            contenders(phys, nulls, sel, null_keeps, out, |_| kept);
+        }
+    }
+}
+
+/// [`top_n_contenders`]' loop over a column of `phys` physical rows:
+/// logical row `r` is physical row `sel[r]` (`r` without a selection) and
+/// is kept when `keeps(p)` holds for its physical row `p`, or `null_keeps`
+/// for a NULL row. A column without NULLs tests no bit.
+#[inline(always)]
+fn contenders(
+    phys: usize,
+    nulls: &NullMask,
+    sel: Option<&[u32]>,
+    null_keeps: bool,
+    out: &mut Vec<u32>,
+    keeps: impl Fn(usize) -> bool,
+) {
+    if nulls.any_null() {
+        let words = nulls.words();
+        write_kept(phys, sel, out, |p| {
+            let null = null_bit(words, p);
+            keeps(p) & !null | null & null_keeps
+        });
+    } else {
+        write_kept(phys, sel, out, keeps);
+    }
+}
+
+/// Write the logical rows whose physical row passes `keep` to `out`:
+/// every candidate is written and the length advances by `keep as usize`.
+#[inline(always)]
+fn write_kept(phys: usize, sel: Option<&[u32]>, out: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+    let rows = sel.map_or(phys, <[u32]>::len);
+    out.clear();
+    out.resize(rows, 0);
+    let mut n = 0;
+    match sel {
+        Some(s) => {
+            for (r, &p) in s.iter().enumerate() {
+                out[n] = r as u32;
+                n += usize::from(keep(p as usize));
+            }
+        }
+        None => {
+            for p in 0..rows {
+                out[n] = p as u32;
+                n += usize::from(keep(p));
+            }
+        }
+    }
+    out.truncate(n);
 }
 
 /// Accumulator for one aggregate call within one group (group 0 of a
@@ -328,8 +509,8 @@ impl AggState {
     #[inline]
     fn extreme(&mut self, d: &Datum) {
         let (cur, beats) = match self {
-            AggState::Min(cur) => (cur, std::cmp::Ordering::Less),
-            AggState::Max(cur) => (cur, std::cmp::Ordering::Greater),
+            AggState::Min(cur) => (cur, Ordering::Less),
+            AggState::Max(cur) => (cur, Ordering::Greater),
             _ => return,
         };
         if cur.as_ref().is_none_or(|c| d.total_cmp(c) == beats) {
@@ -452,9 +633,9 @@ impl<T: Num, const MAX: bool> Fold<T> for Extreme<T, MAX> {
     #[inline]
     fn fold(&mut self, v: T) {
         let beats = if MAX {
-            std::cmp::Ordering::Greater
+            Ordering::Greater
         } else {
-            std::cmp::Ordering::Less
+            Ordering::Less
         };
         if self.0.is_none_or(|b| v.total_cmp(&b) == beats) {
             self.0 = Some(v);
@@ -466,7 +647,7 @@ impl<T: Num, const MAX: bool> Fold<T> for Extreme<T, MAX> {
 trait Num: Copy + Into<Datum> {
     fn to_f64(self) -> f64;
     /// [`Datum::total_cmp`] between two values of this type.
-    fn total_cmp(&self, other: &Self) -> std::cmp::Ordering;
+    fn total_cmp(&self, other: &Self) -> Ordering;
 }
 
 impl Num for i64 {
@@ -474,7 +655,7 @@ impl Num for i64 {
         self as f64
     }
 
-    fn total_cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn total_cmp(&self, other: &Self) -> Ordering {
         self.cmp(other)
     }
 }
@@ -484,7 +665,7 @@ impl Num for f64 {
         self
     }
 
-    fn total_cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn total_cmp(&self, other: &Self) -> Ordering {
         f64::total_cmp(self, other)
     }
 }
@@ -711,15 +892,7 @@ fn fold_typed(
 /// Sort rows by the given (column, ascending) keys; NULLs sort first on
 /// ascending keys (matching [`Datum::total_cmp`]).
 pub fn sort_rows(rows: &mut [Vec<Datum>], keys: &[(usize, bool)]) {
-    rows.sort_by(|a, b| {
-        for &(col, asc) in keys {
-            let o = a[col].total_cmp(&b[col]);
-            if o != std::cmp::Ordering::Equal {
-                return if asc { o } else { o.reverse() };
-            }
-        }
-        std::cmp::Ordering::Equal
-    });
+    rows.sort_by(|a, b| cmp_sort_keys(keys, keys.iter().map(|&(col, _)| (&a[col], &b[col]))));
 }
 
 #[cfg(test)]
@@ -1291,6 +1464,261 @@ mod tests {
             let len = all.rows.len() as u64;
             assert!(len > 2, "{sql}");
             for n in [0, 1, len - 1, len, len + 1, u64::MAX] {
+                let limited = run(sql, Some(n));
+                let mut expect = all.rows.clone();
+                expect.truncate(usize::try_from(n).unwrap_or(usize::MAX));
+                assert_eq!(limited.columns, all.columns, "{sql} LIMIT {n}");
+                assert_eq!(
+                    format!("{:?}", limited.rows),
+                    format!("{expect:?}"),
+                    "{sql} LIMIT {n}"
+                );
+            }
+        }
+    }
+
+    /// The threshold kernel keeps exactly the rows whose first key does not
+    /// lose to the bound under [`Datum::total_cmp`] and the key's direction:
+    /// each column type (with and without NULLs) against a bound of every
+    /// type, NULL included — NaN of both signs, ±0.0, an Int bound over a
+    /// Float column and the reverse — under ASC and DESC, dense and through
+    /// a selection.
+    #[test]
+    fn top_n_contenders_keep_the_rows_that_beat_or_tie_the_bound() {
+        let columns: [(ColumnType, Vec<Datum>); 4] = [
+            (
+                ColumnType::Int,
+                [-3, 0, 1, 2, i64::MAX, i64::MIN, 1]
+                    .map(Datum::Int)
+                    .to_vec(),
+            ),
+            (
+                ColumnType::Float,
+                [f64::NAN, -f64::NAN, -0.0, 0.0, 1.0, 1.5, f64::NEG_INFINITY]
+                    .map(Datum::Float)
+                    .to_vec(),
+            ),
+            (
+                ColumnType::Str,
+                ["", "a", "b", "ba", "a"].map(Datum::from).to_vec(),
+            ),
+            (
+                ColumnType::Bool,
+                [true, false, true].map(Datum::Bool).to_vec(),
+            ),
+        ];
+        let bounds = [
+            Datum::Null,
+            Datum::Int(0),
+            Datum::Int(1),
+            Datum::Int(-4),
+            Datum::Float(f64::NAN),
+            Datum::Float(-f64::NAN),
+            Datum::Float(-0.0),
+            Datum::Float(0.0),
+            Datum::Float(1.0),
+            Datum::from(""),
+            Datum::from("b"),
+            Datum::Bool(false),
+            Datum::Bool(true),
+        ];
+        let rows = if cfg!(miri) { 70 } else { 150 }; // crosses a bitmap word
+        let sparse: Vec<u32> = (0..rows as u32).filter(|p| p % 3 != 1).collect();
+        let mut out = Vec::new();
+        for (ty, vals) in &columns {
+            for null_every in [0usize, 4] {
+                let mut tc = TypedColumn::new(*ty);
+                for p in 0..rows {
+                    if null_every != 0 && p % null_every == 1 {
+                        tc.push_null();
+                    } else {
+                        tc.push(&vals[p % vals.len()]);
+                    }
+                }
+                for bound in &bounds {
+                    for asc in [true, false] {
+                        for sel in [None, Some(&sparse[..])] {
+                            top_n_contenders(&tc, sel, bound, asc, &mut out);
+                            let loses = if asc {
+                                Ordering::Greater
+                            } else {
+                                Ordering::Less
+                            };
+                            let logical = sel.map_or(rows, <[u32]>::len);
+                            let want: Vec<u32> = (0..logical as u32)
+                                .filter(|&r| {
+                                    let p = sel.map_or(r, |s| s[r as usize]) as usize;
+                                    let key = tc.datum(p).unwrap_or(Datum::Null);
+                                    key.total_cmp(bound) != loses
+                                })
+                                .collect();
+                            let tag = format!(
+                                "{ty:?} nulls {null_every} bound {bound:?} asc {asc} sel {}",
+                                sel.is_some()
+                            );
+                            assert_eq!(out, want, "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The top-n with its threshold kernel equals the unlimited query's
+    /// stable sort truncated to `n` over the same batches, compared by
+    /// `Debug` text. Batches carry selections over junk rows; first keys of
+    /// each type, NULL-heavy ones (so the heap's bound is NULL under ASC and
+    /// DESC), an all-equal key where the ordinal decides, a key typed Int in
+    /// some batches and Float in others, a key that one batch delivers as
+    /// [`Column::Nulls`], a computed first key before a typed one, and a
+    /// first key over a hidden sort column.
+    #[test]
+    fn top_n_kernel_equals_stable_sort_then_truncate() {
+        let names = ["id", "ki", "kf", "ks", "kb", "kc", "kn", "m"];
+        let types = [
+            ColumnType::Int,
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Str,
+            ColumnType::Bool,
+            ColumnType::Int,
+            ColumnType::Int,
+            ColumnType::Int, // Float in odd batches
+        ];
+        let schema = Schema::new(
+            names
+                .iter()
+                .zip(types)
+                .map(|(n, t)| ColumnDef::new(*n, t))
+                .collect(),
+        );
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut pick = |n: usize| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (x >> 33) as usize % n
+        };
+        let floats = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.5, -2.5, f64::INFINITY];
+        let strs = ["", "a", "ab", "b", "abc"];
+        let mut id = 0i64;
+        let mut row = |batch: usize| -> Vec<Datum> {
+            id += 1;
+            let null_or = |d: Datum, pick: &mut dyn FnMut(usize) -> usize| {
+                if pick(8) == 0 {
+                    Datum::Null
+                } else {
+                    d
+                }
+            };
+            let m = if batch.is_multiple_of(2) {
+                Datum::Int(pick(5) as i64 - 2)
+            } else {
+                Datum::Float([-0.0, 0.0, 1.0, 2.5, -1.5][pick(5)])
+            };
+            vec![
+                Datum::Int(id),
+                null_or(Datum::Int(pick(9) as i64 - 4), &mut pick),
+                null_or(Datum::Float(floats[pick(floats.len())]), &mut pick),
+                null_or(Datum::from(strs[pick(strs.len())]), &mut pick),
+                null_or(Datum::Bool(pick(2) == 0), &mut pick),
+                Datum::Int(7),
+                if pick(50) == 0 {
+                    Datum::Int(pick(4) as i64)
+                } else {
+                    Datum::Null
+                },
+                m,
+            ]
+        };
+        // (logical rows, behind a selection over junk rows?)
+        let shapes: &[(usize, bool)] = if cfg!(miri) {
+            &[(9, false), (0, true), (12, true), (7, false), (10, true)]
+        } else {
+            &[
+                (300, false),
+                (0, true),
+                (700, true),
+                (1, true),
+                (1024, false),
+                (999, true),
+                (0, false),
+                (450, true),
+            ]
+        };
+        type Rows = Vec<Vec<Datum>>;
+        let data: Vec<(Rows, Option<Vec<u32>>)> = shapes
+            .iter()
+            .enumerate()
+            .map(|(b, &(n, selected))| {
+                let logical: Rows = (0..n).map(|_| row(b)).collect();
+                if !selected {
+                    return (logical, None);
+                }
+                let mut phys = Vec::new();
+                for r in logical {
+                    phys.push(row(b));
+                    phys.push(r);
+                }
+                phys.push(row(b));
+                (phys, Some((0..n as u32).map(|i| 2 * i + 1).collect()))
+            })
+            .collect();
+        let total: usize = shapes.iter().map(|&(n, _)| n).sum();
+        let batches = |attrs: &[usize]| -> std::collections::VecDeque<Batch> {
+            data.iter()
+                .enumerate()
+                .map(|(b, (rows, sel))| {
+                    let cols = attrs
+                        .iter()
+                        .map(|&a| {
+                            // One batch delivers `kb` as an all-NULL column.
+                            if names[a] == "kb" && b == 5 {
+                                return Column::Nulls(rows.len());
+                            }
+                            let ty = match (names[a], b % 2) {
+                                ("m", 1) => ColumnType::Float,
+                                _ => types[a],
+                            };
+                            let mut tc = TypedColumn::new(ty);
+                            rows.iter().for_each(|r| tc.push(&r[a]));
+                            Column::Typed(tc)
+                        })
+                        .collect();
+                    Batch::from_parts(cols, sel.clone())
+                })
+                .collect()
+        };
+        let queries = [
+            "SELECT id, ki FROM t ORDER BY ki",
+            "SELECT id, ki FROM t ORDER BY ki DESC",
+            "SELECT id, kf FROM t ORDER BY kf",
+            "SELECT id, kf FROM t ORDER BY kf DESC, ki",
+            "SELECT id, ks FROM t ORDER BY ks",
+            "SELECT id, ks, kf FROM t ORDER BY ks DESC, kf DESC",
+            "SELECT id, kb FROM t ORDER BY kb, kf DESC",
+            "SELECT id, kb FROM t ORDER BY kb DESC",
+            "SELECT id FROM t ORDER BY kc",
+            "SELECT id, kb FROM t ORDER BY kc DESC, kb",
+            "SELECT id, kn FROM t ORDER BY kn",
+            "SELECT id, kn FROM t ORDER BY kn DESC",
+            "SELECT id, m FROM t ORDER BY m",
+            "SELECT id, m FROM t ORDER BY m DESC, ks",
+            "SELECT id, ks FROM t ORDER BY ki * 2 DESC, kf",
+            "SELECT id FROM t ORDER BY ks DESC, id",
+            "SELECT id, ki FROM t ORDER BY kf DESC",
+        ];
+        let run = |sql: &str, limit: Option<u64>| {
+            let mut planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
+            planned.pipeline.limit = limit;
+            let source = crate::source::QueueSource::new(batches(&planned.scan.attrs));
+            execute(&planned, Box::new(source)).unwrap()
+        };
+        for sql in queries {
+            let all = run(sql, None);
+            assert_eq!(all.rows.len(), total, "{sql}");
+            let len = total as u64;
+            for n in [0, 1, 5, 37, 700, len - 1, len, len + 1, u64::MAX] {
                 let limited = run(sql, Some(n));
                 let mut expect = all.rows.clone();
                 expect.truncate(usize::try_from(n).unwrap_or(usize::MAX));

@@ -609,7 +609,7 @@ fn is_null(view: &ColView<'_>, negated: bool, rows: usize, sel: &mut Option<Vec<
 
 /// Whether backing row `p` is NULL, from its bitmap word.
 #[inline(always)]
-fn null_bit(words: &[u64], p: usize) -> bool {
+pub(crate) fn null_bit(words: &[u64], p: usize) -> bool {
     words[p / 64] >> (p % 64) & 1 == 1
 }
 

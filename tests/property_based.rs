@@ -1054,6 +1054,172 @@ fn limit_pushdown_returns_the_unlimited_prefix() {
     }
 }
 
+/// `ORDER BY cX [DESC], c0 [DESC] LIMIT n` answers with the loaded
+/// DBMS's sorted prefix — its unlimited `ORDER BY` truncated to `n`, which
+/// is also its own `LIMIT n` answer — for a first key of each type (a
+/// skewed nullable int with many ties, a nullable float that prints
+/// `-0.0000`, a nullable string, a nullable bool, and an int that is NULL
+/// in 90 % of the rows, so the top-n's bound is NULL), in both directions,
+/// with and without a predicate that leaves selections in the warm batches.
+/// Every table state of `limit_pushdown_returns_the_unlimited_prefix`
+/// (cold, warm, partially cached, map off, quoted with a header) at 1, 4
+/// and 8 scan threads; the limits straddle `BATCH_SIZE` (1024) and exceed
+/// the row count.
+#[test]
+fn order_by_limit_equals_the_loaded_dbms() {
+    use nodb_repro::rawcsv::ColumnGenSpec;
+    use nodb_repro::storage::{ConventionalDb, DbProfile};
+    let mut rng = CaseRng::new(0x0B11);
+    for case in 0..stress_factor() {
+        let rows = 2_500 + rng.below(1_000);
+        let nullable = |fraction: f64, mut c: ColumnGenSpec| {
+            c.null_fraction = fraction;
+            c
+        };
+        let gen = GeneratorConfig {
+            columns: vec![
+                ColumnGenSpec::new("c0", ValueDistribution::IntSequential { start: 0 }),
+                nullable(
+                    0.1,
+                    ColumnGenSpec::new("c1", ValueDistribution::IntZipf { n: 40, s: 1.0 }),
+                ),
+                nullable(
+                    0.1,
+                    ColumnGenSpec::new(
+                        "c2",
+                        ValueDistribution::FloatUniform {
+                            min: -0.001,
+                            max: 0.001,
+                        },
+                    ),
+                ),
+                nullable(
+                    0.1,
+                    ColumnGenSpec::new("c3", ValueDistribution::StrVar { min: 1, max: 3 }),
+                ),
+                nullable(
+                    0.1,
+                    ColumnGenSpec::new("c4", ValueDistribution::BoolBernoulli { p: 0.5 }),
+                ),
+                nullable(
+                    0.9,
+                    ColumnGenSpec::new("c5", ValueDistribution::IntUniform { min: 0, max: 9 }),
+                ),
+            ],
+            rows,
+            delimiter: b',',
+            header: false,
+            seed: rng.below(1_000),
+        };
+        let path = scratch("order_limit", case);
+        gen.generate_file(&path).unwrap();
+        // The same values behind a header, with each string quoted.
+        let quoted_path = scratch("order_limit_quoted", case);
+        let mut quoted = String::from("c0,c1,c2,c3,c4,c5\n");
+        for line in std::fs::read_to_string(&path).unwrap().lines() {
+            let mut f: Vec<String> = line.split(',').map(str::to_owned).collect();
+            if !f[3].is_empty() {
+                f[3] = format!("\"{}\"", f[3]);
+            }
+            quoted.push_str(&f.join(","));
+            quoted.push('\n');
+        }
+        std::fs::write(&quoted_path, quoted).unwrap();
+        let quote = TokenizerConfig {
+            delimiter: b',',
+            quote: Some(b'"'),
+        };
+        let store = scratch("order_limit_store", case);
+        std::fs::create_dir_all(&store).unwrap();
+        let mut loaded = ConventionalDb::new(DbProfile::DbmsXLike, &store);
+        loaded
+            .load_csv("t", &path, gen.schema(), false, &[])
+            .unwrap();
+        let register = |cfg: NoDbConfig, quoted: bool| {
+            let mut db = NoDb::new(cfg);
+            if quoted {
+                db.register_csv_with_options("t", &quoted_path, gen.schema(), true, quote)
+                    .unwrap();
+            } else {
+                db.register_csv_with_schema("t", &path, gen.schema(), false)
+                    .unwrap();
+            }
+            db
+        };
+        let tight = (rows * 8) as usize;
+        // (label, config, warmed by the unlimited query first, quoted file)
+        let states: [(&str, NoDbConfig, bool, bool); 5] = [
+            ("cold", NoDbConfig::pm_c(), false, false),
+            ("warm", NoDbConfig::pm_c(), true, false),
+            (
+                "partially cached",
+                NoDbConfig {
+                    cache_budget_bytes: tight,
+                    ..NoDbConfig::pm_c()
+                },
+                true,
+                false,
+            ),
+            (
+                "map off",
+                NoDbConfig {
+                    cache_budget_bytes: tight,
+                    ..NoDbConfig::cache_only()
+                },
+                true,
+                false,
+            ),
+            ("quoted with header", NoDbConfig::pm_c(), false, true),
+        ];
+        for (i, key) in ["c1", "c2", "c3", "c4", "c5"].iter().enumerate() {
+            for (j, dir) in ["", " DESC"].iter().enumerate() {
+                let pred = if (i + j) % 2 == 0 {
+                    ""
+                } else {
+                    " WHERE c0 % 3 <> 1"
+                };
+                // Under `c0 DESC` a later row that ties the first key beats
+                // the earlier ones.
+                let tie_break = if i % 2 == 0 { " DESC" } else { "" };
+                let unlimited =
+                    format!("SELECT c0, {key} FROM t{pred} ORDER BY {key}{dir}, c0{tie_break}");
+                let sorted = loaded.query(&unlimited).unwrap();
+                assert!(sorted.rows.len() > 1_024, "case {case}: {unlimited}");
+                for n in [1, 100, 1_024, 1_025, rows + 5] {
+                    let sql = format!("{unlimited} LIMIT {n}");
+                    let want = &sorted.rows[..sorted.rows.len().min(n as usize)];
+                    assert_eq!(
+                        loaded.query(&sql).unwrap().rows,
+                        want,
+                        "case {case}: loaded {sql}"
+                    );
+                    for &(label, base, warm, quoted) in &states {
+                        for threads in [1usize, 4, 8] {
+                            let tag = format!("case {case} {label} threads {threads}: {sql}");
+                            let db = register(
+                                NoDbConfig {
+                                    scan_threads: threads,
+                                    ..base
+                                },
+                                quoted,
+                            );
+                            if warm {
+                                db.query(&unlimited).unwrap();
+                            }
+                            let got = db.query(&sql).unwrap();
+                            assert_eq!(got.columns, sorted.columns, "{tag}");
+                            assert_eq!(got.rows, want, "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(store).ok();
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(quoted_path).ok();
+    }
+}
+
 /// What a bare LIMIT installs is the prefix an unlimited scan continues
 /// from: a cold LIMIT query followed by the unlimited one leaves the state
 /// one row-at-a-time pass of the unlimited query alone leaves (ample
