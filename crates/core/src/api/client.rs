@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nodb_engine::{execute, plan_select, EngineError, EngineResult, QueryResult, QueueSource};
+use nodb_engine::{execute, plan_select, EngineError, EngineResult, QueryResult};
 use nodb_rawcsv::tokenizer::TokenizerConfig;
 use nodb_rawcsv::{infer, Schema};
 use nodb_sqlparse::parse_select;
@@ -398,8 +398,11 @@ impl NoDb {
             }
 
             // Engine (pipeline-above-the-scan) time, measured around the
-            // execute call: the scan has fully staged its batches by then,
-            // so the report separates scan work from engine work exactly.
+            // execute call. A raw scan has staged its batches by then; a
+            // fully-cached one streams lazily inside the call and times
+            // itself (`ScanTelemetry::cached_stream`), and that time is
+            // charged out of the engine's slice below, so the report
+            // separates scan work from engine work either way.
             let mut engine_elapsed = Duration::ZERO;
             let mut source_retries = config.source_change_retries;
             let mut source_changes = 0u64;
@@ -409,9 +412,11 @@ impl NoDb {
                     break Err(e);
                 }
                 // One scan: it prepares and reads under the planning guard;
-                // a raw scan then installs under a fresh write lock. Every
-                // exit leaves the table unlocked, so the `SourceChanged`
-                // handler below can re-acquire it.
+                // a fully-cached one executes under it too, a raw scan
+                // installs under a fresh write lock and executes under no
+                // lock. The engine takes no table lock. Every exit leaves
+                // the table unlocked, so the `SourceChanged` handler below
+                // can re-acquire it.
                 let e = match rawscan::scan_shared(
                     &handle,
                     guard,
@@ -420,11 +425,13 @@ impl NoDb {
                     &telemetry,
                     ctx.clone(),
                     &mut lock_wait,
-                ) {
-                    Ok(queue) => {
+                    |source| {
                         let t = Instant::now();
-                        let r = execute(&planned, Box::new(QueueSource::new(queue)));
-                        engine_elapsed = t.elapsed();
+                        (execute(&planned, source), t.elapsed())
+                    },
+                ) {
+                    Ok((r, elapsed)) => {
+                        engine_elapsed = elapsed;
                         break r;
                     }
                     Err(e) => e,
@@ -475,7 +482,7 @@ impl NoDb {
             + breakdown.parsing
             + breakdown.convert
             + breakdown.nodb;
-        breakdown.engine = engine_elapsed;
+        breakdown.engine = engine_elapsed.saturating_sub(tel.cached_stream);
         breakdown.planning = planning;
         // Processing = everything not attributed to a scan phase, the
         // engine pipeline or planning. The admission and lock waits are
@@ -940,6 +947,33 @@ mod tests {
                 "stats c{attr}"
             );
         }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A fully-cached query's stream — the predicate kernel over the cache
+    /// windows — runs inside the engine's call, but its time is charged to
+    /// `processing`, where a scan's time outside every phase slice goes, not
+    /// to `engine`: a `COUNT(*)` whose work is almost all kernel reports
+    /// less engine time than processing.
+    #[test]
+    fn cached_stream_time_stays_in_processing() {
+        let (p, gen) = tmp_csv(4, 120_000, 41);
+        let mut db = NoDb::new(NoDbConfig::default());
+        db.register_csv_with_schema("t", &p, gen.schema(), false)
+            .unwrap();
+        let sql = "SELECT COUNT(*) FROM t WHERE c3 < 500000000";
+        db.query(sql).unwrap();
+        let (mut engine, mut processing) = (Duration::ZERO, Duration::ZERO);
+        for _ in 0..5 {
+            let (_, rep) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+            assert!(rep.fully_cached && rep.rows_scanned == 120_000, "{rep:?}");
+            engine += rep.breakdown.engine;
+            processing += rep.breakdown.processing;
+        }
+        assert!(
+            engine < processing,
+            "engine {engine:?}, processing {processing:?}"
+        );
         std::fs::remove_file(p).unwrap();
     }
 

@@ -33,17 +33,19 @@ pub struct Breakdown {
     /// [`Self::total`] leaves it out; `nodb - install` is the worker side.
     pub install: Duration,
     /// The engine pipeline above the scan: projection / aggregation /
-    /// sort / limit over the staged batches. Measured around the engine
-    /// `execute` call, which only ever runs over fully staged batches, so
-    /// "scan time" and "engine time" separate exactly in the panel (the
-    /// vectorized warm path shrinks this slice).
+    /// sort / limit over the scan's batches. Measured around the engine
+    /// `execute` call. A raw scan has staged its batches by then; a
+    /// fully-cached scan streams inside the call, and its stream's own
+    /// time is taken off this slice (it stays in `processing`), so "scan
+    /// time" and "engine time" separate in the panel either way.
     pub engine: Duration,
     /// Parsing the SQL text and planning the statement. Exactly zero when
     /// the query was served from the prepared-statement cache — the slice
     /// a prepared hit deletes.
     pub planning: Duration,
     /// Everything not attributed elsewhere: admission waits, lock waits,
-    /// report assembly.
+    /// report assembly, and a fully-cached scan's stream (the predicate
+    /// kernel over the cache windows).
     pub processing: Duration,
     /// The part of `processing` spent waiting for scan-thread permits
     /// (`ScanBudget::acquire`). A sub-slice like [`Self::install`]:

@@ -14,17 +14,20 @@
 //! 5. evaluates the pushed predicate *before* materializing the tuple
 //!    (**selective tuple formation** — tuples "are only created after the
 //!    select operator"): resolved values land in typed columns, and one
-//!    function, `segment_batch`, runs the predicate over a segment of
-//!    them as a columnar kernel and copies out only the surviving rows of
-//!    the materialized positions — the same function whether the columns
+//!    function, `filter_segment`, runs the predicate over a segment of
+//!    them as a columnar kernel — the same function whether the columns
 //!    are a raw slice's fresh partials or the cache's own, so cold, warm
-//!    and cached answers are equal by construction;
+//!    and cached answers are equal by construction. A raw scan's batches
+//!    (`segment_batch`) copy out only the surviving rows of the
+//!    materialized positions; a fully-cached stream's (`window_batch`)
+//!    copy nothing and lend the engine the cache's columns in place;
 //! 6. as side effects, populates the positional map, cache and statistics
 //!    (§3.1–3.3) and the shared row index.
 //!
 //! When the cache covers every requested attribute for every known row, the
 //! scan never opens the file at all — the paper's "eliminating the need to
-//! access hot raw data via caching".
+//! access hot raw data via caching" — and copies no value either: the
+//! engine reads the cache's columns where they lie (`CachedStream`).
 //!
 //! # Threading model
 //!
@@ -74,7 +77,8 @@
 //! the *same* table at once. A query that finds the file unchanged plans
 //! and scans under one **read** guard; the write lock is taken only to
 //! reconcile a file change or to install what a raw scan staged, never for
-//! data access. `scan_shared` runs a scan in up to three phases:
+//! data access. `scan_shared` runs a scan in up to three phases and then
+//! hands the engine its source:
 //!
 //! 1. **Prepare** (`prepare_scan`, read lock) — access planning (LRU
 //!    touches, cache query tick) and coverage snapshots (cache coverage,
@@ -84,21 +88,28 @@
 //!    access counts, hit tallies — is atomic, and a stamp only moves
 //!    forward, so concurrent queries leave the stamps a serial replay in
 //!    tick order leaves.
-//! 2. **Data** (`scan_data`, the same read guard) — no writer can land
+//! 2. **Data** (`run_partitions`, the same read guard) — no writer can land
 //!    between prepare and data, so the `ScanPrep` is exact for the data it
 //!    reads: same generation, every planned cache column still resident.
-//!    `run_partitions` plans the slices from the row index as it stands,
+//!    It plans the slices from the row index as it stands,
 //!    then its workers borrow the map/cache/schema immutably and stage
 //!    everything in partition-local partials, statistics sketches included,
 //!    and the source epoch is re-validated (`revalidate_epoch`) before
-//!    anything is handed on. A fully-cached query streams straight off the
-//!    cache columns and records its hits under the same guard: it is done
-//!    here and never asks for the write lock. Any number of queries can be
-//!    in this phase simultaneously.
+//!    anything is handed on. A fully-cached query has no data phase of its
+//!    own: the engine **executes under the same guard**, pulling from a lazy
+//!    source (`CachedStream`) that runs the predicate kernel one
+//!    `BATCH_SIZE`-row window at a time and yields batches whose columns
+//!    borrow that window of the cache's columns, with the selection
+//!    attached. It records its hits under the guard and never asks for the
+//!    write lock. Any number of queries can be in this phase
+//!    simultaneously. While the guard is held nothing takes a table lock
+//!    again — a recursive read would deadlock behind a queued writer — so
+//!    the stream's bookkeeping is atomics and the telemetry mutex only.
 //! 3. **Install** (`scan_install` → `merge_outputs`, write lock; raw scans
 //!    only) — the read guard is released, and staged partials are
 //!    installed under a short write lock; the result batches are not
-//!    touched until that lock is released. The merge is *frontier-based*
+//!    touched until that lock is released, and the engine runs over them
+//!    (`QueueSource`) with no table lock held. The merge is *frontier-based*
 //!    and therefore idempotent under interleaving: the row index skips
 //!    known rows, chunk installs go through subsumption, cache admission
 //!    resumes at the cache's *current* coverage, and statistics observe
@@ -159,8 +170,7 @@
 //! * *Results* — every slice forms its batches with `segment_batch` over
 //!   at most `BATCH_SIZE` scanned rows each, in row order; after the install
 //!   (no table lock held) they are concatenated in slice order and re-packed
-//!   to full batches (`StagedScan::into_batches`), no reordering anywhere
-//!   downstream.
+//!   to full batches (`repack`), no reordering anywhere downstream.
 //! * *Telemetry* — `Breakdown` and `IoCounters` are summed; cache hit/miss
 //!   tallies travel with the scan (not as global metric diffs), so
 //!   concurrent queries never misattribute each other's reads.
@@ -193,9 +203,11 @@
 //! it has that prefix; pushdown changes how much is read, never what is
 //! returned:
 //!
-//! * A **fully-cached stream** ends after the batch that brings the
-//!   survivors to `n` or more. Its hit tally and `rows_scanned` count only
-//!   the rows it streamed.
+//! * A **fully-cached stream** is lazy, so it ends when the engine stops
+//!   pulling: after the batch that brings the engine's rows to `n` (before
+//!   the first one for `LIMIT 0`). Its hit tally, `rows_scanned` and
+//!   `stopped_early` count only the windows it streamed — as they do when
+//!   the query fails or is cancelled mid-stream.
 //! * A **raw scan's workers claim slices in ascending slice order** from one
 //!   shared cursor, as every raw scan's do, so the slices in flight are the
 //!   lowest unclaimed ones and the answer's prefix fills first. Each
@@ -233,12 +245,12 @@ use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nodb_engine::batch::{Batch, ColView, Column, BATCH_SIZE};
-use nodb_engine::{EngineError, EngineResult, ScanRequest};
+use nodb_engine::{EngineError, EngineResult, QueueSource, ScanRequest, ScanSource};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder};
-use nodb_rawcache::TypedColumn;
+use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::reader::{partition_line_ranges_capped, LineRange};
 use nodb_rawcsv::{IoCounters, RawCsvError};
 use parking_lot::RwLockReadGuard;
@@ -318,6 +330,12 @@ pub struct ScanTelemetry {
     /// or at the post-scan re-validation) and the adaptive state was
     /// quarantined for a cold retry. 0 on the happy path.
     pub source_changed: u64,
+    /// Time spent inside a fully-cached query's lazy source — the pushed
+    /// predicate over the cache windows — while the engine pulled from it.
+    /// It elapses inside the engine's call; the facade charges it out of
+    /// the engine's slice, so it stays in `processing` with the rest of the
+    /// scan that no phase slice covers.
+    pub cached_stream: Duration,
 }
 
 /// Rewrite a slice-local row number in a worker error to the global file
@@ -375,21 +393,34 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// the engine call. The lock is touched once per query.
 pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 
-/// The scan's only batch former: rows `[lo, hi)` of one typed column per
-/// requested attribute become one result batch, filtered columnar. The
-/// columns are the cache's own (a fully-cached stream, a cache-covered
-/// slice) or a raw slice's fresh partials (`worker::run_partition`) — the
-/// former does not know which, so cold, warm and cached answers are formed
-/// by the same code.
-///
-/// The pushed predicate runs over the *borrowed* columns
-/// (`engine::expr::RExpr::filter_columnar`): one typed, branch-free loop per
-/// (column type, constant type) writes the selection vector, with no
-/// per-cell `Datum` and a row-at-a-time fallback inside for unsupported
-/// expression shapes. `lo` is every view's `base`, so the kernels read the
-/// values and NULL-bitmap words of backing rows `[lo, hi)`, which need not
-/// start on a 64-row bitmap word. Only then is anything copied, and only
-/// for materialized positions (late materialization):
+/// The pushed predicate over rows `[lo, lo + rows)` of one typed column
+/// per requested attribute: the selection of the rows that pass, `None`
+/// without a predicate. The kernels (`engine::expr::RExpr::filter_columnar`)
+/// run over the *borrowed* columns — one typed, branch-free loop per
+/// (column type, constant type), with no per-cell `Datum` and a
+/// row-at-a-time fallback inside for unsupported expression shapes. `lo` is
+/// every view's `base`, so they read the values and NULL-bitmap words of
+/// backing rows `[lo, lo + rows)`, which need not start on a 64-row bitmap
+/// word. Both batch formers start here, so raw, partially cached and
+/// fully-cached scans select the same rows by construction.
+fn filter_segment(
+    req: &ScanRequest,
+    cols: &[&TypedColumn],
+    lo: usize,
+    rows: usize,
+) -> Option<Vec<u32>> {
+    req.predicate.as_ref().map(|p| {
+        let views: Vec<ColView> = cols.iter().map(|&col| ColView { col, base: lo }).collect();
+        p.filter_columnar(&views, rows)
+    })
+}
+
+/// A raw scan's batch former: rows `[lo, hi)` of one typed column per
+/// requested attribute become one owned result batch, filtered columnar
+/// ([`filter_segment`]). The columns are a raw slice's fresh partials
+/// (`worker::run_partition`) or the cache's own (a cache-covered slice of a
+/// partially cached scan); the batch outlives the table lock, so it copies,
+/// and only for materialized positions (late materialization):
 ///
 /// * selective outcome (< half the rows pass) — survivors are gathered into
 ///   dense typed columns (`TypedColumn::gather`), nothing else is copied;
@@ -406,12 +437,9 @@ pub(crate) fn segment_batch(
     cols: &[&TypedColumn],
     lo: usize,
     hi: usize,
-) -> Batch {
+) -> Batch<'static> {
     let rows = hi.saturating_sub(lo);
-    let mut sel: Option<Vec<u32>> = req.predicate.as_ref().map(|p| {
-        let views: Vec<ColView> = cols.iter().map(|&col| ColView { col, base: lo }).collect();
-        p.filter_columnar(&views, rows)
-    });
+    let mut sel = filter_segment(req, cols, lo, rows);
     if cols.is_empty() {
         return Batch::rows_only(sel.map_or(rows, |s| s.len()));
     }
@@ -429,6 +457,41 @@ pub(crate) fn segment_batch(
                 (None, false) => Column::Nulls(rows),
             }
         })
+        .collect();
+    Batch::from_parts(columns, sel)
+}
+
+/// A fully-cached stream's batch former: rows `[lo, hi)` of the cache's
+/// own columns become one batch that **borrows** them — each materialized
+/// position a [`Column::Window`] of its cache column, each predicate-only
+/// one [`Column::Nulls`] — with [`filter_segment`]'s selection attached.
+/// Nothing is copied, however many or few rows pass: the engine's kernels
+/// read the window through the selection. A zero-attribute (`COUNT(*)`)
+/// stream yields [`Batch::rows_only`].
+fn window_batch<'c>(
+    req: &ScanRequest,
+    cols: &[&'c TypedColumn],
+    lo: usize,
+    hi: usize,
+) -> Batch<'c> {
+    let rows = hi - lo;
+    let sel = filter_segment(req, cols, lo, rows);
+    if cols.is_empty() {
+        return Batch::rows_only(sel.map_or(rows, |s| s.len()));
+    }
+    let columns = cols
+        .iter()
+        .enumerate()
+        .map(
+            |(i, &col)| match req.materialize.get(i).copied().unwrap_or(true) {
+                true => Column::Window {
+                    col,
+                    base: lo,
+                    len: rows,
+                },
+                false => Column::Nulls(rows),
+            },
+        )
         .collect();
     Batch::from_parts(columns, sel)
 }
@@ -949,7 +1012,7 @@ pub(crate) fn run_partitions(
 /// the table, and publish the scan telemetry. Its duration is the scan's
 /// [`Breakdown::install`] — the time a cold scan keeps every other query
 /// off the table. The slices' result batches stay in `outcome`, untouched:
-/// re-packing them needs no table ([`StagedScan::into_batches`]). `table`
+/// re-packing them needs no table ([`repack`]). `table`
 /// is `None` when the install fence closed ([`scan_install`]): nothing is
 /// installed, but the telemetry is published and a stopped scan still
 /// fails with its stop error.
@@ -1118,65 +1181,27 @@ pub(crate) fn merge_outputs(
     stopped.map_or(Ok(()), Err)
 }
 
-/// What a scan's data phase hands on.
-pub(crate) enum StagedScan {
-    /// A fully-cached query's result batches, served straight off the cache
-    /// columns. Its hits and telemetry were recorded under the data phase's
-    /// read guard ([`stream_cached`]): nothing is left to install.
-    Cached(VecDeque<Batch>),
-    /// A raw scan's partition partials, waiting for the ordered merge.
-    Partitions(ScanOutcome),
-}
-
-impl StagedScan {
-    /// The scan's result batches in row order. A cached stream's batches
-    /// pass through as formed; a raw scan's per-slice batches are
-    /// concatenated in slice order and re-packed to full batches
-    /// (reorder-free; `Batch::extend_from` resolves selection vectors).
-    /// Touches no table, so [`scan_shared`] calls it with no lock held.
-    fn into_batches(self) -> VecDeque<Batch> {
-        let outputs = match self {
-            StagedScan::Cached(batches) => return batches,
-            StagedScan::Partitions(outcome) => outcome.outputs,
-        };
-        let mut queue: VecDeque<Batch> = VecDeque::new();
-        let mut acc = Batch::default();
-        for b in outputs.into_iter().flat_map(|o| o.batches) {
-            if acc.is_empty() {
-                acc = b;
-            } else {
-                acc.extend_from(b);
-            }
-            if acc.rows() >= BATCH_SIZE {
-                queue.push_back(std::mem::take(&mut acc));
-            }
+/// A raw scan's result batches in row order: the slices' batches
+/// concatenated in slice order and re-packed to full batches (reorder-free;
+/// `Batch::extend_from` resolves selection vectors). Touches no table, so
+/// [`scan_shared`] calls it with no lock held.
+fn repack(outputs: Vec<PartitionOutput>) -> VecDeque<Batch<'static>> {
+    let mut queue: VecDeque<Batch<'static>> = VecDeque::new();
+    let mut acc = Batch::default();
+    for b in outputs.into_iter().flat_map(|o| o.batches) {
+        if acc.is_empty() {
+            acc = b;
+        } else {
+            acc.extend_from(b);
         }
-        if !acc.is_empty() {
-            queue.push_back(acc);
+        if acc.rows() >= BATCH_SIZE {
+            queue.push_back(std::mem::take(&mut acc));
         }
-        queue
     }
-}
-
-/// The data phase of a prepared scan, over a shared borrow of the table:
-/// stream the cache for a fully-cached query, otherwise run the partition
-/// slices and re-validate the source epoch. Installs nothing — a raw scan's
-/// partials are staged for [`scan_install`].
-fn scan_data(
-    table: &RawTable,
-    config: &NoDbConfig,
-    prep: &ScanPrep,
-    telemetry: &TelemetryHandle,
-) -> EngineResult<StagedScan> {
-    if prep.fully_cached {
-        return stream_cached(table, prep, telemetry).map(StagedScan::Cached);
+    if !acc.is_empty() {
+        queue.push_back(acc);
     }
-    let outcome = run_partitions(table, config, prep)?;
-    // Re-validate the epoch before *any* merge — including a stopped
-    // scan's partial-prefix merge — so a file rewritten while the workers
-    // streamed it never installs poisoned map/cache/stats partials.
-    revalidate_epoch(prep)?;
-    Ok(StagedScan::Partitions(outcome))
+    queue
 }
 
 /// The install phase of a raw scan, over an exclusive borrow of the table:
@@ -1200,13 +1225,19 @@ fn scan_install(
 }
 
 /// Run one scan of `req` against a shared table handle, starting from the
-/// read guard the caller planned under: prepare and run the data phase
-/// under it (no writer can land in between, so the prep is exact for the
-/// data). A fully-cached stream is then done and never asks for the write
-/// lock. A raw scan releases the guard, installs under a short write lock
-/// behind the install fence, and re-packs its result under no lock. The
-/// install's lock acquisition is added to `lock_wait`.
-pub(crate) fn scan_shared(
+/// read guard the caller planned under, and hand its source to `run` (the
+/// engine); returns what `run` returns, or the scan's own error.
+///
+/// The scan prepares under the guard (no writer can land in between, so
+/// the prep is exact for the data). A fully-cached query then runs `run`
+/// **under that guard** over a lazy [`CachedStream`] and never asks for
+/// the write lock; the guard is released when `run` returns. A raw scan
+/// runs its partitions under the guard, releases it, installs under a
+/// short write lock behind the install fence, and runs `run` over its
+/// re-packed batches with no lock held. The install's lock acquisition is
+/// added to `lock_wait`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn scan_shared<T>(
     handle: &TableHandle,
     table: RwLockReadGuard<'_, RawTable>,
     config: &NoDbConfig,
@@ -1214,74 +1245,121 @@ pub(crate) fn scan_shared(
     telemetry: &TelemetryHandle,
     ctx: QueryCtx,
     lock_wait: &mut Duration,
-) -> EngineResult<VecDeque<Batch>> {
+    run: impl for<'s> FnOnce(Box<dyn ScanSource<'s> + 's>) -> T,
+) -> EngineResult<T> {
     let prep = prepare_scan(&table, config, req, telemetry, ctx);
-    let mut staged = scan_data(&table, config, &prep, telemetry)?;
-    if let StagedScan::Partitions(outcome) = &mut staged {
-        drop(table);
-        scan_install(
-            &mut timed(lock_wait, || handle.write()),
-            config,
-            &prep,
-            outcome,
-            telemetry,
-        )?;
+    if prep.fully_cached {
+        return Ok(run(Box::new(CachedStream::new(&table, &prep, telemetry)?)));
     }
-    Ok(staged.into_batches())
+    let mut outcome = run_partitions(&table, config, &prep)?;
+    // Re-validate the epoch before *any* merge — including a stopped
+    // scan's partial-prefix merge — so a file rewritten while the workers
+    // streamed it never installs poisoned map/cache/stats partials.
+    revalidate_epoch(&prep)?;
+    drop(table);
+    scan_install(
+        &mut timed(lock_wait, || handle.write()),
+        config,
+        &prep,
+        &mut outcome,
+        telemetry,
+    )?;
+    Ok(run(Box::new(QueueSource::new(repack(outcome.outputs)))))
 }
 
-/// Serve a fully-cached query from the cache columns, one [`segment_batch`]
-/// per `BATCH_SIZE` rows, and record its hits and telemetry. The columns
-/// are resident by construction — the data phase runs under the guard the
-/// scan was prepared under, so nothing can evict them in between — and a
-/// missing one is an internal error, never a panic. The hit tally is
-/// atomic and the generation cannot move while the guard is held, so the
-/// tally needs neither the write lock nor an install fence.
+/// A fully-cached query's scan: a lazy [`ScanSource`] over the cache's own
+/// columns, borrowed under the read guard the query planned with. Each
+/// pull checks the query context once, then forms the next `BATCH_SIZE`-row
+/// window ([`window_batch`]), skipping windows no row of which passes; the
+/// engine stopping — a satisfied LIMIT, an error — ends the stream. It
+/// reports no size hint: the table's row count would only over-reserve
+/// under a selective predicate.
 ///
-/// Under a bare `LIMIT n` the stream ends after the batch that brings the
-/// survivors to `n` or more (before the first batch for `LIMIT 0`): the
-/// answer is a prefix of the rows, and the rows behind it are never read.
-fn stream_cached(
-    table: &RawTable,
-    prep: &ScanPrep,
-    telemetry: &TelemetryHandle,
-) -> EngineResult<VecDeque<Batch>> {
-    let total = prep.cached_rows as usize;
-    let limit = prep
-        .req
-        .limit
-        .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX));
-    let mut batches: VecDeque<Batch> = VecDeque::new();
-    let (mut streamed, mut survivors) = (0usize, 0usize);
-    // A known-empty table is vacuously fully cached: there is nothing to
-    // stream, and no column need be resident to say so.
-    if total > 0 && limit > 0 {
-        let cols =
-            cached_column_handles(&table.cache, &prep.req.attrs, total).ok_or_else(|| {
+/// The columns are resident by construction — the guard is held from
+/// prepare to the last pull, so nothing can evict them — and a missing one
+/// is an internal error, never a panic. When the stream is dropped it
+/// records what it actually streamed (see the `Drop` impl).
+struct CachedStream<'s> {
+    prep: &'s ScanPrep,
+    cols: Vec<&'s TypedColumn>,
+    cache: &'s RawCache,
+    telemetry: &'s TelemetryHandle,
+    /// Rows the stream covers (the known row count).
+    total: usize,
+    /// Rows streamed so far: every window formed, passing rows or not.
+    streamed: usize,
+    /// Time spent in [`ScanSource::next_batch`].
+    time: Duration,
+}
+
+impl<'s> CachedStream<'s> {
+    fn new(
+        table: &'s RawTable,
+        prep: &'s ScanPrep,
+        telemetry: &'s TelemetryHandle,
+    ) -> EngineResult<Self> {
+        let total = prep.cached_rows as usize;
+        // A known-empty table is vacuously fully cached: there is nothing to
+        // stream, and no column need be resident to say so.
+        let cols = match total {
+            0 => Vec::new(),
+            _ => cached_column_handles(&table.cache, &prep.req.attrs, total).ok_or_else(|| {
                 EngineError::Execution("fully-cached plan found a cache column missing".into())
-            })?;
-        while streamed < total && survivors < limit {
-            // Cancellation granularity: one check per batch; a pure cache
+            })?,
+        };
+        Ok(CachedStream {
+            prep,
+            cols,
+            cache: &table.cache,
+            telemetry,
+            total,
+            streamed: 0,
+            time: Duration::ZERO,
+        })
+    }
+
+    /// The next window with a passing row, or `None` at the end.
+    fn next_window(&mut self) -> EngineResult<Option<Batch<'s>>> {
+        while self.streamed < self.total {
+            // Cancellation granularity: one check per window; a pure cache
             // read mutates nothing, so stopping here needs no partial merge.
-            prep.ctx.check()?;
-            let hi = total.min(streamed + BATCH_SIZE);
-            let batch = segment_batch(&prep.req, &cols, streamed, hi);
-            streamed = hi;
-            survivors += batch.rows();
+            self.prep.ctx.check()?;
+            let lo = self.streamed;
+            self.streamed = self.total.min(lo + BATCH_SIZE);
+            let batch = window_batch(&self.prep.req, &self.cols, lo, self.streamed);
             if !batch.is_empty() {
-                batches.push_back(batch);
+                return Ok(Some(batch));
             }
         }
+        Ok(None)
     }
-    // One hit per requested attribute per streamed row.
-    let rows = streamed as u64;
-    let hits = rows * prep.req.attrs.len() as u64;
-    table.cache.record_reads(hits, 0);
-    let mut tel = lock_recover(telemetry);
-    tel.rows_scanned = rows;
-    tel.cache_hits = hits;
-    tel.stopped_early = rows < prep.cached_rows;
-    Ok(batches)
+}
+
+impl<'s> ScanSource<'s> for CachedStream<'s> {
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'s>>> {
+        let t = Instant::now();
+        let batch = self.next_window();
+        self.time += t.elapsed();
+        batch
+    }
+}
+
+impl Drop for CachedStream<'_> {
+    /// Record what the stream actually streamed — whether the engine
+    /// drained it, stopped pulling at a LIMIT, or failed: one hit per
+    /// requested attribute per streamed row, and the stream's time. The hit
+    /// tally is atomic and the generation cannot move while the guard is
+    /// held, so it needs neither the write lock nor an install fence.
+    fn drop(&mut self) {
+        let rows = self.streamed as u64;
+        let hits = rows * self.prep.req.attrs.len() as u64;
+        self.cache.record_reads(hits, 0);
+        let mut tel = lock_recover(self.telemetry);
+        tel.rows_scanned = rows;
+        tel.cache_hits = hits;
+        tel.stopped_early = rows < self.prep.cached_rows;
+        tel.cached_stream = self.time;
+    }
 }
 
 #[cfg(test)]
@@ -1306,34 +1384,66 @@ mod tests {
         (p, cfg.schema())
     }
 
-    /// One query through the production stages — `prepare_scan`, the data
-    /// phase, a raw scan's fenced install, the re-pack — over an exclusive
-    /// borrow in place of `scan_shared`'s lock hand-offs, surfacing the
-    /// scan error instead of unwrapping. Hands back the result batches as
-    /// the engine would receive them.
+    /// A batch column's storage class.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Class {
+        Owned,
+        Window,
+        Nulls,
+    }
+
+    /// What the engine received of one batch: its logical rows, and each
+    /// column's storage class.
+    struct Seen {
+        rows: Vec<Vec<Datum>>,
+        classes: Vec<Class>,
+    }
+
+    /// Pull every batch of `source`, as the engine would.
+    fn drain(mut source: Box<dyn ScanSource<'_> + '_>) -> EngineResult<Vec<Seen>> {
+        let mut seen = Vec::new();
+        while let Some(b) = source.next_batch()? {
+            let classes = (0..b.ncols())
+                .map(|c| match b.column(c) {
+                    Column::Typed(_) => Class::Owned,
+                    Column::Window { .. } => Class::Window,
+                    Column::Nulls(_) => Class::Nulls,
+                })
+                .collect();
+            let rows = (0..b.rows()).map(|r| b.row(r)).collect();
+            seen.push(Seen { rows, classes });
+        }
+        Ok(seen)
+    }
+
+    /// One query through the production stages — `prepare_scan`, then a
+    /// fully-cached query's lazy stream, or a raw scan's partitions, fenced
+    /// install and re-pack — over an exclusive borrow in place of
+    /// `scan_shared`'s lock hand-offs, surfacing the scan error instead of
+    /// unwrapping. Drains the source as the engine would.
     fn try_scan_batches(
         table: &mut RawTable,
         config: NoDbConfig,
         req: ScanRequest,
         ctx: QueryCtx,
-    ) -> (EngineResult<VecDeque<Batch>>, ScanTelemetry) {
+    ) -> (EngineResult<Vec<Seen>>, ScanTelemetry) {
         let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let prep = prepare_scan(table, &config, req, &tel, ctx);
-        let r = scan_data(table, &config, &prep, &tel).and_then(|mut staged| {
-            if let StagedScan::Partitions(outcome) = &mut staged {
-                scan_install(table, &config, &prep, outcome, &tel)?;
-            }
-            Ok(staged.into_batches())
-        });
+        let r = if prep.fully_cached {
+            CachedStream::new(table, &prep, &tel).and_then(|s| drain(Box::new(s)))
+        } else {
+            run_partitions(table, &config, &prep).and_then(|mut outcome| {
+                revalidate_epoch(&prep)?;
+                scan_install(table, &config, &prep, &mut outcome, &tel)?;
+                drain(Box::new(QueueSource::new(repack(outcome.outputs))))
+            })
+        };
         let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
         (r, t)
     }
 
-    fn rows_of(queue: &VecDeque<Batch>) -> Vec<Vec<Datum>> {
-        queue
-            .iter()
-            .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
-            .collect()
+    fn rows_of(seen: &[Seen]) -> Vec<Vec<Datum>> {
+        seen.iter().flat_map(|b| b.rows.iter().cloned()).collect()
     }
 
     fn try_scan_once(
@@ -1635,14 +1745,12 @@ mod tests {
 
         let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let ctx = QueryCtx::from_timeout_ms(cfg.query_timeout_ms);
-        let (prep, staged) = {
+        let (prep, mut outcome) = {
             let guard = handle.read();
             let prep = prepare_scan(&guard, &cfg, req.clone(), &tel, ctx);
-            let staged = scan_data(&guard, &cfg, &prep, &tel).unwrap();
-            (prep, staged)
-        };
-        let StagedScan::Partitions(mut outcome) = staged else {
-            panic!("a cold scan stages partitions");
+            assert!(!prep.fully_cached, "a cold scan stages partitions");
+            let outcome = run_partitions(&guard, &cfg, &prep).unwrap();
+            (prep, outcome)
         };
         GeneratorConfig::uniform_ints(4, 300, 61)
             .append_rows(&p, 50)
@@ -1651,8 +1759,12 @@ mod tests {
         assert_eq!(handle.read().generation, prep.generation + 1);
         scan_install(&mut handle.write(), &cfg, &prep, &mut outcome, &tel).unwrap();
 
-        let staged = StagedScan::Partitions(outcome);
-        assert_eq!(rows_of(&staged.into_batches()), before, "answers its read");
+        let batches = repack(outcome.outputs);
+        let rows: Vec<Vec<Datum>> = batches
+            .iter()
+            .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
+            .collect();
+        assert_eq!(rows, before, "answers its read");
         assert_eq!(lock_recover(&tel).rows_scanned, 300, "telemetry published");
         {
             let t = handle.read();
@@ -2554,10 +2666,10 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    /// A warm, fully-cached bare LIMIT streams only the batches it needs,
-    /// and its hit tally counts only the rows it streamed — one hit per
-    /// requested attribute per row, in the telemetry and in the cache's own
-    /// metrics alike.
+    /// A warm, fully-cached bare LIMIT streams only the windows the engine
+    /// pulls — it stops pulling once it holds `n` rows — and its hit tally
+    /// counts only the rows it streamed: one hit per requested attribute
+    /// per row, in the telemetry and in the cache's own metrics alike.
     #[test]
     fn warm_bare_limit_streams_and_tallies_only_what_it_needs() {
         use nodb_engine::RExpr;
@@ -2584,7 +2696,18 @@ mod tests {
             (u64::MAX, 5_000),
         ] {
             let before = t.cache.metrics().hits;
-            let (rows, tel) = scan_once(&mut t, cfg, req(Some(n)));
+            let tel: TelemetryHandle = Arc::default();
+            let prep = prepare_scan(&t, &cfg, req(Some(n)), &tel, QueryCtx::unbounded());
+            let mut stream = CachedStream::new(&t, &prep, &tel).unwrap();
+            let mut rows = Vec::new();
+            while (rows.len() as u64) < n {
+                let Some(b) = stream.next_batch().unwrap() else {
+                    break;
+                };
+                rows.extend((0..b.rows()).map(|r| b.row(r)));
+            }
+            drop(stream);
+            let tel = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
             let tag = format!("LIMIT {n}");
             assert!(tel.fully_cached, "{tag}");
             assert_eq!(tel.rows_scanned, streamed, "{tag}");
@@ -2597,17 +2720,22 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    /// Assert that `queue` is what the one former produces for `req`: typed
-    /// storage at materialized positions, `Column::Nulls` at predicate-only
-    /// ones; column-less batches for a zero-attribute request.
-    fn assert_typed(tag: &str, req: &ScanRequest, queue: &VecDeque<Batch>) {
-        for b in queue {
-            assert_eq!(b.ncols(), req.attrs.len(), "{tag}: arity");
+    /// Assert that `seen` is what the batch formers produce for `req`:
+    /// typed storage at materialized positions — borrowed cache windows
+    /// when the scan was fully cached (`borrowed`), owned copies otherwise
+    /// — and `Column::Nulls` at predicate-only ones; column-less batches
+    /// for a zero-attribute request.
+    fn assert_typed(tag: &str, req: &ScanRequest, seen: &[Seen], borrowed: bool) {
+        let typed = if borrowed {
+            Class::Window
+        } else {
+            Class::Owned
+        };
+        for b in seen {
+            assert_eq!(b.classes.len(), req.attrs.len(), "{tag}: arity");
             for (i, &m) in req.materialize.iter().enumerate() {
-                match b.column(i) {
-                    Column::Typed(_) => assert!(m, "{tag}: position {i} was materialized"),
-                    Column::Nulls(_) => assert!(!m, "{tag}: position {i} was not materialized"),
-                }
+                let want = if m { typed } else { Class::Nulls };
+                assert_eq!(b.classes[i], want, "{tag}: position {i}");
             }
         }
     }
@@ -2653,8 +2781,9 @@ mod tests {
                 let (warm, tel_warm) = scan(&filtered);
                 assert!(!tel_cold.fully_cached, "{tag}");
                 assert_eq!(tel_warm.fully_cached, cfg.enable_cache, "{tag}");
-                assert_typed(&format!("{tag} cold"), &filtered, &cold);
-                assert_typed(&format!("{tag} warm"), &filtered, &warm);
+                assert_typed(&format!("{tag} cold"), &filtered, &cold, false);
+                let warm_cached = tel_warm.fully_cached;
+                assert_typed(&format!("{tag} warm"), &filtered, &warm, warm_cached);
                 let rows = rows_of(&cold);
                 assert!(!rows.is_empty() && rows.len() < 3000, "{tag}");
                 assert!(rows.iter().all(|r| r[1] == Datum::Null), "{tag}");
@@ -2663,13 +2792,11 @@ mod tests {
 
                 // `COUNT(*)`: zero attributes, cardinality only.
                 for pass in ["cold", "warm"] {
-                    let (q, _) = scan(&count_star);
-                    assert_typed(&format!("{tag} count {pass}"), &count_star, &q);
-                    assert_eq!(
-                        q.iter().map(Batch::rows).sum::<usize>(),
-                        3000,
-                        "{tag} {pass}"
-                    );
+                    let (q, tel) = scan(&count_star);
+                    let borrowed = tel.fully_cached;
+                    assert_typed(&format!("{tag} count {pass}"), &count_star, &q, borrowed);
+                    let rows: usize = q.iter().map(|b| b.rows.len()).sum();
+                    assert_eq!(rows, 3000, "{tag} {pass}");
                 }
             }
         }
@@ -2714,9 +2841,9 @@ mod tests {
                 for pass in ["cold", "warm"] {
                     let (r, tel) =
                         try_scan_batches(&mut t, cfg, req.clone(), QueryCtx::unbounded());
-                    let queue = r.unwrap();
-                    assert_typed(&format!("{tag} {pass}"), &req, &queue);
-                    let rows = rows_of(&queue);
+                    let seen = r.unwrap();
+                    assert_typed(&format!("{tag} {pass}"), &req, &seen, tel.fully_cached);
+                    let rows = rows_of(&seen);
                     assert_eq!(rows.len(), 1500, "{tag} {pass}");
                     for (i, row) in rows.iter().enumerate() {
                         let id = if i % 7 == 3 {

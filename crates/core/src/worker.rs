@@ -19,7 +19,8 @@
 //! itself (the bounds, [`sketch_partials`]) so the install has no value to
 //! walk: every `BATCH_SIZE` rows the worker hands the newest partial rows
 //! to `rawscan::segment_batch`, the same former that serves cache-covered
-//! slices and fully-cached streams. All shared state is borrowed
+//! slices, and whose predicate step a fully-cached stream shares. All
+//! shared state is borrowed
 //! immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
@@ -155,7 +156,7 @@ pub(crate) struct PartitionOutput {
     pub builder: Option<ChunkBuilder>,
     /// Predicate-filtered output batches, in row order, each formed by
     /// `rawscan::segment_batch` over at most `BATCH_SIZE` scanned rows.
-    pub batches: Vec<Batch>,
+    pub batches: Vec<Batch<'static>>,
     /// Cache reads served / refused via `RawCache::peek` (workers cannot
     /// take `&mut` to count on the shared metrics; the driver folds these
     /// in at merge).

@@ -3,24 +3,35 @@
 //! # The typed-batch / selection-vector contract
 //!
 //! A [`Batch`] is a set of equal-length [`Column`]s plus an optional
-//! **selection vector**. Columns come in two storage classes:
+//! **selection vector**. Columns come in three storage classes:
 //!
-//! * [`Column::Typed`] — cache-format typed storage
-//!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). Every
-//!   source emits it: the raw-file scan exports a segment of the raw cache
-//!   or of a cold slice's freshly parsed partial columns
-//!   (`TypedColumn::export_range` / `gather`) and moves it straight into the
-//!   batch; the loaded stores and `MemSource` push their rows into columns
-//!   typed from the schema (or, for `MemSource`, from each column's first
-//!   non-NULL value). Vectorized aggregate kernels read the value vectors
-//!   directly.
+//! * [`Column::Typed`] — owned cache-format typed storage
+//!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). Raw and
+//!   partially cached scans emit it: each slice exports a segment of its
+//!   freshly parsed partial columns, or of the cache for a cache-covered
+//!   slice (`TypedColumn::export_range` / `gather`), and moves it into the
+//!   batch, which outlives the table lock. The loaded stores and
+//!   `MemSource` push their rows into columns typed from the schema (or,
+//!   for `MemSource`, from each column's first non-NULL value).
+//! * [`Column::Window`] — a **borrowed window** of a longer typed column:
+//!   physical row `i` is row `base + i` of the backing column. A
+//!   fully-cached scan lends the engine the cache's own columns this way,
+//!   one `BATCH_SIZE`-row window per batch, while it holds the table's read
+//!   guard; nothing is copied. This is why [`Batch`] and
+//!   [`crate::ScanSource`] carry a lifetime: a window batch cannot outlive
+//!   the column it borrows. Sources of owned batches implement
+//!   `ScanSource<'a>` for every `'a`.
 //! * [`Column::Nulls`] — an all-NULL column of known length, used for
 //!   predicate-only scan positions (`ScanRequest::materialize[i] == false`):
 //!   the predicate ran against the real values, so the output batch never
 //!   materializes them (late materialization).
 //!
-//! Concatenating the two classes ([`Column::append`]) keeps a column typed:
-//! NULL rows pad the typed side.
+//! Every typed kernel — the predicate kernels, the aggregate folds, the
+//! GROUP BY key hash, the top-n threshold — reads a column through one
+//! [`ColView`] (backing column + `base`, from [`Column::view`]), so an
+//! owned column (`base` 0) and a window run the same loop. Concatenating
+//! ([`Column::append`]) copies a window into owned storage and keeps a
+//! column typed: NULL rows pad the typed side.
 //!
 //! The selection vector (`sel`) is a sorted list of *physical* row indices:
 //! logical row `r` of the batch is physical row `sel[r]` of every column.
@@ -47,21 +58,31 @@ pub const BATCH_SIZE: usize = 1024;
 
 /// One column of a batch; see the module docs for the storage classes.
 #[derive(Debug)]
-pub enum Column {
-    /// Typed cache-format storage (values + null bitmap), enabling
+pub enum Column<'a> {
+    /// Owned typed cache-format storage (values + null bitmap), enabling
     /// vectorized kernels.
     Typed(TypedColumn),
+    /// Rows `[base, base + len)` of a longer typed column, borrowed in
+    /// place (a fully-cached scan's window of a cache column).
+    Window {
+        /// The backing column.
+        col: &'a TypedColumn,
+        /// Backing row of physical row 0.
+        base: usize,
+        /// Physical rows in the window.
+        len: usize,
+    },
     /// All-NULL column of the given physical length (late materialization
     /// of predicate-only positions).
     Nulls(usize),
 }
 
-impl Column {
+impl<'a> Column<'a> {
     /// Physical rows stored.
     pub fn len(&self) -> usize {
         match self {
             Column::Typed(c) => c.len(),
-            Column::Nulls(n) => *n,
+            Column::Window { len, .. } | Column::Nulls(len) => *len,
         }
     }
 
@@ -70,45 +91,76 @@ impl Column {
         self.len() == 0
     }
 
+    /// The typed storage every kernel reads: physical row `i` is row
+    /// `base + i` of the view's column (`base` 0 for owned storage). `None`
+    /// for an all-NULL column.
+    #[inline]
+    pub fn view(&self) -> Option<ColView<'_>> {
+        match self {
+            Column::Typed(col) => Some(ColView { col, base: 0 }),
+            Column::Window { col, base, .. } => Some(ColView { col, base: *base }),
+            Column::Nulls(_) => None,
+        }
+    }
+
     /// Value at physical row `i` (NULL past the end, which only a ragged
     /// caller can reach).
     #[inline]
     pub fn datum(&self, i: usize) -> Datum {
-        match self {
-            Column::Typed(c) => c.datum(i).unwrap_or(Datum::Null),
-            Column::Nulls(_) => Datum::Null,
+        match self.view() {
+            Some(v) if i < self.len() => v.datum(i),
+            _ => Datum::Null,
         }
     }
 
-    /// The physical rows `sel[i]`, in order, as a new column of the same
-    /// storage class.
-    pub fn gather(&self, sel: &[u32]) -> Column {
+    /// The physical rows `sel[i]`, in order, as a new owned column (typed,
+    /// or all-NULL for an all-NULL one).
+    pub fn gather(&self, sel: &[u32]) -> Column<'a> {
+        match self.view() {
+            Some(v) => Column::Typed(v.col.gather(sel, v.base)),
+            None => Column::Nulls(sel.len()),
+        }
+    }
+
+    /// The column's rows as owned typed storage (a window copied), or
+    /// `None` for an all-NULL column.
+    fn into_typed(self) -> Option<TypedColumn> {
         match self {
-            Column::Typed(c) => Column::Typed(c.gather(sel, 0)),
-            Column::Nulls(_) => Column::Nulls(sel.len()),
+            Column::Typed(c) => Some(c),
+            Column::Window { col, base, len } => Some(col.export_range(base, base + len)),
+            Column::Nulls(_) => None,
         }
     }
 
     /// Append `other` (restricted to `other_sel` when given) after this
-    /// column's rows. Typed segments concatenate; a [`Column::Nulls`] side
-    /// meeting a typed one becomes NULL rows of the typed column, in either
-    /// order, so the result stays typed.
-    pub fn append(&mut self, other: Column, other_sel: Option<&[u32]>) {
+    /// column's rows, leaving this column owned. Typed segments concatenate,
+    /// a window being copied first; a [`Column::Nulls`] side meeting a typed
+    /// one becomes NULL rows of the typed column, in either order, so the
+    /// result stays typed.
+    pub fn append(&mut self, other: Column<'a>, other_sel: Option<&[u32]>) {
         let other = match other_sel {
             Some(sel) => other.gather(sel),
             None => other,
         };
-        match (&mut *self, other) {
-            (Column::Typed(a), Column::Typed(b)) => a.append_segment(b),
-            (Column::Typed(a), Column::Nulls(m)) => (0..m).for_each(|_| a.push_null()),
-            (Column::Nulls(n), Column::Nulls(m)) => *n += m,
-            (Column::Nulls(n), Column::Typed(b)) => {
-                let mut a = TypedColumn::new(b.ty());
-                (0..*n).for_each(|_| a.push_null());
+        let this = std::mem::replace(self, Column::Nulls(0));
+        let (n, m) = (this.len(), other.len());
+        *self = match (this.into_typed(), other.into_typed()) {
+            (Some(mut a), Some(b)) => {
                 a.append_segment(b);
-                *self = Column::Typed(a);
+                Column::Typed(a)
             }
-        }
+            (Some(mut a), None) => {
+                (0..m).for_each(|_| a.push_null());
+                Column::Typed(a)
+            }
+            (None, None) => Column::Nulls(n + m),
+            (None, Some(b)) => {
+                let mut a = TypedColumn::new(b.ty());
+                (0..n).for_each(|_| a.push_null());
+                a.append_segment(b);
+                Column::Typed(a)
+            }
+        };
     }
 }
 
@@ -116,20 +168,20 @@ impl Column {
 /// length; with a selection vector attached, the batch's *logical* rows are
 /// the selected physical rows, in order (see module docs).
 #[derive(Debug, Default)]
-pub struct Batch {
-    cols: Vec<Column>,
+pub struct Batch<'a> {
+    cols: Vec<Column<'a>>,
     /// Sorted physical indices of the logical rows; `None` = dense.
     sel: Option<Vec<u32>>,
     rows: usize,
 }
 
-impl Batch {
+impl<'a> Batch<'a> {
     /// Build from storage-class columns plus an optional selection vector.
     ///
     /// # Panics
     /// Panics when column lengths differ, or when a selected index is out
     /// of range.
-    pub fn from_parts(cols: Vec<Column>, sel: Option<Vec<u32>>) -> Self {
+    pub fn from_parts(cols: Vec<Column<'a>>, sel: Option<Vec<u32>>) -> Self {
         let phys = cols.first().map(Column::len).unwrap_or(0);
         for c in &cols {
             assert_eq!(c.len(), phys, "ragged batch");
@@ -149,7 +201,7 @@ impl Batch {
     ///
     /// # Panics
     /// Panics when a column does not hold exactly `rows` rows.
-    pub fn dense(cols: Vec<Column>, rows: usize) -> Self {
+    pub fn dense(cols: Vec<Column<'a>>, rows: usize) -> Self {
         if cols.is_empty() {
             return Batch::rows_only(rows);
         }
@@ -186,7 +238,7 @@ impl Batch {
     /// Column `c`'s storage (physical rows; combine with
     /// [`Self::selection`] for the logical view).
     #[inline]
-    pub fn column(&self, c: usize) -> &Column {
+    pub fn column(&self, c: usize) -> &Column<'a> {
         &self.cols[c]
     }
 
@@ -237,7 +289,7 @@ impl Batch {
     ///
     /// # Panics
     /// Panics when the column counts differ.
-    pub fn extend_from(&mut self, other: Batch) {
+    pub fn extend_from(&mut self, other: Batch<'a>) {
         assert_eq!(self.cols.len(), other.cols.len(), "batch arity mismatch");
         if self.rows == 0 {
             *self = other;
@@ -264,13 +316,13 @@ pub trait RowAccess {
 
 /// A row borrowed from a batch (selection-aware).
 pub struct BatchRow<'a> {
-    batch: &'a Batch,
+    batch: &'a Batch<'a>,
     row: usize,
 }
 
 impl<'a> BatchRow<'a> {
     /// Borrow logical row `row` of `batch`.
-    pub fn new(batch: &'a Batch, row: usize) -> Self {
+    pub fn new(batch: &'a Batch<'a>, row: usize) -> Self {
         BatchRow { batch, row }
     }
 }
@@ -336,7 +388,7 @@ mod tests {
     use super::*;
     use nodb_rawcsv::ColumnType;
 
-    fn typed(ty: ColumnType, vals: &[Datum]) -> Column {
+    fn typed(ty: ColumnType, vals: &[Datum]) -> Column<'static> {
         let mut c = TypedColumn::new(ty);
         for v in vals {
             c.push(v);
@@ -344,7 +396,7 @@ mod tests {
         Column::Typed(c)
     }
 
-    fn typed_int(vals: &[Option<i64>]) -> Column {
+    fn typed_int(vals: &[Option<i64>]) -> Column<'static> {
         let vals: Vec<Datum> = vals
             .iter()
             .map(|v| v.map_or(Datum::Null, Datum::Int))
@@ -353,7 +405,7 @@ mod tests {
     }
 
     /// A dense (Int, Str) batch.
-    fn int_str(rows: &[(i64, &str)]) -> Batch {
+    fn int_str(rows: &[(i64, &str)]) -> Batch<'static> {
         let ints: Vec<Datum> = rows.iter().map(|r| Datum::Int(r.0)).collect();
         let strs: Vec<Datum> = rows.iter().map(|r| Datum::from(r.1)).collect();
         Batch::dense(
@@ -485,6 +537,34 @@ mod tests {
         assert_eq!(b.selection(), None);
         assert_eq!(b.column(0).len(), 2);
         assert_eq!(b.row(1), vec![Datum::Int(3)]);
+    }
+
+    #[test]
+    fn windows_read_through_their_base_and_append_as_owned() {
+        let backing = match typed_int(&[Some(1), None, Some(3), Some(4), Some(5)]) {
+            Column::Typed(c) => c,
+            _ => unreachable!(),
+        };
+        let window = |base, len| Column::Window {
+            col: &backing,
+            base,
+            len,
+        };
+        let w = window(1, 3);
+        assert_eq!((w.len(), w.view().map(|v| v.base)), (3, Some(1)));
+        assert_eq!(w.datum(0), Datum::Null);
+        assert_eq!(w.datum(2), Datum::Int(4));
+        assert_eq!(w.datum(3), Datum::Null, "past the window, not the column");
+        assert!(matches!(w.gather(&[1, 2]), Column::Typed(c) if c.len() == 2));
+        // An empty batch adopts a window batch; the next extend copies it.
+        let mut acc = Batch::dense(vec![typed_int(&[])], 0);
+        acc.extend_from(Batch::from_parts(vec![window(0, 3)], Some(vec![0, 2])));
+        assert!(matches!(acc.column(0), Column::Window { .. }), "adopted");
+        acc.extend_from(Batch::dense(vec![window(3, 2)], 2));
+        assert!(matches!(acc.column(0), Column::Typed(_)), "owned");
+        let got: Vec<Datum> = (0..acc.rows()).map(|r| acc.value(r, 0)).collect();
+        let want = [1, 3, 4, 5].map(Datum::Int);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -39,7 +39,7 @@ use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 use nodb_sqlparse::ast::AggFunc;
 
-use crate::batch::{Batch, BatchRow, Column};
+use crate::batch::{Batch, BatchRow, ColView};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::{null_bit, RExpr};
 use crate::group::GroupTable;
@@ -54,7 +54,9 @@ use crate::source::ScanSource;
 const MAX_RESERVE_ROWS: usize = 1 << 20;
 
 /// Execute a planned query against a scan source, materializing the result.
-/// Every batch column is [`Column::Typed`] or [`Column::Nulls`]. Aggregates
+/// Every batch column is typed — owned, or a borrowed window of a longer
+/// column ([`crate::batch::Column`]) — or all-NULL; every typed kernel reads
+/// it through its [`ColView`]. Aggregates
 /// run a batch at a time: GROUP BY hashes its key columns into dense group
 /// ids (bare keys straight from the typed storage), a global aggregate puts
 /// every row in group 0, and each bare argument column is folded into the
@@ -63,12 +65,13 @@ const MAX_RESERVE_ROWS: usize = 1 << 20;
 /// row-at-a-time through [`BatchRow`].
 ///
 /// `LIMIT n` bounds the work as well as the output: a plain projection
-/// stops pulling batches once it holds `n` rows, and `ORDER BY … LIMIT n`
-/// keeps a bounded top-n instead of sorting every row. Both return exactly
-/// what sorting everything ([`sort_rows`]) and truncating would.
-pub fn execute(
+/// stops pulling batches once it holds `n` rows — a lazy source then stops
+/// reading — and `ORDER BY … LIMIT n` keeps a bounded top-n instead of
+/// sorting every row. Both return exactly what sorting everything
+/// ([`sort_rows`]) and truncating would.
+pub fn execute<'a>(
     planned: &PlannedQuery,
-    mut source: Box<dyn ScanSource + '_>,
+    mut source: Box<dyn ScanSource<'a> + '_>,
 ) -> EngineResult<QueryResult> {
     let pipeline = &planned.pipeline;
     // A limit beyond the address space keeps every row.
@@ -110,12 +113,12 @@ pub fn execute(
 /// `limit` rows are held.
 fn run_projection(
     pipeline: &Pipeline,
-    source: &mut dyn ScanSource,
+    source: &mut dyn ScanSource<'_>,
     limit: Option<usize>,
 ) -> EngineResult<Vec<Vec<Datum>>> {
     let cap = limit.unwrap_or(usize::MAX);
-    // Pre-size from the source's known row count (cache coverage or posmap
-    // line count) instead of growth-doubling through reallocations.
+    // Pre-size from the rows the source knows it holds instead of
+    // growth-doubling through reallocations.
     let mut rows = Vec::with_capacity(
         source
             .size_hint()
@@ -209,11 +212,11 @@ fn cmp_sort_keys<'d>(
 /// so only the rows that beat or tie it are offered. The bound is taken
 /// once per batch; rows entering mid-batch only tighten the heap, and each
 /// contender still meets the full comparison. Until the heap is full, and
-/// for a computed first key or one that arrives as [`Column::Nulls`],
-/// every row is offered.
+/// for a computed first key or one that arrives all-NULL, every row is
+/// offered.
 fn run_top_n(
     pipeline: &Pipeline,
-    source: &mut dyn ScanSource,
+    source: &mut dyn ScanSource<'_>,
     n: usize,
 ) -> EngineResult<Vec<Vec<Datum>>> {
     let order = &pipeline.order_by[..];
@@ -234,13 +237,14 @@ fn run_top_n(
     let mut ordinal = 0usize;
     while let Some(batch) = source.next_batch()? {
         let bounded = match (first, heap.peek()) {
-            (Some((c, asc)), Some(worst)) if heap.len() == n => match batch.column(c) {
-                Column::Typed(tc) => {
-                    top_n_contenders(tc, batch.selection(), &worst.keys[0], asc, &mut contenders);
+            (Some((c, asc)), Some(worst)) if heap.len() == n => {
+                let column = batch.column(c);
+                column.view().is_some_and(|view| {
+                    let (phys, sel) = (column.len(), batch.selection());
+                    top_n_contenders(view, phys, sel, &worst.keys[0], asc, &mut contenders);
                     true
-                }
-                Column::Nulls(_) => false,
-            },
+                })
+            }
             _ => false,
         };
         let mut offer = |r: usize| {
@@ -289,8 +293,9 @@ fn run_top_n(
 }
 
 /// The top-n threshold kernel: write to `out`, ascending, the logical rows
-/// of a batch whose first sort key — column `tc` read through the batch's
-/// selection `sel` — beats or ties `bound` under the key's direction (`asc`).
+/// of a batch whose first sort key — the `phys` physical rows of `view`,
+/// read through the batch's selection `sel` — beats or ties `bound` under
+/// the key's direction (`asc`).
 /// Only these rows can enter a full top-n whose worst row's first key is
 /// `bound`; a tie goes on to the later keys and the ordinal.
 ///
@@ -303,7 +308,8 @@ fn run_top_n(
 /// output advanced by whether it is kept, as the predicate kernels write a
 /// selection.
 fn top_n_contenders(
-    tc: &TypedColumn,
+    view: ColView<'_>,
+    phys: usize,
     sel: Option<&[u32]>,
     bound: &Datum,
     asc: bool,
@@ -316,36 +322,44 @@ fn top_n_contenders(
     };
     let keeps = |o: Ordering| o != loses;
     let null_keeps = keeps(Datum::Null.total_cmp(bound));
-    let (phys, nulls) = (tc.len(), tc.nulls());
+    let ColView { col, base } = view;
+    // Physical rows `0..phys` of the window, as the loops index them.
+    let window = base..base + phys;
+    let nulls = (col.nulls(), base);
     use TypedColumn::{Bool, Float, Int, Str};
-    match (tc, bound) {
+    match (col, bound) {
         (Int { values, .. }, Datum::Int(k)) => {
+            let values = &values[window];
             contenders(phys, nulls, sel, null_keeps, out, |p| {
                 keeps(values[p].cmp(k))
             });
         }
         (Int { values, .. }, Datum::Float(k)) => {
+            let values = &values[window];
             contenders(phys, nulls, sel, null_keeps, out, |p| {
                 keeps((values[p] as f64).total_cmp(k))
             });
         }
         (Float { values, .. }, Datum::Float(k)) => {
+            let values = &values[window];
             contenders(phys, nulls, sel, null_keeps, out, |p| {
                 keeps(values[p].total_cmp(k))
             });
         }
         (Float { values, .. }, &Datum::Int(k)) => {
-            let k = k as f64;
+            let (values, k) = (&values[window], k as f64);
             contenders(phys, nulls, sel, null_keeps, out, |p| {
                 keeps(values[p].total_cmp(&k))
             });
         }
         (Str { values, .. }, Datum::Str(k)) => {
+            let values = &values[window];
             contenders(phys, nulls, sel, null_keeps, out, |p| {
                 keeps(values[p].cmp(k))
             });
         }
         (Bool { values, .. }, Datum::Bool(k)) => {
+            let values = &values[window];
             contenders(phys, nulls, sel, null_keeps, out, |p| {
                 keeps(values[p].cmp(k))
             });
@@ -353,7 +367,7 @@ fn top_n_contenders(
         // A NULL bound or one of another type class: every non-NULL key
         // orders against it as any value of the column's type does.
         _ => {
-            let any = match tc {
+            let any = match col {
                 Int { .. } => Datum::Int(0),
                 Float { .. } => Datum::Float(0.0),
                 Str { .. } => Datum::from(""),
@@ -365,23 +379,24 @@ fn top_n_contenders(
     }
 }
 
-/// [`top_n_contenders`]' loop over a column of `phys` physical rows:
-/// logical row `r` is physical row `sel[r]` (`r` without a selection) and
-/// is kept when `keeps(p)` holds for its physical row `p`, or `null_keeps`
-/// for a NULL row. A column without NULLs tests no bit.
+/// [`top_n_contenders`]' loop over a window of `phys` physical rows whose
+/// NULL bits start at bit `base` of `nulls`: logical row `r` is physical
+/// row `sel[r]` (`r` without a selection) and is kept when `keeps(p)` holds
+/// for its physical row `p`, or `null_keeps` for a NULL row. A window
+/// without NULLs tests no bit.
 #[inline(always)]
 fn contenders(
     phys: usize,
-    nulls: &NullMask,
+    (nulls, base): (&NullMask, usize),
     sel: Option<&[u32]>,
     null_keeps: bool,
     out: &mut Vec<u32>,
     keeps: impl Fn(usize) -> bool,
 ) {
-    if nulls.any_null() {
+    if nulls.count_nulls(base, base + phys) > 0 {
         let words = nulls.words();
         write_kept(phys, sel, out, |p| {
-            let null = null_bit(words, p);
+            let null = null_bit(words, base + p);
             keeps(p) & !null | null & null_keeps
         });
     } else {
@@ -689,7 +704,7 @@ fn output_row(spec: &AggSpec, key: &[Datum], finished: &mut [Option<Datum>]) -> 
 /// which exists before the first batch, so an aggregate over no rows still
 /// answers one row (COUNT 0, NULL for the rest). Output rows come in
 /// group-arrival order.
-fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource) -> EngineResult<Vec<Vec<Datum>>> {
+fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource<'_>) -> EngineResult<Vec<Vec<Datum>>> {
     let mut table = GroupTable::new(&spec.group_exprs);
     let mut aggs: Vec<GroupedAgg<'_>> = spec
         .aggs
@@ -757,7 +772,7 @@ impl GroupedAgg<'_> {
     /// first logical row whose update failed, with its error.
     fn fold(
         &mut self,
-        batch: &Batch,
+        batch: &Batch<'_>,
         ids: Option<&[u32]>,
         groups: usize,
     ) -> Result<(), (usize, EngineError)> {
@@ -776,14 +791,21 @@ impl GroupedAgg<'_> {
                 drive::<(), u64>(states, ids, None, batch.rows(), |_| Some(()));
                 Ok(())
             }
-            Some(RExpr::Col(c)) => match batch.column(*c) {
-                // NULL updates nothing, whatever the aggregate.
-                Column::Nulls(_) => Ok(()),
-                Column::Typed(tc) if fold_typed(self.call, states, tc, batch.selection(), ids) => {
-                    Ok(())
+            Some(RExpr::Col(c)) => {
+                let column = batch.column(*c);
+                match column.view() {
+                    // NULL updates nothing, whatever the aggregate.
+                    None => Ok(()),
+                    Some(view) => {
+                        let (phys, sel) = (column.len(), batch.selection());
+                        if fold_typed(self.call, states, view, phys, sel, ids) {
+                            Ok(())
+                        } else {
+                            replay(states, &|r| batch.value(r, *c))
+                        }
+                    }
                 }
-                Column::Typed(_) => replay(states, &|r| batch.value(r, *c)),
-            },
+            }
             Some(e) => replay(states, &|r| e.eval(&BatchRow::new(batch, r))),
         }
     }
@@ -840,27 +862,32 @@ fn drive<T, A: Fold<T>>(
     }
 }
 
-/// Fold a typed column through the [`Fold`] of its (aggregate, column type)
-/// pairing — COUNT over any column, SUM/AVG/MIN/MAX over Int and Float —
-/// with [`AggState::update`]'s semantics. The pairing is matched once per
-/// batch, and a column without NULLs skips the per-row NULL test. Returns
-/// `false` when the pairing has no fold and the caller must replay scalar
-/// updates.
+/// Fold a typed column — the `phys` physical rows of `view` — through the
+/// [`Fold`] of its (aggregate, column type) pairing — COUNT over any
+/// column, SUM/AVG/MIN/MAX over Int and Float — with
+/// [`AggState::update`]'s semantics. The pairing is matched once per batch,
+/// and a window without NULLs skips the per-row NULL test. Returns `false`
+/// when the pairing has no fold and the caller must replay scalar updates.
 fn fold_typed(
     call: &AggCall,
     states: &mut [AggState],
-    tc: &TypedColumn,
+    view: ColView<'_>,
+    phys: usize,
     sel: Option<&[u32]>,
     ids: Option<&[u32]>,
 ) -> bool {
-    let nulls = tc.nulls();
-    let rows = sel.map_or(tc.len(), <[u32]>::len);
+    let ColView { col, base } = view;
+    let window = base..base + phys;
+    let nulls = col.nulls();
+    let any_null = nulls.count_nulls(base, base + phys) > 0;
+    let words = nulls.words();
+    let rows = sel.map_or(phys, <[u32]>::len);
     // `drive` the fold `$acc` over the values `$get(p)` of the non-NULL rows.
     macro_rules! fold {
         ($acc:ty, $get:expr) => {
-            if nulls.any_null() {
+            if any_null {
                 drive::<_, $acc>(states, ids, sel, rows, |p| {
-                    (!nulls.is_null(p)).then(|| $get(p))
+                    (!null_bit(words, base + p)).then(|| $get(p))
                 })
             } else {
                 drive::<_, $acc>(states, ids, sel, rows, |p| Some($get(p)))
@@ -868,20 +895,38 @@ fn fold_typed(
         };
     }
     use TypedColumn::{Float, Int};
-    match (call.func, call.distinct, tc) {
+    match (call.func, call.distinct, col) {
         (AggFunc::Count, false, _) => fold!(u64, |_| ()),
-        (AggFunc::Sum, _, Int { values, .. }) => fold!(Sum, |p| values[p]),
-        (AggFunc::Sum, _, Float { values, .. }) => fold!(Sum, |p| values[p]),
-        (AggFunc::Avg, _, Int { values, .. }) => fold!(Avg, |p| values[p]),
-        (AggFunc::Avg, _, Float { values, .. }) => fold!(Avg, |p| values[p]),
+        (AggFunc::Sum, _, Int { values, .. }) => {
+            let values = &values[window];
+            fold!(Sum, |p| values[p])
+        }
+        (AggFunc::Sum, _, Float { values, .. }) => {
+            let values = &values[window];
+            fold!(Sum, |p| values[p])
+        }
+        (AggFunc::Avg, _, Int { values, .. }) => {
+            let values = &values[window];
+            fold!(Avg, |p| values[p])
+        }
+        (AggFunc::Avg, _, Float { values, .. }) => {
+            let values = &values[window];
+            fold!(Avg, |p| values[p])
+        }
         (AggFunc::Min, _, Int { values, .. }) => {
+            let values = &values[window];
             fold!(Extreme<i64, false>, |p| values[p])
         }
-        (AggFunc::Max, _, Int { values, .. }) => fold!(Extreme<i64, true>, |p| values[p]),
+        (AggFunc::Max, _, Int { values, .. }) => {
+            let values = &values[window];
+            fold!(Extreme<i64, true>, |p| values[p])
+        }
         (AggFunc::Min, _, Float { values, .. }) => {
+            let values = &values[window];
             fold!(Extreme<f64, false>, |p| values[p])
         }
         (AggFunc::Max, _, Float { values, .. }) => {
+            let values = &values[window];
             fold!(Extreme<f64, true>, |p| values[p])
         }
         _ => return false,
@@ -898,6 +943,7 @@ pub fn sort_rows(rows: &mut [Vec<Datum>], keys: &[(usize, bool)]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::Column;
     use crate::planner::plan_select;
     use crate::source::{MemSource, ScanRequest};
     use nodb_rawcsv::{ColumnDef, ColumnType, Schema};
@@ -1229,7 +1275,7 @@ mod tests {
                         .collect();
                     Batch::from_parts(cols, sel.clone())
                 })
-                .collect::<Vec<Batch>>()
+                .collect::<Vec<Batch<'static>>>()
         };
         let queries = [
             "SELECT ki, COUNT(*), COUNT(vi), SUM(vi), AVG(vi), MIN(vi), MAX(vi) FROM t GROUP BY ki",
@@ -1353,7 +1399,7 @@ mod tests {
     fn against_scalar(
         sql: &str,
         schema: &Schema,
-        batches: &dyn Fn(&[usize]) -> Vec<Batch>,
+        batches: &dyn Fn(&[usize]) -> Vec<Batch<'static>>,
     ) -> EngineResult<Vec<Vec<Datum>>> {
         let planned = plan_select(&parse_select(sql).unwrap(), schema, &NoStats).unwrap();
         let spec = planned.pipeline.aggregate.as_ref().unwrap();
@@ -1538,7 +1584,8 @@ mod tests {
                 for bound in &bounds {
                     for asc in [true, false] {
                         for sel in [None, Some(&sparse[..])] {
-                            top_n_contenders(&tc, sel, bound, asc, &mut out);
+                            let view = ColView { col: &tc, base: 0 };
+                            top_n_contenders(view, rows, sel, bound, asc, &mut out);
                             let loses = if asc {
                                 Ordering::Greater
                             } else {
@@ -1665,7 +1712,7 @@ mod tests {
             })
             .collect();
         let total: usize = shapes.iter().map(|&(n, _)| n).sum();
-        let batches = |attrs: &[usize]| -> std::collections::VecDeque<Batch> {
+        let batches = |attrs: &[usize]| -> std::collections::VecDeque<Batch<'static>> {
             data.iter()
                 .enumerate()
                 .map(|(b, (rows, sel))| {
@@ -1732,13 +1779,170 @@ mod tests {
         }
     }
 
+    /// Batches of borrowed windows answer exactly as owned batches of the
+    /// same rows: one long column per type — Int, Float with NaN and ±0.0,
+    /// Str and Bool, each with NULLs — is lent to the engine a window at a
+    /// time, at bases off the 64-row bitmap words (0, 37, 1 029, …), dense
+    /// and behind a selection that skips rows (one window selecting none).
+    /// Every aggregate, GROUP BY, `ORDER BY … LIMIT`, projection and a
+    /// pushed predicate run over the windows and over `MemSource` batches of
+    /// the logical rows, compared by `Debug` text so NaN and −0.0 count. A
+    /// kernel that forgot a window's `base` reads the wrong rows here.
+    #[test]
+    fn borrowed_windows_equal_owned_batches() {
+        let names = ["id", "k", "i", "f", "s", "b"];
+        let types = [
+            ColumnType::Int,
+            ColumnType::Int,
+            ColumnType::Int,
+            ColumnType::Float,
+            ColumnType::Str,
+            ColumnType::Bool,
+        ];
+        let schema = Schema::new(
+            names
+                .iter()
+                .zip(types)
+                .map(|(n, t)| ColumnDef::new(*n, t))
+                .collect(),
+        );
+        let len = if cfg!(miri) { 300 } else { 3_000 };
+        let floats = [f64::NAN, -0.0, 0.0, 1.5, -2.25, -f64::NAN, 1e300];
+        let strs = ["", "a", "ab", "b", "zz"];
+        // Row `p` of every column, NULL on a per-column stride.
+        let value = |c: usize, p: usize| -> Datum {
+            let h = p.wrapping_mul(0x9e37_79b9) >> 7;
+            if c > 0 && (p + c).is_multiple_of(4 + c) {
+                return Datum::Null;
+            }
+            match c {
+                0 => Datum::Int(p as i64),
+                1 => Datum::Int((h % 5) as i64),
+                2 => Datum::Int((h % 1_000) as i64 - 500),
+                3 => Datum::Float(floats[h % floats.len()]),
+                4 => Datum::from(strs[h % strs.len()]),
+                _ => Datum::Bool(h.is_multiple_of(3)),
+            }
+        };
+        let cols: Vec<TypedColumn> = types
+            .iter()
+            .enumerate()
+            .map(|(c, &ty)| {
+                let mut tc = TypedColumn::new(ty);
+                (0..len).for_each(|p| tc.push(&value(c, p)));
+                tc
+            })
+            .collect();
+        let cuts: &[usize] = if cfg!(miri) {
+            &[0, 37, 64, 101, 230, 300]
+        } else {
+            &[0, 37, 1_029, 1_100, 1_101, 2_053, 2_500, 3_000]
+        };
+        // Selected backing rows: every row, or all but every third (and
+        // none of the window starting at 1 101 / 101).
+        let picked = |selected: bool, p: usize| {
+            !selected
+                || (p % 3 != 1
+                    && !cuts
+                        .windows(2)
+                        .any(|w| w[0] % 1_000 == 101 && (w[0]..w[1]).contains(&p)))
+        };
+
+        /// Lends `cols` (the scan's attributes) a window at a time, with the
+        /// pushed predicate's selection over the picked rows.
+        struct Windows<'c> {
+            cols: Vec<&'c TypedColumn>,
+            cuts: &'c [usize],
+            next: usize,
+            predicate: Option<RExpr>,
+            picked: &'c dyn Fn(usize) -> bool,
+        }
+        impl<'c> ScanSource<'c> for Windows<'c> {
+            fn next_batch(&mut self) -> EngineResult<Option<Batch<'c>>> {
+                let Some(w) = self.cuts.get(self.next..self.next + 2) else {
+                    return Ok(None);
+                };
+                self.next += 1;
+                let (lo, rows) = (w[0], w[1] - w[0]);
+                let views: Vec<ColView<'_>> = self
+                    .cols
+                    .iter()
+                    .map(|&col| ColView { col, base: lo })
+                    .collect();
+                let passed = match &self.predicate {
+                    Some(p) => p.filter_columnar(&views, rows),
+                    None => (0..rows as u32).collect(),
+                };
+                let sel: Vec<u32> = passed
+                    .into_iter()
+                    .filter(|&r| (self.picked)(lo + r as usize))
+                    .collect();
+                let columns = self
+                    .cols
+                    .iter()
+                    .map(|&col| Column::Window {
+                        col,
+                        base: lo,
+                        len: rows,
+                    })
+                    .collect();
+                let dense = sel.len() == rows;
+                Ok(Some(Batch::from_parts(columns, (!dense).then_some(sel))))
+            }
+        }
+
+        let queries = [
+            "SELECT COUNT(*), COUNT(i), SUM(i), AVG(i), MIN(i), MAX(i), COUNT(DISTINCT i) FROM t",
+            "SELECT COUNT(f), SUM(f), AVG(f), MIN(f), MAX(f), COUNT(DISTINCT f) FROM t",
+            "SELECT COUNT(s), MIN(s), MAX(s), COUNT(DISTINCT s), COUNT(b), MIN(b), MAX(b) FROM t",
+            "SELECT k, COUNT(*), SUM(i), AVG(f), MIN(s), MAX(b) FROM t GROUP BY k",
+            "SELECT s, b, COUNT(*), SUM(f), MAX(i) FROM t GROUP BY s, b",
+            "SELECT f, COUNT(*), MIN(id) FROM t GROUP BY f",
+            "SELECT id, i, f FROM t ORDER BY f DESC, i LIMIT 50",
+            "SELECT id, s FROM t ORDER BY s, id DESC LIMIT 7",
+            "SELECT id, b, i FROM t ORDER BY i LIMIT 100",
+            "SELECT id FROM t ORDER BY b DESC, f LIMIT 300",
+            "SELECT id, k, i, f, s, b FROM t",
+            "SELECT id, i * 2, f FROM t LIMIT 1500",
+            "SELECT id, f, s FROM t WHERE i < 0 AND s >= 'ab'",
+            "SELECT k, COUNT(*), SUM(f) FROM t WHERE f > -1.0 OR b GROUP BY k",
+            "SELECT id, i FROM t WHERE s IS NULL ORDER BY i DESC LIMIT 20",
+        ];
+        for selected in [false, true] {
+            let picked = |p: usize| picked(selected, p);
+            let table: Vec<Vec<Datum>> = (0..len)
+                .filter(|&p| picked(p))
+                .map(|p| (0..names.len()).map(|c| value(c, p)).collect())
+                .collect();
+            for sql in queries {
+                let planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
+                let windows = Windows {
+                    cols: planned.scan.attrs.iter().map(|&a| &cols[a]).collect(),
+                    cuts,
+                    next: 0,
+                    predicate: planned.scan.predicate.clone(),
+                    picked: &picked,
+                };
+                let got = execute(&planned, Box::new(windows)).unwrap();
+                let owned = MemSource::from_table(&table, &planned.scan);
+                let want = execute(&planned, Box::new(owned)).unwrap();
+                assert!(!want.rows.is_empty(), "{sql}");
+                assert_eq!(
+                    format!("{:?}", got.rows),
+                    format!("{:?}", want.rows),
+                    "{sql} (selected {selected})"
+                );
+            }
+        }
+    }
+
     /// A bare `LIMIT n` stops pulling batches once it holds `n` rows (a
     /// source that runs dry first is pulled once more, to see it end).
     #[test]
     fn bare_limit_stops_pulling_batches() {
         struct Counting(MemSource, std::rc::Rc<std::cell::Cell<usize>>);
-        impl ScanSource for Counting {
-            fn next_batch(&mut self) -> EngineResult<Option<crate::batch::Batch>> {
+        impl<'a> ScanSource<'a> for Counting {
+            fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
                 self.1.set(self.1.get() + 1);
                 self.0.next_batch()
             }

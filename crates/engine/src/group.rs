@@ -8,7 +8,8 @@
 //! rows still answers one row, and `assign` puts every row in it without
 //! hashing or probing.
 //! Keys are read a column at a time: a bare column reference reads the
-//! batch's typed storage directly, a computed key is evaluated once per
+//! batch's typed storage directly through its [`ColView`] (owned or a
+//! borrowed window alike), a computed key is evaluated once per
 //! logical row into a `Vec<Datum>`. Row hashes fold the per-value hashes of
 //! [`crate::hash`], which equal `hash_datum` of the same value, so a typed
 //! column and a computed column holding equal values land in the same
@@ -34,7 +35,7 @@ use nodb_rawcache::column::NullMask;
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::Datum;
 
-use crate::batch::{Batch, BatchRow, Column};
+use crate::batch::{Batch, BatchRow, ColView};
 use crate::error::{EngineError, EngineResult};
 use crate::expr::RExpr;
 use crate::hash::{hash_bool, hash_datum, hash_float, hash_int, hash_str};
@@ -50,17 +51,17 @@ const INITIAL_SLOTS: usize = 16;
 enum KeyColumn<'a> {
     /// A bare column reference: the batch's storage, read through its
     /// selection.
-    Typed(&'a TypedColumn, Option<&'a [u32]>),
+    Typed(ColView<'a>, Option<&'a [u32]>),
     /// A computed key (or an all-NULL column), one value per logical row.
     Values(Vec<Datum>),
 }
 
 impl<'a> KeyColumn<'a> {
-    fn new(expr: &RExpr, batch: &'a Batch) -> Self {
+    fn new(expr: &RExpr, batch: &'a Batch<'a>) -> Self {
         match expr {
-            RExpr::Col(c) => match batch.column(*c) {
-                Column::Typed(tc) => KeyColumn::Typed(tc, batch.selection()),
-                Column::Nulls(_) => KeyColumn::Values(vec![Datum::Null; batch.rows()]),
+            RExpr::Col(c) => match batch.column(*c).view() {
+                Some(view) => KeyColumn::Typed(view, batch.selection()),
+                None => KeyColumn::Values(vec![Datum::Null; batch.rows()]),
             },
             e => KeyColumn::Values(
                 (0..batch.rows())
@@ -76,20 +77,23 @@ impl<'a> KeyColumn<'a> {
         let null = hash_datum(&Datum::Null);
         let put = |h: &mut u64, v: u64| *h = if first { v } else { mix(*h, v) };
         match self {
-            KeyColumn::Typed(tc, sel) => match tc {
-                TypedColumn::Int { values, nulls } => {
-                    hash_typed(values, nulls, *sel, hashes, null, put, |v| hash_int(*v))
+            KeyColumn::Typed(ColView { col, base }, sel) => {
+                let (nulls, sel) = ((col.nulls(), *base), *sel);
+                match col {
+                    TypedColumn::Int { values, .. } => {
+                        hash_typed(values, nulls, sel, hashes, null, put, |v| hash_int(*v))
+                    }
+                    TypedColumn::Float { values, .. } => {
+                        hash_typed(values, nulls, sel, hashes, null, put, |v| hash_float(*v))
+                    }
+                    TypedColumn::Str { values, .. } => {
+                        hash_typed(values, nulls, sel, hashes, null, put, |v| hash_str(v))
+                    }
+                    TypedColumn::Bool { values, .. } => {
+                        hash_typed(values, nulls, sel, hashes, null, put, |v| hash_bool(*v))
+                    }
                 }
-                TypedColumn::Float { values, nulls } => {
-                    hash_typed(values, nulls, *sel, hashes, null, put, |v| hash_float(*v))
-                }
-                TypedColumn::Str { values, nulls, .. } => {
-                    hash_typed(values, nulls, *sel, hashes, null, put, |v| hash_str(v))
-                }
-                TypedColumn::Bool { values, nulls } => {
-                    hash_typed(values, nulls, *sel, hashes, null, put, |v| hash_bool(*v))
-                }
-            },
+            }
             KeyColumn::Values(vals) => {
                 for (h, d) in hashes.iter_mut().zip(vals) {
                     put(h, hash_datum(d));
@@ -103,12 +107,12 @@ impl<'a> KeyColumn<'a> {
     #[inline]
     fn eq(&self, r: usize, key: &Datum) -> bool {
         match self {
-            KeyColumn::Typed(tc, sel) => {
-                let p = sel.map_or(r, |s| s[r] as usize);
-                if tc.nulls().is_null(p) {
+            KeyColumn::Typed(ColView { col, base }, sel) => {
+                let p = base + sel.map_or(r, |s| s[r] as usize);
+                if col.nulls().is_null(p) {
                     return key.is_null();
                 }
-                match tc {
+                match col {
                     TypedColumn::Int { values, .. } => total_eq(&Datum::Int(values[p]), key),
                     TypedColumn::Float { values, .. } => total_eq(&Datum::Float(values[p]), key),
                     TypedColumn::Bool { values, .. } => total_eq(&Datum::Bool(values[p]), key),
@@ -124,10 +128,7 @@ impl<'a> KeyColumn<'a> {
     /// Logical row `r`'s value, owned (a new group's key).
     fn value(&self, r: usize) -> Datum {
         match self {
-            KeyColumn::Typed(tc, sel) => {
-                let p = sel.map_or(r, |s| s[r] as usize);
-                tc.datum(p).unwrap_or(Datum::Null)
-            }
+            KeyColumn::Typed(view, sel) => view.datum(sel.map_or(r, |s| s[r] as usize)),
             KeyColumn::Values(vals) => vals[r].clone(),
         }
     }
@@ -147,20 +148,22 @@ fn total_eq(a: &Datum, b: &Datum) -> bool {
     }
 }
 
-/// [`KeyColumn::hash_into`] over one typed column: `put` each logical row's
-/// value hash (`null` for a NULL) into its row hash.
+/// [`KeyColumn::hash_into`] over one typed column whose physical row `p`
+/// is backing row `base + p`: `put` each logical row's value hash (`null`
+/// for a NULL) into its row hash.
 #[inline]
 fn hash_typed<T>(
     values: &[T],
-    nulls: &NullMask,
+    (nulls, base): (&NullMask, usize),
     sel: Option<&[u32]>,
     hashes: &mut [u64],
     null: u64,
     put: impl Fn(&mut u64, u64),
     hash: impl Fn(&T) -> u64,
 ) {
+    let values = &values[base..];
     let value = |p: usize| {
-        if nulls.is_null(p) {
+        if nulls.is_null(base + p) {
             null
         } else {
             hash(&values[p])
@@ -252,7 +255,7 @@ impl<'a> GroupTable<'a> {
     /// nothing is hashed or probed.
     pub(crate) fn assign<'i>(
         &mut self,
-        batch: &Batch,
+        batch: &Batch<'_>,
         ids: &'i mut Vec<u32>,
     ) -> EngineResult<Option<&'i [u32]>> {
         if self.exprs.is_empty() {

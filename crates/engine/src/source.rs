@@ -6,6 +6,14 @@
 //! produces a [`ScanRequest`] (which attributes, which pushed predicate);
 //! each storage backend — PostgresRaw-style raw scan, naive external-files
 //! scan, loaded row/column stores — answers with batches.
+//!
+//! A source that owns its batches (raw and partially cached scans, through
+//! [`QueueSource`]; [`MemSource`]; the loaded stores) implements
+//! [`ScanSource<'a>`] for every `'a`. A fully-cached raw-file scan is a
+//! *lazy* source instead: it yields borrowed windows of the cache's columns
+//! ([`crate::batch::Column::Window`]) while it holds the table's read
+//! guard, runs the pushed predicate one window at a time as the engine
+//! pulls, and stops when the engine stops pulling.
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::{ColumnType, Datum};
@@ -57,14 +65,16 @@ impl ScanRequest {
     }
 }
 
-/// A stream of batches satisfying a [`ScanRequest`].
-pub trait ScanSource {
+/// A stream of batches satisfying a [`ScanRequest`]; `'a` is how long the
+/// columns a batch borrows live (see [`crate::batch`]).
+pub trait ScanSource<'a> {
     /// Produce the next batch, or `None` when exhausted.
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>>;
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>>;
 
-    /// Rows this source still expects to yield, when it knows (staged
-    /// batches count exactly; streaming scans report the known row count of
-    /// their file — an upper bound under a pushed predicate). The executor
+    /// Rows this source still expects to yield, when it knows exactly
+    /// (staged and in-memory batches). A source that filters as it streams
+    /// reports none: an upper bound such as the table's row count would
+    /// make a selective query reserve rows it never fills. The executor
     /// uses it to pre-size result vectors instead of growth-doubling.
     fn size_hint(&self) -> Option<usize> {
         None
@@ -73,26 +83,26 @@ pub trait ScanSource {
 
 /// A [`ScanSource`] over batches that were produced before execution began.
 ///
-/// This is the seam the concurrent raw scan uses: a scan that runs under a
-/// table's *shared* lock stages its output batches and releases every lock
-/// before the engine pipeline starts, so aggregation and sorting never hold
-/// table locks. Construction from a pre-drained scan also means the source
-/// itself borrows nothing — it is `'static` and trivially `Send`.
+/// This is the seam raw and partially cached scans use: such a scan stages
+/// its owned output batches, installs what it learned under the table's
+/// write lock, and releases every lock before the engine pipeline starts,
+/// so aggregation and sorting never hold table locks behind a raw scan.
+/// (A fully-cached scan streams lazily under its read guard instead.)
 pub struct QueueSource {
-    batches: std::collections::VecDeque<Batch>,
+    batches: std::collections::VecDeque<Batch<'static>>,
     remaining: usize,
 }
 
 impl QueueSource {
     /// Source over already-materialized batches, yielded in order.
-    pub fn new(batches: std::collections::VecDeque<Batch>) -> Self {
+    pub fn new(batches: std::collections::VecDeque<Batch<'static>>) -> Self {
         let remaining = batches.iter().map(Batch::rows).sum();
         QueueSource { batches, remaining }
     }
 }
 
-impl ScanSource for QueueSource {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
+impl<'a> ScanSource<'a> for QueueSource {
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
         let b = self.batches.pop_front();
         if let Some(b) = &b {
             self.remaining -= b.rows();
@@ -164,8 +174,8 @@ impl MemSource {
     }
 }
 
-impl ScanSource for MemSource {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
+impl<'a> ScanSource<'a> for MemSource {
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
         let mut cols: Vec<Option<TypedColumn>> =
             self.types.iter().map(|t| t.map(TypedColumn::new)).collect();
         let mut rows = 0;

@@ -271,7 +271,7 @@ impl ConventionalDb {
         let planned = plan_select(&stmt, &table.schema, &table.stats)?;
 
         let schema = &table.schema;
-        let source: Box<dyn ScanSource> = match &table.storage {
+        let source: Box<dyn ScanSource<'_>> = match &table.storage {
             TableStorage::Heap(heap) => match pick_index_rows(table, &planned) {
                 Some(ids) => Box::new(IndexScanSource::new(
                     Arc::clone(heap),

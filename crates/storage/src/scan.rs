@@ -52,7 +52,7 @@ impl TypedRows {
     }
 
     /// The batch, or `None` when no row survived.
-    fn finish(self) -> Option<Batch> {
+    fn finish(self) -> Option<Batch<'static>> {
         let cols = self.cols.into_iter().map(Column::Typed).collect();
         (self.rows > 0).then(|| Batch::dense(cols, self.rows))
     }
@@ -88,8 +88,8 @@ impl HeapScanSource {
     }
 }
 
-impl ScanSource for HeapScanSource {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
+impl<'a> ScanSource<'a> for HeapScanSource {
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
         let mut out = TypedRows::new(&self.types);
         while self.page_no < self.heap.npages() && !out.is_full() {
             let page_no = self.page_no;
@@ -140,8 +140,8 @@ impl ColScanSource {
     }
 }
 
-impl ScanSource for ColScanSource {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
+impl<'a> ScanSource<'a> for ColScanSource {
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
         let mut out = TypedRows::new(&self.types);
         let mut row_buf: Vec<Datum> = Vec::with_capacity(self.cols.len());
         while self.at < self.nrows && !out.is_full() {
@@ -191,8 +191,8 @@ impl IndexScanSource {
     }
 }
 
-impl ScanSource for IndexScanSource {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch>> {
+impl<'a> ScanSource<'a> for IndexScanSource {
+    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
         let mut out = TypedRows::new(&self.types);
         let mut scratch: Vec<Datum> = Vec::with_capacity(self.types.len());
         for id in self.row_ids.by_ref() {
@@ -261,14 +261,14 @@ mod tests {
 
     /// Drain `s`, asserting every position of every batch is typed as the
     /// schema says; returns the rows seen.
-    fn drain_typed(mut s: impl ScanSource, req: &ScanRequest) -> Vec<Vec<Datum>> {
+    fn drain_typed(mut s: impl ScanSource<'static>, req: &ScanRequest) -> Vec<Vec<Datum>> {
         let mut rows = Vec::new();
         while let Some(b) = s.next_batch().unwrap() {
             assert_eq!(b.ncols(), req.attrs.len());
             for (i, &a) in req.attrs.iter().enumerate() {
                 match b.column(i) {
                     Column::Typed(c) => assert_eq!(c.ty(), schema().ty(a), "position {i}"),
-                    Column::Nulls(_) => panic!("position {i} left the scan untyped"),
+                    _ => panic!("position {i} left the scan without owned typed storage"),
                 }
             }
             rows.extend((0..b.rows()).map(|r| b.row(r)));

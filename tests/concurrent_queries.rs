@@ -397,3 +397,138 @@ fn budget_flips_racing_fully_cached_scans() {
     }
     std::fs::remove_file(path).unwrap();
 }
+
+/// A fully-cached query executes under the read guard it planned with, so
+/// however it ends it must release that guard: an engine error (`SUM` over
+/// a string column, which the planner lets through and the fold rejects),
+/// a deadline tripped mid-stream, and a `LIMIT` that stops the engine
+/// pulling (`LIMIT 0`, `LIMIT 5`). After each, a budget change from another
+/// thread — it takes every table's write lock — completes, and the table
+/// answers like a cold instance. The stream tallies only the windows it
+/// streamed: one for the failed `SUM` and for `LIMIT 5`, none for
+/// `LIMIT 0`, some but not all for the tripped deadline.
+#[test]
+fn cached_queries_release_the_read_guard_however_they_end() {
+    use nodb_repro::core::{EngineError, QueryCtx};
+    use std::time::Duration;
+
+    const WINDOW: u64 = nodb_repro::engine::batch::BATCH_SIZE as u64;
+    let rows = 60_000u64;
+    let path = scratch("release", 0);
+    let mut csv = String::new();
+    for i in 0..rows {
+        csv.push_str(&format!("{i},{},s{}\n", (i * 7_919) % 1_000, i % 97));
+    }
+    std::fs::write(&path, csv).unwrap();
+    let schema = Schema::new(vec![
+        ColumnDef::new("c0", ColumnType::Int),
+        ColumnDef::new("c1", ColumnType::Int),
+        ColumnDef::new("c2", ColumnType::Str),
+    ]);
+    let checks = [
+        "SELECT COUNT(*), SUM(c1), MIN(c2), MAX(c0) FROM t WHERE c1 < 500",
+        "SELECT c0, c2 FROM t WHERE c1 < 3",
+        "SELECT c1, COUNT(*) FROM t GROUP BY c1 ORDER BY c1 DESC LIMIT 4",
+    ];
+
+    for threads in scan_thread_counts() {
+        let db = Arc::new(mk_db(&path, schema.clone(), threads));
+        for q in checks.iter().chain(["SELECT c2 FROM t"].iter()) {
+            db.query(q).unwrap(); // warm: every column cached
+        }
+        let hits = || {
+            let h = db.table_handle("t").unwrap();
+            let t = h.read();
+            t.cache().metrics().hits
+        };
+        // Another thread changes the budget (to the one in force) and must
+        // get every table's write lock; a leaked read guard would hang it,
+        // so the wait is bounded and a hung thread is left detached.
+        let budget_change_completes = |tag: &str| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (db, budget) = (Arc::clone(&db), db.config().cache_budget_bytes);
+            let changer = std::thread::spawn(move || {
+                db.admin().set_cache_budget(budget);
+                tx.send(()).unwrap();
+            });
+            let done = rx.recv_timeout(Duration::from_secs(60));
+            assert!(
+                done.is_ok(),
+                "threads={threads} {tag}: the read guard leaked"
+            );
+            changer.join().unwrap();
+        };
+        let answers_like_cold = |tag: &str| {
+            let cold = mk_db(&path, schema.clone(), threads);
+            for q in &checks {
+                let r = db.query_reported(q, &QueryCtx::unbounded()).unwrap();
+                assert!(r.1.fully_cached, "threads={threads} {tag}: {q}");
+                assert_eq!(r.0, cold.query(q).unwrap(), "threads={threads} {tag}: {q}");
+            }
+        };
+
+        // An engine error at the first window.
+        let before = hits();
+        let err = db.query("SELECT SUM(c2) FROM t").unwrap_err();
+        assert!(err.to_string().contains("SUM over non-numeric"), "{err}");
+        assert_eq!(
+            hits() - before,
+            WINDOW,
+            "threads={threads}: one window streamed"
+        );
+        budget_change_completes("engine error");
+        answers_like_cold("engine error");
+
+        // LIMIT ends the stream because the engine stops pulling.
+        for (n, streamed) in [(0u64, 0u64), (5, WINDOW)] {
+            let sql = format!("SELECT c0, c2 FROM t LIMIT {n}");
+            let before = hits();
+            let (r, rep) = db.query_reported(&sql, &QueryCtx::unbounded()).unwrap();
+            let tag = format!("LIMIT {n}");
+            assert_eq!(r.len() as u64, n, "threads={threads} {tag}");
+            assert!(rep.fully_cached, "threads={threads} {tag}");
+            assert_eq!(rep.rows_scanned, streamed, "threads={threads} {tag}: rows");
+            assert_eq!(
+                rep.cache_hits,
+                2 * streamed,
+                "threads={threads} {tag}: hits"
+            );
+            assert_eq!(
+                hits() - before,
+                2 * streamed,
+                "threads={threads} {tag}: metrics"
+            );
+            budget_change_completes(&tag);
+            answers_like_cold(&tag);
+        }
+
+        // A deadline tripped mid-stream: bisect the timeout until one trips
+        // after the first window and before the last.
+        let sql = "SELECT COUNT(*), SUM(c0), MAX(c1) FROM t WHERE c1 >= 0";
+        let (mut lo, mut hi) = (Duration::ZERO, Duration::from_millis(500));
+        let mut tripped = false;
+        for _ in 0..40 {
+            let timeout = (lo + hi) / 2;
+            let before = hits();
+            let r = db.query_with_ctx(sql, &QueryCtx::with_timeout(timeout));
+            let streamed = (hits() - before) / 2;
+            match r {
+                Ok(_) => hi = timeout,
+                Err(EngineError::DeadlineExceeded) if streamed == 0 => lo = timeout,
+                Err(EngineError::DeadlineExceeded) => {
+                    assert!(streamed < rows, "threads={threads}: stopped early");
+                    assert_eq!(streamed % WINDOW, 0, "threads={threads}: whole windows");
+                    tripped = true;
+                }
+                Err(e) => panic!("threads={threads}: {e}"),
+            }
+            budget_change_completes(&format!("deadline {timeout:?}"));
+            if tripped {
+                break;
+            }
+        }
+        assert!(tripped, "threads={threads}: no deadline tripped mid-stream");
+        answers_like_cold("deadline");
+    }
+    std::fs::remove_file(path).unwrap();
+}
