@@ -2,7 +2,7 @@
 //!
 //! Resilience must be close to free on the hot path: the cooperative
 //! deadline/cancel checks (one atomic load + occasional `Instant::now` every
-//! `CHECK_STRIDE` rows, plus a stop-flag test per block refill) ride on every
+//! batch of rows, plus a stop-flag test per block refill) ride on every
 //! scan whether or not a caller sets a deadline. This bench measures warm
 //! (fully-cached) filter+aggregate queries in two modes at equal thread
 //! counts:

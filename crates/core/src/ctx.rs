@@ -4,7 +4,7 @@
 //! facade, scan orchestration, partition workers, and (via the shared stop
 //! flag) `BlockSource` refills. Cancellation is
 //! *cooperative*: nothing is killed, every layer polls [`QueryCtx::check`]
-//! at natural boundaries (a refill, a batch, every [`CHECK_STRIDE`] rows)
+//! at natural boundaries (a refill, a batch of at most `BATCH_SIZE` rows)
 //! and unwinds with a structured [`EngineError::Cancelled`] /
 //! [`EngineError::DeadlineExceeded`]. That cooperative shape is what lets
 //! the merge layer still install whatever positional-map / cache /
@@ -13,7 +13,7 @@
 //!
 //! The deadline is polled rather than timer-driven: the first observer that
 //! notices `Instant::now() >= deadline` trips the shared stop flag, so all
-//! sibling workers stop within one check stride of each other without any
+//! sibling workers stop within one batch of each other without any
 //! dedicated timer thread.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,12 +21,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nodb_engine::{EngineError, EngineResult};
-
-/// How many rows a worker processes between [`QueryCtx::check`] polls. At
-/// a warm-path rate of millions of rows per second this bounds cancellation
-/// latency to well under a millisecond per worker, while keeping the check
-/// (one relaxed atomic load + one `Instant` compare) invisible in profiles.
-pub const CHECK_STRIDE: u64 = 1024;
 
 /// Deadline + cancellation state for one query.
 ///

@@ -15,9 +15,12 @@ use crate::rawscan::QuarantineSample;
 /// Per-phase wall-clock breakdown of one query (Fig 3).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Breakdown {
-    /// Reading raw bytes from disk (block fetches).
+    /// Reading raw bytes from disk: opening the file and the time inside
+    /// block `read`s. Finding where lines end is not I/O: it is part of the
+    /// tokenizing pass, which masks newlines and delimiters together.
     pub io: Duration,
-    /// Locating delimiters (SWAR scanning, resumable tokenizing).
+    /// Locating newlines and delimiters (the batch fetch's mask pass,
+    /// resumable tokenizing from map anchors).
     pub tokenizing: Duration,
     /// Navigating via positional-map offsets (jump + field-end location).
     pub parsing: Duration,
@@ -273,25 +276,14 @@ impl SystemSnapshot {
     }
 }
 
-/// A partition's row loop times one row in `TIMING_STRIDE`
-/// ([`PhaseClock::for_row`]) and scales the sampled laps up to all its rows
-/// ([`PhaseClock::scale_sampled`]), so the tokenizing / parsing / convert /
-/// nodb slices of a scan are estimates from a 1-in-16 sample rather than
-/// two clock reads per phase per row. The `io` slice is not sampled: it is
-/// the scanner's exact time inside `read` (`IoCounters::stall`) plus the
-/// open, and a timed row subtracts the stall it saw from its own lap.
-pub const TIMING_STRIDE: usize = 16;
-const _: () = assert!(TIMING_STRIDE.is_power_of_two());
-
-/// Low-overhead phase stopwatch used inside the scan loop. When disabled,
-/// every call is a no-op the optimizer removes.
+/// Low-overhead phase stopwatch used inside the scan loop, which laps each
+/// phase once per batch of rows. When disabled, every call is a no-op the
+/// optimizer removes.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseClock {
     enabled: bool,
     /// What a start/lap pair reports around no work at all (one clock
-    /// read's latency falls inside every window). Taken off each lap: on
-    /// ~100 ns row phases it is a fifth of the reading, and scaling sampled
-    /// laps would scale it along.
+    /// read's latency falls inside every window). Taken off each lap.
     overhead: Duration,
 }
 
@@ -312,32 +304,6 @@ impl PhaseClock {
     /// Whether this clock records anything.
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// The clock for row `row` of a partition's row loop: this clock on one
-    /// row in [`TIMING_STRIDE`], a disabled one on the others. The timed
-    /// rows are those whose Fibonacci hash has its top bits clear — spread
-    /// evenly but with no fixed period, because a fixed one locks onto
-    /// whatever else recurs at powers of two (every `Vec` regrowth of the
-    /// partials would land on a timed row and be scaled up as if it
-    /// happened on all sixteen).
-    #[inline]
-    pub fn for_row(&self, row: usize) -> PhaseClock {
-        let hash = (row as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        PhaseClock {
-            enabled: self.enabled && hash >> (64 - TIMING_STRIDE.trailing_zeros()) == 0,
-            ..*self
-        }
-    }
-
-    /// Scale a slot lapped on `timed` of `rows` rows up to an estimate for
-    /// all of them.
-    pub fn scale_sampled(slot: Duration, rows: usize, timed: usize) -> Duration {
-        if timed == 0 {
-            slot
-        } else {
-            slot.mul_f64(rows as f64 / timed as f64)
-        }
     }
 
     /// Start a measurement (None when disabled).
@@ -428,30 +394,6 @@ mod tests {
         assert!(p.contains("cached attr c2"));
         assert!(p.contains("c0:3"));
         assert!(!p.contains("c1:0"));
-    }
-
-    #[test]
-    fn row_sampling_times_one_row_in_a_stride_and_scales_back() {
-        let clock = PhaseClock::new(true);
-        let rows = 100_000;
-        let timed = (0..rows).filter(|&r| clock.for_row(r).enabled()).count();
-        assert!(
-            timed.abs_diff(rows / TIMING_STRIDE) < rows / TIMING_STRIDE / 20,
-            "{timed} of {rows} rows timed"
-        );
-        // No power-of-two rhythm: regrowth of a doubling `Vec` happens on
-        // rows 2^k, and those must be sampled like any other row.
-        let on_powers = (4..40).filter(|k| clock.for_row(1 << k).enabled()).count();
-        assert!(on_powers < 12, "{on_powers} of 36 power-of-two rows timed");
-        assert!(!(0..rows).any(|r| PhaseClock::new(false).for_row(r).enabled()));
-        assert_eq!(
-            PhaseClock::scale_sampled(Duration::from_micros(10), 1_600, 100),
-            Duration::from_micros(160)
-        );
-        assert_eq!(
-            PhaseClock::scale_sampled(Duration::ZERO, 0, 0),
-            Duration::ZERO
-        );
     }
 
     #[test]

@@ -52,10 +52,10 @@
 //!   byte targets snapped forward to line boundaries
 //!   ([`nodb_rawcsv::reader::partition_line_ranges_capped`]). Nothing is
 //!   known about these rows — not even how many there are — so their
-//!   workers resolve every value from raw bytes, on the fused single-pass
-//!   scan ([`nodb_rawcsv::reader::BlockScanner::next_line_tokenized`]) when
-//!   the tokenizer is plain, and record the line starts that extend the
-//!   index.
+//!   workers resolve every value from raw bytes, tokenizing every row from
+//!   its start in the batch fetch's one mask pass
+//!   ([`nodb_rawcsv::reader::RangeScanner::fill_batch`]), and record the
+//!   line starts that extend the index.
 //!
 //! A first-ever scan has no known rows; a warm scan (some earlier query
 //! reached EOF, nothing appended since) has no tail; after an append, or
@@ -539,7 +539,7 @@ pub(crate) struct ScanPrep {
     pub threads: usize,
     /// The access plan resolves at least one attribute through a chunk
     /// (exact or anchor). Workers only receive the map when this holds, so
-    /// an assist-free scan keeps the fused single-pass fast path.
+    /// an assist-free scan plans no per-row map reads.
     pub plan_assists: bool,
     /// File-state generation this prep belongs to: the install fence.
     pub generation: u64,
@@ -877,7 +877,7 @@ pub(crate) fn run_partitions(
     // Workers may address per-row adaptive state wherever a slice knows its
     // global rows: the cache always, the map only when the plan actually
     // resolves something through a chunk (an assist-free plan would just
-    // cost the fused fast path for nothing).
+    // cost per-row planning for nothing).
     let assist = prep.plan.as_ref().filter(|_| prep.plan_assists);
     let ctx = ScanContext {
         config: *config,
@@ -1552,8 +1552,9 @@ mod tests {
         assert_eq!(t.map.coverage(5), 300);
         let (rows, tel2) = scan_once(&mut t, cfg, req);
         assert_eq!(rows.len(), 300);
-        // Second scan uses exact jumps: parsing time present, tokenizing ~0.
-        assert_eq!(tel2.breakdown.tokenizing, Duration::ZERO);
+        // Second scan uses exact jumps: parsing time present. Its
+        // tokenizing slice is the newline pass alone (no row asks for a
+        // field: `worker::tests::map_jumps_and_anchors_shape_the_batch_plans`).
         assert!(tel2.breakdown.parsing > Duration::ZERO);
         std::fs::remove_file(p).unwrap();
     }
@@ -1719,6 +1720,38 @@ mod tests {
             );
         }
         assert_same_state(&format!("threads = {threads}"), &t_seq, &t_par, cols);
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// Phase laps are exact, once per batch: on a cold scan the
+    /// tokenizing, convert and nodb slices are each measured, and the
+    /// workers' phases sum to no more than the workers' wall time (the
+    /// scan's wall time times its worker count).
+    #[test]
+    fn cold_scan_phases_fit_in_the_workers_wall_time() {
+        let (p, schema) = tmp_csv(6, 20_000, 71);
+        for threads in [1usize, 4] {
+            let cfg = NoDbConfig {
+                scan_threads: threads,
+                ..NoDbConfig::default()
+            };
+            let table = RawTable::register(&p, schema.clone(), false, &cfg).unwrap();
+            let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+            let ctx = QueryCtx::from_timeout_ms(cfg.query_timeout_ms);
+            let prep = prepare_scan(&table, &cfg, ScanRequest::project(vec![1, 4]), &tel, ctx);
+            let start = std::time::Instant::now();
+            let outcome = run_partitions(&table, &cfg, &prep).unwrap();
+            let wall = start.elapsed() * threads as u32;
+            let mut phases = Breakdown::default();
+            for o in &outcome.outputs {
+                phases.merge(&o.breakdown);
+            }
+            assert!(phases.tokenizing > Duration::ZERO, "threads {threads}");
+            assert!(phases.convert > Duration::ZERO, "threads {threads}");
+            assert!(phases.nodb > Duration::ZERO, "threads {threads}");
+            let sum = phases.tokenizing + phases.convert + phases.nodb;
+            assert!(sum <= wall, "threads {threads}: {sum:?} > {wall:?}");
+        }
         std::fs::remove_file(p).unwrap();
     }
 

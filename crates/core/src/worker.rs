@@ -2,25 +2,30 @@
 //!
 //! One worker owns one slice of the file — a [`LineRange`] that either
 //! covers rows the row index holds (`Partition::row_base` is set: the worker
-//! may read the cache per row, jump through map chunks, or serve the whole
-//! slice from the cache) or bytes nobody has numbered yet (everything comes
-//! from the raw bytes, and the line starts found are handed back) — and
-//! everything it needs to process it without synchronization: its own
+//! may copy rows out of the cache, jump through map chunks, or serve the
+//! whole slice from the cache) or bytes nobody has numbered yet (everything
+//! comes from the raw bytes, and the line starts found are handed back) —
+//! and everything it needs to process it without synchronization: its own
 //! [`RangeScanner`] (reading synchronously on this thread), a reusable
-//! [`Tokens`] buffer, a partial positional-map [`ChunkBuilder`], typed
-//! partial columns ([`TypedColumn`] per requested attribute, one value per
-//! row) and per-phase timing (sampled — see
-//! [`crate::metrics::TIMING_STRIDE`]). The row resolver writes each value
-//! straight into its partial — a row copied out of a cache column, or a
-//! field span parsed by `TypedColumn::push_parsed` — so no value is ever
-//! boxed on its way from the tokenizer to the engine. The partials are both
-//! what the cache and the statistics take at install and what the result
-//! batches are formed from, and the worker sketches them for the statistics
-//! itself (the bounds, [`sketch_partials`]) so the install has no value to
-//! walk: every `BATCH_SIZE` rows the worker hands the newest partial rows
-//! to `rawscan::segment_batch`, the same former that serves cache-covered
-//! slices, and whose predicate step a fully-cached stream shares. All
-//! shared state is borrowed
+//! [`RowBatch`], a partial positional-map [`ChunkBuilder`], typed partial
+//! columns ([`TypedColumn`] per requested attribute, one value per row) and
+//! per-phase timing, lapped once per batch.
+//!
+//! The worker runs a batch at a time. One [`RangeScanner::fill_batch`]
+//! finds up to `BATCH_SIZE` lines and the spans of the fields each row
+//! needs in one mask pass over the window (a row whose values the cache or
+//! exact map jumps provide asks for none; one the map anchors starts at the
+//! anchor). The batch resolver then fills each partial a column at a time:
+//! a range copied out of a cache column, exact jumps, the batch's spans,
+//! and one typed loop (`TypedColumn::extend_parsed`) that parses them — so
+//! no value is ever boxed on its way from the tokenizer to the engine. The
+//! partials are both what the cache and the statistics take at install and
+//! what the result batches are formed from, and the worker sketches them
+//! for the statistics itself (the bounds, [`sketch_partials`]) so the
+//! install has no value to walk: every `BATCH_SIZE` rows the worker hands
+//! the newest partial rows to `rawscan::segment_batch`, the same former
+//! that serves cache-covered slices, and whose predicate step a
+//! fully-cached stream shares. All shared state is borrowed
 //! immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
@@ -34,19 +39,19 @@
 #![doc = " enforced by `nodb-lint` (see crates/lint/README.md)."]
 
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nodb_engine::batch::{Batch, BATCH_SIZE};
 use nodb_engine::{EngineError, EngineResult, ScanRequest};
-use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, PositionalMap};
+use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder, PositionalMap, NO_OFFSET};
 use nodb_rawcache::{RawCache, TypedColumn};
-use nodb_rawcsv::reader::{LineRange, RangeScanner};
-use nodb_rawcsv::tokenizer::{find_byte, TokenizerConfig, Tokens};
+use nodb_rawcsv::reader::{LineRange, RangeScanner, RowBatch, RowPlan};
+use nodb_rawcsv::tokenizer::{find_byte, FieldSpan, TokenizerConfig};
 use nodb_rawcsv::{parser, IoCounters, IoProfile, Schema};
 use nodb_stats::ColumnSketch;
 
 use crate::config::{NoDbConfig, ParseErrorPolicy};
-use crate::ctx::{QueryCtx, CHECK_STRIDE};
+use crate::ctx::QueryCtx;
 use crate::metrics::{Breakdown, PhaseClock};
 use crate::rawscan::{cached_column_handles, segment_batch, QuarantineSample};
 
@@ -86,8 +91,8 @@ pub(crate) struct ScanContext<'a> {
     /// The config's I/O resilience profile, resolved once per scan
     /// (`NoDbConfig::io_profile` reads the environment).
     pub io_profile: IoProfile,
-    /// Per-query deadline/cancellation state, polled every [`CHECK_STRIDE`]
-    /// rows and wired into each scanner's refill path as an interrupt flag.
+    /// Per-query deadline/cancellation state, polled once per batch of rows
+    /// and wired into each scanner's refill path as an interrupt flag.
     pub ctx: &'a QueryCtx,
     pub req: &'a ScanRequest,
     pub tokenizer: TokenizerConfig,
@@ -180,21 +185,15 @@ pub(crate) fn run_partition(
     if crate::rawscan::lock_recover(&INJECT_WORKER_PANIC).as_deref() == Some(ctx.path) {
         panic!("injected worker panic (test hook)");
     }
-    let n = ctx.req.attrs.len();
     let clock = PhaseClock::new(ctx.config.detailed_timing);
-    let mut d_io = Duration::ZERO;
-    let mut d_line = Duration::ZERO;
-    let mut d_tok = Duration::ZERO;
-    let mut d_parse = Duration::ZERO;
-    let mut d_conv = Duration::ZERO;
-    let mut d_nodb = Duration::ZERO;
+    let mut laps = Laps::default();
 
     // Whole-partition cache probe: with the global row range known and
     // every requested attribute cached for every row of it, the raw file
     // has nothing left to offer — serve the partition straight from the
     // cache, zero I/O. Skipped when the scan collects a map chunk (that
     // needs the raw line bytes), so the partition-local partials stay
-    // identical to what the streaming loop would have produced. A column
+    // identical to what the batch loop would have produced. A column
     // that is not resident with that coverage sends the slice to the raw
     // bytes below.
     if let (Some(base), Some(rows), Some(cache)) = (part.row_base, part.rows, ctx.cache) {
@@ -223,7 +222,7 @@ pub(crate) fn run_partition(
         ctx.io_profile,
     )?;
     scanner.set_interrupt(ctx.ctx.stop_flag());
-    clock.lap(t, &mut d_io);
+    clock.lap(t, &mut laps.io);
 
     let mut out = PartitionOutput {
         side_cols: fresh_partials(ctx),
@@ -232,18 +231,12 @@ pub(crate) fn run_partition(
             .then(|| ChunkBuilder::new(ctx.req.attrs.clone())),
         ..Default::default()
     };
-
-    // Per-row reusable buffers (workhorse pattern: zero allocation per row
-    // in the common paths).
-    let mut tokens = Tokens::new();
-    let mut spans: Vec<Option<(u32, u32)>> = vec![None; n];
-    let mut offsets_buf: Vec<(usize, u32)> = Vec::with_capacity(n);
-    let mut line_buf: Vec<u8> = Vec::new();
-    // `resolve_row` parses every value straight into the typed partials,
-    // and every `BATCH_SIZE` rows the batch former runs over the newest of them. When
-    // the cache or the statistics take the partials at install they grow
-    // with the slice; otherwise they are per-batch scratch, emptied once
-    // the batch is formed, and hold only the slice's rows since `lo`.
+    // The batch resolver parses every value straight into the typed
+    // partials, and every `BATCH_SIZE` rows the batch former runs over the
+    // newest of them. When the cache or the statistics take the partials at
+    // install they grow with the slice; otherwise they are per-batch
+    // scratch, emptied once the batch is formed, and hold only the slice's
+    // rows since `lo`.
     let keep_partials = ctx.config.enable_cache || ctx.config.enable_stats;
     let form_batch = |out: &mut PartitionOutput, lo: usize, hi: usize| {
         let dropped = if keep_partials { 0 } else { lo };
@@ -257,141 +250,78 @@ pub(crate) fn run_partition(
         }
     };
 
-    // Will any row of this partition read the cache or jump via the map?
-    let cache_reads = match (ctx.cache, part.row_base) {
-        (Some(_), Some(base)) => ctx.cache_cov.iter().any(|&c| c > base),
-        _ => false,
-    };
-    let map_reads = ctx.map.is_some() && ctx.plan.is_some() && part.row_base.is_some();
-    // Resolve the cache columns once per partition; the per-row reads index
-    // straight through the handles instead of re-probing the cache's map.
-    let cache_cols: Vec<Option<&TypedColumn>> = match (ctx.cache, part.row_base) {
-        (Some(cache), Some(_)) if cache_reads => {
-            ctx.req.attrs.iter().map(|&a| cache.column(a)).collect()
-        }
-        _ => vec![None; n],
-    };
     let upto = if ctx.config.selective_tokenizing {
         ctx.req.attrs.last().copied().unwrap_or(0)
     } else {
         usize::MAX
     };
-    // Fused fast path: when no per-row adaptive reads can occur and the
-    // tokenizer is plain, line splitting and tokenizing share one SWAR pass
-    // (`find_byte2` — each prefix byte is visited once, not twice).
-    let fused = ctx.tokenizer.quote.is_none() && !cache_reads && !map_reads;
-
+    let adaptive = part.row_base.and_then(|base| AdaptiveReads::new(ctx, base));
     // The row index already holds the line starts of a slice that knows its
     // rows.
     let collect_offsets = ctx.collect_offsets && part.row_base.is_none();
-    let mut header_pending = part.skip_header;
-    let mut local = 0usize;
-    let mut timed = 0usize;
-    loop {
-        // Cooperative cancellation: one relaxed load + deadline compare per
-        // CHECK_STRIDE rows, bounding stop latency without showing up in
-        // per-row profiles.
-        if (local as u64).is_multiple_of(CHECK_STRIDE) {
-            ctx.ctx.check()?;
-        }
-        // Phase laps are sampled (`TIMING_STRIDE`) and scaled after the loop.
-        let row_clock = clock.for_row(local);
-        timed += usize::from(row_clock.enabled());
-        let stall = row_clock.enabled().then(|| scanner.counters().stall);
-        let t = row_clock.start();
-        let line_meta: Option<u64> = if fused {
-            match check_io(
-                ctx.ctx,
-                scanner.next_line_tokenized(ctx.tokenizer.delimiter, upto, &mut tokens),
-            )? {
-                Some(l) => {
-                    line_buf.clear();
-                    line_buf.extend_from_slice(l.bytes);
-                    Some(l.offset)
-                }
-                None => None,
-            }
-        } else {
-            match check_io(ctx.ctx, scanner.next_line())? {
-                Some(l) => {
-                    line_buf.clear();
-                    line_buf.extend_from_slice(l.bytes);
-                    Some(l.offset)
-                }
-                None => None,
-            }
-        };
-        // The fused pass does the tokenizing work inside the line fetch, so
-        // its time lands in the tokenizing slice; the plain path's fetch is
-        // newline discovery, charged to I/O. Either way a block refill
-        // inside this fetch is left out: the scanner's stall counter already
-        // has it, exactly, and joins the I/O slice after the loop.
-        if let (Some(stall), Some(t)) = (stall, t) {
-            let lap = row_clock.since(t);
-            let reads = scanner.counters().stall.saturating_sub(stall);
-            *(if fused { &mut d_tok } else { &mut d_line }) += lap.saturating_sub(reads);
-        }
-        // Mid-scan truncation detection, gated on the fence so legacy mode
-        // (`detect_updates` off) stays byte-identical. Both probes are
-        // needed: a cut mid-line surfaces a bogus final unterminated line
-        // *before* `None` (catch it before parsing garbage); a cut exactly
-        // on a newline boundary is only discovered by the empty refill
-        // after the last complete line (the `None` arm).
+    let mut batch = RowBatch::new();
+    let mut scratch = Scratch::new(ctx, out.builder.as_ref());
+
+    if part.skip_header {
+        let t = clock.start();
+        let stall = scanner.counters().stall;
+        check_io(ctx.ctx, scanner.next_line())?;
+        laps.fetch(&clock, t, scanner.counters().stall.saturating_sub(stall));
         if ctx.source_len.is_some() && scanner.ended_short() {
             return Err(source_changed(ctx));
         }
-        let Some(offset) = line_meta else { break };
-        if header_pending {
-            header_pending = false;
-            continue;
+    }
+    let mut local = 0usize;
+    loop {
+        // Cooperative cancellation: one relaxed load + deadline compare per
+        // batch, so a stop lands within one batch of rows.
+        ctx.ctx.check()?;
+        // Batches end on the `BATCH_SIZE` grid of slice rows, where the
+        // batch former cuts.
+        let want = BATCH_SIZE - local % BATCH_SIZE;
+        batch.request(want, upto);
+        if let Some(reads) = &adaptive {
+            let t = clock.start();
+            reads.plan(ctx, local, want, &mut scratch, &mut batch);
+            clock.lap(t, &mut laps.parse);
+        }
+        // The fill is the tokenizing pass: newlines and delimiters in one
+        // walk of the window. A block refill inside it is left out: the
+        // scanner's stall counter has it, exactly, and joins the I/O slice
+        // after the loop.
+        let t = clock.start();
+        let stall = scanner.counters().stall;
+        let rows = check_io(ctx.ctx, scanner.fill_batch(&ctx.tokenizer, &mut batch))?;
+        laps.fetch(&clock, t, scanner.counters().stall.saturating_sub(stall));
+        // Mid-scan truncation detection, gated on the fence so legacy mode
+        // (`detect_updates` off) stays byte-identical. A cut mid-line
+        // surfaces a bogus final unterminated line in the last batch
+        // (caught here, before it is parsed); a cut exactly on a newline
+        // boundary is only discovered by the empty refill after the last
+        // complete line.
+        if ctx.source_len.is_some() && scanner.ended_short() {
+            return Err(source_changed(ctx));
+        }
+        if rows == 0 {
+            break;
         }
         if collect_offsets {
-            out.line_starts.push(offset);
+            let t = clock.start();
+            out.line_starts.extend((0..rows).map(|r| batch.offset(r)));
+            clock.lap(t, &mut laps.nodb);
         }
-
-        let quarantined_attr = resolve_row(
+        resolve_batch(
             ctx,
-            part.row_base.map(|b| b + local),
+            adaptive.as_ref(),
+            &batch,
+            scanner.bytes(),
             local,
-            &line_buf,
-            &mut tokens,
-            fused,
-            &cache_cols,
-            &mut out.side_cols,
-            &mut spans,
-            (&mut out.cache_hits, &mut out.cache_misses),
-            &row_clock,
-            &mut d_tok,
-            &mut d_parse,
-            &mut d_conv,
+            &mut scratch,
+            &mut out,
+            &clock,
+            &mut laps,
         )?;
-        if let Some(attr) = quarantined_attr {
-            out.quarantined += 1;
-            if out.quarantine_samples.len() < QuarantineSample::MAX_SAMPLES {
-                out.quarantine_samples.push(QuarantineSample {
-                    row: local as u64, // slice-local; the merge rebases
-                    offset,
-                    attr,
-                });
-            }
-        }
-
-        // Positional-map side effect into the partition-local chunk.
-        {
-            let t = row_clock.start();
-            if let Some(b) = &mut out.builder {
-                offsets_buf.clear();
-                for (&attr, span) in ctx.req.attrs.iter().zip(&spans) {
-                    if let Some((s, _)) = span {
-                        offsets_buf.push((attr, *s));
-                    }
-                }
-                b.push_row_offsets(&offsets_buf);
-            }
-            row_clock.lap(t, &mut d_nodb);
-        }
-
-        local += 1;
+        local += rows;
         if local.is_multiple_of(BATCH_SIZE) {
             form_batch(&mut out, local - BATCH_SIZE, local);
         }
@@ -403,19 +333,335 @@ pub(crate) fn run_partition(
     out.rows = local;
     out.io = scanner.take_counters();
     if clock.enabled() {
-        d_io += out.io.stall;
+        laps.io += out.io.stall;
     }
-    let scaled = |slot| PhaseClock::scale_sampled(slot, local, timed);
-    out.breakdown.io = d_io + scaled(d_line);
-    out.breakdown.tokenizing = scaled(d_tok);
-    out.breakdown.parsing = scaled(d_parse);
-    out.breakdown.convert = scaled(d_conv);
-    out.breakdown.nodb = scaled(d_nodb);
-    // Timed whole, not through the sampled row clock.
+    out.breakdown.io = laps.io;
+    out.breakdown.tokenizing = laps.tok;
+    out.breakdown.parsing = laps.parse;
+    out.breakdown.convert = laps.conv;
+    out.breakdown.nodb = laps.nodb;
     let t = clock.start();
     out.sketches = sketch_partials(ctx, part.row_base, &out.side_cols);
     clock.lap(t, &mut out.breakdown.nodb);
     Ok(out)
+}
+
+/// A worker's phase times, each lapped once per batch.
+#[derive(Default)]
+struct Laps {
+    io: Duration,
+    tok: Duration,
+    parse: Duration,
+    conv: Duration,
+    nodb: Duration,
+}
+
+impl Laps {
+    /// Lap a line fetch started at `t` into tokenizing, less the `reads`
+    /// spent inside it (those join `io` through the stall counter).
+    fn fetch(&mut self, clock: &PhaseClock, t: Option<Instant>, reads: Duration) {
+        if let Some(t) = t {
+            self.tok += clock.since(t).saturating_sub(reads);
+        }
+    }
+}
+
+/// What a slice that knows its rows can read instead of tokenizing, per
+/// requested position: the cache column with its coverage at query start,
+/// and the positional map's offsets of the attribute itself (an exact jump)
+/// or of the anchor attribute the plan resumes from.
+struct AdaptiveReads<'a> {
+    /// Global row of the slice's first row.
+    base: usize,
+    cache: Vec<Option<&'a TypedColumn>>,
+    exact: Vec<Option<&'a [u16]>>,
+    anchor: Vec<Option<(usize, &'a [u16])>>,
+}
+
+/// The offset column of `attr` in the map's chunk `chunk`.
+fn map_column(map: &PositionalMap, chunk: usize, attr: usize) -> Option<&[u16]> {
+    let c = map.chunks().get(chunk)?;
+    c.attrs().binary_search(&attr).ok().map(|k| c.raw_col(k))
+}
+
+impl<'a> AdaptiveReads<'a> {
+    /// The reads open to the slice whose first row is global row `base`;
+    /// `None` when there are none (no row below a cache coverage, no map
+    /// column), and every row is tokenized from its start.
+    fn new(ctx: &ScanContext<'a>, base: usize) -> Option<Self> {
+        let attrs = &ctx.req.attrs;
+        let cache_reads = ctx.cache_cov.iter().any(|&c| c > base);
+        let cache = match ctx.cache {
+            Some(cache) if cache_reads => attrs.iter().map(|&a| cache.column(a)).collect(),
+            _ => vec![None; attrs.len()],
+        };
+        let (exact, anchor) = attrs
+            .iter()
+            .map(
+                |&a| match (ctx.map, ctx.plan.and_then(|p| p.source_for(a))) {
+                    (Some(map), Some(AttrSource::Exact { chunk })) => {
+                        (map_column(map, chunk, a), None)
+                    }
+                    (Some(map), Some(AttrSource::Anchor { chunk, anchor_attr })) => (
+                        None,
+                        map_column(map, chunk, anchor_attr).map(|col| (anchor_attr, col)),
+                    ),
+                    _ => (None, None),
+                },
+            )
+            .unzip::<_, _, Vec<_>, Vec<_>>();
+        let map_reads = exact.iter().any(Option::is_some) || anchor.iter().any(Option::is_some);
+        (cache_reads || map_reads).then_some(AdaptiveReads {
+            base,
+            cache,
+            exact,
+            anchor,
+        })
+    }
+
+    /// The exact map offset of position `i` in global row `row`.
+    #[inline]
+    fn exact_at(&self, i: usize, row: usize) -> Option<u16> {
+        let off = *self.exact[i]?.get(row)?;
+        (off != NO_OFFSET).then_some(off)
+    }
+
+    /// Plan batch rows `0..want`, starting at slice row `local`: per
+    /// position, how many leading rows the cache covers and how many of
+    /// those it serves (`Scratch::covered`, `Scratch::cached`); per row,
+    /// where tokenizing starts and stops — only the positions neither the
+    /// cache nor an exact jump resolves are tokenized, from the nearest
+    /// jump or map anchor before the first of them.
+    fn plan(
+        &self,
+        ctx: &ScanContext<'_>,
+        local: usize,
+        want: usize,
+        scratch: &mut Scratch,
+        batch: &mut RowBatch,
+    ) {
+        let attrs = &ctx.req.attrs;
+        let first = self.base + local;
+        for (i, &attr) in attrs.iter().enumerate() {
+            let covered = ctx.cache_cov[i].saturating_sub(first).min(want);
+            scratch.covered[i] = covered;
+            scratch.cached[i] = match self.cache[i] {
+                Some(col) if col.ty() == ctx.schema.ty(attr) => {
+                    covered.min(col.len().saturating_sub(first))
+                }
+                _ => 0,
+            };
+        }
+        let selective = ctx.config.selective_tokenizing;
+        for r in 0..want {
+            let row = first + r;
+            let parsed = |i: usize| r >= scratch.cached[i];
+            let missing = |i: usize| parsed(i) && self.exact_at(i, row).is_none();
+            let Some(lo) = (0..attrs.len()).find(|&i| missing(i)) else {
+                batch.plan_row(RowPlan::NONE);
+                continue;
+            };
+            let hi = (lo..attrs.len()).rev().find(|&i| missing(i)).unwrap_or(lo);
+            if !selective {
+                batch.plan_row(RowPlan::from_start(usize::MAX));
+                continue;
+            }
+            // Best anchor: the largest position before `lo` this row jumps
+            // to, else the plan's anchor attribute.
+            let jump = (0..lo).rev().find_map(|i| {
+                parsed(i)
+                    .then(|| self.exact_at(i, row))
+                    .flatten()
+                    .map(|o| (attrs[i], o))
+            });
+            let anchor = jump.or_else(|| {
+                let (attr, col) = self.anchor[lo]?;
+                let off = *col.get(row)?;
+                (off != NO_OFFSET).then_some((attr, off))
+            });
+            let (field, off) = anchor.unwrap_or((0, 0));
+            batch.plan_row(RowPlan {
+                field,
+                off: u32::from(off),
+                upto: attrs[hi],
+            });
+        }
+    }
+}
+
+/// The batch resolver's scratch, reused across batches.
+struct Scratch {
+    /// Per position: leading batch rows below the cache's coverage.
+    covered: Vec<usize>,
+    /// Per position: leading batch rows the cache serves (a hit each; the
+    /// rest of `covered` are misses, parsed like any other row).
+    cached: Vec<usize>,
+    /// Per position and batch row: the field's line-relative span; `None`
+    /// for a short row's absent field and for a row the cache serves.
+    spans: Vec<Vec<Option<FieldSpan>>>,
+    /// Per batch row: the first position whose cell failed to parse.
+    bad: Vec<Option<usize>>,
+    /// Per chunk-builder column: the position holding its attribute.
+    builder_pos: Vec<Option<usize>>,
+}
+
+impl Scratch {
+    fn new(ctx: &ScanContext<'_>, builder: Option<&ChunkBuilder>) -> Self {
+        let n = ctx.req.attrs.len();
+        let builder_pos = builder.map_or_else(Vec::new, |b| {
+            b.attrs()
+                .iter()
+                .map(|a| ctx.req.attrs.iter().position(|x| x == a))
+                .collect()
+        });
+        Scratch {
+            covered: vec![0; n],
+            cached: vec![0; n],
+            spans: vec![Vec::new(); n],
+            bad: Vec::new(),
+            builder_pos,
+        }
+    }
+}
+
+/// Resolve every requested position of one batch — the scan operator's
+/// only resolver, over immutable borrows of the shared state. Per
+/// position: the rows below its cache coverage are copied from the cache
+/// column as one range, exact positional-map jumps are resolved next, the
+/// rest take their spans from the batch, and the column then converts in
+/// one typed loop. Every row of every position lands in its typed partial
+/// exactly once: a cached value, the parsed field, or NULL for a short row
+/// or a tombstone.
+///
+/// A malformed cell fails the slice under [`ParseErrorPolicy::Strict`] —
+/// the first one in row order, named by its slice-local row — and is
+/// tombstoned under [`ParseErrorPolicy::Permissive`], counting its row
+/// as quarantined once.
+#[allow(clippy::too_many_arguments)]
+fn resolve_batch(
+    ctx: &ScanContext<'_>,
+    adaptive: Option<&AdaptiveReads<'_>>,
+    batch: &RowBatch,
+    bytes: &[u8],
+    local: usize,
+    scratch: &mut Scratch,
+    out: &mut PartitionOutput,
+    clock: &PhaseClock,
+    laps: &mut Laps,
+) -> EngineResult<()> {
+    let rows = batch.len();
+    let attrs = &ctx.req.attrs;
+    for spans in &mut scratch.spans {
+        spans.clear();
+        spans.resize(rows, None);
+    }
+    if adaptive.is_none() {
+        scratch.cached.fill(0);
+    }
+
+    // 1. Cache reads, a range per position. Workers cannot count on the
+    // shared metrics, so hits/misses are tallied here and folded in by the
+    // driver — one per row below the coverage.
+    if let Some(reads) = adaptive {
+        let first = reads.base + local;
+        for (i, part) in out.side_cols.iter_mut().enumerate() {
+            let covered = scratch.covered[i].min(rows);
+            let cached = scratch.cached[i].min(rows);
+            scratch.cached[i] = cached;
+            if let Some(col) = reads.cache[i].filter(|_| cached > 0) {
+                part.extend_from(col, first, first + cached);
+            }
+            out.cache_hits += cached as u64;
+            out.cache_misses += (covered - cached) as u64;
+        }
+
+        // 2. Exact positional-map jumps for the rows the cache missed.
+        let t = clock.start();
+        for (i, spans) in scratch.spans.iter_mut().enumerate() {
+            if reads.exact[i].is_none() {
+                continue;
+            }
+            for (r, span) in spans.iter_mut().enumerate().skip(scratch.cached[i]) {
+                let Some(off) = reads.exact_at(i, first + r) else {
+                    continue;
+                };
+                let line = batch.line(bytes, r);
+                let start = usize::from(off).min(line.len());
+                let end = find_byte(&line[start..], ctx.tokenizer.delimiter)
+                    .map_or(line.len(), |p| start + p);
+                *span = Some(FieldSpan::at(start, end));
+            }
+        }
+        clock.lap(t, &mut laps.parse);
+    }
+
+    // 3. The rest take the batch's spans.
+    let t = clock.start();
+    for (i, spans) in scratch.spans.iter_mut().enumerate() {
+        for (r, span) in spans.iter_mut().enumerate().skip(scratch.cached[i]) {
+            if span.is_none() {
+                *span = batch.span(r, attrs[i]);
+            }
+        }
+    }
+    clock.lap(t, &mut laps.tok);
+
+    // 4. Selective parsing: convert only what is needed, a column at a
+    // time. Quoted string fields keep `""` escapes in their spans; the
+    // typed parse unescapes them.
+    let t = clock.start();
+    scratch.bad.clear();
+    scratch.bad.resize(rows, None);
+    for (i, part) in out.side_cols.iter_mut().enumerate() {
+        let from = scratch.cached[i];
+        let fields = scratch.spans[i][from..]
+            .iter()
+            .enumerate()
+            .map(|(k, span)| span.map(|s| s.of(batch.line(bytes, from + k))));
+        let bad = &mut scratch.bad;
+        part.extend_parsed(fields, ctx.tokenizer.quote, |k| {
+            bad[from + k].get_or_insert(i);
+        });
+    }
+    clock.lap(t, &mut laps.conv);
+
+    if let Some(r) = scratch.bad.iter().position(Option::is_some) {
+        if ctx.config.parse_errors == ParseErrorPolicy::Strict {
+            if let Some(i) = scratch.bad[r] {
+                // `parse_field` words the error: row, attr, type and text.
+                // Errors name the slice-local row; the driver rebases to the
+                // file row.
+                let raw = scratch.spans[i][r].map_or(&[][..], |s| s.of(batch.line(bytes, r)));
+                parser::parse_field(raw, ctx.schema.ty(attrs[i]), (local + r) as u64, attrs[i])?;
+            }
+        }
+        // Permissive policy: the malformed cell was tombstoned exactly like
+        // a short row's absent attribute, so cache/stats/map stay
+        // byte-identical across runs.
+        for (r, bad) in scratch.bad.iter().enumerate().skip(r) {
+            let Some(i) = *bad else { continue };
+            out.quarantined += 1;
+            if out.quarantine_samples.len() < QuarantineSample::MAX_SAMPLES {
+                out.quarantine_samples.push(QuarantineSample {
+                    row: (local + r) as u64, // slice-local; the merge rebases
+                    offset: batch.offset(r),
+                    attr: attrs[i],
+                });
+            }
+        }
+    }
+
+    // 5. Positional-map side effect into the partition-local chunk: each
+    // attribute's line-relative starts as a column.
+    if let Some(b) = &mut out.builder {
+        let t = clock.start();
+        let (spans, pos) = (&scratch.spans, &scratch.builder_pos);
+        b.push_rows(rows, |k, r| {
+            pos[k].and_then(|i| spans[i][r]).map(|s| s.start)
+        });
+        clock.lap(t, &mut laps.nodb);
+    }
+    Ok(())
 }
 
 /// The statistics' share of a slice's work: per requested attribute, a
@@ -487,163 +733,72 @@ fn run_cached_partition(
     out
 }
 
-/// Resolve every requested position of one row — the scan operator's only
-/// row resolver: cache reads and exact positional-map jumps (when global
-/// rows are known), then tokenizing for the rest, then selective parsing,
-/// all over immutable borrows of the shared state. Every requested position
-/// gets exactly one push into its typed partial (`partials[i]`): a copy of
-/// the cached row, the parsed field, or NULL for a short row or a
-/// tombstone.
-///
-/// Returns `Some(attr)` when [`ParseErrorPolicy::Permissive`] tombstoned at
-/// least one malformed cell (the first offending attribute, for the
-/// telemetry sample); `None` for a clean row.
-#[allow(clippy::too_many_arguments)]
-fn resolve_row(
-    ctx: &ScanContext<'_>,
-    global_row: Option<usize>,
-    local_row: usize,
-    line: &[u8],
-    tokens: &mut Tokens,
-    fused: bool,
-    cache_cols: &[Option<&TypedColumn>],
-    partials: &mut [TypedColumn],
-    spans: &mut [Option<(u32, u32)>],
-    (cache_hits, cache_misses): (&mut u64, &mut u64),
-    clock: &PhaseClock,
-    d_tok: &mut Duration,
-    d_parse: &mut Duration,
-    d_conv: &mut Duration,
-) -> EngineResult<Option<usize>> {
-    let n = ctx.req.attrs.len();
-    spans.fill(None);
-    // A position is resolved for this row once its partial holds the row.
-    let before = partials.first().map_or(0, TypedColumn::len);
-    let resolved = |p: &TypedColumn| p.len() > before;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nodb_posmap::MapPolicy;
+    use nodb_rawcsv::reader::read_full;
+    use nodb_rawcsv::{GeneratorConfig, Tokens};
 
-    // 1. Cache reads (the slice knows its global rows). Workers cannot
-    // count on the shared metrics, so hits/misses are tallied here and
-    // folded in by the driver — same accounting as sequential `get`.
-    if let Some(row) = global_row {
-        for (i, part) in partials.iter_mut().enumerate() {
-            if row < ctx.cache_cov[i] {
-                if cache_cols[i].is_some_and(|c| part.push_from(c, row)) {
-                    *cache_hits += 1;
-                } else {
-                    *cache_misses += 1;
-                }
-            }
+    /// Batch plans over a map chunk holding attributes 2 and 5: a request
+    /// the chunk covers exactly asks no row for a single field (the jumps
+    /// replace tokenizing), and one it does not resumes every row at the
+    /// chunk's anchor.
+    #[test]
+    fn map_jumps_and_anchors_shape_the_batch_plans() {
+        let mut path = std::env::temp_dir();
+        path.push(format!("nodb_worker_plans_{}", std::process::id()));
+        let gen = GeneratorConfig::uniform_ints(8, 300, 5);
+        gen.generate_file(&path).unwrap();
+        let schema = gen.schema();
+        let tok = TokenizerConfig::default();
+        let bytes = read_full(&path).unwrap();
+        let mut map = PositionalMap::new(MapPolicy::with_budget(1 << 20));
+        let mut builder = ChunkBuilder::new(vec![2, 5]);
+        let mut tokens = Tokens::new();
+        for line in bytes.split(|&b| b == b'\n').filter(|l| !l.is_empty()) {
+            tok.tokenize_into(line, &mut tokens);
+            builder.push_row(&tokens);
         }
-    }
-
-    // 2. Exact positional-map jumps for positions the cache missed.
-    let mut missing_lo: Option<usize> = None;
-    let mut missing_hi: Option<usize> = None;
-    for i in 0..n {
-        if resolved(&partials[i]) {
-            continue;
-        }
-        if let (Some(plan), Some(map), Some(row)) = (ctx.plan, ctx.map, global_row) {
-            if let Some(AttrSource::Exact { chunk }) = plan.source_for(ctx.req.attrs[i]) {
-                if let Some(off) = map.offset_in(chunk, ctx.req.attrs[i], row) {
-                    let t = clock.start();
-                    let start = (off as usize).min(line.len());
-                    let end = find_byte(&line[start..], ctx.tokenizer.delimiter)
-                        .map(|p| start + p)
-                        .unwrap_or(line.len());
-                    spans[i] = Some((start as u32, end as u32));
-                    clock.lap(t, d_parse);
-                    continue;
-                }
-            }
-        }
-        missing_lo = missing_lo.or(Some(i));
-        missing_hi = Some(i);
-    }
-
-    // 3. Tokenize for the positions still missing. On the fused path the
-    // spans were already produced during line splitting; otherwise run
-    // selective/resumable tokenizing.
-    if let (Some(lo), Some(hi)) = (missing_lo, missing_hi) {
-        if !fused {
-            let t = clock.start();
-            let first_attr = ctx.req.attrs[lo];
-            let last_attr = ctx.req.attrs[hi];
-            let upto = if ctx.config.selective_tokenizing {
-                last_attr
-            } else {
-                usize::MAX
+        map.install(builder).unwrap();
+        let qctx = QueryCtx::unbounded();
+        let len = bytes.len() as u64;
+        for (attr, first) in [(5usize, None), (6, Some(5usize))] {
+            let req = ScanRequest::project(vec![attr]);
+            let plan = map.plan_access(&req.attrs);
+            let ctx = ScanContext {
+                config: NoDbConfig::pm_only(),
+                io_profile: IoProfile::default(),
+                ctx: &qctx,
+                req: &req,
+                tokenizer: tok,
+                schema: &schema,
+                path: &path,
+                map: Some(&map),
+                plan: Some(&plan),
+                cache: None,
+                cache_cov: &[0],
+                stats_from: &[u64::MAX],
+                build_chunk: false,
+                collect_offsets: false,
+                source_len: None,
             };
-            // Best anchor: the largest attribute < first_attr already
-            // resolved this row, else the plan's anchor chunk.
-            let mut anchor: Option<(usize, usize)> = None;
-            for i in (0..lo).rev() {
-                if let Some((s, _)) = spans[i] {
-                    anchor = Some((ctx.req.attrs[i], s as usize));
-                    break;
+            let reads = AdaptiveReads::new(&ctx, 0).unwrap();
+            let mut scratch = Scratch::new(&ctx, None);
+            let mut batch = RowBatch::new();
+            batch.request(BATCH_SIZE, attr);
+            reads.plan(&ctx, 0, BATCH_SIZE, &mut scratch, &mut batch);
+            let range = LineRange { start: 0, end: len };
+            let mut scanner = RangeScanner::open(&path, 1 << 20, range, 0).unwrap();
+            assert_eq!(scanner.fill_batch(&tok, &mut batch).unwrap(), 300);
+            for r in 0..300 {
+                let located: Vec<usize> = (0..8).filter(|&f| batch.span(r, f).is_some()).collect();
+                match first {
+                    None => assert!(located.is_empty(), "attr {attr} row {r}"),
+                    Some(anchor) => assert_eq!(located, [anchor, attr], "row {r}"),
                 }
-            }
-            if anchor.is_none() {
-                if let (Some(plan), Some(map), Some(row)) = (ctx.plan, ctx.map, global_row) {
-                    if let Some(AttrSource::Anchor { chunk, anchor_attr }) =
-                        plan.source_for(first_attr)
-                    {
-                        if let Some(off) = map.offset_in(chunk, anchor_attr, row) {
-                            anchor = Some((anchor_attr, off as usize));
-                        }
-                    }
-                }
-            }
-            match anchor {
-                Some((attr, off)) if ctx.config.selective_tokenizing && off <= line.len() => {
-                    ctx.tokenizer.tokenize_from(line, attr, off, upto, tokens);
-                }
-                _ => {
-                    ctx.tokenizer.tokenize_selective(line, upto, tokens);
-                }
-            }
-            clock.lap(t, d_tok);
-        }
-        for i in lo..=hi {
-            if resolved(&partials[i]) || spans[i].is_some() {
-                continue;
-            }
-            if let Some(span) = tokens.get(ctx.req.attrs[i]) {
-                spans[i] = Some((span.start, span.end));
             }
         }
+        std::fs::remove_file(path).unwrap();
     }
-
-    // 4. Selective parsing: convert only what is needed.
-    let t = clock.start();
-    // Errors name the slice-local row; the driver rebases to the file row.
-    let err_row = local_row as u64;
-    let mut quarantined: Option<usize> = None;
-    for (i, part) in partials.iter_mut().enumerate() {
-        if resolved(part) {
-            continue;
-        }
-        // Short row: attribute absent → NULL.
-        let Some((s, e)) = spans[i] else {
-            part.push_null();
-            continue;
-        };
-        // Quoted string fields keep `""` escapes in their spans; the typed
-        // parse unescapes them.
-        let raw = &line[s as usize..e as usize];
-        if !part.push_parsed(raw, ctx.tokenizer.quote) {
-            let attr = ctx.req.attrs[i];
-            if ctx.config.parse_errors == ParseErrorPolicy::Strict {
-                // `parse_field` words the error: row, attr, type and text.
-                parser::parse_field(raw, ctx.schema.ty(attr), err_row, attr)?;
-            }
-            // Permissive policy: tombstone the malformed cell exactly like a
-            // short row's absent attribute, so cache/stats/map stay
-            // byte-identical across runs.
-            quarantined.get_or_insert(attr);
-            part.push_null();
-        }
-    }
-    clock.lap(t, d_conv);
-    Ok(quarantined)
 }

@@ -202,7 +202,7 @@ fn rule_poison_lock(file: &SourceFile, out: &mut Vec<Finding>) {
 /// an unbounded stretch of a large file.
 const ADVANCE: &[&str] = &[
     "next_line",
-    "next_line_tokenized",
+    "fill_batch",
     "next_batch",
     "refill",
     "recv",
@@ -231,7 +231,7 @@ const POLL: &[&str] = &[
 
 /// In modules annotated `lint:cancellable`, every scan/batch loop must
 /// contain a cancellation poll; a stuck or hour-long query must stop within
-/// `CHECK_STRIDE` rows of its deadline no matter which loop it is in.
+/// one batch of rows of its deadline no matter which loop it is in.
 /// Waive with `// lint: cancel-ok <reason>` inside the loop or on the loop
 /// header line.
 fn rule_cancellation(file: &SourceFile, out: &mut Vec<Finding>) {

@@ -37,3 +37,16 @@ impl Iterator for Source {
         None
     }
 }
+
+fn scan_batches(ctx: &QueryCtx, scanner: &mut RangeScanner, batch: &mut RowBatch) -> Result<usize, Error> {
+    let mut rows = 0;
+    loop {
+        ctx.check()?;
+        let n = scanner.fill_batch(&TOKENIZER, batch)?;
+        if n == 0 {
+            break;
+        }
+        rows += n;
+    }
+    Ok(rows)
+}

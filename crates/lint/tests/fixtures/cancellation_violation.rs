@@ -1,8 +1,8 @@
 //! lint:cancellable — seeded violations for the `cancellation` rule.
 //!
-//! The batch loop on line 9 and the while-let scan on line 20 advance
-//! through rows without a poll: one finding each. The waived recv loop at
-//! the bottom must not fire.
+//! The batch loops on lines 9 and 40 and the while-let scan on line 20
+//! advance through rows without a poll: one finding each. The waived recv
+//! loop must not fire.
 
 fn drain_batches(src: &mut Source) -> u64 {
     let mut rows = 0;
@@ -33,4 +33,16 @@ fn drain_queue(rx: &Receiver<u32>) -> u32 {
         }
     }
     sum
+}
+
+fn scan_batches(scanner: &mut RangeScanner, batch: &mut RowBatch) -> usize {
+    let mut rows = 0;
+    loop {
+        let n = scanner.fill_batch(&TOKENIZER, batch).unwrap_or(0);
+        if n == 0 {
+            break;
+        }
+        rows += n;
+    }
+    rows
 }

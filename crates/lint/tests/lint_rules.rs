@@ -53,7 +53,7 @@ fn poison_lock_clean_fixture_has_none() {
 fn cancellation_violations_exact() {
     assert_eq!(
         of_rule("cancellation_violation.rs", RuleId::Cancellation),
-        vec![9, 20]
+        vec![9, 20, 40]
     );
 }
 

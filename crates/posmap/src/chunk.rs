@@ -191,6 +191,21 @@ impl ChunkBuilder {
         self.rows += 1;
     }
 
+    /// Record a batch of `rows` tuples an attribute column at a time:
+    /// `start(k, row)` is the line-relative start of `attrs()[k]` in batch
+    /// row `row`, `None` where the scan did not locate it. Offsets follow
+    /// [`Self::push_row`]'s rules.
+    pub fn push_rows(&mut self, rows: usize, mut start: impl FnMut(usize, usize) -> Option<u32>) {
+        for (k, col) in self.cols.iter_mut().enumerate() {
+            col.extend((0..rows).map(|row| match start(k, row) {
+                // lint: cast-ok guarded (o < NO_OFFSET fits u16)
+                Some(o) if o < NO_OFFSET as u32 => o as u16, // lint: cast-ok guarded by the arm above
+                _ => NO_OFFSET,
+            }));
+        }
+        self.rows += rows;
+    }
+
     /// Approximate current footprint (for admission decisions mid-scan).
     pub fn footprint(&self) -> usize {
         self.cols.iter().map(|c| c.len() * 2).sum::<usize>()
@@ -374,5 +389,30 @@ mod tests {
 
         assert_eq!(c1.offset(0, 0), c2.offset(0, 0));
         assert_eq!(c1.offset(2, 0), c2.offset(2, 0));
+    }
+
+    #[test]
+    fn push_rows_matches_row_pushes() {
+        // Row 1 is short (no field 2), row 2 lies past the u16 range.
+        let starts = [[Some(0), Some(6)], [Some(0), None], [Some(3), Some(70_000)]];
+        let mut by_rows = ChunkBuilder::new(vec![0, 2]);
+        for row in &starts {
+            let pairs: Vec<(usize, u32)> = [0, 2]
+                .into_iter()
+                .zip(row)
+                .filter_map(|(a, s)| s.map(|s| (a, s)))
+                .collect();
+            by_rows.push_row_offsets(&pairs);
+        }
+        let mut by_batch = ChunkBuilder::new(vec![0, 2]);
+        by_batch.push_rows(starts.len(), |k, row| starts[row][k]);
+        assert_eq!(by_batch.rows(), 3);
+        let (a, b) = (
+            by_rows.freeze(ChunkId(1), 0),
+            by_batch.freeze(ChunkId(2), 0),
+        );
+        for k in 0..2 {
+            assert_eq!(a.raw_col(k), b.raw_col(k));
+        }
     }
 }

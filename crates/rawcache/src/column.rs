@@ -317,61 +317,85 @@ impl TypedColumn {
         self.push_owned(Datum::Null);
     }
 
-    /// Parse one raw field straight into the column — the scan's convert
-    /// step, with no `Datum` in between. The rules are
-    /// [`parser::parse_field`]'s: an empty field is NULL, `Str` is lossy
-    /// UTF-8, and a `Str` field holding the `quote` byte is unescaped
-    /// ([`parser::unescape_quoted`]). Returns `false`, appending nothing,
-    /// exactly when `parse_field` would return an error.
-    pub fn push_parsed(&mut self, raw: &[u8], quote: Option<u8>) -> bool {
-        if raw.is_empty() {
-            self.push_null();
-            return true;
-        }
-        match self {
-            TypedColumn::Int { values, .. } => match parser::parse_int(raw) {
-                Some(v) => values.push(v),
-                None => return false,
-            },
-            TypedColumn::Float { values, .. } => match parser::parse_float(raw) {
-                Some(v) => values.push(v),
-                None => return false,
-            },
-            TypedColumn::Bool { values, .. } => match parser::parse_bool(raw) {
-                Some(v) => values.push(v),
-                None => return false,
-            },
-            TypedColumn::Str {
-                values, str_bytes, ..
-            } => {
-                let s: Box<str> = match quote {
-                    Some(q) if raw.contains(&q) => parser::unescape_quoted(raw, q).into(),
-                    _ => String::from_utf8_lossy(raw).into(),
+    /// Parse a run of raw fields straight into the column — the scan's
+    /// convert step, one typed loop per run with no `Datum` in between. The
+    /// rules are [`parser::parse_field`]'s: an empty field is NULL, `Str` is
+    /// lossy UTF-8, and a `Str` field holding the `quote` byte is unescaped
+    /// ([`parser::unescape_quoted`]). `None` (a short row's absent field)
+    /// appends NULL. A field `parse_field` would refuse appends NULL too, and
+    /// its index in the run is passed to `bad`.
+    pub fn extend_parsed<'a>(
+        &mut self,
+        fields: impl Iterator<Item = Option<&'a [u8]>>,
+        quote: Option<u8>,
+        mut bad: impl FnMut(usize),
+    ) {
+        /// The shared loop: `parse` returns `None` for a malformed field.
+        fn fill<'a, T: Default>(
+            values: &mut Vec<T>,
+            nulls: &mut NullMask,
+            fields: impl Iterator<Item = Option<&'a [u8]>>,
+            mut parse: impl FnMut(&'a [u8]) -> Option<T>,
+            bad: &mut impl FnMut(usize),
+        ) {
+            values.reserve(fields.size_hint().0);
+            for (k, field) in fields.enumerate() {
+                let value = match field {
+                    Some(raw) if !raw.is_empty() => parse(raw).or_else(|| {
+                        bad(k);
+                        None
+                    }),
+                    _ => None,
                 };
-                *str_bytes += s.len();
-                values.push(s);
+                nulls.push(value.is_none());
+                values.push(value.unwrap_or_default());
             }
         }
-        self.nulls_mut().push(false);
-        true
+        match self {
+            TypedColumn::Int { values, nulls } => {
+                fill(values, nulls, fields, parser::parse_int, &mut bad)
+            }
+            TypedColumn::Float { values, nulls } => {
+                fill(values, nulls, fields, parser::parse_float, &mut bad)
+            }
+            TypedColumn::Bool { values, nulls } => {
+                fill(values, nulls, fields, parser::parse_bool, &mut bad)
+            }
+            TypedColumn::Str {
+                values,
+                str_bytes,
+                nulls,
+            } => {
+                let text = |raw: &'a [u8]| {
+                    let s: Box<str> = match quote {
+                        Some(q) if raw.contains(&q) => parser::unescape_quoted(raw, q).into(),
+                        _ => String::from_utf8_lossy(raw).into(),
+                    };
+                    *str_bytes += s.len();
+                    Some(s)
+                };
+                fill(values, nulls, fields, text, &mut bad)
+            }
+        }
     }
 
-    /// Append row `i` of `src`, a column of the same type (a per-row cache
-    /// read). Returns `false`, appending nothing, when `src` has no row `i`
-    /// or holds another type.
-    pub fn push_from(&mut self, src: &TypedColumn, i: usize) -> bool {
-        if i >= src.len() {
-            return false;
+    /// Append rows `[lo, hi)` of `src`, a column of the same type (the
+    /// scan's read of a cache column's covered rows), stopping at `src`'s
+    /// end. Returns the rows appended: 0 when `src` holds another type.
+    pub fn extend_from(&mut self, src: &TypedColumn, lo: usize, hi: usize) -> usize {
+        let hi = hi.min(src.len());
+        if lo >= hi || self.ty() != src.ty() {
+            return 0;
         }
         match (&mut *self, src) {
             (TypedColumn::Int { values, .. }, TypedColumn::Int { values: sv, .. }) => {
-                values.push(sv[i])
+                values.extend_from_slice(&sv[lo..hi])
             }
             (TypedColumn::Float { values, .. }, TypedColumn::Float { values: sv, .. }) => {
-                values.push(sv[i])
+                values.extend_from_slice(&sv[lo..hi])
             }
             (TypedColumn::Bool { values, .. }, TypedColumn::Bool { values: sv, .. }) => {
-                values.push(sv[i])
+                values.extend_from_slice(&sv[lo..hi])
             }
             (
                 TypedColumn::Str {
@@ -379,14 +403,13 @@ impl TypedColumn {
                 },
                 TypedColumn::Str { values: sv, .. },
             ) => {
-                *str_bytes += sv[i].len();
-                values.push(sv[i].clone());
+                *str_bytes += sv[lo..hi].iter().map(|s| s.len()).sum::<usize>();
+                values.extend_from_slice(&sv[lo..hi]);
             }
-            _ => return false,
+            _ => return 0,
         }
-        let null = src.nulls().is_null(i);
-        self.nulls_mut().push(null);
-        true
+        self.nulls_mut().append_segment(&src.nulls().slice(lo, hi));
+        hi - lo
     }
 
     /// The column's null bitmap.
@@ -688,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn push_parsed_equals_parse_field() {
+    fn extend_parsed_equals_parse_field() {
         let corpus: &[&[u8]] = &[
             b"",
             b"0",
@@ -741,29 +764,43 @@ mod tests {
             ColumnType::Str,
         ] {
             for quote in [None, Some(b'"')] {
+                // The whole corpus as one run, behind a short row's `None`;
+                // the reference pushes `parse_field`'s datums one by one, a
+                // malformed field as NULL (a permissive scan's tombstone).
                 let mut typed = TypedColumn::new(ty);
                 let mut reference = TypedColumn::new(ty);
+                let mut bad = Vec::new();
+                reference.push_null();
                 for (row, raw) in corpus.iter().enumerate() {
-                    let tag = format!("{ty:?} {quote:?} {:?}", String::from_utf8_lossy(raw));
                     let expect = match quote {
                         Some(q) if ty == ColumnType::Str && raw.contains(&q) => {
                             Ok(Datum::Str(parser::unescape_quoted(raw, q).into()))
                         }
                         _ => parser::parse_field(raw, ty, row as u64, 0),
                     };
-                    assert_eq!(typed.push_parsed(raw, quote), expect.is_ok(), "{tag}");
-                    if let Ok(d) = expect {
-                        reference.push(&d);
-                    }
-                    assert_eq!(typed.len(), reference.len(), "{tag}");
+                    reference.push(&expect.as_ref().map_or(Datum::Null, Clone::clone));
+                    bad.extend(expect.is_err().then_some(row + 1));
                 }
+                let fields = std::iter::once(None).chain(corpus.iter().map(|raw| Some(*raw)));
+                let mut seen = Vec::new();
+                typed.extend_parsed(fields, quote, |k| seen.push(k));
+                assert_eq!(seen, bad, "{ty:?} {quote:?}");
+                assert_eq!(typed.len(), reference.len());
                 assert_eq!(typed.footprint(), reference.footprint(), "{ty:?}");
-                // A row-by-row copy (the scan's cache read) reproduces it.
+                // A range copy (the scan's cache read) reproduces it, in two
+                // pieces, and stops at the source's end.
                 let mut copy = TypedColumn::new(ty);
-                for i in 0..typed.len() {
-                    assert!(copy.push_from(&typed, i));
-                }
-                assert!(!copy.push_from(&typed, typed.len()), "past the end");
+                let mid = typed.len() / 3;
+                assert_eq!(copy.extend_from(&typed, 0, mid), mid);
+                let rest = typed.len() - mid;
+                assert_eq!(copy.extend_from(&typed, mid, typed.len() + 5), rest);
+                assert_eq!(copy.extend_from(&typed, typed.len(), typed.len() + 1), 0);
+                let other = TypedColumn::new(if ty == ColumnType::Int {
+                    ColumnType::Str
+                } else {
+                    ColumnType::Int
+                });
+                assert_eq!(copy.extend_from(&other, 0, 0), 0, "another type");
                 assert_eq!(copy.footprint(), reference.footprint(), "{ty:?}");
                 for i in 0..reference.len() {
                     assert!(same(&typed.datum(i), &reference.datum(i)), "{ty:?} row {i}");

@@ -7,8 +7,8 @@
 //! with hand-rolled integer/boolean fast paths (field bytes are already in
 //! cache after tokenizing, so conversion cost is pure CPU — exactly the cost
 //! the paper's *Convert* breakdown slice measures). The scan calls them
-//! through `nodb_rawcache::TypedColumn::push_parsed`, which writes the value
-//! straight into a typed column; [`parse_field`] applies the same rules but
+//! through `nodb_rawcache::TypedColumn::extend_parsed`, which parses a run
+//! of fields straight into a typed column; [`parse_field`] applies the same rules but
 //! returns a [`Datum`], and is the reference the row-at-a-time models compare
 //! against and the one place a parse error is worded.
 

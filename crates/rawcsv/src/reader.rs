@@ -42,6 +42,17 @@
 //! time the scanning thread spent inside `read`. That is the *I/O* slice of
 //! the Figure-3-style breakdown, separating "waiting for bytes" from
 //! "tokenizing".
+//!
+//! # Batches
+//!
+//! The raw scan does not take lines one at a time: a [`RangeScanner`]
+//! fills a [`RowBatch`] ([`RangeScanner::fill_batch`]) with up to a
+//! requested number of complete lines of its current window, and the spans
+//! of the fields each row asks for, in one pass that turns every 64-byte
+//! block into newline and delimiter bit masks. Rows borrow the window (no
+//! line is copied), and a refill happens only when the window holds no
+//! complete line. [`BlockScanner::next_line`] stays for the readers that
+//! want whole lines: schema inference, the loaders, a header skip.
 
 #![doc = " lint:cancellable — every scan/batch loop in this module must poll the"]
 #![doc = " query context (`ctx.check()`) or drive an interrupt-flagged `BlockSource`;"]
@@ -55,7 +66,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::error::RawCsvError;
-use crate::tokenizer::{count_byte, find_byte, find_byte2, trim_cr, Tokens};
+use crate::tokenizer::{
+    block_masks, count_byte, find_byte, trim_cr, FieldSpan, TokenizerConfig, Tokens,
+};
 use crate::Result;
 
 /// Default block size for sequential scans (1 MiB).
@@ -666,111 +679,6 @@ impl BlockScanner {
         }
     }
 
-    /// Produce the next line *and* tokenize its leading fields in the same
-    /// byte pass (plain, unquoted configurations only).
-    ///
-    /// The classic loop pays two passes over every tuple prefix: one SWAR
-    /// scan locating `\n` (line splitting) and a second locating delimiters
-    /// (tokenizing). This fused variant uses [`find_byte2`] to match
-    /// *delimiter or newline* per 8-byte word, so each prefix byte is
-    /// visited once; once `upto_field` fields are delimited (selective
-    /// tokenizing), the remainder of the tuple degrades to a single-needle
-    /// newline scan. `out` afterwards holds exactly what
-    /// [`crate::tokenizer::TokenizerConfig::tokenize_selective`] would have
-    /// produced for the returned line.
-    pub fn next_line_tokenized(
-        &mut self,
-        delimiter: u8,
-        upto_field: usize,
-        out: &mut Tokens,
-    ) -> Result<Option<LineRef<'_>>> {
-        out.begin_line();
-        // All cursors are relative to the line start (`self.win.pos`), which
-        // does not advance until the line is complete: `refill` preserves
-        // the unconsumed tail contiguously (compaction), so absolute
-        // positions shift while relative ones stay valid.
-        let mut rel = 0usize; // scan cursor
-        let mut field_start = 0usize; // current field start
-        let mut fields_done = false; // located every requested field
-        loop {
-            let window = &self.win.buf[self.win.pos + rel..self.win.filled];
-            let hit = if fields_done {
-                find_byte(window, b'\n').map(|p| (p, b'\n'))
-            } else {
-                find_byte2(window, delimiter, b'\n')
-            };
-            match hit {
-                Some((off, b)) if b == delimiter => {
-                    let at = rel + off;
-                    // lint: cast-ok line-relative span; lines ≤ io_block_size (≤ 256 MiB)
-                    out.push_span(field_start as u32, at as u32);
-                    if out.len() > upto_field {
-                        fields_done = true;
-                    }
-                    field_start = at + 1;
-                    rel = at + 1;
-                }
-                Some((off, _newline)) => {
-                    let at = rel + off;
-                    return Ok(Some(self.emit_line(
-                        at,
-                        true,
-                        field_start,
-                        fields_done,
-                        out,
-                    )));
-                }
-                None => {
-                    if self.eof {
-                        if self.win.pos < self.win.filled {
-                            let at = self.win.filled - self.win.pos;
-                            return Ok(Some(self.emit_line(
-                                at,
-                                false,
-                                field_start,
-                                fields_done,
-                                out,
-                            )));
-                        }
-                        return Ok(None);
-                    }
-                    rel = self.win.filled - self.win.pos; // resume where the scan stopped
-                    self.refill()?;
-                }
-            }
-        }
-    }
-
-    /// Finish the fused scan of one line: push the final span, consume the
-    /// buffer, and build the [`LineRef`]. `line_len` is relative to the line
-    /// start; `terminated` tells whether a `\n` follows.
-    fn emit_line(
-        &mut self,
-        line_len: usize,
-        terminated: bool,
-        field_start: usize,
-        fields_done: bool,
-        out: &mut Tokens,
-    ) -> LineRef<'_> {
-        let start = self.win.pos;
-        let trimmed = trim_cr(&self.win.buf[start..start + line_len]).len();
-        if !fields_done {
-            // Final field runs to the (CR-trimmed) end of the line.
-            // lint: cast-ok line-relative span; lines ≤ io_block_size (≤ 256 MiB)
-            out.push_span(field_start.min(trimmed) as u32, trimmed as u32);
-            out.mark_complete();
-        }
-        self.win.pos = start + line_len + usize::from(terminated);
-        let offset = self.win.file_offset + start as u64;
-        let line_no = self.next_line_no;
-        self.next_line_no += 1;
-        LineRef {
-            line_no,
-            offset,
-            bytes: &self.win.buf[start..start + trimmed],
-        }
-    }
-
     /// Restrict reads to stop at file offset `cap` and continue in
     /// `TAIL_READ`-sized steps beyond it (for the line straddling the
     /// cap). Lines are still produced normally past the cap — this caps
@@ -1074,25 +982,85 @@ impl RangeScanner {
         }
     }
 
-    /// Fused variant of [`Self::next_line`]: tokenize the line's leading
-    /// fields in the same byte pass (see
-    /// [`BlockScanner::next_line_tokenized`]).
-    pub fn next_line_tokenized(
-        &mut self,
-        delimiter: u8,
-        upto_field: usize,
-        out: &mut Tokens,
-    ) -> Result<Option<LineRef<'_>>> {
+    /// Fill `batch` with the next run of lines the range owns, and with the
+    /// field spans its request asks of each: the scan loop's one fetch.
+    ///
+    /// The rows are complete lines of the scanner's current window — the
+    /// bytes [`Self::bytes`] returns until the next call — so nothing is
+    /// copied, and a refill happens only when the window holds no complete
+    /// line (the unconsumed tail, the line straddling the window's end, is
+    /// carried to the front of the next window). One pass over the window
+    /// finds them: each 64-byte block becomes a newline mask and a delimiter
+    /// mask ([`block_masks`]) whose set bits are walked in order, a newline
+    /// closing a row and a delimiter closing a field. A row's delimiters are
+    /// walked only from its start, or from its plan's anchor, up to field
+    /// `upto`; past that, only newline bits are looked at (selective
+    /// tokenizing). With a quote byte configured the pass also masks quotes,
+    /// and a row holding one is re-tokenized by the quote-aware
+    /// [`TokenizerConfig`] scan over that line. Every row's spans are exactly
+    /// what [`TokenizerConfig::tokenize_from`] (or, for a row without an
+    /// anchor or whose anchor lies past its end,
+    /// [`TokenizerConfig::tokenize_selective`]) reports for its line.
+    ///
+    /// Returns the number of rows; 0 once the range is exhausted.
+    pub fn fill_batch(&mut self, tok: &TokenizerConfig, batch: &mut RowBatch) -> Result<usize> {
+        batch.clear_rows();
         if self.exhausted() {
-            return Ok(None);
+            return Ok(0);
         }
-        match self.inner.next_line_tokenized(delimiter, upto_field, out)? {
-            Some(l) if l.offset < self.end => Ok(Some(l)),
-            _ => {
-                self.done = true;
-                Ok(None)
+        let sc = &mut self.inner;
+        let mut row = OpenRow::default();
+        batch.open_row(&mut row, sc.win.pos);
+        let mut from = sc.win.pos;
+        loop {
+            // The range end as a window index: rows starting there or later
+            // belong to the next range.
+            let end =
+                usize::try_from(self.end.saturating_sub(sc.win.file_offset)).unwrap_or(usize::MAX);
+            let filled = sc.win.filled;
+            let (at, stop) = batch.walk(&sc.win.buf[..filled], from, &mut row, tok, end);
+            match stop {
+                Stop::Full => sc.win.pos = at,
+                Stop::RangeEnd => {
+                    sc.win.pos = at;
+                    self.done = true;
+                }
+                // The window ends inside a row: hand over the rows found;
+                // the next fill starts at the open row.
+                Stop::WindowEnd if !batch.is_empty() => {
+                    batch.drop_open_row();
+                    sc.win.pos = row.start;
+                }
+                // The file's final line has no newline.
+                Stop::WindowEnd if sc.eof => {
+                    if row.start < filled {
+                        batch.finish_row(&sc.win.buf[..filled], &mut row, filled, tok);
+                    }
+                    sc.win.pos = filled;
+                }
+                // No complete line in the window: refill (which slides the
+                // open row to the front) and resume where the walk stopped.
+                Stop::WindowEnd => {
+                    let before = sc.win.file_offset;
+                    sc.refill()?;
+                    // lint: cast-ok the shift is at most the window's length
+                    let shift = (sc.win.file_offset - before) as usize;
+                    row.shift(shift);
+                    from = at - shift;
+                    continue;
+                }
             }
+            break;
         }
+        batch.base = sc.win.file_offset;
+        sc.next_line_no += batch.len() as u64;
+        Ok(batch.len())
+    }
+
+    /// The scanner's window: the bytes the rows of the last
+    /// [`Self::fill_batch`] index into ([`RowBatch::line`]).
+    pub fn bytes(&self) -> &[u8] {
+        &self.inner.win.buf[..self.inner.win.filled]
     }
 
     /// The I/O counters accumulated so far.
@@ -1127,6 +1095,324 @@ impl RangeScanner {
     /// scanner returns `None`) and when `next_line` returns `None`.
     pub fn ended_short(&self) -> bool {
         self.inner.at_eof() && self.inner.position() < self.end
+    }
+}
+
+/// Where one row of a [`RowBatch`] starts tokenizing and where it stops:
+/// fields `field..=upto` of its line, where field `field` is known to begin
+/// at line byte `off` (a positional-map anchor; `0, 0` is the line start).
+/// `field > upto` asks for no field at all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowPlan {
+    /// First field to locate.
+    pub field: usize,
+    /// Line byte where `field` begins.
+    pub off: u32,
+    /// Last field to locate (`usize::MAX`: every field).
+    pub upto: usize,
+}
+
+impl RowPlan {
+    /// No field at all: the row's values come from elsewhere.
+    pub const NONE: RowPlan = RowPlan {
+        field: usize::MAX,
+        off: 0,
+        upto: 0,
+    };
+
+    /// Fields `0..=upto` from the line start.
+    pub fn from_start(upto: usize) -> RowPlan {
+        RowPlan {
+            field: 0,
+            off: 0,
+            upto,
+        }
+    }
+}
+
+/// Up to a requested number of complete lines from one
+/// [`RangeScanner::fill_batch`], with the spans of the fields each row
+/// asked for. Reused across fills, so a scan allocates its row arrays once.
+///
+/// The request is set before a fill: [`Self::request`] asks every row for
+/// fields `0..=upto`; [`Self::plan_row`] gives rows their own [`RowPlan`]s
+/// instead. The rows index the scanner's window ([`RangeScanner::bytes`])
+/// and are valid until the next fill.
+#[derive(Debug, Default)]
+pub struct RowBatch {
+    max_rows: usize,
+    upto: usize,
+    plans: Vec<RowPlan>,
+    /// File offset of the window's first byte.
+    base: u64,
+    /// Per row: its line as a window range, end exclusive, `\r` trimmed.
+    lines: Vec<(usize, usize)>,
+    /// Per row: the field its first span describes.
+    first: Vec<usize>,
+    /// Row `r`'s spans are `spans[span_at[r]..span_at[r + 1]]`.
+    span_at: Vec<usize>,
+    /// Line-relative field spans, row after row.
+    spans: Vec<FieldSpan>,
+    /// The quote-aware scan's output for one row.
+    scratch: Tokens,
+}
+
+/// The row a walk is inside of. Window indices; [`Self::shift`] keeps them
+/// valid when a refill slides the row to the front of the window (its spans
+/// are line-relative and need no fixing).
+#[derive(Debug, Default, Clone, Copy)]
+struct OpenRow {
+    /// First byte of the line.
+    start: usize,
+    /// The plan's first field.
+    first: usize,
+    /// The plan's last field.
+    upto: usize,
+    /// Next field a delimiter would close.
+    field: usize,
+    /// First byte of that field.
+    field_start: usize,
+    /// Delimiters below this index are not the row's (its plan's anchor).
+    skip: usize,
+    /// The row still wants delimiters.
+    need: bool,
+    /// A quote byte was seen in the row so far.
+    quoted: bool,
+}
+
+impl OpenRow {
+    fn shift(&mut self, by: usize) {
+        self.start -= by;
+        self.field_start -= by;
+        self.skip -= by;
+    }
+}
+
+/// Why a walk stopped.
+enum Stop {
+    /// The batch holds its requested rows.
+    Full,
+    /// The next row starts at or past the range end.
+    RangeEnd,
+    /// The window ended inside a row.
+    WindowEnd,
+}
+
+/// Bits `k..64` set (none for `k >= 64`).
+#[inline]
+fn from_bit(k: usize) -> u64 {
+    u64::MAX
+        .checked_shl(u32::try_from(k).unwrap_or(u32::MAX))
+        .unwrap_or(0)
+}
+
+impl RowBatch {
+    /// An empty batch.
+    pub fn new() -> Self {
+        RowBatch::default()
+    }
+
+    /// Ask the next fill for at most `max_rows` lines (at least one), each
+    /// tokenized from its start through field `upto` (`usize::MAX`: every
+    /// field). Clears the per-row plans.
+    pub fn request(&mut self, max_rows: usize, upto: usize) {
+        self.max_rows = max_rows.max(1);
+        self.upto = upto;
+        self.plans.clear();
+    }
+
+    /// Give the next unplanned row its own plan. Once any row has one, a
+    /// fill takes at most as many rows as were planned, row `r` following
+    /// the `r`-th plan.
+    pub fn plan_row(&mut self, plan: RowPlan) {
+        self.plans.push(plan);
+    }
+
+    /// Rows of the last fill.
+    pub fn len(&self) -> usize {
+        self.lines.len()
+    }
+
+    /// True when the last fill found no row.
+    pub fn is_empty(&self) -> bool {
+        self.lines.is_empty()
+    }
+
+    /// File offset of row `row`'s first byte.
+    pub fn offset(&self, row: usize) -> u64 {
+        self.base + self.lines[row].0 as u64
+    }
+
+    /// Row `row`'s line (without its newline or `\r`) within `bytes`, the
+    /// scanner's window.
+    pub fn line<'a>(&self, bytes: &'a [u8], row: usize) -> &'a [u8] {
+        let (start, end) = self.lines[row];
+        &bytes[start..end]
+    }
+
+    /// The span of field `field` in row `row`, if the fill located it.
+    #[inline]
+    pub fn span(&self, row: usize, field: usize) -> Option<FieldSpan> {
+        let i = field.checked_sub(self.first[row])?;
+        let (lo, hi) = (self.span_at[row], self.span_at[row + 1]);
+        (i < hi - lo).then(|| self.spans[lo + i])
+    }
+
+    fn clear_rows(&mut self) {
+        self.lines.clear();
+        self.first.clear();
+        self.spans.clear();
+        self.span_at.clear();
+        self.span_at.push(0);
+        if !self.plans.is_empty() {
+            self.max_rows = self.max_rows.min(self.plans.len());
+        }
+    }
+
+    /// Start the walk of the row at window index `start` under its plan.
+    fn open_row(&mut self, row: &mut OpenRow, start: usize) {
+        let plan = self
+            .plans
+            .get(self.lines.len())
+            .copied()
+            .unwrap_or(RowPlan::from_start(self.upto));
+        let anchor = start + plan.off as usize; // lint: cast-ok u32 widens into usize
+        *row = OpenRow {
+            start,
+            first: plan.field,
+            upto: plan.upto,
+            field: plan.field,
+            field_start: anchor,
+            skip: anchor,
+            need: plan.field <= plan.upto,
+            quoted: false,
+        };
+    }
+
+    /// Forget the spans of a row the window ended inside of.
+    fn drop_open_row(&mut self) {
+        let lo = self.span_at[self.lines.len()];
+        self.spans.truncate(lo);
+    }
+
+    /// Close the open row at window index `at` (its newline, or the end of
+    /// the file's unterminated last line): trim a `\r`, close its last
+    /// field, and re-tokenize it with the quote-aware scan when it holds a
+    /// quote byte, or from its start when its anchor lies past its end.
+    fn finish_row(&mut self, buf: &[u8], row: &mut OpenRow, at: usize, tok: &TokenizerConfig) {
+        let end = if at > row.start && buf[at - 1] == b'\r' {
+            at - 1
+        } else {
+            at
+        };
+        let mut first = row.first;
+        let past_end = row.skip > end;
+        if row.quoted || past_end {
+            self.drop_open_row();
+            if row.first <= row.upto {
+                let line = &buf[row.start..end];
+                if past_end {
+                    tok.tokenize_selective(line, row.upto, &mut self.scratch);
+                } else {
+                    let off = row.skip - row.start;
+                    tok.tokenize_from(line, row.first, off, row.upto, &mut self.scratch);
+                }
+                first = self.scratch.first_field();
+                self.spans.extend_from_slice(self.scratch.spans());
+            }
+        } else if row.need {
+            self.spans.push(FieldSpan::at(
+                row.field_start.min(end) - row.start,
+                end - row.start,
+            ));
+        }
+        self.lines.push((row.start, end));
+        self.first.push(first);
+        self.span_at.push(self.spans.len());
+    }
+
+    /// The open row's delimiter bits of the block at `p`: none once it has
+    /// its fields, and none below its anchor.
+    #[inline]
+    fn row_delims(row: &OpenRow, delims: u64, p: usize) -> u64 {
+        if row.need {
+            delims & from_bit(row.skip.saturating_sub(p))
+        } else {
+            0
+        }
+    }
+
+    /// Walk `buf` (the window's valid bytes) from `from`, a byte inside the
+    /// open row, a 64-byte block at a time. Returns where the walk stopped —
+    /// the next row's start, or `buf.len()` — and why.
+    fn walk(
+        &mut self,
+        buf: &[u8],
+        from: usize,
+        row: &mut OpenRow,
+        tok: &TokenizerConfig,
+        end: usize,
+    ) -> (usize, Stop) {
+        let mut p = from;
+        let mut tail = [0u8; 64];
+        while p < buf.len() {
+            let valid = (buf.len() - p).min(64);
+            let block: &[u8; 64] = match buf[p..].first_chunk::<64>() {
+                Some(block) => block,
+                // The window's last, partial block (once per walk).
+                None => {
+                    tail[..valid].copy_from_slice(&buf[p..]);
+                    &tail
+                }
+            };
+            let live = if valid == 64 {
+                u64::MAX
+            } else {
+                !from_bit(valid)
+            };
+            let (newlines, delims, quotes) = match tok.quote {
+                None => {
+                    let [nl, dl] = block_masks(block, [b'\n', tok.delimiter]);
+                    (nl & live, dl & live, 0)
+                }
+                Some(q) => {
+                    let [nl, dl, qm] = block_masks(block, [b'\n', tok.delimiter, q]);
+                    (nl & live, dl & live, qm & live)
+                }
+            };
+            let mut bits = newlines | Self::row_delims(row, delims, p);
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize; // lint: cast-ok bit index < 64
+                bits &= bits - 1;
+                let at = p + b;
+                if newlines & (1 << b) != 0 {
+                    let in_row = from_bit(row.start.saturating_sub(p)) & !from_bit(b);
+                    row.quoted |= quotes & in_row != 0;
+                    self.finish_row(buf, row, at, tok);
+                    let next = at + 1;
+                    if self.lines.len() >= self.max_rows {
+                        return (next, Stop::Full);
+                    }
+                    if next >= end {
+                        return (next, Stop::RangeEnd);
+                    }
+                    self.open_row(row, next);
+                    bits = (newlines | Self::row_delims(row, delims, p)) & from_bit(b + 1);
+                } else {
+                    self.spans
+                        .push(FieldSpan::at(row.field_start - row.start, at - row.start));
+                    row.field += 1;
+                    row.field_start = at + 1;
+                    if row.field > row.upto {
+                        row.need = false;
+                        bits &= newlines;
+                    }
+                }
+            }
+            row.quoted |= quotes & from_bit(row.start.saturating_sub(p)) != 0;
+            p += valid;
+        }
+        (p, Stop::WindowEnd)
     }
 }
 
@@ -1719,70 +2005,234 @@ mod tests {
         std::fs::remove_file(p).unwrap();
     }
 
-    #[test]
-    fn fused_scan_matches_next_line_plus_tokenizer() {
-        use crate::tokenizer::TokenizerConfig;
-        let content = gen_lines(113);
-        let p = tmp_file("fused", &content);
-        for upto in [0usize, 1, 2, usize::MAX] {
-            let mut a = BlockScanner::open(&p, 4096).unwrap();
-            let mut b = BlockScanner::open(&p, 4096).unwrap();
-            let cfg = TokenizerConfig::default();
-            let mut ta = Tokens::new();
-            let mut tb = Tokens::new();
-            loop {
-                let la = a
-                    .next_line_tokenized(b',', upto, &mut ta)
-                    .unwrap()
-                    .map(|l| (l.line_no, l.offset, l.bytes.to_vec()));
-                let lb = b
-                    .next_line()
-                    .unwrap()
-                    .map(|l| (l.line_no, l.offset, l.bytes.to_vec()));
-                assert_eq!(la, lb, "upto = {upto}");
-                let Some((_, _, line)) = lb else { break };
-                cfg.tokenize_selective(&line, upto, &mut tb);
-                assert_eq!(ta.len(), tb.len(), "upto = {upto} line {line:?}");
-                assert_eq!(ta.reached_end_of_line(), tb.reached_end_of_line());
-                for f in 0..tb.len() {
-                    assert_eq!(ta.get(f), tb.get(f), "upto = {upto} field {f}");
+    /// Seeded xorshift64 for the generated files below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// A seeded CSV body: short and empty fields, rows of one field up to
+    /// twelve, rows past 64 bytes and a few past a 4 KiB block, a header,
+    /// CRLF endings on some files and no final newline on others; with a
+    /// quote byte, quoted fields holding the delimiter and `""` escapes, and
+    /// now and then an unterminated quote.
+    fn seeded_csv(rng: &mut Rng, tok: &TokenizerConfig, crlf: bool, terminated: bool) -> Vec<u8> {
+        let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
+        let mut out = b"id,name,value,flag"
+            .map(|b| if b == b',' { tok.delimiter } else { b })
+            .to_vec();
+        out.extend_from_slice(eol);
+        let rows = 300 + rng.below(300);
+        for r in 0..rows {
+            let fields = 1 + rng.below(12);
+            for f in 0..fields {
+                if f > 0 {
+                    out.push(tok.delimiter);
+                }
+                let width = match rng.below(20) {
+                    // Every 97th row holds a field longer than a 4 KiB
+                    // block: no window holds it whole.
+                    _ if r % 97 == 5 && f == 0 => 4500 + rng.below(900),
+                    0 => 0,
+                    1 => 70 + rng.below(60),
+                    _ => rng.below(9),
+                };
+                let quoted = tok.quote.filter(|_| rng.below(4) == 0);
+                if let Some(q) = quoted {
+                    out.push(q);
+                }
+                for _ in 0..width {
+                    let b = match (quoted, rng.below(12)) {
+                        (Some(_), 0) => tok.delimiter,
+                        (Some(q), 1) => {
+                            out.push(q);
+                            q
+                        }
+                        _ => b'a' + rng.below(26) as u8,
+                    };
+                    out.push(b);
+                }
+                // An unterminated quote runs to the end of its line, so only
+                // a row's last field may leave one open.
+                if let Some(q) = quoted.filter(|_| f + 1 < fields || rng.below(10) != 0) {
+                    out.push(q);
                 }
             }
+            out.extend_from_slice(eol);
         }
-        std::fs::remove_file(p).unwrap();
+        if !terminated {
+            out.truncate(out.len() - eol.len());
+        }
+        out
+    }
+
+    /// The per-line reference of one row under `plan`: the tokenizer call
+    /// the scan made per line before it fetched batches.
+    fn reference_tokens(tok: &TokenizerConfig, line: &[u8], plan: RowPlan) -> Tokens {
+        let mut t = Tokens::new();
+        if plan.field > plan.upto {
+            return t;
+        }
+        if plan.off as usize <= line.len() {
+            tok.tokenize_from(line, plan.field, plan.off as usize, plan.upto, &mut t);
+        } else {
+            tok.tokenize_selective(line, plan.upto, &mut t);
+        }
+        t
+    }
+
+    /// A random plan for one row: from the start, from a field's true start
+    /// (a positional-map anchor), from past the line's end, or no fields.
+    /// Quoted files get no anchors: a stored offset says nothing of the quote
+    /// state there, so the scan never keeps a map for them.
+    fn random_plan(rng: &mut Rng, tok: &TokenizerConfig, line: &[u8], upto: usize) -> RowPlan {
+        let start = RowPlan {
+            field: 0,
+            off: 0,
+            upto,
+        };
+        let variants = if tok.quote.is_some() { 4 } else { 8 };
+        match rng.below(variants) {
+            0..=2 => start,
+            3 if upto < usize::MAX => RowPlan {
+                field: upto + 1,
+                ..start
+            },
+            3 => start,
+            4 => RowPlan {
+                field: 1,
+                off: line.len() as u32 + 1,
+                upto: upto.max(1),
+            },
+            _ => {
+                let mut full = Tokens::new();
+                tok.tokenize_into(line, &mut full);
+                let field = rng.below(full.len().min(upto.saturating_add(1)));
+                let off = full.get(field).map_or(0, |s| s.start);
+                RowPlan { field, off, upto }
+            }
+        }
+    }
+
+    /// `fill_batch` against per-line `next_line` + `tokenize_selective` /
+    /// `tokenize_from` over seeded files: the same lines at the same
+    /// offsets, and the same span for every field, at every `upto`, under
+    /// random anchors, at both block sizes and over several partitionings.
+    #[test]
+    fn fill_batch_equals_per_line_tokenizing() {
+        let mut rng = Rng(0x5eed_cafe_f00d_0001);
+        let mut case = 0;
+        for delimiter in [b',', b';', b'|', b'\t'] {
+            for quote in [None, Some(b'"')] {
+                let tok = TokenizerConfig { delimiter, quote };
+                let crlf = case % 2 == 1;
+                let terminated = case % 3 != 2;
+                case += 1;
+                let content = seeded_csv(&mut rng, &tok, crlf, terminated);
+                let p = tmp_file(&format!("fill_batch_{case}"), &content);
+                let lines: Vec<(u64, Vec<u8>)> = collect_lines(&p, 4096)
+                    .into_iter()
+                    .map(|(_, off, bytes)| (off, bytes))
+                    .collect();
+                let ranges = partition_line_ranges(&p, 1 + rng.below(5)).unwrap();
+                let uptos = (0..14).chain([usize::MAX]);
+                for upto in uptos {
+                    let block = if upto % 2 == 0 { 4096 } else { 1 << 20 };
+                    let mut at = 0usize; // index into `lines`
+                    for (k, r) in ranges.iter().enumerate() {
+                        let mut sc = RangeScanner::open(&p, block, *r, 0).unwrap();
+                        if k == 0 {
+                            let header = sc.next_line().unwrap().unwrap().bytes.to_vec();
+                            assert_eq!(header, lines[0].1);
+                            at = 1;
+                        }
+                        let mut batch = RowBatch::new();
+                        loop {
+                            let max_rows = 1 + rng.below(1100);
+                            batch.request(max_rows, upto);
+                            let planned = rng.below(2) == 0;
+                            let mut plans = Vec::new();
+                            if planned {
+                                for line in lines.iter().skip(at).take(max_rows) {
+                                    let plan = random_plan(&mut rng, &tok, &line.1, upto);
+                                    batch.plan_row(plan);
+                                    plans.push(plan);
+                                }
+                            }
+                            let n = sc.fill_batch(&tok, &mut batch).unwrap();
+                            if n == 0 {
+                                break;
+                            }
+                            assert!(n <= max_rows);
+                            for row in 0..n {
+                                let (off, line) = &lines[at + row];
+                                let ctx = format!("case {case} upto {upto} line {}", at + row);
+                                assert_eq!(batch.offset(row), *off, "{ctx}");
+                                assert_eq!(batch.line(sc.bytes(), row), &line[..], "{ctx}");
+                                let plan = plans.get(row).copied().unwrap_or(RowPlan {
+                                    field: 0,
+                                    off: 0,
+                                    upto,
+                                });
+                                let want = reference_tokens(&tok, line, plan);
+                                for field in 0..40 {
+                                    assert_eq!(
+                                        batch.span(row, field),
+                                        want.get(field),
+                                        "{ctx} field {field} plan {plan:?}"
+                                    );
+                                }
+                            }
+                            at += n;
+                        }
+                        assert!(!sc.ended_short());
+                        assert_eq!(sc.position(), r.end);
+                    }
+                    assert_eq!(at, lines.len(), "case {case} upto {upto}: every line once");
+                }
+                std::fs::remove_file(p).unwrap();
+            }
+        }
     }
 
     #[test]
-    fn fused_scan_handles_crlf_and_unterminated_tail() {
-        let p = tmp_file("fused_crlf", b"a,b\r\nlong,unterminated");
-        let mut sc = BlockScanner::open(&p, 4096).unwrap();
-        let mut t = Tokens::new();
-        {
-            let l = sc
-                .next_line_tokenized(b',', usize::MAX, &mut t)
-                .unwrap()
-                .unwrap();
-            assert_eq!(l.bytes, b"a,b");
+    fn fill_batch_stops_at_the_requested_rows_and_the_range_end() {
+        let content = gen_lines(100);
+        let p = tmp_file("fill_batch_rows", &content);
+        let cut = partition_line_ranges(&p, 2).unwrap()[0];
+        let whole = collect_lines(&p, 4096);
+        let owned = whole.iter().filter(|l| l.1 < cut.end).count();
+        let tok = TokenizerConfig::default();
+        let mut sc = RangeScanner::open(&p, 4096, cut, 0).unwrap();
+        let mut batch = RowBatch::new();
+        let mut sizes = Vec::new();
+        loop {
+            batch.request(7, 1);
+            match sc.fill_batch(&tok, &mut batch).unwrap() {
+                0 => break,
+                n => sizes.push(n),
+            }
         }
-        assert_eq!(t.len(), 2);
-        assert_eq!(
-            t.get(1).map(|s| (s.start, s.end)),
-            Some((2, 3)),
-            "CR excluded"
+        assert!(
+            sizes[..sizes.len() - 1].iter().all(|&n| n == 7),
+            "{sizes:?}"
         );
-        {
-            let l = sc
-                .next_line_tokenized(b',', usize::MAX, &mut t)
-                .unwrap()
-                .unwrap();
-            assert_eq!(l.bytes, b"long,unterminated");
-        }
-        assert_eq!(t.len(), 2);
-        assert!(t.reached_end_of_line());
-        assert!(sc
-            .next_line_tokenized(b',', usize::MAX, &mut t)
-            .unwrap()
-            .is_none());
+        assert_eq!(sizes.iter().sum::<usize>(), owned);
+        assert_eq!(
+            sc.take_counters().bytes_read,
+            cut.end,
+            "reads stop at the range end"
+        );
         std::fs::remove_file(p).unwrap();
     }
 
@@ -1799,26 +2249,6 @@ mod tests {
         // One read per full 4 KiB block, plus the final short + EOF reads.
         assert_eq!(io.read_calls, (content.len() / 4096) as u64 + 2);
         assert!(io.stall > Duration::ZERO, "reads must count as stall");
-        std::fs::remove_file(p).unwrap();
-    }
-
-    #[test]
-    fn fused_scan_across_block_boundaries() {
-        // Lines sized so fields straddle the 4 KiB refill boundary.
-        let mut content = Vec::new();
-        for i in 0..200 {
-            content.extend_from_slice(format!("{:0>40},{:0>40},{i}\n", i, i * 3).as_bytes());
-        }
-        let p = tmp_file("fused_blocks", &content);
-        let mut sc = BlockScanner::open(&p, 4096).unwrap();
-        let mut t = Tokens::new();
-        let mut rows = 0;
-        while let Some(l) = sc.next_line_tokenized(b',', usize::MAX, &mut t).unwrap() {
-            let _ = l;
-            assert_eq!(t.len(), 3);
-            rows += 1;
-        }
-        assert_eq!(rows, 200);
         std::fs::remove_file(p).unwrap();
     }
 }

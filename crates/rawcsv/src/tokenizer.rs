@@ -15,8 +15,12 @@
 //!   ([`TokenizerConfig::tokenize_from`]). This is how the adaptive
 //!   positional map converts its stored positions into skipped CPU work.
 //!
-//! The delimiter scan uses a branch-light SWAR (SIMD-within-a-register) loop
-//! over 8-byte words; quoted fields take a byte-at-a-time state machine.
+//! The per-line delimiter scan uses a branch-light SWAR
+//! (SIMD-within-a-register) loop over 8-byte words; quoted fields take a
+//! byte-at-a-time state machine. A scan over a whole window of lines
+//! (`reader::RangeScanner::fill_batch`) instead turns each 64-byte block into
+//! one bit mask per needle ([`block_masks`]) and walks the set bits, so
+//! newlines and delimiters are found in the same pass over the bytes.
 
 /// Byte range of one field within a line (end-exclusive).
 ///
@@ -36,7 +40,7 @@ impl FieldSpan {
     /// because spans are relative to their line's start and a line never
     /// exceeds the scan block size (`NoDbConfig` clamps it to ≤ 256 MiB).
     #[inline]
-    pub(crate) fn at(start: usize, end: usize) -> FieldSpan {
+    pub fn at(start: usize, end: usize) -> FieldSpan {
         debug_assert!(start <= end && end <= u32::MAX as usize); // lint: cast-ok widening
         let start = start as u32; // lint: cast-ok line-relative, bounded per doc above
         let end = end as u32; // lint: cast-ok line-relative, bounded per doc above
@@ -126,23 +130,6 @@ impl Tokens {
         self.spans.clear();
         self.first_field = first_field;
         self.complete = false;
-    }
-
-    /// Crate-internal hooks for the fused block scan
-    /// ([`crate::reader::BlockScanner::next_line_tokenized`]), which fills a
-    /// `Tokens` while discovering the line boundary in the same byte pass.
-    pub(crate) fn begin_line(&mut self) {
-        self.reset(0);
-    }
-
-    #[inline]
-    pub(crate) fn push_span(&mut self, start: u32, end: u32) {
-        self.spans.push(FieldSpan { start, end });
-    }
-
-    #[inline]
-    pub(crate) fn mark_complete(&mut self) {
-        self.complete = true;
     }
 }
 
@@ -333,39 +320,6 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     hay[i..].iter().position(|&b| b == needle).map(|p| p + i)
 }
 
-/// Find the first occurrence of *either* needle in `hay` with one SWAR pass.
-///
-/// Returns the index and the matched byte. This is the fused-scan primitive:
-/// a raw-file scanner that needs "next delimiter or end of line" would
-/// otherwise traverse every tuple prefix twice (once locating `\n`, once
-/// locating delimiters). Matching both needles per 8-byte word costs one
-/// extra XOR/SUB/AND triple — far cheaper than a second pass over hot bytes.
-/// Callers that need a single needle should keep using [`find_byte`].
-#[inline]
-pub fn find_byte2(hay: &[u8], needle_a: u8, needle_b: u8) -> Option<(usize, u8)> {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    let pat_a = LO.wrapping_mul(needle_a as u64);
-    let pat_b = LO.wrapping_mul(needle_b as u64);
-    let mut i = 0usize;
-    while let Some(&chunk) = hay[i..].first_chunk::<8>() {
-        let w = u64::from_le_bytes(chunk);
-        let xa = w ^ pat_a;
-        let xb = w ^ pat_b;
-        let hit = (xa.wrapping_sub(LO) & !xa & HI) | (xb.wrapping_sub(LO) & !xb & HI);
-        if hit != 0 {
-            // lint: cast-ok trailing_zeros()>>3 is at most 7
-            let at = i + (hit.trailing_zeros() >> 3) as usize;
-            return Some((at, hay[at]));
-        }
-        i += 8;
-    }
-    hay[i..]
-        .iter()
-        .position(|&b| b == needle_a || b == needle_b)
-        .map(|p| (p + i, hay[p + i]))
-}
-
 /// Count every occurrence of `needle` in `hay` with an 8-byte SWAR loop.
 ///
 /// Counting the newlines of a byte range gives its line count without
@@ -391,6 +345,35 @@ pub fn count_byte(hay: &[u8], needle: u8) -> usize {
         count += hit.count_ones() as usize; // lint: cast-ok u32 widens into usize
     }
     count + tail.iter().filter(|&&b| b == needle).count()
+}
+
+/// Bit masks of one 64-byte block: bit `k` of `masks[j]` is set exactly when
+/// `block[k] == needles[j]`.
+///
+/// Per 8-byte word and needle, the carry-free zero-byte test of
+/// [`count_byte`] leaves `0x80` in every matching lane; shifting those lane
+/// bits down to bit 0 of each byte and multiplying by `0x0102_0408_1020_4080`
+/// gathers the eight of them, in order, into the top byte (every partial
+/// product lands on its own bit, so nothing carries into that byte). Eight
+/// words give the 64 bits of a block, and a caller walks them with
+/// `trailing_zeros` instead of restarting a search per field.
+#[inline(always)]
+pub fn block_masks<const N: usize>(block: &[u8; 64], needles: [u8; N]) -> [u64; N] {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const SEVENF: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let pats = needles.map(|b| LO.wrapping_mul(u64::from(b)));
+    let mut masks = [0u64; N];
+    let (words, _) = block.as_chunks::<8>();
+    for (k, &word) in words.iter().enumerate() {
+        let w = u64::from_le_bytes(word);
+        for (mask, &pat) in masks.iter_mut().zip(&pats) {
+            let x = w ^ pat;
+            let hit = !(((x & SEVENF) + SEVENF) | x | SEVENF);
+            *mask |= ((hit >> 7).wrapping_mul(GATHER) >> 56) << (8 * k);
+        }
+    }
+    masks
 }
 
 /// Locate the end of the current line (`\n`) starting at `from`.
@@ -436,19 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn find_byte2_matches_naive_scan() {
-        let data = b"abcdefghij\nklmno,pq";
-        assert_eq!(find_byte2(data, b',', b'\n'), Some((10, b'\n')));
-        assert_eq!(find_byte2(data, b',', b'!'), Some((16, b',')));
-        assert_eq!(find_byte2(data, b'!', b'?'), None);
-        assert_eq!(find_byte2(b"", b',', b'\n'), None);
-        // Hits in the scalar tail.
-        assert_eq!(find_byte2(b"abcdefgh\nx", b',', b'\n'), Some((8, b'\n')));
-        // Same byte twice degenerates to find_byte.
-        assert_eq!(find_byte2(b"ab,cd", b',', b','), Some((2, b',')));
-    }
-
-    #[test]
     fn count_byte_matches_naive_count() {
         assert_eq!(count_byte(b"", b'\n'), 0);
         assert_eq!(count_byte(b"\n", b'\n'), 1);
@@ -471,29 +441,24 @@ mod tests {
     }
 
     #[test]
-    fn find_byte2_agrees_with_two_single_scans() {
-        // Pseudo-random soup: the fused scan must always report the earlier
-        // of the two single-needle hits.
+    fn block_masks_match_a_byte_compare() {
         let mut x = 0x1234_5678_9abc_def0u64;
-        let mut bytes = Vec::new();
-        for _ in 0..4096 {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            bytes.push((x % 7) as u8 + b'a');
-        }
-        for start in [0usize, 1, 5, 13] {
-            let hay = &bytes[start..];
-            let a = find_byte(hay, b'b');
-            let c = find_byte(hay, b'e');
-            let expect = match (a, c) {
-                (Some(i), Some(j)) if i <= j => Some((i, b'b')),
-                (Some(_), Some(j)) => Some((j, b'e')),
-                (Some(i), None) => Some((i, b'b')),
-                (None, Some(j)) => Some((j, b'e')),
-                (None, None) => None,
-            };
-            assert_eq!(find_byte2(hay, b'b', b'e'), expect);
+        for _ in 0..64 {
+            let mut block = [0u8; 64];
+            for b in &mut block {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *b = [b',', b'\n', b'"', b'a', 0x80, 0xac, 0x8a, 0x00][(x % 8) as usize];
+            }
+            let needles = [b',', b'\n', b'"', 0x80];
+            let masks = block_masks(&block, needles);
+            for (mask, needle) in masks.iter().zip(needles) {
+                let naive = (0..64)
+                    .filter(|&k| block[k] == needle)
+                    .fold(0u64, |m, k| m | 1 << k);
+                assert_eq!(*mask, naive, "needle {needle:#x}");
+            }
         }
     }
 

@@ -10,6 +10,7 @@ use nodb_repro::core::{NoDb, NoDbConfig};
 use nodb_repro::posmap::{ChunkBuilder, MapPolicy, PositionalMap};
 use nodb_repro::rawcache::{RawCache, TypedColumn};
 use nodb_repro::rawcsv::reader::partition_line_ranges_capped;
+use nodb_repro::rawcsv::tokenizer::{TokenizerConfig, Tokens};
 use nodb_repro::rawcsv::{parser, ColumnType, Datum, Schema};
 use nodb_repro::stats::TableStats;
 
@@ -120,8 +121,9 @@ pub fn assert_same_state(tag: &str, a: &NoDb, b: &NoDb, cols: usize) {
 pub struct NaiveModel {
     path: std::path::PathBuf,
     types: Vec<ColumnType>,
-    /// Whether the table keeps a row index: without one every scan is all
-    /// tail.
+    tokenizer: TokenizerConfig,
+    /// Whether the table keeps a row index and a positional map: without
+    /// them every scan is all tail.
     indexed: bool,
     rows: Vec<Row>,
     /// File length in bytes.
@@ -139,14 +141,26 @@ impl NaiveModel {
     /// Load a headerless, unquoted, comma-separated file under `cfg`'s
     /// budgets and positional-map switch.
     pub fn load(path: &std::path::Path, schema: &Schema, cfg: &NoDbConfig) -> Self {
+        Self::load_with(path, schema, cfg, TokenizerConfig::default())
+    }
+
+    /// [`Self::load`] for a headerless file under `tokenizer`'s delimiter
+    /// and quote byte. A quoted table keeps no row index and no map.
+    pub fn load_with(
+        path: &std::path::Path,
+        schema: &Schema,
+        cfg: &NoDbConfig,
+        tokenizer: TokenizerConfig,
+    ) -> Self {
         let types: Vec<ColumnType> = (0..schema.len()).map(|a| schema.ty(a)).collect();
-        let (rows, len) = Self::read_rows(path, &types);
+        let (rows, len) = Self::read_rows(path, &types, &tokenizer);
         NaiveModel {
             path: path.to_path_buf(),
             rows,
             len,
             types,
-            indexed: cfg.enable_positional_map,
+            tokenizer,
+            indexed: cfg.enable_positional_map && tokenizer.quote.is_none(),
             row_count: None,
             cuts: BTreeSet::new(),
             cache: RawCache::new(cfg.cache_budget_bytes),
@@ -156,20 +170,50 @@ impl NaiveModel {
     }
 
     /// Every line of the file (start offset, parsed fields, field starts),
-    /// and the file's length.
-    fn read_rows(path: &std::path::Path, types: &[ColumnType]) -> (Vec<Row>, u64) {
+    /// and the file's length. A line ends at `\n`, less a `\r` before it;
+    /// a plain file's fields are what splitting at the delimiter gives, a
+    /// quoted file's what the per-line quote-aware tokenizer locates, and a
+    /// quoted string is unescaped.
+    fn read_rows(
+        path: &std::path::Path,
+        types: &[ColumnType],
+        tok: &TokenizerConfig,
+    ) -> (Vec<Row>, u64) {
         let bytes = std::fs::read(path).unwrap();
         let mut rows = Vec::new();
         let mut offset = 0u64;
+        let mut tokens = Tokens::new();
         for line in bytes.split_inclusive(|&b| b == b'\n') {
             let text = line.strip_suffix(b"\n").unwrap_or(line);
-            let (mut values, mut starts, mut at) = (Vec::new(), Vec::new(), 0u32);
-            for (attr, field) in text.split(|&b| b == b',').enumerate() {
-                values.push(
-                    parser::parse_field(field, types[attr], rows.len() as u64, attr).unwrap(),
-                );
-                starts.push(at);
-                at += field.len() as u32 + 1;
+            let text = text.strip_suffix(b"\r").unwrap_or(text);
+            let fields: Vec<(u32, &[u8])> = match tok.quote {
+                None => {
+                    let mut at = 0u32;
+                    text.split(|&b| b == tok.delimiter)
+                        .map(|field| {
+                            at += field.len() as u32 + 1;
+                            (at - field.len() as u32 - 1, field)
+                        })
+                        .collect()
+                }
+                Some(_) => {
+                    tok.tokenize_into(text, &mut tokens);
+                    tokens
+                        .spans()
+                        .iter()
+                        .map(|s| (s.start, s.of(text)))
+                        .collect()
+                }
+            };
+            let (mut values, mut starts) = (Vec::new(), Vec::new());
+            for (attr, (start, field)) in fields.into_iter().enumerate() {
+                values.push(match tok.quote {
+                    Some(q) if types[attr] == ColumnType::Str && field.contains(&q) => {
+                        Datum::Str(parser::unescape_quoted(field, q).into())
+                    }
+                    _ => parser::parse_field(field, types[attr], rows.len() as u64, attr).unwrap(),
+                });
+                starts.push(start);
             }
             rows.push((offset, values, starts));
             offset += line.len() as u64;
@@ -180,7 +224,7 @@ impl NaiveModel {
     /// Rows were appended to the file: read it again and forget what an
     /// append makes a table forget — the totals, not the prefix state.
     pub fn note_appended(&mut self, path: &std::path::Path) {
-        (self.rows, self.len) = Self::read_rows(path, &self.types);
+        (self.rows, self.len) = Self::read_rows(path, &self.types, &self.tokenizer);
         self.row_count = None;
         self.map.note_appended();
     }
@@ -240,8 +284,10 @@ impl NaiveModel {
         let cuts = self.slice_cuts();
         self.cuts.extend(&cuts);
         let starts: Vec<u64> = self.rows.iter().map(|r| r.0).collect();
-        self.map.row_index_mut().note_rows(0, &starts);
-        if plan.should_index {
+        if self.indexed {
+            self.map.row_index_mut().note_rows(0, &starts);
+        }
+        if self.indexed && plan.should_index {
             let mut chunk = ChunkBuilder::new(attrs.to_vec());
             for (_, _, field_starts) in &self.rows {
                 let offsets: Vec<(usize, u32)> =
@@ -263,7 +309,9 @@ impl NaiveModel {
             }
         }
         self.row_count = Some(total);
-        self.map.row_index_mut().mark_complete();
+        if self.indexed {
+            self.map.row_index_mut().mark_complete();
+        }
         for &a in attrs {
             self.stats.advance_observed(a, total as u64);
         }

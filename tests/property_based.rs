@@ -723,6 +723,114 @@ fn typed_scan_equals_loaded_dbms() {
     }
 }
 
+/// The batch fetch at the smallest block size: with `io_block_size` =
+/// `MIN_IO_BLOCK_SIZE` most windows end inside a line and some lines
+/// outgrow a window. Over a plain file whose long string cells straddle
+/// refills, a quoted file (every string quoted, some holding `""`) and a
+/// CRLF file, at 1, 4 and 8 workers, every cold and warm answer equals the
+/// loaded DBMS's over the same values (an unquoted, LF copy of the file),
+/// and after every query the table holds exactly the naive model's state.
+#[test]
+fn smallest_block_scans_equal_the_loaded_dbms_and_the_model() {
+    use nodb_repro::core::config::MIN_IO_BLOCK_SIZE;
+    use nodb_repro::storage::{ConventionalDb, DbProfile};
+    let schema = Schema::new(vec![
+        ColumnDef::new("c0", ColumnType::Int),
+        ColumnDef::new("c1", ColumnType::Str),
+        ColumnDef::new("c2", ColumnType::Int),
+        ColumnDef::new("c3", ColumnType::Float),
+    ]);
+    let queries: [(&str, &[usize]); 4] = [
+        ("SELECT c0, c1 FROM t WHERE c2 < 500", &[0, 1, 2]),
+        (
+            "SELECT COUNT(*), SUM(c2), MIN(c1), MAX(c3) FROM t",
+            &[1, 2, 3],
+        ),
+        (
+            "SELECT c1, c3 FROM t WHERE c0 % 7 = 3 ORDER BY c0",
+            &[0, 1, 3],
+        ),
+        (
+            "SELECT COUNT(c1), SUM(c0) FROM t WHERE c1 LIKE '%\"%'",
+            &[0, 1],
+        ),
+    ];
+    for (variant, quoted, crlf) in [
+        ("plain", false, false),
+        ("quoted", true, false),
+        ("crlf", false, true),
+    ] {
+        let mut rng = CaseRng::new(0xB10C);
+        let (mut raw, mut loaded_csv) = (String::new(), String::new());
+        for row in 0..700u64 {
+            let len = if row % 50 == 7 {
+                4500 + rng.below(1500)
+            } else {
+                rng.below(20)
+            };
+            let mut text: String = (0..len)
+                .map(|_| (b'a' + rng.below(26) as u8) as char)
+                .collect();
+            if quoted && rng.below(5) == 0 {
+                text.insert(text.len() / 2, '"');
+            }
+            let c2 = if rng.below(25) == 0 {
+                String::new()
+            } else {
+                rng.below(1000).to_string()
+            };
+            let c3 = format!("{}.{}", rng.below(100), rng.below(100));
+            let cell = if quoted {
+                format!("\"{}\"", text.replace('"', "\"\""))
+            } else {
+                text.clone()
+            };
+            raw.push_str(&format!(
+                "{row},{cell},{c2},{c3}{}",
+                if crlf { "\r\n" } else { "\n" }
+            ));
+            loaded_csv.push_str(&format!("{row},{text},{c2},{c3}\n"));
+        }
+        let path = scratch(&format!("smallest_block_{variant}"), 0);
+        let loaded_path = scratch(&format!("smallest_block_{variant}_loaded"), 0);
+        std::fs::write(&path, &raw).unwrap();
+        std::fs::write(&loaded_path, &loaded_csv).unwrap();
+        let store = scratch(&format!("smallest_block_{variant}_store"), 0);
+        std::fs::create_dir_all(&store).unwrap();
+        let mut loaded = ConventionalDb::new(DbProfile::DbmsXLike, &store);
+        loaded
+            .load_csv("t", &loaded_path, schema.clone(), false, &[])
+            .unwrap();
+        let tok = TokenizerConfig {
+            delimiter: b',',
+            quote: quoted.then_some(b'"'),
+        };
+        for threads in [1usize, 4, 8] {
+            let cfg = NoDbConfig {
+                scan_threads: threads,
+                io_block_size: MIN_IO_BLOCK_SIZE,
+                ..NoDbConfig::default()
+            };
+            let mut db = NoDb::new(cfg);
+            db.register_csv_with_options("t", &path, schema.clone(), false, tok)
+                .unwrap();
+            let mut model = common::NaiveModel::load_with(&path, &schema, &cfg, tok);
+            for (sql, attrs) in queries {
+                let tag = format!("{variant} threads {threads} ({sql})");
+                let expect = loaded.query(sql).unwrap();
+                for pass in ["cold", "warm"] {
+                    assert_eq!(db.query(sql).unwrap(), expect, "{tag} {pass}");
+                    model.query(attrs);
+                    common::assert_matches_model(&format!("{tag} {pass}"), &db, &model);
+                }
+            }
+        }
+        std::fs::remove_dir_all(store).ok();
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(loaded_path).ok();
+    }
+}
+
 /// GROUP BY end to end, against an oracle that never enters the engine's
 /// aggregation: the test folds the rows of the matching projection
 /// (`SELECT key…, arg… FROM t WHERE …`, answered by the stateless baseline)

@@ -103,6 +103,44 @@ fn deadline_trips_within_bound_and_banks_partial_state() {
     std::fs::remove_file(path).ok();
 }
 
+/// A deadline that falls mid-scan at the smallest block size (4 KiB, so a
+/// batch is at most a window of lines) ends the scan at 1, 4 and 8 workers
+/// alike: each worker polls the query context once per batch, and every
+/// refill polls the stop flag, so the query fails with `DeadlineExceeded`
+/// within twice its budget, and an unbounded rerun answers correctly.
+#[test]
+fn deadline_ends_a_smallest_block_scan_at_any_worker_count() {
+    // Enough faults that even 8 workers sharing the retry backoffs run
+    // well past the budget.
+    let (path, gen) = gen_table("deadline_batch", 150_000);
+    let sql = "SELECT COUNT(*), SUM(c1) FROM t WHERE c2 < 800000000";
+    let timeout_ms = 60u64;
+    let expect = reference_answer(&path, &gen, sql);
+    for threads in [1usize, 4, 8] {
+        let cfg = NoDbConfig {
+            scan_threads: threads,
+            ..slow_chaos_cfg(timeout_ms)
+        };
+        let mut db = NoDb::new(cfg);
+        db.register_csv_with_schema("t", &path, gen.schema(), false)
+            .unwrap();
+        let start = Instant::now();
+        let err = db.query(sql).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(err, EngineError::DeadlineExceeded),
+            "threads {threads}: expected DeadlineExceeded, got {err:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(2 * timeout_ms),
+            "threads {threads}: took {elapsed:?} for a {timeout_ms}ms budget"
+        );
+        let rerun = db.query_with_ctx(sql, &QueryCtx::unbounded()).unwrap();
+        assert_eq!(rerun, expect, "threads {threads}");
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// A scan that ran out of time leaves the rows of its completed slices in the
 /// row index (ISSUE 20). The rerun reads only the bytes behind them: the
 /// known rows are served from the cache, with no pass over the file to
