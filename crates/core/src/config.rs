@@ -22,6 +22,14 @@ pub const MAX_IO_BLOCK_SIZE: usize = 256 << 20;
 
 /// What a scan does with a row whose bytes fail to parse as the schema's
 /// type for a requested attribute.
+///
+/// A cell is judged only when the scan converts it, and a file's first
+/// filtered scan converts its projection-only columns only for the rows
+/// the predicate keeps (`rawscan::survivors_only`): a malformed cell there
+/// in a row the predicate rejects is neither reported nor quarantined. The
+/// next query that converts the column whole meets it — under `Strict`
+/// it fails with the error a whole conversion reports on a first scan,
+/// under `Permissive` it quarantines the row then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParseErrorPolicy {
     /// Abort the query with the parse error (the historical behavior).

@@ -10,16 +10,19 @@
 //!    at the last attribute the query needs (§3);
 //! 4. converts to binary only what the plan needs (**selective parsing**),
 //!    each field span parsed straight into its attribute's typed column —
-//!    no value is boxed as a `Datum` between the tokenizer and the engine;
+//!    no value is boxed as a `Datum` between the tokenizer and the engine.
+//!    Until the table knows its extent, a column only the rest of the plan
+//!    needs is converted only for the rows the predicate keeps
+//!    (`survivors_only`);
 //! 5. evaluates the pushed predicate *before* materializing the tuple
 //!    (**selective tuple formation** — tuples "are only created after the
 //!    select operator"): resolved values land in typed columns, and one
 //!    function, `filter_segment`, runs the predicate over a segment of
-//!    them as a columnar kernel — the same function whether the columns
-//!    are a raw slice's fresh partials or the cache's own, so cold, warm
-//!    and cached answers are equal by construction. A raw scan's batches
-//!    (`segment_batch`) copy out only the surviving rows of the
-//!    materialized positions; a fully-cached stream's (`window_batch`)
+//!    them as a columnar kernel, once per row — the same function whether
+//!    the columns are a raw slice's fresh partials or the cache's own, so
+//!    cold, warm and cached answers are equal by construction. A raw
+//!    scan's batches (`segment_batch`) copy out only the surviving rows of
+//!    the materialized positions; a fully-cached stream's (`window_batch`)
 //!    copy nothing and lend the engine the cache's columns in place;
 //! 6. as side effects, populates the positional map, cache and statistics
 //!    (§3.1–3.3) and the shared row index.
@@ -144,8 +147,9 @@
 //!   concatenating in partition order, then the usual install path
 //!   (subsumption, LRU, budget) runs once on the merged chunk.
 //! * *Cache admission* — workers buffer one value per row per requested
-//!   attribute as typed partial columns, and the merge hands them to the
-//!   cache one slice at a time, in slice order
+//!   attribute as typed partial columns, and the merge hands them — but
+//!   for the survivors-only ones, whose rejected rows hold placeholders —
+//!   to the cache one slice at a time, in slice order
 //!   (`RawCache::append_slice`, the cache's only admission path). One rule
 //!   decides each column: the slice's tail from the cache's coverage at
 //!   that moment goes in whole — moved as typed segments, after LRU
@@ -159,8 +163,9 @@
 //!   order-independent part — the min/max bounds — is built by the
 //!   workers, in parallel: each sketches its slice's partial columns from
 //!   the attribute's plan-time observation frontier on (a byte slice, whose
-//!   rows are unknown, sketches all of them) into a `ColumnSketch`. The
-//!   install absorbs the sketches slice by slice in row order
+//!   rows are unknown, sketches all of them; a survivors-only column is not
+//!   sketched) into a `ColumnSketch`. The install absorbs the sketches
+//!   slice by slice in row order
 //!   (`TableStats::absorb`): it merges the bounds — idempotent, so rows a
 //!   sketch covers below the install-time frontier change nothing — and
 //!   counts rows and NULLs from the frontier by null-mask popcounts,
@@ -401,9 +406,11 @@ pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 /// row-at-a-time fallback inside for unsupported expression shapes. `lo` is
 /// every view's `base`, so they read the values and NULL-bitmap words of
 /// backing rows `[lo, lo + rows)`, which need not start on a 64-row bitmap
-/// word. Both batch formers start here, so raw, partially cached and
-/// fully-cached scans select the same rows by construction.
-fn filter_segment(
+/// word. Every selection starts here — a raw slice's in the batch resolver
+/// (`worker::resolve_batch`, once per fetched batch), a cache-covered
+/// slice's and a fully-cached stream's per window — so raw, partially
+/// cached and fully-cached scans select the same rows by construction.
+pub(crate) fn filter_segment(
     req: &ScanRequest,
     cols: &[&TypedColumn],
     lo: usize,
@@ -416,11 +423,14 @@ fn filter_segment(
 }
 
 /// A raw scan's batch former: rows `[lo, hi)` of one typed column per
-/// requested attribute become one owned result batch, filtered columnar
-/// ([`filter_segment`]). The columns are a raw slice's fresh partials
-/// (`worker::run_partition`) or the cache's own (a cache-covered slice of a
-/// partially cached scan); the batch outlives the table lock, so it copies,
-/// and only for materialized positions (late materialization):
+/// requested attribute become one owned result batch. `sel` is the
+/// [`filter_segment`] selection of those rows (relative to `lo`; `None`
+/// without a predicate), computed once by the caller: the batch resolver's
+/// for a raw slice's fresh partials (`worker::run_partition`), whose
+/// survivors-only columns hold placeholders in the rows it rejected, or
+/// the caller's own for the cache's columns (a cache-covered slice of a
+/// partially cached scan). The batch outlives the table lock, so it
+/// copies, and only for materialized positions (late materialization):
 ///
 /// * selective outcome (< half the rows pass) — survivors are gathered into
 ///   dense typed columns (`TypedColumn::gather`), nothing else is copied;
@@ -437,9 +447,9 @@ pub(crate) fn segment_batch(
     cols: &[&TypedColumn],
     lo: usize,
     hi: usize,
+    mut sel: Option<Vec<u32>>,
 ) -> Batch<'static> {
     let rows = hi.saturating_sub(lo);
-    let mut sel = filter_segment(req, cols, lo, rows);
     if cols.is_empty() {
         return Batch::rows_only(sel.map_or(rows, |s| s.len()));
     }
@@ -527,6 +537,10 @@ pub(crate) struct ScanPrep {
     /// there is nothing to sketch — statistics are off, or the attribute
     /// has observed every row the table is known to hold.
     pub stats_from: Vec<u64>,
+    /// Per requested position: convert it only for the rows the pushed
+    /// predicate keeps (see [`survivors_only`]). Such a column is never
+    /// sketched (its `stats_from` is `u64::MAX`), absorbed or cached.
+    pub survivors_only: Vec<bool>,
     /// LRU tick from `RawCache::begin_query` protecting this query's columns.
     pub query_tick: u64,
     /// Pure-cache fast path: every requested attribute covered for every
@@ -567,6 +581,31 @@ impl ScanPrep {
     }
 }
 
+/// Which requested positions a scan converts only for the rows its pushed
+/// predicate keeps — selective parsing taken down to the row. A position
+/// is *survivors-only* when the query has a pushed predicate that does not
+/// read it, the engine needs its values (`materialize`), the cache holds
+/// none of its rows, and the table does not yet know its extent (no scan
+/// has reached EOF since the file was registered or appended to). A
+/// file's first scan therefore converts its projection-only columns for
+/// the surviving rows alone; once a scan has completed, every scan
+/// converts whole columns, which the cache and the statistics take. A
+/// resident column keeps extending over an appended tail.
+fn survivors_only(req: &ScanRequest, cache_cov: &[usize], row_count: Option<u64>) -> Vec<bool> {
+    let mut read = Vec::new();
+    match &req.predicate {
+        Some(p) if row_count.is_none() => p.columns(&mut read),
+        _ => return vec![false; req.attrs.len()],
+    }
+    (0..req.attrs.len())
+        .map(|i| {
+            !read.contains(&i)
+                && req.materialize.get(i).copied().unwrap_or(true)
+                && cache_cov[i] == 0
+        })
+        .collect()
+}
+
 /// Phase 1 of a scan: access planning and coverage snapshots, run under the
 /// table's read lock. Access planning advances the map's and the cache's
 /// LRU clocks, which are atomic, so it needs no exclusive borrow. Also
@@ -589,13 +628,15 @@ fn prepare_scan(
     } else {
         0
     };
+    let survivors_only = survivors_only(&req, &cache_cov, table.row_count);
     let stats_from: Vec<u64> = req
         .attrs
         .iter()
-        .map(|&a| {
+        .zip(&survivors_only)
+        .map(|(&a, &partial)| {
             let from = table.stats.observed_upto(a);
             let done = table.row_count.is_some_and(|rc| from >= rc);
-            if !config.enable_stats || done {
+            if !config.enable_stats || done || partial {
                 u64::MAX
             } else {
                 from
@@ -634,6 +675,7 @@ fn prepare_scan(
         build_chunk,
         cache_cov,
         stats_from,
+        survivors_only,
         query_tick,
         fully_cached,
         cached_rows,
@@ -892,6 +934,7 @@ pub(crate) fn run_partitions(
         cache: config.enable_cache.then_some(&table.cache),
         cache_cov: &prep.cache_cov,
         stats_from: &prep.stats_from,
+        survivors_only: &prep.survivors_only,
         build_chunk: prep.build_chunk,
         collect_offsets: prep.plan.is_some(),
         source_len: prep.source_len(),
@@ -1135,6 +1178,9 @@ pub(crate) fn merge_outputs(
         // attribute with rows to observe at plan time.
         if config.enable_stats {
             for (i, &attr) in prep.req.attrs.iter().enumerate() {
+                if prep.survivors_only[i] {
+                    continue;
+                }
                 let slices = results.iter().zip(&bases).filter_map(|(o, &base)| {
                     let sketch = o.sketches.get(i)?.as_ref()?;
                     Some((&o.side_cols[i], sketch, base as u64))
@@ -1146,11 +1192,24 @@ pub(crate) fn merge_outputs(
             table.cache.record_reads(worker_hits, worker_misses);
         }
         if config.enable_cache && structures {
+            // A survivors-only partial holds placeholders in the rows the
+            // predicate rejected: it is never offered.
+            let attrs: Vec<usize> = prep
+                .req
+                .attrs
+                .iter()
+                .zip(&prep.survivors_only)
+                .filter_map(|(&a, &partial)| (!partial).then_some(a))
+                .collect();
             for (o, &base) in results.iter_mut().zip(&bases) {
-                let cols = std::mem::take(&mut o.side_cols);
+                let cols = std::mem::take(&mut o.side_cols)
+                    .into_iter()
+                    .zip(&prep.survivors_only)
+                    .filter_map(|(col, &partial)| (!partial).then_some(col))
+                    .collect();
                 table
                     .cache
-                    .append_slice(&prep.req.attrs, cols, base, total, prep.query_tick);
+                    .append_slice(&attrs, cols, base, total, prep.query_tick);
             }
         }
 
@@ -2595,9 +2654,11 @@ mod tests {
     }
 
     /// A cold bare-LIMIT scan installs exactly slices `0..=k`, `k` the first
-    /// slice whose prefix holds `n` survivors: the row index, the chunk,
-    /// each cache column's coverage and each statistics frontier all end at
-    /// slice `k`'s last row, the answer is every survivor of those slices (a
+    /// slice whose prefix holds `n` survivors: the row index, the chunk, the
+    /// predicate column's cache coverage and every statistics frontier it
+    /// moves all end at slice `k`'s last row — the projection-only columns,
+    /// converted for the survivors alone on this first scan, are neither
+    /// cached nor sketched — the answer is every survivor of those slices (a
     /// prefix of the unlimited answer), and the table ends in the state the
     /// one-worker scan leaves at every thread count — the slices do not
     /// depend on it. A limit only the whole file meets is an ordinary
@@ -2646,11 +2707,12 @@ mod tests {
                 assert_eq!(t.map.row_index().is_complete(), whole, "{tag}");
                 assert_eq!(t.map.row_index().len(), end, "{tag}: row index");
                 for attr in 0..3 {
+                    let whole = if attr == 1 { end } else { 0 };
                     assert_eq!(t.map.coverage(attr), end, "{tag}: chunk c{attr}");
-                    assert_eq!(t.cache.coverage(attr), end, "{tag}: cache c{attr}");
+                    assert_eq!(t.cache.coverage(attr), whole, "{tag}: cache c{attr}");
                     assert_eq!(
                         t.stats.observed_upto(attr),
-                        end as u64,
+                        whole as u64,
                         "{tag}: stats c{attr}"
                     );
                 }
@@ -2720,6 +2782,9 @@ mod tests {
         };
         let cfg = NoDbConfig::default();
         let mut t = RawTable::register(&p, schema, false, &cfg).unwrap();
+        // A first complete scan, so the next one converts and caches whole
+        // columns.
+        scan_once(&mut t, cfg, ScanRequest::project(Vec::new()));
         let (all, _) = scan_once(&mut t, cfg, req(None));
         assert_eq!(t.row_count, Some(5_000));
         for (n, streamed) in [
@@ -2810,16 +2875,22 @@ mod tests {
                         try_scan_batches(&mut t, cfg, req.clone(), QueryCtx::unbounded());
                     (r.unwrap(), tel)
                 };
+                // The first scan converts position 0 for the survivors
+                // alone, the second converts it whole, and the third reads
+                // the cache.
+                let (first, tel_first) = scan(&filtered);
                 let (cold, tel_cold) = scan(&filtered);
                 let (warm, tel_warm) = scan(&filtered);
-                assert!(!tel_cold.fully_cached, "{tag}");
+                assert!(!tel_first.fully_cached && !tel_cold.fully_cached, "{tag}");
                 assert_eq!(tel_warm.fully_cached, cfg.enable_cache, "{tag}");
+                assert_typed(&format!("{tag} first"), &filtered, &first, false);
                 assert_typed(&format!("{tag} cold"), &filtered, &cold, false);
                 let warm_cached = tel_warm.fully_cached;
                 assert_typed(&format!("{tag} warm"), &filtered, &warm, warm_cached);
                 let rows = rows_of(&cold);
                 assert!(!rows.is_empty() && rows.len() < 3000, "{tag}");
                 assert!(rows.iter().all(|r| r[1] == Datum::Null), "{tag}");
+                assert_eq!(rows, rows_of(&first), "{tag}: first ≡ cold, row for row");
                 assert_eq!(rows, rows_of(&warm), "{tag}: cold ≡ warm, row for row");
                 assert_eq!(expect.get_or_insert(rows.clone()), &rows, "{tag}");
 

@@ -18,14 +18,25 @@
 //! anchor). The batch resolver then fills each partial a column at a time:
 //! a range copied out of a cache column, exact jumps, the batch's spans,
 //! and one typed loop (`TypedColumn::extend_parsed`) that parses them — so
-//! no value is ever boxed on its way from the tokenizer to the engine. The
-//! partials are both what the cache and the statistics take at install and
-//! what the result batches are formed from, and the worker sketches them
-//! for the statistics itself (the bounds, [`sketch_partials`]) so the
-//! install has no value to walk: every `BATCH_SIZE` rows the worker hands
-//! the newest partial rows to `rawscan::segment_batch`, the same former
-//! that serves cache-covered slices, and whose predicate step a
-//! fully-cached stream shares. All shared state is borrowed
+//! no value is ever boxed on its way from the tokenizer to the engine.
+//!
+//! Conversion follows the predicate. The resolver converts every position
+//! the pushed predicate may read first, runs the predicate once over the
+//! batch (`rawscan::filter_segment`), and only then converts the
+//! *survivors-only* positions (`rawscan::survivors_only`: on a scan of a
+//! table whose extent is unknown, the projection-only columns the cache
+//! holds nothing of) for the rows it keeps; a rejected row holds a NULL
+//! placeholder there that nothing reads. The map chunk still takes every
+//! row's spans.
+//!
+//! The partials are what the result batches are formed from, and — but for
+//! the survivors-only ones — what the cache and the statistics take at
+//! install; the worker sketches them for the statistics itself (the
+//! bounds, [`sketch_partials`]) so the install has no value to walk. Every
+//! `BATCH_SIZE` rows the worker hands the newest partial rows and the
+//! resolver's selection of them to `rawscan::segment_batch`, the same
+//! former that serves cache-covered slices, so the predicate runs once per
+//! row of the raw file. All shared state is borrowed
 //! immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
@@ -53,7 +64,7 @@ use nodb_stats::ColumnSketch;
 use crate::config::{NoDbConfig, ParseErrorPolicy};
 use crate::ctx::QueryCtx;
 use crate::metrics::{Breakdown, PhaseClock};
-use crate::rawscan::{cached_column_handles, segment_batch, QuarantineSample};
+use crate::rawscan::{cached_column_handles, filter_segment, segment_batch, QuarantineSample};
 
 /// Test hook: make every `run_partition` call over this raw file panic, to
 /// exercise the worker-boundary `catch_unwind` containment without a
@@ -106,6 +117,9 @@ pub(crate) struct ScanContext<'a> {
     /// Statistics observation frontier per requested position at query
     /// start (`u64::MAX`: nothing to sketch) — see [`sketch_partials`].
     pub stats_from: &'a [u64],
+    /// Per requested position: converted only for the rows the pushed
+    /// predicate keeps (`rawscan::survivors_only`).
+    pub survivors_only: &'a [bool],
     /// Collect per-row positional-map offsets into a partial chunk builder.
     pub build_chunk: bool,
     /// The scan feeds the shared row index: slices that do not know their
@@ -232,16 +246,18 @@ pub(crate) fn run_partition(
         ..Default::default()
     };
     // The batch resolver parses every value straight into the typed
-    // partials, and every `BATCH_SIZE` rows the batch former runs over the
-    // newest of them. When the cache or the statistics take the partials at
+    // partials and selects the rows the predicate keeps, and every
+    // `BATCH_SIZE` rows the batch former gathers the newest of them with
+    // that selection. When the cache or the statistics take the partials at
     // install they grow with the slice; otherwise they are per-batch
     // scratch, emptied once the batch is formed, and hold only the slice's
     // rows since `lo`.
     let keep_partials = ctx.config.enable_cache || ctx.config.enable_stats;
-    let form_batch = |out: &mut PartitionOutput, lo: usize, hi: usize| {
+    let form_batch = |out: &mut PartitionOutput, sel: &mut Vec<u32>, lo: usize, hi: usize| {
         let dropped = if keep_partials { 0 } else { lo };
         let cols: Vec<&TypedColumn> = out.side_cols.iter().collect();
-        let batch = segment_batch(ctx.req, &cols, lo - dropped, hi - dropped);
+        let sel = ctx.req.predicate.is_some().then(|| std::mem::take(sel));
+        let batch = segment_batch(ctx.req, &cols, lo - dropped, hi - dropped, sel);
         if !batch.is_empty() {
             out.batches.push(batch);
         }
@@ -323,12 +339,13 @@ pub(crate) fn run_partition(
         )?;
         local += rows;
         if local.is_multiple_of(BATCH_SIZE) {
-            form_batch(&mut out, local - BATCH_SIZE, local);
+            form_batch(&mut out, &mut scratch.sel, local - BATCH_SIZE, local);
         }
     }
 
     if !local.is_multiple_of(BATCH_SIZE) {
-        form_batch(&mut out, local - local % BATCH_SIZE, local);
+        let lo = local - local % BATCH_SIZE;
+        form_batch(&mut out, &mut scratch.sel, lo, local);
     }
     out.rows = local;
     out.io = scanner.take_counters();
@@ -501,6 +518,9 @@ struct Scratch {
     spans: Vec<Vec<Option<FieldSpan>>>,
     /// Per batch row: the first position whose cell failed to parse.
     bad: Vec<Option<usize>>,
+    /// The rows of the batch former's current segment that the predicate
+    /// keeps, relative to the segment's first row.
+    sel: Vec<u32>,
     /// Per chunk-builder column: the position holding its attribute.
     builder_pos: Vec<Option<usize>>,
 }
@@ -519,24 +539,31 @@ impl Scratch {
             cached: vec![0; n],
             spans: vec![Vec::new(); n],
             bad: Vec::new(),
+            sel: Vec::new(),
             builder_pos,
         }
     }
 }
 
 /// Resolve every requested position of one batch — the scan operator's
-/// only resolver, over immutable borrows of the shared state. Per
-/// position: the rows below its cache coverage are copied from the cache
-/// column as one range, exact positional-map jumps are resolved next, the
-/// rest take their spans from the batch, and the column then converts in
-/// one typed loop. Every row of every position lands in its typed partial
-/// exactly once: a cached value, the parsed field, or NULL for a short row
-/// or a tombstone.
+/// only resolver, over immutable borrows of the shared state — and select
+/// the rows the pushed predicate keeps. Per position: the rows below its
+/// cache coverage are copied from the cache column as one range, exact
+/// positional-map jumps are resolved next, and the rest take their spans
+/// from the batch. Every position but the survivors-only ones then
+/// converts in one typed loop; the predicate runs once over the batch
+/// ([`filter_segment`]), its selection joins the segment's
+/// (`Scratch::sel`) for the batch former, and the survivors-only positions
+/// convert the kept rows alone. Every row of every position lands in its
+/// typed partial exactly once: a cached value, the parsed field, or NULL
+/// for a short row, a tombstone, or a row a survivors-only position skips
+/// (a placeholder the former never reads).
 ///
 /// A malformed cell fails the slice under [`ParseErrorPolicy::Strict`] —
 /// the first one in row order, named by its slice-local row — and is
 /// tombstoned under [`ParseErrorPolicy::Permissive`], counting its row
-/// as quarantined once.
+/// as quarantined once. A cell that is not converted is neither: a
+/// survivors-only cell of a rejected row.
 #[allow(clippy::too_many_arguments)]
 fn resolve_batch(
     ctx: &ScanContext<'_>,
@@ -551,6 +578,8 @@ fn resolve_batch(
 ) -> EngineResult<()> {
     let rows = batch.len();
     let attrs = &ctx.req.attrs;
+    // The partials' row of the batch's first row.
+    let at = out.side_cols.first().map_or(0, TypedColumn::len);
     for spans in &mut scratch.spans {
         spans.clear();
         spans.resize(rows, None);
@@ -607,25 +636,41 @@ fn resolve_batch(
     clock.lap(t, &mut laps.tok);
 
     // 4. Selective parsing: convert only what is needed, a column at a
-    // time. Quoted string fields keep `""` escapes in their spans; the
-    // typed parse unescapes them.
+    // time — first every position the predicate may read. Quoted string
+    // fields keep `""` escapes in their spans; the typed parse unescapes
+    // them.
     let t = clock.start();
     scratch.bad.clear();
     scratch.bad.resize(rows, None);
     for (i, part) in out.side_cols.iter_mut().enumerate() {
-        let from = scratch.cached[i];
-        let fields = scratch.spans[i][from..]
-            .iter()
-            .enumerate()
-            .map(|(k, span)| span.map(|s| s.of(batch.line(bytes, from + k))));
-        let bad = &mut scratch.bad;
-        part.extend_parsed(fields, ctx.tokenizer.quote, |k| {
-            bad[from + k].get_or_insert(i);
-        });
+        if !ctx.survivors_only[i] {
+            convert(ctx, batch, bytes, scratch, i, part, None);
+        }
     }
     clock.lap(t, &mut laps.conv);
 
+    // 5. The pushed predicate, once per row: its selection is what the
+    // batch former gathers with. Like the former's, it is in no phase
+    // slice.
+    let cols: Vec<&TypedColumn> = out.side_cols.iter().collect();
+    let sel = filter_segment(ctx.req, &cols, at, rows);
+
+    // 6. The survivors-only positions, for the kept rows alone.
+    if let Some(sel) = &sel {
+        let t = clock.start();
+        for (i, part) in out.side_cols.iter_mut().enumerate() {
+            if ctx.survivors_only[i] {
+                convert(ctx, batch, bytes, scratch, i, part, Some(sel));
+            }
+        }
+        clock.lap(t, &mut laps.conv);
+        let seg = (local % BATCH_SIZE) as u32;
+        scratch.sel.extend(sel.iter().map(|&r| seg + r));
+    }
+
     if let Some(r) = scratch.bad.iter().position(Option::is_some) {
+        // The predicate above saw a malformed cell as NULL; a strict scan
+        // fails here before any row is formed.
         if ctx.config.parse_errors == ParseErrorPolicy::Strict {
             if let Some(i) = scratch.bad[r] {
                 // `parse_field` words the error: row, attr, type and text.
@@ -651,7 +696,7 @@ fn resolve_batch(
         }
     }
 
-    // 5. Positional-map side effect into the partition-local chunk: each
+    // 7. Positional-map side effect into the partition-local chunk: each
     // attribute's line-relative starts as a column.
     if let Some(b) = &mut out.builder {
         let t = clock.start();
@@ -662,6 +707,41 @@ fn resolve_batch(
         clock.lap(t, &mut laps.nodb);
     }
     Ok(())
+}
+
+/// Convert position `i`'s spans of the batch rows the cache does not serve
+/// into its partial: every row, or only the rows in `keep` (ascending batch
+/// rows; any other row appends NULL unparsed). A malformed cell's row
+/// records the lowest position that failed in it (`Scratch::bad`), so the
+/// order positions convert in does not change which cell an error names.
+fn convert(
+    ctx: &ScanContext<'_>,
+    batch: &RowBatch,
+    bytes: &[u8],
+    scratch: &mut Scratch,
+    i: usize,
+    part: &mut TypedColumn,
+    keep: Option<&[u32]>,
+) {
+    let from = scratch.cached[i];
+    let (spans, bad) = (&scratch.spans[i], &mut scratch.bad);
+    let field = |r: usize| spans[r].map(|s| s.of(batch.line(bytes, r)));
+    let mark = |k: usize| {
+        let b = &mut bad[from + k];
+        *b = Some(b.map_or(i, |j| j.min(i)));
+    };
+    let quote = ctx.tokenizer.quote;
+    match keep {
+        None => part.extend_parsed((from..batch.len()).map(field), quote, mark),
+        Some(keep) => {
+            let mut keep = keep.iter().copied().peekable();
+            let kept = (from..batch.len()).map(|r| match keep.next_if_eq(&(r as u32)) {
+                Some(_) => field(r),
+                None => None,
+            });
+            part.extend_parsed(kept, quote, mark)
+        }
+    }
 }
 
 /// The statistics' share of a slice's work: per requested attribute, a
@@ -725,7 +805,9 @@ fn run_cached_partition(
     out.sketches = sketch_partials(ctx, Some(base), &out.side_cols);
     clock.lap(t, &mut out.breakdown.nodb);
     for lo in (base..end).step_by(BATCH_SIZE) {
-        let batch = segment_batch(ctx.req, cols, lo, end.min(lo + BATCH_SIZE));
+        let hi = end.min(lo + BATCH_SIZE);
+        let sel = filter_segment(ctx.req, cols, lo, hi - lo);
+        let batch = segment_batch(ctx.req, cols, lo, hi, sel);
         if !batch.is_empty() {
             out.batches.push(batch);
         }
@@ -779,6 +861,7 @@ mod tests {
                 cache: None,
                 cache_cov: &[0],
                 stats_from: &[u64::MAX],
+                survivors_only: &[false],
                 build_chunk: false,
                 collect_offsets: false,
                 source_len: None,

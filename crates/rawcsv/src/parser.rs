@@ -2,7 +2,10 @@
 //!
 //! PostgresRaw only transforms to binary "the values required for the
 //! remaining query plan" (§3). In this reproduction that discipline lives in
-//! the scan operator; this module provides the per-field converters
+//! the scan operator, and it applies down to the row: a file's first
+//! filtered scan converts the columns its predicate reads for every row,
+//! and the columns only the rest of the plan needs for the rows the
+//! predicate keeps. This module provides the per-field converters
 //! ([`parse_int`], [`parse_float`], [`parse_bool`], [`unescape_quoted`])
 //! with hand-rolled integer/boolean fast paths (field bytes are already in
 //! cache after tokenizing, so conversion cost is pure CPU — exactly the cost

@@ -2024,8 +2024,10 @@ mod tests {
     /// A seeded CSV body: short and empty fields, rows of one field up to
     /// twelve, rows past 64 bytes and a few past a 4 KiB block, a header,
     /// CRLF endings on some files and no final newline on others; with a
-    /// quote byte, quoted fields holding the delimiter and `""` escapes, and
-    /// now and then an unterminated quote.
+    /// quote byte, quoted fields holding the delimiter and `""` escapes, now
+    /// and then an unterminated quote, and every 61st row followed by the
+    /// malformed `"ab"c,d` (stray bytes after a closing quote) and
+    /// `"abc,"def",x`.
     fn seeded_csv(rng: &mut Rng, tok: &TokenizerConfig, crlf: bool, terminated: bool) -> Vec<u8> {
         let eol: &[u8] = if crlf { b"\r\n" } else { b"\n" };
         let mut out = b"id,name,value,flag"
@@ -2069,6 +2071,16 @@ mod tests {
                 }
             }
             out.extend_from_slice(eol);
+            if let Some(q) = tok.quote.filter(|_| r % 61 == 11) {
+                for line in [&br#""ab"c,d"#[..], br#""abc,"def",x"#] {
+                    out.extend(line.iter().map(|&b| match b {
+                        b',' => tok.delimiter,
+                        b'"' => q,
+                        b => b,
+                    }));
+                    out.extend_from_slice(eol);
+                }
+            }
         }
         if !terminated {
             out.truncate(out.len() - eol.len());
@@ -2128,6 +2140,8 @@ mod tests {
     /// `tokenize_from` over seeded files: the same lines at the same
     /// offsets, and the same span for every field, at every `upto`, under
     /// random anchors, at both block sizes and over several partitionings.
+    /// A whole row also equals `tokenize_into`, the full-tuple tokenizing a
+    /// conventional load runs.
     #[test]
     fn fill_batch_equals_per_line_tokenizing() {
         let mut rng = Rng(0x5eed_cafe_f00d_0001);
@@ -2185,12 +2199,22 @@ mod tests {
                                     upto,
                                 });
                                 let want = reference_tokens(&tok, line, plan);
+                                let mut loaded = Tokens::new();
+                                tok.tokenize_into(line, &mut loaded);
+                                let whole = (plan.field, plan.off, plan.upto) == (0, 0, usize::MAX);
                                 for field in 0..40 {
                                     assert_eq!(
                                         batch.span(row, field),
                                         want.get(field),
                                         "{ctx} field {field} plan {plan:?}"
                                     );
+                                    if whole {
+                                        assert_eq!(
+                                            batch.span(row, field),
+                                            loaded.get(field),
+                                            "{ctx} field {field}: full tuple"
+                                        );
+                                    }
                                 }
                             }
                             at += n;

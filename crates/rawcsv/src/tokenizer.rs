@@ -235,6 +235,13 @@ impl TokenizerConfig {
     /// to the matching unescaped quote; doubled quotes inside are literal.
     /// Spans of quoted fields exclude the surrounding quotes but keep any
     /// doubling (the parser unescapes when materializing strings).
+    ///
+    /// A malformed line whose closing quote is followed by something other
+    /// than the delimiter (`"ab"c,d`) keeps its field positions: the field
+    /// holds the quoted text alone (`ab`), the stray bytes up to the next
+    /// delimiter are dropped, and the next field starts after that
+    /// delimiter (`d`). With no delimiter left, the quoted field is the
+    /// line's last. An unterminated quote runs to the end of the line.
     fn scan_quoted(&self, line: &[u8], from: usize, relative_upto: usize, q: u8, out: &mut Tokens) {
         let mut i = from;
         let mut field = 0usize;
@@ -266,13 +273,15 @@ impl TokenizerConfig {
                 if field == relative_upto {
                     return;
                 }
-                if i >= line.len() {
-                    out.complete = true;
-                    return;
+                // Skip the delimiter after the closing quote, and any stray
+                // bytes before it.
+                match find_byte(&line[i..], self.delimiter) {
+                    Some(rel) => i += rel + 1,
+                    None => {
+                        out.complete = true;
+                        return;
+                    }
                 }
-                // Skip the delimiter after the closing quote.
-                debug_assert_eq!(line[i], self.delimiter);
-                i += 1;
                 field += 1;
             } else {
                 match find_byte(&line[i..], self.delimiter) {
@@ -532,6 +541,29 @@ mod tests {
         let s = spans_of(&cfg, line);
         assert_eq!(s.len(), 2);
         assert_eq!(&line[s[1].0 as usize..s[1].1 as usize], b"unterminated");
+    }
+
+    /// Stray bytes after a closing quote are dropped up to the next
+    /// delimiter, so every later field keeps its position — also when
+    /// tokenizing stops at that field or resumes past it.
+    #[test]
+    fn stray_bytes_after_a_closing_quote_keep_field_positions() {
+        let cfg = TokenizerConfig {
+            delimiter: b',',
+            quote: Some(b'"'),
+        };
+        let text = |line: &[u8]| -> Vec<Vec<u8>> {
+            spans_of(&cfg, line)
+                .iter()
+                .map(|&(a, b)| line[a as usize..b as usize].to_vec())
+                .collect()
+        };
+        assert_eq!(text(br#""ab"c,d"#), [&b"ab"[..], b"d"]);
+        assert_eq!(text(br#""abc,"def",x"#), [&b"abc,"[..], b"x"]);
+        assert_eq!(text(br#"1,"ab"cd"#), [&b"1"[..], b"ab"]);
+        let mut t = Tokens::new();
+        assert_eq!(cfg.tokenize_selective(br#""ab"c,d,e"#, 1, &mut t), 2);
+        assert_eq!(t.get(1).unwrap().of(br#""ab"c,d,e"#), b"d");
     }
 
     #[test]

@@ -22,7 +22,8 @@ type Row = (u64, Vec<Datum>, Vec<u32>);
 type Structures<'a> = (&'a PositionalMap, &'a RawCache, &'a TableStats);
 
 /// Assert that two sets of adaptive structures are identical: row index,
-/// positional-map coverage (when `chunks`), cache contents and bytes,
+/// positional-map coverage (when `chunks`), cache contents (a `NaN` equals
+/// a `NaN`) and bytes,
 /// statistics (every accumulator's full state — counts and bounds — and
 /// `observed_upto`).
 fn assert_same_structures(
@@ -62,10 +63,12 @@ fn assert_same_structures(
             "{tag}: cache coverage c{attr}"
         );
         for row in 0..cache_a.coverage(attr) {
-            assert_eq!(
-                cache_a.column(attr).and_then(|c| c.datum(row)),
-                cache_b.column(attr).and_then(|c| c.datum(row)),
-                "{tag}: cache content c{attr} row {row}"
+            let x = cache_a.column(attr).and_then(|c| c.datum(row));
+            let y = cache_b.column(attr).and_then(|c| c.datum(row));
+            // `NaN` never `==` itself: identical text is equal.
+            assert!(
+                x == y || format!("{x:?}") == format!("{y:?}"),
+                "{tag}: cache content c{attr} row {row}: {x:?} vs {y:?}"
             );
         }
         assert_eq!(
@@ -118,6 +121,9 @@ pub fn assert_same_state(tag: &str, a: &NoDb, b: &NoDb, cols: usize) {
 /// each scan slice by slice, with the slices cut the way a raw scan cuts
 /// them, but derived here from the row index and the file. The staged scan
 /// at any worker count must end in this state.
+///
+/// The model states the first-scan rule in its own terms (see
+/// [`Self::query`]) rather than asking the engine which columns it takes.
 pub struct NaiveModel {
     path: std::path::PathBuf,
     types: Vec<ColumnType>,
@@ -270,8 +276,33 @@ impl NaiveModel {
         cuts
     }
 
-    /// Apply the side effects of one query scanning `attrs` (ascending).
-    pub fn query(&mut self, attrs: &[usize]) {
+    /// Apply the side effects of one query whose pushed predicate reads the
+    /// attributes `pred` (empty: the query has no `WHERE`) and whose engine
+    /// uses the attributes `used` — projections, group keys, aggregate
+    /// arguments, sort keys. The scan reads their union.
+    ///
+    /// While the table does not know its row count (no scan has reached
+    /// EOF since it was registered or appended to), a filtered query
+    /// converts an attribute it uses but does not filter on, and that the
+    /// cache holds no row of, only for the rows its predicate keeps: such
+    /// an attribute joins the map chunk, but neither the cache nor the
+    /// statistics take it.
+    pub fn query(&mut self, pred: &[usize], used: &[usize]) {
+        let mut attrs: Vec<usize> = pred.iter().chain(used).copied().collect();
+        attrs.sort_unstable();
+        attrs.dedup();
+        let first_scan = !pred.is_empty() && self.row_count.is_none();
+        let whole: Vec<usize> = attrs
+            .iter()
+            .copied()
+            .filter(|&a| {
+                !(first_scan
+                    && used.contains(&a)
+                    && !pred.contains(&a)
+                    && self.cache.coverage(a) == 0)
+            })
+            .collect();
+        let attrs = &attrs[..];
         let tick = self.cache.begin_query(attrs);
         let plan = self.map.plan_access(attrs);
         let total = self.rows.len();
@@ -298,11 +329,11 @@ impl NaiveModel {
         }
         // Cache: slice by slice, in slice order.
         for w in cuts.windows(2) {
-            let cols = attrs.iter().map(|&a| self.column(a, w[0]..w[1])).collect();
-            self.cache.append_slice(attrs, cols, w[0], total, tick);
+            let cols = whole.iter().map(|&a| self.column(a, w[0]..w[1])).collect();
+            self.cache.append_slice(&whole, cols, w[0], total, tick);
         }
         // Statistics: every row from the frontier on is observed.
-        for &a in attrs {
+        for &a in &whole {
             let frontier = self.stats.observed_upto(a) as usize;
             for (_, values, _) in self.rows.iter().skip(frontier) {
                 self.stats.observe(a, &values[a]);
@@ -312,7 +343,7 @@ impl NaiveModel {
         if self.indexed {
             self.map.row_index_mut().mark_complete();
         }
-        for &a in attrs {
+        for &a in &whole {
             self.stats.advance_observed(a, total as u64);
         }
     }

@@ -75,13 +75,21 @@ fn two_concurrent_queries_match_sequential() {
     let q1 = "SELECT c0, c2 FROM t WHERE c1 < 600000000";
     let q2 = "SELECT c3 FROM t WHERE c4 >= 250000000";
 
+    // A first complete scan learns the table's extent. Both instances take
+    // one before the race: a file's first scan converts projection-only
+    // columns for the surviving rows alone and caches none of them, so
+    // without it the cached state would depend on which query finished
+    // first.
+    let first = "SELECT COUNT(*) FROM t";
     for threads in scan_thread_counts() {
         // Sequential reference.
         let seq = mk_db(&path, gen.schema(), threads);
+        seq.query(first).unwrap();
         let (e1, e2) = (seq.query(q1).unwrap(), seq.query(q2).unwrap());
 
         // Two threads, same shared instance, both cold.
         let db = Arc::new(mk_db(&path, gen.schema(), threads));
+        db.query(first).unwrap();
         let (r1, r2) = std::thread::scope(|s| {
             let d1 = Arc::clone(&db);
             let d2 = Arc::clone(&db);

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 use nodb_repro::core::{CancelToken, ParseErrorPolicy, QueryCtx};
 use nodb_repro::engine::EngineError;
 use nodb_repro::prelude::*;
+use nodb_repro::rawcsv::RawCsvError;
 use nodb_server::{NoDbClient, Server, ServerConfig};
 
 mod common;
@@ -145,10 +146,13 @@ fn deadline_ends_a_smallest_block_scan_at_any_worker_count() {
 /// row index (ISSUE 20). The rerun reads only the bytes behind them: the
 /// known rows are served from the cache, with no pass over the file to
 /// re-learn their numbers, and the table ends where one uninterrupted
-/// row-at-a-time pass would have left it.
+/// row-at-a-time pass would have left it. The query has no `WHERE`: a
+/// filtered scan of a table whose extent is unknown converts its
+/// projection-only columns for the surviving rows alone and caches none of
+/// them, so its rerun would read those from the file again.
 #[test]
 fn rerun_after_deadline_reads_only_the_unknown_tail() {
-    let sql = "SELECT COUNT(*), SUM(c1) FROM t WHERE c2 < 800000000";
+    let sql = "SELECT COUNT(*), SUM(c1), MAX(c2) FROM t";
     for threads in [1usize, 4] {
         let (path, gen) = gen_table(&format!("deadline_tail{threads}"), 80_000);
         // 64 slices at either worker count, 16 or more to a worker. The
@@ -206,7 +210,7 @@ fn rerun_after_deadline_reads_only_the_unknown_tail() {
         // chunk stays the stopped scan's (the rerun found its attributes
         // indexed and collected no second one).
         let mut model = common::NaiveModel::load(&path, &gen.schema(), &cfg);
-        model.query(&[1, 2]);
+        model.query(&[], &[1, 2]);
         let handle = db.table_handle("t").unwrap();
         let t = handle.read();
         assert_eq!(t.map().row_index().starts(), model.map.row_index().starts());
@@ -229,6 +233,80 @@ fn rerun_after_deadline_reads_only_the_unknown_tail() {
         }
         std::fs::remove_file(&path).ok();
     }
+}
+
+/// Parse errors follow conversion. A file's first filtered scan converts a
+/// projection-only column for the rows its predicate keeps alone, so a
+/// malformed cell of that column in a rejected row is not judged: under
+/// the strict policy the first query answers, and the second — which
+/// converts the column whole — fails with exactly the error an unfiltered
+/// first scan (a whole conversion) reports for the cell. Under the
+/// permissive policy the first query quarantines only the malformed cells
+/// it converts, the second all of them, and the cached third none.
+#[test]
+fn parse_errors_follow_conversion() {
+    let schema = Schema::new(vec![
+        ColumnDef::new("a", ColumnType::Int),
+        ColumnDef::new("b", ColumnType::Int),
+    ]);
+    let sql = "SELECT b FROM t WHERE a < 3";
+    let open = |path: &std::path::Path, threads: usize, policy: ParseErrorPolicy| {
+        let mut db = NoDb::new(NoDbConfig {
+            scan_threads: threads,
+            parse_errors: policy,
+            ..NoDbConfig::default()
+        });
+        db.register_csv_with_schema("t", path, schema.clone(), false)
+            .unwrap();
+        db
+    };
+    // Row 1's `b` is malformed, and its `a` fails the predicate.
+    let rejected = scratch("conv_strict");
+    std::fs::write(&rejected, "0,10\n5,7x\n1,30\n2,40\n6,60\n").unwrap();
+    // Row 3's `b` is malformed too, in a row the predicate keeps.
+    let both = scratch("conv_permissive");
+    std::fs::write(&both, "0,10\n5,7x\n1,30\n2,bad\n6,60\n").unwrap();
+    for threads in [1usize, 4] {
+        let tag = format!("threads {threads}");
+        let db = open(&rejected, threads, ParseErrorPolicy::Strict);
+        let first = db.query(sql).unwrap();
+        let want: Vec<Vec<Datum>> = [10, 30, 40].map(|v| vec![Datum::Int(v)]).into();
+        assert_eq!(first.rows, want, "{tag}");
+        let err = db.query(sql).unwrap_err();
+        let whole = open(&rejected, threads, ParseErrorPolicy::Strict)
+            .query("SELECT b FROM t")
+            .unwrap_err();
+        assert_eq!(err.to_string(), whole.to_string(), "{tag}");
+        assert!(
+            matches!(
+                &err,
+                EngineError::Csv(RawCsvError::ParseField { row: 1, attr: 1, text, .. })
+                    if text == "7x"
+            ),
+            "{tag}: {err:?}"
+        );
+
+        let db = open(&both, threads, ParseErrorPolicy::Permissive);
+        let mut tallies = Vec::new();
+        for _ in 0..3 {
+            let (r, report) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+            let want = [Datum::Int(10), Datum::Int(30), Datum::Null];
+            assert_eq!(r.rows, want.map(|d| vec![d]), "{tag}");
+            let rows: Vec<u64> = report.quarantine_samples.iter().map(|s| s.row).collect();
+            tallies.push((report.rows_quarantined, rows, report.fully_cached));
+        }
+        assert_eq!(
+            tallies,
+            [
+                (1, vec![3], false),
+                (2, vec![1, 3], false),
+                (0, vec![], true)
+            ],
+            "{tag}"
+        );
+    }
+    std::fs::remove_file(rejected).ok();
+    std::fs::remove_file(both).ok();
 }
 
 /// A token cancelled from another thread mid-scan aborts the query with
