@@ -24,9 +24,10 @@ pub const MAX_IO_BLOCK_SIZE: usize = 256 << 20;
 /// type for a requested attribute.
 ///
 /// A cell is judged only when the scan converts it, and a file's first
-/// filtered scan converts its projection-only columns only for the rows
-/// the predicate keeps (`rawscan::survivors_only`): a malformed cell there
-/// in a row the predicate rejects is neither reported nor quarantined. The
+/// filtered scan (one without a deadline) converts its projection-only
+/// columns only for the rows the predicate keeps
+/// (`rawscan::survivors_only`): a malformed cell there in a row the
+/// predicate rejects is neither reported nor quarantined. The
 /// next query that converts the column whole meets it — under `Strict`
 /// it fails with the error a whole conversion reports on a first scan,
 /// under `Permissive` it quarantines the row then.

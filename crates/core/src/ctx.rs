@@ -73,6 +73,12 @@ impl QueryCtx {
         }
     }
 
+    /// Whether this query runs under a deadline, and so may stop before it
+    /// has read the whole file.
+    pub fn has_deadline(&self) -> bool {
+        self.deadline.is_some()
+    }
+
     /// A token the caller can hold on to (or hand to another thread) to
     /// cancel this query from outside.
     pub fn cancel_token(&self) -> CancelToken {

@@ -11,9 +11,8 @@
 //! 4. converts to binary only what the plan needs (**selective parsing**),
 //!    each field span parsed straight into its attribute's typed column —
 //!    no value is boxed as a `Datum` between the tokenizer and the engine.
-//!    Until the table knows its extent, a column only the rest of the plan
-//!    needs is converted only for the rows the predicate keeps
-//!    (`survivors_only`);
+//!    On a file's first scan, a column only the rest of the plan needs is
+//!    converted only for the rows the predicate keeps (`survivors_only`);
 //! 5. evaluates the pushed predicate *before* materializing the tuple
 //!    (**selective tuple formation** — tuples "are only created after the
 //!    select operator"): resolved values land in typed columns, and one
@@ -232,7 +231,7 @@
 //! a prefix of a column fits into room a whole one never could, and a
 //! later full scan has to evict it again: a LIMIT is a poor advisor of
 //! which whole columns to keep. A table's first scans, whose extent is
-//! unknown, install everything they read.
+//! unknown, install everything they convert whole.
 //!
 //! The installed state is **timing-independent**. The slices are a function
 //! of the file and the table state (`plan_slices`), a slice's survivor
@@ -584,25 +583,24 @@ impl ScanPrep {
 /// Which requested positions a scan converts only for the rows its pushed
 /// predicate keeps — selective parsing taken down to the row. A position
 /// is *survivors-only* when the query has a pushed predicate that does not
-/// read it, the engine needs its values (`materialize`), the cache holds
-/// none of its rows, and the table does not yet know its extent (no scan
-/// has reached EOF since the file was registered or appended to). A
-/// file's first scan therefore converts its projection-only columns for
-/// the surviving rows alone; once a scan has completed, every scan
-/// converts whole columns, which the cache and the statistics take. A
-/// resident column keeps extending over an appended tail.
-fn survivors_only(req: &ScanRequest, cache_cov: &[usize], row_count: Option<u64>) -> Vec<bool> {
+/// read it and the engine needs its values (`materialize`), on a file's
+/// first scan: no scan has installed anything into the table yet
+/// ([`RawTable::untouched`]) and the query has no deadline. Such a scan
+/// caches its predicate columns alone; every later scan converts whole
+/// columns, which the cache and the statistics take, so a rerun after a
+/// stopped scan or a satisfied `LIMIT`, and every scan after an append,
+/// extends whole columns as before. A query under a deadline converts
+/// whole columns from the start: if it stops, the prefix it merged is
+/// what its rerun resumes from, and that rerun reads only the file's
+/// unknown tail.
+fn survivors_only(table: &RawTable, req: &ScanRequest, ctx: &QueryCtx) -> Vec<bool> {
     let mut read = Vec::new();
     match &req.predicate {
-        Some(p) if row_count.is_none() => p.columns(&mut read),
+        Some(p) if table.untouched() && !ctx.has_deadline() => p.columns(&mut read),
         _ => return vec![false; req.attrs.len()],
     }
     (0..req.attrs.len())
-        .map(|i| {
-            !read.contains(&i)
-                && req.materialize.get(i).copied().unwrap_or(true)
-                && cache_cov[i] == 0
-        })
+        .map(|i| !read.contains(&i) && req.materialize.get(i).copied().unwrap_or(true))
         .collect()
 }
 
@@ -628,7 +626,7 @@ fn prepare_scan(
     } else {
         0
     };
-    let survivors_only = survivors_only(&req, &cache_cov, table.row_count);
+    let survivors_only = survivors_only(table, &req, &ctx);
     let stats_from: Vec<u64> = req
         .attrs
         .iter()
@@ -1175,12 +1173,10 @@ pub(crate) fn merge_outputs(
         // masks, no value), then the cache takes the columns, each tail
         // whole or not at all. Both start at their own current frontier
         // per attribute. Sketches exist only with statistics on: one per
-        // attribute with rows to observe at plan time.
+        // attribute with rows to observe at plan time, so a survivors-only
+        // column, which has none, leaves its statistics as they were.
         if config.enable_stats {
             for (i, &attr) in prep.req.attrs.iter().enumerate() {
-                if prep.survivors_only[i] {
-                    continue;
-                }
                 let slices = results.iter().zip(&bases).filter_map(|(o, &base)| {
                     let sketch = o.sketches.get(i)?.as_ref()?;
                     Some((&o.side_cols[i], sketch, base as u64))
@@ -2662,7 +2658,11 @@ mod tests {
     /// prefix of the unlimited answer), and the table ends in the state the
     /// one-worker scan leaves at every thread count — the slices do not
     /// depend on it. A limit only the whole file meets is an ordinary
-    /// complete scan.
+    /// complete scan. The same query run again finds the table touched: it
+    /// converts whole columns over the slices it needs — cut from the known
+    /// rows, so they may end before slice `k` — and caches and sketches
+    /// them, and a third run serves those slices from the cache without
+    /// opening the file.
     #[test]
     fn cold_bare_limit_installs_exactly_the_satisfying_slices() {
         use nodb_engine::RExpr;
@@ -2720,6 +2720,29 @@ mod tests {
                     None => one_worker = Some(t),
                     Some(one) => assert_same_state(&tag, one, &t, 4),
                 }
+                if whole || threads == 2 {
+                    continue;
+                }
+                // The rerun cuts the known rows into row-range slices of
+                // its own, so it may stop at an earlier row than `end`.
+                let mut t = fresh(&cfg);
+                scan_once(&mut t, cfg, req(Some(n as u64)));
+                let (second, tel) = scan_once(&mut t, cfg, req(Some(n as u64)));
+                let again = tel.rows_scanned as usize;
+                assert!(second.len() >= n && again <= end, "{tag}: rerun");
+                assert_eq!(second[..], unlimited[..second.len()], "{tag}: rerun");
+                for attr in 0..3 {
+                    let whole = if attr == 1 { end } else { again };
+                    assert_eq!(t.cache.coverage(attr), whole, "{tag}: rerun cache c{attr}");
+                    assert_eq!(
+                        t.stats.observed_upto(attr),
+                        whole as u64,
+                        "{tag}: rerun stats c{attr}"
+                    );
+                }
+                let (third, tel) = scan_once(&mut t, cfg, req(Some(n as u64)));
+                assert_eq!(third, second, "{tag}: third run");
+                assert_eq!(tel.io.bytes_read, 0, "{tag}: third run reads the cache");
             }
         }
         std::fs::remove_file(p).unwrap();

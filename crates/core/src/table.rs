@@ -113,6 +113,18 @@ impl RawTable {
         })
     }
 
+    /// Whether no scan has installed anything into the table since its file
+    /// was registered (or its state was quarantined): no row count, no row
+    /// number, no cached value and no statistic — a restored snapshot
+    /// counts as installed. A stopped scan that merged a prefix, or a
+    /// satisfied `LIMIT`, leaves the table touched.
+    pub(crate) fn untouched(&self) -> bool {
+        self.row_count.is_none()
+            && self.map.row_index().is_empty()
+            && self.cache.bytes_used() == 0
+            && self.stats.covered_attrs().is_empty()
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -23,11 +23,10 @@
 //! Conversion follows the predicate. The resolver converts every position
 //! the pushed predicate may read first, runs the predicate once over the
 //! batch (`rawscan::filter_segment`), and only then converts the
-//! *survivors-only* positions (`rawscan::survivors_only`: on a scan of a
-//! table whose extent is unknown, the projection-only columns the cache
-//! holds nothing of) for the rows it keeps; a rejected row holds a NULL
-//! placeholder there that nothing reads. The map chunk still takes every
-//! row's spans.
+//! *survivors-only* positions (`rawscan::survivors_only`: on a file's
+//! first scan, the projection-only columns) for the rows it keeps; a
+//! rejected row holds a NULL placeholder there that nothing reads. The map
+//! chunk still takes every row's spans.
 //!
 //! The partials are what the result batches are formed from, and — but for
 //! the survivors-only ones — what the cache and the statistics take at

@@ -135,6 +135,8 @@ pub struct NaiveModel {
     /// File length in bytes.
     len: u64,
     row_count: Option<usize>,
+    /// Whether a query has run since the load.
+    queried: bool,
     /// Every slice boundary, in rows, of the scans so far (row counts
     /// included): where an admitted cache column's coverage may end.
     pub cuts: BTreeSet<usize>,
@@ -168,6 +170,7 @@ impl NaiveModel {
             tokenizer,
             indexed: cfg.enable_positional_map && tokenizer.quote.is_none(),
             row_count: None,
+            queried: false,
             cuts: BTreeSet::new(),
             cache: RawCache::new(cfg.cache_budget_bytes),
             stats: TableStats::default(),
@@ -276,31 +279,35 @@ impl NaiveModel {
         cuts
     }
 
+    /// [`Self::query`] for a query that converts every attribute whole even
+    /// as the model's first: one under a deadline, or one the engine runs
+    /// after a scan that installed a prefix (a stopped one, or one its
+    /// `LIMIT` met), which the model does not run.
+    pub fn query_whole(&mut self, pred: &[usize], used: &[usize]) {
+        self.queried = true;
+        self.query(pred, used);
+    }
+
     /// Apply the side effects of one query whose pushed predicate reads the
     /// attributes `pred` (empty: the query has no `WHERE`) and whose engine
     /// uses the attributes `used` — projections, group keys, aggregate
     /// arguments, sort keys. The scan reads their union.
     ///
-    /// While the table does not know its row count (no scan has reached
-    /// EOF since it was registered or appended to), a filtered query
-    /// converts an attribute it uses but does not filter on, and that the
-    /// cache holds no row of, only for the rows its predicate keeps: such
-    /// an attribute joins the map chunk, but neither the cache nor the
-    /// statistics take it.
+    /// The first query since the load, when it is filtered, converts an
+    /// attribute it uses but does not filter on only for the rows its
+    /// predicate keeps: such an attribute joins the map chunk, but neither
+    /// the cache nor the statistics take it. Every later query converts
+    /// whole attributes.
     pub fn query(&mut self, pred: &[usize], used: &[usize]) {
         let mut attrs: Vec<usize> = pred.iter().chain(used).copied().collect();
         attrs.sort_unstable();
         attrs.dedup();
-        let first_scan = !pred.is_empty() && self.row_count.is_none();
+        let first_scan = !pred.is_empty() && !self.queried;
+        self.queried = true;
         let whole: Vec<usize> = attrs
             .iter()
             .copied()
-            .filter(|&a| {
-                !(first_scan
-                    && used.contains(&a)
-                    && !pred.contains(&a)
-                    && self.cache.coverage(a) == 0)
-            })
+            .filter(|&a| !(first_scan && used.contains(&a) && !pred.contains(&a)))
             .collect();
         let attrs = &attrs[..];
         let tick = self.cache.begin_query(attrs);
