@@ -75,7 +75,7 @@ impl QueryCtx {
 
     /// Whether this query runs under a deadline, and so may stop before it
     /// has read the whole file.
-    pub fn has_deadline(&self) -> bool {
+    pub(crate) fn has_deadline(&self) -> bool {
         self.deadline.is_some()
     }
 
