@@ -117,7 +117,9 @@ impl RawTable {
     /// was registered (or its state was quarantined): no row count, no row
     /// number, no cached value and no statistic — a restored snapshot
     /// counts as installed. A stopped scan that merged a prefix, or a
-    /// satisfied `LIMIT`, leaves the table touched.
+    /// satisfied `LIMIT`, touches the table through whatever it installed;
+    /// a table that keeps none of these structures stays untouched until a
+    /// scan learns its row count, and then there is nothing to resume from.
     pub(crate) fn untouched(&self) -> bool {
         self.row_count.is_none()
             && self.map.row_index().is_empty()
