@@ -38,6 +38,11 @@ use crate::ctx::QueryCtx;
 /// responsive to cancellation.
 const WAIT_POLL: Duration = Duration::from_millis(1);
 
+/// How many grants in a row must find no other query holding permits,
+/// after a run of grants that did, before a query counts as running alone
+/// again ([`ScanGrant::shared`]).
+const RECENT_GRANTS: usize = 8;
+
 /// Mutable semaphore state behind the budget's lock.
 #[derive(Debug)]
 struct BudgetState {
@@ -45,6 +50,10 @@ struct BudgetState {
     available: usize,
     /// Queries currently waiting for a permit.
     waiting: usize,
+    /// Recent grants made while other queries held permits: each such grant
+    /// adds one, up to [`RECENT_GRANTS`], and each grant made alone takes
+    /// one off.
+    contended: usize,
 }
 
 /// A shared scan-thread budget: a counting semaphore with a bounded wait
@@ -104,6 +113,7 @@ impl ScanBudget {
             state: Mutex::new(BudgetState {
                 available: capacity,
                 waiting: 0,
+                contended: 0,
             }),
             peak_in_flight: AtomicUsize::new(0),
             peak_waiting: AtomicUsize::new(0),
@@ -184,11 +194,20 @@ impl ScanBudget {
     /// Bookkeeping for a successful grant of `got` permits.
     fn granted(self: &Arc<Self>, got: usize) -> ScanGrant {
         self.admitted.fetch_add(1, Ordering::Relaxed);
-        let in_flight = self.capacity - self.state.lock().available;
+        let (in_flight, contended) = {
+            let mut s = self.state.lock();
+            let in_flight = self.capacity - s.available;
+            s.contended = match in_flight > got {
+                true => (s.contended + 1).min(RECENT_GRANTS),
+                false => s.contended.saturating_sub(1),
+            };
+            (in_flight, s.contended)
+        };
         fetch_max(&self.peak_in_flight, in_flight);
         ScanGrant {
             budget: Arc::clone(self),
             permits: got,
+            shared: contended > 0,
         }
     }
 
@@ -225,12 +244,23 @@ fn fetch_max(slot: &AtomicUsize, value: usize) {
 pub struct ScanGrant {
     budget: Arc<ScanBudget>,
     permits: usize,
+    shared: bool,
 }
 
 impl ScanGrant {
     /// How many scan threads this query was granted (≥ 1, ≤ requested).
     pub fn permits(&self) -> usize {
         self.permits
+    }
+
+    /// Whether this query shares the machine with other queries: they held
+    /// permits when it was granted, or when most of the budget's recent
+    /// grants were made (each grant beside others raises a count, up to
+    /// eight, and each grant alone lowers it; this is the count after this
+    /// grant). Two clients that take turns thus never look alone in the gap
+    /// between their queries; a client left alone does after a few.
+    pub fn shared(&self) -> bool {
+        self.shared
     }
 }
 
@@ -265,8 +295,10 @@ mod tests {
         let ctx = QueryCtx::unbounded();
         let g1 = b.acquire(3, &ctx).unwrap();
         assert_eq!(g1.permits(), 3);
+        assert!(!g1.shared(), "the only grant out");
         let g2 = b.acquire(8, &ctx).unwrap();
         assert_eq!(g2.permits(), 1, "clamped to what is free");
+        assert!(g2.shared(), "granted beside `g1`");
         let t = b.telemetry();
         assert_eq!(t.in_flight, 4);
         assert_eq!(t.peak_in_flight, 4);
@@ -274,6 +306,36 @@ mod tests {
         drop(g2);
         assert_eq!(b.telemetry().in_flight, 0);
         assert_eq!(b.telemetry().admitted, 2);
+    }
+
+    /// A grant is shared while other queries hold permits, and for as many
+    /// grants made alone as there were recent shared ones (at most eight).
+    #[test]
+    fn a_grant_is_shared_until_the_recent_overlaps_are_paid_off() {
+        let b = Arc::new(ScanBudget::new(4));
+        let ctx = QueryCtx::unbounded();
+        let held = b.acquire(1, &ctx).unwrap();
+        for _ in 0..3 {
+            assert!(b.acquire(1, &ctx).unwrap().shared(), "beside `held`");
+        }
+        drop(held);
+        let alone: Vec<bool> = (0..4)
+            .map(|_| b.acquire(2, &ctx).unwrap().shared())
+            .collect();
+        assert_eq!(alone, [true, true, false, false]);
+        let held = b.acquire(1, &ctx).unwrap();
+        for _ in 0..20 {
+            drop(b.acquire(1, &ctx).unwrap());
+        }
+        drop(held);
+        let after: Vec<bool> = (0..9)
+            .map(|_| b.acquire(1, &ctx).unwrap().shared())
+            .collect();
+        assert_eq!(
+            after,
+            [[true; 7].as_slice(), &[false; 2]].concat(),
+            "capped at eight"
+        );
     }
 
     #[test]

@@ -272,7 +272,7 @@ impl NoDb {
         let budget = self.scan_budget.read().clone();
         let mut admission_wait = Duration::ZERO;
         let mut lock_wait = Duration::ZERO;
-        let _grant = match budget.as_ref() {
+        let grant = match budget.as_ref() {
             Some(b) => {
                 let grant = timed(&mut admission_wait, || {
                     b.acquire(config.effective_scan_threads(), ctx)
@@ -282,6 +282,10 @@ impl NoDb {
             }
             None => None,
         };
+        // The budget's recent grants overlapped other queries
+        // (`ScanGrant::shared`): a fully-cached aggregate then folds on this
+        // thread alone, as a helper thread would only take a CPU from them.
+        let shared = grant.as_ref().is_some_and(|g| g.shared());
 
         // Plan resolution: a prepared-cache entry whose table handle is
         // still the registered one short-circuits parse+plan; validity
@@ -402,7 +406,12 @@ impl NoDb {
             // fully-cached one streams lazily inside the call and times
             // itself (`ScanTelemetry::cached_stream`), and that time is
             // charged out of the engine's slice below, so the report
-            // separates scan work from engine work either way.
+            // separates scan work from engine work either way. A
+            // fully-cached aggregate folded on helper threads adds their
+            // time (`ScanTelemetry::fold_helpers`) and takes off the calling
+            // thread's wait for them (`fold_wait`): the engine slice is then
+            // the workers' summed fold time, as a parallel raw scan's
+            // phase slices are summed thread time.
             let mut engine_elapsed = Duration::ZERO;
             let mut source_retries = config.source_change_retries;
             let mut source_changes = 0u64;
@@ -424,6 +433,7 @@ impl NoDb {
                     planned.scan.clone(),
                     &telemetry,
                     ctx.clone(),
+                    shared,
                     &mut lock_wait,
                     |source| {
                         let t = Instant::now();
@@ -482,7 +492,8 @@ impl NoDb {
             + breakdown.parsing
             + breakdown.convert
             + breakdown.nodb;
-        breakdown.engine = engine_elapsed.saturating_sub(tel.cached_stream);
+        breakdown.engine =
+            (engine_elapsed + tel.fold_helpers).saturating_sub(tel.cached_stream + tel.fold_wait);
         breakdown.planning = planning;
         // Processing = everything not attributed to a scan phase, the
         // engine pipeline or planning. The admission and lock waits are
@@ -991,6 +1002,41 @@ mod tests {
             engine < processing,
             "engine {engine:?}, processing {processing:?}"
         );
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A fully-cached aggregate folded on several workers reports what the
+    /// serial fold does: its ranges add their streamed rows and hits, so
+    /// `rows_scanned`, `cache_hits` and the cache's hit ratio are equal at
+    /// `scan_threads` 1 and 4, and the engine slice stays above zero while
+    /// `processing` is clamped into the wall clock.
+    #[test]
+    fn parallel_fold_reports_the_serial_telemetry() {
+        let rows = 12 * nodb_engine::batch::BATCH_SIZE as u64 + 77;
+        let (p, gen) = tmp_csv(4, rows, 43);
+        let sql = "SELECT COUNT(*), SUM(c1), MIN(c2), MAX(c0) FROM t WHERE c3 < 500000000";
+        let run = |threads: usize| {
+            let mut db = NoDb::new(NoDbConfig {
+                scan_threads: threads,
+                ..NoDbConfig::default()
+            });
+            db.register_csv_with_schema("t", &p, gen.schema(), false)
+                .unwrap();
+            db.query("SELECT * FROM t").unwrap();
+            let (r, rep) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+            assert!(rep.fully_cached, "threads {threads}: {rep:?}");
+            assert!(rep.breakdown.engine > Duration::ZERO, "threads {threads}");
+            assert!(
+                rep.breakdown.total() <= rep.total || rep.breakdown.processing.is_zero(),
+                "threads {threads}: {rep:?}"
+            );
+            let ratio = db.snapshot("t").unwrap().cache_hit_ratio;
+            (r, rep.rows_scanned, rep.cache_hits, ratio)
+        };
+        let serial = run(1);
+        assert_eq!(serial.1, rows);
+        assert_eq!(serial.2, rows * 4);
+        assert_eq!(run(4), serial);
         std::fs::remove_file(p).unwrap();
     }
 

@@ -40,15 +40,23 @@ pub struct Breakdown {
     /// `execute` call. A raw scan has staged its batches by then; a
     /// fully-cached scan streams inside the call, and its stream's own
     /// time is taken off this slice (it stays in `processing`), so "scan
-    /// time" and "engine time" separate in the panel either way.
+    /// time" and "engine time" separate in the panel either way. A
+    /// fully-cached aggregate folded on several workers counts their summed
+    /// thread time, as a parallel raw scan's phase slices do: the call's
+    /// wall time plus its helper threads', less every worker's stream time
+    /// and the calling thread's wait for its helpers. It stays above zero,
+    /// and can exceed the wall clock it ran in.
     pub engine: Duration,
     /// Parsing the SQL text and planning the statement. Exactly zero when
     /// the query was served from the prepared-statement cache — the slice
     /// a prepared hit deletes.
     pub planning: Duration,
     /// Everything not attributed elsewhere: admission waits, lock waits,
-    /// report assembly, and a fully-cached scan's stream (the predicate
-    /// kernel over the cache windows).
+    /// report assembly, a fully-cached scan's stream (the predicate kernel
+    /// over the cache windows) and a parallel fold's wait for its helpers. The wall clock's remainder after the
+    /// other slices, clamped at zero: summed thread time in those slices
+    /// (a parallel scan's phases, a parallel fold's engine time) can
+    /// exceed it.
     pub processing: Duration,
     /// The part of `processing` spent waiting for scan-thread permits
     /// (`ScanBudget::acquire`). A sub-slice like [`Self::install`]:

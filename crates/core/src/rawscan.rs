@@ -29,7 +29,9 @@
 //! When the cache covers every requested attribute for every known row, the
 //! scan never opens the file at all — the paper's "eliminating the need to
 //! access hot raw data via caching" — and copies no value either: the
-//! engine reads the cache's columns where they lie (`CachedStream`).
+//! engine reads the cache's columns where they lie (`CachedStream`). An
+//! aggregate over such a scan runs on the scan's workers: each folds its own
+//! contiguous range of cache windows, and the partials merge in row order.
 //!
 //! # Threading model
 //!
@@ -102,7 +104,15 @@
 //!    source (`CachedStream`) that runs the predicate kernel one
 //!    `BATCH_SIZE`-row window at a time and yields batches whose columns
 //!    borrow that window of the cache's columns, with the selection
-//!    attached. It records its hits under the guard and never asks for the
+//!    attached. An aggregate pulls it on `min(threads, windows)` workers,
+//!    each over one contiguous, `BATCH_SIZE`-aligned row range `[lo, hi)`
+//!    of the windows (the calling thread folds the first, scoped threads
+//!    the rest, as `run_partitions` runs its workers), or on one thread
+//!    when its admission found the instance's scan budget shared with
+//!    other queries; everything else pulls the one range `[0, total)`
+//!    serially. A parked worker pool could not serve it: safe Rust cannot
+//!    lend the guard-borrowed cache columns to threads that outlive the
+//!    scope. It records its hits under the guard and never asks for the
 //!    write lock. Any number of queries can be in this phase
 //!    simultaneously. While the guard is held nothing takes a table lock
 //!    again — a recursive read would deadlock behind a queued writer — so
@@ -177,7 +187,9 @@
 //!   to full batches (`repack`), no reordering anywhere downstream.
 //! * *Telemetry* — `Breakdown` and `IoCounters` are summed; cache hit/miss
 //!   tallies travel with the scan (not as global metric diffs), so
-//!   concurrent queries never misattribute each other's reads.
+//!   concurrent queries never misattribute each other's reads. A
+//!   fully-cached stream's ranges each add their rows, hits and stream
+//!   time, so every row counts once at every worker count.
 //!
 //! Under the strict parse-error policy a malformed row aborts the scan
 //! without merging any side effects; the permissive policy instead
@@ -252,7 +264,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nodb_engine::batch::{Batch, ColView, Column, BATCH_SIZE};
-use nodb_engine::{EngineError, EngineResult, QueueSource, ScanRequest, ScanSource};
+use nodb_engine::{AggPartial, EngineError, EngineResult, QueueSource, ScanRequest, ScanSource};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder};
 use nodb_rawcache::{RawCache, TypedColumn};
 use nodb_rawcsv::reader::{partition_line_ranges_capped, LineRange};
@@ -338,8 +350,19 @@ pub struct ScanTelemetry {
     /// predicate over the cache windows — while the engine pulled from it.
     /// It elapses inside the engine's call; the facade charges it out of
     /// the engine's slice, so it stays in `processing` with the rest of the
-    /// scan that no phase slice covers.
+    /// scan that no phase slice covers. An aggregate folded on several
+    /// workers adds each worker's stream time: summed thread time, as the
+    /// phase slices of a parallel raw scan are.
     pub cached_stream: Duration,
+    /// Summed wall time of the helper threads a fully-cached aggregate
+    /// folded its later ranges on (zero when the calling thread folded
+    /// alone). Their streaming is part of `cached_stream`; the facade
+    /// charges the rest to the engine, beside the calling thread's own.
+    pub fold_helpers: Duration,
+    /// Time the calling thread of such a fold waited for its helpers after
+    /// folding its own range: inside the engine's call, but no engine
+    /// work, so the facade leaves it in `processing`.
+    pub fold_wait: Duration,
 }
 
 /// Rewrite a slice-local row number in a worker error to the global file
@@ -1286,7 +1309,11 @@ fn scan_install(
 /// The scan prepares under the guard (no writer can land in between, so
 /// the prep is exact for the data). A fully-cached query then runs `run`
 /// **under that guard** over a lazy [`CachedStream`] and never asks for
-/// the write lock; the guard is released when `run` returns. A raw scan
+/// the write lock; the guard is released when `run` returns. Its aggregate
+/// folds on one thread when `shared` — its admission found the scan
+/// budget shared with other queries ([`crate::ScanGrant::shared`]), so its
+/// helpers would only take their CPUs — and on the scan's workers
+/// otherwise. A raw scan
 /// runs its partitions under the guard, releases it, installs under a
 /// short write lock behind the install fence, and runs `run` over its
 /// re-packed batches with no lock held. The install's lock acquisition is
@@ -1299,11 +1326,15 @@ pub(crate) fn scan_shared<T>(
     req: ScanRequest,
     telemetry: &TelemetryHandle,
     ctx: QueryCtx,
+    shared: bool,
     lock_wait: &mut Duration,
     run: impl for<'s> FnOnce(Box<dyn ScanSource<'s> + 's>) -> T,
 ) -> EngineResult<T> {
-    let prep = prepare_scan(&table, config, req, telemetry, ctx);
+    let mut prep = prepare_scan(&table, config, req, telemetry, ctx);
     if prep.fully_cached {
+        if shared {
+            prep.threads = 1;
+        }
         return Ok(run(Box::new(CachedStream::new(&table, &prep, telemetry)?)));
     }
     let mut outcome = run_partitions(&table, config, &prep)?;
@@ -1322,27 +1353,36 @@ pub(crate) fn scan_shared<T>(
     Ok(run(Box::new(QueueSource::new(repack(outcome.outputs)))))
 }
 
-/// A fully-cached query's scan: a lazy [`ScanSource`] over the cache's own
-/// columns, borrowed under the read guard the query planned with. Each
-/// pull checks the query context once, then forms the next `BATCH_SIZE`-row
-/// window ([`window_batch`]), skipping windows no row of which passes; the
-/// engine stopping — a satisfied LIMIT, an error — ends the stream. It
-/// reports no size hint: the table's row count would only over-reserve
-/// under a selective predicate.
+/// A fully-cached query's scan: a lazy [`ScanSource`] over rows `[lo, hi)`
+/// of the cache's own columns, borrowed under the read guard the query
+/// planned with. Each pull checks the query context once, then forms the
+/// next `BATCH_SIZE`-row window ([`window_batch`]), skipping windows no row
+/// of which passes; the engine stopping — a satisfied LIMIT, an error — ends
+/// the stream. It reports no size hint: the table's row count would only
+/// over-reserve under a selective predicate.
+///
+/// A stream starts as the one range `[0, total)` of the known rows. An
+/// aggregate over it runs on the scan's granted workers
+/// ([`ScanSource::aggregate`]): the stream cuts its windows into one
+/// contiguous range per worker, folds each into a partial of its own, and
+/// merges the partials in row order. Every other query pulls the one range
+/// serially.
 ///
 /// The columns are resident by construction — the guard is held from
 /// prepare to the last pull, so nothing can evict them — and a missing one
-/// is an internal error, never a panic. When the stream is dropped it
-/// records what it actually streamed (see the `Drop` impl).
+/// is an internal error, never a panic. When a range is dropped it adds
+/// what it actually streamed to the telemetry (see the `Drop` impl).
 struct CachedStream<'s> {
     prep: &'s ScanPrep,
     cols: Vec<&'s TypedColumn>,
     cache: &'s RawCache,
     telemetry: &'s TelemetryHandle,
-    /// Rows the stream covers (the known row count).
-    total: usize,
-    /// Rows streamed so far: every window formed, passing rows or not.
-    streamed: usize,
+    /// The rows this range covers: `[lo, hi)`.
+    lo: usize,
+    hi: usize,
+    /// The first row not streamed yet: every window before it was formed,
+    /// passing rows or not.
+    next: usize,
     /// Time spent in [`ScanSource::next_batch`].
     time: Duration,
 }
@@ -1367,21 +1407,45 @@ impl<'s> CachedStream<'s> {
             cols,
             cache: &table.cache,
             telemetry,
-            total,
-            streamed: 0,
+            lo: 0,
+            hi: total,
+            next: 0,
             time: Duration::ZERO,
         })
     }
 
+    /// Cut the rows this stream has yet to stream into `n` contiguous
+    /// ranges of whole windows, as even as windows allow: this stream keeps
+    /// the first, and the others come back as streams of their own, in row
+    /// order.
+    fn split(&mut self, n: usize) -> Vec<CachedStream<'s>> {
+        let (from, windows) = (self.next, (self.hi - self.next).div_ceil(BATCH_SIZE));
+        let cut = |i: usize| self.hi.min(from + windows * i / n * BATCH_SIZE);
+        let rest = (1..n)
+            .map(|i| CachedStream {
+                prep: self.prep,
+                cols: self.cols.clone(),
+                cache: self.cache,
+                telemetry: self.telemetry,
+                lo: cut(i),
+                hi: cut(i + 1),
+                next: cut(i),
+                time: Duration::ZERO,
+            })
+            .collect();
+        self.hi = cut(1);
+        rest
+    }
+
     /// The next window with a passing row, or `None` at the end.
     fn next_window(&mut self) -> EngineResult<Option<Batch<'s>>> {
-        while self.streamed < self.total {
+        while self.next < self.hi {
             // Cancellation granularity: one check per window; a pure cache
             // read mutates nothing, so stopping here needs no partial merge.
             self.prep.ctx.check()?;
-            let lo = self.streamed;
-            self.streamed = self.total.min(lo + BATCH_SIZE);
-            let batch = window_batch(&self.prep.req, &self.cols, lo, self.streamed);
+            let lo = self.next;
+            self.next = self.hi.min(lo + BATCH_SIZE);
+            let batch = window_batch(&self.prep.req, &self.cols, lo, self.next);
             if !batch.is_empty() {
                 return Ok(Some(batch));
             }
@@ -1397,23 +1461,84 @@ impl<'s> ScanSource<'s> for CachedStream<'s> {
         self.time += t.elapsed();
         batch
     }
+
+    /// Fold the stream on `min(prep.threads, windows)` workers, one
+    /// contiguous range of windows each ([`Self::split`]), when the
+    /// aggregation is order-free — no SUM or AVG adds floats — and on this
+    /// thread alone otherwise. The calling thread is worker 0 and folds the
+    /// first range, the others run as scoped threads, exactly as
+    /// [`run_partitions`]' workers do. The partials merge in row order, so
+    /// the answer is the serial fold's; a failing range reports its first
+    /// failure, and the lowest failing range's is the one reported, as the
+    /// serial fold would have met it first. A cancel or deadline stops every
+    /// worker at its next window.
+    fn aggregate(&mut self, partial: &mut AggPartial<'_>) -> EngineResult<()> {
+        let windows = (self.hi - self.next).div_ceil(BATCH_SIZE);
+        let workers = self.prep.threads.min(windows);
+        let int_column = |c: usize| matches!(self.cols.get(c), Some(TypedColumn::Int { .. }));
+        if workers < 2 || !partial.order_free(int_column) {
+            return partial.absorb_source(self);
+        }
+        let spec = partial.spec();
+        let ranges = self.split(workers);
+        let (first, later, helpers, wait) = std::thread::scope(|s| {
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .map(|mut range| {
+                    s.spawn(move || {
+                        let t = Instant::now();
+                        let mut part = AggPartial::new(spec);
+                        let r = part.absorb_source(&mut range).map(|()| part);
+                        (r, t.elapsed())
+                    })
+                })
+                .collect();
+            let first = partial.absorb_source(self);
+            let joining = Instant::now();
+            let mut helpers = Duration::ZERO;
+            let later: Vec<EngineResult<AggPartial<'_>>> = handles
+                .into_iter()
+                .enumerate()
+                .map(|(i, h)| match h.join() {
+                    Ok((r, time)) => {
+                        helpers += time;
+                        r
+                    }
+                    Err(payload) => Err(EngineError::WorkerPanic {
+                        partition: i + 1,
+                        message: panic_message(payload),
+                    }),
+                })
+                .collect();
+            (first, later, helpers, joining.elapsed())
+        });
+        let mut tel = lock_recover(self.telemetry);
+        tel.fold_helpers += helpers;
+        tel.fold_wait += wait;
+        drop(tel);
+        first?;
+        later.into_iter().try_for_each(|p| partial.merge(p?))
+    }
 }
 
 impl Drop for CachedStream<'_> {
-    /// Record what the stream actually streamed — whether the engine
-    /// drained it, stopped pulling at a LIMIT, or failed: one hit per
-    /// requested attribute per streamed row, and the stream's time. The hit
-    /// tally is atomic and the generation cannot move while the guard is
-    /// held, so it needs neither the write lock nor an install fence.
+    /// Add what this range actually streamed to the telemetry — whether the
+    /// engine drained it, stopped pulling at a LIMIT, or failed: one hit per
+    /// requested attribute per streamed row, the streamed rows, and the
+    /// range's time. The ranges of one query add up, so the telemetry
+    /// counts each row once and its stream time is the workers' summed
+    /// thread time. The hit tally is atomic and the generation cannot move
+    /// while the guard is held, so it needs neither the write lock nor an
+    /// install fence.
     fn drop(&mut self) {
-        let rows = self.streamed as u64;
+        let rows = (self.next - self.lo) as u64;
         let hits = rows * self.prep.req.attrs.len() as u64;
         self.cache.record_reads(hits, 0);
         let mut tel = lock_recover(self.telemetry);
-        tel.rows_scanned = rows;
-        tel.cache_hits = hits;
-        tel.stopped_early = rows < self.prep.cached_rows;
-        tel.cached_stream = self.time;
+        tel.rows_scanned += rows;
+        tel.cache_hits += hits;
+        tel.stopped_early |= self.next < self.hi;
+        tel.cached_stream += self.time;
     }
 }
 
@@ -2781,6 +2906,58 @@ mod tests {
                 assert_eq!(t.stats.observed_upto(attr), end, "threads {threads}");
             }
         }
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// A fully-cached aggregate folds on the scan's workers, and on the
+    /// calling thread alone when its admission found the scan budget shared
+    /// with other queries (`shared`): the answer and the streamed rows are the same
+    /// either way, and only the unshared fold spends helper-thread time.
+    #[test]
+    fn a_shared_admission_folds_on_one_thread() {
+        use nodb_engine::{execute, plan_select};
+        let rows = 5 * BATCH_SIZE as u64 + 9;
+        let (p, schema) = tmp_csv(3, rows, 67);
+        let cfg = NoDbConfig {
+            scan_threads: 4,
+            ..NoDbConfig::default()
+        };
+        let handle: TableHandle = Arc::new(parking_lot::RwLock::new(
+            RawTable::register(&p, schema.clone(), false, &cfg).unwrap(),
+        ));
+        scan_once(
+            &mut handle.write(),
+            cfg,
+            ScanRequest::project(vec![0, 1, 2]),
+        );
+        let sql = "SELECT COUNT(*), SUM(c1), MAX(c2) FROM t WHERE c0 < 500000000";
+        let stmt = nodb_sqlparse::parse_select(sql).unwrap();
+        let planned = plan_select(&stmt, &schema, &nodb_stats::estimate::NoStats).unwrap();
+        let run = |shared: bool| {
+            let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
+            let mut lock_wait = Duration::ZERO;
+            let r = scan_shared(
+                &handle,
+                handle.read(),
+                &cfg,
+                planned.scan.clone(),
+                &tel,
+                QueryCtx::unbounded(),
+                shared,
+                &mut lock_wait,
+                |source| execute(&planned, source),
+            )
+            .unwrap()
+            .unwrap();
+            let t = lock_recover(&tel);
+            assert!(t.fully_cached, "shared {shared}");
+            (r, t.rows_scanned, t.fold_helpers)
+        };
+        let (alone, shared) = (run(false), run(true));
+        assert!(alone.2 > Duration::ZERO, "helpers fold the later ranges");
+        assert_eq!(shared.2, Duration::ZERO, "no helper beside other queries");
+        assert_eq!((&alone.0, alone.1), (&shared.0, rows));
+        assert_eq!(shared.1, rows);
         std::fs::remove_file(p).unwrap();
     }
 

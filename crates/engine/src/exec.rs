@@ -12,6 +12,24 @@
 //! DISTINCT, MIN/MAX over strings or booleans, SUM/AVG over non-numbers —
 //! go value by value through the scalar accumulator.
 //!
+//! That state is one type, [`AggPartial`]: the group table plus every
+//! aggregate's per-group states over the rows folded so far. [`execute`]
+//! folds its source into one partial (`ScanSource::aggregate`). A source
+//! that cuts its rows into contiguous ranges — a fully-cached raw-file
+//! scan, on its granted workers — folds each range into a partial of its
+//! own and merges them in row order ([`AggPartial::merge`]): a later
+//! partial's groups join in their arrival order, so the groups come out in
+//! the serial fold's order; COUNT adds, SUM and AVG add their exact `i128`
+//! Int sums, COUNT DISTINCT unions its hash sets, and MIN/MAX keeps the
+//! earlier extreme unless the later one beats it under `total_cmp`. AVG
+//! keeps its Int values exactly too, beside a float sum for Float values,
+//! so an Int column's average does not depend on where the ranges were
+//! cut. Only float addition depends on order: an aggregation with a SUM or
+//! AVG over anything but a bare Int column runs as one range
+//! ([`AggPartial::order_free`]). The merged answer is then the serial
+//! fold's, byte for byte, and the error a failing range reports is the
+//! lowest range's first one, the serial fold's.
+//!
 //! `ORDER BY … LIMIT n` keeps a bounded top-n: a heap of the `n` best rows
 //! under (sort keys, arrival ordinal), so the answer is exactly the stable
 //! sort's prefix. Once the heap is full and the first key is a bare column
@@ -80,7 +98,9 @@ pub fn execute<'a>(
         .map(|n| usize::try_from(n).unwrap_or(usize::MAX));
     let mut rows: Vec<Vec<Datum>> = match (&pipeline.aggregate, limit) {
         (Some(agg), _) => {
-            let mut rows = run_aggregate(agg, source.as_mut())?;
+            let mut partial = AggPartial::new(agg);
+            source.aggregate(&mut partial)?;
+            let mut rows = partial.finish();
             if !pipeline.order_by.is_empty() {
                 sort_rows(&mut rows, &pipeline.order_by);
             }
@@ -451,10 +471,13 @@ struct Sum {
     non_null: u64,
 }
 
-/// AVG's accumulator: a float sum and the count of values in it.
+/// AVG's accumulator: like [`Sum`], integers add exactly in `int` and
+/// floats in `float`, so an Int column's average does not depend on the
+/// order its values were added in; `non_null` counts both.
 #[derive(Clone, Copy, Default)]
 struct Avg {
-    sum: f64,
+    int: i128,
+    float: f64,
     non_null: u64,
 }
 
@@ -503,20 +526,43 @@ impl AggState {
                 }
                 s.non_null += 1;
             }
-            AggState::Avg(a) => match d.as_float() {
-                Some(v) => {
-                    a.sum += v;
-                    a.non_null += 1;
+            AggState::Avg(a) => {
+                match d {
+                    Datum::Int(v) => a.int += i128::from(*v),
+                    Datum::Float(v) => a.float += v,
+                    _ => {
+                        return Err(EngineError::Execution(format!(
+                            "AVG over non-numeric value {d}"
+                        )))
+                    }
                 }
-                None => {
-                    return Err(EngineError::Execution(format!(
-                        "AVG over non-numeric value {d}"
-                    )))
-                }
-            },
+                a.non_null += 1;
+            }
             AggState::Min(_) | AggState::Max(_) => self.extreme(d),
         }
         Ok(())
+    }
+
+    /// Fold in `later`, the same call's state over the rows right after
+    /// this one's (see [`AggPartial::merge`]).
+    fn merge(&mut self, later: AggState) {
+        match (self, later) {
+            (AggState::Count(n), AggState::Count(m)) => *n += m,
+            (AggState::CountDistinct(a), AggState::CountDistinct(b)) => a.extend(b),
+            (AggState::Sum(a), AggState::Sum(b)) => {
+                a.int += b.int;
+                a.float += b.float;
+                a.any_float |= b.any_float;
+                a.non_null += b.non_null;
+            }
+            (AggState::Avg(a), AggState::Avg(b)) => {
+                a.int += b.int;
+                a.float += b.float;
+                a.non_null += b.non_null;
+            }
+            (s, AggState::Min(Some(v)) | AggState::Max(Some(v))) => s.extreme(&v),
+            _ => {}
+        }
     }
 
     /// MIN/MAX of one non-NULL value: keep a copy of `d` when it beats the
@@ -552,7 +598,7 @@ impl AggState {
                 if a.non_null == 0 {
                     Datum::Null
                 } else {
-                    Datum::Float(a.sum / a.non_null as f64)
+                    Datum::Float((a.float + a.int as f64) / a.non_null as f64)
                 }
             }
             AggState::Min(v) | AggState::Max(v) => v.unwrap_or(Datum::Null),
@@ -621,10 +667,18 @@ impl Fold<f64> for Sum {
     }
 }
 
-impl<T: Num> Fold<T> for Avg {
+impl Fold<i64> for Avg {
     #[inline]
-    fn fold(&mut self, v: T) {
-        self.sum += v.to_f64();
+    fn fold(&mut self, v: i64) {
+        self.int += i128::from(v);
+        self.non_null += 1;
+    }
+}
+
+impl Fold<f64> for Avg {
+    #[inline]
+    fn fold(&mut self, v: f64) {
+        self.float += v;
         self.non_null += 1;
     }
 }
@@ -660,26 +714,17 @@ impl<T: Num, const MAX: bool> Fold<T> for Extreme<T, MAX> {
 
 /// The numeric column types with typed kernels.
 trait Num: Copy + Into<Datum> {
-    fn to_f64(self) -> f64;
     /// [`Datum::total_cmp`] between two values of this type.
     fn total_cmp(&self, other: &Self) -> Ordering;
 }
 
 impl Num for i64 {
-    fn to_f64(self) -> f64 {
-        self as f64
-    }
-
     fn total_cmp(&self, other: &Self) -> Ordering {
         self.cmp(other)
     }
 }
 
 impl Num for f64 {
-    fn to_f64(self) -> f64 {
-        self
-    }
-
     fn total_cmp(&self, other: &Self) -> Ordering {
         f64::total_cmp(self, other)
     }
@@ -697,57 +742,137 @@ fn output_row(spec: &AggSpec, key: &[Datum], finished: &mut [Option<Datum>]) -> 
         .collect()
 }
 
-/// Aggregation, a batch at a time, with or without GROUP BY: the
-/// [`GroupTable`] resolves each logical row to a dense group id, then every
-/// aggregate folds the batch into its per-group states
-/// ([`GroupedAgg::fold`]). Without group keys every row is in group 0,
-/// which exists before the first batch, so an aggregate over no rows still
-/// answers one row (COUNT 0, NULL for the rest). Output rows come in
-/// group-arrival order.
-fn run_aggregate(spec: &AggSpec, source: &mut dyn ScanSource<'_>) -> EngineResult<Vec<Vec<Datum>>> {
-    let mut table = GroupTable::new(&spec.group_exprs);
-    let mut aggs: Vec<GroupedAgg<'_>> = spec
-        .aggs
-        .iter()
-        .map(|call| GroupedAgg {
-            call,
-            states: Vec::new(),
-        })
-        .collect();
-    let mut ids: Vec<u32> = Vec::new();
-    while let Some(batch) = source.next_batch()? {
-        let groups = table.assign(&batch, &mut ids)?;
-        // Row at a time, the first failing (row, aggregate) update would
-        // have ended the query; report that one.
+/// An aggregation's running state over the rows folded so far, with or
+/// without GROUP BY: the group table resolves each logical row of a batch
+/// to a dense group id, then every aggregate folds the batch into its
+/// per-group states (`GroupedAgg::fold`). Without group keys every row is
+/// in group 0, which exists before the first batch, so an aggregate over no
+/// rows still answers one row (COUNT 0, NULL for the rest). Output rows come
+/// in group-arrival order.
+///
+/// [`execute`] folds a whole source into one partial. A source that cuts
+/// its rows into contiguous ranges may fold each range into a partial of
+/// its own, on a thread of its own, and [`Self::merge`] them in row order:
+/// the answer is then the serial fold's, byte for byte, when the
+/// aggregation is [`Self::order_free`].
+pub struct AggPartial<'p> {
+    spec: &'p AggSpec,
+    table: GroupTable<'p>,
+    aggs: Vec<GroupedAgg<'p>>,
+    /// Group ids of the batch being absorbed (reused across batches).
+    ids: Vec<u32>,
+}
+
+impl<'p> AggPartial<'p> {
+    /// The partial of `spec` over no rows.
+    pub fn new(spec: &'p AggSpec) -> Self {
+        AggPartial {
+            spec,
+            table: GroupTable::new(&spec.group_exprs),
+            aggs: spec
+                .aggs
+                .iter()
+                .map(|call| GroupedAgg {
+                    call,
+                    states: Vec::new(),
+                })
+                .collect(),
+            ids: Vec::new(),
+        }
+    }
+
+    /// The aggregation this partial folds.
+    pub fn spec(&self) -> &'p AggSpec {
+        self.spec
+    }
+
+    /// Whether partials of contiguous ranges, merged in row order, answer
+    /// exactly what one fold over every row does. Every merge rule is exact
+    /// but float addition, which depends on order: the aggregation is
+    /// order-free unless a SUM or AVG adds floats, that is, takes anything
+    /// but a bare column that `int_column` says holds Int values.
+    pub fn order_free(&self, int_column: impl Fn(usize) -> bool) -> bool {
+        self.spec
+            .aggs
+            .iter()
+            .all(|call| match (call.func, &call.arg) {
+                (AggFunc::Sum | AggFunc::Avg, Some(RExpr::Col(c))) => int_column(*c),
+                (AggFunc::Sum | AggFunc::Avg, _) => false,
+                _ => true,
+            })
+    }
+
+    /// Fold one batch. Row at a time, the first failing (row, aggregate)
+    /// update would have ended the query; that one is reported.
+    pub fn absorb(&mut self, batch: &Batch<'_>) -> EngineResult<()> {
+        let groups = self.table.assign(batch, &mut self.ids)?;
         let mut failed: Option<(usize, EngineError)> = None;
-        for agg in &mut aggs {
-            if let Err((r, e)) = agg.fold(&batch, groups, table.len()) {
+        for agg in &mut self.aggs {
+            if let Err((r, e)) = agg.fold(batch, groups, self.table.len()) {
                 if failed.as_ref().is_none_or(|&(first, _)| r < first) {
                     failed = Some((r, e));
                 }
             }
         }
-        if let Some((_, e)) = failed {
-            return Err(e);
-        }
+        failed.map_or(Ok(()), |(_, e)| Err(e))
     }
-    let groups = table.len();
-    let mut states: Vec<std::vec::IntoIter<AggState>> = aggs
-        .into_iter()
-        .map(|mut a| {
-            a.grow(groups);
-            a.states.into_iter()
-        })
-        .collect();
-    let mut finished: Vec<Option<Datum>> = Vec::with_capacity(states.len());
-    Ok(table
-        .keys()
-        .map(|key| {
-            finished.clear();
-            finished.extend(states.iter_mut().map(|s| s.next().map(AggState::finish)));
-            output_row(spec, key, &mut finished)
-        })
-        .collect())
+
+    /// Fold every batch `source` still yields, in order, stopping at the
+    /// first failure.
+    pub fn absorb_source<'a, S: ScanSource<'a> + ?Sized>(
+        &mut self,
+        source: &mut S,
+    ) -> EngineResult<()> {
+        while let Some(batch) = source.next_batch()? {
+            self.absorb(&batch)?;
+        }
+        Ok(())
+    }
+
+    /// Fold in `later`, the partial of the rows right after this one's.
+    /// Its groups are walked in their arrival order, so a group new to this
+    /// partial arrives where the serial fold would have created it. Per
+    /// group, COUNT adds, SUM and AVG add their Int sums exactly (and their
+    /// float sums, the order-dependent part), COUNT DISTINCT unions its
+    /// sets, and MIN/MAX keeps this partial's extreme unless `later`'s
+    /// beats it, as the serial fold keeps the first of equal values.
+    pub fn merge(&mut self, later: AggPartial<'p>) -> EngineResult<()> {
+        let ids = later
+            .table
+            .keys()
+            .map(|key| self.table.insert_key(key))
+            .collect::<EngineResult<Vec<u32>>>()?;
+        let groups = self.table.len();
+        for (agg, theirs) in self.aggs.iter_mut().zip(later.aggs) {
+            agg.grow(groups);
+            for (&g, state) in ids.iter().zip(theirs.states) {
+                agg.states[g as usize].merge(state);
+            }
+        }
+        Ok(())
+    }
+
+    /// The output rows, one per group in arrival order.
+    pub fn finish(self) -> Vec<Vec<Datum>> {
+        let groups = self.table.len();
+        let mut states: Vec<std::vec::IntoIter<AggState>> = self
+            .aggs
+            .into_iter()
+            .map(|mut a| {
+                a.grow(groups);
+                a.states.into_iter()
+            })
+            .collect();
+        let mut finished: Vec<Option<Datum>> = Vec::with_capacity(states.len());
+        self.table
+            .keys()
+            .map(|key| {
+                finished.clear();
+                finished.extend(states.iter_mut().map(|s| s.next().map(AggState::finish)));
+                output_row(self.spec, key, &mut finished)
+            })
+            .collect()
+    }
 }
 
 /// One aggregate call of an aggregation: its accumulators, indexed by group
@@ -1082,6 +1207,47 @@ mod tests {
         }
     }
 
+    /// AVG over Int values sums them exactly, so the answer does not depend
+    /// on the order the values arrive in. Near `i64::MAX` a sequential `f64`
+    /// sum loses the `1` (`2^63 + 1.0 == 2^63`) and would answer 0 in this
+    /// order; the exact sum is 1, so the average is 1/3 in every order and
+    /// at every cut into two merged partials.
+    #[test]
+    fn avg_of_ints_is_exact() {
+        let (big, one) = (Datum::Int(i64::MAX), Datum::Int(1));
+        let orders = [
+            [big.clone(), one.clone(), Datum::Int(-i64::MAX)],
+            [Datum::Int(-i64::MAX), big.clone(), one.clone()],
+            [one, Datum::Int(-i64::MAX), big],
+        ];
+        let sequential: f64 = orders[0].iter().filter_map(Datum::as_float).sum();
+        assert_eq!(sequential, 0.0, "the f64 sum this replaces");
+        let stmt = parse_select("SELECT AVG(a) FROM t").unwrap();
+        let planned = plan_select(&stmt, &schema(), &NoStats).unwrap();
+        let spec = planned.pipeline.aggregate.as_ref().unwrap();
+        for values in orders {
+            let table: Vec<Vec<Datum>> = values
+                .iter()
+                .map(|v| vec![v.clone(), Datum::Int(0), Datum::from("x")])
+                .collect();
+            let source = MemSource::from_table(&table, &planned.scan);
+            let r = execute(&planned, Box::new(source)).unwrap();
+            assert_eq!(r.scalar(), Some(&Datum::Float(1.0 / 3.0)), "{values:?}");
+            for cut in 0..=table.len() {
+                let mut first = AggPartial::new(spec);
+                let mut later = AggPartial::new(spec);
+                first
+                    .absorb_source(&mut MemSource::from_table(&table[..cut], &planned.scan))
+                    .unwrap();
+                later
+                    .absorb_source(&mut MemSource::from_table(&table[cut..], &planned.scan))
+                    .unwrap();
+                first.merge(later).unwrap();
+                assert_eq!(first.finish(), vec![vec![Datum::Float(1.0 / 3.0)]]);
+            }
+        }
+    }
+
     /// The row-at-a-time aggregation the batch drivers replaced: per row a
     /// [`BatchRow`], a `Vec<Datum>` key, a probe, and one
     /// [`AggState::update`] per aggregate (COUNT(*) counts the row),
@@ -1392,10 +1558,14 @@ mod tests {
     }
 
     /// Run `sql`'s aggregation over `batches(attrs)` (the scan's attributes)
-    /// through [`run_aggregate`] and through [`scalar_grouped`], assert the
+    /// through one [`AggPartial`] and through [`scalar_grouped`], assert the
     /// two answers — rows, their order, or the error — have the same `Debug`
     /// text (so NaN and −0.0 count) and, without keys, one row; return the
-    /// answer.
+    /// answer. When the aggregation is [`AggPartial::order_free`] (every
+    /// SUM/AVG over a column that is Int or all-NULL in every batch), the
+    /// batches cut at every point into two ranges, each folded into a
+    /// partial of its own and merged in row order, answer the same — the
+    /// lower range's error first.
     fn against_scalar(
         sql: &str,
         schema: &Schema,
@@ -1404,12 +1574,35 @@ mod tests {
         let planned = plan_select(&parse_select(sql).unwrap(), schema, &NoStats).unwrap();
         let spec = planned.pipeline.aggregate.as_ref().unwrap();
         let attrs = &planned.scan.attrs;
-        let mut source = crate::source::QueueSource::new(batches(attrs).into());
-        let got = run_aggregate(spec, &mut source);
+        let fold = |batches: &[Batch<'static>]| {
+            let mut partial = AggPartial::new(spec);
+            batches
+                .iter()
+                .try_for_each(|b| partial.absorb(b))
+                .map(|()| partial)
+        };
+        let all = batches(attrs);
+        let got = fold(&all).map(AggPartial::finish);
         let want = scalar_grouped(spec, batches(attrs));
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "{sql}");
         if let (true, Ok(rows)) = (spec.group_exprs.is_empty(), &got) {
             assert_eq!(rows.len(), 1, "{sql}: one row");
+        }
+        let int_column = |c: usize| {
+            all.iter().all(|b| match b.column(c).view() {
+                Some(v) => matches!(v.col, TypedColumn::Int { .. }),
+                None => true,
+            })
+        };
+        if AggPartial::new(spec).order_free(int_column) {
+            for cut in 0..=all.len() {
+                let merged = fold(&all[..cut]).and_then(|mut first| {
+                    first.merge(fold(&all[cut..])?)?;
+                    Ok(first.finish())
+                });
+                let (merged, got) = (format!("{merged:?}"), format!("{got:?}"));
+                assert_eq!(merged, got, "{sql}: ranges cut before batch {cut}");
+            }
         }
         got
     }

@@ -241,10 +241,11 @@ impl RExpr {
     ///   constants' types once per call and then runs one monomorphized
     ///   loop. A comparison turns its operator into a mask of accepted
     ///   orderings ({Less, Equal, Greater}; `<>` is Less|Greater, a
-    ///   constant on the left swaps Less and Greater) and tests each row's
-    ///   ordering bit against it. Int against Float compares as `f64`, as
-    ///   [`Datum::sql_cmp`] does; a NaN, a NULL constant or a type mismatch
-    ///   gives no ordering, so the row fails.
+    ///   constant on the left swaps Less and Greater) and runs the loop
+    ///   instantiated for that mask, whose per-row test is the operator
+    ///   itself (`<>` as "less or greater"). Int against Float compares as
+    ///   `f64`, as [`Datum::sql_cmp`] does; a NaN, a NULL constant or a type
+    ///   mismatch gives no ordering, so the row fails.
     /// * **Select without a branch.** Every kernel ends in one select step
     ///   that writes the candidate index unconditionally and advances the
     ///   output length by `keep as usize`. With no selection yet it fills
@@ -330,7 +331,14 @@ impl RExpr {
                 let Some(view) = cols.get(c) else {
                     return false;
                 };
-                compare(view, k, mask, rows, sel);
+                match mask {
+                    LT => compare::<LT>(view, k, rows, sel),
+                    LE => compare::<LE>(view, k, rows, sel),
+                    EQ => compare::<EQ>(view, k, rows, sel),
+                    NE => compare::<NE>(view, k, rows, sel),
+                    GE => compare::<GE>(view, k, rows, sel),
+                    _ => compare::<GT>(view, k, rows, sel),
+                }
                 true
             }
             RExpr::Between {
@@ -344,7 +352,10 @@ impl RExpr {
                 else {
                     return false;
                 };
-                between(view, lo, hi, *negated, rows, sel)
+                match negated {
+                    false => between::<false>(view, lo, hi, rows, sel),
+                    true => between::<true>(view, lo, hi, rows, sel),
+                }
             }
             RExpr::InList {
                 expr,
@@ -395,22 +406,25 @@ fn view_of<'c, 'v>(cols: &'c [ColView<'v>], e: &RExpr) -> Option<&'c ColView<'v>
     }
 }
 
-/// Ordering bits: a comparison kernel computes one of these per row and
-/// tests it against the operator's mask of accepted orderings.
+/// Ordering bits: a comparison operator is the mask of the orderings it
+/// accepts, and its kernel is instantiated once per mask.
 const LT: u8 = 1;
 const EQ: u8 = 2;
 const GT: u8 = 4;
+const LE: u8 = LT | EQ;
+const GE: u8 = EQ | GT;
+const NE: u8 = LT | GT;
 
 /// The orderings a comparison operator accepts; `None` for arithmetic and
 /// the boolean connectives.
 fn op_mask(op: BinOp) -> Option<u8> {
     Some(match op {
         BinOp::Eq => EQ,
-        BinOp::NotEq => LT | GT,
+        BinOp::NotEq => NE,
         BinOp::Lt => LT,
-        BinOp::Le => LT | EQ,
+        BinOp::Le => LE,
         BinOp::Gt => GT,
-        BinOp::Ge => EQ | GT,
+        BinOp::Ge => GE,
         _ => return None,
     })
 }
@@ -421,100 +435,98 @@ fn swap_mask(mask: u8) -> u8 {
     (mask & EQ) | (mask & LT) << 2 | (mask & GT) >> 2
 }
 
-/// The ordering of `v` against `k` as `LT`, `EQ` or `GT`, or 0 when the two
-/// are unordered (a NaN): `partial_cmp`, computed without a branch.
+/// Whether `v` stands in one of the orderings `OP` accepts against `k`:
+/// the operator itself, with `partial_cmp`'s semantics. Two values that are
+/// unordered (a NaN) stand in none, so every operator, `<>` included,
+/// rejects them; `-0.0` equals `0.0`.
 #[inline(always)]
-fn ord_bits<T: PartialOrd>(v: T, k: T) -> u8 {
-    u8::from(v < k) | u8::from(v == k) << 1 | u8::from(v > k) << 2
-}
-
-/// [`ord_bits`] for strings: one byte-wise `cmp` instead of three.
-#[inline(always)]
-fn str_bits(v: &str, k: &str) -> u8 {
-    match v.cmp(k) {
-        Ordering::Less => LT,
-        Ordering::Equal => EQ,
-        Ordering::Greater => GT,
+fn accepts<const OP: u8, T: PartialOrd + ?Sized>(v: &T, k: &T) -> bool {
+    match OP {
+        LT => v < k,
+        LE => v <= k,
+        EQ => v == k,
+        GE => v >= k,
+        GT => v > k,
+        _ => matches!(v.partial_cmp(k), Some(Ordering::Less | Ordering::Greater)),
     }
 }
 
-/// `column <op> k`, `mask` holding the orderings `op` accepts.
-fn compare(view: &ColView<'_>, k: &Datum, mask: u8, rows: usize, sel: &mut Option<Vec<u32>>) {
+/// `column <OP> k`, `OP` the mask of the orderings the operator accepts.
+fn compare<const OP: u8>(view: &ColView<'_>, k: &Datum, rows: usize, sel: &mut Option<Vec<u32>>) {
     let base = view.base;
-    let hit = |bits: u8| bits & mask != 0;
     match (view.col, k) {
         (TypedColumn::Int { values, nulls }, Datum::Int(k)) => {
-            select_values(values, nulls, base, rows, sel, |&v| hit(ord_bits(v, *k)));
+            select_values(values, nulls, base, rows, sel, |v| accepts::<OP, _>(v, k));
         }
         (TypedColumn::Int { values, nulls }, Datum::Float(k)) => {
             select_values(values, nulls, base, rows, sel, |&v| {
-                hit(ord_bits(v as f64, *k))
+                accepts::<OP, _>(&(v as f64), k)
             });
         }
         // A Float value orders against any numeric constant as `f64`.
         (TypedColumn::Float { values, nulls }, k) => match k.as_float() {
-            Some(k) => select_values(values, nulls, base, rows, sel, |&v| hit(ord_bits(v, k))),
+            Some(k) => select_values(values, nulls, base, rows, sel, |v| accepts::<OP, _>(v, &k)),
             None => select_nothing(sel),
         },
         (TypedColumn::Str { values, nulls, .. }, Datum::Str(k)) => {
-            select_values(values, nulls, base, rows, sel, |v| hit(str_bits(v, k)));
+            select_values(values, nulls, base, rows, sel, |v| accepts::<OP, str>(v, k));
         }
         (TypedColumn::Bool { values, nulls }, Datum::Bool(k)) => {
-            select_values(values, nulls, base, rows, sel, |&v| hit(ord_bits(v, *k)));
+            select_values(values, nulls, base, rows, sel, |v| accepts::<OP, _>(v, k));
         }
         // A NULL constant or a type mismatch orders no row.
         _ => select_nothing(sel),
     }
 }
 
-/// `column [NOT] BETWEEN lo AND hi` as two masks over one pass: BETWEEN
-/// needs `v >= lo` and `v <= hi`, NOT BETWEEN needs `v < lo` or `v > hi`
-/// (an unordered bound fails its side, as in [`RExpr::eval`]'s 3VL).
-/// Returns `false` for bounds the column orders in two different ways (an
-/// Int column between an Int and a Float, or a NULL or mistyped bound).
-fn between(
+/// `column [NOT] BETWEEN lo AND hi` in one pass: BETWEEN needs `v >= lo`
+/// and `v <= hi`, NOT BETWEEN (`NEGATED`) needs `v < lo` or `v > hi`; an
+/// unordered bound fails its side, as in [`RExpr::eval`]'s 3VL. Returns
+/// `false` for bounds the column orders in two different ways (an Int
+/// column between an Int and a Float, or a NULL or mistyped bound).
+fn between<const NEGATED: bool>(
     view: &ColView<'_>,
     lo: &Datum,
     hi: &Datum,
-    negated: bool,
     rows: usize,
     sel: &mut Option<Vec<u32>>,
 ) -> bool {
-    let (lo_mask, hi_mask, need) = if negated {
-        (LT, GT, 1)
-    } else {
-        (EQ | GT, LT | EQ, 2)
-    };
-    let hit = |lo: u8, hi: u8| u8::from(lo & lo_mask != 0) + u8::from(hi & hi_mask != 0) >= need;
+    #[inline(always)]
+    fn within<const NEGATED: bool, T: PartialOrd + ?Sized>(v: &T, lo: &T, hi: &T) -> bool {
+        if NEGATED {
+            accepts::<LT, T>(v, lo) | accepts::<GT, T>(v, hi)
+        } else {
+            accepts::<GE, T>(v, lo) & accepts::<LE, T>(v, hi)
+        }
+    }
     let base = view.base;
     match (view.col, lo, hi) {
         (TypedColumn::Int { values, nulls }, Datum::Int(lo), Datum::Int(hi)) => {
-            select_values(values, nulls, base, rows, sel, |&v| {
-                hit(ord_bits(v, *lo), ord_bits(v, *hi))
+            select_values(values, nulls, base, rows, sel, |v| {
+                within::<NEGATED, _>(v, lo, hi)
             });
         }
         (TypedColumn::Int { values, nulls }, Datum::Float(lo), Datum::Float(hi)) => {
             select_values(values, nulls, base, rows, sel, |&v| {
-                let v = v as f64;
-                hit(ord_bits(v, *lo), ord_bits(v, *hi))
+                within::<NEGATED, _>(&(v as f64), lo, hi)
             });
         }
         (TypedColumn::Float { values, nulls }, lo, hi) => {
             let (Some(lo), Some(hi)) = (lo.as_float(), hi.as_float()) else {
                 return false;
             };
-            select_values(values, nulls, base, rows, sel, |&v| {
-                hit(ord_bits(v, lo), ord_bits(v, hi))
+            select_values(values, nulls, base, rows, sel, |v| {
+                within::<NEGATED, _>(v, &lo, &hi)
             });
         }
         (TypedColumn::Str { values, nulls, .. }, Datum::Str(lo), Datum::Str(hi)) => {
             select_values(values, nulls, base, rows, sel, |v| {
-                hit(str_bits(v, lo), str_bits(v, hi))
+                within::<NEGATED, str>(v, lo, hi)
             });
         }
         (TypedColumn::Bool { values, nulls }, Datum::Bool(lo), Datum::Bool(hi)) => {
-            select_values(values, nulls, base, rows, sel, |&v| {
-                hit(ord_bits(v, *lo), ord_bits(v, *hi))
+            select_values(values, nulls, base, rows, sel, |v| {
+                within::<NEGATED, _>(v, lo, hi)
             });
         }
         _ => return false,
@@ -1250,7 +1262,7 @@ mod tests {
             };
             let k = (next() % 20) as i64 - 10;
             let odd = case % 2 == 1;
-            let preds = [
+            let mut preds = vec![
                 cmp(BinOp::Lt, 0, Datum::Int(k)),
                 cmp(BinOp::Ge, 0, Datum::Float(k as f64 + 0.5)),
                 cmp(BinOp::Eq, 1, Datum::Int(k)),
@@ -1373,6 +1385,29 @@ mod tests {
                     },
                 ),
             ];
+            // Each of the six operators over each column type, against
+            // constants that hit values, NaN, and both zeros.
+            let ops = [
+                BinOp::Lt,
+                BinOp::Le,
+                BinOp::Eq,
+                BinOp::NotEq,
+                BinOp::Ge,
+                BinOp::Gt,
+            ];
+            for op in ops {
+                preds.extend([
+                    cmp(op, 0, Datum::Int(k)),
+                    cmp(op, 0, Datum::Float(k as f64 + 0.5)),
+                    cmp(op, 1, Datum::Float(k as f64 / 4.0)),
+                    cmp(op, 1, Datum::Int(k)),
+                    cmp(op, 1, Datum::Float(f64::NAN)),
+                    cmp(op, 1, Datum::Float(-0.0)),
+                    cmp(op, 1, Datum::Float(0.0)),
+                    cmp(op, 2, Datum::from(format!("s{}", k.rem_euclid(8)).as_str())),
+                    cmp(op, 3, Datum::Bool(odd)),
+                ]);
+            }
             for (pi, pred) in preds.iter().enumerate() {
                 let fast = pred.filter_columnar(&views, rows);
                 let slow: Vec<u32> = (0..rows)

@@ -283,15 +283,43 @@ impl<'a> GroupTable<'a> {
         ids.clear();
         ids.reserve(rows);
         for (r, &h) in hashes.iter().enumerate() {
-            ids.push(self.find_or_insert(h, r, &cols)?);
+            ids.push(self.find_or_insert(
+                h,
+                |key| cols.iter().zip(key).all(|(col, k)| col.eq(r, k)),
+                |keys| keys.extend(cols.iter().map(|c| c.value(r))),
+            )?);
         }
         self.row_hashes = hashes;
         Ok(Some(ids))
     }
 
-    /// The id of row `r`'s group (hash `h`), created if it is new.
+    /// The id of the group whose key values are `key` (one per
+    /// expression), created if it is new — how a later partial's groups
+    /// join this table ([`crate::exec::AggPartial::merge`]). The key hashes
+    /// as a batch row holding those values would.
+    pub(crate) fn insert_key(&mut self, key: &[Datum]) -> EngineResult<u32> {
+        if self.exprs.is_empty() {
+            return Ok(0);
+        }
+        let h = key.iter().map(hash_datum).reduce(mix).unwrap_or_default();
+        self.find_or_insert(
+            scramble(h ^ self.seed),
+            |stored| stored.iter().zip(key).all(|(s, k)| total_eq(k, s)),
+            |keys| keys.extend_from_slice(key),
+        )
+    }
+
+    /// The id of the group with row hash `h` whose stored key values
+    /// `same` accepts, created if there is none: `push` then appends its
+    /// key values.
     #[inline]
-    fn find_or_insert(&mut self, h: u64, r: usize, cols: &[KeyColumn<'_>]) -> EngineResult<u32> {
+    fn find_or_insert(
+        &mut self,
+        h: u64,
+        same: impl Fn(&[Datum]) -> bool,
+        push: impl FnOnce(&mut Vec<Datum>),
+    ) -> EngineResult<u32> {
+        let width = self.exprs.len();
         let mask = self.slots.len() - 1;
         let mut i = h as usize & mask;
         loop {
@@ -300,12 +328,7 @@ impl<'a> GroupTable<'a> {
                 break;
             }
             let gi = g as usize;
-            if self.hashes[gi] == h
-                && cols
-                    .iter()
-                    .zip(&self.keys[gi * cols.len()..])
-                    .all(|(col, key)| col.eq(r, key))
-            {
+            if self.hashes[gi] == h && same(&self.keys[gi * width..][..width]) {
                 return Ok(g);
             }
             i = (i + 1) & mask;
@@ -316,7 +339,7 @@ impl<'a> GroupTable<'a> {
             .ok_or_else(|| EngineError::Execution("too many groups".to_string()))?;
         self.slots[i] = g;
         self.hashes.push(h);
-        self.keys.extend(cols.iter().map(|c| c.value(r)));
+        push(&mut self.keys);
         if self.len() * 4 > self.slots.len() {
             self.grow();
         }

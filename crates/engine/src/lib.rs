@@ -35,7 +35,7 @@ pub mod source;
 
 pub use batch::{Batch, ColView, Column, RowAccess};
 pub use error::{EngineError, EngineResult};
-pub use exec::execute;
+pub use exec::{execute, AggPartial};
 pub use expr::RExpr;
 pub use planner::{plan_select, PlannedQuery};
 pub use result::QueryResult;

@@ -20,6 +20,7 @@ use nodb_rawcsv::{ColumnType, Datum};
 
 use crate::batch::{Batch, Column};
 use crate::error::{EngineError, EngineResult};
+use crate::exec::AggPartial;
 use crate::expr::RExpr;
 
 /// What the planner asks of a scan.
@@ -78,6 +79,17 @@ pub trait ScanSource<'a> {
     /// uses it to pre-size result vectors instead of growth-doubling.
     fn size_hint(&self) -> Option<usize> {
         None
+    }
+
+    /// Fold every batch this source still yields into `partial`: by
+    /// default one fold over [`Self::next_batch`], in row order. A source
+    /// that can cut its rows into contiguous ranges may instead fold each
+    /// range into a partial of its own on a thread of its own and merge
+    /// them into `partial` in row order ([`AggPartial::merge`]), when the
+    /// aggregation is [`AggPartial::order_free`] — a fully-cached raw-file
+    /// scan does.
+    fn aggregate(&mut self, partial: &mut AggPartial<'_>) -> EngineResult<()> {
+        partial.absorb_source(self)
     }
 }
 

@@ -23,6 +23,7 @@
 use std::collections::HashMap;
 
 use nodb_repro::core::{NoDb, NoDbConfig};
+use nodb_repro::engine::batch::BATCH_SIZE;
 use nodb_repro::prelude::*;
 use nodb_repro::rawcache::{RawCache, TypedColumn};
 use nodb_repro::rawcsv::tokenizer::{TokenizerConfig, Tokens};
@@ -599,7 +600,12 @@ fn worker_schedules_and_block_sizes_equal_one_worker_state() {
 /// batches, but decoded from its own binary segments and filtered
 /// row-at-a-time before the batch is formed, never from the raw file), and
 /// after every query the table must hold exactly the naive model's state.
-/// Both sides run the same aggregation (`run_aggregate`), so this test
+/// Every odd case's table spans at least eight `BATCH_SIZE` windows, and
+/// each query runs a third time, fully cached unless the budget is tight:
+/// at 4 and 8 workers its aggregates then fold one contiguous range of
+/// cache windows per worker and merge the partials in row order, and the
+/// answer must still equal the loaded DBMS's, row order included.
+/// Both sides share the aggregation's fold (`AggPartial`), so this test
 /// cannot catch a bug there: the engine's
 /// `grouped_aggregate_equals_scalar_replay` unit test checks it against a
 /// row-at-a-time reference, and `grouped_aggregates_equal_the_folded_projection`
@@ -610,7 +616,10 @@ fn typed_scan_equals_loaded_dbms() {
     let mut rng = CaseRng::new(0x7EC7);
     for case in 0..(10 * stress_factor()) {
         let cols = 2 + rng.below(5) as usize;
-        let rows = rng.below(500);
+        let rows = match rng.below(500) {
+            r if case % 2 == 1 => 8 * BATCH_SIZE as u64 + 8 * r,
+            r => r,
+        };
         let seed = rng.below(1_000);
         let strings = rng.below(4) == 0; // every 4th case: string data + LIKE
         let a1 = rng.below(cols as u64) as usize;
@@ -705,7 +714,7 @@ fn typed_scan_equals_loaded_dbms() {
             .load_csv("t", &path, gen.schema(), false, &[])
             .unwrap();
 
-        for threads in [1usize, 4] {
+        for threads in [1usize, 4, 8] {
             let cfg = NoDbConfig {
                 scan_threads: threads,
                 cache_budget_bytes: budget,
@@ -724,8 +733,12 @@ fn typed_scan_equals_loaded_dbms() {
                 let warm = db.query(sql).unwrap();
                 model.query(pred, used);
                 common::assert_matches_model(&format!("{tag} warm"), &db, &model);
+                let cached = db.query(sql).unwrap();
+                model.query(pred, used);
+                common::assert_matches_model(&format!("{tag} cached"), &db, &model);
                 assert_eq!(cold, expect, "{tag}: cold ≡ loaded DBMS");
                 assert_eq!(warm, expect, "{tag}: warm ≡ loaded DBMS");
+                assert_eq!(cached, expect, "{tag}: cached ≡ loaded DBMS");
                 assert_eq!(warm, cold, "{tag}: warm ≡ cold");
             }
         }
@@ -998,18 +1011,24 @@ fn survivors_only_first_scans_equal_the_loaded_dbms_and_the_model() {
 /// aggregation: the test folds the rows of the matching projection
 /// (`SELECT key…, arg… FROM t WHERE …`, answered by the stateless baseline)
 /// into groups itself, in arrival order, and every grouped answer must
-/// equal that fold row for row. Over the mixed-type file, at 1 and 4
-/// workers, from three table states: cold; warm under a budget that caches
-/// about half of the query's columns, so the groups span cached and raw
-/// batches; and fully cached. Keys are Bool, Str, Float and Int columns,
-/// one and two of them, an expression, and none: a global aggregate is the
-/// one-group case, one row also when the WHERE matches nothing. Every query
-/// pushes a WHERE.
+/// equal that fold row for row (by `Debug` text, so NaN and −0.0 count).
+/// Over the mixed-type file, its Float column salted with NaN, −0.0 and
+/// 0.0 and the whole spanning at least eight `BATCH_SIZE` windows, at 1, 4
+/// and 8 workers, from three table states: cold; warm under a budget that
+/// caches about half of the query's columns, so the groups span cached and
+/// raw batches; and fully cached, where the workers fold one contiguous
+/// range of cache windows each and merge them in row order — unless a SUM
+/// or AVG adds floats, which folds as one range. Keys are Bool, Str, Float
+/// and Int columns, one and two of them, an expression, and none: a global
+/// aggregate is the one-group case, one row also when the WHERE matches
+/// nothing. Every query pushes a WHERE. A SUM over strings fails at every
+/// worker count with the error the serial fold reports, naming the same
+/// value.
 #[test]
 fn grouped_aggregates_equal_the_folded_projection() {
     // (group keys, aggregates as (function, argument), WHERE)
     type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)], &'a str);
-    let queries: [Case<'_>; 8] = [
+    let queries: [Case<'_>; 9] = [
         (
             &["c4"],
             &[("COUNT", "*"), ("SUM", "c1"), ("MIN", "c2"), ("MAX", "c3")],
@@ -1072,14 +1091,37 @@ fn grouped_aggregates_equal_the_folded_projection() {
             ],
             "c0 < 0",
         ),
+        (
+            &["c4"],
+            &[
+                ("COUNT DISTINCT", "c2"),
+                ("COUNT DISTINCT", "c3"),
+                ("MIN", "c2"),
+                ("MAX", "c2"),
+                ("COUNT DISTINCT", "c1"),
+            ],
+            "c1 >= 0",
+        ),
     ];
     // One aggregate over its argument's values in arrival order (`*`
-    // passes a non-NULL placeholder per row).
+    // passes a non-NULL placeholder per row). COUNT DISTINCT counts values
+    // under SQL equality: −0.0 is 0.0, and a NaN is the NaN of its bits.
     let fold = |func: &str, values: &[Datum]| -> Datum {
         let vals: Vec<&Datum> = values.iter().filter(|d| !d.is_null()).collect();
         let by = |a: &&&Datum, b: &&&Datum| a.total_cmp(b);
         match (func, vals.first()) {
             ("COUNT", _) => Datum::Int(vals.len() as i64),
+            ("COUNT DISTINCT", _) => {
+                let distinct: std::collections::HashSet<String> = vals
+                    .iter()
+                    .map(|d| match d {
+                        Datum::Float(f) if *f == 0.0 => "0".to_string(),
+                        Datum::Float(f) => format!("{:x}", f.to_bits()),
+                        d => format!("{d:?}"),
+                    })
+                    .collect();
+                Datum::Int(distinct.len() as i64)
+            }
             (_, None) => Datum::Null,
             ("SUM", Some(Datum::Int(_))) => {
                 Datum::Int(vals.iter().map(|d| d.as_int().unwrap()).sum())
@@ -1095,9 +1137,27 @@ fn grouped_aggregates_equal_the_folded_projection() {
     };
     let mut rng = CaseRng::new(0x6B0C);
     for case in 0..2 * stress_factor() {
-        let gen = mixed_types(300 + rng.below(700), rng.below(1_000));
+        let rows = 8 * BATCH_SIZE as u64 + 300 + rng.below(700);
+        let gen = mixed_types(rows, rng.below(1_000));
         let path = scratch("grouped", case);
         gen.generate_file(&path).unwrap();
+        // Salt the Float column `c2` with NaN, −0.0 and 0.0.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let salted: String = text
+            .lines()
+            .enumerate()
+            .map(|(i, line)| {
+                let mut f: Vec<&str> = line.split(',').collect();
+                f[2] = match i % 23 {
+                    3 => "NaN",
+                    7 => "-0.0",
+                    11 => "0.0",
+                    _ => f[2],
+                };
+                f.join(",") + "\n"
+            })
+            .collect();
+        std::fs::write(&path, salted).unwrap();
         let mk = |cfg: NoDbConfig| {
             let mut db = NoDb::new(cfg);
             db.register_csv_with_schema("t", &path, gen.schema(), false)
@@ -1108,7 +1168,13 @@ fn grouped_aggregates_equal_the_folded_projection() {
         let model = common::NaiveModel::load(&path, &gen.schema(), &NoDbConfig::pm_c());
         for (keys, aggs, filter) in queries {
             let args: Vec<&str> = aggs.iter().map(|a| a.1).filter(|&a| a != "*").collect();
-            let calls: Vec<String> = aggs.iter().map(|(f, a)| format!("{f}({a})")).collect();
+            let calls: Vec<String> = aggs
+                .iter()
+                .map(|(f, a)| match f.strip_suffix(" DISTINCT") {
+                    Some(f) => format!("{f}(DISTINCT {a})"),
+                    None => format!("{f}({a})"),
+                })
+                .collect();
             // The key columns (if any) then `tail`, as a SELECT list.
             let list = |tail: &[&str]| -> String {
                 let cols: Vec<&str> = keys.iter().chain(tail).copied().collect();
@@ -1158,7 +1224,8 @@ fn grouped_aggregates_equal_the_folded_projection() {
                 .filter(|a| grouped.contains(&format!("c{a}")))
                 .collect();
             let half = model.bytes_for_rows(&attrs, gen.rows as usize / 2);
-            for threads in [1usize, 4] {
+            let expect = format!("{expect:?}");
+            for threads in [1usize, 4, 8] {
                 let cfg = |cache_budget_bytes: usize| NoDbConfig {
                     scan_threads: threads,
                     cache_budget_bytes,
@@ -1167,7 +1234,7 @@ fn grouped_aggregates_equal_the_folded_projection() {
                 let tag = format!("case {case} threads {threads} ({grouped})");
                 let check = |db: &NoDb, state: &str| {
                     let got = db.query(&grouped).unwrap().rows;
-                    assert_eq!(got, expect, "{tag}: {state}");
+                    assert_eq!(format!("{got:?}"), expect, "{tag}: {state}");
                 };
                 let cold = mk(cfg(1 << 30));
                 check(&cold, "cold");
@@ -1187,7 +1254,24 @@ fn grouped_aggregates_equal_the_folded_projection() {
                 let full = mk(cfg(1 << 30));
                 full.query("SELECT * FROM t").unwrap();
                 check(&full, "fully cached");
+                let report = full.admin().last_report().unwrap();
+                assert!(report.fully_cached, "{tag}: fully cached");
             }
+        }
+        // SUM over strings fails on its first string in row order: a fully
+        // cached fold names the value the serial fold (the stateless
+        // baseline's) does, at every worker count.
+        let sum_str = "SELECT c4, COUNT(*), SUM(c3) FROM t WHERE c1 >= 0 GROUP BY c4";
+        let want = base.query(sum_str).unwrap_err().to_string();
+        assert!(want.contains("SUM over non-numeric value"), "{want}");
+        for threads in [1usize, 4, 8] {
+            let full = mk(NoDbConfig {
+                scan_threads: threads,
+                ..NoDbConfig::pm_c()
+            });
+            full.query("SELECT * FROM t").unwrap();
+            let got = full.query(sum_str).unwrap_err().to_string();
+            assert_eq!(got, want, "case {case} threads {threads}");
         }
         std::fs::remove_file(path).ok();
     }

@@ -341,6 +341,122 @@ fn cancel_token_aborts_mid_scan() {
     std::fs::remove_file(path).ok();
 }
 
+/// A fully-cached aggregate folds on its scan's workers, each over its own
+/// range of cache windows, and every worker polls the query context once
+/// per window. So a cancel or a deadline that trips mid-fold stops them all
+/// within a window or so: at 1, 4 and 8 workers the query, stopped a
+/// quarter of the way into the time the whole fold takes (`full`, measured
+/// first on the same table), fails with the stop error before three
+/// quarters of it — a worker that ran its range out would take about all
+/// of it — and the same query answers correctly afterwards. The fold holds
+/// the table's read guard, and nothing it runs takes a table lock: a query
+/// that saw the file grow and queued for the write lock behind that guard
+/// gets it once the stopped query returns, and answers with the appended
+/// rows.
+#[test]
+fn stopped_parallel_fold_releases_the_table() {
+    let rows = 200_000u64;
+    let (path, gen) = gen_table("fold_stop", rows);
+    // A computed predicate runs row at a time: a fold long enough to stop
+    // in its middle. `SUM` over an Int column keeps the fold on every
+    // worker.
+    let sql = "SELECT COUNT(*), SUM(c1), MIN(c2) FROM t \
+               WHERE c0 % 7 + c1 % 5 + c2 % 3 + c3 % 11 + c4 % 13 \
+               + (c0 - c1) % 17 + (c2 + c3) % 19 - c4 % 23 > 30";
+    let expect = reference_answer(&path, &gen, sql);
+    for threads in [1usize, 4, 8] {
+        let mut db = NoDb::new(NoDbConfig {
+            scan_threads: threads,
+            ..NoDbConfig::pm_c()
+        });
+        db.register_csv_with_schema("t", &path, gen.schema(), false)
+            .unwrap();
+        db.query("SELECT * FROM t").unwrap();
+        let full = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                let (r, rep) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+                assert!(rep.fully_cached, "threads {threads}");
+                assert_eq!(r, expect, "threads {threads}");
+                t.elapsed()
+            })
+            .min()
+            .unwrap();
+        let stop_at = full / 4;
+
+        // A deadline a quarter of the way in.
+        let t = Instant::now();
+        let err = db
+            .query_with_ctx(sql, &QueryCtx::with_timeout(stop_at))
+            .unwrap_err();
+        let took = t.elapsed();
+        assert!(
+            matches!(err, EngineError::DeadlineExceeded),
+            "threads {threads}: {err:?}"
+        );
+        assert!(
+            took < full * 3 / 4,
+            "threads {threads}: stopped after {took:?}; the whole fold takes {full:?}"
+        );
+
+        // A cancel a quarter of the way in, with an appender queued for
+        // the write lock behind the fold's read guard.
+        let ctx = QueryCtx::unbounded();
+        let token = ctx.cancel_token();
+        let (stopped, appended) = std::thread::scope(|s| {
+            let db = &db;
+            let (path, ctx) = (&path, &ctx);
+            let appender = s.spawn(move || {
+                std::thread::sleep(stop_at / 2);
+                let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+                std::io::Write::write_all(&mut f, b"1,2,3,4,5\n6,7,8,9,10\n").unwrap();
+                drop(f);
+                let r = db.query("SELECT COUNT(*) FROM t").unwrap();
+                (r, Instant::now())
+            });
+            let t = Instant::now();
+            s.spawn(move || {
+                std::thread::sleep(stop_at);
+                token.cancel();
+            });
+            let err = db.query_with_ctx(sql, ctx).unwrap_err();
+            ((err, t, t.elapsed()), appender.join().unwrap())
+        });
+        let (err, started, took) = stopped;
+        assert!(
+            matches!(err, EngineError::Cancelled),
+            "threads {threads}: {err:?}"
+        );
+        assert!(
+            took < full * 3 / 4,
+            "threads {threads}: stopped after {took:?}; the whole fold takes {full:?}"
+        );
+        let (count, counted_at) = appended;
+        assert_eq!(
+            count.scalar(),
+            Some(&Datum::Int(rows as i64 + 2)),
+            "threads {threads}"
+        );
+        // Unblocked, the appender's query would have answered long before
+        // the cancel: it waited for the fold's guard.
+        assert!(
+            counted_at >= started + stop_at,
+            "threads {threads}: the appender ran behind the fold"
+        );
+
+        // The table still serves the fold, over the appended rows too.
+        let after = db.query(sql).unwrap();
+        assert_eq!(
+            after,
+            reference_answer(&path, &gen, sql),
+            "threads {threads}"
+        );
+        // Back to the generated rows for the next thread count.
+        gen.generate_file(&path).unwrap();
+    }
+    std::fs::remove_file(path).ok();
+}
+
 /// A token cancelled *before* the query starts fails fast without touching
 /// the table, and the instance keeps serving queries.
 #[test]
