@@ -283,7 +283,7 @@ impl NoDb {
             None => None,
         };
         // The budget's recent grants overlapped other queries
-        // (`ScanGrant::shared`): a fully-cached aggregate then folds on this
+        // (`ScanGrant::shared`): an aggregate's cached rows then fold on this
         // thread alone, as a helper thread would only take a CPU from them.
         let shared = grant.as_ref().is_some_and(|g| g.shared());
 
@@ -402,13 +402,13 @@ impl NoDb {
             }
 
             // Engine (pipeline-above-the-scan) time, measured around the
-            // execute call. A raw scan has staged its batches by then; a
-            // fully-cached one streams lazily inside the call and times
-            // itself (`ScanTelemetry::cached_stream`), and that time is
-            // charged out of the engine's slice below, so the report
-            // separates scan work from engine work either way. A
-            // fully-cached aggregate folded on helper threads adds their
-            // time (`ScanTelemetry::fold_helpers`) and takes off the calling
+            // execute call. The scan streams its cached rows inside the call
+            // and reads the rows after its cache frontier there too, and
+            // times both (`ScanTelemetry::stream`), which is charged out of
+            // the engine's slice below, so the report separates scan work
+            // from engine work. An aggregate whose cached rows
+            // folded on helper threads adds their time
+            // (`ScanTelemetry::fold_helpers`) and takes off the calling
             // thread's wait for them (`fold_wait`): the engine slice is then
             // the workers' summed fold time, as a parallel raw scan's
             // phase slices are summed thread time.
@@ -420,10 +420,10 @@ impl NoDb {
                     drop(guard);
                     break Err(e);
                 }
-                // One scan: it prepares and reads under the planning guard;
-                // a fully-cached one executes under it too, a raw scan
-                // installs under a fresh write lock and executes under no
-                // lock. The engine takes no table lock. Every exit leaves
+                // One scan: it prepares, reads and executes under the
+                // planning guard, then installs what it read past its cache
+                // frontier under a fresh write lock, once the engine has
+                // returned. The engine takes no table lock. Every exit leaves
                 // the table unlocked, so the `SourceChanged` handler below
                 // can re-acquire it.
                 let e = match rawscan::scan_shared(
@@ -493,7 +493,7 @@ impl NoDb {
             + breakdown.convert
             + breakdown.nodb;
         breakdown.engine =
-            (engine_elapsed + tel.fold_helpers).saturating_sub(tel.cached_stream + tel.fold_wait);
+            (engine_elapsed + tel.fold_helpers).saturating_sub(tel.stream + tel.fold_wait);
         breakdown.planning = planning;
         // Processing = everything not attributed to a scan phase, the
         // engine pipeline or planning. The admission and lock waits are
@@ -825,6 +825,63 @@ mod tests {
         assert_eq!(answered[1], db.query(fresh).unwrap());
         assert!(db.admin().snapshot_stats().saves > 0, "write-behind ran");
         std::fs::remove_file(nodb_snapshot::sidecar_path(&p)).unwrap();
+        std::fs::remove_file(p).unwrap();
+    }
+
+    /// The lock contract of a query after an append: it streams the cached
+    /// rows and reads the appended ones under the read guard it planned
+    /// with, and takes the write lock once, after its engine has returned,
+    /// to install what it read. With another thread holding a read guard —
+    /// under which any `write()` blocks — the query's engine returns (the
+    /// cached rows' hits show once the engine drops its stream) and the
+    /// query then waits, for as long as the guard is held; released, it
+    /// answers like a cold instance, and its rerun is fully cached.
+    #[test]
+    fn partially_cached_queries_take_the_write_lock_once_after_the_engine() {
+        let (p, gen) = tmp_csv(4, 5_000, 29);
+        let mut db = NoDb::new(NoDbConfig::default());
+        db.register_csv_with_schema("t", &p, gen.schema(), false)
+            .unwrap();
+        let sql = "SELECT COUNT(*), SUM(c1) FROM t WHERE c2 < 500000000";
+        db.query("SELECT COUNT(*) FROM t").unwrap();
+        db.query(sql).unwrap();
+        gen.append_rows(&p, 40).unwrap();
+        let handle = db.table_handle("t").unwrap();
+        // Reconciled here, so the query's own epoch probe takes no lock.
+        handle.write().check_updates().unwrap();
+        let hold = Duration::from_millis(300);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let guard = handle.read();
+            let streamed = guard.cache().metrics().hits + 2 * 5_000;
+            let db = &db;
+            s.spawn(move || {
+                let ctx = QueryCtx::unbounded();
+                tx.send(db.query_reported(sql, &ctx)).unwrap();
+            });
+            let start = Instant::now();
+            while guard.cache().metrics().hits < streamed {
+                assert!(
+                    start.elapsed() < Duration::from_secs(30),
+                    "the engine did not return while a reader held the table"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(
+                rx.recv_timeout(hold).is_err(),
+                "the query installed without the write lock"
+            );
+            drop(guard);
+        });
+        let (result, report) = rx.recv().unwrap().unwrap();
+        assert!(!report.fully_cached);
+        assert!(report.breakdown.lock_wait >= hold, "{report:?}");
+        let mut cold = NoDb::new(NoDbConfig::default());
+        cold.register_csv_with_schema("t", &p, gen.schema(), false)
+            .unwrap();
+        assert_eq!(result, cold.query(sql).unwrap());
+        let (_, rerun) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+        assert!(rerun.fully_cached, "the read was installed");
         std::fs::remove_file(p).unwrap();
     }
 

@@ -20,23 +20,26 @@
 //!    them as a columnar kernel, once per row — the same function whether
 //!    the columns are a raw slice's fresh partials or the cache's own, so
 //!    cold, warm and cached answers are equal by construction. A raw
-//!    scan's batches (`segment_batch`) copy out only the surviving rows of
-//!    the materialized positions; a fully-cached stream's (`window_batch`)
-//!    copy nothing and lend the engine the cache's columns in place;
+//!    slice's batches (`segment_batch`) copy out only the surviving rows of
+//!    the materialized positions; the cached rows' (`window_batch`) copy
+//!    nothing and lend the engine the cache's columns in place;
 //! 6. as side effects, populates the positional map, cache and statistics
 //!    (§3.1–3.3) and the shared row index.
 //!
-//! When the cache covers every requested attribute for every known row, the
-//! scan never opens the file at all — the paper's "eliminating the need to
-//! access hot raw data via caching" — and copies no value either: the
-//! engine reads the cache's columns where they lie (`CachedStream`). An
-//! aggregate over such a scan runs on the scan's workers: each folds its own
-//! contiguous range of cache windows, and the partials merge in row order.
+//! Rows the cache covers for every requested attribute are neither read
+//! from the file — the paper's "eliminating the need to access hot raw data
+//! via caching" — nor copied: below the scan's **cache frontier** the
+//! engine reads the cache's columns where they lie (`CachedStream`), and an
+//! aggregate folds them on the scan's workers, each its own contiguous
+//! range of cache windows, the partials merged in row order. Only the rows
+//! after the frontier are read: none when the cache covers every known row
+//! (a fully-cached scan), the appended ones after an append.
 //!
 //! # Threading model
 //!
-//! There is one scan path. Every scan splits its work into line-aligned
-//! partition slices, runs them on `NoDbConfig::scan_threads` workers
+//! There is one scan path. Every scan splits the rows after its cache
+//! frontier into line-aligned partition slices, runs them on
+//! `NoDbConfig::scan_threads` workers
 //! (`crate::worker`; `0` = auto-detect, `1` = one worker, same path) and
 //! deterministically merges the partition-local partials in slice order, so
 //! the post-scan state does not depend on the worker count.
@@ -50,8 +53,11 @@
 //!
 //! * **Rows the index holds** are cut into row ranges. Their workers know
 //!   their global row base up front and can therefore use per-row cache
-//!   reads and exact positional-map jumps, and a slice the cache covers for
-//!   every requested attribute never opens the file.
+//!   reads and exact positional-map jumps. In a scan that builds no map
+//!   chunk (a chunk needs every row's bytes), the rows below the cache
+//!   frontier (`cache_frontier`: the first row some requested attribute
+//!   lacks in the cache or has yet to sketch) are not run, and the range
+//!   the frontier cuts starts at it.
 //! * **The bytes after its last row**, up to the epoch fence, are cut at
 //!   byte targets snapped forward to line boundaries
 //!   ([`nodb_rawcsv::reader::partition_line_ranges_capped`]). Nothing is
@@ -63,8 +69,8 @@
 //!
 //! A first-ever scan has no known rows; a warm scan (some earlier query
 //! reached EOF, nothing appended since) has no tail; after an append, or
-//! after a scan that stopped early, a scan has both, and re-reads only the
-//! tail when the cache covers the rest. A table that keeps no row index
+//! after a scan that stopped early, a scan has both, and reads only the
+//! known rows past its frontier and the tail. A table that keeps no row index
 //! (positional map off, quoted fields) is scanned from raw bytes every time
 //! it is not fully cached; a partially cached column of such a table is not
 //! consulted.
@@ -80,9 +86,8 @@
 //! With the table registry (`crate::registry`), several queries may scan
 //! the *same* table at once. A query that finds the file unchanged plans
 //! and scans under one **read** guard; the write lock is taken only to
-//! reconcile a file change or to install what a raw scan staged, never for
-//! data access. `scan_shared` runs a scan in up to three phases and then
-//! hands the engine its source:
+//! reconcile a file change or to install what a scan read from the file,
+//! never for data access. `scan_shared` runs a scan in up to three phases:
 //!
 //! 1. **Prepare** (`prepare_scan`, read lock) — access planning (LRU
 //!    touches, cache query tick) and coverage snapshots (cache coverage,
@@ -92,43 +97,34 @@
 //!    access counts, hit tallies — is atomic, and a stamp only moves
 //!    forward, so concurrent queries leave the stamps a serial replay in
 //!    tick order leaves.
-//! 2. **Data** (`run_partitions`, the same read guard) — no writer can land
-//!    between prepare and data, so the `ScanPrep` is exact for the data it
-//!    reads: same generation, every planned cache column still resident.
-//!    It plans the slices from the row index as it stands,
-//!    then its workers borrow the map/cache/schema immutably and stage
-//!    everything in partition-local partials, statistics sketches included,
-//!    and the source epoch is re-validated (`revalidate_epoch`) before
-//!    anything is handed on. A fully-cached query has no data phase of its
-//!    own: the engine **executes under the same guard**, pulling from a lazy
-//!    source (`CachedStream`) that runs the predicate kernel one
-//!    `BATCH_SIZE`-row window at a time and yields batches whose columns
-//!    borrow that window of the cache's columns, with the selection
-//!    attached. An aggregate pulls it on `min(threads, windows)` workers,
-//!    each over one contiguous, `BATCH_SIZE`-aligned row range `[lo, hi)`
-//!    of the windows (the calling thread folds the first, scoped threads
-//!    the rest, as `run_partitions` runs its workers), or on one thread
-//!    when its admission found the instance's scan budget shared with
-//!    other queries; everything else pulls the one range `[0, total)`
-//!    serially. A parked worker pool could not serve it: safe Rust cannot
-//!    lend the guard-borrowed cache columns to threads that outlive the
-//!    scope. It records its hits under the guard and never asks for the
-//!    write lock. Any number of queries can be in this phase
-//!    simultaneously. While the guard is held nothing takes a table lock
-//!    again — a recursive read would deadlock behind a queued writer — so
-//!    the stream's bookkeeping is atomics and the telemetry mutex only.
-//! 3. **Install** (`scan_install` → `merge_outputs`, write lock; raw scans
-//!    only) — the read guard is released, and staged partials are
-//!    installed under a short write lock; the result batches are not
-//!    touched until that lock is released, and the engine runs over them
-//!    (`QueueSource`) with no table lock held. The merge is *frontier-based*
-//!    and therefore idempotent under interleaving: the row index skips
-//!    known rows, chunk installs go through subsumption, cache admission
-//!    resumes at the cache's *current* coverage, and statistics observe
-//!    only rows beyond each attribute's observation frontier. Merging the
-//!    same full-scan output after another query already merged its own is
-//!    a no-op, which is what makes N concurrent queries end in the same
-//!    state as a sequential replay.
+//! 2. **Execute** (the same read guard) — the engine pulls one lazy source,
+//!    `CachedStream`. The rows below the cache frontier come as batches
+//!    that borrow one `BATCH_SIZE`-row window of the cache's columns each,
+//!    the predicate kernel's selection attached; an aggregate folds them on
+//!    `min(threads, windows)` workers, one contiguous range of windows each
+//!    (the calling thread the first, scoped threads the rest, as
+//!    `run_partitions` runs its workers: safe Rust cannot lend the
+//!    guard-borrowed columns to a parked pool), or on one thread when its
+//!    admission found the scan budget shared or it adds floats. Once the
+//!    engine pulls past them, `run_partitions` plans the slices after the
+//!    frontier from the row index as it stands, its workers borrow the
+//!    map/cache/schema immutably and stage everything in partition-local
+//!    partials, statistics sketches included, and their batches follow in
+//!    slice order. No writer can land between prepare and execute, so the
+//!    `ScanPrep` is exact for the data read. Any number of queries can be
+//!    in this phase at once. While the guard is held nothing takes a table
+//!    lock again — a recursive read would deadlock behind a queued writer.
+//! 3. **Install** (`merge_outputs`, write lock; only when the engine pulled
+//!    past the frontier) — once the engine has returned, the source epoch
+//!    is re-validated (`revalidate_epoch`), the read guard is released, and
+//!    the staged partials are installed under a short write lock, once.
+//!    The merge is *frontier-based* and therefore idempotent under
+//!    interleaving: the row index skips known rows, chunk installs go
+//!    through subsumption, cache admission resumes at the cache's *current*
+//!    coverage, and statistics observe only rows beyond each attribute's
+//!    observation frontier. Merging the same full-scan output after another
+//!    query already merged its own is a no-op, which is what makes N
+//!    concurrent queries end in the same state as a sequential replay.
 //!
 //! The only window in which the table can change under a prepared scan is
 //! between releasing the read guard and taking the install's write lock.
@@ -182,14 +178,14 @@
 //!   attribute, so this equals an attribute-interleaved row replay at
 //!   every worker count.
 //! * *Results* — every slice forms its batches with `segment_batch` over
-//!   at most `BATCH_SIZE` scanned rows each, in row order; after the install
-//!   (no table lock held) they are concatenated in slice order and re-packed
-//!   to full batches (`repack`), no reordering anywhere downstream.
+//!   at most `BATCH_SIZE` scanned rows each, in row order; they follow the
+//!   cached rows' batches in slice order, no reordering anywhere
+//!   downstream.
 //! * *Telemetry* — `Breakdown` and `IoCounters` are summed; cache hit/miss
 //!   tallies travel with the scan (not as global metric diffs), so
-//!   concurrent queries never misattribute each other's reads. A
-//!   fully-cached stream's ranges each add their rows, hits and stream
-//!   time, so every row counts once at every worker count.
+//!   concurrent queries never misattribute each other's reads. The cached
+//!   stream's ranges and the install each add their rows, hits and time,
+//!   so every row counts once at every worker count.
 //!
 //! Under the strict parse-error policy a malformed row aborts the scan
 //! without merging any side effects; the permissive policy instead
@@ -204,9 +200,10 @@
 //! slices through the same frontier-based merge — with the end-of-scan
 //! bookkeeping (`row_count`, `mark_complete`) withheld, since the file was
 //! not fully visited. Statistics observation frontiers *are* advanced over
-//! the merged prefix so a re-run never double-observes.
-//! The query itself still fails with [`EngineError::Cancelled`] /
-//! [`EngineError::DeadlineExceeded`]; the next identical query starts from
+//! the merged prefix so a re-run never double-observes. A stop among the
+//! cached rows leaves the rows after the frontier unread, and nothing is
+//! installed. The query itself still fails with [`EngineError::Cancelled`]
+//! / [`EngineError::DeadlineExceeded`]; the next identical query starts from
 //! the warmer map/cache/statistics state the aborted one left behind — the
 //! paper's "queries as advisors" principle applied to failure paths.
 //!
@@ -219,18 +216,21 @@
 //! it has that prefix; pushdown changes how much is read, never what is
 //! returned:
 //!
-//! * A **fully-cached stream** is lazy, so it ends when the engine stops
+//! * The **cached rows stream lazily**, so they end when the engine stops
 //!   pulling: after the batch that brings the engine's rows to `n` (before
-//!   the first one for `LIMIT 0`). Its hit tally, `rows_scanned` and
-//!   `stopped_early` count only the windows it streamed — as they do when
-//!   the query fails or is cancelled mid-stream.
-//! * A **raw scan's workers claim slices in ascending slice order** from one
-//!   shared cursor, as every raw scan's do, so the slices in flight are the
-//!   lowest unclaimed ones and the answer's prefix fills first. Each
-//!   completed slice publishes its survivor count; `k` is the first slice
-//!   at which the completed contiguous prefix reaches `n`, and once `k` is
+//!   the first one for `LIMIT 0`). Their hit tally, `rows_scanned` and
+//!   `stopped_early` count only the windows streamed — as they do when the
+//!   query fails or is cancelled mid-stream. A LIMIT they satisfy reads no
+//!   raw byte.
+//! * The rows after the frontier are read with the limit less the cached
+//!   rows' survivors, and **their workers claim slices in ascending slice
+//!   order** from one shared cursor, so the slices in flight are the lowest
+//!   unclaimed ones and the answer's prefix fills first. Each completed
+//!   slice publishes its survivor count; `k` is the first slice at which
+//!   the completed contiguous prefix reaches the limit, and once `k` is
 //!   known no slice past it is claimed. No slice is cut short, and slicing
-//!   is unchanged.
+//!   is unchanged: under a LIMIT the frontier is a slice boundary, so `k`
+//!   is the slice a read of every row would stop at.
 //! * The **install merges exactly slices `0..=k`** through the partial-prefix
 //!   merge above: slices past `k` that completed anyway are dropped
 //!   unmerged, and the end-of-scan bookkeeping is withheld unless `0..=k` is
@@ -264,9 +264,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use nodb_engine::batch::{Batch, ColView, Column, BATCH_SIZE};
-use nodb_engine::{AggPartial, EngineError, EngineResult, QueueSource, ScanRequest, ScanSource};
+use nodb_engine::{AggPartial, EngineError, EngineResult, ScanRequest, ScanSource};
 use nodb_posmap::{AccessPlan, AttrSource, ChunkBuilder};
-use nodb_rawcache::{RawCache, TypedColumn};
+use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::reader::{partition_line_ranges_capped, LineRange};
 use nodb_rawcsv::{IoCounters, RawCsvError};
 use parking_lot::RwLockReadGuard;
@@ -346,17 +346,18 @@ pub struct ScanTelemetry {
     /// or at the post-scan re-validation) and the adaptive state was
     /// quarantined for a cold retry. 0 on the happy path.
     pub source_changed: u64,
-    /// Time spent inside a fully-cached query's lazy source — the pushed
-    /// predicate over the cache windows — while the engine pulled from it.
-    /// It elapses inside the engine's call; the facade charges it out of
-    /// the engine's slice, so it stays in `processing` with the rest of the
-    /// scan that no phase slice covers. An aggregate folded on several
-    /// workers adds each worker's stream time: summed thread time, as the
-    /// phase slices of a parallel raw scan are.
-    pub cached_stream: Duration,
-    /// Summed wall time of the helper threads a fully-cached aggregate
+    /// Time spent inside a scan's lazy source while the engine pulled from
+    /// it: the pushed predicate over the cache windows below the cache
+    /// frontier, and the partitions after it. It elapses inside the
+    /// engine's call; the facade charges it out of the engine's slice, so
+    /// the partitions' time lands in their phase slices and the rest stays
+    /// in `processing` with the scan work no phase slice covers. An
+    /// aggregate folded on several workers adds each worker's stream time:
+    /// summed thread time, as the phase slices of a parallel raw scan are.
+    pub stream: Duration,
+    /// Summed wall time of the helper threads a cached stream's aggregate
     /// folded its later ranges on (zero when the calling thread folded
-    /// alone). Their streaming is part of `cached_stream`; the facade
+    /// alone). Their streaming is part of `stream`; the facade
     /// charges the rest to the engine, beside the calling thread's own.
     pub fold_helpers: Duration,
     /// Time the calling thread of such a fold waited for its helpers after
@@ -429,9 +430,9 @@ pub type TelemetryHandle = Arc<Mutex<ScanTelemetry>>;
 /// every view's `base`, so they read the values and NULL-bitmap words of
 /// backing rows `[lo, lo + rows)`, which need not start on a 64-row bitmap
 /// word. Every selection starts here — a raw slice's in the batch resolver
-/// (`worker::resolve_batch`, once per fetched batch), a cache-covered
-/// slice's and a fully-cached stream's per window — so raw, partially
-/// cached and fully-cached scans select the same rows by construction.
+/// (`worker::resolve_batch`, once per fetched batch), the cached rows' per
+/// window (`window_batch`) — so raw and cached rows select the same rows
+/// by construction.
 pub(crate) fn filter_segment(
     req: &ScanRequest,
     cols: &[&TypedColumn],
@@ -447,12 +448,11 @@ pub(crate) fn filter_segment(
 /// A raw scan's batch former: rows `[lo, hi)` of one typed column per
 /// requested attribute become one owned result batch. `sel` is the
 /// [`filter_segment`] selection of those rows (relative to `lo`; `None`
-/// without a predicate), computed once by the caller: the batch resolver's
-/// for a raw slice's fresh partials (`worker::run_partition`), whose
-/// survivors-only columns hold placeholders in the rows it rejected, or
-/// the caller's own for the cache's columns (a cache-covered slice of a
-/// partially cached scan). The batch outlives the table lock, so it
-/// copies, and only for materialized positions (late materialization):
+/// without a predicate), computed once by the batch resolver over a raw
+/// slice's fresh partials (`worker::run_partition`), whose survivors-only
+/// columns hold placeholders in the rows it rejected. The batch outlives
+/// the slice's partials, so it copies, and only for materialized
+/// positions (late materialization):
 ///
 /// * selective outcome (< half the rows pass) — survivors are gathered into
 ///   dense typed columns (`TypedColumn::gather`), nothing else is copied;
@@ -493,7 +493,7 @@ pub(crate) fn segment_batch(
     Batch::from_parts(columns, sel)
 }
 
-/// A fully-cached stream's batch former: rows `[lo, hi)` of the cache's
+/// The cached rows' batch former: rows `[lo, hi)` of the cache's
 /// own columns become one batch that **borrows** them — each materialized
 /// position a [`Column::Window`] of its cache column, each predicate-only
 /// one [`Column::Nulls`] — with [`filter_segment`]'s selection attached.
@@ -528,20 +528,6 @@ fn window_batch<'c>(
     Batch::from_parts(columns, sel)
 }
 
-/// Resolve the cache column handles backing a fully-cached scan or slice:
-/// `None` when any requested attribute is not resident with at least `rows`
-/// coverage.
-pub(crate) fn cached_column_handles<'a>(
-    cache: &'a nodb_rawcache::RawCache,
-    attrs: &[usize],
-    rows: usize,
-) -> Option<Vec<&'a TypedColumn>> {
-    attrs
-        .iter()
-        .map(|&a| cache.column(a).filter(|c| c.len() >= rows))
-        .collect()
-}
-
 /// Everything a scan decides up front, captured under the read lock its
 /// data phase runs under. Tied to the table's file-state `generation`: the
 /// install fence installs nothing into a different generation.
@@ -565,11 +551,14 @@ pub(crate) struct ScanPrep {
     pub survivors_only: Vec<bool>,
     /// LRU tick from `RawCache::begin_query` protecting this query's columns.
     pub query_tick: u64,
-    /// Pure-cache fast path: every requested attribute covered for every
-    /// known row.
+    /// Every requested attribute is cached for every row of a table whose
+    /// row count is known: the scan opens no file.
     pub fully_cached: bool,
-    /// Known row count backing `fully_cached`.
-    pub cached_rows: u64,
+    /// The cache frontier: rows `[0, frontier)` stream from the cache's
+    /// columns in place ([`CachedStream`]), and [`run_partitions`] reads
+    /// only the rows after them. The row count when `fully_cached`, else
+    /// [`cache_frontier`]'s row (0: the scan reads every row).
+    pub frontier: usize,
     /// Resolved worker count: how many workers claim the slices, never how
     /// many slices there are.
     pub threads: usize,
@@ -674,13 +663,14 @@ fn prepare_scan(
     let plan = map_usable.then(|| table.map.plan_access(&req.attrs));
     let build_chunk = matches!(&plan, Some(p) if p.should_index);
 
-    // Pure-cache fast path: every requested attribute covered for every
-    // known row.
-    let (fully_cached, cached_rows) = match table.row_count {
-        Some(rc) if config.enable_cache => {
-            let all = cache_cov.iter().all(|&c| c as u64 >= rc);
-            (all, rc)
+    let (fully_cached, frontier) = match table.row_count {
+        Some(rc) if config.enable_cache && cache_cov.iter().all(|&c| c as u64 >= rc) => {
+            (true, rc as usize)
         }
+        _ if config.enable_cache && plan.is_some() && !build_chunk => (
+            false,
+            cache_frontier(table, &cache_cov, &stats_from, req.limit),
+        ),
         _ => (false, 0),
     };
     lock_recover(telemetry).fully_cached = fully_cached;
@@ -699,7 +689,7 @@ fn prepare_scan(
         survivors_only,
         query_tick,
         fully_cached,
-        cached_rows,
+        frontier,
         threads: config.effective_scan_threads(),
         plan_assists,
         generation: table.generation,
@@ -738,12 +728,50 @@ pub(crate) fn source_changed_err(prep: &ScanPrep) -> EngineError {
 /// function of the file and the table state, never of the worker count.
 pub const SCAN_SLICES: usize = 64;
 
+/// The cache frontier of a scan that builds no map chunk: the first known
+/// row that some requested attribute lacks in the cache (`cache_cov`) or
+/// still has to sketch (`stats_from`), so streaming the rows below it from
+/// the cache leaves the statistics as reading them would. The slice of
+/// [`plan_slices`]' grid that the frontier cuts starts at it: the cache
+/// admits a slice's tail past each column's coverage, and the statistics
+/// sketch it past their own frontier, so the install is the whole slice's.
+/// Under a bare LIMIT the frontier is the last grid boundary at or below
+/// that row instead: the LIMIT counts survivors a slice at a time, so it
+/// stops at, and installs, the slices a scan without a frontier would.
+fn cache_frontier(
+    table: &RawTable,
+    cache_cov: &[usize],
+    stats_from: &[u64],
+    limit: Option<u64>,
+) -> usize {
+    let known = table.map.row_index().len();
+    let sketched = stats_from
+        .iter()
+        .map(|&s| usize::try_from(s).unwrap_or(usize::MAX));
+    let upto = cache_cov
+        .iter()
+        .copied()
+        .chain(sketched)
+        .min()
+        .unwrap_or(known);
+    let parts = SCAN_SLICES.min(known).max(1);
+    match limit {
+        None => upto.min(known),
+        Some(_) => (0..=parts)
+            .rev()
+            .map(|k| known * k / parts)
+            .find(|&b| b <= upto)
+            .unwrap_or(0),
+    }
+}
+
 /// The one place a raw scan's slices are decided, from one rule: **the row
 /// index is the source of global row numbers.**
 ///
-/// * Rows the index holds become *row-range* slices with `row_base`/`rows`
-///   filled in, so their workers may read the cache per row, jump through
-///   map chunks, and serve a fully cached slice without opening the file.
+/// * Rows the index holds become *row-range* slices with `row_base` filled
+///   in, so their workers may read the cache per row and jump through map
+///   chunks. The rows below the cache frontier (`prep.frontier`) are left
+///   out: the scan streams them from the cache.
 /// * The bytes after the last row it holds, up to the epoch fence, become
 ///   *byte-range* slices ([`partition_line_ranges_capped`] from an offset
 ///   inside that row): nothing is known about them, so their workers resolve
@@ -780,6 +808,10 @@ fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>
     let mut slices = Vec::with_capacity(parts + tail.len());
     for k in 0..parts {
         let (lo, hi) = (known * k / parts, known * (k + 1) / parts);
+        if hi <= prep.frontier {
+            continue;
+        }
+        let lo = lo.max(prep.frontier);
         slices.push(Partition {
             range: LineRange {
                 start: starts[lo],
@@ -788,14 +820,12 @@ fn plan_slices(table: &RawTable, prep: &ScanPrep) -> EngineResult<Vec<Partition>
             },
             skip_header: false, // data-row offsets already skip it
             row_base: Some(lo),
-            rows: Some(hi - lo),
         });
     }
     slices.extend(tail.into_iter().map(|range| Partition {
         range,
         skip_header: prep.has_header && range.start == 0,
         row_base: None,
-        rows: None,
     }));
     Ok(slices)
 }
@@ -904,8 +934,9 @@ impl SliceQueue {
 /// claim interleaving produces the byte-identical post-scan state the merge
 /// invariants promise.
 ///
-/// With a LIMIT (`prep.req.limit`) each completed slice publishes its
-/// survivor count to the queue; once slices `0..=k` hold the limit, nothing
+/// With a LIMIT (`limit`: the pushed one, less the rows a cached stream
+/// already yielded) each completed slice publishes its survivor count to
+/// the queue; once slices `0..=k` hold the limit, nothing
 /// past `k` is claimed, slices past `k` that completed anyway are dropped
 /// unmerged, and the outcome is marked [`ScanOutcome::limit_met`] unless `k`
 /// is the last slice. No slice is cut short: the answer and the installed
@@ -913,9 +944,9 @@ impl SliceQueue {
 ///
 /// A worker error aborts the scan; the error reported is the
 /// lowest-numbered slice's, its slice-local row rebased to the global row
-/// number using the preceding slices' row counts. Under a LIMIT only
-/// slices `0..=k` count: an error in a slice the answer does not need is
-/// not reported.
+/// number using the frontier and the preceding slices' row counts. Under a
+/// LIMIT only slices `0..=k` count: an error in a slice the answer does not
+/// need is not reported.
 ///
 /// Two error classes get special handling:
 ///
@@ -931,6 +962,7 @@ pub(crate) fn run_partitions(
     table: &RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
+    limit: Option<u64>,
 ) -> EngineResult<ScanOutcome> {
     let clock = PhaseClock::new(config.detailed_timing);
     let mut planning = Duration::ZERO;
@@ -964,7 +996,7 @@ pub(crate) fn run_partitions(
     let workers = prep.threads.min(partitions.len()).max(1);
     let slots: Vec<Mutex<Option<EngineResult<PartitionOutput>>>> =
         partitions.iter().map(|_| Mutex::new(None)).collect();
-    let queue = SliceQueue::new(partitions.len(), prep.req.limit);
+    let queue = SliceQueue::new(partitions.len(), limit);
     // Errors park in the slice's slot; a worker keeps draining so every
     // lower-numbered slice completes and the driver can report the
     // lowest-slice error with an exact row rebase.
@@ -1058,7 +1090,7 @@ pub(crate) fn run_partitions(
                 // Abort without merging any side effects. Workers number the
                 // rows they report slice-locally: the preceding slices' row
                 // counts make it the true file row.
-                let base: usize = results.iter().map(|o| o.rows).sum();
+                let base: usize = prep.frontier + results.iter().map(|o| o.rows).sum::<usize>();
                 return Err(rebase_row_error(e, base as u64));
             }
         }
@@ -1075,11 +1107,14 @@ pub(crate) fn run_partitions(
 /// table's adaptive structures, in slice order, under exclusive access to
 /// the table, and publish the scan telemetry. Its duration is the scan's
 /// [`Breakdown::install`] — the time a cold scan keeps every other query
-/// off the table. The slices' result batches stay in `outcome`, untouched:
-/// re-packing them needs no table ([`repack`]). `table`
-/// is `None` when the install fence closed ([`scan_install`]): nothing is
-/// installed, but the telemetry is published and a stopped scan still
-/// fails with its stop error.
+/// off the table.
+///
+/// Behind the **install fence**: when the table's generation moved past
+/// `prep.generation` since the data phase (another query reconciled an
+/// append or quarantined a rewrite), the staged state describes an older
+/// epoch, so nothing is installed — the telemetry is still published, a
+/// stopped scan still fails with its stop error, and the query answers
+/// from what it read.
 ///
 /// Row index and map chunk are rebased by concatenation. Cache and
 /// statistics receive each slice's typed partial columns whole: the
@@ -1116,8 +1151,8 @@ pub(crate) fn run_partitions(
 /// statistics state — the rows merged here are its known prefix, and it
 /// reads only the bytes behind them. A stopped query then fails with its
 /// stop error; a satisfied one succeeds.
-pub(crate) fn merge_outputs(
-    table: Option<&mut RawTable>,
+fn merge_outputs(
+    table: &mut RawTable,
     config: &NoDbConfig,
     prep: &ScanPrep,
     outcome: &mut ScanOutcome,
@@ -1132,15 +1167,16 @@ pub(crate) fn merge_outputs(
         ..Breakdown::default()
     };
     let t = clock.start();
+    // The slices start at the frontier: the rows below it install nothing.
     let bases: Vec<usize> = results
         .iter()
-        .scan(0usize, |acc, o| {
+        .scan(prep.frontier, |acc, o| {
             let b = *acc;
             *acc += o.rows;
             Some(b)
         })
         .collect();
-    let total = bases.last().copied().unwrap_or(0) + results.last().map(|o| o.rows).unwrap_or(0);
+    let total = prep.frontier + results.iter().map(|o| o.rows).sum::<usize>();
 
     let mut io = IoCounters::default();
     let mut worker_hits = 0u64;
@@ -1166,7 +1202,7 @@ pub(crate) fn merge_outputs(
     }
 
     let mut installed = false;
-    if let Some(table) = table {
+    if table.generation == prep.generation {
         // A satisfied LIMIT over a table whose extent is already known
         // starts no map chunk and no cache column: a prefix of one would
         // only fill budget room that whole ones, built by full scans, must
@@ -1181,6 +1217,7 @@ pub(crate) fn merge_outputs(
             }
         }
 
+        // Only a scan without a cache frontier builds a chunk.
         if prep.build_chunk && structures {
             let mut merged = ChunkBuilder::with_capacity(prep.req.attrs.clone(), total);
             for o in results.iter_mut() {
@@ -1245,79 +1282,39 @@ pub(crate) fn merge_outputs(
     clock.lap(t, &mut bd.install);
     bd.nodb += bd.install;
 
+    // Added, not assigned: the rows below the frontier added their own.
     let mut tel = lock_recover(telemetry);
     tel.io.merge(io);
-    tel.rows_scanned = total as u64;
+    tel.rows_scanned += (total - prep.frontier) as u64;
     tel.installed_chunk = installed;
-    tel.breakdown = bd;
-    tel.cache_hits = worker_hits;
-    tel.cache_misses = worker_misses;
-    tel.rows_quarantined = quarantined;
+    tel.breakdown.merge(&bd);
+    tel.cache_hits += worker_hits;
+    tel.cache_misses += worker_misses;
+    tel.rows_quarantined += quarantined;
     tel.quarantine_samples = quarantine_samples;
-    tel.stopped_early = !complete;
+    tel.stopped_early |= !complete;
 
     stopped.map_or(Ok(()), Err)
 }
 
-/// A raw scan's result batches in row order: the slices' batches
-/// concatenated in slice order and re-packed to full batches (reorder-free;
-/// `Batch::extend_from` resolves selection vectors). Touches no table, so
-/// [`scan_shared`] calls it with no lock held.
-fn repack(outputs: Vec<PartitionOutput>) -> VecDeque<Batch<'static>> {
-    let mut queue: VecDeque<Batch<'static>> = VecDeque::new();
-    let mut acc = Batch::default();
-    for b in outputs.into_iter().flat_map(|o| o.batches) {
-        if acc.is_empty() {
-            acc = b;
-        } else {
-            acc.extend_from(b);
-        }
-        if acc.rows() >= BATCH_SIZE {
-            queue.push_back(std::mem::take(&mut acc));
-        }
-    }
-    if !acc.is_empty() {
-        queue.push_back(acc);
-    }
-    queue
-}
-
-/// The install phase of a raw scan, over an exclusive borrow of the table:
-/// merge the staged partials ([`merge_outputs`]) and publish the scan
-/// telemetry; the result batches stay in `outcome`.
-///
-/// Behind the **install fence**: when the table's generation moved past
-/// `prep.generation` since the data phase (another query reconciled an
-/// append or quarantined a rewrite), the staged state describes an older
-/// epoch, so nothing is installed — the telemetry is still published, and
-/// the query answers from what it read.
-fn scan_install(
-    table: &mut RawTable,
-    config: &NoDbConfig,
-    prep: &ScanPrep,
-    outcome: &mut ScanOutcome,
-    telemetry: &TelemetryHandle,
-) -> EngineResult<()> {
-    let live = table.generation == prep.generation;
-    merge_outputs(live.then_some(table), config, prep, outcome, telemetry)
-}
+/// What a scan's read past its cache frontier staged for the install, or
+/// its error; `None` while the engine has not pulled past the frontier.
+type Staged = Mutex<Option<EngineResult<ScanOutcome>>>;
 
 /// Run one scan of `req` against a shared table handle, starting from the
 /// read guard the caller planned under, and hand its source to `run` (the
 /// engine); returns what `run` returns, or the scan's own error.
 ///
 /// The scan prepares under the guard (no writer can land in between, so
-/// the prep is exact for the data). A fully-cached query then runs `run`
-/// **under that guard** over a lazy [`CachedStream`] and never asks for
-/// the write lock; the guard is released when `run` returns. Its aggregate
-/// folds on one thread when `shared` — its admission found the scan
-/// budget shared with other queries ([`crate::ScanGrant::shared`]), so its
-/// helpers would only take their CPUs — and on the scan's workers
-/// otherwise. A raw scan
-/// runs its partitions under the guard, releases it, installs under a
-/// short write lock behind the install fence, and runs `run` over its
-/// re-packed batches with no lock held. The install's lock acquisition is
-/// added to `lock_wait`.
+/// the prep is exact for the data) and runs `run` **under that guard** over
+/// a [`CachedStream`]. Once `run` has returned, the guard is released and
+/// what the stream's read past the cache frontier staged is installed
+/// under a short write lock behind the install fence, its acquisition
+/// added to `lock_wait`; a scan that read nothing past the frontier never
+/// asks for the write lock. The cached rows' aggregate folds on one thread
+/// when `shared` — its admission found the scan budget shared with other
+/// queries ([`crate::ScanGrant::shared`]), so its helpers would only take
+/// their CPUs — and on the scan's workers otherwise.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_shared<T>(
     handle: &TableHandle,
@@ -1330,54 +1327,56 @@ pub(crate) fn scan_shared<T>(
     lock_wait: &mut Duration,
     run: impl for<'s> FnOnce(Box<dyn ScanSource<'s> + 's>) -> T,
 ) -> EngineResult<T> {
-    let mut prep = prepare_scan(&table, config, req, telemetry, ctx);
-    if prep.fully_cached {
-        if shared {
-            prep.threads = 1;
-        }
-        return Ok(run(Box::new(CachedStream::new(&table, &prep, telemetry)?)));
-    }
-    let mut outcome = run_partitions(&table, config, &prep)?;
+    let prep = prepare_scan(&table, config, req, telemetry, ctx);
+    let staged = Staged::default();
+    let answer = run(Box::new(CachedStream::new(
+        &table, config, &prep, telemetry, shared, &staged,
+    )?));
+    let Some(outcome) = staged.into_inner().unwrap_or_else(PoisonError::into_inner) else {
+        return Ok(answer);
+    };
+    let mut outcome = outcome?;
     // Re-validate the epoch before *any* merge — including a stopped
     // scan's partial-prefix merge — so a file rewritten while the workers
     // streamed it never installs poisoned map/cache/stats partials.
     revalidate_epoch(&prep)?;
     drop(table);
-    scan_install(
-        &mut timed(lock_wait, || handle.write()),
-        config,
-        &prep,
-        &mut outcome,
-        telemetry,
-    )?;
-    Ok(run(Box::new(QueueSource::new(repack(outcome.outputs)))))
+    let mut table = timed(lock_wait, || handle.write());
+    merge_outputs(&mut table, config, &prep, &mut outcome, telemetry)?;
+    Ok(answer)
 }
 
-/// A fully-cached query's scan: a lazy [`ScanSource`] over rows `[lo, hi)`
-/// of the cache's own columns, borrowed under the read guard the query
-/// planned with. Each pull checks the query context once, then forms the
-/// next `BATCH_SIZE`-row window ([`window_batch`]), skipping windows no row
-/// of which passes; the engine stopping — a satisfied LIMIT, an error — ends
-/// the stream. It reports no size hint: the table's row count would only
-/// over-reserve under a selective predicate.
+/// A scan as the engine sees it: a lazy [`ScanSource`] over rows `[lo, hi)`
+/// of the cache's own columns — the rows below the cache frontier, borrowed
+/// under the read guard the query planned with — and then the rows after
+/// it. Each pull of the cached rows checks the query context once per
+/// `BATCH_SIZE`-row window ([`window_batch`]) and skips windows no row of
+/// which passes. Once they run out, [`run_partitions`] reads the rows after
+/// the frontier under the same guard, with the LIMIT less the survivors
+/// streamed, and leaves what it staged in `staged` for the install; its
+/// batches follow in row order. The engine stopping first — a satisfied
+/// LIMIT, an error — leaves them unread. It reports no size hint: the
+/// table's row count would only over-reserve under a selective predicate.
 ///
-/// A stream starts as the one range `[0, total)` of the known rows. An
-/// aggregate over it runs on the scan's granted workers
-/// ([`ScanSource::aggregate`]): the stream cuts its windows into one
-/// contiguous range per worker, folds each into a partial of its own, and
-/// merges the partials in row order. Every other query pulls the one range
-/// serially.
+/// An aggregate over it runs on `threads` workers
+/// ([`ScanSource::aggregate`]): the stream cuts its cached windows into one
+/// contiguous range per worker, folds each into a partial of its own,
+/// merges the partials in row order, and then absorbs the rows after the
+/// frontier.
 ///
 /// The columns are resident by construction — the guard is held from
 /// prepare to the last pull, so nothing can evict them — and a missing one
-/// is an internal error, never a panic. When a range is dropped it adds
+/// is an internal error, never a panic. When a stream is dropped it adds
 /// what it actually streamed to the telemetry (see the `Drop` impl).
 struct CachedStream<'s> {
+    table: &'s RawTable,
+    config: &'s NoDbConfig,
     prep: &'s ScanPrep,
+    /// How many workers an order-free aggregate folds on.
+    threads: usize,
     cols: Vec<&'s TypedColumn>,
-    cache: &'s RawCache,
     telemetry: &'s TelemetryHandle,
-    /// The rows this range covers: `[lo, hi)`.
+    /// The cached rows this stream covers: `[lo, hi)`.
     lo: usize,
     hi: usize,
     /// The first row not streamed yet: every window before it was formed,
@@ -1385,56 +1384,78 @@ struct CachedStream<'s> {
     next: usize,
     /// Time spent in [`ScanSource::next_batch`].
     time: Duration,
+    /// Where the read of the rows after the frontier stages its outcome:
+    /// `None` in the ranges a parallel fold cuts off, which never read them.
+    staged: Option<&'s Staged>,
+    /// The pushed LIMIT less the survivors streamed so far.
+    limit: Option<u64>,
+    /// The batches of the rows after the frontier, once read.
+    rest: VecDeque<Batch<'static>>,
 }
 
 impl<'s> CachedStream<'s> {
     fn new(
         table: &'s RawTable,
+        config: &'s NoDbConfig,
         prep: &'s ScanPrep,
         telemetry: &'s TelemetryHandle,
+        shared: bool,
+        staged: &'s Staged,
     ) -> EngineResult<Self> {
-        let total = prep.cached_rows as usize;
+        let total = prep.frontier;
         // A known-empty table is vacuously fully cached: there is nothing to
         // stream, and no column need be resident to say so.
         let cols = match total {
             0 => Vec::new(),
-            _ => cached_column_handles(&table.cache, &prep.req.attrs, total).ok_or_else(|| {
-                EngineError::Execution("fully-cached plan found a cache column missing".into())
-            })?,
+            _ => prep
+                .req
+                .attrs
+                .iter()
+                .map(|&a| table.cache.column(a).filter(|c| c.len() >= total))
+                .collect::<Option<_>>()
+                .ok_or_else(|| {
+                    EngineError::Execution("the cache frontier found a cache column missing".into())
+                })?,
         };
         Ok(CachedStream {
+            table,
+            config,
             prep,
+            threads: if shared { 1 } else { prep.threads },
             cols,
-            cache: &table.cache,
             telemetry,
             lo: 0,
             hi: total,
             next: 0,
             time: Duration::ZERO,
+            staged: Some(staged),
+            limit: prep.req.limit,
+            rest: VecDeque::new(),
         })
     }
 
-    /// Cut the rows this stream has yet to stream into `n` contiguous
-    /// ranges of whole windows, as even as windows allow: this stream keeps
-    /// the first, and the others come back as streams of their own, in row
-    /// order.
+    /// Cut the cached rows this stream has yet to stream into `n`
+    /// contiguous ranges of whole windows, as even as windows allow, in row
+    /// order. This stream keeps only the rows after the frontier.
     fn split(&mut self, n: usize) -> Vec<CachedStream<'s>> {
         let (from, windows) = (self.next, (self.hi - self.next).div_ceil(BATCH_SIZE));
         let cut = |i: usize| self.hi.min(from + windows * i / n * BATCH_SIZE);
-        let rest = (1..n)
+        let ranges = (0..n)
             .map(|i| CachedStream {
-                prep: self.prep,
+                threads: 1,
                 cols: self.cols.clone(),
-                cache: self.cache,
-                telemetry: self.telemetry,
                 lo: cut(i),
                 hi: cut(i + 1),
                 next: cut(i),
                 time: Duration::ZERO,
+                staged: None,
+                limit: None,
+                rest: VecDeque::new(),
+                ..*self
             })
             .collect();
-        self.hi = cut(1);
-        rest
+        self.hi = self.next;
+        ranges
     }
 
     /// The next window with a passing row, or `None` at the end.
@@ -1452,6 +1473,33 @@ impl<'s> CachedStream<'s> {
         }
         Ok(None)
     }
+
+    /// The staging slot of rows after the frontier that are yet to be read.
+    fn unread(&self) -> Option<&'s Staged> {
+        self.staged
+            .filter(|s| !self.prep.fully_cached && lock_recover(s).is_none())
+    }
+
+    /// Read the rows after the frontier, stage the outcome, and hand back
+    /// their batches — or the error the engine stops with: a stopped read's
+    /// stop error, or a copy of a failed read's, whose own reaches the
+    /// caller through `staged`.
+    fn read(&self, staged: &Staged) -> EngineResult<VecDeque<Batch<'static>>> {
+        let (batches, outcome) =
+            match run_partitions(self.table, self.config, self.prep, self.limit) {
+                Ok(o) if o.stopped.is_some() => (Err(self.prep.ctx.stop_error()), Ok(o)),
+                Ok(mut o) => {
+                    let batches = o
+                        .outputs
+                        .iter_mut()
+                        .flat_map(|o| std::mem::take(&mut o.batches));
+                    (Ok(batches.collect()), Ok(o))
+                }
+                Err(e) => (Err(EngineError::Execution(e.to_string())), Err(e)),
+            };
+        *lock_recover(staged) = Some(outcome);
+        batches
+    }
 }
 
 impl<'s> ScanSource<'s> for CachedStream<'s> {
@@ -1459,28 +1507,40 @@ impl<'s> ScanSource<'s> for CachedStream<'s> {
         let t = Instant::now();
         let batch = self.next_window();
         self.time += t.elapsed();
-        batch
+        if let Some(batch) = batch? {
+            self.limit = self.limit.map(|n| n.saturating_sub(batch.rows() as u64));
+            return Ok(Some(batch));
+        }
+        if let Some(staged) = self.unread() {
+            let t = Instant::now();
+            let read = self.read(staged);
+            self.time += t.elapsed();
+            self.rest = read?;
+        }
+        Ok(self.rest.pop_front())
     }
 
-    /// Fold the stream on `min(prep.threads, windows)` workers, one
+    /// Fold the cached rows on `min(threads, windows)` workers, one
     /// contiguous range of windows each ([`Self::split`]), when the
     /// aggregation is order-free — no SUM or AVG adds floats — and on this
-    /// thread alone otherwise. The calling thread is worker 0 and folds the
-    /// first range, the others run as scoped threads, exactly as
-    /// [`run_partitions`]' workers do. The partials merge in row order, so
-    /// the answer is the serial fold's; a failing range reports its first
-    /// failure, and the lowest failing range's is the one reported, as the
-    /// serial fold would have met it first. A cancel or deadline stops every
-    /// worker at its next window.
+    /// thread alone otherwise; then the rows after the frontier, on this
+    /// thread. The calling thread is worker 0 and folds the first range,
+    /// the others run as scoped threads, exactly as [`run_partitions`]'
+    /// workers do. The partials merge in row order, so the answer is the
+    /// serial fold's; a failing range reports its first failure, and the
+    /// lowest failing range's is the one reported, as the serial fold would
+    /// have met it first. A cancel or deadline stops every worker at its
+    /// next window.
     fn aggregate(&mut self, partial: &mut AggPartial<'_>) -> EngineResult<()> {
         let windows = (self.hi - self.next).div_ceil(BATCH_SIZE);
-        let workers = self.prep.threads.min(windows);
+        let workers = self.threads.min(windows);
         let int_column = |c: usize| matches!(self.cols.get(c), Some(TypedColumn::Int { .. }));
         if workers < 2 || !partial.order_free(int_column) {
             return partial.absorb_source(self);
         }
         let spec = partial.spec();
-        let ranges = self.split(workers);
+        let mut ranges = self.split(workers);
+        let mut head = ranges.remove(0);
         let (first, later, helpers, wait) = std::thread::scope(|s| {
             let handles: Vec<_> = ranges
                 .into_iter()
@@ -1493,7 +1553,7 @@ impl<'s> ScanSource<'s> for CachedStream<'s> {
                     })
                 })
                 .collect();
-            let first = partial.absorb_source(self);
+            let first = partial.absorb_source(&mut head);
             let joining = Instant::now();
             let mut helpers = Duration::ZERO;
             let later: Vec<EngineResult<AggPartial<'_>>> = handles
@@ -1517,28 +1577,29 @@ impl<'s> ScanSource<'s> for CachedStream<'s> {
         tel.fold_wait += wait;
         drop(tel);
         first?;
-        later.into_iter().try_for_each(|p| partial.merge(p?))
+        later.into_iter().try_for_each(|p| partial.merge(p?))?;
+        partial.absorb_source(self)
     }
 }
 
 impl Drop for CachedStream<'_> {
-    /// Add what this range actually streamed to the telemetry — whether the
-    /// engine drained it, stopped pulling at a LIMIT, or failed: one hit per
-    /// requested attribute per streamed row, the streamed rows, and the
-    /// range's time. The ranges of one query add up, so the telemetry
+    /// Add what this stream actually streamed to the telemetry — whether
+    /// the engine drained it, stopped pulling at a LIMIT, or failed: one hit
+    /// per requested attribute per streamed cached row, those rows, and the
+    /// stream's time. The ranges of one query add up, so the telemetry
     /// counts each row once and its stream time is the workers' summed
     /// thread time. The hit tally is atomic and the generation cannot move
-    /// while the guard is held, so it needs neither the write lock nor an
-    /// install fence.
+    /// while the guard is held, so it needs no write lock.
     fn drop(&mut self) {
         let rows = (self.next - self.lo) as u64;
         let hits = rows * self.prep.req.attrs.len() as u64;
-        self.cache.record_reads(hits, 0);
+        self.table.cache.record_reads(hits, 0);
+        let stopped = self.next < self.hi || self.unread().is_some();
         let mut tel = lock_recover(self.telemetry);
         tel.rows_scanned += rows;
         tel.cache_hits += hits;
-        tel.stopped_early |= self.next < self.hi;
-        tel.cached_stream += self.time;
+        tel.stopped_early |= stopped;
+        tel.stream += self.time;
     }
 }
 
@@ -1596,11 +1657,11 @@ mod tests {
         Ok(seen)
     }
 
-    /// One query through the production stages — `prepare_scan`, then a
-    /// fully-cached query's lazy stream, or a raw scan's partitions, fenced
-    /// install and re-pack — over an exclusive borrow in place of
-    /// `scan_shared`'s lock hand-offs, surfacing the scan error instead of
-    /// unwrapping. Drains the source as the engine would.
+    /// One query through the production stages — `prepare_scan`, a scan
+    /// stream, and the fenced install of what it read past its cache
+    /// frontier — over an exclusive borrow in place of `scan_shared`'s lock
+    /// hand-offs, surfacing the scan error instead of unwrapping. Drains the
+    /// source as the engine would.
     fn try_scan_batches(
         table: &mut RawTable,
         config: NoDbConfig,
@@ -1609,14 +1670,16 @@ mod tests {
     ) -> (EngineResult<Vec<Seen>>, ScanTelemetry) {
         let tel: TelemetryHandle = Arc::new(Mutex::new(ScanTelemetry::default()));
         let prep = prepare_scan(table, &config, req, &tel, ctx);
-        let r = if prep.fully_cached {
-            CachedStream::new(table, &prep, &tel).and_then(|s| drain(Box::new(s)))
-        } else {
-            run_partitions(table, &config, &prep).and_then(|mut outcome| {
+        let staged = Staged::default();
+        let seen = CachedStream::new(table, &config, &prep, &tel, false, &staged)
+            .and_then(|s| drain(Box::new(s)));
+        let r = match staged.into_inner().unwrap() {
+            Some(outcome) => outcome.and_then(|mut outcome| {
                 revalidate_epoch(&prep)?;
-                scan_install(table, &config, &prep, &mut outcome, &tel)?;
-                drain(Box::new(QueueSource::new(repack(outcome.outputs))))
-            })
+                merge_outputs(table, &config, &prep, &mut outcome, &tel)?;
+                seen
+            }),
+            None => seen,
         };
         let t = Arc::try_unwrap(tel).unwrap().into_inner().unwrap();
         (r, t)
@@ -1920,7 +1983,7 @@ mod tests {
             let ctx = QueryCtx::from_timeout_ms(cfg.query_timeout_ms);
             let prep = prepare_scan(&table, &cfg, ScanRequest::project(vec![1, 4]), &tel, ctx);
             let start = std::time::Instant::now();
-            let outcome = run_partitions(&table, &cfg, &prep).unwrap();
+            let outcome = run_partitions(&table, &cfg, &prep, None).unwrap();
             let wall = start.elapsed() * threads as u32;
             let mut phases = Breakdown::default();
             for o in &outcome.outputs {
@@ -1962,7 +2025,7 @@ mod tests {
             let guard = handle.read();
             let prep = prepare_scan(&guard, &cfg, req.clone(), &tel, ctx);
             assert!(!prep.fully_cached, "a cold scan stages partitions");
-            let outcome = run_partitions(&guard, &cfg, &prep).unwrap();
+            let outcome = run_partitions(&guard, &cfg, &prep, None).unwrap();
             (prep, outcome)
         };
         GeneratorConfig::uniform_ints(4, 300, 61)
@@ -1970,11 +2033,12 @@ mod tests {
             .unwrap();
         handle.write().check_updates().unwrap();
         assert_eq!(handle.read().generation, prep.generation + 1);
-        scan_install(&mut handle.write(), &cfg, &prep, &mut outcome, &tel).unwrap();
+        merge_outputs(&mut handle.write(), &cfg, &prep, &mut outcome, &tel).unwrap();
 
-        let batches = repack(outcome.outputs);
-        let rows: Vec<Vec<Datum>> = batches
+        let rows: Vec<Vec<Datum>> = outcome
+            .outputs
             .iter()
+            .flat_map(|o| &o.batches)
             .flat_map(|b| (0..b.rows()).map(|r| b.row(r)))
             .collect();
         assert_eq!(rows, before, "answers its read");
@@ -2407,73 +2471,61 @@ mod tests {
     #[test]
     fn partially_known_table_reuses_its_prefix_without_a_counting_pass() {
         // An append invalidates row-index completeness but keeps the index,
-        // chunks and cache for the prefix. The next scan cuts the known rows
-        // into row slices — served from the cache without opening the file
-        // — and reads only the bytes behind them, at any worker count, and
-        // must match the one-worker scan.
+        // chunks and cache for the prefix. The next scan streams the cached
+        // prefix — every known row, counted once — and reads only the bytes
+        // behind it, at any worker count, and must match the one-worker
+        // scan.
         use nodb_rawcsv::GeneratorConfig;
         let gen = GeneratorConfig::uniform_ints(5, 5000, 33);
-        let mk_table = |threads: usize, path: &PathBuf| {
+        let req = ScanRequest::project(vec![1, 3]);
+        let mut one_worker: Option<(RawTable, Vec<Vec<Datum>>)> = None;
+        for threads in [1usize, 4, 8] {
             let cfg = NoDbConfig {
                 scan_threads: threads,
                 io_block_size: 4096,
                 ..NoDbConfig::default()
             };
-            (
-                RawTable::register(path, gen.schema(), false, &cfg).unwrap(),
-                cfg,
-            )
-        };
-        let mut p1 = std::env::temp_dir();
-        p1.push(format!("nodb_rawscan_append_seq_{}", std::process::id()));
-        gen.generate_file(&p1).unwrap();
-        let mut p8 = std::env::temp_dir();
-        p8.push(format!("nodb_rawscan_append_par_{}", std::process::id()));
-        gen.generate_file(&p8).unwrap();
-        let (mut t1, cfg1) = mk_table(1, &p1);
-        let (mut t8, cfg8) = mk_table(8, &p8);
-        let req = ScanRequest::project(vec![1, 3]);
-        let (a0, _) = scan_once(&mut t1, cfg1, req.clone());
-        let (b0, _) = scan_once(&mut t8, cfg8, req.clone());
-        assert_eq!(a0, b0);
-        let old_len = std::fs::metadata(&p1).unwrap().len();
-        gen.append_rows(&p1, 120).unwrap();
-        gen.append_rows(&p8, 120).unwrap();
-        let tail_bytes = std::fs::metadata(&p1).unwrap().len() - old_len;
-        t1.check_updates().unwrap();
-        t8.check_updates().unwrap();
-        let (a1, tel_a) = scan_once(&mut t1, cfg1, req.clone());
-        let (b1, tel_b) = scan_once(&mut t8, cfg8, req);
-        assert_eq!(a1, b1, "post-append scans must agree");
-        assert_eq!(a1.len(), 5120);
-        assert_eq!(tel_a.cache_hits, 2 * 5000, "known prefix served from cache");
-        assert_eq!(tel_a.cache_hits, tel_b.cache_hits, "hit parity");
-        for tel in [&tel_a, &tel_b] {
+            let mut p = std::env::temp_dir();
+            p.push(format!(
+                "nodb_rawscan_append_{threads}_{}",
+                std::process::id()
+            ));
+            gen.generate_file(&p).unwrap();
+            let mut t = RawTable::register(&p, gen.schema(), false, &cfg).unwrap();
+            scan_once(&mut t, cfg, req.clone());
+            let old_len = std::fs::metadata(&p).unwrap().len();
+            gen.append_rows(&p, 120).unwrap();
+            let tail_bytes = std::fs::metadata(&p).unwrap().len() - old_len;
+            t.check_updates().unwrap();
+            let (rows, tel) = scan_once(&mut t, cfg, req.clone());
+            let tag = format!("threads {threads}");
+            assert_eq!(rows.len(), 5120, "{tag}");
+            assert_eq!(tel.rows_scanned, 5120, "{tag}: every row once");
+            assert_eq!(tel.cache_hits, 2 * 5000, "{tag}: known prefix from cache");
+            assert_eq!(tel.cache_misses, 0, "{tag}");
             // Each tail slice reads at most its bytes plus two page-sized
             // steps; nothing re-reads the prefix to learn row numbers.
             let slack = SCAN_SLICES as u64 * 2 * 4096;
             assert!(
                 tel.io.bytes_read <= tail_bytes + slack && tel.io.bytes_read < old_len / 2,
-                "read {} bytes for a {tail_bytes}-byte tail behind {old_len} known bytes",
+                "{tag}: read {} bytes for a {tail_bytes}-byte tail behind {old_len} known bytes",
                 tel.io.bytes_read
             );
-        }
-        assert_eq!(t1.row_count, Some(5120));
-        assert_eq!(t1.row_count, t8.row_count);
-        assert!(t1.map.row_index().is_complete());
-        assert_eq!(t1.map.row_index().starts(), t8.map.row_index().starts());
-        for attr in [1usize, 3] {
-            assert_eq!(t1.cache.coverage(attr), 5120);
-            assert_eq!(t1.cache.coverage(attr), t8.cache.coverage(attr));
-            for row in 0..t1.cache.coverage(attr) {
-                assert_eq!(
-                    t1.cache.column(attr).and_then(|c| c.datum(row)),
-                    t8.cache.column(attr).and_then(|c| c.datum(row))
-                );
+            assert_eq!(t.row_count, Some(5120), "{tag}");
+            assert!(t.map.row_index().is_complete(), "{tag}");
+            for attr in [1usize, 3] {
+                assert_eq!(t.cache.coverage(attr), 5120, "{tag}");
+            }
+            std::fs::remove_file(p).unwrap();
+            match &one_worker {
+                None => one_worker = Some((t, rows)),
+                Some((one, expect)) => {
+                    assert_eq!(&rows, expect, "{tag}: post-append scans must agree");
+                    assert_eq!(one.map.row_index().starts(), t.map.row_index().starts());
+                    assert_same_state(&tag, one, &t, 5);
+                }
             }
         }
-        std::fs::remove_file(p1).unwrap();
-        std::fs::remove_file(p8).unwrap();
     }
 
     #[test]
@@ -2996,7 +3048,8 @@ mod tests {
             let before = t.cache.metrics().hits;
             let tel: TelemetryHandle = Arc::default();
             let prep = prepare_scan(&t, &cfg, req(Some(n)), &tel, QueryCtx::unbounded());
-            let mut stream = CachedStream::new(&t, &prep, &tel).unwrap();
+            let staged = Staged::default();
+            let mut stream = CachedStream::new(&t, &cfg, &prep, &tel, false, &staged).unwrap();
             let mut rows = Vec::new();
             while (rows.len() as u64) < n {
                 let Some(b) = stream.next_batch().unwrap() else {

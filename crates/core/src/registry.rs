@@ -20,11 +20,12 @@
 //!   LRU touches, cache query tick) are atomic — and workers only need
 //!   shared borrows. Only a file change found by the probe takes the
 //!   **write** lock before planning, to reconcile it, and downgrades it in
-//!   place into the read lock. A raw scan then releases the read lock and
-//!   takes a short write lock to install the staged positional-map chunk,
-//!   cache columns and statistics (nothing, if another query reconciled a
-//!   file change in between). A query answered entirely from the cache
-//!   never takes the write lock at all.
+//!   place into the read lock. A scan that read rows from the file then,
+//!   once its engine has returned, releases the read lock and takes a short
+//!   write lock to install the staged positional-map chunk, cache columns
+//!   and statistics (nothing, if another query reconciled a file change in
+//!   between). A query answered entirely from the cache never takes the
+//!   write lock at all.
 //!
 //! The poison-free `RwLock` comes from the workspace's `parking_lot`
 //! stand-in: a panicking scan must not wedge every later query on the same

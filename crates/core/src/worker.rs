@@ -2,14 +2,14 @@
 //!
 //! One worker owns one slice of the file — a [`LineRange`] that either
 //! covers rows the row index holds (`Partition::row_base` is set: the worker
-//! may copy rows out of the cache, jump through map chunks, or serve the
-//! whole slice from the cache) or bytes nobody has numbered yet (everything
-//! comes from the raw bytes, and the line starts found are handed back) —
-//! and everything it needs to process it without synchronization: its own
-//! [`RangeScanner`] (reading synchronously on this thread), a reusable
-//! [`RowBatch`], a partial positional-map [`ChunkBuilder`], typed partial
-//! columns ([`TypedColumn`] per requested attribute, one value per row) and
-//! per-phase timing, lapped once per batch.
+//! may copy rows out of the cache and jump through map chunks) or bytes
+//! nobody has numbered yet (everything comes from the raw bytes, and the
+//! line starts found are handed back) — and everything it needs to process
+//! it without synchronization: its own [`RangeScanner`] (reading
+//! synchronously on this thread), a reusable [`RowBatch`], a partial
+//! positional-map [`ChunkBuilder`], typed partial columns ([`TypedColumn`]
+//! per requested attribute, one value per row) and per-phase timing, lapped
+//! once per batch.
 //!
 //! The worker runs a batch at a time. One [`RangeScanner::fill_batch`]
 //! finds up to `BATCH_SIZE` lines and the spans of the fields each row
@@ -33,9 +33,8 @@
 //! install; the worker sketches them for the statistics itself (the
 //! bounds, [`sketch_partials`]) so the install has no value to walk. Every
 //! `BATCH_SIZE` rows the worker hands the newest partial rows and the
-//! resolver's selection of them to `rawscan::segment_batch`, the same
-//! former that serves cache-covered slices, so the predicate runs once per
-//! row of the raw file. All shared state is borrowed
+//! resolver's selection of them to `rawscan::segment_batch`, so the
+//! predicate runs once per row of the raw file. All shared state is borrowed
 //! immutably ([`ScanContext`]); the mutable merge into the table's
 //! positional map, cache and statistics happens on the driver thread
 //! afterwards (`rawscan`), in partition order, so the post-scan state does
@@ -63,7 +62,7 @@ use nodb_stats::ColumnSketch;
 use crate::config::{NoDbConfig, ParseErrorPolicy};
 use crate::ctx::QueryCtx;
 use crate::metrics::{Breakdown, PhaseClock};
-use crate::rawscan::{cached_column_handles, filter_segment, segment_batch, QuarantineSample};
+use crate::rawscan::{filter_segment, segment_batch, QuarantineSample};
 
 /// Test hook: make every `run_partition` call over this raw file panic, to
 /// exercise the worker-boundary `catch_unwind` containment without a
@@ -146,13 +145,10 @@ pub(crate) struct Partition {
     pub skip_header: bool,
     /// Global index of this partition's first data row: `Some` for a slice
     /// of rows the row index holds, `None` for a byte slice of the unknown
-    /// tail behind them.
+    /// tail behind them. A slice the cache covers for every requested
+    /// attribute never gets here: the scan streams its rows from the cache
+    /// (`rawscan`'s cache frontier).
     pub row_base: Option<usize>,
-    /// Exact data-row count of the partition, known exactly when
-    /// `row_base` is. Together they enable the whole-partition cache probe:
-    /// a partition fully covered by the cache for every requested attribute
-    /// is served without opening the file.
-    pub rows: Option<usize>,
 }
 
 /// Everything a worker hands back for the deterministic merge.
@@ -200,22 +196,6 @@ pub(crate) fn run_partition(
     }
     let clock = PhaseClock::new(ctx.config.detailed_timing);
     let mut laps = Laps::default();
-
-    // Whole-partition cache probe: with the global row range known and
-    // every requested attribute cached for every row of it, the raw file
-    // has nothing left to offer — serve the partition straight from the
-    // cache, zero I/O. Skipped when the scan collects a map chunk (that
-    // needs the raw line bytes), so the partition-local partials stay
-    // identical to what the batch loop would have produced. A column
-    // that is not resident with that coverage sends the slice to the raw
-    // bytes below.
-    if let (Some(base), Some(rows), Some(cache)) = (part.row_base, part.rows, ctx.cache) {
-        if !ctx.build_chunk {
-            if let Some(cols) = cached_column_handles(cache, &ctx.req.attrs, base + rows) {
-                return Ok(run_cached_partition(ctx, base, rows, &cols, &clock));
-            }
-        }
-    }
 
     // Clamp the partition to the epoch's torn-row fence: bytes past it
     // belong to the next epoch (a torn trailing row, a concurrent append).
@@ -778,40 +758,6 @@ fn fresh_partials(ctx: &ScanContext<'_>) -> Vec<TypedColumn> {
         .iter()
         .map(|&a| TypedColumn::new(ctx.schema.ty(a)))
         .collect()
-}
-
-/// Serve one fully-cached partition without touching the raw file: the
-/// batch former runs over the cache columns `cols` themselves, and the
-/// partials are the same rows exported as whole typed segments (so a later
-/// merge under shrunk coverage re-admits real data, never placeholders).
-/// The output rows are exactly what the streaming loop would have produced
-/// — minus the I/O.
-fn run_cached_partition(
-    ctx: &ScanContext<'_>,
-    base: usize,
-    rows: usize,
-    cols: &[&TypedColumn],
-    clock: &PhaseClock,
-) -> PartitionOutput {
-    let mut out = PartitionOutput {
-        rows,
-        cache_hits: (rows * cols.len()) as u64,
-        ..Default::default()
-    };
-    let t = clock.start();
-    let end = base + rows;
-    out.side_cols = cols.iter().map(|c| c.export_range(base, end)).collect();
-    out.sketches = sketch_partials(ctx, Some(base), &out.side_cols);
-    clock.lap(t, &mut out.breakdown.nodb);
-    for lo in (base..end).step_by(BATCH_SIZE) {
-        let hi = end.min(lo + BATCH_SIZE);
-        let sel = filter_segment(ctx.req, cols, lo, hi - lo);
-        let batch = segment_batch(ctx.req, cols, lo, hi, sel);
-        if !batch.is_empty() {
-            out.batches.push(batch);
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -6,16 +6,16 @@
 //! **selection vector**. Columns come in three storage classes:
 //!
 //! * [`Column::Typed`] — owned cache-format typed storage
-//!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). Raw and
-//!   partially cached scans emit it: each slice exports a segment of its
-//!   freshly parsed partial columns, or of the cache for a cache-covered
-//!   slice (`TypedColumn::export_range` / `gather`), and moves it into the
-//!   batch, which outlives the table lock. The loaded stores and
+//!   ([`nodb_rawcache::TypedColumn`]: value vector + null bitmap). A raw
+//!   scan's slices emit it: each exports a segment of its freshly parsed
+//!   partial columns (`TypedColumn::export_range` / `gather`) and moves it
+//!   into the batch, which outlives the partials. The loaded stores and
 //!   `MemSource` push their rows into columns typed from the schema (or,
 //!   for `MemSource`, from each column's first non-NULL value).
 //! * [`Column::Window`] — a **borrowed window** of a longer typed column:
-//!   physical row `i` is row `base + i` of the backing column. A
-//!   fully-cached scan lends the engine the cache's own columns this way,
+//!   physical row `i` is row `base + i` of the backing column. A raw-file
+//!   scan lends the engine the cache's own columns this way for the rows
+//!   below its cache frontier,
 //!   one `BATCH_SIZE`-row window per batch, while it holds the table's read
 //!   guard; nothing is copied. This is why [`Batch`] and
 //!   [`crate::ScanSource`] carry a lifetime: a window batch cannot outlive
@@ -29,9 +29,7 @@
 //! Every typed kernel — the predicate kernels, the aggregate folds, the
 //! GROUP BY key hash, the top-n threshold — reads a column through one
 //! [`ColView`] (backing column + `base`, from [`Column::view`]), so an
-//! owned column (`base` 0) and a window run the same loop. Concatenating
-//! ([`Column::append`]) copies a window into owned storage and keeps a
-//! column typed: NULL rows pad the typed side.
+//! owned column (`base` 0) and a window run the same loop.
 //!
 //! The selection vector (`sel`) is a sorted list of *physical* row indices:
 //! logical row `r` of the batch is physical row `sel[r]` of every column.
@@ -40,7 +38,6 @@
 //! deferring (or entirely skipping) the gather. Every accessor —
 //! [`Batch::value`], [`Batch::row`], [`BatchRow`] — resolves through the
 //! selection, so row-at-a-time fallbacks stay oblivious and correct.
-//! [`Batch::extend_from`] materializes selections as needed.
 //!
 //! Selection vectors come from the predicate kernels
 //! ([`crate::expr::RExpr::filter_columnar`]), which run over borrowed
@@ -63,7 +60,7 @@ pub enum Column<'a> {
     /// vectorized kernels.
     Typed(TypedColumn),
     /// Rows `[base, base + len)` of a longer typed column, borrowed in
-    /// place (a fully-cached scan's window of a cache column).
+    /// place (a raw-file scan's window of a cache column).
     Window {
         /// The backing column.
         col: &'a TypedColumn,
@@ -111,56 +108,6 @@ impl<'a> Column<'a> {
             Some(v) if i < self.len() => v.datum(i),
             _ => Datum::Null,
         }
-    }
-
-    /// The physical rows `sel[i]`, in order, as a new owned column (typed,
-    /// or all-NULL for an all-NULL one).
-    pub fn gather(&self, sel: &[u32]) -> Column<'a> {
-        match self.view() {
-            Some(v) => Column::Typed(v.col.gather(sel, v.base)),
-            None => Column::Nulls(sel.len()),
-        }
-    }
-
-    /// The column's rows as owned typed storage (a window copied), or
-    /// `None` for an all-NULL column.
-    fn into_typed(self) -> Option<TypedColumn> {
-        match self {
-            Column::Typed(c) => Some(c),
-            Column::Window { col, base, len } => Some(col.export_range(base, base + len)),
-            Column::Nulls(_) => None,
-        }
-    }
-
-    /// Append `other` (restricted to `other_sel` when given) after this
-    /// column's rows, leaving this column owned. Typed segments concatenate,
-    /// a window being copied first; a [`Column::Nulls`] side meeting a typed
-    /// one becomes NULL rows of the typed column, in either order, so the
-    /// result stays typed.
-    pub fn append(&mut self, other: Column<'a>, other_sel: Option<&[u32]>) {
-        let other = match other_sel {
-            Some(sel) => other.gather(sel),
-            None => other,
-        };
-        let this = std::mem::replace(self, Column::Nulls(0));
-        let (n, m) = (this.len(), other.len());
-        *self = match (this.into_typed(), other.into_typed()) {
-            (Some(mut a), Some(b)) => {
-                a.append_segment(b);
-                Column::Typed(a)
-            }
-            (Some(mut a), None) => {
-                (0..m).for_each(|_| a.push_null());
-                Column::Typed(a)
-            }
-            (None, None) => Column::Nulls(n + m),
-            (None, Some(b)) => {
-                let mut a = TypedColumn::new(b.ty());
-                (0..n).for_each(|_| a.push_null());
-                a.append_segment(b);
-                Column::Typed(a)
-            }
-        };
     }
 }
 
@@ -267,41 +214,6 @@ impl<'a> Batch<'a> {
     pub fn row(&self, r: usize) -> Vec<Datum> {
         let p = self.phys(r);
         self.cols.iter().map(|c| c.datum(p)).collect()
-    }
-
-    /// Resolve the selection vector into dense columns (no-op when dense).
-    pub fn materialize(&mut self) {
-        if let Some(sel) = self.sel.take() {
-            for c in &mut self.cols {
-                *c = c.gather(&sel);
-            }
-        }
-    }
-
-    /// Append every row of `other` after this batch's rows.
-    ///
-    /// This is the reorder-free concatenation the parallel scan relies on:
-    /// per-partition output batches are stitched back together in partition
-    /// order, so downstream operators observe exactly the row order a
-    /// sequential scan would have produced. An empty batch *adopts* the
-    /// other's storage (typed columns and selection travel through intact);
-    /// otherwise columns append pairwise ([`Column::append`]).
-    ///
-    /// # Panics
-    /// Panics when the column counts differ.
-    pub fn extend_from(&mut self, other: Batch<'a>) {
-        assert_eq!(self.cols.len(), other.cols.len(), "batch arity mismatch");
-        if self.rows == 0 {
-            *self = other;
-            return;
-        }
-        self.materialize();
-        let sel = other.sel.as_deref();
-        let rows = other.rows;
-        for (col, ocol) in self.cols.iter_mut().zip(other.cols) {
-            col.append(ocol, sel);
-        }
-        self.rows += rows;
     }
 }
 
@@ -431,25 +343,6 @@ mod tests {
     }
 
     #[test]
-    fn extend_from_preserves_row_order() {
-        let mut a = int_str(&[(1, "a")]);
-        a.extend_from(int_str(&[(2, "b"), (3, "c")]));
-        assert_eq!(a.rows(), 3);
-        assert_eq!(a.row(0), vec![Datum::Int(1), Datum::from("a")]);
-        assert_eq!(a.row(2), vec![Datum::Int(3), Datum::from("c")]);
-        // Extending with an empty batch is a no-op.
-        a.extend_from(int_str(&[]));
-        assert_eq!(a.rows(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "arity mismatch")]
-    fn extend_from_rejects_arity_mismatch() {
-        let mut a = Batch::dense(vec![typed_int(&[Some(1)])], 1);
-        a.extend_from(int_str(&[(2, "b")]));
-    }
-
-    #[test]
     fn row_access_adapters() {
         let b = Batch::dense(vec![typed_int(&[Some(7)]), typed_int(&[Some(8)])], 1);
         let r = BatchRow::new(&b, 0);
@@ -477,70 +370,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_adopts_typed_storage() {
-        let mut acc = Batch::dense(vec![typed_int(&[])], 0);
-        let typed = Batch::from_parts(vec![typed_int(&[Some(1), Some(2)])], Some(vec![1]));
-        acc.extend_from(typed);
-        assert_eq!(acc.rows(), 1);
-        assert!(matches!(acc.column(0), Column::Typed(_)), "storage adopted");
-        assert_eq!(acc.value(0, 0), Datum::Int(2));
-        // A second typed extend materializes the selection and concatenates.
-        acc.extend_from(Batch::from_parts(vec![typed_int(&[None, Some(9)])], None));
-        assert_eq!(acc.rows(), 3);
-        assert_eq!(acc.row(1), vec![Datum::Null]);
-        assert_eq!(acc.row(2), vec![Datum::Int(9)]);
-    }
-
-    #[test]
-    fn nulls_and_typed_extend_stay_typed_in_either_order() {
-        // Typed ⊕ Nulls: the NULL rows pad the typed column.
-        let mut t = Batch::dense(vec![typed_int(&[Some(5)])], 1);
-        t.extend_from(Batch::from_parts(vec![Column::Nulls(3)], Some(vec![0, 2])));
-        assert_eq!(t.rows(), 3);
-        assert!(matches!(t.column(0), Column::Typed(_)));
-        assert_eq!(t.row(0), vec![Datum::Int(5)]);
-        assert_eq!(t.value(1, 0), Datum::Null);
-        assert_eq!(t.value(2, 0), Datum::Null);
-        // Nulls ⊕ Typed under a selection: NULLs first, then the selected
-        // typed rows, in order.
-        let mut n = Batch::dense(vec![Column::Nulls(2)], 2);
-        n.extend_from(Batch::from_parts(
-            vec![typed_int(&[Some(1), None, Some(3), Some(4)])],
-            Some(vec![1, 2, 3]),
-        ));
-        assert_eq!(n.rows(), 5);
-        assert!(matches!(n.column(0), Column::Typed(_)));
-        let got: Vec<Datum> = (0..5).map(|r| n.value(r, 0)).collect();
-        assert_eq!(
-            got,
-            vec![
-                Datum::Null,
-                Datum::Null,
-                Datum::Null,
-                Datum::Int(3),
-                Datum::Int(4)
-            ]
-        );
-        // Nulls ⊕ Nulls stays all-NULL.
-        let mut both = Batch::dense(vec![Column::Nulls(1)], 1);
-        both.extend_from(Batch::dense(vec![Column::Nulls(2)], 2));
-        assert!(matches!(both.column(0), Column::Nulls(3)));
-    }
-
-    #[test]
-    fn materialize_resolves_selection() {
-        let mut b = Batch::from_parts(
-            vec![typed_int(&[Some(1), Some(2), Some(3)])],
-            Some(vec![0, 2]),
-        );
-        b.materialize();
-        assert_eq!(b.selection(), None);
-        assert_eq!(b.column(0).len(), 2);
-        assert_eq!(b.row(1), vec![Datum::Int(3)]);
-    }
-
-    #[test]
-    fn windows_read_through_their_base_and_append_as_owned() {
+    fn windows_read_through_their_base() {
         let backing = match typed_int(&[Some(1), None, Some(3), Some(4), Some(5)]) {
             Column::Typed(c) => c,
             _ => unreachable!(),
@@ -555,16 +385,6 @@ mod tests {
         assert_eq!(w.datum(0), Datum::Null);
         assert_eq!(w.datum(2), Datum::Int(4));
         assert_eq!(w.datum(3), Datum::Null, "past the window, not the column");
-        assert!(matches!(w.gather(&[1, 2]), Column::Typed(c) if c.len() == 2));
-        // An empty batch adopts a window batch; the next extend copies it.
-        let mut acc = Batch::dense(vec![typed_int(&[])], 0);
-        acc.extend_from(Batch::from_parts(vec![window(0, 3)], Some(vec![0, 2])));
-        assert!(matches!(acc.column(0), Column::Window { .. }), "adopted");
-        acc.extend_from(Batch::dense(vec![window(3, 2)], 2));
-        assert!(matches!(acc.column(0), Column::Typed(_)), "owned");
-        let got: Vec<Datum> = (0..acc.rows()).map(|r| acc.value(r, 0)).collect();
-        let want = [1, 3, 4, 5].map(Datum::Int);
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! That state is one type, [`AggPartial`]: the group table plus every
 //! aggregate's per-group states over the rows folded so far. [`execute`]
 //! folds its source into one partial (`ScanSource::aggregate`). A source
-//! that cuts its rows into contiguous ranges — a fully-cached raw-file
-//! scan, on its granted workers — folds each range into a partial of its
+//! that cuts its rows into contiguous ranges — a raw-file scan's cached
+//! rows, on its granted workers — folds each range into a partial of its
 //! own and merges them in row order ([`AggPartial::merge`]): a later
 //! partial's groups join in their arrival order, so the groups come out in
 //! the serial fold's order; COUNT adds, SUM and AVG add their exact `i128`

@@ -7,13 +7,14 @@
 //! each storage backend — PostgresRaw-style raw scan, naive external-files
 //! scan, loaded row/column stores — answers with batches.
 //!
-//! A source that owns its batches (raw and partially cached scans, through
-//! [`QueueSource`]; [`MemSource`]; the loaded stores) implements
-//! [`ScanSource<'a>`] for every `'a`. A fully-cached raw-file scan is a
-//! *lazy* source instead: it yields borrowed windows of the cache's columns
-//! ([`crate::batch::Column::Window`]) while it holds the table's read
-//! guard, runs the pushed predicate one window at a time as the engine
-//! pulls, and stops when the engine stops pulling.
+//! A source that owns its batches ([`QueueSource`]; [`MemSource`]; the
+//! loaded stores) implements [`ScanSource<'a>`] for every `'a`. A raw-file
+//! scan is a *lazy* source instead, pulled while it holds the table's read
+//! guard: below its cache frontier it yields borrowed windows of the
+//! cache's columns ([`crate::batch::Column::Window`]), running the pushed
+//! predicate one window at a time as the engine pulls; only when the
+//! engine pulls past them does it read the rows after the frontier from
+//! the file, and it stops when the engine stops pulling.
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::{ColumnType, Datum};
@@ -86,20 +87,16 @@ pub trait ScanSource<'a> {
     /// that can cut its rows into contiguous ranges may instead fold each
     /// range into a partial of its own on a thread of its own and merge
     /// them into `partial` in row order ([`AggPartial::merge`]), when the
-    /// aggregation is [`AggPartial::order_free`] — a fully-cached raw-file
-    /// scan does.
+    /// aggregation is [`AggPartial::order_free`] — a raw-file scan does for
+    /// the rows below its cache frontier, and then absorbs the rows after
+    /// it.
     fn aggregate(&mut self, partial: &mut AggPartial<'_>) -> EngineResult<()> {
         partial.absorb_source(self)
     }
 }
 
-/// A [`ScanSource`] over batches that were produced before execution began.
-///
-/// This is the seam raw and partially cached scans use: such a scan stages
-/// its owned output batches, installs what it learned under the table's
-/// write lock, and releases every lock before the engine pipeline starts,
-/// so aggregation and sorting never hold table locks behind a raw scan.
-/// (A fully-cached scan streams lazily under its read guard instead.)
+/// A [`ScanSource`] over batches that were produced before execution
+/// began, yielded in order with an exact size hint.
 pub struct QueueSource {
     batches: std::collections::VecDeque<Batch<'static>>,
     remaining: usize,

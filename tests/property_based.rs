@@ -1988,3 +1988,198 @@ fn faulty_scans_match_fault_free() {
         std::fs::remove_file(path).ok();
     }
 }
+
+/// After an append, a query streams the rows below its cache frontier from
+/// the cache and reads only the rows after it: the appended tail, and the
+/// known rows the cache does not cover. Over a `narrow`-like file grown by
+/// three appends, at 1, 4 and 8 workers, every answer equals the loaded
+/// DBMS's over the file as it stands — order-free aggregates (whose cached
+/// rows fold on every worker), float `SUM` and `AVG` (which fold serially),
+/// a grouped aggregate, projections, a top-n, a bare LIMIT the cached rows
+/// satisfy (reading no raw byte) and one the appended rows complete
+/// (reading their first slice alone). After each query the table holds the
+/// naive model's state, under an ample budget and under one that holds
+/// about three of the five columns. The model runs no LIMIT: one the cached
+/// rows satisfy leaves the table as it was, and one the appended rows
+/// complete installs a prefix of them, after which the state must equal the
+/// one-worker instance's until the round's queries bring it back to the
+/// model's. Last, on a fresh instance whose raw reads are slowed by injected
+/// faults, a deadline stops a query after an append while it reads the
+/// appended rows, and the rerun answers and ends in the model's state.
+#[test]
+fn appended_rows_are_read_behind_the_cached_prefix() {
+    use nodb_repro::core::{EngineError, QueryCtx};
+    use nodb_repro::storage::{ConventionalDb, DbProfile};
+    use std::time::Duration;
+    let mut rng = CaseRng::new(0xA99E);
+    let rows = 3 * BATCH_SIZE as u64 + 300;
+    let k1 = rng.below(1_000_000) as i64;
+    let k2 = 200 + rng.below(600) as i64;
+    // (SQL, predicate attributes, engine attributes) of the full queries.
+    let full: [(String, Vec<usize>, Vec<usize>); 6] = [
+        ("SELECT COUNT(*) FROM t".into(), vec![], vec![]),
+        (
+            format!("SELECT COUNT(*), SUM(c1), MIN(c3), MAX(c0) FROM t WHERE c1 < {k1}"),
+            vec![1],
+            vec![0, 1, 3],
+        ),
+        (
+            format!("SELECT SUM(c2), AVG(c2), COUNT(c3) FROM t WHERE c2 < {k2}"),
+            vec![2],
+            vec![2, 3],
+        ),
+        (
+            "SELECT c4, COUNT(*), SUM(c1), AVG(c0) FROM t GROUP BY c4".into(),
+            vec![],
+            vec![0, 1, 4],
+        ),
+        (
+            format!("SELECT c0, c2, c3 FROM t WHERE c1 < {k1}"),
+            vec![1],
+            vec![0, 2, 3],
+        ),
+        (
+            format!("SELECT c0, c1 FROM t WHERE c2 < {k2} ORDER BY c1 DESC, c0 LIMIT 25"),
+            vec![2],
+            vec![0, 1],
+        ),
+    ];
+    let path = scratch("append_frontier", 0);
+    let store = scratch("append_frontier_store", 0);
+    let loaded = |gen: &GeneratorConfig, round: u64| {
+        let dir = store.join(round.to_string());
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut db = ConventionalDb::new(DbProfile::DbmsXLike, &dir);
+        db.load_csv("t", &path, gen.schema(), false, &[]).unwrap();
+        db
+    };
+    let grow = |gen: &mut GeneratorConfig, n: u64| {
+        gen.append_rows(&path, n).unwrap();
+        gen.rows += n;
+    };
+    let mut gen = mixed_types(rows, 7);
+    gen.generate_file(&path).unwrap();
+    let instances = |cfg: NoDbConfig| -> Vec<(usize, NoDb)> {
+        [1usize, 4, 8]
+            .into_iter()
+            .map(|threads| {
+                let mut db = NoDb::new(NoDbConfig {
+                    scan_threads: threads,
+                    ..cfg
+                });
+                db.register_csv_with_schema("t", &path, gen.schema(), false)
+                    .unwrap();
+                (threads, db)
+            })
+            .collect()
+    };
+    let mut model = common::NaiveModel::load(&path, &gen.schema(), &NoDbConfig::pm_c());
+    let dbs = instances(NoDbConfig::pm_c());
+    // A budget for about three of the five columns: queries evict each
+    // other's columns, and a column's coverage ends inside a slice of the
+    // grid a later scan cuts. The model replays no LIMIT, whose cache tick
+    // would move its LRU order, so these instances run the full queries
+    // alone.
+    let tight = NoDbConfig {
+        cache_budget_bytes: model.bytes_for_rows(&[0, 1, 2], rows as usize),
+        ..NoDbConfig::pm_c()
+    };
+    let mut tight_model = common::NaiveModel::load(&path, &gen.schema(), &tight);
+    let tight_dbs = instances(tight);
+    let mut dbms = loaded(&gen, 0);
+    for round in 0..4u64 {
+        let (before, old_len) = (gen.rows, std::fs::metadata(&path).unwrap().len());
+        if round > 0 {
+            grow(&mut gen, 100 + rng.below(200));
+            model.note_appended(&path);
+            tight_model.note_appended(&path);
+            dbms = loaded(&gen, round);
+            // Everything the query reads is cached for every old row, and
+            // five of them pass: the cached rows answer alone.
+            let sql = "SELECT c0, c3 FROM t WHERE c1 >= 0 LIMIT 5";
+            let want = dbms.query(sql).unwrap();
+            for (threads, db) in &dbs {
+                let tag = format!("threads {threads} round {round}: {sql}");
+                let (r, rep) = db.query_reported(sql, &QueryCtx::unbounded()).unwrap();
+                assert_eq!(r, want, "{tag}");
+                assert!(
+                    !rep.fully_cached && rep.rows_scanned < before,
+                    "{tag}: {rep:?}"
+                );
+                assert_eq!(rep.io.bytes_read, 0, "{tag}");
+                common::assert_matches_model(&tag, db, &model);
+            }
+            // The last ten old rows pass: the appended rows answer the
+            // eleventh, and only the first slice of them is read.
+            let sql = format!(
+                "SELECT c0, c1, c3 FROM t WHERE c0 >= {} LIMIT 11",
+                before - 10
+            );
+            let want = dbms.query(&sql).unwrap();
+            for (threads, db) in &dbs {
+                let tag = format!("threads {threads} round {round}: {sql}");
+                let (r, rep) = db.query_reported(&sql, &QueryCtx::unbounded()).unwrap();
+                assert_eq!(r, want, "{tag}");
+                assert!(rep.io.bytes_read < old_len / 2, "{tag}: {rep:?}");
+                assert!(rep.rows_scanned < before + 10, "{tag}: {rep:?}");
+                common::assert_same_state(&tag, &dbs[0].1, db, 5);
+            }
+        }
+        for (sql, pred, used) in &full {
+            let want = dbms.query(sql).unwrap();
+            model.query(pred, used);
+            tight_model.query(pred, used);
+            for (threads, db) in &dbs {
+                let tag = format!("threads {threads} round {round}: {sql}");
+                assert_eq!(db.query(sql).unwrap(), want, "{tag}");
+                match round {
+                    0 => common::assert_matches_model(&tag, db, &model),
+                    _ => common::assert_same_state(&tag, &dbs[0].1, db, 5),
+                }
+            }
+            for (threads, db) in &tight_dbs {
+                let tag = format!("tight threads {threads} round {round}: {sql}");
+                assert_eq!(db.query(sql).unwrap(), want, "{tag}");
+                common::assert_matches_model(&tag, db, &tight_model);
+            }
+        }
+        for (threads, db) in &dbs {
+            common::assert_matches_model(&format!("threads {threads} round {round}"), db, &model);
+        }
+    }
+
+    // A deadline that stops the read of the appended rows: every raw slice
+    // sleeps one retry backoff (seed 3 injects an `EIO` at each slice's
+    // first refill), so reading a tail of 64 slices takes at least
+    // `64 / threads` backoffs, while the cached rows take well under one.
+    let sql = format!("SELECT COUNT(*), SUM(c1), MAX(c2) FROM t WHERE c1 < {k1}");
+    for threads in [1usize, 4, 8] {
+        let tag = format!("threads {threads} deadline");
+        let cfg = NoDbConfig {
+            scan_threads: threads,
+            io_fault_seed: 3,
+            io_fault_one_in: 1,
+            io_retry_backoff_ms: 20,
+            ..NoDbConfig::pm_c()
+        };
+        let mut db = NoDb::new(cfg);
+        db.register_csv_with_schema("t", &path, gen.schema(), false)
+            .unwrap();
+        let mut model = common::NaiveModel::load(&path, &gen.schema(), &cfg);
+        db.query("SELECT COUNT(c1), COUNT(c2) FROM t").unwrap();
+        model.query(&[], &[1, 2]);
+        grow(&mut gen, 200);
+        model.note_appended(&path);
+        let stopped = db.query_with_ctx(&sql, &QueryCtx::with_timeout(Duration::from_millis(50)));
+        assert!(
+            matches!(stopped, Err(EngineError::DeadlineExceeded)),
+            "{tag}: {stopped:?}"
+        );
+        let want = loaded(&gen, 10 + threads as u64).query(&sql).unwrap();
+        assert_eq!(db.query(&sql).unwrap(), want, "{tag}");
+        model.query(&[1], &[1, 2]);
+        common::assert_matches_model(&tag, &db, &model);
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&store).ok();
+}

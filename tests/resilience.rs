@@ -355,8 +355,24 @@ fn cancel_token_aborts_mid_scan() {
 /// rows.
 #[test]
 fn stopped_parallel_fold_releases_the_table() {
+    stopped_fold_releases_the_table("fold_stop", false);
+}
+
+/// The same for a query after an append, whose cached rows fold on every
+/// worker under the read guard and whose appended rows are read from the
+/// file only after them: stopped in the cached rows' fold, it returns as
+/// soon, reads no appended row, and releases the table to the queued
+/// appender; the query answers over every appended row afterwards.
+#[test]
+fn stopped_partially_cached_fold_releases_the_table() {
+    stopped_fold_releases_the_table("partial_fold_stop", true);
+}
+
+/// The body of the two tests above: `appended` appends two rows between
+/// timing the fully-cached fold and stopping it.
+fn stopped_fold_releases_the_table(tag: &str, appended: bool) {
     let rows = 200_000u64;
-    let (path, gen) = gen_table("fold_stop", rows);
+    let (path, gen) = gen_table(tag, rows);
     // A computed predicate runs row at a time: a fold long enough to stop
     // in its middle. `SUM` over an Int column keeps the fold on every
     // worker.
@@ -383,6 +399,15 @@ fn stopped_parallel_fold_releases_the_table() {
             .min()
             .unwrap();
         let stop_at = full / 4;
+        let append = |path: &std::path::Path| {
+            let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
+            std::io::Write::write_all(&mut f, b"1,2,3,4,5\n6,7,8,9,10\n").unwrap();
+        };
+        let mut grown = 0;
+        if appended {
+            append(&path);
+            grown += 2;
+        }
 
         // A deadline a quarter of the way in.
         let t = Instant::now();
@@ -398,19 +423,25 @@ fn stopped_parallel_fold_releases_the_table() {
             took < full * 3 / 4,
             "threads {threads}: stopped after {took:?}; the whole fold takes {full:?}"
         );
+        if appended {
+            let handle = db.table_handle("t").unwrap();
+            let table = handle.read();
+            assert!(
+                !table.map().row_index().is_complete(),
+                "threads {threads}: the appended rows were read"
+            );
+        }
 
         // A cancel a quarter of the way in, with an appender queued for
         // the write lock behind the fold's read guard.
         let ctx = QueryCtx::unbounded();
         let token = ctx.cancel_token();
-        let (stopped, appended) = std::thread::scope(|s| {
+        let (stopped, counted) = std::thread::scope(|s| {
             let db = &db;
             let (path, ctx) = (&path, &ctx);
             let appender = s.spawn(move || {
                 std::thread::sleep(stop_at / 2);
-                let mut f = std::fs::OpenOptions::new().append(true).open(path).unwrap();
-                std::io::Write::write_all(&mut f, b"1,2,3,4,5\n6,7,8,9,10\n").unwrap();
-                drop(f);
+                append(path);
                 let r = db.query("SELECT COUNT(*) FROM t").unwrap();
                 (r, Instant::now())
             });
@@ -431,10 +462,10 @@ fn stopped_parallel_fold_releases_the_table() {
             took < full * 3 / 4,
             "threads {threads}: stopped after {took:?}; the whole fold takes {full:?}"
         );
-        let (count, counted_at) = appended;
+        let (count, counted_at) = counted;
         assert_eq!(
             count.scalar(),
-            Some(&Datum::Int(rows as i64 + 2)),
+            Some(&Datum::Int((rows + grown) as i64 + 2)),
             "threads {threads}"
         );
         // Unblocked, the appender's query would have answered long before
