@@ -19,6 +19,13 @@
 //! open+restore boot cost itself. Acceptance: restart-then-query lands
 //! within 1.25× of warm-query, vs. the much slower full-cold baseline.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a bench harness aborts on a failed setup step rather than report it"
+)]
+
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -91,7 +98,7 @@ fn warmed_db(path: &PathBuf, schema: &Schema, cfg: NoDbConfig, sql: &str) -> NoD
 
 fn bench_cold_reuse(c: &mut Criterion) {
     let rows = rows();
-    let dir = scratch_dir("bench_cold_reuse");
+    let dir = scratch_dir("bench_cold_reuse").expect("scratch dir");
     let gen = GeneratorConfig::uniform_ints(COLS, rows, 0xC01D);
     let mut path = dir.clone();
     path.push("data.csv");

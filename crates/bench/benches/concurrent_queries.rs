@@ -15,6 +15,13 @@
 //! multi-client trajectory is tracked across PRs. Row count is overridable
 //! through `NODB_BENCH_ROWS` for quick local runs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a bench harness aborts on a failed setup step rather than report it"
+)]
+
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -81,7 +88,7 @@ fn hammer(db: &Arc<NoDb>, clients: usize, sql: &str) -> (usize, Vec<Duration>) {
 
 fn bench_concurrent_queries(c: &mut Criterion) {
     let rows = rows();
-    let dir = scratch_dir("bench_concurrent_queries");
+    let dir = scratch_dir("bench_concurrent_queries").expect("scratch dir");
     let gen = GeneratorConfig::uniform_ints(COLS, rows, 0xC11E);
     let mut path = dir.clone();
     path.push("data.csv");

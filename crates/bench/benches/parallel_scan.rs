@@ -13,6 +13,13 @@
 //! tracked across PRs. Row count is overridable through
 //! `NODB_BENCH_ROWS` for quick local runs.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a bench harness aborts on a failed setup step rather than report it"
+)]
+
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -56,7 +63,7 @@ fn fresh_db(path: &PathBuf, schema: &Schema, threads: usize) -> NoDb {
 
 fn bench_parallel_scan(c: &mut Criterion) {
     let rows = rows();
-    let dir = scratch_dir("bench_parallel_scan");
+    let dir = scratch_dir("bench_parallel_scan").expect("scratch dir");
     let gen = GeneratorConfig::uniform_ints(COLS, rows, 0x9A54);
     let mut path = dir.clone();
     path.push("data.csv");

@@ -21,6 +21,13 @@
 //! `BENCH_resilience.json` with the `mode` ablation column and feed the CI
 //! perf gate. `NODB_BENCH_ROWS` overrides the row count.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a bench harness aborts on a failed setup step rather than report it"
+)]
+
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -67,7 +74,7 @@ fn warmed_db(path: &PathBuf, schema: &Schema, cfg: NoDbConfig, sql: &str) -> NoD
 
 fn bench_resilience(c: &mut Criterion) {
     let rows = rows();
-    let dir = scratch_dir("bench_resilience");
+    let dir = scratch_dir("bench_resilience").expect("scratch dir");
     let gen = GeneratorConfig::uniform_ints(COLS, rows, 0x6E51);
     let mut path = dir.clone();
     path.push("data.csv");

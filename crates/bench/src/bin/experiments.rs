@@ -2,9 +2,9 @@
 
 use std::io::Write;
 
-use nodb_bench::{experiments, Scale};
+use nodb_bench::{experiments, BenchResult, Scale};
 
-fn main() {
+fn main() -> BenchResult<()> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut ids: Vec<String> = Vec::new();
     let mut scale = Scale::Small;
@@ -41,7 +41,7 @@ fn main() {
     for id in &ids {
         eprintln!("running {id} ({scale:?}) ...");
         let t0 = std::time::Instant::now();
-        let report = experiments::run(id, scale).expect("known id");
+        let report = experiments::run(id, scale)?;
         let text = report.render();
         println!("{text}");
         eprintln!("  done in {:.1}s", t0.elapsed().as_secs_f64());
@@ -49,11 +49,11 @@ fn main() {
         full_output.push('\n');
     }
     if let Some(p) = out_path {
-        let mut f = std::fs::File::create(&p).expect("create --out file");
-        f.write_all(full_output.as_bytes())
-            .expect("write --out file");
+        let mut f = std::fs::File::create(&p)?;
+        f.write_all(full_output.as_bytes())?;
         eprintln!("wrote {p}");
     }
+    Ok(())
 }
 
 fn usage(msg: &str) -> ! {

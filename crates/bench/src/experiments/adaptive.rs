@@ -6,19 +6,20 @@ use nodb_core::NoDbConfig;
 use crate::report::{ms, Table};
 use crate::systems::{Contestant, RawContestant};
 use crate::workload::{epoch_workload, scratch_dir, sp_query, Dataset, Scale};
+use crate::BenchResult;
 
 use super::ExperimentReport;
 
 /// SEQ — the demo's headline visual: "as more queries are processed,
 /// response times improve due to the adaptive properties of PostgresRaw".
 /// The same SP query runs 10 times on each variant.
-pub fn seq(scale: Scale) -> ExperimentReport {
+pub fn seq(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "seq",
         "Per-query latency of a repeated query sequence (adaptive speedup)",
     );
-    let dir = scratch_dir("seq");
-    let data = Dataset::standard(&dir, 10, scale.rows(), 0x5E9);
+    let dir = scratch_dir("seq")?;
+    let data = Dataset::standard(&dir, 10, scale.rows(), 0x5E9)?;
     let schema = data.schema();
     let sql = sp_query("t", &[1, 6], 3, 0.4);
 
@@ -35,10 +36,10 @@ pub fn seq(scale: Scale) -> ExperimentReport {
     let mut speedups = Vec::new();
     for cfg in variants {
         let mut sys = RawContestant::new(cfg);
-        sys.init(&data.path, &schema).unwrap();
+        sys.init(&data.path, &schema)?;
         let mut lat = Vec::new();
         for _ in 0..10 {
-            let (_, d) = sys.run(&sql).unwrap();
+            let (_, d) = sys.run(&sql)?;
             lat.push(d);
         }
         let ratio = lat[9].as_secs_f64() / lat[0].as_secs_f64();
@@ -54,29 +55,30 @@ pub fn seq(scale: Scale) -> ExperimentReport {
         ]);
     }
     report.tables.push(t);
-    let pmc = speedups.last().unwrap().1;
-    let base = speedups.first().unwrap().1;
+    let (Some(&(_, base)), Some(&(_, pmc))) = (speedups.first(), speedups.last()) else {
+        return Err("SEQ ran no variants".into());
+    };
     report.notes.push(format!(
         "PM+C converges to {:.0}% of its first-query latency while Baseline stays flat ({:.0}%)",
         pmc * 100.0,
         base * 100.0
     ));
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 /// ADAPT — §4.2 Query Adaptation: epochs of SP queries over sliding
 /// attribute windows under tight budgets, showing LRU turnover in the map
 /// and cache as the workload drifts.
-pub fn adapt(scale: Scale) -> ExperimentReport {
+pub fn adapt(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "adapt",
         "Query adaptation across workload epochs (LRU turnover under tight budgets)",
     );
-    let dir = scratch_dir("adapt");
+    let dir = scratch_dir("adapt")?;
     let cols = 30usize;
     let rows = scale.rows() / 2;
-    let data = Dataset::standard(&dir, cols, rows, 0xADA7);
+    let data = Dataset::standard(&dir, cols, rows, 0xADA7)?;
     let schema = data.schema();
     let wl = epoch_workload("t", cols, 4, 8, 8, 0xADA8);
 
@@ -85,7 +87,7 @@ pub fn adapt(scale: Scale) -> ExperimentReport {
     cfg.cache_budget_bytes = (rows as usize) * 9 * 12;
     cfg.map_budget_bytes = (rows as usize) * 2 * 12;
     let mut sys = RawContestant::new(cfg);
-    sys.init(&data.path, &schema).unwrap();
+    sys.init(&data.path, &schema)?;
 
     let mut t = Table::new(
         "ADAPT — per-epoch behaviour",
@@ -101,14 +103,14 @@ pub fn adapt(scale: Scale) -> ExperimentReport {
     );
     let mut prev_map_evict = 0;
     let mut prev_cache_evict = 0;
-    let mut epoch_rows = Vec::new();
+    let mut late_evictions = 0;
     for (e, queries) in wl.epochs.iter().enumerate() {
         let mut lats = Vec::new();
         for q in queries {
-            let (_, d) = sys.run(q).unwrap();
+            let (_, d) = sys.run(q)?;
             lats.push(d);
         }
-        let snap = sys.db.snapshot("t").unwrap();
+        let snap = sys.db.snapshot("t").ok_or("table t is not registered")?;
         let map_e = snap.map_evictions - prev_map_evict;
         let cache_e = snap.cache_evictions - prev_cache_evict;
         prev_map_evict = snap.map_evictions;
@@ -118,38 +120,42 @@ pub fn adapt(scale: Scale) -> ExperimentReport {
             .iter()
             .map(|(a, _)| format!("c{a}"))
             .collect();
-        epoch_rows.push((lats[0], *lats.last().unwrap(), cache_e));
+        if e > 0 {
+            late_evictions += cache_e;
+        }
+        let (Some(&first), Some(&last)) = (lats.first(), lats.last()) else {
+            return Err(format!("ADAPT epoch {e} ran no queries").into());
+        };
         t.row(vec![
             format!("{e}"),
             format!("c{}..c{}", wl.windows[e].0, wl.windows[e].1),
-            ms(lats[0]),
-            ms(*lats.last().unwrap()),
+            ms(first),
+            ms(last),
             format!("{map_e}"),
             format!("{cache_e}"),
             resident.join(","),
         ]);
     }
     report.tables.push(t);
-    let late_evictions: u64 = epoch_rows.iter().skip(1).map(|(_, _, e)| e).sum();
     report.notes.push(format!(
         "within each epoch latency drops (adaptation); epoch shifts evict stale attributes \
          (evictions after epoch 0: {late_evictions}) — old information \"is no longer relevant \
          and will be evicted\", as §4.2 describes"
     ));
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 /// DATASET — §4.2: "tuples with fewer attributes or smaller attributes
 /// limit the effectiveness of the positional map". Sweeps attribute count
 /// (int data) and attribute width (string data) and reports cold vs warm
 /// latency of a query touching a *late* attribute.
-pub fn dataset(scale: Scale) -> ExperimentReport {
+pub fn dataset(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "dataset",
         "Sensitivity to attribute count and attribute width",
     );
-    let dir = scratch_dir("dataset");
+    let dir = scratch_dir("dataset")?;
     let rows = scale.rows() / 4;
 
     // (a) attribute-count sweep, constant total attribute count queried.
@@ -159,13 +165,13 @@ pub fn dataset(scale: Scale) -> ExperimentReport {
     );
     let mut ratios = Vec::new();
     for cols in [5usize, 20, 50] {
-        let data = Dataset::standard(&dir, cols, rows, 0xDA7A + cols as u64);
+        let data = Dataset::standard(&dir, cols, rows, 0xDA7A + cols as u64)?;
         let schema = data.schema();
         let mut sys = RawContestant::new(NoDbConfig::pm_only());
-        sys.init(&data.path, &schema).unwrap();
+        sys.init(&data.path, &schema)?;
         let sql = sp_query("t", &[cols - 1], cols - 2, 0.5);
-        let (_, cold) = sys.run(&sql).unwrap();
-        let (_, warm) = sys.run(&sql).unwrap();
+        let (_, cold) = sys.run(&sql)?;
+        let (_, warm) = sys.run(&sql)?;
         let ratio = warm.as_secs_f64() / cold.as_secs_f64();
         ratios.push((cols, ratio));
         t1.row(vec![
@@ -183,13 +189,13 @@ pub fn dataset(scale: Scale) -> ExperimentReport {
         &["width", "cold_ms", "warm_ms", "warm/cold"],
     );
     for width in [4usize, 16, 64] {
-        let data = Dataset::strings(&dir, 10, width, rows, 0xD1 + width as u64);
+        let data = Dataset::strings(&dir, 10, width, rows, 0xD1 + width as u64)?;
         let schema = data.schema();
         let mut sys = RawContestant::new(NoDbConfig::pm_only());
-        sys.init(&data.path, &schema).unwrap();
+        sys.init(&data.path, &schema)?;
         let sql = "SELECT c9 FROM t WHERE c8 LIKE 'a%'".to_string();
-        let (_, cold) = sys.run(&sql).unwrap();
-        let (_, warm) = sys.run(&sql).unwrap();
+        let (_, cold) = sys.run(&sql)?;
+        let (_, warm) = sys.run(&sql)?;
         t2.row(vec![
             format!("{width}"),
             ms(cold),
@@ -199,14 +205,16 @@ pub fn dataset(scale: Scale) -> ExperimentReport {
     }
     report.tables.push(t2);
 
+    let (Some(&(_, few)), Some(&(_, many))) = (ratios.first(), ratios.last()) else {
+        return Err("DATASET ran no attribute counts".into());
+    };
     report.notes.push(format!(
         "the map's relative benefit grows with attribute count: warm/cold at 5 cols = {:.2}, at 50 cols = {:.2} \
          (more tokenizing skipped per jump) — matching §4.2's claim that few/small attributes limit the map",
-        ratios.first().unwrap().1,
-        ratios.last().unwrap().1
+        few, many
     ));
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -215,19 +223,19 @@ mod tests {
 
     #[test]
     fn seq_shows_adaptive_speedup() {
-        let r = seq(Scale::Small);
+        let r = seq(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 4);
     }
 
     #[test]
     fn adapt_runs_all_epochs() {
-        let r = adapt(Scale::Small);
+        let r = adapt(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 4);
     }
 
     #[test]
     fn dataset_sweeps_complete() {
-        let r = dataset(Scale::Small);
+        let r = dataset(Scale::Small).unwrap();
         assert_eq!(r.tables.len(), 2);
         assert_eq!(r.tables[0].len(), 3);
         assert_eq!(r.tables[1].len(), 3);

@@ -9,6 +9,7 @@ use nodb_rawcsv::Datum;
 use crate::report::{ms, secs, Table};
 use crate::systems::{race_lineup, Contestant, RawContestant};
 use crate::workload::{race_queries, scratch_dir, sp_query, Dataset, Scale};
+use crate::BenchResult;
 
 use super::ExperimentReport;
 
@@ -16,13 +17,13 @@ use super::ExperimentReport;
 /// sequence; conventional systems must load (and may index) first. The
 /// metric is *data-to-query time*: when does each system deliver the answer
 /// to query k, counted from the starting shot.
-pub fn race(scale: Scale) -> ExperimentReport {
+pub fn race(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "race",
         "Friendly race: data-to-query time, PostgresRaw vs conventional DBMS",
     );
-    let dir = scratch_dir("race");
-    let data = Dataset::standard(&dir, 10, scale.rows(), 0xACE);
+    let dir = scratch_dir("race")?;
+    let data = Dataset::standard(&dir, 10, scale.rows(), 0xACE)?;
     let schema = data.schema();
     let queries = race_queries("t", 10);
 
@@ -32,13 +33,13 @@ pub fn race(scale: Scale) -> ExperimentReport {
     );
     let mut first_answer = Vec::new();
     let mut reference: Option<Vec<nodb_engine::QueryResult>> = None;
-    for mut sys in race_lineup() {
-        let init = sys.init(&data.path, &schema).unwrap();
+    for mut sys in race_lineup()? {
+        let init = sys.init(&data.path, &schema)?;
         let mut cum = init;
         let mut marks = Vec::new();
         let mut results = Vec::new();
         for q in &queries {
-            let (r, d) = sys.run(q).unwrap();
+            let (r, d) = sys.run(q)?;
             cum += d;
             marks.push(cum);
             results.push(r);
@@ -59,7 +60,7 @@ pub fn race(scale: Scale) -> ExperimentReport {
             secs(marks[2]),
             secs(marks[4]),
             secs(marks[9]),
-            secs(*marks.last().unwrap()),
+            secs(cum),
         ]);
     }
     report.tables.push(t);
@@ -89,23 +90,23 @@ pub fn race(scale: Scale) -> ExperimentReport {
             .into(),
     );
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 /// UPDATES — §4.2: append to and then replace the raw file *behind the
 /// system's back*; the next query must see the new data, reusing prefix
 /// state for appends and dropping everything for replacement.
-pub fn updates(scale: Scale) -> ExperimentReport {
+pub fn updates(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "updates",
         "Update detection: appends reuse prefix state, replacement invalidates",
     );
-    let dir = scratch_dir("updates");
+    let dir = scratch_dir("updates")?;
     let rows = scale.rows() / 2;
-    let data = Dataset::standard(&dir, 5, rows, 0x0bda);
+    let data = Dataset::standard(&dir, 5, rows, 0x0bda)?;
     let schema = data.schema();
     let mut sys = RawContestant::pm_c();
-    sys.init(&data.path, &schema).unwrap();
+    sys.init(&data.path, &schema)?;
 
     let count_sql = "SELECT COUNT(*) FROM t";
     let mut t = Table::new(
@@ -118,10 +119,14 @@ pub fn updates(scale: Scale) -> ExperimentReport {
             "correct",
         ],
     );
-    let mut record = |sys: &mut RawContestant, event: &str, expect: i64| {
-        let before = sys.db.snapshot("t").unwrap().cache_bytes;
-        let (r, d) = sys.run(count_sql).unwrap();
-        let got = r.scalar().cloned().unwrap();
+    let mut record = |sys: &mut RawContestant, event: &str, expect: i64| -> BenchResult<()> {
+        let before = sys
+            .db
+            .snapshot("t")
+            .ok_or("table t is not registered")?
+            .cache_bytes;
+        let (r, d) = sys.run(count_sql)?;
+        let got = r.scalar().cloned().ok_or("COUNT(*) returned no scalar")?;
         t.row(vec![
             event.into(),
             got.to_string(),
@@ -130,21 +135,22 @@ pub fn updates(scale: Scale) -> ExperimentReport {
             format!("{}", got == Datum::Int(expect)),
         ]);
         assert_eq!(got, Datum::Int(expect), "{event}");
+        Ok(())
     };
 
-    record(&mut sys, "initial query", rows as i64);
-    record(&mut sys, "warm query", rows as i64);
+    record(&mut sys, "initial query", rows as i64)?;
+    record(&mut sys, "warm query", rows as i64)?;
 
     // Append 20% more rows.
     let extra = rows / 5;
-    data.gen.append_rows(&data.path, extra).unwrap();
-    record(&mut sys, "after append (+20%)", (rows + extra) as i64);
-    record(&mut sys, "warm after append", (rows + extra) as i64);
+    data.gen.append_rows(&data.path, extra)?;
+    record(&mut sys, "after append (+20%)", (rows + extra) as i64)?;
+    record(&mut sys, "warm after append", (rows + extra) as i64)?;
 
     // Replace the file entirely.
     let gen2 = nodb_rawcsv::GeneratorConfig::uniform_ints(5, rows / 10, 0xDEAD);
-    gen2.generate_file(&data.path).unwrap();
-    record(&mut sys, "after replacement", (rows / 10) as i64);
+    gen2.generate_file(&data.path)?;
+    record(&mut sys, "after replacement", (rows / 10) as i64)?;
     report.tables.push(t);
 
     report.notes.push(
@@ -154,34 +160,34 @@ pub fn updates(scale: Scale) -> ExperimentReport {
             .into(),
     );
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 /// KNOBS — the demo's component toggles and storage-budget sliders:
 /// {Baseline, PM, C, PM+C} × map/cache budget sweep, plus the
 /// selective-tokenizing ablation.
-pub fn knobs(scale: Scale) -> ExperimentReport {
+pub fn knobs(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report =
         ExperimentReport::new("knobs", "Component toggles and budget sweep (ablation)");
-    let dir = scratch_dir("knobs");
+    let dir = scratch_dir("knobs")?;
     let rows = scale.rows() / 2;
     let cols = 10usize;
-    let data = Dataset::standard(&dir, cols, rows, 0x0b5);
+    let data = Dataset::standard(&dir, cols, rows, 0x0b5)?;
     let schema = data.schema();
 
     // A fixed 8-query workload over a few attributes.
     let queries: Vec<String> = (0..8)
         .map(|i| sp_query("t", &[2 + (i % 3), 6], 4, 0.3 + 0.05 * i as f64))
         .collect();
-    let run_total = |cfg: NoDbConfig| -> Duration {
+    let run_total = |cfg: NoDbConfig| -> BenchResult<Duration> {
         let mut sys = RawContestant::new(cfg);
-        sys.init(&data.path, &schema).unwrap();
+        sys.init(&data.path, &schema)?;
         let mut total = Duration::ZERO;
         for q in &queries {
-            let (_, d) = sys.run(q).unwrap();
+            let (_, d) = sys.run(q)?;
             total += d;
         }
-        total
+        Ok(total)
     };
 
     // (a) component toggles.
@@ -201,7 +207,7 @@ pub fn knobs(scale: Scale) -> ExperimentReport {
         NoDbConfig::pm_c(),
     ] {
         let label = cfg.label().to_string();
-        let total = run_total(cfg);
+        let total = run_total(cfg)?;
         toggles.push((label.clone(), total));
         t1.row(vec![label, ms(total)]);
     }
@@ -220,7 +226,7 @@ pub fn knobs(scale: Scale) -> ExperimentReport {
             map_budget_bytes: full_map * pct / 100,
             ..NoDbConfig::pm_c()
         };
-        let total = run_total(cfg);
+        let total = run_total(cfg)?;
         t2.row(vec![
             format!("{pct}"),
             format!("{}", cfg.cache_budget_bytes),
@@ -242,7 +248,7 @@ pub fn knobs(scale: Scale) -> ExperimentReport {
             .into(),
     );
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -251,19 +257,19 @@ mod tests {
 
     #[test]
     fn race_produces_lineup_and_agreement() {
-        let r = race(Scale::Small);
+        let r = race(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 5);
     }
 
     #[test]
     fn updates_timeline_is_correct() {
-        let r = updates(Scale::Small);
+        let r = updates(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 5);
     }
 
     #[test]
     fn knobs_grids_complete() {
-        let r = knobs(Scale::Small);
+        let r = knobs(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 5);
         assert_eq!(r.tables[1].len(), 4);
     }

@@ -17,6 +17,7 @@ pub mod panels;
 
 use crate::report::Table;
 use crate::workload::Scale;
+use crate::BenchResult;
 
 /// Output of one experiment: tables plus free-form observations.
 #[derive(Debug, Default)]
@@ -60,9 +61,9 @@ pub const ALL: &[&str] = &[
     "fig2", "fig3", "seq", "adapt", "dataset", "race", "updates", "knobs",
 ];
 
-/// Run one experiment by id.
-pub fn run(id: &str, scale: Scale) -> Option<ExperimentReport> {
-    Some(match id {
+/// Run one experiment by id; an id not in [`ALL`] is an error.
+pub fn run(id: &str, scale: Scale) -> BenchResult<ExperimentReport> {
+    match id {
         "fig2" => panels::fig2(scale),
         "fig3" => panels::fig3(scale),
         "seq" => adaptive::seq(scale),
@@ -71,6 +72,6 @@ pub fn run(id: &str, scale: Scale) -> Option<ExperimentReport> {
         "race" => comparison::race(scale),
         "updates" => comparison::updates(scale),
         "knobs" => comparison::knobs(scale),
-        _ => return None,
-    })
+        _ => Err(format!("unknown experiment {id:?}").into()),
+    }
 }

@@ -7,20 +7,21 @@ use nodb_storage::DbProfile;
 use crate::report::{ms, secs, Table};
 use crate::systems::{Contestant, LoadedContestant, RawContestant};
 use crate::workload::{scratch_dir, sp_query, Dataset, Scale};
+use crate::BenchResult;
 
 use super::ExperimentReport;
 
 /// Fig 2 — the System Monitoring Panel: map/cache utilization, hit ratio
 /// and per-attribute usage evolving over a 30-query workload whose focus
 /// shifts across the file.
-pub fn fig2(scale: Scale) -> ExperimentReport {
+pub fn fig2(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "fig2",
         "System Monitoring Panel: positional map & cache utilization over an evolving workload",
     );
-    let dir = scratch_dir("fig2");
+    let dir = scratch_dir("fig2")?;
     let cols = 10usize;
-    let data = Dataset::standard(&dir, cols, scale.rows() / 2, 0xF162);
+    let data = Dataset::standard(&dir, cols, scale.rows() / 2, 0xF162)?;
     let schema = data.schema();
 
     // Budgets sized so the gauges move visibly: the cache can hold roughly
@@ -30,7 +31,7 @@ pub fn fig2(scale: Scale) -> ExperimentReport {
     cfg.cache_budget_bytes = (rows as usize) * 9 * (cols / 2);
     cfg.map_budget_bytes = (rows as usize) * 2 * cols;
     let mut sys = RawContestant::new(cfg);
-    sys.init(&data.path, &schema).unwrap();
+    sys.init(&data.path, &schema)?;
 
     let mut t = Table::new(
         "Fig 2 — utilization per query",
@@ -45,14 +46,12 @@ pub fn fig2(scale: Scale) -> ExperimentReport {
         ],
     );
     // Workload: drift attribute focus left → right across the file.
-    let mut utils = Vec::new();
     for q in 0..30usize {
         let focus = (q * (cols - 2)) / 29; // 0 → cols-2
         let attrs = [focus, focus + 1];
         let sql = sp_query("t", &attrs, focus, 0.5);
-        let (_, lat) = sys.run(&sql).unwrap();
-        let snap = sys.db.snapshot("t").unwrap();
-        utils.push((snap.map_utilization, snap.cache_utilization));
+        let (_, lat) = sys.run(&sql)?;
+        let snap = sys.db.snapshot("t").ok_or("table t is not registered")?;
         t.row(vec![
             format!("{q}"),
             format!("c{},c{}", attrs[0], attrs[1]),
@@ -65,10 +64,10 @@ pub fn fig2(scale: Scale) -> ExperimentReport {
     }
     report.tables.push(t);
 
-    let final_snap = sys.db.snapshot("t").unwrap();
+    let final_snap = sys.db.snapshot("t").ok_or("table t is not registered")?;
     report.notes.push(format!(
         "cache utilization grows from 0% to {:.0}% and saturates at its budget (evictions={}), map holds {} chunks",
-        utils.last().unwrap().1 * 100.0,
+        final_snap.cache_utilization * 100.0,
         final_snap.cache_evictions,
         final_snap.map_chunks.len()
     ));
@@ -77,19 +76,19 @@ pub fn fig2(scale: Scale) -> ExperimentReport {
             .into(),
     );
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 /// Fig 3 — the Query Execution Breakdown: the same Select-Project query on
 /// a cold file, across PostgreSQL-like (load + query), Baseline (naive
 /// external files) and PostgresRaw PM+C, with per-phase slices.
-pub fn fig3(scale: Scale) -> ExperimentReport {
+pub fn fig3(scale: Scale) -> BenchResult<ExperimentReport> {
     let mut report = ExperimentReport::new(
         "fig3",
         "Query Execution Breakdown: PostgreSQL vs Baseline vs PostgresRaw (PM+C)",
     );
-    let dir = scratch_dir("fig3");
-    let data = Dataset::standard(&dir, 10, scale.rows(), 0xF163);
+    let dir = scratch_dir("fig3")?;
+    let data = Dataset::standard(&dir, 10, scale.rows(), 0xF163)?;
     let schema = data.schema();
     let sql = sp_query("t", &[2, 7], 4, 0.3);
 
@@ -111,9 +110,9 @@ pub fn fig3(scale: Scale) -> ExperimentReport {
     );
 
     // PostgreSQL-like: init = full load; query runs over binary pages.
-    let mut pg = LoadedContestant::new(DbProfile::PostgresLike, vec![]);
-    let pg_init = pg.init(&data.path, &schema).unwrap();
-    let (pg_r, pg_q) = pg.run(&sql).unwrap();
+    let mut pg = LoadedContestant::new(DbProfile::PostgresLike, vec![])?;
+    let pg_init = pg.init(&data.path, &schema)?;
+    let (pg_r, pg_q) = pg.run(&sql)?;
     t.row(vec![
         pg.name(),
         secs(pg_init),
@@ -129,12 +128,17 @@ pub fn fig3(scale: Scale) -> ExperimentReport {
     ]);
 
     // Baseline and PM+C: zero init, detailed slices.
-    let mut raw_rows = Vec::new();
-    for mut sys in [RawContestant::baseline(), RawContestant::pm_c()] {
-        let init = sys.init(&data.path, &schema).unwrap();
-        let (r, q) = sys.run(&sql).unwrap();
+    let mut raw = [RawContestant::baseline(), RawContestant::pm_c()];
+    for sys in &mut raw {
+        let init = sys.init(&data.path, &schema)?;
+        let (r, q) = sys.run(&sql)?;
         assert_eq!(r, pg_r, "all systems must agree");
-        let rep = sys.db.admin().last_report().unwrap().clone();
+        let rep = sys
+            .db
+            .admin()
+            .last_report()
+            .ok_or("no query report")?
+            .clone();
         t.row(vec![
             sys.name(),
             secs(init),
@@ -148,7 +152,6 @@ pub fn fig3(scale: Scale) -> ExperimentReport {
             ms(rep.breakdown.processing),
             secs(init + q),
         ]);
-        raw_rows.push((sys.name(), init + q, rep, sys));
     }
     report.tables.push(t);
 
@@ -166,10 +169,15 @@ pub fn fig3(scale: Scale) -> ExperimentReport {
             "fully_cached",
         ],
     );
-    let (_, _, _, mut pmc) = raw_rows.pop().unwrap();
+    let [_, mut pmc] = raw;
     for run in 2..=3 {
-        let (_, q) = pmc.run(&sql).unwrap();
-        let rep = pmc.db.admin().last_report().unwrap().clone();
+        let (_, q) = pmc.run(&sql)?;
+        let rep = pmc
+            .db
+            .admin()
+            .last_report()
+            .ok_or("no query report")?
+            .clone();
         warm.row(vec![
             format!("q{run}"),
             ms(q),
@@ -190,7 +198,7 @@ pub fn fig3(scale: Scale) -> ExperimentReport {
             .into(),
     );
     std::fs::remove_dir_all(dir).ok();
-    report
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -199,14 +207,14 @@ mod tests {
 
     #[test]
     fn fig2_gauges_move() {
-        let r = fig2(Scale::Small);
+        let r = fig2(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 30);
         assert!(!r.notes.is_empty());
     }
 
     #[test]
     fn fig3_produces_all_systems() {
-        let r = fig3(Scale::Small);
+        let r = fig3(Scale::Small).unwrap();
         assert_eq!(r.tables[0].len(), 3);
         assert_eq!(r.tables[1].len(), 2);
     }

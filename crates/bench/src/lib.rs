@@ -17,8 +17,6 @@
 //! overhead. Per-layer probes (tokenizer, positional map, cache) are the
 //! out-of-workspace `benchmark/` package's job.
 
-#![forbid(unsafe_code)]
-
 pub mod experiments;
 pub mod report;
 pub mod systems;
@@ -26,3 +24,7 @@ pub mod workload;
 
 pub use experiments::{run, ExperimentReport, ALL};
 pub use workload::Scale;
+
+/// What an experiment returns: its output, or the first failure of the
+/// systems under test, the dataset generator or the file system.
+pub type BenchResult<T> = Result<T, Box<dyn std::error::Error + Send + Sync>>;

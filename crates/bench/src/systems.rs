@@ -82,14 +82,14 @@ impl LoadedContestant {
     /// Contestant with the given profile; `index_attrs` models the
     /// contestant's tuning choices ("free to … build additional auxiliary
     /// data structures such as indices", §4.3).
-    pub fn new(profile: DbProfile, index_attrs: Vec<usize>) -> Self {
-        let dir = crate::workload::scratch_dir(&format!("dbms_{profile:?}"));
-        LoadedContestant {
+    pub fn new(profile: DbProfile, index_attrs: Vec<usize>) -> std::io::Result<Self> {
+        let dir = crate::workload::scratch_dir(&format!("dbms_{profile:?}"))?;
+        Ok(LoadedContestant {
             db: ConventionalDb::new(profile, &dir),
             profile,
             index_attrs,
             _dir: dir,
-        }
+        })
     }
 }
 
@@ -118,14 +118,14 @@ impl Contestant for LoadedContestant {
 }
 
 /// The full lineup for the friendly race.
-pub fn race_lineup() -> Vec<Box<dyn Contestant>> {
-    vec![
+pub fn race_lineup() -> std::io::Result<Vec<Box<dyn Contestant>>> {
+    Ok(vec![
         Box::new(RawContestant::pm_c()),
         Box::new(RawContestant::baseline()),
-        Box::new(LoadedContestant::new(DbProfile::PostgresLike, vec![])),
-        Box::new(LoadedContestant::new(DbProfile::MySqlLike, vec![])),
-        Box::new(LoadedContestant::new(DbProfile::DbmsXLike, vec![])),
-    ]
+        Box::new(LoadedContestant::new(DbProfile::PostgresLike, vec![])?),
+        Box::new(LoadedContestant::new(DbProfile::MySqlLike, vec![])?),
+        Box::new(LoadedContestant::new(DbProfile::DbmsXLike, vec![])?),
+    ])
 }
 
 #[cfg(test)]
@@ -135,12 +135,12 @@ mod tests {
 
     #[test]
     fn all_contestants_agree_on_results() {
-        let dir = scratch_dir("systems_test");
-        let d = Dataset::standard(&dir, 5, 2000, 3);
+        let dir = scratch_dir("systems_test").unwrap();
+        let d = Dataset::standard(&dir, 5, 2000, 3).unwrap();
         let schema = d.schema();
         let sql = "SELECT COUNT(*), SUM(c2) FROM t WHERE c1 < 400000000";
         let mut answers = Vec::new();
-        for mut c in race_lineup() {
+        for mut c in race_lineup().unwrap() {
             c.init(&d.path, &schema).unwrap();
             let (r, _) = c.run(sql).unwrap();
             answers.push((c.name(), r));
@@ -154,12 +154,12 @@ mod tests {
 
     #[test]
     fn raw_contestant_inits_instantly_loaded_does_not() {
-        let dir = scratch_dir("init_test");
-        let d = Dataset::standard(&dir, 5, 5000, 4);
+        let dir = scratch_dir("init_test").unwrap();
+        let d = Dataset::standard(&dir, 5, 5000, 4).unwrap();
         let schema = d.schema();
         let mut raw = RawContestant::pm_c();
         let raw_init = raw.init(&d.path, &schema).unwrap();
-        let mut pg = LoadedContestant::new(DbProfile::PostgresLike, vec![]);
+        let mut pg = LoadedContestant::new(DbProfile::PostgresLike, vec![]).unwrap();
         let pg_init = pg.init(&d.path, &schema).unwrap();
         assert!(
             pg_init > raw_init,

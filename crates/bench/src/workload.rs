@@ -1,5 +1,6 @@
 //! Workload generation: datasets and query sequences for every experiment.
 
+use std::io;
 use std::path::{Path, PathBuf};
 
 use nodb_rawcsv::GeneratorConfig;
@@ -45,19 +46,25 @@ pub struct Dataset {
 
 impl Dataset {
     /// The standard experiment dataset: `cols` uniform integer attributes.
-    pub fn standard(dir: &Path, cols: usize, rows: u64, seed: u64) -> Dataset {
+    pub fn standard(dir: &Path, cols: usize, rows: u64, seed: u64) -> nodb_rawcsv::Result<Dataset> {
         let gen = GeneratorConfig::uniform_ints(cols, rows, seed);
         let path = dir.join(format!("data_{cols}x{rows}_{seed}.csv"));
-        gen.generate_file(&path).expect("generate dataset");
-        Dataset { path, gen }
+        gen.generate_file(&path)?;
+        Ok(Dataset { path, gen })
     }
 
     /// Fixed-width string dataset (attribute-width sensitivity).
-    pub fn strings(dir: &Path, cols: usize, width: usize, rows: u64, seed: u64) -> Dataset {
+    pub fn strings(
+        dir: &Path,
+        cols: usize,
+        width: usize,
+        rows: u64,
+        seed: u64,
+    ) -> nodb_rawcsv::Result<Dataset> {
         let gen = GeneratorConfig::fixed_width_strings(cols, width, rows, seed);
         let path = dir.join(format!("strs_{cols}x{width}x{rows}_{seed}.csv"));
-        gen.generate_file(&path).expect("generate dataset");
-        Dataset { path, gen }
+        gen.generate_file(&path)?;
+        Ok(Dataset { path, gen })
     }
 
     /// Schema of the dataset.
@@ -181,18 +188,18 @@ pub fn race_queries(table: &str, ncols: usize) -> Vec<String> {
 }
 
 /// Temp directory for one experiment run (unique per process + nanos).
-pub fn scratch_dir(tag: &str) -> PathBuf {
+pub fn scratch_dir(tag: &str) -> io::Result<PathBuf> {
     let mut p = std::env::temp_dir();
     p.push(format!(
         "nodb_exp_{tag}_{}_{}",
         std::process::id(),
         std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
-            .unwrap()
+            .unwrap_or_default()
             .as_nanos()
     ));
-    std::fs::create_dir_all(&p).expect("scratch dir");
-    p
+    std::fs::create_dir_all(&p)?;
+    Ok(p)
 }
 
 #[cfg(test)]
@@ -238,8 +245,8 @@ mod tests {
 
     #[test]
     fn dataset_generation_round_trips() {
-        let dir = scratch_dir("workload_test");
-        let d = Dataset::standard(&dir, 3, 100, 1);
+        let dir = scratch_dir("workload_test").unwrap();
+        let d = Dataset::standard(&dir, 3, 100, 1).unwrap();
         assert!(d.path.exists());
         assert_eq!(d.schema().len(), 3);
         std::fs::remove_dir_all(dir).unwrap();

@@ -79,8 +79,6 @@
 //!   terminator lands (while `detect_updates` is on, an unterminated
 //!   final line is therefore not served until a newline ends it).
 
-#![forbid(unsafe_code)]
-
 pub mod admission;
 pub mod api;
 pub mod config;

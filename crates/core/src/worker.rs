@@ -171,8 +171,9 @@ pub(crate) struct PartitionOutput {
     /// Predicate-filtered output batches, in row order, each formed by
     /// `rawscan::segment_batch` over at most `BATCH_SIZE` scanned rows.
     pub batches: Vec<Batch<'static>>,
-    /// Cache reads served / refused via `RawCache::peek` (workers cannot
-    /// take `&mut` to count on the shared metrics; the driver folds these
+    /// With the cache on, one per requested attribute per row: a hit when
+    /// the cache serves the value, a miss when it is parsed from raw bytes
+    /// (workers cannot count on the shared metrics; the driver folds these
     /// in at merge).
     pub cache_hits: u64,
     pub cache_misses: u64,
@@ -423,11 +424,10 @@ impl<'a> AdaptiveReads<'a> {
     }
 
     /// Plan batch rows `0..want`, starting at slice row `local`: per
-    /// position, how many leading rows the cache covers and how many of
-    /// those it serves (`Scratch::covered`, `Scratch::cached`); per row,
-    /// where tokenizing starts and stops — only the positions neither the
-    /// cache nor an exact jump resolves are tokenized, from the nearest
-    /// jump or map anchor before the first of them.
+    /// position, how many leading rows the cache serves (`Scratch::cached`);
+    /// per row, where tokenizing starts and stops — only the positions
+    /// neither the cache nor an exact jump resolves are tokenized, from the
+    /// nearest jump or map anchor before the first of them.
     fn plan(
         &self,
         ctx: &ScanContext<'_>,
@@ -440,7 +440,6 @@ impl<'a> AdaptiveReads<'a> {
         let first = self.base + local;
         for (i, &attr) in attrs.iter().enumerate() {
             let covered = ctx.cache_cov[i].saturating_sub(first).min(want);
-            scratch.covered[i] = covered;
             scratch.cached[i] = match self.cache[i] {
                 Some(col) if col.ty() == ctx.schema.ty(attr) => {
                     covered.min(col.len().saturating_sub(first))
@@ -487,10 +486,8 @@ impl<'a> AdaptiveReads<'a> {
 
 /// The batch resolver's scratch, reused across batches.
 struct Scratch {
-    /// Per position: leading batch rows below the cache's coverage.
-    covered: Vec<usize>,
-    /// Per position: leading batch rows the cache serves (a hit each; the
-    /// rest of `covered` are misses, parsed like any other row).
+    /// Per position: leading batch rows the cache serves (a hit each; with
+    /// the cache on, every other row is a miss, parsed from raw bytes).
     cached: Vec<usize>,
     /// Per position and batch row: the field's line-relative span; `None`
     /// for a short row's absent field and for a row the cache serves.
@@ -514,7 +511,6 @@ impl Scratch {
                 .collect()
         });
         Scratch {
-            covered: vec![0; n],
             cached: vec![0; n],
             spans: vec![Vec::new(); n],
             bad: Vec::new(),
@@ -567,20 +563,15 @@ fn resolve_batch(
         scratch.cached.fill(0);
     }
 
-    // 1. Cache reads, a range per position. Workers cannot count on the
-    // shared metrics, so hits/misses are tallied here and folded in by the
-    // driver — one per row below the coverage.
+    // 1. Cache reads, a range per position.
     if let Some(reads) = adaptive {
         let first = reads.base + local;
         for (i, part) in out.side_cols.iter_mut().enumerate() {
-            let covered = scratch.covered[i].min(rows);
             let cached = scratch.cached[i].min(rows);
             scratch.cached[i] = cached;
             if let Some(col) = reads.cache[i].filter(|_| cached > 0) {
                 part.extend_from(col, first, first + cached);
             }
-            out.cache_hits += cached as u64;
-            out.cache_misses += (covered - cached) as u64;
         }
 
         // 2. Exact positional-map jumps for the rows the cache missed.
@@ -601,6 +592,16 @@ fn resolve_batch(
             }
         }
         clock.lap(t, &mut laps.parse);
+    }
+
+    // Workers cannot count on the shared metrics, so hits and misses are
+    // tallied here and folded in by the driver: with the cache on, every
+    // row of every position is one or the other.
+    if ctx.cache.is_some() {
+        for &cached in &scratch.cached {
+            out.cache_hits += cached as u64;
+            out.cache_misses += (rows - cached) as u64;
+        }
     }
 
     // 3. The rest take the batch's spans.

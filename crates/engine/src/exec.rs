@@ -1075,6 +1075,15 @@ mod tests {
     use nodb_sqlparse::parse_select;
     use nodb_stats::estimate::NoStats;
 
+    /// A source over hand-built batches, yielded in order.
+    struct Batches(std::vec::IntoIter<Batch<'static>>);
+
+    impl<'a> ScanSource<'a> for Batches {
+        fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
+            Ok(self.0.next())
+        }
+    }
+
     fn schema() -> Schema {
         Schema::new(vec![
             ColumnDef::new("a", ColumnType::Int),
@@ -1905,7 +1914,7 @@ mod tests {
             })
             .collect();
         let total: usize = shapes.iter().map(|&(n, _)| n).sum();
-        let batches = |attrs: &[usize]| -> std::collections::VecDeque<Batch<'static>> {
+        let batches = |attrs: &[usize]| -> Vec<Batch<'static>> {
             data.iter()
                 .enumerate()
                 .map(|(b, (rows, sel))| {
@@ -1951,7 +1960,7 @@ mod tests {
         let run = |sql: &str, limit: Option<u64>| {
             let mut planned = plan_select(&parse_select(sql).unwrap(), &schema, &NoStats).unwrap();
             planned.pipeline.limit = limit;
-            let source = crate::source::QueueSource::new(batches(&planned.scan.attrs));
+            let source = Batches(batches(&planned.scan.attrs).into_iter());
             execute(&planned, Box::new(source)).unwrap()
         };
         for sql in queries {

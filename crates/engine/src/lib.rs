@@ -20,8 +20,6 @@
 //! (the consumer of §3.3's on-the-fly statistics), and projection pruning
 //! (enabling *selective tokenizing*).
 
-#![forbid(unsafe_code)]
-
 pub mod batch;
 pub mod error;
 pub mod exec;
@@ -39,4 +37,4 @@ pub use exec::{execute, AggPartial};
 pub use expr::RExpr;
 pub use planner::{plan_select, PlannedQuery};
 pub use result::QueryResult;
-pub use source::{MemSource, QueueSource, ScanRequest, ScanSource};
+pub use source::{MemSource, ScanRequest, ScanSource};

@@ -7,14 +7,14 @@
 //! each storage backend — PostgresRaw-style raw scan, naive external-files
 //! scan, loaded row/column stores — answers with batches.
 //!
-//! A source that owns its batches ([`QueueSource`]; [`MemSource`]; the
-//! loaded stores) implements [`ScanSource<'a>`] for every `'a`. A raw-file
-//! scan is a *lazy* source instead, pulled while it holds the table's read
-//! guard: below its cache frontier it yields borrowed windows of the
-//! cache's columns ([`crate::batch::Column::Window`]), running the pushed
-//! predicate one window at a time as the engine pulls; only when the
-//! engine pulls past them does it read the rows after the frontier from
-//! the file, and it stops when the engine stops pulling.
+//! A source that owns its batches ([`MemSource`]; the loaded stores)
+//! implements [`ScanSource<'a>`] for every `'a`. A raw-file scan is a
+//! *lazy* source instead, pulled while it holds the table's read guard:
+//! below its cache frontier it yields borrowed windows of the cache's
+//! columns ([`crate::batch::Column::Window`]), running the pushed predicate
+//! one window at a time as the engine pulls; only when the engine pulls
+//! past them does it read the rows after the frontier from the file, and it
+//! stops when the engine stops pulling.
 
 use nodb_rawcache::TypedColumn;
 use nodb_rawcsv::{ColumnType, Datum};
@@ -92,35 +92,6 @@ pub trait ScanSource<'a> {
     /// it.
     fn aggregate(&mut self, partial: &mut AggPartial<'_>) -> EngineResult<()> {
         partial.absorb_source(self)
-    }
-}
-
-/// A [`ScanSource`] over batches that were produced before execution
-/// began, yielded in order with an exact size hint.
-pub struct QueueSource {
-    batches: std::collections::VecDeque<Batch<'static>>,
-    remaining: usize,
-}
-
-impl QueueSource {
-    /// Source over already-materialized batches, yielded in order.
-    pub fn new(batches: std::collections::VecDeque<Batch<'static>>) -> Self {
-        let remaining = batches.iter().map(Batch::rows).sum();
-        QueueSource { batches, remaining }
-    }
-}
-
-impl<'a> ScanSource<'a> for QueueSource {
-    fn next_batch(&mut self) -> EngineResult<Option<Batch<'a>>> {
-        let b = self.batches.pop_front();
-        if let Some(b) = &b {
-            self.remaining -= b.rows();
-        }
-        Ok(b)
-    }
-
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.remaining)
     }
 }
 
@@ -284,24 +255,6 @@ mod tests {
         ];
         let err = MemSource::new(mixed, 1).next_batch().unwrap_err();
         assert!(matches!(err, EngineError::Execution(_)), "{err:?}");
-    }
-
-    #[test]
-    fn queue_source_drains_in_order() {
-        let mut q = std::collections::VecDeque::new();
-        for v in [1, 2] {
-            q.extend(
-                MemSource::new(vec![vec![Datum::Int(v)]], 1)
-                    .next_batch()
-                    .unwrap(),
-            );
-        }
-        let mut s = QueueSource::new(q);
-        assert_eq!(s.size_hint(), Some(2));
-        assert_eq!(s.next_batch().unwrap().unwrap().value(0, 0), Datum::Int(1));
-        assert_eq!(s.size_hint(), Some(1));
-        assert_eq!(s.next_batch().unwrap().unwrap().value(0, 0), Datum::Int(2));
-        assert!(s.next_batch().unwrap().is_none());
     }
 
     #[test]

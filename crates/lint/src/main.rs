@@ -1,7 +1,7 @@
 //! `nodb-lint` CLI.
 //!
 //! ```text
-//! nodb-lint --workspace [--root DIR] [--ratchet FILE] [--write-ratchet]
+//! nodb-lint --workspace [--root DIR]
 //! nodb-lint FILE...
 //! ```
 //!
@@ -25,18 +25,14 @@ fn main() -> ExitCode {
 
 fn run() -> Result<bool, String> {
     let mut workspace = false;
-    let mut write_ratchet = false;
     let mut root: Option<PathBuf> = None;
-    let mut ratchet_path: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--write-ratchet" => write_ratchet = true,
             "--root" => root = Some(PathBuf::from(next_value(&mut args, "--root")?)),
-            "--ratchet" => ratchet_path = Some(PathBuf::from(next_value(&mut args, "--ratchet")?)),
             "--help" | "-h" => {
                 print!("{}", USAGE);
                 return Ok(true);
@@ -69,45 +65,7 @@ fn run() -> Result<bool, String> {
         None => nodb_lint::walk::find_root(&std::env::current_dir().map_err(|e| e.to_string())?)
             .ok_or("no workspace root found (no Cargo.toml with [workspace] above cwd)")?,
     };
-    let ratchet_path = ratchet_path.unwrap_or_else(|| root.join("lint-ratchet.toml"));
-    let ratchet = match std::fs::read_to_string(&ratchet_path) {
-        Ok(text) => nodb_lint::ratchet::parse(&text)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound && write_ratchet => {
-            nodb_lint::ratchet::Ratchet::default()
-        }
-        Err(e) => {
-            return Err(format!(
-                "cannot read ratchet {} ({e}); run with --write-ratchet to create it",
-                ratchet_path.display()
-            ))
-        }
-    };
-
-    let report = nodb_lint::lint_workspace(&root, &ratchet).map_err(|e| e.to_string())?;
-
-    if write_ratchet {
-        let fresh = nodb_lint::ratchet::Ratchet {
-            no_unwrap: report.unwrap_counts.clone(),
-        };
-        std::fs::write(&ratchet_path, nodb_lint::ratchet::render(&fresh))
-            .map_err(|e| e.to_string())?;
-        eprintln!(
-            "nodb-lint: wrote {} ({} files with sites)",
-            ratchet_path.display(),
-            fresh.no_unwrap.len()
-        );
-        // Ratchet findings are resolved by the rewrite; re-judge the rest.
-        let remaining: Vec<_> = report
-            .findings
-            .iter()
-            .filter(|f| f.rule != nodb_lint::RuleId::NoUnwrap)
-            .collect();
-        for f in &remaining {
-            println!("{}", f.render());
-        }
-        return Ok(report_summary(remaining.len(), Some(report.files_scanned)));
-    }
-
+    let report = nodb_lint::lint_workspace(&root).map_err(|e| e.to_string())?;
     for f in &report.findings {
         println!("{}", f.render());
     }
@@ -130,15 +88,11 @@ fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<Str
 }
 
 const USAGE: &str = "\
-usage: nodb-lint --workspace [--root DIR] [--ratchet FILE] [--write-ratchet]
+usage: nodb-lint --workspace [--root DIR]
        nodb-lint FILE...
 
-Enforces the workspace invariants (see crates/lint/README.md):
-  poison-lock       .lock()/.read()/.write() + unwrap must use lock_recover
+Enforces the workspace invariant clippy cannot see (crates/lint/README.md):
   cancellation      scan loops in lint:cancellable modules must poll ctx
-  no-unwrap         unwrap/expect/panic! in lib code, ratcheted downward
-  truncating-cast   narrowing `as` casts need try_into or a cast-ok waiver
-  unsafe-audit      every unsafe needs a // SAFETY: comment
 
 Exit codes: 0 clean, 1 findings, 2 usage/I-O error.
 ";

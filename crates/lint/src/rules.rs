@@ -1,6 +1,6 @@
-//! The five workspace invariants `nodb-lint` enforces, as token-level rules
-//! over [`crate::lexer`] output. Each rule documents the invariant, why it
-//! exists, and the escape hatch (waiver comment or ratchet entry).
+//! The workspace invariant `nodb-lint` enforces, as a token-level rule over
+//! [`crate::lexer`] output: cooperative cancellation in scan loops. The rule
+//! documents the invariant, why it exists, and its waiver comment.
 
 use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
 
@@ -8,30 +8,15 @@ use crate::lexer::{lex, Comment, Lexed, Tok, TokKind};
 /// waiver comments, and CI grep on them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RuleId {
-    /// `.lock()/.read()/.write()` chained into `unwrap`-family calls must
-    /// route through `lock_recover` (PR 6's poison-tolerance contract).
-    PoisonLock,
     /// Scan/batch loops in `lint:cancellable` modules must poll the query
     /// context or drive an interrupt-flagged `BlockSource`.
     Cancellation,
-    /// `unwrap()/expect()/panic!` in library code, held down by a per-file
-    /// ratchet that may only decrease.
-    NoUnwrap,
-    /// Narrowing `as` casts on offset/row arithmetic need `try_into` or an
-    /// explicit waiver.
-    TruncatingCast,
-    /// Every `unsafe` needs a `// SAFETY:` comment justifying it.
-    UnsafeAudit,
 }
 
 impl RuleId {
     pub fn as_str(self) -> &'static str {
         match self {
-            RuleId::PoisonLock => "poison-lock",
             RuleId::Cancellation => "cancellation",
-            RuleId::NoUnwrap => "no-unwrap",
-            RuleId::TruncatingCast => "truncating-cast",
-            RuleId::UnsafeAudit => "unsafe-audit",
         }
     }
 }
@@ -57,24 +42,12 @@ impl Finding {
     }
 }
 
-/// Per-file lint knobs, set by the driver in [`crate`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FileOptions {
-    /// Workspace mode scopes [`RuleId::TruncatingCast`] to the offset/row
-    /// arithmetic crates (posmap/rawcsv/rawcache); explicit-path mode lints
-    /// every file it is given.
-    pub casts_in_scope: bool,
-    /// With a loaded ratchet the driver aggregates unwrap sites per file
-    /// itself; without one each site is reported individually.
-    pub report_unwrap_sites: bool,
-}
-
 /// Everything the rules know about one file.
 pub struct SourceFile {
     pub path: String,
     lexed: Lexed,
     /// 1-based inclusive line ranges covered by `#[cfg(test)]` / `#[test]` /
-    /// `#[bench]` items — library-code rules skip findings inside them.
+    /// `#[bench]` items — the rule skips loops inside them.
     excluded: Vec<(u32, u32)>,
     /// A `#![doc = "…"]` attribute near the top mentions `lint:cancellable`
     /// (string contents are dropped by the lexer, so this is captured from
@@ -138,63 +111,14 @@ impl SourceFile {
 }
 
 /// Run every rule over one file.
-pub fn lint_file(file: &SourceFile, opts: FileOptions) -> Vec<Finding> {
+pub fn lint_file(file: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    rule_poison_lock(file, &mut out);
     rule_cancellation(file, &mut out);
-    if opts.report_unwrap_sites {
-        rule_no_unwrap_sites(file, &mut out);
-    }
-    if opts.casts_in_scope {
-        rule_truncating_cast(file, &mut out);
-    }
-    rule_unsafe_audit(file, &mut out);
     out
 }
 
 // ---------------------------------------------------------------------------
-// Rule 1: poison-lock
-// ---------------------------------------------------------------------------
-
-/// `.lock().unwrap()`, `.read().expect(…)`, `.write().unwrap_or_else(…)` in
-/// library code: all of these either panic on a poisoned lock (turning one
-/// contained worker panic into a cascade) or hand-roll the recovery that
-/// `lock_recover` centralizes. The zero-argument call distinguishes lock
-/// acquisition from `io::Read::read(&mut buf)`-style calls.
-/// Waive with `// lint: lock-ok <reason>` (e.g. inside `lock_recover` itself).
-fn rule_poison_lock(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = file.toks();
-    for i in 0..toks.len().saturating_sub(5) {
-        let w = &toks[i..i + 6];
-        let is_acquire = w[0].text == "."
-            && w[0].kind == TokKind::Punct
-            && matches!(w[1].text.as_str(), "lock" | "read" | "write")
-            && w[2].text == "("
-            && w[3].text == ")"
-            && w[4].text == "."
-            && matches!(w[5].text.as_str(), "unwrap" | "expect" | "unwrap_or_else");
-        if !is_acquire {
-            continue;
-        }
-        let line = w[1].line;
-        if file.in_test_code(line) || file.waived("lock-ok", line) {
-            continue;
-        }
-        out.push(Finding {
-            rule: RuleId::PoisonLock,
-            path: file.path.clone(),
-            line,
-            message: format!(
-                "`.{}().{}` panics or hand-rolls recovery on a poisoned lock; \
-                 route through `lock_recover` (or waive: `// lint: lock-ok <reason>`)",
-                w[1].text, w[5].text
-            ),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 2: cancellation
+// Rule: cancellation
 // ---------------------------------------------------------------------------
 
 /// Method/function names whose presence makes a loop a *scan loop*: it
@@ -338,125 +262,6 @@ fn loop_body(toks: &[Tok], kw: usize) -> Option<(usize, usize)> {
         j += 1;
     }
     Some((open, toks.len() - 1))
-}
-
-// ---------------------------------------------------------------------------
-// Rule 3: no-unwrap (site counting; the ratchet lives in crate::ratchet)
-// ---------------------------------------------------------------------------
-
-/// Count `unwrap()/expect(/panic!` sites in library (non-test) code. A
-/// panicking scan worker bricks its whole query (contained only by the
-/// `catch_unwind` in `worker.rs`) — new code should thread `Result`s.
-pub fn count_unwrap_sites(file: &SourceFile) -> (usize, Vec<u32>) {
-    let toks = file.toks();
-    let mut lines = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let hit = match t.text.as_str() {
-            "unwrap" | "expect" => {
-                i > 0 && toks[i - 1].text == "." && toks.get(i + 1).is_some_and(|n| n.text == "(")
-            }
-            "panic" => toks.get(i + 1).is_some_and(|n| n.text == "!"),
-            _ => false,
-        };
-        if hit && !file.in_test_code(t.line) {
-            lines.push(t.line);
-        }
-    }
-    (lines.len(), lines)
-}
-
-fn rule_no_unwrap_sites(file: &SourceFile, out: &mut Vec<Finding>) {
-    let (_, lines) = count_unwrap_sites(file);
-    for line in lines {
-        out.push(Finding {
-            rule: RuleId::NoUnwrap,
-            path: file.path.clone(),
-            line,
-            message: "unwrap()/expect()/panic! in library code can panic a scan worker; \
-                      return a Result (ratcheted in workspace mode via lint-ratchet.toml)"
-                .to_string(),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 4: truncating-cast
-// ---------------------------------------------------------------------------
-
-/// `as usize`/`as u32`/`as u16`/`as u8` on offset/row arithmetic silently
-/// truncates on narrower targets (u64 file offsets → 32-bit usize) or wide
-/// values (byte offsets → u32 spans). Use `try_into` where the value is not
-/// provably bounded, or document the bound:
-/// `// lint: cast-ok <why the value fits>`. (`as u64` from usize is widening
-/// on every supported target, so the u64 direction is not flagged.)
-fn rule_truncating_cast(file: &SourceFile, out: &mut Vec<Finding>) {
-    let toks = file.toks();
-    for i in 0..toks.len().saturating_sub(1) {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || t.text != "as" {
-            continue;
-        }
-        let target = &toks[i + 1];
-        if target.kind != TokKind::Ident
-            || !matches!(target.text.as_str(), "usize" | "u32" | "u16" | "u8")
-        {
-            continue;
-        }
-        if file.in_test_code(t.line) || file.waived("cast-ok", t.line) {
-            continue;
-        }
-        out.push(Finding {
-            rule: RuleId::TruncatingCast,
-            path: file.path.clone(),
-            line: t.line,
-            message: format!(
-                "narrowing `as {}` on offset/row arithmetic; use `try_into` or document \
-                 the bound: `// lint: cast-ok <reason>`",
-                target.text
-            ),
-        });
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: unsafe-audit
-// ---------------------------------------------------------------------------
-
-/// How many lines above an `unsafe` token a `// SAFETY:` comment may sit and
-/// still count as documenting it.
-const SAFETY_WINDOW: u32 = 5;
-
-/// Every `unsafe` block/fn/impl needs a `// SAFETY:` comment within the
-/// preceding [`SAFETY_WINDOW`] lines stating the invariant that makes it
-/// sound. No waiver — the SAFETY comment *is* the waiver.
-fn rule_unsafe_audit(file: &SourceFile, out: &mut Vec<Finding>) {
-    for t in file.toks() {
-        if t.kind != TokKind::Ident || t.text != "unsafe" {
-            continue;
-        }
-        if file.in_test_code(t.line) {
-            continue;
-        }
-        let documented = file.comments().iter().any(|c| {
-            c.line >= t.line.saturating_sub(SAFETY_WINDOW)
-                && c.line <= t.line
-                && c.text.contains("SAFETY")
-        });
-        if !documented {
-            out.push(Finding {
-                rule: RuleId::UnsafeAudit,
-                path: file.path.clone(),
-                line: t.line,
-                message: "`unsafe` without a `// SAFETY:` comment in the preceding lines; \
-                          state the invariant that makes this sound"
-                    .to_string(),
-            });
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

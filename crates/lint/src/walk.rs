@@ -6,11 +6,10 @@
 //!
 //! - `crates/shims/`: vendored stand-ins for external crates (`rand`,
 //!   `parking_lot`, `criterion`); their job is to mirror a foreign API
-//!   surface, poison-swallowing `lock()` included, not to follow this
-//!   repo's conventions;
-//! - `tests/`, `benches/`, `examples/`: the invariants are about library
-//!   code — a test may unwrap freely (and in-`src` `#[cfg(test)]` blocks
-//!   are excluded token-wise by [`crate::rules`]);
+//!   surface, not to follow this repo's conventions;
+//! - `tests/`, `benches/`, `examples/`: the invariant is about library
+//!   code — a test may loop without polling (and in-`src` `#[cfg(test)]`
+//!   blocks are excluded token-wise by [`crate::rules`]);
 //! - `target/` and anything else outside a `src/` tree.
 
 use std::path::{Path, PathBuf};

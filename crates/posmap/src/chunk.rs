@@ -161,7 +161,10 @@ impl ChunkBuilder {
     pub fn push_row(&mut self, tokens: &Tokens) {
         for (i, &attr) in self.attrs.iter().enumerate() {
             let off = match tokens.get(attr) {
-                // lint: cast-ok guarded (start < NO_OFFSET fits u16; NO_OFFSET widens)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "guarded: start < NO_OFFSET fits u16"
+                )]
                 Some(span) if span.start < NO_OFFSET as u32 => span.start as u16,
                 _ => NO_OFFSET,
             };
@@ -174,13 +177,16 @@ impl ChunkBuilder {
     /// resumable scans that compute offsets without a full `Tokens` pass.
     pub fn push_row_offsets(&mut self, offsets: &[(usize, u32)]) {
         for (i, &attr) in self.attrs.iter().enumerate() {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "guarded: o < NO_OFFSET fits u16"
+            )]
             let off = offsets
                 .iter()
                 .find(|(a, _)| *a == attr)
                 .map(|&(_, o)| {
-                    // lint: cast-ok guarded (o < NO_OFFSET fits u16)
                     if o < NO_OFFSET as u32 {
-                        o as u16 // lint: cast-ok guarded by the branch above
+                        o as u16
                     } else {
                         NO_OFFSET
                     }
@@ -198,8 +204,11 @@ impl ChunkBuilder {
     pub fn push_rows(&mut self, rows: usize, mut start: impl FnMut(usize, usize) -> Option<u32>) {
         for (k, col) in self.cols.iter_mut().enumerate() {
             col.extend((0..rows).map(|row| match start(k, row) {
-                // lint: cast-ok guarded (o < NO_OFFSET fits u16)
-                Some(o) if o < NO_OFFSET as u32 => o as u16, // lint: cast-ok guarded by the arm above
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "guarded: o < NO_OFFSET fits u16"
+                )]
+                Some(o) if o < NO_OFFSET as u32 => o as u16,
                 _ => NO_OFFSET,
             }));
         }

@@ -31,6 +31,10 @@
 //! This keeps the map an order of magnitude smaller than absolute `u64`
 //! positions.
 
+// Every narrowing cast on offset or row arithmetic states its bound in an
+// `#[expect]`; test code is exempt.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 pub mod chunk;
 pub mod map;
 pub mod policy;

@@ -64,7 +64,7 @@ impl NullMask {
                 if w == last && !hi.is_multiple_of(64) {
                     bits &= (1u64 << (hi % 64)) - 1;
                 }
-                bits.count_ones() as usize // lint: cast-ok at most 64
+                bits.count_ones() as usize
             })
             .sum()
     }
@@ -120,7 +120,7 @@ impl NullMask {
         let mut words = vec![0u64; len.div_ceil(64)];
         if self.any_null {
             let bit = |r: u32| {
-                let p = base + r as usize; // lint: cast-ok u32 selection index widens into usize
+                let p = base + r as usize;
                 self.words.get(p / 64).map_or(0, |w| w >> (p % 64) & 1)
             };
             for (out, chunk) in words.iter_mut().zip(rows.chunks(64)) {
@@ -597,21 +597,21 @@ impl TypedColumn {
     pub fn gather(&self, rows: &[u32], base: usize) -> TypedColumn {
         match self {
             TypedColumn::Int { values, nulls } => TypedColumn::Int {
-                values: rows.iter().map(|&r| values[base + r as usize]).collect(), // lint: cast-ok u32 selection index widens into usize
+                values: rows.iter().map(|&r| values[base + r as usize]).collect(),
                 nulls: nulls.gather(rows, base),
             },
             TypedColumn::Float { values, nulls } => TypedColumn::Float {
-                values: rows.iter().map(|&r| values[base + r as usize]).collect(), // lint: cast-ok u32 selection index widens into usize
+                values: rows.iter().map(|&r| values[base + r as usize]).collect(),
                 nulls: nulls.gather(rows, base),
             },
             TypedColumn::Bool { values, nulls } => TypedColumn::Bool {
-                values: rows.iter().map(|&r| values[base + r as usize]).collect(), // lint: cast-ok u32 selection index widens into usize
+                values: rows.iter().map(|&r| values[base + r as usize]).collect(),
                 nulls: nulls.gather(rows, base),
             },
             TypedColumn::Str { values, nulls, .. } => {
                 let vals: Vec<Box<str>> = rows
                     .iter()
-                    .map(|&r| values[base + r as usize].clone()) // lint: cast-ok u32 selection index widens into usize
+                    .map(|&r| values[base + r as usize].clone())
                     .collect();
                 let str_bytes = vals.iter().map(|s| s.len()).sum();
                 TypedColumn::Str {

@@ -24,6 +24,10 @@
 //!   and map-assisted raw reads per attribute ("the cache follows the format
 //!   of the positional map").
 
+// Every narrowing cast on offset or row arithmetic states its bound in an
+// `#[expect]`; test code is exempt.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 pub mod cache;
 pub mod column;
 

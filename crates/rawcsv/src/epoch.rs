@@ -293,7 +293,10 @@ fn open(path: &Path) -> Result<File> {
 /// file ended before `offset + len` — it shrank since the caller's stat,
 /// i.e. a mutation race, not an I/O failure.
 fn try_read_at(file: &mut File, path: &Path, offset: u64, len: u64) -> Result<Option<Vec<u8>>> {
-    // lint: cast-ok len ≤ EPOCH_HEAD/TAIL_LIMIT (4 KiB), a module constant
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "len ≤ EPOCH_HEAD/TAIL_LIMIT (4 KiB), a module constant"
+    )]
     let mut buf = vec![0u8; len as usize];
     if buf.is_empty() {
         return Ok(Some(buf));

@@ -365,7 +365,7 @@ fn write_i64(out: &mut Vec<u8>, v: i64) {
     let mut u = v.unsigned_abs();
     loop {
         i -= 1;
-        buf[i] = b'0' + (u % 10) as u8; // lint: cast-ok bounded by % 10
+        buf[i] = b'0' + (u % 10) as u8;
         u /= 10;
         if u == 0 {
             break;

@@ -25,7 +25,9 @@
 //! The tokenizer handles plain CSV (the paper's workload) on a fast SWAR
 //! path and quoted fields on a slower, quote-aware path.
 
-#![forbid(unsafe_code)]
+// Every narrowing cast on offset or row arithmetic states its bound in an
+// `#[expect]`; test code is exempt.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 pub mod datum;
 pub mod epoch;

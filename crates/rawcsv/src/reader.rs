@@ -241,6 +241,10 @@ pub fn is_transient_io(err: &RawCsvError) -> bool {
 /// Bytes to request when positioned at file offset `pos`: block-sized but
 /// never past the soft cap, page-sized tail steps beyond it, truncated at
 /// the hard limit (0 = stop).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the result is ≤ block_size.max(TAIL_READ), both usize-valued"
+)]
 fn read_size_at(pos: u64, block_size: usize, cap: u64, limit: u64) -> usize {
     if pos >= limit {
         return 0;
@@ -250,7 +254,6 @@ fn read_size_at(pos: u64, block_size: usize, cap: u64, limit: u64) -> usize {
     } else {
         (block_size as u64).min(cap - pos)
     };
-    // lint: cast-ok result ≤ block_size.max(TAIL_READ), both usize-valued
     base.min(limit - pos) as usize
 }
 
@@ -792,6 +795,10 @@ pub fn partition_line_ranges_capped(
     let mut cuts: Vec<u64> = vec![start];
     let mut last_cut = start;
     for k in 1..parts {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "span * k / parts < span, a u64"
+        )]
         let target = start + (span as u128 * k as u128 / parts as u128) as u64;
         let cut = next_line_start_at_or_after(&mut file, path, target, len)?;
         if cut < len && cut > last_cut {
@@ -1043,7 +1050,10 @@ impl RangeScanner {
                 Stop::WindowEnd => {
                     let before = sc.win.file_offset;
                     sc.refill()?;
-                    // lint: cast-ok the shift is at most the window's length
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "the shift is at most the window's length"
+                    )]
                     let shift = (sc.win.file_offset - before) as usize;
                     row.shift(shift);
                     from = at - shift;
@@ -1276,7 +1286,7 @@ impl RowBatch {
             .get(self.lines.len())
             .copied()
             .unwrap_or(RowPlan::from_start(self.upto));
-        let anchor = start + plan.off as usize; // lint: cast-ok u32 widens into usize
+        let anchor = start + plan.off as usize;
         *row = OpenRow {
             start,
             first: plan.field,
@@ -1382,7 +1392,7 @@ impl RowBatch {
             };
             let mut bits = newlines | Self::row_delims(row, delims, p);
             while bits != 0 {
-                let b = bits.trailing_zeros() as usize; // lint: cast-ok bit index < 64
+                let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 let at = p + b;
                 if newlines & (1 << b) != 0 {

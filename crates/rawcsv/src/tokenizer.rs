@@ -41,23 +41,25 @@ impl FieldSpan {
     /// exceeds the scan block size (`NoDbConfig` clamps it to ≤ 256 MiB).
     #[inline]
     pub fn at(start: usize, end: usize) -> FieldSpan {
-        debug_assert!(start <= end && end <= u32::MAX as usize); // lint: cast-ok widening
-        let start = start as u32; // lint: cast-ok line-relative, bounded per doc above
-        let end = end as u32; // lint: cast-ok line-relative, bounded per doc above
+        debug_assert!(start <= end && end <= u32::MAX as usize);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "line-relative, bounded per doc above"
+        )]
+        let (start, end) = (start as u32, end as u32);
         FieldSpan { start, end }
     }
 
     /// Slice the field's bytes out of its line.
     #[inline]
     pub fn of<'a>(&self, line: &'a [u8]) -> &'a [u8] {
-        // lint: cast-ok u32 offsets widen into usize
         &line[self.start as usize..self.end as usize]
     }
 
     /// Field width in bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        (self.end - self.start) as usize // lint: cast-ok u32 widens into usize
+        (self.end - self.start) as usize
     }
 
     /// True for zero-width (empty) fields.
@@ -321,7 +323,6 @@ pub fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
         let x = w ^ pat;
         let hit = x.wrapping_sub(LO) & !x & HI;
         if hit != 0 {
-            // lint: cast-ok trailing_zeros()>>3 is at most 7
             return Some(i + (hit.trailing_zeros() >> 3) as usize);
         }
         i += 8;
@@ -351,7 +352,7 @@ pub fn count_byte(hay: &[u8], needle: u8) -> usize {
     for &word in words {
         let x = u64::from_le_bytes(word) ^ pat;
         let hit = !(((x & SEVENF) + SEVENF) | x | SEVENF);
-        count += hit.count_ones() as usize; // lint: cast-ok u32 widens into usize
+        count += hit.count_ones() as usize;
     }
     count + tail.iter().filter(|&&b| b == needle).count()
 }

@@ -36,6 +36,10 @@
 //!
 //! Wire protocol and command table: `crates/server/README.md`.
 
+// Every narrowing cast on offset or row arithmetic states its bound in an
+// `#[expect]`; test code is exempt.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 pub mod client;
 pub mod protocol;
 

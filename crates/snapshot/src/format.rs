@@ -435,7 +435,11 @@ pub fn encode_snapshot(snap: &TableSnapshot) -> Vec<u8> {
     let mut out = Enc { buf: Vec::new() };
     out.buf.extend_from_slice(&MAGIC);
     out.put_u32(FORMAT_VERSION);
-    out.put_u32(h.buf.len() as u32); // lint: cast-ok header payload is a few dozen bytes
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the header payload is a few dozen bytes"
+    )]
+    out.put_u32(h.buf.len() as u32);
     out.buf.extend_from_slice(&h.buf);
     let header_checksum = checksum64(&out.buf[MAGIC.len()..]);
     out.put_u64(header_checksum);

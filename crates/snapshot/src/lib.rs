@@ -25,6 +25,10 @@
 //!
 //! See `README.md` for the on-disk format specification.
 
+// Every narrowing cast on offset or row arithmetic states its bound in an
+// `#[expect]`; test code is exempt.
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 pub mod format;
 pub mod io;
 

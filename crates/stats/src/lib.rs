@@ -43,8 +43,6 @@
 //! [`TableStats::observe`] on every row in row order, byte for byte — the
 //! property the scan's equivalence tests check at every worker count.
 
-#![forbid(unsafe_code)]
-
 pub mod attr;
 pub mod estimate;
 pub mod sketch;

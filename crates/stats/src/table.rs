@@ -72,7 +72,7 @@ impl TableStats {
             if frontier >= end {
                 continue;
             }
-            let from = (frontier.max(row_base) - row_base) as usize; // lint: cast-ok below col.len()
+            let from = (frontier.max(row_base) - row_base) as usize; // below col.len()
             self.attr_mut(attr).absorb(col, sketch, from);
             frontier = end;
         }

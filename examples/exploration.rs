@@ -12,11 +12,11 @@ use nodb_bench::workload::{epoch_workload, scratch_dir, Dataset};
 use nodb_core::NoDbConfig;
 
 fn main() {
-    let dir = scratch_dir("exploration_example");
+    let dir = scratch_dir("exploration_example").expect("scratch dir");
     let cols = 30;
     let rows = 50_000u64;
     println!("generating {rows}-row, {cols}-attribute raw file ...");
-    let data = Dataset::standard(&dir, cols, rows, 0xE59);
+    let data = Dataset::standard(&dir, cols, rows, 0xE59).expect("generate dataset");
 
     // Tight budgets so adaptation is visible: roughly 40% of the file's
     // attributes fit in each structure.

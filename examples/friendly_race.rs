@@ -15,14 +15,14 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(100_000);
-    let dir = scratch_dir("race_example");
+    let dir = scratch_dir("race_example").expect("scratch dir");
     println!("generating {rows}-row, 10-attribute raw file ...");
-    let data = Dataset::standard(&dir, 10, rows, 0xCAFE);
+    let data = Dataset::standard(&dir, 10, rows, 0xCAFE).expect("generate dataset");
     let schema = data.schema();
     let queries = race_queries("t", 10);
 
     println!("\nSTARTING SHOT — every system begins from the raw file.\n");
-    for mut sys in race_lineup() {
+    for mut sys in race_lineup().expect("scratch dirs") {
         let init = sys.init(&data.path, &schema).expect("init");
         let mut cum = init;
         let mut first = None;

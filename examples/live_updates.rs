@@ -12,9 +12,9 @@ use nodb_bench::workload::{scratch_dir, Dataset};
 use nodb_rawcsv::GeneratorConfig;
 
 fn main() {
-    let dir = scratch_dir("updates_example");
+    let dir = scratch_dir("updates_example").expect("scratch dir");
     let rows = 40_000u64;
-    let data = Dataset::standard(&dir, 5, rows, 0x11);
+    let data = Dataset::standard(&dir, 5, rows, 0x11).expect("generate dataset");
     let mut sys = RawContestant::pm_c();
     sys.init(&data.path, &data.schema()).expect("register");
 

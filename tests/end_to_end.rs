@@ -25,10 +25,10 @@ fn queries() -> Vec<&'static str> {
 
 #[test]
 fn all_systems_agree_on_all_queries() {
-    let dir = scratch_dir("it_agree");
-    let data = Dataset::standard(&dir, 5, 3_000, 0xA11);
+    let dir = scratch_dir("it_agree").unwrap();
+    let data = Dataset::standard(&dir, 5, 3_000, 0xA11).unwrap();
     let schema = data.schema();
-    let mut contestants = race_lineup();
+    let mut contestants = race_lineup().unwrap();
     for c in contestants.iter_mut() {
         c.init(&data.path, &schema).unwrap();
     }
@@ -53,8 +53,8 @@ fn all_systems_agree_on_all_queries() {
 fn adaptive_reruns_stay_consistent() {
     // Run the same query list three times on one adaptive instance: answers
     // must never change as the map/cache/statistics evolve underneath.
-    let dir = scratch_dir("it_rerun");
-    let data = Dataset::standard(&dir, 5, 2_000, 0xB22);
+    let dir = scratch_dir("it_rerun").unwrap();
+    let data = Dataset::standard(&dir, 5, 2_000, 0xB22).unwrap();
     let mut sys = RawContestant::pm_c();
     sys.init(&data.path, &data.schema()).unwrap();
     let mut first_pass: Vec<QueryResult> = Vec::new();
@@ -73,8 +73,8 @@ fn adaptive_reruns_stay_consistent() {
 
 #[test]
 fn tight_budgets_never_affect_correctness() {
-    let dir = scratch_dir("it_budget");
-    let data = Dataset::standard(&dir, 6, 2_000, 0xC33);
+    let dir = scratch_dir("it_budget").unwrap();
+    let data = Dataset::standard(&dir, 6, 2_000, 0xC33).unwrap();
     let schema = data.schema();
 
     let mut reference = RawContestant::baseline();
@@ -106,8 +106,8 @@ fn tight_budgets_never_affect_correctness() {
 
 #[test]
 fn loaded_index_choice_is_transparent() {
-    let dir = scratch_dir("it_index");
-    let data = Dataset::standard(&dir, 5, 2_000, 0xD44);
+    let dir = scratch_dir("it_index").unwrap();
+    let data = Dataset::standard(&dir, 5, 2_000, 0xD44).unwrap();
     let schema = data.schema();
     let sub = dir.join("pg_idx");
     std::fs::create_dir_all(&sub).unwrap();
@@ -131,7 +131,7 @@ fn loaded_index_choice_is_transparent() {
 
 #[test]
 fn mixed_type_file_with_header_round_trips() {
-    let dir = scratch_dir("it_mixed");
+    let dir = scratch_dir("it_mixed").unwrap();
     let path = dir.join("people.csv");
     let mut content = String::from("id,name,score,active\n");
     for i in 0..500 {
