@@ -11,7 +11,7 @@ use crate::systems::{race_lineup, Contestant, RawContestant};
 use crate::workload::{race_queries, scratch_dir, sp_query, Dataset, Scale};
 use crate::BenchResult;
 
-use super::ExperimentReport;
+use super::{agree, ExperimentReport};
 
 /// RACE — §4.3: every contestant gets the same raw file and the same query
 /// sequence; conventional systems must load (and may index) first. The
@@ -47,8 +47,8 @@ pub fn race(scale: Scale) -> BenchResult<ExperimentReport> {
         match &reference {
             None => reference = Some(results),
             Some(refr) => {
-                for (i, (a, b)) in refr.iter().zip(&results).enumerate() {
-                    assert_eq!(a, b, "{} disagrees on query {}", sys.name(), i);
+                for ((want, got), q) in refr.iter().zip(&results).zip(&queries) {
+                    agree(&sys.name(), q, got, want)?;
                 }
             }
         }
@@ -134,7 +134,12 @@ pub fn updates(scale: Scale) -> BenchResult<ExperimentReport> {
             format!("{before}"),
             format!("{}", got == Datum::Int(expect)),
         ]);
-        assert_eq!(got, Datum::Int(expect), "{event}");
+        agree(
+            &sys.name(),
+            &format!("{count_sql} ({event})"),
+            &got,
+            &Datum::Int(expect),
+        )?;
         Ok(())
     };
 

@@ -56,6 +56,16 @@ impl ExperimentReport {
     }
 }
 
+/// A cross-system check: `system`'s answer to `query` must equal the
+/// reference answer. A disagreement is the experiment's error, not a panic.
+pub fn agree<T: PartialEq>(system: &str, query: &str, got: &T, want: &T) -> BenchResult<()> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(format!("{system} disagrees with the reference on {query}").into())
+    }
+}
+
 /// All experiment ids, in run order.
 pub const ALL: &[&str] = &[
     "fig2", "fig3", "seq", "adapt", "dataset", "race", "updates", "knobs",
@@ -73,5 +83,20 @@ pub fn run(id: &str, scale: Scale) -> BenchResult<ExperimentReport> {
         "updates" => comparison::updates(scale),
         "knobs" => comparison::knobs(scale),
         _ => Err(format!("unknown experiment {id:?}").into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_disagreement_is_an_error_naming_the_system_and_the_query() {
+        assert!(agree("PostgresRaw", "SELECT 1", &1, &1).is_ok());
+        let e = agree("PostgresRaw", "SELECT 1", &1, &2).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "PostgresRaw disagrees with the reference on SELECT 1"
+        );
     }
 }

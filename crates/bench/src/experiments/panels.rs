@@ -9,7 +9,7 @@ use crate::systems::{Contestant, LoadedContestant, RawContestant};
 use crate::workload::{scratch_dir, sp_query, Dataset, Scale};
 use crate::BenchResult;
 
-use super::ExperimentReport;
+use super::{agree, ExperimentReport};
 
 /// Fig 2 — the System Monitoring Panel: map/cache utilization, hit ratio
 /// and per-attribute usage evolving over a 30-query workload whose focus
@@ -132,7 +132,7 @@ pub fn fig3(scale: Scale) -> BenchResult<ExperimentReport> {
     for sys in &mut raw {
         let init = sys.init(&data.path, &schema)?;
         let (r, q) = sys.run(&sql)?;
-        assert_eq!(r, pg_r, "all systems must agree");
+        agree(&sys.name(), &sql, &r, &pg_r)?;
         let rep = sys
             .db
             .admin()

@@ -11,11 +11,9 @@
 //! `race`, `updates`, `knobs`). `--scale full` uses paper-comparable file
 //! sizes; `small` finishes in seconds for CI.
 //!
-//! Criterion benches live in `benches/`, each writing a `BENCH_*.json`
-//! trajectory file that `bench_gate` diffs: parallel-scan scaling,
-//! concurrent clients, cold-scan state reuse, the warm path and resilience
-//! overhead. Per-layer probes (tokenizer, positional map, cache) are the
-//! out-of-workspace `benchmark/` package's job.
+//! Performance is measured by the out-of-workspace `benchmark/` package
+//! alone: its named workloads, end-to-end and per-layer metrics, and the
+//! `compare` of one commit's results against another's.
 
 pub mod experiments;
 pub mod report;

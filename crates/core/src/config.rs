@@ -67,9 +67,6 @@ pub struct NoDbConfig {
     /// `[MIN_IO_BLOCK_SIZE, MAX_IO_BLOCK_SIZE]` by [`Self::validated`] —
     /// a zero/tiny value would degenerate to per-line syscalls.
     pub io_block_size: usize,
-    /// Collect per-phase execution breakdowns (Fig 3). Costs a few ns per
-    /// row; disable for pure-throughput microbenchmarks.
-    pub detailed_timing: bool,
     /// Check the raw file for appends/replacement before every query (§4.2
     /// *Updates*). Also arms the full source-epoch machinery: the torn-row
     /// fence (scans trust only bytes up to the last newline observed at
@@ -141,7 +138,6 @@ impl Default for NoDbConfig {
             cache_budget_bytes: 1 << 30,
             selective_tokenizing: true,
             io_block_size: 1 << 20,
-            detailed_timing: true,
             detect_updates: true,
             source_change_retries: 1,
             scan_threads: 0,

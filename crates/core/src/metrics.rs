@@ -157,7 +157,7 @@ pub struct SnapshotTelemetry {
 pub struct QueryReport {
     /// Wall-clock end-to-end latency (parse → result materialized).
     pub total: Duration,
-    /// Per-phase breakdown (zeroed when `detailed_timing` is off).
+    /// Per-phase breakdown.
     pub breakdown: Breakdown,
     /// Raw-file I/O performed by this query.
     pub io: IoCounters,
@@ -286,43 +286,28 @@ impl SystemSnapshot {
 }
 
 /// Low-overhead phase stopwatch used inside the scan loop, which laps each
-/// phase once per batch of rows. When disabled, every call is a no-op the
-/// optimizer removes.
+/// phase once per batch of rows.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseClock {
-    enabled: bool,
     /// What a start/lap pair reports around no work at all (one clock
     /// read's latency falls inside every window). Taken off each lap.
     overhead: Duration,
 }
 
 impl PhaseClock {
-    /// Clock that records when `enabled`.
-    pub fn new(enabled: bool) -> Self {
-        let overhead = if enabled {
-            (0..8)
-                .map(|_| std::time::Instant::now().elapsed())
-                .min()
-                .unwrap_or_default()
-        } else {
-            Duration::ZERO
-        };
-        PhaseClock { enabled, overhead }
+    /// Clock calibrated against its own read latency.
+    pub fn new() -> Self {
+        let overhead = (0..8)
+            .map(|_| std::time::Instant::now().elapsed())
+            .min()
+            .unwrap_or_default();
+        PhaseClock { overhead }
     }
 
-    /// Whether this clock records anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Start a measurement (None when disabled).
+    /// Start a measurement.
     #[inline]
-    pub fn start(&self) -> Option<std::time::Instant> {
-        if self.enabled {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        }
+    pub fn start(&self) -> std::time::Instant {
+        std::time::Instant::now()
     }
 
     /// The time since `start`, net of the clock's own overhead.
@@ -333,10 +318,8 @@ impl PhaseClock {
 
     /// Add the elapsed time since `start` to `slot`.
     #[inline]
-    pub fn lap(&self, start: Option<std::time::Instant>, slot: &mut Duration) {
-        if let Some(t) = start {
-            *slot += self.since(t);
-        }
+    pub fn lap(&self, start: std::time::Instant, slot: &mut Duration) {
+        *slot += self.since(start);
     }
 }
 
@@ -403,14 +386,5 @@ mod tests {
         assert!(p.contains("cached attr c2"));
         assert!(p.contains("c0:3"));
         assert!(!p.contains("c1:0"));
-    }
-
-    #[test]
-    fn disabled_clock_is_noop() {
-        let c = PhaseClock::new(false);
-        assert!(c.start().is_none());
-        let mut d = Duration::ZERO;
-        c.lap(None, &mut d);
-        assert_eq!(d, Duration::ZERO);
     }
 }

@@ -963,7 +963,7 @@ pub(crate) fn run_partitions(
     prep: &ScanPrep,
     limit: Option<u64>,
 ) -> EngineResult<ScanOutcome> {
-    let clock = PhaseClock::new(config.detailed_timing);
+    let clock = PhaseClock::new();
     let mut planning = Duration::ZERO;
     let t = clock.start();
     let partitions = plan_slices(table, prep)?;
@@ -1160,7 +1160,7 @@ fn merge_outputs(
     let results = &mut outcome.outputs;
     let stopped = outcome.stopped.take();
     let complete = stopped.is_none() && !outcome.limit_met;
-    let clock = PhaseClock::new(config.detailed_timing);
+    let clock = PhaseClock::new();
     let mut bd = Breakdown {
         io: outcome.planning,
         ..Breakdown::default()
@@ -2131,16 +2131,6 @@ mod tests {
                 assert!(tel.breakdown.install > Duration::ZERO);
                 assert!(tel.breakdown.install <= tel.breakdown.nodb);
             }
-            // Timing off: the reads are still counted, no slice is.
-            let quiet = NoDbConfig {
-                detailed_timing: false,
-                ..cfg
-            };
-            let mut t = RawTable::register(&p, schema.clone(), false, &quiet).unwrap();
-            let (_, tel) = scan_once(&mut t, quiet, ScanRequest::project(vec![1, 3]));
-            assert!(tel.io.stall > Duration::ZERO);
-            assert_eq!(tel.breakdown.total(), Duration::ZERO);
-            assert_eq!(tel.breakdown.install, Duration::ZERO);
         }
         std::fs::remove_file(p).unwrap();
     }

@@ -195,7 +195,7 @@ pub(crate) fn run_partition(
     if crate::rawscan::lock_recover(&INJECT_WORKER_PANIC).as_deref() == Some(ctx.path) {
         panic!("injected worker panic (test hook)");
     }
-    let clock = PhaseClock::new(ctx.config.detailed_timing);
+    let clock = PhaseClock::new();
     let mut laps = Laps::default();
 
     // Clamp the partition to the epoch's torn-row fence: bytes past it
@@ -329,9 +329,7 @@ pub(crate) fn run_partition(
     }
     out.rows = local;
     out.io = scanner.take_counters();
-    if clock.enabled() {
-        laps.io += out.io.stall;
-    }
+    laps.io += out.io.stall;
     out.breakdown.io = laps.io;
     out.breakdown.tokenizing = laps.tok;
     out.breakdown.parsing = laps.parse;
@@ -356,10 +354,8 @@ struct Laps {
 impl Laps {
     /// Lap a line fetch started at `t` into tokenizing, less the `reads`
     /// spent inside it (those join `io` through the stall counter).
-    fn fetch(&mut self, clock: &PhaseClock, t: Option<Instant>, reads: Duration) {
-        if let Some(t) = t {
-            self.tok += clock.since(t).saturating_sub(reads);
-        }
+    fn fetch(&mut self, clock: &PhaseClock, t: Instant, reads: Duration) {
+        self.tok += clock.since(t).saturating_sub(reads);
     }
 }
 

@@ -5,8 +5,8 @@
 //! …) — and deliberately skips:
 //!
 //! - `crates/shims/`: vendored stand-ins for external crates (`rand`,
-//!   `parking_lot`, `criterion`); their job is to mirror a foreign API
-//!   surface, not to follow this repo's conventions;
+//!   `parking_lot`); their job is to mirror a foreign API surface, not to
+//!   follow this repo's conventions;
 //! - `tests/`, `benches/`, `examples/`: the invariant is about library
 //!   code — a test may loop without polling (and in-`src` `#[cfg(test)]`
 //!   blocks are excluded token-wise by [`crate::rules`]);

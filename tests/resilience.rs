@@ -488,6 +488,48 @@ fn stopped_fold_releases_the_table(tag: &str, appended: bool) {
     std::fs::remove_file(path).ok();
 }
 
+/// A live deadline costs a warm query nothing measurable: on a fully-cached
+/// filter+aggregate, `query_with_ctx` with a 60 s deadline (so every
+/// cooperative check reads the clock against it) takes at most 1.25× what
+/// `query` takes unbounded, median against median. The two alternate in
+/// one process, so a busy machine slows both alike.
+#[test]
+fn live_deadline_costs_a_warm_query_at_most_a_quarter() {
+    let (path, gen) = gen_table("ctx_overhead", 100_000);
+    let sql = "SELECT COUNT(*), SUM(c1), MIN(c4), MAX(c4), AVG(c1) FROM t \
+               WHERE c4 < 500000000";
+    let mut db = NoDb::new(NoDbConfig::pm_c());
+    db.register_csv_with_schema("t", &path, gen.schema(), false)
+        .unwrap();
+    db.query("SELECT COUNT(*) FROM t").unwrap();
+    let expect = db.query(sql).unwrap();
+    let deadline = QueryCtx::from_timeout_ms(60_000);
+    let (mut unbounded, mut live) = (Vec::new(), Vec::new());
+    for _ in 0..31 {
+        for (with_deadline, times) in [(false, &mut unbounded), (true, &mut live)] {
+            let t = Instant::now();
+            let r = if with_deadline {
+                db.query_with_ctx(sql, &deadline).unwrap()
+            } else {
+                db.query(sql).unwrap()
+            };
+            times.push(t.elapsed());
+            assert_eq!(r, expect);
+            assert!(db.admin().last_report().unwrap().fully_cached);
+        }
+    }
+    let median = |times: &mut Vec<Duration>| {
+        times.sort();
+        times[times.len() / 2]
+    };
+    let (unbounded, live) = (median(&mut unbounded), median(&mut live));
+    assert!(
+        live.as_secs_f64() <= 1.25 * unbounded.as_secs_f64(),
+        "live deadline {live:?} against unbounded {unbounded:?}"
+    );
+    std::fs::remove_file(path).ok();
+}
+
 /// A token cancelled *before* the query starts fails fast without touching
 /// the table, and the instance keeps serving queries.
 #[test]

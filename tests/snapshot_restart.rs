@@ -76,6 +76,12 @@ fn restart_restores_state_and_results_byte_identically() {
             want,
             "restored table changed the answer to {q}"
         );
+        // Restart ≈ warm, without a timer: the restored state answers the
+        // first query of every shape the survivor warmed without reading a
+        // raw byte.
+        let rep = reborn.admin().last_report().unwrap();
+        assert!(rep.fully_cached, "{q}: {rep:?}");
+        assert_eq!((rep.io.bytes_read, rep.io.read_calls), (0, 0), "{q}");
     }
     cleanup(&path);
 }
